@@ -3,8 +3,13 @@
 //! Measures the kernels the blocked-kernel overhaul targets, head to head
 //! against their scalar oracles:
 //!
-//! * **LDLᵀ factorization** — scalar up-looking [`SparseLdlt`] vs the
-//!   multifrontal [`SupernodalLdlt`] on RCM-ordered 3D FD Laplacians;
+//! * **LDLᵀ factorization** — scalar up-looking [`dd_solver::SparseLdlt`] vs the
+//!   multifrontal [`dd_solver::SupernodalLdlt`] on RCM-ordered 3D FD Laplacians;
+//! * **fill-reducing ordering** — [`Ordering::MinDegree`], the `SpmdOpts`
+//!   default, on the really-assembled subdomain Dirichlet matrices of the
+//!   `elasticity3d` and `diffusion2d_many` benchmark configurations, against
+//!   the numeric factorization it feeds (the LDLᵀ rows above are
+//!   RCM-ordered and never touch it);
 //! * **operator × block-of-vectors** (the `E = WᵀAW` assembly shape) —
 //!   `csrmm` vs the 4-column-blocked `bsrmm` on really-assembled 2D/3D
 //!   elasticity operators (padded-BSR auto-detection included);
@@ -21,8 +26,10 @@
 //! * `<out>/summaries/kernels_wall.json` — wall-clock ratios normalized
 //!   by an in-process calibration loop (dimensionless, roughly
 //!   runner-independent). `perf_gate` skips `*_wall.json`; this binary
-//!   gates them itself under `--gate-wall`: speedups must stay ≥ 2×, and
-//!   calibrated ratios drifting ≥ 1.3× vs the committed
+//!   gates them itself under `--gate-wall`: speedups must stay ≥ 2×, the
+//!   ordering must stay under its share of the numeric factorization
+//!   (`order_over_numeric/*`), and calibrated ratios drifting ≥ 1.3× vs the
+//!   committed
 //!   `kernels_wall.json` baseline warn, ≥ 2.0× fail. Run the wall gate
 //!   only on builds with `-C target-cpu=native` (the CI `kernel-speed`
 //!   lane does); the exact tier is build-independent.
@@ -33,13 +40,16 @@
 
 use dd_bench::alloc_count::{self, CountingAlloc};
 use dd_bench::summary::Summary;
+use dd_core::problem::presets;
+use dd_core::{decompose, Decomposition};
 use dd_fem::{assemble_elasticity, DofMap};
 use dd_krylov::{
     try_cg, try_gmres_with, CgOpts, GmresOpts, GmresWorkspace, IdentityPrecond, SeqDot,
 };
 use dd_linalg::{BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_mesh::Mesh;
-use dd_solver::{LdltBackend, LocalLdlt, Ordering};
+use dd_part::partition_mesh_rcb;
+use dd_solver::{ordering, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -204,6 +214,76 @@ fn bench_ldlt(rep: &mut Report, calib: f64) {
     }
 }
 
+/// The default ordering on the subdomain matrices a set-up really factors,
+/// against the numeric factorization under that order. Wall tier: both
+/// calibrated times and their quotient (gated: the ordering may not cost
+/// more than [`ORDER_OVER_NUMERIC_MAX`] of the arithmetic it saves). Exact
+/// tier: nnz(L) under the order, summed over the subdomains.
+fn bench_ordering(rep: &mut Report, calib: f64) {
+    let split = |mesh: Mesh, problem, nparts: usize| -> Decomposition {
+        let part = partition_mesh_rcb(&mesh, nparts);
+        decompose(&mesh, &problem, &part, nparts, 1)
+    };
+    let cases = [
+        (
+            "elast3d",
+            split(
+                Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0),
+                presets::heterogeneous_elasticity(2, 3),
+                4,
+            ),
+        ),
+        (
+            "diff2d",
+            split(
+                Mesh::unit_square(48, 48),
+                presets::heterogeneous_diffusion(2),
+                32,
+            ),
+        ),
+    ];
+    for (key, d) in &cases {
+        let mats: Vec<&CsrMatrix> = d.subdomains.iter().map(|s| &s.a_dirichlet).collect();
+        let orders: Vec<Vec<usize>> = mats
+            .iter()
+            .map(|a| ordering::fill_reducing(a, Ordering::MinDegree))
+            .collect();
+        let t_order = median_secs(5, || {
+            mats.iter()
+                .map(|a| ordering::fill_reducing(a, Ordering::MinDegree).len())
+                .sum::<usize>()
+        });
+        let numeric = || -> usize {
+            mats.iter()
+                .zip(&orders)
+                .map(|(a, p)| {
+                    LocalLdlt::factor_ordered(a, p, PivotPolicy::Reject, LdltBackend::Supernodal)
+                        .unwrap()
+                        .nnz_l()
+                })
+                .sum()
+        };
+        let t_numeric = median_secs(5, numeric);
+        let nnz_l = numeric();
+        rep.exact
+            .insert(&format!("ordering/{key}/nnz_l"), nnz_l as f64);
+        rep.wall
+            .insert(&format!("ratio/ordering/{key}/order"), t_order / calib);
+        rep.wall
+            .insert(&format!("ratio/ordering/{key}/numeric"), t_numeric / calib);
+        rep.wall
+            .insert(&format!("order_over_numeric/{key}"), t_order / t_numeric);
+        rep.lines.push(format!(
+            "| ordering/{key} ({} subdomains) | order {:.4}s | numeric {:.4}s | order ÷ numeric **{:.2}** | nnz(L) {} |",
+            mats.len(),
+            t_order,
+            t_numeric,
+            t_order / t_numeric,
+            nnz_l,
+        ));
+    }
+}
+
 fn bench_spmm(rep: &mut Report, calib: f64) {
     for dim in [2usize, 3] {
         let a = elasticity_operator(dim);
@@ -321,6 +401,9 @@ fn bench_krylov_allocs(rep: &mut Report) {
 /// The `--gate-wall` tier: speedups must hold ≥ 2×, and calibrated ratios
 /// must not drift ≥ `WALL_FAIL`× vs the committed baseline (≥ `WALL_WARN`×
 /// warns). Returns false on failure.
+/// Ceiling on ordering seconds ÷ numeric-factorization seconds.
+const ORDER_OVER_NUMERIC_MAX: f64 = 1.0;
+
 fn gate_wall(cur: &Summary) -> bool {
     const WALL_WARN: f64 = 1.3;
     const WALL_FAIL: f64 = 2.0;
@@ -330,6 +413,14 @@ fn gate_wall(cur: &Summary) -> bool {
         if let Some(name) = k.strip_prefix("speedup/") {
             if *v < MIN_SPEEDUP {
                 println!("- **FAIL** `{name}`: speedup {v:.2}× < required {MIN_SPEEDUP}×");
+                ok = false;
+            }
+        }
+        if let Some(name) = k.strip_prefix("order_over_numeric/") {
+            if *v > ORDER_OVER_NUMERIC_MAX {
+                println!(
+                    "- **FAIL** `ordering/{name}`: ordering takes {v:.2}× the numeric factorization, allowed {ORDER_OVER_NUMERIC_MAX}×"
+                );
                 ok = false;
             }
         }
@@ -393,6 +484,7 @@ fn main() -> ExitCode {
     println!("| kernel | scalar / csr | blocked / bsr | speedup | check |");
     println!("|---|---:|---:|---:|---|");
     bench_ldlt(&mut rep, calib);
+    bench_ordering(&mut rep, calib);
     bench_spmm(&mut rep, calib);
     bench_krylov_allocs(&mut rep);
     for l in &rep.lines {

@@ -21,7 +21,6 @@
 //! | `ablation_coarse_space` | GenEO vs Nicolaides coarse spaces |
 //! | `ablation_adef` | A-DEF1 vs A-DEF2 coarse-solve cost |
 //! | `ablation_ritz` | §4 outlook — a-posteriori Ritz deflation |
-//! | `ablation_eigensolver` | Lanczos vs subspace iteration on GenEO pencils |
 //! | `ablation_network` | α–β network sensitivity of the phases |
 //!
 //! Absolute times are *virtual* (see `dd-comm`): the paper ran on 16384

@@ -28,6 +28,7 @@ use crate::problem::Problem;
 use dd_fem::{assembly, DofMap};
 use dd_linalg::{vector, BsrMatrix, CsrMatrix, DMat};
 use dd_mesh::Mesh;
+use dd_solver::{ordering, LdltBackend, LdltError, LocalLdlt, Ordering, PivotPolicy};
 use std::collections::HashMap;
 
 /// Link to a neighboring subdomain `j ∈ O_i`.
@@ -91,6 +92,22 @@ impl Subdomain {
         for (l, &g) in self.l2g.iter().enumerate() {
             global[g as usize] += local[l];
         }
+    }
+
+    /// Analyse the subdomain and factor its Dirichlet matrix. Returns the
+    /// elimination order with the factor: the Neumann pencil of the GenEO
+    /// eigensolve has the same pattern, so
+    /// [`crate::geneo::try_deflation_block_ordered`] factors it under the
+    /// same order and a set-up computes one ordering per subdomain.
+    pub fn factor_dirichlet(
+        &self,
+        ordering: Ordering,
+        backend: LdltBackend,
+    ) -> Result<(Vec<usize>, LocalLdlt), LdltError> {
+        let order = ordering::fill_reducing(&self.a_dirichlet, ordering);
+        let factor =
+            LocalLdlt::factor_ordered(&self.a_dirichlet, &order, PivotPolicy::Reject, backend)?;
+        Ok((order, factor))
     }
 
     /// `y ← A_i x` through the blocked storage when available (bitwise

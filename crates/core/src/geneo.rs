@@ -21,6 +21,7 @@
 use crate::decomp::Subdomain;
 use dd_eigen::{smallest_generalized, EigenError, LanczosOpts};
 use dd_linalg::{CsrMatrix, DMat};
+use dd_solver::{ordering, LdltBackend, Ordering};
 
 /// Options controlling the deflation-space construction.
 #[derive(Clone, Debug)]
@@ -63,7 +64,8 @@ pub struct DeflationBlock {
 ///
 /// `P D` is diagonal, so `B` has the entries of `A^δ` scaled by
 /// `pd_k · pd_l`; rows/columns outside the overlap (or on globally
-/// constrained dofs) vanish.
+/// constrained dofs) vanish and are not stored — the eigensolver multiplies
+/// by `B` twice per step.
 pub fn overlap_weighted_matrix(sub: &Subdomain) -> CsrMatrix {
     let n = sub.n_local();
     let pd: Vec<f64> = (0..n)
@@ -75,32 +77,58 @@ pub fn overlap_weighted_matrix(sub: &Subdomain) -> CsrMatrix {
             }
         })
         .collect();
-    let a = &sub.a_neumann;
-    let mut values = a.values().to_vec();
-    let mut idx = 0usize;
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::new();
+    let mut values = Vec::new();
+    row_ptr.push(0);
     for i in 0..n {
-        for (j, _) in a.row(i) {
-            values[idx] *= pd[i] * pd[j];
-            idx += 1;
+        if pd[i] != 0.0 {
+            for (j, v) in sub.a_neumann.row(i) {
+                if pd[j] != 0.0 {
+                    col_idx.push(j as u32);
+                    values.push(v * (pd[i] * pd[j]));
+                }
+            }
         }
+        row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_raw(n, n, a.row_ptr().to_vec(), a.col_idx().to_vec(), values)
+    CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
 }
 
 /// Compute the deflation block of one subdomain, panicking on eigensolver
-/// failure. See [`try_deflation_block`] for the fallible variant the SPMD
-/// driver uses to trigger the Nicolaides fallback.
+/// failure. See [`try_deflation_block`] for the fallible variant.
 pub fn deflation_block(sub: &Subdomain, opts: &GeneoOpts) -> DeflationBlock {
-    try_deflation_block(sub, opts).expect("GenEO eigensolve failed: shifted pencil not SPD")
+    try_deflation_block(sub, opts).expect("GenEO eigensolve failed")
 }
 
-/// Compute the deflation block of one subdomain.
-///
-/// Returns an empty block (ν = 0) when the subdomain has no overlap (e.g.
-/// `N = 1`) — there is nothing to deflate.
+/// Compute the deflation block of one subdomain on its own: orders the
+/// subdomain and factors the shifted pencil the way a default
+/// [`crate::SpmdOpts`] set-up does (minimum degree, supernodal LDLᵀ). The
+/// set-up paths, which have already ordered the subdomain for its Dirichlet
+/// factorization, call [`try_deflation_block_ordered`] instead.
 pub fn try_deflation_block(
     sub: &Subdomain,
     opts: &GeneoOpts,
+) -> Result<DeflationBlock, EigenError> {
+    let order = ordering::fill_reducing(&sub.a_dirichlet, Ordering::MinDegree);
+    try_deflation_block_ordered(sub, opts, &order, LdltBackend::Supernodal)
+}
+
+/// Compute the deflation block of one subdomain, factoring the shifted
+/// pencil under `order` — the elimination order the caller computed for
+/// `sub.a_dirichlet`, whose pattern the Neumann pencil shares — with the
+/// given LDLᵀ backend.
+///
+/// Returns an empty block (ν = 0) when the subdomain has no overlap (e.g.
+/// `N = 1`) — there is nothing to deflate. An eigensolve that fails, or
+/// that reaches its subspace cap with unconverged pairs
+/// ([`EigenError::NotConverged`]), is an error: the set-up paths answer it
+/// with [`nicolaides_fallback_block`] and report the phase as degraded.
+pub fn try_deflation_block_ordered(
+    sub: &Subdomain,
+    opts: &GeneoOpts,
+    order: &[usize],
+    backend: LdltBackend,
 ) -> Result<DeflationBlock, EigenError> {
     let n = sub.n_local();
     if !sub.overlap.iter().any(|&o| o) || opts.nev == 0 {
@@ -111,7 +139,7 @@ pub fn try_deflation_block(
         });
     }
     let b = overlap_weighted_matrix(sub);
-    let eig = smallest_generalized(&sub.a_neumann, &b, opts.nev, &opts.lanczos)?;
+    let eig = smallest_generalized(&sub.a_neumann, &b, opts.nev, &opts.lanczos, order, backend)?;
     // Keep every finite eigenpair; record how many pass the threshold.
     let finite = eig.values.iter().take_while(|&&l| l.is_finite()).count();
     let kept = eig
@@ -327,6 +355,159 @@ mod tests {
             }
         }
         assert!(proportional, "first mode is not the PoU-weighted constant");
+    }
+
+    /// Dense oracle for the `nev` smallest pairs of a subdomain's GenEO
+    /// pencil: `B x = θ K x` with `K = A − σB` SPD is a definite problem the
+    /// Jacobi solver takes, and `λ = σ + 1/θ`. Returns `(λ, x)` ascending in
+    /// `λ` together with the `(nev+1)`-th `λ`.
+    fn dense_pencil(sub: &Subdomain, nev: usize) -> (Vec<(f64, Vec<f64>)>, f64) {
+        let b = overlap_weighted_matrix(sub);
+        let sigma = -0.01 * sub.a_neumann.norm_inf() / b.norm_inf();
+        let k = sub.a_neumann.add_scaled(-sigma, &b);
+        let eig = dd_linalg::jacobi::sym_eig_generalized(&b.to_dense(), &k.to_dense(), 1e-15)
+            .expect("shifted pencil is SPD");
+        let n = eig.eigenvalues.len();
+        let lambda = |i: usize| sigma + 1.0 / eig.eigenvalues[n - 1 - i];
+        let pairs = (0..nev)
+            .map(|i| (lambda(i), eig.eigenvectors.col(n - 1 - i).to_vec()))
+            .collect();
+        (pairs, lambda(nev))
+    }
+
+    /// Sine of the largest principal angle between the column spans of `x`
+    /// and `y` (Frobenius bound, Euclidean inner product).
+    fn span_distance(x: &[Vec<f64>], y: &[Vec<f64>]) -> f64 {
+        use dd_linalg::vector;
+        let orthonormalize = |v: &[Vec<f64>]| {
+            let mut q: Vec<Vec<f64>> = Vec::new();
+            for c in v {
+                let mut w = c.clone();
+                for _ in 0..2 {
+                    for qi in &q {
+                        let d = vector::dot(&w, qi);
+                        vector::axpy(-d, qi, &mut w);
+                    }
+                }
+                let nrm = vector::norm2(&w);
+                vector::scal(1.0 / nrm, &mut w);
+                q.push(w);
+            }
+            q
+        };
+        let (qx, qy) = (orthonormalize(x), orthonormalize(y));
+        let mut outside = 0.0;
+        for c in &qy {
+            let mut w = c.clone();
+            for qi in &qx {
+                let d = vector::dot(c, qi);
+                vector::axpy(-d, qi, &mut w);
+            }
+            outside += vector::dot(&w, &w);
+        }
+        outside.sqrt()
+    }
+
+    /// The early-stopped eigensolve against the dense oracle: eigenvalues to
+    /// 1e-8 of `λ − σ`, deflation span `D Λ` to a principal angle of 1e-6,
+    /// for several start vectors.
+    fn assert_matches_dense(sub: &Subdomain, nev: usize, what: &str) {
+        let (dense, next) = dense_pencil(sub, nev);
+        let gap = (next - dense[nev - 1].0) / next.abs();
+        assert!(
+            gap > 1e-3,
+            "{what}: λ_{nev} is not separated from λ_{}",
+            nev + 1
+        );
+        let weighted =
+            |x: &[f64]| -> Vec<f64> { x.iter().zip(&sub.d).map(|(xi, di)| xi * di).collect() };
+        let dense_span: Vec<Vec<f64>> = dense.iter().map(|(_, x)| weighted(x)).collect();
+        let b = overlap_weighted_matrix(sub);
+        let sigma = -0.01 * sub.a_neumann.norm_inf() / b.norm_inf();
+        let order = ordering::fill_reducing(&sub.a_dirichlet, Ordering::MinDegree);
+        for seed in 1..=4 {
+            let lanczos = LanczosOpts {
+                seed,
+                ..Default::default()
+            };
+            let eig = smallest_generalized(
+                &sub.a_neumann,
+                &b,
+                nev,
+                &lanczos,
+                &order,
+                LdltBackend::Supernodal,
+            )
+            .unwrap();
+            assert_eq!(eig.converged, nev, "{what} seed {seed}");
+            assert!(eig.steps < 2 * lanczos.max_subspace, "{what} seed {seed}");
+            for (k, (want, _)) in dense.iter().enumerate() {
+                assert!(
+                    (eig.values[k] - want).abs() <= 1e-8 * (want - sigma),
+                    "{what} seed {seed}: λ_{k} = {:e}, dense {want:e}",
+                    eig.values[k]
+                );
+            }
+            let span: Vec<Vec<f64>> = (0..nev).map(|k| weighted(eig.vectors.col(k))).collect();
+            let angle = span_distance(&dense_span, &span);
+            assert!(
+                angle <= 1e-6,
+                "{what} seed {seed}: principal angle {angle:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn floating_elasticity_subdomain_matches_dense_oracle() {
+        // A floating 3D P2 elasticity subdomain: the six rigid-body modes
+        // are a six-fold zero eigenvalue, of which one Krylov space holds
+        // one copy.
+        let mesh = Mesh::box3d(3, 1, 1, 3.0, 1.0, 1.0);
+        let part = partition_mesh_rcb(&mesh, 3);
+        let p = presets::heterogeneous_elasticity(2, 3);
+        let d = decompose(&mesh, &p, &part, 3, 1);
+        let sub = d
+            .subdomains
+            .iter()
+            .find(|s| s.dirichlet.iter().all(|&b| !b))
+            .expect("no floating subdomain");
+        let (dense, _) = dense_pencil(sub, 7);
+        let scale = dense[6].0;
+        assert!(
+            dense[5].0.abs() < 1e-10 * scale && scale > 0.0,
+            "six zero modes"
+        );
+        assert_matches_dense(sub, 8, "floating elasticity");
+    }
+
+    #[test]
+    fn high_contrast_diffusion_subdomain_matches_dense_oracle() {
+        // κ contrast 3·10⁶: channels crossing the interface give eigenvalues
+        // spread over many orders of magnitude.
+        let mesh = Mesh::unit_square(12, 12);
+        let part = partition_mesh_rcb(&mesh, 4);
+        let p = presets::heterogeneous_diffusion(2);
+        let d = decompose(&mesh, &p, &part, 4, 1);
+        for (i, sub) in d.subdomains.iter().enumerate() {
+            assert_matches_dense(sub, 3, &format!("diffusion subdomain {i}"));
+        }
+    }
+
+    #[test]
+    fn unconverged_eigensolve_is_a_typed_error() {
+        let d = setup(4);
+        let opts = GeneoOpts {
+            nev: 6,
+            lanczos: LanczosOpts {
+                max_subspace: 8,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert!(matches!(
+            try_deflation_block(&d.subdomains[0], &opts),
+            Err(EigenError::NotConverged { requested: 6, .. })
+        ));
     }
 
     #[test]

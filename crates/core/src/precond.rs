@@ -11,33 +11,40 @@ use crate::coarse::CoarseOperator;
 use crate::decomp::Decomposition;
 use dd_krylov::Preconditioner;
 use dd_linalg::vector;
-use dd_solver::{Ordering, SparseLdlt};
+use dd_solver::{LdltBackend, LocalLdlt, Ordering};
 use std::cell::Cell;
 
 /// One-level restricted additive Schwarz:
 /// `P⁻¹_RAS = Σ_i R_iᵀ D_i A_i⁻¹ R_i` (eq. 3).
 pub struct RasPrecond<'a> {
     decomp: &'a Decomposition,
-    /// LDLᵀ factors of the Dirichlet matrices `A_i`.
-    factors: Vec<SparseLdlt>,
+    /// LDLᵀ factors of the Dirichlet matrices `A_i` (scalar backend: the
+    /// sequential path is the rounding reference of the SPMD ones).
+    factors: Vec<LocalLdlt>,
 }
 
 impl<'a> RasPrecond<'a> {
     /// Factor every local Dirichlet matrix.
     pub fn build(decomp: &'a Decomposition, ordering: Ordering) -> Self {
-        let factors = decomp
+        Self::build_with_orders(decomp, ordering).0
+    }
+
+    /// [`RasPrecond::build`], also handing back each subdomain's
+    /// elimination order for its GenEO pencil.
+    fn build_with_orders(decomp: &'a Decomposition, ordering: Ordering) -> (Self, Vec<Vec<usize>>) {
+        let (orders, factors) = decomp
             .subdomains
             .iter()
             .map(|s| {
-                SparseLdlt::factor(&s.a_dirichlet, ordering)
+                s.factor_dirichlet(ordering, LdltBackend::Scalar)
                     .expect("local Dirichlet matrix must be nonsingular")
             })
-            .collect();
-        RasPrecond { decomp, factors }
+            .unzip();
+        (RasPrecond { decomp, factors }, orders)
     }
 
     /// Shared access to the factors (reused by the two-level variants).
-    pub fn factors(&self) -> &[SparseLdlt] {
+    pub fn factors(&self) -> &[LocalLdlt] {
         &self.factors
     }
 
@@ -146,7 +153,7 @@ impl Preconditioner for TwoLevelPrecond<'_> {
 pub mod builder {
     use super::*;
     use crate::coarse::CoarseSpace;
-    use crate::geneo::{deflation_block, GeneoOpts};
+    use crate::geneo::{try_deflation_block_ordered, GeneoOpts};
 
     /// Options for [`two_level`].
     #[derive(Clone, Debug)]
@@ -174,11 +181,15 @@ pub mod builder {
     /// Build the two-level preconditioner: local factorizations, GenEO
     /// eigensolves, coarse assembly + factorization.
     pub fn two_level<'a>(decomp: &'a Decomposition, opts: &TwoLevelOpts) -> TwoLevelPrecond<'a> {
-        let ras = RasPrecond::build(decomp, opts.ordering);
+        let (ras, orders) = RasPrecond::build_with_orders(decomp, opts.ordering);
         let blocks: Vec<_> = decomp
             .subdomains
             .iter()
-            .map(|s| deflation_block(s, &opts.geneo))
+            .zip(&orders)
+            .map(|(s, order)| {
+                try_deflation_block_ordered(s, &opts.geneo, order, LdltBackend::Scalar)
+                    .expect("GenEO eigensolve failed")
+            })
             .collect();
         let w = if opts.uniform_nu {
             // ν = max over subdomains of the locally-kept count; shorter
@@ -351,7 +362,7 @@ mod tests {
             },
         );
         assert!(res.converged);
-        let direct = SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
+        let direct = dd_solver::SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
             .unwrap()
             .solve(&d.rhs_global);
         let rel = vector::dist2(&res.x, &direct) / vector::norm2(&direct);

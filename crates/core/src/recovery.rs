@@ -34,7 +34,9 @@ use crate::decomp::Decomposition;
 use crate::error::{
     CoarseOutcome, DeflationSource, PhaseOutcome, RecoveryRecord, RunReport, SpmdError,
 };
-use crate::geneo::{nicolaides_fallback_block, resize_block, try_deflation_block, DeflationBlock};
+use crate::geneo::{
+    nicolaides_fallback_block, resize_block, try_deflation_block_ordered, DeflationBlock,
+};
 use crate::masters::{group_of, nonuniform_masters};
 use crate::spmd::{
     classify_comm, classify_comm_at, comm_interrupt, dist_interrupt, interrupt_to_spmd, run_inner,
@@ -1282,20 +1284,19 @@ pub fn try_setup_partitioned<'a>(
     // ---- adopt: re-factor the Dirichlet matrices of every owned
     // subdomain (for adopters that re-runs the orphan's local setup from
     // the shared decomposition).
+    // Each owned subdomain is analysed once, here: its elimination order
+    // also serves the shifted GenEO pencil below, and is dropped with this
+    // call.
     let mut factors: Vec<LocalLdlt> = Vec::with_capacity(owned.len());
+    let mut orders: Vec<Vec<usize>> = Vec::with_capacity(owned.len());
     for &s in &owned {
-        let f = comm
-            .compute(|| {
-                LocalLdlt::factor(
-                    &decomp.subdomains[s].a_dirichlet,
-                    opts.ordering,
-                    opts.local_ldlt,
-                )
-            })
+        let (order, f) = comm
+            .compute(|| decomp.subdomains[s].factor_dirichlet(opts.ordering, opts.local_ldlt))
             .map_err(|source| SpmdError::LocalFactorization {
                 rank: me_world,
                 source,
             })?;
+        orders.push(order);
         factors.push(f);
     }
     run.phases.push((
@@ -1319,61 +1320,66 @@ pub fn try_setup_partitioned<'a>(
     // adopted subdomains get the Nicolaides substitute (eigenvector
     // recomputation is skipped — the documented degradation).
     let mut blocks = Vec::with_capacity(owned.len());
-    let mut degraded_deflation = false;
-    for &s in &owned {
+    // Why each subdomain that got Nicolaides vectors did not get GenEO ones.
+    let mut degraded: Vec<String> = Vec::new();
+    for (i, &s) in owned.iter().enumerate() {
         let sub = &decomp.subdomains[s];
+        let nicolaides = || comm.compute(|| nicolaides_fallback_block(sub));
+        let geneo = || {
+            comm.compute(|| {
+                try_deflation_block_ordered(sub, &opts.geneo, &orders[i], opts.local_ldlt)
+            })
+            .map_err(|e| format!("subdomain {s}: eigensolve failed ({e})"))
+        };
         let block = if opts.one_level_only {
-            comm.compute(|| nicolaides_fallback_block(sub))
+            nicolaides()
         } else if let Some(cache) = cache {
             match cache.basis(s) {
-                Some((b, geneo)) => {
-                    if !geneo {
-                        degraded_deflation = true;
+                Some((b, is_geneo)) => {
+                    if !is_geneo {
+                        degraded.push(format!("subdomain {s}: banked substitute"));
                     }
                     b
                 }
-                None => match comm.compute(|| try_deflation_block(sub, &opts.geneo)) {
+                None => match geneo() {
                     Ok(b) => {
                         cache.store_basis(s, &b, true);
                         b
                     }
-                    Err(_) => {
-                        degraded_deflation = true;
-                        let b = comm.compute(|| nicolaides_fallback_block(sub));
+                    Err(why) => {
+                        degraded.push(why);
+                        let b = nicolaides();
                         cache.store_basis(s, &b, false);
                         b
                     }
                 },
             }
         } else if s == me_world {
-            match comm.compute(|| try_deflation_block(sub, &opts.geneo)) {
-                Ok(b) => b,
-                Err(_) => {
-                    degraded_deflation = true;
-                    comm.compute(|| nicolaides_fallback_block(sub))
-                }
-            }
+            geneo().unwrap_or_else(|why| {
+                degraded.push(why);
+                nicolaides()
+            })
         } else {
-            degraded_deflation = true;
-            comm.compute(|| nicolaides_fallback_block(sub))
+            degraded.push(format!("subdomain {s}: adopted"));
+            nicolaides()
         };
         blocks.push(block);
     }
     run.deflation = if opts.one_level_only {
         DeflationSource::None
-    } else if degraded_deflation {
-        DeflationSource::NicolaidesFallback
-    } else {
+    } else if degraded.is_empty() {
         DeflationSource::Geneo
+    } else {
+        DeflationSource::NicolaidesFallback
     };
     run.phases.push((
         "recovery-deflation",
-        if degraded_deflation && !opts.one_level_only {
-            PhaseOutcome::Degraded {
-                reason: "Nicolaides vectors substituted for adopted subdomain(s)".to_string(),
-            }
-        } else {
+        if degraded.is_empty() || opts.one_level_only {
             PhaseOutcome::Ok
+        } else {
+            PhaseOutcome::Degraded {
+                reason: format!("Nicolaides vectors substituted ({})", degraded.join("; ")),
+            }
         },
     ));
     let nu = if opts.one_level_only {

@@ -26,7 +26,9 @@ use std::cell::RefCell;
 
 use crate::decomp::{Decomposition, Subdomain};
 use crate::error::{CoarseOutcome, DeflationSource, PhaseOutcome, RunReport, SpmdError};
-use crate::geneo::{nicolaides_fallback_block, resize_block, try_deflation_block, GeneoOpts};
+use crate::geneo::{
+    nicolaides_fallback_block, resize_block, try_deflation_block_ordered, GeneoOpts,
+};
 use crate::masters::{group_of, nonuniform_masters, uniform_masters};
 use crate::recovery::RecoveryOpts;
 use dd_comm::{CommError, Communicator};
@@ -842,8 +844,10 @@ pub fn try_setup_with<'a>(
 
     // ---- phase 1: local factorization --------------------------------
     // Unrecoverable: without A_i⁻¹ this rank has no RAS contribution.
-    let factor = comm
-        .compute(|| LocalLdlt::factor(&sub.a_dirichlet, opts.ordering, opts.local_ldlt))
+    // The subdomain is analysed once: the elimination order found here
+    // also serves the shifted GenEO pencil of phase 2.
+    let (order, factor) = comm
+        .compute(|| sub.factor_dirichlet(opts.ordering, opts.local_ldlt))
         .map_err(|source| SpmdError::LocalFactorization { rank, source })?;
     run.phases.push(("factorization", PhaseOutcome::Ok));
     failpoint(comm, "post-factorization")?;
@@ -857,7 +861,7 @@ pub fn try_setup_with<'a>(
     let eig = if comm.should_fail("eigensolve") {
         Err(None)
     } else {
-        comm.compute(|| try_deflation_block(sub, &opts.geneo))
+        comm.compute(|| try_deflation_block_ordered(sub, &opts.geneo, &order, opts.local_ldlt))
             .map_err(Some)
     };
     let block = match eig {
@@ -1553,12 +1557,16 @@ pub fn debug_apply_adef1(
         coarse_solve: coarse,
         ..Default::default()
     };
-    let factor = LocalLdlt::factor(&sub.a_dirichlet, opts.ordering, opts.local_ldlt)
+    let (order, factor) = sub
+        .factor_dirichlet(opts.ordering, opts.local_ldlt)
         .map_err(|source| SpmdError::LocalFactorization { rank, source })?;
-    let block = try_deflation_block(sub, &opts.geneo).map_err(|e| SpmdError::Protocol {
-        rank,
-        what: format!("eigensolve failed: {e}"),
-    })?;
+    let block =
+        try_deflation_block_ordered(sub, &opts.geneo, &order, opts.local_ldlt).map_err(|e| {
+            SpmdError::Protocol {
+                rank,
+                what: format!("eigensolve failed: {e}"),
+            }
+        })?;
     let nu = comm.try_allreduce_max_usize(block.kept.max(1))?;
     let w = resize_block(&block, nu);
     let nu_mine = w.cols();

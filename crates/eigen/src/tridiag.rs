@@ -87,7 +87,7 @@ pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, DMat) {
     }
     // Sort ascending, permuting eigenvector columns accordingly.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| diag[a].partial_cmp(&diag[b]).unwrap());
+    order.sort_by(|&a, &b| diag[a].total_cmp(&diag[b]));
     let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut vectors = DMat::zeros(n, n);
     for (newj, &oldj) in order.iter().enumerate() {

@@ -144,16 +144,32 @@ impl BsrMatrix {
     /// non-finite `x` entries would poison padded positions — neither occurs
     /// in a converging Krylov solve).
     pub fn detect_padded(a: &CsrMatrix) -> Option<Self> {
-        [3usize, 2].iter().find_map(|&bs| {
+        Self::padded_block_size(a).map(|bs| Self::from_csr(a, bs))
+    }
+
+    /// The block size [`BsrMatrix::detect_padded`] would choose, from the
+    /// pattern alone (one pass, no values copied): the first of 3, 2 whose
+    /// tiling is at least [`Self::PAD_FILL_MIN`] full. Dof `k` of such a
+    /// matrix belongs to node `k / bs`, which is also what the fill-reducing
+    /// orderings in `dd-solver` coarsen by.
+    pub fn padded_block_size(a: &CsrMatrix) -> Option<usize> {
+        [3usize, 2].into_iter().find(|&bs| {
             if a.rows() % bs != 0 || a.cols() % bs != 0 || a.nnz() == 0 {
-                return None;
+                return false;
             }
-            let b = Self::from_csr(a, bs);
-            if a.nnz() as f64 >= Self::PAD_FILL_MIN * b.nnz_stored() as f64 {
-                Some(b)
-            } else {
-                None
+            // Count the blocks `from_csr` would store: `seen[bc]` holds the
+            // last block row that touched block column `bc`.
+            let mut seen = vec![usize::MAX; a.cols() / bs];
+            let mut blocks = 0usize;
+            for r in 0..a.rows() {
+                for (c, _) in a.row(r) {
+                    if seen[c / bs] != r / bs {
+                        seen[c / bs] = r / bs;
+                        blocks += 1;
+                    }
+                }
             }
+            a.nnz() as f64 >= Self::PAD_FILL_MIN * (blocks * bs * bs) as f64
         })
     }
 

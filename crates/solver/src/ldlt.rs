@@ -17,6 +17,7 @@
 
 use crate::ordering;
 use dd_linalg::CsrMatrix;
+use std::borrow::Cow;
 
 /// Fill-reducing ordering selection for [`SparseLdlt::factor`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -104,6 +105,15 @@ pub fn etree_and_counts(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>) {
     (parent, lnz)
 }
 
+/// `A(perm, perm)`, borrowing `a` itself under the identity order.
+pub(crate) fn permuted<'a>(a: &'a CsrMatrix, perm: &[usize]) -> Cow<'a, CsrMatrix> {
+    if perm.iter().enumerate().all(|(i, &p)| i == p) {
+        Cow::Borrowed(a)
+    } else {
+        Cow::Owned(a.permute_sym(perm))
+    }
+}
+
 /// Factorization `P A Pᵀ = L D Lᵀ` with unit lower-triangular `L` (stored by
 /// columns) and diagonal `D`.
 pub struct SparseLdlt {
@@ -134,23 +144,24 @@ impl SparseLdlt {
         ord: Ordering,
         policy: PivotPolicy,
     ) -> Result<Self, LdltError> {
+        Self::factor_ordered(a, &ordering::fill_reducing(a, ord), policy)
+    }
+
+    /// Factor under a precomputed elimination order (`perm[i]` = original
+    /// index placed at position `i`), e.g. one [`ordering::fill_reducing`]
+    /// result shared by several matrices of the same pattern.
+    pub fn factor_ordered(
+        a: &CsrMatrix,
+        perm: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<Self, LdltError> {
         assert_eq!(a.rows(), a.cols(), "ldlt: square input");
+        assert_eq!(perm.len(), a.rows(), "ldlt: order length");
         debug_assert!(
             a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
             "ldlt: input must be symmetric"
         );
-        let n = a.rows();
-        let perm: Vec<usize> = match ord {
-            Ordering::Natural => (0..n).collect(),
-            Ordering::Rcm => ordering::reverse_cuthill_mckee(a),
-            Ordering::MinDegree => ordering::min_degree(a),
-        };
-        let pa = if matches!(ord, Ordering::Natural) {
-            a.clone()
-        } else {
-            a.permute_sym(&perm)
-        };
-        Self::factor_permuted(&pa, perm, policy)
+        Self::factor_permuted(&permuted(a, perm), perm.to_vec(), policy)
     }
 
     /// Factor an already-reordered matrix, recording `perm` for the solves.
@@ -321,12 +332,11 @@ impl SparseLdlt {
     /// Panics in debug builds if the pattern differs from the factored one.
     pub fn refactor(&mut self, a: &CsrMatrix) -> Result<(), LdltError> {
         assert_eq!(a.rows(), self.n, "refactor: order mismatch");
-        let pa = if self.perm.iter().enumerate().all(|(i, &p)| i == p) {
-            a.clone()
-        } else {
-            a.permute_sym(&self.perm)
-        };
-        let fresh = Self::factor_permuted(&pa, self.perm.clone(), PivotPolicy::Reject)?;
+        let fresh = Self::factor_permuted(
+            &permuted(a, &self.perm),
+            self.perm.clone(),
+            PivotPolicy::Reject,
+        )?;
         debug_assert_eq!(fresh.lp, self.lp, "refactor: pattern changed");
         *self = fresh;
         Ok(())

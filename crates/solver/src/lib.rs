@@ -4,7 +4,10 @@
 //! workspace's replacement for the MUMPS / PaStiX / PARDISO / WSMP solvers
 //! the paper uses for subdomain factorizations and the coarse operator.
 //!
-//! * [`ordering`] — reverse Cuthill–McKee and quotient-graph minimum degree.
+//! * [`ordering`] — reverse Cuthill–McKee and quotient-graph minimum degree
+//!   (on the node graph for vector-valued operators);
+//!   [`ordering::fill_reducing`] turns an [`Ordering`] into the permutation
+//!   every `factor_ordered` entry point takes.
 //! * [`ldlt`] — elimination-tree based up-looking LDLᵀ with forward/backward
 //!   solves, inertia computation, and multi-RHS solves.
 //! * [`supernodal`] — multifrontal LDLᵀ with relaxed supernodes and dense

@@ -9,6 +9,7 @@
 //! last-ulp-identical trajectories for the blocked kernels' raw speed.
 
 use crate::ldlt::{LdltError, Ordering, PivotPolicy, SparseLdlt};
+use crate::ordering;
 use crate::supernodal::SupernodalLdlt;
 use dd_linalg::{CsrMatrix, DMat};
 
@@ -42,10 +43,25 @@ impl LocalLdlt {
         pivot: PivotPolicy,
         backend: LdltBackend,
     ) -> Result<Self, LdltError> {
+        Self::factor_ordered(a, &ordering::fill_reducing(a, ord), pivot, backend)
+    }
+
+    /// Factor under a precomputed elimination order. A caller with two
+    /// matrices of one pattern — a subdomain's Dirichlet matrix and its
+    /// shifted GenEO pencil — computes [`ordering::fill_reducing`] once and
+    /// passes it to both.
+    pub fn factor_ordered(
+        a: &CsrMatrix,
+        perm: &[usize],
+        pivot: PivotPolicy,
+        backend: LdltBackend,
+    ) -> Result<Self, LdltError> {
         match backend {
-            LdltBackend::Scalar => SparseLdlt::factor_with(a, ord, pivot).map(LocalLdlt::Scalar),
+            LdltBackend::Scalar => {
+                SparseLdlt::factor_ordered(a, perm, pivot).map(LocalLdlt::Scalar)
+            }
             LdltBackend::Supernodal => {
-                SupernodalLdlt::factor_with(a, ord, pivot).map(LocalLdlt::Supernodal)
+                SupernodalLdlt::factor_ordered(a, perm, pivot).map(LocalLdlt::Supernodal)
             }
         }
     }

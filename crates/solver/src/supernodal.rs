@@ -30,7 +30,7 @@
 //! factorizations are pinned against each other to 1e-12 in
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
 
-use crate::ldlt::{etree_and_counts, LdltError, Ordering, PivotPolicy};
+use crate::ldlt::{etree_and_counts, permuted, LdltError, Ordering, PivotPolicy};
 use crate::ordering;
 use dd_linalg::smallgemm::gemm_nt_minus;
 use dd_linalg::CsrMatrix;
@@ -86,35 +86,33 @@ impl SupernodalLdlt {
         ord: Ordering,
         policy: PivotPolicy,
     ) -> Result<Self, LdltError> {
+        Self::factor_ordered(a, &ordering::fill_reducing(a, ord), policy)
+    }
+
+    /// Factor under a precomputed elimination order (mirrors
+    /// [`crate::SparseLdlt::factor_ordered`]).
+    pub fn factor_ordered(
+        a: &CsrMatrix,
+        perm: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<Self, LdltError> {
         assert_eq!(a.rows(), a.cols(), "supernodal ldlt: square input");
+        assert_eq!(perm.len(), a.rows(), "supernodal ldlt: order length");
         debug_assert!(
             a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
             "supernodal ldlt: input must be symmetric"
         );
-        let n = a.rows();
-        let perm: Vec<usize> = match ord {
-            Ordering::Natural => (0..n).collect(),
-            Ordering::Rcm => ordering::reverse_cuthill_mckee(a),
-            Ordering::MinDegree => ordering::min_degree(a),
-        };
-        let pa = if matches!(ord, Ordering::Natural) {
-            a.clone()
-        } else {
-            a.permute_sym(&perm)
-        };
         // Postorder the elimination tree: subtrees become column-contiguous,
         // which is what lets the chain amalgamation below form wide panels
         // on scattered orderings like minimum degree. Pattern-wise this is a
-        // pure relabeling (the etree is isomorphic under postorder).
-        let (parent0, _) = etree_and_counts(&pa);
-        let post = etree_postorder(&parent0);
-        if post.iter().enumerate().any(|(i, &p)| i != p) {
-            let pa2 = pa.permute_sym(&post);
-            let full: Vec<usize> = post.iter().map(|&p| perm[p]).collect();
-            Self::factor_permuted(&pa2, full, policy)
-        } else {
-            Self::factor_permuted(&pa, perm, policy)
-        }
+        // pure relabeling (the etree is isomorphic under postorder). The
+        // copy under `perm` is only needed for the tree, and is gone before
+        // the numeric phase allocates its fronts.
+        let full: Vec<usize> = {
+            let (parent, _) = etree_and_counts(&permuted(a, perm));
+            etree_postorder(&parent).iter().map(|&p| perm[p]).collect()
+        };
+        Self::factor_permuted(&permuted(a, &full), full, policy)
     }
 
     fn factor_permuted(

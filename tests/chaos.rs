@@ -12,9 +12,9 @@
 use dd_geneo::comm::{CommError, CostModel, FaultPlan, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
-    decompose, try_run_spmd, try_run_spmd_recoverable, CheckpointStore, CoarseOutcome,
-    Decomposition, DeflationSource, GeneoOpts, PhaseOutcome, RecoveryOpts, SpmdError, SpmdOpts,
-    SpmdReport,
+    decompose, repartition_plan, try_run_spmd, try_run_spmd_recoverable, try_setup_partitioned,
+    CheckpointStore, CoarseCache, CoarseOutcome, Decomposition, DeflationSource, GeneoOpts,
+    PhaseOutcome, RecoveryOpts, SpmdError, SpmdOpts, SpmdReport,
 };
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
@@ -178,6 +178,51 @@ fn failed_eigensolve_falls_back_to_nicolaides_and_completes() {
         // The run still assembles and uses the two-level preconditioner.
         assert_eq!(r.run.coarse, CoarseOutcome::TwoLevel);
         assert!(r.dim_e > 0);
+    }
+}
+
+#[test]
+fn unconverged_eigensolve_is_reported_not_swallowed() {
+    // A subspace cap too small for the pairs asked of it: the eigensolver
+    // says so, and both set-up paths take the Nicolaides vectors and record
+    // why, instead of deflating with unconverged Ritz vectors.
+    let decomp = setup(12, 4);
+    let mut o = opts();
+    o.geneo.nev = 6;
+    o.geneo.lanczos.max_subspace = 8;
+    let degraded_for_non_convergence = |phase: &str, r: &SpmdReport| {
+        r.run.phases.iter().any(|(name, o)| {
+            *name == phase
+                && matches!(o, PhaseOutcome::Degraded { reason }
+                    if reason.contains("eigenpairs converged within the subspace cap"))
+        })
+    };
+    for r in baseline(&decomp, &o) {
+        assert!(r.converged);
+        assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+        assert!(
+            degraded_for_non_convergence("deflation", &r),
+            "{:?}",
+            r.run.phases
+        );
+    }
+    let d2 = Arc::clone(&decomp);
+    let cache = CoarseCache::new();
+    let reports = World::run(2, CostModel::default(), move |comm| {
+        let plan = repartition_plan(&d2, comm, None);
+        let prepared = try_setup_partitioned(&d2, comm, &o, Some(&cache), &plan, true)?;
+        let out = prepared.try_apply(&d2.rhs_global, "solve", None)?;
+        Ok::<_, SpmdError>(prepared.report(&out))
+    });
+    for r in reports {
+        let r = r.expect("a degraded set-up still solves");
+        assert!(r.converged);
+        assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+        assert!(
+            degraded_for_non_convergence("recovery-deflation", &r),
+            "{:?}",
+            r.run.phases
+        );
     }
 }
 

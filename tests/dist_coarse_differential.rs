@@ -78,17 +78,19 @@ fn assert_modes_agree(decomp: &Arc<Decomposition>, plan: FaultPlan, what: &str) 
         let (zd, qd) = d.as_ref().expect("distributed apply failed");
         let (zr, qr) = r.as_ref().expect("redundant apply failed");
         // The coarse correction Z E⁻¹ Zᵀ r is the quantity the two modes
-        // compute by different algorithms: pinned to 1e-12.
+        // compute by different algorithms. They agree to rounding times
+        // cond(E), which is 3·10⁶ on the P2 case: measured 3·10⁻¹³ to
+        // 10⁻¹¹ over Lanczos seeds, pinned to 1e-10.
         let dq = rel_dist(qd, qr);
         assert!(
-            dq < 1e-12,
+            dq < 1e-10,
             "{what}: rank {rank} coarse corrections disagree: rel {dq:e}"
         );
         // The full A-DEF1 application composes q with A·q and a RAS solve,
         // which amplify the last-bit differences slightly.
         let dz = rel_dist(zd, zr);
         assert!(
-            dz < 1e-11,
+            dz < 1e-9,
             "{what}: rank {rank} preconditioned residuals disagree: rel {dz:e}"
         );
     }
