@@ -27,12 +27,11 @@
 //!   by an in-process calibration loop (dimensionless, roughly
 //!   runner-independent). `perf_gate` skips `*_wall.json`; this binary
 //!   gates them itself under `--gate-wall`: speedups must stay ≥ 2×, the
-//!   ordering must stay under its share of the numeric factorization
+//!   ordering must stay under half the numeric factorization it feeds
 //!   (`order_over_numeric/*`), and calibrated ratios drifting ≥ 1.3× vs the
-//!   committed
-//!   `kernels_wall.json` baseline warn, ≥ 2.0× fail. Run the wall gate
-//!   only on builds with `-C target-cpu=native` (the CI `kernel-speed`
-//!   lane does); the exact tier is build-independent.
+//!   committed `kernels_wall.json` baseline warn, ≥ 2.0× fail. Run the
+//!   wall gate only on builds with `-C target-cpu=native` (the CI
+//!   `kernel-speed` lane does); the exact tier is build-independent.
 //!
 //! Timings are median-of-K with a warmup run. Output honors
 //! `DD_BENCH_OUT` (see [`dd_bench::bench_out_dir`]); stdout is a markdown
@@ -216,9 +215,10 @@ fn bench_ldlt(rep: &mut Report, calib: f64) {
 
 /// The default ordering on the subdomain matrices a set-up really factors,
 /// against the numeric factorization under that order. Wall tier: both
-/// calibrated times and their quotient (gated: the ordering may not cost
-/// more than [`ORDER_OVER_NUMERIC_MAX`] of the arithmetic it saves). Exact
-/// tier: nnz(L) under the order, summed over the subdomains.
+/// calibrated times and, on the rows flagged for it, their quotient (gated:
+/// the ordering may not cost more than [`ORDER_OVER_NUMERIC_MAX`] of the
+/// arithmetic it saves). Exact tier: nnz(L) under the order, summed over the
+/// subdomains.
 fn bench_ordering(rep: &mut Report, calib: f64) {
     let split = |mesh: Mesh, problem, nparts: usize| -> Decomposition {
         let part = partition_mesh_rcb(&mesh, nparts);
@@ -227,6 +227,7 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
     let cases = [
         (
             "elast3d",
+            true,
             split(
                 Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0),
                 presets::heterogeneous_elasticity(2, 3),
@@ -235,6 +236,7 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
         ),
         (
             "diff2d",
+            false,
             split(
                 Mesh::unit_square(48, 48),
                 presets::heterogeneous_diffusion(2),
@@ -242,7 +244,7 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
             ),
         ),
     ];
-    for (key, d) in &cases {
+    for (key, gate_share, d) in &cases {
         let mats: Vec<&CsrMatrix> = d.subdomains.iter().map(|s| &s.a_dirichlet).collect();
         let orders: Vec<Vec<usize>> = mats
             .iter()
@@ -271,8 +273,15 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
             .insert(&format!("ratio/ordering/{key}/order"), t_order / calib);
         rep.wall
             .insert(&format!("ratio/ordering/{key}/numeric"), t_numeric / calib);
-        rep.wall
-            .insert(&format!("order_over_numeric/{key}"), t_order / t_numeric);
+        // The share of the numeric factorization is gated where the
+        // factorization is big enough to be a yardstick; on the 450-dof
+        // diff2d subdomains it takes half a millisecond itself (share
+        // 0.74), and the drift gate on the calibrated ordering time stands
+        // in.
+        if *gate_share {
+            rep.wall
+                .insert(&format!("order_over_numeric/{key}"), t_order / t_numeric);
+        }
         rep.lines.push(format!(
             "| ordering/{key} ({} subdomains) | order {:.4}s | numeric {:.4}s | order ÷ numeric **{:.2}** | nnz(L) {} |",
             mats.len(),
@@ -398,12 +407,13 @@ fn bench_krylov_allocs(rep: &mut Report) {
     ));
 }
 
+/// Ceiling on ordering seconds ÷ numeric-factorization seconds, for the
+/// rows that emit `order_over_numeric/*`.
+const ORDER_OVER_NUMERIC_MAX: f64 = 0.5;
+
 /// The `--gate-wall` tier: speedups must hold ≥ 2×, and calibrated ratios
 /// must not drift ≥ `WALL_FAIL`× vs the committed baseline (≥ `WALL_WARN`×
 /// warns). Returns false on failure.
-/// Ceiling on ordering seconds ÷ numeric-factorization seconds.
-const ORDER_OVER_NUMERIC_MAX: f64 = 1.0;
-
 fn gate_wall(cur: &Summary) -> bool {
     const WALL_WARN: f64 = 1.3;
     const WALL_FAIL: f64 = 2.0;

@@ -19,4 +19,4 @@ pub mod lanczos;
 pub mod tridiag;
 
 pub use lanczos::{smallest_generalized, EigenError, GeneralizedEig, LanczosOpts};
-pub use tridiag::tridiag_eig;
+pub use tridiag::{tridiag_eig, tridiag_eig_last};

@@ -15,6 +15,24 @@ use dd_linalg::DMat;
 /// Panics if the QL iteration fails to converge (more than 50 iterations on
 /// one eigenvalue), which cannot happen for finite input.
 pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, DMat) {
+    ql(d, e, DMat::identity(d.len()))
+}
+
+/// Eigenvalues sorted ascending and the *last* component of each unit
+/// eigenvector — all a Lanczos residual estimate `|β_m s_{m,i}|` reads — in
+/// O(n²) where [`tridiag_eig`] takes O(n³).
+pub fn tridiag_eig_last(d: &[f64], e: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let mut last = DMat::zeros(1, d.len());
+    last[(0, d.len() - 1)] = 1.0;
+    let (values, z) = ql(d, e, last);
+    (values, z.data().to_vec())
+}
+
+/// Implicit QL on `(d, e)`, applying every rotation to the columns of `z`
+/// (`r × n`): started from the last `r` rows of the identity it ends as the
+/// last `r` rows of the eigenvector matrix, columns sorted with the
+/// eigenvalues.
+fn ql(d: &[f64], e: &[f64], mut z: DMat) -> (Vec<f64>, DMat) {
     let n = d.len();
     assert!(n > 0);
     assert_eq!(e.len(), n.saturating_sub(1));
@@ -22,7 +40,6 @@ pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, DMat) {
     // Work array with a trailing zero, per the classical formulation.
     let mut off = vec![0.0f64; n];
     off[..n - 1].copy_from_slice(e);
-    let mut z = DMat::identity(n);
 
     for l in 0..n {
         let mut iter = 0;
@@ -68,7 +85,7 @@ pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, DMat) {
                 diag[i + 1] = g + p;
                 g = c * r - b;
                 // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
+                for k in 0..z.rows() {
                     f = z[(k, i + 1)];
                     z[(k, i + 1)] = s * z[(k, i)] + c * f;
                     z[(k, i)] = c * z[(k, i)] - s * f;
@@ -89,7 +106,7 @@ pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, DMat) {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| diag[a].total_cmp(&diag[b]));
     let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut vectors = DMat::zeros(n, n);
+    let mut vectors = DMat::zeros(z.rows(), n);
     for (newj, &oldj) in order.iter().enumerate() {
         vectors.col_mut(newj).copy_from_slice(z.col(oldj));
     }
@@ -167,6 +184,19 @@ mod tests {
                 v[i],
                 refe.eigenvalues[i]
             );
+        }
+    }
+
+    #[test]
+    fn last_components_match_the_full_decomposition() {
+        let n = 17;
+        let d: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 4.0).collect();
+        let e: Vec<f64> = (0..n - 1).map(|i| 0.5 + ((i * 5) % 3) as f64).collect();
+        let (v, z) = tridiag_eig(&d, &e);
+        let (v_last, last) = tridiag_eig_last(&d, &e);
+        assert_eq!(v, v_last);
+        for j in 0..n {
+            assert_eq!(last[j], z[(n - 1, j)]);
         }
     }
 

@@ -13,6 +13,7 @@ use dd_geneo::core::{
     decompose, try_run_spmd, CoarseSolve, Decomposition, GeneoOpts, SpmdError, SpmdOpts,
 };
 use dd_geneo::krylov::GmresOpts;
+use dd_geneo::linalg::{jacobi, CsrMatrix};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
@@ -40,10 +41,11 @@ fn rhs(n: usize) -> Vec<f64> {
 }
 
 /// Per-rank outcome of one preconditioner application: the full
-/// preconditioned residual `z` and the coarse correction `q`.
-type ApplyOutcome = Result<(Vec<f64>, Vec<f64>), SpmdError>;
+/// preconditioned residual `z`, the coarse correction `q` and, on masters
+/// in redundant mode, the assembled coarse matrix `E`.
+type ApplyOutcome = Result<(Vec<f64>, Vec<f64>, Option<CsrMatrix>), SpmdError>;
 
-/// Apply `P⁻¹_A-DEF1` once on every rank and return (z, q) per rank:
+/// Apply `P⁻¹_A-DEF1` once on every rank and return (z, q, E) per rank:
 /// the full preconditioned residual and the coarse correction `Z E⁻¹ Zᵀ r`
 /// (the component the two coarse-solve modes compute differently).
 fn apply_once(
@@ -55,7 +57,7 @@ fn apply_once(
     let d2 = Arc::clone(decomp);
     let r = rhs(decomp.n_global);
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        debug_apply_adef1(&d2, comm, &r, 4, coarse).map(|((z, q, _, _), _)| (z, q))
+        debug_apply_adef1(&d2, comm, &r, 4, coarse).map(|((z, q, _, _), e)| (z, q, e))
     })
 }
 
@@ -71,39 +73,74 @@ fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
     num / den.max(1e-300)
 }
 
-fn assert_modes_agree(decomp: &Arc<Decomposition>, plan: FaultPlan, what: &str) {
+/// Agreement the two modes are held to on the coarse correction.
+#[derive(Clone, Copy)]
+enum Agreement {
+    /// 1e-12 flat: rounding only.
+    Pinned,
+    /// `cond₂(E) · ε`, computed from the assembled `E`: what two
+    /// backward-stable factorizations of an ill-conditioned `E` can be held
+    /// to. For the one case where the flat bound is a matter of luck:
+    /// measured 3·10⁻¹³ to 10⁻¹¹ over Lanczos start vectors at an unchanged
+    /// `cond₂(E) = 3.4·10⁶`.
+    CondBound,
+}
+
+/// `λ_max / λ_min` of the SPD coarse matrix a master assembled.
+fn cond_e(red: &[ApplyOutcome]) -> f64 {
+    let e = red
+        .iter()
+        .find_map(|r| r.as_ref().ok().and_then(|(_, _, e)| e.as_ref()))
+        .expect("no master returned E");
+    let eig = jacobi::sym_eig(&e.to_dense(), 1e-15).eigenvalues;
+    eig[eig.len() - 1] / eig[0]
+}
+
+fn assert_modes_agree(
+    decomp: &Arc<Decomposition>,
+    plan: FaultPlan,
+    what: &str,
+    agreement: Agreement,
+) {
     let dist = apply_once(decomp, CoarseSolve::Distributed, plan);
     let red = apply_once(decomp, CoarseSolve::Redundant, FaultPlan::default());
+    let bound = match agreement {
+        Agreement::Pinned => 1e-12,
+        Agreement::CondBound => cond_e(&red) * f64::EPSILON,
+    };
     for (rank, (d, r)) in dist.iter().zip(&red).enumerate() {
-        let (zd, qd) = d.as_ref().expect("distributed apply failed");
-        let (zr, qr) = r.as_ref().expect("redundant apply failed");
+        let (zd, qd, _) = d.as_ref().expect("distributed apply failed");
+        let (zr, qr, _) = r.as_ref().expect("redundant apply failed");
         // The coarse correction Z E⁻¹ Zᵀ r is the quantity the two modes
-        // compute by different algorithms. They agree to rounding times
-        // cond(E), which is 3·10⁶ on the P2 case: measured 3·10⁻¹³ to
-        // 10⁻¹¹ over Lanczos seeds, pinned to 1e-10.
+        // compute by different algorithms.
         let dq = rel_dist(qd, qr);
         assert!(
-            dq < 1e-10,
-            "{what}: rank {rank} coarse corrections disagree: rel {dq:e}"
+            dq < bound,
+            "{what}: rank {rank} coarse corrections disagree: rel {dq:e}, bound {bound:e}"
         );
         // The full A-DEF1 application composes q with A·q and a RAS solve,
         // which amplify the last-bit differences slightly.
         let dz = rel_dist(zd, zr);
         assert!(
-            dz < 1e-9,
-            "{what}: rank {rank} preconditioned residuals disagree: rel {dz:e}"
+            dz < 10.0 * bound,
+            "{what}: rank {rank} preconditioned residuals disagree: rel {dz:e}, bound {:e}",
+            10.0 * bound
         );
     }
 }
 
 #[test]
 fn distributed_matches_redundant_on_fig10_2d() {
-    for (order, cells, nparts) in [(1, 12, 8), (2, 10, 6)] {
+    for (order, cells, nparts, agreement) in [
+        (1, 12, 8, Agreement::Pinned),
+        (2, 10, 6, Agreement::CondBound),
+    ] {
         let decomp = fig10_2d(order, cells, nparts);
         assert_modes_agree(
             &decomp,
             FaultPlan::default(),
             &format!("2D-P{order} N={nparts}"),
+            agreement,
         );
     }
 }
@@ -111,7 +148,12 @@ fn distributed_matches_redundant_on_fig10_2d() {
 #[test]
 fn distributed_matches_redundant_on_fig10_3d() {
     let decomp = fig10_3d(2, 4, 6);
-    assert_modes_agree(&decomp, FaultPlan::default(), "3D-P2 N=6");
+    assert_modes_agree(
+        &decomp,
+        FaultPlan::default(),
+        "3D-P2 N=6",
+        Agreement::Pinned,
+    );
 }
 
 #[test]
@@ -123,7 +165,7 @@ fn distributed_matches_redundant_under_armed_fault_plan() {
     let plan = FaultPlan::new(29)
         .with_delays(0.3, 2e-4)
         .with_drops(0.25, 2);
-    assert_modes_agree(&decomp, plan, "2D-P1 N=8 armed");
+    assert_modes_agree(&decomp, plan, "2D-P1 N=8 armed", Agreement::Pinned);
 }
 
 /// Full-solve differential: distributed and redundant coarse solves give
