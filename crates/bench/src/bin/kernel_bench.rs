@@ -39,11 +39,15 @@
 
 use dd_bench::alloc_count::{self, CountingAlloc};
 use dd_bench::summary::Summary;
+use dd_comm::{CostModel, World};
 use dd_core::problem::presets;
-use dd_core::{decompose, Decomposition};
+use dd_core::{
+    decompose, repartition_plan, try_setup_partitioned, CoarseCache, Decomposition, GeneoOpts,
+    SpmdOpts,
+};
 use dd_fem::{assemble_elasticity, DofMap};
 use dd_krylov::{
-    try_cg, try_gmres_with, CgOpts, GmresOpts, GmresWorkspace, IdentityPrecond, SeqDot,
+    try_cg, try_gmres_with, CgOpts, GmresOpts, GmresWorkspace, IdentityPrecond, SeqDot, Side,
 };
 use dd_linalg::{BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_mesh::Mesh;
@@ -51,6 +55,7 @@ use dd_part::partition_mesh_rcb;
 use dd_solver::{ordering, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 #[global_allocator]
@@ -407,6 +412,71 @@ fn bench_krylov_allocs(rep: &mut Report) {
     ));
 }
 
+/// Allocations per Krylov iteration of the SPMD path that `benchmark/` and
+/// `dd-serve` run: a resident owner-map solve, 8 subdomains on 2 ranks,
+/// classical GMRES under `P⁻¹_A-DEF1`. Same 30-vs-60 difference as the
+/// GMRES row, over whole worlds (set-up included, so it cancels) because
+/// the counter is process-wide and two ranks allocate concurrently. ν = 1
+/// on the κ-contrast problem keeps the solve from finishing — and GMRES
+/// from stopping on an invariant subspace — before iteration 60.
+///
+/// Unlike the sequential rows this one is not exact to the unit: a receive
+/// that has to block boxes a deadlock probe, and which rank blocks at a
+/// rendezvous is decided by the scheduler. One world against another moves
+/// the figure by up to 0.5 %, the fewest of three by 0.3 %; the baseline
+/// allows 1 % (`tolerances.json`), less than one allocation per rank.
+fn bench_spmd_allocs(rep: &mut Report) {
+    let mesh = Mesh::unit_square(32, 32);
+    let part = partition_mesh_rcb(&mesh, 8);
+    let problem = presets::heterogeneous_diffusion(2);
+    let decomp = Arc::new(decompose(&mesh, &problem, &part, 8, 1));
+    let run = |iters: usize| {
+        let decomp = Arc::clone(&decomp);
+        let opts = SpmdOpts {
+            geneo: GeneoOpts {
+                nev: 1,
+                ..Default::default()
+            },
+            gmres: GmresOpts {
+                restart: 30,
+                tol: 0.0,
+                max_iters: iters,
+                record_history: false,
+                side: Side::Right,
+                ..GmresOpts::default()
+            },
+            ..Default::default()
+        };
+        let cache = CoarseCache::new();
+        alloc_count::count_allocs(|| {
+            World::run(2, CostModel::default(), move |comm| {
+                let plan = repartition_plan(&decomp, comm, None);
+                let prepared =
+                    try_setup_partitioned(&decomp, comm, &opts, Some(&cache), &plan, true)
+                        .expect("owner-map set-up failed");
+                let out = prepared
+                    .try_apply(&decomp.rhs_global, "solve", None)
+                    .expect("owner-map solve failed");
+                out.result.iterations
+            })
+        })
+    };
+    // Fewest of three: a world that blocked less often allocated less.
+    let fewest = |iters: usize| {
+        let runs = (0..3).map(|_| run(iters));
+        runs.min_by_key(|r| r.0).expect("three runs")
+    };
+    run(60); // warmup: whatever the runtime initializes once per process
+    let (a30, it30) = fewest(30);
+    let (a60, it60) = fewest(60);
+    assert_eq!((it30[0], it60[0]), (30, 60));
+    let per_iter = ((a60 - a30) as f64 / 3.0).round() / 10.0;
+    rep.exact.insert("spmd/allocs_per_iter", per_iter);
+    rep.lines.push(format!(
+        "| SPMD owner-map solve allocations (2 ranks, 8 subdomains) | 30 it: {a30} | 60 it: {a60} | per-iter: **{per_iter}** | message payloads and collective buffers |",
+    ));
+}
+
 /// Ceiling on ordering seconds ÷ numeric-factorization seconds, for the
 /// rows that emit `order_over_numeric/*`.
 const ORDER_OVER_NUMERIC_MAX: f64 = 0.5;
@@ -497,6 +567,7 @@ fn main() -> ExitCode {
     bench_ordering(&mut rep, calib);
     bench_spmm(&mut rep, calib);
     bench_krylov_allocs(&mut rep);
+    bench_spmd_allocs(&mut rep);
     for l in &rep.lines {
         println!("{l}");
     }

@@ -2,8 +2,9 @@
 //!
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§3.4–§3.5). Each `fig*` binary regenerates one artifact;
-//! `cargo bench -p dd-bench` runs the std-only micro-benchmarks of the
-//! individual kernels (see `benches/micro.rs`).
+//! `kernel_bench` times the individual kernels and gates their exact
+//! counts (real seconds per layer come from the repo benchmark,
+//! `benchmark/`).
 //!
 //! | binary | paper artifact |
 //! |---|---|

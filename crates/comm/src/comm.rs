@@ -1057,6 +1057,15 @@ impl Communicator {
         self.epoch
     }
 
+    /// Collectives this rank has entered on this communicator so far. An
+    /// SPMD program enters them in lockstep, so every member reads the same
+    /// number at the same program point, and no two points separated by a
+    /// collective read the same one — a generation count for tag spaces
+    /// that must not be reused on one communicator.
+    pub fn collective_seq(&self) -> u64 {
+        self.seq.get()
+    }
+
     /// The size of the original world (dead ranks included).
     pub fn world_size(&self) -> usize {
         self.health.gone.len()

@@ -581,7 +581,7 @@ impl Decomposition {
     /// This is the admissibility workload of the abstract GenEO theory: for
     /// bounded `θ` the coarse space `Z` built at `θ = 0` remains an
     /// effective coarse space for `A(θ)` — `dd-serve` exploits this to
-    /// reuse a resident [`crate::PreparedSolver`] across the family.
+    /// reuse a resident [`crate::PreparedMulti`] across the family.
     pub fn perturb_diag(&self, theta: f64) -> Decomposition {
         fn scale(m: &mut CsrMatrix, theta: f64, dirichlet: &[bool]) {
             let (row_ptr, col_idx) = (m.row_ptr().to_vec(), m.col_idx().to_vec());

@@ -49,6 +49,7 @@ pub mod masters;
 pub mod precond;
 pub mod problem;
 pub mod recovery;
+pub mod resident;
 pub mod spmd;
 
 pub use abstract_coarse::{ritz_deflation, AbstractADef1, AbstractCoarse};
@@ -69,10 +70,11 @@ pub use precond::{
 pub use problem::{Pde, Problem};
 pub use recovery::{
     agree_next, recoverable, repartition_plan, replayable, try_run_spmd_elastic,
-    try_run_spmd_recoverable, try_setup_partitioned, CheckpointStore, CoarseCache,
-    MultiApplyOutcome, PreparedMulti, RecoveryOpts, RepartitionPlan, SpmdMultiSolution,
+    try_run_spmd_recoverable, try_setup_partitioned, CheckpointStore, CoarseCache, RecoveryOpts,
+    RepartitionPlan, SpmdMultiSolution,
 };
+pub use resident::{MultiApplyOutcome, PreparedMulti};
 pub use spmd::{
-    run_spmd, try_run_spmd, try_setup, try_setup_with, ApplyOutcome, AssemblyVariant, CoarseSolve,
-    Election, PreparedSolver, SolverKind, SpmdOpts, SpmdReport, SpmdSolution,
+    run_spmd, try_run_spmd, try_setup, AssemblyVariant, CoarseSolve, Election, SolverKind,
+    SpmdOpts, SpmdReport, SpmdSolution,
 };

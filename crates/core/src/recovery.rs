@@ -38,33 +38,22 @@ use crate::geneo::{
     nicolaides_fallback_block, resize_block, try_deflation_block_ordered, DeflationBlock,
 };
 use crate::masters::{group_of, nonuniform_masters};
+use crate::resident::{epoch_salt, HaloPlan, MasterSolve, PreparedMulti};
 use crate::spmd::{
-    classify_comm, classify_comm_at, comm_interrupt, dist_interrupt, interrupt_to_spmd, run_inner,
-    MasterSolve, SolverKind, SpmdOpts, SpmdReport,
+    classify_comm, classify_comm_at, run_inner, CoarseSolve, SolverKind, SpmdOpts, SpmdReport,
 };
 use dd_comm::{CommError, Communicator, RetryPolicy, SuspicionPolicy};
-use dd_krylov::{
-    try_gmres, CheckpointCfg, CheckpointSink, InnerProduct, Operator, Preconditioner,
-    SolveCheckpoint, SolveInterrupt, SolveResult, SolveStatus,
-};
-use dd_linalg::{vector, CooBuilder, CsrMatrix, DMat};
+use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
+use dd_linalg::{CooBuilder, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LocalLdlt, PivotPolicy, SparseLdlt};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-// Recovered-epoch tag namespaces, keyed by the (source, destination)
-// *subdomain* pair — a rank may host several subdomains after adoption, so
-// rank-keyed tags would collide. Each namespace is further salted by the
-// revocation epoch ([`epoch_salt`]) so a second recovery can never consume
-// a stale in-flight message of the first.
+// Tag namespace of the coarse assembly on an owner map, keyed by the
+// (source, destination) *subdomain* pair — a rank may host several
+// subdomains, so rank-keyed tags would collide — and salted by the
+// revocation epoch ([`epoch_salt`]).
 const TAG_RT: u64 = 1_000_000; // coarse assembly S_j / U_j exchange
-const TAG_RX: u64 = 2_000_000; // SpMV / consistency halo exchange
-
-/// Per-epoch tag offset keeping successive recovered epochs' p2p traffic in
-/// disjoint tag spaces.
-fn epoch_salt(comm: &Communicator) -> u64 {
-    comm.epoch() as u64 * 10_000_000
-}
 
 /// Options for [`try_run_spmd_recoverable`].
 #[derive(Clone, Debug)]
@@ -820,408 +809,7 @@ pub fn repartition_plan(
     }
 }
 
-// -------------------------------------------- multi-subdomain machinery
-
-/// Shared geometry of a recovered epoch: which subdomains this rank hosts,
-/// how their locals concatenate, and which survivor hosts every subdomain.
-struct MultiCtx<'a> {
-    comm: &'a Communicator,
-    decomp: &'a Decomposition,
-    /// Subdomains this rank owns, ascending.
-    owned: Vec<usize>,
-    /// Concatenation offsets of the owned subdomains' locals (len+1).
-    starts: Vec<usize>,
-    /// Communicator rank hosting each subdomain (indexed by subdomain).
-    host: Vec<usize>,
-}
-
-impl MultiCtx<'_> {
-    fn n_concat(&self) -> usize {
-        *self.starts.last().unwrap()
-    }
-
-    /// Pair-encoded, epoch-salted halo tag for traffic from subdomain
-    /// `src` to `dst`.
-    fn tag(&self, base: u64, src: usize, dst: usize) -> u64 {
-        base + epoch_salt(self.comm) + (src as u64) * self.decomp.n_subdomains() as u64 + dst as u64
-    }
-
-    /// Concatenated-vector variant of the neighbor consistency sum:
-    /// `out_s += Σ_{j ∈ O_s} R_s R_jᵀ t_j` for every owned subdomain `s`.
-    /// Same-host pairs short-circuit locally; remote receives run under the
-    /// ambient bounded retry policy.
-    fn exchange_add(&self, t: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let policy = self.comm.retry_policy();
-        let me = self.comm.rank();
-        let mut local: Vec<((usize, usize), Vec<f64>)> = Vec::new();
-        for (i, &s) in self.owned.iter().enumerate() {
-            let ts = &t[self.starts[i]..self.starts[i + 1]];
-            for link in &self.decomp.subdomains[s].neighbors {
-                let payload: Vec<f64> = link.shared.iter().map(|&k| ts[k as usize]).collect();
-                if self.host[link.j] == me {
-                    local.push(((s, link.j), payload));
-                } else {
-                    self.comm
-                        .send(self.host[link.j], self.tag(TAG_RX, s, link.j), payload);
-                }
-            }
-        }
-        for (i, &s) in self.owned.iter().enumerate() {
-            for link in &self.decomp.subdomains[s].neighbors {
-                let j = link.j;
-                let recv: Vec<f64> = if self.host[j] == me {
-                    let p = local
-                        .iter()
-                        .position(|(key, _)| *key == (j, s))
-                        .expect("missing same-host halo payload");
-                    local.swap_remove(p).1
-                } else {
-                    self.comm
-                        .try_recv_timeout(self.host[j], self.tag(TAG_RX, j, s), &policy)
-                        .map_err(comm_interrupt)?
-                };
-                debug_assert_eq!(recv.len(), link.shared.len());
-                let out_s = &mut out[self.starts[i]..self.starts[i + 1]];
-                for (&k, &v) in link.shared.iter().zip(&recv) {
-                    out_s[k as usize] += v;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Distributed operator over the concatenated owned subdomains (eq. 5).
-struct MultiOp<'a> {
-    ctx: &'a MultiCtx<'a>,
-}
-
-impl MultiOp<'_> {
-    fn local_part(&self, x: &[f64]) -> Vec<f64> {
-        let ctx = self.ctx;
-        let mut flops = 0u64;
-        let t = ctx.comm.compute(|| {
-            let mut t = vec![0.0; ctx.n_concat()];
-            for (i, &s) in ctx.owned.iter().enumerate() {
-                let sub = &ctx.decomp.subdomains[s];
-                let xs = &x[ctx.starts[i]..ctx.starts[i + 1]];
-                let mut w = xs.to_vec();
-                vector::scale_by(&sub.d, &mut w);
-                sub.spmv_dirichlet(&w, &mut t[ctx.starts[i]..ctx.starts[i + 1]]);
-                flops += (2 * sub.a_dirichlet.nnz() + sub.n_local()) as u64;
-            }
-            t
-        });
-        ctx.comm.charge_flops(flops);
-        t
-    }
-}
-
-impl Operator for MultiOp<'_> {
-    fn dim(&self) -> usize {
-        self.ctx.n_concat()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.try_apply(x, y)
-            .unwrap_or_else(|e| panic!("recovered SpMV on rank {}: {e}", self.ctx.comm.rank()))
-    }
-
-    fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let t = self.local_part(x);
-        y.copy_from_slice(&t);
-        self.ctx.exchange_add(&t, y)
-    }
-}
-
-/// Partition-of-unity inner product over the concatenated locals.
-struct MultiDot<'a> {
-    ctx: &'a MultiCtx<'a>,
-}
-
-impl InnerProduct for MultiDot<'_> {
-    fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        let ctx = self.ctx;
-        let mut acc = 0.0;
-        for (i, &s) in ctx.owned.iter().enumerate() {
-            let d = &ctx.decomp.subdomains[s].d;
-            for (k, dk) in d.iter().enumerate() {
-                let g = ctx.starts[i] + k;
-                acc += dk * x[g] * y[g];
-            }
-        }
-        ctx.comm.charge_flops(3 * x.len() as u64);
-        acc
-    }
-
-    fn reduce(&self, locals: Vec<f64>) -> Vec<f64> {
-        self.ctx.comm.allreduce_sum_vec(locals)
-    }
-
-    fn try_reduce(&self, locals: Vec<f64>) -> Result<Vec<f64>, SolveInterrupt> {
-        self.ctx
-            .comm
-            .try_allreduce_sum_vec(locals)
-            .map_err(comm_interrupt)
-    }
-
-    fn on_iteration(&self, k: usize) {
-        self.ctx.comm.trace_iteration(k);
-        // Same iteration-indexed failpoints as the fault-free solve, so
-        // chaos plans can kill a rank inside a *recovered* epoch too.
-        let _ = self.ctx.comm.failpoint(&format!("solve-iteration-{k}"));
-        // Iteration boundaries are the membership maintenance points:
-        // publish progress, suspect/evict stragglers under the armed
-        // policy, and revoke when joiners are waiting in the lobby.
-        self.ctx.comm.maintain();
-    }
-}
-
-/// One-level RAS over the concatenated owned subdomains.
-struct MultiRas<'a> {
-    ctx: &'a MultiCtx<'a>,
-    /// Local factors, aligned with `ctx.owned`.
-    factors: &'a [LocalLdlt],
-}
-
-impl MultiRas<'_> {
-    fn local_part(&self, r: &[f64]) -> Vec<f64> {
-        let ctx = self.ctx;
-        let mut flops = 0u64;
-        let t = ctx.comm.compute(|| {
-            let mut t = vec![0.0; ctx.n_concat()];
-            for (i, &s) in ctx.owned.iter().enumerate() {
-                let sub = &ctx.decomp.subdomains[s];
-                let mut ts = self.factors[i].solve(&r[ctx.starts[i]..ctx.starts[i + 1]]);
-                vector::scale_by(&sub.d, &mut ts);
-                t[ctx.starts[i]..ctx.starts[i + 1]].copy_from_slice(&ts);
-                flops += (4 * self.factors[i].nnz_l() + sub.n_local()) as u64;
-            }
-            t
-        });
-        ctx.comm.charge_flops(flops);
-        t
-    }
-}
-
-impl Preconditioner for MultiRas<'_> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.try_apply(r, z)
-            .unwrap_or_else(|e| panic!("recovered RAS on rank {}: {e}", self.ctx.comm.rank()))
-    }
-
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let t = self.local_part(r);
-        z.copy_from_slice(&t);
-        self.ctx.exchange_add(&t, z)
-    }
-}
-
-/// Coarse correction of the recovered epoch. Coarse rows are ordered by
-/// `(hosting rank, subdomain)`, so each split group's rows stay contiguous
-/// and the distributed block factorization keeps its bounds.
-struct MultiCoarse<'a> {
-    ctx: &'a MultiCtx<'a>,
-    split: &'a Communicator,
-    master: Option<(&'a Communicator, MasterSolve<'a>)>,
-    /// Deflation blocks, aligned with `ctx.owned`.
-    w: &'a [DMat],
-    /// Coarse row start of each subdomain (indexed by subdomain).
-    coarse_start: &'a [usize],
-    /// ν of each subdomain (indexed by subdomain).
-    nu_of: &'a [usize],
-    /// Subdomains hosted by each group member, split order (= coarse order).
-    group_subs: &'a [Vec<usize>],
-    dim_e: usize,
-}
-
-impl MultiCoarse<'_> {
-    fn try_correction(&self, u: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let ctx = self.ctx;
-        // step 1: w_s = W_sᵀ u_s for every owned subdomain, concatenated in
-        // owned (= coarse) order, gathered on the master.
-        let mut flops = 0u64;
-        let msg = ctx.comm.compute(|| {
-            let mut msg = Vec::new();
-            for (i, &s) in ctx.owned.iter().enumerate() {
-                let nu = self.w[i].cols();
-                let mut wi = vec![0.0; nu];
-                self.w[i].gemv_t(1.0, &u[ctx.starts[i]..ctx.starts[i + 1]], 0.0, &mut wi);
-                msg.extend_from_slice(&wi);
-                flops += 2 * (nu * ctx.decomp.subdomains[s].n_local()) as u64;
-            }
-            msg
-        });
-        ctx.comm.charge_flops(flops);
-        let gathered = self.split.try_gather(0, msg).map_err(comm_interrupt)?;
-        // step 2: masters solve E y = w on their contiguous block row.
-        let y_mine: Vec<f64> =
-            if let (Some((master, solve)), Some(parts)) = (self.master.as_ref(), &gathered) {
-                // Split preserves rank order and coarse rows are ordered by
-                // (rank, subdomain): concatenating the parts yields this
-                // group's contiguous coarse block.
-                let group_w: Vec<f64> = parts.iter().flatten().copied().collect();
-                let y_group: Vec<f64> = match solve {
-                    MasterSolve::Redundant(e_factor) => {
-                        let all_w = master.try_allgather(group_w).map_err(comm_interrupt)?;
-                        let mut rhs = Vec::with_capacity(self.dim_e);
-                        for gw in &all_w {
-                            rhs.extend_from_slice(gw);
-                        }
-                        debug_assert_eq!(rhs.len(), self.dim_e);
-                        let y = ctx.comm.compute(|| e_factor.solve(&rhs));
-                        ctx.comm.charge_flops(4 * e_factor.nnz_l() as u64);
-                        let g0 = self.group_start();
-                        let glen: usize = self
-                            .group_subs
-                            .iter()
-                            .flatten()
-                            .map(|&s| self.nu_of[s])
-                            .sum();
-                        y[g0..g0 + glen].to_vec()
-                    }
-                    MasterSolve::Distributed(dist) => {
-                        let prev = ctx.comm.trace_phase_name();
-                        ctx.comm.trace_phase("recovery-e-solve-dist");
-                        let y = dist
-                            .try_solve(master, &group_w)
-                            .map_err(|e| dist_interrupt(ctx.comm, e, "recovery-e-solve-dist"))?;
-                        ctx.comm.trace_phase(&prev);
-                        y
-                    }
-                };
-                // step 3a: scatter each member's slice back to the group.
-                let mut pieces = Vec::with_capacity(self.group_subs.len());
-                let mut pos = 0;
-                for subs in self.group_subs {
-                    let len: usize = subs.iter().map(|&s| self.nu_of[s]).sum();
-                    pieces.push(y_group[pos..pos + len].to_vec());
-                    pos += len;
-                }
-                self.split
-                    .try_scatter(0, Some(pieces))
-                    .map_err(comm_interrupt)?
-            } else {
-                self.split.try_scatter(0, None).map_err(comm_interrupt)?
-            };
-        // step 3b: z_s = W_s y_s plus the consistency sum (eq. 12).
-        let mut flops = 0u64;
-        let zi = ctx.comm.compute(|| {
-            let mut zi = vec![0.0; ctx.n_concat()];
-            let mut pos = 0;
-            for (i, &s) in ctx.owned.iter().enumerate() {
-                let nu = self.w[i].cols();
-                self.w[i].gemv(
-                    1.0,
-                    &y_mine[pos..pos + nu],
-                    0.0,
-                    &mut zi[ctx.starts[i]..ctx.starts[i + 1]],
-                );
-                pos += nu;
-                flops += 2 * (nu * ctx.decomp.subdomains[s].n_local()) as u64;
-            }
-            zi
-        });
-        ctx.comm.charge_flops(flops);
-        z.copy_from_slice(&zi);
-        ctx.exchange_add(&zi, z)
-    }
-
-    /// Coarse row start of this split group (only meaningful on masters).
-    fn group_start(&self) -> usize {
-        self.group_subs
-            .iter()
-            .flatten()
-            .next()
-            .map_or(self.dim_e, |&s| self.coarse_start[s])
-    }
-}
-
-/// A-DEF1 over the concatenated owned subdomains (eq. 6).
-struct MultiADef1<'a> {
-    op: MultiOp<'a>,
-    ras: MultiRas<'a>,
-    coarse: MultiCoarse<'a>,
-}
-
-impl Preconditioner for MultiADef1<'_> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.try_apply(r, z)
-            .unwrap_or_else(|e| panic!("recovered A-DEF1 on rank {}: {e}", self.op.ctx.comm.rank()))
-    }
-
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let n = r.len();
-        let mut q = vec![0.0; n];
-        self.coarse.try_correction(r, &mut q)?;
-        let mut t = vec![0.0; n];
-        self.op.try_apply(&q, &mut t)?;
-        for k in 0..n {
-            t[k] = r[k] - t[k];
-        }
-        self.ras.try_apply(&t, z)?;
-        vector::axpy(1.0, &q, z);
-        Ok(())
-    }
-}
-
 // ------------------------------------------------------- partitioned run
-
-/// The resident state of one epoch's setup on an arbitrary owner map: the
-/// partitioned analogue of [`crate::PreparedSolver`]. Holds the owned
-/// subdomains' factors and deflation blocks, the re-elected split/master
-/// communicators, and this rank's handle on the re-factored coarse
-/// operator. Produced by [`try_setup_partitioned`];
-/// [`PreparedMulti::try_apply`] runs the (checkpointable) Krylov solve
-/// against any right-hand side, reentrantly — `dd-serve` keeps one of
-/// these resident per membership epoch when the world no longer matches
-/// one-rank-per-subdomain.
-pub struct PreparedMulti<'a> {
-    decomp: &'a Decomposition,
-    comm: &'a Communicator,
-    opts: SpmdOpts,
-    /// Subdomains this rank owns, ascending.
-    owned: Vec<usize>,
-    /// Communicator rank hosting each subdomain (indexed by subdomain).
-    host: Vec<usize>,
-    /// Concatenation offsets of the owned subdomains' locals (len+1).
-    starts: Vec<usize>,
-    factors: Vec<LocalLdlt>,
-    w: Vec<DMat>,
-    /// Globally agreed max ν.
-    nu: usize,
-    split: Communicator,
-    master_comm: Option<Communicator>,
-    group_subs: Vec<Vec<usize>>,
-    coarse_start: Vec<usize>,
-    nu_of: Vec<usize>,
-    dim_e: usize,
-    nnz_e_factor: usize,
-    e_factor: Option<SparseLdlt>,
-    e_dist: Option<DistLdlt>,
-    run: RunReport,
-    /// Which subdomains' coarse rows were recomputed this epoch.
-    fresh: Vec<bool>,
-    t_adopt: f64,
-    t_deflation: f64,
-    t_coarse: f64,
-    t_reassembly: f64,
-    t_refactorization: f64,
-}
-
-/// The per-apply result of [`PreparedMulti::try_apply`]: the Krylov
-/// outcome, the per-subdomain locals of the solution, and this apply's
-/// virtual-time/counter deltas.
-pub struct MultiApplyOutcome {
-    pub result: SolveResult,
-    /// `(subdomain, local solution)` for every owned subdomain.
-    pub locals: Vec<(usize, Vec<f64>)>,
-    pub t_solution: f64,
-    pub world_collectives_solution: u64,
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    pub collective_bytes: u64,
-}
 
 /// Setup of one epoch on an arbitrary owner map: build (or rebuild) the
 /// two-level preconditioner over the plan's partition, returning the
@@ -1273,6 +861,11 @@ pub fn try_setup_partitioned<'a>(
         .map(|&(s, _)| s)
         .collect();
     let i_adopted = !my_adopted.is_empty();
+    let mut starts = vec![0usize];
+    for &s in &owned {
+        starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
+    }
+    let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
 
     comm.try_barrier()?;
     if reset_clock {
@@ -1429,8 +1022,7 @@ pub fn try_setup_partitioned<'a>(
 
     let mut dim_e = 0usize;
     let mut nnz_e_factor = 0usize;
-    let mut e_factor: Option<SparseLdlt> = None;
-    let mut e_dist: Option<DistLdlt> = None;
+    let mut e_solve: Option<MasterSolve> = None;
     let mut coarse_start = vec![0usize; nsubs];
     let mut nu_of = vec![0usize; nsubs];
     let mut coarse_failed: Option<String> = None;
@@ -1682,7 +1274,7 @@ pub fn try_setup_partitioned<'a>(
                 }
             };
             match opts.coarse_solve {
-                crate::spmd::CoarseSolve::Redundant => {
+                CoarseSolve::Redundant => {
                     comm.trace_phase("recovery-e-factorization");
                     let all_rows = master.try_allgather(rows)?;
                     let all_cols = master.try_allgather(cols)?;
@@ -1700,18 +1292,19 @@ pub fn try_setup_partitioned<'a>(
                             opts.ordering,
                             PivotPolicy::Boost { rel_tol: 1e-12 },
                         )
+                        .map(|factor| (e, factor))
                         .map_err(|e| e.to_string())
                     });
                     match ef {
-                        Ok(f) => {
-                            comm.charge_flops(f.flops_estimate());
-                            nnz_e_factor = f.nnz_l();
-                            e_factor = Some(f);
+                        Ok((e, factor)) => {
+                            comm.charge_flops(factor.flops_estimate());
+                            nnz_e_factor = factor.nnz_l();
+                            e_solve = Some(MasterSolve::Redundant { e, factor });
                         }
                         Err(reason) => coarse_failed = Some(reason),
                     }
                 }
-                crate::spmd::CoarseSolve::Distributed => {
+                CoarseSolve::Distributed => {
                     comm.trace_phase("recovery-e-factorization-dist");
                     // Block-row boundaries: the election boundaries mapped
                     // to coarse rows via each group's first subdomain.
@@ -1734,15 +1327,14 @@ pub fn try_setup_partitioned<'a>(
                     let dist = DistLdlt::try_factor(master, bounds, strip)
                         .map_err(|e| classify_comm_at(comm, e, "recovery-e-factorization-dist"))?;
                     nnz_e_factor = dist.nnz_l();
-                    e_dist = Some(dist);
+                    e_solve = Some(MasterSolve::Distributed(dist));
                 }
             }
             comm.trace_phase("recovery-assembly");
         }
         let any_failed = comm.try_allreduce_max_usize(usize::from(coarse_failed.is_some()))? > 0;
         if any_failed {
-            e_factor = None;
-            e_dist = None;
+            e_solve = None;
             nnz_e_factor = 0;
             coarse_fallback = Some(match coarse_failed.take() {
                 Some(r) => format!("coarse factorization failed ({r}); one-level RAS fallback"),
@@ -1777,316 +1369,38 @@ pub fn try_setup_partitioned<'a>(
     // gather is re-assembly; the master factorization is the rest.
     let t_reassembly = clk_assembled.unwrap_or(clk_coarse_done) - clk_begin;
     let t_refactorization = clk_coarse_done - clk_begin - t_reassembly;
-    let starts: Vec<usize> = {
-        let mut v = vec![0usize];
-        for &s in &owned {
-            v.push(v.last().unwrap() + decomp.subdomains[s].n_local());
-        }
-        v
-    };
+    let group_rows = |subs: &Vec<usize>| subs.iter().map(|&s| nu_of[s]).sum();
     Ok(PreparedMulti {
+        halo,
         decomp,
         comm,
         opts: opts.clone(),
         owned,
-        host,
         starts,
         factors,
         w,
         nu,
         split,
         master_comm,
-        group_subs,
-        coarse_start,
-        nu_of,
+        group_rows: group_subs.iter().map(group_rows).collect(),
+        group_row0: group_subs
+            .iter()
+            .flatten()
+            .next()
+            .map_or(dim_e, |&s| coarse_start[s]),
         dim_e,
         nnz_e_factor,
-        e_factor,
-        e_dist,
+        e_solve,
         run,
-        fresh,
-        t_adopt,
+        coarse_solve_phase: "recovery-e-solve-dist",
+        solve_phase: "recovery-solve",
+        t_factorization: t_adopt,
         t_deflation,
         t_coarse,
+        fresh,
         t_reassembly,
         t_refactorization,
     })
-}
-
-impl PreparedMulti<'_> {
-    /// Subdomains this rank owns, ascending.
-    pub fn owned(&self) -> &[usize] {
-        &self.owned
-    }
-
-    /// What the coarse level degraded to during setup.
-    pub fn coarse(&self) -> CoarseOutcome {
-        self.run.coarse
-    }
-
-    /// Phase outcomes and fallbacks of the setup phases.
-    pub fn setup_report(&self) -> &RunReport {
-        &self.run
-    }
-
-    /// Virtual seconds of re-assembly and re-factorization (the
-    /// [`RecoveryRecord`] cost split).
-    pub fn recovery_times(&self) -> (f64, f64) {
-        (self.t_reassembly, self.t_refactorization)
-    }
-
-    /// Which subdomains' coarse rows were recomputed this epoch (`moved`)
-    /// vs. reused from the cache, for [`RecoveryRecord`] bookkeeping.
-    pub fn moved_reused(&self) -> (Vec<usize>, Vec<usize>) {
-        if self.opts.one_level_only {
-            (Vec::new(), Vec::new())
-        } else {
-            let n = self.decomp.n_subdomains();
-            (
-                (0..n).filter(|&s| self.fresh[s]).collect(),
-                (0..n).filter(|&s| !self.fresh[s]).collect(),
-            )
-        }
-    }
-
-    /// The (checkpointable) Krylov solve against an arbitrary global
-    /// right-hand side, using the resident partitioned preconditioner.
-    /// Always runs the classical loop: pipelining and fusion assume the
-    /// fault-free one-rank-per-subdomain communication schedule.
-    pub fn try_apply(
-        &self,
-        rhs_global: &[f64],
-        phase: &str,
-        ckpt: Option<&CheckpointCfg<'_>>,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.apply_inner(None, rhs_global, phase, ckpt, None)
-    }
-
-    /// [`PreparedMulti::try_apply`] with a recycle space threaded through
-    /// (see [`crate::PreparedSolver::try_apply_recycled`]).
-    pub fn try_apply_recycled(
-        &self,
-        rhs_global: &[f64],
-        phase: &str,
-        recycle: &mut dd_krylov::RecycleSpace,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.apply_inner(None, rhs_global, phase, None, Some(recycle))
-    }
-
-    /// [`PreparedMulti::try_apply`] against a layout-compatible
-    /// decomposition override — the parameter-perturbation path: the
-    /// Krylov loop solves the perturbed system while RAS and the coarse
-    /// correction reuse the resident factorizations built at the base
-    /// parameter.
-    pub fn try_apply_on(
-        &self,
-        decomp_override: &Decomposition,
-        rhs_global: &[f64],
-        phase: &str,
-        recycle: Option<&mut dd_krylov::RecycleSpace>,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.apply_inner(Some(decomp_override), rhs_global, phase, None, recycle)
-    }
-
-    fn apply_inner(
-        &self,
-        decomp_override: Option<&Decomposition>,
-        rhs_global: &[f64],
-        phase: &str,
-        ckpt: Option<&CheckpointCfg<'_>>,
-        recycle: Option<&mut dd_krylov::RecycleSpace>,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
-        let comm = self.comm;
-        let decomp = decomp_override.unwrap_or(self.decomp);
-        debug_assert_eq!(decomp.n_subdomains(), self.decomp.n_subdomains());
-        comm.trace_phase(phase);
-
-        // ---- solve -----------------------------------------------------
-        let clk_entry = comm.clock();
-        let stats_before = comm.stats();
-        let ctx = MultiCtx {
-            comm,
-            decomp,
-            owned: self.owned.clone(),
-            starts: self.starts.clone(),
-            host: self.host.clone(),
-        };
-        let mut rhs = Vec::with_capacity(ctx.n_concat());
-        for &s in &self.owned {
-            rhs.extend(decomp.subdomains[s].restrict(rhs_global));
-        }
-        let x0 = vec![0.0; ctx.n_concat()];
-
-        let op = MultiOp { ctx: &ctx };
-        let ip = MultiDot { ctx: &ctx };
-        let two_level = self.run.coarse == CoarseOutcome::TwoLevel;
-        let result: SolveResult = if !two_level {
-            let ras = MultiRas {
-                ctx: &ctx,
-                factors: &self.factors,
-            };
-            solve_multi(
-                comm,
-                &op,
-                &ras,
-                &ip,
-                &rhs,
-                &x0,
-                &self.opts.gmres,
-                ckpt,
-                recycle,
-            )?
-        } else {
-            let adef1 = MultiADef1 {
-                op: MultiOp { ctx: &ctx },
-                ras: MultiRas {
-                    ctx: &ctx,
-                    factors: &self.factors,
-                },
-                coarse: MultiCoarse {
-                    ctx: &ctx,
-                    split: &self.split,
-                    master: self.master_comm.as_ref().and_then(|m| {
-                        self.e_dist
-                            .as_ref()
-                            .map(|d| (m, MasterSolve::Distributed(d)))
-                            .or_else(|| {
-                                self.e_factor
-                                    .as_ref()
-                                    .map(|f| (m, MasterSolve::Redundant(f)))
-                            })
-                    }),
-                    w: &self.w,
-                    coarse_start: &self.coarse_start,
-                    nu_of: &self.nu_of,
-                    group_subs: &self.group_subs,
-                    dim_e: self.dim_e,
-                },
-            };
-            solve_multi(
-                comm,
-                &op,
-                &adef1,
-                &ip,
-                &rhs,
-                &x0,
-                &self.opts.gmres,
-                ckpt,
-                recycle,
-            )?
-        };
-        comm.try_barrier()?;
-        let t_solution = comm.clock() - clk_entry;
-        let stats_after = comm.stats();
-        let locals = self
-            .owned
-            .iter()
-            .zip(self.starts.windows(2))
-            .map(|(&s, win)| (s, result.x[win[0]..win[1]].to_vec()))
-            .collect();
-        Ok(MultiApplyOutcome {
-            result,
-            locals,
-            t_solution,
-            world_collectives_solution: stats_after.collective_calls
-                - stats_before.collective_calls,
-            p2p_messages: stats_after.p2p_messages,
-            p2p_bytes: stats_after.p2p_bytes,
-            collective_bytes: stats_after.collective_bytes
-                + self.split.stats().collective_bytes
-                + self
-                    .master_comm
-                    .as_ref()
-                    .map_or(0, |m| m.stats().collective_bytes),
-        })
-    }
-
-    /// Assemble the full [`SpmdReport`] for one apply (setup phases'
-    /// outcomes plus this solve's).
-    pub fn report(&self, out: &MultiApplyOutcome) -> SpmdReport {
-        let comm = self.comm;
-        let result = &out.result;
-        let mut run = self.run.clone();
-        run.phases.push((
-            "recovery-solve",
-            if result.status == SolveStatus::Converged && result.breakdown_restarts == 0 {
-                PhaseOutcome::Ok
-            } else {
-                PhaseOutcome::Degraded {
-                    reason: format!(
-                        "{} after {} breakdown restart(s)",
-                        result.status, result.breakdown_restarts
-                    ),
-                }
-            },
-        ));
-        run.solve_status = result.status;
-        run.breakdown_restarts = result.breakdown_restarts;
-        run.faults = comm.fault_stats();
-        let me_world = comm.world_rank();
-        SpmdReport {
-            rank: me_world,
-            t_factorization: self.t_adopt,
-            t_deflation: self.t_deflation,
-            t_coarse: self.t_coarse,
-            t_solution: out.t_solution,
-            t_total: comm.clock(),
-            iterations: result.iterations,
-            converged: result.converged,
-            final_residual: result.final_residual,
-            nu: self.nu,
-            dim_e: self.dim_e,
-            nnz_e_factor: self.nnz_e_factor,
-            n_neighbors: self
-                .decomp
-                .subdomains
-                .get(me_world)
-                .or_else(|| self.owned.first().map(|&s| &self.decomp.subdomains[s]))
-                .map_or(0, |s| s.neighbors.len()),
-            world_collectives_solution: out.world_collectives_solution,
-            p2p_messages: out.p2p_messages,
-            p2p_bytes: out.p2p_bytes,
-            collective_bytes: out.collective_bytes,
-            history: result.history.clone(),
-            run,
-        }
-    }
-}
-
-/// The classical-GMRES arm of a partitioned apply, with or without
-/// recycling.
-#[allow(clippy::too_many_arguments)]
-fn solve_multi<O, M, P>(
-    comm: &Communicator,
-    op: &O,
-    precond: &M,
-    ip: &P,
-    rhs: &[f64],
-    x0: &[f64],
-    gmres: &dd_krylov::GmresOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-    recycle: Option<&mut dd_krylov::RecycleSpace>,
-) -> Result<SolveResult, SpmdError>
-where
-    O: Operator,
-    M: Preconditioner,
-    P: InnerProduct,
-{
-    match recycle {
-        None => try_gmres(op, precond, ip, rhs, x0, gmres, ckpt)
-            .map_err(|si| interrupt_to_spmd(comm, si)),
-        Some(space) => {
-            let batch = [rhs.to_vec()];
-            dd_krylov::try_gmres_multi(op, precond, ip, &batch, x0, gmres, Some(space))
-        }
-        .map_err(|si| interrupt_to_spmd(comm, si))?
-        .into_iter()
-        .next()
-        .ok_or_else(|| SpmdError::Protocol {
-            rank: comm.rank(),
-            what: "empty multi-solve result".to_string(),
-        }),
-    }
 }
 
 /// One epoch on an arbitrary owner map: [`try_setup_partitioned`] plus one
@@ -2107,8 +1421,15 @@ fn run_partitioned(
     record_membership: bool,
 ) -> Result<SpmdMultiSolution, SpmdError> {
     let nsubs = decomp.n_subdomains();
+    // Resuming from a checkpoint, and surviving the next fault with a typed
+    // error, both need the classical loop — the pipelined ones have no
+    // fallible entry point — whatever `opts.solver` asks of a first epoch.
+    let opts = &SpmdOpts {
+        solver: SolverKind::Classical,
+        ..opts.clone()
+    };
     let prepared = try_setup_partitioned(decomp, comm, opts, cache, plan, true)?;
-    let owned = prepared.owned();
+    let owned = &prepared.owned;
 
     // ---- resume from the last globally complete checkpoint.
     let resume_iteration = store.rollback_iteration(nsubs);
@@ -2130,20 +1451,24 @@ fn run_partitioned(
     // The initial epoch of an elastic run is not a recovery — only
     // membership changes get a record.
     if comm.epoch() > 0 && record_membership {
-        let (moved, reused) = prepared.moved_reused();
-        let (t_reassembly, t_refactorization) = prepared.recovery_times();
+        // Rows recomputed this epoch vs. reused from the cache.
+        let rows = |fresh: bool| -> Vec<usize> {
+            (0..nsubs)
+                .filter(|&s| !opts.one_level_only && prepared.fresh[s] == fresh)
+                .collect()
+        };
         recoveries.push(RecoveryRecord {
             epoch: comm.epoch(),
             dead: plan.dead.clone(),
             evicted: plan.evicted.clone(),
             joined: plan.joined.clone(),
             adopted: plan.adopted.clone(),
-            moved,
-            reused,
+            moved: rows(true),
+            reused: rows(false),
             resume_iteration,
             t_agreement,
-            t_reassembly,
-            t_refactorization,
+            t_reassembly: prepared.t_reassembly,
+            t_refactorization: prepared.t_refactorization,
             corruptions_detected: comm.fault_stats().corruptions_detected,
             replays: 0,
             t_replay: 0.0,

@@ -22,27 +22,20 @@
 //! All heavy local computations run under [`Communicator::compute`] so the
 //! virtual clocks produce the scaling tables of Figures 8, 10 and 11.
 
-use std::cell::RefCell;
-
-use crate::decomp::{Decomposition, Subdomain};
+use crate::decomp::Decomposition;
 use crate::error::{CoarseOutcome, DeflationSource, PhaseOutcome, RunReport, SpmdError};
 use crate::geneo::{
     nicolaides_fallback_block, resize_block, try_deflation_block_ordered, GeneoOpts,
 };
 use crate::masters::{group_of, nonuniform_masters, uniform_masters};
 use crate::recovery::RecoveryOpts;
+use crate::resident::{HaloPlan, MasterSolve, PreparedMulti};
 use dd_comm::{CommError, Communicator};
-use dd_krylov::{
-    fused_pipelined_gmres, pipelined_gmres, try_gmres, try_gmres_multi, CheckpointCfg,
-    FusedPreconditioner, GmresOpts, InnerProduct, Operator, Preconditioner, RecycleSpace,
-    SolveInterrupt, SolveResult, SolveStatus,
-};
-use dd_linalg::{vector, CooBuilder, CsrMatrix, DMat};
-use dd_solver::{DistLdlt, LdltBackend, LocalLdlt, Ordering, PivotPolicy, SparseLdlt};
+use dd_krylov::{CheckpointCfg, GmresOpts, SolveInterrupt};
+use dd_linalg::{CooBuilder, CsrMatrix, DMat};
+use dd_solver::{DistLdlt, LdltBackend, Ordering, PivotPolicy, SparseLdlt};
 
 const TAG_T: u64 = 101; // S_j / U_j exchanges (Algorithm 1)
-
-const TAG_X: u64 = 103; // SpMV / consistency exchanges
 const TAG_NU: u64 = 104; // neighborhood ν exchange
 
 /// Master election strategy (§3.1.2).
@@ -177,56 +170,6 @@ pub struct SpmdReport {
     pub run: RunReport,
 }
 
-// --------------------------------------------------------------------- SPMD
-// helper: neighbor exchange of shared values (the communication pattern of
-// both the SpMV (eq. 5) and the coarse prolongation (eq. 12)).
-
-struct RankCtx<'a> {
-    comm: &'a Communicator,
-    sub: &'a Subdomain,
-}
-
-impl RankCtx<'_> {
-    /// `out += Σ_{j ∈ O_i} R_i R_jᵀ t_j`, where this rank contributes its
-    /// own `t` values on each shared region.
-    fn exchange_add(&self, t: &[f64], out: &mut [f64]) {
-        // send my shared slices
-        for link in &self.sub.neighbors {
-            let payload: Vec<f64> = link.shared.iter().map(|&k| t[k as usize]).collect();
-            self.comm.send(link.j, TAG_X, payload);
-        }
-        for link in &self.sub.neighbors {
-            let recv: Vec<f64> = self.comm.recv(link.j, TAG_X);
-            debug_assert_eq!(recv.len(), link.shared.len());
-            for (&k, &v) in link.shared.iter().zip(&recv) {
-                out[k as usize] += v;
-            }
-        }
-    }
-
-    /// Fallible [`RankCtx::exchange_add`]: halo receives run under the
-    /// communicator's ambient [`dd_comm::RetryPolicy`] and a dead or
-    /// revoked peer surfaces as a [`SolveInterrupt`] instead of a panic.
-    fn try_exchange_add(&self, t: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let policy = self.comm.retry_policy();
-        for link in &self.sub.neighbors {
-            let payload: Vec<f64> = link.shared.iter().map(|&k| t[k as usize]).collect();
-            self.comm.send(link.j, TAG_X, payload);
-        }
-        for link in &self.sub.neighbors {
-            let recv: Vec<f64> = self
-                .comm
-                .try_recv_timeout(link.j, TAG_X, &policy)
-                .map_err(comm_interrupt)?;
-            debug_assert_eq!(recv.len(), link.shared.len());
-            for (&k, &v) in link.shared.iter().zip(&recv) {
-                out[k as usize] += v;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Wrap a communication error as a solver interrupt, preserving the typed
 /// error as the downcastable source.
 pub(crate) fn comm_interrupt(e: CommError) -> SolveInterrupt {
@@ -239,7 +182,7 @@ pub(crate) const KILLED_AT: &str = "killed at failpoint ";
 
 /// A [`Communicator::failpoint`] raised as a [`SolveInterrupt`] (for kills
 /// armed inside solver callbacks, where errors travel through dd-krylov).
-fn solve_failpoint(comm: &Communicator, label: &str) -> Result<(), SolveInterrupt> {
+pub(crate) fn solve_failpoint(comm: &Communicator, label: &str) -> Result<(), SolveInterrupt> {
     comm.failpoint(label)
         .map_err(|e| SolveInterrupt::with_source(format!("{KILLED_AT}{label}"), Box::new(e)))
 }
@@ -328,390 +271,6 @@ pub(crate) fn interrupt_to_spmd(comm: &Communicator, interrupt: SolveInterrupt) 
     }
 }
 
-/// Distributed operator: `(Ax)_i = Σ_j R_i R_jᵀ A_j D_j x_j` (eq. 5).
-struct DistOp<'a> {
-    ctx: RankCtx<'a>,
-    /// Warm-path scratch `(D_j x_j, A_j D_j x_j)`: sized on the first
-    /// apply, reused by every later one so the per-iteration SpMV
-    /// allocates nothing at this layer (`warm-loop-alloc` pins it).
-    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
-}
-
-impl<'a> DistOp<'a> {
-    fn new(ctx: RankCtx<'a>) -> Self {
-        DistOp {
-            ctx,
-            scratch: RefCell::default(),
-        }
-    }
-
-    // dd:hot — per-Krylov-iteration SpMV; scratch reuse keeps it allocation-free
-    fn local_part_into(&self, x: &[f64], w: &mut Vec<f64>, t: &mut Vec<f64>) {
-        let s = self.ctx.sub;
-        self.ctx.comm.compute(|| {
-            w.clear();
-            w.extend_from_slice(x);
-            vector::scale_by(&s.d, w);
-            t.clear();
-            t.resize(s.n_local(), 0.0);
-            s.spmv_dirichlet(w, t);
-        });
-        self.ctx
-            .comm
-            .charge_flops((2 * s.a_dirichlet.nnz() + s.n_local()) as u64);
-    }
-}
-
-impl Operator for DistOp<'_> {
-    fn dim(&self) -> usize {
-        self.ctx.sub.n_local()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (w, t) = &mut *scratch;
-        self.local_part_into(x, w, t);
-        y.copy_from_slice(t);
-        self.ctx.exchange_add(t, y);
-    }
-
-    // dd:hot
-    fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let mut scratch = self.scratch.borrow_mut();
-        let (w, t) = &mut *scratch;
-        self.local_part_into(x, w, t);
-        y.copy_from_slice(t);
-        self.ctx.try_exchange_add(t, y)
-    }
-}
-
-/// Distributed inner product: `⟨u, v⟩ = Σ_i (D_i u_i)ᵀ v_i` reduced over
-/// ranks — exact thanks to the partition of unity.
-struct DistDot<'a> {
-    comm: &'a Communicator,
-    d: &'a [f64],
-}
-
-impl InnerProduct for DistDot<'_> {
-    fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for k in 0..x.len() {
-            acc += self.d[k] * x[k] * y[k];
-        }
-        self.comm.charge_flops(3 * x.len() as u64);
-        acc
-    }
-
-    fn reduce(&self, locals: Vec<f64>) -> Vec<f64> {
-        self.comm.allreduce_sum_vec(locals)
-    }
-
-    fn try_reduce(&self, locals: Vec<f64>) -> Result<Vec<f64>, SolveInterrupt> {
-        self.comm
-            .try_allreduce_sum_vec(locals)
-            .map_err(comm_interrupt)
-    }
-
-    fn reduce_begin<'b>(&'b self, locals: Vec<f64>) -> Box<dyn FnOnce() -> Vec<f64> + 'b> {
-        let pending = self.comm.iallreduce_sum_vec(locals);
-        let comm = self.comm;
-        Box::new(move || comm.wait_reduce(pending))
-    }
-
-    // dd:hot — runs once per Krylov iteration on every rank
-    fn on_iteration(&self, k: usize) {
-        self.comm.trace_iteration(k);
-        // The `solve-iteration-K` failpoints: kills armed here take the
-        // rank down at a *specific* Krylov iteration, deep enough into the
-        // solve that checkpoints exist for the survivors to resume from.
-        // A triggered failpoint marks this rank gone; the iteration's next
-        // reduction surfaces the death as a typed error. The label is only
-        // built when a fault plan is armed — production solves must not
-        // pay a heap allocation per iteration for fault injection.
-        if self.comm.failpoints_armed() {
-            // dd:cold — fault-injection runs only
-            let _ = self.comm.failpoint(&format!("solve-iteration-{k}"));
-        } else {
-            // Every iteration still records the heartbeat the failpoint
-            // would have (the suspicion policy's progress signal).
-            self.comm.heartbeat();
-        }
-    }
-}
-
-/// Distributed one-level RAS: `z_i = Σ_j R_i R_jᵀ D_j A_j⁻¹ r_j`.
-struct DistRas<'a> {
-    ctx: RankCtx<'a>,
-    factor: &'a LocalLdlt,
-    /// Warm-path scratch `D_j A_j⁻¹ r_j`, reused across applies.
-    scratch: RefCell<Vec<f64>>,
-}
-
-impl<'a> DistRas<'a> {
-    fn new(ctx: RankCtx<'a>, factor: &'a LocalLdlt) -> Self {
-        DistRas {
-            ctx,
-            factor,
-            scratch: RefCell::default(),
-        }
-    }
-
-    // dd:hot — per-iteration local solve; scratch reuse keeps this layer allocation-free
-    fn local_part_into(&self, r: &[f64], t: &mut Vec<f64>) {
-        let s = self.ctx.sub;
-        self.ctx.comm.compute(|| {
-            t.clear();
-            t.extend_from_slice(r);
-            self.factor.solve_in_place(t);
-            vector::scale_by(&s.d, t);
-        });
-        self.ctx
-            .comm
-            .charge_flops((4 * self.factor.nnz_l() + s.n_local()) as u64);
-    }
-}
-
-impl Preconditioner for DistRas<'_> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut t = self.scratch.borrow_mut();
-        self.local_part_into(r, &mut t);
-        z.copy_from_slice(&t);
-        self.ctx.exchange_add(&t, z);
-    }
-
-    // dd:hot
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        // The `ras` failpoint: kills armed here take the rank down in the
-        // middle of a preconditioner application, mid-solve.
-        solve_failpoint(self.ctx.comm, "ras")?;
-        let mut t = self.scratch.borrow_mut();
-        self.local_part_into(r, &mut t);
-        z.copy_from_slice(&t);
-        self.ctx.try_exchange_add(&t, z)
-    }
-}
-
-/// A master's handle on `E⁻¹`: either the redundant full factorization or
-/// its share of the distributed block factorization.
-pub(crate) enum MasterSolve<'a> {
-    Redundant(&'a SparseLdlt),
-    Distributed(&'a DistLdlt),
-}
-
-/// Coarse-correction machinery shared by the rank's preconditioners.
-struct DistCoarse<'a> {
-    comm: &'a Communicator,
-    split: &'a Communicator,
-    /// Masters carry their communicator *and* their handle on `E⁻¹`
-    /// together, so the happy path needs no unwrap: a rank either has both
-    /// or participates as a slave.
-    master: Option<(&'a Communicator, MasterSolve<'a>)>,
-    sub: &'a Subdomain,
-    /// This rank's deflation block (ν columns; ν may differ per rank, e.g.
-    /// after a Nicolaides fallback on one subdomain).
-    w: &'a DMat,
-    /// Coarse offsets r_i for all ranks.
-    offsets: &'a [usize],
-    /// World ranks of my split group, in split order.
-    group_ranks: &'a [usize],
-    dim_e: usize,
-}
-
-impl DistCoarse<'_> {
-    /// `z_i = (Z E⁻¹ Zᵀ u)_i` (§3.2), optionally carrying a fused payload
-    /// of local reduction contributions. Returns the reduced payload.
-    fn correction(&self, u: &[f64], z: &mut [f64], payload: Vec<f64>) -> Vec<f64> {
-        self.try_correction(u, z, payload)
-            .unwrap_or_else(|e| panic!("coarse correction on rank {}: {e}", self.comm.rank()))
-    }
-
-    /// Fallible [`DistCoarse::correction`]: every collective runs through
-    /// its `try_` variant so a dead rank or a revocation surfaces as a
-    /// [`SolveInterrupt`] the Krylov loop propagates.
-    fn try_correction(
-        &self,
-        u: &[f64],
-        z: &mut [f64],
-        payload: Vec<f64>,
-    ) -> Result<Vec<f64>, SolveInterrupt> {
-        let nu = self.w.cols();
-        let plen = payload.len();
-        // step 1: w_i = W_iᵀ u_i, gathered on the master (payload appended).
-        let mut wi = vec![0.0; nu];
-        self.comm.compute(|| self.w.gemv_t(1.0, u, 0.0, &mut wi));
-        self.comm.charge_flops(2 * (nu * self.sub.n_local()) as u64);
-        let mut msg = wi;
-        msg.extend_from_slice(&payload);
-        let gathered = self.split.try_gather(0, msg).map_err(comm_interrupt)?;
-        // step 2: masters solve E y = w — distributed (each master solves
-        // its block row cooperatively) or redundant (allgather the full
-        // RHS, solve locally). `gather` returns `Some` exactly on the
-        // split root, which is the master.
-        let y_and_payload: Vec<f64> =
-            if let (Some((master, solve)), Some(parts)) = (self.master.as_ref(), &gathered) {
-                // group RHS in split order + summed payload; each sender's ν
-                // comes from the offsets table, not our own block width.
-                let mut group_w = Vec::new();
-                let mut pay = vec![0.0; plen];
-                for (k, part) in parts.iter().enumerate() {
-                    let wr = self.group_ranks[k];
-                    let nu_k = self.offsets[wr + 1] - self.offsets[wr];
-                    group_w.extend_from_slice(&part[..nu_k]);
-                    for (a, b) in pay.iter_mut().zip(&part[nu_k..]) {
-                        *a += b;
-                    }
-                }
-                // Post the payload reduction among masters; overlap with the
-                // coarse solve (the §3.5 fusion).
-                let pending = if plen > 0 {
-                    Some(master.iallreduce_sum_vec(pay))
-                } else {
-                    None
-                };
-                // Per-group-member slices of y, indexed like group_ranks.
-                let pieces: Vec<Vec<f64>> = match solve {
-                    MasterSolve::Redundant(e_factor) => {
-                        let all_w = master.try_allgather(group_w).map_err(comm_interrupt)?;
-                        let mut rhs = vec![0.0; self.dim_e];
-                        let mut pos = 0;
-                        for gw in &all_w {
-                            rhs[pos..pos + gw.len()].copy_from_slice(gw);
-                            pos += gw.len();
-                        }
-                        debug_assert_eq!(pos, self.dim_e);
-                        let y = self.comm.compute(|| e_factor.solve(&rhs));
-                        self.comm.charge_flops(4 * e_factor.nnz_l() as u64);
-                        self.group_ranks
-                            .iter()
-                            .map(|&wr| y[self.offsets[wr]..self.offsets[wr + 1]].to_vec())
-                            .collect()
-                    }
-                    MasterSolve::Distributed(dist) => {
-                        // The gathered group RHS *is* this master's block
-                        // row of w — no allgather, only the ν-sized slices
-                        // already on the wire. Scope the cooperative solve
-                        // under its own telemetry phase. (On error the
-                        // phase is deliberately not restored, so the kill
-                        // classification names "e-solve-dist".)
-                        let prev = self.comm.trace_phase_name();
-                        self.comm.trace_phase("e-solve-dist");
-                        let y = dist
-                            .try_solve(master, &group_w)
-                            .map_err(|e| dist_interrupt(self.comm, e, "e-solve-dist"))?;
-                        self.comm.trace_phase(&prev);
-                        let r0 = dist.row_start();
-                        self.group_ranks
-                            .iter()
-                            .map(|&wr| y[self.offsets[wr] - r0..self.offsets[wr + 1] - r0].to_vec())
-                            .collect()
-                    }
-                };
-                let reduced = match pending {
-                    Some(p) => master.wait_reduce(p),
-                    None => Vec::new(),
-                };
-                // step 3a: scatter y_i (+ reduced payload) back to the group.
-                let pieces: Vec<Vec<f64>> = pieces
-                    .into_iter()
-                    .map(|mut piece| {
-                        piece.extend_from_slice(&reduced);
-                        piece
-                    })
-                    .collect();
-                self.split
-                    .try_scatter(0, Some(pieces))
-                    .map_err(comm_interrupt)?
-            } else {
-                self.split.try_scatter(0, None).map_err(comm_interrupt)?
-            };
-        let (yi, reduced) = y_and_payload.split_at(nu);
-        // step 3b: z_i = W_i y_i plus the consistency sum (eq. 12).
-        let mut zi = vec![0.0; self.sub.n_local()];
-        self.comm.compute(|| self.w.gemv(1.0, yi, 0.0, &mut zi));
-        self.comm.charge_flops(2 * (nu * self.sub.n_local()) as u64);
-        z.copy_from_slice(&zi);
-        let ctx = RankCtx {
-            comm: self.comm,
-            sub: self.sub,
-        };
-        ctx.try_exchange_add(&zi, z)?;
-        Ok(reduced.to_vec())
-    }
-}
-
-/// Distributed two-level preconditioner `P⁻¹_A-DEF1` (eq. 6).
-struct DistADef1<'a> {
-    op: DistOp<'a>,
-    ras: DistRas<'a>,
-    coarse: DistCoarse<'a>,
-    /// Warm-path scratch `(q, t)` for eq. 6, reused across applies.
-    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
-}
-
-impl<'a> DistADef1<'a> {
-    fn new(op: DistOp<'a>, ras: DistRas<'a>, coarse: DistCoarse<'a>) -> Self {
-        DistADef1 {
-            op,
-            ras,
-            coarse,
-            scratch: RefCell::default(),
-        }
-    }
-}
-
-impl Preconditioner for DistADef1<'_> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let _ = self.apply_fused(r, z, Vec::new());
-    }
-
-    // dd:hot — per-iteration two-level application (eq. 6)
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        let n = r.len();
-        let mut scratch = self.scratch.borrow_mut();
-        let (q, t) = &mut *scratch;
-        // q = (Z E⁻¹ Zᵀ r)_i — one coarse solve.
-        q.clear();
-        q.resize(n, 0.0);
-        // dd:cold — capacity-0 `Vec::new` marks "no fused payload"; it never
-        // touches the heap
-        self.coarse.try_correction(r, q, Vec::new())?;
-        // t = r − A q
-        t.clear();
-        t.resize(n, 0.0);
-        self.op.try_apply(q, t)?;
-        for k in 0..n {
-            t[k] = r[k] - t[k];
-        }
-        // z = RAS t + q
-        self.ras.try_apply(t, z)?;
-        vector::axpy(1.0, q, z);
-        Ok(())
-    }
-}
-
-impl FusedPreconditioner for DistADef1<'_> {
-    fn apply_fused(&self, r: &[f64], z: &mut [f64], payload: Vec<f64>) -> Vec<f64> {
-        let n = r.len();
-        let mut scratch = self.scratch.borrow_mut();
-        let (q, t) = &mut *scratch;
-        // q = (Z E⁻¹ Zᵀ r)_i — one coarse solve, carrying the payload.
-        q.clear();
-        q.resize(n, 0.0);
-        let reduced = self.coarse.correction(r, q, payload);
-        // t = r − A q
-        t.clear();
-        t.resize(n, 0.0);
-        self.op.apply(q, t);
-        for k in 0..n {
-            t[k] = r[k] - t[k];
-        }
-        // z = RAS t + q
-        self.ras.apply(t, z);
-        vector::axpy(1.0, q, z);
-        reduced
-    }
-}
-
 /// The per-rank result of a full SPMD solve (locals of the solution).
 pub struct SpmdSolution {
     pub report: SpmdReport,
@@ -757,88 +316,30 @@ fn failpoint(comm: &Communicator, phase: &'static str) -> Result<(), SpmdError> 
     })
 }
 
-/// The resident state of a fully set-up SPMD solve on one rank: the
-/// factorized local Dirichlet solver, the (resized) GenEO deflation block
-/// `W_i`, the split/master communicators of the election, and this rank's
-/// handle on the factorized coarse operator `E`. Produced by [`try_setup`];
-/// [`PreparedSolver::try_apply`] then runs phase 4 (the preconditioned
-/// Krylov solve) against any right-hand side, reentrantly — the
-/// amortization seam the `dd-serve` crate is built on.
-///
-/// Borrows the decomposition and world communicator for its lifetime; the
-/// split communicators are owned.
-pub struct PreparedSolver<'a> {
-    decomp: &'a Decomposition,
-    comm: &'a Communicator,
-    opts: SpmdOpts,
-    factor: LocalLdlt,
-    w: DMat,
-    nu_mine: usize,
-    split: Communicator,
-    master_comm: Option<Communicator>,
-    group_ranks: Vec<usize>,
-    offsets: Vec<usize>,
-    dim_e: usize,
-    nnz_e_factor: usize,
-    e_factor: Option<SparseLdlt>,
-    e_dist: Option<DistLdlt>,
-    /// Phase outcomes through setup ("factorization"/"deflation"/"coarse");
-    /// [`PreparedSolver::report`] extends a clone with the solve outcome.
-    run: RunReport,
-    t_factorization: f64,
-    t_deflation: f64,
-    t_coarse: f64,
-}
-
-/// The per-apply result of [`PreparedSolver::try_apply`]: the Krylov
-/// outcome plus the virtual-time and communication-counter deltas of this
-/// application (p2p/collective totals are cumulative communicator stats,
-/// as in [`SpmdReport`]).
-pub struct ApplyOutcome {
-    pub result: SolveResult,
-    /// Virtual seconds spent in this apply (synchronized by the trailing
-    /// barrier, so the value is the modeled parallel time).
-    pub t_solution: f64,
-    /// World-communicator collective calls during this apply (per rank).
-    pub world_collectives_solution: u64,
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    pub collective_bytes: u64,
-}
-
 /// Phases 1–3 of the paper's method (local factorization, GenEO deflation,
-/// coarse assembly + factorization), returning the resident
-/// [`PreparedSolver`]. Equivalent to [`try_run_spmd`] stopped just before
-/// the solve phase: the communication/trace sequence is identical, so the
-/// conformance goldens pin this path too.
+/// coarse assembly + factorization by Algorithms 1–2) on one subdomain per
+/// rank, returning the resident [`PreparedMulti`] filled with the identity
+/// owner map. Equivalent to [`try_run_spmd`] stopped just before the solve
+/// phase: the communication/trace sequence is identical, so the conformance
+/// goldens pin this path too. Resets the virtual clock, so phase times are
+/// absolute.
 pub fn try_setup<'a>(
     decomp: &'a Decomposition,
     comm: &'a Communicator,
     opts: &SpmdOpts,
-) -> Result<PreparedSolver<'a>, SpmdError> {
-    try_setup_with(decomp, comm, opts, true)
-}
-
-/// [`try_setup`] with control over the virtual-clock reset. One-shot runs
-/// reset the clock so phase times are absolute; a resident server doing a
-/// mid-stream re-setup (membership change, inadmissible parameter) passes
-/// `reset_clock = false` to keep its request clock monotone — phase times
-/// are measured as deltas either way.
-pub fn try_setup_with<'a>(
-    decomp: &'a Decomposition,
-    comm: &'a Communicator,
-    opts: &SpmdOpts,
-    reset_clock: bool,
-) -> Result<PreparedSolver<'a>, SpmdError> {
+) -> Result<PreparedMulti<'a>, SpmdError> {
     let n = comm.size();
     assert_eq!(n, decomp.n_subdomains(), "one rank per subdomain");
     let rank = comm.rank();
     let sub = &decomp.subdomains[rank];
     let mut run = RunReport::default();
+    // The identity owner map: rank r hosts subdomain r alone.
+    let owned = vec![rank];
+    let starts = vec![0, sub.n_local()];
+    let host: Vec<usize> = (0..n).collect();
+    let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
     comm.try_barrier()?;
-    if reset_clock {
-        comm.reset_clock();
-    }
+    comm.reset_clock();
     let clk_start = comm.clock();
     comm.trace_phase("factorization");
 
@@ -928,8 +429,7 @@ pub fn try_setup_with<'a>(
 
     let mut dim_e = 0usize;
     let mut nnz_e_factor = 0usize;
-    let mut e_factor: Option<SparseLdlt> = None;
-    let mut e_dist: Option<DistLdlt> = None;
+    let mut e_solve: Option<MasterSolve> = None;
     let mut offsets = vec![0usize; n + 1];
     // Reason the coarse factorization failed (set on the failing master).
     let mut coarse_failed: Option<String> = None;
@@ -1143,14 +643,15 @@ pub fn try_setup_with<'a>(
                                 opts.ordering,
                                 PivotPolicy::Boost { rel_tol: 1e-12 },
                             )
+                            .map(|factor| (e, factor))
                             .map_err(|e| e.to_string())
                         })
                     };
                     match ef {
-                        Ok(f) => {
-                            comm.charge_flops(f.flops_estimate());
-                            nnz_e_factor = f.nnz_l();
-                            e_factor = Some(f);
+                        Ok((e, factor)) => {
+                            comm.charge_flops(factor.flops_estimate());
+                            nnz_e_factor = factor.nnz_l();
+                            e_solve = Some(MasterSolve::Redundant { e, factor });
                         }
                         Err(reason) => coarse_failed = Some(reason),
                     }
@@ -1191,7 +692,7 @@ pub fn try_setup_with<'a>(
                         let dist = DistLdlt::try_factor(master, bounds, strip)
                             .map_err(|e| classify_comm_at(comm, e, "e-factorization-dist"))?;
                         nnz_e_factor = dist.nnz_l();
-                        e_dist = Some(dist);
+                        e_solve = Some(MasterSolve::Distributed(dist));
                     }
                 }
             }
@@ -1202,8 +703,7 @@ pub fn try_setup_with<'a>(
         // fall back together.
         let any_failed = comm.try_allreduce_max_usize(usize::from(coarse_failed.is_some()))? > 0;
         if any_failed {
-            e_factor = None;
-            e_dist = None;
+            e_solve = None;
             nnz_e_factor = 0;
             let reason = match coarse_failed.take() {
                 Some(r) => format!("coarse factorization failed ({r}); one-level RAS fallback"),
@@ -1235,289 +735,44 @@ pub fn try_setup_with<'a>(
     failpoint(comm, "post-assembly")?;
     comm.try_barrier()?;
     let t_coarse = comm.clock() - clk_deflated;
-    Ok(PreparedSolver {
+    Ok(PreparedMulti {
+        halo,
         decomp,
         comm,
         opts: opts.clone(),
-        factor,
-        w,
-        nu_mine,
+        owned,
+        starts,
+        factors: vec![factor],
+        w: vec![w],
+        nu: nu_mine,
         split,
         master_comm,
-        group_ranks,
-        offsets,
+        group_rows: group_ranks
+            .iter()
+            .map(|&r| offsets[r + 1] - offsets[r])
+            .collect(),
+        group_row0: offsets[group_ranks[0]],
         dim_e,
         nnz_e_factor,
-        e_factor,
-        e_dist,
+        e_solve,
         run,
+        coarse_solve_phase: "e-solve-dist",
+        solve_phase: "solve",
         t_factorization,
         t_deflation,
         t_coarse,
+        // A first set-up computes every coarse row and re-assembles nothing.
+        fresh: vec![true; n],
+        t_reassembly: 0.0,
+        t_refactorization: 0.0,
     })
 }
 
-impl PreparedSolver<'_> {
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// ν of this rank's deflation block (uniform after the Allreduce,
-    /// unless a fallback shrank it).
-    pub fn nu(&self) -> usize {
-        self.nu_mine
-    }
-
-    pub fn dim_e(&self) -> usize {
-        self.dim_e
-    }
-
-    /// What the coarse level degraded to during setup (two-level, one-level
-    /// fallback, ...).
-    pub fn coarse(&self) -> CoarseOutcome {
-        self.run.coarse
-    }
-
-    /// Phase outcomes and fallbacks of the setup phases.
-    pub fn setup_report(&self) -> &RunReport {
-        &self.run
-    }
-
-    /// Virtual seconds of the three setup phases
-    /// (factorization, deflation, coarse).
-    pub fn setup_times(&self) -> (f64, f64, f64) {
-        (self.t_factorization, self.t_deflation, self.t_coarse)
-    }
-
-    /// Phase 4 against an arbitrary global right-hand side: the
-    /// preconditioned Krylov solve using the resident factorizations,
-    /// reentrant in `&self`. `phase` labels the telemetry scope (the
-    /// one-shot driver passes `"solve"`; `dd-serve` passes
-    /// `"serve-apply"`, which `dd-lint` checks for re-factorization).
-    pub fn try_apply(
-        &self,
-        rhs_global: &[f64],
-        phase: &str,
-        ckpt: Option<&CheckpointCfg<'_>>,
-    ) -> Result<ApplyOutcome, SpmdError> {
-        self.apply_inner(None, rhs_global, phase, ckpt, None)
-    }
-
-    /// [`PreparedSolver::try_apply`] with a Krylov recycle space threaded
-    /// through (classical GMRES only): the initial guess is projected onto
-    /// previously harvested directions and the converged increment is
-    /// banked. Convergence is still anchored to `tol · ‖b‖`, so accuracy
-    /// matches an unrecycled apply.
-    pub fn try_apply_recycled(
-        &self,
-        rhs_global: &[f64],
-        phase: &str,
-        recycle: &mut RecycleSpace,
-    ) -> Result<ApplyOutcome, SpmdError> {
-        self.apply_inner(None, rhs_global, phase, None, Some(recycle))
-    }
-
-    /// [`PreparedSolver::try_apply`] with this rank's subdomain overridden
-    /// — the parameter-perturbation path of `dd-serve`: the Krylov loop
-    /// runs against the *perturbed* operator (so the answer is the
-    /// perturbed system's solution) while RAS and the coarse correction
-    /// reuse the resident factorizations built at the base parameter,
-    /// which stay admissible preconditioners for bounded perturbations.
-    /// The override must share the base subdomain's mesh/overlap layout
-    /// (same dofs, neighbors, and partition of unity).
-    pub fn try_apply_on(
-        &self,
-        sub: &Subdomain,
-        rhs_global: &[f64],
-        phase: &str,
-        recycle: Option<&mut RecycleSpace>,
-    ) -> Result<ApplyOutcome, SpmdError> {
-        self.apply_inner(Some(sub), rhs_global, phase, None, recycle)
-    }
-
-    fn apply_inner(
-        &self,
-        sub_override: Option<&Subdomain>,
-        rhs_global: &[f64],
-        phase: &str,
-        ckpt: Option<&CheckpointCfg<'_>>,
-        mut recycle: Option<&mut RecycleSpace>,
-    ) -> Result<ApplyOutcome, SpmdError> {
-        let comm = self.comm;
-        let own_sub = &self.decomp.subdomains[comm.rank()];
-        let sub = sub_override.unwrap_or(own_sub);
-        debug_assert_eq!(
-            sub.n_local(),
-            own_sub.n_local(),
-            "layout-compatible override"
-        );
-        comm.trace_phase(phase);
-
-        // ---- phase 4: solve --------------------------------------------
-        let clk_entry = comm.clock();
-        let stats_before = comm.stats();
-        let ctx_op = RankCtx { comm, sub };
-        let op = DistOp::new(ctx_op);
-        let ip = DistDot { comm, d: &sub.d };
-        let rhs_local = sub.restrict(rhs_global);
-        let x0 = vec![0.0; sub.n_local()];
-
-        let two_level = self.run.coarse == CoarseOutcome::TwoLevel;
-        let result: SolveResult = if !two_level {
-            let ras = DistRas::new(RankCtx { comm, sub }, &self.factor);
-            self.solve_classical(
-                &op,
-                &ras,
-                &ip,
-                &rhs_local,
-                &x0,
-                ckpt,
-                recycle.as_deref_mut(),
-            )?
-        } else {
-            let adef1 = DistADef1::new(
-                DistOp::new(RankCtx { comm, sub }),
-                DistRas::new(RankCtx { comm, sub }, &self.factor),
-                DistCoarse {
-                    comm,
-                    split: &self.split,
-                    master: self.master_comm.as_ref().and_then(|m| {
-                        self.e_dist
-                            .as_ref()
-                            .map(|d| (m, MasterSolve::Distributed(d)))
-                            .or_else(|| {
-                                self.e_factor
-                                    .as_ref()
-                                    .map(|f| (m, MasterSolve::Redundant(f)))
-                            })
-                    }),
-                    sub,
-                    w: &self.w,
-                    offsets: &self.offsets,
-                    group_ranks: &self.group_ranks,
-                    dim_e: self.dim_e,
-                },
-            );
-            match self.opts.solver {
-                SolverKind::Classical => {
-                    self.solve_classical(&op, &adef1, &ip, &rhs_local, &x0, ckpt, recycle)?
-                }
-                SolverKind::Pipelined => {
-                    pipelined_gmres(&op, &adef1, &ip, &rhs_local, &x0, &self.opts.gmres)
-                }
-                SolverKind::Fused => {
-                    fused_pipelined_gmres(&op, &adef1, &ip, &rhs_local, &x0, &self.opts.gmres)
-                }
-            }
-        };
-        comm.try_barrier()?;
-        let t_solution = comm.clock() - clk_entry;
-        let stats_after = comm.stats();
-        Ok(ApplyOutcome {
-            result,
-            t_solution,
-            world_collectives_solution: stats_after.collective_calls
-                - stats_before.collective_calls,
-            p2p_messages: stats_after.p2p_messages,
-            p2p_bytes: stats_after.p2p_bytes,
-            collective_bytes: stats_after.collective_bytes
-                + self.split.stats().collective_bytes
-                + self
-                    .master_comm
-                    .as_ref()
-                    .map_or(0, |m| m.stats().collective_bytes),
-        })
-    }
-
-    /// The classical-GMRES arm, with or without recycling. (The pipelined
-    /// and fused variants have no fallible/recycled entry points, so the
-    /// recycle space only engages here.)
-    #[allow(clippy::too_many_arguments)]
-    fn solve_classical<M>(
-        &self,
-        op: &DistOp<'_>,
-        precond: &M,
-        ip: &DistDot<'_>,
-        rhs_local: &[f64],
-        x0: &[f64],
-        ckpt: Option<&CheckpointCfg<'_>>,
-        recycle: Option<&mut RecycleSpace>,
-    ) -> Result<SolveResult, SpmdError>
-    where
-        M: Preconditioner,
-    {
-        let comm = self.comm;
-        match recycle {
-            None => try_gmres(op, precond, ip, rhs_local, x0, &self.opts.gmres, ckpt)
-                .map_err(|si| interrupt_to_spmd(comm, si)),
-            Some(space) => {
-                let batch = [rhs_local.to_vec()];
-                try_gmres_multi(op, precond, ip, &batch, x0, &self.opts.gmres, Some(space))
-            }
-            .map_err(|si| interrupt_to_spmd(comm, si))?
-            .into_iter()
-            .next()
-            .ok_or_else(|| SpmdError::Protocol {
-                rank: comm.rank(),
-                what: "empty multi-solve result".to_string(),
-            }),
-        }
-    }
-
-    /// Assemble the full [`SpmdReport`] for one apply — the same report
-    /// [`try_run_spmd`] produces, with the setup phases' outcomes and a
-    /// clone of the setup [`RunReport`] extended by the solve outcome.
-    pub fn report(&self, out: &ApplyOutcome) -> SpmdReport {
-        let comm = self.comm;
-        let result = &out.result;
-        let mut run = self.run.clone();
-        run.phases.push((
-            "solve",
-            if result.status == SolveStatus::Converged && result.breakdown_restarts == 0 {
-                PhaseOutcome::Ok
-            } else {
-                PhaseOutcome::Degraded {
-                    reason: format!(
-                        "{} after {} breakdown restart(s)",
-                        result.status, result.breakdown_restarts
-                    ),
-                }
-            },
-        ));
-        run.solve_status = result.status;
-        run.breakdown_restarts = result.breakdown_restarts;
-        run.faults = comm.fault_stats();
-        SpmdReport {
-            rank: comm.rank(),
-            t_factorization: self.t_factorization,
-            t_deflation: self.t_deflation,
-            t_coarse: self.t_coarse,
-            t_solution: out.t_solution,
-            t_total: comm.clock(),
-            iterations: result.iterations,
-            converged: result.converged,
-            final_residual: result.final_residual,
-            nu: self.nu_mine,
-            dim_e: self.dim_e,
-            nnz_e_factor: self.nnz_e_factor,
-            n_neighbors: self.decomp.subdomains[comm.rank()].neighbors.len(),
-            world_collectives_solution: out.world_collectives_solution,
-            p2p_messages: out.p2p_messages,
-            p2p_bytes: out.p2p_bytes,
-            collective_bytes: out.collective_bytes,
-            history: result.history.clone(),
-            run,
-        }
-    }
-}
-
-/// The driver body. `ckpt` arms solver checkpointing (the recovery driver
-/// passes a [`crate::recovery::CheckpointStore`]-backed sink; the plain
-/// entry points pass `None` — checkpoint writes are local-only either way,
-/// so fault-free canonical traces are unaffected). Since the setup/apply
-/// split this is exactly [`try_setup`] + one [`PreparedSolver::try_apply`]
-/// on the decomposition's own right-hand side — same code path, same
-/// trace sequence.
+/// The driver body: [`try_setup`] + one [`PreparedMulti::try_apply`] on the
+/// decomposition's own right-hand side. `ckpt` arms solver checkpointing
+/// (the recovery driver passes a [`crate::recovery::CheckpointStore`]-backed
+/// sink; the plain entry points pass `None` — checkpoint writes are
+/// local-only either way, so fault-free canonical traces are unaffected).
 pub(crate) fn run_inner(
     decomp: &Decomposition,
     comm: &Communicator,
@@ -1527,17 +782,20 @@ pub(crate) fn run_inner(
     let prepared = try_setup(decomp, comm, opts)?;
     let out = prepared.try_apply(&decomp.rhs_global, "solve", ckpt)?;
     let report = prepared.report(&out);
+    // One subdomain per rank: the only owned local is this rank's.
+    let x_local = out.locals.into_iter().map(|(_, x)| x).next();
     Ok(SpmdSolution {
         report,
-        x_local: out.result.x,
+        x_local: x_local.unwrap_or_default(),
     })
 }
 
-/// Debug/test helper: perform the full SPMD setup and apply `P⁻¹_A-DEF1`
-/// once to `R_i r_global`, returning the local result and (on masters, in
-/// redundant mode) the assembled coarse matrix E. Hidden from docs; used to
-/// cross-check the distributed application against the sequential one and
-/// the distributed coarse solve against the redundant one.
+/// Debug/test helper: perform the full SPMD set-up and apply `P⁻¹_A-DEF1`
+/// once to `R_i r_global`, then piece by piece, returning the local
+/// `(z, q, A q, RAS(r − A q))` and (on masters, in redundant mode) the
+/// assembled coarse matrix E. Hidden from docs; used to cross-check the
+/// distributed application against the sequential one and the distributed
+/// coarse solve against the redundant one.
 #[doc(hidden)]
 pub fn debug_apply_adef1(
     decomp: &Decomposition,
@@ -1546,9 +804,6 @@ pub fn debug_apply_adef1(
     nev: usize,
     coarse: CoarseSolve,
 ) -> Result<((Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>), Option<CsrMatrix>), SpmdError> {
-    let n = comm.size();
-    let rank = comm.rank();
-    let sub = &decomp.subdomains[rank];
     let opts = SpmdOpts {
         geneo: GeneoOpts {
             nev,
@@ -1557,205 +812,7 @@ pub fn debug_apply_adef1(
         coarse_solve: coarse,
         ..Default::default()
     };
-    let (order, factor) = sub
-        .factor_dirichlet(opts.ordering, opts.local_ldlt)
-        .map_err(|source| SpmdError::LocalFactorization { rank, source })?;
-    let block =
-        try_deflation_block_ordered(sub, &opts.geneo, &order, opts.local_ldlt).map_err(|e| {
-            SpmdError::Protocol {
-                rank,
-                what: format!("eigensolve failed: {e}"),
-            }
-        })?;
-    let nu = comm.try_allreduce_max_usize(block.kept.max(1))?;
-    let w = resize_block(&block, nu);
-    let nu_mine = w.cols();
-    let masters = nonuniform_masters(n, opts.n_masters.min(n));
-    let my_group = group_of(rank, &masters);
-    let split = comm
-        .try_split(Some(my_group))?
-        .ok_or(SpmdError::SplitFailed { rank })?;
-    let is_master = split.rank() == 0;
-    let master_comm = comm.try_split(if is_master { Some(0) } else { None })?;
-    let group_ranks: Vec<usize> = {
-        let start = masters[my_group];
-        let end = if my_group + 1 < masters.len() {
-            masters[my_group + 1]
-        } else {
-            n
-        };
-        (start..end).collect()
-    };
-    let nbr_ranks: Vec<usize> = sub.neighbors.iter().map(|l| l.j).collect();
-    let nu_neighbors =
-        comm.neighbor_alltoall(&nbr_ranks, TAG_NU, vec![nu_mine as u64; nbr_ranks.len()]);
-    let t_i = sub.mm_dirichlet(&w);
-    let mut e_ii = DMat::zeros(nu_mine, nu_mine);
-    w.gemm_tn(1.0, &t_i, 0.0, &mut e_ii);
-    for link in &sub.neighbors {
-        let mut payload = Vec::with_capacity(link.shared.len() * nu_mine);
-        for q in 0..nu_mine {
-            let col = t_i.col(q);
-            payload.extend(link.shared.iter().map(|&k| col[k as usize]));
-        }
-        comm.send(link.j, TAG_T, payload);
-    }
-    let mut e_ij: Vec<DMat> = Vec::new();
-    for (link, &nu_j) in sub.neighbors.iter().zip(&nu_neighbors) {
-        let u: Vec<f64> = comm.recv(link.j, TAG_T);
-        let nu_j = nu_j as usize;
-        let mut e = DMat::zeros(nu_mine, nu_j);
-        for q in 0..nu_j {
-            let ucol = &u[q * link.shared.len()..(q + 1) * link.shared.len()];
-            for p in 0..nu_mine {
-                let wcol = w.col(p);
-                let mut acc = 0.0;
-                for (&k, &uv) in link.shared.iter().zip(ucol) {
-                    acc += wcol[k as usize] * uv;
-                }
-                e[(p, q)] = acc;
-            }
-        }
-        e_ij.push(e);
-    }
-    let all_nu = comm.try_allgather(nu_mine as u64)?;
-    let mut offsets = vec![0usize; n + 1];
-    for i in 0..n {
-        offsets[i + 1] = offsets[i] + all_nu[i] as usize;
-    }
-    let dim_e = offsets[n];
-    let mut msg: Vec<f64> = Vec::new();
-    msg.push(sub.neighbors.len() as f64);
-    for link in &sub.neighbors {
-        msg.push(link.j as f64);
-    }
-    let ri = offsets[rank];
-    for p in 0..nu_mine {
-        for q in 0..nu_mine {
-            msg.push(e_ii[(p, q)]);
-        }
-    }
-    for (link, blk) in sub.neighbors.iter().zip(&e_ij) {
-        let _ = link;
-        for p in 0..blk.rows() {
-            for q in 0..blk.cols() {
-                msg.push(blk[(p, q)]);
-            }
-        }
-    }
-    let _ = ri;
-    let gathered = split.gatherv(0, msg);
-    let mut e_csr: Option<CsrMatrix> = None;
-    let mut e_factor: Option<SparseLdlt> = None;
-    let mut e_dist: Option<DistLdlt> = None;
-    if let Some(master) = master_comm.as_ref() {
-        let msgs = gathered.ok_or_else(|| SpmdError::Protocol {
-            rank,
-            what: "master received no gatherv result".to_string(),
-        })?;
-        let mut rows: Vec<u64> = Vec::new();
-        let mut cols: Vec<u64> = Vec::new();
-        let mut vals: Vec<f64> = Vec::new();
-        for (sr, m) in msgs.iter().enumerate() {
-            let world = group_ranks[sr];
-            let n_nbr = m[0] as usize;
-            let nbrs: Vec<usize> = (0..n_nbr).map(|k| m[1 + k] as usize).collect();
-            let v = &m[1 + n_nbr..];
-            let ri = offsets[world];
-            let nui = offsets[world + 1] - offsets[world];
-            let mut idx = 0;
-            for p in 0..nui {
-                for q in 0..nui {
-                    rows.push((ri + p) as u64);
-                    cols.push((ri + q) as u64);
-                    vals.push(v[idx]);
-                    idx += 1;
-                }
-            }
-            for &j in &nbrs {
-                let rj = offsets[j];
-                let nuj = offsets[j + 1] - offsets[j];
-                for p in 0..nui {
-                    for q in 0..nuj {
-                        rows.push((ri + p) as u64);
-                        cols.push((rj + q) as u64);
-                        vals.push(v[idx]);
-                        idx += 1;
-                    }
-                }
-            }
-        }
-        match coarse {
-            CoarseSolve::Redundant => {
-                let all_rows = master.try_allgather(rows)?;
-                let all_cols = master.try_allgather(cols)?;
-                let all_vals = master.try_allgather(vals)?;
-                let mut coo = CooBuilder::new(dim_e, dim_e);
-                for ((rs, cs), vs) in all_rows.iter().zip(&all_cols).zip(&all_vals) {
-                    for ((&r, &c), &v) in rs.iter().zip(cs).zip(vs) {
-                        coo.push(r as usize, c as usize, v);
-                    }
-                }
-                let e = coo.to_csr();
-                e_factor = Some(
-                    SparseLdlt::factor_with(
-                        &e,
-                        opts.ordering,
-                        PivotPolicy::Boost { rel_tol: 1e-12 },
-                    )
-                    .map_err(|e| SpmdError::Protocol {
-                        rank,
-                        what: format!("coarse factorization failed: {e}"),
-                    })?,
-                );
-                e_csr = Some(e);
-            }
-            CoarseSolve::Distributed => {
-                let mut bounds: Vec<usize> = masters.iter().map(|&m| offsets[m]).collect();
-                bounds.push(dim_e);
-                let r0 = bounds[master.rank()];
-                let np = bounds[master.rank() + 1] - r0;
-                let mut strip = DMat::zeros(np, dim_e - r0);
-                for ((&r, &c), &v) in rows.iter().zip(&cols).zip(&vals) {
-                    if c as usize >= r0 {
-                        strip[(r as usize - r0, c as usize - r0)] += v;
-                    }
-                }
-                e_dist = Some(DistLdlt::factor(master, bounds, strip));
-            }
-        }
-    }
-    let adef1 = DistADef1::new(
-        DistOp::new(RankCtx { comm, sub }),
-        DistRas::new(RankCtx { comm, sub }, &factor),
-        DistCoarse {
-            comm,
-            split: &split,
-            master: master_comm.as_ref().and_then(|m| {
-                e_dist
-                    .as_ref()
-                    .map(|d| (m, MasterSolve::Distributed(d)))
-                    .or_else(|| e_factor.as_ref().map(|f| (m, MasterSolve::Redundant(f))))
-            }),
-            sub,
-            w: &w,
-            offsets: &offsets,
-            group_ranks: &group_ranks,
-            dim_e,
-        },
-    );
-    let r_local = sub.restrict(r_global);
-    let mut z = vec![0.0; sub.n_local()];
-    adef1.apply(&r_local, &mut z);
-    // piecewise: recompute q and Aq for diagnostics
-    let mut q = vec![0.0; sub.n_local()];
-    adef1.coarse.correction(&r_local, &mut q, Vec::new());
-    let mut aq = vec![0.0; sub.n_local()];
-    adef1.op.apply(&q, &mut aq);
-    let mut ras_out = vec![0.0; sub.n_local()];
-    let t: Vec<f64> = r_local.iter().zip(&aq).map(|(a, b)| a - b).collect();
-    adef1.ras.apply(&t, &mut ras_out);
-    Ok(((z, q, aq, ras_out), e_csr))
+    try_setup(decomp, comm, &opts)?.debug_apply_adef1(r_global)
 }
 
 #[cfg(test)]
@@ -1764,6 +821,7 @@ mod tests {
     use crate::decomp::decompose;
     use crate::problem::presets;
     use dd_comm::World;
+    use dd_linalg::vector;
     use dd_mesh::Mesh;
     use dd_part::partition_mesh_rcb;
     use std::sync::Arc;

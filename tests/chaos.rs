@@ -14,7 +14,7 @@ use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, repartition_plan, try_run_spmd, try_run_spmd_recoverable, try_setup_partitioned,
     CheckpointStore, CoarseCache, CoarseOutcome, Decomposition, DeflationSource, GeneoOpts,
-    PhaseOutcome, RecoveryOpts, SpmdError, SpmdOpts, SpmdReport,
+    PhaseOutcome, RecoveryOpts, SolverKind, SpmdError, SpmdOpts, SpmdReport,
 };
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
@@ -525,6 +525,52 @@ fn kill_at_deflation_recovers_with_redundant_coarse() {
         // Setup-phase death: nothing to resume from.
         assert_eq!(r.run.recoveries[0].resume_iteration, None);
     }
+}
+
+#[test]
+fn fused_solver_recovers_on_the_classical_loop_never_a_panic() {
+    // The pipelined loops have no fallible entry point: a peer dying under
+    // one is a panic. So whatever `opts.solver` says, a recovered epoch
+    // runs classical GMRES. Rank 3 dies in the set-up of epoch 0 (before
+    // the fused loop starts); rank 1 then dies *inside the recovered
+    // epoch's solve*, which must surface typed and recover a second time.
+    let decomp = setup(12, 4);
+    let o = SpmdOpts {
+        solver: SolverKind::Fused,
+        recovery: RecoveryOpts {
+            enabled: true,
+            max_recoveries: 2,
+            ..Default::default()
+        },
+        ..opts()
+    };
+    let results = run_recoverable_with_plan(
+        &decomp,
+        &o,
+        FaultPlan::new(43)
+            .with_kill(3, "deflation")
+            .with_kill(1, "solve-iteration-2"),
+    );
+    for (rank, res) in results.iter().enumerate() {
+        match res {
+            Ok((report, _)) => {
+                assert!([0, 2].contains(&rank), "rank {rank} was killed");
+                assert!(report.converged, "survivor {rank} did not converge");
+                let epochs: Vec<usize> = report.run.recoveries.iter().map(|r| r.epoch).collect();
+                assert_eq!(
+                    epochs.len(),
+                    2,
+                    "survivor {rank}: two shrinks, got {epochs:?}"
+                );
+            }
+            Err(SpmdError::Killed { rank: r, .. }) => {
+                assert!([1, 3].contains(&rank) && *r == rank, "rank {rank}: {res:?}");
+            }
+            Err(other) => panic!("rank {rank}: expected a result or a typed kill, got {other}"),
+        }
+    }
+    let rr = global_residual(&decomp, &reassemble(&decomp, &results));
+    assert!(rr <= 1e-5, "recovered residual {rr:e} misses the tolerance");
 }
 
 #[test]

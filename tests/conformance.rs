@@ -18,8 +18,9 @@
 
 use dd_comm::{CollClass, CostModel, EventKind, FaultPlan, World, WorldTrace};
 use dd_core::{
-    decompose, masters::group_of, masters::nonuniform_masters, problem::presets, run_spmd,
-    Decomposition, GeneoOpts, SolverKind, SpmdOpts, SpmdReport,
+    decompose, masters::group_of, masters::nonuniform_masters, problem::presets, repartition_plan,
+    run_spmd, try_setup_partitioned, CoarseCache, CoarseSolve, Decomposition, GeneoOpts,
+    SolverKind, SpmdOpts, SpmdReport,
 };
 use dd_krylov::GmresOpts;
 use dd_mesh::Mesh;
@@ -342,6 +343,48 @@ fn sends_and_recvs_balance_globally() {
             r.rank
         );
     }
+}
+
+/// One halo plan serves every owner map: an exchange costs one message per
+/// ordered pair of neighbouring *ranks*. On the identity map that is the
+/// paper's schedule, one message per neighbour; the same eight subdomains
+/// hosted by two ranks exchange two messages, however many subdomain links
+/// cross the cut.
+#[test]
+fn one_halo_message_per_neighbouring_rank() {
+    let decomp = setup(8);
+    // A fixed number of iterations, hence of exchanges; the redundant
+    // coarse solve keeps the solve phase's p2p traffic to the halo alone.
+    let opts = SpmdOpts {
+        coarse_solve: CoarseSolve::Redundant,
+        gmres: GmresOpts {
+            tol: 0.0,
+            max_iters: 3,
+            ..Default::default()
+        },
+        ..opts_for(8)
+    };
+    let (_, identity) = traced_solve(&decomp, &opts, FaultPlan::default());
+    let (d, o) = (Arc::clone(&decomp), opts.clone());
+    let cache = CoarseCache::new();
+    let (iterations, owner_map) = World::run_traced(2, CostModel::default(), move |comm| {
+        let plan = repartition_plan(&d, comm, None);
+        let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &plan, true)
+            .expect("owner-map set-up failed");
+        let out = prepared.try_apply(&d.rhs_global, "solve", None);
+        out.expect("owner-map solve failed").result.iterations
+    });
+    assert_eq!(iterations, [3, 3]);
+    let links: u64 = decomp
+        .subdomains
+        .iter()
+        .map(|s| s.neighbors.len() as u64)
+        .sum();
+    let per_link = identity.phase_totals("solve").sends;
+    assert_eq!(per_link % links, 0, "identity map: one message per link");
+    let exchanges = per_link / links;
+    assert!(exchanges > 0);
+    assert_eq!(owner_map.phase_totals("solve").sends, 2 * exchanges);
 }
 
 // ------------------------------------------------------------- golden traces
