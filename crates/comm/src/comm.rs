@@ -37,7 +37,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtOrd};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Duration;
 
 /// Granularity of the blocking-wait tick loops: every blocked wait wakes at
@@ -386,13 +386,74 @@ impl Slot {
     }
 }
 
-/// A wait-satisfiability probe registered by a parked rank: `Some(true)`
-/// when the wait could complete right now (matching message enqueued,
-/// collective slot finished, or a relevant peer death observable),
-/// `Some(false)` when it provably cannot, `None` when the probe could not
-/// inspect the shared state without blocking (another rank holds it — in
-/// which case that rank is awake, so the world is not deadlocked anyway).
-type WaitProbe = Box<dyn Fn(&WorldHealth) -> Option<bool> + Send>;
+/// A wait-satisfiability probe registered by a parked rank: which wait the
+/// rank is in, so that any other rank can ask whether it could complete
+/// right now. A plain value, not a boxed closure: a wait that has to block
+/// allocates exactly what one that finds its message waiting allocates
+/// (nothing), so allocation counts do not depend on which rank arrives
+/// first.
+enum WaitProbe {
+    /// Parked in a receive on `shared`'s mailbox `rank` for the next
+    /// message from communicator rank `src` with `tag`.
+    Mailbox {
+        shared: Weak<CommShared>,
+        epoch: usize,
+        rank: usize,
+        src: usize,
+        tag: u64,
+    },
+    /// Parked until collective slot `seq` of `shared` completes.
+    Slot {
+        shared: Weak<CommShared>,
+        epoch: usize,
+        seq: u64,
+    },
+}
+
+impl WaitProbe {
+    /// `Some(true)` when the wait could complete right now (matching
+    /// message enqueued, collective slot finished, or a relevant peer death
+    /// or revocation observable — the waiter wakes to a typed error),
+    /// `Some(false)` when it provably cannot, `None` when the probe could
+    /// not inspect the shared state without blocking (another rank holds it
+    /// — in which case that rank is awake, so the world is not deadlocked
+    /// anyway).
+    fn satisfiable(&self, health: &WorldHealth) -> Option<bool> {
+        let (WaitProbe::Mailbox { shared, epoch, .. } | WaitProbe::Slot { shared, epoch, .. }) =
+            self;
+        if health.revoked(*epoch) {
+            return Some(true);
+        }
+        let Some(sh) = shared.upgrade() else {
+            return Some(true);
+        };
+        match self {
+            WaitProbe::Mailbox { rank, src, tag, .. } => {
+                // A dead sender wakes the waiter with RankDead.
+                if health.is_gone(sh.world_ranks[*src]) {
+                    return Some(true);
+                }
+                let sat = sh.mailboxes[*rank]
+                    .inner
+                    .try_lock()
+                    .map(|q| q.queues.get(&(*src, *tag)).is_some_and(|q| !q.is_empty()));
+                sat
+            }
+            WaitProbe::Slot { seq, .. } => {
+                let sat = sh.slots.try_lock().map(|slots| match slots.get(seq) {
+                    None => true,
+                    Some(slot) if slot.done => true,
+                    // A dead participant that never contributed will wake
+                    // the waiter with RankDead.
+                    Some(slot) => (0..sh.size).any(|r| {
+                        slot.contributions[r].is_none() && health.is_gone(sh.world_ranks[r])
+                    }),
+                });
+                sat
+            }
+        }
+    }
+}
 
 /// Admission ticket deposited in the lobby for a joiner by the rank that
 /// publishes a membership agreement admitting it.
@@ -635,7 +696,7 @@ impl WorldHealth {
                 Some(p) => p,
                 None => return false,
             };
-            match parked.as_ref().map(|probe| probe(self)) {
+            match parked.as_ref().map(|probe| probe.satisfiable(self)) {
                 Some(Some(false)) => {}
                 _ => return false,
             }
@@ -828,13 +889,12 @@ pub struct Communicator {
     shared: Arc<CommShared>,
     model: CostModel,
     rank: usize,
+    /// This rank's virtual clock, shared with every communicator split from
+    /// this one. Only the rank's own thread reads or advances it:
+    /// [`Communicator::compute`] by the thread's CPU time, communication by
+    /// the cost model. No rank waits for another's arithmetic.
     clock: Rc<VirtualClock>,
     seq: Cell<u64>,
-    /// World-wide token serializing [`Communicator::compute`] sections so
-    /// that thread-CPU measurements are free of cache contention between
-    /// rank threads (the host has far fewer cores than ranks; virtual
-    /// time, not wall time, is the reported quantity).
-    compute_token: Arc<SyncMutex<()>>,
     health: Arc<WorldHealth>,
     plan: Arc<FaultPlan>,
     counters: Rc<FaultCounters>,
@@ -890,13 +950,17 @@ impl Communicator {
         self.clock.advance(dt);
     }
 
-    /// Run a compute section, charging its thread-CPU time to the clock.
+    /// Run a compute section, charging its thread-CPU time to this rank's
+    /// clock.
     ///
-    /// Compute sections are serialized across ranks (see `compute_token`)
-    /// so the measured CPU time reflects the work itself rather than cache
-    /// thrash between oversubscribed rank threads.
+    /// Compute sections of different ranks run concurrently: nothing is
+    /// taken or waited for here, so the wall time of a phase is its slowest
+    /// rank's, not the sum over ranks. The charge is
+    /// `CLOCK_THREAD_CPUTIME_ID`, which leaves out time the thread spent
+    /// preempted but not what preemption costs it afterwards — with many
+    /// more ranks than cores a section re-fills the caches another rank
+    /// emptied, and that shows in the reading (see [`crate::time`]).
     pub fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _token = self.compute_token.lock();
         self.clock.compute(f)
     }
 
@@ -1496,7 +1560,6 @@ impl Communicator {
             rank,
             clock: Rc::clone(&self.clock),
             seq: Cell::new(0),
-            compute_token: Arc::clone(&self.compute_token),
             health: Arc::clone(&self.health),
             plan: Arc::clone(&self.plan),
             counters: Rc::clone(&self.counters),
@@ -1727,24 +1790,13 @@ impl Communicator {
                 return Err(CommError::Revoked { epoch: self.epoch });
             }
             if guard.is_none() {
-                let shared = Arc::downgrade(&self.shared);
-                let rank = self.rank;
-                let epoch = self.epoch;
-                let probe: WaitProbe = Box::new(move |health| {
-                    if health.is_gone(src_world) || health.revoked(epoch) {
-                        // The waiter will wake to a RankDead/Revoked error.
-                        return Some(true);
-                    }
-                    let sh = match shared.upgrade() {
-                        Some(sh) => sh,
-                        None => return Some(true),
-                    };
-                    let sat = sh.mailboxes[rank]
-                        .inner
-                        .try_lock()
-                        .map(|q| q.queues.get(&(src, tag)).is_some_and(|q| !q.is_empty()));
-                    sat
-                });
+                let probe = WaitProbe::Mailbox {
+                    shared: Arc::downgrade(&self.shared),
+                    epoch: self.epoch,
+                    rank: self.rank,
+                    src,
+                    tag,
+                };
                 guard = Some(BlockGuard::new(&self.health, self.world_rank(), probe));
             }
             if self.health.all_blocked() {
@@ -1829,27 +1881,11 @@ impl Communicator {
                 None => return Ok(()),
             }
             if guard.is_none() {
-                let shared = Arc::downgrade(&self.shared);
-                let epoch = self.epoch;
-                let probe: WaitProbe = Box::new(move |health| {
-                    if health.revoked(epoch) {
-                        return Some(true);
-                    }
-                    let sh = match shared.upgrade() {
-                        Some(sh) => sh,
-                        None => return Some(true),
-                    };
-                    let sat = sh.slots.try_lock().map(|slots| match slots.get(&seq) {
-                        None => true,
-                        Some(slot) if slot.done => true,
-                        // A dead participant that never contributed
-                        // will wake the waiter with RankDead.
-                        Some(slot) => (0..sh.size).any(|r| {
-                            slot.contributions[r].is_none() && health.is_gone(sh.world_ranks[r])
-                        }),
-                    });
-                    sat
-                });
+                let probe = WaitProbe::Slot {
+                    shared: Arc::downgrade(&self.shared),
+                    epoch: self.epoch,
+                    seq,
+                };
                 guard = Some(BlockGuard::new(&self.health, self.world_rank(), probe));
             }
             if self.health.all_blocked() {
@@ -2472,7 +2508,6 @@ impl Communicator {
                 rank: sub_rank,
                 clock: Rc::clone(&self.clock),
                 seq: Cell::new(0),
-                compute_token: Arc::clone(&self.compute_token),
                 health: Arc::clone(&self.health),
                 plan: Arc::clone(&self.plan),
                 counters: Rc::clone(&self.counters),
@@ -2620,7 +2655,6 @@ impl World {
         let shared = CommShared::new((0..n).collect(), Arc::clone(&backend), 0);
         let health = WorldHealth::new(n, reserve, &backend);
         let plan = Arc::new(faults);
-        let compute_token = Arc::new(SyncMutex::new(&backend, ()));
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
         let traces: Mutex<Vec<Option<RankTrace>>> = Mutex::new((0..total).map(|_| None).collect());
         std::thread::scope(|scope| {
@@ -2629,7 +2663,6 @@ impl World {
                 let shared = Arc::clone(&shared);
                 let health = Arc::clone(&health);
                 let plan = Arc::clone(&plan);
-                let compute_token = Arc::clone(&compute_token);
                 let backend = Arc::clone(&backend);
                 let f = &f;
                 let results = &results;
@@ -2680,7 +2713,6 @@ impl World {
                             rank: comm_rank,
                             clock,
                             seq: Cell::new(0),
-                            compute_token,
                             health,
                             plan,
                             counters: Rc::new(FaultCounters::default()),

@@ -186,6 +186,84 @@ fn collective_synchronizes_clocks() {
     assert!(out[1] >= 5.0, "rank 1 clock {} < 5", out[1]);
 }
 
+/// Inside a compute section of a 2-rank world: wait until the other rank is
+/// inside its own, or until `give_up` (called between looks) says so.
+fn both_computing(entered: &AtomicUsize, mut give_up: impl FnMut() -> bool) -> bool {
+    entered.fetch_add(1, AtOrd::SeqCst);
+    while entered.load(AtOrd::SeqCst) < 2 {
+        if give_up() {
+            return false;
+        }
+    }
+    true
+}
+
+/// A `give_up` that spins, for 10 s of this thread's CPU time at most.
+fn spin_10s() -> impl FnMut() -> bool {
+    let t0 = crate::time::thread_cpu_time();
+    move || {
+        std::hint::spin_loop();
+        crate::time::thread_cpu_time() - t0 > 10.0
+    }
+}
+
+#[test]
+fn compute_sections_of_two_ranks_are_open_at_once() {
+    let entered = AtomicUsize::new(0);
+    let out = World::run_default(2, |comm| {
+        comm.compute(|| both_computing(&entered, spin_10s()))
+    });
+    assert_eq!(
+        out,
+        vec![true, true],
+        "a rank never saw the other inside its compute section"
+    );
+}
+
+/// Rank 0 sleeps and rank 1 multiplies, each inside `compute` and both at
+/// the same time: the clock charges what the thread executed, not what
+/// passed on the wall and not what the other rank did.
+#[cfg(all(
+    not(miri),
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn concurrent_compute_charges_each_rank_its_own_cpu_time() {
+    let entered = AtomicUsize::new(0);
+    let out = World::run_default(2, |comm| {
+        let t0 = comm.clock();
+        let together = comm.compute(|| {
+            if comm.rank() == 0 {
+                // Looks 1 ms apart, 10 s of them at most; then the sleep
+                // the assertion is about.
+                let mut looks = 0;
+                let together = both_computing(&entered, || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    looks += 1;
+                    looks > 10_000
+                });
+                std::thread::sleep(Duration::from_millis(50));
+                together
+            } else {
+                let together = both_computing(&entered, spin_10s());
+                let start = crate::time::thread_cpu_time();
+                let mut x = 1.0f64;
+                while crate::time::thread_cpu_time() - start < 0.050 {
+                    for _ in 0..1000 {
+                        x = std::hint::black_box(x).mul_add(0.999_999, 1e-9);
+                    }
+                }
+                together && x.is_finite()
+            }
+        });
+        (together, comm.clock() - t0)
+    });
+    assert!(out[0].0 && out[1].0, "the two sections did not overlap");
+    assert!(out[0].1 < 0.010, "50 ms asleep charged {} s", out[0].1);
+    assert!(out[1].1 >= 0.025, "50 ms of FMAs charged {} s", out[1].1);
+}
+
 #[test]
 fn nonblocking_reduce_overlaps() {
     let out = World::run_default(2, |comm| {

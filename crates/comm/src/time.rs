@@ -6,8 +6,8 @@
 //! Instead every rank carries a *virtual clock*:
 //!
 //! * compute sections advance it by the rank thread's **CPU time**
-//!   (`CLOCK_THREAD_CPUTIME_ID`), which is contention-free even with many
-//!   more threads than cores;
+//!   (`CLOCK_THREAD_CPUTIME_ID`): what the thread executed, not what passed
+//!   on the wall, so time spent preempted or asleep is not charged;
 //! * communication advances it according to the α–β cost model in
 //!   [`crate::model`], with collectives synchronizing clocks to the
 //!   maximum participant (conservative parallel-discrete-event semantics).
@@ -15,6 +15,15 @@
 //! The maximum clock over all ranks at the end of a phase is the modeled
 //! parallel runtime of that phase — the quantity reported in the scaling
 //! tables of the benches.
+//!
+//! Compute sections of different ranks run **concurrently**; nothing
+//! orders them. With as many cores as ranks the wall time of a set-up is
+//! therefore close to its virtual time. With many more ranks than cores a
+//! rank is preempted inside its sections, and although the time away is
+//! not charged, coming back to caches another rank has refilled is: the
+//! reading carries that cost, measured at ≤ 8 % on the strong-scaling
+//! figure and ≈ 12 % on the largest weak-scaling rows (EXPERIMENTS.md,
+//! "Virtual time with concurrent compute sections").
 
 /// Seconds of CPU time consumed by the calling thread.
 ///

@@ -367,6 +367,8 @@ struct MultiRas<'a> {
     factors: &'a [LocalLdlt],
     /// Warm-path scratch `D A⁻¹ r`.
     scratch: RefCell<Vec<f64>>,
+    /// The local solves' permuted work vector, shared by all of them.
+    solve_scratch: RefCell<Vec<f64>>,
 }
 
 impl<'a> MultiRas<'a> {
@@ -375,6 +377,9 @@ impl<'a> MultiRas<'a> {
             ctx,
             factors,
             scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
+            solve_scratch: RefCell::new(Vec::with_capacity(
+                factors.iter().map(LocalLdlt::n).max().unwrap_or(0),
+            )),
         }
     }
 
@@ -382,12 +387,13 @@ impl<'a> MultiRas<'a> {
     fn local_part_into(&self, r: &[f64], t: &mut [f64]) {
         let ctx = self.ctx;
         let mut flops = 0u64;
+        let mut work = self.solve_scratch.borrow_mut();
         ctx.comm.compute(|| {
             t.copy_from_slice(r);
             for ((s, span), factor) in ctx.spans().zip(self.factors) {
                 let sub = &ctx.decomp.subdomains[s];
                 let t = &mut t[span];
-                factor.solve_in_place(t);
+                factor.solve_in_place_with(t, &mut work);
                 vector::scale_by(&sub.d, t);
                 flops += (4 * factor.nnz_l() + sub.n_local()) as u64;
             }
@@ -432,6 +438,9 @@ struct MultiCoarse<'a> {
     state: &'a PreparedMulti<'a>,
     /// Warm-path scratch `W y`.
     scratch: RefCell<Vec<f64>>,
+    /// The redundant coarse solve's permuted work vector (empty until a
+    /// master's first solve; the other ranks never touch it).
+    solve_scratch: RefCell<Vec<f64>>,
 }
 
 impl<'a> MultiCoarse<'a> {
@@ -440,6 +449,7 @@ impl<'a> MultiCoarse<'a> {
             ctx,
             state,
             scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
+            solve_scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -499,9 +509,10 @@ impl<'a> MultiCoarse<'a> {
             let (y, y0) = match solve {
                 MasterSolve::Redundant { factor, .. } => {
                     let all_w = master.try_allgather(group_w).map_err(comm_interrupt)?;
-                    let rhs = all_w.concat();
-                    debug_assert_eq!(rhs.len(), st.dim_e);
-                    let y = comm.compute(|| factor.solve(&rhs));
+                    let mut y = all_w.concat();
+                    debug_assert_eq!(y.len(), st.dim_e);
+                    let mut work = self.solve_scratch.borrow_mut();
+                    comm.compute(|| factor.solve_in_place_with(&mut y, &mut work));
                     comm.charge_flops(4 * factor.nnz_l() as u64);
                     (y, st.group_row0)
                 }

@@ -346,9 +346,18 @@ impl SparseLdlt {
     /// substitution — the per-iteration work the paper counts for the
     /// one-level preconditioner and the coarse solve).
     pub fn solve_in_place(&self, b: &mut [f64]) {
+        self.solve_in_place_with(b, &mut Vec::new());
+    }
+
+    /// [`SparseLdlt::solve_in_place`] with the permuted work vector taken
+    /// from the caller: `z` is overwritten and grows to `n` once, so a
+    /// caller that keeps it solves without allocating.
+    pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n);
         // z = P b
-        let mut z: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        z.clear();
+        z.extend(self.perm.iter().map(|&p| b[p]));
+        let z = z.as_mut_slice();
         // L y = z (columns)
         for j in 0..self.n {
             let zj = z[j];
@@ -388,8 +397,9 @@ impl SparseLdlt {
     pub fn solve_mat(&self, b: &dd_linalg::DMat) -> dd_linalg::DMat {
         assert_eq!(b.rows(), self.n);
         let mut x = b.clone();
+        let mut z = Vec::new();
         for j in 0..b.cols() {
-            self.solve_in_place(x.col_mut(j));
+            self.solve_in_place_with(x.col_mut(j), &mut z);
         }
         x
     }

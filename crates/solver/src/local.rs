@@ -97,9 +97,16 @@ impl LocalLdlt {
     }
 
     pub fn solve_in_place(&self, b: &mut [f64]) {
+        self.solve_in_place_with(b, &mut Vec::new());
+    }
+
+    /// [`LocalLdlt::solve_in_place`] with the permuted work vector taken
+    /// from the caller, who keeps it between solves so that none of them
+    /// allocates (`z` is overwritten; any length will do).
+    pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
         match self {
-            LocalLdlt::Scalar(f) => f.solve_in_place(b),
-            LocalLdlt::Supernodal(f) => f.solve_in_place(b),
+            LocalLdlt::Scalar(f) => f.solve_in_place_with(b, z),
+            LocalLdlt::Supernodal(f) => f.solve_in_place_with(b, z),
         }
     }
 

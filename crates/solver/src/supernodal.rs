@@ -419,10 +419,19 @@ impl SupernodalLdlt {
 
     /// Solve `A x = b` in place.
     pub fn solve_in_place(&self, b: &mut [f64]) {
+        self.solve_in_place_with(b, &mut Vec::new());
+    }
+
+    /// [`SupernodalLdlt::solve_in_place`] with the permuted work vector
+    /// taken from the caller: `z` is overwritten and grows to `n` once, so
+    /// a caller that keeps it solves without allocating.
+    pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n);
         let nsup = self.n_supernodes();
         // z = P b
-        let mut z: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        z.clear();
+        z.extend(self.perm.iter().map(|&p| b[p]));
+        let z = z.as_mut_slice();
         // L y = z, panel by panel.
         for s in 0..nsup {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
@@ -475,8 +484,9 @@ impl SupernodalLdlt {
     pub fn solve_mat(&self, b: &dd_linalg::DMat) -> dd_linalg::DMat {
         assert_eq!(b.rows(), self.n);
         let mut x = b.clone();
+        let mut z = Vec::new();
         for j in 0..b.cols() {
-            self.solve_in_place(x.col_mut(j));
+            self.solve_in_place_with(x.col_mut(j), &mut z);
         }
         x
     }
