@@ -13,6 +13,9 @@
 //! * **operator × block-of-vectors** (the `E = WᵀAW` assembly shape) —
 //!   `csrmm` vs the 4-column-blocked `bsrmm` on really-assembled 2D/3D
 //!   elasticity operators (padded-BSR auto-detection included);
+//! * **orthogonalisation panels** — the Gram row and the update block of a
+//!   CGS2 pass (`vector::dot_many` / `vector::axpy_many`) against the
+//!   per-vector loops, at the `diffusion2d_many` shape;
 //! * **Krylov steady state** — allocation counts of warm GMRES and CG
 //!   solves at two iteration budgets, from which the per-iteration
 //!   allocation count is derived (the overhaul's contract: **zero**).
@@ -49,7 +52,7 @@ use dd_fem::{assemble_elasticity, DofMap};
 use dd_krylov::{
     try_cg, try_gmres_with, CgOpts, GmresOpts, GmresWorkspace, IdentityPrecond, SeqDot, Side,
 };
-use dd_linalg::{BsrMatrix, CooBuilder, CsrMatrix, DMat};
+use dd_linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_mesh::Mesh;
 use dd_part::partition_mesh_rcb;
 use dd_solver::{ordering, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
@@ -338,6 +341,87 @@ fn bench_spmm(rep: &mut Report, calib: f64) {
     }
 }
 
+/// The two blocks of a CGS2 pass at the `diffusion2d_many` shape (one rank's
+/// 7 400 concatenated dofs, a 36-vector basis, the partition-of-unity
+/// weight): the Gram row and the update `w −= Σ h_j v_j`, panel kernels
+/// against the per-vector loops they replaced — written out here, since the
+/// library no longer has them. Both pairs must agree to the bit.
+fn bench_ortho(rep: &mut Report, calib: f64) {
+    const N: usize = 7_400;
+    const NV: usize = 36;
+    const REPS: usize = 200;
+    let d: Vec<f64> = (0..N).map(|g| 1.0 / (1 + g % 4) as f64).collect();
+    let w: Vec<f64> = (0..N).map(wave).collect();
+    let vs: Vec<Vec<f64>> = (0..NV)
+        .map(|j| (0..N).map(|g| wave(3 * g + 31 * j)).collect())
+        .collect();
+
+    let gram_loop = |out: &mut [f64]| {
+        for (o, v) in out.iter_mut().zip(&vs) {
+            let mut acc = 0.0;
+            for g in 0..N {
+                acc += d[g] * w[g] * v[g];
+            }
+            *o = acc;
+        }
+    };
+    let mut dw = vec![0.0; N];
+    let mut gram_panel = |out: &mut [f64]| {
+        vector::hadamard(&d, &w, &mut dw);
+        vector::dot_many(&dw, &vs, out);
+    };
+    let (mut h_loop, mut h_panel) = (vec![0.0; NV], vec![0.0; NV]);
+    let t_gram_loop = median_secs(5, || {
+        for _ in 0..REPS {
+            gram_loop(black_box(&mut h_loop));
+        }
+    });
+    let t_gram_panel = median_secs(5, || {
+        for _ in 0..REPS {
+            gram_panel(black_box(&mut h_panel));
+        }
+    });
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&h_loop), bits(&h_panel), "gram panel differs");
+
+    let minus_h: Vec<f64> = h_loop.iter().map(|h| -h / N as f64).collect();
+    let (mut w_loop, mut w_panel) = (w.clone(), w.clone());
+    let t_axpy_loop = median_secs(5, || {
+        for _ in 0..REPS {
+            for (a, v) in minus_h.iter().zip(&vs) {
+                vector::axpy(*a, v, black_box(&mut w_loop));
+            }
+        }
+    });
+    let t_axpy_panel = median_secs(5, || {
+        for _ in 0..REPS {
+            vector::axpy_many(&minus_h, &vs, black_box(&mut w_panel));
+        }
+    });
+    assert_eq!(bits(&w_loop), bits(&w_panel), "axpy panel differs");
+
+    rep.wall
+        .insert("ratio/ortho/gram_panel", t_gram_panel / calib);
+    rep.wall
+        .insert("ratio/ortho/axpy_panel", t_axpy_panel / calib);
+    // Gated at 2×; the update block is bandwidth-bound on both sides
+    // (≈ 1.5×), so only its calibrated time is held, by the drift gate.
+    rep.wall
+        .insert("speedup/gram_panel", t_gram_loop / t_gram_panel);
+    for (key, t_loop, t_panel) in [
+        ("ortho/gram_panel", t_gram_loop, t_gram_panel),
+        ("ortho/axpy_panel", t_axpy_loop, t_axpy_panel),
+    ] {
+        let per = 1e6 / REPS as f64;
+        rep.lines.push(format!(
+            "| {key} (n={N}, {NV} vectors) | {:.0}µs | {:.0}µs | **{:.2}×** | bitwise |",
+            t_loop * per,
+            t_panel * per,
+            t_loop / t_panel,
+        ));
+    }
+}
+
 /// Allocation counts of warm Krylov solves. `tol: 0.0` never converges, so
 /// a run performs exactly `max_iters` iterations; the difference between
 /// two budgets divided by the extra iterations is the per-iteration count.
@@ -561,6 +645,7 @@ fn main() -> ExitCode {
     bench_ldlt(&mut rep, calib);
     bench_ordering(&mut rep, calib);
     bench_spmm(&mut rep, calib);
+    bench_ortho(&mut rep, calib);
     bench_krylov_allocs(&mut rep);
     bench_spmd_allocs(&mut rep);
     for l in &rep.lines {

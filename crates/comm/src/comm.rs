@@ -138,10 +138,13 @@ fn invariant<T>(o: Option<T>, what: &'static str) -> T {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// One FNV-1a 64 step.
+/// One FNV-1a 64 step over a whole scalar: `word` is its little-endian
+/// wire image, zero-extended. XOR with `word` and multiplication by an odd
+/// constant are both bijections of `h`, so two wire images that differ in
+/// any one scalar — a single flipped bit included — never share a sum.
 #[inline]
-fn fnv1a(h: u64, byte: u8) -> u64 {
-    (h ^ byte as u64).wrapping_mul(FNV_PRIME)
+fn fnv1a(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
 }
 
 /// Salt for a message's envelope checksum, mixing the world's fault id,
@@ -152,7 +155,7 @@ fn envelope_salt(fault_id: u64, epoch: usize, tag: u64) -> u64 {
     splitmix64(fault_id ^ splitmix64(tag) ^ (epoch as u64).rotate_left(32))
 }
 
-/// FNV-1a checksum of `value`'s wire image under `salt`.
+/// Word-wise FNV-1a checksum of `value`'s wire image under `salt`.
 fn wire_sum<T: WireSize + ?Sized>(value: &T, salt: u64) -> u64 {
     value.wire_fold(FNV_OFFSET ^ salt)
 }
@@ -162,8 +165,9 @@ fn wire_sum<T: WireSize + ?Sized>(value: &T, salt: u64) -> u64 {
 /// that wire image: folding it into a checksum and flipping one of its
 /// bits. Implemented for the payload types the framework sends. The wire
 /// image is the concatenation of each scalar's little-endian bytes in
-/// field order; `wire_fold`/`wire_flip` agree on that layout, so a flip of
-/// bit `b` perturbs exactly the checksum a fold would have seen.
+/// field order; `wire_fold` takes it one scalar per step and `wire_flip`
+/// addresses the same layout, so a flip of bit `b` lands in exactly one
+/// folded word and always changes the checksum.
 pub trait WireSize {
     fn wire_bytes(&self) -> usize;
 
@@ -181,9 +185,10 @@ macro_rules! prim_wire {
     ($($t:ty),*) => {$(
         impl WireSize for $t {
             fn wire_bytes(&self) -> usize { std::mem::size_of::<$t>() }
-            fn wire_fold(&self, mut h: u64) -> u64 {
-                for b in self.to_le_bytes() { h = fnv1a(h, b); }
-                h
+            fn wire_fold(&self, h: u64) -> u64 {
+                let mut word = [0u8; 8];
+                word[..std::mem::size_of::<$t>()].copy_from_slice(&self.to_le_bytes());
+                fnv1a(h, u64::from_le_bytes(word))
             }
             fn wire_flip(&mut self, bit: u64) {
                 let mut bytes = self.to_le_bytes();
@@ -200,7 +205,7 @@ impl WireSize for bool {
         1
     }
     fn wire_fold(&self, h: u64) -> u64 {
-        fnv1a(h, u8::from(*self))
+        fnv1a(h, u64::from(*self))
     }
     fn wire_flip(&mut self, _bit: u64) {
         *self = !*self;

@@ -306,6 +306,17 @@ impl Operator for MultiOp<'_> {
 /// ranks — exact thanks to the partition of unity.
 struct MultiDot<'a> {
     ctx: &'a MultiCtx<'a>,
+    /// Warm-path scratch `D w` of a Gram row.
+    scratch: RefCell<Vec<f64>>,
+}
+
+impl<'a> MultiDot<'a> {
+    fn new(ctx: &'a MultiCtx<'a>) -> Self {
+        MultiDot {
+            ctx,
+            scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
+        }
+    }
 }
 
 impl InnerProduct for MultiDot<'_> {
@@ -319,6 +330,20 @@ impl InnerProduct for MultiDot<'_> {
         }
         ctx.comm.charge_flops(3 * x.len() as u64);
         acc
+    }
+
+    // dd:hot — the Gram rows of every Arnoldi step: `D w` is formed once a
+    // row, `(d·w)·v` being what `local_dot` multiplies, and the panel kernel
+    // reads it once per four basis vectors
+    fn local_dots(&self, w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        let ctx = self.ctx;
+        let mut dw = self.scratch.borrow_mut();
+        for (s, span) in ctx.spans() {
+            let d = &ctx.decomp.subdomains[s].d;
+            vector::hadamard(d, &w[span.start..span.end], &mut dw[span]);
+        }
+        vector::dot_many(&dw, vs, out);
+        ctx.comm.charge_flops(3 * (w.len() * vs.len()) as u64);
     }
 
     fn reduce(&self, locals: Vec<f64>) -> Vec<f64> {
@@ -798,7 +823,7 @@ impl PreparedMulti<'_> {
         let rhs = self.restrict(&ctx, rhs_global);
         let x0 = vec![0.0; ctx.n_concat()];
         let op = MultiOp::new(&ctx);
-        let ip = MultiDot { ctx: &ctx };
+        let ip = MultiDot::new(&ctx);
         let gmres = &self.opts.gmres;
 
         let result = if self.run.coarse != CoarseOutcome::TwoLevel {
@@ -948,5 +973,65 @@ fn solve_classical<M: Preconditioner>(
             rank: comm.rank(),
             what: "empty multi-solve result".to_string(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decomp::decompose;
+    use crate::problem::presets;
+    use dd_comm::{CostModel, World};
+    use dd_mesh::Mesh;
+    use dd_part::partition_mesh_rcb;
+
+    /// `MultiDot::local_dots` is the loop over `MultiDot::local_dot`, bit
+    /// for bit and flop for flop, on an owner map with three subdomains on
+    /// each of two ranks (so `D w` is assembled from several spans).
+    #[test]
+    fn gram_row_panel_is_the_per_vector_loop_bitwise_and_in_flops() {
+        const NSUB: usize = 6;
+        const NV: usize = 7;
+        let mesh = Mesh::unit_square(12, 12);
+        let part = partition_mesh_rcb(&mesh, NSUB);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, NSUB, 1);
+        let wave = |k: usize| (k as f64 * 0.37).sin() + 0.25;
+        let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
+            let host: Vec<usize> = (0..NSUB).map(|s| 2 * s / NSUB).collect();
+            let owned: Vec<usize> = (0..NSUB).filter(|&s| host[s] == comm.rank()).collect();
+            let mut starts = vec![0];
+            for &s in &owned {
+                starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
+            }
+            let halo = HaloPlan::build(&decomp, comm, &owned, &starts, &host);
+            let ctx = MultiCtx {
+                comm,
+                decomp: &decomp,
+                owned: &owned,
+                starts: &starts,
+                halo: &halo,
+                inbox: RefCell::new(Vec::new()),
+            };
+            let ip = MultiDot::new(&ctx);
+            let n = ctx.n_concat();
+            let w: Vec<f64> = (0..n).map(|g| wave(g + 7 * comm.rank())).collect();
+            let vs: Vec<Vec<f64>> = (0..NV)
+                .map(|j| (0..n).map(|g| wave(3 * g + 31 * j)).collect())
+                .collect();
+            comm.trace_phase("panel");
+            let mut panel = vec![0.0; NV];
+            ip.local_dots(&w, &vs, &mut panel);
+            comm.trace_phase("loop");
+            let looped: Vec<f64> = vs.iter().map(|v| ip.local_dot(&w, v)).collect();
+            (owned.len(), panel, looped)
+        });
+        for (n_owned, panel, looped) in rows {
+            assert_eq!(n_owned, 3);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&panel), bits(&looped));
+        }
+        let flops = trace.phase_totals("panel").flops;
+        assert!(flops > 0);
+        assert_eq!(flops, trace.phase_totals("loop").flops);
     }
 }

@@ -226,8 +226,7 @@ impl GmresWorkspace {
         self.g.resize(m + 1, 0.0);
         self.rot.clear();
         self.rot.reserve(m);
-        self.locals.clear();
-        self.locals.reserve(m + 1);
+        self.locals.resize(m + 1, 0.0);
         self.dots.resize(m + 1, 0.0);
         self.y.resize(m, 0.0);
     }
@@ -470,13 +469,16 @@ where
                         h[(j, k)] = 0.0;
                     }
                     for _ in 0..passes {
-                        locals.clear();
-                        locals.extend(v[..nv].iter().map(|vj| ip.local_dot(w, vj)));
-                        ip.try_reduce_into(locals.as_slice(), &mut dots[..nv])?;
-                        for (j, (vj, hjk)) in v[..nv].iter().zip(dots[..nv].iter()).enumerate() {
-                            vector::axpy(-hjk, vj, w);
+                        // One panel pass for the Gram row, one for the
+                        // update w −= Σ h_j v_j: the bits of the per-vector
+                        // loops (DESIGN.md, "orthogonalisation in panels").
+                        ip.local_dots(w, &v[..nv], &mut locals[..nv]);
+                        ip.try_reduce_into(&locals[..nv], &mut dots[..nv])?;
+                        for (j, hjk) in dots[..nv].iter_mut().enumerate() {
                             h[(j, k)] += *hjk;
+                            *hjk = -*hjk;
                         }
+                        vector::axpy_many(&dots[..nv], &v[..nv], w);
                     }
                 }
             }
@@ -561,10 +563,12 @@ where
                     }
                     if y.iter().all(|v| v.is_finite()) {
                         let mut snap = x.clone();
-                        for (j, yj) in y.iter().enumerate() {
-                            let dir = if right { &zbasis[j] } else { &v[j] };
-                            vector::axpy(*yj, dir, &mut snap);
-                        }
+                        let dirs = if right {
+                            &zbasis[..k_done]
+                        } else {
+                            &v[..k_done]
+                        };
+                        vector::axpy_many(&y, dirs, &mut snap);
                         cfg.sink.save(SolveCheckpoint {
                             iteration: total_iters,
                             x: snap,
@@ -616,10 +620,12 @@ where
                 y[i] = s / h[(i, i)];
             }
             if y.iter().all(|v| v.is_finite()) {
-                for (j, yj) in y.iter().enumerate() {
-                    let dir = if right { &zbasis[j] } else { &v[j] };
-                    vector::axpy(*yj, dir, &mut x);
-                }
+                let dirs = if right {
+                    &zbasis[..k_done]
+                } else {
+                    &v[..k_done]
+                };
+                vector::axpy_many(y, dirs, &mut x);
             }
         }
         if converged || total_iters >= opts.max_iters {

@@ -120,6 +120,17 @@ pub trait InnerProduct {
     /// Local contribution to `⟨x, y⟩` (the full dot product sequentially).
     fn local_dot(&self, x: &[f64], y: &[f64]) -> f64;
 
+    /// One Gram row: `out[j] = local_dot(w, vs[j])`, bit for bit. The
+    /// default is that loop; an implementation whose dot weights `w` (the
+    /// partition of unity) overrides it to weight `w` once and read it once
+    /// per panel of vectors ([`vector::dot_many`]).
+    fn local_dots(&self, w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        assert_eq!(vs.len(), out.len(), "local_dots: one output per vector");
+        for (o, v) in out.iter_mut().zip(vs) {
+            *o = self.local_dot(w, v);
+        }
+    }
+
     /// Reduce a batch of local contributions to global values
     /// (an `MPI_Allreduce` in SPMD; the identity sequentially).
     fn reduce(&self, locals: Vec<f64>) -> Vec<f64>;

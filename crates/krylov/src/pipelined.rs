@@ -110,6 +110,15 @@ where
     )
 }
 
+/// Local parts of the payload an iteration posts: the Gram row of `w`
+/// against the basis `v`, then `‖w‖²`.
+fn gram_row<P: InnerProduct + ?Sized>(ip: &P, w: &[f64], v: &[Vec<f64>]) -> Vec<f64> {
+    let mut row = vec![0.0; v.len() + 1];
+    ip.local_dots(w, v, &mut row[..v.len()]);
+    row[v.len()] = ip.local_dot(w, w);
+    row
+}
+
 #[allow(clippy::too_many_arguments)]
 fn pgmres_impl<O, M, MF, P>(
     op: &O,
@@ -205,7 +214,7 @@ where
         op.apply(&v[0], &mut ax);
         precond.apply(&ax, &mut w);
         z.push(w.clone());
-        let mut locals: Vec<f64> = vec![ip.local_dot(&w, &v[0]), ip.local_dot(&w, &w)];
+        let mut locals = gram_row(ip, &w, &v);
         let mut pending: Option<Box<dyn FnOnce() -> Vec<f64>>> = match mode {
             ReduceMode::Overlapped => Some(ip.reduce_begin(locals.clone())),
             ReduceMode::Fused => None,
@@ -261,10 +270,9 @@ where
             // Orthogonalize the candidate and its shadow.
             let mut u = w.clone();
             let mut zu = std::mem::take(&mut t);
-            for j in 0..i {
-                vector::axpy(-h[(j, i - 1)], &v[j], &mut u);
-                vector::axpy(-h[(j, i - 1)], &z[j], &mut zu);
-            }
+            let minus_h: Vec<f64> = dots[..i].iter().map(|d| -d).collect();
+            vector::axpy_many(&minus_h, &v, &mut u);
+            vector::axpy_many(&minus_h, &z, &mut zu);
             // Square-root breakdown safeguard: on severe cancellation the
             // Pythagorean estimate is unreliable — renormalize explicitly
             // (costs one extra reduction, rare).
@@ -322,8 +330,7 @@ where
             w = zu.clone();
             z.push(zu);
             // Post the next reduction: Gram row against v_0..v_i plus ‖w‖².
-            locals = (0..=i).map(|j| ip.local_dot(&w, &v[j])).collect();
-            locals.push(ip.local_dot(&w, &w));
+            locals = gram_row(ip, &w, &v);
             if matches!(mode, ReduceMode::Overlapped) {
                 pending = Some(ip.reduce_begin(locals.clone()));
             }
@@ -388,9 +395,7 @@ where
                 y[i2] = s / h[(i2, i2)];
             }
             if y.iter().all(|v| v.is_finite()) {
-                for (j, yj) in y.iter().enumerate() {
-                    vector::axpy(*yj, &v[j], &mut x);
-                }
+                vector::axpy_many(&y, &v[..k_done], &mut x);
             }
         }
         if converged || total_iters >= opts.max_iters {

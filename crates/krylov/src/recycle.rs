@@ -32,6 +32,7 @@
 use crate::checkpoint::CheckpointCfg;
 use crate::gmres::{try_gmres, GmresOpts, SolveResult};
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
+use dd_linalg::vector;
 
 /// A bounded bank of `(u, A·u)` direction pairs harvested from completed
 /// solves, oldest evicted first.
@@ -95,14 +96,15 @@ impl RecycleSpace {
         }
         // One batched reduction: the k×k Gram matrix of AU plus the k
         // projections ⟨A·u_i, r⟩.
-        let mut locals = Vec::with_capacity(k * k + k);
-        for i in 0..k {
-            for j in 0..k {
-                locals.push(ip.local_dot(&self.au[i], &self.au[j]));
-            }
+        let mut locals = vec![0.0; k * k + k];
+        let (gram, rhs) = locals.split_at_mut(k * k);
+        for (aui, row) in self.au.iter().zip(gram.chunks_exact_mut(k)) {
+            ip.local_dots(aui, &self.au, row);
         }
-        for aui in &self.au {
-            locals.push(ip.local_dot(aui, &r));
+        // Not a Gram row: the weighted argument differs per entry, and a
+        // partition-of-unity dot rounds `(D a)·r`, not `(D r)·a`.
+        for (aui, p) in self.au.iter().zip(rhs) {
+            *p = ip.local_dot(aui, &r);
         }
         let reduced = ip.try_reduce(locals)?;
         let (gram, rhs) = reduced.split_at(k * k);
@@ -112,11 +114,7 @@ impl RecycleSpace {
             // sides): skip the correction rather than inject noise.
             None => return Ok(false),
         };
-        for (i, ci) in c.iter().enumerate() {
-            for (x, &ui) in x0.iter_mut().zip(&self.u[i]) {
-                *x += ci * ui;
-            }
-        }
+        vector::axpy_many(&c, &self.u, x0);
         Ok(true)
     }
 

@@ -50,6 +50,90 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// Vectors that advance together through one pass of [`dot_many`] and
+/// [`axpy_many`].
+const PANEL: usize = 4;
+
+/// The `PANEL` vectors of one block, each checked to be as long as `len`.
+fn panel<'a, V: AsRef<[f64]>>(block: &'a [V], len: usize, what: &str) -> [&'a [f64]; PANEL] {
+    std::array::from_fn(|j| {
+        let v = block[j].as_ref();
+        assert_eq!(v.len(), len, "{what}: length mismatch");
+        v
+    })
+}
+
+/// Gram block `out_j = Σ_g x[g]·ys[j][g]`.
+///
+/// Every `out_j` is **one** accumulator started at `0.0` and advanced in
+/// ascending `g`, so it holds the bits of the sequential loop
+/// `acc += x[g] * y[g]` (not those of [`dot`], which sums in four lanes).
+/// What changes is the schedule: `PANEL` accumulators advance together
+/// through one pass over `x`, which turns one add chain that runs at the
+/// add latency into `PANEL` independent ones and reads `x` once per
+/// `PANEL` vectors instead of once per vector.
+///
+/// # Panics
+/// Panics if `out` and `ys` differ in length or a vector is not as long
+/// as `x`.
+// dd:hot — the Gram block of every Arnoldi step
+pub fn dot_many<V: AsRef<[f64]>>(x: &[f64], ys: &[V], out: &mut [f64]) {
+    assert_eq!(ys.len(), out.len(), "dot_many: one output per vector");
+    let n = x.len();
+    let mut blocks = ys.chunks_exact(PANEL);
+    let mut outs = out.chunks_exact_mut(PANEL);
+    for (block, out) in blocks.by_ref().zip(outs.by_ref()) {
+        let [y0, y1, y2, y3] = panel(block, n, "dot_many");
+        let mut acc = [0.0f64; PANEL];
+        for g in 0..n {
+            acc[0] += x[g] * y0[g];
+            acc[1] += x[g] * y1[g];
+            acc[2] += x[g] * y2[g];
+            acc[3] += x[g] * y3[g];
+        }
+        out.copy_from_slice(&acc);
+    }
+    for (y, out) in blocks.remainder().iter().zip(outs.into_remainder()) {
+        let y = y.as_ref();
+        assert_eq!(y.len(), n, "dot_many: length mismatch");
+        let mut acc = 0.0;
+        for (xg, yg) in x.iter().zip(y) {
+            acc += xg * yg;
+        }
+        *out = acc;
+    }
+}
+
+/// Update block `y[g] += Σ_j α_j·xs[j][g]`, the terms added in ascending
+/// `j` — for every element the operations of one [`axpy`] per vector in
+/// order, hence the same bits — with `PANEL` vectors per pass over `y`
+/// instead of one.
+///
+/// # Panics
+/// Panics if `alphas` and `xs` differ in length or a vector is not as long
+/// as `y`.
+// dd:hot — the update block of every Arnoldi step
+pub fn axpy_many<V: AsRef<[f64]>>(alphas: &[f64], xs: &[V], y: &mut [f64]) {
+    assert_eq!(alphas.len(), xs.len(), "axpy_many: one scalar per vector");
+    let n = y.len();
+    let mut blocks = xs.chunks_exact(PANEL);
+    let mut scalars = alphas.chunks_exact(PANEL);
+    for (block, a) in blocks.by_ref().zip(scalars.by_ref()) {
+        let [x0, x1, x2, x3] = panel(block, n, "axpy_many");
+        for g in 0..n {
+            let mut t = y[g];
+            t += a[0] * x0[g];
+            t += a[1] * x1[g];
+            t += a[2] * x2[g];
+            t += a[3] * x3[g];
+            y[g] = t;
+        }
+    }
+    for (x, &a) in blocks.remainder().iter().zip(scalars.remainder()) {
+        axpy(a, x.as_ref(), y);
+    }
+}
+
 /// `y ← α x + β y`.
 #[inline]
 pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {

@@ -19,7 +19,10 @@
 //!   identical to the allocating `try_gmres`, orthogonalization and
 //!   preconditioning side notwithstanding;
 //! * the SPMD driver converges with `LdltBackend::Supernodal` to the same
-//!   tolerance and solution as the scalar default.
+//!   tolerance and solution as the scalar default;
+//! * the orthogonalisation panels `vector::dot_many` / `vector::axpy_many`
+//!   are **bitwise** equal to the one-accumulator dot loop and to successive
+//!   `axpy`, for every block remainder, and a NaN poisons every output.
 
 mod common;
 
@@ -255,6 +258,67 @@ fn gmres_with_reused_workspace_is_bitwise_identical() {
         assert_eq!(fresh.history, reused.history, "trial {trial}");
         assert_eq!(fresh.final_residual, reused.final_residual, "trial {trial}");
         assert!(fresh.converged, "trial {trial} did not converge");
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn ortho_panels_are_bitwise_equal_to_the_per_vector_loops() {
+    let mut rng = Rng::new(20);
+    for n in [0usize, 1, 7, 4097] {
+        for nv in 0..=17usize {
+            let x = rng.vec_f64(n, -1.0, 1.0);
+            let ys: Vec<Vec<f64>> = (0..nv).map(|_| rng.vec_f64(n, -1.0, 1.0)).collect();
+            let alphas = rng.vec_f64(nv, -2.0, 2.0);
+
+            // One accumulator per vector, ascending index.
+            let oracle: Vec<f64> = ys
+                .iter()
+                .map(|y| {
+                    let mut acc = 0.0;
+                    for g in 0..n {
+                        acc += x[g] * y[g];
+                    }
+                    acc
+                })
+                .collect();
+            let mut out = vec![f64::NAN; nv];
+            vector::dot_many(&x, &ys, &mut out);
+            assert_eq!(bits(&out), bits(&oracle), "dot_many n={n} nv={nv}");
+
+            let mut oracle = x.clone();
+            for (a, y) in alphas.iter().zip(&ys) {
+                vector::axpy(*a, y, &mut oracle);
+            }
+            let mut panel = x.clone();
+            vector::axpy_many(&alphas, &ys, &mut panel);
+            assert_eq!(bits(&panel), bits(&oracle), "axpy_many n={n} nv={nv}");
+        }
+    }
+}
+
+#[test]
+fn a_nan_in_x_poisons_every_panel_output() {
+    // The GMRES breakdown and SDC guards see a poisoned candidate through
+    // its Gram row: no output of the panel may skip the bad element.
+    let mut rng = Rng::new(21);
+    for nv in 1..=17usize {
+        let mut x = rng.vec_f64(33, -1.0, 1.0);
+        x[19] = f64::NAN;
+        let ys: Vec<Vec<f64>> = (0..nv).map(|_| rng.vec_f64(33, -1.0, 1.0)).collect();
+        let mut out = vec![0.0; nv];
+        vector::dot_many(&x, &ys, &mut out);
+        assert!(out.iter().all(|v| v.is_nan()), "dot_many nv={nv}: {out:?}");
+
+        let mut poisoned = ys.clone();
+        poisoned[nv - 1][19] = f64::NAN;
+        let mut y = vec![0.0; 33];
+        vector::axpy_many(&vec![1.0; nv], &poisoned, &mut y);
+        assert!(y[19].is_nan(), "axpy_many nv={nv}");
+        assert_eq!(y.iter().filter(|v| v.is_nan()).count(), 1);
     }
 }
 
