@@ -35,7 +35,7 @@ pub mod summary;
 
 use dd_comm::{World, WorldTrace};
 use dd_core::{
-    decompose, problem::presets, run_spmd, Decomposition, Problem, SpmdOpts, SpmdReport,
+    decompose, problem::presets, try_run_spmd, Decomposition, Problem, SpmdOpts, SpmdReport,
 };
 use dd_mesh::{refine::uniform_refine_n, Mesh};
 use dd_part::partition_mesh_rcb;
@@ -226,6 +226,16 @@ pub fn run_workload(w: &Workload, opts: &SpmdOpts) -> Vec<SpmdReport> {
     run_workload_with_model(w, opts, dd_comm::CostModel::default())
 }
 
+/// One rank's solve, for the fault-oblivious drivers: any error is a bug.
+fn solve_report(
+    decomp: &Decomposition,
+    comm: &dd_comm::Communicator,
+    opts: &SpmdOpts,
+) -> SpmdReport {
+    let s = try_run_spmd(decomp, comm, opts).expect("SPMD solve failed");
+    s.report
+}
+
 /// [`run_workload`] with an explicit network cost model (used by the
 /// network-sensitivity ablation).
 pub fn run_workload_with_model(
@@ -236,7 +246,7 @@ pub fn run_workload_with_model(
     let decomp = Arc::clone(&w.decomp);
     let opts = opts.clone();
     World::run(w.nparts, model, move |comm| {
-        run_spmd(&decomp, comm, &opts).report
+        solve_report(&decomp, comm, &opts)
     })
 }
 
@@ -246,7 +256,7 @@ pub fn run_workload_traced(w: &Workload, opts: &SpmdOpts) -> (Vec<SpmdReport>, W
     let decomp = Arc::clone(&w.decomp);
     let opts = opts.clone();
     World::run_traced(w.nparts, dd_comm::CostModel::default(), move |comm| {
-        run_spmd(&decomp, comm, &opts).report
+        solve_report(&decomp, comm, &opts)
     })
 }
 

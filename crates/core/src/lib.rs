@@ -75,6 +75,6 @@ pub use recovery::{
 };
 pub use resident::{MultiApplyOutcome, PreparedMulti};
 pub use spmd::{
-    run_spmd, try_run_spmd, try_setup, AssemblyVariant, CoarseSolve, Election, SolverKind,
-    SpmdOpts, SpmdReport, SpmdSolution,
+    try_run_spmd, try_setup, AssemblyVariant, CoarseSolve, Election, SolverKind, SpmdOpts,
+    SpmdReport, SpmdSolution,
 };

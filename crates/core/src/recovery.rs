@@ -16,44 +16,39 @@
 //!    lowest-indexed surviving neighbor subdomain (lowest survivor when a
 //!    whole neighborhood died) — the decomposition is shared and
 //!    deterministic, so no coordination is needed;
-//! 4. adopters re-factor the orphans' Dirichlet matrices and substitute
-//!    Nicolaides deflation vectors (eigenvector recomputation is skipped
-//!    for adopted subdomains — the documented degradation); masters are
-//!    re-elected over the survivors with the non-uniform rule and `E` is
-//!    re-assembled and re-factored on the new master communicator;
+//! 4. the set-up runs again on the new owner map — the same
+//!    `spmd::try_setup_on` as a first epoch, under the
+//!    `recovery-*` phase names ([`try_setup_partitioned`]): adopters
+//!    re-factor the orphans' Dirichlet matrices and substitute Nicolaides
+//!    deflation vectors (eigenvector recomputation is skipped for adopted
+//!    subdomains — the documented degradation); masters are re-elected
+//!    over the survivors and `E` is re-assembled and re-factored on the
+//!    new master communicator;
 //! 5. the solve resumes from the last *globally complete* checkpoint in
 //!    the [`CheckpointStore`] (or from zero when death struck before the
 //!    first checkpoint), converging against the original `‖r₀‖` anchor so
 //!    the recovered run meets the same tolerance as a fault-free one.
 //!
-//! Every blocking receive of the recovered epoch runs under a bounded
-//! [`RetryPolicy`] ([`RetryPolicy::bounded_jittered`]) — recovery paths
-//! must never wait unboundedly on a peer that may die again.
+//! Every blocking receive of a recovered or elastic epoch runs under a
+//! bounded [`RetryPolicy`] ([`RetryPolicy::bounded_jittered`], set by the
+//! epoch body before its set-up) — recovery paths must never wait
+//! unboundedly on a peer that may die again.
+//!
+//! This module keeps the recovery policy, the stores ([`CheckpointStore`],
+//! [`CoarseCache`]), the owner-map plans and the recovery drivers; the
+//! set-up they call is `spmd.rs`'s, the applies are `resident.rs`'s.
 
 use crate::decomp::Decomposition;
-use crate::error::{
-    CoarseOutcome, DeflationSource, PhaseOutcome, RecoveryRecord, RunReport, SpmdError,
-};
-use crate::geneo::{
-    nicolaides_fallback_block, resize_block, try_deflation_block_ordered, DeflationBlock,
-};
-use crate::masters::{group_of, nonuniform_masters};
-use crate::resident::{epoch_salt, HaloPlan, MasterSolve, PreparedMulti};
+use crate::error::{RecoveryRecord, SpmdError};
+use crate::geneo::DeflationBlock;
+use crate::resident::PreparedMulti;
 use crate::spmd::{
-    classify_comm, classify_comm_at, run_inner, CoarseSolve, SolverKind, SpmdOpts, SpmdReport,
+    classify_comm, run_inner, try_setup_on, SetupLabels, SolverKind, SpmdOpts, SpmdReport,
 };
 use dd_comm::{CommError, Communicator, RetryPolicy, SuspicionPolicy};
 use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
-use dd_linalg::{CooBuilder, CsrMatrix, DMat};
-use dd_solver::{DistLdlt, LocalLdlt, PivotPolicy, SparseLdlt};
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-// Tag namespace of the coarse assembly on an owner map, keyed by the
-// (source, destination) *subdomain* pair — a rank may host several
-// subdomains, so rank-keyed tags would collide — and salted by the
-// revocation epoch ([`epoch_salt`]).
-const TAG_RT: u64 = 1_000_000; // coarse assembly S_j / U_j exchange
 
 /// Options for [`try_run_spmd_recoverable`].
 #[derive(Clone, Debug)]
@@ -261,7 +256,7 @@ impl CheckpointSink for StoreSink<'_> {
 /// - Coarse **rows** live with their owner — keyed `(subdomain, owner
 ///   world rank)` — so a subdomain moved to a new owner has its rows
 ///   recomputed there, while unmoved subdomains' rows are reused verbatim
-///   and only re-gathered onto the new master set (where [`DistLdlt`] is
+///   and only re-gathered onto the new master set (where [`dd_solver::DistLdlt`] is
 ///   refactorized regardless).
 #[derive(Default)]
 pub struct CoarseCache {
@@ -278,15 +273,14 @@ struct CachedBasis {
     geneo: bool,
 }
 
-#[derive(Clone)]
 struct CachedRows {
-    /// Layout signature (hash over every subdomain's ν) the rows were
-    /// assembled under; a ν change anywhere invalidates them.
+    /// Layout signature (hash over every subdomain's ν) the row was
+    /// assembled under; a ν change anywhere invalidates it.
     sig: u64,
-    /// `E_ss`, row-major `ν_s × ν_s`.
-    e_ss: Vec<f64>,
-    /// `(neighbor j, ν_j, E_sj row-major ν_s × ν_j)` in neighbor order.
-    e_sj: Vec<(usize, usize, Vec<f64>)>,
+    /// The row's values as Algorithm 2 ships them: `E_ss` row-major, then
+    /// `E_sj` row-major for each neighbour `j` in `O_s` order. The indices
+    /// follow from ν and the coarse layout, so none are stored.
+    vals: Vec<f64>,
 }
 
 impl CoarseCache {
@@ -294,7 +288,7 @@ impl CoarseCache {
         Self::default()
     }
 
-    fn basis(&self, sub: usize) -> Option<(DeflationBlock, bool)> {
+    pub(crate) fn basis(&self, sub: usize) -> Option<(DeflationBlock, bool)> {
         let basis = self.basis.lock().unwrap_or_else(|p| p.into_inner());
         basis.get(&sub).map(|b| {
             (
@@ -308,7 +302,7 @@ impl CoarseCache {
         })
     }
 
-    fn store_basis(&self, sub: usize, block: &DeflationBlock, geneo: bool) {
+    pub(crate) fn store_basis(&self, sub: usize, block: &DeflationBlock, geneo: bool) {
         let mut basis = self.basis.lock().unwrap_or_else(|p| p.into_inner());
         basis.insert(
             sub,
@@ -321,25 +315,26 @@ impl CoarseCache {
         );
     }
 
-    fn has_rows(&self, sub: usize, owner: usize, sig: u64) -> bool {
+    pub(crate) fn has_rows(&self, sub: usize, owner: usize, sig: u64) -> bool {
         let rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
         rows.get(&(sub, owner)).is_some_and(|r| r.sig == sig)
     }
 
-    fn rows(&self, sub: usize, owner: usize, sig: u64) -> Option<CachedRows> {
+    pub(crate) fn rows(&self, sub: usize, owner: usize, sig: u64) -> Option<Vec<f64>> {
         let rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
-        rows.get(&(sub, owner)).filter(|r| r.sig == sig).cloned()
+        let row = rows.get(&(sub, owner)).filter(|r| r.sig == sig);
+        row.map(|r| r.vals.clone())
     }
 
-    fn store_rows(&self, sub: usize, owner: usize, entry: CachedRows) {
+    pub(crate) fn store_rows(&self, sub: usize, owner: usize, sig: u64, vals: Vec<f64>) {
         let mut rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
-        rows.insert((sub, owner), entry);
+        rows.insert((sub, owner), CachedRows { sig, vals });
     }
 }
 
 /// Layout signature of one coarse operator: a seed-free hash of every
 /// subdomain's ν, identical on every rank that allgathered the same pairs.
-fn layout_sig(nu_of: &[usize]) -> u64 {
+pub(crate) fn layout_sig(nu_of: &[usize]) -> u64 {
     let mut h: u64 = 0xE11A; // "elastic" seed, any fixed constant works
     for &nu in nu_of {
         h = h
@@ -714,6 +709,20 @@ pub struct RepartitionPlan {
     pub adopted: Vec<(usize, usize)>,
 }
 
+impl RepartitionPlan {
+    /// The paper's layout: rank `r` of `comm` hosts subdomain `r`, and
+    /// nobody departed, joined or moved.
+    pub(crate) fn identity(comm: &Communicator) -> Self {
+        RepartitionPlan {
+            owner_world: comm.world_ranks().to_vec(),
+            dead: Vec::new(),
+            evicted: Vec::new(),
+            joined: Vec::new(),
+            adopted: Vec::new(),
+        }
+    }
+}
+
 /// The adopter of each subdomain after the departures in `dead`: the
 /// subdomain itself while its owner lives, else the lowest-indexed
 /// *surviving* neighbor subdomain (whose owner adopts it), else the lowest
@@ -811,15 +820,28 @@ pub fn repartition_plan(
 
 // ------------------------------------------------------- partitioned run
 
-/// Setup of one epoch on an arbitrary owner map: build (or rebuild) the
-/// two-level preconditioner over the plan's partition, returning the
-/// resident [`PreparedMulti`].
+/// The `recovery-*` spelling of the set-up's phases: what the chaos rows
+/// target with corruption specs, what `dd-serve` and the benchmark trace.
+/// The four assembly sub-phases share one name.
+static RECOVERY_LABELS: SetupLabels = SetupLabels {
+    factorization: "recovery-adopt",
+    deflation: "recovery-deflation",
+    assembly: ["recovery-assembly"; 4],
+    e_factorization: "recovery-e-factorization",
+    e_factorization_dist: "recovery-e-factorization-dist",
+    coarse: "recovery-assembly",
+    coarse_solve: "recovery-e-solve-dist",
+    solve: "recovery-solve",
+};
+
+/// Set-up of one epoch on the plan's owner map: `spmd::try_setup_on` under the
+/// `recovery-*` phase names.
 ///
-/// This serves both the recovered epoch of the classic shrink path
-/// (`cache = None`: everything recomputed, adopted subdomains take the
-/// Nicolaides degradation) and every epoch of an elastic run
-/// (`cache = Some`: GenEO bases and coarse rows are banked per
-/// `(subdomain, owner)`, so after a membership change only moved
+/// This serves the recovered epoch of the classic shrink path
+/// (`cache = None`: everything recomputed, subdomains adopted this epoch
+/// take the Nicolaides degradation), every epoch of an elastic run and the
+/// resident server (`cache = Some`: GenEO bases and coarse rows are banked
+/// per `(subdomain, owner)`, so after a membership change only moved
 /// subdomains recompute — the incremental re-assembly of `E`). One-shot
 /// drivers reset the virtual clock; a resident server re-preparing
 /// mid-stream passes `reset_clock = false` to keep its request clock
@@ -832,575 +854,15 @@ pub fn try_setup_partitioned<'a>(
     plan: &RepartitionPlan,
     reset_clock: bool,
 ) -> Result<PreparedMulti<'a>, SpmdError> {
-    let nsubs = decomp.n_subdomains();
-    let me_world = comm.world_rank();
-    let me = comm.rank();
-    let n_live = comm.size();
-    let members = comm.world_ranks();
-    // World rank → communicator rank (members are re-ranked contiguously,
-    // survivors in world order, joiners appended, by the agreement).
-    let rank_of = |world: usize| -> usize {
-        members
-            .iter()
-            .position(|&r| r == world)
-            .expect("subdomain owned by a non-member rank")
-    };
-    // Every blocking wait of this epoch is bounded: a peer that dies
-    // *again* must surface as an error, not an unbounded wait.
-    comm.set_retry_policy(RetryPolicy::bounded_jittered());
-
-    let mut run = RunReport::default();
-    let owned: Vec<usize> = (0..nsubs)
-        .filter(|&s| plan.owner_world[s] == me_world)
-        .collect();
-    let host: Vec<usize> = (0..nsubs).map(|s| rank_of(plan.owner_world[s])).collect();
-    let my_adopted: Vec<usize> = plan
-        .adopted
-        .iter()
-        .filter(|&&(_, o)| o == me_world)
-        .map(|&(s, _)| s)
-        .collect();
-    let i_adopted = !my_adopted.is_empty();
-    let mut starts = vec![0usize];
-    for &s in &owned {
-        starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
-    }
-    let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
-
-    comm.try_barrier()?;
-    if reset_clock {
-        comm.reset_clock();
-    }
-    let clk_begin = comm.clock();
-    comm.trace_phase("recovery-adopt");
-
-    // ---- adopt: re-factor the Dirichlet matrices of every owned
-    // subdomain (for adopters that re-runs the orphan's local setup from
-    // the shared decomposition).
-    // Each owned subdomain is analysed once, here: its elimination order
-    // also serves the shifted GenEO pencil below, and is dropped with this
-    // call.
-    let mut factors: Vec<LocalLdlt> = Vec::with_capacity(owned.len());
-    let mut orders: Vec<Vec<usize>> = Vec::with_capacity(owned.len());
-    for &s in &owned {
-        let (order, f) = comm
-            .compute(|| decomp.subdomains[s].factor_dirichlet(opts.ordering, opts.local_ldlt))
-            .map_err(|source| SpmdError::LocalFactorization {
-                rank: me_world,
-                source,
-            })?;
-        orders.push(order);
-        factors.push(f);
-    }
-    run.phases.push((
-        "recovery-adopt",
-        if i_adopted {
-            PhaseOutcome::Degraded {
-                reason: format!("adopted orphaned subdomain(s) {my_adopted:?}"),
-            }
-        } else {
-            PhaseOutcome::Ok
-        },
-    ));
-    comm.try_barrier()?;
-    let clk_adopted = comm.clock();
-    let t_adopt = clk_adopted - clk_begin;
-    comm.trace_phase("recovery-deflation");
-
-    // ---- deflation. With a coarse cache (elastic runs) the GenEO basis
-    // travels with the subdomain: reuse it wherever the subdomain lands,
-    // compute it once where it is missing. Without one (classic shrink),
-    // adopted subdomains get the Nicolaides substitute (eigenvector
-    // recomputation is skipped — the documented degradation).
-    let mut blocks = Vec::with_capacity(owned.len());
-    // Why each subdomain that got Nicolaides vectors did not get GenEO ones.
-    let mut degraded: Vec<String> = Vec::new();
-    for (i, &s) in owned.iter().enumerate() {
-        let sub = &decomp.subdomains[s];
-        let nicolaides = || comm.compute(|| nicolaides_fallback_block(sub));
-        let geneo = || {
-            comm.compute(|| {
-                try_deflation_block_ordered(sub, &opts.geneo, &orders[i], opts.local_ldlt)
-            })
-            .map_err(|e| format!("subdomain {s}: eigensolve failed ({e})"))
-        };
-        let block = if opts.one_level_only {
-            nicolaides()
-        } else if let Some(cache) = cache {
-            match cache.basis(s) {
-                Some((b, is_geneo)) => {
-                    if !is_geneo {
-                        degraded.push(format!("subdomain {s}: banked substitute"));
-                    }
-                    b
-                }
-                None => match geneo() {
-                    Ok(b) => {
-                        cache.store_basis(s, &b, true);
-                        b
-                    }
-                    Err(why) => {
-                        degraded.push(why);
-                        let b = nicolaides();
-                        cache.store_basis(s, &b, false);
-                        b
-                    }
-                },
-            }
-        } else if s == me_world {
-            geneo().unwrap_or_else(|why| {
-                degraded.push(why);
-                nicolaides()
-            })
-        } else {
-            degraded.push(format!("subdomain {s}: adopted"));
-            nicolaides()
-        };
-        blocks.push(block);
-    }
-    run.deflation = if opts.one_level_only {
-        DeflationSource::None
-    } else if degraded.is_empty() {
-        DeflationSource::Geneo
-    } else {
-        DeflationSource::NicolaidesFallback
-    };
-    run.phases.push((
-        "recovery-deflation",
-        if degraded.is_empty() || opts.one_level_only {
-            PhaseOutcome::Ok
-        } else {
-            PhaseOutcome::Degraded {
-                reason: format!("Nicolaides vectors substituted ({})", degraded.join("; ")),
-            }
-        },
-    ));
-    let nu = if opts.one_level_only {
-        0
-    } else {
-        let local_max = blocks.iter().map(|b| b.kept.max(1)).max().unwrap_or(1);
-        comm.try_allreduce_max_usize(local_max)?
-    };
-    let w: Vec<DMat> = blocks.iter().map(|b| resize_block(b, nu)).collect();
-    comm.try_barrier()?;
-    let clk_deflated = comm.clock();
-    let t_deflation = clk_deflated - clk_adopted;
-    comm.trace_phase("recovery-assembly");
-
-    // ---- masters re-elected over the survivors (non-uniform split), and
-    // the coarse operator re-assembled and re-factored.
-    let masters = nonuniform_masters(n_live, opts.n_masters.min(n_live));
-    let my_group = group_of(me, &masters);
-    let split = comm
-        .try_split(Some(my_group))?
-        .ok_or(SpmdError::SplitFailed { rank: me_world })?;
-    split.set_trace_label("splitComm");
-    let is_master = split.rank() == 0;
-    let master_comm = comm.try_split(if is_master { Some(0) } else { None })?;
-    if let Some(m) = master_comm.as_ref() {
-        m.set_trace_label("masterComm");
-    }
-    let group_ranks: Vec<usize> = {
-        let start = masters[my_group];
-        let end = if my_group + 1 < masters.len() {
-            masters[my_group + 1]
-        } else {
-            n_live
-        };
-        (start..end).collect()
-    };
-    // Subdomains hosted by each rank, ascending — with coarse rows ordered
-    // by (host rank, subdomain), each rank's (and so each group's) coarse
-    // rows are contiguous.
-    let subs_of_rank: Vec<Vec<usize>> = (0..n_live)
-        .map(|r| (0..nsubs).filter(|&s| host[s] == r).collect())
-        .collect();
-    let group_subs: Vec<Vec<usize>> = group_ranks
-        .iter()
-        .map(|&r| subs_of_rank[r].clone())
-        .collect();
-
-    let mut dim_e = 0usize;
-    let mut nnz_e_factor = 0usize;
-    let mut e_solve: Option<MasterSolve> = None;
-    let mut coarse_start = vec![0usize; nsubs];
-    let mut nu_of = vec![0usize; nsubs];
-    let mut coarse_failed: Option<String> = None;
-    let mut coarse_fallback: Option<String> = None;
-    // Which subdomains' coarse rows are recomputed this epoch (all of
-    // them without a cache); virtual clock reading once `E` is assembled.
-    let mut fresh: Vec<bool> = vec![true; nsubs];
-    let mut clk_assembled: Option<f64> = None;
-
-    if !opts.one_level_only {
-        // All ranks learn every subdomain's ν: allgather (sub, ν) pairs.
-        let mut pairs: Vec<u64> = Vec::new();
-        for (i, &s) in owned.iter().enumerate() {
-            pairs.push(s as u64);
-            pairs.push(w[i].cols() as u64);
-        }
-        let all_pairs = comm.try_allgather(pairs)?;
-        for v in &all_pairs {
-            for c in v.chunks_exact(2) {
-                nu_of[c[0] as usize] = c[1] as usize;
-            }
-        }
-        let mut pos = 0usize;
-        for r in 0..n_live {
-            for &s in &subs_of_rank[r] {
-                coarse_start[s] = pos;
-                pos += nu_of[s];
-            }
-        }
-        dim_e = pos;
-
-        // Incremental re-assembly: every rank derives the identical
-        // recompute set from a second allgather of owner-authored
-        // freshness flags. A moved subdomain's new owner misses the
-        // `(sub, owner)` cache key and recomputes; an unchanged owner with
-        // a matching layout signature reuses its banked rows.
-        let sig = layout_sig(&nu_of);
-        if let Some(cache) = cache {
-            let mut flags: Vec<u64> = Vec::new();
-            for &s in &owned {
-                flags.push(s as u64);
-                flags.push(u64::from(!cache.has_rows(s, me_world, sig)));
-            }
-            let all_flags = comm.try_allgather(flags)?;
-            for v in &all_flags {
-                for c in v.chunks_exact(2) {
-                    fresh[c[0] as usize] = c[1] != 0;
-                }
-            }
-        }
-
-        // Neighborhood exchange of S_j = R_j R_sᵀ T_s per owned subdomain
-        // (Algorithm 1, pair-encoded tags, same-host pairs local). T_s
-        // feeds both this row's diagonal block and the halos of every
-        // neighbor recomputing theirs — skipped only when nobody needs it.
-        let policy = comm.retry_policy();
-        let mut t_blocks: Vec<Option<DMat>> = Vec::with_capacity(owned.len());
-        let mut e_ss: Vec<Option<DMat>> = Vec::with_capacity(owned.len());
-        for (i, &s) in owned.iter().enumerate() {
-            let sub = &decomp.subdomains[s];
-            if !fresh[s] && !sub.neighbors.iter().any(|l| fresh[l.j]) {
-                t_blocks.push(None);
-                e_ss.push(None);
-                continue;
-            }
-            let nu_s = w[i].cols();
-            let (t_s, e) = comm.compute(|| {
-                let t = sub.mm_dirichlet(&w[i]);
-                let e = fresh[s].then(|| {
-                    let mut e = DMat::zeros(nu_s, nu_s);
-                    w[i].gemm_tn(1.0, &t, 0.0, &mut e);
-                    e
-                });
-                (t, e)
-            });
-            t_blocks.push(Some(t_s));
-            e_ss.push(e);
-        }
-        let mut local_halo: Vec<((usize, usize), Vec<f64>)> = Vec::new();
-        for (i, &s) in owned.iter().enumerate() {
-            let sub = &decomp.subdomains[s];
-            let nu_s = w[i].cols();
-            for link in &sub.neighbors {
-                if !fresh[link.j] {
-                    continue;
-                }
-                let t_s = t_blocks[i].as_ref().expect("halo source T_s missing");
-                let mut payload = Vec::with_capacity(link.shared.len() * nu_s);
-                for q in 0..nu_s {
-                    let col = t_s.col(q);
-                    payload.extend(link.shared.iter().map(|&k| col[k as usize]));
-                }
-                if host[link.j] == me {
-                    local_halo.push(((s, link.j), payload));
-                } else {
-                    let tag = TAG_RT + epoch_salt(comm) + (s as u64) * nsubs as u64 + link.j as u64;
-                    comm.send(host[link.j], tag, payload);
-                }
-            }
-        }
-        // E_sj = W_sᵀ U_j for each *fresh* owned subdomain and neighbor.
-        let mut e_sj: Vec<Option<Vec<DMat>>> = Vec::with_capacity(owned.len());
-        for (i, &s) in owned.iter().enumerate() {
-            if !fresh[s] {
-                e_sj.push(None);
-                continue;
-            }
-            let sub = &decomp.subdomains[s];
-            let nu_s = w[i].cols();
-            let mut per_link = Vec::with_capacity(sub.neighbors.len());
-            for link in &sub.neighbors {
-                let j = link.j;
-                let u: Vec<f64> = if host[j] == me {
-                    let p = local_halo
-                        .iter()
-                        .position(|(key, _)| *key == (j, s))
-                        .expect("missing same-host assembly payload");
-                    local_halo.swap_remove(p).1
-                } else {
-                    let tag = TAG_RT + epoch_salt(comm) + (j as u64) * nsubs as u64 + s as u64;
-                    comm.try_recv_timeout(host[j], tag, &policy)?
-                };
-                let nu_j = nu_of[j];
-                debug_assert_eq!(u.len(), link.shared.len() * nu_j);
-                let block = comm.compute(|| {
-                    let mut e = DMat::zeros(nu_s, nu_j);
-                    for q in 0..nu_j {
-                        let ucol = &u[q * link.shared.len()..(q + 1) * link.shared.len()];
-                        for p in 0..nu_s {
-                            let wcol = w[i].col(p);
-                            let mut acc = 0.0;
-                            for (&k, &uv) in link.shared.iter().zip(ucol) {
-                                acc += wcol[k as usize] * uv;
-                            }
-                            e[(p, q)] = acc;
-                        }
-                    }
-                    e
-                });
-                per_link.push(block);
-            }
-            e_sj.push(Some(per_link));
-        }
-
-        // Gather this rank's row blocks on the group master. The recovered
-        // epoch ships explicit indices (the "natural" layout): after an
-        // adoption the index-free reconstruction no longer matches the one
-        //-sub-per-rank layout, and recovery favors simplicity over the
-        // assembly-bandwidth optimization.
-        let mut rows: Vec<u64> = Vec::new();
-        let mut cols: Vec<u64> = Vec::new();
-        let mut vals: Vec<f64> = Vec::new();
-        for (i, &s) in owned.iter().enumerate() {
-            let rs = coarse_start[s];
-            let nu_s = w[i].cols();
-            if fresh[s] {
-                let ess = e_ss[i].as_ref().expect("fresh row missing E_ss");
-                let links = e_sj[i].as_ref().expect("fresh row missing E_sj");
-                for p in 0..nu_s {
-                    for q in 0..nu_s {
-                        rows.push((rs + p) as u64);
-                        cols.push((rs + q) as u64);
-                        vals.push(ess[(p, q)]);
-                    }
-                }
-                for (link, blk) in decomp.subdomains[s].neighbors.iter().zip(links) {
-                    let rj = coarse_start[link.j];
-                    for p in 0..blk.rows() {
-                        for q in 0..blk.cols() {
-                            rows.push((rs + p) as u64);
-                            cols.push((rj + q) as u64);
-                            vals.push(blk[(p, q)]);
-                        }
-                    }
-                }
-                // Bank the recomputed row for the next membership change:
-                // stored relative to the subdomain, rebased on reuse.
-                if let Some(cache) = cache {
-                    let mut ess_flat = Vec::with_capacity(nu_s * nu_s);
-                    for p in 0..nu_s {
-                        for q in 0..nu_s {
-                            ess_flat.push(ess[(p, q)]);
-                        }
-                    }
-                    let blocks = decomp.subdomains[s]
-                        .neighbors
-                        .iter()
-                        .zip(links)
-                        .map(|(link, blk)| {
-                            let mut flat = Vec::with_capacity(blk.rows() * blk.cols());
-                            for p in 0..blk.rows() {
-                                for q in 0..blk.cols() {
-                                    flat.push(blk[(p, q)]);
-                                }
-                            }
-                            (link.j, blk.cols(), flat)
-                        })
-                        .collect();
-                    cache.store_rows(
-                        s,
-                        me_world,
-                        CachedRows {
-                            sig,
-                            e_ss: ess_flat,
-                            e_sj: blocks,
-                        },
-                    );
-                }
-            } else {
-                let cached = cache
-                    .and_then(|c| c.rows(s, me_world, sig))
-                    .expect("stale freshness flag: cached coarse row vanished");
-                for p in 0..nu_s {
-                    for q in 0..nu_s {
-                        rows.push((rs + p) as u64);
-                        cols.push((rs + q) as u64);
-                        vals.push(cached.e_ss[p * nu_s + q]);
-                    }
-                }
-                for (j, nu_j, flat) in &cached.e_sj {
-                    let rj = coarse_start[*j];
-                    for p in 0..nu_s {
-                        for q in 0..*nu_j {
-                            rows.push((rs + p) as u64);
-                            cols.push((rj + q) as u64);
-                            vals.push(flat[p * nu_j + q]);
-                        }
-                    }
-                }
-            }
-        }
-        let gr = split.try_gatherv(0, rows)?;
-        let gc = split.try_gatherv(0, cols)?;
-        let gv = split.try_gatherv(0, vals)?;
-        clk_assembled = Some(comm.clock());
-
-        if let Some(master) = master_comm.as_ref() {
-            let (rows, cols, vals) = match (gr, gc, gv) {
-                (Some(r), Some(c), Some(v)) => (
-                    r.into_iter().flatten().collect::<Vec<u64>>(),
-                    c.into_iter().flatten().collect::<Vec<u64>>(),
-                    v.into_iter().flatten().collect::<Vec<f64>>(),
-                ),
-                _ => {
-                    return Err(SpmdError::Protocol {
-                        rank: me_world,
-                        what: "recovery master received no gatherv result".to_string(),
-                    })
-                }
-            };
-            match opts.coarse_solve {
-                CoarseSolve::Redundant => {
-                    comm.trace_phase("recovery-e-factorization");
-                    let all_rows = master.try_allgather(rows)?;
-                    let all_cols = master.try_allgather(cols)?;
-                    let all_vals = master.try_allgather(vals)?;
-                    let ef = comm.compute(|| {
-                        let mut coo = CooBuilder::new(dim_e, dim_e);
-                        for ((rs, cs), vs) in all_rows.iter().zip(&all_cols).zip(&all_vals) {
-                            for ((&r, &c), &v) in rs.iter().zip(cs).zip(vs) {
-                                coo.push(r as usize, c as usize, v);
-                            }
-                        }
-                        let e: CsrMatrix = coo.to_csr();
-                        SparseLdlt::factor_with(
-                            &e,
-                            opts.ordering,
-                            PivotPolicy::Boost { rel_tol: 1e-12 },
-                        )
-                        .map(|factor| (e, factor))
-                        .map_err(|e| e.to_string())
-                    });
-                    match ef {
-                        Ok((e, factor)) => {
-                            comm.charge_flops(factor.flops_estimate());
-                            nnz_e_factor = factor.nnz_l();
-                            e_solve = Some(MasterSolve::Redundant { e, factor });
-                        }
-                        Err(reason) => coarse_failed = Some(reason),
-                    }
-                }
-                CoarseSolve::Distributed => {
-                    comm.trace_phase("recovery-e-factorization-dist");
-                    // Block-row boundaries: the election boundaries mapped
-                    // to coarse rows via each group's first subdomain.
-                    let rank_row: Vec<usize> = (0..n_live)
-                        .map(|r| subs_of_rank[r].first().map_or(dim_e, |&s| coarse_start[s]))
-                        .collect();
-                    let mut bounds: Vec<usize> = masters.iter().map(|&m| rank_row[m]).collect();
-                    bounds.push(dim_e);
-                    let r0 = bounds[master.rank()];
-                    let np = bounds[master.rank() + 1] - r0;
-                    let strip = comm.compute(|| {
-                        let mut s = DMat::zeros(np, dim_e - r0);
-                        for ((&r, &c), &v) in rows.iter().zip(&cols).zip(&vals) {
-                            if c as usize >= r0 {
-                                s[(r as usize - r0, c as usize - r0)] += v;
-                            }
-                        }
-                        s
-                    });
-                    let dist = DistLdlt::try_factor(master, bounds, strip)
-                        .map_err(|e| classify_comm_at(comm, e, "recovery-e-factorization-dist"))?;
-                    nnz_e_factor = dist.nnz_l();
-                    e_solve = Some(MasterSolve::Distributed(dist));
-                }
-            }
-            comm.trace_phase("recovery-assembly");
-        }
-        let any_failed = comm.try_allreduce_max_usize(usize::from(coarse_failed.is_some()))? > 0;
-        if any_failed {
-            e_solve = None;
-            nnz_e_factor = 0;
-            coarse_fallback = Some(match coarse_failed.take() {
-                Some(r) => format!("coarse factorization failed ({r}); one-level RAS fallback"),
-                None => {
-                    "coarse factorization failed on a master; one-level RAS fallback".to_string()
-                }
-            });
-        }
-    }
-    run.coarse = if opts.one_level_only {
-        CoarseOutcome::OneLevelRequested
-    } else if coarse_fallback.is_some() {
-        CoarseOutcome::OneLevelFallback
-    } else if dim_e == 0 {
-        CoarseOutcome::EmptyCoarse
-    } else {
-        CoarseOutcome::TwoLevel
-    };
-    run.phases.push((
-        "recovery-assembly",
-        match &coarse_fallback {
-            Some(reason) => PhaseOutcome::Degraded {
-                reason: reason.clone(),
-            },
-            None => PhaseOutcome::Ok,
-        },
-    ));
-    comm.try_barrier()?;
-    let clk_coarse_done = comm.clock();
-    let t_coarse = clk_coarse_done - clk_deflated;
-    // Recovery-phase split for the RunReport: everything up to the row
-    // gather is re-assembly; the master factorization is the rest.
-    let t_reassembly = clk_assembled.unwrap_or(clk_coarse_done) - clk_begin;
-    let t_refactorization = clk_coarse_done - clk_begin - t_reassembly;
-    let group_rows = |subs: &Vec<usize>| subs.iter().map(|&s| nu_of[s]).sum();
-    Ok(PreparedMulti {
-        halo,
+    try_setup_on(
         decomp,
         comm,
-        opts: opts.clone(),
-        owned,
-        starts,
-        factors,
-        w,
-        nu,
-        split,
-        master_comm,
-        group_rows: group_subs.iter().map(group_rows).collect(),
-        group_row0: group_subs
-            .iter()
-            .flatten()
-            .next()
-            .map_or(dim_e, |&s| coarse_start[s]),
-        dim_e,
-        nnz_e_factor,
-        e_solve,
-        run,
-        coarse_solve_phase: "recovery-e-solve-dist",
-        solve_phase: "recovery-solve",
-        t_factorization: t_adopt,
-        t_deflation,
-        t_coarse,
-        fresh,
-        t_reassembly,
-        t_refactorization,
-    })
+        opts,
+        cache,
+        plan,
+        reset_clock,
+        &RECOVERY_LABELS,
+    )
 }
 
 /// One epoch on an arbitrary owner map: [`try_setup_partitioned`] plus one
@@ -1428,6 +890,9 @@ fn run_partitioned(
         solver: SolverKind::Classical,
         ..opts.clone()
     };
+    // Every blocking wait of this epoch is bounded: a peer that dies
+    // *again* must surface as an error, not an unbounded wait.
+    comm.set_retry_policy(RetryPolicy::bounded_jittered());
     let prepared = try_setup_partitioned(decomp, comm, opts, cache, plan, true)?;
     let owned = &prepared.owned;
 

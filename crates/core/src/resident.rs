@@ -9,10 +9,8 @@
 //! coarse correction (DESIGN.md, "resident state, owned subdomains, halo
 //! plan").
 //!
-//! Two set-ups fill a [`PreparedMulti`]: [`crate::spmd::try_setup`] (the
-//! paper's index-free Algorithms 1–2 on the identity map) and
-//! [`crate::recovery::try_setup_partitioned`] (any owner map, cache-aware
-//! incremental re-assembly). Everything after set-up — eq. 5, the
+//! One set-up fills a [`PreparedMulti`], `spmd::try_setup_on`
+//! (Algorithms 1–2 on any owner map). Everything after set-up — eq. 5, the
 //! partition-of-unity inner product, RAS, the coarse correction of §3.2 and
 //! `P⁻¹_A-DEF1` (eq. 6) with its fused payload (§3.5) — lives here.
 
@@ -22,8 +20,8 @@ use std::collections::BTreeMap;
 use crate::decomp::Decomposition;
 use crate::error::{CoarseOutcome, PhaseOutcome, RunReport, SpmdError};
 use crate::spmd::{
-    comm_interrupt, dist_interrupt, interrupt_to_spmd, solve_failpoint, SolverKind, SpmdOpts,
-    SpmdReport,
+    comm_interrupt, dist_interrupt, interrupt_to_spmd, solve_failpoint, SetupLabels, SolverKind,
+    SpmdOpts, SpmdReport,
 };
 use dd_comm::Communicator;
 use dd_krylov::{
@@ -171,7 +169,7 @@ impl HaloPlan {
     /// One exchange. `inbox` holds the received messages, one slot per
     /// peer. Receives run under the ambient bounded retry policy; a dead
     /// or revoked peer surfaces as a [`SolveInterrupt`].
-    // dd:hot — three exchanges per Krylov iteration
+    // dd:hot — four exchanges per Krylov iteration
     fn exchange_add(
         &self,
         comm: &Communicator,
@@ -549,10 +547,10 @@ impl<'a> MultiCoarse<'a> {
                     // deliberately not restored, so the kill
                     // classification names it.)
                     let prev = comm.trace_phase_name();
-                    comm.trace_phase(st.coarse_solve_phase);
+                    comm.trace_phase(st.labels.coarse_solve);
                     let y = dist
                         .try_solve(master, &group_w)
-                        .map_err(|e| dist_interrupt(comm, e, st.coarse_solve_phase))?;
+                        .map_err(|e| dist_interrupt(comm, e, st.labels.coarse_solve))?;
                     comm.trace_phase(&prev);
                     (y, 0)
                 }
@@ -656,8 +654,9 @@ impl FusedPreconditioner for MultiADef1<'_> {
 /// factorized Dirichlet solvers and (resized) deflation blocks `W_s`, the
 /// halo plan, the split/master communicators of the election, and this
 /// rank's handle on the factorized coarse operator `E`. Produced by
+/// `spmd::try_setup_on` through its two entry points,
 /// [`crate::spmd::try_setup`] (one subdomain per rank) and
-/// [`crate::recovery::try_setup_partitioned`] (any owner map);
+/// [`crate::recovery::try_setup_partitioned`] (the caller's owner map);
 /// [`PreparedMulti::try_apply`] then runs phase 4 (the preconditioned
 /// Krylov solve) against any right-hand side, reentrantly — the
 /// amortization seam the `dd-serve` crate is built on.
@@ -676,7 +675,7 @@ pub struct PreparedMulti<'a> {
     /// Local factors and deflation blocks, aligned with `owned`.
     pub(crate) factors: Vec<LocalLdlt>,
     pub(crate) w: Vec<DMat>,
-    /// ν this rank reports.
+    /// ν this rank reports: the largest among its subdomains.
     pub(crate) nu: usize,
     pub(crate) split: Communicator,
     pub(crate) master_comm: Option<Communicator>,
@@ -691,10 +690,9 @@ pub struct PreparedMulti<'a> {
     /// Phase outcomes through set-up; [`PreparedMulti::report`] extends a
     /// clone with the solve outcome.
     pub(crate) run: RunReport,
-    /// The two labels the set-ups spell differently: the nested phase of
-    /// the cooperative coarse solve, and the report's name for the solve.
-    pub(crate) coarse_solve_phase: &'static str,
-    pub(crate) solve_phase: &'static str,
+    /// The set-up's phase names; the applies read the nested phase of the
+    /// cooperative coarse solve and the report's name for the solve.
+    pub(crate) labels: &'static SetupLabels,
     pub(crate) t_factorization: f64,
     pub(crate) t_deflation: f64,
     pub(crate) t_coarse: f64,
@@ -871,7 +869,7 @@ impl PreparedMulti<'_> {
         let result = &out.result;
         let mut run = self.run.clone();
         run.phases.push((
-            self.solve_phase,
+            self.labels.solve,
             if result.status == SolveStatus::Converged && result.breakdown_restarts == 0 {
                 PhaseOutcome::Ok
             } else {

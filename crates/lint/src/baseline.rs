@@ -135,55 +135,6 @@ pub fn apply(findings: Vec<Finding>, entries: &[BaselineEntry]) -> Applied {
     }
 }
 
-/// One-shot converter from the legacy `dd-lint.allow` format
-/// (`rule path-substring code-substring # justification`) to the
-/// fingerprinted baseline: each legacy entry adopts every current
-/// finding it would have suppressed, carrying its justification over.
-/// Returns the rendered baseline plus legacy entries that matched
-/// nothing (candidates for deletion, not for blind conversion).
-pub fn migrate_allow(allow_text: &str, findings: &[Finding]) -> (Vec<BaselineEntry>, Vec<String>) {
-    let mut entries: Vec<BaselineEntry> = Vec::new();
-    let mut unmatched = Vec::new();
-    for line in allow_text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (head, justification) = match line.split_once(" # ") {
-            Some((h, j)) => (h.trim(), j.trim().to_string()),
-            None => (line, String::new()),
-        };
-        let mut parts = head.splitn(3, char::is_whitespace);
-        let (Some(rule), Some(path_sub), Some(code_sub)) =
-            (parts.next(), parts.next(), parts.next())
-        else {
-            unmatched.push(line.to_string());
-            continue;
-        };
-        let mut hit = false;
-        for f in findings {
-            if f.rule == rule && f.path.contains(path_sub) && f.snippet.contains(code_sub) {
-                hit = true;
-                if !entries
-                    .iter()
-                    .any(|e| e.fp == f.fingerprint && e.rule == f.rule)
-                {
-                    entries.push(BaselineEntry {
-                        rule: f.rule.to_string(),
-                        fp: f.fingerprint.clone(),
-                        path: f.path.clone(),
-                        justification: justification.clone(),
-                    });
-                }
-            }
-        }
-        if !hit {
-            unmatched.push(line.to_string());
-        }
-    }
-    (entries, unmatched)
-}
-
 /// Render a full baseline file with its header comment.
 pub fn render(entries: &[BaselineEntry]) -> String {
     let mut s = String::from(
@@ -268,27 +219,5 @@ mod tests {
         assert_eq!(got.active[0].fingerprint, fresh.fingerprint);
         assert_eq!(got.stale.len(), 1);
         assert_eq!(got.stale[0].justification, "stale");
-    }
-
-    #[test]
-    fn migrate_adopts_matches_and_reports_dead_entries() {
-        let findings = vec![
-            f(
-                "wallclock",
-                "crates/bench/benches/micro.rs",
-                "bench: Instant::now",
-            ),
-            f("std-sync", "crates/comm/src/comm.rs", "Comm: Mutex::new("),
-        ];
-        // snippet contains the witness text (see helper), so substring
-        // matching against code works as the legacy scanner did.
-        let allow = "wallclock crates/bench/benches/micro.rs Instant::now # by design\n\
-                     phase-balance crates/comm/src/comm.rs trace_phase_name # raii\n";
-        let (entries, unmatched) = migrate_allow(allow, &findings);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].justification, "by design");
-        assert_eq!(entries[0].fp, findings[0].fingerprint);
-        assert_eq!(unmatched.len(), 1);
-        assert!(unmatched[0].starts_with("phase-balance"));
     }
 }

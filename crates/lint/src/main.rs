@@ -7,9 +7,6 @@
 //! * `--summary PATH`   append the markdown delta table (CI step summary)
 //! * `--print-fingerprints`  list every finding pre-baseline with its
 //!   fingerprint, for authoring baseline entries
-//! * `--migrate-allow`  one-shot converter: read `dd-lint.allow`, match
-//!   legacy entries against current findings, write
-//!   `dd-analyze.baseline` and report entries that no longer match
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -28,14 +25,12 @@ fn main() -> ExitCode {
     let mut json_out: Option<PathBuf> = None;
     let mut summary_out: Option<PathBuf> = None;
     let mut print_fps = false;
-    let mut migrate = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json_out = args.next().map(PathBuf::from),
             "--summary" => summary_out = args.next().map(PathBuf::from),
             "--print-fingerprints" => print_fps = true,
-            "--migrate-allow" => migrate = true,
             other => {
                 eprintln!("dd-analyze: unknown flag `{other}`");
                 return ExitCode::FAILURE;
@@ -43,7 +38,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if print_fps || migrate {
+    if print_fps {
         let files = match dd_lint::collect_models(&root) {
             Ok(f) => f,
             Err(e) => {
@@ -51,33 +46,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let findings = dd_lint::run_rules(&files);
-        if print_fps {
-            for f in &findings {
-                println!(
-                    "{} fp:{} {}  # {}",
-                    f.rule, f.fingerprint, f.path, f.witness
-                );
-            }
-            return ExitCode::SUCCESS;
-        }
-        // --migrate-allow
-        let allow = match std::fs::read_to_string(root.join("dd-lint.allow")) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("dd-analyze: reading dd-lint.allow: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (entries, unmatched) = dd_lint::baseline::migrate_allow(&allow, &findings);
-        let rendered = dd_lint::baseline::render(&entries);
-        if let Err(e) = std::fs::write(root.join("dd-analyze.baseline"), rendered) {
-            eprintln!("dd-analyze: writing baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("dd-analyze: wrote {} baseline entr(ies)", entries.len());
-        for u in &unmatched {
-            println!("dd-analyze: legacy entry matches no current finding (dropped): {u}");
+        for f in &dd_lint::run_rules(&files) {
+            println!(
+                "{} fp:{} {}  # {}",
+                f.rule, f.fingerprint, f.path, f.witness
+            );
         }
         return ExitCode::SUCCESS;
     }

@@ -605,6 +605,19 @@ mod tests {
     }
 
     #[test]
+    fn serve_apply_blocks_the_shared_setup_by_name() {
+        // The one set-up keeps a `try_setup…` name, so calling it from an
+        // apply is caught like calling either of its entry points.
+        let bad = file(
+            "crates/core/src/resident.rs",
+            "impl P { fn try_apply(&self, b: &B) -> R { let p = try_setup_on(d, c, o, None, plan, false, labels)?; p.solve(b) } }\n",
+        );
+        let got = rule_serve_apply(std::slice::from_ref(&bad));
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].witness.contains("try_setup_on"), "{got:?}");
+    }
+
+    #[test]
     fn serve_apply_literal_region_scoped() {
         let bad = file(
             "crates/serve/src/server.rs",

@@ -7,7 +7,7 @@
 //! ```
 
 use dd_geneo::comm::World;
-use dd_geneo::core::{decompose, problem::presets, run_spmd, GeneoOpts, SpmdOpts};
+use dd_geneo::core::{decompose, problem::presets, try_run_spmd, GeneoOpts, SpmdOpts};
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
@@ -41,7 +41,7 @@ fn main() {
 
     let d = Arc::clone(&decomp);
     let sols = World::run_default(n_sub, move |comm| {
-        let s = run_spmd(&d, comm, &opts);
+        let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
         (s.report, s.x_local)
     });
 

@@ -76,8 +76,8 @@ pub use dd_solver as solver;
 pub mod prelude {
     pub use dd_core::problem::presets;
     pub use dd_core::{
-        decompose, run_spmd, two_level, Decomposition, GeneoOpts, Problem, RasPrecond, SpmdOpts,
-        TwoLevelOpts, Variant,
+        decompose, try_run_spmd, two_level, Decomposition, GeneoOpts, Problem, RasPrecond,
+        SpmdOpts, TwoLevelOpts, Variant,
     };
     pub use dd_krylov::{cg, gmres, CgOpts, GmresOpts, Ortho, SeqDot, Side};
     pub use dd_linalg::{CooBuilder, CsrMatrix, DMat};

@@ -12,9 +12,10 @@
 use dd_geneo::comm::{CommError, CostModel, FaultPlan, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
-    decompose, repartition_plan, try_run_spmd, try_run_spmd_recoverable, try_setup_partitioned,
-    CheckpointStore, CoarseCache, CoarseOutcome, Decomposition, DeflationSource, GeneoOpts,
-    PhaseOutcome, RecoveryOpts, SolverKind, SpmdError, SpmdOpts, SpmdReport,
+    decompose, repartition_plan, try_run_spmd, try_run_spmd_elastic, try_run_spmd_recoverable,
+    try_setup_partitioned, CheckpointStore, CoarseCache, CoarseOutcome, CoarseSolve, Decomposition,
+    DeflationSource, GeneoOpts, PhaseOutcome, RecoveryOpts, SolverKind, SpmdError, SpmdOpts,
+    SpmdReport,
 };
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
@@ -893,6 +894,133 @@ fn drop_and_delay_combined_with_eigensolve_failure_still_recovers() {
         assert!(r.converged, "rank {rank} did not converge");
         if rank == 0 {
             assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+        }
+    }
+}
+
+// ------------------------------------------------------------------------
+// The same faults on an owner map: four subdomains on two ranks. The set-up
+// is one body, so its failpoints and injection points fire whatever the map.
+
+/// One served epoch on a 2-rank owner map under `plan`: set-up + one apply.
+fn owner_map_with_plan(
+    decomp: &Arc<Decomposition>,
+    opts: &SpmdOpts,
+    plan: FaultPlan,
+) -> Vec<Result<SpmdReport, SpmdError>> {
+    let (d, o) = (Arc::clone(decomp), opts.clone());
+    let cache = CoarseCache::new();
+    World::run_with_faults(2, CostModel::default(), plan, move |comm| {
+        let owners = repartition_plan(&d, comm, None);
+        let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &owners, true)?;
+        let out = prepared.try_apply(&d.rhs_global, "solve", None)?;
+        Ok(prepared.report(&out))
+    })
+}
+
+#[test]
+fn kill_inside_the_owner_map_setup_is_typed_and_recovered() {
+    let decomp = setup(12, 4);
+    let (d, o) = (Arc::clone(&decomp), recovery_opts());
+    let store = Arc::new(CheckpointStore::new());
+    let cache = Arc::new(CoarseCache::new());
+    let results = World::run_elastic(
+        2,
+        0,
+        CostModel::default(),
+        FaultPlan::new(47).with_kill(1, "post-deflation"),
+        move |comm| {
+            try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| (s.report, s.locals))
+        },
+    );
+    match &results[1] {
+        Some(Err(SpmdError::Killed { rank: 1, phase })) => assert_eq!(phase, "post-deflation"),
+        other => panic!("victim: expected Killed at post-deflation, got {other:?}"),
+    }
+    let (report, locals) = match &results[0] {
+        Some(Ok(survivor)) => survivor,
+        other => panic!("survivor: expected a recovered solve, got {other:?}"),
+    };
+    assert!(report.converged);
+    assert_eq!(report.run.recoveries.len(), 1);
+    assert_eq!(report.run.recoveries[0].dead, vec![1]);
+    // Set-up death: nothing to resume from, everything lands on rank 0.
+    assert_eq!(report.run.recoveries[0].resume_iteration, None);
+    let owned: Vec<usize> = locals.iter().map(|(s, _)| *s).collect();
+    assert_eq!(owned, vec![0, 1, 2, 3]);
+    let x: Vec<Vec<f64>> = locals.iter().map(|(_, x)| x.clone()).collect();
+    let rr = global_residual(&decomp, &decomp.from_locals(&x));
+    assert!(rr <= 1e-5, "recovered residual {rr:e} misses the tolerance");
+}
+
+#[test]
+fn failed_eigensolve_of_one_owned_subdomain_degrades_that_subdomain_only() {
+    let decomp = setup(12, 4);
+    let reports = owner_map_with_plan(
+        &decomp,
+        &opts(),
+        FaultPlan::new(3).with_failure(None, "eigensolve:2"),
+    );
+    let it0 = reports[0].as_ref().expect("rank 0").iterations;
+    for (rank, r) in reports.iter().enumerate() {
+        let r = r.as_ref().expect("eigensolve failure must be recoverable");
+        assert!(r.converged, "rank {rank} did not converge");
+        assert_eq!(r.iterations, it0, "lockstep collectives imply equal counts");
+        assert_eq!(r.run.coarse, CoarseOutcome::TwoLevel);
+        let deflation = r
+            .run
+            .phases
+            .iter()
+            .find(|(name, _)| *name == "recovery-deflation");
+        // Subdomains 2 and 3 live on rank 1.
+        if rank == 1 {
+            assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+            match deflation {
+                Some((_, PhaseOutcome::Degraded { reason })) => {
+                    assert!(
+                        reason.contains("subdomain 2: eigensolve fault injected"),
+                        "{reason}"
+                    );
+                    assert_eq!(reason.matches("subdomain").count(), 1, "{reason}");
+                }
+                other => panic!("rank 1: deflation degradation not recorded: {other:?}"),
+            }
+        } else {
+            assert_eq!(r.run.deflation, DeflationSource::Geneo, "rank {rank}");
+            assert_eq!(deflation, Some(&("recovery-deflation", PhaseOutcome::Ok)));
+        }
+    }
+}
+
+#[test]
+fn failed_coarse_factorization_on_an_owner_map_drops_every_rank_to_one_level() {
+    let decomp = setup(12, 4);
+    for coarse_solve in [CoarseSolve::Distributed, CoarseSolve::Redundant] {
+        let o = SpmdOpts {
+            coarse_solve,
+            ..opts()
+        };
+        let reports = owner_map_with_plan(
+            &decomp,
+            &o,
+            FaultPlan::new(5).with_failure(Some(1), "coarse-factor"),
+        );
+        for (rank, r) in reports.iter().enumerate() {
+            let r = r
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{coarse_solve:?} rank {rank}: {e}"));
+            assert!(r.converged, "{coarse_solve:?} rank {rank} did not converge");
+            assert_eq!(r.run.coarse, CoarseOutcome::OneLevelFallback);
+            assert_eq!(r.nnz_e_factor, 0, "no factor may survive the fallback");
+            assert!(
+                r.run
+                    .phases
+                    .iter()
+                    .any(|(name, o)| *name == "recovery-assembly"
+                        && matches!(o, PhaseOutcome::Degraded { .. })),
+                "coarse degradation not recorded: {:?}",
+                r.run.phases
+            );
         }
     }
 }

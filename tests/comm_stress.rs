@@ -3,7 +3,7 @@
 //! the whole solver stack.
 
 use dd_geneo::comm::{CostModel, World};
-use dd_geneo::core::{decompose, problem::presets, run_spmd, GeneoOpts, SpmdOpts};
+use dd_geneo::core::{decompose, problem::presets, try_run_spmd, GeneoOpts, SpmdOpts};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
@@ -118,7 +118,7 @@ fn full_solver_is_deterministic_across_runs() {
             ..Default::default()
         };
         World::run_default(n_sub, move |comm| {
-            let s = run_spmd(&d, comm, &opts);
+            let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
             (s.report.iterations, s.x_local)
         })
     };

@@ -18,9 +18,9 @@
 
 use dd_comm::{CollClass, CostModel, EventKind, FaultPlan, World, WorldTrace};
 use dd_core::{
-    decompose, masters::group_of, masters::nonuniform_masters, problem::presets, repartition_plan,
-    run_spmd, try_setup_partitioned, CoarseCache, CoarseSolve, Decomposition, GeneoOpts,
-    SolverKind, SpmdOpts, SpmdReport,
+    decompose, masters::group_of, masters::nonuniform_masters, masters::uniform_masters,
+    problem::presets, repartition_plan, try_run_spmd, try_setup_partitioned, AssemblyVariant,
+    CoarseCache, CoarseSolve, Decomposition, Election, GeneoOpts, SolverKind, SpmdOpts, SpmdReport,
 };
 use dd_krylov::GmresOpts;
 use dd_mesh::Mesh;
@@ -80,7 +80,27 @@ fn traced_solve(
     let d = Arc::clone(decomp);
     let opts = opts.clone();
     World::run_traced_with_faults(n, CostModel::default(), faults, move |comm| {
-        run_spmd(&d, comm, &opts).report
+        let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
+        s.report
+    })
+}
+
+/// The same solve on a balanced owner map: `ranks` ranks, each hosting a
+/// contiguous chunk of the subdomains (`try_setup_partitioned` + one apply
+/// under the `solve` phase).
+fn traced_owner_map(
+    decomp: &Arc<Decomposition>,
+    opts: &SpmdOpts,
+    ranks: usize,
+) -> (Vec<SpmdReport>, WorldTrace) {
+    let (d, o) = (Arc::clone(decomp), opts.clone());
+    let cache = CoarseCache::new();
+    World::run_traced(ranks, CostModel::default(), move |comm| {
+        let plan = repartition_plan(&d, comm, None);
+        let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &plan, true)
+            .expect("owner-map set-up failed");
+        let out = prepared.try_apply(&d.rhs_global, "solve", None);
+        prepared.report(&out.expect("owner-map solve failed"))
     })
 }
 
@@ -209,6 +229,44 @@ fn gather_scatter_traffic_touches_only_masters() {
         }
         assert!(rooted > 0, "no rooted collectives observed in {phase}");
     }
+
+    // The election is taken over the communicator's ranks, whatever they
+    // host: under `Election::Uniform` on an owner map (two subdomains a
+    // rank) every rooted collective is rooted at the uniform master of the
+    // sender's group.
+    let ranks = (n / 2).max(4);
+    let decomp = setup(2 * ranks);
+    let opts = SpmdOpts {
+        election: Election::Uniform,
+        ..opts_for(2 * ranks)
+    };
+    let masters = uniform_masters(ranks, opts.n_masters.min(ranks));
+    assert_ne!(
+        masters,
+        nonuniform_masters(ranks, masters.len()),
+        "the two elections coincide here — the row is vacuous"
+    );
+    let (_, trace) = traced_owner_map(&decomp, &opts, ranks);
+    for phase in ["recovery-assembly", "solve"] {
+        let mut rooted = 0usize;
+        for (rank, e) in trace.events_in_phase(phase) {
+            if let EventKind::Collective {
+                op,
+                root: Some(root),
+                ..
+            } = &e.kind
+            {
+                rooted += 1;
+                assert_eq!(
+                    *root as usize,
+                    masters[group_of(rank, &masters)],
+                    "rank {rank}: `{op}` in {phase} not rooted at its uniform master \
+                     (masters {masters:?})"
+                );
+            }
+        }
+        assert!(rooted > 0, "no rooted collectives observed in {phase}");
+    }
 }
 
 /// §3.2: the Krylov loop performs zero `v`-variant collectives — only
@@ -312,6 +370,46 @@ fn gatherv_byte_volume_matches_nu_closed_form() {
             r.rank
         );
     }
+
+    // The same closed form per *subdomain* on a 2-rank owner map: a rank's
+    // one index-free message is `Σ_{s owned} (1 + |O_s| + ν_s² + Σ_j ν_s ν_j)`
+    // doubles; the natural layout ships three messages (row indices, column
+    // indices, values) of `Σ_{s owned} (ν_s² + Σ_j ν_s ν_j)` words each.
+    for assembly in [AssemblyVariant::IndexFree, AssemblyVariant::NaturalGatherv] {
+        let opts = SpmdOpts {
+            assembly,
+            ..opts_for(n)
+        };
+        let nu = opts.geneo.nev;
+        let (reports, trace) = traced_owner_map(&decomp, &opts, 2);
+        for r in &trace.ranks {
+            assert_eq!(reports[r.rank].nu, nu, "uniform ν expected");
+            // The balanced map: the first half of the subdomains on rank 0.
+            let (mut prefix, mut values) = (0usize, 0usize);
+            for s in r.rank * n / 2..(r.rank + 1) * n / 2 {
+                let n_nbr = decomp.subdomains[s].neighbors.len();
+                prefix += 1 + n_nbr;
+                values += nu * nu * (1 + n_nbr);
+            }
+            let expected: Vec<u64> = match assembly {
+                AssemblyVariant::IndexFree => vec![8 * (prefix + values) as u64],
+                AssemblyVariant::NaturalGatherv => vec![8 * values as u64; 3],
+            };
+            let gatherv_bytes: Vec<u64> = r
+                .events
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    EventKind::Collective { op, bytes, .. } if *op == "gatherv" => Some(*bytes),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                gatherv_bytes, expected,
+                "rank {}: {assembly:?} slave message volume on the owner map",
+                r.rank
+            );
+        }
+    }
 }
 
 /// Global conservation: every sent message is received, byte for byte.
@@ -365,16 +463,8 @@ fn one_halo_message_per_neighbouring_rank() {
         ..opts_for(8)
     };
     let (_, identity) = traced_solve(&decomp, &opts, FaultPlan::default());
-    let (d, o) = (Arc::clone(&decomp), opts.clone());
-    let cache = CoarseCache::new();
-    let (iterations, owner_map) = World::run_traced(2, CostModel::default(), move |comm| {
-        let plan = repartition_plan(&d, comm, None);
-        let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &plan, true)
-            .expect("owner-map set-up failed");
-        let out = prepared.try_apply(&d.rhs_global, "solve", None);
-        out.expect("owner-map solve failed").result.iterations
-    });
-    assert_eq!(iterations, [3, 3]);
+    let (reports, owner_map) = traced_owner_map(&decomp, &opts, 2);
+    assert!(reports.iter().all(|r| r.iterations == 3));
     let links: u64 = decomp
         .subdomains
         .iter()

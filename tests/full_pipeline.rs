@@ -4,8 +4,8 @@
 
 use dd_geneo::comm::World;
 use dd_geneo::core::{
-    decompose, problem::presets, run_spmd, two_level, GeneoOpts, RasPrecond, SolverKind, SpmdOpts,
-    TwoLevelOpts, Variant,
+    decompose, problem::presets, try_run_spmd, two_level, GeneoOpts, RasPrecond, SolverKind,
+    SpmdOpts, TwoLevelOpts, Variant,
 };
 use dd_geneo::krylov::{cg, gmres, CgOpts, GmresOpts, SeqDot};
 use dd_geneo::linalg::vector;
@@ -141,7 +141,7 @@ fn spmd_matches_sequential_two_level() {
     };
     let d2 = Arc::clone(&d);
     let sols = World::run_default(n_sub, move |comm| {
-        let s = run_spmd(&d2, comm, &opts);
+        let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
         (s.report.converged, s.x_local)
     });
     assert!(sols.iter().all(|(c, _)| *c));
@@ -181,7 +181,7 @@ fn spmd_all_solver_kinds_agree() {
         };
         let d2 = Arc::clone(&d);
         let sols = World::run_default(n_sub, move |comm| {
-            let s = run_spmd(&d2, comm, &opts);
+            let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
             (s.report.converged, s.x_local)
         });
         assert!(sols.iter().all(|(c, _)| *c), "{kind:?} did not converge");

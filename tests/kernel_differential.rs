@@ -28,7 +28,7 @@ mod common;
 
 use common::Rng;
 use dd_geneo::comm::World;
-use dd_geneo::core::{decompose, problem::presets, run_spmd, GeneoOpts, SpmdOpts};
+use dd_geneo::core::{decompose, problem::presets, try_run_spmd, GeneoOpts, SpmdOpts};
 use dd_geneo::fem::{assemble_elasticity, DofMap};
 use dd_geneo::krylov::{
     try_gmres, try_gmres_with, GmresOpts, GmresWorkspace, IdentityPrecond, Ortho, SeqDot, Side,
@@ -349,7 +349,7 @@ fn spmd_converges_with_supernodal_backend() {
         };
         let d2 = Arc::clone(&d);
         let sols = World::run_default(n_sub, move |comm| {
-            let s = run_spmd(&d2, comm, &opts);
+            let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
             (s.report.converged, s.report.iterations, s.x_local)
         });
         assert!(

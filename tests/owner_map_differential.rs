@@ -1,9 +1,10 @@
 //! One decomposition, solved three ways: sequentially (`TwoLevelPrecond` +
 //! `try_gmres`), on the identity owner map (one rank per subdomain,
 //! `try_run_spmd`) and on a balanced owner map (2 ranks and 1 rank,
-//! `try_setup_partitioned` + `try_apply`). The two SPMD runs share every
-//! line after set-up (`dd_core::resident`); the sequential run is the
-//! referee neither of them is derived from.
+//! `try_setup_partitioned` + `try_apply`). The two SPMD runs share the
+//! set-up (`dd_core::spmd::try_setup_on`) and every line after it
+//! (`dd_core::resident`); the sequential run is the referee neither of them
+//! is derived from.
 //!
 //! Right preconditioning at `tol = 1e-8`, so the monitored residual is the
 //! true one.
@@ -11,8 +12,9 @@
 use dd_geneo::comm::{CostModel, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
-    decompose, repartition_plan, try_run_spmd, try_setup_partitioned, two_level, CoarseCache,
-    CoarseSolve, Decomposition, GeneoOpts, Problem, SpmdOpts, TwoLevelOpts,
+    decompose, repartition_plan, try_run_spmd, try_setup_partitioned, two_level, AssemblyVariant,
+    CoarseCache, CoarseSolve, Decomposition, DeflationSource, Election, GeneoOpts, Problem,
+    SpmdOpts, TwoLevelOpts,
 };
 use dd_geneo::krylov::{try_gmres, GmresOpts, SeqDot, Side};
 use dd_geneo::mesh::Mesh;
@@ -97,31 +99,48 @@ fn identity_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Answer {
     }
 }
 
-/// `ranks` ranks, each hosting a contiguous chunk of the subdomains.
-fn owner_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts, ranks: usize) -> Answer {
+/// `ranks` ranks, each hosting a contiguous chunk of the subdomains, with
+/// a fresh coarse cache or none. Also returns where each rank's deflation
+/// vectors came from.
+fn owner_map_on(
+    decomp: &Arc<Decomposition>,
+    opts: &SpmdOpts,
+    ranks: usize,
+    cached: bool,
+) -> (Answer, Vec<DeflationSource>) {
     let (d, o) = (Arc::clone(decomp), opts.clone());
-    // Fresh: without a cache, subdomains other than a rank's own get the
-    // Nicolaides substitute.
-    let cache = CoarseCache::new();
+    let cache = cached.then(CoarseCache::new);
     let per_rank = World::run(ranks, CostModel::default(), move |comm| {
         let plan = repartition_plan(&d, comm, None);
-        let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &plan, true)
+        let prepared = try_setup_partitioned(&d, comm, &o, cache.as_ref(), &plan, true)
             .expect("owner-map set-up failed");
         let out = prepared
             .try_apply(&d.rhs_global, "solve", None)
             .expect("owner-map solve failed");
-        (out.result.iterations, out.result.converged, out.locals)
+        let deflation = prepared.report(&out).run.deflation;
+        (
+            out.result.iterations,
+            out.result.converged,
+            out.locals,
+            deflation,
+        )
     });
     let (iterations, converged) = (per_rank[0].0, per_rank[0].1);
     assert!(per_rank.iter().all(|r| r.0 == iterations));
+    let deflation = per_rank.iter().map(|r| r.3).collect();
     let mut locals: Vec<(usize, Vec<f64>)> = per_rank.into_iter().flat_map(|r| r.2).collect();
     locals.sort_by_key(|(s, _)| *s);
     let locals: Vec<Vec<f64>> = locals.into_iter().map(|(_, x)| x).collect();
-    Answer {
+    let answer = Answer {
         x: decomp.from_locals(&locals),
         iterations,
         converged,
-    }
+    };
+    (answer, deflation)
+}
+
+fn owner_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts, ranks: usize) -> Answer {
+    owner_map_on(decomp, opts, ranks, true).0
 }
 
 fn norm(v: &[f64]) -> f64 {
@@ -172,6 +191,45 @@ fn three_ways(name: &str, decomp: &Arc<Decomposition>, nev: usize) {
             let what = format!("{name}/{coarse:?}/owner map on {ranks}");
             assert_agrees(&what, decomp, &reference, &got);
         }
+        // GenEO is per subdomain: a map that adopted nothing gets the
+        // eigenvectors on every subdomain, cache or no cache.
+        let (got, deflation) = owner_map_on(decomp, &opts, 2, false);
+        let what = format!("{name}/{coarse:?}/owner map on 2, no cache");
+        assert_eq!(deflation, [DeflationSource::Geneo; 2], "{what}");
+        assert_agrees(&what, decomp, &reference, &got);
+        options_agree_bitwise(name, decomp, &opts, 2);
+    }
+    // Four ranks, where the two elections really differ. Redundant: the
+    // cooperative factorization's block bounds follow the election, and
+    // with them its summation order.
+    let opts = spmd_opts(nev, CoarseSolve::Redundant);
+    options_agree_bitwise(name, decomp, &opts, 4);
+}
+
+/// `Election × AssemblyVariant` on one owner map: which ranks gather `E`
+/// and how its entries travel does not change a bit of it (no entry is sent
+/// twice, so nothing is summed), hence not a bit of the solution.
+fn options_agree_bitwise(name: &str, decomp: &Arc<Decomposition>, base: &SpmdOpts, ranks: usize) {
+    let mut first: Option<Vec<u64>> = None;
+    for election in [Election::NonUniform, Election::Uniform] {
+        for assembly in [AssemblyVariant::IndexFree, AssemblyVariant::NaturalGatherv] {
+            let opts = SpmdOpts {
+                election,
+                assembly,
+                ..base.clone()
+            };
+            let got = owner_map(decomp, &opts, ranks);
+            let what = format!(
+                "{name}/{:?}/{election:?}/{assembly:?} on {ranks}",
+                base.coarse_solve
+            );
+            assert!(got.converged, "{what}: not converged");
+            let bits: Vec<u64> = got.x.iter().map(|v| v.to_bits()).collect();
+            match &first {
+                None => first = Some(bits),
+                Some(f) => assert!(*f == bits, "{what}: solution bits moved"),
+            }
+        }
     }
 }
 
@@ -198,10 +256,9 @@ fn elasticity_3d_three_ways() {
 /// The input of ROADMAP finding 1(c): 40×40 P2 heterogeneous diffusion, 32
 /// subdomains, ν = 3. Only convergence is asserted — that is all that holds
 /// at the parent — and the three counts are printed. Measured: sequential
-/// 51, identity map 191, owner map 191. The two SPMD runs differ in the
-/// set-up's coarse assembly alone (index-free Algorithms 1–2 vs. the
-/// natural layout) and agree, which clears both assemblies; what separates
-/// them from the sequential run is still open (ROADMAP 1(c)).
+/// 51, identity map 191, owner map 191. The two SPMD runs share the set-up
+/// and the applies, differ in the owner map alone, and agree; what
+/// separates them from the sequential run is still open (ROADMAP 1(c)).
 #[test]
 fn finding_1c_converges_three_ways() {
     let decomp = build(

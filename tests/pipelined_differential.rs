@@ -6,8 +6,8 @@
 
 use dd_comm::{CostModel, World};
 use dd_core::{
-    decompose, problem::presets, repartition_plan, run_spmd, try_setup_partitioned, CoarseCache,
-    Decomposition, GeneoOpts, SolverKind, SpmdOpts,
+    decompose, problem::presets, repartition_plan, try_run_spmd, try_setup_partitioned,
+    CoarseCache, Decomposition, GeneoOpts, SolverKind, SpmdOpts,
 };
 use dd_krylov::{GmresOpts, Side};
 use dd_mesh::Mesh;
@@ -47,7 +47,9 @@ fn opts(kind: SolverKind, tol: f64, max_iters: usize) -> SpmdOpts {
 fn run(decomp: &Arc<Decomposition>, o: &SpmdOpts) -> (Vec<f64>, Vec<f64>, usize, bool) {
     let d = Arc::clone(decomp);
     let o = o.clone();
-    let sols = World::run(N, CostModel::default(), move |comm| run_spmd(&d, comm, &o));
+    let sols = World::run(N, CostModel::default(), move |comm| {
+        try_run_spmd(&d, comm, &o).expect("SPMD solve failed")
+    });
     let x: Vec<f64> = sols
         .iter()
         .flat_map(|s| s.x_local.iter().copied())

@@ -80,6 +80,16 @@ fn run_serve(
 /// Fresh one-shot reference: a full setup + solve of `A(θ) x = rhs` on a
 /// one-subdomain-per-rank world, reassembled globally.
 fn one_shot(decomp: &Decomposition, opts: &SpmdOpts, theta: f64, rhs: &[f64]) -> Vec<f64> {
+    one_shot_counted(decomp, opts, theta, rhs).0
+}
+
+/// [`one_shot`] with its iteration count.
+fn one_shot_counted(
+    decomp: &Decomposition,
+    opts: &SpmdOpts,
+    theta: f64,
+    rhs: &[f64],
+) -> (Vec<f64>, usize) {
     let base = if theta == 0.0 {
         decomp.clone()
     } else {
@@ -91,8 +101,9 @@ fn one_shot(decomp: &Decomposition, opts: &SpmdOpts, theta: f64, rhs: &[f64]) ->
     let sols = World::run(d.n_subdomains(), CostModel::default(), move |comm| {
         try_run_spmd(&d2, comm, &o).expect("one-shot reference must not fail")
     });
+    let iterations = sols[0].report.iterations;
     let locals: Vec<Vec<f64>> = sols.into_iter().map(|s| s.x_local).collect();
-    d.from_locals(&locals)
+    (d.from_locals(&locals), iterations)
 }
 
 fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -289,6 +300,52 @@ fn inadmissible_drift_resets_up_and_stays_exact() {
     let reused: Vec<bool> = report.responses.iter().map(|r| r.reused).collect();
     assert_eq!(reused, vec![false, true, false, false, true]);
     assert_differential(&decomp, &opts, &w, &report, "drift");
+}
+
+/// A re-set-up on a perturbed operator is a full set-up: on an owner map
+/// that adopted nothing every subdomain gets its GenEO vectors again, so the
+/// request answered right after it iterates like a one-shot solve of the
+/// same operator. The drift is kept tiny (and the admissibility ball
+/// tinier) so that the operator stays as heterogeneous as the base one: a
+/// resident state degraded to Nicolaides vectors on most subdomains then
+/// takes twice the iterations (22 against 10, measured).
+#[test]
+fn inadmissible_drift_on_an_owner_map_resets_up_undegraded() {
+    let decomp = setup(24, 8);
+    let opts = ServeOpts {
+        admissibility: 1e-6,
+        ..serve_opts()
+    };
+    let n = decomp.n_global;
+    let theta = 1e-3;
+    let w = Workload::from_requests(vec![
+        Request {
+            id: 0,
+            arrival: 0.0,
+            payload: Payload::Rhs(rhs_for(n, 1)),
+        },
+        Request {
+            id: 1,
+            arrival: 0.3,
+            payload: Payload::Perturbed {
+                theta, // outside the ball: re-setup at θ
+                rhs: rhs_for(n, 2),
+            },
+        },
+    ]);
+    // Two founders host four subdomains each.
+    let results = run_serve(&decomp, 2, 0, &opts, FaultPlan::default(), &w);
+    let report = assert_reports_agree(&results, "owner-map drift");
+    assert_eq!(report.resetups, 1, "θ outside the ball re-factorizes");
+    assert_differential(&decomp, &opts, &w, &report, "owner-map drift");
+    let served = &report.responses[1];
+    assert!(!served.reused && served.theta == theta);
+    let (_, fresh) = one_shot_counted(&decomp, &opts.spmd, theta, &rhs_for(n, 2));
+    assert!(
+        served.iterations.abs_diff(fresh) <= 1,
+        "re-set-up left the resident state degraded: {} iterations, one-shot {fresh}",
+        served.iterations
+    );
 }
 
 /// Mid-stream rank death: the victim reports `Killed`, the survivors agree
