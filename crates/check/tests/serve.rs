@@ -2,7 +2,12 @@
 //! skeleton* of `dd_serve::try_serve` — static batch plan, completeness
 //! skip, collective solve, deposit into the shared [`ResponseStore`],
 //! shrink/grow and re-serve of the incomplete suffix — explored over every
-//! interleaving the checker can reach. Numerics are stubbed with a
+//! interleaving the checker can reach. In the server the loop around an
+//! epoch is `dd_core::drive_epochs` (the solvers' loop: one agreement per
+//! membership change, then the epoch closure again on the re-planned
+//! world); the suites spell one turn of it out by hand — `serve_batches`,
+//! `try_shrink`/`try_grow`, `serve_batches` on the committed communicator
+//! — so that the checker owns every step. Numerics are stubbed with a
 //! membership-invariant collective sum (full solves would route
 //! schedule-dependent `compute` time into the canonical bytes); what the
 //! suites pin is the bookkeeping:

@@ -147,7 +147,7 @@ pub enum CoarseOutcome {
 /// evictions removed), a grow (joiners admitted), or both at once — with
 /// the repartitioning it caused and the virtual-time cost of each recovery
 /// phase.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryRecord {
     /// Revocation epoch of the communicator this recovery committed
     /// (strictly increasing across recoveries).

@@ -69,12 +69,12 @@ pub use precond::{
 };
 pub use problem::{Pde, Problem};
 pub use recovery::{
-    agree_next, recoverable, repartition_plan, replayable, try_run_spmd_elastic,
-    try_run_spmd_recoverable, try_setup_partitioned, CheckpointStore, CoarseCache, RecoveryOpts,
-    RepartitionPlan, SpmdMultiSolution,
+    drive_epochs, repartition_plan, try_run_spmd_elastic, try_run_spmd_recoverable,
+    try_setup_partitioned, Attempt, CheckpointStore, CoarseCache, RecoveryOpts, RepartitionPlan,
+    SpmdMultiSolution,
 };
 pub use resident::{MultiApplyOutcome, PreparedMulti};
 pub use spmd::{
     try_run_spmd, try_setup, AssemblyVariant, CoarseSolve, Election, SolverKind, SpmdOpts,
-    SpmdReport, SpmdSolution,
+    SpmdReport,
 };

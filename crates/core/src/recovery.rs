@@ -9,21 +9,22 @@
 //! 1. a rank's death is observed as [`CommError::RankDead`] (p2p or
 //!    collective) or as [`CommError::Revoked`] (a survivor already started
 //!    recovery and revoked the epoch);
-//! 2. every survivor calls [`Communicator::try_shrink`] — a model-checked
-//!    two-phase agreement on the dead set that hands out one consistent
-//!    epoch bump and a contiguously re-ranked survivor communicator;
+//! 2. every survivor reaches the one membership agreement of
+//!    [`drive_epochs`] ([`Communicator::try_shrink`], or `try_grow` when
+//!    joiners wait) — a model-checked two-phase agreement on the dead set
+//!    that hands out one consistent epoch bump and a contiguously
+//!    re-ranked survivor communicator;
 //! 3. each orphaned subdomain is *adopted* by the surviving owner of its
 //!    lowest-indexed surviving neighbor subdomain (lowest survivor when a
 //!    whole neighborhood died) — the decomposition is shared and
 //!    deterministic, so no coordination is needed;
 //! 4. the set-up runs again on the new owner map — the same
-//!    `spmd::try_setup_on` as a first epoch, under the
-//!    `recovery-*` phase names ([`try_setup_partitioned`]): adopters
-//!    re-factor the orphans' Dirichlet matrices and substitute Nicolaides
-//!    deflation vectors (eigenvector recomputation is skipped for adopted
-//!    subdomains — the documented degradation); masters are re-elected
-//!    over the survivors and `E` is re-assembled and re-factored on the
-//!    new master communicator;
+//!    `spmd::try_setup_on` as a first epoch, under the `recovery-*` phase
+//!    names: adopters re-factor the orphans' Dirichlet matrices and
+//!    substitute Nicolaides deflation vectors (eigenvector recomputation is
+//!    skipped for adopted subdomains — the documented degradation); masters
+//!    are re-elected over the survivors and `E` is re-assembled and
+//!    re-factored on the new master communicator;
 //! 5. the solve resumes from the last *globally complete* checkpoint in
 //!    the [`CheckpointStore`] (or from zero when death struck before the
 //!    first checkpoint), converging against the original `‖r₀‖` anchor so
@@ -35,15 +36,19 @@
 //! unboundedly on a peer that may die again.
 //!
 //! This module keeps the recovery policy, the stores ([`CheckpointStore`],
-//! [`CoarseCache`]), the owner-map plans and the recovery drivers; the
-//! set-up they call is `spmd.rs`'s, the applies are `resident.rs`'s.
+//! [`CoarseCache`]), the owner-map plans, the one membership loop
+//! ([`drive_epochs`]: replay, re-plan or give up) and the one epoch body the
+//! solvers run in it; the set-up is `spmd.rs`'s, the applies are
+//! `resident.rs`'s. [`crate::spmd::try_run_spmd`],
+//! [`try_run_spmd_recoverable`], [`try_run_spmd_elastic`] and
+//! `dd_serve::try_serve` are four callers of that loop, differing in data.
 
 use crate::decomp::Decomposition;
 use crate::error::{RecoveryRecord, SpmdError};
 use crate::geneo::DeflationBlock;
 use crate::resident::PreparedMulti;
 use crate::spmd::{
-    classify_comm, run_inner, try_setup_on, SetupLabels, SolverKind, SpmdOpts, SpmdReport,
+    classify_comm, try_setup_on, SetupLabels, SolverKind, SpmdOpts, SpmdReport, PAPER_LABELS,
 };
 use dd_comm::{CommError, Communicator, RetryPolicy, SuspicionPolicy};
 use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
@@ -59,7 +64,7 @@ pub struct RecoveryOpts {
     /// How many world shrinks to survive before giving up.
     pub max_recoveries: usize,
     /// How many rollback-and-replay attempts to take at each membership
-    /// after a *corruption* classification ([`replayable`]) — detected wire
+    /// after a *corruption* classification — detected wire
     /// corruption that exhausted its retransmit budget, or a solver guard's
     /// suspected-SDC verdict. Replays keep the same world (nobody died)
     /// and resume from the newest checkpoint that verifies; exhaustion
@@ -347,23 +352,22 @@ pub(crate) fn layout_sig(nu_of: &[usize]) -> u64 {
 
 // ---------------------------------------------------------------- driver
 
-/// The per-rank result of a recoverable SPMD solve: after an adoption a
-/// rank may own several subdomains' locals.
+/// The per-rank result of every SPMD driver: the report and the locals of
+/// the solution on each subdomain the rank hosted when the solve completed
+/// (one on the paper's layout).
 pub struct SpmdMultiSolution {
     pub report: SpmdReport,
-    /// `(subdomain, local solution)` for every subdomain this rank owned
-    /// when the solve completed, ascending by subdomain.
+    /// `(subdomain, local solution)`, ascending by subdomain.
     pub locals: Vec<(usize, Vec<f64>)>,
 }
 
-/// Is this error one the survivors can recover from by shrinking? Our own
-/// death ([`SpmdError::Killed`]) and local failures are not; observing a
-/// *peer's* death or a revoked epoch is. Public so higher layers (the
-/// `dd-serve` streaming server) can drive the same recovery loop.
-pub fn recoverable(e: &SpmdError) -> bool {
+/// Is this error one the survivors can recover from by a membership
+/// agreement? Our own death ([`SpmdError::Killed`]) and local failures are
+/// not; observing a *peer's* death or a revoked epoch is.
+fn recoverable(e: &SpmdError) -> bool {
     matches!(
         e,
-        SpmdError::Comm(CommError::RankDead { .. }) | SpmdError::Comm(CommError::Revoked { .. })
+        SpmdError::Comm(CommError::RankDead { .. } | CommError::Revoked { .. })
     )
 }
 
@@ -371,214 +375,181 @@ pub fn recoverable(e: &SpmdError) -> bool {
 /// back to the newest verified checkpoint and replaying? Detected wire
 /// corruption that exhausted its retransmit budget, and a solver guard's
 /// suspected-SDC classification, both qualify: every rank is alive — only
-/// the data is poisoned. Disjoint from [`recoverable`], which shrinks the
-/// world. Public for the same reason `recoverable` is.
-pub fn replayable(e: &SpmdError) -> bool {
+/// the data is poisoned. Disjoint from [`recoverable`], which changes the
+/// membership.
+fn replayable(e: &SpmdError) -> bool {
     matches!(
         e,
         SpmdError::Comm(CommError::Corrupt { .. }) | SpmdError::SuspectedCorruption { .. }
     )
 }
 
-/// The [`RecoveryRecord`] of one rollback-and-replay: same epoch, no
-/// membership deltas — only the corruption counters, the replay ordinal,
-/// and the virtual time the rolled-back attempt had consumed.
-fn replay_record(
-    comm: &Communicator,
-    store: &CheckpointStore,
-    nsubs: usize,
-    replays: usize,
-    guard_detections: u64,
-    t_replay: f64,
-) -> RecoveryRecord {
-    RecoveryRecord {
-        epoch: comm.epoch(),
-        dead: Vec::new(),
-        evicted: Vec::new(),
-        joined: Vec::new(),
-        adopted: Vec::new(),
-        moved: Vec::new(),
-        reused: Vec::new(),
-        resume_iteration: store.rollback_iteration(nsubs),
-        t_agreement: 0.0,
-        t_reassembly: 0.0,
-        t_refactorization: 0.0,
-        corruptions_detected: comm.fault_stats().corruptions_detected + guard_detections,
-        replays,
-        t_replay,
+/// One membership agreement: grow when joiners are pending, shrink
+/// otherwise (the two run the identical protocol — the entry point only
+/// names the intent). Returns the committed communicator and the
+/// agreement's virtual-time cost.
+fn agree_next(comm: &Communicator) -> Result<(Communicator, f64), SpmdError> {
+    let t0 = comm.clock();
+    let next = if comm.pending_joiners().is_empty() {
+        comm.try_shrink()
+    } else {
+        comm.try_grow()
     }
+    .map_err(|e| classify_comm(comm, e))?;
+    let t_agreement = next.clock() - t0;
+    Ok((next, t_agreement))
 }
 
-/// [`run_partitioned`] with corruption rollback-and-replay: a [`replayable`]
-/// failure re-runs the epoch on the *same* membership — setup repeats and
-/// the solve resumes from the newest checkpoint that still verifies, so a
-/// poisoned snapshot is skipped automatically. Bounded by
-/// [`RecoveryOpts::max_replays`]; non-replayable errors (and budget
-/// exhaustion) surface to the caller's shrink/grow loop.
-#[allow(clippy::too_many_arguments)]
-fn run_partitioned_with_replay(
+/// What one call of an epoch closure runs on: the membership, its owner
+/// map, and how [`drive_epochs`] got there.
+pub struct Attempt<'a> {
+    /// The communicator of this membership.
+    pub comm: &'a Communicator,
+    /// The owner map planned for it (already checked against `comm`).
+    pub plan: &'a RepartitionPlan,
+    /// Membership agreements the driver has committed so far.
+    pub recoveries: usize,
+    /// Rollback-and-replays already taken on this membership: 0 on its
+    /// first attempt, `k` on the k-th replay.
+    pub replays: usize,
+    /// How many of those replays followed a solver guard's suspected-SDC
+    /// verdict rather than a detected wire corruption.
+    pub guard_replays: u64,
+    /// Virtual seconds lost on the way here: to the agreement that committed
+    /// this membership on its first attempt (0 for the membership the driver
+    /// was entered on), to the rolled-back attempt on a replay.
+    pub t_lost: f64,
+}
+
+/// The one membership loop (DESIGN.md §10, "The epoch driver"): run `epoch`
+/// on the owner map `planner` derives for the current membership; on an
+/// error, and only with `policy.enabled`,
+///
+/// - **replay** on the same membership and map while the error is a
+///   corruption classification and `policy.max_replays` lasts (a budget per
+///   membership);
+/// - **re-plan** — one agreement, then `planner` again with the previous
+///   owner map — while it is a peer's death or a revoked epoch and
+///   `policy.max_recoveries` lasts (checked before the agreement);
+/// - otherwise **give up**: mark this rank gone, so peers blocked on it see
+///   `CommError::RankDead` rather than hang, and return the typed error.
+///
+/// A plan the membership cannot host (`RepartitionPlan::hosts`) is a
+/// `SpmdError::Protocol` before the closure runs; members derive it from
+/// shared data, so they fail together. Every rank calls this with identical
+/// arguments. `epoch` must be re-entrant, and must meet its peers on
+/// [`Attempt::comm`] before it can fail — the set-up's opening barrier does
+/// — so that nobody reaches the next agreement while a peer is still inside
+/// this one.
+pub fn drive_epochs<T>(
+    decomp: &Decomposition,
+    comm: &Communicator,
+    policy: &RecoveryOpts,
+    planner: impl Fn(&Decomposition, &Communicator, Option<&[usize]>) -> RepartitionPlan,
+    mut epoch: impl FnMut(&Attempt<'_>) -> Result<T, SpmdError>,
+) -> Result<T, SpmdError> {
+    let mut run = || -> Result<T, SpmdError> {
+        let mut agreed: Option<Communicator> = None;
+        let mut prev_owner: Option<Vec<usize>> = None;
+        let (mut recoveries, mut t_lost) = (0, 0.0);
+        loop {
+            let comm = agreed.as_ref().unwrap_or(comm);
+            let plan = planner(decomp, comm, prev_owner.as_deref());
+            plan.hosts(decomp, comm)?;
+            let (mut replays, mut guard_replays) = (0, 0);
+            let err = loop {
+                let t_attempt = comm.clock();
+                let attempt = Attempt {
+                    comm,
+                    plan: &plan,
+                    recoveries,
+                    replays,
+                    guard_replays,
+                    t_lost,
+                };
+                // The ranks decide from their own errors, with no vote: a
+                // corrupted p2p exchange fails every receiver it touches
+                // within the same lockstep step (the chaos rows pin that all
+                // ranks re-enter a replay together); a genuinely asymmetric
+                // classification parks the minority in a collective the
+                // majority abandoned and surfaces as a typed virtual-time
+                // deadlock, never a silent mismatch.
+                match epoch(&attempt) {
+                    Ok(out) => return Ok(out),
+                    Err(e) if policy.enabled && replayable(&e) && replays < policy.max_replays => {
+                        replays += 1;
+                        guard_replays +=
+                            u64::from(matches!(e, SpmdError::SuspectedCorruption { .. }));
+                        t_lost = comm.clock() - t_attempt;
+                    }
+                    Err(e) => break e,
+                }
+            };
+            if !(policy.enabled && recoverable(&err) && recoveries < policy.max_recoveries) {
+                return Err(err);
+            }
+            recoveries += 1;
+            prev_owner = Some(plan.owner_world);
+            let (next, t_agreement) = agree_next(comm)?;
+            t_lost = t_agreement;
+            agreed = Some(next);
+        }
+    };
+    run().inspect_err(|_| comm.abandon())
+}
+
+/// The solvers' use of [`drive_epochs`]: every attempt is one
+/// [`run_partitioned`], a recovery epoch under the `recovery-*` names —
+/// except the first when `nominal_first` gives it a label table to be a
+/// nominal run under.
+fn solve_epochs(
     decomp: &Decomposition,
     comm: &Communicator,
     opts: &SpmdOpts,
     store: &CheckpointStore,
     cache: Option<&CoarseCache>,
-    plan: &RepartitionPlan,
-    recoveries: &mut Vec<RecoveryRecord>,
-    t_agreement: f64,
+    planner: impl Fn(&Decomposition, &Communicator, Option<&[usize]>) -> RepartitionPlan,
+    nominal_first: Option<&'static SetupLabels>,
 ) -> Result<SpmdMultiSolution, SpmdError> {
-    let mut t_attempt = comm.clock();
-    let mut result = run_partitioned(
-        decomp,
-        comm,
-        opts,
-        store,
-        cache,
-        plan,
-        recoveries,
-        t_agreement,
-        true,
-    );
-    let mut replays = 0;
-    let mut guard_hits = 0u64;
-    while let Err(e) = &result {
-        if !replayable(e) || replays >= opts.recovery.max_replays {
-            break;
-        }
-        guard_hits += u64::from(matches!(e, SpmdError::SuspectedCorruption { .. }));
-        replays += 1;
-        let t_replay = comm.clock() - t_attempt;
-        recoveries.push(replay_record(
-            comm,
+    let mut recoveries: Vec<RecoveryRecord> = Vec::new();
+    drive_epochs(decomp, comm, &opts.recovery, planner, |attempt| {
+        let first = attempt.recoveries == 0 && attempt.replays == 0;
+        let nominal = nominal_first.filter(|_| first);
+        run_partitioned(
+            decomp,
+            opts,
             store,
-            decomp.n_subdomains(),
-            replays,
-            guard_hits,
-            t_replay,
-        ));
-        t_attempt = comm.clock();
-        // Same plan, same communicator; the membership record (when this
-        // epoch called for one) was already pushed by the first attempt.
-        result = run_partitioned(
-            decomp, comm, opts, store, cache, plan, recoveries, 0.0, false,
-        );
-    }
-    result
+            cache,
+            attempt,
+            &mut recoveries,
+            nominal.unwrap_or(&RECOVERY_LABELS),
+            nominal.is_some(),
+        )
+    })
 }
 
 /// [`crate::spmd::try_run_spmd`] with shrink-and-continue recovery: on a
 /// peer's death (with `opts.recovery.enabled`) the survivors agree on the
 /// dead set, shrink the world, adopt the orphaned subdomains, rebuild the
 /// preconditioner, and resume the solve from the last complete checkpoint
-/// in `store`. A rank's own death still surfaces as [`SpmdError::Killed`].
+/// in `store`; on a corruption classification they roll back and replay on
+/// the same membership. A rank's own death still surfaces as
+/// [`SpmdError::Killed`].
 pub fn try_run_spmd_recoverable(
     decomp: &Decomposition,
     comm: &Communicator,
     opts: &SpmdOpts,
     store: &CheckpointStore,
 ) -> Result<SpmdMultiSolution, SpmdError> {
-    let me = comm.rank();
-    let n_local = decomp.subdomains[me].n_local();
-    let sink = StoreSink {
+    solve_epochs(
+        decomp,
+        comm,
+        opts,
         store,
-        subs: vec![(me, n_local)],
-    };
-    // Checkpointing (like resuming) needs the classical Krylov loop.
-    let cfg = (opts.recovery.enabled && opts.solver == SolverKind::Classical)
-        .then(|| CheckpointCfg::new(opts.recovery.checkpoint_interval, &sink));
-    let mut t_attempt = comm.clock();
-    let mut err = match run_inner(decomp, comm, opts, cfg.as_ref()) {
-        Ok(sol) => {
-            return Ok(SpmdMultiSolution {
-                locals: vec![(me, sol.x_local)],
-                report: sol.report,
-            })
-        }
-        Err(e) => e,
-    };
-    let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-    // Corruption rollback-and-replay: the world is healthy (nobody died),
-    // so re-run on the *same* membership, resuming from the newest
-    // checkpoint that still verifies. Bounded by `max_replays`; a replay
-    // that keeps hitting corruption surfaces the typed error — never a
-    // silent wrong answer.
-    let mut replays = 0;
-    let mut guard_hits = 0u64;
-    while opts.recovery.enabled && replayable(&err) && replays < opts.recovery.max_replays {
-        guard_hits += u64::from(matches!(err, SpmdError::SuspectedCorruption { .. }));
-        replays += 1;
-        recoveries.push(replay_record(
-            comm,
-            store,
-            decomp.n_subdomains(),
-            replays,
-            guard_hits,
-            comm.clock() - t_attempt,
-        ));
-        // Nobody departed, so the shrink plan is the identity owner map.
-        let plan = shrink_plan(decomp, comm);
-        t_attempt = comm.clock();
-        err = match run_partitioned(
-            decomp,
-            comm,
-            opts,
-            store,
-            None,
-            &plan,
-            &mut recoveries,
-            0.0,
-            false,
-        ) {
-            Ok(sol) => return Ok(sol),
-            Err(e) => e,
-        };
-    }
-    if !opts.recovery.enabled || !recoverable(&err) {
-        comm.abandon();
-        return Err(err);
-    }
-    let t0 = comm.clock();
-    let mut current = match comm.try_shrink() {
-        Ok(c) => c,
-        Err(e) => {
-            comm.abandon();
-            return Err(classify_comm(comm, e));
-        }
-    };
-    let mut t_agreement = current.clock() - t0;
-    for attempt in 1..=opts.recovery.max_recoveries {
-        let plan = shrink_plan(decomp, &current);
-        match run_partitioned_with_replay(
-            decomp,
-            &current,
-            opts,
-            store,
-            None,
-            &plan,
-            &mut recoveries,
-            t_agreement,
-        ) {
-            Ok(sol) => return Ok(sol),
-            Err(e) => {
-                let again = recoverable(&e) && attempt < opts.recovery.max_recoveries;
-                err = e;
-                if !again {
-                    comm.abandon();
-                    return Err(err);
-                }
-                let t0 = current.clock();
-                current = match current.try_shrink() {
-                    Ok(c) => c,
-                    Err(e2) => {
-                        comm.abandon();
-                        return Err(classify_comm(&current, e2));
-                    }
-                };
-                t_agreement = current.clock() - t0;
-            }
-        }
-    }
-    comm.abandon();
-    Err(err)
+        None,
+        adoption_plan,
+        Some(&PAPER_LABELS),
+    )
 }
 
 /// Elastic SPMD solve: [`try_run_spmd_recoverable`] generalized to worlds
@@ -604,96 +575,24 @@ pub fn try_run_spmd_elastic(
     store: &CheckpointStore,
     cache: &CoarseCache,
 ) -> Result<SpmdMultiSolution, SpmdError> {
-    assert!(
-        comm.size() <= decomp.n_subdomains(),
-        "elastic run: more members than subdomains"
-    );
     comm.set_suspicion(opts.recovery.suspicion);
-    let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-    let plan = repartition_plan(decomp, comm, None);
-    let mut err = match run_partitioned_with_replay(
+    solve_epochs(
         decomp,
         comm,
         opts,
         store,
         Some(cache),
-        &plan,
-        &mut recoveries,
-        0.0,
-    ) {
-        Ok(sol) => return Ok(sol),
-        Err(e) => e,
-    };
-    let mut prev_owner = plan.owner_world;
-    if !opts.recovery.enabled || !recoverable(&err) {
-        comm.abandon();
-        return Err(err);
-    }
-    let (mut current, mut t_agreement) = match agree_next(comm) {
-        Ok(next) => next,
-        Err(e) => {
-            comm.abandon();
-            return Err(e);
-        }
-    };
-    for attempt in 1..=opts.recovery.max_recoveries {
-        let plan = repartition_plan(decomp, &current, Some(&prev_owner));
-        match run_partitioned_with_replay(
-            decomp,
-            &current,
-            opts,
-            store,
-            Some(cache),
-            &plan,
-            &mut recoveries,
-            t_agreement,
-        ) {
-            Ok(sol) => return Ok(sol),
-            Err(e) => {
-                let again = recoverable(&e) && attempt < opts.recovery.max_recoveries;
-                err = e;
-                if !again {
-                    comm.abandon();
-                    return Err(err);
-                }
-                prev_owner = plan.owner_world;
-                (current, t_agreement) = match agree_next(&current) {
-                    Ok(next) => next,
-                    Err(e2) => {
-                        comm.abandon();
-                        return Err(e2);
-                    }
-                };
-            }
-        }
-    }
-    comm.abandon();
-    Err(err)
-}
-
-/// One membership agreement from the elastic recovery loop: grow when
-/// joiners are pending, shrink otherwise (the two run the identical
-/// protocol — the entry point only names the intent). Returns the
-/// committed communicator and the agreement's virtual-time cost. Public
-/// so `dd-serve` can continue a request stream across membership changes.
-pub fn agree_next(comm: &Communicator) -> Result<(Communicator, f64), SpmdError> {
-    let t0 = comm.clock();
-    let next = if comm.pending_joiners().is_empty() {
-        comm.try_shrink()
-    } else {
-        comm.try_grow()
-    }
-    .map_err(|e| classify_comm(comm, e))?;
-    let t_agreement = next.clock() - t0;
-    Ok((next, t_agreement))
+        repartition_plan,
+        None,
+    )
 }
 
 // ----------------------------------------------------------- repartition
 
-/// How a committed membership change re-homes the subdomains: the complete
-/// owner map of the new epoch plus the membership deltas a
-/// [`RecoveryRecord`] reports. Pure function of shared data — every member
-/// (joiners included) derives the same plan for the same epoch.
+/// How a membership re-homes the subdomains: the complete owner map of the
+/// epoch plus the membership deltas a [`RecoveryRecord`] reports. Pure
+/// function of shared data — every member (joiners included) derives the
+/// same plan for the same epoch.
 pub struct RepartitionPlan {
     /// Owner (world rank) of every subdomain, indexed by subdomain.
     pub owner_world: Vec<usize>,
@@ -710,15 +609,59 @@ pub struct RepartitionPlan {
 }
 
 impl RepartitionPlan {
-    /// The paper's layout: rank `r` of `comm` hosts subdomain `r`, and
-    /// nobody departed, joined or moved.
-    pub(crate) fn identity(comm: &Communicator) -> Self {
+    /// An owner map on `comm`'s membership, the deltas read off `comm`.
+    fn new(comm: &Communicator, owner_world: Vec<usize>, adopted: Vec<(usize, usize)>) -> Self {
+        let founders = comm.n_founders();
+        let members = comm.world_ranks().iter();
         RepartitionPlan {
-            owner_world: comm.world_ranks().to_vec(),
-            dead: Vec::new(),
-            evicted: Vec::new(),
-            joined: Vec::new(),
-            adopted: Vec::new(),
+            owner_world,
+            dead: comm.dead_ranks(),
+            evicted: comm.evicted_ranks(),
+            joined: members.copied().filter(|&w| w >= founders).collect(),
+            adopted,
+        }
+    }
+
+    /// The paper's layout: rank `r` of `comm` hosts subdomain `r`, and
+    /// nothing moved.
+    pub(crate) fn identity(comm: &Communicator) -> Self {
+        Self::new(comm, comm.world_ranks().to_vec(), Vec::new())
+    }
+
+    /// The rank of `comm` hosting each subdomain (the agreement re-ranks
+    /// members contiguously: survivors in world order, joiners appended) —
+    /// or the typed error for a map this membership cannot host. The one
+    /// membership-size check: every member must host a subdomain.
+    pub(crate) fn hosts(
+        &self,
+        decomp: &Decomposition,
+        comm: &Communicator,
+    ) -> Result<Vec<usize>, SpmdError> {
+        let (nsubs, members) = (decomp.n_subdomains(), comm.world_ranks());
+        let protocol = |what: String| SpmdError::Protocol {
+            rank: comm.world_rank(),
+            what,
+        };
+        if self.owner_world.len() != nsubs {
+            return Err(protocol(format!(
+                "owner map names {} subdomains, the decomposition has {nsubs}",
+                self.owner_world.len()
+            )));
+        }
+        let mut host = Vec::with_capacity(nsubs);
+        for (s, &world) in self.owner_world.iter().enumerate() {
+            let rank = members.iter().position(|&r| r == world);
+            host.push(rank.ok_or_else(|| {
+                protocol(format!("subdomain {s} is owned by non-member rank {world}"))
+            })?);
+        }
+        match (0..members.len()).find(|r| !host.contains(r)) {
+            Some(idle) => Err(protocol(format!(
+                "rank {} would host no subdomain: {} members for {nsubs} subdomains",
+                members[idle],
+                members.len()
+            ))),
+            None => Ok(host),
         }
     }
 }
@@ -749,13 +692,10 @@ fn adoption_map(decomp: &Decomposition, dead: &[usize], survivors: &[usize]) -> 
 /// Balanced contiguous re-chunk: subdomain `s` goes to the member hosting
 /// the chunk containing `s`, chunks in member (= world-rank, joiners
 /// appended) order, sizes differing by at most one. Whole subdomains move;
-/// nothing is re-meshed.
+/// nothing is re-meshed. With more members than subdomains the last ones
+/// get nothing, which [`RepartitionPlan::hosts`] rejects.
 fn balanced_owner_map(nsubs: usize, members: &[usize]) -> Vec<usize> {
     let m = members.len();
-    assert!(
-        0 < m && m <= nsubs,
-        "balanced re-chunk needs 1..=nsubs members, got {m} for {nsubs} subdomains"
-    );
     let base = nsubs / m;
     let rem = nsubs % m;
     let mut owner = Vec::with_capacity(nsubs);
@@ -766,24 +706,19 @@ fn balanced_owner_map(nsubs: usize, members: &[usize]) -> Vec<usize> {
     owner
 }
 
-/// The shrink path's plan: neighbor adoption of the departed ranks'
-/// subdomains (one subdomain per rank, the PR-5 contract).
-fn shrink_plan(decomp: &Decomposition, comm: &Communicator) -> RepartitionPlan {
+/// The classic path's plan (one subdomain per founder, the PR-5 contract):
+/// the identity while nobody departed, then neighbor adoption of the
+/// departed ranks' subdomains — a function of the departed set alone; the
+/// previous map is taken to share [`repartition_plan`]'s signature.
+fn adoption_plan(
+    decomp: &Decomposition,
+    comm: &Communicator,
+    _prev_owner: Option<&[usize]>,
+) -> RepartitionPlan {
     let departed = comm.departed_ranks();
-    let members = comm.world_ranks();
-    let owner_world = adoption_map(decomp, &departed, members);
-    let adopted: Vec<(usize, usize)> = departed.iter().map(|&s| (s, owner_world[s])).collect();
-    RepartitionPlan {
-        owner_world,
-        dead: comm.dead_ranks(),
-        evicted: comm.evicted_ranks(),
-        joined: members
-            .iter()
-            .copied()
-            .filter(|&w| w >= comm.n_founders())
-            .collect(),
-        adopted,
-    }
+    let owner_world = adoption_map(decomp, &departed, comm.world_ranks());
+    let adopted = departed.iter().map(|&s| (s, owner_world[s])).collect();
+    RepartitionPlan::new(comm, owner_world, adopted)
 }
 
 /// The elastic plan for the current epoch: a balanced contiguous re-chunk
@@ -796,26 +731,14 @@ pub fn repartition_plan(
     comm: &Communicator,
     prev_owner: Option<&[usize]>,
 ) -> RepartitionPlan {
-    let members = comm.world_ranks();
-    let owner_world = balanced_owner_map(decomp.n_subdomains(), members);
-    let adopted: Vec<(usize, usize)> = match prev_owner {
-        Some(prev) => (0..decomp.n_subdomains())
+    let owner_world = balanced_owner_map(decomp.n_subdomains(), comm.world_ranks());
+    let adopted = prev_owner.map_or_else(Vec::new, |prev| {
+        (0..owner_world.len())
             .filter(|&s| owner_world[s] != prev[s])
             .map(|s| (s, owner_world[s]))
-            .collect(),
-        None => Vec::new(),
-    };
-    RepartitionPlan {
-        owner_world,
-        dead: comm.dead_ranks(),
-        evicted: comm.evicted_ranks(),
-        joined: members
-            .iter()
-            .copied()
-            .filter(|&w| w >= comm.n_founders())
-            .collect(),
-        adopted,
-    }
+            .collect()
+    });
+    RepartitionPlan::new(comm, owner_world, adopted)
 }
 
 // ------------------------------------------------------- partitioned run
@@ -834,16 +757,12 @@ static RECOVERY_LABELS: SetupLabels = SetupLabels {
     solve: "recovery-solve",
 };
 
-/// Set-up of one epoch on the plan's owner map: `spmd::try_setup_on` under the
-/// `recovery-*` phase names.
-///
-/// This serves the recovered epoch of the classic shrink path
-/// (`cache = None`: everything recomputed, subdomains adopted this epoch
-/// take the Nicolaides degradation), every epoch of an elastic run and the
-/// resident server (`cache = Some`: GenEO bases and coarse rows are banked
-/// per `(subdomain, owner)`, so after a membership change only moved
-/// subdomains recompute — the incremental re-assembly of `E`). One-shot
-/// drivers reset the virtual clock; a resident server re-preparing
+/// Set-up on the plan's owner map for callers that keep the state resident
+/// (`dd-serve`, the benchmark): `spmd::try_setup_on` under the `recovery-*`
+/// phase names. With a cache, GenEO bases and coarse rows are banked per
+/// `(subdomain, owner)`, so after a membership change only moved subdomains
+/// recompute; without one everything is recomputed and subdomains adopted
+/// this epoch take the Nicolaides degradation. A server re-preparing
 /// mid-stream passes `reset_clock = false` to keep its request clock
 /// monotone.
 pub fn try_setup_partitioned<'a>(
@@ -865,40 +784,60 @@ pub fn try_setup_partitioned<'a>(
     )
 }
 
-/// One epoch on an arbitrary owner map: [`try_setup_partitioned`] plus one
-/// checkpoint-resuming [`PreparedMulti::try_apply`] on the decomposition's
-/// own right-hand side — the recovered/elastic epoch body.
-/// `record_membership: false` on replay attempts, whose epoch's membership
-/// record (if any) was already pushed by the first attempt.
+/// The one epoch body: the set-up on the attempt's owner map under `labels`,
+/// then one [`PreparedMulti::try_apply`] on the decomposition's own
+/// right-hand side.
+///
+/// A `nominal` attempt is the paper's method as the caller configured it:
+/// `opts.solver`, the communicator's own retry policy, a start from zero,
+/// and checkpoints (local writes, invisible to canonical traces) only when
+/// recovery is armed on the classical loop. Any other attempt is a recovery
+/// epoch: it resumes from the last globally complete checkpoint, always
+/// checkpoints, runs the classical loop whatever `opts.solver` says —
+/// resuming, and surviving the next fault with a typed error, both need it;
+/// the pipelined loops have no fallible entry point — and bounds every
+/// blocking wait: a peer that dies *again* must surface as an error.
 #[allow(clippy::too_many_arguments)]
 fn run_partitioned(
     decomp: &Decomposition,
-    comm: &Communicator,
     opts: &SpmdOpts,
     store: &CheckpointStore,
     cache: Option<&CoarseCache>,
-    plan: &RepartitionPlan,
+    attempt: &Attempt<'_>,
     recoveries: &mut Vec<RecoveryRecord>,
-    t_agreement: f64,
-    record_membership: bool,
+    labels: &'static SetupLabels,
+    nominal: bool,
 ) -> Result<SpmdMultiSolution, SpmdError> {
+    let (comm, plan) = (attempt.comm, attempt.plan);
     let nsubs = decomp.n_subdomains();
-    // Resuming from a checkpoint, and surviving the next fault with a typed
-    // error, both need the classical loop — the pipelined ones have no
-    // fallible entry point — whatever `opts.solver` asks of a first epoch.
-    let opts = &SpmdOpts {
-        solver: SolverKind::Classical,
-        ..opts.clone()
-    };
-    // Every blocking wait of this epoch is bounded: a peer that dies
-    // *again* must surface as an error, not an unbounded wait.
-    comm.set_retry_policy(RetryPolicy::bounded_jittered());
-    let prepared = try_setup_partitioned(decomp, comm, opts, cache, plan, true)?;
+    let mut opts = opts.clone();
+    if !nominal {
+        opts.solver = SolverKind::Classical;
+        comm.set_retry_policy(RetryPolicy::bounded_jittered());
+    }
+    // A replay's audit record: same epoch, no membership deltas — only the
+    // corruption counters, the replay ordinal, and the virtual time the
+    // rolled-back attempt had consumed.
+    if attempt.replays > 0 {
+        recoveries.push(RecoveryRecord {
+            epoch: comm.epoch(),
+            resume_iteration: store.rollback_iteration(nsubs),
+            corruptions_detected: comm.fault_stats().corruptions_detected + attempt.guard_replays,
+            replays: attempt.replays,
+            t_replay: attempt.t_lost,
+            ..Default::default()
+        });
+    }
+    let prepared = try_setup_on(decomp, comm, &opts, cache, plan, true, labels)?;
     let owned = &prepared.owned;
 
     // ---- resume from the last globally complete checkpoint.
-    let resume_iteration = store.rollback_iteration(nsubs);
-    let resume = resume_iteration.and_then(|it| {
+    let resume_at = if nominal {
+        None
+    } else {
+        store.rollback_iteration(nsubs)
+    };
+    let resume = resume_at.and_then(|it| {
         let mut x = Vec::new();
         for &s in owned {
             x.extend(store.get(s, it)?.x);
@@ -912,10 +851,9 @@ fn run_partitioned(
             history: anchor.history,
         })
     });
-    let resume_iteration = resume.as_ref().map(|cp| cp.iteration);
-    // The initial epoch of an elastic run is not a recovery — only
-    // membership changes get a record.
-    if comm.epoch() > 0 && record_membership {
+    // Only a membership change gets a record, on the first attempt at that
+    // membership — the epoch a run was entered on is not a recovery.
+    if comm.epoch() > 0 && attempt.replays == 0 {
         // Rows recomputed this epoch vs. reused from the cache.
         let rows = |fresh: bool| -> Vec<usize> {
             (0..nsubs)
@@ -930,8 +868,8 @@ fn run_partitioned(
             adopted: plan.adopted.clone(),
             moved: rows(true),
             reused: rows(false),
-            resume_iteration,
-            t_agreement,
+            resume_iteration: resume.as_ref().map(|cp| cp.iteration),
+            t_agreement: attempt.t_lost,
             t_reassembly: prepared.t_reassembly,
             t_refactorization: prepared.t_refactorization,
             corruptions_detected: comm.fault_stats().corruptions_detected,
@@ -946,12 +884,14 @@ fn run_partitioned(
             .map(|&s| (s, decomp.subdomains[s].n_local()))
             .collect(),
     };
-    let cfg = match resume {
-        Some(cp) => CheckpointCfg::resuming(opts.recovery.checkpoint_interval, &sink, cp),
-        None => CheckpointCfg::new(opts.recovery.checkpoint_interval, &sink),
-    };
+    let interval = opts.recovery.checkpoint_interval;
+    let checkpointing = !nominal || (opts.recovery.enabled && opts.solver == SolverKind::Classical);
+    let cfg = checkpointing.then(|| match resume {
+        Some(cp) => CheckpointCfg::resuming(interval, &sink, cp),
+        None => CheckpointCfg::new(interval, &sink),
+    });
 
-    let out = prepared.try_apply(&decomp.rhs_global, "recovery-solve", Some(&cfg))?;
+    let out = prepared.try_apply(&decomp.rhs_global, labels.solve, cfg.as_ref())?;
     let mut report = prepared.report(&out);
     report.run.recoveries = recoveries.clone();
     Ok(SpmdMultiSolution {
@@ -1036,6 +976,208 @@ mod tests {
         }
         assert!(store.corrupt_for_tests(0, 10));
         assert_eq!(store.rollback_iteration(2), Some(5));
+    }
+
+    /// The error classes a scripted epoch closure can fail with.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Class {
+        Corrupt,
+        Sdc,
+        Dead,
+        Revoked,
+        Protocol,
+    }
+
+    fn error_of(class: Class) -> SpmdError {
+        match class {
+            Class::Corrupt => SpmdError::Comm(CommError::Corrupt {
+                src: 1,
+                tag: 7,
+                epoch: 0,
+            }),
+            Class::Sdc => SpmdError::SuspectedCorruption {
+                rank: 0,
+                iteration: 3,
+                recurred: 1e-8,
+                recomputed: 2e-3,
+            },
+            Class::Dead => SpmdError::Comm(CommError::RankDead { rank: 9 }),
+            Class::Revoked => SpmdError::Comm(CommError::Revoked { epoch: 0 }),
+            Class::Protocol => SpmdError::Protocol {
+                rank: 0,
+                what: "scripted".to_string(),
+            },
+        }
+    }
+
+    fn class_of(e: &SpmdError) -> Class {
+        match e {
+            SpmdError::Comm(CommError::Corrupt { .. }) => Class::Corrupt,
+            SpmdError::SuspectedCorruption { .. } => Class::Sdc,
+            SpmdError::Comm(CommError::RankDead { .. }) => Class::Dead,
+            SpmdError::Comm(CommError::Revoked { .. }) => Class::Revoked,
+            SpmdError::Protocol { .. } => Class::Protocol,
+            other => panic!("unscripted error {other}"),
+        }
+    }
+
+    fn tiny_decomp(nsubs: usize) -> std::sync::Arc<Decomposition> {
+        let mesh = dd_mesh::Mesh::unit_square(4, 4);
+        let part = dd_part::partition_mesh_rcb(&mesh, nsubs);
+        let problem = crate::problem::presets::heterogeneous_diffusion(1);
+        std::sync::Arc::new(crate::decomp::decompose(&mesh, &problem, &part, nsubs, 1))
+    }
+
+    /// What a scripted closure call saw: `(epoch, recoveries, replays,
+    /// guard_replays)` of its [`Attempt`].
+    type Seen = (usize, usize, usize, u64);
+
+    /// Drive a 2-rank world through `script` (one failure class per call,
+    /// success once it runs out — both ranks alike, so they stay in
+    /// lockstep) and return rank 0's calls, outcome and virtual seconds
+    /// spent outside the closures. Like the set-up every real epoch body
+    /// starts with, the scripted one opens with a barrier on its
+    /// communicator: members meet on a membership before anyone can fail on
+    /// it and move to the next agreement.
+    fn drive_scripted(
+        (enabled, max_replays, max_recoveries): (bool, usize, usize),
+        script: &[Class],
+    ) -> (Vec<Seen>, Option<Class>, f64) {
+        let decomp = tiny_decomp(2);
+        let policy = RecoveryOpts {
+            enabled,
+            max_replays,
+            max_recoveries,
+            ..Default::default()
+        };
+        let script = script.to_vec();
+        let mut per_rank = dd_comm::World::run_default(2, move |comm| {
+            let mut seen: Vec<Seen> = Vec::new();
+            // Virtual seconds inside the closure: in all, in the last call.
+            let (mut inside, mut last) = (0.0, 0.0);
+            let t0 = comm.clock();
+            let out = drive_epochs(&decomp, comm, &policy, repartition_plan, |a| {
+                let t_in = a.comm.clock();
+                a.comm.try_barrier()?;
+                assert_eq!(a.comm.size(), 2, "a scripted failure removes nobody");
+                assert_eq!(a.plan.owner_world, vec![0, 1]);
+                // The agreement is charged to the clock; a replay reports
+                // what the attempt it rolls back had consumed.
+                if a.replays > 0 {
+                    assert!((a.t_lost - last).abs() < 1e-12, "{}", a.t_lost);
+                } else {
+                    assert_eq!(a.t_lost > 0.0, a.recoveries > 0);
+                }
+                seen.push((a.comm.epoch(), a.recoveries, a.replays, a.guard_replays));
+                a.comm.advance_clock(0.25);
+                last = a.comm.clock() - t_in;
+                inside += last;
+                match script.get(seen.len() - 1) {
+                    Some(&class) => Err(error_of(class)),
+                    None => Ok(()),
+                }
+            });
+            let outside = comm.clock() - t0 - inside;
+            (seen, out.err().as_ref().map(class_of), outside)
+        });
+        assert_eq!(per_rank[0].0, per_rank[1].0, "ranks left lockstep");
+        per_rank.swap_remove(0)
+    }
+
+    #[test]
+    fn the_driver_alone_decides_replay_replan_or_give_up() {
+        use Class::*;
+        // (enabled, max_replays, max_recoveries), the script, the calls the
+        // closure must see, the error the driver must return.
+        let rows: [(_, &[Class], &[Seen], Option<Class>); 13] = [
+            // Recovery off: one attempt, whatever the class and the budgets.
+            ((false, 2, 1), &[Corrupt], &[(0, 0, 0, 0)], Some(Corrupt)),
+            ((false, 2, 1), &[Sdc], &[(0, 0, 0, 0)], Some(Sdc)),
+            ((false, 2, 1), &[Dead], &[(0, 0, 0, 0)], Some(Dead)),
+            // Replays stay on the membership and are bounded by max_replays.
+            (
+                (true, 2, 1),
+                &[Corrupt],
+                &[(0, 0, 0, 0), (0, 0, 1, 0)],
+                None,
+            ),
+            (
+                (true, 2, 1),
+                &[Corrupt, Sdc, Corrupt],
+                &[(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 1)],
+                Some(Corrupt),
+            ),
+            ((true, 0, 1), &[Sdc], &[(0, 0, 0, 0)], Some(Sdc)),
+            // A peer's death or a revocation re-plans after one agreement…
+            ((true, 2, 1), &[Dead], &[(0, 0, 0, 0), (1, 1, 0, 0)], None),
+            (
+                (true, 2, 1),
+                &[Revoked],
+                &[(0, 0, 0, 0), (1, 1, 0, 0)],
+                None,
+            ),
+            // …while the recovery budget lasts,
+            (
+                (true, 2, 1),
+                &[Dead, Revoked],
+                &[(0, 0, 0, 0), (1, 1, 0, 0)],
+                Some(Revoked),
+            ),
+            (
+                (true, 0, 2),
+                &[Dead, Dead, Dead],
+                &[(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)],
+                Some(Dead),
+            ),
+            // and with none there is no agreement to run (see the clock
+            // check below).
+            ((true, 2, 0), &[Dead], &[(0, 0, 0, 0)], Some(Dead)),
+            // Every membership gets a fresh replay budget.
+            (
+                (true, 1, 1),
+                &[Corrupt, Dead, Sdc, Corrupt],
+                &[(0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 1)],
+                Some(Corrupt),
+            ),
+            // Anything else is nobody's to retry.
+            ((true, 2, 1), &[Protocol], &[(0, 0, 0, 0)], Some(Protocol)),
+        ];
+        for (budgets, script, calls, error) in rows {
+            let (seen, out, outside) = drive_scripted(budgets, script);
+            assert_eq!(seen, calls, "{budgets:?} {script:?}: closure calls");
+            assert_eq!(out, error, "{budgets:?} {script:?}: returned error");
+            // Only an agreement costs virtual time outside the closure.
+            let agreements = calls.last().map_or(0, |c| c.1);
+            assert_eq!(
+                outside > 1e-12,
+                agreements > 0,
+                "{budgets:?} {script:?}: {outside} s outside the closure"
+            );
+        }
+    }
+
+    #[test]
+    fn a_map_the_membership_cannot_host_fails_before_the_epoch_runs() {
+        // Two ranks, one subdomain: the balanced re-chunk leaves rank 1
+        // idle, and both ranks must learn that from the plan alone.
+        let decomp = tiny_decomp(1);
+        let errors = dd_comm::World::run_default(2, move |comm| {
+            let policy = RecoveryOpts::default();
+            drive_epochs(
+                &decomp,
+                comm,
+                &policy,
+                repartition_plan,
+                |_| -> Result<(), _> { panic!("the epoch must not run on an unhostable map") },
+            )
+            .unwrap_err()
+        });
+        for e in &errors {
+            assert!(
+                matches!(e, SpmdError::Protocol { what, .. } if what.contains("would host no subdomain")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

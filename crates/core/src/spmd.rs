@@ -1,5 +1,5 @@
 //! The SPMD (distributed) method on the `dd-comm` runtime: its options, the
-//! one set-up, the error classification and the plain drivers.
+//! one set-up, the error classification and the plain driver.
 //!
 //! Every phase follows the paper, per *subdomain* — which rank hosts a
 //! subdomain is data (the owner map), and one subdomain per rank, the
@@ -35,10 +35,13 @@ use crate::geneo::{
     nicolaides_fallback_block, resize_block, try_deflation_block_ordered, GeneoOpts,
 };
 use crate::masters::{group_of, nonuniform_masters, uniform_masters};
-use crate::recovery::{layout_sig, CoarseCache, RecoveryOpts, RepartitionPlan};
+use crate::recovery::{
+    layout_sig, try_run_spmd_recoverable, CheckpointStore, CoarseCache, RecoveryOpts,
+    RepartitionPlan, SpmdMultiSolution,
+};
 use crate::resident::{epoch_salt, HaloPlan, MasterSolve, PreparedMulti};
 use dd_comm::{CommError, Communicator};
-use dd_krylov::{CheckpointCfg, GmresOpts, SolveInterrupt};
+use dd_krylov::{GmresOpts, SolveInterrupt};
 use dd_linalg::{CooBuilder, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LdltBackend, LocalLdlt, Ordering, PivotPolicy, SparseLdlt};
 use std::collections::BTreeMap;
@@ -258,19 +261,10 @@ pub(crate) fn interrupt_to_spmd(comm: &Communicator, interrupt: SolveInterrupt) 
         .map(str::to_string);
     let reason = interrupt.reason().to_string();
     match interrupt.take_source().map(|s| s.downcast::<CommError>()) {
-        Some(Ok(e)) => match *e {
-            CommError::RankDead { rank } if rank == comm.world_rank() => {
-                if comm.is_world_rank_evicted(rank) {
-                    SpmdError::Evicted { rank }
-                } else {
-                    SpmdError::Killed {
-                        rank,
-                        phase: phase.unwrap_or_else(|| comm.trace_phase_name()),
-                    }
-                }
-            }
-            other => SpmdError::Comm(other),
-        },
+        Some(Ok(e)) => {
+            let phase = phase.unwrap_or_else(|| comm.trace_phase_name());
+            classify_comm_at(comm, *e, &phase)
+        }
         Some(Err(other)) => SpmdError::Protocol {
             rank: comm.rank(),
             what: format!("solve interrupted: {other}"),
@@ -282,12 +276,6 @@ pub(crate) fn interrupt_to_spmd(comm: &Communicator, interrupt: SolveInterrupt) 
     }
 }
 
-/// The per-rank result of a full SPMD solve (locals of the solution).
-pub struct SpmdSolution {
-    pub report: SpmdReport,
-    pub x_local: Vec<f64>,
-}
-
 /// Run the full method on one rank. `decomp` is the shared (read-only)
 /// decomposition; `comm` is the world communicator; the rank's subdomain is
 /// `decomp.subdomains[comm.rank()]`.
@@ -296,19 +284,21 @@ pub struct SpmdSolution {
 /// [`RunReport`]: a failed local eigensolve falls back to the Nicolaides
 /// coarse space for that subdomain; a failed coarse factorization drops
 /// every rank to the one-level RAS preconditioner. Unrecoverable failures
-/// (dead ranks, deadlocks, a failed local Dirichlet factorization) surface
-/// as [`SpmdError`]; on error the rank marks itself gone so its peers
-/// observe [`dd_comm::CommError::RankDead`] instead of hanging.
+/// (dead ranks, deadlocks, a failed local Dirichlet factorization, a world
+/// that is not one rank per subdomain) surface as [`SpmdError`]; on error
+/// the rank marks itself gone so its peers observe
+/// [`dd_comm::CommError::RankDead`] instead of hanging.
+///
+/// This is [`try_run_spmd_recoverable`] with recovery switched off: one
+/// attempt, no checkpoints, whatever `opts.recovery` says.
 pub fn try_run_spmd(
     decomp: &Decomposition,
     comm: &Communicator,
     opts: &SpmdOpts,
-) -> Result<SpmdSolution, SpmdError> {
-    let out = run_inner(decomp, comm, opts, None);
-    if out.is_err() {
-        comm.abandon();
-    }
-    out
+) -> Result<SpmdMultiSolution, SpmdError> {
+    let mut opts = opts.clone();
+    opts.recovery.enabled = false;
+    try_run_spmd_recoverable(decomp, comm, &opts, &CheckpointStore::new())
 }
 
 /// Map a triggered failpoint into the typed kill error.
@@ -339,7 +329,7 @@ pub(crate) struct SetupLabels {
     pub(crate) solve: &'static str,
 }
 
-static PAPER_LABELS: SetupLabels = SetupLabels {
+pub(crate) static PAPER_LABELS: SetupLabels = SetupLabels {
     factorization: "factorization",
     deflation: "deflation",
     assembly: [
@@ -358,12 +348,12 @@ static PAPER_LABELS: SetupLabels = SetupLabels {
 /// Phases 1–3 on one subdomain per rank: `try_setup_on` with the identity
 /// owner map, no cache, the virtual clock reset (so phase times are
 /// absolute) and the paper's phase names, which the conformance goldens pin.
+/// A world that is not one rank per subdomain is a typed error.
 pub fn try_setup<'a>(
     decomp: &'a Decomposition,
     comm: &'a Communicator,
     opts: &SpmdOpts,
 ) -> Result<PreparedMulti<'a>, SpmdError> {
-    assert_eq!(comm.size(), decomp.n_subdomains(), "one rank per subdomain");
     let plan = RepartitionPlan::identity(comm);
     try_setup_on(decomp, comm, opts, None, &plan, true, &PAPER_LABELS)
 }
@@ -400,27 +390,11 @@ pub(crate) fn try_setup_on<'a>(
     let me_world = comm.world_rank();
     let me = comm.rank();
     let n_live = comm.size();
-    let members = comm.world_ranks();
     let protocol = |what: String| SpmdError::Protocol {
         rank: me_world,
         what,
     };
-    if plan.owner_world.len() != nsubs {
-        return Err(protocol(format!(
-            "owner map names {} subdomains, the decomposition has {nsubs}",
-            plan.owner_world.len()
-        )));
-    }
-    // Owner's world rank → communicator rank (members are re-ranked
-    // contiguously, survivors in world order, joiners appended, by the
-    // agreement).
-    let mut host = Vec::with_capacity(nsubs);
-    for (s, &world) in plan.owner_world.iter().enumerate() {
-        let rank = members.iter().position(|&r| r == world);
-        host.push(rank.ok_or_else(|| {
-            protocol(format!("subdomain {s} is owned by non-member rank {world}"))
-        })?);
-    }
+    let host = plan.hosts(decomp, comm)?;
     // Subdomains hosted by each rank, ascending — with coarse rows ordered
     // by (host rank, subdomain), each rank's (and so each group's) coarse
     // rows are contiguous.
@@ -941,28 +915,6 @@ pub(crate) fn try_setup_on<'a>(
     })
 }
 
-/// The driver body: [`try_setup`] + one [`PreparedMulti::try_apply`] on the
-/// decomposition's own right-hand side. `ckpt` arms solver checkpointing
-/// (the recovery driver passes a [`crate::recovery::CheckpointStore`]-backed
-/// sink; the plain entry points pass `None` — checkpoint writes are
-/// local-only either way, so fault-free canonical traces are unaffected).
-pub(crate) fn run_inner(
-    decomp: &Decomposition,
-    comm: &Communicator,
-    opts: &SpmdOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-) -> Result<SpmdSolution, SpmdError> {
-    let prepared = try_setup(decomp, comm, opts)?;
-    let out = prepared.try_apply(&decomp.rhs_global, "solve", ckpt)?;
-    let report = prepared.report(&out);
-    // One subdomain per rank: the only owned local is this rank's.
-    let x_local = out.locals.into_iter().map(|(_, x)| x).next();
-    Ok(SpmdSolution {
-        report,
-        x_local: x_local.unwrap_or_default(),
-    })
-}
-
 /// Debug/test helper: perform the full SPMD set-up and apply `P⁻¹_A-DEF1`
 /// once to `R_i r_global`, then piece by piece, returning the local
 /// `(z, q, A q, RAS(r − A q))` and (on masters, in redundant mode) the
@@ -1012,12 +964,23 @@ mod tests {
         let opts = opts.clone();
         let sols = World::run_default(n, move |comm| {
             let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            (s.report, s.x_local)
+            (s.report, s.locals)
         });
         let reports: Vec<SpmdReport> = sols.iter().map(|(r, _)| r.clone()).collect();
-        let locals: Vec<Vec<f64>> = sols.into_iter().map(|(_, x)| x).collect();
-        let x = decomp.from_locals(&locals);
-        (reports, x)
+        (reports, from_rank_locals(decomp, sols))
+    }
+
+    /// The global vector of a one-subdomain-per-rank run, ranks in order.
+    fn from_rank_locals(
+        decomp: &Decomposition,
+        sols: Vec<(SpmdReport, Vec<(usize, Vec<f64>)>)>,
+    ) -> Vec<f64> {
+        let locals: Vec<Vec<f64>> = sols
+            .into_iter()
+            .flat_map(|(_, locals)| locals)
+            .map(|(_, x)| x)
+            .collect();
+        decomp.from_locals(&locals)
     }
 
     #[test]
@@ -1174,12 +1137,10 @@ mod tests {
             let opts = opts.clone();
             let sols = World::run_default(n_sub, move |comm| {
                 let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-                (s.report, s.x_local)
+                (s.report, s.locals)
             });
             let reports: Vec<SpmdReport> = sols.iter().map(|(r, _)| r.clone()).collect();
-            let locals: Vec<Vec<f64>> = sols.into_iter().map(|(_, x)| x).collect();
-            let x = decomp.from_locals(&locals);
-            (reports, x)
+            (reports, from_rank_locals(&decomp, sols))
         };
         assert!(reports.iter().all(|r| r.converged));
         let direct = SparseLdlt::factor(&decomp.a_global, Ordering::MinDegree)

@@ -18,19 +18,22 @@
 //!   `serve-apply` — a `dd-lint` rule pins that) and moves θ_base.
 //!
 //! Rank death, straggler eviction, and joins mid-stream funnel into the
-//! same membership agreement the elastic solver uses; the next epoch
-//! re-prepares on the repartitioned world (coarse rows ride the
-//! [`CoarseCache`]) and the stream resumes at the first request whose
-//! response is incomplete. Deposits into the shared [`ResponseStore`] are
-//! keyed `(request, rhs, subdomain)` and written only after an apply's
-//! trailing barrier, so a completed response is never re-solved and a
-//! partial one is re-solved wholesale — no response mixes epochs.
+//! same membership agreement the elastic solver uses — literally:
+//! [`try_serve`] runs its epochs inside `dd_core::drive_epochs`, the loop
+//! the solvers run theirs in. The next epoch re-prepares on the
+//! repartitioned world (coarse rows ride the [`CoarseCache`]), a detected
+//! wire corruption re-enters the epoch on the same world, and either way
+//! the stream resumes at the first request whose response is incomplete.
+//! Deposits into the shared [`ResponseStore`] are keyed
+//! `(request, rhs, subdomain)` and written only after an apply's trailing
+//! barrier, so a completed response is never re-solved and a partial one is
+//! re-solved wholesale — no response mixes epochs.
 
 use crate::batch::{plan_batches, Batch, BatcherCfg};
 use crate::stream::Workload;
 use dd_comm::Communicator;
 use dd_core::{
-    agree_next, recoverable, repartition_plan, try_setup_partitioned, CoarseCache, Decomposition,
+    drive_epochs, repartition_plan, try_setup_partitioned, Attempt, CoarseCache, Decomposition,
     PreparedMulti, SpmdError, SpmdOpts,
 };
 use dd_krylov::RecycleSpace;
@@ -284,6 +287,12 @@ impl ServeReport {
 /// mid-stream. Every rank must call it with identical arguments (SPMD);
 /// each surviving rank returns the same [`ServeReport`] (up to its own
 /// clock in `t_total`).
+///
+/// The epochs run in `dd_core::drive_epochs` under `opts.spmd.recovery`, on
+/// the balanced re-chunk of every membership: a peer's death, an eviction
+/// or a join re-plans, a corruption classification re-enters the stream on
+/// the same world, and the response store makes either re-entry skip what
+/// is already answered.
 pub fn try_serve(
     decomp: &Decomposition,
     comm: &Communicator,
@@ -292,8 +301,6 @@ pub fn try_serve(
     cache: &CoarseCache,
     responses: &ResponseStore,
 ) -> Result<ServeReport, SpmdError> {
-    let nsubs = decomp.n_subdomains();
-    assert!(comm.size() <= nsubs, "serve: more members than subdomains");
     comm.set_suspicion(opts.spmd.recovery.suspicion);
     let batches = plan_batches(&workload.requests, &opts.batcher);
     // Perturbed-operator arena: one decomposition per distinct θ, built
@@ -304,48 +311,13 @@ pub fn try_serve(
         .into_iter()
         .map(|t| (t, decomp.perturb_diag(t)))
         .collect();
-
-    let mut held: Option<Communicator> = None;
-    let mut prev_owner: Option<Vec<usize>> = None;
-    let mut attempt = 0usize;
-    loop {
-        let (result, owner_world) = {
-            let c = held.as_ref().unwrap_or(comm);
-            let plan = repartition_plan(decomp, c, prev_owner.as_deref());
-            let r = serve_epoch(
-                decomp, c, opts, workload, &batches, &arena, cache, responses, &plan,
-            );
-            (r, plan.owner_world)
-        };
-        match result {
-            Ok(()) => {
-                let c = held.as_ref().unwrap_or(comm);
-                return Ok(build_report(decomp, c, workload, responses));
-            }
-            Err(e) => {
-                let again = opts.spmd.recovery.enabled
-                    && recoverable(&e)
-                    && attempt < opts.spmd.recovery.max_recoveries;
-                if !again {
-                    comm.abandon();
-                    return Err(e);
-                }
-                attempt += 1;
-                prev_owner = Some(owner_world);
-                let next = {
-                    let c = held.as_ref().unwrap_or(comm);
-                    agree_next(c)
-                };
-                match next {
-                    Ok((c, _t_agreement)) => held = Some(c),
-                    Err(e2) => {
-                        comm.abandon();
-                        return Err(e2);
-                    }
-                }
-            }
-        }
-    }
+    let recovery = &opts.spmd.recovery;
+    drive_epochs(decomp, comm, recovery, repartition_plan, |attempt| {
+        serve_epoch(
+            decomp, attempt, opts, workload, &batches, &arena, cache, responses,
+        )?;
+        Ok(build_report(decomp, attempt.comm, workload, responses))
+    })
 }
 
 /// One epoch of serving: prepare once on the current membership, then
@@ -353,19 +325,20 @@ pub fn try_serve(
 #[allow(clippy::too_many_arguments)]
 fn serve_epoch(
     base: &Decomposition,
-    c: &Communicator,
+    attempt: &Attempt<'_>,
     opts: &ServeOpts,
     workload: &Workload,
     batches: &[Batch],
     arena: &[(f64, Decomposition)],
     cache: &CoarseCache,
     responses: &ResponseStore,
-    plan: &dd_core::RepartitionPlan,
 ) -> Result<(), SpmdError> {
+    let (c, plan) = (attempt.comm, attempt.plan);
     let nsubs = base.n_subdomains();
-    // Only the founders' first epoch resets the clock: the request stream
-    // needs one monotone virtual-time axis across re-setups and epochs.
-    let reset_clock = c.epoch() == 0 && !c.is_joiner();
+    // Only the founders' first attempt resets the clock: the request stream
+    // needs one monotone virtual-time axis across re-setups, replays and
+    // epochs.
+    let reset_clock = c.epoch() == 0 && !c.is_joiner() && attempt.replays == 0;
     let t0 = c.clock();
     let scope = c.trace_scope("serve-setup");
     let mut resident: PreparedMulti<'_> =
@@ -376,7 +349,7 @@ fn serve_epoch(
     } else {
         c.clock() - t0
     };
-    if c.rank() == 0 && c.epoch() == 0 {
+    if c.rank() == 0 && reset_clock {
         responses.note(|m| m.t_setup = t_setup);
     }
     let mut theta_base = 0.0f64;
@@ -420,6 +393,8 @@ fn serve_epoch(
             }
             let theta = batch.theta;
             let reused = theta.to_bits() != theta_base.to_bits();
+            // The operator to solve on, when it is not the resident one.
+            let mut op_override = None;
             if reused && (theta - theta_base).abs() > opts.admissibility {
                 // Inadmissible drift: re-factorize at θ and move the
                 // resident base point. Setups never run inside
@@ -438,48 +413,26 @@ fn serve_epoch(
                 if c.rank() == 0 {
                     responses.note(|m| m.resetups += 1);
                 }
-                serve_batch(
-                    c,
-                    &resident,
-                    None,
-                    opts,
-                    workload,
-                    batch,
-                    responses,
-                    nsubs,
-                    &mut spaces,
-                )?;
-            } else if !reused {
-                serve_batch(
-                    c,
-                    &resident,
-                    None,
-                    opts,
-                    workload,
-                    batch,
-                    responses,
-                    nsubs,
-                    &mut spaces,
-                )?;
-            } else {
+            } else if reused {
                 // Admissible reuse: solve the perturbed operator under the
                 // resident preconditioner.
                 let op = lookup(arena, theta).ok_or_else(|| SpmdError::Protocol {
                     rank: c.rank(),
                     what: format!("perturbation θ={theta} missing from the arena"),
                 })?;
-                serve_batch(
-                    c,
-                    &resident,
-                    Some(op),
-                    opts,
-                    workload,
-                    batch,
-                    responses,
-                    nsubs,
-                    &mut spaces,
-                )?;
+                op_override = Some(op);
             }
+            serve_batch(
+                c,
+                &resident,
+                op_override,
+                opts,
+                workload,
+                batch,
+                responses,
+                nsubs,
+                &mut spaces,
+            )?;
         }
         // Quiesce the store before anyone judges staleness: without this,
         // a rank that finishes the pass early can observe a peer's

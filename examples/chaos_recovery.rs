@@ -61,6 +61,10 @@ use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
+// The outside referees (reassembly, true residual) are the test suites'.
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 type RecResult = Result<(SpmdReport, Vec<(usize, Vec<f64>)>), SpmdError>;
 
 /// Right-preconditioned GMRES (the convergence test monitors the true
@@ -123,22 +127,8 @@ fn global_residual<'a>(
     decomp: &Decomposition,
     results: impl Iterator<Item = &'a RecResult>,
 ) -> f64 {
-    let mut locals: Vec<Vec<f64>> = vec![Vec::new(); decomp.n_subdomains()];
-    for res in results.flatten() {
-        for (s, x) in &res.1 {
-            locals[*s] = x.clone();
-        }
-    }
-    let x = decomp.from_locals(&locals);
-    let mut ax = vec![0.0; x.len()];
-    decomp.a_global.spmv(&x, &mut ax);
-    let r: Vec<f64> = ax
-        .iter()
-        .zip(&decomp.rhs_global)
-        .map(|(axi, b)| b - axi)
-        .collect();
-    let nrm = |v: &[f64]| v.iter().map(|a| a * a).sum::<f64>().sqrt();
-    nrm(&r) / nrm(&decomp.rhs_global)
+    let x = common::reassemble(decomp, results.flatten().map(|r| &r.1));
+    common::global_residual(decomp, &x)
 }
 
 fn describe(label: &str, results: &[Result<SpmdReport, SpmdError>]) {

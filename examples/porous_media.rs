@@ -42,7 +42,7 @@ fn main() {
     let d = Arc::clone(&decomp);
     let sols = World::run_default(n_sub, move |comm| {
         let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
-        (s.report, s.x_local)
+        (s.report, s.locals)
     });
 
     // Per-rank virtual-time breakdown (the Figure 8/10 columns).
@@ -67,7 +67,11 @@ fn main() {
     assert!(r0.converged);
 
     // Verify against the sequential reference solution.
-    let locals: Vec<Vec<f64>> = sols.into_iter().map(|(_, x)| x).collect();
+    let locals: Vec<Vec<f64>> = sols
+        .into_iter()
+        .flat_map(|(_, locals)| locals)
+        .map(|(_, x)| x)
+        .collect();
     let x = decomp.from_locals(&locals);
     let mut ax = vec![0.0; decomp.n_global];
     decomp.a_global.spmv(&x, &mut ax);

@@ -22,6 +22,9 @@ use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
+mod common;
+use common::global_residual;
+
 fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
     let mesh = Mesh::unit_square(nmesh, nmesh);
     let part = partition_mesh_rcb(&mesh, nparts);
@@ -308,34 +311,10 @@ fn run_recoverable_with_store(
     })
 }
 
-/// `‖b − A x‖ / ‖b‖` of a reassembled global solution.
-fn global_residual(decomp: &Decomposition, x: &[f64]) -> f64 {
-    let mut ax = vec![0.0; decomp.n_global];
-    decomp.a_global.spmv(x, &mut ax);
-    let (mut num, mut den) = (0.0, 0.0);
-    for (a, b) in ax.iter().zip(&decomp.rhs_global) {
-        num += (a - b) * (a - b);
-        den += b * b;
-    }
-    (num / den).sqrt()
-}
-
 /// Reassemble the global solution from the survivors' per-subdomain locals,
 /// asserting every subdomain is covered exactly by the live ranks.
 fn reassemble(decomp: &Decomposition, results: &[RecResult]) -> Vec<f64> {
-    let mut by_sub: Vec<Option<Vec<f64>>> = vec![None; decomp.n_subdomains()];
-    for res in results.iter().flatten() {
-        for (s, x) in &res.1 {
-            assert!(by_sub[*s].is_none(), "subdomain {s} owned twice");
-            by_sub[*s] = Some(x.clone());
-        }
-    }
-    let locals: Vec<Vec<f64>> = by_sub
-        .into_iter()
-        .enumerate()
-        .map(|(s, x)| x.unwrap_or_else(|| panic!("subdomain {s} not covered by any survivor")))
-        .collect();
-    decomp.from_locals(&locals)
+    common::reassemble(decomp, results.iter().flatten().map(|r| &r.1))
 }
 
 /// Assert the recovery contract after killing `victim`: the victim reports
@@ -672,12 +651,12 @@ fn run_with_solution(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
     plan: FaultPlan,
-) -> Vec<Result<(SpmdReport, Vec<f64>), SpmdError>> {
+) -> Vec<RecResult> {
     let n = decomp.n_subdomains();
     let d2 = Arc::clone(decomp);
     let opts = opts.clone();
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        try_run_spmd(&d2, comm, &opts).map(|s| (s.report, s.x_local))
+        try_run_spmd(&d2, comm, &opts).map(|s| (s.report, s.locals))
     })
 }
 
@@ -685,7 +664,7 @@ fn run_with_solution(
 fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
     let decomp = setup(12, 4);
     let o = opts();
-    let base: Vec<(SpmdReport, Vec<f64>)> = run_with_solution(&decomp, &o, FaultPlan::default())
+    let base: Vec<_> = run_with_solution(&decomp, &o, FaultPlan::default())
         .into_iter()
         .map(|r| r.expect("fault-free baseline must not fail"))
         .collect();

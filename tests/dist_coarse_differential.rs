@@ -18,6 +18,9 @@ use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
+mod common;
+use common::rel_dist;
+
 /// Figure 10's 2D family at laptop scale: heterogeneous diffusion on a
 /// unit square, RCB-partitioned.
 fn fig10_2d(order: usize, cells: usize, nparts: usize) -> Arc<Decomposition> {
@@ -59,18 +62,6 @@ fn apply_once(
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
         debug_apply_adef1(&d2, comm, &r, 4, coarse).map(|((z, q, _, _), e)| (z, q, e))
     })
-}
-
-fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let num: f64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt();
-    let den: f64 = b.iter().map(|y| y * y).sum::<f64>().sqrt();
-    num / den.max(1e-300)
 }
 
 /// Agreement the two modes are held to on the coarse correction.
@@ -192,13 +183,12 @@ fn full_solve_agrees_across_modes_on_fig10() {
     let run = |o: SpmdOpts| {
         let d2 = Arc::clone(&decomp);
         World::run_default(decomp.n_subdomains(), move |comm| {
-            try_run_spmd(&d2, comm, &o).map(|s| (s.report, s.x_local))
+            try_run_spmd(&d2, comm, &o).map(|s| (s.report, s.locals))
         })
     };
     let dist = run(opts(CoarseSolve::Distributed));
     let red = run(opts(CoarseSolve::Redundant));
-    let mut xd: Vec<Vec<f64>> = Vec::new();
-    let mut xr: Vec<Vec<f64>> = Vec::new();
+    let (mut xd, mut xr) = (Vec::new(), Vec::new());
     for (d, r) in dist.into_iter().zip(red) {
         let (rd, x1) = d.expect("distributed solve failed");
         let (rr, x2) = r.expect("redundant solve failed");
@@ -207,8 +197,8 @@ fn full_solve_agrees_across_modes_on_fig10() {
         xd.push(x1);
         xr.push(x2);
     }
-    let gd = decomp.from_locals(&xd);
-    let gr = decomp.from_locals(&xr);
+    let gd = common::reassemble(&decomp, &xd);
+    let gr = common::reassemble(&decomp, &xr);
     let rel = rel_dist(&gd, &gr);
     assert!(rel < 1e-10, "solutions disagree across modes: rel {rel:e}");
 }

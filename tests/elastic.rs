@@ -15,6 +15,9 @@ use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
+mod common;
+use common::{global_residual, rel_dist};
+
 fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
     let mesh = Mesh::unit_square(nmesh, nmesh);
     let part = partition_mesh_rcb(&mesh, nparts);
@@ -61,46 +64,10 @@ fn run_elastic_with_plan(
     })
 }
 
-/// `‖b − A x‖ / ‖b‖` of a reassembled global solution.
-fn global_residual(decomp: &Decomposition, x: &[f64]) -> f64 {
-    let mut ax = vec![0.0; decomp.n_global];
-    decomp.a_global.spmv(x, &mut ax);
-    let (mut num, mut den) = (0.0, 0.0);
-    for (a, b) in ax.iter().zip(&decomp.rhs_global) {
-        num += (a - b) * (a - b);
-        den += b * b;
-    }
-    (num / den).sqrt()
-}
-
 /// Reassemble the global solution from the per-subdomain locals of every
 /// completed rank, asserting exact single coverage of all subdomains.
 fn reassemble(decomp: &Decomposition, results: &[ElasticResult]) -> Vec<f64> {
-    let mut by_sub: Vec<Option<Vec<f64>>> = vec![None; decomp.n_subdomains()];
-    for res in results.iter().flatten().flatten() {
-        for (s, x) in &res.1 {
-            assert!(by_sub[*s].is_none(), "subdomain {s} owned twice");
-            by_sub[*s] = Some(x.clone());
-        }
-    }
-    let locals: Vec<Vec<f64>> = by_sub
-        .into_iter()
-        .enumerate()
-        .map(|(s, x)| x.unwrap_or_else(|| panic!("subdomain {s} not covered by any member")))
-        .collect();
-    decomp.from_locals(&locals)
-}
-
-fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let num: f64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt();
-    let den: f64 = b.iter().map(|y| y * y).sum::<f64>().sqrt();
-    num / den.max(1e-300)
+    common::reassemble(decomp, results.iter().flatten().flatten().map(|r| &r.1))
 }
 
 /// Fault-free elastic run with fewer founders than subdomains: each rank

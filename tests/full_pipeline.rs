@@ -14,6 +14,8 @@ use dd_geneo::part::{partition_mesh_rcb, quality};
 use dd_geneo::solver::{Ordering, SparseLdlt};
 use std::sync::Arc;
 
+mod common;
+
 fn direct_solution(d: &dd_geneo::core::Decomposition) -> Vec<f64> {
     SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
         .unwrap()
@@ -142,11 +144,10 @@ fn spmd_matches_sequential_two_level() {
     let d2 = Arc::clone(&d);
     let sols = World::run_default(n_sub, move |comm| {
         let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-        (s.report.converged, s.x_local)
+        (s.report.converged, s.locals)
     });
     assert!(sols.iter().all(|(c, _)| *c));
-    let locals: Vec<Vec<f64>> = sols.into_iter().map(|(_, x)| x).collect();
-    let x = d.from_locals(&locals);
+    let x = common::reassemble(&d, sols.iter().map(|(_, l)| l));
     let direct = direct_solution(&d);
     let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);
     assert!(rel < 1e-5, "SPMD vs direct: {rel}");
@@ -182,11 +183,10 @@ fn spmd_all_solver_kinds_agree() {
         let d2 = Arc::clone(&d);
         let sols = World::run_default(n_sub, move |comm| {
             let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            (s.report.converged, s.x_local)
+            (s.report.converged, s.locals)
         });
         assert!(sols.iter().all(|(c, _)| *c), "{kind:?} did not converge");
-        let locals: Vec<Vec<f64>> = sols.into_iter().map(|(_, x)| x).collect();
-        let x = d.from_locals(&locals);
+        let x = common::reassemble(&d, sols.iter().map(|(_, l)| l));
         let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);
         assert!(rel < 1e-3, "{kind:?} vs direct: {rel}");
     }

@@ -350,15 +350,14 @@ fn spmd_converges_with_supernodal_backend() {
         let d2 = Arc::clone(&d);
         let sols = World::run_default(n_sub, move |comm| {
             let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            (s.report.converged, s.report.iterations, s.x_local)
+            (s.report.converged, s.report.iterations, s.locals)
         });
         assert!(
             sols.iter().all(|(c, _, _)| *c),
             "{backend:?} did not converge"
         );
         iters.push(sols[0].1);
-        let locals: Vec<Vec<f64>> = sols.into_iter().map(|(_, _, x)| x).collect();
-        let x = d.from_locals(&locals);
+        let x = common::reassemble(&d, sols.iter().map(|(_, _, l)| l));
         let rel = rel_diff(&x, &direct);
         assert!(rel < 1e-5, "{backend:?} vs direct: {rel}");
     }

@@ -21,6 +21,8 @@ use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
+mod common;
+
 fn build(mesh: Mesh, problem: Problem, nparts: usize) -> Arc<Decomposition> {
     let part = partition_mesh_rcb(&mesh, nparts);
     Arc::new(decompose(&mesh, &problem, &part, nparts, 1))
@@ -91,9 +93,8 @@ fn identity_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Answer {
     });
     let (iterations, converged) = (sols[0].report.iterations, sols[0].report.converged);
     assert!(sols.iter().all(|s| s.report.iterations == iterations));
-    let locals: Vec<Vec<f64>> = sols.into_iter().map(|s| s.x_local).collect();
     Answer {
-        x: decomp.from_locals(&locals),
+        x: common::reassemble(decomp, sols.iter().map(|s| &s.locals)),
         iterations,
         converged,
     }

@@ -7,7 +7,7 @@
 //! batcher's numerical transparency: splitting or merging batches changes
 //! scheduling only, never a single iteration count or solution bit.
 
-use dd_geneo::comm::{CostModel, FaultPlan, SuspicionPolicy, World};
+use dd_geneo::comm::{CommError, CostModel, FaultPlan, SuspicionPolicy, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, try_run_spmd, CoarseCache, Decomposition, GeneoOpts, RecoveryOpts, SpmdError,
@@ -21,6 +21,9 @@ use dd_geneo::serve::{
     Workload,
 };
 use std::sync::Arc;
+
+mod common;
+use common::{global_residual, reassemble, rel_dist};
 
 fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
     let mesh = Mesh::unit_square(nmesh, nmesh);
@@ -102,20 +105,7 @@ fn one_shot_counted(
         try_run_spmd(&d2, comm, &o).expect("one-shot reference must not fail")
     });
     let iterations = sols[0].report.iterations;
-    let locals: Vec<Vec<f64>> = sols.into_iter().map(|s| s.x_local).collect();
-    (d.from_locals(&locals), iterations)
-}
-
-fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let num: f64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt();
-    let den: f64 = b.iter().map(|y| y * y).sum::<f64>().sqrt();
-    num / den.max(1e-300)
+    (reassemble(&d, sols.iter().map(|s| &s.locals)), iterations)
 }
 
 /// Every response of `report` against its own fresh one-shot run.
@@ -463,6 +453,111 @@ fn mid_stream_straggler_is_evicted_and_stream_completes() {
     }
     let report = assert_reports_agree(&results, "evict");
     assert_differential(&decomp, &opts, &w, &report, "evict");
+}
+
+/// Mid-stream wire corruption: the head of the stream is answered, then
+/// every halo message of `serve-apply` arrives corrupted beyond its
+/// retransmit budget. Every rank must end in a typed corruption-class error
+/// — never a panic, never a report. With recovery armed the epoch driver
+/// re-enters the stream on the same world, `max_replays` times and no more
+/// (counted in checksum detections: each entry fails its first receive),
+/// and each entry skips what is already answered. Whatever the store holds
+/// afterwards passes the true-residual check made from outside.
+#[test]
+fn mid_stream_corruption_is_typed_replayed_within_budget_and_never_answered_wrongly() {
+    let decomp = setup(12, 4);
+    let n = decomp.n_global;
+    let requests: Vec<Request> = (0..4)
+        .map(|id| Request {
+            id,
+            arrival: 0.3 * id as f64,
+            payload: Payload::Rhs(rhs_for(n, id as u64 + 1)),
+        })
+        .collect();
+    let answered = 2;
+    let head = Workload::from_requests(requests[..answered].to_vec());
+    let w = Workload::from_requests(requests);
+    // Two ranks hosting two subdomains each: both receive the other's
+    // corrupted halo in the same lockstep step. Per rank: the outcome and
+    // the corruptions its receives detected.
+    let serve = |opts: &ServeOpts, plan: FaultPlan, w: &Workload, store: &Arc<ResponseStore>| {
+        let (d, o, w, store) = (
+            Arc::clone(&decomp),
+            opts.clone(),
+            w.clone(),
+            Arc::clone(store),
+        );
+        let cache = Arc::new(CoarseCache::new());
+        World::run_with_faults(2, CostModel::default(), plan, move |comm| {
+            let out = try_serve(&d, comm, &o, &w, &cache, &store);
+            (out, comm.fault_stats().corruptions_detected)
+        })
+    };
+    let mut detected: Vec<Vec<u64>> = Vec::new();
+    for enabled in [false, true] {
+        let mut opts = serve_opts();
+        opts.spmd.recovery.enabled = enabled;
+        let what = format!("recovery {}", if enabled { "on" } else { "off" });
+        let store = Arc::new(ResponseStore::new());
+        for (res, _) in serve(&opts, FaultPlan::default(), &head, &store) {
+            res.unwrap_or_else(|e| panic!("{what}: the fault-free head failed: {e}"));
+        }
+        let head_pieces = |store: &ResponseStore| -> Vec<_> {
+            (0..answered).map(|req| store.pieces(req, 0)).collect()
+        };
+        let before = head_pieces(&store);
+        let plan = FaultPlan::new(3).with_corrupt_persistent("serve-apply", None, TagClass::P2p, 3);
+        let results = serve(&opts, plan, &w, &store);
+        let mut corrupt_errors = 0;
+        for (rank, (res, _)) in results.iter().enumerate() {
+            match res {
+                Ok(r) => panic!(
+                    "{what}: rank {rank} reported {} responses under persistent corruption",
+                    r.responses.len()
+                ),
+                Err(SpmdError::Comm(CommError::Corrupt { .. })) => corrupt_errors += 1,
+                // A peer that gave up first abandons the world.
+                Err(SpmdError::Comm(CommError::RankDead { .. })) => {}
+                Err(other) => panic!("{what}: rank {rank}: not a corruption-class error: {other}"),
+            }
+        }
+        assert!(
+            corrupt_errors > 0,
+            "{what}: nobody surfaced the typed Corrupt"
+        );
+        detected.push(results.iter().map(|r| r.1).collect());
+        // Answered before the fault: skipped on every entry, bit for bit.
+        assert_eq!(
+            before,
+            head_pieces(&store),
+            "{what}: the answered head moved"
+        );
+        for (req, request) in w.requests.iter().enumerate() {
+            let nsubs = decomp.n_subdomains();
+            assert_eq!(
+                store.is_complete(req, 0, nsubs),
+                req < answered,
+                "{what}: request {req} under a link that delivers nothing intact"
+            );
+            if store.is_complete(req, 0, nsubs) {
+                let x = reassemble(&decomp, [&store.pieces(req, 0)]);
+                let rr = global_residual(&decomp.with_rhs(request.rhs(0).to_vec()), &x);
+                assert!(
+                    rr <= 1e-8,
+                    "{what}: response {req} has true residual {rr:e}"
+                );
+            }
+        }
+    }
+    let budget = serve_opts().spmd.recovery.max_replays as u64;
+    for (rank, (off, on)) in detected[0].iter().zip(&detected[1]).enumerate() {
+        assert!(*off > 0, "rank {rank}: the row is vacuous");
+        assert_eq!(
+            *on,
+            (1 + budget) * off,
+            "rank {rank}: one first entry and {budget} replays, each failing its first receive"
+        );
+    }
 }
 
 /// Batch transparency: the same stream served under max-1 batches (no
