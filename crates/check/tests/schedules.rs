@@ -83,7 +83,9 @@ fn iallreduce_overlap(max: usize) -> Report {
             let got = comm.recv::<u64>(0, 9);
             assert_eq!(got, 5);
         }
-        let reduced = comm.wait_reduce(pending);
+        let reduced = comm
+            .wait_reduce(pending)
+            .expect("nobody dies in this program");
         reduced
             .iter()
             .flat_map(|v| v.to_bits().to_le_bytes())

@@ -29,7 +29,7 @@
 
 use crate::fault::{splitmix64, CommError, FaultPlan, FaultStats, RetryPolicy};
 use crate::model::{linear_msgs, tree_msgs, CostModel};
-use crate::sync::{std_backend, ControlGuard, SyncBackend, SyncCondvar, SyncMutex};
+use crate::sync::{std_backend, ControlGuard, SyncBackend, SyncCondvar, SyncMutex, SyncMutexGuard};
 use crate::time::VirtualClock;
 use crate::trace::{CollClass, RankTrace, TraceRecorder, WorldTrace};
 use std::any::Any;
@@ -136,7 +136,7 @@ fn invariant<T>(o: Option<T>, what: &'static str) -> T {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One FNV-1a 64 step over a whole scalar: `word` is its little-endian
 /// wire image, zero-extended. XOR with `word` and multiplication by an odd
@@ -158,6 +158,15 @@ fn envelope_salt(fault_id: u64, epoch: usize, tag: u64) -> u64 {
 /// Word-wise FNV-1a checksum of `value`'s wire image under `salt`.
 fn wire_sum<T: WireSize + ?Sized>(value: &T, salt: u64) -> u64 {
     value.wire_fold(FNV_OFFSET ^ salt)
+}
+
+/// Byte-wise FNV-1a 64 checksum of `bytes` under `salt` — with salt 0 the
+/// published function. For state at rest (checkpoints, stored responses),
+/// where the wire image's scalar framing does not exist.
+pub fn fnv1a_bytes(salt: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(FNV_OFFSET ^ salt, |h, b| fnv1a(h, u64::from(b)))
 }
 
 /// Size in bytes a value would occupy on the wire — drives the β term of
@@ -390,6 +399,9 @@ impl Slot {
         }
     }
 }
+
+/// A communicator's collective slot table, locked.
+type SlotsGuard<'a> = SyncMutexGuard<'a, HashMap<u64, Slot>>;
 
 /// A wait-satisfiability probe registered by a parked rank: which wait the
 /// rank is in, so that any other rank can ask whether it could complete
@@ -884,7 +896,6 @@ impl Default for SuspicionPolicy {
 /// (cf. `MPI_Iallreduce` in the paper's fused pipelined GMRES, §3.5).
 pub struct PendingReduce<T> {
     seq: u64,
-    post_clock: f64,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -1981,14 +1992,16 @@ impl Communicator {
         }
     }
 
-    /// Core collective machinery: deposit a contribution, let the last
-    /// arriver run `finish` on all of them, synchronize clocks to the
-    /// returned exit time.
-    fn try_collective<R: Send + Sync + 'static>(
+    /// First half of a collective: deposit a contribution under the next
+    /// sequence number; the last arriver runs `finish` on all of them and
+    /// publishes the result with the exit time. Never blocks. Returns the
+    /// sequence number and — to the finisher, who goes straight on to take
+    /// the result in a blocking collective — the slot table still locked.
+    fn deposit<R: Send + Sync + 'static>(
         &self,
         contribution: Box<dyn Any + Send>,
         finish: impl FnOnce(Vec<Box<dyn Any + Send>>, f64) -> (R, f64),
-    ) -> Result<Arc<R>, CommError> {
+    ) -> (u64, Option<SlotsGuard<'_>>) {
         self.charge_collective_faults(self.seq.get());
         let seq = self.next_seq();
         self.shared.collective_calls.fetch_add(1, AtOrd::Relaxed);
@@ -1998,23 +2011,38 @@ impl Communicator {
         slot.contributions[self.rank] = Some(contribution);
         slot.entry[self.rank] = self.clock.now();
         slot.arrived += 1;
-        if slot.arrived == size {
-            let contribs: Vec<Box<dyn Any + Send>> = slot
-                .contributions
-                .iter_mut()
-                .map(|c| invariant(c.take(), "collective contribution missing"))
-                .collect();
-            let max_entry = slot.entry.iter().cloned().fold(0.0f64, f64::max);
-            let (result, exit) = finish(contribs, max_entry);
-            slot.result = Some(Arc::new(result));
-            slot.exit_clock = exit;
-            slot.done = true;
-            self.shared.slots_cv.notify_all();
-        } else {
-            drop(slots);
-            self.wait_slot_done(seq)?;
-            slots = self.shared.slots.lock();
+        if slot.arrived < size {
+            return (seq, None);
         }
+        let contribs: Vec<Box<dyn Any + Send>> = slot
+            .contributions
+            .iter_mut()
+            .map(|c| invariant(c.take(), "collective contribution missing"))
+            .collect();
+        let max_entry = slot.entry.iter().cloned().fold(0.0f64, f64::max);
+        let (result, exit) = finish(contribs, max_entry);
+        slot.result = Some(Arc::new(result));
+        slot.exit_clock = exit;
+        slot.done = true;
+        self.shared.slots_cv.notify_all();
+        (seq, Some(slots))
+    }
+
+    /// Second half: wait until collective `seq` is done (unless `held`
+    /// says this rank just finished it), take the shared result and
+    /// synchronize the clock to the exit time.
+    fn take<R: Send + Sync + 'static>(
+        &self,
+        seq: u64,
+        held: Option<SlotsGuard<'_>>,
+    ) -> Result<Arc<R>, CommError> {
+        let mut slots = match held {
+            Some(slots) => slots,
+            None => {
+                self.wait_slot_done(seq)?;
+                self.shared.slots.lock()
+            }
+        };
         let slot = invariant(slots.get_mut(&seq), "collective slot vanished");
         let result = downcast_shared::<R>(
             invariant(slot.result.clone(), "collective result missing"),
@@ -2022,12 +2050,41 @@ impl Communicator {
         );
         let exit = slot.exit_clock;
         slot.taken += 1;
-        if slot.taken == size {
+        if slot.taken == self.size() {
             slots.remove(&seq);
         }
         drop(slots);
         self.clock.advance_to(exit);
         Ok(result)
+    }
+
+    /// A blocking collective: both halves back to back.
+    fn try_collective<R: Send + Sync + 'static>(
+        &self,
+        contribution: Box<dyn Any + Send>,
+        finish: impl FnOnce(Vec<Box<dyn Any + Send>>, f64) -> (R, f64),
+    ) -> Result<Arc<R>, CommError> {
+        let (seq, held) = self.deposit(contribution, finish);
+        self.take(seq, held)
+    }
+
+    /// The finisher of the element-wise vector sums, blocking or not.
+    fn sum_vecs(&self) -> impl FnOnce(Vec<Box<dyn Any + Send>>, f64) -> (Vec<f64>, f64) {
+        let (size, model) = (self.size(), self.model);
+        move |contribs, max_entry| {
+            let mut it = contribs.into_iter();
+            let first = invariant(it.next(), "allreduce_sum_vec: empty contribution set");
+            let mut acc = downcast_payload::<Vec<f64>>(first, "allreduce_sum_vec");
+            for c in it {
+                let v = downcast_payload::<Vec<f64>>(c, "allreduce_sum_vec");
+                assert_eq!(v.len(), acc.len(), "allreduce_sum_vec: length mismatch");
+                for (a, b) in acc.iter_mut().zip(v.iter()) {
+                    *a += b;
+                }
+            }
+            let bytes = acc.len() * 8;
+            (acc, max_entry + model.allreduce(size, bytes))
+        }
     }
 
     fn next_seq(&self) -> u64 {
@@ -2308,27 +2365,12 @@ impl Communicator {
 
     /// Fault-tolerant [`Communicator::allreduce_sum_vec`].
     pub fn try_allreduce_sum_vec(&self, value: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        let size = self.size();
         let bytes = value.wire_bytes();
         self.shared
             .collective_bytes
             .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.trace_coll("allreduce", CollClass::EqualCount, None, bytes);
-        let model = self.model;
-        let r = self.try_collective(Box::new(value), move |contribs, max_entry| {
-            let mut it = contribs.into_iter();
-            let first = invariant(it.next(), "allreduce_sum_vec: empty contribution set");
-            let mut acc = downcast_payload::<Vec<f64>>(first, "allreduce_sum_vec");
-            for c in it {
-                let v = downcast_payload::<Vec<f64>>(c, "allreduce_sum_vec");
-                assert_eq!(v.len(), acc.len(), "allreduce_sum_vec: length mismatch");
-                for (a, b) in acc.iter_mut().zip(v.iter()) {
-                    *a += b;
-                }
-            }
-            let bytes = acc.len() * 8;
-            (acc, max_entry + model.allreduce(size, bytes))
-        })?;
+        let r = self.try_collective(Box::new(value), self.sum_vecs())?;
         Ok((*r).clone())
     }
 
@@ -2386,70 +2428,25 @@ impl Communicator {
             None,
             value.wire_bytes(),
         );
-        self.charge_collective_faults(self.seq.get());
-        let seq = self.next_seq();
-        self.shared.collective_calls.fetch_add(1, AtOrd::Relaxed);
-        let size = self.size();
-        let model = self.model;
-        let mut slots = self.shared.slots.lock();
-        let slot = slots.entry(seq).or_insert_with(|| Slot::new(size));
-        slot.contributions[self.rank] = Some(Box::new(value));
-        slot.entry[self.rank] = self.clock.now();
-        slot.arrived += 1;
-        if slot.arrived == size {
-            let contribs: Vec<Box<dyn Any + Send>> = slot
-                .contributions
-                .iter_mut()
-                .map(|c| invariant(c.take(), "iallreduce contribution missing"))
-                .collect();
-            let max_entry = slot.entry.iter().cloned().fold(0.0f64, f64::max);
-            let mut it = contribs.into_iter();
-            let first = invariant(it.next(), "iallreduce: empty contribution set");
-            let mut acc = downcast_payload::<Vec<f64>>(first, "iallreduce");
-            for c in it {
-                let v = downcast_payload::<Vec<f64>>(c, "iallreduce");
-                for (a, b) in acc.iter_mut().zip(v.iter()) {
-                    *a += b;
-                }
-            }
-            let bytes = acc.len() * 8;
-            slot.exit_clock = max_entry + model.allreduce(size, bytes);
-            slot.result = Some(Arc::new(acc));
-            slot.done = true;
-            self.shared.slots_cv.notify_all();
-        }
-        drop(slots);
+        let (seq, held) = self.deposit(Box::new(value), self.sum_vecs());
+        drop(held);
         // Posting overhead only — the reduction itself overlaps with
         // whatever the rank does before waiting.
         self.clock.advance(self.model.alpha);
         PendingReduce {
             seq,
-            post_clock: self.clock.now(),
             _marker: std::marker::PhantomData,
         }
     }
 
     /// Complete a pending non-blocking reduction. The clock advances to the
     /// later of "now" and the modeled completion time — time spent
-    /// computing between post and wait hides the reduction latency.
-    pub fn wait_reduce(&self, pending: PendingReduce<Vec<f64>>) -> Vec<f64> {
-        self.wait_slot_done(pending.seq)
-            .unwrap_or_else(|e| panic!("wait_reduce on rank {}: {e}", self.rank));
-        let mut slots = self.shared.slots.lock();
-        let slot = invariant(slots.get_mut(&pending.seq), "reduce slot vanished");
-        let result = downcast_shared::<Vec<f64>>(
-            invariant(slot.result.clone(), "reduce result missing"),
-            "wait_reduce",
-        );
-        let exit = slot.exit_clock;
-        slot.taken += 1;
-        if slot.taken == self.size() {
-            slots.remove(&pending.seq);
-        }
-        drop(slots);
-        let _ = pending.post_clock;
-        self.clock.advance_to(exit);
-        (*result).clone()
+    /// computing between post and wait hides the reduction latency. A
+    /// participant that died before posting, or a revoked epoch, is the
+    /// typed error of a blocking collective.
+    pub fn wait_reduce(&self, pending: PendingReduce<Vec<f64>>) -> Result<Vec<f64>, CommError> {
+        let r = self.take::<Vec<f64>>(pending.seq, None)?;
+        Ok((*r).clone())
     }
 
     /// Split into sub-communicators by color (`MPI_Comm_split`). Ranks

@@ -271,7 +271,7 @@ fn nonblocking_reduce_overlaps() {
         // Simulated overlapped work longer than the reduction.
         comm.advance_clock(1.0);
         let t_before_wait = comm.clock();
-        let r = comm.wait_reduce(pend);
+        let r = comm.wait_reduce(pend).unwrap();
         // The wait must not add the full reduction on top of the work.
         assert!(comm.clock() - t_before_wait < 0.5);
         r
@@ -286,14 +286,38 @@ fn multiple_pending_reduces_wait_any_order() {
         let p1 = comm.iallreduce_sum_vec(vec![1.0]);
         let p2 = comm.iallreduce_sum_vec(vec![10.0 * (comm.rank() + 1) as f64]);
         // wait in reverse order of posting
-        let r2 = comm.wait_reduce(p2);
-        let r1 = comm.wait_reduce(p1);
+        let r2 = comm.wait_reduce(p2).unwrap();
+        let r1 = comm.wait_reduce(p1).unwrap();
         (r1[0], r2[0])
     });
     for &(a, b) in &out {
         assert_eq!(a, 3.0);
         assert_eq!(b, 60.0);
     }
+}
+
+#[test]
+fn wait_reduce_reports_a_participant_that_died_before_posting() {
+    let plan = FaultPlan::new(0).with_kill(2, "boundary");
+    let out = World::run_with_faults(3, CostModel::default(), plan, |comm| {
+        if comm.failpoint("boundary").is_err() {
+            return Err(CommError::RankDead { rank: 2 });
+        }
+        let pend = comm.iallreduce_sum_vec(vec![1.0]);
+        comm.wait_reduce(pend)
+    });
+    for r in out {
+        assert_eq!(r, Err(CommError::RankDead { rank: 2 }));
+    }
+}
+
+#[test]
+#[should_panic]
+fn nonblocking_reduce_of_unequal_lengths_panics() {
+    World::run_default(2, |comm| {
+        let pend = comm.iallreduce_sum_vec(vec![1.0; 1 + comm.rank()]);
+        let _ = comm.wait_reduce(pend);
+    });
 }
 
 #[test]
@@ -610,6 +634,14 @@ fn should_fail_matches_plan() {
 }
 
 // ------------------------------------------------- corruption / envelopes
+
+#[test]
+fn byte_fold_is_the_published_fnv1a_64() {
+    assert_eq!(fnv1a_bytes(0, *b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a_bytes(0, *b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a_bytes(0, *b"foobar"), 0x8594_4171_f739_67e8);
+    assert_ne!(fnv1a_bytes(1, *b"a"), fnv1a_bytes(0, *b"a"));
+}
 
 #[test]
 fn wire_fold_and_flip_agree_on_layout() {

@@ -19,7 +19,7 @@
 //! solves (the multiple right-hand-side scenario).
 
 use crate::error::SpmdError;
-use dd_krylov::{InnerProduct, Operator, Preconditioner, SeqDot};
+use dd_krylov::{Operator, Preconditioner};
 use dd_linalg::{jacobi, vector, CsrMatrix, DMat, DenseLdlt};
 use std::cell::Cell;
 
@@ -149,7 +149,6 @@ where
     let n = op.dim();
     assert_eq!(seed.len(), n);
     let steps = steps.min(n).max(m);
-    let ip = SeqDot;
     // Arnoldi on B = M⁻¹A.
     let mut v: Vec<Vec<f64>> = Vec::with_capacity(steps + 1);
     let mut first = seed.to_vec();
@@ -164,7 +163,7 @@ where
         op.apply(&v[k], &mut ax);
         precond.apply(&ax, &mut w);
         for (j, vj) in v.iter().enumerate() {
-            let hjk = ip.dot(&w, vj);
+            let hjk = vector::dot(&w, vj);
             vector::axpy(-hjk, vj, &mut w);
             h[(j, k)] = hjk;
         }
@@ -228,7 +227,7 @@ mod tests {
     use crate::decomp::decompose;
     use crate::precond::RasPrecond;
     use crate::problem::presets;
-    use dd_krylov::{gmres, GmresOpts, IdentityPrecond};
+    use dd_krylov::{gmres, GmresOpts, IdentityPrecond, SeqDot};
     use dd_mesh::Mesh;
     use dd_part::partition_mesh_rcb;
     use dd_solver::Ordering;

@@ -50,7 +50,7 @@ use crate::resident::PreparedMulti;
 use crate::spmd::{
     classify_comm, try_setup_on, SetupLabels, SolverKind, SpmdOpts, SpmdReport, PAPER_LABELS,
 };
-use dd_comm::{CommError, Communicator, RetryPolicy, SuspicionPolicy};
+use dd_comm::{fnv1a_bytes, CommError, Communicator, RetryPolicy, SuspicionPolicy};
 use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -118,28 +118,18 @@ pub struct CheckpointStore {
 }
 
 /// FNV-1a 64 over a checkpoint's bit pattern (iteration, iterate, residual
-/// anchor, history) — the same construction the wire envelopes use.
+/// anchor, history).
 fn checkpoint_sum(cp: &SolveCheckpoint) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut fold = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    fold(cp.iteration as u64);
-    fold(cp.x.len() as u64);
-    for &v in &cp.x {
-        fold(v.to_bits());
-    }
-    fold(cp.residual.to_bits());
-    fold(cp.r0_norm.to_bits());
-    fold(cp.history.len() as u64);
-    for &v in &cp.history {
-        fold(v.to_bits());
-    }
-    h
+    let words = [cp.iteration as u64, cp.x.len() as u64]
+        .into_iter()
+        .chain(cp.x.iter().map(|v| v.to_bits()))
+        .chain([
+            cp.residual.to_bits(),
+            cp.r0_norm.to_bits(),
+            cp.history.len() as u64,
+        ])
+        .chain(cp.history.iter().map(|v| v.to_bits()));
+    fnv1a_bytes(0, words.flat_map(u64::to_le_bytes))
 }
 
 impl CheckpointStore {
@@ -793,10 +783,10 @@ pub fn try_setup_partitioned<'a>(
 /// and checkpoints (local writes, invisible to canonical traces) only when
 /// recovery is armed on the classical loop. Any other attempt is a recovery
 /// epoch: it resumes from the last globally complete checkpoint, always
-/// checkpoints, runs the classical loop whatever `opts.solver` says —
-/// resuming, and surviving the next fault with a typed error, both need it;
-/// the pipelined loops have no fallible entry point — and bounds every
-/// blocking wait: a peer that dies *again* must surface as an error.
+/// checkpoints, runs the classical loop whatever `opts.solver` says — only
+/// it resumes and checkpoints; every loop surfaces a lost peer typed — and
+/// bounds every blocking wait: a peer that dies *again* must surface as an
+/// error.
 #[allow(clippy::too_many_arguments)]
 fn run_partitioned(
     decomp: &Decomposition,

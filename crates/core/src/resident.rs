@@ -24,6 +24,7 @@ use crate::spmd::{
     SpmdOpts, SpmdReport,
 };
 use dd_comm::Communicator;
+use dd_krylov::operator::Reduction;
 use dd_krylov::{
     fused_pipelined_gmres, pipelined_gmres, try_gmres, try_gmres_multi, CheckpointCfg,
     FusedPreconditioner, GmresOpts, InnerProduct, Operator, Preconditioner, RecycleSpace,
@@ -240,10 +241,6 @@ impl MultiCtx<'_> {
         self.halo
             .exchange_add(self.comm, &mut self.inbox.borrow_mut(), t, out)
     }
-
-    fn panic_on(&self, what: &str, e: SolveInterrupt) -> ! {
-        panic!("{what} on rank {}: {e}", self.comm.rank())
-    }
 }
 
 /// Distributed operator: `(Ax)_s = Σ_j R_s R_jᵀ A_j D_j x_j` (eq. 5).
@@ -285,9 +282,12 @@ impl Operator for MultiOp<'_> {
         self.ctx.n_concat()
     }
 
+    /// The trait's infallible form, for callers with no peer to lose; the
+    /// Krylov loops all call `try_apply`.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.try_apply(x, y)
-            .unwrap_or_else(|e| self.ctx.panic_on("SpMV", e))
+        if let Err(e) = self.try_apply(x, y) {
+            panic!("SpMV: {e}")
+        }
     }
 
     // dd:hot
@@ -344,21 +344,22 @@ impl InnerProduct for MultiDot<'_> {
         ctx.comm.charge_flops(3 * (w.len() * vs.len()) as u64);
     }
 
-    fn reduce(&self, locals: Vec<f64>) -> Vec<f64> {
-        self.ctx.comm.allreduce_sum_vec(locals)
-    }
-
-    fn try_reduce(&self, locals: Vec<f64>) -> Result<Vec<f64>, SolveInterrupt> {
-        self.ctx
+    fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
+        let reduced = self
+            .ctx
             .comm
-            .try_allreduce_sum_vec(locals)
-            .map_err(comm_interrupt)
+            .try_allreduce_sum_vec(locals.to_vec())
+            .map_err(comm_interrupt)?;
+        out.copy_from_slice(&reduced);
+        Ok(())
     }
 
-    fn reduce_begin<'b>(&'b self, locals: Vec<f64>) -> Box<dyn FnOnce() -> Vec<f64> + 'b> {
+    fn reduce_begin<'b>(&'b self, locals: Vec<f64>) -> Result<Reduction<'b>, SolveInterrupt> {
         let comm = self.ctx.comm;
         let pending = comm.iallreduce_sum_vec(locals);
-        Box::new(move || comm.wait_reduce(pending))
+        Ok(Box::new(move || {
+            comm.wait_reduce(pending).map_err(comm_interrupt)
+        }))
     }
 
     // dd:hot — runs once per Krylov iteration on every rank
@@ -427,8 +428,9 @@ impl<'a> MultiRas<'a> {
 
 impl Preconditioner for MultiRas<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.try_apply(r, z)
-            .unwrap_or_else(|e| self.ctx.panic_on("RAS", e))
+        if let Err(e) = self.try_apply(r, z) {
+            panic!("RAS: {e}")
+        }
     }
 
     // dd:hot
@@ -555,7 +557,11 @@ impl<'a> MultiCoarse<'a> {
                     (y, 0)
                 }
             };
-            let reduced = pending.map_or_else(Vec::new, |p| master.wait_reduce(p));
+            let reduced = pending
+                .map(|p| master.wait_reduce(p))
+                .transpose()
+                .map_err(comm_interrupt)?
+                .unwrap_or_default();
             // step 3a: scatter each member's slice (+ the reduced payload)
             // back to the group.
             let mut at = y0;
@@ -603,11 +609,11 @@ struct MultiADef1<'a> {
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
-impl MultiADef1<'_> {
+impl FusedPreconditioner for MultiADef1<'_> {
     /// `z = RAS(r − A q) + q` with `q = Z E⁻¹ Zᵀ r`; the payload rides on
     /// the one coarse solve and comes back reduced.
     // dd:hot — per-iteration two-level application (eq. 6)
-    fn try_apply_fused(
+    fn apply_fused(
         &self,
         r: &[f64],
         z: &mut [f64],
@@ -630,21 +636,15 @@ impl MultiADef1<'_> {
 
 impl Preconditioner for MultiADef1<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.try_apply(r, z)
-            .unwrap_or_else(|e| self.op.ctx.panic_on("A-DEF1", e))
+        if let Err(e) = self.try_apply(r, z) {
+            panic!("A-DEF1: {e}")
+        }
     }
 
     fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
         // A capacity-0 `Vec::new` marks "no fused payload"; it never
         // touches the heap.
-        self.try_apply_fused(r, z, Vec::new()).map(drop)
-    }
-}
-
-impl FusedPreconditioner for MultiADef1<'_> {
-    fn apply_fused(&self, r: &[f64], z: &mut [f64], payload: Vec<f64>) -> Vec<f64> {
-        self.try_apply_fused(r, z, payload)
-            .unwrap_or_else(|e| self.op.ctx.panic_on("fused A-DEF1", e))
+        self.apply_fused(r, z, Vec::new()).map(drop)
     }
 }
 
@@ -729,9 +729,11 @@ impl PreparedMulti<'_> {
     /// scope (`dd-serve` passes `"serve-apply"`, which `dd-lint` checks for
     /// re-factorization).
     ///
+    /// Every loop is fallible: a lost peer, a revoked epoch or an armed
+    /// guard's verdict is a typed [`SpmdError`] under any `opts.solver`.
     /// Checkpoint and recycle arguments — here and in the two variants
-    /// below — engage on the classical loop only: the pipelined loops have
-    /// no fallible, resumable or recycled entry point.
+    /// below — engage on the classical loop only: the pipelined loops do
+    /// not resume or recycle.
     pub fn try_apply(
         &self,
         rhs_global: &[f64],
@@ -826,17 +828,18 @@ impl PreparedMulti<'_> {
 
         let result = if self.run.coarse != CoarseOutcome::TwoLevel {
             let ras = MultiRas::new(&ctx, &self.factors);
-            solve_classical(comm, &op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle)?
+            solve_classical(&op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle)
         } else {
             let adef1 = self.adef1(&op);
             match self.opts.solver {
                 SolverKind::Classical => {
-                    solve_classical(comm, &op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)?
+                    solve_classical(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
                 }
                 SolverKind::Pipelined => pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres),
                 SolverKind::Fused => fused_pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres),
             }
-        };
+        }
+        .map_err(|si| interrupt_to_spmd(comm, si))?;
         comm.try_barrier()?;
         let t_solution = comm.clock() - clk_entry;
         let stats_after = comm.stats();
@@ -947,7 +950,6 @@ impl PreparedMulti<'_> {
 /// The classical-GMRES arm of an apply, with or without recycling.
 #[allow(clippy::too_many_arguments)]
 fn solve_classical<M: Preconditioner>(
-    comm: &Communicator,
     op: &MultiOp<'_>,
     precond: &M,
     ip: &MultiDot<'_>,
@@ -956,21 +958,16 @@ fn solve_classical<M: Preconditioner>(
     gmres: &GmresOpts,
     ckpt: Option<&CheckpointCfg<'_>>,
     recycle: Option<&mut RecycleSpace>,
-) -> Result<SolveResult, SpmdError> {
+) -> Result<SolveResult, SolveInterrupt> {
     match recycle {
-        None => try_gmres(op, precond, ip, rhs, x0, gmres, ckpt)
-            .map_err(|si| interrupt_to_spmd(comm, si)),
+        None => try_gmres(op, precond, ip, rhs, x0, gmres, ckpt),
         Some(space) => {
             let batch = [rhs.to_vec()];
-            try_gmres_multi(op, precond, ip, &batch, x0, gmres, Some(space))
+            try_gmres_multi(op, precond, ip, &batch, x0, gmres, Some(space))?
+                .into_iter()
+                .next()
+                .ok_or_else(|| SolveInterrupt::new("empty multi-solve result"))
         }
-        .map_err(|si| interrupt_to_spmd(comm, si))?
-        .into_iter()
-        .next()
-        .ok_or_else(|| SpmdError::Protocol {
-            rank: comm.rank(),
-            what: "empty multi-solve result".to_string(),
-        }),
     }
 }
 

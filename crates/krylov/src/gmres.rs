@@ -11,11 +11,11 @@
 //!   synchronizations per iteration, which is the baseline the fused
 //!   pipelined variant of §3.5 eliminates.
 
-use crate::checkpoint::{CheckpointCfg, SolveCheckpoint};
+use crate::checkpoint::CheckpointCfg;
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
+use crate::restart::{self, Skeleton};
 use crate::sdc::SdcGuard;
-use dd_linalg::givens::Givens;
-use dd_linalg::{vector, DMat};
+use dd_linalg::vector;
 
 /// Orthogonalization strategy inside the Arnoldi process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -48,27 +48,32 @@ pub enum Side {
     Right,
 }
 
-/// Options for [`gmres`].
+/// Options for [`gmres`] and the pipelined loops
+/// ([`crate::pipelined_gmres`], [`crate::fused_pipelined_gmres`]). Every
+/// loop reads `tol`, `max_iters`, `record_history` and `guard`, which live
+/// in the restart driver they share.
 #[derive(Clone, Debug)]
 pub struct GmresOpts {
-    /// Restart length `m`.
+    /// Restart length `m` (the pipelined loops run at least 2).
     pub restart: usize,
     /// Relative residual tolerance (on the preconditioned residual).
     pub tol: f64,
     /// Maximum total iterations across restarts.
     pub max_iters: usize,
-    /// Orthogonalization variant.
+    /// Orthogonalization variant. Classical loop only: the pipelined loops
+    /// orthogonalize by the one Gram row per iteration they are built on.
     pub ortho: Ortho,
-    /// Preconditioning side.
+    /// Preconditioning side. Classical loop only: the pipelined loops are
+    /// left-preconditioned whatever this says.
     pub side: Side,
     /// Record the residual at every iteration.
     pub record_history: bool,
-    /// Silent-data-corruption guard: `Some` makes convergence verified
-    /// (recomputed from the iterate, never trusted from the recurrence
-    /// alone) and classifies recurred-vs-recomputed residual drift at cycle
-    /// boundaries as a [`SolveInterrupt`] carrying
+    /// Silent-data-corruption guard, honoured by every loop: `Some` makes
+    /// convergence verified (recomputed from the iterate, never trusted
+    /// from the recurrence alone) and classifies recurred-vs-recomputed
+    /// residual drift at cycle boundaries as a [`SolveInterrupt`] carrying
     /// [`crate::sdc::SdcSuspected`]. `None` (default) is bitwise identical
-    /// to the unguarded solver. The pipelined variants ignore it.
+    /// to the unguarded solver.
     pub guard: Option<SdcGuard>,
 }
 
@@ -166,69 +171,36 @@ where
 /// with an allocation-free operator / preconditioner / inner product (e.g.
 /// `CsrMatrix` / [`crate::IdentityPrecond`] / [`crate::SeqDot`]) — performs
 /// **zero** heap allocations. The CI `kernel-speed` lane pins that count.
+#[derive(Default)]
 pub struct GmresWorkspace {
-    ax: Vec<f64>,
-    raw: Vec<f64>,
-    r: Vec<f64>,
+    /// The restart driver's share: residual scratch and least squares.
+    sk: Skeleton,
     w: Vec<f64>,
     zk: Vec<f64>,
     /// Arnoldi basis pool (`m + 1` vectors at steady state).
     v: Vec<Vec<f64>>,
     /// Preconditioned directions `z_k = M⁻¹ v_k` (right preconditioning).
     z: Vec<Vec<f64>>,
-    h: DMat,
-    g: Vec<f64>,
-    rot: Vec<Givens>,
     locals: Vec<f64>,
     dots: Vec<f64>,
-    y: Vec<f64>,
-}
-
-impl Default for GmresWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl GmresWorkspace {
     pub fn new() -> Self {
-        GmresWorkspace {
-            ax: Vec::new(),
-            raw: Vec::new(),
-            r: Vec::new(),
-            w: Vec::new(),
-            zk: Vec::new(),
-            v: Vec::new(),
-            z: Vec::new(),
-            h: DMat::zeros(0, 0),
-            g: Vec::new(),
-            rot: Vec::new(),
-            locals: Vec::new(),
-            dots: Vec::new(),
-            y: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Size every buffer for dimension `n` and restart length `m`.
     fn prepare(&mut self, n: usize, m: usize) {
-        self.ax.resize(n, 0.0);
-        self.raw.resize(n, 0.0);
-        self.r.resize(n, 0.0);
+        self.sk.prepare(n, m);
         self.w.resize(n, 0.0);
         self.zk.resize(n, 0.0);
         // Basis vectors of a previous, differently-sized solve cannot be
         // reused in place.
         self.v.retain(|p| p.len() == n);
         self.z.retain(|p| p.len() == n);
-        if self.h.rows() != m + 1 || self.h.cols() != m {
-            self.h = DMat::zeros(m + 1, m);
-        }
-        self.g.resize(m + 1, 0.0);
-        self.rot.clear();
-        self.rot.reserve(m);
         self.locals.resize(m + 1, 0.0);
         self.dots.resize(m + 1, 0.0);
-        self.y.resize(m, 0.0);
     }
 }
 
@@ -271,6 +243,11 @@ where
 /// [`try_gmres`] against a caller-owned [`GmresWorkspace`] — bitwise
 /// identical results, but a warmed-up workspace makes the inner loop
 /// allocation-free (see [`GmresWorkspace`]).
+///
+/// The classical Arnoldi process on the shared restart driver
+/// (`restart::solve`): one operator and one preconditioner application,
+/// the orthogonalization [`GmresOpts::ortho`] names and one normalization
+/// per iteration.
 #[allow(clippy::too_many_arguments)]
 pub fn try_gmres_with<O, M, P>(
     op: &O,
@@ -287,132 +264,21 @@ where
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
-    let n = op.dim();
-    assert_eq!(b.len(), n);
-    assert_eq!(x0.len(), n);
     let m = opts.restart.max(1);
-    ws.prepare(n, m);
+    ws.prepare(op.dim(), m);
     let GmresWorkspace {
-        ax,
-        raw,
-        r,
+        sk,
         w,
         zk,
         v,
         z: zbasis,
-        h,
-        g,
-        rot,
         locals,
         dots,
-        y,
     } = ws;
-    let resume = ckpt.and_then(|c| c.resume.as_ref());
-    let mut x = match resume {
-        Some(cp) => {
-            assert_eq!(cp.x.len(), n);
-            cp.x.clone()
-        }
-        None => x0.to_vec(),
-    };
-    let mut history = Vec::new();
-    if opts.record_history {
-        // One up-front allocation instead of growth reallocations in the
-        // iteration loop.
-        history.reserve(opts.max_iters + 2 + resume.map_or(0, |cp| cp.history.len()));
-    }
-    let mut total_iters = resume.map_or(0, |cp| cp.iteration);
-
     let right = matches!(opts.side, Side::Right);
-    // Initial residual: true (right) or preconditioned (left).
-    op.try_apply(&x, ax)?;
-    for i in 0..n {
-        raw[i] = b[i] - ax[i];
-    }
-    if right {
-        r.copy_from_slice(raw);
-    } else {
-        precond.try_apply(raw, r)?;
-    }
-    // A resumed solve converges against the *original* solve's anchor so
-    // the combined run meets the same tolerance as a fault-free one.
-    let r0_norm = match resume {
-        Some(cp) => cp.r0_norm,
-        None => ip.try_norm(r)?,
-    };
-    if opts.record_history {
-        match resume {
-            Some(cp) => history.extend_from_slice(&cp.history),
-            None => history.push(1.0),
-        }
-    }
-    if r0_norm == 0.0 {
-        return Ok(SolveResult {
-            x,
-            iterations: total_iters,
-            converged: true,
-            history,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            breakdown_restarts: 0,
-        });
-    }
-    if !r0_norm.is_finite() {
-        // The input itself is broken; no restart can fix it.
-        return Ok(SolveResult {
-            x,
-            iterations: total_iters,
-            converged: false,
-            history,
-            final_residual: f64::INFINITY,
-            status: SolveStatus::Breakdown,
-            breakdown_restarts: 0,
-        });
-    }
-    let target = opts.tol * r0_norm;
-
-    let mut converged = false;
-    let mut final_res = resume.map_or(1.0, |cp| cp.residual);
-    let mut breakdown_restarts = 0usize;
-    let mut broke_down = false;
-    // Stagnation tracking across cycles: consecutive iterations without
-    // any residual improvement.
-    let mut best_res = f64::INFINITY;
-    let mut stall = 0usize;
-    'outer: loop {
-        // Residual at the start of this cycle.
-        op.try_apply(&x, ax)?;
-        for i in 0..n {
-            raw[i] = b[i] - ax[i];
-        }
-        if right {
-            r.copy_from_slice(raw);
-        } else {
-            precond.try_apply(raw, r)?;
-        }
-        let beta = ip.try_norm(r)?;
-        if beta <= target {
-            converged = true;
-            final_res = beta / r0_norm;
-            break;
-        }
-        if let Some(g) = &opts.guard {
-            // The recurred estimate from the previous cycle against the
-            // residual just recomputed from the iterate: drift past the
-            // guard's threshold (or a non-finite recomputation) means the
-            // basis or the iterate was corrupted — hand the caller a typed
-            // interrupt to roll back and replay instead of iterating on
-            // poison. Mild drift falls through: the fresh cycle
-            // self-corrects it.
-            if g.drifted(final_res, beta / r0_norm) {
-                return Err(g.interrupt(total_iters, final_res, beta / r0_norm));
-            }
-        }
-        if !beta.is_finite() {
-            // The iterate itself is poisoned; a restart cannot recover.
-            broke_down = true;
-            break 'outer;
-        }
+    // The residual is the true one (right) or the preconditioned one (left).
+    let left = (!right).then_some(precond);
+    restart::solve(op, left, ip, b, x0, opts, ckpt, sk, |run, r, beta| {
         // Arnoldi basis (m+1 pool vectors max); right preconditioning also
         // keeps the preconditioned directions `z_k = M⁻¹ v_k` so the final
         // update x += Z y needs no extra preconditioner application. Only
@@ -420,23 +286,12 @@ where
         pool_set(v, 0, r);
         vector::scal(1.0 / beta, &mut v[0]);
         let mut nv = 1usize;
-        // Hessenberg stored column-wise; Givens-transformed in place. Every
-        // h entry read below is written first this cycle, so the reused
-        // matrix needs no clearing; g is read one slot ahead of the writes
-        // (the rotation touches g[k+1]) and does.
-        rot.clear();
-        g.fill(0.0);
-        g[0] = beta;
-        let mut k_done = 0usize;
-        let mut cycle_broken = false;
-        // dd:hot — the Arnoldi cycle; every buffer below is reused from the
-        // workspace, so no allocation is allowed per iteration
+        // Every buffer below is reused from the workspace, so no allocation
+        // is allowed per iteration.
         for k in 0..m {
-            if total_iters >= opts.max_iters {
+            if !run.next_iteration(ip) {
                 break;
             }
-            ip.on_iteration(total_iters);
-            total_iters += 1;
             w.fill(0.0);
             if right {
                 // w = A M⁻¹ v_k
@@ -446,10 +301,11 @@ where
                 pool_set(zbasis, k, zk);
             } else {
                 // w = M⁻¹ A v_k
-                op.try_apply(&v[k], ax)?;
-                precond.try_apply(ax, w)?;
+                op.try_apply(&v[k], zk)?;
+                precond.try_apply(zk, w)?;
             }
             // Orthogonalize.
+            let h = run.h();
             match opts.ortho {
                 Ortho::Mgs => {
                     for (j, vj) in v[..nv].iter().enumerate() {
@@ -487,185 +343,26 @@ where
                 // Non-finite Arnoldi column (NaN from the operator or
                 // preconditioner, or lost orthogonality blowing up the
                 // norm): discard this column and end the cycle.
-                cycle_broken = true;
-                k_done = k;
-                if opts.record_history {
-                    history.push(final_res);
-                }
+                run.discard_column();
                 break;
             }
             h[(k + 1, k)] = hk1;
-            // Apply accumulated rotations to the new column, then form the
-            // rotation annihilating h[k+1][k].
-            for (j, gr) in rot.iter().enumerate() {
-                let (a2, b2) = gr.apply(h[(j, k)], h[(j + 1, k)]);
-                h[(j, k)] = a2;
-                h[(j + 1, k)] = b2;
-            }
-            let (gr, rkk) = Givens::compute(h[(k, k)], h[(k + 1, k)]);
-            if hk1 <= 1e-14 * r0_norm && rkk.abs() <= 1e-14 * r0_norm {
-                // Fully annihilated column (a singular operator or
-                // preconditioner mapped the basis vector to ~zero): the
-                // rotated least-squares residual is meaningless and the
-                // pivot would be zero — discard the column and stop.
-                cycle_broken = true;
-                k_done = k;
-                if opts.record_history {
-                    history.push(final_res);
-                }
-                break;
-            }
-            h[(k, k)] = rkk;
-            h[(k + 1, k)] = 0.0;
-            let (g0, g1) = gr.apply(g[k], g[k + 1]);
-            g[k] = g0;
-            g[k + 1] = g1;
-            rot.push(gr);
-            k_done = k + 1;
-            let res = g[k + 1].abs();
-            if !res.is_finite() {
-                cycle_broken = true;
-                k_done = k;
-                if opts.record_history {
-                    history.push(final_res);
-                }
-                break;
-            }
-            final_res = res / r0_norm;
-            if opts.record_history {
-                history.push(final_res);
-            }
-            if res <= target {
-                // With a guard armed, the recurred value only *claims*
-                // convergence: end the cycle, and let the cycle-boundary
-                // recomputation above confirm (or reject) it against the
-                // actual iterate. Unguarded behavior is unchanged.
-                if opts.guard.is_none() {
-                    converged = true;
-                }
-                break;
-            }
-            // dd:cold — periodic checkpoint materialization; snapshots own
-            // their state by design and run on a user-chosen cadence
-            if let Some(cfg) = ckpt {
-                if cfg.due(total_iters) {
-                    // Materialize the current iterate by solving the
-                    // in-progress least-squares system over the k_done
-                    // columns built so far (same back-substitution as the
-                    // cycle-end update, on copies — h and g stay live).
-                    let mut y = vec![0.0; k_done];
-                    for i in (0..k_done).rev() {
-                        let mut s = g[i];
-                        for j in i + 1..k_done {
-                            s -= h[(i, j)] * y[j];
-                        }
-                        y[i] = s / h[(i, i)];
-                    }
-                    if y.iter().all(|v| v.is_finite()) {
-                        let mut snap = x.clone();
-                        let dirs = if right {
-                            &zbasis[..k_done]
-                        } else {
-                            &v[..k_done]
-                        };
-                        vector::axpy_many(&y, dirs, &mut snap);
-                        cfg.sink.save(SolveCheckpoint {
-                            iteration: total_iters,
-                            x: snap,
-                            residual: final_res,
-                            r0_norm,
-                            history: history.clone(),
-                        });
-                    }
-                }
-            }
-            // Stagnation: no residual improvement at all for STALL_LIMIT
-            // consecutive iterations (GMRES residuals are non-increasing,
-            // so "no improvement" means exactly flat).
-            if res < best_res * (1.0 - 1e-12) {
-                best_res = res;
-                stall = 0;
-            } else {
-                stall += 1;
-                if stall >= STALL_LIMIT {
-                    cycle_broken = true;
-                    break;
-                }
-            }
-            if hk1 <= 1e-14 * r0_norm {
-                // Invariant Krylov subspace. For a nonsingular operator the
-                // least-squares solution below is exact and `res` would have
-                // met the tolerance above — reaching here with a large
-                // residual means the operator annihilated the space
-                // (singular operator / preconditioner): a breakdown, not
-                // convergence.
-                cycle_broken = true;
+            let dirs = if right { &zbasis[..=k] } else { &v[..=k] };
+            if !run.push_column(k, dirs) {
                 break;
             }
             vector::scal(1.0 / hk1, w);
             pool_set(v, k + 1, w);
             nv = k + 2;
         }
-        // Solve the triangular system R y = g and update x (skipped if the
-        // coefficients are non-finite — e.g. an exactly zero pivot from a
-        // fully annihilated column). Every y slot is written before it is
-        // read, so the reused buffer needs no clearing.
-        if k_done > 0 {
-            let y = &mut y[..k_done];
-            for i in (0..k_done).rev() {
-                let mut s = g[i];
-                for j in i + 1..k_done {
-                    s -= h[(i, j)] * y[j];
-                }
-                y[i] = s / h[(i, i)];
-            }
-            if y.iter().all(|v| v.is_finite()) {
-                let dirs = if right {
-                    &zbasis[..k_done]
-                } else {
-                    &v[..k_done]
-                };
-                vector::axpy_many(y, dirs, &mut x);
-            }
-        }
-        if converged || total_iters >= opts.max_iters {
-            break 'outer;
-        }
-        if cycle_broken {
-            if breakdown_restarts == 0 {
-                // One restart: rebuild the Krylov space from the current
-                // iterate before giving up.
-                breakdown_restarts += 1;
-                best_res = f64::INFINITY;
-                stall = 0;
-            } else {
-                broke_down = true;
-                break 'outer;
-            }
-        }
-    }
-    let status = if converged {
-        SolveStatus::Converged
-    } else if broke_down {
-        SolveStatus::Breakdown
-    } else {
-        SolveStatus::MaxIterations
-    };
-    Ok(SolveResult {
-        x,
-        iterations: total_iters,
-        converged,
-        history,
-        final_residual: final_res,
-        status,
-        breakdown_restarts,
+        Ok(run.update(if right { zbasis } else { v }))
     })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointSink;
+    use crate::checkpoint::{CheckpointSink, SolveCheckpoint};
     use crate::operator::{FnPrecond, IdentityPrecond, SeqDot};
     use dd_linalg::{CooBuilder, CsrMatrix};
     use std::cell::{Cell, RefCell};
@@ -683,6 +380,18 @@ pub(crate) mod tests {
             self.0.borrow_mut().push(checkpoint);
         }
     }
+
+    /// The error [`FailAfter`] dies of, for callers to downcast.
+    #[derive(Debug)]
+    pub(crate) struct BudgetExhausted;
+
+    impl std::fmt::Display for BudgetExhausted {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "budget exhausted")
+        }
+    }
+
+    impl std::error::Error for BudgetExhausted {}
 
     /// Operator whose fallible path dies after a budget of applications —
     /// a stand-in for a halo exchange hitting a dead rank.
@@ -702,7 +411,10 @@ pub(crate) mod tests {
 
         fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
             if self.budget.get() == 0 {
-                return Err(SolveInterrupt::new("operator budget exhausted"));
+                return Err(SolveInterrupt::with_source(
+                    "operator budget exhausted",
+                    Box::new(BudgetExhausted),
+                ));
             }
             self.budget.set(self.budget.get() - 1);
             self.inner.spmv(x, y);
@@ -1164,22 +876,27 @@ pub(crate) mod tests {
         assert!(residual(&a, &res.x, &b) < 1e-6);
     }
 
-    #[test]
-    fn guard_confirms_clean_convergence_with_identical_iterates() {
+    /// One of this crate's restarted-GMRES loops, unpreconditioned and
+    /// sequential, for the properties the shared driver gives all of them.
+    pub(crate) type Loop<'a> =
+        &'a dyn Fn(&dyn Operator, &[f64], &GmresOpts) -> Result<SolveResult, SolveInterrupt>;
+
+    /// An armed guard accepts a clean solve, with the iterates of the
+    /// unguarded one.
+    pub(crate) fn check_guard_confirms_clean_convergence(solve: Loop<'_>, tol: f64) {
         let a = laplacian_2d(10, 10);
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let x0 = vec![0.0; n];
         let off = GmresOpts {
-            tol: 1e-10,
+            tol,
             ..Default::default()
         };
         let on = GmresOpts {
             guard: Some(SdcGuard::default()),
             ..off.clone()
         };
-        let r_off = gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &off);
-        let r_on = gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &on);
+        let r_off = solve(&a, &b, &off).unwrap();
+        let r_on = solve(&a, &b, &on).unwrap();
         assert!(r_off.converged && r_on.converged);
         // The guard changes *when* convergence is accepted, never the
         // iterates: same x bitwise, same iteration count.
@@ -1189,25 +906,25 @@ pub(crate) mod tests {
         assert!((residual(&a, &r_on.x, &b) - r_on.final_residual).abs() < 1e-9);
     }
 
-    #[test]
-    fn guard_flags_corrupted_operator_instead_of_false_convergence() {
+    /// An armed guard turns a false convergence on an operator whose
+    /// `at`-th product is corrupted into the typed interrupt.
+    pub(crate) fn check_guard_flags_corrupted_operator(solve: Loop<'_>, tol: f64, at: usize) {
         let a = laplacian_2d(10, 10);
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.0).collect();
-        let x0 = vec![0.0; n];
         let mk = || CorruptOnce {
             inner: &a,
-            at: 10,
+            at,
             scale: 2.0,
             count: Cell::new(0),
         };
         let off = GmresOpts {
-            tol: 1e-10,
+            tol,
             ..Default::default()
         };
         // Unguarded: the recurred residual converges on a poisoned basis
         // and the solver silently returns a wrong answer.
-        let silent = gmres(&mk(), &IdentityPrecond, &SeqDot, &b, &x0, &off);
+        let silent = solve(&mk(), &b, &off).unwrap();
         assert!(silent.converged, "baseline silently false-converges");
         assert!(
             residual(&a, &silent.x, &b) > 1e-6,
@@ -1220,7 +937,7 @@ pub(crate) mod tests {
             guard: Some(SdcGuard::default()),
             ..off
         };
-        let err = try_gmres(&mk(), &IdentityPrecond, &SeqDot, &b, &x0, &on, None).unwrap_err();
+        let err = solve(&mk(), &b, &on).unwrap_err();
         let sdc = err.sdc().expect("interrupt must carry the SDC marker");
         assert!(
             sdc.recomputed > sdc.recurred,
@@ -1229,6 +946,32 @@ pub(crate) mod tests {
             sdc.recurred
         );
         assert!(err.reason().contains("silent data corruption"));
+    }
+
+    fn classical(
+        op: &dyn Operator,
+        b: &[f64],
+        opts: &GmresOpts,
+    ) -> Result<SolveResult, SolveInterrupt> {
+        try_gmres(
+            op,
+            &IdentityPrecond,
+            &SeqDot,
+            b,
+            &vec![0.0; b.len()],
+            opts,
+            None,
+        )
+    }
+
+    #[test]
+    fn guard_confirms_clean_convergence_with_identical_iterates() {
+        check_guard_confirms_clean_convergence(&classical, 1e-10);
+    }
+
+    #[test]
+    fn guard_flags_corrupted_operator_instead_of_false_convergence() {
+        check_guard_flags_corrupted_operator(&classical, 1e-10, 10);
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub mod gmres;
 pub mod operator;
 pub mod pipelined;
 pub mod recycle;
+mod restart;
 pub mod sdc;
 
 pub use cg::{cg, try_cg, CgOpts};

@@ -131,20 +131,19 @@ pub trait InnerProduct {
         }
     }
 
-    /// Reduce a batch of local contributions to global values
-    /// (an `MPI_Allreduce` in SPMD; the identity sequentially).
-    fn reduce(&self, locals: Vec<f64>) -> Vec<f64>;
+    /// Reduce a batch of local contributions to global values, `locals`
+    /// into the caller-provided `out` of the same length (an
+    /// `MPI_Allreduce` in SPMD; a copy sequentially, which keeps the Krylov
+    /// steady-state inner loops allocation-free).
+    fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt>;
 
     /// Begin a non-blocking reduction; the returned closure completes it.
-    /// Default: reduce immediately (no overlap available).
-    fn reduce_begin<'a>(&'a self, locals: Vec<f64>) -> Box<dyn FnOnce() -> Vec<f64> + 'a> {
-        let done = self.reduce(locals);
-        Box::new(move || done)
-    }
-
-    /// Global dot product (convenience).
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.reduce(vec![self.local_dot(x, y)])[0]
+    /// Either half can fail. Default: reduce immediately (no overlap
+    /// available).
+    fn reduce_begin<'a>(&'a self, locals: Vec<f64>) -> Result<Reduction<'a>, SolveInterrupt> {
+        let mut done = vec![0.0; locals.len()];
+        self.try_reduce_into(&locals, &mut done)?;
+        Ok(Box::new(move || Ok(done)))
     }
 
     /// Iteration-boundary hook: solvers call this once per Krylov
@@ -153,37 +152,7 @@ pub trait InnerProduct {
     /// layer; the default does nothing.
     fn on_iteration(&self, _k: usize) {}
 
-    /// Global 2-norm. NaN propagates (`NaN.max(0.0)` would silently report
-    /// a zero norm — i.e. fake convergence — for a poisoned vector).
-    fn norm(&self, x: &[f64]) -> f64 {
-        let d = self.dot(x, x);
-        if d.is_nan() {
-            return f64::NAN;
-        }
-        d.max(0.0).sqrt()
-    }
-
-    /// Fallible [`InnerProduct::reduce`] for distributed inner products
-    /// whose allreduce can fail; the default delegates to the infallible
-    /// reduction and never errs.
-    fn try_reduce(&self, locals: Vec<f64>) -> Result<Vec<f64>, SolveInterrupt> {
-        Ok(self.reduce(locals))
-    }
-
-    /// Allocation-free [`InnerProduct::try_reduce`]: reduce `locals` into
-    /// the caller-provided `out` (same length). The default round-trips
-    /// through the allocating [`InnerProduct::try_reduce`] so existing
-    /// distributed implementations keep working unchanged; implementations
-    /// whose reduction is local (like [`SeqDot`]) override it so the Krylov
-    /// steady-state inner loops allocate nothing.
-    fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
-        assert_eq!(locals.len(), out.len(), "try_reduce_into: length mismatch");
-        let reduced = self.try_reduce(locals.to_vec())?;
-        out.copy_from_slice(&reduced);
-        Ok(())
-    }
-
-    /// Fallible [`InnerProduct::dot`]. Routed through
+    /// Global dot product. Routed through
     /// [`InnerProduct::try_reduce_into`] with stack buffers, so it is
     /// allocation-free whenever `try_reduce_into` is.
     fn try_dot(&self, x: &[f64], y: &[f64]) -> Result<f64, SolveInterrupt> {
@@ -192,7 +161,8 @@ pub trait InnerProduct {
         Ok(out[0])
     }
 
-    /// Fallible [`InnerProduct::norm`] (same NaN propagation).
+    /// Global 2-norm. NaN propagates (`NaN.max(0.0)` would silently report
+    /// a zero norm — i.e. fake convergence — for a poisoned vector).
     fn try_norm(&self, x: &[f64]) -> Result<f64, SolveInterrupt> {
         let d = self.try_dot(x, x)?;
         if d.is_nan() {
@@ -202,16 +172,16 @@ pub trait InnerProduct {
     }
 }
 
+/// A reduction in flight ([`InnerProduct::reduce_begin`]): call it to wait
+/// for the reduced values.
+pub type Reduction<'a> = Box<dyn FnOnce() -> Result<Vec<f64>, SolveInterrupt> + 'a>;
+
 /// Sequential inner product: plain dot, identity reduction.
 pub struct SeqDot;
 
 impl InnerProduct for SeqDot {
     fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
         vector::dot(x, y)
-    }
-
-    fn reduce(&self, locals: Vec<f64>) -> Vec<f64> {
-        locals
     }
 
     fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
@@ -291,15 +261,15 @@ mod tests {
         let ip = SeqDot;
         let x = [1.0, 2.0];
         let y = [3.0, 4.0];
-        assert_eq!(ip.dot(&x, &y), 11.0);
-        assert_eq!(ip.norm(&[3.0, 4.0]), 5.0);
+        assert_eq!(ip.try_dot(&x, &y).unwrap(), 11.0);
+        assert_eq!(ip.try_norm(&[3.0, 4.0]).unwrap(), 5.0);
     }
 
     #[test]
     fn reduce_begin_default_completes() {
         let ip = SeqDot;
-        let pending = ip.reduce_begin(vec![1.0, 2.0]);
-        assert_eq!(pending(), vec![1.0, 2.0]);
+        let pending = ip.reduce_begin(vec![1.0, 2.0]).unwrap();
+        assert_eq!(pending().unwrap(), vec![1.0, 2.0]);
     }
 
     #[test]

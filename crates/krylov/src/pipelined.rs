@@ -18,46 +18,30 @@
 //! performs **zero** standalone global reductions — only the
 //! `MPI_Iallreduce` among masters, overlapped with the coarse solve.
 
-use crate::gmres::{GmresOpts, SolveResult, SolveStatus, STALL_LIMIT};
-use crate::operator::{InnerProduct, Operator, Preconditioner};
-use dd_linalg::givens::Givens;
-use dd_linalg::{vector, DMat};
+use crate::gmres::{GmresOpts, SolveResult};
+use crate::operator::{InnerProduct, Operator, Preconditioner, Reduction, SolveInterrupt};
+use crate::restart::{self, Skeleton};
+use dd_linalg::vector;
 
 /// A preconditioner able to piggy-back a payload of local reduction
 /// contributions on its internal communication (the fused p1-GMRES hook).
 ///
-/// `apply_fused` must behave exactly like [`Preconditioner::apply`] on
+/// `apply_fused` must behave exactly like [`Preconditioner::try_apply`] on
 /// `(r, z)` while also returning the *globally reduced* payload.
 pub trait FusedPreconditioner: Preconditioner {
-    fn apply_fused(&self, r: &[f64], z: &mut [f64], payload: Vec<f64>) -> Vec<f64>;
+    fn apply_fused(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        payload: Vec<f64>,
+    ) -> Result<Vec<f64>, SolveInterrupt>;
 }
 
-/// Placeholder fused preconditioner for the non-fused code path (never
-/// instantiated).
-enum NoFused {}
-
-impl Preconditioner for NoFused {
-    fn apply(&self, _: &[f64], _: &mut [f64]) {
-        unreachable!()
-    }
-}
-
-impl FusedPreconditioner for NoFused {
-    fn apply_fused(&self, _: &[f64], _: &mut [f64], _: Vec<f64>) -> Vec<f64> {
-        unreachable!()
-    }
-}
-
-/// How the per-iteration reduction is carried out.
-enum ReduceMode {
-    /// Non-blocking allreduce overlapped with the matvec (p1-GMRES).
-    Overlapped,
-    /// Carried by the preconditioner's coarse-correction communication
-    /// (fused p1-GMRES) — no standalone global reduction at all.
-    Fused,
-}
-
-/// p1-GMRES with non-blocking reductions overlapped with the matvec.
+/// p1-GMRES with non-blocking reductions overlapped with the matvec: each
+/// Gram row is posted as soon as it is formed and awaited after the next
+/// preconditioner application.
+/// Left-preconditioned whatever `opts.side` says; [`GmresOpts`] documents
+/// which fields the pipelined loops read.
 pub fn pipelined_gmres<O, M, P>(
     op: &O,
     precond: &M,
@@ -65,26 +49,22 @@ pub fn pipelined_gmres<O, M, P>(
     b: &[f64],
     x0: &[f64],
     opts: &GmresOpts,
-) -> SolveResult
+) -> Result<SolveResult, SolveInterrupt>
 where
     O: Operator + ?Sized,
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
-    pgmres_impl(
-        op,
-        precond,
-        None::<&NoFused>,
-        ip,
-        b,
-        x0,
-        opts,
-        ReduceMode::Overlapped,
-    )
+    let post = |row| ip.reduce_begin(row);
+    pgmres_impl(op, precond, ip, b, x0, opts, post, |ax, t, row| {
+        precond.try_apply(ax, t)?;
+        row()
+    })
 }
 
-/// Fused p1-GMRES: the reduction payload rides on the preconditioner's
-/// coarse gather/scatter (§3.5 of the paper).
+/// Fused p1-GMRES: the Gram row is held back and rides, unreduced, on the
+/// next preconditioner application's coarse gather/scatter (§3.5 of the
+/// paper). Options as for [`pipelined_gmres`].
 pub fn fused_pipelined_gmres<O, M, P>(
     op: &O,
     precond: &M,
@@ -92,22 +72,16 @@ pub fn fused_pipelined_gmres<O, M, P>(
     b: &[f64],
     x0: &[f64],
     opts: &GmresOpts,
-) -> SolveResult
+) -> Result<SolveResult, SolveInterrupt>
 where
     O: Operator + ?Sized,
     M: FusedPreconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
-    pgmres_impl(
-        op,
-        precond,
-        Some(precond),
-        ip,
-        b,
-        x0,
-        opts,
-        ReduceMode::Fused,
-    )
+    let post = |row| Ok(Box::new(move || Ok(row)) as Reduction<'_>);
+    pgmres_impl(op, precond, ip, b, x0, opts, post, |ax, t, row| {
+        precond.apply_fused(ax, t, row()?)
+    })
 }
 
 /// Local parts of the payload an iteration posts: the Gram row of `w`
@@ -119,325 +93,143 @@ fn gram_row<P: InnerProduct + ?Sized>(ip: &P, w: &[f64], v: &[Vec<f64>]) -> Vec<
     row
 }
 
+/// The p1-GMRES Arnoldi process on the shared restart driver
+/// (`restart::solve`). `post` takes an iteration's local Gram row on its
+/// way to being reduced; `step(ax, t, row)` preconditions `ax` into `t` and
+/// hands back the row posted last, reduced — the two places the overlapped
+/// and the fused loop differ.
 #[allow(clippy::too_many_arguments)]
-fn pgmres_impl<O, M, MF, P>(
+fn pgmres_impl<'a, O, M, P>(
     op: &O,
     precond: &M,
-    fused: Option<&MF>,
     ip: &P,
     b: &[f64],
     x0: &[f64],
     opts: &GmresOpts,
-    mode: ReduceMode,
-) -> SolveResult
+    post: impl Fn(Vec<f64>) -> Result<Reduction<'a>, SolveInterrupt>,
+    step: impl Fn(&[f64], &mut [f64], Reduction<'a>) -> Result<Vec<f64>, SolveInterrupt>,
+) -> Result<SolveResult, SolveInterrupt>
 where
     O: Operator + ?Sized,
     M: Preconditioner + ?Sized,
-    MF: FusedPreconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
     let n = op.dim();
     let m = opts.restart.max(2);
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut total_iters = 0usize;
-    let mut converged = false;
-    let mut final_res = 1.0;
-
-    // Initial preconditioned residual and its norm (setup phase uses
-    // ordinary blocking reductions, like the paper's implementation).
+    let mut sk = Skeleton::default();
+    sk.prepare(n, m);
     let mut ax = vec![0.0; n];
-    let mut raw = vec![0.0; n];
-    let mut r = vec![0.0; n];
-    op.apply(&x, &mut ax);
-    for i in 0..n {
-        raw[i] = b[i] - ax[i];
-    }
-    precond.apply(&raw, &mut r);
-    let r0_norm = ip.norm(&r);
-    if opts.record_history {
-        history.push(1.0);
-    }
-    if r0_norm == 0.0 {
-        return SolveResult {
-            x,
-            iterations: 0,
-            converged: true,
-            history,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            breakdown_restarts: 0,
-        };
-    }
-    if !r0_norm.is_finite() {
-        return SolveResult {
-            x,
-            iterations: 0,
-            converged: false,
-            history,
-            final_residual: f64::INFINITY,
-            status: SolveStatus::Breakdown,
-            breakdown_restarts: 0,
-        };
-    }
-    let target = opts.tol * r0_norm;
-    let mut breakdown_restarts = 0usize;
-    let mut broke_down = false;
-    let mut best_res = f64::INFINITY;
-    let mut stall = 0usize;
-
-    'outer: loop {
-        op.apply(&x, &mut ax);
-        for i in 0..n {
-            raw[i] = b[i] - ax[i];
-        }
-        precond.apply(&raw, &mut r);
-        let beta = ip.norm(&r);
-        if beta <= target {
-            converged = true;
-            final_res = beta / r0_norm;
-            break;
-        }
-        if !beta.is_finite() {
-            // The iterate itself is poisoned; a restart cannot recover.
-            broke_down = true;
-            break 'outer;
-        }
-        // v: normalized basis; z: shadow basis z_j = B v_j.
-        let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        let mut z: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        let mut v0 = r.clone();
-        vector::scal(1.0 / beta, &mut v0);
-        v.push(v0);
-        // w = B v_0 and the first posted reduction.
-        let mut w = vec![0.0; n];
-        op.apply(&v[0], &mut ax);
-        precond.apply(&ax, &mut w);
-        z.push(w.clone());
-        let mut locals = gram_row(ip, &w, &v);
-        let mut pending: Option<Box<dyn FnOnce() -> Vec<f64>>> = match mode {
-            ReduceMode::Overlapped => Some(ip.reduce_begin(locals.clone())),
-            ReduceMode::Fused => None,
-        };
-
-        let mut h = DMat::zeros(m + 2, m + 1);
-        let mut rot: Vec<Givens> = Vec::new();
-        let mut g = vec![0.0; m + 2];
-        g[0] = beta;
-        let mut k_done = 0usize;
-        let mut cycle_broken = false;
-
-        for i in 1..=m {
-            if total_iters >= opts.max_iters {
-                break;
-            }
-            ip.on_iteration(total_iters);
-            total_iters += 1;
-            // ------------------------------------------------ overlap zone
-            // Matvec on the unorthogonalized candidate w_{i−1} while the
-            // reduction completes. In fused mode the preconditioner carries
-            // the payload and returns it reduced.
-            let mut t = vec![0.0; n];
-            op.apply(&w, &mut ax);
-            let dots = match mode {
-                ReduceMode::Overlapped => {
-                    precond.apply(&ax, &mut t);
-                    pending.take().expect("pending reduction missing")()
+    // The anchor and every cycle-start residual use ordinary blocking
+    // reductions, like the paper's implementation.
+    restart::solve(
+        op,
+        Some(precond),
+        ip,
+        b,
+        x0,
+        opts,
+        None,
+        &mut sk,
+        |run, r, beta| {
+            // v: normalized basis; z: shadow basis z_j = B v_j.
+            let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+            let mut z: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+            let mut v0 = r.to_vec();
+            vector::scal(1.0 / beta, &mut v0);
+            v.push(v0);
+            // w = B v_0 and the first posted reduction.
+            let mut w = vec![0.0; n];
+            op.try_apply(&v[0], &mut ax)?;
+            precond.try_apply(&ax, &mut w)?;
+            z.push(w.clone());
+            let mut row = post(gram_row(ip, &w, &v))?;
+            let mut i = 1;
+            // The loop's value is the row still in flight when the cycle ends.
+            let unread = loop {
+                if i > m || !run.next_iteration(ip) {
+                    break Some(row);
                 }
-                ReduceMode::Fused => {
-                    let f = fused.expect("fused preconditioner required");
-                    f.apply_fused(&ax, &mut t, std::mem::take(&mut locals))
+                // ------------------------------------------------ overlap zone
+                // Matvec on the unorthogonalized candidate w_{i−1} while the
+                // reduction completes. In fused mode the preconditioner carries
+                // the payload and returns it reduced.
+                let mut t = vec![0.0; n];
+                op.try_apply(&w, &mut ax)?;
+                let dots = step(&ax, &mut t, row)?;
+                // ----------------------------------------- reduction available
+                // dots = [⟨w,v_0⟩, …, ⟨w,v_{i−1}⟩, ‖w‖²] for w = w_{i−1}.
+                let wnorm2 = dots[i];
+                if !wnorm2.is_finite() || dots[..i].iter().any(|d| !d.is_finite()) {
+                    // Non-finite Gram row: the candidate is poisoned; end the
+                    // cycle with the columns finalized so far.
+                    run.discard_column();
+                    break None;
                 }
+                let h = run.h();
+                let mut sumsq = 0.0;
+                for j in 0..i {
+                    h[(j, i - 1)] = dots[j];
+                    sumsq += dots[j] * dots[j];
+                }
+                let mut hii = (wnorm2 - sumsq).max(0.0).sqrt();
+                // Orthogonalize the candidate and its shadow.
+                let mut u = w.clone();
+                let mut zu = t;
+                let minus_h: Vec<f64> = dots[..i].iter().map(|d| -d).collect();
+                vector::axpy_many(&minus_h, &v, &mut u);
+                vector::axpy_many(&minus_h, &z, &mut zu);
+                // Square-root breakdown safeguard: on severe cancellation the
+                // Pythagorean estimate is unreliable — renormalize explicitly
+                // (costs one extra reduction, rare).
+                if hii * hii <= 1e-10 * wnorm2.max(1e-300) {
+                    hii = ip.try_norm(&u)?;
+                }
+                if !hii.is_finite() {
+                    run.discard_column();
+                    break None;
+                }
+                run.h()[(i, i - 1)] = hii;
+                if hii <= run.tiny() {
+                    // Invariant subspace: finalize column i−1 and stop; the
+                    // driver counts it as convergence only if the residual
+                    // actually meets the tolerance (a singular operator or
+                    // preconditioner reaches this point with a large one).
+                    run.push_column(i - 1, &v);
+                    break None;
+                }
+                vector::scal(1.0 / hii, &mut u);
+                vector::scal(1.0 / hii, &mut zu);
+                v.push(u);
+                w = zu.clone();
+                z.push(zu);
+                // Post the next reduction: Gram row against v_0..v_i plus ‖w‖²,
+                // then Givens on the now-final column i−1.
+                row = post(gram_row(ip, &w, &v))?;
+                if !run.push_column(i - 1, &v[..i]) {
+                    break Some(row);
+                }
+                i += 1;
             };
-            // ----------------------------------------- reduction available
-            // dots = [⟨w,v_0⟩, …, ⟨w,v_{i−1}⟩, ‖w‖²] for w = w_{i−1}.
-            let wnorm2 = dots[i];
-            if !wnorm2.is_finite() || dots[..i].iter().any(|d| !d.is_finite()) {
-                // Non-finite Gram row: the candidate is poisoned; end the
-                // cycle with the columns finalized so far.
-                cycle_broken = true;
-                if opts.record_history {
-                    history.push(final_res);
-                }
-                break;
+            // A restart boundary: complete the reduction nobody will read.
+            if let Some(row) = unread {
+                row()?;
             }
-            let mut sumsq = 0.0;
-            for j in 0..i {
-                h[(j, i - 1)] = dots[j];
-                sumsq += dots[j] * dots[j];
-            }
-            let mut hii = (wnorm2 - sumsq).max(0.0).sqrt();
-            // Orthogonalize the candidate and its shadow.
-            let mut u = w.clone();
-            let mut zu = std::mem::take(&mut t);
-            let minus_h: Vec<f64> = dots[..i].iter().map(|d| -d).collect();
-            vector::axpy_many(&minus_h, &v, &mut u);
-            vector::axpy_many(&minus_h, &z, &mut zu);
-            // Square-root breakdown safeguard: on severe cancellation the
-            // Pythagorean estimate is unreliable — renormalize explicitly
-            // (costs one extra reduction, rare).
-            if hii * hii <= 1e-10 * wnorm2.max(1e-300) {
-                hii = ip.norm(&u);
-            }
-            if !hii.is_finite() {
-                cycle_broken = true;
-                if opts.record_history {
-                    history.push(final_res);
-                }
-                break;
-            }
-            h[(i, i - 1)] = hii;
-            if hii <= 1e-14 * r0_norm {
-                // Invariant subspace: finalize column i−1 and stop. Only a
-                // residual that actually meets the tolerance counts as
-                // convergence (a singular operator/preconditioner reaches
-                // this point with a large residual — a breakdown).
-                for (j, gr) in rot.iter().enumerate() {
-                    let (a2, b2) = gr.apply(h[(j, i - 1)], h[(j + 1, i - 1)]);
-                    h[(j, i - 1)] = a2;
-                    h[(j + 1, i - 1)] = b2;
-                }
-                let (gr, rkk) = Givens::compute(h[(i - 1, i - 1)], h[(i, i - 1)]);
-                if rkk.abs() <= 1e-14 * r0_norm {
-                    // Fully annihilated column: the rotated least-squares
-                    // residual is meaningless — discard it.
-                    cycle_broken = true;
-                    if opts.record_history {
-                        history.push(final_res);
-                    }
-                    break;
-                }
-                h[(i - 1, i - 1)] = rkk;
-                let (g0, g1) = gr.apply(g[i - 1], g[i]);
-                g[i - 1] = g0;
-                g[i] = g1;
-                rot.push(gr);
-                k_done = i;
-                final_res = g[i].abs() / r0_norm;
-                if opts.record_history {
-                    history.push(final_res);
-                }
-                if g[i].abs() <= target {
-                    converged = true;
-                } else {
-                    cycle_broken = true;
-                }
-                break;
-            }
-            vector::scal(1.0 / hii, &mut u);
-            vector::scal(1.0 / hii, &mut zu);
-            v.push(u);
-            w = zu.clone();
-            z.push(zu);
-            // Post the next reduction: Gram row against v_0..v_i plus ‖w‖².
-            locals = gram_row(ip, &w, &v);
-            if matches!(mode, ReduceMode::Overlapped) {
-                pending = Some(ip.reduce_begin(locals.clone()));
-            }
-            // Givens on the now-final column i−1; convergence check.
-            for (j, gr) in rot.iter().enumerate() {
-                let (a2, b2) = gr.apply(h[(j, i - 1)], h[(j + 1, i - 1)]);
-                h[(j, i - 1)] = a2;
-                h[(j + 1, i - 1)] = b2;
-            }
-            let (gr, rkk) = Givens::compute(h[(i - 1, i - 1)], h[(i, i - 1)]);
-            h[(i - 1, i - 1)] = rkk;
-            h[(i, i - 1)] = 0.0;
-            let (g0, g1) = gr.apply(g[i - 1], g[i]);
-            g[i - 1] = g0;
-            g[i] = g1;
-            rot.push(gr);
-            let res = g[i].abs();
-            if !res.is_finite() {
-                // Exclude the poisoned column from the update.
-                k_done = i - 1;
-                cycle_broken = true;
-                if opts.record_history {
-                    history.push(final_res);
-                }
-                break;
-            }
-            k_done = i;
-            final_res = res / r0_norm;
-            if opts.record_history {
-                history.push(final_res);
-            }
-            if res <= target {
-                converged = true;
-                break;
-            }
-            // Stagnation: no residual improvement for STALL_LIMIT
-            // consecutive iterations.
-            if res < best_res * (1.0 - 1e-12) {
-                best_res = res;
-                stall = 0;
-            } else {
-                stall += 1;
-                if stall >= STALL_LIMIT {
-                    cycle_broken = true;
-                    break;
-                }
-            }
-        }
-        // Discard any un-awaited reduction (restart boundary).
-        if let Some(p) = pending.take() {
-            let _ = p();
-        }
-        // x update from the k_done finalized columns (skipped when the
-        // triangular solve produces non-finite coefficients).
-        if k_done > 0 {
-            let mut y = vec![0.0; k_done];
-            for i2 in (0..k_done).rev() {
-                let mut s = g[i2];
-                for j in i2 + 1..k_done {
-                    s -= h[(i2, j)] * y[j];
-                }
-                y[i2] = s / h[(i2, i2)];
-            }
-            if y.iter().all(|v| v.is_finite()) {
-                vector::axpy_many(&y, &v[..k_done], &mut x);
-            }
-        }
-        if converged || total_iters >= opts.max_iters {
-            break 'outer;
-        }
-        if cycle_broken {
-            if breakdown_restarts == 0 {
-                // One restart: rebuild the Krylov space from the current
-                // iterate before giving up.
-                breakdown_restarts += 1;
-                best_res = f64::INFINITY;
-                stall = 0;
-            } else {
-                broke_down = true;
-                break 'outer;
-            }
-        }
-    }
-    let status = if converged {
-        SolveStatus::Converged
-    } else if broke_down {
-        SolveStatus::Breakdown
-    } else {
-        SolveStatus::MaxIterations
-    };
-    SolveResult {
-        x,
-        iterations: total_iters,
-        converged,
-        history,
-        final_residual: final_res,
-        status,
-        breakdown_restarts,
-    }
+            Ok(run.update(&v))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gmres::gmres;
+    use crate::gmres::tests::{
+        check_guard_confirms_clean_convergence, check_guard_flags_corrupted_operator,
+        BudgetExhausted, FailAfter,
+    };
+    use crate::gmres::{gmres, SolveStatus};
     use crate::operator::{IdentityPrecond, SeqDot};
     use dd_linalg::{CooBuilder, CsrMatrix};
+    use std::cell::Cell;
 
     fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
         let n = nx * ny;
@@ -471,9 +263,69 @@ mod tests {
     }
 
     impl FusedPreconditioner for SeqFused {
-        fn apply_fused(&self, r: &[f64], z: &mut [f64], payload: Vec<f64>) -> Vec<f64> {
+        fn apply_fused(
+            &self,
+            r: &[f64],
+            z: &mut [f64],
+            payload: Vec<f64>,
+        ) -> Result<Vec<f64>, SolveInterrupt> {
             z.copy_from_slice(r);
-            payload
+            Ok(payload)
+        }
+    }
+
+    fn overlapped(
+        op: &dyn Operator,
+        b: &[f64],
+        opts: &GmresOpts,
+    ) -> Result<SolveResult, SolveInterrupt> {
+        pipelined_gmres(op, &IdentityPrecond, &SeqDot, b, &vec![0.0; b.len()], opts)
+    }
+
+    fn fused(
+        op: &dyn Operator,
+        b: &[f64],
+        opts: &GmresOpts,
+    ) -> Result<SolveResult, SolveInterrupt> {
+        fused_pipelined_gmres(op, &SeqFused, &SeqDot, b, &vec![0.0; b.len()], opts)
+    }
+
+    /// The guard lives in the shared cycle-start check, so the pipelined
+    /// loops honour it like the classical one (tolerance 1e-8: see
+    /// `pipelined_matches_classical_gmres`).
+    #[test]
+    fn guard_confirms_clean_convergence_with_identical_iterates() {
+        check_guard_confirms_clean_convergence(&overlapped, 1e-8);
+        check_guard_confirms_clean_convergence(&fused, 1e-8);
+    }
+
+    #[test]
+    fn guard_flags_corrupted_operator_instead_of_false_convergence() {
+        // The 21st product is the first whose corruption this loop does
+        // not notice on its own (an earlier one breaks a cycle down).
+        check_guard_flags_corrupted_operator(&overlapped, 1e-8, 20);
+        check_guard_flags_corrupted_operator(&fused, 1e-8, 20);
+    }
+
+    /// An operator whose `try_apply` fails at call `k` — the anchor, the
+    /// cycle-start residual, the pipeline prologue or an iteration's matvec
+    /// — interrupts both loops with the failing layer's error intact.
+    #[test]
+    fn operator_failure_at_any_call_is_a_typed_interrupt_with_its_source() {
+        let a = laplacian_2d(6, 6);
+        let b = vec![1.0; a.rows()];
+        let opts = GmresOpts::default();
+        for solve in [overlapped, fused] {
+            for k in [0, 1, 2, 3, 7] {
+                let op = FailAfter {
+                    inner: &a,
+                    budget: Cell::new(k),
+                };
+                let err = solve(&op, &b, &opts).expect_err("the budget runs out mid-solve");
+                assert_eq!(err.reason(), "operator budget exhausted");
+                let source = err.take_source().expect("the source travels with it");
+                assert!(source.downcast::<BudgetExhausted>().is_ok(), "call {k}");
+            }
         }
     }
 
@@ -491,7 +343,7 @@ mod tests {
             ..Default::default()
         };
         let classical = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
-        let pipelined = pipelined_gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
+        let pipelined = overlapped(&a, &b, &opts).unwrap();
         assert!(classical.converged && pipelined.converged);
         assert!(
             vector::dist2(&classical.x, &pipelined.x) < 1e-5 * vector::norm2(&classical.x).max(1.0),
@@ -518,7 +370,7 @@ mod tests {
             ..Default::default()
         };
         let classical = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
-        let fused = fused_pipelined_gmres(&a, &SeqFused, &SeqDot, &b, &vec![0.0; n], &opts);
+        let fused = fused(&a, &b, &opts).unwrap();
         assert!(fused.converged);
         assert!(vector::dist2(&classical.x, &fused.x) < 1e-4 * vector::norm2(&classical.x));
     }
@@ -533,7 +385,7 @@ mod tests {
             max_iters: 400,
             ..Default::default()
         };
-        let res = pipelined_gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
+        let res = overlapped(&a, &b, &opts).unwrap();
         assert!(res.converged);
         let mut ax = vec![0.0; n];
         a.spmv(&res.x, &mut ax);
@@ -552,7 +404,7 @@ mod tests {
             max_iters: 1000,
             ..Default::default()
         };
-        let res = pipelined_gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
+        let res = overlapped(&a, &b, &opts).unwrap();
         assert!(res.converged, "residual {}", res.final_residual);
         let mut ax = vec![0.0; n];
         a.spmv(&res.x, &mut ax);
@@ -573,14 +425,7 @@ mod tests {
             }
         }
         let n = 10;
-        let res = pipelined_gmres(
-            &NanOp(n),
-            &IdentityPrecond,
-            &SeqDot,
-            &vec![1.0; n],
-            &vec![0.0; n],
-            &GmresOpts::default(),
-        );
+        let res = overlapped(&NanOp(n), &vec![1.0; n], &GmresOpts::default()).unwrap();
         assert!(!res.converged);
         assert_eq!(res.status, SolveStatus::Breakdown);
         assert!(res.x.iter().all(|v| v.is_finite()));
@@ -591,17 +436,11 @@ mod tests {
         let a = laplacian_2d(6, 6);
         let n = a.rows();
         let b = vec![1.0; n];
-        let res = pipelined_gmres(
-            &a,
-            &IdentityPrecond,
-            &SeqDot,
-            &b,
-            &vec![0.0; n],
-            &GmresOpts {
-                tol: 1e-9,
-                ..Default::default()
-            },
-        );
+        let opts = GmresOpts {
+            tol: 1e-9,
+            ..Default::default()
+        };
+        let res = overlapped(&a, &b, &opts).unwrap();
         assert!(res.history.len() >= 2);
         assert!(res.history.last().unwrap() < &1e-8);
     }

@@ -106,7 +106,8 @@ impl RecycleSpace {
         for (aui, p) in self.au.iter().zip(rhs) {
             *p = ip.local_dot(aui, &r);
         }
-        let reduced = ip.try_reduce(locals)?;
+        let mut reduced = vec![0.0; locals.len()];
+        ip.try_reduce_into(&locals, &mut reduced)?;
         let (gram, rhs) = reduced.split_at(k * k);
         let c = match solve_spd_small(k, gram, rhs) {
             Some(c) => c,

@@ -57,7 +57,12 @@ pub fn rule_wallclock(files: &[FileModel]) -> Vec<Finding> {
 }
 
 /// Files whose non-test code must stay free of `.unwrap()` / `.expect(`.
-const RUNTIME_PATHS: [&str; 2] = ["crates/core/src/spmd.rs", "crates/comm/src/comm.rs"];
+const RUNTIME_PATHS: [&str; 4] = [
+    "crates/core/src/spmd.rs",
+    "crates/comm/src/comm.rs",
+    "crates/krylov/src/restart.rs",
+    "crates/krylov/src/pipelined.rs",
+];
 
 /// Rule `unwrap-expect`: typed errors only in the runtime paths.
 pub fn rule_unwrap_expect(files: &[FileModel]) -> Vec<Finding> {
@@ -449,6 +454,15 @@ mod tests {
         );
         let got = rule_unwrap_expect(std::slice::from_ref(&m));
         assert_eq!(got.len(), 2, "{got:?}");
+        // The Krylov loops are runtime paths too; a sequential solver is not.
+        let krylov = |name: &str| {
+            let path = format!("crates/krylov/src/{name}.rs");
+            let m = file(&path, "fn f() { pending.take().expect(\"posted\"); }\n");
+            rule_unwrap_expect(std::slice::from_ref(&m)).len()
+        };
+        assert_eq!(krylov("pipelined"), 1);
+        assert_eq!(krylov("restart"), 1);
+        assert_eq!(krylov("cg"), 0);
     }
 
     #[test]

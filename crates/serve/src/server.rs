@@ -31,7 +31,7 @@
 
 use crate::batch::{plan_batches, Batch, BatcherCfg};
 use crate::stream::Workload;
-use dd_comm::Communicator;
+use dd_comm::{fnv1a_bytes, Communicator};
 use dd_core::{
     drive_epochs, repartition_plan, try_setup_partitioned, Attempt, CoarseCache, Decomposition,
     PreparedMulti, SpmdError, SpmdOpts,
@@ -87,17 +87,10 @@ struct Slot {
     meta: SolveMeta,
 }
 
-/// FNV-1a 64 over a solution piece's bit pattern.
+/// FNV-1a 64 over a solution piece's bit pattern, salted with its length.
 fn piece_sum(x: &[f64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET ^ x.len() as u64;
-    for &v in x {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    }
-    h
+    let bytes = x.iter().flat_map(|v| v.to_bits().to_le_bytes());
+    fnv1a_bytes(x.len() as u64, bytes)
 }
 
 #[derive(Clone, Copy, Debug, Default)]

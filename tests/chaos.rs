@@ -327,12 +327,23 @@ fn assert_recovered(
     victim: usize,
     kill_phase: &str,
 ) -> Vec<SpmdReport> {
+    assert_recovered_in(decomp, results, victim, &[kill_phase])
+}
+
+/// [`assert_recovered`] for a kill whose victim may learn of it in any of
+/// `kill_phases`.
+fn assert_recovered_in(
+    decomp: &Arc<Decomposition>,
+    results: &[RecResult],
+    victim: usize,
+    kill_phases: &[&str],
+) -> Vec<SpmdReport> {
     match &results[victim] {
         Err(SpmdError::Killed { rank, phase }) => {
             assert_eq!(*rank, victim);
-            assert_eq!(phase, kill_phase);
+            assert!(kill_phases.contains(&phase.as_str()), "killed at {phase}");
         }
-        other => panic!("victim: expected Killed at {kill_phase}, got {other:?}"),
+        other => panic!("victim: expected Killed at {kill_phases:?}, got {other:?}"),
     }
     let adopter = decomp.subdomains[victim]
         .neighbors
@@ -509,11 +520,11 @@ fn kill_at_deflation_recovers_with_redundant_coarse() {
 
 #[test]
 fn fused_solver_recovers_on_the_classical_loop_never_a_panic() {
-    // The pipelined loops have no fallible entry point: a peer dying under
-    // one is a panic. So whatever `opts.solver` says, a recovered epoch
-    // runs classical GMRES. Rank 3 dies in the set-up of epoch 0 (before
-    // the fused loop starts); rank 1 then dies *inside the recovered
-    // epoch's solve*, which must surface typed and recover a second time.
+    // Only the classical loop checkpoints and resumes, so whatever
+    // `opts.solver` says, a recovered epoch runs classical GMRES. Rank 3
+    // dies in the set-up of epoch 0 (before the fused loop starts); rank 1
+    // then dies *inside the recovered epoch's solve*, which must surface
+    // typed and recover a second time.
     let decomp = setup(12, 4);
     let o = SpmdOpts {
         solver: SolverKind::Fused,
@@ -551,6 +562,63 @@ fn fused_solver_recovers_on_the_classical_loop_never_a_panic() {
     }
     let rr = global_residual(&decomp, &reassemble(&decomp, &results));
     assert!(rr <= 1e-5, "recovered residual {rr:e} misses the tolerance");
+}
+
+/// [`opts`] at a tolerance the left-preconditioned two-level solve needs
+/// four iterations for (two at 1e-6), so that `solve-iteration-2` exists in
+/// epoch 0 with iterations left after it for the survivors to notice in.
+fn opts_reaching_iteration_2(solver: SolverKind) -> SpmdOpts {
+    let mut o = opts();
+    o.solver = solver;
+    o.gmres.tol = 1e-9;
+    o
+}
+
+/// A rank dies inside the pipelined or the fused loop of the *nominal*
+/// attempt — no set-up death first. Every collective of those loops is
+/// fallible, so the survivors get a typed error, shrink, and finish on the
+/// classical loop from zero (the pipelined loops write no checkpoints).
+#[test]
+fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
+    let decomp = setup(12, 4);
+    for (solver, seed) in [(SolverKind::Pipelined, 47), (SolverKind::Fused, 53)] {
+        let mut o = opts_reaching_iteration_2(solver);
+        o.recovery.enabled = true;
+        let results = run_recoverable_with_plan(
+            &decomp,
+            &o,
+            FaultPlan::new(seed).with_kill(1, "solve-iteration-2"),
+        );
+        // The failpoint only marks the rank gone (`on_iteration` swallows
+        // it); the victim learns of its death at the agreement its next
+        // failed exchange, post or wait sends it to — in the solve phase,
+        // or in the cooperative coarse solve nested in it.
+        let reports = assert_recovered_in(&decomp, &results, 1, &["solve", "e-solve-dist"]);
+        for r in &reports {
+            assert_eq!(r.run.recoveries[0].resume_iteration, None, "{solver:?}");
+        }
+    }
+}
+
+#[test]
+fn kill_inside_a_pipelined_or_fused_solve_without_recovery_is_typed_everywhere() {
+    let decomp = setup(12, 4);
+    for (solver, seed) in [(SolverKind::Pipelined, 59), (SolverKind::Fused, 61)] {
+        let o = opts_reaching_iteration_2(solver);
+        assert!(!o.recovery.enabled);
+        let results = run_recoverable_with_plan(
+            &decomp,
+            &o,
+            FaultPlan::new(seed).with_kill(1, "solve-iteration-2"),
+        );
+        for (rank, res) in results.iter().enumerate() {
+            match res {
+                Err(SpmdError::Killed { rank: r, .. }) => assert_eq!((rank, *r), (1, 1)),
+                Err(SpmdError::Comm(CommError::RankDead { .. })) => {}
+                other => panic!("{solver:?} rank {rank}: expected a typed loss, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
