@@ -61,6 +61,8 @@ pub struct SupernodalLdlt {
     /// columns.
     rows_ptr: Vec<usize>,
     rows: Vec<u32>,
+    /// The largest row count of any supernode (the solve's gather buffer).
+    max_rows: usize,
     /// Dense panels: supernode `s` stores its `nr × w` slice of `L`
     /// column-major at `panels[panel_ptr[s]..]` (unit diagonal implicit,
     /// zeros above it).
@@ -355,6 +357,10 @@ impl SupernodalLdlt {
         Ok(SupernodalLdlt {
             n,
             perm,
+            max_rows: (0..nsup)
+                .map(|s| rows_ptr[s + 1] - rows_ptr[s])
+                .max()
+                .unwrap_or(0),
             sn_col,
             rows_ptr,
             rows,
@@ -423,49 +429,70 @@ impl SupernodalLdlt {
     }
 
     /// [`SupernodalLdlt::solve_in_place`] with the permuted work vector
-    /// taken from the caller: `z` is overwritten and grows to `n` once, so
-    /// a caller that keeps it solves without allocating.
+    /// taken from the caller: `z` is overwritten and grows once to `n` plus
+    /// the tallest panel's row count (a supernode's rows are gathered
+    /// behind the permuted vector), so a caller that keeps it solves without
+    /// allocating.
+    ///
+    /// Each supernode gathers its rows into a dense local vector once, runs
+    /// its column loops there and scatters back — the operations and their
+    /// order are those of the per-column scatter loop, so the result is the
+    /// same to the bit.
     pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n);
         let nsup = self.n_supernodes();
-        // z = P b
+        // z = P b, the gathered rows after it
         z.clear();
         z.extend(self.perm.iter().map(|&p| b[p]));
-        let z = z.as_mut_slice();
+        z.resize(self.n + self.max_rows, 0.0);
+        let (z, gathered) = z.split_at_mut(self.n);
         // L y = z, panel by panel.
         for s in 0..nsup {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
             let nr = srows.len();
             let w = self.sn_col[s + 1] - self.sn_col[s];
             let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
+            let loc = &mut gathered[..nr];
+            for (l, &gi) in loc.iter_mut().zip(srows) {
+                *l = z[gi as usize];
+            }
             for jc in 0..w {
-                let zj = z[self.sn_col[s] + jc];
+                let zj = loc[jc];
                 if zj != 0.0 {
                     let col = &panel[jc * nr..(jc + 1) * nr];
                     for li in jc + 1..nr {
-                        z[srows[li] as usize] -= col[li] * zj;
+                        loc[li] -= col[li] * zj;
                     }
                 }
+            }
+            for (&l, &gi) in loc.iter().zip(srows) {
+                z[gi as usize] = l;
             }
         }
         // D w = y
         for j in 0..self.n {
             z[j] /= self.d[j];
         }
-        // Lᵀ x = w, reverse panel order.
+        // Lᵀ x = w, reverse panel order; only the supernode's own columns
+        // (its first `w` rows, contiguous) change.
         for s in (0..nsup).rev() {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
             let nr = srows.len();
-            let w = self.sn_col[s + 1] - self.sn_col[s];
+            let (first, w) = (self.sn_col[s], self.sn_col[s + 1] - self.sn_col[s]);
             let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
+            let loc = &mut gathered[..nr];
+            for (l, &gi) in loc.iter_mut().zip(srows) {
+                *l = z[gi as usize];
+            }
             for jc in (0..w).rev() {
                 let col = &panel[jc * nr..(jc + 1) * nr];
-                let mut acc = z[self.sn_col[s] + jc];
+                let mut acc = loc[jc];
                 for li in jc + 1..nr {
-                    acc -= col[li] * z[srows[li] as usize];
+                    acc -= col[li] * loc[li];
                 }
-                z[self.sn_col[s] + jc] = acc;
+                loc[jc] = acc;
             }
+            z[first..first + w].copy_from_slice(&loc[..w]);
         }
         // b = Pᵀ z
         for (i, &p) in self.perm.iter().enumerate() {
@@ -787,6 +814,107 @@ mod tests {
         a.spmv(&xs, &mut ax);
         let res = vector::dist2(&ax, &b) / vector::norm2(&b).max(1.0);
         assert!(res <= 1e-10, "supernodal residual: {res:e}");
+    }
+
+    /// The solve as a per-column scatter loop through `rows[…]` — the
+    /// oracle the gathered-panel solve is pinned to.
+    fn solve_scattered(f: &SupernodalLdlt, b: &[f64]) -> Vec<f64> {
+        let mut z: Vec<f64> = f.perm.iter().map(|&p| b[p]).collect();
+        for s in 0..f.n_supernodes() {
+            let srows = &f.rows[f.rows_ptr[s]..f.rows_ptr[s + 1]];
+            let nr = srows.len();
+            let w = f.sn_col[s + 1] - f.sn_col[s];
+            let panel = &f.panels[f.panel_ptr[s]..f.panel_ptr[s + 1]];
+            for jc in 0..w {
+                let zj = z[f.sn_col[s] + jc];
+                if zj != 0.0 {
+                    let col = &panel[jc * nr..(jc + 1) * nr];
+                    for li in jc + 1..nr {
+                        z[srows[li] as usize] -= col[li] * zj;
+                    }
+                }
+            }
+        }
+        for j in 0..f.n {
+            z[j] /= f.d[j];
+        }
+        for s in (0..f.n_supernodes()).rev() {
+            let srows = &f.rows[f.rows_ptr[s]..f.rows_ptr[s + 1]];
+            let nr = srows.len();
+            let w = f.sn_col[s + 1] - f.sn_col[s];
+            let panel = &f.panels[f.panel_ptr[s]..f.panel_ptr[s + 1]];
+            for jc in (0..w).rev() {
+                let col = &panel[jc * nr..(jc + 1) * nr];
+                let mut acc = z[f.sn_col[s] + jc];
+                for li in jc + 1..nr {
+                    acc -= col[li] * z[srows[li] as usize];
+                }
+                z[f.sn_col[s] + jc] = acc;
+            }
+        }
+        let mut x = vec![0.0; f.n];
+        for (i, &p) in f.perm.iter().enumerate() {
+            x[p] = z[i];
+        }
+        x
+    }
+
+    /// Random symmetric, diagonally dominant matrix of a random pattern,
+    /// from a splitmix64 stream.
+    fn random_pattern(seed: u64, n: usize, per_row: usize) -> CsrMatrix {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut b = CooBuilder::new(n, n);
+        let mut diag = vec![1.0; n];
+        for i in 0..n {
+            for _ in 0..per_row {
+                let j = (next() % n as u64) as usize;
+                if j != i {
+                    let v = (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    b.push(i, j, v);
+                    b.push(j, i, v);
+                    diag[i] += v.abs();
+                    diag[j] += v.abs();
+                }
+            }
+        }
+        for (i, d) in diag.iter().enumerate() {
+            b.push(i, i, 2.0 * d);
+        }
+        b.to_csr()
+    }
+
+    #[test]
+    fn gathered_solve_is_the_scatter_loop_to_the_bit() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut z = Vec::new();
+        for seed in 0..12u64 {
+            let n = 30 + 37 * seed as usize;
+            let a = random_pattern(seed, n, 2 + seed as usize % 5);
+            for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
+                let f = SupernodalLdlt::factor(&a, ord).unwrap();
+                let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
+                let mut x = b.clone();
+                // One work vector across every size: stale contents and a
+                // longer buffer must not matter.
+                f.solve_in_place_with(&mut x, &mut z);
+                assert_eq!(
+                    bits(&x),
+                    bits(&solve_scattered(&f, &b)),
+                    "seed {seed} {ord:?}"
+                );
+            }
+        }
+        let a = laplacian_3d(7);
+        let f = SupernodalLdlt::factor(&a, Ordering::MinDegree).unwrap();
+        let b: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.3).sin()).collect();
+        assert_eq!(bits(&f.solve(&b)), bits(&solve_scattered(&f, &b)));
     }
 
     #[test]
