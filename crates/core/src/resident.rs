@@ -13,7 +13,16 @@
 //! (Algorithms 1–2 on any owner map). Everything after set-up — eq. 5, the
 //! partition-of-unity inner product, RAS, the coarse correction of §3.2 and
 //! `P⁻¹_A-DEF1` (eq. 6) with its fused payload (§3.5) — lives here.
+//!
+//! Per Krylov iteration the two-level applies take two halo rounds and no
+//! SpMV: the §3.1 identity `A R_sᵀ W_s = R_sᵀ T_s` gives `A q` from one
+//! round of `T_s y_s`, and the RAS round carries the coarse shares `W_s y_s`
+//! with it. The right-preconditioned step also needs `A z`; it rides on the
+//! RAS round as a second column (`A R_sᵀ D_s = R_sᵀ A_s D_s`), so that step
+//! is two rounds and one local SpMV where eq. 6 followed by an operator
+//! apply was four and two (DESIGN.md, "halo rounds per iteration").
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -167,44 +176,71 @@ impl HaloPlan {
         }
     }
 
-    /// One exchange. `inbox` holds the received messages, one slot per
-    /// peer. Receives run under the ambient bounded retry policy; a dead
-    /// or revoked peer surfaces as a [`SolveInterrupt`].
-    // dd:hot — four exchanges per Krylov iteration
+    /// One exchange of `k = t.len()` columns: `out[c] += Σ R_s R_jᵀ t[c]_j`
+    /// for every column `c`. Each neighbouring rank gets one message, its
+    /// segments of every column one column after another, and every
+    /// column's additions run in the order of a one-column exchange — so a
+    /// `k`-column exchange is `k` one-column exchanges to the bit, in
+    /// `1/k` of the messages. `inbox` holds the received messages, one slot
+    /// per peer. Receives run under the ambient bounded retry policy; a
+    /// dead or revoked peer, or a message of the wrong length, surfaces as
+    /// a [`SolveInterrupt`].
+    // dd:hot — two rounds per two-level Krylov iteration (three left-preconditioned)
     fn exchange_add(
         &self,
         comm: &Communicator,
         inbox: &mut [Vec<f64>],
-        t: &[f64],
-        out: &mut [f64],
+        t: &[&[f64]],
+        out: &mut [&mut [f64]],
     ) -> Result<(), SolveInterrupt> {
+        debug_assert_eq!(t.len(), out.len());
         let policy = comm.retry_policy();
         for peer in &self.peers {
             // dd:cold — the message itself: it moves into the peer's mailbox
-            let payload: Vec<f64> = peer.pack.iter().map(|&g| t[g]).collect();
+            let mut payload = Vec::with_capacity(t.len() * peer.pack.len());
+            for col in t {
+                payload.extend(peer.pack.iter().map(|&g| col[g]));
+            }
             comm.send(peer.rank, self.tag, payload);
         }
         for (peer, slot) in self.peers.iter().zip(inbox.iter_mut()) {
             *slot = comm
                 .try_recv_timeout(peer.rank, self.tag, &policy)
                 .map_err(comm_interrupt)?;
-            debug_assert_eq!(slot.len(), peer.recv_len);
+            if slot.len() != t.len() * peer.recv_len {
+                // dd:cold — a malformed message ends the solve
+                return Err(SolveInterrupt::new(format!(
+                    "halo message from rank {} holds {} values, expected {} columns of {}",
+                    peer.rank,
+                    slot.len(),
+                    t.len(),
+                    peer.recv_len
+                )));
+            }
         }
-        for add in &self.adds {
-            match &add.src {
-                Source::Local(src) => {
-                    for (&k, &g) in add.dst.iter().zip(src) {
-                        out[k] += t[g];
+        for (c, (tc, oc)) in t.iter().zip(out.iter_mut()).enumerate() {
+            for add in &self.adds {
+                match &add.src {
+                    Source::Local(src) => {
+                        for (&k, &g) in add.dst.iter().zip(src) {
+                            oc[k] += tc[g];
+                        }
                     }
-                }
-                Source::Remote { peer, offset } => {
-                    for (&k, &v) in add.dst.iter().zip(&inbox[*peer][*offset..]) {
-                        out[k] += v;
+                    Source::Remote { peer, offset } => {
+                        let at = c * self.peers[*peer].recv_len + offset;
+                        for (&k, &v) in add.dst.iter().zip(&inbox[*peer][at..]) {
+                            oc[k] += v;
+                        }
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Neighbouring ranks: the peers every exchange sends to.
+    pub(crate) fn n_peers(&self) -> usize {
+        self.peers.len()
     }
 }
 
@@ -237,7 +273,8 @@ impl MultiCtx<'_> {
             .map(|(&s, w)| (s, w[0]..w[1]))
     }
 
-    fn exchange_add(&self, t: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
+    /// One halo round of `t.len()` columns (see [`HaloPlan::exchange_add`]).
+    fn exchange_add(&self, t: &[&[f64]], out: &mut [&mut [f64]]) -> Result<(), SolveInterrupt> {
         self.halo
             .exchange_add(self.comm, &mut self.inbox.borrow_mut(), t, out)
     }
@@ -275,6 +312,12 @@ impl<'a> MultiOp<'a> {
         });
         ctx.comm.charge_flops(flops);
     }
+
+    /// Is `op` this operator? The preconditioners form `A z` from their own
+    /// pieces only for the operator they were built on.
+    fn is(&self, op: &dyn Operator) -> bool {
+        std::ptr::addr_eq(op, self)
+    }
 }
 
 impl Operator for MultiOp<'_> {
@@ -296,7 +339,7 @@ impl Operator for MultiOp<'_> {
         let (w, t) = &mut *scratch;
         self.local_part_into(x, w, t);
         y.copy_from_slice(t);
-        self.ctx.exchange_add(t, y)
+        self.ctx.exchange_add(&[t], &mut [y])
     }
 }
 
@@ -384,45 +427,100 @@ impl InnerProduct for MultiDot<'_> {
     }
 }
 
+/// What the coarse correction hands the RAS tail: every owned subdomain's
+/// share `W_s y_s` of `q = Z E⁻¹ Zᵀ r` (not yet summed over neighbours)
+/// and the consistent `A q`.
+struct CoarsePart<'b> {
+    wy: &'b [f64],
+    aq: &'b [f64],
+}
+
 /// Distributed one-level RAS: `z_s = Σ_j R_s R_jᵀ D_j A_j⁻¹ r_j`.
 struct MultiRas<'a> {
-    ctx: &'a MultiCtx<'a>,
+    /// The operator being solved: its context, and its `A_s` for `A z`.
+    op: &'a MultiOp<'a>,
     /// Local factors, aligned with `ctx.owned`.
     factors: &'a [LocalLdlt],
-    /// Warm-path scratch `D A⁻¹ r`.
+    /// Warm-path scratch: the two columns `[D A⁻¹ t + W y, A D A⁻¹ t]` one
+    /// halo round carries.
     scratch: RefCell<Vec<f64>>,
     /// The local solves' permuted work vector, shared by all of them.
     solve_scratch: RefCell<Vec<f64>>,
 }
 
 impl<'a> MultiRas<'a> {
-    fn new(ctx: &'a MultiCtx<'a>, factors: &'a [LocalLdlt]) -> Self {
+    fn new(op: &'a MultiOp<'a>, factors: &'a [LocalLdlt]) -> Self {
         MultiRas {
-            ctx,
+            op,
             factors,
-            scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; 2 * op.ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::with_capacity(
                 factors.iter().map(LocalLdlt::n).max().unwrap_or(0),
             )),
         }
     }
 
+    /// The RAS tail of both preconditioners. `u_s = A_s⁻¹ t_s` on every
+    /// owned subdomain, then ONE halo round: of `D_s u_s + W_s y_s` (the
+    /// coarse shares, when there is a coarse part), which sums to `z`, and —
+    /// when `az` is asked for — of `A_s D_s u_s` as a second column, which
+    /// sums to `A RAS(t)` because `D_s` vanishes where `A_s` and `A` differ
+    /// (the identity eq. 5 rests on), so `A z` is that plus `A q`.
+    ///
+    /// `A q` is added after the round, not into the column: where two
+    /// subdomains share a dof, each copy then sums the same two terms, so
+    /// the copies of `A z` agree to the bit as an SpMV's do. Added before,
+    /// they would differ in their last bits — and right-preconditioned
+    /// GMRES on the κ-contrast workloads stalls on exactly that
+    /// (`diffusion2d_many`: 162 iterations instead of 69).
     // dd:hot — per-iteration local solves; scratch reuse keeps this layer allocation-free
-    fn local_part_into(&self, r: &[f64], t: &mut [f64]) {
-        let ctx = self.ctx;
-        let mut flops = 0u64;
+    fn try_tail(
+        &self,
+        t: &[f64],
+        coarse: Option<CoarsePart<'_>>,
+        z: &mut [f64],
+        az: Option<&mut [f64]>,
+    ) -> Result<(), SolveInterrupt> {
+        let ctx = self.op.ctx;
+        // The `ras` failpoint: kills armed here take the rank down in the
+        // middle of a preconditioner application, before its local solves.
+        solve_failpoint(ctx.comm, "ras")?;
+        let n = ctx.n_concat();
+        let mut cols = self.scratch.borrow_mut();
+        let (du, adu) = cols.split_at_mut(n);
         let mut work = self.solve_scratch.borrow_mut();
+        let mut flops = 0u64;
         ctx.comm.compute(|| {
-            t.copy_from_slice(r);
+            du.copy_from_slice(t);
             for ((s, span), factor) in ctx.spans().zip(self.factors) {
                 let sub = &ctx.decomp.subdomains[s];
-                let t = &mut t[span];
-                factor.solve_in_place_with(t, &mut work);
-                vector::scale_by(&sub.d, t);
+                let u = &mut du[span.start..span.end];
+                factor.solve_in_place_with(u, &mut work);
+                vector::scale_by(&sub.d, u);
                 flops += (4 * factor.nnz_l() + sub.n_local()) as u64;
+                if az.is_some() {
+                    sub.spmv_dirichlet(u, &mut adu[span.start..span.end]);
+                    flops += 2 * sub.a_dirichlet.nnz() as u64;
+                }
+                if let Some(c) = &coarse {
+                    vector::axpy(1.0, &c.wy[span.start..span.end], u);
+                    flops += 2 * sub.n_local() as u64;
+                }
             }
         });
         ctx.comm.charge_flops(flops);
+        z.copy_from_slice(du);
+        match az {
+            None => ctx.exchange_add(&[du], &mut [z]),
+            Some(az) => {
+                az.copy_from_slice(adu);
+                ctx.exchange_add(&[du, adu], &mut [z, az])?;
+                if let Some(c) = &coarse {
+                    vector::axpy(1.0, c.aq, az);
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -435,33 +533,45 @@ impl Preconditioner for MultiRas<'_> {
 
     // dd:hot
     fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        // The `ras` failpoint: kills armed here take the rank down in the
-        // middle of a preconditioner application, mid-solve.
-        solve_failpoint(self.ctx.comm, "ras")?;
-        let mut t = self.scratch.borrow_mut();
-        self.local_part_into(r, &mut t);
-        z.copy_from_slice(&t);
-        self.ctx.exchange_add(&t, z)
+        self.try_tail(r, None, z, None)
+    }
+
+    /// `A z` rides on the RAS round as a second column: one round, one
+    /// local SpMV, instead of a round for `z` and a full SpMV after it.
+    fn try_apply_with_op(
+        &self,
+        op: &dyn Operator,
+        r: &[f64],
+        z: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<(), SolveInterrupt> {
+        if !self.op.is(op) {
+            self.try_apply(r, z)?;
+            return op.try_apply(z, w);
+        }
+        self.try_tail(r, None, z, Some(w))
     }
 }
 
 /// A master's share of the factored coarse operator `E`.
 pub(crate) enum MasterSolve {
     /// The full factorization, held redundantly by every master, beside the
-    /// assembled `E` it came from (a few KiB; `debug_apply_adef1` hands it
-    /// to the differential tests).
+    /// assembled `E` it came from (a few KiB; `debug_apply` hands it to the
+    /// differential tests).
     Redundant { e: CsrMatrix, factor: SparseLdlt },
     /// This master's block row of the distributed factorization.
     Distributed(DistLdlt),
 }
 
-/// The coarse correction `z = Z E⁻¹ Zᵀ u` (§3.2). Coarse rows are ordered
+/// The coarse correction `q = Z E⁻¹ Zᵀ u` (§3.2). Coarse rows are ordered
 /// by (hosting rank, subdomain), so each split group's rows are contiguous
 /// and the distributed block factorization keeps its bounds.
 struct MultiCoarse<'a> {
     ctx: &'a MultiCtx<'a>,
     state: &'a PreparedMulti<'a>,
-    /// Warm-path scratch `W y`.
+    /// `T_s = A_s W_s` of the operator being solved, aligned with `owned`.
+    t: &'a [DMat],
+    /// Warm-path scratch `T y`.
     scratch: RefCell<Vec<f64>>,
     /// The redundant coarse solve's permuted work vector (empty until a
     /// master's first solve; the other ranks never touch it).
@@ -469,25 +579,31 @@ struct MultiCoarse<'a> {
 }
 
 impl<'a> MultiCoarse<'a> {
-    fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>) -> Self {
+    fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>, t: &'a [DMat]) -> Self {
         MultiCoarse {
             ctx,
             state,
+            t,
             scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::new()),
         }
     }
 
-    /// `z ← Z E⁻¹ Zᵀ u`, carrying a fused payload of local reduction
+    /// `y = E⁻¹ Zᵀ u`, carrying a fused payload of local reduction
     /// contributions through the gather, a reduction among masters
-    /// overlapped with the coarse solve, and the scatter (§3.5). Returns
-    /// the reduced payload. Every collective runs through its `try_`
-    /// variant, so a dead rank or a revocation surfaces as a
-    /// [`SolveInterrupt`] the Krylov loop propagates.
+    /// overlapped with the coarse solve, and the scatter (§3.5); then
+    /// every owned subdomain's share `wy_s = W_s y_s` of `q = Z y`, and the
+    /// consistent `A q` from one halo round of `T_s y_s` — the §3.1
+    /// identity `A R_sᵀ W_s = R_sᵀ T_s` (`W_s = D_s Λ_s` vanishes where
+    /// `A_s` and `A` differ), so no SpMV. Returns the reduced payload.
+    /// Every collective runs through its `try_` variant, so a dead rank or a
+    /// revocation surfaces as a [`SolveInterrupt`] the Krylov loop
+    /// propagates.
     fn try_correction(
         &self,
         u: &[f64],
-        z: &mut [f64],
+        wy: &mut [f64],
+        aq: &mut [f64],
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
         let (ctx, st) = (self.ctx, self.state);
@@ -582,55 +698,69 @@ impl<'a> MultiCoarse<'a> {
         }
         .map_err(comm_interrupt)?;
         let (y_mine, reduced) = mine.split_at(n_mine);
-        // step 3b: z_s = W_s y_s plus the consistency sum (eq. 12).
-        let mut zi = self.scratch.borrow_mut();
+        // step 3b: W_s y_s and T_s y_s, then A q by the consistency sum of
+        // the latter (eq. 12, applied to T instead of W).
+        let mut ty = self.scratch.borrow_mut();
         let mut flops = 0u64;
         comm.compute(|| {
             let mut at = 0;
-            for ((_, span), w) in ctx.spans().zip(&st.w) {
-                w.gemv(1.0, &y_mine[at..at + w.cols()], 0.0, &mut zi[span]);
+            for (((_, span), w), t) in ctx.spans().zip(&st.w).zip(self.t) {
+                let y = &y_mine[at..at + w.cols()];
+                w.gemv(1.0, y, 0.0, &mut wy[span.start..span.end]);
+                t.gemv(1.0, y, 0.0, &mut ty[span]);
                 at += w.cols();
-                flops += 2 * (w.cols() * w.rows()) as u64;
+                flops += 4 * (w.cols() * w.rows()) as u64;
             }
         });
         comm.charge_flops(flops);
-        z.copy_from_slice(&zi);
-        ctx.exchange_add(&zi, z)?;
+        aq.copy_from_slice(&ty);
+        ctx.exchange_add(&[&ty], &mut [aq])?;
         Ok(reduced.to_vec())
     }
 }
 
-/// Distributed two-level preconditioner `P⁻¹_A-DEF1` (eq. 6).
+/// Distributed two-level preconditioner `P⁻¹_A-DEF1` (eq. 6), in two halo
+/// rounds: `T y` for `A q` after the coarse solve, then the RAS tail's round
+/// carrying `D A⁻¹(r − A q) + W y` (and `A D A⁻¹(r − A q)` when `A z` is
+/// wanted).
 struct MultiADef1<'a> {
-    op: &'a MultiOp<'a>,
     ras: MultiRas<'a>,
     coarse: MultiCoarse<'a>,
-    /// Warm-path scratch `(q, t)` for eq. 6.
-    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
+    /// Warm-path scratch `(W y, A q, r − A q)`.
+    scratch: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)>,
+}
+
+impl MultiADef1<'_> {
+    /// `z = RAS(r − A q) + q` with `q = Z E⁻¹ Zᵀ r`, and `A z` into `az`
+    /// if given; the payload rides on the one coarse solve and comes back
+    /// reduced.
+    // dd:hot — per-iteration two-level application (eq. 6)
+    fn try_eq6(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        az: Option<&mut [f64]>,
+        payload: Vec<f64>,
+    ) -> Result<Vec<f64>, SolveInterrupt> {
+        let mut scratch = self.scratch.borrow_mut();
+        let (wy, aq, t) = &mut *scratch;
+        let reduced = self.coarse.try_correction(r, wy, aq, payload)?;
+        for k in 0..r.len() {
+            t[k] = r[k] - aq[k];
+        }
+        self.ras.try_tail(t, Some(CoarsePart { wy, aq }), z, az)?;
+        Ok(reduced)
+    }
 }
 
 impl FusedPreconditioner for MultiADef1<'_> {
-    /// `z = RAS(r − A q) + q` with `q = Z E⁻¹ Zᵀ r`; the payload rides on
-    /// the one coarse solve and comes back reduced.
-    // dd:hot — per-iteration two-level application (eq. 6)
     fn apply_fused(
         &self,
         r: &[f64],
         z: &mut [f64],
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
-        let mut scratch = self.scratch.borrow_mut();
-        let (q, t) = &mut *scratch;
-        let reduced = self.coarse.try_correction(r, q, payload)?;
-        // t = r − A q
-        self.op.try_apply(q, t)?;
-        for k in 0..r.len() {
-            t[k] = r[k] - t[k];
-        }
-        // z = RAS t + q
-        self.ras.try_apply(t, z)?;
-        vector::axpy(1.0, q, z);
-        Ok(reduced)
+        self.try_eq6(r, z, None, payload)
     }
 }
 
@@ -644,15 +774,31 @@ impl Preconditioner for MultiADef1<'_> {
     fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
         // A capacity-0 `Vec::new` marks "no fused payload"; it never
         // touches the heap.
-        self.apply_fused(r, z, Vec::new()).map(drop)
+        self.try_eq6(r, z, None, Vec::new()).map(drop)
+    }
+
+    /// `A z = A RAS(r − A q) + A q` from the two rounds eq. 6 runs anyway:
+    /// no third round and no SpMV.
+    fn try_apply_with_op(
+        &self,
+        op: &dyn Operator,
+        r: &[f64],
+        z: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<(), SolveInterrupt> {
+        if !self.ras.op.is(op) {
+            self.try_apply(r, z)?;
+            return op.try_apply(z, w);
+        }
+        self.try_eq6(r, z, Some(w), Vec::new()).map(drop)
     }
 }
 
 // ------------------------------------------------------- resident state
 
 /// The resident state of one set-up on one rank: the owned subdomains'
-/// factorized Dirichlet solvers and (resized) deflation blocks `W_s`, the
-/// halo plan, the split/master communicators of the election, and this
+/// factorized Dirichlet solvers, (resized) deflation blocks `W_s` and their
+/// products `T_s = A_s W_s`, the halo plan, the split/master communicators of the election, and this
 /// rank's handle on the factorized coarse operator `E`. Produced by
 /// `spmd::try_setup_on` through its two entry points,
 /// [`crate::spmd::try_setup`] (one subdomain per rank) and
@@ -672,9 +818,12 @@ pub struct PreparedMulti<'a> {
     /// Concatenation offsets of the owned subdomains' locals (len+1).
     pub(crate) starts: Vec<usize>,
     pub(crate) halo: HaloPlan,
-    /// Local factors and deflation blocks, aligned with `owned`.
+    /// Local factors, deflation blocks and `T_s = A_s W_s` (the set-up
+    /// forms it for `E`; the coarse correction's `A q` reuses it), aligned
+    /// with `owned`. `t` is empty when there is no coarse level.
     pub(crate) factors: Vec<LocalLdlt>,
     pub(crate) w: Vec<DMat>,
+    pub(crate) t: Vec<DMat>,
     /// ν this rank reports: the largest among its subdomains.
     pub(crate) nu: usize,
     pub(crate) split: Communicator,
@@ -785,15 +934,35 @@ impl PreparedMulti<'_> {
         }
     }
 
-    fn adef1<'s>(&'s self, op: &'s MultiOp<'s>) -> MultiADef1<'s> {
-        let ctx = op.ctx;
-        let n = ctx.n_concat();
+    fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, t: &'s [DMat]) -> MultiADef1<'s> {
+        let n = op.ctx.n_concat();
         MultiADef1 {
-            op,
-            ras: MultiRas::new(ctx, &self.factors),
-            coarse: MultiCoarse::new(ctx, self),
-            scratch: RefCell::new((vec![0.0; n], vec![0.0; n])),
+            ras: MultiRas::new(op, &self.factors),
+            coarse: MultiCoarse::new(op.ctx, self, t),
+            scratch: RefCell::new((vec![0.0; n], vec![0.0; n], vec![0.0; n])),
         }
+    }
+
+    /// `T_s = A_s W_s` of the operator `ctx` solves: the resident products
+    /// for the resident decomposition, formed afresh for an override.
+    fn t_for<'s>(&'s self, ctx: &MultiCtx<'_>) -> Cow<'s, [DMat]> {
+        if std::ptr::eq(ctx.decomp, self.decomp) {
+            return Cow::Borrowed(&self.t);
+        }
+        let comm = self.comm;
+        let mut flops = 0u64;
+        let t = comm.compute(|| {
+            ctx.spans()
+                .zip(&self.w)
+                .map(|((s, _), w)| {
+                    let sub = &ctx.decomp.subdomains[s];
+                    flops += 2 * (sub.a_dirichlet.nnz() * w.cols()) as u64;
+                    sub.mm_dirichlet(w)
+                })
+                .collect()
+        });
+        comm.charge_flops(flops);
+        Cow::Owned(t)
     }
 
     /// `R_s v` for every owned subdomain, concatenated.
@@ -827,10 +996,11 @@ impl PreparedMulti<'_> {
         let gmres = &self.opts.gmres;
 
         let result = if self.run.coarse != CoarseOutcome::TwoLevel {
-            let ras = MultiRas::new(&ctx, &self.factors);
+            let ras = MultiRas::new(&op, &self.factors);
             solve_classical(&op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle)
         } else {
-            let adef1 = self.adef1(&op);
+            let t = self.t_for(&ctx);
+            let adef1 = self.adef1(&op, &t);
             match self.opts.solver {
                 SolverKind::Classical => {
                     solve_classical(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
@@ -901,12 +1071,7 @@ impl PreparedMulti<'_> {
             nu: self.nu,
             dim_e: self.dim_e,
             nnz_e_factor: self.nnz_e_factor,
-            n_neighbors: self
-                .decomp
-                .subdomains
-                .get(me_world)
-                .or_else(|| self.owned.first().map(|&s| &self.decomp.subdomains[s]))
-                .map_or(0, |s| s.neighbors.len()),
+            n_neighbors: self.halo.n_peers(),
             world_collectives_solution: out.world_collectives_solution,
             p2p_messages: out.p2p_messages,
             p2p_bytes: out.p2p_bytes,
@@ -916,35 +1081,82 @@ impl PreparedMulti<'_> {
         }
     }
 
-    /// Test helper behind [`crate::spmd::debug_apply_adef1`]: apply
-    /// `P⁻¹_A-DEF1` once to `R r_global` and then piece by piece, returning
-    /// `(z, q, A q, RAS(r − A q))` over the owned subdomains and, on masters
-    /// in redundant mode, the assembled coarse matrix `E`.
+    /// Test helper behind [`crate::spmd::debug_apply_adef1`]: the
+    /// preconditioner of this set-up applied once to `R r_global` as the
+    /// right-preconditioned Krylov step applies it (`z` and `A z` from one
+    /// call), `A z` by the distributed SpMV, and eq. 6 composed from its
+    /// pieces — on the resident operator or on a layout-compatible
+    /// override, two-level or one-level.
     #[doc(hidden)]
-    #[allow(clippy::type_complexity)]
-    pub fn debug_apply_adef1(
+    pub fn debug_apply(
         &self,
+        decomp_override: Option<&Decomposition>,
         r_global: &[f64],
-    ) -> Result<((Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>), Option<CsrMatrix>), SpmdError> {
-        let ctx = self.ctx(self.decomp);
+    ) -> Result<DebugApply, SpmdError> {
+        let ctx = self.ctx(decomp_override.unwrap_or(self.decomp));
         let op = MultiOp::new(&ctx);
-        let adef1 = self.adef1(&op);
         let r = self.restrict(&ctx, r_global);
-        let (mut z, mut q, mut aq, mut ras) = (r.clone(), r.clone(), r.clone(), r.clone());
-        let mut pieces = || -> Result<(), SolveInterrupt> {
-            adef1.try_apply(&r, &mut z)?;
-            adef1.coarse.try_correction(&r, &mut q, Vec::new())?;
-            op.try_apply(&q, &mut aq)?;
-            let t: Vec<f64> = r.iter().zip(&aq).map(|(a, b)| a - b).collect();
-            adef1.ras.try_apply(&t, &mut ras)
+        let n = r.len();
+        let mut out = DebugApply {
+            z: vec![0.0; n],
+            az: vec![0.0; n],
+            a_of_z: vec![0.0; n],
+            q: vec![0.0; n],
+            aq: vec![0.0; n],
+            a_of_q: vec![0.0; n],
+            ras: vec![0.0; n],
+            e: match &self.e_solve {
+                Some(MasterSolve::Redundant { e, .. }) => Some(e.clone()),
+                _ => None,
+            },
         };
-        pieces().map_err(|si| interrupt_to_spmd(self.comm, si))?;
-        let e = match &self.e_solve {
-            Some(MasterSolve::Redundant { e, .. }) => Some(e.clone()),
-            _ => None,
+        let pieces = |out: &mut DebugApply| -> Result<(), SolveInterrupt> {
+            if self.run.coarse == CoarseOutcome::TwoLevel {
+                let t = self.t_for(&ctx);
+                let adef1 = self.adef1(&op, &t);
+                adef1.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
+                // q made consistent by a round of its shares, A q both ways,
+                // and the RAS tail with no coarse part.
+                adef1
+                    .coarse
+                    .try_correction(&r, &mut out.q, &mut out.aq, Vec::new())?;
+                let wy = out.q.clone();
+                ctx.exchange_add(&[&wy], &mut [&mut out.q])?;
+                op.try_apply(&out.q, &mut out.a_of_q)?;
+                let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
+                adef1.ras.try_tail(&t, None, &mut out.ras, None)?;
+            } else {
+                let ras = MultiRas::new(&op, &self.factors);
+                ras.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
+                ras.try_apply(&r, &mut out.ras)?;
+            }
+            op.try_apply(&out.z, &mut out.a_of_z)
         };
-        Ok(((z, q, aq, ras), e))
+        pieces(&mut out).map_err(|si| interrupt_to_spmd(self.comm, si))?;
+        Ok(out)
     }
+}
+
+/// What [`PreparedMulti::debug_apply`] returns, over the owned subdomains.
+#[doc(hidden)]
+pub struct DebugApply {
+    /// `z = M⁻¹ r` and `A z`, from one call of the preconditioner's
+    /// right-preconditioned step (`Preconditioner::try_apply_with_op`).
+    pub z: Vec<f64>,
+    pub az: Vec<f64>,
+    /// `A z` by the distributed SpMV.
+    pub a_of_z: Vec<f64>,
+    /// The pieces of eq. 6: the consistent coarse correction
+    /// `q = Z E⁻¹ Zᵀ r`, `A q` from the round of `T_s y_s` (what eq. 6
+    /// uses), `A q` by the distributed SpMV, and `RAS(r − A q)` — so
+    /// `z = RAS(r − A q) + q`. On the one-level path `q` and both `A q` are
+    /// zero and `ras = z`.
+    pub q: Vec<f64>,
+    pub aq: Vec<f64>,
+    pub a_of_q: Vec<f64>,
+    pub ras: Vec<f64>,
+    /// On masters in redundant mode, the assembled coarse matrix `E`.
+    pub e: Option<CsrMatrix>,
 }
 
 /// The classical-GMRES arm of an apply, with or without recycling.
@@ -980,6 +1192,110 @@ mod tests {
     use dd_mesh::Mesh;
     use dd_part::partition_mesh_rcb;
 
+    /// This rank's share of `decomp` split into contiguous chunks over the
+    /// communicator: owned subdomains, concatenation offsets, halo plan.
+    fn chunked(decomp: &Decomposition, comm: &Communicator) -> (Vec<usize>, Vec<usize>, HaloPlan) {
+        let nsub = decomp.n_subdomains();
+        let host: Vec<usize> = (0..nsub).map(|s| comm.size() * s / nsub).collect();
+        let owned: Vec<usize> = (0..nsub).filter(|&s| host[s] == comm.rank()).collect();
+        let mut starts = vec![0];
+        for &s in &owned {
+            starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
+        }
+        let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
+        (owned, starts, halo)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A `k`-column exchange is `k` one-column exchanges, bit for bit, in
+    /// one message per neighbouring rank instead of `k` — on an owner map
+    /// with same-host and remote links.
+    #[test]
+    fn k_column_exchange_is_k_single_exchanges_bitwise() {
+        const K: usize = 3;
+        let mesh = Mesh::unit_square(12, 12);
+        let part = partition_mesh_rcb(&mesh, 6);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, 6, 1);
+        let wave = |k: usize| (k as f64 * 0.37).sin() + 0.25;
+        let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
+            let (owned, starts, halo) = chunked(&decomp, comm);
+            let n = starts[owned.len()];
+            let mut inbox = vec![Vec::new(); halo.n_peers()];
+            let t: Vec<Vec<f64>> = (0..K)
+                .map(|c| (0..n).map(|g| wave(g + 11 * c + 5 * comm.rank())).collect())
+                .collect();
+            comm.trace_phase("panel");
+            let mut panel = t.clone();
+            {
+                let cols: Vec<&[f64]> = t.iter().map(Vec::as_slice).collect();
+                let mut outs: Vec<&mut [f64]> = panel.iter_mut().map(Vec::as_mut_slice).collect();
+                halo.exchange_add(comm, &mut inbox, &cols, &mut outs)
+                    .unwrap();
+            }
+            comm.trace_phase("loop");
+            let mut single = t.clone();
+            for (tc, oc) in t.iter().zip(single.iter_mut()) {
+                halo.exchange_add(comm, &mut inbox, &[tc], &mut [oc])
+                    .unwrap();
+            }
+            (halo.n_peers(), panel, single)
+        });
+        let mut peers = 0;
+        for (n_peers, panel, single) in rows {
+            assert_eq!(n_peers, 1, "two ranks: one neighbouring rank each");
+            peers += n_peers as u64;
+            for (p, s) in panel.iter().zip(&single) {
+                assert_eq!(bits(p), bits(s));
+            }
+        }
+        assert_eq!(trace.phase_totals("panel").sends, peers);
+        assert_eq!(trace.phase_totals("loop").sends, K as u64 * peers);
+        assert_eq!(
+            trace.phase_totals("panel").send_bytes,
+            trace.phase_totals("loop").send_bytes
+        );
+    }
+
+    /// A received halo message that is not `k · recv_len` long — a short
+    /// one, or one column where two were expected — is a typed interrupt,
+    /// not a silently truncated sum or a slice panic.
+    #[test]
+    fn malformed_halo_message_is_a_typed_interrupt() {
+        let mesh = Mesh::unit_square(8, 8);
+        let part = partition_mesh_rcb(&mesh, 2);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(1), &part, 2, 1);
+        for (k, short_by) in [(1usize, 1usize), (2, 0)] {
+            let reasons = World::run(2, CostModel::default(), |comm| {
+                let (owned, starts, halo) = chunked(&decomp, comm);
+                let n = starts[owned.len()];
+                let peer = &halo.peers[0];
+                if comm.rank() == 1 {
+                    // One column of the right length, less `short_by`.
+                    comm.send(peer.rank, halo.tag, vec![0.0; peer.pack.len() - short_by]);
+                    let _: Vec<f64> = comm.recv(peer.rank, halo.tag);
+                    return None;
+                }
+                let t = vec![vec![1.0; n]; k];
+                let mut out = t.clone();
+                let cols: Vec<&[f64]> = t.iter().map(Vec::as_slice).collect();
+                let mut outs: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut inbox = vec![Vec::new(); 1];
+                let err = halo
+                    .exchange_add(comm, &mut inbox, &cols, &mut outs)
+                    .expect_err("a malformed message must not be summed");
+                Some(err.reason().to_string())
+            });
+            let reason = reasons[0].as_deref().expect("rank 0 exchanged");
+            assert!(
+                reason.contains("halo message from rank 1"),
+                "k = {k}: {reason}"
+            );
+        }
+    }
+
     /// `MultiDot::local_dots` is the loop over `MultiDot::local_dot`, bit
     /// for bit and flop for flop, on an owner map with three subdomains on
     /// each of two ranks (so `D w` is assembled from several spans).
@@ -992,13 +1308,7 @@ mod tests {
         let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, NSUB, 1);
         let wave = |k: usize| (k as f64 * 0.37).sin() + 0.25;
         let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
-            let host: Vec<usize> = (0..NSUB).map(|s| 2 * s / NSUB).collect();
-            let owned: Vec<usize> = (0..NSUB).filter(|&s| host[s] == comm.rank()).collect();
-            let mut starts = vec![0];
-            for &s in &owned {
-                starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
-            }
-            let halo = HaloPlan::build(&decomp, comm, &owned, &starts, &host);
+            let (owned, starts, halo) = chunked(&decomp, comm);
             let ctx = MultiCtx {
                 comm,
                 decomp: &decomp,
@@ -1022,7 +1332,6 @@ mod tests {
         });
         for (n_owned, panel, looped) in rows {
             assert_eq!(n_owned, 3);
-            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&panel), bits(&looped));
         }
         let flops = trace.phase_totals("panel").flops;

@@ -39,7 +39,7 @@ use crate::recovery::{
     layout_sig, try_run_spmd_recoverable, CheckpointStore, CoarseCache, RecoveryOpts,
     RepartitionPlan, SpmdMultiSolution,
 };
-use crate::resident::{epoch_salt, HaloPlan, MasterSolve, PreparedMulti};
+use crate::resident::{epoch_salt, DebugApply, HaloPlan, MasterSolve, PreparedMulti};
 use dd_comm::{CommError, Communicator};
 use dd_krylov::{GmresOpts, SolveInterrupt};
 use dd_linalg::{CooBuilder, CsrMatrix, DMat};
@@ -567,6 +567,8 @@ pub(crate) fn try_setup_on<'a>(
     // them without a cache); virtual clock reading once `E` is assembled.
     let mut fresh: Vec<bool> = vec![true; nsubs];
     let mut clk_assembled: Option<f64> = None;
+    // T_s = A_s W_s per owned subdomain (empty without a coarse level).
+    let mut t: Vec<DMat> = Vec::new();
 
     if !opts.one_level_only {
         // All ranks learn every subdomain's ν (Algorithm 1 line 1): each
@@ -606,9 +608,9 @@ pub(crate) fn try_setup_on<'a>(
 
         // Neighbourhood exchange of S_j = R_j R_sᵀ T_s per owned subdomain
         // (Algorithm 1; same-host pairs stay local). T_s = A_s W_s feeds
-        // both this row's diagonal block E_ss = W_sᵀ T_s (csrmm + gemm) and
-        // the halos of every neighbour recomputing theirs — skipped only
-        // when nobody needs it.
+        // this row's diagonal block E_ss = W_sᵀ T_s (csrmm + gemm), the
+        // halos of every neighbour recomputing theirs, and — kept resident —
+        // every coarse correction's `A q` in the solve phase.
         comm.trace_phase(labels.assembly[2]);
         let policy = comm.retry_policy();
         let tag = |from: usize, to: usize| TAG_T + epoch_salt(comm) + (from * nsubs + to) as u64;
@@ -617,36 +619,36 @@ pub(crate) fn try_setup_on<'a>(
         // each neighbour in O_s order. A row that is not fresh replays from
         // the cache into the same stream.
         let mut row_vals: Vec<Vec<f64>> = Vec::with_capacity(owned.len());
+        t.reserve(owned.len());
         let mut local_halo: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
         for (i, &s) in owned.iter().enumerate() {
             let sub = &decomp.subdomains[s];
             let nu_s = w[i].cols();
             let mut vals = Vec::new();
-            if fresh[s] || sub.neighbors.iter().any(|l| fresh[l.j]) {
-                let t_s = comm.compute(|| {
-                    let t = sub.mm_dirichlet(&w[i]);
-                    if fresh[s] {
-                        let mut e = DMat::zeros(nu_s, nu_s);
-                        w[i].gemm_tn(1.0, &t, 0.0, &mut e);
-                        for p in 0..nu_s {
-                            vals.extend((0..nu_s).map(|q| e[(p, q)]));
-                        }
-                    }
-                    t
-                });
-                for link in sub.neighbors.iter().filter(|l| fresh[l.j]) {
-                    let mut payload = Vec::with_capacity(link.shared.len() * nu_s);
-                    for q in 0..nu_s {
-                        let col = t_s.col(q);
-                        payload.extend(link.shared.iter().map(|&k| col[k as usize]));
-                    }
-                    if host[link.j] == me {
-                        local_halo.insert((s, link.j), payload);
-                    } else {
-                        comm.send(host[link.j], tag(s, link.j), payload);
+            let t_s = comm.compute(|| {
+                let t = sub.mm_dirichlet(&w[i]);
+                if fresh[s] {
+                    let mut e = DMat::zeros(nu_s, nu_s);
+                    w[i].gemm_tn(1.0, &t, 0.0, &mut e);
+                    for p in 0..nu_s {
+                        vals.extend((0..nu_s).map(|q| e[(p, q)]));
                     }
                 }
+                t
+            });
+            for link in sub.neighbors.iter().filter(|l| fresh[l.j]) {
+                let mut payload = Vec::with_capacity(link.shared.len() * nu_s);
+                for q in 0..nu_s {
+                    let col = t_s.col(q);
+                    payload.extend(link.shared.iter().map(|&k| col[k as usize]));
+                }
+                if host[link.j] == me {
+                    local_halo.insert((s, link.j), payload);
+                } else {
+                    comm.send(host[link.j], tag(s, link.j), payload);
+                }
             }
+            t.push(t_s);
             if !fresh[s] {
                 vals = cache
                     .and_then(|c| c.rows(s, me_world, sig))
@@ -893,6 +895,7 @@ pub(crate) fn try_setup_on<'a>(
         factors,
         nu: w.iter().map(DMat::cols).max().unwrap_or(0),
         w,
+        t,
         split,
         master_comm,
         group_rows: group_ranks
@@ -916,11 +919,11 @@ pub(crate) fn try_setup_on<'a>(
 }
 
 /// Debug/test helper: perform the full SPMD set-up and apply `P⁻¹_A-DEF1`
-/// once to `R_i r_global`, then piece by piece, returning the local
-/// `(z, q, A q, RAS(r − A q))` and (on masters, in redundant mode) the
-/// assembled coarse matrix E. Hidden from docs; used to cross-check the
-/// distributed application against the sequential one and the distributed
-/// coarse solve against the redundant one.
+/// once to `R_i r_global`, and eq. 6 piece by piece
+/// ([`PreparedMulti::debug_apply`]); on masters in redundant mode the
+/// assembled coarse matrix E comes with it. Hidden from docs; used to
+/// cross-check the distributed application against the sequential one and
+/// the distributed coarse solve against the redundant one.
 #[doc(hidden)]
 pub fn debug_apply_adef1(
     decomp: &Decomposition,
@@ -928,7 +931,7 @@ pub fn debug_apply_adef1(
     r_global: &[f64],
     nev: usize,
     coarse: CoarseSolve,
-) -> Result<((Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>), Option<CsrMatrix>), SpmdError> {
+) -> Result<DebugApply, SpmdError> {
     let opts = SpmdOpts {
         geneo: GeneoOpts {
             nev,
@@ -937,7 +940,7 @@ pub fn debug_apply_adef1(
         coarse_solve: coarse,
         ..Default::default()
     };
-    try_setup(decomp, comm, &opts)?.debug_apply_adef1(r_global)
+    try_setup(decomp, comm, &opts)?.debug_apply(None, r_global)
 }
 
 #[cfg(test)]

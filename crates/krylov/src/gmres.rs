@@ -153,7 +153,7 @@ pub fn gmres<O, M, P>(
     opts: &GmresOpts,
 ) -> SolveResult
 where
-    O: Operator + ?Sized,
+    O: Operator,
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
@@ -232,7 +232,7 @@ pub fn try_gmres<O, M, P>(
     ckpt: Option<&CheckpointCfg<'_>>,
 ) -> Result<SolveResult, SolveInterrupt>
 where
-    O: Operator + ?Sized,
+    O: Operator,
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
@@ -247,7 +247,9 @@ where
 /// The classical Arnoldi process on the shared restart driver
 /// (`restart::solve`): one operator and one preconditioner application,
 /// the orthogonalization [`GmresOpts::ortho`] names and one normalization
-/// per iteration.
+/// per iteration. Right-preconditioned, the two applications are one call
+/// of [`Preconditioner::try_apply_with_op`], which is why the operator must
+/// be sized: it is handed over as a `&dyn Operator`.
 #[allow(clippy::too_many_arguments)]
 pub fn try_gmres_with<O, M, P>(
     op: &O,
@@ -260,7 +262,7 @@ pub fn try_gmres_with<O, M, P>(
     ws: &mut GmresWorkspace,
 ) -> Result<SolveResult, SolveInterrupt>
 where
-    O: Operator + ?Sized,
+    O: Operator,
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
@@ -294,10 +296,10 @@ where
             }
             w.fill(0.0);
             if right {
-                // w = A M⁻¹ v_k
+                // w = A M⁻¹ v_k, through the preconditioner's hook: one that
+                // forms A z from its own pieces saves the operator apply.
                 zk.fill(0.0);
-                precond.try_apply(&v[k], zk)?;
-                op.try_apply(zk, w)?;
+                precond.try_apply_with_op(op, &v[k], zk, w)?;
                 pool_set(zbasis, k, zk);
             } else {
                 // w = M⁻¹ A v_k
@@ -948,13 +950,31 @@ pub(crate) mod tests {
         assert!(err.reason().contains("silent data corruption"));
     }
 
+    /// A `&dyn Operator` as a sized one (the classical loop hands its
+    /// operator to the preconditioner's right-preconditioned step).
+    struct Dyn<'a>(&'a dyn Operator);
+
+    impl Operator for Dyn<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y)
+        }
+
+        fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
+            self.0.try_apply(x, y)
+        }
+    }
+
     fn classical(
         op: &dyn Operator,
         b: &[f64],
         opts: &GmresOpts,
     ) -> Result<SolveResult, SolveInterrupt> {
         try_gmres(
-            op,
+            &Dyn(op),
             &IdentityPrecond,
             &SeqDot,
             b,

@@ -2,7 +2,8 @@
 //! and SPMD (distributed, duplicated-unknown) settings.
 //!
 //! * [`Operator`] — action `y ← A x` on (local) vectors;
-//! * [`Preconditioner`] — action `z ← M⁻¹ r`;
+//! * [`Preconditioner`] — action `z ← M⁻¹ r` (and, for the
+//!   right-preconditioned step, `A z` with it);
 //! * [`InnerProduct`] — the global inner product. Sequentially this is the
 //!   plain dot product; in `dd-core`'s SPMD driver it is the
 //!   partition-of-unity weighted dot followed by an `MPI_Allreduce`,
@@ -102,6 +103,23 @@ pub trait Preconditioner {
     fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
         self.apply(r, z);
         Ok(())
+    }
+
+    /// `z ← M⁻¹ r` and `w ← A z` for the operator `op` of the system being
+    /// solved — the right-preconditioned Arnoldi step. The default is those
+    /// two applications in that order. A preconditioner that can form `A z`
+    /// from what it computes for `z` anyway (a distributed one whose
+    /// neighbour exchange carries `A z` beside `z`) overrides it, and falls
+    /// back to the default for an operator it does not recognise.
+    fn try_apply_with_op(
+        &self,
+        op: &dyn Operator,
+        r: &[f64],
+        z: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<(), SolveInterrupt> {
+        self.try_apply(r, z)?;
+        op.try_apply(z, w)
     }
 }
 

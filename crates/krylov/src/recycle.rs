@@ -235,7 +235,7 @@ pub fn try_gmres_multi<O, M, P>(
     mut recycle: Option<&mut RecycleSpace>,
 ) -> Result<Vec<SolveResult>, SolveInterrupt>
 where
-    O: Operator + ?Sized,
+    O: Operator,
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {

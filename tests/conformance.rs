@@ -477,6 +477,25 @@ fn one_halo_message_per_neighbouring_rank() {
     assert_eq!(owner_map.phase_totals("solve").sends, 2 * exchanges);
 }
 
+/// `SpmdReport::n_neighbors` counts the ranks a rank exchanges halos with:
+/// `|O_i|` on the identity map (what fig8/fig10 average), the neighbouring
+/// ranks on an owner map — one each on two ranks, whichever subdomain
+/// happens to share its index with the rank.
+#[test]
+fn n_neighbors_counts_neighbouring_ranks() {
+    let n = conf_n();
+    let decomp = setup(n);
+    let opts = opts_for(n);
+    let (identity, _) = traced_solve(&decomp, &opts, FaultPlan::default());
+    for r in &identity {
+        assert_eq!(r.n_neighbors, decomp.subdomains[r.rank].neighbors.len());
+    }
+    let (owner_map, _) = traced_owner_map(&decomp, &opts, 2);
+    for r in &owner_map {
+        assert_eq!(r.n_neighbors, 1, "rank {} on a 2-rank owner map", r.rank);
+    }
+}
+
 // ------------------------------------------------------------- golden traces
 
 fn golden_path(name: &str) -> PathBuf {

@@ -60,7 +60,7 @@ fn apply_once(
     let d2 = Arc::clone(decomp);
     let r = rhs(decomp.n_global);
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        debug_apply_adef1(&d2, comm, &r, 4, coarse).map(|((z, q, _, _), e)| (z, q, e))
+        debug_apply_adef1(&d2, comm, &r, 4, coarse).map(|p| (p.z, p.q, p.e))
     })
 }
 
