@@ -5,6 +5,9 @@
 //!
 //! * **LDLᵀ factorization** — scalar up-looking [`dd_solver::SparseLdlt`] vs the
 //!   multifrontal [`dd_solver::SupernodalLdlt`] on RCM-ordered 3D FD Laplacians;
+//! * **LDLᵀ kernel choice** — factor and solve time of both kernels on one
+//!   subdomain of each benchmark workload and on the 3D Laplacians, beside
+//!   the flops per entry of `L` `LdltBackend::Auto` decides by and its pick;
 //! * **fill-reducing ordering** — [`Ordering::MinDegree`], the `SpmdOpts`
 //!   default, on the really-assembled subdomain Dirichlet matrices of the
 //!   `elasticity3d` and `diffusion2d_many` benchmark configurations, against
@@ -55,7 +58,8 @@ use dd_krylov::{
 use dd_linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_mesh::Mesh;
 use dd_part::partition_mesh_rcb;
-use dd_solver::{ordering, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
+use dd_solver::ldlt::etree_and_counts;
+use dd_solver::{flops_per_nnz, ordering, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -217,6 +221,97 @@ fn bench_ldlt(rep: &mut Report, calib: f64) {
             t_super,
             t_scalar / t_super,
             if ok { "ok" } else { "**RESIDUAL FAIL**" },
+        ));
+    }
+}
+
+/// Microseconds of one call of `f`, median of `k` timed runs of `reps`
+/// calls each.
+fn median_us<R>(k: usize, reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    median_secs(k, || {
+        for _ in 0..reps {
+            black_box(f());
+        }
+    }) * 1e6
+        / reps as f64
+}
+
+/// The evidence behind `LdltBackend::Auto`: factor and solve time of both
+/// kernels, under the default (minimum-degree) order, on one subdomain
+/// matrix of each benchmark workload and on the 3D Laplacians of the rows
+/// above, beside the predicted flops per entry of `L` and the kernel
+/// `Auto` picks. Exact tier: the ratio and the pick; wall tier: the
+/// microseconds (recorded, not gated).
+fn bench_ldlt_auto(rep: &mut Report) {
+    let subdomain = |mesh: Mesh, problem, nparts: usize| -> CsrMatrix {
+        let part = partition_mesh_rcb(&mesh, nparts);
+        let d = decompose(&mesh, &problem, &part, nparts, 1);
+        d.subdomains[0].a_dirichlet.clone()
+    };
+    let cases = [
+        (
+            "elast3d",
+            subdomain(
+                Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0),
+                presets::heterogeneous_elasticity(2, 3),
+                4,
+            ),
+        ),
+        (
+            "diff2d",
+            subdomain(
+                Mesh::unit_square(48, 48),
+                presets::heterogeneous_diffusion(2),
+                32,
+            ),
+        ),
+        (
+            "serve2d",
+            subdomain(Mesh::unit_square(32, 32), presets::uniform_diffusion(2), 16),
+        ),
+        ("ldlt3d16", laplace3d(16)),
+        ("ldlt3d20", laplace3d(20)),
+    ];
+    for (key, a) in &cases {
+        let order = ordering::fill_reducing(a, Ordering::MinDegree);
+        let (_, lnz) = etree_and_counts(&a.permute_sym(&order));
+        let ratio = flops_per_nnz(&lnz);
+        let pick = LdltBackend::Auto.resolve(&lnz);
+        let b: Vec<f64> = (0..a.rows()).map(wave).collect();
+        let mut us = Vec::new();
+        for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {
+            let factor = || LocalLdlt::factor_ordered(a, &order, PivotPolicy::Reject, backend);
+            // Big matrices take seconds to factor: fewer repetitions.
+            let reps = if a.rows() > 2_000 { 1 } else { 20 };
+            let t_factor = median_us(7, reps, || factor().unwrap());
+            let f = factor().unwrap();
+            let (mut x, mut work) = (b.clone(), Vec::new());
+            let t_solve = median_us(7, 200, || {
+                x.copy_from_slice(&b);
+                f.solve_in_place_with(&mut x, &mut work);
+            });
+            us.push((t_factor, t_solve));
+        }
+        let [(fs, ss), (fb, sb)] = [us[0], us[1]];
+        rep.exact
+            .insert(&format!("ldlt/auto/{key}/flops_per_nnz"), ratio.round());
+        rep.exact.insert(
+            &format!("ldlt/auto/{key}/picks_supernodal"),
+            f64::from(u8::from(pick == LdltBackend::Supernodal)),
+        );
+        for (name, v) in [
+            ("factor_scalar_us", fs),
+            ("factor_super_us", fb),
+            ("solve_scalar_us", ss),
+            ("solve_super_us", sb),
+        ] {
+            rep.wall.insert(&format!("ldlt/auto/{key}/{name}"), v);
+        }
+        rep.lines.push(format!(
+            "| ldlt/auto/{key} (n={}, flops/nnz(L) {ratio:.0}) | factor {fs:.0}µs, solve {ss:.1}µs | factor {fb:.0}µs, solve {sb:.1}µs | factor {:.2}×, solve {:.2}× | Auto: {pick:?} |",
+            a.rows(),
+            fs / fb,
+            ss / sb,
         ));
     }
 }
@@ -643,6 +738,7 @@ fn main() -> ExitCode {
     println!("| kernel | scalar / csr | blocked / bsr | speedup | check |");
     println!("|---|---:|---:|---:|---|");
     bench_ldlt(&mut rep, calib);
+    bench_ldlt_auto(&mut rep);
     bench_ordering(&mut rep, calib);
     bench_spmm(&mut rep, calib);
     bench_ortho(&mut rep, calib);

@@ -103,15 +103,16 @@ pub fn deflation_block(sub: &Subdomain, opts: &GeneoOpts) -> DeflationBlock {
 
 /// Compute the deflation block of one subdomain on its own: orders the
 /// subdomain and factors the shifted pencil the way a default
-/// [`crate::SpmdOpts`] set-up does (minimum degree, supernodal LDLᵀ). The
-/// set-up paths, which have already ordered the subdomain for its Dirichlet
-/// factorization, call [`try_deflation_block_ordered`] instead.
+/// [`crate::SpmdOpts`] set-up does (minimum degree, the LDLᵀ kernel
+/// [`LdltBackend::Auto`] picks for the pencil). The set-up paths, which have
+/// already ordered the subdomain for its Dirichlet factorization, call
+/// [`try_deflation_block_ordered`] instead.
 pub fn try_deflation_block(
     sub: &Subdomain,
     opts: &GeneoOpts,
 ) -> Result<DeflationBlock, EigenError> {
     let order = ordering::fill_reducing(&sub.a_dirichlet, Ordering::MinDegree);
-    try_deflation_block_ordered(sub, opts, &order, LdltBackend::Supernodal)
+    try_deflation_block_ordered(sub, opts, &order, LdltBackend::Auto)
 }
 
 /// Compute the deflation block of one subdomain, factoring the shifted

@@ -102,9 +102,11 @@ pub struct SpmdOpts {
     pub election: Election,
     pub assembly: AssemblyVariant,
     pub ordering: Ordering,
-    /// Backend for the subdomain `A_i` factorizations. `Supernodal`
-    /// (default) uses the blocked multifrontal kernels; `Scalar` keeps the
-    /// pre-supernodal rounding for bisecting convergence diffs (same
+    /// Kernel of the subdomain `A_i` factorizations and of the GenEO
+    /// pencils. `Auto` (default) picks per subdomain from the symbolic
+    /// analysis — supernodal where the predicted flops per entry of `L`
+    /// make its dense fronts pay, scalar on small 2D subdomains; `Scalar`
+    /// and `Supernodal` force one kernel for differential tests (same
     /// pivoting, different — equally valid — summation order).
     pub local_ldlt: LdltBackend,
     pub gmres: GmresOpts,
@@ -126,7 +128,7 @@ impl Default for SpmdOpts {
             election: Election::NonUniform,
             assembly: AssemblyVariant::IndexFree,
             ordering: Ordering::MinDegree,
-            local_ldlt: LdltBackend::Supernodal,
+            local_ldlt: LdltBackend::Auto,
             gmres: GmresOpts {
                 tol: 1e-6,
                 max_iters: 600,

@@ -170,9 +170,21 @@ impl SparseLdlt {
         perm: Vec<usize>,
         policy: PivotPolicy,
     ) -> Result<Self, LdltError> {
+        let (parent, lnz) = etree_and_counts(pa);
+        Self::factor_analysed(pa, perm, &parent, &lnz, policy)
+    }
+
+    /// [`SparseLdlt::factor_permuted`] with the symbolic analysis of `pa`
+    /// ([`etree_and_counts`]) already done by the caller.
+    pub(crate) fn factor_analysed(
+        pa: &CsrMatrix,
+        perm: Vec<usize>,
+        parent: &[usize],
+        lnz: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<Self, LdltError> {
         const NONE: usize = usize::MAX;
         let n = pa.rows();
-        let (parent, lnz) = etree_and_counts(pa);
         let mut lp = vec![0usize; n + 1];
         for k in 0..n {
             lp[k + 1] = lp[k] + lnz[k];

@@ -13,8 +13,9 @@
 //! * [`supernodal`] — multifrontal LDLᵀ with relaxed supernodes and dense
 //!   blocked panels (the raw-speed path; `ldlt` stays the differential
 //!   oracle).
-//! * [`local`] — [`local::LocalLdlt`], the backend-selectable wrapper the
-//!   SPMD layer factors subdomain matrices through.
+//! * [`local`] — [`local::LocalLdlt`], the wrapper the SPMD layer factors
+//!   subdomain matrices through; it picks the kernel from the symbolic
+//!   analysis unless one is forced.
 //! * [`dist_ldlt`] — block fan-in LDLᵀ of a row-distributed matrix over a
 //!   communicator, with distributed triangular solves (the coarse operator
 //!   `E` across the elected masters, §3.2).
@@ -31,5 +32,5 @@ pub mod supernodal;
 
 pub use dist_ldlt::DistLdlt;
 pub use ldlt::{LdltError, Ordering, PivotPolicy, SparseLdlt};
-pub use local::{LdltBackend, LocalLdlt};
+pub use local::{flops_per_nnz, LdltBackend, LocalLdlt, SUPERNODAL_FLOPS_PER_NNZ};
 pub use supernodal::{PanelDefect, SupernodalLdlt};

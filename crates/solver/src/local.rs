@@ -3,12 +3,18 @@
 //! ([`SupernodalLdlt`]).
 //!
 //! The SPMD layer factors every subdomain Dirichlet matrix through this
-//! wrapper so the backend is a run-time option: the scalar path stays the
-//! bit-for-bit differential oracle (and the default, keeping every committed
-//! convergence baseline untouched), while the supernodal path trades
-//! last-ulp-identical trajectories for the blocked kernels' raw speed.
+//! wrapper. By default ([`LdltBackend::Auto`]) the kernel is chosen per
+//! matrix from the symbolic analysis both kernels begin with, as CHOLMOD
+//! chooses between its simplicial and supernodal factorizations (Chen,
+//! Davis, Hager & Rajamanickam, ACM TOMS 35(3), 2008): the elimination-tree
+//! column counts predict the factorization's flops per entry of `L`, and
+//! only where that is large enough do the supernodal kernel's dense fronts
+//! pay for their symbolic and assembly overhead. [`LdltBackend::Scalar`]
+//! and [`LdltBackend::Supernodal`] force one kernel — the differential
+//! tests pin the two against each other (same pivoting, different but
+//! equally valid summation order).
 
-use crate::ldlt::{LdltError, Ordering, PivotPolicy, SparseLdlt};
+use crate::ldlt::{etree_and_counts, permuted, LdltError, Ordering, PivotPolicy, SparseLdlt};
 use crate::ordering;
 use crate::supernodal::SupernodalLdlt;
 use dd_linalg::{CsrMatrix, DMat};
@@ -16,14 +22,55 @@ use dd_linalg::{CsrMatrix, DMat};
 /// Which factorization backs a [`LocalLdlt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LdltBackend {
-    /// Up-looking scalar LDLᵀ — the differential oracle and default.
+    /// Chosen per matrix from its elimination-tree column counts
+    /// ([`LdltBackend::resolve`]): supernodal where the predicted flops per
+    /// entry of `L` reach [`SUPERNODAL_FLOPS_PER_NNZ`], scalar below — every
+    /// 2D subdomain of the benchmark workloads on scalar, the 3D
+    /// elasticity subdomains on supernodal.
     #[default]
+    Auto,
+    /// Up-looking scalar LDLᵀ, forced.
     Scalar,
     /// Multifrontal LDLᵀ with relaxed supernodes and register-blocked
-    /// panel updates (`dd_linalg::smallgemm`). Same pivoting policy and
-    /// fill-reducing orderings; results differ from the scalar path only
-    /// in rounding (different but equally valid summation order).
+    /// panel updates (`dd_linalg::smallgemm`), forced. Same pivoting policy
+    /// and fill-reducing orderings; results differ from the scalar path
+    /// only in rounding.
     Supernodal,
+}
+
+/// Predicted factorization flops per stored entry of `L` (strict lower
+/// part, `Σ c_j (c_j + 3) / Σ c_j` over the column counts `c_j`) from which
+/// the supernodal kernel's factor + solve beats the scalar one's. Set
+/// between the measured rows of `kernel_bench`'s `ldlt/auto/*` table
+/// (EXPERIMENTS.md, "LDLᵀ kernel crossover"): scalar wins at ≤ 38, the
+/// supernodal kernel from the 3D rows up.
+pub const SUPERNODAL_FLOPS_PER_NNZ: f64 = 80.0;
+
+impl LdltBackend {
+    /// The kernel this choice factors a matrix with, given the column
+    /// counts of its factor under the elimination order (strict lower
+    /// part, as [`etree_and_counts`] returns them).
+    pub fn resolve(self, lnz: &[usize]) -> LdltBackend {
+        match self {
+            LdltBackend::Auto if flops_per_nnz(lnz) >= SUPERNODAL_FLOPS_PER_NNZ => {
+                LdltBackend::Supernodal
+            }
+            LdltBackend::Auto => LdltBackend::Scalar,
+            forced => forced,
+        }
+    }
+}
+
+/// Predicted multiply-adds of the numeric factorization per stored entry
+/// of `L` (0 for a diagonal matrix).
+pub fn flops_per_nnz(lnz: &[usize]) -> f64 {
+    let nnz: usize = lnz.iter().sum();
+    let flops: usize = lnz.iter().map(|&c| c * (c + 3)).sum();
+    if nnz == 0 {
+        0.0
+    } else {
+        flops as f64 / nnz as f64
+    }
 }
 
 /// A factored subdomain matrix, backed by either LDLᵀ implementation.
@@ -63,6 +110,27 @@ impl LocalLdlt {
             LdltBackend::Supernodal => {
                 SupernodalLdlt::factor_ordered(a, perm, pivot).map(LocalLdlt::Supernodal)
             }
+            LdltBackend::Auto => {
+                // The symbolic analysis both kernels start from, done once.
+                let pa = permuted(a, perm);
+                let (parent, lnz) = etree_and_counts(&pa);
+                match backend.resolve(&lnz) {
+                    LdltBackend::Supernodal => {
+                        SupernodalLdlt::factor_from_tree(a, perm, &parent, pivot)
+                            .map(LocalLdlt::Supernodal)
+                    }
+                    _ => SparseLdlt::factor_analysed(&pa, perm.to_vec(), &parent, &lnz, pivot)
+                        .map(LocalLdlt::Scalar),
+                }
+            }
+        }
+    }
+
+    /// The kernel that factored this matrix.
+    pub fn backend(&self) -> LdltBackend {
+        match self {
+            LocalLdlt::Scalar(_) => LdltBackend::Scalar,
+            LocalLdlt::Supernodal(_) => LdltBackend::Supernodal,
         }
     }
 
@@ -142,11 +210,46 @@ mod tests {
         b.to_csr()
     }
 
+    /// `Auto` is one of the two kernels, bit for bit: the one its column
+    /// counts pick — scalar on a 1D chain (4 flops per entry of `L`),
+    /// supernodal on a dense block (≈ 2n/3).
+    #[test]
+    fn auto_is_the_kernel_its_column_counts_pick_bitwise() {
+        const N: usize = 200;
+        let mut dense = dd_linalg::CooBuilder::new(N, N);
+        for i in 0..N {
+            for j in 0..N {
+                let v = if i == j {
+                    2.0 * N as f64
+                } else {
+                    1.0 / (1 + i + j) as f64
+                };
+                dense.push(i, j, v);
+            }
+        }
+        for (a, want) in [
+            (laplacian_1d(40), LdltBackend::Scalar),
+            (dense.to_csr(), LdltBackend::Supernodal),
+        ] {
+            let b: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.3).sin()).collect();
+            let auto = LocalLdlt::factor(&a, Ordering::MinDegree, LdltBackend::Auto).unwrap();
+            assert_eq!(auto.backend(), want);
+            let forced = LocalLdlt::factor(&a, Ordering::MinDegree, want).unwrap();
+            let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(auto.solve(&b)), bits(forced.solve(&b)), "{want:?}");
+            assert_eq!(auto.nnz_l(), forced.nnz_l());
+        }
+    }
+
     #[test]
     fn both_backends_solve_to_machine_precision() {
         let a = laplacian_1d(40);
         let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
-        for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {
+        for backend in [
+            LdltBackend::Scalar,
+            LdltBackend::Supernodal,
+            LdltBackend::Auto,
+        ] {
             let f = LocalLdlt::factor(&a, Ordering::MinDegree, backend).unwrap();
             let x = f.solve(&b);
             let mut r = vec![0.0; 40];

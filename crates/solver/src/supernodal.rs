@@ -110,10 +110,19 @@ impl SupernodalLdlt {
         // pure relabeling (the etree is isomorphic under postorder). The
         // copy under `perm` is only needed for the tree, and is gone before
         // the numeric phase allocates its fronts.
-        let full: Vec<usize> = {
-            let (parent, _) = etree_and_counts(&permuted(a, perm));
-            etree_postorder(&parent).iter().map(|&p| perm[p]).collect()
-        };
+        let (parent, _) = etree_and_counts(&permuted(a, perm));
+        Self::factor_from_tree(a, perm, &parent, policy)
+    }
+
+    /// [`SupernodalLdlt::factor_ordered`] with the elimination tree of
+    /// `A(perm, perm)` already computed by the caller.
+    pub(crate) fn factor_from_tree(
+        a: &CsrMatrix,
+        perm: &[usize],
+        parent: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<Self, LdltError> {
+        let full: Vec<usize> = etree_postorder(parent).iter().map(|&p| perm[p]).collect();
         Self::factor_permuted(&permuted(a, &full), full, policy)
     }
 

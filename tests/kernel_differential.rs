@@ -19,7 +19,7 @@
 //!   identical to the allocating `try_gmres`, orthogonalization and
 //!   preconditioning side notwithstanding;
 //! * the SPMD driver converges with `LdltBackend::Supernodal` to the same
-//!   tolerance and solution as the scalar default;
+//!   tolerance and solution as with the scalar kernel;
 //! * the orthogonalisation panels `vector::dot_many` / `vector::axpy_many`
 //!   are **bitwise** equal to the one-accumulator dot loop and to successive
 //!   `axpy`, for every block remainder, and a NaN poisons every output.
