@@ -11,8 +11,8 @@
 //! * **fill-reducing ordering** — [`Ordering::MinDegree`], the `SpmdOpts`
 //!   default, on the really-assembled subdomain Dirichlet matrices of the
 //!   `elasticity3d` and `diffusion2d_many` benchmark configurations, against
-//!   the numeric factorization it feeds (the LDLᵀ rows above are
-//!   RCM-ordered and never touch it);
+//!   the numeric factorization it feeds under the default kernel choice
+//!   (the LDLᵀ rows above are RCM-ordered and never touch it);
 //! * **operator × block-of-vectors** (the `E = WᵀAW` assembly shape) —
 //!   `csrmm` vs the 4-column-blocked `bsrmm` on really-assembled 2D/3D
 //!   elasticity operators (padded-BSR auto-detection included);
@@ -362,7 +362,7 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
             mats.iter()
                 .zip(&orders)
                 .map(|(a, p)| {
-                    LocalLdlt::factor_ordered(a, p, PivotPolicy::Reject, LdltBackend::Supernodal)
+                    LocalLdlt::factor_ordered(a, p, PivotPolicy::Reject, LdltBackend::Auto)
                         .unwrap()
                         .nnz_l()
                 })
@@ -378,9 +378,9 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
             .insert(&format!("ratio/ordering/{key}/numeric"), t_numeric / calib);
         // The share of the numeric factorization is gated where the
         // factorization is big enough to be a yardstick; on the 450-dof
-        // diff2d subdomains it takes half a millisecond itself (share
-        // 0.74), and the drift gate on the calibrated ordering time stands
-        // in.
+        // diff2d subdomains the scalar kernel `Auto` picks takes 0.3 ms
+        // (share 1.3), and the drift gate on the calibrated ordering time
+        // stands in.
         if *gate_share {
             rep.wall
                 .insert(&format!("order_over_numeric/{key}"), t_order / t_numeric);
