@@ -32,5 +32,5 @@ pub mod supernodal;
 
 pub use dist_ldlt::DistLdlt;
 pub use ldlt::{LdltError, Ordering, PivotPolicy, SparseLdlt};
-pub use local::{flops_per_nnz, LdltBackend, LocalLdlt, SUPERNODAL_FLOPS_PER_NNZ};
+pub use local::{flops_per_nnz, LdltBackend, LocalLdlt};
 pub use supernodal::{PanelDefect, SupernodalLdlt};

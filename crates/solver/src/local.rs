@@ -24,7 +24,7 @@ use dd_linalg::{CsrMatrix, DMat};
 pub enum LdltBackend {
     /// Chosen per matrix from its elimination-tree column counts
     /// ([`LdltBackend::resolve`]): supernodal where the predicted flops per
-    /// entry of `L` reach [`SUPERNODAL_FLOPS_PER_NNZ`], scalar below — every
+    /// entry of `L` ([`flops_per_nnz`]) reach 80, scalar below — every
     /// 2D subdomain of the benchmark workloads on scalar, the 3D
     /// elasticity subdomains on supernodal.
     #[default]
@@ -44,7 +44,7 @@ pub enum LdltBackend {
 /// between the measured rows of `kernel_bench`'s `ldlt/auto/*` table
 /// (EXPERIMENTS.md, "LDLᵀ kernel crossover"): scalar wins at ≤ 38, the
 /// supernodal kernel from the 3D rows up.
-pub const SUPERNODAL_FLOPS_PER_NNZ: f64 = 80.0;
+const SUPERNODAL_FLOPS_PER_NNZ: f64 = 80.0;
 
 impl LdltBackend {
     /// The kernel this choice factors a matrix with, given the column
@@ -123,14 +123,6 @@ impl LocalLdlt {
                         .map(LocalLdlt::Scalar),
                 }
             }
-        }
-    }
-
-    /// The kernel that factored this matrix.
-    pub fn backend(&self) -> LdltBackend {
-        match self {
-            LocalLdlt::Scalar(_) => LdltBackend::Scalar,
-            LocalLdlt::Supernodal(_) => LdltBackend::Supernodal,
         }
     }
 
@@ -233,7 +225,11 @@ mod tests {
         ] {
             let b: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.3).sin()).collect();
             let auto = LocalLdlt::factor(&a, Ordering::MinDegree, LdltBackend::Auto).unwrap();
-            assert_eq!(auto.backend(), want);
+            let picked = match auto {
+                LocalLdlt::Scalar(_) => LdltBackend::Scalar,
+                LocalLdlt::Supernodal(_) => LdltBackend::Supernodal,
+            };
+            assert_eq!(picked, want);
             let forced = LocalLdlt::factor(&a, Ordering::MinDegree, want).unwrap();
             let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(bits(auto.solve(&b)), bits(forced.solve(&b)), "{want:?}");
