@@ -116,6 +116,9 @@ impl LocalLdlt {
                 let (parent, lnz) = etree_and_counts(&pa);
                 match backend.resolve(&lnz) {
                     LdltBackend::Supernodal => {
+                        // The supernodal kernel permutes again (postorder):
+                        // free this copy before its fronts are allocated.
+                        drop(pa);
                         SupernodalLdlt::factor_from_tree(a, perm, &parent, pivot)
                             .map(LocalLdlt::Supernodal)
                     }
