@@ -570,7 +570,7 @@ pub(crate) fn try_setup_on<'a>(
     let mut fresh: Vec<bool> = vec![true; nsubs];
     let mut clk_assembled: Option<f64> = None;
     // T_s = A_s W_s per owned subdomain (empty without a coarse level).
-    let mut t: Vec<DMat> = Vec::new();
+    let mut t: Vec<DMat> = Vec::with_capacity(owned.len());
 
     if !opts.one_level_only {
         // All ranks learn every subdomain's ν (Algorithm 1 line 1): each
@@ -621,7 +621,6 @@ pub(crate) fn try_setup_on<'a>(
         // each neighbour in O_s order. A row that is not fresh replays from
         // the cache into the same stream.
         let mut row_vals: Vec<Vec<f64>> = Vec::with_capacity(owned.len());
-        t.reserve(owned.len());
         let mut local_halo: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
         for (i, &s) in owned.iter().enumerate() {
             let sub = &decomp.subdomains[s];

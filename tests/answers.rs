@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::Rng;
+use common::{random_spd, Rng};
 use dd_geneo::comm::{fnv1a_bytes, CostModel, PhaseCounters, World, WorldTrace};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
@@ -30,7 +30,6 @@ use dd_geneo::core::{
 use dd_geneo::krylov::{
     pipelined_gmres, try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult,
 };
-use dd_geneo::linalg::{CooBuilder, CsrMatrix};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::collections::BTreeMap;
@@ -258,29 +257,6 @@ fn spmd_rows(rows: &mut BTreeMap<String, String>) {
             }
         }
     }
-}
-
-/// `kernel_differential.rs`'s random SPD matrix.
-fn random_spd(rng: &mut Rng, n: usize, extra_per_row: usize) -> CsrMatrix {
-    let mut b = CooBuilder::new(n, n);
-    let mut row_sum = vec![0.0f64; n];
-    for i in 0..n {
-        for _ in 0..extra_per_row {
-            let j = rng.range_usize(0, n);
-            if j == i {
-                continue;
-            }
-            let v = rng.range_f64(-1.0, 1.0);
-            b.push(i, j, v);
-            b.push(j, i, v);
-            row_sum[i] += v.abs();
-            row_sum[j] += v.abs();
-        }
-    }
-    for (i, s) in row_sum.iter().enumerate() {
-        b.push(i, i, 2.0 * s + 1.0 + rng.unit());
-    }
-    b.to_csr()
 }
 
 fn sequential_rows(rows: &mut BTreeMap<String, String>) {

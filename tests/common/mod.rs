@@ -7,6 +7,7 @@
 #![allow(dead_code)]
 
 use dd_geneo::core::Decomposition;
+use dd_geneo::linalg::{CooBuilder, CsrMatrix};
 
 /// Reassemble the global solution from the `(subdomain, local solution)`
 /// lists the ranks of a run returned (`SpmdMultiSolution::locals`),
@@ -86,4 +87,27 @@ impl Rng {
     pub fn vec_f64(&mut self, n: usize, lo: f64, hi: f64) -> Vec<f64> {
         (0..n).map(|_| self.range_f64(lo, hi)).collect()
     }
+}
+
+/// Random sparse symmetric diagonally-dominant (hence SPD) matrix.
+pub fn random_spd(rng: &mut Rng, n: usize, extra_per_row: usize) -> CsrMatrix {
+    let mut b = CooBuilder::new(n, n);
+    let mut row_sum = vec![0.0f64; n];
+    for i in 0..n {
+        for _ in 0..extra_per_row {
+            let j = rng.range_usize(0, n);
+            if j == i {
+                continue;
+            }
+            let v = rng.range_f64(-1.0, 1.0);
+            b.push(i, j, v);
+            b.push(j, i, v);
+            row_sum[i] += v.abs();
+            row_sum[j] += v.abs();
+        }
+    }
+    for (i, s) in row_sum.iter().enumerate() {
+        b.push(i, i, 2.0 * s + 1.0 + rng.unit());
+    }
+    b.to_csr()
 }

@@ -26,7 +26,7 @@
 
 mod common;
 
-use common::Rng;
+use common::{random_spd, Rng};
 use dd_geneo::comm::World;
 use dd_geneo::core::{decompose, problem::presets, try_run_spmd, GeneoOpts, SpmdOpts};
 use dd_geneo::fem::{assemble_elasticity, DofMap};
@@ -37,29 +37,6 @@ use dd_geneo::linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering, SparseLdlt};
 use std::sync::Arc;
-
-/// Random sparse symmetric diagonally-dominant (hence SPD) matrix.
-fn random_spd(rng: &mut Rng, n: usize, extra_per_row: usize) -> CsrMatrix {
-    let mut b = CooBuilder::new(n, n);
-    let mut row_sum = vec![0.0f64; n];
-    for i in 0..n {
-        for _ in 0..extra_per_row {
-            let j = rng.range_usize(0, n);
-            if j == i {
-                continue;
-            }
-            let v = rng.range_f64(-1.0, 1.0);
-            b.push(i, j, v);
-            b.push(j, i, v);
-            row_sum[i] += v.abs();
-            row_sum[j] += v.abs();
-        }
-    }
-    for (i, s) in row_sum.iter().enumerate() {
-        b.push(i, i, 2.0 * s + 1.0 + rng.unit());
-    }
-    b.to_csr()
-}
 
 /// Small shifted elasticity operator (the shift makes the pure-Neumann
 /// assembly SPD without touching the interleaved block sparsity).
