@@ -238,10 +238,11 @@ fn median_us<R>(k: usize, reps: usize, mut f: impl FnMut() -> R) -> f64 {
 
 /// The evidence behind `LdltBackend::Auto`: factor and solve time of both
 /// kernels, under the default (minimum-degree) order, on one subdomain
-/// matrix of each benchmark workload and on the 3D Laplacians of the rows
-/// above, beside the predicted flops per entry of `L` and the kernel
-/// `Auto` picks. Exact tier: the ratio and the pick; wall tier: the
-/// microseconds (recorded, not gated).
+/// matrix of each benchmark workload, on three small 3D Laplacians that
+/// fall between those in flops per entry of `L`, and on the 3D Laplacians
+/// of the rows above, beside that ratio and the kernel `Auto` picks (the
+/// variant it factors into). Exact tier: the ratio and the pick; wall
+/// tier: the microseconds (recorded, not gated).
 fn bench_ldlt_auto(rep: &mut Report) {
     let subdomain = |mesh: Mesh, problem, nparts: usize| -> CsrMatrix {
         let part = partition_mesh_rcb(&mesh, nparts);
@@ -269,6 +270,10 @@ fn bench_ldlt_auto(rep: &mut Report) {
             "serve2d",
             subdomain(Mesh::unit_square(32, 32), presets::uniform_diffusion(2), 16),
         ),
+        // Between the 2D rows and elast3d in flops per entry of `L`.
+        ("ldlt3d8", laplace3d(8)),
+        ("ldlt3d9", laplace3d(9)),
+        ("ldlt3d10", laplace3d(10)),
         ("ldlt3d16", laplace3d(16)),
         ("ldlt3d20", laplace3d(20)),
     ];
@@ -276,7 +281,11 @@ fn bench_ldlt_auto(rep: &mut Report) {
         let order = ordering::fill_reducing(a, Ordering::MinDegree);
         let (_, lnz) = etree_and_counts(&a.permute_sym(&order));
         let ratio = flops_per_nnz(&lnz);
-        let pick = LdltBackend::Auto.resolve(&lnz);
+        let pick =
+            match LocalLdlt::factor_ordered(a, &order, PivotPolicy::Reject, LdltBackend::Auto) {
+                Ok(LocalLdlt::Supernodal(_)) => LdltBackend::Supernodal,
+                _ => LdltBackend::Scalar,
+            };
         let b: Vec<f64> = (0..a.rows()).map(wave).collect();
         let mut us = Vec::new();
         for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {

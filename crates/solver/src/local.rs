@@ -22,11 +22,11 @@ use dd_linalg::{CsrMatrix, DMat};
 /// Which factorization backs a [`LocalLdlt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LdltBackend {
-    /// Chosen per matrix from its elimination-tree column counts
-    /// ([`LdltBackend::resolve`]): supernodal where the predicted flops per
-    /// entry of `L` ([`flops_per_nnz`]) reach 80, scalar below — every
-    /// 2D subdomain of the benchmark workloads on scalar, the 3D
-    /// elasticity subdomains on supernodal.
+    /// Chosen per matrix from its elimination-tree column counts:
+    /// supernodal where the predicted flops per entry of `L`
+    /// ([`flops_per_nnz`]) reach 80, scalar below — every 2D subdomain of
+    /// the benchmark workloads on scalar, the 3D elasticity subdomains on
+    /// supernodal.
     #[default]
     Auto,
     /// Up-looking scalar LDLᵀ, forced.
@@ -40,17 +40,18 @@ pub enum LdltBackend {
 
 /// Predicted factorization flops per stored entry of `L` (strict lower
 /// part, `Σ c_j (c_j + 3) / Σ c_j` over the column counts `c_j`) from which
-/// the supernodal kernel's factor + solve beats the scalar one's. Set
-/// between the measured rows of `kernel_bench`'s `ldlt/auto/*` table
-/// (EXPERIMENTS.md, "LDLᵀ kernel crossover"): scalar wins at ≤ 38, the
-/// supernodal kernel from the 3D rows up.
+/// `Auto` picks the supernodal kernel. It lies between two measured rows of
+/// `kernel_bench`'s `ldlt/auto/*` table (EXPERIMENTS.md, "LDLᵀ kernel
+/// crossover"): at 75 the scalar kernel's factor + solve is 10 % cheaper,
+/// at 104 the two are within 1 %. Where in that interval the crossover
+/// falls is not measured.
 const SUPERNODAL_FLOPS_PER_NNZ: f64 = 80.0;
 
 impl LdltBackend {
     /// The kernel this choice factors a matrix with, given the column
     /// counts of its factor under the elimination order (strict lower
     /// part, as [`etree_and_counts`] returns them).
-    pub fn resolve(self, lnz: &[usize]) -> LdltBackend {
+    fn resolve(self, lnz: &[usize]) -> LdltBackend {
         match self {
             LdltBackend::Auto if flops_per_nnz(lnz) >= SUPERNODAL_FLOPS_PER_NNZ => {
                 LdltBackend::Supernodal
@@ -103,29 +104,24 @@ impl LocalLdlt {
         pivot: PivotPolicy,
         backend: LdltBackend,
     ) -> Result<Self, LdltError> {
-        match backend {
-            LdltBackend::Scalar => {
-                SparseLdlt::factor_ordered(a, perm, pivot).map(LocalLdlt::Scalar)
-            }
+        assert_eq!(a.rows(), a.cols(), "ldlt: square input");
+        assert_eq!(perm.len(), a.rows(), "ldlt: order length");
+        debug_assert!(
+            a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
+            "ldlt: input must be symmetric"
+        );
+        // The symbolic analysis both kernels start from, done once.
+        let pa = permuted(a, perm);
+        let (parent, lnz) = etree_and_counts(&pa);
+        match backend.resolve(&lnz) {
             LdltBackend::Supernodal => {
-                SupernodalLdlt::factor_ordered(a, perm, pivot).map(LocalLdlt::Supernodal)
+                // The supernodal kernel permutes again (postorder): free
+                // this copy before its fronts are allocated.
+                drop(pa);
+                SupernodalLdlt::factor_from_tree(a, perm, &parent, pivot).map(LocalLdlt::Supernodal)
             }
-            LdltBackend::Auto => {
-                // The symbolic analysis both kernels start from, done once.
-                let pa = permuted(a, perm);
-                let (parent, lnz) = etree_and_counts(&pa);
-                match backend.resolve(&lnz) {
-                    LdltBackend::Supernodal => {
-                        // The supernodal kernel permutes again (postorder):
-                        // free this copy before its fronts are allocated.
-                        drop(pa);
-                        SupernodalLdlt::factor_from_tree(a, perm, &parent, pivot)
-                            .map(LocalLdlt::Supernodal)
-                    }
-                    _ => SparseLdlt::factor_analysed(&pa, perm.to_vec(), &parent, &lnz, pivot)
-                        .map(LocalLdlt::Scalar),
-                }
-            }
+            _ => SparseLdlt::factor_analysed(&pa, perm.to_vec(), &parent, &lnz, pivot)
+                .map(LocalLdlt::Scalar),
         }
     }
 
@@ -238,6 +234,32 @@ mod tests {
             assert_eq!(bits(auto.solve(&b)), bits(forced.solve(&b)), "{want:?}");
             assert_eq!(auto.nnz_l(), forced.nnz_l());
         }
+    }
+
+    /// An order that is an identity prefix of the right one would leave
+    /// the matrix unpermuted and be factored without complaint.
+    #[test]
+    #[should_panic(expected = "ldlt: order length")]
+    fn auto_rejects_an_order_of_the_wrong_length() {
+        let a = laplacian_1d(4);
+        let _ =
+            LocalLdlt::factor_ordered(&a, &[0, 1, 2], PivotPolicy::default(), LdltBackend::Auto);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ldlt: input must be symmetric")]
+    fn auto_rejects_an_unsymmetric_matrix() {
+        let mut b = CooBuilder::new(2, 2);
+        b.push(0, 0, 2.0);
+        b.push(1, 1, 2.0);
+        b.push(0, 1, 1.0);
+        let _ = LocalLdlt::factor_ordered(
+            &b.to_csr(),
+            &[0, 1],
+            PivotPolicy::default(),
+            LdltBackend::Auto,
+        );
     }
 
     #[test]
