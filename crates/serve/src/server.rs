@@ -66,11 +66,13 @@ impl Default for ServeOpts {
 }
 
 /// Per-solve metadata deposited alongside each local solution piece.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveMeta {
     pub iterations: usize,
     pub converged: bool,
     pub final_residual: f64,
+    /// The solve's relative residual history (`SolveResult::history`).
+    pub history: Vec<f64>,
     /// Solved against a perturbed operator under the resident
     /// preconditioner (admissible reuse) rather than a matching setup.
     pub reused: bool,
@@ -228,6 +230,7 @@ pub struct Response {
     pub iterations: usize,
     pub converged: bool,
     pub final_residual: f64,
+    pub history: Vec<f64>,
     /// Answered by admissible preconditioner reuse (no re-setup).
     pub reused: bool,
     /// Assembled global solution `Σ_i R_iᵀ D_i x_i`.
@@ -479,11 +482,12 @@ fn serve_batch(
             iterations: out.result.iterations,
             converged: out.result.converged,
             final_residual: out.result.final_residual,
+            history: out.result.history,
             reused: op_override.is_some(),
         };
         let now = c.clock();
         for (s, x) in out.locals {
-            responses.deposit(it.req, it.rhs, s, x, now, meta);
+            responses.deposit(it.req, it.rhs, s, x, now, meta.clone());
         }
         if c.rank() == 0 {
             responses.note(|m| {
@@ -527,6 +531,7 @@ fn build_report(
                 iterations: slot.meta.iterations,
                 converged: slot.meta.converged,
                 final_residual: slot.meta.final_residual,
+                history: slot.meta.history,
                 reused: slot.meta.reused,
                 x,
             });
@@ -617,6 +622,7 @@ mod tests {
             iterations: 1,
             converged: true,
             final_residual: 0.0,
+            history: Vec::new(),
             reused: false,
             x: Vec::new(),
         };

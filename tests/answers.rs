@@ -12,6 +12,11 @@
 //!   (`try_run_spmd`) and on a 2-rank owner map (`try_setup_partitioned` +
 //!   `try_apply`), with the traced set-up and solve message counters
 //!   summed over ranks;
+//! * `serve/{classical-right, pipelined, fused}/{recycle, cold}` — a
+//!   2-rank `try_serve` stream on the 2D decomposition (one right-hand side
+//!   twice, then an admissibly perturbed one), with and without a recycle
+//!   space: every response's `x` and history, its iterations and the traced
+//!   `serve-apply` counters;
 //! * `sequential/…` — the sequential inputs of `kernel_differential.rs`
 //!   (GMRES under every orthogonalisation and side, p1-GMRES) and the
 //!   sequential two-level preconditioner on the 2D decomposition.
@@ -24,14 +29,15 @@ use common::{random_spd, Rng};
 use dd_geneo::comm::{fnv1a_bytes, CostModel, PhaseCounters, World, WorldTrace};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
-    decompose, repartition_plan, try_run_spmd, try_setup_partitioned, two_level, CoarseSolve,
-    Decomposition, GeneoOpts, Problem, SolverKind, SpmdOpts, TwoLevelOpts,
+    decompose, repartition_plan, try_run_spmd, try_setup_partitioned, two_level, CoarseCache,
+    CoarseSolve, Decomposition, GeneoOpts, Problem, SolverKind, SpmdOpts, TwoLevelOpts,
 };
 use dd_geneo::krylov::{
     pipelined_gmres, try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult,
 };
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
+use dd_geneo::serve::{try_serve, Payload, Request, ResponseStore, ServeOpts, Workload};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -259,6 +265,89 @@ fn spmd_rows(rows: &mut BTreeMap<String, String>) {
     }
 }
 
+/// Phases of a served apply: the Krylov loop and the cooperative coarse
+/// solve nested in it.
+const SERVE_PHASES: [&str; 2] = ["serve-apply", "recovery-e-solve-dist"];
+
+fn serve_rows(rows: &mut BTreeMap<String, String>) {
+    let (_, decomp, nev) = decompositions().swap_remove(1);
+    let n = decomp.n_global;
+    let wave = |f: f64| -> Vec<f64> { (0..n).map(|i| ((i as f64 + 1.3) * f).sin()).collect() };
+    let request = |id: usize, payload| Request {
+        id,
+        arrival: 0.1 * id as f64,
+        payload,
+    };
+    let workload = Workload::from_requests(vec![
+        request(0, Payload::Rhs(wave(0.7))),
+        request(1, Payload::Rhs(wave(0.7))),
+        request(
+            2,
+            Payload::Perturbed {
+                theta: 0.03,
+                rhs: wave(1.9),
+            },
+        ),
+    ]);
+    let loops = [
+        ("classical-right", SolverKind::Classical, Side::Right),
+        ("pipelined", SolverKind::Pipelined, Side::Left),
+        ("fused", SolverKind::Fused, Side::Left),
+    ];
+    for (loop_name, solver, side) in loops {
+        for (mode, recycle_dim) in [("recycle", 8), ("cold", 0)] {
+            let opts = ServeOpts {
+                spmd: SpmdOpts {
+                    geneo: GeneoOpts {
+                        nev,
+                        ..Default::default()
+                    },
+                    n_masters: 2,
+                    gmres: GmresOpts {
+                        tol: 1e-9,
+                        max_iters: 200,
+                        side,
+                        ..Default::default()
+                    },
+                    solver,
+                    ..Default::default()
+                },
+                recycle_dim,
+                ..Default::default()
+            };
+            let (d, w) = (Arc::clone(&decomp), workload.clone());
+            let (cache, store) = (Arc::new(CoarseCache::new()), Arc::new(ResponseStore::new()));
+            let (reports, trace) = World::run_traced(2, CostModel::default(), move |comm| {
+                try_serve(&d, comm, &opts, &w, &cache, &store).expect("served stream")
+            });
+            let responses = &reports[0].responses;
+            let list = |f: &dyn Fn(&dd_geneo::serve::Response) -> String| -> String {
+                let items: Vec<String> = responses.iter().map(f).collect();
+                format!("[{}]", items.join(", "))
+            };
+            let mut apply = PhaseCounters::default();
+            for phase in SERVE_PHASES {
+                apply.absorb(&trace.phase_totals(phase));
+            }
+            rows.insert(
+                format!("serve/{loop_name}/{mode}"),
+                format!(
+                    "{{\"x\": {}, \"history\": {}, \"iterations\": {}, \
+                     \"serve_apply_sends\": {}, \"serve_apply_send_bytes\": {}, \
+                     \"serve_apply_collectives\": {}, \"serve_apply_collective_bytes\": {}}}",
+                    list(&|r| format!("\"{}\"", fnv(&r.x))),
+                    list(&|r| format!("\"{}\"", fnv(&r.history))),
+                    list(&|r| r.iterations.to_string()),
+                    apply.sends,
+                    apply.send_bytes,
+                    apply.collectives_eq + apply.collectives_v,
+                    apply.collective_bytes
+                ),
+            );
+        }
+    }
+}
+
 fn sequential_rows(rows: &mut BTreeMap<String, String>) {
     let mut rng = Rng::new(2024);
     let a = random_spd(&mut rng, 120, 4);
@@ -334,6 +423,7 @@ fn sequential_rows(rows: &mut BTreeMap<String, String>) {
 fn answers_match_the_golden_fingerprints() {
     let mut rows = BTreeMap::new();
     spmd_rows(&mut rows);
+    serve_rows(&mut rows);
     sequential_rows(&mut rows);
     let body: Vec<String> = rows
         .iter()
