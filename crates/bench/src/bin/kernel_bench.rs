@@ -551,6 +551,7 @@ fn bench_krylov_allocs(rep: &mut Report) {
             &x0,
             &gmres_opts(iters),
             None,
+            None,
             ws,
         )
         .unwrap()

@@ -47,9 +47,7 @@ use crate::decomp::Decomposition;
 use crate::error::{RecoveryRecord, SpmdError};
 use crate::geneo::DeflationBlock;
 use crate::resident::PreparedMulti;
-use crate::spmd::{
-    classify_comm, try_setup_on, SetupLabels, SolverKind, SpmdOpts, SpmdReport, PAPER_LABELS,
-};
+use crate::spmd::{classify_comm, try_setup_on, SetupLabels, SpmdOpts, SpmdReport, PAPER_LABELS};
 use dd_comm::{fnv1a_bytes, CommError, Communicator, RetryPolicy, SuspicionPolicy};
 use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
 use std::collections::HashMap;
@@ -778,13 +776,12 @@ pub fn try_setup_partitioned<'a>(
 /// then one [`PreparedMulti::try_apply`] on the decomposition's own
 /// right-hand side.
 ///
-/// A `nominal` attempt is the paper's method as the caller configured it:
-/// `opts.solver`, the communicator's own retry policy, a start from zero,
-/// and checkpoints (local writes, invisible to canonical traces) only when
-/// recovery is armed on the classical loop. Any other attempt is a recovery
-/// epoch: it resumes from the last globally complete checkpoint, always
-/// checkpoints, runs the classical loop whatever `opts.solver` says — only
-/// it resumes and checkpoints; every loop surfaces a lost peer typed — and
+/// Every attempt runs the Krylov loop the caller configured; every loop
+/// checkpoints and resumes. A `nominal` attempt is the paper's method as
+/// configured: the communicator's own retry policy, a start from zero, and
+/// checkpoints (local writes, invisible to canonical traces) only when
+/// recovery is armed. Any other attempt is a recovery epoch: it resumes
+/// from the last globally complete checkpoint, always checkpoints, and
 /// bounds every blocking wait: a peer that dies *again* must surface as an
 /// error.
 #[allow(clippy::too_many_arguments)]
@@ -800,9 +797,7 @@ fn run_partitioned(
 ) -> Result<SpmdMultiSolution, SpmdError> {
     let (comm, plan) = (attempt.comm, attempt.plan);
     let nsubs = decomp.n_subdomains();
-    let mut opts = opts.clone();
     if !nominal {
-        opts.solver = SolverKind::Classical;
         comm.set_retry_policy(RetryPolicy::bounded_jittered());
     }
     // A replay's audit record: same epoch, no membership deltas — only the
@@ -818,7 +813,7 @@ fn run_partitioned(
             ..Default::default()
         });
     }
-    let prepared = try_setup_on(decomp, comm, &opts, cache, plan, true, labels)?;
+    let prepared = try_setup_on(decomp, comm, opts, cache, plan, true, labels)?;
     let owned = &prepared.owned;
 
     // ---- resume from the last globally complete checkpoint.
@@ -875,7 +870,7 @@ fn run_partitioned(
             .collect(),
     };
     let interval = opts.recovery.checkpoint_interval;
-    let checkpointing = !nominal || (opts.recovery.enabled && opts.solver == SolverKind::Classical);
+    let checkpointing = !nominal || opts.recovery.enabled;
     let cfg = checkpointing.then(|| match resume {
         Some(cp) => CheckpointCfg::resuming(interval, &sink, cp),
         None => CheckpointCfg::new(interval, &sink),

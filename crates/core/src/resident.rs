@@ -35,9 +35,9 @@ use crate::spmd::{
 use dd_comm::Communicator;
 use dd_krylov::operator::Reduction;
 use dd_krylov::{
-    fused_pipelined_gmres, pipelined_gmres, try_gmres, try_gmres_multi, CheckpointCfg,
-    FusedPreconditioner, GmresOpts, InnerProduct, Operator, Preconditioner, RecycleSpace,
-    SolveInterrupt, SolveResult, SolveStatus,
+    fused_pipelined_gmres, pipelined_gmres, try_gmres_with, CheckpointCfg, FusedPreconditioner,
+    GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace, SolveInterrupt,
+    SolveResult, SolveStatus,
 };
 use dd_linalg::{vector, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LocalLdlt, SparseLdlt};
@@ -879,47 +879,15 @@ impl PreparedMulti<'_> {
     /// re-factorization).
     ///
     /// Every loop is fallible: a lost peer, a revoked epoch or an armed
-    /// guard's verdict is a typed [`SpmdError`] under any `opts.solver`.
-    /// Checkpoint and recycle arguments — here and in the two variants
-    /// below — engage on the classical loop only: the pipelined loops do
-    /// not resume or recycle.
+    /// guard's verdict is a typed [`SpmdError`] under any `opts.solver`,
+    /// and every loop checkpoints to `ckpt` and resumes from it.
     pub fn try_apply(
         &self,
         rhs_global: &[f64],
         phase: &str,
         ckpt: Option<&CheckpointCfg<'_>>,
     ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.apply_inner(None, rhs_global, phase, ckpt, None)
-    }
-
-    /// [`PreparedMulti::try_apply`] with a Krylov recycle space threaded
-    /// through: the initial guess is projected onto previously harvested
-    /// directions and the converged increment is banked. Convergence is
-    /// still anchored to `tol · ‖b‖`, so accuracy matches an unrecycled
-    /// apply.
-    pub fn try_apply_recycled(
-        &self,
-        rhs_global: &[f64],
-        phase: &str,
-        recycle: &mut RecycleSpace,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.apply_inner(None, rhs_global, phase, None, Some(recycle))
-    }
-
-    /// [`PreparedMulti::try_apply`] against a layout-compatible
-    /// decomposition override (same dofs, neighbours and partition of
-    /// unity) — the parameter-perturbation path of `dd-serve`: the Krylov
-    /// loop solves the perturbed system while RAS and the coarse
-    /// correction reuse the resident factorizations built at the base
-    /// parameter.
-    pub fn try_apply_on(
-        &self,
-        decomp_override: &Decomposition,
-        rhs_global: &[f64],
-        phase: &str,
-        recycle: Option<&mut RecycleSpace>,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.apply_inner(Some(decomp_override), rhs_global, phase, None, recycle)
+        self.try_apply_on(None, rhs_global, phase, ckpt, None)
     }
 
     fn ctx<'s>(&'s self, decomp: &'s Decomposition) -> MultiCtx<'s> {
@@ -974,7 +942,17 @@ impl PreparedMulti<'_> {
         v
     }
 
-    fn apply_inner(
+    /// [`PreparedMulti::try_apply`], optionally against a layout-compatible
+    /// decomposition override (same dofs, neighbours and partition of
+    /// unity) and with a Krylov recycle space — the serving path of
+    /// `dd-serve`. Under an override the Krylov loop solves the perturbed
+    /// system while RAS and the coarse correction reuse the resident
+    /// factorizations built at the base parameter. With a recycle space the
+    /// initial guess is projected onto previously harvested directions and
+    /// the solve's increment is banked; convergence is still anchored to
+    /// `tol ·` the residual at the zero guess, so accuracy matches an
+    /// unrecycled apply.
+    pub fn try_apply_on(
         &self,
         decomp_override: Option<&Decomposition>,
         rhs_global: &[f64],
@@ -994,19 +972,24 @@ impl PreparedMulti<'_> {
         let op = MultiOp::new(&ctx);
         let ip = MultiDot::new(&ctx);
         let gmres = &self.opts.gmres;
+        let mut ws = GmresWorkspace::new();
 
         let result = if self.run.coarse != CoarseOutcome::TwoLevel {
             let ras = MultiRas::new(&op, &self.factors);
-            solve_classical(&op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle)
+            try_gmres_with(&op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle, &mut ws)
         } else {
             let t = self.t_for(&ctx);
             let adef1 = self.adef1(&op, &t);
             match self.opts.solver {
                 SolverKind::Classical => {
-                    solve_classical(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
+                    try_gmres_with(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle, &mut ws)
                 }
-                SolverKind::Pipelined => pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres),
-                SolverKind::Fused => fused_pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres),
+                SolverKind::Pipelined => {
+                    pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
+                }
+                SolverKind::Fused => {
+                    fused_pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
+                }
             }
         }
         .map_err(|si| interrupt_to_spmd(comm, si))?;
@@ -1157,30 +1140,6 @@ pub struct DebugApply {
     pub ras: Vec<f64>,
     /// On masters in redundant mode, the assembled coarse matrix `E`.
     pub e: Option<CsrMatrix>,
-}
-
-/// The classical-GMRES arm of an apply, with or without recycling.
-#[allow(clippy::too_many_arguments)]
-fn solve_classical<M: Preconditioner>(
-    op: &MultiOp<'_>,
-    precond: &M,
-    ip: &MultiDot<'_>,
-    rhs: &[f64],
-    x0: &[f64],
-    gmres: &GmresOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-    recycle: Option<&mut RecycleSpace>,
-) -> Result<SolveResult, SolveInterrupt> {
-    match recycle {
-        None => try_gmres(op, precond, ip, rhs, x0, gmres, ckpt),
-        Some(space) => {
-            let batch = [rhs.to_vec()];
-            try_gmres_multi(op, precond, ip, &batch, x0, gmres, Some(space))?
-                .into_iter()
-                .next()
-                .ok_or_else(|| SolveInterrupt::new("empty multi-solve result"))
-        }
-    }
 }
 
 #[cfg(test)]

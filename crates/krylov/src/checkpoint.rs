@@ -23,7 +23,8 @@ pub struct SolveCheckpoint {
     /// Cumulative iteration count at the time of the snapshot.
     pub iteration: usize,
     /// The iterate `x` at that iteration (GMRES: materialized from the
-    /// in-progress cycle's least-squares solution, not the cycle start).
+    /// in-progress cycle's least-squares solution, not the cycle start; in
+    /// p1-GMRES over the columns final by that iteration).
     pub x: Vec<f64>,
     /// Relative residual at the snapshot (same scaling as `history`).
     pub residual: f64,
@@ -43,8 +44,9 @@ pub trait CheckpointSink {
     fn save(&self, checkpoint: SolveCheckpoint);
 }
 
-/// Checkpoint configuration handed to the fallible solver entry points
-/// (`try_gmres` / `try_cg`).
+/// Checkpoint configuration handed to the fallible solver entry points:
+/// every GMRES loop (`try_gmres`, `try_gmres_with`, `pipelined_gmres`,
+/// `fused_pipelined_gmres`) and `try_cg`.
 pub struct CheckpointCfg<'a> {
     /// Snapshot every `interval` iterations (values < 1 behave as 1).
     pub interval: usize,

@@ -13,6 +13,7 @@
 
 use crate::checkpoint::CheckpointCfg;
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
+use crate::recycle::RecycleSpace;
 use crate::restart::{self, Skeleton};
 use crate::sdc::SdcGuard;
 use dd_linalg::vector;
@@ -56,7 +57,11 @@ pub enum Side {
 pub struct GmresOpts {
     /// Restart length `m` (the pipelined loops run at least 2).
     pub restart: usize,
-    /// Relative residual tolerance (on the preconditioned residual).
+    /// Relative residual tolerance: on the true residual under
+    /// [`Side::Right`], on the preconditioned one under [`Side::Left`] (and
+    /// in the pipelined loops), relative to that residual at `x0` — at the
+    /// original solve's `x0` when resuming a checkpoint, and before any
+    /// recycle-space correction.
     pub tol: f64,
     /// Maximum total iterations across restarts.
     pub max_iters: usize,
@@ -127,8 +132,9 @@ pub struct SolveResult {
     pub iterations: usize,
     /// Whether the tolerance was met.
     pub converged: bool,
-    /// Relative (preconditioned) residual at each iteration, starting with
-    /// iteration 0 (the initial residual, = 1).
+    /// Relative residual at each iteration — true under [`Side::Right`],
+    /// preconditioned under [`Side::Left`] and in the pipelined loops —
+    /// starting with iteration 0 (the initial residual, = 1).
     pub history: Vec<f64>,
     /// Final relative residual estimate.
     pub final_residual: f64,
@@ -221,7 +227,7 @@ fn pool_set(pool: &mut Vec<Vec<f64>>, idx: usize, src: &[f64]) {
 /// [`CheckpointCfg`] snapshots the iterate every `interval` iterations
 /// (and resumes a previously interrupted solve against its original
 /// residual anchor). Allocates a fresh [`GmresWorkspace`]; hot callers use
-/// [`try_gmres_with`] to amortize it.
+/// [`try_gmres_with`] to amortize it, and to pass a [`RecycleSpace`].
 pub fn try_gmres<O, M, P>(
     op: &O,
     precond: &M,
@@ -237,12 +243,15 @@ where
     P: InnerProduct + ?Sized,
 {
     let mut ws = GmresWorkspace::new();
-    try_gmres_with(op, precond, ip, b, x0, opts, ckpt, &mut ws)
+    try_gmres_with(op, precond, ip, b, x0, opts, ckpt, None, &mut ws)
 }
 
 /// [`try_gmres`] against a caller-owned [`GmresWorkspace`] — bitwise
 /// identical results, but a warmed-up workspace makes the inner loop
-/// allocation-free (see [`GmresWorkspace`]).
+/// allocation-free (see [`GmresWorkspace`]) — and with an optional
+/// [`RecycleSpace`]: the start is corrected over its banked directions and
+/// the solve's increment is banked at exit, while the target stays `tol ×`
+/// the residual at `x0`.
 ///
 /// The classical Arnoldi process on the shared restart driver
 /// (`restart::solve`): one operator and one preconditioner application,
@@ -259,6 +268,7 @@ pub fn try_gmres_with<O, M, P>(
     x0: &[f64],
     opts: &GmresOpts,
     ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
     ws: &mut GmresWorkspace,
 ) -> Result<SolveResult, SolveInterrupt>
 where
@@ -280,7 +290,7 @@ where
     let right = matches!(opts.side, Side::Right);
     // The residual is the true one (right) or the preconditioned one (left).
     let left = (!right).then_some(precond);
-    restart::solve(op, left, ip, b, x0, opts, ckpt, sk, |run, r, beta| {
+    let cycle = |run: &mut restart::Run<'_>, r: &[f64], beta: f64| {
         // Arnoldi basis (m+1 pool vectors max); right preconditioning also
         // keeps the preconditioned directions `z_k = M⁻¹ v_k` so the final
         // update x += Z y needs no extra preconditioner application. Only
@@ -358,7 +368,8 @@ where
             nv = k + 2;
         }
         Ok(run.update(if right { zbasis } else { v }))
-    })
+    };
+    restart::solve(op, left, ip, b, x0, opts, ckpt, recycle, sk, cycle)
 }
 
 #[cfg(test)]
@@ -450,7 +461,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
+    pub(crate) fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
         let n = nx * ny;
         let mut b = CooBuilder::new(n, n);
         let id = |i: usize, j: usize| i + j * nx;
@@ -471,7 +482,8 @@ pub(crate) mod tests {
         b.to_csr()
     }
 
-    fn residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
+    /// `‖b − A x‖ / ‖b‖`.
+    pub(crate) fn residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         let mut ax = vec![0.0; b.len()];
         a.spmv(x, &mut ax);
         vector::dist2(&ax, b) / vector::norm2(b)
@@ -818,74 +830,20 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn interrupted_solve_resumes_from_checkpoint_to_same_tolerance() {
-        let a = laplacian_2d(12, 12);
-        let n = a.rows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin()).collect();
-        let opts = GmresOpts {
-            tol: 1e-8,
-            max_iters: 2000,
-            ..Default::default()
-        };
-        let clean = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
-        assert!(clean.converged);
-
-        // Kill the operator mid-solve; the last checkpoint survives.
-        let failing = FailAfter {
-            inner: &a,
-            budget: Cell::new(12),
-        };
-        let sink = VecSink::new();
-        let cfg = CheckpointCfg::new(3, &sink);
-        let err = try_gmres(
-            &failing,
-            &IdentityPrecond,
-            &SeqDot,
-            &b,
-            &vec![0.0; n],
-            &opts,
-            Some(&cfg),
-        )
-        .unwrap_err();
-        assert!(err.reason().contains("budget"));
-        let cp = sink.0.borrow().last().unwrap().clone();
-        let resume_iter = cp.iteration;
-        assert!(resume_iter > 0);
-
-        // Resume on the healthy operator from the snapshot.
-        let sink2 = VecSink::new();
-        let cfg2 = CheckpointCfg::resuming(1000, &sink2, cp);
-        let res = try_gmres(
-            &a,
-            &IdentityPrecond,
-            &SeqDot,
-            &b,
-            &vec![0.0; n],
-            &opts,
-            Some(&cfg2),
-        )
-        .unwrap();
-        assert!(res.converged, "resumed solve must converge");
-        assert!(
-            res.iterations > resume_iter,
-            "iteration count is cumulative"
-        );
-        assert_eq!(res.history.len(), res.iterations + 1);
-        // Same tolerance as the fault-free solve: the resumed run is
-        // anchored to the original ‖r₀‖, so its true residual matches.
-        assert!(residual(&a, &res.x, &b) <= residual(&a, &clean.x, &b) * 10.0 + 1e-12);
-        assert!(residual(&a, &res.x, &b) < 1e-6);
-    }
-
     /// One of this crate's restarted-GMRES loops, unpreconditioned and
-    /// sequential, for the properties the shared driver gives all of them.
-    pub(crate) type Loop<'a> =
-        &'a dyn Fn(&dyn Operator, &[f64], &GmresOpts) -> Result<SolveResult, SolveInterrupt>;
+    /// sequential from a zero guess, with its checkpoint and recycle
+    /// arguments, for the properties the shared driver gives all of them.
+    pub(crate) type Loop = fn(
+        &dyn Operator,
+        &[f64],
+        &GmresOpts,
+        Option<&CheckpointCfg<'_>>,
+        Option<&mut RecycleSpace>,
+    ) -> Result<SolveResult, SolveInterrupt>;
 
     /// An armed guard accepts a clean solve, with the iterates of the
     /// unguarded one.
-    pub(crate) fn check_guard_confirms_clean_convergence(solve: Loop<'_>, tol: f64) {
+    pub(crate) fn check_guard_confirms_clean_convergence(solve: Loop, tol: f64) {
         let a = laplacian_2d(10, 10);
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
@@ -897,8 +855,8 @@ pub(crate) mod tests {
             guard: Some(SdcGuard::default()),
             ..off.clone()
         };
-        let r_off = solve(&a, &b, &off).unwrap();
-        let r_on = solve(&a, &b, &on).unwrap();
+        let r_off = solve(&a, &b, &off, None, None).unwrap();
+        let r_on = solve(&a, &b, &on, None, None).unwrap();
         assert!(r_off.converged && r_on.converged);
         // The guard changes *when* convergence is accepted, never the
         // iterates: same x bitwise, same iteration count.
@@ -910,7 +868,7 @@ pub(crate) mod tests {
 
     /// An armed guard turns a false convergence on an operator whose
     /// `at`-th product is corrupted into the typed interrupt.
-    pub(crate) fn check_guard_flags_corrupted_operator(solve: Loop<'_>, tol: f64, at: usize) {
+    pub(crate) fn check_guard_flags_corrupted_operator(solve: Loop, tol: f64, at: usize) {
         let a = laplacian_2d(10, 10);
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.0).collect();
@@ -926,7 +884,7 @@ pub(crate) mod tests {
         };
         // Unguarded: the recurred residual converges on a poisoned basis
         // and the solver silently returns a wrong answer.
-        let silent = solve(&mk(), &b, &off).unwrap();
+        let silent = solve(&mk(), &b, &off, None, None).unwrap();
         assert!(silent.converged, "baseline silently false-converges");
         assert!(
             residual(&a, &silent.x, &b) > 1e-6,
@@ -939,7 +897,7 @@ pub(crate) mod tests {
             guard: Some(SdcGuard::default()),
             ..off
         };
-        let err = solve(&mk(), &b, &on).unwrap_err();
+        let err = solve(&mk(), &b, &on, None, None).unwrap_err();
         let sdc = err.sdc().expect("interrupt must carry the SDC marker");
         assert!(
             sdc.recomputed > sdc.recurred,
@@ -968,30 +926,37 @@ pub(crate) mod tests {
         }
     }
 
-    fn classical(
+    /// The classical loop, on the side `opts` names.
+    pub(crate) fn classical(
         op: &dyn Operator,
         b: &[f64],
         opts: &GmresOpts,
+        ckpt: Option<&CheckpointCfg<'_>>,
+        recycle: Option<&mut RecycleSpace>,
     ) -> Result<SolveResult, SolveInterrupt> {
-        try_gmres(
+        let x0 = vec![0.0; b.len()];
+        let mut ws = GmresWorkspace::new();
+        try_gmres_with(
             &Dyn(op),
             &IdentityPrecond,
             &SeqDot,
             b,
-            &vec![0.0; b.len()],
+            &x0,
             opts,
-            None,
+            ckpt,
+            recycle,
+            &mut ws,
         )
     }
 
     #[test]
     fn guard_confirms_clean_convergence_with_identical_iterates() {
-        check_guard_confirms_clean_convergence(&classical, 1e-10);
+        check_guard_confirms_clean_convergence(classical, 1e-10);
     }
 
     #[test]
     fn guard_flags_corrupted_operator_instead_of_false_convergence() {
-        check_guard_flags_corrupted_operator(&classical, 1e-10, 10);
+        check_guard_flags_corrupted_operator(classical, 1e-10, 10);
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub use operator::{
     SolveInterrupt,
 };
 pub use pipelined::{fused_pipelined_gmres, pipelined_gmres, FusedPreconditioner};
-pub use recycle::{try_gmres_multi, RecycleSpace};
+pub use recycle::RecycleSpace;
 pub use sdc::{SdcGuard, SdcSuspected};

@@ -18,8 +18,10 @@
 //! performs **zero** standalone global reductions — only the
 //! `MPI_Iallreduce` among masters, overlapped with the coarse solve.
 
+use crate::checkpoint::CheckpointCfg;
 use crate::gmres::{GmresOpts, SolveResult};
 use crate::operator::{InnerProduct, Operator, Preconditioner, Reduction, SolveInterrupt};
+use crate::recycle::RecycleSpace;
 use crate::restart::{self, Skeleton};
 use dd_linalg::vector;
 
@@ -41,7 +43,12 @@ pub trait FusedPreconditioner: Preconditioner {
 /// Gram row is posted as soon as it is formed and awaited after the next
 /// preconditioner application.
 /// Left-preconditioned whatever `opts.side` says; [`GmresOpts`] documents
-/// which fields the pipelined loops read.
+/// which fields the pipelined loops read. `ckpt` and `recycle` act as in
+/// [`crate::try_gmres_with`]; a snapshot taken at iteration `k` holds the
+/// iterate over the `k` columns final by then, as the classical loop's
+/// does (the matvec iteration `k` already spent on the next candidate is
+/// not in it).
+#[allow(clippy::too_many_arguments)]
 pub fn pipelined_gmres<O, M, P>(
     op: &O,
     precond: &M,
@@ -49,6 +56,8 @@ pub fn pipelined_gmres<O, M, P>(
     b: &[f64],
     x0: &[f64],
     opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
 ) -> Result<SolveResult, SolveInterrupt>
 where
     O: Operator + ?Sized,
@@ -56,15 +65,17 @@ where
     P: InnerProduct + ?Sized,
 {
     let post = |row| ip.reduce_begin(row);
-    pgmres_impl(op, precond, ip, b, x0, opts, post, |ax, t, row| {
+    let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| {
         precond.try_apply(ax, t)?;
         row()
-    })
+    };
+    pgmres_impl(op, precond, ip, b, x0, opts, ckpt, recycle, post, step)
 }
 
 /// Fused p1-GMRES: the Gram row is held back and rides, unreduced, on the
 /// next preconditioner application's coarse gather/scatter (§3.5 of the
-/// paper). Options as for [`pipelined_gmres`].
+/// paper). Arguments as for [`pipelined_gmres`].
+#[allow(clippy::too_many_arguments)]
 pub fn fused_pipelined_gmres<O, M, P>(
     op: &O,
     precond: &M,
@@ -72,6 +83,8 @@ pub fn fused_pipelined_gmres<O, M, P>(
     b: &[f64],
     x0: &[f64],
     opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
 ) -> Result<SolveResult, SolveInterrupt>
 where
     O: Operator + ?Sized,
@@ -79,9 +92,8 @@ where
     P: InnerProduct + ?Sized,
 {
     let post = |row| Ok(Box::new(move || Ok(row)) as Reduction<'_>);
-    pgmres_impl(op, precond, ip, b, x0, opts, post, |ax, t, row| {
-        precond.apply_fused(ax, t, row()?)
-    })
+    let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| precond.apply_fused(ax, t, row()?);
+    pgmres_impl(op, precond, ip, b, x0, opts, ckpt, recycle, post, step)
 }
 
 /// Local parts of the payload an iteration posts: the Gram row of `w`
@@ -106,6 +118,8 @@ fn pgmres_impl<'a, O, M, P>(
     b: &[f64],
     x0: &[f64],
     opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
     post: impl Fn(Vec<f64>) -> Result<Reduction<'a>, SolveInterrupt>,
     step: impl Fn(&[f64], &mut [f64], Reduction<'a>) -> Result<Vec<f64>, SolveInterrupt>,
 ) -> Result<SolveResult, SolveInterrupt>
@@ -128,7 +142,8 @@ where
         b,
         x0,
         opts,
-        None,
+        ckpt,
+        recycle,
         &mut sk,
         |run, r, beta| {
             // v: normalized basis; z: shadow basis z_j = B v_j.
@@ -220,37 +235,15 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gmres::tests::{
-        check_guard_confirms_clean_convergence, check_guard_flags_corrupted_operator,
+        check_guard_confirms_clean_convergence, check_guard_flags_corrupted_operator, laplacian_2d,
         BudgetExhausted, FailAfter,
     };
     use crate::gmres::{gmres, SolveStatus};
     use crate::operator::{IdentityPrecond, SeqDot};
-    use dd_linalg::{CooBuilder, CsrMatrix};
     use std::cell::Cell;
-
-    fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
-        let n = nx * ny;
-        let mut b = CooBuilder::new(n, n);
-        let id = |i: usize, j: usize| i + j * nx;
-        for j in 0..ny {
-            for i in 0..nx {
-                let u = id(i, j);
-                b.push(u, u, 4.0);
-                if i + 1 < nx {
-                    b.push(u, id(i + 1, j), -1.0);
-                    b.push(id(i + 1, j), u, -1.0);
-                }
-                if j + 1 < ny {
-                    b.push(u, id(i, j + 1), -1.0);
-                    b.push(id(i, j + 1), u, -1.0);
-                }
-            }
-        }
-        b.to_csr()
-    }
 
     /// Trivial fused preconditioner for sequential tests: identity
     /// preconditioner, identity reduction.
@@ -274,20 +267,28 @@ mod tests {
         }
     }
 
-    fn overlapped(
+    /// The overlapped loop, a `crate::gmres::tests::Loop`.
+    pub(crate) fn overlapped(
         op: &dyn Operator,
         b: &[f64],
         opts: &GmresOpts,
+        ckpt: Option<&CheckpointCfg<'_>>,
+        recycle: Option<&mut RecycleSpace>,
     ) -> Result<SolveResult, SolveInterrupt> {
-        pipelined_gmres(op, &IdentityPrecond, &SeqDot, b, &vec![0.0; b.len()], opts)
+        let x0 = vec![0.0; b.len()];
+        pipelined_gmres(op, &IdentityPrecond, &SeqDot, b, &x0, opts, ckpt, recycle)
     }
 
-    fn fused(
+    /// The fused loop, a `crate::gmres::tests::Loop`.
+    pub(crate) fn fused(
         op: &dyn Operator,
         b: &[f64],
         opts: &GmresOpts,
+        ckpt: Option<&CheckpointCfg<'_>>,
+        recycle: Option<&mut RecycleSpace>,
     ) -> Result<SolveResult, SolveInterrupt> {
-        fused_pipelined_gmres(op, &SeqFused, &SeqDot, b, &vec![0.0; b.len()], opts)
+        let x0 = vec![0.0; b.len()];
+        fused_pipelined_gmres(op, &SeqFused, &SeqDot, b, &x0, opts, ckpt, recycle)
     }
 
     /// The guard lives in the shared cycle-start check, so the pipelined
@@ -295,16 +296,16 @@ mod tests {
     /// `pipelined_matches_classical_gmres`).
     #[test]
     fn guard_confirms_clean_convergence_with_identical_iterates() {
-        check_guard_confirms_clean_convergence(&overlapped, 1e-8);
-        check_guard_confirms_clean_convergence(&fused, 1e-8);
+        check_guard_confirms_clean_convergence(overlapped, 1e-8);
+        check_guard_confirms_clean_convergence(fused, 1e-8);
     }
 
     #[test]
     fn guard_flags_corrupted_operator_instead_of_false_convergence() {
         // The 21st product is the first whose corruption this loop does
         // not notice on its own (an earlier one breaks a cycle down).
-        check_guard_flags_corrupted_operator(&overlapped, 1e-8, 20);
-        check_guard_flags_corrupted_operator(&fused, 1e-8, 20);
+        check_guard_flags_corrupted_operator(overlapped, 1e-8, 20);
+        check_guard_flags_corrupted_operator(fused, 1e-8, 20);
     }
 
     /// An operator whose `try_apply` fails at call `k` — the anchor, the
@@ -321,7 +322,8 @@ mod tests {
                     inner: &a,
                     budget: Cell::new(k),
                 };
-                let err = solve(&op, &b, &opts).expect_err("the budget runs out mid-solve");
+                let err =
+                    solve(&op, &b, &opts, None, None).expect_err("the budget runs out mid-solve");
                 assert_eq!(err.reason(), "operator budget exhausted");
                 let source = err.take_source().expect("the source travels with it");
                 assert!(source.downcast::<BudgetExhausted>().is_ok(), "call {k}");
@@ -343,7 +345,7 @@ mod tests {
             ..Default::default()
         };
         let classical = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
-        let pipelined = overlapped(&a, &b, &opts).unwrap();
+        let pipelined = overlapped(&a, &b, &opts, None, None).unwrap();
         assert!(classical.converged && pipelined.converged);
         assert!(
             vector::dist2(&classical.x, &pipelined.x) < 1e-5 * vector::norm2(&classical.x).max(1.0),
@@ -370,7 +372,7 @@ mod tests {
             ..Default::default()
         };
         let classical = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
-        let fused = fused(&a, &b, &opts).unwrap();
+        let fused = fused(&a, &b, &opts, None, None).unwrap();
         assert!(fused.converged);
         assert!(vector::dist2(&classical.x, &fused.x) < 1e-4 * vector::norm2(&classical.x));
     }
@@ -385,7 +387,7 @@ mod tests {
             max_iters: 400,
             ..Default::default()
         };
-        let res = overlapped(&a, &b, &opts).unwrap();
+        let res = overlapped(&a, &b, &opts, None, None).unwrap();
         assert!(res.converged);
         let mut ax = vec![0.0; n];
         a.spmv(&res.x, &mut ax);
@@ -404,7 +406,7 @@ mod tests {
             max_iters: 1000,
             ..Default::default()
         };
-        let res = overlapped(&a, &b, &opts).unwrap();
+        let res = overlapped(&a, &b, &opts, None, None).unwrap();
         assert!(res.converged, "residual {}", res.final_residual);
         let mut ax = vec![0.0; n];
         a.spmv(&res.x, &mut ax);
@@ -425,7 +427,7 @@ mod tests {
             }
         }
         let n = 10;
-        let res = overlapped(&NanOp(n), &vec![1.0; n], &GmresOpts::default()).unwrap();
+        let res = overlapped(&NanOp(n), &vec![1.0; n], &GmresOpts::default(), None, None).unwrap();
         assert!(!res.converged);
         assert_eq!(res.status, SolveStatus::Breakdown);
         assert!(res.x.iter().all(|v| v.is_finite()));
@@ -440,7 +442,7 @@ mod tests {
             tol: 1e-9,
             ..Default::default()
         };
-        let res = overlapped(&a, &b, &opts).unwrap();
+        let res = overlapped(&a, &b, &opts, None, None).unwrap();
         assert!(res.history.len() >= 2);
         assert!(res.history.last().unwrap() < &1e-8);
     }

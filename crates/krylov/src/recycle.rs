@@ -23,15 +23,14 @@
 //! deterministically — the small normal-equations solve happens redundantly
 //! on each rank from globally reduced scalars.
 //!
-//! [`try_gmres_multi`] is the batch driver built on top: solve a slice of
-//! right-hand sides sequentially, threading the recycle space through so
-//! later members of the batch benefit from earlier ones. With recycling
-//! disabled (`None`) the batch is bit-identical to solving each right-hand
-//! side alone — the batcher invariants of `dd-serve` rely on that.
+//! Every GMRES loop takes an optional space (`try_gmres_with`,
+//! `pipelined_gmres`, `fused_pipelined_gmres`); the restart driver they
+//! share corrects the start and banks the increment. The solve still
+//! converges against `tol ·` the residual at the caller's guess, not at
+//! the corrected one, so recycling can only shed iterations, never loosen
+//! accuracy.
 
-use crate::checkpoint::CheckpointCfg;
-use crate::gmres::{try_gmres, GmresOpts, SolveResult};
-use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
+use crate::operator::{InnerProduct, Operator, SolveInterrupt};
 use dd_linalg::vector;
 
 /// A bounded bank of `(u, A·u)` direction pairs harvested from completed
@@ -69,30 +68,24 @@ impl RecycleSpace {
         self.au.clear();
     }
 
-    /// Residual-minimizing correction of `x0` over the banked space:
-    /// `x0 += U c` with `c = (AU)ᵀ(AU) \ (AU)ᵀ (b − A x0)`. Returns `true`
-    /// if a correction was applied. The normal-equations system is tiny
-    /// (`len() ≤ max_dim`) and solved redundantly on every rank from the
-    /// globally reduced Gram entries, so all ranks stay in lockstep.
-    pub fn try_improve_guess<O, P>(
+    /// Residual-minimizing correction of `x0` over the banked space, given
+    /// its true residual `r = b − A x0`: `x0 += U c` with
+    /// `c = (AU)ᵀ(AU) \ (AU)ᵀ r`. Returns `true` if a correction was
+    /// applied. The normal-equations system is tiny (`len() ≤ max_dim`) and
+    /// solved redundantly on every rank from the globally reduced Gram
+    /// entries, so all ranks stay in lockstep.
+    pub(crate) fn try_improve_guess<P>(
         &self,
-        op: &O,
         ip: &P,
-        b: &[f64],
+        r: &[f64],
         x0: &mut [f64],
     ) -> Result<bool, SolveInterrupt>
     where
-        O: Operator + ?Sized,
         P: InnerProduct + ?Sized,
     {
         let k = self.u.len();
         if k == 0 {
             return Ok(false);
-        }
-        let mut r = vec![0.0; b.len()];
-        op.try_apply(x0, &mut r)?;
-        for (ri, (&bi, _)) in r.iter_mut().zip(b.iter().zip(x0.iter())) {
-            *ri = bi - *ri;
         }
         // One batched reduction: the k×k Gram matrix of AU plus the k
         // projections ⟨A·u_i, r⟩.
@@ -104,7 +97,7 @@ impl RecycleSpace {
         // Not a Gram row: the weighted argument differs per entry, and a
         // partition-of-unity dot rounds `(D a)·r`, not `(D r)·a`.
         for (aui, p) in self.au.iter().zip(rhs) {
-            *p = ip.local_dot(aui, &r);
+            *p = ip.local_dot(aui, r);
         }
         let mut reduced = vec![0.0; locals.len()];
         ip.try_reduce_into(&locals, &mut reduced)?;
@@ -119,12 +112,12 @@ impl RecycleSpace {
         Ok(true)
     }
 
-    /// Bank the increment `x − x0_before` of a completed solve as a new
-    /// direction (skipped when the increment is numerically zero). `x0`
-    /// must be the guess the solve *started* from — i.e. captured before
-    /// [`RecycleSpace::try_improve_guess`]'s correction is overwritten by
-    /// the solve.
-    pub fn try_harvest<O, P>(
+    /// Bank the increment `x − x0` of a completed solve as a new direction
+    /// (skipped when the increment is numerically zero). `x0` is the guess
+    /// the Krylov cycles started from — after
+    /// [`RecycleSpace::try_improve_guess`]'s correction — so the banked
+    /// direction is what the cycles found, not what the bank already held.
+    pub(crate) fn try_harvest<O, P>(
         &mut self,
         op: &O,
         ip: &P,
@@ -202,104 +195,13 @@ fn solve_spd_small(k: usize, gram: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
     Some(y)
 }
 
-/// Solve a batch of right-hand sides against one operator/preconditioner,
-/// sequentially and in order, optionally threading a [`RecycleSpace`]
-/// through so each solve's harvested direction improves the next one's
-/// initial guess.
-///
-/// Semantics the callers (the `dd-serve` batcher and its property tests)
-/// rely on:
-///
-/// * responses come back in input order, one [`SolveResult`] per RHS;
-/// * with `recycle = None` each solve is exactly the solve
-///   [`try_gmres`] would perform alone — batching is then a pure
-///   amortization of setup, with bit-identical iterates;
-/// * recycled solves converge against the *caller's* residual anchor
-///   `tol · ‖b − A x₀‖` (with the original `x₀`, not the improved
-///   guess). GMRES itself anchors its relative criterion to whatever
-///   guess it starts from, so without this rescaling an improved guess
-///   would proportionally tighten the target and save nothing; with it,
-///   recycling can only shed iterations, never loosen accuracy.
-///
-/// Per-solve checkpointing is deliberately not threaded through: a batch
-/// member that dies is re-solved from scratch by the caller's recovery
-/// loop (see `dd-serve`), which keeps the checkpoint-store contract
-/// one-solve-at-a-time.
-pub fn try_gmres_multi<O, M, P>(
-    op: &O,
-    precond: &M,
-    ip: &P,
-    rhs_batch: &[Vec<f64>],
-    x0: &[f64],
-    opts: &GmresOpts,
-    mut recycle: Option<&mut RecycleSpace>,
-) -> Result<Vec<SolveResult>, SolveInterrupt>
-where
-    O: Operator,
-    M: Preconditioner + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    let mut results = Vec::with_capacity(rhs_batch.len());
-    for b in rhs_batch {
-        let mut guess = x0.to_vec();
-        let mut eff = opts.clone();
-        if let Some(space) = recycle.as_deref_mut() {
-            if !space.is_empty() {
-                let anchor = residual_norm(op, ip, b, &guess)?;
-                if space.try_improve_guess(op, ip, b, &mut guess)? {
-                    let improved = residual_norm(op, ip, b, &guess)?;
-                    // Keep the absolute target tol·anchor: GMRES will aim
-                    // for eff.tol·improved = opts.tol·anchor. The
-                    // projection minimizes the residual, so improved ≤
-                    // anchor up to roundoff; the max() guards roundoff.
-                    if improved > 0.0 && anchor.is_finite() && anchor > 0.0 {
-                        eff.tol = (opts.tol * anchor / improved).max(opts.tol);
-                    }
-                }
-            }
-        }
-        let ckpt: Option<&CheckpointCfg<'_>> = None;
-        let result = try_gmres(op, precond, ip, b, &guess, &eff, ckpt)?;
-        if let Some(space) = recycle.as_deref_mut() {
-            space.try_harvest(op, ip, &guess, &result.x)?;
-        }
-        results.push(result);
-    }
-    Ok(results)
-}
-
-/// `‖b − A x‖` under the distributed inner product.
-fn residual_norm<O, P>(op: &O, ip: &P, b: &[f64], x: &[f64]) -> Result<f64, SolveInterrupt>
-where
-    O: Operator + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    let mut r = vec![0.0; b.len()];
-    op.try_apply(x, &mut r)?;
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    ip.try_norm(&r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::SeqDot;
-    use dd_linalg::CooBuilder;
-
-    /// 1D Laplacian with Dirichlet ends, n interior points.
-    fn laplacian(n: usize) -> dd_linalg::CsrMatrix {
-        let mut b = CooBuilder::new(n, n);
-        for i in 0..n {
-            b.push(i, i, 2.0);
-            if i + 1 < n {
-                b.push(i, i + 1, -1.0);
-                b.push(i + 1, i, -1.0);
-            }
-        }
-        b.to_csr()
-    }
+    use crate::gmres::tests::{classical, laplacian_2d, Loop};
+    use crate::gmres::{try_gmres, GmresOpts, Side};
+    use crate::operator::{IdentityPrecond, SeqDot};
+    use crate::pipelined::tests::{fused, overlapped};
 
     fn rhs(n: usize, seed: u64) -> Vec<f64> {
         // Cheap deterministic pseudo-random RHS.
@@ -322,56 +224,77 @@ mod tests {
         }
     }
 
+    const LOOPS: [(&str, Loop, Side); 4] = [
+        ("classical-left", classical, Side::Left),
+        ("classical-right", classical, Side::Right),
+        ("pipelined", overlapped, Side::Left),
+        ("fused", fused, Side::Left),
+    ];
+
+    /// A space that banks nothing leaves every loop bit for bit as it is
+    /// without one — what keeps `dd-serve`'s batches transparent.
     #[test]
-    fn multi_without_recycling_matches_solo_solves_exactly() {
-        let a = laplacian(40);
-        let batch: Vec<Vec<f64>> = (0..4).map(|k| rhs(40, k + 1)).collect();
-        let x0 = vec![0.0; 40];
-        let p = crate::operator::IdentityPrecond;
-        let multi = try_gmres_multi(&a, &p, &SeqDot, &batch, &x0, &opts(), None).unwrap();
-        for (b, m) in batch.iter().zip(&multi) {
-            let solo = try_gmres(&a, &p, &SeqDot, b, &x0, &opts(), None).unwrap();
-            assert_eq!(m.iterations, solo.iterations);
-            assert_eq!(m.x, solo.x, "batched solve must be bit-identical");
+    fn a_zero_capacity_space_leaves_every_loop_bitwise_unchanged() {
+        let a = laplacian_2d(5, 8);
+        for (name, solve, side) in LOOPS {
+            let opts = GmresOpts {
+                tol: 1e-8,
+                side,
+                ..opts()
+            };
+            let mut off = RecycleSpace::new(0);
+            for k in 0..3 {
+                let b = rhs(40, k + 1);
+                let plain = solve(&a, &b, &opts, None, None).unwrap();
+                let spaced = solve(&a, &b, &opts, None, Some(&mut off)).unwrap();
+                assert_eq!(plain.iterations, spaced.iterations, "{name}");
+                assert_eq!(plain.x, spaced.x, "{name}");
+                assert_eq!(plain.history, spaced.history, "{name}");
+            }
+            assert!(off.is_empty());
+        }
+    }
+
+    /// The same right-hand side again: after the first solve the space
+    /// holds the solution direction, so under every loop the repeats start
+    /// (numerically) converged, and the answers still match a solve
+    /// without recycling to the tolerance.
+    #[test]
+    fn recycling_shortcuts_a_repeated_rhs_under_every_loop() {
+        let a = laplacian_2d(10, 10);
+        let b = rhs(a.rows(), 7);
+        for (name, solve, side) in LOOPS {
+            let opts = GmresOpts {
+                restart: 20,
+                tol: 1e-8,
+                side,
+                ..opts()
+            };
+            let solo = solve(&a, &b, &opts, None, None).unwrap();
+            let mut space = RecycleSpace::new(4);
+            let res: Vec<_> = (0..4)
+                .map(|_| solve(&a, &b, &opts, None, Some(&mut space)).unwrap())
+                .collect();
+            assert!(res.iter().all(|r| r.converged), "{name}");
+            assert_eq!(res[0].x, solo.x, "{name}: an empty space changes nothing");
+            for r in &res[1..] {
+                assert!(
+                    r.iterations < res[0].iterations,
+                    "{name}: recycling must shortcut a repeated RHS: {} vs {}",
+                    r.iterations,
+                    res[0].iterations
+                );
+                let diff = vector::dist2(&r.x, &solo.x) / vector::norm2(&solo.x);
+                assert!(diff < 1e-6, "{name}: recycled solution drifted: {diff}");
+            }
         }
     }
 
     #[test]
-    fn recycling_converges_and_never_needs_more_iterations_on_repeats() {
-        let a = laplacian(60);
-        let b = rhs(60, 7);
-        // The same RHS four times: after the first solve the recycle space
-        // contains the solution direction, so the remaining solves start
-        // (numerically) converged.
-        let batch = vec![b.clone(), b.clone(), b.clone(), b];
-        let x0 = vec![0.0; 60];
-        let p = crate::operator::IdentityPrecond;
-        let mut space = RecycleSpace::new(4);
-        let res = try_gmres_multi(&a, &p, &SeqDot, &batch, &x0, &opts(), Some(&mut space)).unwrap();
-        assert!(res.iter().all(|r| r.converged));
-        assert!(
-            res[1].iterations < res[0].iterations,
-            "recycling must shortcut a repeated RHS: {} vs {}",
-            res[1].iterations,
-            res[0].iterations
-        );
-        // Solutions still match the solo solve to tight accuracy.
-        let solo = try_gmres(&a, &p, &SeqDot, &batch[1], &x0, &opts(), None).unwrap();
-        let diff: f64 = res[1]
-            .x
-            .iter()
-            .zip(&solo.x)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        assert!(diff < 1e-9, "recycled solution drifted: {diff}");
-    }
-
-    #[test]
     fn harvest_evicts_oldest_and_clear_empties() {
-        let a = laplacian(20);
+        let a = laplacian_2d(4, 5);
         let x0 = vec![0.0; 20];
-        let p = crate::operator::IdentityPrecond;
+        let p = IdentityPrecond;
         let mut space = RecycleSpace::new(2);
         for k in 0..3 {
             let b = rhs(20, 100 + k);
@@ -385,7 +308,7 @@ mod tests {
 
     #[test]
     fn zero_increment_and_zero_capacity_are_noops() {
-        let a = laplacian(10);
+        let a = laplacian_2d(2, 5);
         let x = vec![1.0; 10];
         let mut space = RecycleSpace::new(3);
         space.try_harvest(&a, &SeqDot, &x, &x).unwrap();
@@ -395,25 +318,24 @@ mod tests {
         off.try_harvest(&a, &SeqDot, &x, &y).unwrap();
         assert!(off.is_empty());
         let mut guess = vec![0.0; 10];
-        assert!(!off.try_improve_guess(&a, &SeqDot, &y, &mut guess).unwrap());
+        assert!(!off.try_improve_guess(&SeqDot, &y, &mut guess).unwrap());
     }
 
     #[test]
     fn degenerate_gram_is_skipped_not_fatal() {
         // Two identical directions make the Gram matrix singular.
-        let a = laplacian(10);
+        let a = laplacian_2d(2, 5);
         let b = rhs(10, 3);
         let x0 = vec![0.0; 10];
-        let p = crate::operator::IdentityPrecond;
+        let p = IdentityPrecond;
         let r = try_gmres(&a, &p, &SeqDot, &b, &x0, &opts(), None).unwrap();
         let mut space = RecycleSpace::new(4);
         space.try_harvest(&a, &SeqDot, &x0, &r.x).unwrap();
         space.try_harvest(&a, &SeqDot, &x0, &r.x).unwrap();
         let mut guess = vec![0.0; 10];
         // Must not panic; either applies a correction from the
-        // well-conditioned subset or skips.
-        let _ = space
-            .try_improve_guess(&a, &SeqDot, &b, &mut guess)
-            .unwrap();
+        // well-conditioned subset or skips. The residual at the zero
+        // guess is b.
+        let _ = space.try_improve_guess(&SeqDot, &b, &mut guess).unwrap();
     }
 }

@@ -3,10 +3,12 @@
 //!
 //! A GMRES variant is an Arnoldi process — how it builds the next basis
 //! vector and the next Hessenberg column. Everything else is the same for
-//! all of them and lives here once: the residual anchor (or the resumed
-//! one), the residual recomputed from the iterate at every cycle start with
-//! the [`crate::SdcGuard`] drift check, the Givens-rotated least-squares
-//! problem, checkpoints, stagnation, the one restart a breakdown is
+//! all of them and lives here once: where the solve starts (the caller's
+//! guess, a checkpoint to resume, a recycle-space correction) and what it
+//! leaves behind (checkpoints, the harvested increment), the residual
+//! anchor, the residual recomputed from the iterate at every cycle start
+//! with the [`crate::SdcGuard`] drift check, the Givens-rotated
+//! least-squares problem, stagnation, the one restart a breakdown is
 //! allowed, the update `x += D y` and the verdict. The classical loop
 //! ([`crate::gmres`]) and the pipelined loops ([`crate::pipelined`]) are two
 //! cycle bodies handed to [`solve`].
@@ -14,6 +16,7 @@
 use crate::checkpoint::{CheckpointCfg, SolveCheckpoint};
 use crate::gmres::{GmresOpts, SolveResult, SolveStatus, STALL_LIMIT};
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
+use crate::recycle::RecycleSpace;
 use dd_linalg::givens::Givens;
 use dd_linalg::{vector, DMat};
 
@@ -284,6 +287,14 @@ impl Run<'_> {
 /// [`Run::push_column`] until told to stop, and ends in [`Run::update`]
 /// with its update directions. `sk` must be prepared for the dimension and
 /// the longest cycle the body builds.
+///
+/// The solve starts at `x0`, or at the checkpoint `ckpt` resumes. Its
+/// target is `tol ×` the anchor: the residual norm at that start, or the
+/// checkpoint's anchor. With a `recycle` space the start is then corrected
+/// over the banked directions (from the true residual already formed
+/// there), the first cycle starts from the residual at the corrected guess,
+/// and the increment the cycles made is banked at exit. Without one, the
+/// anchor's residual is the first cycle's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve<O, M, P>(
     op: &O,
@@ -293,6 +304,7 @@ pub(crate) fn solve<O, M, P>(
     x0: &[f64],
     opts: &GmresOpts,
     ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
     sk: &mut Skeleton,
     mut cycle: impl FnMut(&mut Run<'_>, &[f64], f64) -> Result<Updated, SolveInterrupt>,
 ) -> Result<SolveResult, SolveInterrupt>
@@ -306,7 +318,7 @@ where
     assert_eq!(x0.len(), n);
     let Skeleton { ax, raw, r, ls } = sk;
     let resume = ckpt.and_then(|c| c.resume.as_ref());
-    let x = match resume {
+    let mut x = match resume {
         Some(cp) => {
             assert_eq!(cp.x.len(), n);
             cp.x.clone()
@@ -323,27 +335,34 @@ where
             None => history.push(1.0),
         }
     }
-    // r ← b − A x, preconditioned when `left` is given.
-    let mut residual = |x: &[f64], r: &mut [f64]| -> Result<(), SolveInterrupt> {
+    // raw ← b − A x, r ← raw preconditioned when `left` is given; ‖r‖.
+    let residual = |x: &[f64], ax: &mut [f64], raw: &mut [f64], r: &mut [f64]| {
         op.try_apply(x, ax)?;
         for i in 0..n {
             raw[i] = b[i] - ax[i];
         }
         match left {
-            Some(m) => m.try_apply(raw, r),
-            None => {
-                r.copy_from_slice(raw);
-                Ok(())
-            }
+            Some(m) => m.try_apply(raw, r)?,
+            None => r.copy_from_slice(raw),
         }
+        ip.try_norm(r)
     };
-    // The anchor: the initial residual, true or preconditioned. A resumed
+    let mut beta = residual(&x, ax, raw, r)?;
+    // The anchor: the start's residual, true or preconditioned. A resumed
     // solve converges against the *original* solve's anchor so the combined
     // run meets the same tolerance as a fault-free one.
-    residual(&x, r)?;
-    let r0_norm = match resume {
-        Some(cp) => cp.r0_norm,
-        None => ip.try_norm(r)?,
+    let r0_norm = resume.map_or(beta, |cp| cp.r0_norm);
+    // With a recycle space: correct the start from the true residual just
+    // formed there, and keep the guess the cycles start from to harvest
+    // their increment.
+    let start = match recycle.as_deref() {
+        Some(space) => {
+            if space.try_improve_guess(ip, raw, &mut x)? {
+                beta = residual(&x, ax, raw, r)?;
+            }
+            Some(x.clone())
+        }
+        None => None,
     };
     let mut run = Run {
         x,
@@ -362,67 +381,144 @@ where
         ckpt,
         ls,
     };
-    if r0_norm == 0.0 {
+    let status = if r0_norm == 0.0 {
         run.final_res = 0.0;
-        return Ok(run.finish(SolveStatus::Converged));
-    }
-    if !r0_norm.is_finite() {
+        SolveStatus::Converged
+    } else if !r0_norm.is_finite() {
         // The input itself is broken; no restart can fix it.
         run.final_res = f64::INFINITY;
-        return Ok(run.finish(SolveStatus::Breakdown));
-    }
-    let status = loop {
-        // Residual at the start of this cycle, recomputed from the iterate.
-        residual(&run.x, r)?;
-        let beta = ip.try_norm(r)?;
-        if beta <= run.target {
-            run.final_res = beta / r0_norm;
-            break SolveStatus::Converged;
-        }
-        if let Some(g) = &opts.guard {
-            // The recurred estimate from the previous cycle against the
-            // residual just recomputed: drift past the guard's threshold
-            // (or a non-finite recomputation) means the basis or the
-            // iterate was corrupted — hand the caller a typed interrupt to
-            // roll back and replay instead of iterating on poison. Mild
-            // drift falls through: the fresh cycle self-corrects it.
-            if g.drifted(run.final_res, beta / r0_norm) {
-                return Err(g.interrupt(run.iterations, run.final_res, beta / r0_norm));
+        SolveStatus::Breakdown
+    } else {
+        loop {
+            if beta <= run.target {
+                run.final_res = beta / r0_norm;
+                break SolveStatus::Converged;
             }
-        }
-        if !beta.is_finite() {
-            // The iterate itself is poisoned; a restart cannot recover.
-            break SolveStatus::Breakdown;
-        }
-        run.ls.reset(beta);
-        run.k_done = 0;
-        run.cycle_broken = false;
-        // dd:hot — the Arnoldi cycle
-        let Updated(()) = cycle(&mut run, r, beta)?;
-        if run.converged {
-            break SolveStatus::Converged;
-        }
-        if run.iterations >= opts.max_iters {
-            break SolveStatus::MaxIterations;
-        }
-        if run.cycle_broken {
-            if run.breakdown_restarts > 0 {
+            if let Some(g) = &opts.guard {
+                // The recurred estimate from the previous cycle against the
+                // residual just recomputed: drift past the guard's threshold
+                // (or a non-finite recomputation) means the basis or the
+                // iterate was corrupted — hand the caller a typed interrupt
+                // to roll back and replay instead of iterating on poison.
+                // Mild drift falls through: the fresh cycle self-corrects it.
+                if g.drifted(run.final_res, beta / r0_norm) {
+                    return Err(g.interrupt(run.iterations, run.final_res, beta / r0_norm));
+                }
+            }
+            if !beta.is_finite() {
+                // The iterate itself is poisoned; a restart cannot recover.
                 break SolveStatus::Breakdown;
             }
-            // One restart: rebuild the Krylov space from the current
-            // iterate before giving up.
-            run.breakdown_restarts += 1;
-            run.best_res = f64::INFINITY;
-            run.stall = 0;
+            run.ls.reset(beta);
+            run.k_done = 0;
+            run.cycle_broken = false;
+            // dd:hot — the Arnoldi cycle
+            let Updated(()) = cycle(&mut run, r, beta)?;
+            if run.converged {
+                break SolveStatus::Converged;
+            }
+            if run.iterations >= opts.max_iters {
+                break SolveStatus::MaxIterations;
+            }
+            if run.cycle_broken {
+                if run.breakdown_restarts > 0 {
+                    break SolveStatus::Breakdown;
+                }
+                // One restart: rebuild the Krylov space from the current
+                // iterate before giving up.
+                run.breakdown_restarts += 1;
+                run.best_res = f64::INFINITY;
+                run.stall = 0;
+            }
+            // Residual at the start of the next cycle, recomputed from the
+            // iterate.
+            beta = residual(&run.x, ax, raw, r)?;
         }
     };
+    if let (Some(space), Some(start)) = (recycle, start) {
+        space.try_harvest(op, ip, &start, &run.x)?;
+    }
     Ok(run.finish(status))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gmres::tests::{classical, laplacian_2d, residual, FailAfter, Loop, VecSink};
+    use crate::gmres::Side;
+    use crate::pipelined::tests::{fused, overlapped};
     use dd_linalg::DenseQr;
+    use std::cell::Cell;
+
+    /// Every loop resumes: the operator dies mid-solve, and the solve
+    /// resumed from the newest checkpoint on the healthy operator is the
+    /// uninterrupted one — same iterations, history and `x`, bit for bit,
+    /// against the original anchor. The checkpoint cadence is the restart
+    /// length, so every snapshot is a cycle's end iterate (in p1-GMRES too:
+    /// a snapshot at iteration `k` holds the `k` columns final by then) and
+    /// the resumed cycle is the one the uninterrupted solve ran next. A
+    /// snapshot taken mid-cycle resumes into an early restart instead, which
+    /// loses the Krylov space built so far and can cost iterations.
+    #[test]
+    fn resume_equals_uninterrupted_for_every_loop() {
+        let a = laplacian_2d(12, 12);
+        let n = a.rows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin()).collect();
+        let interval = 10;
+        let loops: [(&str, Loop, Side); 4] = [
+            ("classical-left", classical, Side::Left),
+            ("classical-right", classical, Side::Right),
+            ("pipelined", overlapped, Side::Left),
+            ("fused", fused, Side::Left),
+        ];
+        for (name, solve, side) in loops {
+            let opts = GmresOpts {
+                restart: interval,
+                tol: 1e-8,
+                max_iters: 2000,
+                side,
+                ..Default::default()
+            };
+            let clean = solve(&a, &b, &opts, None, None).unwrap();
+            assert!(clean.converged, "{name}");
+            let failing = FailAfter {
+                inner: &a,
+                budget: Cell::new(clean.iterations * 2 / 3),
+            };
+            let sink = VecSink::new();
+            let cfg = CheckpointCfg::new(interval, &sink);
+            let err = solve(&failing, &b, &opts, Some(&cfg), None).unwrap_err();
+            assert!(err.reason().contains("budget"), "{name}");
+            let cp = sink
+                .0
+                .borrow()
+                .last()
+                .cloned()
+                .expect("a checkpoint before the kill");
+            let resume_at = cp.iteration;
+            assert!(
+                resume_at > 0 && resume_at % interval == 0,
+                "{name}: {resume_at}"
+            );
+            // The original anchor: ‖b‖ from the zero guess (identity
+            // preconditioner).
+            let anchor = vector::norm2(&b);
+            assert!((cp.r0_norm - anchor).abs() <= 1e-14 * anchor, "{name}");
+            let sink = VecSink::new();
+            let cfg = CheckpointCfg::resuming(interval, &sink, cp);
+            let res = solve(&a, &b, &opts, Some(&cfg), None).unwrap();
+            assert!(res.converged, "{name}: resumed solve must converge");
+            assert!(
+                res.iterations > resume_at,
+                "{name}: iterations are cumulative"
+            );
+            assert_eq!(res.iterations, clean.iterations, "{name}");
+            assert_eq!(res.history, clean.history, "{name}");
+            assert_eq!(res.x, clean.x, "{name}");
+            assert!(res.final_residual <= opts.tol, "{name}");
+            assert!(residual(&a, &res.x, &b) <= 2.0 * opts.tol, "{name}");
+        }
+    }
 
     /// Rotate the columns of a 5 × 4 Hessenberg matrix in one by one and
     /// back-substitute: after column `k` the residual and the solution are

@@ -9,11 +9,13 @@
 //! only while the arrival gap stays within `coalesce_window`; its dispatch
 //! instant is the arrival of its last member.
 //!
-//! Within a batch the solves share one Krylov recycle space
-//! (`dd_krylov::try_gmres_multi` processes the block sequentially,
-//! harvesting each solution increment), so splitting or merging batches of
-//! the same θ changes *scheduling* only: the per-RHS iteration counts are
-//! identical either way — a property the test wall pins.
+//! The solves of one operator share its Krylov recycle space, batch after
+//! batch: the server solves each right-hand side in stream order, and each
+//! solve corrects its start over the space and banks its increment (the
+//! GMRES restart driver does both, under every Krylov loop). So splitting
+//! or merging batches of the same θ changes *scheduling* only: the per-RHS
+//! iteration counts are identical either way — a property the test wall
+//! pins.
 
 use crate::stream::Request;
 

@@ -474,10 +474,7 @@ fn serve_batch(
             continue;
         }
         let rhs = workload.requests[it.req].rhs(it.rhs);
-        let out = match op_override {
-            None => resident.try_apply_recycled(rhs, "serve-apply", space)?,
-            Some(d) => resident.try_apply_on(d, rhs, "serve-apply", Some(space))?,
-        };
+        let out = resident.try_apply_on(op_override, rhs, "serve-apply", None, Some(space))?;
         let meta = SolveMeta {
             iterations: out.result.iterations,
             converged: out.result.converged,

@@ -379,7 +379,7 @@ fn sequential_rows(rows: &mut BTreeMap<String, String>) {
         max_iters: 120,
         ..Default::default()
     };
-    let res = pipelined_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &opts).unwrap();
+    let res = pipelined_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &opts, None, None).unwrap();
     rows.insert(
         "sequential/random_spd/pipelined".to_string(),
         sequential_row(&res).json(),

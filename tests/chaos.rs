@@ -9,7 +9,7 @@
 //! delay-only and drop-with-retry scenarios must converge in exactly the
 //! iteration count of the fault-free baseline.
 
-use dd_geneo::comm::{CommError, CostModel, FaultPlan, TagClass, World};
+use dd_geneo::comm::{CommError, CostModel, EventKind, FaultPlan, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, repartition_plan, try_run_spmd, try_run_spmd_elastic, try_run_spmd_recoverable,
@@ -327,16 +327,20 @@ fn assert_recovered(
     victim: usize,
     kill_phase: &str,
 ) -> Vec<SpmdReport> {
-    assert_recovered_in(decomp, results, victim, &[kill_phase])
+    // The solver tolerance (1e-6 on the right-preconditioned, true residual)
+    // with a small slack.
+    assert_recovered_in(decomp, results, victim, &[kill_phase], 1e-5)
 }
 
 /// [`assert_recovered`] for a kill whose victim may learn of it in any of
-/// `kill_phases`.
+/// `kill_phases`, holding the recovered solution to a true residual of at
+/// most `rr_max`.
 fn assert_recovered_in(
     decomp: &Arc<Decomposition>,
     results: &[RecResult],
     victim: usize,
     kill_phases: &[&str],
+    rr_max: f64,
 ) -> Vec<SpmdReport> {
     match &results[victim] {
         Err(SpmdError::Killed { rank, phase }) => {
@@ -387,16 +391,25 @@ fn assert_recovered_in(
         epochs.windows(2).all(|w| w[0] == w[1]),
         "survivors disagree on the recovery epoch: {epochs:?}"
     );
-    // Same-tolerance acceptance: the recovered global solution satisfies
-    // the solver tolerance (1e-6 on the preconditioned residual; a small
-    // slack absorbs the preconditioned-vs-true residual gap).
+    // Same-tolerance acceptance: the recovered global solution meets the
+    // fault-free bar.
     let x_rec = reassemble(decomp, results);
     let rr = global_residual(decomp, &x_rec);
     assert!(
-        rr <= 1e-5,
-        "recovered residual {rr:e} misses the fault-free tolerance"
+        rr <= rr_max,
+        "recovered residual {rr:e} misses the fault-free bar {rr_max:e}"
     );
     reports
+}
+
+/// The bar a recovered solve under `o` is held to when its loop is
+/// left-preconditioned (the pipelined ones always are): twice the true
+/// residual of a fault-free run. Its tolerance is on the preconditioned
+/// residual, and on this contrast-3·10⁶ problem the true residual of even a
+/// fault-free solve sits orders of magnitude above that.
+fn fault_free_bar(decomp: &Arc<Decomposition>, o: &SpmdOpts) -> f64 {
+    let results = run_recoverable_with_plan(decomp, o, FaultPlan::default());
+    2.0 * global_residual(decomp, &reassemble(decomp, &results))
 }
 
 #[test]
@@ -519,12 +532,12 @@ fn kill_at_deflation_recovers_with_redundant_coarse() {
 }
 
 #[test]
-fn fused_solver_recovers_on_the_classical_loop_never_a_panic() {
-    // Only the classical loop checkpoints and resumes, so whatever
-    // `opts.solver` says, a recovered epoch runs classical GMRES. Rank 3
-    // dies in the set-up of epoch 0 (before the fused loop starts); rank 1
-    // then dies *inside the recovered epoch's solve*, which must surface
-    // typed and recover a second time.
+fn fused_solver_recovers_on_the_fused_loop_never_a_panic() {
+    // Every loop checkpoints and resumes, so a recovered epoch runs the
+    // loop `opts.solver` names. Rank 3 dies in the set-up of epoch 0
+    // (before the fused loop starts); rank 1 then dies *inside the
+    // recovered epoch's solve*, which must surface typed and recover a
+    // second time — on the fused loop again, as the trace shows.
     let decomp = setup(12, 4);
     let o = SpmdOpts {
         solver: SolverKind::Fused,
@@ -535,12 +548,16 @@ fn fused_solver_recovers_on_the_classical_loop_never_a_panic() {
         },
         ..opts()
     };
-    let results = run_recoverable_with_plan(
-        &decomp,
-        &o,
+    let bar = fault_free_bar(&decomp, &o);
+    let (d2, o2) = (Arc::clone(&decomp), o.clone());
+    let store = Arc::new(CheckpointStore::new());
+    let (results, trace) = World::run_traced_with_faults(
+        decomp.n_subdomains(),
+        CostModel::default(),
         FaultPlan::new(43)
             .with_kill(3, "deflation")
             .with_kill(1, "solve-iteration-2"),
+        move |comm| try_run_spmd_recoverable(&d2, comm, &o2, &store).map(|s| (s.report, s.locals)),
     );
     for (rank, res) in results.iter().enumerate() {
         match res {
@@ -561,7 +578,31 @@ fn fused_solver_recovers_on_the_classical_loop_never_a_panic() {
         }
     }
     let rr = global_residual(&decomp, &reassemble(&decomp, &results));
-    assert!(rr <= 1e-5, "recovered residual {rr:e} misses the tolerance");
+    assert!(
+        rr <= bar,
+        "recovered residual {rr:e} misses the bar {bar:e}"
+    );
+    // The recovered epochs ran the fused loop: its Gram rows ride the
+    // masters' `iallreduce`, and the loop has no v-variant collective
+    // (`conformance`'s signature of the §3.5 loop). The classical loop
+    // posts no `iallreduce` at all; the overlapped one posts it on the
+    // world communicator.
+    let phase = "recovery-solve";
+    let mut iallreduces = 0;
+    for (rank, e) in trace.events_in_phase(phase) {
+        if let EventKind::Collective { op, comm, .. } = &e.kind {
+            if *op == "iallreduce" {
+                iallreduces += 1;
+                assert_eq!(
+                    trace.ranks[rank].comm_label(*comm),
+                    "masterComm",
+                    "rank {rank}: an `iallreduce` off the masters in {phase}"
+                );
+            }
+        }
+    }
+    assert!(iallreduces > 0, "no masters' `iallreduce` in {phase}");
+    assert_eq!(trace.phase_totals(phase).collectives_v, 0);
 }
 
 /// [`opts`] at a tolerance the left-preconditioned two-level solve needs
@@ -576,14 +617,18 @@ fn opts_reaching_iteration_2(solver: SolverKind) -> SpmdOpts {
 
 /// A rank dies inside the pipelined or the fused loop of the *nominal*
 /// attempt — no set-up death first. Every collective of those loops is
-/// fallible, so the survivors get a typed error, shrink, and finish on the
-/// classical loop from zero (the pipelined loops write no checkpoints).
+/// fallible, so the survivors get a typed error, shrink, and resume the
+/// same loop from the last globally complete checkpoint (every loop
+/// writes them; the cadence here is every iteration, so one exists before
+/// the kill).
 #[test]
 fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
     let decomp = setup(12, 4);
     for (solver, seed) in [(SolverKind::Pipelined, 47), (SolverKind::Fused, 53)] {
         let mut o = opts_reaching_iteration_2(solver);
         o.recovery.enabled = true;
+        o.recovery.checkpoint_interval = 1;
+        let bar = fault_free_bar(&decomp, &o);
         let results = run_recoverable_with_plan(
             &decomp,
             &o,
@@ -593,9 +638,14 @@ fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
         // it); the victim learns of its death at the agreement its next
         // failed exchange, post or wait sends it to — in the solve phase,
         // or in the cooperative coarse solve nested in it.
-        let reports = assert_recovered_in(&decomp, &results, 1, &["solve", "e-solve-dist"]);
+        let reports = assert_recovered_in(&decomp, &results, 1, &["solve", "e-solve-dist"], bar);
         for r in &reports {
-            assert_eq!(r.run.recoveries[0].resume_iteration, None, "{solver:?}");
+            let resume = r.run.recoveries[0].resume_iteration;
+            assert!(
+                matches!(resume, Some(j) if (1..=2).contains(&j)),
+                "{solver:?}: survivors must resume from a checkpoint, got {resume:?}"
+            );
+            assert!(r.iterations > resume.unwrap(), "{solver:?}");
         }
     }
 }

@@ -228,8 +228,18 @@ fn gmres_with_reused_workspace_is_bitwise_identical() {
         let fresh = try_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &opts, None).unwrap();
         // The same workspace is reused across all four configurations —
         // stale pool contents must never leak into the next solve.
-        let reused =
-            try_gmres_with(&a, &IdentityPrecond, &SeqDot, &b, &x0, &opts, None, &mut ws).unwrap();
+        let reused = try_gmres_with(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &x0,
+            &opts,
+            None,
+            None,
+            &mut ws,
+        )
+        .unwrap();
         assert_eq!(fresh.x, reused.x, "trial {trial}: x differs");
         assert_eq!(fresh.iterations, reused.iterations, "trial {trial}");
         assert_eq!(fresh.history, reused.history, "trial {trial}");
