@@ -290,11 +290,11 @@ impl Run<'_> {
 ///
 /// The solve starts at `x0`, or at the checkpoint `ckpt` resumes. Its
 /// target is `tol ×` the anchor: the residual norm at that start, or the
-/// checkpoint's anchor. With a `recycle` space the start is then corrected
-/// over the banked directions (from the true residual already formed
-/// there), the first cycle starts from the residual at the corrected guess,
-/// and the increment the cycles made is banked at exit. Without one, the
-/// anchor's residual is the first cycle's.
+/// checkpoint's anchor. Without a `recycle` space the anchor's residual is
+/// the first cycle's. With one, the start is corrected over the banked
+/// directions from the true residual already formed there, the first cycle
+/// starts from the residual at the corrected guess, and the increment the
+/// cycles made is banked at exit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve<O, M, P>(
     op: &O,
@@ -318,7 +318,7 @@ where
     assert_eq!(x0.len(), n);
     let Skeleton { ax, raw, r, ls } = sk;
     let resume = ckpt.and_then(|c| c.resume.as_ref());
-    let mut x = match resume {
+    let x = match resume {
         Some(cp) => {
             assert_eq!(cp.x.len(), n);
             cp.x.clone()
@@ -352,18 +352,6 @@ where
     // solve converges against the *original* solve's anchor so the combined
     // run meets the same tolerance as a fault-free one.
     let r0_norm = resume.map_or(beta, |cp| cp.r0_norm);
-    // With a recycle space: correct the start from the true residual just
-    // formed there, and keep the guess the cycles start from to harvest
-    // their increment.
-    let start = match recycle.as_deref() {
-        Some(space) => {
-            if space.try_improve_guess(ip, raw, &mut x)? {
-                beta = residual(&x, ax, raw, r)?;
-            }
-            Some(x.clone())
-        }
-        None => None,
-    };
     let mut run = Run {
         x,
         history,
@@ -381,59 +369,71 @@ where
         ckpt,
         ls,
     };
-    let status = if r0_norm == 0.0 {
+    if r0_norm == 0.0 {
         run.final_res = 0.0;
-        SolveStatus::Converged
-    } else if !r0_norm.is_finite() {
+        return Ok(run.finish(SolveStatus::Converged));
+    }
+    if !r0_norm.is_finite() {
         // The input itself is broken; no restart can fix it.
         run.final_res = f64::INFINITY;
-        SolveStatus::Breakdown
-    } else {
-        loop {
-            if beta <= run.target {
-                run.final_res = beta / r0_norm;
-                break SolveStatus::Converged;
+        return Ok(run.finish(SolveStatus::Breakdown));
+    }
+    // With a recycle space: correct the start from the true residual just
+    // formed there, and keep the guess the cycles start from to harvest
+    // their increment.
+    let start = match recycle.as_deref() {
+        Some(space) => {
+            if space.try_improve_guess(ip, raw, &mut run.x)? {
+                beta = residual(&run.x, ax, raw, r)?;
             }
-            if let Some(g) = &opts.guard {
-                // The recurred estimate from the previous cycle against the
-                // residual just recomputed: drift past the guard's threshold
-                // (or a non-finite recomputation) means the basis or the
-                // iterate was corrupted — hand the caller a typed interrupt
-                // to roll back and replay instead of iterating on poison.
-                // Mild drift falls through: the fresh cycle self-corrects it.
-                if g.drifted(run.final_res, beta / r0_norm) {
-                    return Err(g.interrupt(run.iterations, run.final_res, beta / r0_norm));
-                }
+            Some(run.x.clone())
+        }
+        None => None,
+    };
+    let status = loop {
+        if beta <= run.target {
+            run.final_res = beta / r0_norm;
+            break SolveStatus::Converged;
+        }
+        if let Some(g) = &opts.guard {
+            // The recurred estimate from the previous cycle against the
+            // residual just recomputed: drift past the guard's threshold
+            // (or a non-finite recomputation) means the basis or the
+            // iterate was corrupted — hand the caller a typed interrupt to
+            // roll back and replay instead of iterating on poison. Mild
+            // drift falls through: the fresh cycle self-corrects it.
+            if g.drifted(run.final_res, beta / r0_norm) {
+                return Err(g.interrupt(run.iterations, run.final_res, beta / r0_norm));
             }
-            if !beta.is_finite() {
-                // The iterate itself is poisoned; a restart cannot recover.
+        }
+        if !beta.is_finite() {
+            // The iterate itself is poisoned; a restart cannot recover.
+            break SolveStatus::Breakdown;
+        }
+        run.ls.reset(beta);
+        run.k_done = 0;
+        run.cycle_broken = false;
+        // dd:hot — the Arnoldi cycle
+        let Updated(()) = cycle(&mut run, r, beta)?;
+        if run.converged {
+            break SolveStatus::Converged;
+        }
+        if run.iterations >= opts.max_iters {
+            break SolveStatus::MaxIterations;
+        }
+        if run.cycle_broken {
+            if run.breakdown_restarts > 0 {
                 break SolveStatus::Breakdown;
             }
-            run.ls.reset(beta);
-            run.k_done = 0;
-            run.cycle_broken = false;
-            // dd:hot — the Arnoldi cycle
-            let Updated(()) = cycle(&mut run, r, beta)?;
-            if run.converged {
-                break SolveStatus::Converged;
-            }
-            if run.iterations >= opts.max_iters {
-                break SolveStatus::MaxIterations;
-            }
-            if run.cycle_broken {
-                if run.breakdown_restarts > 0 {
-                    break SolveStatus::Breakdown;
-                }
-                // One restart: rebuild the Krylov space from the current
-                // iterate before giving up.
-                run.breakdown_restarts += 1;
-                run.best_res = f64::INFINITY;
-                run.stall = 0;
-            }
-            // Residual at the start of the next cycle, recomputed from the
-            // iterate.
-            beta = residual(&run.x, ax, raw, r)?;
+            // One restart: rebuild the Krylov space from the current
+            // iterate before giving up.
+            run.breakdown_restarts += 1;
+            run.best_res = f64::INFINITY;
+            run.stall = 0;
         }
+        // Residual at the start of the next cycle, recomputed from the
+        // iterate.
+        beta = residual(&run.x, ax, raw, r)?;
     };
     if let (Some(space), Some(start)) = (recycle, start) {
         space.try_harvest(op, ip, &start, &run.x)?;
