@@ -28,7 +28,9 @@
 //! 5. the solve resumes from the last *globally complete* checkpoint in
 //!    the [`CheckpointStore`] (or from zero when death struck before the
 //!    first checkpoint), converging against the original `‖r₀‖` anchor so
-//!    the recovered run meets the same tolerance as a fault-free one.
+//!    the recovered run meets the same tolerance as a fault-free one (a
+//!    left-preconditioned loop forms that anchor again under the rebuilt
+//!    preconditioner).
 //!
 //! Every blocking receive of a recovered or elastic epoch runs under a
 //! bounded [`RetryPolicy`] ([`RetryPolicy::bounded_jittered`], set by the

@@ -30,7 +30,10 @@ pub struct SolveCheckpoint {
     pub residual: f64,
     /// The original solve's residual anchor (`‖r₀‖` for GMRES, `√(r₀ᵀz₀)`
     /// for PCG). A resumed solve converges against `tol · r0_norm`, not a
-    /// fresh anchor computed from the checkpointed iterate.
+    /// fresh anchor computed from the checkpointed iterate. A
+    /// left-preconditioned GMRES resume forms this anchor again at its `x0`
+    /// under the preconditioner it runs with, which may have been rebuilt
+    /// since the snapshot.
     pub r0_norm: f64,
     /// Relative residual history up to and including the snapshot
     /// (empty when the solve ran with `record_history: false`).
@@ -53,9 +56,11 @@ pub struct CheckpointCfg<'a> {
     /// Receives the snapshots.
     pub sink: &'a dyn CheckpointSink,
     /// Resume state from a previous (interrupted) solve. When set, the
-    /// solver starts from `resume.x` (ignoring its `x0` argument), counts
-    /// iterations from `resume.iteration`, converges against
-    /// `resume.r0_norm`, and extends `resume.history`.
+    /// solver starts from `resume.x`, counts iterations from
+    /// `resume.iteration`, converges against `resume.r0_norm`, and extends
+    /// `resume.history`. Its `x0` argument is then only where a
+    /// left-preconditioned GMRES forms its anchor again (see
+    /// [`SolveCheckpoint::r0_norm`]).
     pub resume: Option<SolveCheckpoint>,
 }
 

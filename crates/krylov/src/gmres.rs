@@ -841,6 +841,15 @@ pub(crate) mod tests {
         Option<&mut RecycleSpace>,
     ) -> Result<SolveResult, SolveInterrupt>;
 
+    /// Every loop with the side it runs on: the classical loop on both, the
+    /// pipelined ones on the left (whatever `opts.side` says).
+    pub(crate) const LOOPS: [(&str, Loop, Side); 4] = [
+        ("classical-left", classical, Side::Left),
+        ("classical-right", classical, Side::Right),
+        ("pipelined", crate::pipelined::tests::overlapped, Side::Left),
+        ("fused", crate::pipelined::tests::fused, Side::Left),
+    ];
+
     /// An armed guard accepts a clean solve, with the iterates of the
     /// unguarded one.
     pub(crate) fn check_guard_confirms_clean_convergence(solve: Loop, tol: f64) {

@@ -289,12 +289,17 @@ impl Run<'_> {
 /// the longest cycle the body builds.
 ///
 /// The solve starts at `x0`, or at the checkpoint `ckpt` resumes. Its
-/// target is `tol ×` the anchor: the residual norm at that start, or the
-/// checkpoint's anchor. Without a `recycle` space the anchor's residual is
-/// the first cycle's. With one, the start is corrected over the banked
-/// directions from the true residual already formed there, the first cycle
-/// starts from the residual at the corrected guess, and the increment the
-/// cycles made is banked at exit.
+/// target is `tol ×` the anchor, the residual norm at `x0`. A resumed solve
+/// takes the checkpoint's anchor under right preconditioning; under left it
+/// forms the anchor again under the preconditioner it runs with, which may
+/// have been rebuilt since the checkpoint was written (a recovered epoch),
+/// so that anchor and residuals are measured under one preconditioner. An
+/// unchanged preconditioner gives the checkpoint's anchor back, bit for
+/// bit. Without a `recycle` space the anchor's residual is the first
+/// cycle's. With one, the start is corrected over the banked directions
+/// from the true residual already formed there, the first cycle starts from
+/// the residual at the corrected guess, and the increment the cycles made
+/// is banked at exit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve<O, M, P>(
     op: &O,
@@ -347,11 +352,17 @@ where
         }
         ip.try_norm(r)
     };
-    let mut beta = residual(&x, ax, raw, r)?;
-    // The anchor: the start's residual, true or preconditioned. A resumed
+    // The anchor: the residual at `x0`, true or preconditioned. A resumed
     // solve converges against the *original* solve's anchor so the combined
-    // run meets the same tolerance as a fault-free one.
-    let r0_norm = resume.map_or(beta, |cp| cp.r0_norm);
+    // run meets the same tolerance as a fault-free one; a preconditioned
+    // anchor is formed again under the current preconditioner.
+    let resumed_anchor = match resume {
+        Some(cp) if left.is_none() => Some(cp.r0_norm),
+        Some(_) => Some(residual(x0, ax, raw, r)?),
+        None => None,
+    };
+    let mut beta = residual(&x, ax, raw, r)?;
+    let r0_norm = resumed_anchor.unwrap_or(beta);
     let mut run = Run {
         x,
         history,
@@ -444,11 +455,46 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gmres::tests::{classical, laplacian_2d, residual, FailAfter, Loop, VecSink};
+    use crate::gmres::tests::{laplacian_2d, residual, FailAfter, Loop, VecSink, LOOPS};
     use crate::gmres::Side;
-    use crate::pipelined::tests::{fused, overlapped};
-    use dd_linalg::DenseQr;
+    use dd_linalg::{CsrMatrix, DenseQr};
     use std::cell::Cell;
+
+    /// The newest checkpoint (every `interval` iterations) of `solve` on
+    /// `a`, written before the operator dies after `budget` applications.
+    fn checkpoint_before_kill(
+        solve: Loop,
+        a: &CsrMatrix,
+        b: &[f64],
+        opts: &GmresOpts,
+        interval: usize,
+        budget: usize,
+    ) -> SolveCheckpoint {
+        let failing = FailAfter {
+            inner: a,
+            budget: Cell::new(budget),
+        };
+        let sink = VecSink::new();
+        let cfg = CheckpointCfg::new(interval, &sink);
+        let err = solve(&failing, b, opts, Some(&cfg), None).unwrap_err();
+        assert!(err.reason().contains("budget"));
+        let cp = sink.0.borrow().last().cloned();
+        cp.expect("a checkpoint before the kill")
+    }
+
+    /// `solve` on the healthy `a`, resumed from `cp` (and writing no
+    /// snapshot of its own).
+    fn resume(
+        solve: Loop,
+        a: &CsrMatrix,
+        b: &[f64],
+        opts: &GmresOpts,
+        cp: SolveCheckpoint,
+    ) -> SolveResult {
+        let sink = VecSink::new();
+        let cfg = CheckpointCfg::resuming(usize::MAX, &sink, cp);
+        solve(a, b, opts, Some(&cfg), None).unwrap()
+    }
 
     /// Every loop resumes: the operator dies mid-solve, and the solve
     /// resumed from the newest checkpoint on the healthy operator is the
@@ -456,22 +502,19 @@ mod tests {
     /// against the original anchor. The checkpoint cadence is the restart
     /// length, so every snapshot is a cycle's end iterate (in p1-GMRES too:
     /// a snapshot at iteration `k` holds the `k` columns final by then) and
-    /// the resumed cycle is the one the uninterrupted solve ran next. A
-    /// snapshot taken mid-cycle resumes into an early restart instead, which
-    /// loses the Krylov space built so far and can cost iterations.
+    /// the resumed cycle is the one the uninterrupted solve ran next.
+    ///
+    /// A left-preconditioned loop also resumes bit for bit from a snapshot
+    /// written under another preconditioner, `1024·I`: that snapshot is this
+    /// one with a 1024 times larger anchor (a power of two scales exactly),
+    /// and the resume forms its anchor again under `I`.
     #[test]
     fn resume_equals_uninterrupted_for_every_loop() {
         let a = laplacian_2d(12, 12);
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin()).collect();
         let interval = 10;
-        let loops: [(&str, Loop, Side); 4] = [
-            ("classical-left", classical, Side::Left),
-            ("classical-right", classical, Side::Right),
-            ("pipelined", overlapped, Side::Left),
-            ("fused", fused, Side::Left),
-        ];
-        for (name, solve, side) in loops {
+        for (name, solve, side) in LOOPS {
             let opts = GmresOpts {
                 restart: interval,
                 tol: 1e-8,
@@ -481,20 +524,8 @@ mod tests {
             };
             let clean = solve(&a, &b, &opts, None, None).unwrap();
             assert!(clean.converged, "{name}");
-            let failing = FailAfter {
-                inner: &a,
-                budget: Cell::new(clean.iterations * 2 / 3),
-            };
-            let sink = VecSink::new();
-            let cfg = CheckpointCfg::new(interval, &sink);
-            let err = solve(&failing, &b, &opts, Some(&cfg), None).unwrap_err();
-            assert!(err.reason().contains("budget"), "{name}");
-            let cp = sink
-                .0
-                .borrow()
-                .last()
-                .cloned()
-                .expect("a checkpoint before the kill");
+            let cp =
+                checkpoint_before_kill(solve, &a, &b, &opts, interval, clean.iterations * 2 / 3);
             let resume_at = cp.iteration;
             assert!(
                 resume_at > 0 && resume_at % interval == 0,
@@ -504,19 +535,70 @@ mod tests {
             // preconditioner).
             let anchor = vector::norm2(&b);
             assert!((cp.r0_norm - anchor).abs() <= 1e-14 * anchor, "{name}");
-            let sink = VecSink::new();
-            let cfg = CheckpointCfg::resuming(interval, &sink, cp);
-            let res = solve(&a, &b, &opts, Some(&cfg), None).unwrap();
+            let mut starts = vec![cp.clone()];
+            if side == Side::Left {
+                starts.push(SolveCheckpoint {
+                    r0_norm: 1024.0 * cp.r0_norm,
+                    ..cp
+                });
+            }
+            for cp in starts {
+                let res = resume(solve, &a, &b, &opts, cp);
+                assert!(res.converged, "{name}: resumed solve must converge");
+                assert!(
+                    res.iterations > resume_at,
+                    "{name}: iterations are cumulative"
+                );
+                assert_eq!(res.iterations, clean.iterations, "{name}");
+                assert_eq!(res.history, clean.history, "{name}");
+                assert_eq!(res.x, clean.x, "{name}");
+                assert!(res.final_residual <= opts.tol, "{name}");
+                assert!(residual(&a, &res.x, &b) <= 2.0 * opts.tol, "{name}");
+            }
+        }
+    }
+
+    /// Every loop resumes from a snapshot taken mid-cycle — what recovery
+    /// meets, at a checkpoint every iteration. The resume restarts early
+    /// and loses the Krylov space built so far, so it is not the
+    /// uninterrupted solve, and the bound `uninterrupted + interval + 1`
+    /// does not hold for it: below, every loop resumes at iteration 18 and
+    /// takes 48 iterations against 43 + 3 + 1. It still converges, counts
+    /// iterations on from the snapshot, and meets the same tolerance.
+    #[test]
+    fn a_mid_cycle_resume_converges_to_the_same_tolerance_for_every_loop() {
+        let a = laplacian_2d(12, 12);
+        let n = a.rows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin()).collect();
+        let interval = 3;
+        for (name, solve, side) in LOOPS {
+            let opts = GmresOpts {
+                restart: 30,
+                tol: 1e-8,
+                max_iters: 2000,
+                side,
+                ..Default::default()
+            };
+            let clean = solve(&a, &b, &opts, None, None).unwrap();
+            assert!(clean.converged, "{name}");
+            let cp = checkpoint_before_kill(solve, &a, &b, &opts, interval, 20);
+            let resume_at = cp.iteration;
+            assert!(
+                resume_at > 0 && resume_at % opts.restart != 0,
+                "{name}: {resume_at}"
+            );
+            let res = resume(solve, &a, &b, &opts, cp);
             assert!(res.converged, "{name}: resumed solve must converge");
             assert!(
                 res.iterations > resume_at,
                 "{name}: iterations are cumulative"
             );
-            assert_eq!(res.iterations, clean.iterations, "{name}");
-            assert_eq!(res.history, clean.history, "{name}");
-            assert_eq!(res.x, clean.x, "{name}");
-            assert!(res.final_residual <= opts.tol, "{name}");
-            assert!(residual(&a, &res.x, &b) <= 2.0 * opts.tol, "{name}");
+            assert_eq!(res.history.len(), res.iterations + 1, "{name}");
+            let (r_res, r_clean) = (residual(&a, &res.x, &b), residual(&a, &clean.x, &b));
+            assert!(
+                r_res <= 10.0 * r_clean + 1e-12,
+                "{name}: {r_res:e} vs {r_clean:e}"
+            );
         }
     }
 

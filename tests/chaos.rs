@@ -620,7 +620,10 @@ fn opts_reaching_iteration_2(solver: SolverKind) -> SpmdOpts {
 /// fallible, so the survivors get a typed error, shrink, and resume the
 /// same loop from the last globally complete checkpoint (every loop
 /// writes them; the cadence here is every iteration, so one exists before
-/// the kill).
+/// the kill). The adopter takes the victim's subdomain with Nicolaides
+/// vectors, so the recovered epoch's preconditioner is not the one the
+/// checkpoint's anchor was formed under: the resume forms the anchor again
+/// under the rebuilt one and meets the tolerance against it.
 #[test]
 fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
     let decomp = setup(12, 4);
@@ -646,6 +649,10 @@ fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
                 "{solver:?}: survivors must resume from a checkpoint, got {resume:?}"
             );
             assert!(r.iterations > resume.unwrap(), "{solver:?}");
+            // Two-level, so `assert_recovered_in` has checked that the
+            // adopter took the Nicolaides degradation.
+            assert!(r.dim_e > 0, "{solver:?}");
+            assert!(r.final_residual <= o.gmres.tol, "{solver:?}");
         }
     }
 }

@@ -33,8 +33,8 @@ fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
 }
 
 /// The server and the one-shot reference solve with the same tolerance:
-/// 1e-12 buys the 1e-10 differential margin of [`assert_differential`] (the
-/// precedent set by the elastic differential suite).
+/// 1e-12 buys the 1e-10 differential margin (the precedent set by the
+/// elastic differential suite).
 fn serve_opts() -> ServeOpts {
     ServeOpts {
         spmd: SpmdOpts {
@@ -108,8 +108,7 @@ fn one_shot_counted(
     (reassemble(&d, sols.iter().map(|s| &s.locals)), iterations)
 }
 
-/// Every response of `report` against its own fresh one-shot run, to a
-/// hundred times the solver tolerance.
+/// Every response of `report` against its own fresh one-shot run.
 fn assert_differential(
     decomp: &Decomposition,
     opts: &ServeOpts,
@@ -122,7 +121,6 @@ fn assert_differential(
         workload.n_rhs_total(),
         "{what}: stream not fully answered"
     );
-    let bound = 100.0 * opts.spmd.gmres.tol;
     for r in &report.responses {
         assert!(
             r.converged,
@@ -133,7 +131,7 @@ fn assert_differential(
         let xr = one_shot(decomp, &opts.spmd, req.theta(), req.rhs(r.rhs));
         let rel = rel_dist(&r.x, &xr);
         assert!(
-            rel < bound,
+            rel < 1e-10,
             "{what}: response ({}, {}) diverged from one-shot: rel {rel:e} (theta {})",
             r.req,
             r.rhs,
@@ -615,8 +613,8 @@ fn batch_split_merge_preserves_iterations_and_bits() {
 }
 
 /// Krylov recycling across the stream helps and never hurts the total
-/// iteration bill under every Krylov loop, and the answers stay exact
-/// either way. A right-hand side repeated while its solve is still in the
+/// iteration bill, and the answers stay exact either way. Under every
+/// Krylov loop, a right-hand side repeated while its solve is still in the
 /// space takes strictly fewer iterations recycled than cold.
 #[test]
 fn recycling_never_increases_total_iterations() {
@@ -628,8 +626,10 @@ fn recycling_never_increases_total_iterations() {
         perturb_fraction: 0.0,
         ..Default::default()
     };
-    // The second request repeats the first one's last right-hand side.
-    let mut requests = Workload::generate(29, decomp.n_global, &cfg).requests;
+    let w = Workload::generate(29, decomp.n_global, &cfg);
+    // The same stream with a second request that repeats the first one's
+    // last right-hand side.
+    let mut requests = w.requests.clone();
     let first = &requests[0];
     let repeat = Payload::Rhs(first.rhs(first.n_rhs() - 1).to_vec());
     requests.insert(
@@ -643,27 +643,19 @@ fn recycling_never_increases_total_iterations() {
     for (id, r) in requests.iter_mut().enumerate() {
         r.id = id;
     }
-    let w = Workload::from_requests(requests);
-    for solver in [
-        SolverKind::Classical,
-        SolverKind::Pipelined,
-        SolverKind::Fused,
-    ] {
-        let mut recycled = serve_opts();
-        recycled.spmd.solver = solver;
-        // At 1e-12 a repeat already solved to the attainable accuracy has
-        // nothing left to shed; at 1e-9 recycling can show.
-        recycled.spmd.gmres.tol = 1e-9;
+    let w_repeat = Workload::from_requests(requests);
+    // The recycled and the cold report, after their total iterations are
+    // checked and the recycled answers against the one-shot solves.
+    let run_both = |recycled: &ServeOpts, w: &Workload, what: &str| {
         let mut cold = recycled.clone();
         cold.recycle_dim = 0;
-        let what = format!("{solver:?}");
         let a = assert_reports_agree(
-            &run_serve(&decomp, 4, 0, &recycled, FaultPlan::default(), &w),
-            &what,
+            &run_serve(&decomp, 4, 0, recycled, FaultPlan::default(), w),
+            what,
         );
         let b = assert_reports_agree(
-            &run_serve(&decomp, 4, 0, &cold, FaultPlan::default(), &w),
-            &what,
+            &run_serve(&decomp, 4, 0, &cold, FaultPlan::default(), w),
+            what,
         );
         let ia: usize = a.responses.iter().map(|r| r.iterations).sum();
         let ib: usize = b.responses.iter().map(|r| r.iterations).sum();
@@ -671,6 +663,22 @@ fn recycling_never_increases_total_iterations() {
             ia <= ib,
             "{what}: recycling increased the total iteration bill: {ia} > {ib}"
         );
+        assert_differential(&decomp, recycled, w, &a, what);
+        (a, b)
+    };
+    // The stream as generated, on the default loop. The p1 loops do not
+    // keep the total on it: recycled, two of its fifteen right-hand sides
+    // take 5 iterations instead of 4 (74 against 72).
+    run_both(&serve_opts(), &w, "Classical");
+    for solver in [
+        SolverKind::Classical,
+        SolverKind::Pipelined,
+        SolverKind::Fused,
+    ] {
+        let mut recycled = serve_opts();
+        recycled.spmd.solver = solver;
+        let what = format!("{solver:?}");
+        let (a, b) = run_both(&recycled, &w_repeat, &what);
         let repeated =
             |r: &ServeReport| r.responses.iter().find(|r| r.req == 1).unwrap().iterations;
         let (ra, rb) = (repeated(&a), repeated(&b));
@@ -678,6 +686,5 @@ fn recycling_never_increases_total_iterations() {
             ra < rb,
             "{what}: the repeated right-hand side took {ra} iterations recycled, {rb} cold"
         );
-        assert_differential(&decomp, &recycled, &w, &a, &what);
     }
 }
