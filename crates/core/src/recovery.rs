@@ -707,7 +707,12 @@ fn adoption_plan(
 ) -> RepartitionPlan {
     let departed = comm.departed_ranks();
     let owner_world = adoption_map(decomp, &departed, comm.world_ranks());
-    let adopted = departed.iter().map(|&s| (s, owner_world[s])).collect();
+    // A departed rank past the last subdomain hosted none and leaves none
+    // to adopt (its membership is one `hosts` rejects).
+    let adopted = departed
+        .iter()
+        .filter_map(|&s| Some((s, *owner_world.get(s)?)))
+        .collect();
     RepartitionPlan::new(comm, owner_world, adopted)
 }
 
