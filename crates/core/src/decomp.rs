@@ -128,6 +128,36 @@ impl Subdomain {
             None => self.a_dirichlet.csrmm(w),
         }
     }
+
+    /// `A_i(θ)` of [`Decomposition::perturb_diag`]: the Dirichlet matrix
+    /// with every non-Dirichlet diagonal entry scaled by `1 + θ`, and its
+    /// blocked companion rebuilt from it (it holds a copy of the values, so
+    /// it cannot go stale against the scaled CSR matrix).
+    pub fn perturbed_dirichlet(&self, theta: f64) -> (CsrMatrix, Option<BsrMatrix>) {
+        let mut a = self.a_dirichlet.clone();
+        scale_diag(&mut a, theta, &self.dirichlet);
+        let bsr = self
+            .a_dirichlet_bsr
+            .as_ref()
+            .and_then(|_| BsrMatrix::detect_padded(&a));
+        (a, bsr)
+    }
+}
+
+/// Scale every non-Dirichlet diagonal entry of `m` by `1 + θ`.
+fn scale_diag(m: &mut CsrMatrix, theta: f64, dirichlet: &[bool]) {
+    let (row_ptr, col_idx) = (m.row_ptr().to_vec(), m.col_idx().to_vec());
+    let vals = m.values_mut();
+    for i in 0..row_ptr.len() - 1 {
+        if dirichlet[i] {
+            continue;
+        }
+        for p in row_ptr[i]..row_ptr[i + 1] {
+            if col_idx[p] as usize == i {
+                vals[p] *= 1.0 + theta;
+            }
+        }
+    }
 }
 
 /// The full decomposition plus a reference global problem.
@@ -583,31 +613,11 @@ impl Decomposition {
     /// effective coarse space for `A(θ)` — `dd-serve` exploits this to
     /// reuse a resident [`crate::PreparedMulti`] across the family.
     pub fn perturb_diag(&self, theta: f64) -> Decomposition {
-        fn scale(m: &mut CsrMatrix, theta: f64, dirichlet: &[bool]) {
-            let (row_ptr, col_idx) = (m.row_ptr().to_vec(), m.col_idx().to_vec());
-            let vals = m.values_mut();
-            for i in 0..row_ptr.len() - 1 {
-                if dirichlet[i] {
-                    continue;
-                }
-                for p in row_ptr[i]..row_ptr[i + 1] {
-                    if col_idx[p] as usize == i {
-                        vals[p] *= 1.0 + theta;
-                    }
-                }
-            }
-        }
         let mut out = self.clone();
-        scale(&mut out.a_global, theta, &self.dirichlet);
+        scale_diag(&mut out.a_global, theta, &self.dirichlet);
         for sub in &mut out.subdomains {
-            let flags = sub.dirichlet.clone();
-            scale(&mut sub.a_dirichlet, theta, &flags);
-            scale(&mut sub.a_neumann, theta, &flags);
-            // The blocked companion holds a copy of the values: rebuild it
-            // so it cannot go stale against the scaled CSR matrix.
-            if sub.a_dirichlet_bsr.is_some() {
-                sub.a_dirichlet_bsr = BsrMatrix::detect_padded(&sub.a_dirichlet);
-            }
+            (sub.a_dirichlet, sub.a_dirichlet_bsr) = sub.perturbed_dirichlet(theta);
+            scale_diag(&mut sub.a_neumann, theta, &sub.dirichlet);
         }
         out
     }

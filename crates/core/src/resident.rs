@@ -39,7 +39,7 @@ use dd_krylov::{
     GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace, SolveInterrupt,
     SolveResult, SolveStatus,
 };
-use dd_linalg::{vector, CsrMatrix, DMat};
+use dd_linalg::{vector, BsrMatrix, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LocalLdlt, SparseLdlt};
 
 const TAG_X: u64 = 103; // SpMV / consistency exchanges
@@ -246,12 +246,55 @@ impl HaloPlan {
 
 // ------------------------------------------------------------ the applies
 
-/// What every apply of one solve shares: the communicator, the operator
-/// being solved (the resident decomposition or a layout-compatible
-/// override), the owned subdomains' concatenation, and the halo plan.
+/// One owned subdomain's `A_s` of the operator being solved, with its
+/// blocked companion when it has one.
+#[derive(Clone, Copy)]
+struct LocalA<'a> {
+    csr: &'a CsrMatrix,
+    bsr: Option<&'a BsrMatrix>,
+}
+
+impl LocalA<'_> {
+    /// `y ← A_s x`, through the blocked storage when there is one (bitwise
+    /// the CSR product).
+    fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        match self.bsr {
+            Some(b) => b.spmv(x, y),
+            None => self.csr.spmv(x, y),
+        }
+    }
+
+    /// `A_s W`, likewise.
+    fn mm(&self, w: &DMat) -> DMat {
+        match self.bsr {
+            Some(b) => b.bsrmm(w),
+            None => self.csr.csrmm(w),
+        }
+    }
+
+    fn nnz(&self) -> usize {
+        self.csr.nnz()
+    }
+}
+
+/// `A(θ) = A + θ·diag(A)` on the subdomains one rank owns: their Dirichlet
+/// matrices and blocked companions, scaled as [`Decomposition::perturb_diag`]
+/// scales them — all an admissible apply ([`PreparedMulti::try_apply_on`])
+/// reads of a perturbed operator. Built by [`PreparedMulti::perturbed`].
+pub struct PerturbedOperator {
+    /// `A_s(θ)` and its blocked companion, aligned with the owned subdomains.
+    a: Vec<(CsrMatrix, Option<BsrMatrix>)>,
+}
+
+/// What every apply of one solve shares: the communicator, the resident
+/// decomposition (partition of unity, restrictions), the `A_s` of the
+/// operator being solved (the resident one or a [`PerturbedOperator`]), the
+/// owned subdomains' concatenation, and the halo plan.
 struct MultiCtx<'a> {
     comm: &'a Communicator,
     decomp: &'a Decomposition,
+    /// `A_s` of the operator being solved, aligned with `owned`.
+    a: Vec<LocalA<'a>>,
     /// Subdomains this rank owns, ascending.
     owned: &'a [usize],
     /// Concatenation offsets of the owned subdomains' locals (len+1).
@@ -271,6 +314,14 @@ impl MultiCtx<'_> {
             .iter()
             .zip(self.starts.windows(2))
             .map(|(&s, w)| (s, w[0]..w[1]))
+    }
+
+    /// [`MultiCtx::spans`] with each subdomain's partition of unity and the
+    /// `A_s` being solved.
+    fn locals(&self) -> impl Iterator<Item = (&[f64], LocalA<'_>, std::ops::Range<usize>)> + '_ {
+        self.spans()
+            .zip(&self.a)
+            .map(|((s, span), a)| (self.decomp.subdomains[s].d.as_slice(), *a, span))
     }
 
     /// One halo round of `t.len()` columns (see [`HaloPlan::exchange_add`]).
@@ -302,12 +353,11 @@ impl<'a> MultiOp<'a> {
         let mut flops = 0u64;
         ctx.comm.compute(|| {
             w.copy_from_slice(x);
-            for (s, span) in ctx.spans() {
-                let sub = &ctx.decomp.subdomains[s];
+            for (d, a, span) in ctx.locals() {
                 let (w, t) = (&mut w[span.start..span.end], &mut t[span]);
-                vector::scale_by(&sub.d, w);
-                sub.spmv_dirichlet(w, t);
-                flops += (2 * sub.a_dirichlet.nnz() + sub.n_local()) as u64;
+                vector::scale_by(d, w);
+                a.spmv(w, t);
+                flops += (2 * a.nnz() + d.len()) as u64;
             }
         });
         ctx.comm.charge_flops(flops);
@@ -492,19 +542,18 @@ impl<'a> MultiRas<'a> {
         let mut flops = 0u64;
         ctx.comm.compute(|| {
             du.copy_from_slice(t);
-            for ((s, span), factor) in ctx.spans().zip(self.factors) {
-                let sub = &ctx.decomp.subdomains[s];
+            for ((d, a, span), factor) in ctx.locals().zip(self.factors) {
                 let u = &mut du[span.start..span.end];
                 factor.solve_in_place_with(u, &mut work);
-                vector::scale_by(&sub.d, u);
-                flops += (4 * factor.nnz_l() + sub.n_local()) as u64;
+                vector::scale_by(d, u);
+                flops += (4 * factor.nnz_l() + d.len()) as u64;
                 if az.is_some() {
-                    sub.spmv_dirichlet(u, &mut adu[span.start..span.end]);
-                    flops += 2 * sub.a_dirichlet.nnz() as u64;
+                    a.spmv(u, &mut adu[span.start..span.end]);
+                    flops += 2 * a.nnz() as u64;
                 }
                 if let Some(c) = &coarse {
                     vector::axpy(1.0, &c.wy[span.start..span.end], u);
-                    flops += 2 * sub.n_local() as u64;
+                    flops += 2 * d.len() as u64;
                 }
             }
         });
@@ -890,11 +939,49 @@ impl PreparedMulti<'_> {
         self.try_apply_on(None, rhs_global, phase, ckpt, None)
     }
 
-    fn ctx<'s>(&'s self, decomp: &'s Decomposition) -> MultiCtx<'s> {
-        debug_assert_eq!(decomp.n_subdomains(), self.decomp.n_subdomains());
+    /// The perturbation `A(θ)` of `base` ([`Decomposition::perturb_diag`])
+    /// on the subdomains this rank owns, for [`PreparedMulti::try_apply_on`].
+    /// `base` is the operator θ is measured from — after a re-set-up at
+    /// another θ, the unperturbed decomposition, not the resident one — and
+    /// shares the resident layout.
+    pub fn perturbed(&self, base: &Decomposition, theta: f64) -> PerturbedOperator {
+        assert_eq!(base.n_subdomains(), self.decomp.n_subdomains());
+        PerturbedOperator {
+            a: self
+                .owned
+                .iter()
+                .map(|&s| base.subdomains[s].perturbed_dirichlet(theta))
+                .collect(),
+        }
+    }
+
+    fn ctx<'s>(&'s self, op: Option<&'s PerturbedOperator>) -> MultiCtx<'s> {
+        let a = match op {
+            Some(p) => {
+                assert_eq!(p.a.len(), self.owned.len(), "one A_s per owned subdomain");
+                p.a.iter()
+                    .map(|(csr, bsr)| LocalA {
+                        csr,
+                        bsr: bsr.as_ref(),
+                    })
+                    .collect()
+            }
+            None => self
+                .owned
+                .iter()
+                .map(|&s| {
+                    let sub = &self.decomp.subdomains[s];
+                    LocalA {
+                        csr: &sub.a_dirichlet,
+                        bsr: sub.a_dirichlet_bsr.as_ref(),
+                    }
+                })
+                .collect(),
+        };
         MultiCtx {
             comm: self.comm,
-            decomp,
+            decomp: self.decomp,
+            a,
             owned: &self.owned,
             starts: &self.starts,
             halo: &self.halo,
@@ -911,21 +998,21 @@ impl PreparedMulti<'_> {
         }
     }
 
-    /// `T_s = A_s W_s` of the operator `ctx` solves: the resident products
-    /// for the resident decomposition, formed afresh for an override.
-    fn t_for<'s>(&'s self, ctx: &MultiCtx<'_>) -> Cow<'s, [DMat]> {
-        if std::ptr::eq(ctx.decomp, self.decomp) {
+    /// `T_s = A_s W_s` of the operator `ctx` solves: the resident products,
+    /// or formed afresh for a perturbed operator.
+    fn t_for<'s>(&'s self, ctx: &MultiCtx<'_>, perturbed: bool) -> Cow<'s, [DMat]> {
+        if !perturbed {
             return Cow::Borrowed(&self.t);
         }
         let comm = self.comm;
         let mut flops = 0u64;
         let t = comm.compute(|| {
-            ctx.spans()
+            ctx.a
+                .iter()
                 .zip(&self.w)
-                .map(|((s, _), w)| {
-                    let sub = &ctx.decomp.subdomains[s];
-                    flops += 2 * (sub.a_dirichlet.nnz() * w.cols()) as u64;
-                    sub.mm_dirichlet(w)
+                .map(|(a, w)| {
+                    flops += 2 * (a.nnz() * w.cols()) as u64;
+                    a.mm(w)
                 })
                 .collect()
         });
@@ -934,27 +1021,26 @@ impl PreparedMulti<'_> {
     }
 
     /// `R_s v` for every owned subdomain, concatenated.
-    fn restrict(&self, ctx: &MultiCtx<'_>, v_global: &[f64]) -> Vec<f64> {
-        let mut v = Vec::with_capacity(ctx.n_concat());
+    fn restrict(&self, v_global: &[f64]) -> Vec<f64> {
+        let mut v = Vec::with_capacity(self.starts[self.owned.len()]);
         for &s in &self.owned {
-            v.extend(ctx.decomp.subdomains[s].restrict(v_global));
+            v.extend(self.decomp.subdomains[s].restrict(v_global));
         }
         v
     }
 
-    /// [`PreparedMulti::try_apply`], optionally against a layout-compatible
-    /// decomposition override (same dofs, neighbours and partition of
-    /// unity) and with a Krylov recycle space — the serving path of
-    /// `dd-serve`. Under an override the Krylov loop solves the perturbed
-    /// system while RAS and the coarse correction reuse the resident
-    /// factorizations built at the base parameter. With a recycle space the
-    /// initial guess is projected onto previously harvested directions and
-    /// the solve's increment is banked; convergence is still anchored to
-    /// `tol ·` the residual at the zero guess, so accuracy matches an
-    /// unrecycled apply.
+    /// [`PreparedMulti::try_apply`], optionally against a perturbed operator
+    /// ([`PreparedMulti::perturbed`]) and with a Krylov recycle space — the
+    /// serving path of `dd-serve`. Against a perturbed operator the Krylov
+    /// loop solves `A(θ)` while RAS and the coarse correction reuse the
+    /// resident factorizations built at the base parameter. With a recycle
+    /// space the initial guess is projected onto previously harvested
+    /// directions and the solve's increment is banked; convergence is still
+    /// anchored to `tol ·` the residual at the zero guess, so accuracy
+    /// matches an unrecycled apply.
     pub fn try_apply_on(
         &self,
-        decomp_override: Option<&Decomposition>,
+        perturbed: Option<&PerturbedOperator>,
         rhs_global: &[f64],
         phase: &str,
         ckpt: Option<&CheckpointCfg<'_>>,
@@ -966,8 +1052,8 @@ impl PreparedMulti<'_> {
         // ---- phase 4: solve --------------------------------------------
         let clk_entry = comm.clock();
         let stats_before = comm.stats();
-        let ctx = self.ctx(decomp_override.unwrap_or(self.decomp));
-        let rhs = self.restrict(&ctx, rhs_global);
+        let ctx = self.ctx(perturbed);
+        let rhs = self.restrict(rhs_global);
         let x0 = vec![0.0; ctx.n_concat()];
         let op = MultiOp::new(&ctx);
         let ip = MultiDot::new(&ctx);
@@ -978,7 +1064,7 @@ impl PreparedMulti<'_> {
             let ras = MultiRas::new(&op, &self.factors);
             try_gmres_with(&op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle, &mut ws)
         } else {
-            let t = self.t_for(&ctx);
+            let t = self.t_for(&ctx, perturbed.is_some());
             let adef1 = self.adef1(&op, &t);
             match self.opts.solver {
                 SolverKind::Classical => {
@@ -1068,17 +1154,17 @@ impl PreparedMulti<'_> {
     /// preconditioner of this set-up applied once to `R r_global` as the
     /// right-preconditioned Krylov step applies it (`z` and `A z` from one
     /// call), `A z` by the distributed SpMV, and eq. 6 composed from its
-    /// pieces — on the resident operator or on a layout-compatible
-    /// override, two-level or one-level.
+    /// pieces — on the resident operator or on a perturbed one, two-level
+    /// or one-level.
     #[doc(hidden)]
     pub fn debug_apply(
         &self,
-        decomp_override: Option<&Decomposition>,
+        perturbed: Option<&PerturbedOperator>,
         r_global: &[f64],
     ) -> Result<DebugApply, SpmdError> {
-        let ctx = self.ctx(decomp_override.unwrap_or(self.decomp));
+        let ctx = self.ctx(perturbed);
         let op = MultiOp::new(&ctx);
-        let r = self.restrict(&ctx, r_global);
+        let r = self.restrict(r_global);
         let n = r.len();
         let mut out = DebugApply {
             z: vec![0.0; n],
@@ -1095,7 +1181,7 @@ impl PreparedMulti<'_> {
         };
         let pieces = |out: &mut DebugApply| -> Result<(), SolveInterrupt> {
             if self.run.coarse == CoarseOutcome::TwoLevel {
-                let t = self.t_for(&ctx);
+                let t = self.t_for(&ctx, perturbed.is_some());
                 let adef1 = self.adef1(&op, &t);
                 adef1.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
                 // q made consistent by a round of its shares, A q both ways,
@@ -1271,6 +1357,7 @@ mod tests {
             let ctx = MultiCtx {
                 comm,
                 decomp: &decomp,
+                a: Vec::new(),
                 owned: &owned,
                 starts: &starts,
                 halo: &halo,

@@ -34,9 +34,10 @@ use crate::stream::Workload;
 use dd_comm::{fnv1a_bytes, Communicator};
 use dd_core::{
     drive_epochs, repartition_plan, try_setup_partitioned, Attempt, CoarseCache, Decomposition,
-    PreparedMulti, SpmdError, SpmdOpts,
+    PerturbedOperator, PreparedMulti, SpmdError, SpmdOpts,
 };
 use dd_krylov::RecycleSpace;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -299,13 +300,14 @@ pub fn try_serve(
 ) -> Result<ServeReport, SpmdError> {
     comm.set_suspicion(opts.spmd.recovery.suspicion);
     let batches = plan_batches(&workload.requests, &opts.batcher);
-    // Perturbed-operator arena: one decomposition per distinct θ, built
-    // identically on every rank before the stream starts so re-setups and
-    // admissible applies borrow from data that outlives every epoch.
-    let arena: Vec<(f64, Decomposition)> = workload
+    // Re-set-up arena: one slot per distinct θ, filled with the full
+    // perturbed decomposition only when a re-set-up at θ needs it, so a
+    // re-set-up borrows data that outlives every epoch. Admissible applies
+    // never fill it: they read the owned subdomains' `A(θ)_s` alone.
+    let arena: Vec<(f64, OnceCell<Decomposition>)> = workload
         .thetas()
         .into_iter()
-        .map(|t| (t, decomp.perturb_diag(t)))
+        .map(|t| (t, OnceCell::new()))
         .collect();
     let recovery = &opts.spmd.recovery;
     drive_epochs(decomp, comm, recovery, repartition_plan, |attempt| {
@@ -325,7 +327,7 @@ fn serve_epoch(
     opts: &ServeOpts,
     workload: &Workload,
     batches: &[Batch],
-    arena: &[(f64, Decomposition)],
+    arena: &[(f64, OnceCell<Decomposition>)],
     cache: &CoarseCache,
     responses: &ResponseStore,
 ) -> Result<(), SpmdError> {
@@ -352,6 +354,9 @@ fn serve_epoch(
     // One recycle space per operator: banked (u, A(θ)u) pairs are only
     // valid against the operator that produced them.
     let mut spaces: BTreeMap<u64, RecycleSpace> = BTreeMap::new();
+    // The owned subdomains' `A(θ)_s` of every θ answered by reuse, built on
+    // first use: this epoch's owner map decides which subdomains they are.
+    let mut perturbed: BTreeMap<u64, PerturbedOperator> = BTreeMap::new();
 
     // Pass 0 is the stream itself. A deposited piece that no longer
     // verifies against its checksum reads back as absent, so the response
@@ -389,35 +394,47 @@ fn serve_epoch(
             }
             let theta = batch.theta;
             let reused = theta.to_bits() != theta_base.to_bits();
-            // The operator to solve on, when it is not the resident one.
-            let mut op_override = None;
+            let missing = || SpmdError::Protocol {
+                rank: c.rank(),
+                what: format!("perturbation θ={theta} missing from the arena"),
+            };
             if reused && (theta - theta_base).abs() > opts.admissibility {
                 // Inadmissible drift: re-factorize at θ and move the
                 // resident base point. Setups never run inside
                 // `serve-apply`.
                 let scope = c.trace_scope("serve-setup");
-                resident = match lookup(arena, theta) {
+                resident = if theta == 0.0 {
                     // Returning to the unperturbed operator reuses the
                     // coarse cache (layout unchanged → every row is a cache
                     // hit); perturbed operators get a fresh, uncached
                     // assembly.
-                    None => try_setup_partitioned(base, c, &opts.spmd, Some(cache), plan, false)?,
-                    Some(d) => try_setup_partitioned(d, c, &opts.spmd, None, plan, false)?,
+                    try_setup_partitioned(base, c, &opts.spmd, Some(cache), plan, false)?
+                } else {
+                    let slot = arena
+                        .iter()
+                        .find(|(t, _)| t.to_bits() == theta.to_bits())
+                        .ok_or_else(missing)?;
+                    let d = slot.1.get_or_init(|| base.perturb_diag(theta));
+                    try_setup_partitioned(d, c, &opts.spmd, None, plan, false)?
                 };
                 drop(scope);
                 theta_base = theta;
                 if c.rank() == 0 {
                     responses.note(|m| m.resetups += 1);
                 }
-            } else if reused {
-                // Admissible reuse: solve the perturbed operator under the
-                // resident preconditioner.
-                let op = lookup(arena, theta).ok_or_else(|| SpmdError::Protocol {
-                    rank: c.rank(),
-                    what: format!("perturbation θ={theta} missing from the arena"),
-                })?;
-                op_override = Some(op);
             }
+            // The operator to solve on, when it is not the resident one:
+            // admissible reuse solves `A(θ)` under the resident
+            // preconditioner.
+            let op_override = if reused && theta_base.to_bits() != theta.to_bits() {
+                Some(
+                    &*perturbed
+                        .entry(theta.to_bits())
+                        .or_insert_with(|| resident.perturbed(base, theta)),
+                )
+            } else {
+                None
+            };
             serve_batch(
                 c,
                 &resident,
@@ -458,7 +475,7 @@ fn serve_epoch(
 fn serve_batch(
     c: &Communicator,
     resident: &PreparedMulti<'_>,
-    op_override: Option<&Decomposition>,
+    op_override: Option<&PerturbedOperator>,
     opts: &ServeOpts,
     workload: &Workload,
     batch: &Batch,
@@ -496,13 +513,6 @@ fn serve_batch(
         }
     }
     Ok(())
-}
-
-fn lookup(arena: &[(f64, Decomposition)], theta: f64) -> Option<&Decomposition> {
-    arena
-        .iter()
-        .find(|(t, _)| t.to_bits() == theta.to_bits())
-        .map(|(_, d)| d)
 }
 
 fn build_report(

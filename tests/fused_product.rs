@@ -7,8 +7,8 @@
 //! `‖A z‖` up to 10³ times smaller), and the one round carrying
 //! `D A⁻¹(r − A q) + W y` gives eq. 6 composed from its pieces,
 //! `RAS(r − A q) + q`, to 1e-13 relative — on the identity map, on a 2-rank
-//! owner map with several subdomains per rank, under a `try_apply_on`-style
-//! override (T formed from `A(θ)`), on 3D elasticity (the BSR path) and on
+//! owner map with several subdomains per rank, against a perturbed operator
+//! (T formed from `A(θ)`), on 3D elasticity (the BSR path) and on
 //! the one-level path.
 
 use dd_geneo::comm::{CostModel, World};
@@ -55,7 +55,7 @@ struct RankPieces {
 
 /// The pieces on every rank: one rank per subdomain (`ranks = None`) or
 /// `ranks` ranks hosting contiguous chunks; against `decomp` itself or
-/// against `theta`'s `perturb_diag` override of it.
+/// against `theta`'s perturbation of it (`PreparedMulti::perturbed`).
 fn pieces(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
@@ -64,7 +64,6 @@ fn pieces(
 ) -> (Arc<Decomposition>, Vec<RankPieces>) {
     let (d, o) = (Arc::clone(decomp), opts.clone());
     let solved = Arc::new(theta.map_or_else(|| (**decomp).clone(), |t| decomp.perturb_diag(t)));
-    let over = theta.map(|_| Arc::clone(&solved));
     let r = rhs(decomp.n_global);
     let size = ranks.unwrap_or(decomp.n_subdomains());
     let per_rank = World::run(size, CostModel::default(), move |comm| {
@@ -77,8 +76,9 @@ fn pieces(
         let owned = (0..d.n_subdomains())
             .filter(|&s| plan.owner_world[s] == comm.world_rank())
             .collect();
+        let perturbed = theta.map(|t| prepared.perturbed(&d, t));
         let p = prepared
-            .debug_apply(over.as_deref(), &r)
+            .debug_apply(perturbed.as_ref(), &r)
             .expect("apply failed");
         RankPieces { owned, p }
     });
