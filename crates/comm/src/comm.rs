@@ -761,7 +761,6 @@ struct FaultCounters {
     corrupt_injected: Cell<u64>,
     corrupt_detected: Cell<u64>,
     retransmits: Cell<u64>,
-    msg_index: Cell<u64>,
 }
 
 fn bump(c: &Cell<u64>) {
@@ -911,6 +910,13 @@ pub struct Communicator {
     /// the cost model. No rank waits for another's arithmetic.
     clock: Rc<VirtualClock>,
     seq: Cell<u64>,
+    /// Point-to-point messages this rank has sent on this communicator —
+    /// the index that, with the endpoints and the tag, keys a message's
+    /// seeded drop/delay/corruption decision. It starts at 0 whenever a
+    /// communicator is built, so the fault schedule of a split or a
+    /// recovered epoch does not depend on how many messages the rank sent
+    /// on other communicators before it.
+    msg_index: Cell<u64>,
     health: Arc<WorldHealth>,
     plan: Arc<FaultPlan>,
     counters: Rc<FaultCounters>,
@@ -1576,6 +1582,7 @@ impl Communicator {
             rank,
             clock: Rc::clone(&self.clock),
             seq: Cell::new(0),
+            msg_index: Cell::new(0),
             health: Arc::clone(&self.health),
             plan: Arc::clone(&self.plan),
             counters: Rc::clone(&self.counters),
@@ -1594,8 +1601,8 @@ impl Communicator {
     pub fn send<T: Send + WireSize + 'static>(&self, dest: usize, tag: u64, value: T) {
         assert!(dest < self.size(), "send: dest out of range");
         let bytes = value.wire_bytes();
-        let idx = self.counters.msg_index.get();
-        self.counters.msg_index.set(idx + 1);
+        let idx = self.msg_index.get();
+        self.msg_index.set(idx + 1);
         let (drops, delay) =
             self.plan
                 .message_faults(self.world_rank(), self.shared.world_ranks[dest], tag, idx);
@@ -2510,6 +2517,7 @@ impl Communicator {
                 rank: sub_rank,
                 clock: Rc::clone(&self.clock),
                 seq: Cell::new(0),
+                msg_index: Cell::new(0),
                 health: Arc::clone(&self.health),
                 plan: Arc::clone(&self.plan),
                 counters: Rc::clone(&self.counters),
@@ -2715,6 +2723,7 @@ impl World {
                             rank: comm_rank,
                             clock,
                             seq: Cell::new(0),
+                            msg_index: Cell::new(0),
                             health,
                             plan,
                             counters: Rc::new(FaultCounters::default()),

@@ -521,6 +521,45 @@ fn retry_exhaustion_times_out() {
     );
 }
 
+/// The drops seeded on a communicator do not depend on how many messages
+/// the rank sent on another one first: a split (like a recovered epoch's
+/// communicator) numbers its messages from 0, whatever traffic its parent
+/// carried.
+#[test]
+fn a_new_communicator_draws_its_drops_from_its_own_message_index() {
+    const SENDS: usize = 32;
+    let drops_on_split = |earlier: usize| {
+        let plan = FaultPlan::new(29).with_drops(0.5, 1);
+        let out = World::run_with_faults(2, CostModel::default(), plan, move |comm| {
+            let peer = 1 - comm.rank();
+            for k in 0..earlier {
+                if comm.rank() == 0 {
+                    comm.send(peer, 9, k as f64);
+                } else {
+                    comm.recv::<f64>(peer, 9);
+                }
+            }
+            let sub = comm.split(Some(0)).expect("both ranks join color 0");
+            let mut dropped = Vec::new();
+            for k in 0..SENDS {
+                if sub.rank() == 0 {
+                    let before = sub.fault_stats().drops_injected;
+                    sub.send(peer, 4, k as f64);
+                    dropped.push(sub.fault_stats().drops_injected > before);
+                } else {
+                    sub.recv::<f64>(peer, 4);
+                }
+            }
+            dropped
+        });
+        out[0].clone()
+    };
+    let once = drops_on_split(1);
+    assert!(once.iter().any(|&d| d) && once.iter().any(|&d| !d));
+    assert_eq!(once, drops_on_split(2));
+    assert_eq!(once, drops_on_split(5));
+}
+
 #[test]
 fn kill_failpoint_surfaces_rank_dead() {
     let plan = FaultPlan::new(0).with_kill(1, "mid");

@@ -398,7 +398,8 @@ impl FaultPlan {
     }
 
     /// Fault decision for one p2p message, identified by its endpoints
-    /// (world ranks), tag, and the sender's per-rank message index:
+    /// (world ranks), tag, and the sender's message index on the
+    /// communicator it was sent on:
     /// `(failed delivery attempts, extra virtual delay)`.
     pub fn message_faults(&self, src: usize, dest: usize, tag: u64, index: u64) -> (u32, f64) {
         if self.delay_prob == 0.0 && self.drop_prob == 0.0 {
