@@ -224,44 +224,68 @@ impl DistLdlt {
     /// # Errors
     /// Same classification as [`DistLdlt::try_factor`].
     pub fn try_solve(&self, comm: &Communicator, w_local: &[f64]) -> Result<Vec<f64>, CommError> {
+        self.try_solve_panel(comm, w_local, 1)
+    }
+
+    /// [`DistLdlt::try_solve`] of `k` right-hand sides at once: `w_local`
+    /// holds this master's block of each, one column after another, and so
+    /// does the result. Every message of the sweeps carries all `k` columns,
+    /// so the solve sends what one column sends, `k` times longer; each
+    /// column's arithmetic is the one-column solve's, in its order, so it
+    /// equals that solve to the bit.
+    ///
+    /// # Errors
+    /// Same classification as [`DistLdlt::try_factor`].
+    pub fn try_solve_panel(
+        &self,
+        comm: &Communicator,
+        w_local: &[f64],
+        k: usize,
+    ) -> Result<Vec<f64>, CommError> {
         let p = comm.size();
         let me = self.my_block;
         debug_assert_eq!(me, comm.rank());
         let np = self.rows();
         let r0 = self.row_start();
-        assert_eq!(w_local.len(), np);
+        assert_eq!(w_local.len(), np * k);
         let policy = comm.retry_policy();
+        let mut work = Vec::new();
         comm.failpoint("e-solve-dist")?;
         // Forward sweep: v_me = w_me − Σ_{j<me} E'_j,meᵀ t_j, assembled
         // from the earlier masters' ν-sized contributions.
         let mut z = w_local.to_vec();
         for j in 0..me {
             let contrib: Vec<f64> = comm.try_recv_timeout(j, TAG_FWD, &policy)?;
-            debug_assert_eq!(contrib.len(), np);
+            debug_assert_eq!(contrib.len(), np * k);
             for (zi, c) in z.iter_mut().zip(&contrib) {
                 *zi -= c;
             }
-            comm.charge_flops(np as u64);
+            comm.charge_flops((np * k) as u64);
         }
         // t_me = A'_me,me⁻¹ v_me is both the forward unknown and the
         // diagonal sweep D⁻¹.
-        let t = comm.compute(|| self.diag.solve(&z));
-        comm.charge_flops(4 * (self.diag.nnz_l() + np) as u64);
+        let t = comm.compute(|| {
+            self.diag.solve_panel_with(&mut z, np, k, &mut work);
+            z
+        });
+        comm.charge_flops((4 * (self.diag.nnz_l() + np) * k) as u64);
         for q in me + 1..p {
             // L_q,me t_me = E'_me,qᵀ t_me — my strip's block-q columns.
             let nq = self.bounds[q + 1] - self.bounds[q];
             let base = self.bounds[q] - r0;
-            let mut contrib = vec![0.0; nq];
+            let mut contrib = vec![0.0; nq * k];
             comm.compute(|| {
-                for (c, cv) in contrib.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (r, &tv) in t.iter().enumerate() {
-                        acc += self.strip[(r, base + c)] * tv;
+                for (tc, out) in t.chunks_exact(np.max(1)).zip(contrib.chunks_exact_mut(nq)) {
+                    for (c, cv) in out.iter_mut().enumerate() {
+                        let mut acc = 0.0;
+                        for (r, &tv) in tc.iter().enumerate() {
+                            acc += self.strip[(r, base + c)] * tv;
+                        }
+                        *cv = acc;
                     }
-                    *cv = acc;
                 }
             });
-            comm.charge_flops(2 * (np * nq) as u64);
+            comm.charge_flops((2 * np * nq * k) as u64);
             comm.send(q, TAG_FWD, contrib);
         }
         // Backward sweep: x_me = t_me − A'_me,me⁻¹ Σ_{q>me} E'_me,q x_q,
@@ -269,25 +293,28 @@ impl DistLdlt {
         comm.failpoint("e-solve-dist")?;
         let mut x_me = t;
         if me + 1 < p {
-            let mut acc = vec![0.0; np];
+            let mut acc = vec![0.0; np * k];
             for q in me + 1..p {
                 let xq: Arc<Vec<f64>> = comm.try_recv_timeout(q, TAG_BWD, &policy)?;
+                let nq = self.bounds[q + 1] - self.bounds[q];
                 let base = self.bounds[q] - r0;
                 comm.compute(|| {
-                    for (c, &xv) in xq.iter().enumerate() {
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        for (r, av) in acc.iter_mut().enumerate() {
-                            *av += self.strip[(r, base + c)] * xv;
+                    for (xc, ac) in xq.chunks_exact(nq.max(1)).zip(acc.chunks_exact_mut(np)) {
+                        for (c, &xv) in xc.iter().enumerate() {
+                            if xv == 0.0 {
+                                continue;
+                            }
+                            for (r, av) in ac.iter_mut().enumerate() {
+                                *av += self.strip[(r, base + c)] * xv;
+                            }
                         }
                     }
                 });
                 comm.charge_flops(2 * (np * xq.len()) as u64);
             }
-            let corr = comm.compute(|| self.diag.solve(&acc));
-            comm.charge_flops(4 * (self.diag.nnz_l() + np) as u64);
-            for (x, c) in x_me.iter_mut().zip(&corr) {
+            comm.compute(|| self.diag.solve_panel_with(&mut acc, np, k, &mut work));
+            comm.charge_flops((4 * (self.diag.nnz_l() + np) * k) as u64);
+            for (x, c) in x_me.iter_mut().zip(&acc) {
                 *x -= c;
             }
         }
@@ -297,8 +324,8 @@ impl DistLdlt {
         // Arc<T>` in dd-comm).
         if me > 0 {
             let x_shared = Arc::new(x_me.clone());
-            for k in 0..me {
-                comm.send(k, TAG_BWD, Arc::clone(&x_shared));
+            for earlier in 0..me {
+                comm.send(earlier, TAG_BWD, Arc::clone(&x_shared));
             }
         }
         Ok(x_me)
@@ -469,6 +496,56 @@ mod tests {
     fn two_masters_extreme_imbalance() {
         let n = 16;
         check_distributed_solve(n, vec![0, 1, 16], rhs_for(n));
+    }
+
+    /// A panel of `k` right-hand sides is `k` single solves to the bit, in
+    /// the messages of one: on 2, 3 and 4 masters, with a zero column and
+    /// columns of mixed sign.
+    #[test]
+    fn panel_solve_is_k_single_solves_bitwise_in_the_messages_of_one() {
+        const K: usize = 3;
+        let n = 30;
+        let a = test_matrix(n, 3);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for bounds in [vec![0, 13, 30], vec![0, 4, 9, 30], vec![0, 6, 12, 18, 30]] {
+            let p = bounds.len() - 1;
+            let (a, b) = (a.clone(), bounds.clone());
+            let (rows, trace) = World::run_traced(p, CostModel::default(), move |comm| {
+                let me = comm.rank();
+                let f = DistLdlt::factor(comm, b.clone(), upper_strip(&a, b[me], b[me + 1]));
+                let cols: Vec<Vec<f64>> = (0..K)
+                    .map(|c| {
+                        (b[me]..b[me + 1])
+                            .map(|i| match c {
+                                0 => 0.0,
+                                _ => ((i * 13 + 5 * c) % 17) as f64 - 8.0,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                comm.trace_phase("panel");
+                let panel = f.try_solve_panel(comm, &cols.concat(), K).unwrap();
+                comm.trace_phase("singles");
+                let singles: Vec<f64> = cols
+                    .iter()
+                    .flat_map(|w| f.try_solve(comm, w).unwrap())
+                    .collect();
+                comm.trace_phase("one");
+                f.try_solve(comm, &cols[1]).unwrap();
+                (panel, singles)
+            });
+            for (panel, singles) in rows {
+                assert_eq!(bits(&panel), bits(&singles), "P = {p}");
+            }
+            let sends = |phase: &str| trace.phase_totals(phase).sends;
+            assert!(sends("one") > 0);
+            assert_eq!(sends("panel"), sends("one"), "P = {p}");
+            assert_eq!(sends("singles"), K as u64 * sends("one"), "P = {p}");
+            assert_eq!(
+                trace.phase_totals("panel").send_bytes,
+                trace.phase_totals("singles").send_bytes
+            );
+        }
     }
 
     #[test]

@@ -405,16 +405,118 @@ impl SparseLdlt {
     }
 
     /// Solve for several right-hand sides stored as columns of a dense
-    /// matrix (used when applying `A_i⁻¹` to the ν_i deflation directions).
+    /// matrix (used when applying `A_i⁻¹` to the ν_i deflation directions),
+    /// through [`SparseLdlt::solve_panel_with`].
     pub fn solve_mat(&self, b: &dd_linalg::DMat) -> dd_linalg::DMat {
         assert_eq!(b.rows(), self.n);
         let mut x = b.clone();
-        let mut z = Vec::new();
-        for j in 0..b.cols() {
-            self.solve_in_place_with(x.col_mut(j), &mut z);
-        }
+        self.solve_panel_with(x.data_mut(), self.n, b.cols(), &mut Vec::new());
         x
     }
+
+    /// Solve `k` right-hand sides in place: column `c` is
+    /// `b[c * ld..c * ld + n]`. Every column goes through
+    /// [`SparseLdlt::solve_in_place_with`]'s operations in its order, so it
+    /// is that solve to the bit; the columns of a block (see
+    /// [`panel_blocks`]) are swept together, their values of one row side
+    /// by side in the work vector `z`, which reads `L` once per block and
+    /// gives the backward sweep one accumulation chain per column.
+    pub fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {
+        check_panel(b.len(), self.n, ld, k);
+        for (c0, width) in panel_blocks(k) {
+            let cols = &mut b[c0 * ld..];
+            match width {
+                8 => self.solve_block::<8>(cols, ld, z),
+                4 => self.solve_block::<4>(cols, ld, z),
+                2 => self.solve_block::<2>(cols, ld, z),
+                _ => self.solve_in_place_with(&mut cols[..self.n], z),
+            }
+        }
+    }
+
+    /// [`SparseLdlt::solve_panel_with`] on `B` columns at once.
+    // dd:hot — the panel's local solves, once per Krylov step
+    fn solve_block<const B: usize>(&self, b: &mut [f64], ld: usize, z: &mut Vec<f64>) {
+        let n = self.n;
+        // z = P b, a row's B values side by side
+        z.clear();
+        z.resize(n * B, 0.0);
+        for (i, &p) in self.perm.iter().enumerate() {
+            for c in 0..B {
+                z[i * B + c] = b[c * ld + p];
+            }
+        }
+        // L y = z (columns); a zero entry skips its column's update, as in
+        // the single solve (the skip is visible in the sign of a zero)
+        for j in 0..n {
+            let mut zj = [0.0; B];
+            zj.copy_from_slice(&z[j * B..(j + 1) * B]);
+            let nonzero = zj.iter().filter(|v| **v != 0.0).count();
+            if nonzero == 0 {
+                continue;
+            }
+            for q in self.lp[j]..self.lp[j + 1] {
+                let (l, r) = (self.lx[q], self.li[q] as usize);
+                let row = &mut z[r * B..(r + 1) * B];
+                if nonzero == B {
+                    for c in 0..B {
+                        row[c] -= l * zj[c];
+                    }
+                } else {
+                    for c in 0..B {
+                        if zj[c] != 0.0 {
+                            row[c] -= l * zj[c];
+                        }
+                    }
+                }
+            }
+        }
+        // D w = y
+        for j in 0..n {
+            for v in &mut z[j * B..(j + 1) * B] {
+                *v /= self.d[j];
+            }
+        }
+        // Lᵀ x = w
+        for j in (0..n).rev() {
+            let mut s = [0.0; B];
+            s.copy_from_slice(&z[j * B..(j + 1) * B]);
+            for q in self.lp[j]..self.lp[j + 1] {
+                let (l, r) = (self.lx[q], self.li[q] as usize);
+                for c in 0..B {
+                    s[c] -= l * z[r * B + c];
+                }
+            }
+            z[j * B..(j + 1) * B].copy_from_slice(&s);
+        }
+        // b = Pᵀ z
+        for (i, &p) in self.perm.iter().enumerate() {
+            for c in 0..B {
+                b[c * ld + p] = z[i * B + c];
+            }
+        }
+    }
+}
+
+/// The column blocks a panel solve of `k` columns sweeps together, as
+/// `(first column, width)`: as many blocks of 8 as fit, then one each of
+/// 4, 2 and 1 as the rest needs.
+pub(crate) fn panel_blocks(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut c0 = 0;
+    std::iter::from_fn(move || {
+        let width = [8, 4, 2, 1].into_iter().find(|&w| w <= k - c0)?;
+        c0 += width;
+        Some((c0 - width, width))
+    })
+}
+
+/// A panel of `k` columns of length `n`, `ld` apart, fits in `len` values.
+pub(crate) fn check_panel(len: usize, n: usize, ld: usize, k: usize) {
+    assert!(k <= 1 || ld >= n, "panel solve: columns overlap");
+    assert!(
+        k == 0 || len >= (k - 1) * ld + n,
+        "panel solve: {k} columns of {n} do not fit in {len} values"
+    );
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@
 //! factorizations are pinned against each other to 1e-12 in
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
 
-use crate::ldlt::{etree_and_counts, permuted, LdltError, Ordering, PivotPolicy};
+use crate::ldlt::{
+    check_panel, etree_and_counts, panel_blocks, permuted, LdltError, Ordering, PivotPolicy,
+};
 use crate::ordering;
 use dd_linalg::smallgemm::gemm_nt_minus;
 use dd_linalg::CsrMatrix;
@@ -516,15 +518,121 @@ impl SupernodalLdlt {
         x
     }
 
-    /// Solve for several right-hand sides stored as columns.
+    /// Solve for several right-hand sides stored as columns, through
+    /// [`SupernodalLdlt::solve_panel_with`].
     pub fn solve_mat(&self, b: &dd_linalg::DMat) -> dd_linalg::DMat {
         assert_eq!(b.rows(), self.n);
         let mut x = b.clone();
-        let mut z = Vec::new();
-        for j in 0..b.cols() {
-            self.solve_in_place_with(x.col_mut(j), &mut z);
-        }
+        self.solve_panel_with(x.data_mut(), self.n, b.cols(), &mut Vec::new());
         x
+    }
+
+    /// Solve `k` right-hand sides in place, column `c` at
+    /// `b[c * ld..c * ld + n]` — [`crate::SparseLdlt::solve_panel_with`]'s
+    /// contract: each column is [`SupernodalLdlt::solve_in_place_with`] to
+    /// the bit, and a block of columns shares every gather, scatter and
+    /// read of a panel.
+    pub fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {
+        check_panel(b.len(), self.n, ld, k);
+        for (c0, width) in panel_blocks(k) {
+            let cols = &mut b[c0 * ld..];
+            match width {
+                8 => self.solve_block::<8>(cols, ld, z),
+                4 => self.solve_block::<4>(cols, ld, z),
+                2 => self.solve_block::<2>(cols, ld, z),
+                _ => self.solve_in_place_with(&mut cols[..self.n], z),
+            }
+        }
+    }
+
+    /// [`SupernodalLdlt::solve_panel_with`] on `B` columns at once: the
+    /// gathered solve with a row's `B` values side by side.
+    // dd:hot — the panel's local solves, once per Krylov step
+    fn solve_block<const B: usize>(&self, b: &mut [f64], ld: usize, z: &mut Vec<f64>) {
+        let n = self.n;
+        let nsup = self.n_supernodes();
+        z.clear();
+        z.resize((n + self.max_rows) * B, 0.0);
+        let (z, gathered) = z.split_at_mut(n * B);
+        for (i, &p) in self.perm.iter().enumerate() {
+            for c in 0..B {
+                z[i * B + c] = b[c * ld + p];
+            }
+        }
+        let gather = |loc: &mut [f64], z: &[f64], srows: &[u32]| {
+            for (l, &gi) in loc.chunks_exact_mut(B).zip(srows) {
+                l.copy_from_slice(&z[gi as usize * B..(gi as usize + 1) * B]);
+            }
+        };
+        // L y = z, panel by panel; a zero entry skips its column's update,
+        // as in the single solve
+        for s in 0..nsup {
+            let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
+            let nr = srows.len();
+            let w = self.sn_col[s + 1] - self.sn_col[s];
+            let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
+            let loc = &mut gathered[..nr * B];
+            gather(loc, z, srows);
+            for jc in 0..w {
+                let mut zj = [0.0; B];
+                zj.copy_from_slice(&loc[jc * B..(jc + 1) * B]);
+                let nonzero = zj.iter().filter(|v| **v != 0.0).count();
+                if nonzero == 0 {
+                    continue;
+                }
+                let col = &panel[jc * nr..(jc + 1) * nr];
+                for li in jc + 1..nr {
+                    let row = &mut loc[li * B..(li + 1) * B];
+                    if nonzero == B {
+                        for c in 0..B {
+                            row[c] -= col[li] * zj[c];
+                        }
+                    } else {
+                        for c in 0..B {
+                            if zj[c] != 0.0 {
+                                row[c] -= col[li] * zj[c];
+                            }
+                        }
+                    }
+                }
+            }
+            for (l, &gi) in loc.chunks_exact(B).zip(srows) {
+                z[gi as usize * B..(gi as usize + 1) * B].copy_from_slice(l);
+            }
+        }
+        // D w = y
+        for j in 0..n {
+            for v in &mut z[j * B..(j + 1) * B] {
+                *v /= self.d[j];
+            }
+        }
+        // Lᵀ x = w, reverse panel order
+        for s in (0..nsup).rev() {
+            let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
+            let nr = srows.len();
+            let (first, w) = (self.sn_col[s], self.sn_col[s + 1] - self.sn_col[s]);
+            let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
+            let loc = &mut gathered[..nr * B];
+            gather(loc, z, srows);
+            for jc in (0..w).rev() {
+                let col = &panel[jc * nr..(jc + 1) * nr];
+                let mut acc = [0.0; B];
+                acc.copy_from_slice(&loc[jc * B..(jc + 1) * B]);
+                for li in jc + 1..nr {
+                    for c in 0..B {
+                        acc[c] -= col[li] * loc[li * B + c];
+                    }
+                }
+                loc[jc * B..(jc + 1) * B].copy_from_slice(&acc);
+            }
+            z[first * B..(first + w) * B].copy_from_slice(&loc[..w * B]);
+        }
+        // b = Pᵀ z
+        for (i, &p) in self.perm.iter().enumerate() {
+            for c in 0..B {
+                b[c * ld + p] = z[i * B + c];
+            }
+        }
     }
 
     /// ABFT column-checksum verification of the stored factor against the
@@ -776,7 +884,7 @@ fn partition_supernodes(parent: &[usize], lnz: &[usize]) -> Vec<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::SparseLdlt;
     use dd_linalg::{vector, CooBuilder};
@@ -870,7 +978,7 @@ mod tests {
 
     /// Random symmetric, diagonally dominant matrix of a random pattern,
     /// from a splitmix64 stream.
-    fn random_pattern(seed: u64, n: usize, per_row: usize) -> CsrMatrix {
+    pub(crate) fn random_pattern(seed: u64, n: usize, per_row: usize) -> CsrMatrix {
         let mut state = seed;
         let mut next = || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
