@@ -10,6 +10,12 @@
 //!   reduction plus one normalization reduction per iteration — two global
 //!   synchronizations per iteration, which is the baseline the fused
 //!   pipelined variant of §3.5 eliminates.
+//!
+//! [`try_gmres_panel`] runs `k` right-hand sides as `k` recurrences over
+//! one Arnoldi loop: each step applies the operator and the preconditioner
+//! once to all of them and every reduction carries all of them, while each
+//! column's arithmetic stays its own, so every column is its one-column
+//! solve to the bit. [`try_gmres_with`] is the one-column call.
 
 use crate::checkpoint::CheckpointCfg;
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
@@ -169,8 +175,9 @@ where
     }
 }
 
-/// Reusable buffers for [`try_gmres_with`]: the Arnoldi basis pool, the
-/// Hessenberg matrix, and every scratch vector of the inner loop.
+/// Reusable buffers for [`try_gmres_with`] and [`try_gmres_panel`]: per
+/// column the Arnoldi basis pool and the Hessenberg matrix, and every
+/// scratch vector of the inner loop.
 ///
 /// A solve sizes the workspace on entry, allocating only what is missing,
 /// so after one warmup solve the steady-state GMRES iteration — together
@@ -181,14 +188,18 @@ where
 pub struct GmresWorkspace {
     /// The restart driver's share: residual scratch and least squares.
     sk: Skeleton,
-    w: Vec<f64>,
-    zk: Vec<f64>,
-    /// Arnoldi basis pool (`m + 1` vectors at steady state).
-    v: Vec<Vec<f64>>,
-    /// Preconditioned directions `z_k = M⁻¹ v_k` (right preconditioning).
-    z: Vec<Vec<f64>>,
+    /// Per column: the Arnoldi basis pool (`m + 1` vectors at steady state)
+    /// and the preconditioned directions `z_k = M⁻¹ v_k` (right
+    /// preconditioning).
+    bases: Vec<Bases>,
+    /// A step's panels: the basis vectors in, `z` and `w` out.
+    pv: Vec<f64>,
+    pz: Vec<f64>,
+    pw: Vec<f64>,
     locals: Vec<f64>,
     dots: Vec<f64>,
+    /// The columns still stepping in a cycle.
+    live: Vec<usize>,
 }
 
 impl GmresWorkspace {
@@ -196,19 +207,28 @@ impl GmresWorkspace {
         Self::default()
     }
 
-    /// Size every buffer for dimension `n` and restart length `m`.
-    fn prepare(&mut self, n: usize, m: usize) {
-        self.sk.prepare(n, m);
-        self.w.resize(n, 0.0);
-        self.zk.resize(n, 0.0);
-        // Basis vectors of a previous, differently-sized solve cannot be
-        // reused in place.
-        self.v.retain(|p| p.len() == n);
-        self.z.retain(|p| p.len() == n);
-        self.locals.resize(m + 1, 0.0);
-        self.dots.resize(m + 1, 0.0);
+    /// Size every buffer for `k` columns of dimension `n` and restart
+    /// length `m`.
+    fn prepare(&mut self, n: usize, m: usize, k: usize) {
+        self.sk.prepare(n, m, k);
+        self.bases.resize_with(k, Default::default);
+        for (v, z) in &mut self.bases {
+            // Basis vectors of a previous, differently-sized solve cannot be
+            // reused in place.
+            v.retain(|p| p.len() == n);
+            z.retain(|p| p.len() == n);
+        }
+        for p in [&mut self.pv, &mut self.pz, &mut self.pw] {
+            p.resize(k * n, 0.0);
+        }
+        self.locals.resize(k * (m + 1), 0.0);
+        self.dots.resize(k * (m + 1), 0.0);
+        self.live.reserve(k);
     }
 }
+
+/// One column's Arnoldi basis pool and preconditioned directions.
+type Bases = (Vec<Vec<f64>>, Vec<Vec<f64>>);
 
 /// Write `src` into slot `idx` of a basis pool, allocating only when the
 /// pool has never held that many vectors.
@@ -251,14 +271,7 @@ where
 /// allocation-free (see [`GmresWorkspace`]) — and with an optional
 /// [`RecycleSpace`]: the start is corrected over its banked directions and
 /// the solve's increment is banked at exit, while the target stays `tol ×`
-/// the residual at `x0`.
-///
-/// The classical Arnoldi process on the shared restart driver
-/// (`restart::solve`): one operator and one preconditioner application,
-/// the orthogonalization [`GmresOpts::ortho`] names and one normalization
-/// per iteration. Right-preconditioned, the two applications are one call
-/// of [`Preconditioner::try_apply_with_op`], which is why the operator must
-/// be sized: it is handed over as a `&dyn Operator`.
+/// the residual at `x0`. The one-column call of [`try_gmres_panel`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_gmres_with<O, M, P>(
     op: &O,
@@ -276,100 +289,248 @@ where
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
-    let m = opts.restart.max(1);
-    ws.prepare(op.dim(), m);
+    let mut out = None;
+    let emit = |r| out = Some(r);
+    classical(op, precond, ip, b, x0, 1, opts, ckpt, recycle, ws, emit)?;
+    Ok(out.expect("one column, one result"))
+}
+
+/// GMRES for `k` right-hand sides at once — the columns of `b` and `x0`,
+/// one after another: `k` recurrences that share every application and
+/// every reduction, each column equal to its one-column solve
+/// ([`try_gmres_with`]) to the bit. A checkpoint (`ckpt`) belongs to one
+/// column. A recycle space corrects every column from the directions it
+/// holds at entry and banks their increments at exit, in column order.
+///
+/// The classical Arnoldi process on the shared restart driver
+/// (`restart::solve`), over the panel of columns still in their first
+/// cycle: per step one operator-and-preconditioner application for all of
+/// them, the orthogonalization [`GmresOpts::ortho`] names with each of its
+/// reductions carrying every column, and one normalization reduction. A
+/// column leaves the panel when its cycle ends — converged, broken down,
+/// stalled or out of budget — and one that has not converged then goes on
+/// alone. Right-preconditioned, the two applications are one call of
+/// [`Preconditioner::try_apply_panel_with_op`] (for one column, the
+/// default's one [`Preconditioner::try_apply_with_op`]), which is why the
+/// operator must be sized: it is handed over as a `&dyn Operator`.
+#[allow(clippy::too_many_arguments)]
+pub fn try_gmres_panel<O, M, P>(
+    op: &O,
+    precond: &M,
+    ip: &P,
+    b: &[f64],
+    x0: &[f64],
+    k: usize,
+    opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
+    ws: &mut GmresWorkspace,
+) -> Result<Vec<SolveResult>, SolveInterrupt>
+where
+    O: Operator,
+    M: Preconditioner + ?Sized,
+    P: InnerProduct + ?Sized,
+{
+    let mut out = Vec::with_capacity(k);
+    let emit = |r| out.push(r);
+    classical(op, precond, ip, b, x0, k, opts, ckpt, recycle, ws, emit)?;
+    Ok(out)
+}
+
+/// The classical Arnoldi body on the restart driver, each column's result
+/// handed to `emit` in column order.
+#[allow(clippy::too_many_arguments)]
+fn classical<O, M, P>(
+    op: &O,
+    precond: &M,
+    ip: &P,
+    b: &[f64],
+    x0: &[f64],
+    k: usize,
+    opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
+    ws: &mut GmresWorkspace,
+    emit: impl FnMut(SolveResult),
+) -> Result<(), SolveInterrupt>
+where
+    O: Operator,
+    M: Preconditioner + ?Sized,
+    P: InnerProduct + ?Sized,
+{
+    let (n, m) = (op.dim(), opts.restart.max(1));
+    ws.prepare(n, m, k);
     let GmresWorkspace {
         sk,
-        w,
-        zk,
-        v,
-        z: zbasis,
+        bases,
+        pv,
+        pz,
+        pw,
         locals,
         dots,
+        live,
     } = ws;
     let right = matches!(opts.side, Side::Right);
     // The residual is the true one (right) or the preconditioned one (left).
     let left = (!right).then_some(precond);
-    let cycle = |run: &mut restart::Run<'_>, r: &[f64], beta: f64| {
-        // Arnoldi basis (m+1 pool vectors max); right preconditioning also
-        // keeps the preconditioned directions `z_k = M⁻¹ v_k` so the final
-        // update x += Z y needs no extra preconditioner application. Only
-        // the first `nv` pool slots hold this cycle's basis.
-        pool_set(v, 0, r);
-        vector::scal(1.0 / beta, &mut v[0]);
+    let passes = match opts.ortho {
+        Ortho::Mgs => 0,
+        Ortho::Cgs => 1,
+        Ortho::Cgs2 => 2,
+    };
+    let cycle = |runs: &mut [&mut restart::Run<'_>], r: &[&[f64]], beta: &[f64]| {
+        // Per column, the Arnoldi basis (m+1 pool vectors max); right
+        // preconditioning also keeps the preconditioned directions
+        // `z_k = M⁻¹ v_k` so the final update x += Z y needs no extra
+        // preconditioner application. Only the first `nv` pool slots hold
+        // this cycle's basis.
+        for ((run, rc), &bc) in runs.iter().zip(r).zip(beta) {
+            let v = &mut bases[run.col()].0;
+            pool_set(v, 0, rc);
+            vector::scal(1.0 / bc, &mut v[0]);
+        }
         let mut nv = 1usize;
-        // Every buffer below is reused from the workspace, so no allocation
-        // is allowed per iteration.
+        // The columns still stepping, by position in `runs`. Every buffer
+        // below is reused from the workspace, so no allocation is allowed
+        // per iteration.
+        live.clear();
+        live.extend(0..runs.len());
+        // A column's update directions: `Z` right-preconditioned, `V` left.
+        fn dirs(bases: &[Bases], col: usize, right: bool) -> &[Vec<f64>] {
+            let (v, z) = &bases[col];
+            if right {
+                z
+            } else {
+                v
+            }
+        }
         for k in 0..m {
-            if !run.next_iteration(ip) {
+            // Open the iteration; its hook runs once, for the first column.
+            let mut hook = true;
+            live.retain(|&i| {
+                let run = &mut *runs[i];
+                let open = if hook {
+                    run.next_iteration(ip)
+                } else {
+                    run.next_iteration_in_panel()
+                };
+                hook &= !open;
+                if !open {
+                    run.update(dirs(bases, run.col(), right));
+                }
+                open
+            });
+            let nl = live.len();
+            if nl == 0 {
                 break;
             }
-            w.fill(0.0);
+            let (pv, pz, pw) = (&mut pv[..nl * n], &mut pz[..nl * n], &mut pw[..nl * n]);
+            for (dst, &i) in pv.chunks_exact_mut(n.max(1)).zip(live.iter()) {
+                dst.copy_from_slice(&bases[runs[i].col()].0[k]);
+            }
+            pw.fill(0.0);
             if right {
                 // w = A M⁻¹ v_k, through the preconditioner's hook: one that
                 // forms A z from its own pieces saves the operator apply.
-                zk.fill(0.0);
-                precond.try_apply_with_op(op, &v[k], zk, w)?;
-                pool_set(zbasis, k, zk);
+                pz.fill(0.0);
+                precond.try_apply_panel_with_op(op, nl, pv, pz, pw)?;
+                for (zc, &i) in pz.chunks_exact(n.max(1)).zip(live.iter()) {
+                    pool_set(&mut bases[runs[i].col()].1, k, zc);
+                }
             } else {
                 // w = M⁻¹ A v_k
-                op.try_apply(&v[k], zk)?;
-                precond.try_apply(zk, w)?;
+                op.try_apply_panel(nl, pv, pz)?;
+                precond.try_apply_panel(nl, pz, pw)?;
             }
-            // Orthogonalize.
-            let h = run.h();
-            match opts.ortho {
-                Ortho::Mgs => {
-                    for (j, vj) in v[..nv].iter().enumerate() {
-                        let hjk = ip.try_dot(w, vj)?;
-                        vector::axpy(-hjk, vj, w);
-                        h[(j, k)] = hjk;
+            // Orthogonalize, every reduction carrying every live column.
+            let w = |slot: usize| (slot * n)..((slot + 1) * n);
+            if passes == 0 {
+                // Modified Gram–Schmidt: one reduction per basis vector.
+                for j in 0..nv {
+                    for (slot, &i) in live.iter().enumerate() {
+                        let vj = &bases[runs[i].col()].0[j];
+                        locals[slot] = ip.local_dot(&pw[w(slot)], vj);
+                    }
+                    ip.try_reduce_into(&locals[..nl], &mut dots[..nl])?;
+                    for (slot, &i) in live.iter().enumerate() {
+                        let hjk = dots[slot];
+                        let span = w(slot);
+                        vector::axpy(-hjk, &bases[runs[i].col()].0[j], &mut pw[span]);
+                        runs[i].h()[(j, k)] = hjk;
                     }
                 }
-                Ortho::Cgs | Ortho::Cgs2 => {
-                    // Batched Gram reduction(s).
-                    let passes = if matches!(opts.ortho, Ortho::Cgs2) {
-                        2
-                    } else {
-                        1
-                    };
+            } else {
+                // Classical Gram–Schmidt, `passes` batched Gram reductions.
+                for &i in live.iter() {
+                    let h = runs[i].h();
                     for j in 0..=k {
                         h[(j, k)] = 0.0;
                     }
-                    for _ in 0..passes {
-                        // One panel pass for the Gram row, one for the
-                        // update w −= Σ h_j v_j: the bits of the per-vector
-                        // loops (DESIGN.md, "orthogonalisation in panels").
-                        ip.local_dots(w, &v[..nv], &mut locals[..nv]);
-                        ip.try_reduce_into(&locals[..nv], &mut dots[..nv])?;
-                        for (j, hjk) in dots[..nv].iter_mut().enumerate() {
+                }
+                for _ in 0..passes {
+                    // One panel pass for each Gram row, one for each update
+                    // w −= Σ h_j v_j: the bits of the per-vector loops
+                    // (DESIGN.md, "orthogonalisation in panels").
+                    for (slot, &i) in live.iter().enumerate() {
+                        let v = &bases[runs[i].col()].0[..nv];
+                        let row = &mut locals[slot * nv..(slot + 1) * nv];
+                        ip.local_dots(&pw[w(slot)], v, row);
+                    }
+                    ip.try_reduce_into(&locals[..nl * nv], &mut dots[..nl * nv])?;
+                    for (slot, &i) in live.iter().enumerate() {
+                        let row = &mut dots[slot * nv..(slot + 1) * nv];
+                        let h = runs[i].h();
+                        for (j, hjk) in row.iter_mut().enumerate() {
                             h[(j, k)] += *hjk;
                             *hjk = -*hjk;
                         }
-                        vector::axpy_many(&dots[..nv], &v[..nv], w);
+                        let span = w(slot);
+                        vector::axpy_many(row, &bases[runs[i].col()].0[..nv], &mut pw[span]);
                     }
                 }
             }
-            let hk1 = ip.try_norm(w)?;
-            if !hk1.is_finite() {
-                // Non-finite Arnoldi column (NaN from the operator or
-                // preconditioner, or lost orthogonality blowing up the
-                // norm): discard this column and end the cycle.
-                run.discard_column();
-                break;
+            for slot in 0..nl {
+                let wc = &pw[w(slot)];
+                locals[slot] = ip.local_dot(wc, wc);
             }
-            h[(k + 1, k)] = hk1;
-            let dirs = if right { &zbasis[..=k] } else { &v[..=k] };
-            if !run.push_column(k, dirs) {
-                break;
-            }
-            vector::scal(1.0 / hk1, w);
-            pool_set(v, k + 1, w);
+            ip.try_reduce_into(&locals[..nl], &mut dots[..nl])?;
+            let mut slot = 0;
+            live.retain(|&i| {
+                let (d, span) = (dots[slot], w(slot));
+                slot += 1;
+                // What `try_norm` makes of the reduced square.
+                let hk1 = if d.is_nan() { d } else { d.max(0.0).sqrt() };
+                let run = &mut *runs[i];
+                let col = run.col();
+                if !hk1.is_finite() {
+                    // Non-finite Arnoldi column (NaN from the operator or
+                    // preconditioner, or lost orthogonality blowing up the
+                    // norm): discard this column and end the cycle.
+                    run.discard_column();
+                    run.update(dirs(bases, col, right));
+                    return false;
+                }
+                run.h()[(k + 1, k)] = hk1;
+                if !run.push_column(k, &dirs(bases, col, right)[..=k]) {
+                    run.update(dirs(bases, col, right));
+                    return false;
+                }
+                let wc = &mut pw[span];
+                vector::scal(1.0 / hk1, wc);
+                pool_set(&mut bases[col].0, k + 1, wc);
+                true
+            });
             nv = k + 2;
         }
-        Ok(run.update(if right { zbasis } else { v }))
+        for &i in live.iter() {
+            let col = runs[i].col();
+            runs[i].update(dirs(bases, col, right));
+        }
+        Ok(())
     };
-    restart::solve(op, left, ip, b, x0, opts, ckpt, recycle, sk, cycle)
+    restart::solve(
+        op, left, ip, b, x0, k, opts, ckpt, recycle, sk, true, cycle, emit,
+    )
 }
 
 #[cfg(test)]
@@ -1062,5 +1223,185 @@ pub(crate) mod tests {
         assert!(res.converged);
         assert!(res.iterations < 20);
         assert!(vector::dist2(&res.x, &xref) < 1e-5);
+    }
+
+    /// A 2D Laplacian, then four decoupled dofs of diagonal 2, then one
+    /// whose row and column are zero: a right-hand side on the decoupled
+    /// dofs spans a one-dimensional invariant subspace and converges in one
+    /// iteration, one along the last dof is annihilated and breaks down,
+    /// and every other one solves as on the Laplacian.
+    fn panel_operator() -> CsrMatrix {
+        let l = laplacian_2d(9, 8);
+        let nl = l.rows();
+        let mut c = CooBuilder::new(nl + 5, nl + 5);
+        for i in 0..nl {
+            for (j, v) in l.row(i) {
+                c.push(i, j, v);
+            }
+        }
+        for i in nl..nl + 4 {
+            c.push(i, i, 2.0);
+        }
+        c.to_csr()
+    }
+
+    /// The panel's right-hand sides: two generic ones, one that converges
+    /// early, one that breaks down, and a zero one (converged before any
+    /// cycle).
+    fn panel_rhs(n: usize) -> Vec<Vec<f64>> {
+        let generic = |f: f64| -> Vec<f64> {
+            let mut b: Vec<f64> = (0..n).map(|i| ((i as f64 + 1.3) * f).sin()).collect();
+            b[n - 1] = 0.0;
+            b
+        };
+        let mut early = vec![0.0; n];
+        early[n - 3] = 1.0;
+        early[n - 2] = -0.5;
+        let mut broken = vec![0.0; n];
+        broken[n - 1] = 1.0;
+        vec![generic(0.7), early, broken, vec![0.0; n], generic(1.9)]
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every column of [`try_gmres_panel`] is [`try_gmres_with`] from the
+    /// same recycle state to the bit — x, history, iterations, status —
+    /// and the space after the panel holds what banking the single solves'
+    /// increments in column order holds: on both sides, under CGS2 and MGS,
+    /// with and without a recycle space, at a restart length the panel
+    /// outlives, with a column that converges early, one that breaks down
+    /// and one that is zero.
+    #[test]
+    fn each_panel_column_is_its_single_solve_bitwise() {
+        let a = panel_operator();
+        let n = a.rows();
+        let diag: Vec<f64> = a
+            .diag()
+            .iter()
+            .map(|&d| if d == 0.0 { 1.0 } else { d })
+            .collect();
+        let jacobi = FnPrecond::new(move |r: &[f64], z: &mut [f64]| {
+            for i in 0..r.len() {
+                z[i] = r[i] / diag[i];
+            }
+        });
+        let rhs = panel_rhs(n);
+        let k = rhs.len();
+        let panel: Vec<f64> = rhs.concat();
+        let x0 = vec![0.0; k * n];
+        // A space holding two earlier solves' increments.
+        let mut seeded = RecycleSpace::new(6);
+        for f in [0.3, 2.3] {
+            let b: Vec<f64> = (0..n - 1)
+                .map(|i| (i as f64 * f).cos())
+                .chain([0.0])
+                .collect();
+            let opts = GmresOpts {
+                tol: 1e-9,
+                ..Default::default()
+            };
+            let mut ws = GmresWorkspace::new();
+            try_gmres_with(
+                &a,
+                &jacobi,
+                &SeqDot,
+                &b,
+                &x0[..n],
+                &opts,
+                None,
+                Some(&mut seeded),
+                &mut ws,
+            )
+            .unwrap();
+        }
+        assert_eq!(seeded.len(), 2);
+        let mut ws = GmresWorkspace::new();
+        for side in [Side::Right, Side::Left] {
+            for (ortho, restart) in [(Ortho::Cgs2, 200), (Ortho::Mgs, 200), (Ortho::Cgs2, 9)] {
+                for space in [None, Some(&seeded)] {
+                    let opts = GmresOpts {
+                        tol: 1e-10,
+                        max_iters: 400,
+                        side,
+                        ortho,
+                        restart,
+                        ..Default::default()
+                    };
+                    let what = format!(
+                        "{side:?} {ortho:?} restart {restart} recycled {}",
+                        space.is_some()
+                    );
+                    let mut after = space.cloned();
+                    let got = try_gmres_panel(
+                        &a,
+                        &jacobi,
+                        &SeqDot,
+                        &panel,
+                        &x0,
+                        k,
+                        &opts,
+                        None,
+                        after.as_mut(),
+                        &mut ws,
+                    )
+                    .unwrap();
+                    // Banked in column order from the entry state.
+                    let mut banked = space.cloned();
+                    for (c, (b, res)) in rhs.iter().zip(&got).enumerate() {
+                        let mut alone = space.cloned();
+                        let want = try_gmres_with(
+                            &a,
+                            &jacobi,
+                            &SeqDot,
+                            b,
+                            &x0[..n],
+                            &opts,
+                            None,
+                            alone.as_mut(),
+                            &mut GmresWorkspace::new(),
+                        )
+                        .unwrap();
+                        assert_eq!(bits(&res.x), bits(&want.x), "{what}: column {c}");
+                        assert_eq!(
+                            bits(&res.history),
+                            bits(&want.history),
+                            "{what}: column {c}"
+                        );
+                        assert_eq!(res.iterations, want.iterations, "{what}: column {c}");
+                        assert_eq!(res.status, want.status, "{what}: column {c}");
+                        assert_eq!(
+                            res.breakdown_restarts, want.breakdown_restarts,
+                            "{what}: column {c}"
+                        );
+                        if let (Some(bank), Some(alone)) = (banked.as_mut(), alone) {
+                            if alone.len() > space.map_or(0, RecycleSpace::len) {
+                                bank.bank_newest_of(&alone);
+                            }
+                        }
+                    }
+                    if let (Some(after), Some(banked)) = (after, banked) {
+                        assert_eq!(after.len(), banked.len(), "{what}");
+                        for ((u, au), (v, av)) in after.pairs().zip(banked.pairs()) {
+                            assert_eq!((bits(u), bits(au)), (bits(v), bits(av)), "{what}");
+                        }
+                    }
+                    // The shapes the panel has to survive.
+                    let iters: Vec<usize> = got.iter().map(|r| r.iterations).collect();
+                    assert!(got[0].converged && got[4].converged, "{what}: {iters:?}");
+                    if space.is_none() {
+                        // (A correction from the space puts the Laplacian
+                        // back into the early column.)
+                        assert_eq!(iters[1], 1, "{what}: early column {iters:?}");
+                    }
+                    assert_eq!(got[2].status, SolveStatus::Breakdown, "{what}");
+                    assert_eq!((got[3].iterations, got[3].converged), (0, true), "{what}");
+                    if restart < 200 {
+                        assert!(iters[0] > restart, "{what}: the panel outlives a cycle");
+                    }
+                }
+            }
+        }
     }
 }

@@ -92,6 +92,28 @@ pub trait Operator {
         self.apply(x, y);
         Ok(())
     }
+
+    /// `y ← A x` for a panel of `k` columns, stored one after another in
+    /// `x` and `y`. The default is the column loop over
+    /// [`Operator::try_apply`]; a distributed operator overrides it to carry
+    /// every column in one neighbour exchange, each column equal to its
+    /// one-column apply to the bit.
+    fn try_apply_panel(&self, k: usize, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
+        let n = column_len(k, x.len());
+        for c in 0..k {
+            self.try_apply(&x[c * n..(c + 1) * n], &mut y[c * n..(c + 1) * n])?;
+        }
+        Ok(())
+    }
+}
+
+/// The length of each of the `k` columns of a panel of `len` values.
+pub fn column_len(k: usize, len: usize) -> usize {
+    assert!(
+        k > 0 && len % k == 0,
+        "a panel of {len} values does not hold {k} columns"
+    );
+    len / k
 }
 
 /// A preconditioner `M⁻¹`.
@@ -120,6 +142,40 @@ pub trait Preconditioner {
     ) -> Result<(), SolveInterrupt> {
         self.try_apply(r, z)?;
         op.try_apply(z, w)
+    }
+
+    /// `z ← M⁻¹ r` for a panel of `k` columns, stored one after another.
+    /// The default is the column loop over [`Preconditioner::try_apply`].
+    fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
+        let n = column_len(k, r.len());
+        for c in 0..k {
+            self.try_apply(&r[c * n..(c + 1) * n], &mut z[c * n..(c + 1) * n])?;
+        }
+        Ok(())
+    }
+
+    /// [`Preconditioner::try_apply_with_op`] for a panel of `k` columns:
+    /// the right-preconditioned Arnoldi step of a panel GMRES, every column
+    /// of it in one application. The default is the column loop over
+    /// [`Preconditioner::try_apply_with_op`], so a preconditioner that does
+    /// not override it keeps its calls, in their order, and its bits. A
+    /// distributed one overrides it to share each neighbour exchange and
+    /// coarse solve among the columns, each column equal to its one-column
+    /// step to the bit.
+    fn try_apply_panel_with_op(
+        &self,
+        op: &dyn Operator,
+        k: usize,
+        r: &[f64],
+        z: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<(), SolveInterrupt> {
+        let n = column_len(k, r.len());
+        for c in 0..k {
+            let cols = c * n..(c + 1) * n;
+            self.try_apply_with_op(op, &r[cols.clone()], &mut z[cols.clone()], &mut w[cols])?;
+        }
+        Ok(())
     }
 }
 

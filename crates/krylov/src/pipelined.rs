@@ -64,12 +64,40 @@ where
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
+    let mut out = pipelined_gmres_panel(op, precond, ip, b, x0, 1, opts, ckpt, recycle)?;
+    Ok(out.remove(0))
+}
+
+/// [`pipelined_gmres`] for `k` right-hand sides, the columns of `b` and
+/// `x0` one after another. The p1-GMRES recurrence has no panel body, so
+/// the columns are solved one after another; what
+/// [`crate::try_gmres_panel`] shares besides the cycles — the start
+/// residuals, the recycle-space correction from the directions the space
+/// holds at entry, the harvest in column order — they share here too. Each
+/// column is its one-column solve to the bit.
+#[allow(clippy::too_many_arguments)]
+pub fn pipelined_gmres_panel<O, M, P>(
+    op: &O,
+    precond: &M,
+    ip: &P,
+    b: &[f64],
+    x0: &[f64],
+    k: usize,
+    opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
+) -> Result<Vec<SolveResult>, SolveInterrupt>
+where
+    O: Operator + ?Sized,
+    M: Preconditioner + ?Sized,
+    P: InnerProduct + ?Sized,
+{
     let post = |row| ip.reduce_begin(row);
     let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| {
         precond.try_apply(ax, t)?;
         row()
     };
-    pgmres_impl(op, precond, ip, b, x0, opts, ckpt, recycle, post, step)
+    pgmres_impl(op, precond, ip, b, x0, k, opts, ckpt, recycle, post, step)
 }
 
 /// Fused p1-GMRES: the Gram row is held back and rides, unreduced, on the
@@ -91,9 +119,32 @@ where
     M: FusedPreconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
+    let mut out = fused_pipelined_gmres_panel(op, precond, ip, b, x0, 1, opts, ckpt, recycle)?;
+    Ok(out.remove(0))
+}
+
+/// [`fused_pipelined_gmres`] for `k` right-hand sides, solved one after
+/// another as in [`pipelined_gmres_panel`].
+#[allow(clippy::too_many_arguments)]
+pub fn fused_pipelined_gmres_panel<O, M, P>(
+    op: &O,
+    precond: &M,
+    ip: &P,
+    b: &[f64],
+    x0: &[f64],
+    k: usize,
+    opts: &GmresOpts,
+    ckpt: Option<&CheckpointCfg<'_>>,
+    recycle: Option<&mut RecycleSpace>,
+) -> Result<Vec<SolveResult>, SolveInterrupt>
+where
+    O: Operator + ?Sized,
+    M: FusedPreconditioner + ?Sized,
+    P: InnerProduct + ?Sized,
+{
     let post = |row| Ok(Box::new(move || Ok(row)) as Reduction<'_>);
     let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| precond.apply_fused(ax, t, row()?);
-    pgmres_impl(op, precond, ip, b, x0, opts, ckpt, recycle, post, step)
+    pgmres_impl(op, precond, ip, b, x0, k, opts, ckpt, recycle, post, step)
 }
 
 /// Local parts of the payload an iteration posts: the Gram row of `w`
@@ -117,12 +168,13 @@ fn pgmres_impl<'a, O, M, P>(
     ip: &P,
     b: &[f64],
     x0: &[f64],
+    k: usize,
     opts: &GmresOpts,
     ckpt: Option<&CheckpointCfg<'_>>,
     recycle: Option<&mut RecycleSpace>,
     post: impl Fn(Vec<f64>) -> Result<Reduction<'a>, SolveInterrupt>,
     step: impl Fn(&[f64], &mut [f64], Reduction<'a>) -> Result<Vec<f64>, SolveInterrupt>,
-) -> Result<SolveResult, SolveInterrupt>
+) -> Result<Vec<SolveResult>, SolveInterrupt>
 where
     O: Operator + ?Sized,
     M: Preconditioner + ?Sized,
@@ -131,21 +183,26 @@ where
     let n = op.dim();
     let m = opts.restart.max(2);
     let mut sk = Skeleton::default();
-    sk.prepare(n, m);
+    sk.prepare(n, m, k);
     let mut ax = vec![0.0; n];
     // The anchor and every cycle-start residual use ordinary blocking
     // reductions, like the paper's implementation.
+    let mut out = Vec::with_capacity(k);
     restart::solve(
         op,
         Some(precond),
         ip,
         b,
         x0,
+        k,
         opts,
         ckpt,
         recycle,
         &mut sk,
-        |run, r, beta| {
+        false,
+        |runs, r, beta| {
+            // Solved alone: one column a cycle.
+            let (run, r, beta) = (&mut *runs[0], r[0], beta[0]);
             // v: normalized basis; z: shadow basis z_j = B v_j.
             let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
             let mut z: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
@@ -229,9 +286,12 @@ where
             if let Some(row) = unread {
                 row()?;
             }
-            Ok(run.update(&v))
+            run.update(&v);
+            Ok(())
         },
-    )
+        |r| out.push(r),
+    )?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -445,5 +505,68 @@ pub(crate) mod tests {
         let res = overlapped(&a, &b, &opts, None, None).unwrap();
         assert!(res.history.len() >= 2);
         assert!(res.history.last().unwrap() < &1e-8);
+    }
+
+    /// The pipelined loops solve a panel's columns one after another, each
+    /// its one-column solve from the recycle state at entry, bit for bit.
+    #[test]
+    fn each_panel_column_is_its_single_solve_bitwise() {
+        let a = laplacian_2d(8, 7);
+        let n = a.rows();
+        let rhs: Vec<Vec<f64>> = [0.4, 1.1, 2.7]
+            .iter()
+            .map(|f| (0..n).map(|i| ((i as f64 + 0.5) * f).sin()).collect())
+            .collect();
+        let (panel, x0) = (rhs.concat(), vec![0.0; 3 * n]);
+        let opts = GmresOpts {
+            tol: 1e-10,
+            ..Default::default()
+        };
+        let mut seeded = RecycleSpace::new(4);
+        let other: Vec<f64> = (0..n).map(|i| (i as f64 * 3.3).cos()).collect();
+        overlapped(&a, &other, &opts, None, Some(&mut seeded)).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for space in [None, Some(&seeded)] {
+            for fused_loop in [false, true] {
+                let mut at_entry = space.cloned();
+                let got = if fused_loop {
+                    fused_pipelined_gmres_panel(
+                        &a,
+                        &SeqFused,
+                        &SeqDot,
+                        &panel,
+                        &x0,
+                        3,
+                        &opts,
+                        None,
+                        at_entry.as_mut(),
+                    )
+                } else {
+                    pipelined_gmres_panel(
+                        &a,
+                        &IdentityPrecond,
+                        &SeqDot,
+                        &panel,
+                        &x0,
+                        3,
+                        &opts,
+                        None,
+                        at_entry.as_mut(),
+                    )
+                }
+                .unwrap();
+                let single = if fused_loop { fused } else { overlapped };
+                for (b, res) in rhs.iter().zip(&got) {
+                    let want = single(&a, b, &opts, None, space.cloned().as_mut()).unwrap();
+                    assert_eq!(bits(&res.x), bits(&want.x));
+                    assert_eq!(bits(&res.history), bits(&want.history));
+                    assert_eq!(res.iterations, want.iterations);
+                }
+                assert_eq!(
+                    at_entry.map_or(0, |s| s.len()),
+                    space.map_or(0, |s| s.len() + 3)
+                );
+            }
+        }
     }
 }

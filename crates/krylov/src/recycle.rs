@@ -35,6 +35,7 @@ use dd_linalg::vector;
 
 /// A bounded bank of `(u, A·u)` direction pairs harvested from completed
 /// solves, oldest evicted first.
+#[derive(Clone)]
 pub struct RecycleSpace {
     max_dim: usize,
     u: Vec<Vec<f64>>,
@@ -60,6 +61,26 @@ impl RecycleSpace {
         self.u.is_empty()
     }
 
+    /// Bank the newest direction of `other`, with eviction — what banking
+    /// the increment `other` banked last does.
+    #[cfg(test)]
+    pub(crate) fn bank_newest_of(&mut self, other: &RecycleSpace) {
+        if let (Some(u), Some(au)) = (other.u.last(), other.au.last()) {
+            if self.u.len() == self.max_dim {
+                self.u.remove(0);
+                self.au.remove(0);
+            }
+            self.u.push(u.clone());
+            self.au.push(au.clone());
+        }
+    }
+
+    /// The banked `(u, A·u)` pairs, oldest first.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (&Vec<f64>, &Vec<f64>)> {
+        self.u.iter().zip(&self.au)
+    }
+
     /// Drop every banked direction (call after the operator changes more
     /// than the admissibility policy tolerates — stale `A·u` images would
     /// otherwise poison the projection).
@@ -68,85 +89,113 @@ impl RecycleSpace {
         self.au.clear();
     }
 
-    /// Residual-minimizing correction of `x0` over the banked space, given
-    /// its true residual `r = b − A x0`: `x0 += U c` with
-    /// `c = (AU)ᵀ(AU) \ (AU)ᵀ r`. Returns `true` if a correction was
-    /// applied. The normal-equations system is tiny (`len() ≤ max_dim`) and
-    /// solved redundantly on every rank from the globally reduced Gram
-    /// entries, so all ranks stay in lockstep.
-    pub(crate) fn try_improve_guess<P>(
+    /// Residual-minimizing correction of each guess `x[c]` over the banked
+    /// space, given its true residual `r[c]`: `x[c] += U c_c` with
+    /// `c_c = (AU)ᵀ(AU) \ (AU)ᵀ r[c]`. Returns `true` if the corrections
+    /// were applied (they are, to every guess or to none: whether the Gram
+    /// matrix is usable does not depend on the residual). The normal-equations
+    /// system is tiny (`len() ≤ max_dim`) and solved redundantly on every
+    /// rank from the globally reduced Gram entries, so all ranks stay in
+    /// lockstep. One reduction carries the Gram matrix and every guess's
+    /// projections, each entry what the one-guess correction reduces.
+    pub(crate) fn try_improve_guesses<P>(
         &self,
         ip: &P,
-        r: &[f64],
-        x0: &mut [f64],
+        r: &[&[f64]],
+        x: &mut [&mut [f64]],
     ) -> Result<bool, SolveInterrupt>
     where
         P: InnerProduct + ?Sized,
     {
         let k = self.u.len();
-        if k == 0 {
+        if k == 0 || r.is_empty() {
             return Ok(false);
         }
-        // One batched reduction: the k×k Gram matrix of AU plus the k
-        // projections ⟨A·u_i, r⟩.
-        let mut locals = vec![0.0; k * k + k];
+        // The k×k Gram matrix of AU, then each guess's k projections
+        // ⟨A·u_i, r⟩.
+        let mut locals = vec![0.0; k * k + r.len() * k];
         let (gram, rhs) = locals.split_at_mut(k * k);
         for (aui, row) in self.au.iter().zip(gram.chunks_exact_mut(k)) {
             ip.local_dots(aui, &self.au, row);
         }
         // Not a Gram row: the weighted argument differs per entry, and a
         // partition-of-unity dot rounds `(D a)·r`, not `(D r)·a`.
-        for (aui, p) in self.au.iter().zip(rhs) {
-            *p = ip.local_dot(aui, r);
+        for (rc, proj) in r.iter().zip(rhs.chunks_exact_mut(k)) {
+            for (aui, p) in self.au.iter().zip(proj) {
+                *p = ip.local_dot(aui, rc);
+            }
         }
         let mut reduced = vec![0.0; locals.len()];
         ip.try_reduce_into(&locals, &mut reduced)?;
         let (gram, rhs) = reduced.split_at(k * k);
-        let c = match solve_spd_small(k, gram, rhs) {
-            Some(c) => c,
-            // Numerically degenerate bank (e.g. duplicate right-hand
-            // sides): skip the correction rather than inject noise.
-            None => return Ok(false),
-        };
-        vector::axpy_many(&c, &self.u, x0);
+        for (proj, xc) in rhs.chunks_exact(k).zip(x.iter_mut()) {
+            match solve_spd_small(k, gram, proj) {
+                Some(c) => vector::axpy_many(&c, &self.u, xc),
+                // Numerically degenerate bank (e.g. duplicate right-hand
+                // sides): skip the correction rather than inject noise.
+                None => return Ok(false),
+            }
+        }
         Ok(true)
     }
 
-    /// Bank the increment `x − x0` of a completed solve as a new direction
-    /// (skipped when the increment is numerically zero). `x0` is the guess
-    /// the Krylov cycles started from — after
-    /// [`RecycleSpace::try_improve_guess`]'s correction — so the banked
+    /// Bank the increments `x[c] − x0[c]` of completed solves as new
+    /// directions, in column order (an increment that is numerically zero
+    /// is skipped). `x0[c]` is the guess the Krylov cycles started from —
+    /// after [`RecycleSpace::try_improve_guesses`]' correction — so a banked
     /// direction is what the cycles found, not what the bank already held.
+    /// One reduction gives every increment's norm and one panel apply its
+    /// image, each what banking that increment alone computes.
     pub(crate) fn try_harvest<O, P>(
         &mut self,
         op: &O,
         ip: &P,
-        x0: &[f64],
-        x: &[f64],
+        x0: &[&[f64]],
+        x: &[&[f64]],
     ) -> Result<(), SolveInterrupt>
     where
         O: Operator + ?Sized,
         P: InnerProduct + ?Sized,
     {
-        if self.max_dim == 0 {
+        if self.max_dim == 0 || x.is_empty() {
             return Ok(());
         }
-        let mut u: Vec<f64> = x.iter().zip(x0).map(|(a, b)| a - b).collect();
-        let norm = ip.try_norm(&u)?;
-        if !(norm.is_finite() && norm > 0.0) {
+        let mut u: Vec<Vec<f64>> = x
+            .iter()
+            .zip(x0)
+            .map(|(x, x0)| x.iter().zip(x0.iter()).map(|(a, b)| a - b).collect())
+            .collect();
+        let locals: Vec<f64> = u.iter().map(|uc| ip.local_dot(uc, uc)).collect();
+        let mut sq = vec![0.0; u.len()];
+        ip.try_reduce_into(&locals, &mut sq)?;
+        // What `try_norm` makes of a reduced square: NaN stays NaN.
+        let norms = sq
+            .iter()
+            .map(|&d| if d.is_nan() { d } else { d.max(0.0).sqrt() });
+        let mut kept = Vec::with_capacity(u.len());
+        for (mut uc, norm) in u.drain(..).zip(norms) {
+            if norm.is_finite() && norm > 0.0 {
+                for v in &mut uc {
+                    *v /= norm;
+                }
+                kept.push(uc);
+            }
+        }
+        if kept.is_empty() {
             return Ok(());
         }
-        for v in &mut u {
-            *v /= norm;
+        let panel = kept.concat();
+        let mut images = vec![0.0; panel.len()];
+        op.try_apply_panel(kept.len(), &panel, &mut images)?;
+        let n = panel.len() / kept.len();
+        for (uc, au) in kept.into_iter().zip(images.chunks_exact(n.max(1))) {
+            if self.u.len() == self.max_dim {
+                self.u.remove(0);
+                self.au.remove(0);
+            }
+            self.u.push(uc);
+            self.au.push(au.to_vec());
         }
-        let mut au = vec![0.0; u.len()];
-        op.try_apply(&u, &mut au)?;
-        if self.u.len() == self.max_dim {
-            self.u.remove(0);
-            self.au.remove(0);
-        }
-        self.u.push(u);
-        self.au.push(au);
         Ok(())
     }
 }
@@ -290,7 +339,7 @@ mod tests {
         for k in 0..3 {
             let b = rhs(20, 100 + k);
             let r = try_gmres(&a, &p, &SeqDot, &b, &x0, &opts(), None).unwrap();
-            space.try_harvest(&a, &SeqDot, &x0, &r.x).unwrap();
+            space.try_harvest(&a, &SeqDot, &[&x0], &[&r.x]).unwrap();
         }
         assert_eq!(space.len(), 2, "bank must stay bounded");
         space.clear();
@@ -302,14 +351,16 @@ mod tests {
         let a = laplacian_2d(2, 5);
         let x = vec![1.0; 10];
         let mut space = RecycleSpace::new(3);
-        space.try_harvest(&a, &SeqDot, &x, &x).unwrap();
+        space.try_harvest(&a, &SeqDot, &[&x], &[&x]).unwrap();
         assert!(space.is_empty(), "zero increment must not be banked");
         let mut off = RecycleSpace::new(0);
         let y = vec![2.0; 10];
-        off.try_harvest(&a, &SeqDot, &x, &y).unwrap();
+        off.try_harvest(&a, &SeqDot, &[&x], &[&y]).unwrap();
         assert!(off.is_empty());
         let mut guess = vec![0.0; 10];
-        assert!(!off.try_improve_guess(&SeqDot, &y, &mut guess).unwrap());
+        assert!(!off
+            .try_improve_guesses(&SeqDot, &[&y], &mut [&mut guess])
+            .unwrap());
     }
 
     #[test]
@@ -321,12 +372,14 @@ mod tests {
         let p = IdentityPrecond;
         let r = try_gmres(&a, &p, &SeqDot, &b, &x0, &opts(), None).unwrap();
         let mut space = RecycleSpace::new(4);
-        space.try_harvest(&a, &SeqDot, &x0, &r.x).unwrap();
-        space.try_harvest(&a, &SeqDot, &x0, &r.x).unwrap();
+        space.try_harvest(&a, &SeqDot, &[&x0], &[&r.x]).unwrap();
+        space.try_harvest(&a, &SeqDot, &[&x0], &[&r.x]).unwrap();
         let mut guess = vec![0.0; 10];
         // Must not panic; either applies a correction from the
         // well-conditioned subset or skips. The residual at the zero
         // guess is b.
-        let _ = space.try_improve_guess(&SeqDot, &b, &mut guess).unwrap();
+        let _ = space
+            .try_improve_guesses(&SeqDot, &[&b], &mut [&mut guess])
+            .unwrap();
     }
 }

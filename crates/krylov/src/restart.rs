@@ -12,6 +12,12 @@
 //! allowed, the update `x += D y` and the verdict. The classical loop
 //! ([`crate::gmres`]) and the pipelined loops ([`crate::pipelined`]) are two
 //! cycle bodies handed to [`solve`].
+//!
+//! The driver solves `k` right-hand sides at once, one [`Run`] and one
+//! [`LeastSquares`] per column: their start residuals, the recycle-space
+//! correction and the harvest are formed together, the classical body steps
+//! the columns' first cycle together, and every column is its one-column
+//! solve to the bit.
 
 use crate::checkpoint::{CheckpointCfg, SolveCheckpoint};
 use crate::gmres::{GmresOpts, SolveResult, SolveStatus, STALL_LIMIT};
@@ -106,31 +112,64 @@ impl LeastSquares {
     }
 }
 
-/// The driver's reusable buffers: the residual scratch and the
-/// least-squares problem.
+/// The driver's reusable buffers: per column the least-squares problem,
+/// and the scratch of the residuals, column lists and per-column norms.
+/// Warm, a solve allocates from it nothing but its result.
 #[derive(Default)]
 pub(crate) struct Skeleton {
-    ax: Vec<f64>,
-    raw: Vec<f64>,
-    r: Vec<f64>,
-    ls: LeastSquares,
+    ls: Vec<LeastSquares>,
+    scratch: Scratch,
+    /// A list of columns.
+    cols: Vec<usize>,
+    /// Per column, the latest residual norm.
+    beta: Vec<f64>,
+}
+
+/// Where the columns' residuals are formed together.
+#[derive(Default)]
+struct Scratch {
+    /// Per column: the true residual `b − A x` and the cycle's start
+    /// residual (the true one preconditioned under left preconditioning).
+    res: Vec<(Vec<f64>, Vec<f64>)>,
+    /// Panels of up to `k · n`: the iterates, their products, the true
+    /// residuals and the preconditioned ones.
+    px: Vec<f64>,
+    pax: Vec<f64>,
+    praw: Vec<f64>,
+    pr: Vec<f64>,
+    /// The squared norms, local and reduced.
+    locals: Vec<f64>,
+    sums: Vec<f64>,
 }
 
 impl Skeleton {
-    /// Size for dimension `n` and cycles of up to `m` columns.
-    pub(crate) fn prepare(&mut self, n: usize, m: usize) {
-        self.ax.resize(n, 0.0);
-        self.raw.resize(n, 0.0);
-        self.r.resize(n, 0.0);
-        self.ls.prepare(m);
+    /// Size for `k` columns of dimension `n` and cycles of up to `m`
+    /// columns.
+    pub(crate) fn prepare(&mut self, n: usize, m: usize, k: usize) {
+        self.ls.resize_with(k, Default::default);
+        for ls in &mut self.ls {
+            ls.prepare(m);
+        }
+        let sc = &mut self.scratch;
+        sc.res.resize_with(k, Default::default);
+        for (raw, r) in &mut sc.res {
+            raw.resize(n, 0.0);
+            r.resize(n, 0.0);
+        }
+        for p in [&mut sc.px, &mut sc.pax, &mut sc.praw, &mut sc.pr] {
+            p.resize(k * n, 0.0);
+        }
+        for v in [&mut sc.locals, &mut sc.sums, &mut self.beta] {
+            v.resize(k, 0.0);
+        }
+        self.cols.reserve(k);
     }
 }
 
-/// Proof that a cycle body ended in [`Run::update`].
-pub(crate) struct Updated(());
-
-/// The state of one solve, handed to the cycle body.
+/// The state of one column's solve, handed to the cycle body.
 pub(crate) struct Run<'a> {
+    /// Which column of the panel this is.
+    col: usize,
     x: Vec<f64>,
     history: Vec<f64>,
     iterations: usize,
@@ -145,12 +184,55 @@ pub(crate) struct Run<'a> {
     /// Stagnation tracking across cycles.
     best_res: f64,
     stall: usize,
+    /// The cycle body ended the current cycle in [`Run::update`].
+    updated: bool,
+    /// Why the solve stopped, once it has.
+    status: Option<SolveStatus>,
+    /// Where the cycles started, when a recycle space banks their
+    /// increment.
+    start: Option<Vec<f64>>,
     opts: &'a GmresOpts,
     ckpt: Option<&'a CheckpointCfg<'a>>,
     ls: &'a mut LeastSquares,
 }
 
+impl<'a> Run<'a> {
+    /// A column starting at `(x, history)`, at iteration 0.
+    fn new(
+        (x, history): (Vec<f64>, Vec<f64>),
+        opts: &'a GmresOpts,
+        ckpt: Option<&'a CheckpointCfg<'a>>,
+        ls: &'a mut LeastSquares,
+    ) -> Self {
+        Run {
+            col: 0,
+            x,
+            history,
+            iterations: 0,
+            r0_norm: 0.0,
+            target: 0.0,
+            final_res: 1.0,
+            converged: false,
+            k_done: 0,
+            cycle_broken: false,
+            breakdown_restarts: 0,
+            best_res: f64::INFINITY,
+            stall: 0,
+            updated: false,
+            status: None,
+            start: None,
+            opts,
+            ckpt,
+            ls,
+        }
+    }
+}
+
 impl Run<'_> {
+    pub(crate) fn col(&self) -> usize {
+        self.col
+    }
+
     /// Below this a Hessenberg entry counts as annihilated.
     pub(crate) fn tiny(&self) -> f64 {
         1e-14 * self.r0_norm
@@ -167,6 +249,16 @@ impl Run<'_> {
             return false;
         }
         ip.on_iteration(self.iterations);
+        self.iterations += 1;
+        true
+    }
+
+    /// [`Run::next_iteration`] for a column that steps with others: the
+    /// iteration hook runs once per step, for the panel's first column.
+    pub(crate) fn next_iteration_in_panel(&mut self) -> bool {
+        if self.iterations >= self.opts.max_iters {
+            return false;
+        }
         self.iterations += 1;
         true
     }
@@ -254,21 +346,77 @@ impl Run<'_> {
 
     /// End of a cycle: `x += D y` over the columns taken (skipped when the
     /// coefficients are non-finite).
-    pub(crate) fn update(&mut self, dirs: &[Vec<f64>]) -> Updated {
+    pub(crate) fn update(&mut self, dirs: &[Vec<f64>]) {
         if self.k_done > 0 {
             if let Some(y) = self.ls.solve(self.k_done) {
                 vector::axpy_many(y, &dirs[..self.k_done], &mut self.x);
             }
         }
-        Updated(())
+        self.updated = true;
     }
 
-    fn finish(self, status: SolveStatus) -> SolveResult {
+    /// Start a cycle from a residual of norm `beta`, or stop the solve:
+    /// converged, or a broken iterate. `Err` when an armed guard finds the
+    /// recurred residual drifted from the recomputed one.
+    fn open_cycle(&mut self, beta: f64) -> Result<bool, SolveInterrupt> {
+        if beta <= self.target {
+            self.final_res = beta / self.r0_norm;
+            self.status = Some(SolveStatus::Converged);
+            return Ok(false);
+        }
+        if let Some(g) = &self.opts.guard {
+            // The recurred estimate from the previous cycle against the
+            // residual just recomputed: drift past the guard's threshold
+            // (or a non-finite recomputation) means the basis or the
+            // iterate was corrupted — hand the caller a typed interrupt to
+            // roll back and replay instead of iterating on poison. Mild
+            // drift falls through: the fresh cycle self-corrects it.
+            let recomputed = beta / self.r0_norm;
+            if g.drifted(self.final_res, recomputed) {
+                return Err(g.interrupt(self.iterations, self.final_res, recomputed));
+            }
+        }
+        if !beta.is_finite() {
+            // The iterate itself is poisoned; a restart cannot recover.
+            self.status = Some(SolveStatus::Breakdown);
+            return Ok(false);
+        }
+        self.ls.reset(beta);
+        self.k_done = 0;
+        self.cycle_broken = false;
+        self.updated = false;
+        Ok(true)
+    }
+
+    /// After a cycle: stop (converged, budget spent, a second breakdown) or
+    /// prepare the next one. Returns whether another cycle follows.
+    fn close_cycle(&mut self) -> bool {
+        debug_assert!(self.updated, "a cycle body ends in Run::update");
+        if self.converged {
+            self.status = Some(SolveStatus::Converged);
+        } else if self.iterations >= self.opts.max_iters {
+            self.status = Some(SolveStatus::MaxIterations);
+        } else if self.cycle_broken {
+            if self.breakdown_restarts > 0 {
+                self.status = Some(SolveStatus::Breakdown);
+            } else {
+                // One restart: rebuild the Krylov space from the current
+                // iterate before giving up.
+                self.breakdown_restarts += 1;
+                self.best_res = f64::INFINITY;
+                self.stall = 0;
+            }
+        }
+        self.status.is_none()
+    }
+
+    fn finish(&mut self) -> SolveResult {
+        let status = self.status.unwrap_or_default();
         SolveResult {
-            x: self.x,
+            x: std::mem::take(&mut self.x),
             iterations: self.iterations,
             converged: status == SolveStatus::Converged,
-            history: self.history,
+            history: std::mem::take(&mut self.history),
             final_residual: self.final_res,
             status,
             breakdown_restarts: self.breakdown_restarts,
@@ -276,30 +424,103 @@ impl Run<'_> {
     }
 }
 
-/// Restarted GMRES around the Arnoldi process `cycle`.
+/// `raw ← b − A x`, `r ←` raw preconditioned when `left` is given, and
+/// `beta[c] ← ‖r‖`, for the columns `cols` at their iterates `x(c)` — one
+/// panel apply of the operator (and of the preconditioner) and one
+/// reduction for all of them, each column what its one-column residual
+/// computes.
+#[allow(clippy::too_many_arguments)]
+fn residuals<'x, O, M, P>(
+    op: &O,
+    left: Option<&M>,
+    ip: &P,
+    b: &[f64],
+    cols: &[usize],
+    x: impl Fn(usize) -> &'x [f64],
+    sc: &mut Scratch,
+    beta: &mut [f64],
+) -> Result<(), SolveInterrupt>
+where
+    O: Operator + ?Sized,
+    M: Preconditioner + ?Sized,
+    P: InnerProduct + ?Sized,
+{
+    let (n, k) = (op.dim(), cols.len());
+    let Scratch {
+        res,
+        px,
+        pax,
+        praw,
+        pr,
+        locals,
+        sums,
+    } = sc;
+    let (px, pax) = (&mut px[..k * n], &mut pax[..k * n]);
+    let (praw, pr) = (&mut praw[..k * n], &mut pr[..k * n]);
+    for (i, &c) in cols.iter().enumerate() {
+        px[i * n..(i + 1) * n].copy_from_slice(x(c));
+    }
+    op.try_apply_panel(k, px, pax)?;
+    for (i, &c) in cols.iter().enumerate() {
+        let (span, bc) = (i * n..(i + 1) * n, &b[c * n..(c + 1) * n]);
+        for ((raw, &bv), &av) in praw[span.clone()].iter_mut().zip(bc).zip(&pax[span]) {
+            *raw = bv - av;
+        }
+    }
+    match left {
+        Some(m) => m.try_apply_panel(k, praw, pr)?,
+        None => pr.copy_from_slice(praw),
+    }
+    for (i, &c) in cols.iter().enumerate() {
+        let (raw, r) = &mut res[c];
+        raw.copy_from_slice(&praw[i * n..(i + 1) * n]);
+        r.copy_from_slice(&pr[i * n..(i + 1) * n]);
+        locals[i] = ip.local_dot(r, r);
+    }
+    ip.try_reduce_into(&locals[..k], &mut sums[..k])?;
+    for (&d, &c) in sums.iter().zip(cols) {
+        // `try_norm`'s reading of a reduced square: NaN propagates.
+        beta[c] = if d.is_nan() { d } else { d.max(0.0).sqrt() };
+    }
+    Ok(())
+}
+
+/// Restarted GMRES around the Arnoldi process `cycle`, for `k` right-hand
+/// sides at once — the columns of `b` and `x0`, one after another — each
+/// column's result handed to `emit` in column order.
 ///
 /// `left` is the preconditioner of the residual — `Some` under left
 /// preconditioning (history is the preconditioned residual), `None` when
 /// the cycle body preconditions on the right (history is the true one).
-/// `cycle(run, r, beta)` builds one cycle from the start residual `r` of
-/// norm `beta`: it opens each iteration with [`Run::next_iteration`],
-/// writes the Hessenberg column into [`Run::h`] and hands it over with
-/// [`Run::push_column`] until told to stop, and ends in [`Run::update`]
-/// with its update directions. `sk` must be prepared for the dimension and
-/// the longest cycle the body builds.
+/// `cycle(runs, r, beta)` builds one cycle for each of `runs` from its
+/// start residual `r[i]` of norm `beta[i]`: it opens each iteration with
+/// [`Run::next_iteration`], writes the Hessenberg column into [`Run::h`]
+/// and hands it over with [`Run::push_column`] until told to stop, and ends
+/// each run's cycle in [`Run::update`] with its update directions. With
+/// `lockstep`, the body steps every column of the first cycle together, and
+/// a column that has not converged when it leaves goes on alone; without,
+/// every column is solved alone. `sk` must be prepared for the dimension,
+/// the longest cycle the body builds and `k`.
 ///
-/// The solve starts at `x0`, or at the checkpoint `ckpt` resumes. Its
-/// target is `tol ×` the anchor, the residual norm at `x0`. A resumed solve
-/// takes the checkpoint's anchor under right preconditioning; under left it
-/// forms the anchor again under the preconditioner it runs with, which may
-/// have been rebuilt since the checkpoint was written (a recovered epoch),
-/// so that anchor and residuals are measured under one preconditioner. An
-/// unchanged preconditioner gives the checkpoint's anchor back, bit for
-/// bit. Without a `recycle` space the anchor's residual is the first
-/// cycle's. With one, the start is corrected over the banked directions
-/// from the true residual already formed there, the first cycle starts from
-/// the residual at the corrected guess, and the increment the cycles made
-/// is banked at exit.
+/// Each column is the one-column solve to the bit, whatever else is in the
+/// panel: its arithmetic is per column and in the one-column order, and
+/// what the columns share — the applications and the reductions of their
+/// start residuals, of a recycle-space correction and of the harvest — is
+/// per column what the one-column solve computes.
+///
+/// A column starts at its `x0`, or at the checkpoint `ckpt` resumes (one
+/// column only). Its target is `tol ×` the anchor, the residual norm at
+/// `x0`. A resumed solve takes the checkpoint's anchor under right
+/// preconditioning; under left it forms the anchor again under the
+/// preconditioner it runs with, which may have been rebuilt since the
+/// checkpoint was written (a recovered epoch), so that anchor and residuals
+/// are measured under one preconditioner. An unchanged preconditioner gives
+/// the checkpoint's anchor back, bit for bit. Without a `recycle` space the
+/// anchor's residual is the first cycle's. With one, every column is
+/// corrected over the banked directions as they stand at entry, from the
+/// true residual already formed there; the first cycle starts from the
+/// residual at the corrected guess, and the increments the cycles made are
+/// banked at exit, in column order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve<O, M, P>(
     op: &O,
@@ -307,149 +528,170 @@ pub(crate) fn solve<O, M, P>(
     ip: &P,
     b: &[f64],
     x0: &[f64],
+    k: usize,
     opts: &GmresOpts,
     ckpt: Option<&CheckpointCfg<'_>>,
     recycle: Option<&mut RecycleSpace>,
     sk: &mut Skeleton,
-    mut cycle: impl FnMut(&mut Run<'_>, &[f64], f64) -> Result<Updated, SolveInterrupt>,
-) -> Result<SolveResult, SolveInterrupt>
+    lockstep: bool,
+    mut cycle: impl FnMut(&mut [&mut Run<'_>], &[&[f64]], &[f64]) -> Result<(), SolveInterrupt>,
+    mut emit: impl FnMut(SolveResult),
+) -> Result<(), SolveInterrupt>
 where
     O: Operator + ?Sized,
     M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
     let n = op.dim();
-    assert_eq!(b.len(), n);
-    assert_eq!(x0.len(), n);
-    let Skeleton { ax, raw, r, ls } = sk;
+    assert_eq!(b.len(), k * n);
+    assert_eq!(x0.len(), k * n);
+    assert!(
+        ckpt.is_none() || k == 1,
+        "a checkpoint belongs to one column"
+    );
+    let Skeleton {
+        ls,
+        scratch: sc,
+        cols,
+        beta,
+    } = sk;
     let resume = ckpt.and_then(|c| c.resume.as_ref());
-    let x = match resume {
-        Some(cp) => {
-            assert_eq!(cp.x.len(), n);
-            cp.x.clone()
+    // A column's iterate and history at its start.
+    let start = |col: usize| {
+        let x = match resume {
+            Some(cp) => {
+                assert_eq!(cp.x.len(), n);
+                cp.x.clone()
+            }
+            None => x0[col * n..(col + 1) * n].to_vec(),
+        };
+        let mut history = Vec::new();
+        if opts.record_history {
+            // One up-front allocation instead of growth reallocations in
+            // the iteration loop.
+            history.reserve(opts.max_iters + 2 + resume.map_or(0, |cp| cp.history.len()));
+            match resume {
+                Some(cp) => history.extend_from_slice(&cp.history),
+                None => history.push(1.0),
+            }
         }
-        None => x0.to_vec(),
+        (x, history)
     };
-    let mut history = Vec::new();
-    if opts.record_history {
-        // One up-front allocation instead of growth reallocations in the
-        // iteration loop.
-        history.reserve(opts.max_iters + 2 + resume.map_or(0, |cp| cp.history.len()));
-        match resume {
-            Some(cp) => history.extend_from_slice(&cp.history),
-            None => history.push(1.0),
-        }
-    }
-    // raw ← b − A x, r ← raw preconditioned when `left` is given; ‖r‖.
-    let residual = |x: &[f64], ax: &mut [f64], raw: &mut [f64], r: &mut [f64]| {
-        op.try_apply(x, ax)?;
-        for i in 0..n {
-            raw[i] = b[i] - ax[i];
-        }
-        match left {
-            Some(m) => m.try_apply(raw, r)?,
-            None => r.copy_from_slice(raw),
-        }
-        ip.try_norm(r)
+    let run = |col: usize, ls| Run {
+        col,
+        iterations: resume.map_or(0, |cp| cp.iteration),
+        final_res: resume.map_or(1.0, |cp| cp.residual),
+        ..Run::new(start(col), opts, ckpt, ls)
     };
+    // One column lives on the stack: a warm one-column solve allocates
+    // nothing but its iterate (and history).
+    let (mut one, mut many);
+    let runs: &mut [Run<'_>] = if k == 1 {
+        one = [run(0, &mut ls[0])];
+        &mut one
+    } else {
+        many = ls
+            .iter_mut()
+            .take(k)
+            .enumerate()
+            .map(|(c, ls)| run(c, ls))
+            .collect::<Vec<_>>();
+        &mut many
+    };
+    cols.clear();
+    cols.extend(0..k);
     // The anchor: the residual at `x0`, true or preconditioned. A resumed
     // solve converges against the *original* solve's anchor so the combined
     // run meets the same tolerance as a fault-free one; a preconditioned
     // anchor is formed again under the current preconditioner.
-    let resumed_anchor = match resume {
+    let anchor = match resume {
         Some(cp) if left.is_none() => Some(cp.r0_norm),
-        Some(_) => Some(residual(x0, ax, raw, r)?),
-        None => None,
-    };
-    let mut beta = residual(&x, ax, raw, r)?;
-    let r0_norm = resumed_anchor.unwrap_or(beta);
-    let mut run = Run {
-        x,
-        history,
-        iterations: resume.map_or(0, |cp| cp.iteration),
-        r0_norm,
-        target: opts.tol * r0_norm,
-        final_res: resume.map_or(1.0, |cp| cp.residual),
-        converged: false,
-        k_done: 0,
-        cycle_broken: false,
-        breakdown_restarts: 0,
-        best_res: f64::INFINITY,
-        stall: 0,
-        opts,
-        ckpt,
-        ls,
-    };
-    if r0_norm == 0.0 {
-        run.final_res = 0.0;
-        return Ok(run.finish(SolveStatus::Converged));
-    }
-    if !r0_norm.is_finite() {
-        // The input itself is broken; no restart can fix it.
-        run.final_res = f64::INFINITY;
-        return Ok(run.finish(SolveStatus::Breakdown));
-    }
-    // With a recycle space: correct the start from the true residual just
-    // formed there, and keep the guess the cycles start from to harvest
-    // their increment.
-    let start = match recycle.as_deref() {
-        Some(space) => {
-            if space.try_improve_guess(ip, raw, &mut run.x)? {
-                beta = residual(&run.x, ax, raw, r)?;
-            }
-            Some(run.x.clone())
+        Some(_) => {
+            residuals(op, left, ip, b, cols, |_| x0, sc, beta)?;
+            Some(beta[0])
         }
         None => None,
     };
-    let status = loop {
-        if beta <= run.target {
-            run.final_res = beta / r0_norm;
-            break SolveStatus::Converged;
+    residuals(op, left, ip, b, cols, |c| runs[c].x.as_slice(), sc, beta)?;
+    for (c, run) in runs.iter_mut().enumerate() {
+        let r0_norm = anchor.unwrap_or(beta[c]);
+        run.r0_norm = r0_norm;
+        run.target = opts.tol * r0_norm;
+        if r0_norm == 0.0 {
+            run.final_res = 0.0;
+            run.status = Some(SolveStatus::Converged);
+        } else if !r0_norm.is_finite() {
+            // The input itself is broken; no restart can fix it.
+            run.final_res = f64::INFINITY;
+            run.status = Some(SolveStatus::Breakdown);
         }
-        if let Some(g) = &opts.guard {
-            // The recurred estimate from the previous cycle against the
-            // residual just recomputed: drift past the guard's threshold
-            // (or a non-finite recomputation) means the basis or the
-            // iterate was corrupted — hand the caller a typed interrupt to
-            // roll back and replay instead of iterating on poison. Mild
-            // drift falls through: the fresh cycle self-corrects it.
-            if g.drifted(run.final_res, beta / r0_norm) {
-                return Err(g.interrupt(run.iterations, run.final_res, beta / r0_norm));
-            }
-        }
-        if !beta.is_finite() {
-            // The iterate itself is poisoned; a restart cannot recover.
-            break SolveStatus::Breakdown;
-        }
-        run.ls.reset(beta);
-        run.k_done = 0;
-        run.cycle_broken = false;
-        // dd:hot — the Arnoldi cycle
-        let Updated(()) = cycle(&mut run, r, beta)?;
-        if run.converged {
-            break SolveStatus::Converged;
-        }
-        if run.iterations >= opts.max_iters {
-            break SolveStatus::MaxIterations;
-        }
-        if run.cycle_broken {
-            if run.breakdown_restarts > 0 {
-                break SolveStatus::Breakdown;
-            }
-            // One restart: rebuild the Krylov space from the current
-            // iterate before giving up.
-            run.breakdown_restarts += 1;
-            run.best_res = f64::INFINITY;
-            run.stall = 0;
-        }
-        // Residual at the start of the next cycle, recomputed from the
-        // iterate.
-        beta = residual(&run.x, ax, raw, r)?;
-    };
-    if let (Some(space), Some(start)) = (recycle, start) {
-        space.try_harvest(op, ip, &start, &run.x)?;
     }
-    Ok(run.finish(status))
+    cols.retain(|&c| runs[c].status.is_none());
+    // With a recycle space: correct every open column from the true
+    // residual just formed there, and keep the guesses the cycles start from
+    // to harvest their increments.
+    if let Some(space) = recycle.as_deref() {
+        if !space.is_empty() && !cols.is_empty() {
+            let raws: Vec<&[f64]> = cols.iter().map(|&c| sc.res[c].0.as_slice()).collect();
+            let mut guesses: Vec<&mut [f64]> = runs
+                .iter_mut()
+                .filter(|r| r.status.is_none())
+                .map(|r| r.x.as_mut_slice())
+                .collect();
+            if space.try_improve_guesses(ip, &raws, &mut guesses)? {
+                residuals(op, left, ip, b, cols, |c| runs[c].x.as_slice(), sc, beta)?;
+            }
+        }
+        for &c in cols.iter() {
+            runs[c].start = Some(runs[c].x.clone());
+        }
+    }
+    // The first cycle of every open column together; the columns it leaves
+    // unfinished go on alone, from residuals formed for all of them.
+    if lockstep && cols.len() > 1 {
+        let mut live = Vec::with_capacity(cols.len());
+        for &c in cols.iter() {
+            if runs[c].open_cycle(beta[c])? {
+                live.push(c);
+            }
+        }
+        if !live.is_empty() {
+            let r: Vec<&[f64]> = live.iter().map(|&c| sc.res[c].1.as_slice()).collect();
+            let betas: Vec<f64> = live.iter().map(|&c| beta[c]).collect();
+            let mut panel: Vec<&mut Run<'_>> = runs
+                .iter_mut()
+                .filter(|run| live.contains(&run.col))
+                .collect();
+            // dd:hot — the Arnoldi cycle, every column in step
+            cycle(&mut panel, &r, &betas)?;
+            live.retain(|&c| runs[c].close_cycle());
+            if !live.is_empty() {
+                residuals(op, left, ip, b, &live, |c| runs[c].x.as_slice(), sc, beta)?;
+            }
+        }
+    }
+    for c in 0..k {
+        while runs[c].status.is_none() && runs[c].open_cycle(beta[c])? {
+            // dd:hot — the Arnoldi cycle
+            cycle(&mut [&mut runs[c]], &[sc.res[c].1.as_slice()], &[beta[c]])?;
+            if !runs[c].close_cycle() {
+                break;
+            }
+            // Residual at the start of the next cycle, recomputed from the
+            // iterate.
+            residuals(op, left, ip, b, &[c], |c| runs[c].x.as_slice(), sc, beta)?;
+        }
+    }
+    if let Some(space) = recycle {
+        let started = || runs.iter().filter(|r| r.start.is_some());
+        let starts: Vec<&[f64]> = started().filter_map(|r| r.start.as_deref()).collect();
+        let xs: Vec<&[f64]> = started().map(|r| r.x.as_slice()).collect();
+        space.try_harvest(op, ip, &starts, &xs)?;
+    }
+    for run in runs.iter_mut() {
+        emit(run.finish());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
