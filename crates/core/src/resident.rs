@@ -35,9 +35,9 @@ use crate::spmd::{
 use dd_comm::Communicator;
 use dd_krylov::operator::Reduction;
 use dd_krylov::{
-    fused_pipelined_gmres, pipelined_gmres, try_gmres_with, CheckpointCfg, FusedPreconditioner,
-    GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace, SolveInterrupt,
-    SolveResult, SolveStatus,
+    fused_pipelined_gmres_panel, pipelined_gmres_panel, try_gmres_panel, CheckpointCfg,
+    FusedPreconditioner, GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace,
+    SolveInterrupt, SolveResult, SolveStatus,
 };
 use dd_linalg::{vector, BsrMatrix, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LocalLdlt, SparseLdlt};
@@ -70,6 +70,8 @@ pub(crate) fn epoch_salt(comm: &Communicator) -> u64 {
 /// before their first collective, where that count is 0 on a fresh world.
 pub(crate) struct HaloPlan {
     tag: u64,
+    /// Length of one column: this rank's concatenated dofs.
+    n: usize,
     /// Neighbouring ranks, ascending.
     peers: Vec<Peer>,
     /// One addition per (owned subdomain, link), in that order — the order
@@ -171,35 +173,42 @@ impl HaloPlan {
         }
         HaloPlan {
             tag: TAG_X + epoch_salt(comm) + (comm.collective_seq() << 32),
+            n: starts[owned.len()],
             peers,
             adds,
         }
     }
 
-    /// One exchange of `k = t.len()` columns: `out[c] += Σ R_s R_jᵀ t[c]_j`
-    /// for every column `c`. Each neighbouring rank gets one message, its
-    /// segments of every column one column after another, and every
-    /// column's additions run in the order of a one-column exchange — so a
-    /// `k`-column exchange is `k` one-column exchanges to the bit, in
-    /// `1/k` of the messages. `inbox` holds the received messages, one slot
-    /// per peer. Receives run under the ambient bounded retry policy; a
-    /// dead or revoked peer, or a message of the wrong length, surfaces as
-    /// a [`SolveInterrupt`].
+    /// One exchange of panels of columns: `out[c] += Σ R_s R_jᵀ t[c]_j` for
+    /// every column `c` of every `(t, out)` pair, a column being
+    /// `self.n` concatenated values. Each neighbouring rank gets one
+    /// message, its segments of every column one column after another (the
+    /// pairs' columns in order), and every column's additions run in the
+    /// order of a one-column exchange — so a `k`-column exchange is `k`
+    /// one-column exchanges to the bit, in `1/k` of the messages. `inbox`
+    /// holds the received messages, one slot per peer. Receives run under
+    /// the ambient bounded retry policy; a dead or revoked peer, or a
+    /// message of the wrong length, surfaces as a [`SolveInterrupt`].
     // dd:hot — two rounds per two-level Krylov iteration (three left-preconditioned)
     fn exchange_add(
         &self,
         comm: &Communicator,
         inbox: &mut [Vec<f64>],
-        t: &[&[f64]],
-        out: &mut [&mut [f64]],
+        pairs: &mut [(&[f64], &mut [f64])],
     ) -> Result<(), SolveInterrupt> {
-        debug_assert_eq!(t.len(), out.len());
+        let n = self.n;
+        let k: usize = pairs
+            .iter()
+            .map(|(t, _)| t.len().checked_div(n).unwrap_or(0))
+            .sum();
         let policy = comm.retry_policy();
         for peer in &self.peers {
             // dd:cold — the message itself: it moves into the peer's mailbox
-            let mut payload = Vec::with_capacity(t.len() * peer.pack.len());
-            for col in t {
-                payload.extend(peer.pack.iter().map(|&g| col[g]));
+            let mut payload = Vec::with_capacity(k * peer.pack.len());
+            for (t, _) in pairs.iter() {
+                for col in t.chunks_exact(n.max(1)) {
+                    payload.extend(peer.pack.iter().map(|&g| col[g]));
+                }
             }
             comm.send(peer.rank, self.tag, payload);
         }
@@ -207,32 +216,36 @@ impl HaloPlan {
             *slot = comm
                 .try_recv_timeout(peer.rank, self.tag, &policy)
                 .map_err(comm_interrupt)?;
-            if slot.len() != t.len() * peer.recv_len {
+            if slot.len() != k * peer.recv_len {
                 // dd:cold — a malformed message ends the solve
                 return Err(SolveInterrupt::new(format!(
                     "halo message from rank {} holds {} values, expected {} columns of {}",
                     peer.rank,
                     slot.len(),
-                    t.len(),
+                    k,
                     peer.recv_len
                 )));
             }
         }
-        for (c, (tc, oc)) in t.iter().zip(out.iter_mut()).enumerate() {
-            for add in &self.adds {
-                match &add.src {
-                    Source::Local(src) => {
-                        for (&k, &g) in add.dst.iter().zip(src) {
-                            oc[k] += tc[g];
+        let mut c = 0;
+        for (t, out) in pairs.iter_mut() {
+            for (tc, oc) in t.chunks_exact(n.max(1)).zip(out.chunks_exact_mut(n.max(1))) {
+                for add in &self.adds {
+                    match &add.src {
+                        Source::Local(src) => {
+                            for (&k, &g) in add.dst.iter().zip(src) {
+                                oc[k] += tc[g];
+                            }
                         }
-                    }
-                    Source::Remote { peer, offset } => {
-                        let at = c * self.peers[*peer].recv_len + offset;
-                        for (&k, &v) in add.dst.iter().zip(&inbox[*peer][at..]) {
-                            oc[k] += v;
+                        Source::Remote { peer, offset } => {
+                            let at = c * self.peers[*peer].recv_len + offset;
+                            for (&k, &v) in add.dst.iter().zip(&inbox[*peer][at..]) {
+                                oc[k] += v;
+                            }
                         }
                     }
                 }
+                c += 1;
             }
         }
         Ok(())
@@ -255,16 +268,22 @@ struct LocalA<'a> {
 }
 
 impl LocalA<'_> {
-    /// `y ← A_s x`, through the blocked storage when there is one (bitwise
-    /// the CSR product).
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
+    /// `y_c ← A_s x_c` for `k` columns `ld` apart in `x` and `y`, through
+    /// the blocked storage when there is one (each column bitwise the CSR
+    /// product).
+    fn spmv_panel(&self, x: &[f64], y: &mut [f64], ld: usize, k: usize) {
+        let n = self.csr.rows();
         match self.bsr {
-            Some(b) => b.spmv(x, y),
-            None => self.csr.spmv(x, y),
+            Some(b) => {
+                for c in 0..k {
+                    b.spmv(&x[c * ld..c * ld + n], &mut y[c * ld..c * ld + n]);
+                }
+            }
+            None => self.csr.spmv_panel(x, y, ld, k),
         }
     }
 
-    /// `A_s W`, likewise.
+    /// `A_s W`, through the blocked storage when there is one.
     fn mm(&self, w: &DMat) -> DMat {
         match self.bsr {
             Some(b) => b.bsrmm(w),
@@ -324,40 +343,56 @@ impl MultiCtx<'_> {
             .map(|((s, span), a)| (self.decomp.subdomains[s].d.as_slice(), *a, span))
     }
 
-    /// One halo round of `t.len()` columns (see [`HaloPlan::exchange_add`]).
-    fn exchange_add(&self, t: &[&[f64]], out: &mut [&mut [f64]]) -> Result<(), SolveInterrupt> {
+    /// One halo round of every `(t, out)` panel's columns (see
+    /// [`HaloPlan::exchange_add`]).
+    fn exchange_add(&self, pairs: &mut [(&[f64], &mut [f64])]) -> Result<(), SolveInterrupt> {
         self.halo
-            .exchange_add(self.comm, &mut self.inbox.borrow_mut(), t, out)
+            .exchange_add(self.comm, &mut self.inbox.borrow_mut(), pairs)
     }
 }
 
-/// Distributed operator: `(Ax)_s = Σ_j R_s R_jᵀ A_j D_j x_j` (eq. 5).
+/// `v[..len]`, growing `v` first if it is shorter (a panel wider than the
+/// one the scratch was sized for).
+fn prefix(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if v.len() < len {
+        v.resize(len, 0.0);
+    }
+    &mut v[..len]
+}
+
+/// Distributed operator: `(Ax)_s = Σ_j R_s R_jᵀ A_j D_j x_j` (eq. 5), on
+/// one column or on a panel of them.
 struct MultiOp<'a> {
     ctx: &'a MultiCtx<'a>,
-    /// Warm-path scratch `(D x, A D x)`.
+    /// Warm-path scratch `(D x, A D x)`, `k` columns of each.
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
 impl<'a> MultiOp<'a> {
-    fn new(ctx: &'a MultiCtx<'a>) -> Self {
-        let n = ctx.n_concat();
+    /// For panels of up to `k` columns.
+    fn new(ctx: &'a MultiCtx<'a>, k: usize) -> Self {
+        let n = k * ctx.n_concat();
         MultiOp {
             ctx,
             scratch: RefCell::new((vec![0.0; n], vec![0.0; n])),
         }
     }
 
+    /// `t_s ← A_s D_s x_s` for every owned subdomain and each of the `k`
+    /// columns of `x`, `w` holding `D x`.
     // dd:hot — per-Krylov-iteration SpMV; scratch reuse keeps it allocation-free
-    fn local_part_into(&self, x: &[f64], w: &mut [f64], t: &mut [f64]) {
+    fn local_part_into(&self, k: usize, x: &[f64], w: &mut [f64], t: &mut [f64]) {
         let ctx = self.ctx;
+        let n = ctx.n_concat();
         let mut flops = 0u64;
         ctx.comm.compute(|| {
             w.copy_from_slice(x);
             for (d, a, span) in ctx.locals() {
-                let (w, t) = (&mut w[span.start..span.end], &mut t[span]);
-                vector::scale_by(d, w);
-                a.spmv(w, t);
-                flops += (2 * a.nnz() + d.len()) as u64;
+                for c in 0..k {
+                    vector::scale_by(d, &mut w[c * n + span.start..c * n + span.end]);
+                }
+                a.spmv_panel(&w[span.start..], &mut t[span.start..], n, k);
+                flops += (k * (2 * a.nnz() + d.len())) as u64;
             }
         });
         ctx.comm.charge_flops(flops);
@@ -383,13 +418,20 @@ impl Operator for MultiOp<'_> {
         }
     }
 
-    // dd:hot
     fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
+        self.try_apply_panel(1, x, y)
+    }
+
+    /// Every column's local products, then one halo round carrying them all.
+    // dd:hot
+    fn try_apply_panel(&self, k: usize, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
+        let len = k * self.ctx.n_concat();
         let mut scratch = self.scratch.borrow_mut();
         let (w, t) = &mut *scratch;
-        self.local_part_into(x, w, t);
+        let (w, t) = (prefix(w, len), prefix(t, len));
+        self.local_part_into(k, x, w, t);
         y.copy_from_slice(t);
-        self.ctx.exchange_add(&[t], &mut [y])
+        self.ctx.exchange_add(&mut [(t, y)])
     }
 }
 
@@ -477,21 +519,22 @@ impl InnerProduct for MultiDot<'_> {
     }
 }
 
-/// What the coarse correction hands the RAS tail: every owned subdomain's
-/// share `W_s y_s` of `q = Z E⁻¹ Zᵀ r` (not yet summed over neighbours)
-/// and the consistent `A q`.
+/// What the coarse correction hands the RAS tail, for each column: every
+/// owned subdomain's share `W_s y_s` of `q = Z E⁻¹ Zᵀ r` (not yet summed
+/// over neighbours) and the consistent `A q`.
 struct CoarsePart<'b> {
     wy: &'b [f64],
     aq: &'b [f64],
 }
 
-/// Distributed one-level RAS: `z_s = Σ_j R_s R_jᵀ D_j A_j⁻¹ r_j`.
+/// Distributed one-level RAS: `z_s = Σ_j R_s R_jᵀ D_j A_j⁻¹ r_j`, on one
+/// column or on a panel of them.
 struct MultiRas<'a> {
     /// The operator being solved: its context, and its `A_s` for `A z`.
     op: &'a MultiOp<'a>,
     /// Local factors, aligned with `ctx.owned`.
     factors: &'a [LocalLdlt],
-    /// Warm-path scratch: the two columns `[D A⁻¹ t + W y, A D A⁻¹ t]` one
+    /// Warm-path scratch: the columns `[D A⁻¹ t + W y…, A D A⁻¹ t…]` one
     /// halo round carries.
     scratch: RefCell<Vec<f64>>,
     /// The local solves' permuted work vector, shared by all of them.
@@ -499,23 +542,26 @@ struct MultiRas<'a> {
 }
 
 impl<'a> MultiRas<'a> {
-    fn new(op: &'a MultiOp<'a>, factors: &'a [LocalLdlt]) -> Self {
+    /// For panels of up to `k` columns.
+    fn new(op: &'a MultiOp<'a>, factors: &'a [LocalLdlt], k: usize) -> Self {
         MultiRas {
             op,
             factors,
-            scratch: RefCell::new(vec![0.0; 2 * op.ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; 2 * k * op.ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::with_capacity(
-                factors.iter().map(LocalLdlt::n).max().unwrap_or(0),
+                k * factors.iter().map(LocalLdlt::n).max().unwrap_or(0),
             )),
         }
     }
 
-    /// The RAS tail of both preconditioners. `u_s = A_s⁻¹ t_s` on every
-    /// owned subdomain, then ONE halo round: of `D_s u_s + W_s y_s` (the
-    /// coarse shares, when there is a coarse part), which sums to `z`, and —
-    /// when `az` is asked for — of `A_s D_s u_s` as a second column, which
-    /// sums to `A RAS(t)` because `D_s` vanishes where `A_s` and `A` differ
-    /// (the identity eq. 5 rests on), so `A z` is that plus `A q`.
+    /// The RAS tail of both preconditioners, for the `k` columns of `t`.
+    /// `u_s = A_s⁻¹ t_s` on every owned subdomain, all columns in one panel
+    /// solve, then ONE halo round: of `D_s u_s + W_s y_s` (the coarse
+    /// shares, when there is a coarse part), which sums to `z`, and — when
+    /// `az` is asked for — of `A_s D_s u_s` as `k` more columns, which sum
+    /// to `A RAS(t)` because `D_s` vanishes where `A_s` and `A` differ (the
+    /// identity eq. 5 rests on), so `A z` is that plus `A q`. Each column is
+    /// the one-column tail to the bit.
     ///
     /// `A q` is added after the round, not into the column: where two
     /// subdomains share a dof, each copy then sums the same two terms, so
@@ -526,6 +572,7 @@ impl<'a> MultiRas<'a> {
     // dd:hot — per-iteration local solves; scratch reuse keeps this layer allocation-free
     fn try_tail(
         &self,
+        k: usize,
         t: &[f64],
         coarse: Option<CoarsePart<'_>>,
         z: &mut [f64],
@@ -537,40 +584,64 @@ impl<'a> MultiRas<'a> {
         solve_failpoint(ctx.comm, "ras")?;
         let n = ctx.n_concat();
         let mut cols = self.scratch.borrow_mut();
-        let (du, adu) = cols.split_at_mut(n);
+        let (du, adu) = prefix(&mut cols, 2 * k * n).split_at_mut(k * n);
         let mut work = self.solve_scratch.borrow_mut();
         let mut flops = 0u64;
         ctx.comm.compute(|| {
             du.copy_from_slice(t);
             for ((d, a, span), factor) in ctx.locals().zip(self.factors) {
-                let u = &mut du[span.start..span.end];
-                factor.solve_in_place_with(u, &mut work);
-                vector::scale_by(d, u);
-                flops += (4 * factor.nnz_l() + d.len()) as u64;
-                if az.is_some() {
-                    a.spmv(u, &mut adu[span.start..span.end]);
-                    flops += 2 * a.nnz() as u64;
+                factor.solve_panel_with(&mut du[span.start..], n, k, &mut work);
+                for c in 0..k {
+                    vector::scale_by(d, &mut du[c * n + span.start..c * n + span.end]);
                 }
-                if let Some(c) = &coarse {
-                    vector::axpy(1.0, &c.wy[span.start..span.end], u);
-                    flops += 2 * d.len() as u64;
+                flops += (k * (4 * factor.nnz_l() + d.len())) as u64;
+                if az.is_some() {
+                    a.spmv_panel(&du[span.start..], &mut adu[span.start..], n, k);
+                    flops += (k * 2 * a.nnz()) as u64;
+                }
+                if let Some(cp) = &coarse {
+                    for c in 0..k {
+                        let (lo, hi) = (c * n + span.start, c * n + span.end);
+                        vector::axpy(1.0, &cp.wy[lo..hi], &mut du[lo..hi]);
+                    }
+                    flops += (k * 2 * d.len()) as u64;
                 }
             }
         });
         ctx.comm.charge_flops(flops);
         z.copy_from_slice(du);
         match az {
-            None => ctx.exchange_add(&[du], &mut [z]),
+            None => ctx.exchange_add(&mut [(du, z)]),
             Some(az) => {
                 az.copy_from_slice(adu);
-                ctx.exchange_add(&[du, adu], &mut [z, az])?;
-                if let Some(c) = &coarse {
-                    vector::axpy(1.0, c.aq, az);
+                ctx.exchange_add(&mut [(du, z), (adu, az)])?;
+                if let Some(cp) = &coarse {
+                    vector::axpy(1.0, cp.aq, az);
                 }
                 Ok(())
             }
         }
     }
+}
+
+/// The right-preconditioned step of a preconditioner `pc` built on the
+/// distributed operator `own`, for an operator `op` it does not recognise:
+/// per column, `z ← M⁻¹ r` and then `w ← A z` — the trait's default order.
+fn apply_then_op(
+    pc: &dyn Preconditioner,
+    op: &dyn Operator,
+    k: usize,
+    r: &[f64],
+    z: &mut [f64],
+    w: &mut [f64],
+) -> Result<(), SolveInterrupt> {
+    let n = r.len() / k.max(1);
+    for c in 0..k {
+        let col = c * n..(c + 1) * n;
+        pc.try_apply(&r[col.clone()], &mut z[col.clone()])?;
+        op.try_apply(&z[col.clone()], &mut w[col])?;
+    }
+    Ok(())
 }
 
 impl Preconditioner for MultiRas<'_> {
@@ -582,11 +653,9 @@ impl Preconditioner for MultiRas<'_> {
 
     // dd:hot
     fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.try_tail(r, None, z, None)
+        self.try_tail(1, r, None, z, None)
     }
 
-    /// `A z` rides on the RAS round as a second column: one round, one
-    /// local SpMV, instead of a round for `z` and a full SpMV after it.
     fn try_apply_with_op(
         &self,
         op: &dyn Operator,
@@ -594,11 +663,28 @@ impl Preconditioner for MultiRas<'_> {
         z: &mut [f64],
         w: &mut [f64],
     ) -> Result<(), SolveInterrupt> {
+        self.try_apply_panel_with_op(op, 1, r, z, w)
+    }
+
+    fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
+        self.try_tail(k, r, None, z, None)
+    }
+
+    /// `A z` rides on the RAS round as `k` more columns: one round, one
+    /// local SpMV per column, instead of a round for `z` and a full SpMV
+    /// after it.
+    fn try_apply_panel_with_op(
+        &self,
+        op: &dyn Operator,
+        k: usize,
+        r: &[f64],
+        z: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<(), SolveInterrupt> {
         if !self.op.is(op) {
-            self.try_apply(r, z)?;
-            return op.try_apply(z, w);
+            return apply_then_op(self, op, k, r, z, w);
         }
-        self.try_tail(r, None, z, Some(w))
+        self.try_tail(k, r, None, z, Some(w))
     }
 }
 
@@ -612,15 +698,16 @@ pub(crate) enum MasterSolve {
     Distributed(DistLdlt),
 }
 
-/// The coarse correction `q = Z E⁻¹ Zᵀ u` (§3.2). Coarse rows are ordered
-/// by (hosting rank, subdomain), so each split group's rows are contiguous
-/// and the distributed block factorization keeps its bounds.
+/// The coarse correction `q = Z E⁻¹ Zᵀ u` (§3.2), on one column or on a
+/// panel of them. Coarse rows are ordered by (hosting rank, subdomain), so
+/// each split group's rows are contiguous and the distributed block
+/// factorization keeps its bounds.
 struct MultiCoarse<'a> {
     ctx: &'a MultiCtx<'a>,
     state: &'a PreparedMulti<'a>,
     /// `T_s = A_s W_s` of the operator being solved, aligned with `owned`.
     t: &'a [DMat],
-    /// Warm-path scratch `T y`.
+    /// Warm-path scratch `T y`, `k` columns.
     scratch: RefCell<Vec<f64>>,
     /// The redundant coarse solve's permuted work vector (empty until a
     /// master's first solve; the other ranks never touch it).
@@ -628,52 +715,60 @@ struct MultiCoarse<'a> {
 }
 
 impl<'a> MultiCoarse<'a> {
-    fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>, t: &'a [DMat]) -> Self {
+    /// For panels of up to `k` columns.
+    fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>, t: &'a [DMat], k: usize) -> Self {
         MultiCoarse {
             ctx,
             state,
             t,
-            scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; k * ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::new()),
         }
     }
 
-    /// `y = E⁻¹ Zᵀ u`, carrying a fused payload of local reduction
-    /// contributions through the gather, a reduction among masters
-    /// overlapped with the coarse solve, and the scatter (§3.5); then
-    /// every owned subdomain's share `wy_s = W_s y_s` of `q = Z y`, and the
-    /// consistent `A q` from one halo round of `T_s y_s` — the §3.1
-    /// identity `A R_sᵀ W_s = R_sᵀ T_s` (`W_s = D_s Λ_s` vanishes where
-    /// `A_s` and `A` differ), so no SpMV. Returns the reduced payload.
-    /// Every collective runs through its `try_` variant, so a dead rank or a
-    /// revocation surfaces as a [`SolveInterrupt`] the Krylov loop
-    /// propagates.
+    /// `y = E⁻¹ Zᵀ u` for the `k` columns of `u`, carrying a fused payload
+    /// of local reduction contributions through the gather, a reduction
+    /// among masters overlapped with the coarse solve, and the scatter
+    /// (§3.5); then every owned subdomain's share `wy_s = W_s y_s` of
+    /// `q = Z y`, and the consistent `A q` from one halo round of
+    /// `T_s y_s` — the §3.1 identity `A R_sᵀ W_s = R_sᵀ T_s` (`W_s = D_s Λ_s`
+    /// vanishes where `A_s` and `A` differ), so no SpMV. Returns the reduced
+    /// payload. The gather, the coarse solve, the scatter and the round
+    /// carry all `k` columns, each column as the one-column correction
+    /// computes it. Every collective runs through its `try_` variant, so a
+    /// dead rank or a revocation surfaces as a [`SolveInterrupt`] the
+    /// Krylov loop propagates.
     fn try_correction(
         &self,
+        k: usize,
         u: &[f64],
         wy: &mut [f64],
         aq: &mut [f64],
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
         let (ctx, st) = (self.ctx, self.state);
-        let comm = ctx.comm;
+        let (comm, n) = (ctx.comm, ctx.n_concat());
         let plen = payload.len();
         // step 1: w_s = W_sᵀ u_s for every owned subdomain, in owned (=
-        // coarse) order, gathered on the master (payload appended).
+        // coarse) order, one column after another, gathered on the master
+        // (payload appended).
+        let n_mine = st.w.iter().map(DMat::cols).sum::<usize>();
         let mut flops = 0u64;
         let mut msg = comm.compute(|| {
-            let mut msg = Vec::with_capacity(st.w.iter().map(DMat::cols).sum::<usize>() + plen);
-            for ((_, span), w) in ctx.spans().zip(&st.w) {
-                let at = msg.len();
-                msg.resize(at + w.cols(), 0.0);
-                w.gemv_t(1.0, &u[span], 0.0, &mut msg[at..]);
-                flops += 2 * (w.cols() * w.rows()) as u64;
+            let mut msg = vec![0.0; k * n_mine + plen];
+            for c in 0..k {
+                let mut at = c * n_mine;
+                for ((_, span), w) in ctx.spans().zip(&st.w) {
+                    let col = c * n + span.start..c * n + span.end;
+                    w.gemv_t(1.0, &u[col], 0.0, &mut msg[at..at + w.cols()]);
+                    at += w.cols();
+                    flops += 2 * (w.cols() * w.rows()) as u64;
+                }
             }
             msg
         });
         comm.charge_flops(flops);
-        let n_mine = msg.len();
-        msg.extend_from_slice(&payload);
+        msg[k * n_mine..].copy_from_slice(&payload);
         let gathered = st.split.try_gather(0, msg).map_err(comm_interrupt)?;
         // step 2: masters solve E y = w — distributed (each master solves
         // its block row cooperatively) or redundant (allgather the full
@@ -682,29 +777,42 @@ impl<'a> MultiCoarse<'a> {
         let master = st.master_comm.as_ref().zip(st.e_solve.as_ref());
         let mine: Vec<f64> = if let (Some((master, solve)), Some(parts)) = (master, &gathered) {
             // Split preserves rank order: the members' coarse rows,
-            // concatenated, are this group's contiguous block of the RHS;
-            // what follows them in each part is its payload share.
-            let mut group_w = Vec::with_capacity(st.group_rows.iter().sum());
+            // concatenated, are this group's contiguous block of the RHS,
+            // one column after another; what follows a part's `k` columns
+            // is its payload share.
+            let group: usize = st.group_rows.iter().sum();
+            let mut group_w = Vec::with_capacity(k * group);
+            for c in 0..k {
+                for (part, &rows) in parts.iter().zip(&st.group_rows) {
+                    group_w.extend_from_slice(&part[c * rows..(c + 1) * rows]);
+                }
+            }
             let mut pay = vec![0.0; plen];
             for (part, &rows) in parts.iter().zip(&st.group_rows) {
-                group_w.extend_from_slice(&part[..rows]);
-                for (a, b) in pay.iter_mut().zip(&part[rows..]) {
+                for (a, b) in pay.iter_mut().zip(&part[k * rows..]) {
                     *a += b;
                 }
             }
             // Post the payload reduction among masters; overlap with the
             // coarse solve (the §3.5 fusion).
             let pending = (plen > 0).then(|| master.iallreduce_sum_vec(pay));
-            // `y[y0..]` is this group's block of the solution.
-            let (y, y0) = match solve {
+            // Column `c` of the solution is `y[c * ld..]`, this group's
+            // block of it from `y0` on.
+            let (y, ld, y0) = match solve {
                 MasterSolve::Redundant { factor, .. } => {
                     let all_w = master.try_allgather(group_w).map_err(comm_interrupt)?;
-                    let mut y = all_w.concat();
-                    debug_assert_eq!(y.len(), st.dim_e);
+                    let mut y = Vec::with_capacity(k * st.dim_e);
+                    for c in 0..k {
+                        for part in &all_w {
+                            let rows = part.len() / k;
+                            y.extend_from_slice(&part[c * rows..(c + 1) * rows]);
+                        }
+                    }
+                    debug_assert_eq!(y.len(), k * st.dim_e);
                     let mut work = self.solve_scratch.borrow_mut();
-                    comm.compute(|| factor.solve_in_place_with(&mut y, &mut work));
-                    comm.charge_flops(4 * factor.nnz_l() as u64);
-                    (y, st.group_row0)
+                    comm.compute(|| factor.solve_panel_with(&mut y, st.dim_e, k, &mut work));
+                    comm.charge_flops((4 * factor.nnz_l() * k) as u64);
+                    (y, st.dim_e, st.group_row0)
                 }
                 MasterSolve::Distributed(dist) => {
                     // The gathered group RHS *is* this master's block row
@@ -716,10 +824,10 @@ impl<'a> MultiCoarse<'a> {
                     let prev = comm.trace_phase_name();
                     comm.trace_phase(st.labels.coarse_solve);
                     let y = dist
-                        .try_solve(master, &group_w)
+                        .try_solve_panel(master, &group_w, k)
                         .map_err(|e| dist_interrupt(comm, e, st.labels.coarse_solve))?;
                     comm.trace_phase(&prev);
-                    (y, 0)
+                    (y, group, 0)
                 }
             };
             let reduced = pending
@@ -727,15 +835,17 @@ impl<'a> MultiCoarse<'a> {
                 .transpose()
                 .map_err(comm_interrupt)?
                 .unwrap_or_default();
-            // step 3a: scatter each member's slice (+ the reduced payload)
+            // step 3a: scatter each member's slices (+ the reduced payload)
             // back to the group.
             let mut at = y0;
             let pieces = st
                 .group_rows
                 .iter()
                 .map(|&rows| {
-                    let mut piece = Vec::with_capacity(rows + plen);
-                    piece.extend_from_slice(&y[at..at + rows]);
+                    let mut piece = Vec::with_capacity(k * rows + plen);
+                    for c in 0..k {
+                        piece.extend_from_slice(&y[c * ld + at..c * ld + at + rows]);
+                    }
                     piece.extend_from_slice(&reduced);
                     at += rows;
                     piece
@@ -746,24 +856,28 @@ impl<'a> MultiCoarse<'a> {
             st.split.try_scatter(0, None)
         }
         .map_err(comm_interrupt)?;
-        let (y_mine, reduced) = mine.split_at(n_mine);
+        let (y_mine, reduced) = mine.split_at(k * n_mine);
         // step 3b: W_s y_s and T_s y_s, then A q by the consistency sum of
         // the latter (eq. 12, applied to T instead of W).
         let mut ty = self.scratch.borrow_mut();
+        let ty = prefix(&mut ty, k * n);
         let mut flops = 0u64;
         comm.compute(|| {
-            let mut at = 0;
-            for (((_, span), w), t) in ctx.spans().zip(&st.w).zip(self.t) {
-                let y = &y_mine[at..at + w.cols()];
-                w.gemv(1.0, y, 0.0, &mut wy[span.start..span.end]);
-                t.gemv(1.0, y, 0.0, &mut ty[span]);
-                at += w.cols();
-                flops += 4 * (w.cols() * w.rows()) as u64;
+            for c in 0..k {
+                let mut at = c * n_mine;
+                for (((_, span), w), t) in ctx.spans().zip(&st.w).zip(self.t) {
+                    let y = &y_mine[at..at + w.cols()];
+                    let col = c * n + span.start..c * n + span.end;
+                    w.gemv(1.0, y, 0.0, &mut wy[col.clone()]);
+                    t.gemv(1.0, y, 0.0, &mut ty[col]);
+                    at += w.cols();
+                    flops += 4 * (w.cols() * w.rows()) as u64;
+                }
             }
         });
         comm.charge_flops(flops);
-        aq.copy_from_slice(&ty);
-        ctx.exchange_add(&[&ty], &mut [aq])?;
+        aq.copy_from_slice(ty);
+        ctx.exchange_add(&mut [(ty, aq)])?;
         Ok(reduced.to_vec())
     }
 }
@@ -771,21 +885,23 @@ impl<'a> MultiCoarse<'a> {
 /// Distributed two-level preconditioner `P⁻¹_A-DEF1` (eq. 6), in two halo
 /// rounds: `T y` for `A q` after the coarse solve, then the RAS tail's round
 /// carrying `D A⁻¹(r − A q) + W y` (and `A D A⁻¹(r − A q)` when `A z` is
-/// wanted).
+/// wanted) — on one column or on a panel of them, whose columns share every
+/// round and the coarse solve.
 struct MultiADef1<'a> {
     ras: MultiRas<'a>,
     coarse: MultiCoarse<'a>,
-    /// Warm-path scratch `(W y, A q, r − A q)`.
+    /// Warm-path scratch `(W y, A q, r − A q)`, `k` columns each.
     scratch: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)>,
 }
 
 impl MultiADef1<'_> {
-    /// `z = RAS(r − A q) + q` with `q = Z E⁻¹ Zᵀ r`, and `A z` into `az`
-    /// if given; the payload rides on the one coarse solve and comes back
-    /// reduced.
+    /// `z = RAS(r − A q) + q` with `q = Z E⁻¹ Zᵀ r` for the `k` columns of
+    /// `r`, and `A z` into `az` if given; the payload rides on the one
+    /// coarse solve and comes back reduced.
     // dd:hot — per-iteration two-level application (eq. 6)
     fn try_eq6(
         &self,
+        k: usize,
         r: &[f64],
         z: &mut [f64],
         az: Option<&mut [f64]>,
@@ -793,11 +909,13 @@ impl MultiADef1<'_> {
     ) -> Result<Vec<f64>, SolveInterrupt> {
         let mut scratch = self.scratch.borrow_mut();
         let (wy, aq, t) = &mut *scratch;
-        let reduced = self.coarse.try_correction(r, wy, aq, payload)?;
-        for k in 0..r.len() {
-            t[k] = r[k] - aq[k];
+        let (wy, aq, t) = (prefix(wy, r.len()), prefix(aq, r.len()), prefix(t, r.len()));
+        let reduced = self.coarse.try_correction(k, r, wy, aq, payload)?;
+        for i in 0..r.len() {
+            t[i] = r[i] - aq[i];
         }
-        self.ras.try_tail(t, Some(CoarsePart { wy, aq }), z, az)?;
+        self.ras
+            .try_tail(k, t, Some(CoarsePart { wy, aq }), z, az)?;
         Ok(reduced)
     }
 }
@@ -809,7 +927,7 @@ impl FusedPreconditioner for MultiADef1<'_> {
         z: &mut [f64],
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
-        self.try_eq6(r, z, None, payload)
+        self.try_eq6(1, r, z, None, payload)
     }
 }
 
@@ -821,13 +939,9 @@ impl Preconditioner for MultiADef1<'_> {
     }
 
     fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        // A capacity-0 `Vec::new` marks "no fused payload"; it never
-        // touches the heap.
-        self.try_eq6(r, z, None, Vec::new()).map(drop)
+        self.try_apply_panel(1, r, z)
     }
 
-    /// `A z = A RAS(r − A q) + A q` from the two rounds eq. 6 runs anyway:
-    /// no third round and no SpMV.
     fn try_apply_with_op(
         &self,
         op: &dyn Operator,
@@ -835,11 +949,29 @@ impl Preconditioner for MultiADef1<'_> {
         z: &mut [f64],
         w: &mut [f64],
     ) -> Result<(), SolveInterrupt> {
+        self.try_apply_panel_with_op(op, 1, r, z, w)
+    }
+
+    fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
+        // A capacity-0 `Vec::new` marks "no fused payload"; it never
+        // touches the heap.
+        self.try_eq6(k, r, z, None, Vec::new()).map(drop)
+    }
+
+    /// `A z = A RAS(r − A q) + A q` from the two rounds eq. 6 runs anyway:
+    /// no third round and no SpMV.
+    fn try_apply_panel_with_op(
+        &self,
+        op: &dyn Operator,
+        k: usize,
+        r: &[f64],
+        z: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<(), SolveInterrupt> {
         if !self.ras.op.is(op) {
-            self.try_apply(r, z)?;
-            return op.try_apply(z, w);
+            return apply_then_op(self, op, k, r, z, w);
         }
-        self.try_eq6(r, z, Some(w), Vec::new()).map(drop)
+        self.try_eq6(k, r, z, Some(w), Vec::new()).map(drop)
     }
 }
 
@@ -900,6 +1032,9 @@ pub struct PreparedMulti<'a> {
     pub(crate) fresh: Vec<bool>,
     pub(crate) t_reassembly: f64,
     pub(crate) t_refactorization: f64,
+    /// The Krylov loops' buffers, kept from apply to apply: a warm apply
+    /// reuses its bases' memory instead of faulting fresh pages in.
+    pub(crate) workspace: RefCell<GmresWorkspace>,
 }
 
 /// The per-apply result of [`PreparedMulti::try_apply`]: the Krylov
@@ -936,7 +1071,8 @@ impl PreparedMulti<'_> {
         phase: &str,
         ckpt: Option<&CheckpointCfg<'_>>,
     ) -> Result<MultiApplyOutcome, SpmdError> {
-        self.try_apply_on(None, rhs_global, phase, ckpt, None)
+        let mut out = self.try_apply_on(None, &[rhs_global], phase, ckpt, None)?;
+        Ok(out.remove(0))
     }
 
     /// The perturbation `A(θ)` of `base` ([`Decomposition::perturb_diag`])
@@ -989,11 +1125,12 @@ impl PreparedMulti<'_> {
         }
     }
 
-    fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, t: &'s [DMat]) -> MultiADef1<'s> {
-        let n = op.ctx.n_concat();
+    /// Eq. 6 on `op`, for panels of up to `k` columns.
+    fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, t: &'s [DMat], k: usize) -> MultiADef1<'s> {
+        let n = k * op.ctx.n_concat();
         MultiADef1 {
-            ras: MultiRas::new(op, &self.factors),
-            coarse: MultiCoarse::new(op.ctx, self, t),
+            ras: MultiRas::new(op, &self.factors, k),
+            coarse: MultiCoarse::new(op.ctx, self, t, k),
             scratch: RefCell::new((vec![0.0; n], vec![0.0; n], vec![0.0; n])),
         }
     }
@@ -1029,52 +1166,72 @@ impl PreparedMulti<'_> {
         v
     }
 
-    /// [`PreparedMulti::try_apply`], optionally against a perturbed operator
-    /// ([`PreparedMulti::perturbed`]) and with a Krylov recycle space — the
-    /// serving path of `dd-serve`. Against a perturbed operator the Krylov
-    /// loop solves `A(θ)` while RAS and the coarse correction reuse the
-    /// resident factorizations built at the base parameter. With a recycle
-    /// space the initial guess is projected onto previously harvested
-    /// directions and the solve's increment is banked; convergence is still
-    /// anchored to `tol ·` the residual at the zero guess, so accuracy
-    /// matches an unrecycled apply.
+    /// [`PreparedMulti::try_apply`] for a panel of right-hand sides,
+    /// optionally against a perturbed operator ([`PreparedMulti::perturbed`])
+    /// and with a Krylov recycle space — the serving path of `dd-serve`.
+    /// One outcome per right-hand side, in order.
+    ///
+    /// Under [`SolverKind::Classical`] the columns run as recurrences that
+    /// share every halo round, coarse solve and reduction
+    /// (`dd_krylov::try_gmres_panel`); the pipelined loops solve them one
+    /// after another. Either way each answer equals, to the bit, the
+    /// one-column solve from the same recycle state, and the apply ends on
+    /// one barrier. Against a perturbed operator the Krylov loop solves
+    /// `A(θ)` while RAS and the coarse correction reuse the resident
+    /// factorizations built at the base parameter. With a recycle space
+    /// every initial guess is projected onto the directions the space holds
+    /// at entry and the increments are banked in column order; convergence
+    /// is still anchored to `tol ·` the residual at the zero guess, so
+    /// accuracy matches an unrecycled apply. A checkpoint belongs to a
+    /// one-column apply.
     pub fn try_apply_on(
         &self,
         perturbed: Option<&PerturbedOperator>,
-        rhs_global: &[f64],
+        rhs_global: &[&[f64]],
         phase: &str,
         ckpt: Option<&CheckpointCfg<'_>>,
         recycle: Option<&mut RecycleSpace>,
-    ) -> Result<MultiApplyOutcome, SpmdError> {
+    ) -> Result<Vec<MultiApplyOutcome>, SpmdError> {
         let comm = self.comm;
+        let k = rhs_global.len();
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        if k > 1 && ckpt.is_some() {
+            return Err(SpmdError::Protocol {
+                rank: comm.rank(),
+                what: format!("a checkpoint of one right-hand side for an apply of {k}"),
+            });
+        }
         comm.trace_phase(phase);
 
         // ---- phase 4: solve --------------------------------------------
         let clk_entry = comm.clock();
         let stats_before = comm.stats();
         let ctx = self.ctx(perturbed);
-        let rhs = self.restrict(rhs_global);
-        let x0 = vec![0.0; ctx.n_concat()];
-        let op = MultiOp::new(&ctx);
+        let rhs: Vec<f64> = rhs_global.iter().flat_map(|b| self.restrict(b)).collect();
+        let x0 = vec![0.0; rhs.len()];
+        let op = MultiOp::new(&ctx, k);
         let ip = MultiDot::new(&ctx);
         let gmres = &self.opts.gmres;
-        let mut ws = GmresWorkspace::new();
+        let mut ws = self.workspace.borrow_mut();
 
-        let result = if self.run.coarse != CoarseOutcome::TwoLevel {
-            let ras = MultiRas::new(&op, &self.factors);
-            try_gmres_with(&op, &ras, &ip, &rhs, &x0, gmres, ckpt, recycle, &mut ws)
+        let results = if self.run.coarse != CoarseOutcome::TwoLevel {
+            let ras = MultiRas::new(&op, &self.factors, k);
+            try_gmres_panel(&op, &ras, &ip, &rhs, &x0, k, gmres, ckpt, recycle, &mut ws)
         } else {
             let t = self.t_for(&ctx, perturbed.is_some());
-            let adef1 = self.adef1(&op, &t);
+            let adef1 = self.adef1(&op, &t, k);
+            let (m, b) = (&adef1, &rhs);
             match self.opts.solver {
                 SolverKind::Classical => {
-                    try_gmres_with(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle, &mut ws)
+                    try_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle, &mut ws)
                 }
                 SolverKind::Pipelined => {
-                    pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
+                    pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
                 }
                 SolverKind::Fused => {
-                    fused_pipelined_gmres(&op, &adef1, &ip, &rhs, &x0, gmres, ckpt, recycle)
+                    fused_pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
                 }
             }
         }
@@ -1082,25 +1239,28 @@ impl PreparedMulti<'_> {
         comm.try_barrier()?;
         let t_solution = comm.clock() - clk_entry;
         let stats_after = comm.stats();
-        let locals = ctx
-            .spans()
-            .map(|(s, span)| (s, result.x[span].to_vec()))
-            .collect();
-        Ok(MultiApplyOutcome {
-            result,
-            locals,
-            t_solution,
-            world_collectives_solution: stats_after.collective_calls
-                - stats_before.collective_calls,
-            p2p_messages: stats_after.p2p_messages,
-            p2p_bytes: stats_after.p2p_bytes,
-            collective_bytes: stats_after.collective_bytes
-                + self.split.stats().collective_bytes
-                + self
-                    .master_comm
-                    .as_ref()
-                    .map_or(0, |m| m.stats().collective_bytes),
-        })
+        let collective_bytes = stats_after.collective_bytes
+            + self.split.stats().collective_bytes
+            + self
+                .master_comm
+                .as_ref()
+                .map_or(0, |m| m.stats().collective_bytes);
+        Ok(results
+            .into_iter()
+            .map(|result| MultiApplyOutcome {
+                locals: ctx
+                    .spans()
+                    .map(|(s, span)| (s, result.x[span].to_vec()))
+                    .collect(),
+                result,
+                t_solution,
+                world_collectives_solution: stats_after.collective_calls
+                    - stats_before.collective_calls,
+                p2p_messages: stats_after.p2p_messages,
+                p2p_bytes: stats_after.p2p_bytes,
+                collective_bytes,
+            })
+            .collect())
     }
 
     /// Assemble the full [`SpmdReport`] for one apply: the set-up phases'
@@ -1163,7 +1323,7 @@ impl PreparedMulti<'_> {
         r_global: &[f64],
     ) -> Result<DebugApply, SpmdError> {
         let ctx = self.ctx(perturbed);
-        let op = MultiOp::new(&ctx);
+        let op = MultiOp::new(&ctx, 1);
         let r = self.restrict(r_global);
         let n = r.len();
         let mut out = DebugApply {
@@ -1182,20 +1342,20 @@ impl PreparedMulti<'_> {
         let pieces = |out: &mut DebugApply| -> Result<(), SolveInterrupt> {
             if self.run.coarse == CoarseOutcome::TwoLevel {
                 let t = self.t_for(&ctx, perturbed.is_some());
-                let adef1 = self.adef1(&op, &t);
+                let adef1 = self.adef1(&op, &t, 1);
                 adef1.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
                 // q made consistent by a round of its shares, A q both ways,
                 // and the RAS tail with no coarse part.
                 adef1
                     .coarse
-                    .try_correction(&r, &mut out.q, &mut out.aq, Vec::new())?;
+                    .try_correction(1, &r, &mut out.q, &mut out.aq, Vec::new())?;
                 let wy = out.q.clone();
-                ctx.exchange_add(&[&wy], &mut [&mut out.q])?;
+                ctx.exchange_add(&mut [(&wy, &mut out.q)])?;
                 op.try_apply(&out.q, &mut out.a_of_q)?;
                 let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
-                adef1.ras.try_tail(&t, None, &mut out.ras, None)?;
+                adef1.ras.try_tail(1, &t, None, &mut out.ras, None)?;
             } else {
-                let ras = MultiRas::new(&op, &self.factors);
+                let ras = MultiRas::new(&op, &self.factors, 1);
                 ras.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
                 ras.try_apply(&r, &mut out.ras)?;
             }
@@ -1273,17 +1433,15 @@ mod tests {
                 .map(|c| (0..n).map(|g| wave(g + 11 * c + 5 * comm.rank())).collect())
                 .collect();
             comm.trace_phase("panel");
-            let mut panel = t.clone();
-            {
-                let cols: Vec<&[f64]> = t.iter().map(Vec::as_slice).collect();
-                let mut outs: Vec<&mut [f64]> = panel.iter_mut().map(Vec::as_mut_slice).collect();
-                halo.exchange_add(comm, &mut inbox, &cols, &mut outs)
-                    .unwrap();
-            }
+            let flat = t.concat();
+            let mut panel = flat.clone();
+            halo.exchange_add(comm, &mut inbox, &mut [(&flat, &mut panel)])
+                .unwrap();
+            let panel: Vec<Vec<f64>> = panel.chunks_exact(n).map(<[f64]>::to_vec).collect();
             comm.trace_phase("loop");
             let mut single = t.clone();
             for (tc, oc) in t.iter().zip(single.iter_mut()) {
-                halo.exchange_add(comm, &mut inbox, &[tc], &mut [oc])
+                halo.exchange_add(comm, &mut inbox, &mut [(tc, oc)])
                     .unwrap();
             }
             (halo.n_peers(), panel, single)
@@ -1323,13 +1481,11 @@ mod tests {
                     let _: Vec<f64> = comm.recv(peer.rank, halo.tag);
                     return None;
                 }
-                let t = vec![vec![1.0; n]; k];
+                let t = vec![1.0; k * n];
                 let mut out = t.clone();
-                let cols: Vec<&[f64]> = t.iter().map(Vec::as_slice).collect();
-                let mut outs: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
                 let mut inbox = vec![Vec::new(); 1];
                 let err = halo
-                    .exchange_add(comm, &mut inbox, &cols, &mut outs)
+                    .exchange_add(comm, &mut inbox, &mut [(&t, &mut out)])
                     .expect_err("a malformed message must not be summed");
                 Some(err.reason().to_string())
             });

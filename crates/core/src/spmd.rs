@@ -916,6 +916,7 @@ pub(crate) fn try_setup_on<'a>(
         t_reassembly,
         t_refactorization: clk_done - clk_begin - t_reassembly,
         owned,
+        workspace: Default::default(),
     })
 }
 

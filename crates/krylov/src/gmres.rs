@@ -456,16 +456,13 @@ where
                         let hjk = dots[slot];
                         let span = w(slot);
                         vector::axpy(-hjk, &bases[runs[i].col()].0[j], &mut pw[span]);
-                        runs[i].h()[(j, k)] = hjk;
+                        runs[i].h(k)[j] = hjk;
                     }
                 }
             } else {
                 // Classical Gram–Schmidt, `passes` batched Gram reductions.
                 for &i in live.iter() {
-                    let h = runs[i].h();
-                    for j in 0..=k {
-                        h[(j, k)] = 0.0;
-                    }
+                    runs[i].h(k)[..=k].fill(0.0);
                 }
                 for _ in 0..passes {
                     // One panel pass for each Gram row, one for each update
@@ -479,9 +476,9 @@ where
                     ip.try_reduce_into(&locals[..nl * nv], &mut dots[..nl * nv])?;
                     for (slot, &i) in live.iter().enumerate() {
                         let row = &mut dots[slot * nv..(slot + 1) * nv];
-                        let h = runs[i].h();
-                        for (j, hjk) in row.iter_mut().enumerate() {
-                            h[(j, k)] += *hjk;
+                        let h = runs[i].h(k);
+                        for (hj, hjk) in h.iter_mut().zip(row.iter_mut()) {
+                            *hj += *hjk;
                             *hjk = -*hjk;
                         }
                         let span = w(slot);
@@ -510,7 +507,7 @@ where
                     run.update(dirs(bases, col, right));
                     return false;
                 }
-                run.h()[(k + 1, k)] = hk1;
+                run.h(k)[k + 1] = hk1;
                 if !run.push_column(k, &dirs(bases, col, right)[..=k]) {
                     run.update(dirs(bases, col, right));
                     return false;

@@ -237,10 +237,10 @@ where
                     run.discard_column();
                     break None;
                 }
-                let h = run.h();
+                let h = run.h(i - 1);
                 let mut sumsq = 0.0;
                 for j in 0..i {
-                    h[(j, i - 1)] = dots[j];
+                    h[j] = dots[j];
                     sumsq += dots[j] * dots[j];
                 }
                 let mut hii = (wnorm2 - sumsq).max(0.0).sqrt();
@@ -260,7 +260,7 @@ where
                     run.discard_column();
                     break None;
                 }
-                run.h()[(i, i - 1)] = hii;
+                run.h(i - 1)[i] = hii;
                 if hii <= run.tiny() {
                     // Invariant subspace: finalize column i−1 and stop; the
                     // driver counts it as convergence only if the residual

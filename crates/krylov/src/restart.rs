@@ -24,41 +24,50 @@ use crate::gmres::{GmresOpts, SolveResult, SolveStatus, STALL_LIMIT};
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
 use crate::recycle::RecycleSpace;
 use dd_linalg::givens::Givens;
-use dd_linalg::{vector, DMat};
+use dd_linalg::vector;
 
 /// The least-squares problem `min ‖β e₁ − H y‖` of one cycle, kept as the
 /// incrementally Givens-rotated QR factorization of the Hessenberg matrix.
+#[derive(Default)]
 pub(crate) struct LeastSquares {
-    /// Hessenberg matrix, stored column-wise and rotated in place: the
-    /// Arnoldi process writes column `k` (rows `0..=k+1`), then
-    /// [`LeastSquares::rotate_in`] turns it into a column of `R`.
-    pub(crate) h: DMat,
+    /// Hessenberg matrix, column-major with `rows = m + 1` rows and rotated
+    /// in place: the Arnoldi process writes column `k` (rows `0..=k+1`),
+    /// then [`LeastSquares::rotate_in`] turns it into a column of `R`. It
+    /// holds only the columns a cycle has reached — a short cycle of a long
+    /// restart length touches a few columns, not `m` — and keeps them
+    /// between cycles and solves.
+    h: Vec<f64>,
+    rows: usize,
     g: Vec<f64>,
     rot: Vec<Givens>,
     y: Vec<f64>,
 }
 
-impl Default for LeastSquares {
-    fn default() -> Self {
-        LeastSquares {
-            h: DMat::zeros(0, 0),
-            g: Vec::new(),
-            rot: Vec::new(),
-            y: Vec::new(),
-        }
-    }
-}
-
 impl LeastSquares {
     /// Size for cycles of up to `m` columns.
     pub(crate) fn prepare(&mut self, m: usize) {
-        if self.h.rows() != m + 1 || self.h.cols() != m {
-            self.h = DMat::zeros(m + 1, m);
+        if self.rows != m + 1 {
+            self.rows = m + 1;
+            self.h.clear();
         }
         self.g.resize(m + 1, 0.0);
         self.rot.clear();
         self.rot.reserve(m);
         self.y.resize(m, 0.0);
+    }
+
+    /// Column `k` of the Hessenberg matrix, grown into being on first use.
+    pub(crate) fn column(&mut self, k: usize) -> &mut [f64] {
+        let end = (k + 1) * self.rows;
+        if self.h.len() < end {
+            self.h.resize(end, 0.0);
+        }
+        &mut self.h[k * self.rows..end]
+    }
+
+    /// Entry `(i, j)` of a column already written.
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.h[j * self.rows + i]
     }
 
     /// Start a cycle from a residual of norm `beta`. Every `h` entry read
@@ -76,18 +85,19 @@ impl LeastSquares {
     /// `|g[k+1]|`. `None`, with the column left out of the factorization,
     /// when both the subdiagonal entry and the pivot are at most `tiny`.
     pub(crate) fn rotate_in(&mut self, k: usize, tiny: f64) -> Option<f64> {
-        let h = &mut self.h;
+        let rows = self.rows;
+        let h = &mut self.h[k * rows..(k + 1) * rows];
         for (j, gr) in self.rot.iter().enumerate() {
-            let (a, b) = gr.apply(h[(j, k)], h[(j + 1, k)]);
-            h[(j, k)] = a;
-            h[(j + 1, k)] = b;
+            let (a, b) = gr.apply(h[j], h[j + 1]);
+            h[j] = a;
+            h[j + 1] = b;
         }
-        let (gr, rkk) = Givens::compute(h[(k, k)], h[(k + 1, k)]);
-        if h[(k + 1, k)] <= tiny && rkk.abs() <= tiny {
+        let (gr, rkk) = Givens::compute(h[k], h[k + 1]);
+        if h[k + 1] <= tiny && rkk.abs() <= tiny {
             return None;
         }
-        h[(k, k)] = rkk;
-        h[(k + 1, k)] = 0.0;
+        h[k] = rkk;
+        h[k + 1] = 0.0;
         let (g0, g1) = gr.apply(self.g[k], self.g[k + 1]);
         self.g[k] = g0;
         self.g[k + 1] = g1;
@@ -104,9 +114,9 @@ impl LeastSquares {
         for i in (0..k).rev() {
             let mut s = self.g[i];
             for j in i + 1..k {
-                s -= self.h[(i, j)] * y[j];
+                s -= self.h[j * self.rows + i] * y[j];
             }
-            y[i] = s / self.h[(i, i)];
+            y[i] = s / self.h[i * self.rows + i];
         }
         y.iter().all(|v| v.is_finite()).then_some(&*y)
     }
@@ -238,9 +248,10 @@ impl Run<'_> {
         1e-14 * self.r0_norm
     }
 
-    /// The Hessenberg matrix the cycle body writes its columns into.
-    pub(crate) fn h(&mut self) -> &mut DMat {
-        &mut self.ls.h
+    /// Column `k` of the Hessenberg matrix, which the cycle body writes
+    /// (rows `0..=k+1`) before handing it over with [`Run::push_column`].
+    pub(crate) fn h(&mut self, k: usize) -> &mut [f64] {
+        self.ls.column(k)
     }
 
     /// Open the next iteration; `false` when the budget is spent.
@@ -278,7 +289,7 @@ impl Run<'_> {
     pub(crate) fn push_column(&mut self, k: usize, dirs: &[Vec<f64>]) -> bool {
         debug_assert_eq!(k, self.k_done);
         let tiny = self.tiny();
-        let sub = self.ls.h[(k + 1, k)];
+        let sub = self.ls.at(k + 1, k);
         // `None`: a singular operator or preconditioner mapped the basis
         // vector to ~zero — the rotated residual is meaningless and the
         // pivot would be zero. A non-finite residual poisons the update.
@@ -699,7 +710,7 @@ mod tests {
     use super::*;
     use crate::gmres::tests::{laplacian_2d, residual, FailAfter, Loop, VecSink, LOOPS};
     use crate::gmres::Side;
-    use dd_linalg::{CsrMatrix, DenseQr};
+    use dd_linalg::{CsrMatrix, DMat, DenseQr};
     use std::cell::Cell;
 
     /// The newest checkpoint (every `interval` iterations) of `solve` on
@@ -858,7 +869,7 @@ mod tests {
         ls.reset(beta);
         for k in 0..M {
             for i in 0..=k + 1 {
-                ls.h[(i, k)] = entry(i, k);
+                ls.column(k)[i] = entry(i, k);
             }
             let res = ls.rotate_in(k, 0.0).expect("column is not annihilated");
             let (rows, cols) = (k + 2, k + 1);
@@ -891,8 +902,7 @@ mod tests {
         let mut ls = LeastSquares::default();
         ls.prepare(2);
         ls.reset(1.0);
-        ls.h[(0, 0)] = 0.0;
-        ls.h[(1, 0)] = 0.0;
+        ls.column(0)[..2].fill(0.0);
         assert!(ls.rotate_in(0, 1e-14).is_none());
         // Taken with no threshold, the zero pivot makes R singular.
         assert_eq!(ls.rotate_in(0, -1.0), Some(0.0));

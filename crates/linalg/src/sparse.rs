@@ -236,6 +236,43 @@ impl CsrMatrix {
         }
     }
 
+    /// `y_c ← A x_c` for `k` columns `ld` apart in `x` and in `y`: per
+    /// column the sum [`CsrMatrix::spmv`] forms, in its order (so bitwise
+    /// that product), the matrix read once for every four columns.
+    pub fn spmv_panel(&self, x: &[f64], y: &mut [f64], ld: usize, k: usize) {
+        assert!(
+            k <= 1 || ld >= self.rows.max(self.cols),
+            "spmv_panel: columns overlap"
+        );
+        let mut c0 = 0;
+        while c0 + 4 <= k {
+            self.spmv_cols::<4>(&x[c0 * ld..], &mut y[c0 * ld..], ld);
+            c0 += 4;
+        }
+        for c in c0..k {
+            let at = c * ld;
+            self.spmv(&x[at..at + self.cols], &mut y[at..at + self.rows]);
+        }
+    }
+
+    /// [`CsrMatrix::spmv_panel`] on `B` columns.
+    // dd:hot — the panel's local products, once per Krylov step
+    fn spmv_cols<const B: usize>(&self, x: &[f64], y: &mut [f64], ld: usize) {
+        assert!(x.len() >= (B - 1) * ld + self.cols && y.len() >= (B - 1) * ld + self.rows);
+        for i in 0..self.rows {
+            let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let mut acc = [0.0; B];
+            for (&v, &j) in self.values[s..e].iter().zip(&self.col_idx[s..e]) {
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a += v * x[c * ld + j as usize];
+                }
+            }
+            for (c, a) in acc.into_iter().enumerate() {
+                y[c * ld + i] = a;
+            }
+        }
+    }
+
     /// `y ← y + α A x`.
     pub fn spmv_add(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols);
@@ -634,6 +671,37 @@ mod tests {
             let mut y = vec![0.0; 3];
             a.spmv(w.col(j), &mut y);
             assert_eq!(t.col(j), &y[..]);
+        }
+    }
+
+    /// The panel product is the column loop of `spmv` to the bit, for 1 to
+    /// 9 columns (blocks of four and a remainder), the gaps between the
+    /// columns untouched.
+    #[test]
+    fn spmv_panel_is_the_spmv_loop_bitwise() {
+        let n = 40;
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            for j in [i, (i * 7 + 3) % n, (i * 13 + 5) % n] {
+                b.push(i, j, ((i + 2 * j) as f64 * 0.31).sin());
+            }
+        }
+        let a = b.to_csr();
+        let ld = n + 2;
+        for k in 1..=9 {
+            let x: Vec<f64> = (0..k * ld).map(|i| (i as f64 * 0.17).cos()).collect();
+            let mut y = vec![f64::NAN; k * ld];
+            a.spmv_panel(&x, &mut y, ld, k);
+            for c in 0..k {
+                let mut want = vec![0.0; n];
+                a.spmv(&x[c * ld..c * ld + n], &mut want);
+                let got = &y[c * ld..c * ld + n];
+                assert!(got
+                    .iter()
+                    .zip(&want)
+                    .all(|(p, q)| p.to_bits() == q.to_bits()));
+                assert!(y[c * ld + n..(c + 1) * ld].iter().all(|v| v.is_nan()));
+            }
         }
     }
 

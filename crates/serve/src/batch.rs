@@ -9,13 +9,19 @@
 //! only while the arrival gap stays within `coalesce_window`; its dispatch
 //! instant is the arrival of its last member.
 //!
-//! The solves of one operator share its Krylov recycle space, batch after
-//! batch: the server solves each right-hand side in stream order, and each
-//! solve corrects its start over the space and banks its increment (the
-//! GMRES restart driver does both, under every Krylov loop). So splitting
-//! or merging batches of the same θ changes *scheduling* only: the per-RHS
-//! iteration counts are identical either way — a property the test wall
-//! pins.
+//! A batch is answered by one panel apply: its right-hand sides share every
+//! halo round, coarse solve and reduction. The solves of one operator share
+//! its Krylov recycle space, batch after batch, under the *batch-start
+//! seeding contract*: every right-hand side of a batch is corrected from the
+//! space as it stands when the batch starts, and the batch's increments are
+//! banked in stream order after it (the GMRES restart driver does both,
+//! under every Krylov loop). Each answer is therefore, to the bit, the
+//! single solve from the batch-start space. Without recycling, splitting or
+//! merging batches of the same θ changes scheduling only — answers and
+//! iteration counts are identical either way; with it, a right-hand side
+//! that shares a batch with an earlier one does not see that one's
+//! increment, so the batch plan can move iteration counts (the test wall
+//! pins both).
 
 use crate::stream::Request;
 
@@ -41,7 +47,10 @@ pub struct Batch {
 /// Batching policy.
 #[derive(Clone, Debug)]
 pub struct BatcherCfg {
-    /// Most right-hand sides per batch (larger requests are split).
+    /// Most right-hand sides per batch (larger requests are split) — the
+    /// widest panel one apply solves. The default, 4, keeps a batch's Krylov
+    /// bases (`V` and `Z` for every column in flight) within the memory the
+    /// server's set-up needs anyway.
     pub max_batch_rhs: usize,
     /// Largest arrival gap (virtual seconds) coalesced into one batch.
     pub coalesce_window: f64,
@@ -50,7 +59,7 @@ pub struct BatcherCfg {
 impl Default for BatcherCfg {
     fn default() -> Self {
         BatcherCfg {
-            max_batch_rhs: 8,
+            max_batch_rhs: 4,
             coalesce_window: 0.1,
         }
     }

@@ -469,8 +469,11 @@ fn serve_epoch(
     Ok(())
 }
 
-/// Solve the incomplete items of one batch in stream order, sharing the
-/// operator's recycle space, and deposit every owned piece.
+/// Answer the incomplete items of one batch with one panel apply and
+/// deposit every owned piece. Every item is corrected from the operator's
+/// recycle space as it stands at the batch start, and the items'
+/// increments are banked in stream order after it, so each answer is, to
+/// the bit, the single solve from the batch-start space.
 #[allow(clippy::too_many_arguments)]
 fn serve_batch(
     c: &Communicator,
@@ -486,12 +489,18 @@ fn serve_batch(
     let space = spaces
         .entry(batch.theta.to_bits())
         .or_insert_with(|| RecycleSpace::new(opts.recycle_dim));
-    for it in &batch.items {
-        if responses.is_complete(it.req, it.rhs, nsubs) {
-            continue;
-        }
-        let rhs = workload.requests[it.req].rhs(it.rhs);
-        let out = resident.try_apply_on(op_override, rhs, "serve-apply", None, Some(space))?;
+    let items: Vec<_> = batch
+        .items
+        .iter()
+        .filter(|it| !responses.is_complete(it.req, it.rhs, nsubs))
+        .collect();
+    let rhs: Vec<&[f64]> = items
+        .iter()
+        .map(|it| workload.requests[it.req].rhs(it.rhs))
+        .collect();
+    let outs = resident.try_apply_on(op_override, &rhs, "serve-apply", None, Some(space))?;
+    let now = c.clock();
+    for (it, out) in items.into_iter().zip(outs) {
         let meta = SolveMeta {
             iterations: out.result.iterations,
             converged: out.result.converged,
@@ -499,7 +508,6 @@ fn serve_batch(
             history: out.result.history,
             reused: op_override.is_some(),
         };
-        let now = c.clock();
         for (s, x) in out.locals {
             responses.deposit(it.req, it.rhs, s, x, now, meta.clone());
         }

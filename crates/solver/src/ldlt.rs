@@ -442,60 +442,86 @@ impl SparseLdlt {
         z.clear();
         z.resize(n * B, 0.0);
         for (i, &p) in self.perm.iter().enumerate() {
+            let zi = row_mut::<B>(z, i);
             for c in 0..B {
-                z[i * B + c] = b[c * ld + p];
+                zi[c] = b[c * ld + p];
             }
         }
         // L y = z (columns); a zero entry skips its column's update, as in
         // the single solve (the skip is visible in the sign of a zero)
         for j in 0..n {
-            let mut zj = [0.0; B];
-            zj.copy_from_slice(&z[j * B..(j + 1) * B]);
+            let zj = *row::<B>(z, j);
             let nonzero = zj.iter().filter(|v| **v != 0.0).count();
             if nonzero == 0 {
                 continue;
             }
-            for q in self.lp[j]..self.lp[j + 1] {
-                let (l, r) = (self.lx[q], self.li[q] as usize);
-                let row = &mut z[r * B..(r + 1) * B];
-                if nonzero == B {
+            let (li, lx) = (
+                &self.li[self.lp[j]..self.lp[j + 1]],
+                &self.lx[self.lp[j]..self.lp[j + 1]],
+            );
+            if nonzero == B {
+                for (&r, &l) in li.iter().zip(lx) {
+                    let zr = row_mut::<B>(z, r as usize);
                     for c in 0..B {
-                        row[c] -= l * zj[c];
+                        zr[c] -= l * zj[c];
                     }
-                } else {
+                }
+            } else {
+                for (&r, &l) in li.iter().zip(lx) {
+                    let zr = row_mut::<B>(z, r as usize);
                     for c in 0..B {
                         if zj[c] != 0.0 {
-                            row[c] -= l * zj[c];
+                            zr[c] -= l * zj[c];
                         }
                     }
                 }
             }
         }
         // D w = y
-        for j in 0..n {
-            for v in &mut z[j * B..(j + 1) * B] {
-                *v /= self.d[j];
+        for (j, &dj) in self.d.iter().enumerate() {
+            for v in row_mut::<B>(z, j) {
+                *v /= dj;
             }
         }
         // Lᵀ x = w
         for j in (0..n).rev() {
-            let mut s = [0.0; B];
-            s.copy_from_slice(&z[j * B..(j + 1) * B]);
-            for q in self.lp[j]..self.lp[j + 1] {
-                let (l, r) = (self.lx[q], self.li[q] as usize);
+            let mut s = *row::<B>(z, j);
+            let (li, lx) = (
+                &self.li[self.lp[j]..self.lp[j + 1]],
+                &self.lx[self.lp[j]..self.lp[j + 1]],
+            );
+            for (&r, &l) in li.iter().zip(lx) {
+                let zr = row::<B>(z, r as usize);
                 for c in 0..B {
-                    s[c] -= l * z[r * B + c];
+                    s[c] -= l * zr[c];
                 }
             }
-            z[j * B..(j + 1) * B].copy_from_slice(&s);
+            *row_mut::<B>(z, j) = s;
         }
         // b = Pᵀ z
         for (i, &p) in self.perm.iter().enumerate() {
+            let zi = row::<B>(z, i);
             for c in 0..B {
-                b[c * ld + p] = z[i * B + c];
+                b[c * ld + p] = zi[c];
             }
         }
     }
+}
+
+/// Row `i` of a panel whose rows hold `B` values side by side.
+#[inline(always)]
+pub(crate) fn row<const B: usize>(z: &[f64], i: usize) -> &[f64; B] {
+    z[i * B..(i + 1) * B]
+        .try_into()
+        .expect("a panel row holds B values")
+}
+
+/// [`row`], mutably.
+#[inline(always)]
+pub(crate) fn row_mut<const B: usize>(z: &mut [f64], i: usize) -> &mut [f64; B] {
+    (&mut z[i * B..(i + 1) * B])
+        .try_into()
+        .expect("a panel row holds B values")
 }
 
 /// The column blocks a panel solve of `k` columns sweeps together, as

@@ -31,7 +31,8 @@
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
 
 use crate::ldlt::{
-    check_panel, etree_and_counts, panel_blocks, permuted, LdltError, Ordering, PivotPolicy,
+    check_panel, etree_and_counts, panel_blocks, permuted, row, row_mut, LdltError, Ordering,
+    PivotPolicy,
 };
 use crate::ordering;
 use dd_linalg::smallgemm::gemm_nt_minus;
@@ -555,13 +556,14 @@ impl SupernodalLdlt {
         z.resize((n + self.max_rows) * B, 0.0);
         let (z, gathered) = z.split_at_mut(n * B);
         for (i, &p) in self.perm.iter().enumerate() {
+            let zi = row_mut::<B>(z, i);
             for c in 0..B {
-                z[i * B + c] = b[c * ld + p];
+                zi[c] = b[c * ld + p];
             }
         }
         let gather = |loc: &mut [f64], z: &[f64], srows: &[u32]| {
-            for (l, &gi) in loc.chunks_exact_mut(B).zip(srows) {
-                l.copy_from_slice(&z[gi as usize * B..(gi as usize + 1) * B]);
+            for (li, &gi) in srows.iter().enumerate() {
+                *row_mut::<B>(loc, li) = *row::<B>(z, gi as usize);
             }
         };
         // L y = z, panel by panel; a zero entry skips its column's update,
@@ -574,36 +576,35 @@ impl SupernodalLdlt {
             let loc = &mut gathered[..nr * B];
             gather(loc, z, srows);
             for jc in 0..w {
-                let mut zj = [0.0; B];
-                zj.copy_from_slice(&loc[jc * B..(jc + 1) * B]);
+                let zj = *row::<B>(loc, jc);
                 let nonzero = zj.iter().filter(|v| **v != 0.0).count();
                 if nonzero == 0 {
                     continue;
                 }
                 let col = &panel[jc * nr..(jc + 1) * nr];
-                for li in jc + 1..nr {
-                    let row = &mut loc[li * B..(li + 1) * B];
+                for (li, &l) in col.iter().enumerate().skip(jc + 1) {
+                    let zr = row_mut::<B>(loc, li);
                     if nonzero == B {
                         for c in 0..B {
-                            row[c] -= col[li] * zj[c];
+                            zr[c] -= l * zj[c];
                         }
                     } else {
                         for c in 0..B {
                             if zj[c] != 0.0 {
-                                row[c] -= col[li] * zj[c];
+                                zr[c] -= l * zj[c];
                             }
                         }
                     }
                 }
             }
-            for (l, &gi) in loc.chunks_exact(B).zip(srows) {
-                z[gi as usize * B..(gi as usize + 1) * B].copy_from_slice(l);
+            for (li, &gi) in srows.iter().enumerate() {
+                *row_mut::<B>(z, gi as usize) = *row::<B>(loc, li);
             }
         }
         // D w = y
-        for j in 0..n {
-            for v in &mut z[j * B..(j + 1) * B] {
-                *v /= self.d[j];
+        for (j, &dj) in self.d.iter().enumerate() {
+            for v in row_mut::<B>(z, j) {
+                *v /= dj;
             }
         }
         // Lᵀ x = w, reverse panel order
@@ -616,21 +617,22 @@ impl SupernodalLdlt {
             gather(loc, z, srows);
             for jc in (0..w).rev() {
                 let col = &panel[jc * nr..(jc + 1) * nr];
-                let mut acc = [0.0; B];
-                acc.copy_from_slice(&loc[jc * B..(jc + 1) * B]);
-                for li in jc + 1..nr {
+                let mut acc = *row::<B>(loc, jc);
+                for (li, &l) in col.iter().enumerate().skip(jc + 1) {
+                    let zr = row::<B>(loc, li);
                     for c in 0..B {
-                        acc[c] -= col[li] * loc[li * B + c];
+                        acc[c] -= l * zr[c];
                     }
                 }
-                loc[jc * B..(jc + 1) * B].copy_from_slice(&acc);
+                *row_mut::<B>(loc, jc) = acc;
             }
             z[first * B..(first + w) * B].copy_from_slice(&loc[..w * B]);
         }
         // b = Pᵀ z
         for (i, &p) in self.perm.iter().enumerate() {
+            let zi = row::<B>(z, i);
             for c in 0..B {
-                b[c * ld + p] = z[i * B + c];
+                b[c * ld + p] = zi[c];
             }
         }
     }

@@ -3,23 +3,26 @@
 //! `try_run_spmd` on the same operator and right-hand side to 1e-10 —
 //! across seeds and world sizes, through admissible perturbation reuse and
 //! inadmissible re-setups, and straight through mid-stream rank death,
-//! straggler eviction, and joins. A second family of tests pins the
-//! batcher's numerical transparency: splitting or merging batches changes
-//! scheduling only, never a single iteration count or solution bit.
+//! straggler eviction, and joins. A second family of tests pins what a batch
+//! is: one panel apply whose every answer is, to the bit, the single solve
+//! from the recycle space as it stood at the batch start — so without
+//! recycling, splitting or merging batches changes scheduling only, never a
+//! single iteration count or solution bit.
 
 use dd_geneo::comm::{CommError, CostModel, FaultPlan, SuspicionPolicy, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
-    decompose, try_run_spmd, CoarseCache, Decomposition, GeneoOpts, RecoveryOpts, SolverKind,
-    SpmdError, SpmdOpts,
+    decompose, repartition_plan, try_run_spmd, try_setup_partitioned, CoarseCache, Decomposition,
+    GeneoOpts, RecoveryOpts, SolverKind, SpmdError, SpmdOpts,
 };
-use dd_geneo::krylov::GmresOpts;
+use dd_geneo::krylov::{GmresOpts, RecycleSpace};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use dd_geneo::serve::{
-    try_serve, BatcherCfg, Payload, Request, ResponseStore, ServeOpts, ServeReport, StreamCfg,
-    Workload,
+    plan_batches, try_serve, BatcherCfg, Payload, Request, ResponseStore, ServeOpts, ServeReport,
+    StreamCfg, Workload,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod common;
@@ -560,33 +563,35 @@ fn mid_stream_corruption_is_typed_replayed_within_budget_and_never_answered_wron
     }
 }
 
-/// Batch transparency: the same stream served under max-1 batches (no
-/// coalescing) and under wide batches produces bit-identical answers with
-/// identical per-response iteration counts — batch splitting/merging is
-/// scheduling, not numerics, because the per-operator recycle space
-/// evolves over the same solve sequence either way.
+/// Without recycling, batching is scheduling: the same stream served under
+/// max-1 batches (no coalescing) and under batches of up to four — one
+/// panel apply each — produces bit-identical answers with identical
+/// per-response iteration counts.
 #[test]
-fn batch_split_merge_preserves_iterations_and_bits() {
+fn batch_split_merge_is_bitwise_without_recycling() {
     let decomp = setup(12, 4);
-    let cfg = StreamCfg {
-        n_requests: 6,
-        batch_fraction: 0.4,
-        max_rhs_per_request: 3,
-        perturb_fraction: 0.3,
-        theta_max: 0.04,
-        ..Default::default()
+    let w = Workload::generate(17, decomp.n_global, &split_merge_stream());
+    let narrow = ServeOpts {
+        recycle_dim: 0,
+        batcher: BatcherCfg {
+            max_batch_rhs: 1,
+            coalesce_window: 0.0,
+        },
+        ..serve_opts()
     };
-    let w = Workload::generate(17, decomp.n_global, &cfg);
-    let mut narrow = serve_opts();
-    narrow.batcher = BatcherCfg {
-        max_batch_rhs: 1,
-        coalesce_window: 0.0,
+    let wide = ServeOpts {
+        batcher: BatcherCfg {
+            max_batch_rhs: 4,
+            coalesce_window: 0.5,
+        },
+        ..narrow.clone()
     };
-    let mut wide = serve_opts();
-    wide.batcher = BatcherCfg {
-        max_batch_rhs: 8,
-        coalesce_window: 0.5,
-    };
+    assert!(
+        plan_batches(&w.requests, &wide.batcher)
+            .iter()
+            .any(|b| b.items.len() > 1),
+        "the wide plan must have a panel"
+    );
     let a = assert_reports_agree(
         &run_serve(&decomp, 4, 0, &narrow, FaultPlan::default(), &w),
         "narrow",
@@ -605,17 +610,166 @@ fn batch_split_merge_preserves_iterations_and_bits() {
             ra.req, ra.rhs
         );
         assert_eq!(
-            ra.x, rb.x,
+            bits(&ra.x),
+            bits(&rb.x),
             "batch splitting changed the answer to ({}, {})",
-            ra.req, ra.rhs
+            ra.req,
+            ra.rhs
         );
+    }
+}
+
+/// The stream the batch-plan tests serve: singles, multi-RHS requests and
+/// admissibly perturbed ones.
+fn split_merge_stream() -> StreamCfg {
+    StreamCfg {
+        n_requests: 6,
+        batch_fraction: 0.4,
+        max_rhs_per_request: 3,
+        perturb_fraction: 0.3,
+        theta_max: 0.04,
+        ..Default::default()
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// With recycling, a batch is one panel whose right-hand sides all start
+/// from the operator's recycle space as it stood when the batch started:
+/// every response is, to the bit, the single solve from that space — its
+/// deposited pieces and its iteration count. The reference replays the
+/// batch plan on a resident set-up of the same world: per batch, each
+/// right-hand side solved alone from a clone of the batch-start space, and
+/// the batch's panel advancing the space.
+#[test]
+fn each_response_is_the_single_solve_from_the_batch_start_space() {
+    let decomp = setup(12, 4);
+    let opts = ServeOpts {
+        batcher: BatcherCfg {
+            max_batch_rhs: 4,
+            coalesce_window: 0.5,
+        },
+        ..serve_opts()
+    };
+    // Panels on the resident operator and on a perturbed one, around
+    // singles of both.
+    let n = decomp.n_global;
+    let request = |id: usize, arrival: f64, payload| Request {
+        id,
+        arrival,
+        payload,
+    };
+    let perturbed = |seed: u64| Payload::Perturbed {
+        theta: 0.03,
+        rhs: rhs_for(n, seed),
+    };
+    let w = Workload::from_requests(vec![
+        request(0, 0.0, Payload::Rhs(rhs_for(n, 1))),
+        request(
+            1,
+            1.0,
+            Payload::Batch((2..5).map(|k| rhs_for(n, k)).collect()),
+        ),
+        request(2, 1.1, Payload::Rhs(rhs_for(n, 5))),
+        request(3, 2.0, perturbed(6)),
+        request(4, 2.1, perturbed(7)),
+        request(5, 2.2, perturbed(8)),
+        request(
+            6,
+            3.0,
+            Payload::Batch((9..11).map(|k| rhs_for(n, k)).collect()),
+        ),
+        request(7, 4.0, perturbed(11)),
+    ]);
+    let batches = plan_batches(&w.requests, &opts.batcher);
+    let sizes: Vec<(usize, bool)> = batches
+        .iter()
+        .map(|b| (b.items.len(), b.theta != 0.0))
+        .collect();
+    assert_eq!(
+        sizes,
+        [(1, false), (4, false), (3, true), (2, false), (1, true)]
+    );
+    let store = Arc::new(ResponseStore::new());
+    let served = {
+        let (d, o, w, store) = (
+            Arc::clone(&decomp),
+            opts.clone(),
+            w.clone(),
+            Arc::clone(&store),
+        );
+        let cache = Arc::new(CoarseCache::new());
+        World::run(4, CostModel::default(), move |comm| {
+            try_serve(&d, comm, &o, &w, &cache, &store).expect("served stream")
+        })
+    };
+    let report = &served[0];
+    let (d, o, w2) = (Arc::clone(&decomp), opts.clone(), w.clone());
+    // Per rank: every right-hand side's (request, rhs, iterations, locals),
+    // solved alone from the batch-start space.
+    let reference = World::run(4, CostModel::default(), move |comm| {
+        let plan = repartition_plan(&d, comm, None);
+        let cache = CoarseCache::new();
+        let prepared = try_setup_partitioned(&d, comm, &o.spmd, Some(&cache), &plan, true)
+            .expect("reference set-up");
+        let mut spaces: BTreeMap<u64, RecycleSpace> = BTreeMap::new();
+        let mut out = Vec::new();
+        for batch in &batches {
+            let perturbed = (batch.theta != 0.0).then(|| prepared.perturbed(&d, batch.theta));
+            let space = spaces
+                .entry(batch.theta.to_bits())
+                .or_insert_with(|| RecycleSpace::new(o.recycle_dim));
+            let rhs: Vec<&[f64]> = batch
+                .items
+                .iter()
+                .map(|it| w2.requests[it.req].rhs(it.rhs))
+                .collect();
+            for (it, b) in batch.items.iter().zip(&rhs) {
+                let mut at_start = space.clone();
+                let single = prepared
+                    .try_apply_on(
+                        perturbed.as_ref(),
+                        &[b],
+                        "serve-apply",
+                        None,
+                        Some(&mut at_start),
+                    )
+                    .expect("single solve")
+                    .remove(0);
+                out.push((it.req, it.rhs, single.result.iterations, single.locals));
+            }
+            prepared
+                .try_apply_on(perturbed.as_ref(), &rhs, "serve-apply", None, Some(space))
+                .expect("panel");
+        }
+        out
+    });
+    for (i, r) in report.responses.iter().enumerate() {
+        let mut want: Vec<(usize, Vec<f64>)> = reference
+            .iter()
+            .flat_map(|rank| rank[i].3.iter().cloned())
+            .collect();
+        want.sort_by_key(|(s, _)| *s);
+        assert_eq!((reference[0][i].0, reference[0][i].1), (r.req, r.rhs));
+        assert_eq!(r.iterations, reference[0][i].2, "({}, {})", r.req, r.rhs);
+        let got = store.pieces(r.req, r.rhs);
+        assert_eq!(got.len(), want.len());
+        for ((gs, gx), (ws, wx)) in got.iter().zip(&want) {
+            assert_eq!(gs, ws);
+            assert_eq!(bits(gx), bits(wx), "({}, {}) subdomain {gs}", r.req, r.rhs);
+        }
     }
 }
 
 /// Krylov recycling across the stream helps and never hurts the total
 /// iteration bill, and the answers stay exact either way. Under every
-/// Krylov loop, a right-hand side repeated while its solve is still in the
-/// space takes strictly fewer iterations recycled than cold.
+/// Krylov loop, a right-hand side repeated in a later batch, while its
+/// solve is still in the space, takes strictly fewer iterations recycled
+/// than cold; repeated inside the batch of its first copy it starts from
+/// the batch-start space, which does not hold that copy yet, and is
+/// answered as cold.
 #[test]
 fn recycling_never_increases_total_iterations() {
     let decomp = setup(12, 4);
@@ -628,22 +782,33 @@ fn recycling_never_increases_total_iterations() {
     };
     let w = Workload::generate(29, decomp.n_global, &cfg);
     // The same stream with a second request that repeats the first one's
-    // last right-hand side.
-    let mut requests = w.requests.clone();
-    let first = &requests[0];
-    let repeat = Payload::Rhs(first.rhs(first.n_rhs() - 1).to_vec());
-    requests.insert(
-        1,
-        Request {
-            id: 1,
-            arrival: first.arrival,
-            payload: repeat,
-        },
-    );
-    for (id, r) in requests.iter_mut().enumerate() {
-        r.id = id;
-    }
-    let w_repeat = Workload::from_requests(requests);
+    // last right-hand side, arriving `after` the first.
+    let with_repeat = |after: f64| {
+        let mut requests = w.requests.clone();
+        let first = &requests[0];
+        let repeat = Payload::Rhs(first.rhs(first.n_rhs() - 1).to_vec());
+        requests.insert(
+            1,
+            Request {
+                id: 1,
+                arrival: first.arrival + after,
+                payload: repeat,
+            },
+        );
+        for (id, r) in requests.iter_mut().enumerate() {
+            r.id = id;
+        }
+        Workload::from_requests(requests)
+    };
+    // With no coalescing across requests, a repeat that arrives a little
+    // after the first copy gets a batch of its own; one that arrives with
+    // it joins its batch.
+    let gap = (w.requests[1].arrival - w.requests[0].arrival) / 2.0;
+    assert!(gap > 0.0);
+    let separate = BatcherCfg {
+        max_batch_rhs: 4,
+        coalesce_window: 0.0,
+    };
     // The recycled and the cold report, after their total iterations are
     // checked and the recycled answers against the one-shot solves.
     let run_both = |recycled: &ServeOpts, w: &Workload, what: &str| {
@@ -670,21 +835,43 @@ fn recycling_never_increases_total_iterations() {
     // keep the total on it: recycled, two of its fifteen right-hand sides
     // take 5 iterations instead of 4 (74 against 72).
     run_both(&serve_opts(), &w, "Classical");
+    let repeated = |r: &ServeReport| r.responses.iter().find(|r| r.req == 1).unwrap().iterations;
     for solver in [
         SolverKind::Classical,
         SolverKind::Pipelined,
         SolverKind::Fused,
     ] {
-        let mut recycled = serve_opts();
-        recycled.spmd.solver = solver;
-        let what = format!("{solver:?}");
-        let (a, b) = run_both(&recycled, &w_repeat, &what);
-        let repeated =
-            |r: &ServeReport| r.responses.iter().find(|r| r.req == 1).unwrap().iterations;
-        let (ra, rb) = (repeated(&a), repeated(&b));
-        assert!(
-            ra < rb,
-            "{what}: the repeated right-hand side took {ra} iterations recycled, {rb} cold"
-        );
+        for (after, batcher, later) in [
+            (gap, separate.clone(), true),
+            (0.0, BatcherCfg::default(), false),
+        ] {
+            let mut recycled = serve_opts();
+            recycled.spmd.solver = solver;
+            recycled.batcher = batcher;
+            let w = with_repeat(after);
+            let shares = plan_batches(&w.requests, &recycled.batcher)
+                .iter()
+                .any(|b| {
+                    b.items.iter().any(|it| it.req == 0) && b.items.iter().any(|it| it.req == 1)
+                });
+            assert_eq!(shares, !later, "{solver:?}: the repeat's batch");
+            let what = format!(
+                "{solver:?}, repeat in {} batch",
+                if later { "a later" } else { "the same" }
+            );
+            let (a, b) = run_both(&recycled, &w, &what);
+            let (ra, rb) = (repeated(&a), repeated(&b));
+            if later {
+                assert!(
+                    ra < rb,
+                    "{what}: the repeated right-hand side took {ra} iterations recycled, {rb} cold"
+                );
+            } else {
+                assert_eq!(
+                    ra, rb,
+                    "{what}: a repeat in its first copy's batch is answered cold"
+                );
+            }
+        }
     }
 }
