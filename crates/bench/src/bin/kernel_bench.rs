@@ -19,9 +19,13 @@
 //! * **orthogonalisation panels** — the Gram row and the update block of a
 //!   CGS2 pass (`vector::dot_many` / `vector::axpy_many`) against the
 //!   per-vector loops, at the `diffusion2d_many` shape;
+//! * **LDLᵀ panel solves** — `solve_panel_with` on 1, 2, 4 and 8
+//!   right-hand sides against the column loop, on one subdomain of each
+//!   benchmark workload (bitwise, and its cost per column);
 //! * **Krylov steady state** — allocation counts of warm GMRES and CG
 //!   solves at two iteration budgets, from which the per-iteration
-//!   allocation count is derived (the overhaul's contract: **zero**).
+//!   allocation count is derived (the overhaul's contract: **zero**), and
+//!   of the SPMD path, one column and a panel of four.
 //!
 //! Two output tiers, two gates:
 //!
@@ -325,6 +329,86 @@ fn bench_ldlt_auto(rep: &mut Report) {
     }
 }
 
+/// The panel solve against the column loop, under the kernel `Auto` picks
+/// and the default order, on one subdomain of each benchmark workload: `k`
+/// right-hand sides `n` apart, solved by `k` calls of
+/// `solve_in_place_with` and by one `solve_panel_with`. Exact tier: the
+/// panel is the loop to the bit; wall tier: both microseconds and the panel's
+/// cost per column relative to one single solve (recorded, not gated).
+fn bench_ldlt_panel(rep: &mut Report) {
+    let subdomain = |mesh: Mesh, problem, nparts: usize| -> CsrMatrix {
+        let part = partition_mesh_rcb(&mesh, nparts);
+        let d = decompose(&mesh, &problem, &part, nparts, 1);
+        d.subdomains[0].a_dirichlet.clone()
+    };
+    let cases = [
+        (
+            "diff2d",
+            subdomain(
+                Mesh::unit_square(48, 48),
+                presets::heterogeneous_diffusion(2),
+                32,
+            ),
+        ),
+        (
+            "serve2d",
+            subdomain(Mesh::unit_square(32, 32), presets::uniform_diffusion(2), 16),
+        ),
+        (
+            "elast3d",
+            subdomain(
+                Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0),
+                presets::heterogeneous_elasticity(2, 3),
+                4,
+            ),
+        ),
+    ];
+    for (key, a) in &cases {
+        let f = LocalLdlt::factor(a, Ordering::MinDegree, LdltBackend::Auto).unwrap();
+        let n = a.rows();
+        let mut work = Vec::new();
+        let mut single_us = 0.0;
+        for k in [1usize, 2, 4, 8] {
+            let b: Vec<f64> = (0..k * n).map(wave).collect();
+            let mut x = b.clone();
+            let t_loop = median_us(7, 100, || {
+                x.copy_from_slice(&b);
+                for col in x.chunks_exact_mut(n) {
+                    f.solve_in_place_with(col, &mut work);
+                }
+            });
+            let looped = x.clone();
+            let t_panel = median_us(7, 100, || {
+                x.copy_from_slice(&b);
+                f.solve_panel_with(&mut x, n, k, &mut work);
+            });
+            let bitwise = x
+                .iter()
+                .zip(&looped)
+                .all(|(p, q)| p.to_bits() == q.to_bits());
+            if k == 1 {
+                single_us = t_loop;
+            }
+            let per_column = t_panel / (k as f64 * single_us);
+            rep.exact.insert(
+                &format!("ldlt/panel/{key}/k{k}/bitwise_ok"),
+                f64::from(u8::from(bitwise)),
+            );
+            for (name, v) in [
+                ("loop_us", t_loop),
+                ("panel_us", t_panel),
+                ("per_column", per_column),
+            ] {
+                rep.wall.insert(&format!("ldlt/panel/{key}/k{k}/{name}"), v);
+            }
+            rep.lines.push(format!(
+                "| ldlt/panel/{key}/k{k} (n={n}) | loop {t_loop:.1}µs | panel {t_panel:.1}µs | per column **{per_column:.2}** of one solve | {} |",
+                if bitwise { "bitwise" } else { "**DIFFERS**" },
+            ));
+        }
+    }
+}
+
 /// The default ordering on the subdomain matrices a set-up really factors,
 /// against the numeric factorization under that order. Wall tier: both
 /// calibrated times and, on the rows flagged for it, their quotient (gated:
@@ -607,7 +691,10 @@ fn bench_krylov_allocs(rep: &mut Report) {
 /// GMRES row, over whole worlds (set-up included, so it cancels) because
 /// the counter is process-wide and two ranks allocate concurrently. ν = 1
 /// on the κ-contrast problem keeps the solve from finishing — and GMRES
-/// from stopping on an invariant subspace — before iteration 60.
+/// from stopping on an invariant subspace — before iteration 60. The same
+/// difference over a panel apply of four right-hand sides gives a panel
+/// step's allocations, which may be no more than a one-column step's: the
+/// panel's columns share every message and reduction buffer.
 ///
 /// Like the sequential rows this one repeats to the unit: a rank that has
 /// to block in a receive or a collective allocates what one that finds its
@@ -619,7 +706,9 @@ fn bench_spmd_allocs(rep: &mut Report) {
     let part = partition_mesh_rcb(&mesh, 8);
     let problem = presets::heterogeneous_diffusion(2);
     let decomp = Arc::new(decompose(&mesh, &problem, &part, 8, 1));
-    let run = |iters: usize| {
+    // Allocations and iterations of one set-up and one apply of `k`
+    // right-hand sides at `iters` iterations.
+    let run = |iters: usize, k: usize| {
         let decomp = Arc::clone(&decomp);
         let opts = SpmdOpts {
             geneo: GeneoOpts {
@@ -637,27 +726,56 @@ fn bench_spmd_allocs(rep: &mut Report) {
             ..Default::default()
         };
         let cache = CoarseCache::new();
+        let rhs: Vec<Vec<f64>> = (0..k)
+            .map(|c| {
+                decomp
+                    .rhs_global
+                    .iter()
+                    .map(|v| v * (1.0 + c as f64))
+                    .collect()
+            })
+            .collect();
         alloc_count::count_allocs(|| {
             World::run(2, CostModel::default(), move |comm| {
                 let plan = repartition_plan(&decomp, comm, None);
                 let prepared =
                     try_setup_partitioned(&decomp, comm, &opts, Some(&cache), &plan, true)
                         .expect("owner-map set-up failed");
-                let out = prepared
-                    .try_apply(&decomp.rhs_global, "solve", None)
-                    .expect("owner-map solve failed");
-                out.result.iterations
+                let cols: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+                let out = if k == 1 {
+                    vec![prepared
+                        .try_apply(cols[0], "solve", None)
+                        .expect("owner-map solve failed")]
+                } else {
+                    prepared
+                        .try_apply_on(None, &cols, "solve", None, None)
+                        .expect("owner-map panel solve failed")
+                };
+                out[0].result.iterations
             })
         })
     };
-    run(60); // warmup: whatever the runtime initializes once per process
-    let (a30, it30) = run(30);
-    let (a60, it60) = run(60);
-    assert_eq!((it30[0], it60[0]), (30, 60));
-    let per_iter = ((a60 - a30) as f64 / 3.0).round() / 10.0;
+    let per_step = |k: usize| {
+        run(60, k); // warmup: whatever the runtime initializes once per process
+        let (a30, it30) = run(30, k);
+        let (a60, it60) = run(60, k);
+        assert_eq!((it30[0], it60[0]), (30, 60));
+        (a30, a60, ((a60 - a30) as f64 / 3.0).round() / 10.0)
+    };
+    let (a30, a60, per_iter) = per_step(1);
+    let (p30, p60, panel) = per_step(4);
     rep.exact.insert("spmd/allocs_per_iter", per_iter);
+    rep.exact.insert("spmd/panel4_allocs_per_step", panel);
+    rep.exact.insert(
+        "spmd/panel4_step_allocs_ok",
+        f64::from(u8::from(panel <= per_iter)),
+    );
     rep.lines.push(format!(
         "| SPMD owner-map solve allocations (2 ranks, 8 subdomains) | 30 it: {a30} | 60 it: {a60} | per-iter: **{per_iter}** | message payloads and collective buffers |",
+    ));
+    rep.lines.push(format!(
+        "| SPMD panel apply allocations (4 right-hand sides) | 30 steps: {p30} | 60 steps: {p60} | per-step: **{panel}** | {} |",
+        if panel <= per_iter { "≤ one column" } else { "**MORE than one column**" },
     ));
 }
 
@@ -749,6 +867,7 @@ fn main() -> ExitCode {
     println!("|---|---:|---:|---:|---|");
     bench_ldlt(&mut rep, calib);
     bench_ldlt_auto(&mut rep);
+    bench_ldlt_panel(&mut rep);
     bench_ordering(&mut rep, calib);
     bench_spmm(&mut rep, calib);
     bench_ortho(&mut rep, calib);

@@ -378,23 +378,23 @@ where
         Ortho::Cgs => 1,
         Ortho::Cgs2 => 2,
     };
-    let cycle = |runs: &mut [&mut restart::Run<'_>], r: &[&[f64]], beta: &[f64]| {
+    let cycle = |runs: &mut [restart::Run<'_>], active: &[usize], starts: &restart::Starts<'_>| {
         // Per column, the Arnoldi basis (m+1 pool vectors max); right
         // preconditioning also keeps the preconditioned directions
         // `z_k = M⁻¹ v_k` so the final update x += Z y needs no extra
         // preconditioner application. Only the first `nv` pool slots hold
         // this cycle's basis.
-        for ((run, rc), &bc) in runs.iter().zip(r).zip(beta) {
-            let v = &mut bases[run.col()].0;
+        for &c in active {
+            let (rc, bc) = starts.get(c);
+            let v = &mut bases[c].0;
             pool_set(v, 0, rc);
             vector::scal(1.0 / bc, &mut v[0]);
         }
         let mut nv = 1usize;
-        // The columns still stepping, by position in `runs`. Every buffer
-        // below is reused from the workspace, so no allocation is allowed
-        // per iteration.
+        // The columns still stepping. Every buffer below is reused from the
+        // workspace, so no allocation is allowed per iteration.
         live.clear();
-        live.extend(0..runs.len());
+        live.extend_from_slice(active);
         // A column's update directions: `Z` right-preconditioned, `V` left.
         fn dirs(bases: &[Bases], col: usize, right: bool) -> &[Vec<f64>] {
             let (v, z) = &bases[col];
@@ -408,7 +408,7 @@ where
             // Open the iteration; its hook runs once, for the first column.
             let mut hook = true;
             live.retain(|&i| {
-                let run = &mut *runs[i];
+                let run = &mut runs[i];
                 let open = if hook {
                     run.next_iteration(ip)
                 } else {
@@ -416,7 +416,7 @@ where
                 };
                 hook &= !open;
                 if !open {
-                    run.update(dirs(bases, run.col(), right));
+                    run.update(dirs(bases, i, right));
                 }
                 open
             });
@@ -426,7 +426,7 @@ where
             }
             let (pv, pz, pw) = (&mut pv[..nl * n], &mut pz[..nl * n], &mut pw[..nl * n]);
             for (dst, &i) in pv.chunks_exact_mut(n.max(1)).zip(live.iter()) {
-                dst.copy_from_slice(&bases[runs[i].col()].0[k]);
+                dst.copy_from_slice(&bases[i].0[k]);
             }
             pw.fill(0.0);
             if right {
@@ -435,7 +435,7 @@ where
                 pz.fill(0.0);
                 precond.try_apply_panel_with_op(op, nl, pv, pz, pw)?;
                 for (zc, &i) in pz.chunks_exact(n.max(1)).zip(live.iter()) {
-                    pool_set(&mut bases[runs[i].col()].1, k, zc);
+                    pool_set(&mut bases[i].1, k, zc);
                 }
             } else {
                 // w = M⁻¹ A v_k
@@ -448,14 +448,14 @@ where
                 // Modified Gram–Schmidt: one reduction per basis vector.
                 for j in 0..nv {
                     for (slot, &i) in live.iter().enumerate() {
-                        let vj = &bases[runs[i].col()].0[j];
+                        let vj = &bases[i].0[j];
                         locals[slot] = ip.local_dot(&pw[w(slot)], vj);
                     }
                     ip.try_reduce_into(&locals[..nl], &mut dots[..nl])?;
                     for (slot, &i) in live.iter().enumerate() {
                         let hjk = dots[slot];
                         let span = w(slot);
-                        vector::axpy(-hjk, &bases[runs[i].col()].0[j], &mut pw[span]);
+                        vector::axpy(-hjk, &bases[i].0[j], &mut pw[span]);
                         runs[i].h(k)[j] = hjk;
                     }
                 }
@@ -469,7 +469,7 @@ where
                     // w −= Σ h_j v_j: the bits of the per-vector loops
                     // (DESIGN.md, "orthogonalisation in panels").
                     for (slot, &i) in live.iter().enumerate() {
-                        let v = &bases[runs[i].col()].0[..nv];
+                        let v = &bases[i].0[..nv];
                         let row = &mut locals[slot * nv..(slot + 1) * nv];
                         ip.local_dots(&pw[w(slot)], v, row);
                     }
@@ -482,7 +482,7 @@ where
                             *hjk = -*hjk;
                         }
                         let span = w(slot);
-                        vector::axpy_many(row, &bases[runs[i].col()].0[..nv], &mut pw[span]);
+                        vector::axpy_many(row, &bases[i].0[..nv], &mut pw[span]);
                     }
                 }
             }
@@ -497,31 +497,29 @@ where
                 slot += 1;
                 // What `try_norm` makes of the reduced square.
                 let hk1 = if d.is_nan() { d } else { d.max(0.0).sqrt() };
-                let run = &mut *runs[i];
-                let col = run.col();
+                let run = &mut runs[i];
                 if !hk1.is_finite() {
                     // Non-finite Arnoldi column (NaN from the operator or
                     // preconditioner, or lost orthogonality blowing up the
                     // norm): discard this column and end the cycle.
                     run.discard_column();
-                    run.update(dirs(bases, col, right));
+                    run.update(dirs(bases, i, right));
                     return false;
                 }
                 run.h(k)[k + 1] = hk1;
-                if !run.push_column(k, &dirs(bases, col, right)[..=k]) {
-                    run.update(dirs(bases, col, right));
+                if !run.push_column(k, &dirs(bases, i, right)[..=k]) {
+                    run.update(dirs(bases, i, right));
                     return false;
                 }
                 let wc = &mut pw[span];
                 vector::scal(1.0 / hk1, wc);
-                pool_set(&mut bases[col].0, k + 1, wc);
+                pool_set(&mut bases[i].0, k + 1, wc);
                 true
             });
             nv = k + 2;
         }
         for &i in live.iter() {
-            let col = runs[i].col();
-            runs[i].update(dirs(bases, col, right));
+            runs[i].update(dirs(bases, i, right));
         }
         Ok(())
     };

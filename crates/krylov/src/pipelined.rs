@@ -200,9 +200,10 @@ where
         recycle,
         &mut sk,
         false,
-        |runs, r, beta| {
+        |runs, live, starts| {
             // Solved alone: one column a cycle.
-            let (run, r, beta) = (&mut *runs[0], r[0], beta[0]);
+            let (r, beta) = starts.get(live[0]);
+            let run = &mut runs[live[0]];
             // v: normalized basis; z: shadow basis z_j = B v_j.
             let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
             let mut z: Vec<Vec<f64>> = Vec::with_capacity(m + 1);

@@ -129,8 +129,9 @@ impl LeastSquares {
 pub(crate) struct Skeleton {
     ls: Vec<LeastSquares>,
     scratch: Scratch,
-    /// A list of columns.
+    /// Lists of columns: the open ones, and those stepping a cycle.
     cols: Vec<usize>,
+    live: Vec<usize>,
     /// Per column, the latest residual norm.
     beta: Vec<f64>,
 }
@@ -173,13 +174,12 @@ impl Skeleton {
             v.resize(k, 0.0);
         }
         self.cols.reserve(k);
+        self.live.reserve(k);
     }
 }
 
 /// The state of one column's solve, handed to the cycle body.
 pub(crate) struct Run<'a> {
-    /// Which column of the panel this is.
-    col: usize,
     x: Vec<f64>,
     history: Vec<f64>,
     iterations: usize,
@@ -215,7 +215,6 @@ impl<'a> Run<'a> {
         ls: &'a mut LeastSquares,
     ) -> Self {
         Run {
-            col: 0,
             x,
             history,
             iterations: 0,
@@ -239,10 +238,6 @@ impl<'a> Run<'a> {
 }
 
 impl Run<'_> {
-    pub(crate) fn col(&self) -> usize {
-        self.col
-    }
-
     /// Below this a Hessenberg entry counts as annihilated.
     pub(crate) fn tiny(&self) -> f64 {
         1e-14 * self.r0_norm
@@ -435,6 +430,20 @@ impl Run<'_> {
     }
 }
 
+/// Where each column's cycle starts: its start residual and that
+/// residual's norm.
+pub(crate) struct Starts<'s> {
+    res: &'s [(Vec<f64>, Vec<f64>)],
+    beta: &'s [f64],
+}
+
+impl Starts<'_> {
+    /// Column `c`'s start residual `r` and `‖r‖`.
+    pub(crate) fn get(&self, c: usize) -> (&[f64], f64) {
+        (&self.res[c].1, self.beta[c])
+    }
+}
+
 /// `raw ← b − A x`, `r ←` raw preconditioned when `left` is given, and
 /// `beta[c] ← ‖r‖`, for the columns `cols` at their iterates `x(c)` — one
 /// panel apply of the operator (and of the preconditioner) and one
@@ -503,15 +512,17 @@ where
 /// `left` is the preconditioner of the residual — `Some` under left
 /// preconditioning (history is the preconditioned residual), `None` when
 /// the cycle body preconditions on the right (history is the true one).
-/// `cycle(runs, r, beta)` builds one cycle for each of `runs` from its
-/// start residual `r[i]` of norm `beta[i]`: it opens each iteration with
-/// [`Run::next_iteration`], writes the Hessenberg column into [`Run::h`]
-/// and hands it over with [`Run::push_column`] until told to stop, and ends
-/// each run's cycle in [`Run::update`] with its update directions. With
-/// `lockstep`, the body steps every column of the first cycle together, and
-/// a column that has not converged when it leaves goes on alone; without,
-/// every column is solved alone. `sk` must be prepared for the dimension,
-/// the longest cycle the body builds and `k`.
+/// `cycle(runs, live, starts)` builds one cycle for each column `c` of
+/// `live` (`runs[c]`), from the start residual `starts.get(c)`: it opens
+/// each iteration with [`Run::next_iteration`], writes the Hessenberg
+/// column into [`Run::h`] and hands it over with [`Run::push_column`] until
+/// told to stop, and ends each run's cycle in [`Run::update`] with its
+/// update directions. With `lockstep`, the body steps the open columns'
+/// cycles together: a column leaves when it converges, and one whose cycle
+/// ends early for any other reason (breakdown, stagnation) goes on alone,
+/// while those that ran the whole cycle start the next one together.
+/// Without, every column is solved alone. `sk` must be prepared for the
+/// dimension, the longest cycle the body builds and `k`.
 ///
 /// Each column is the one-column solve to the bit, whatever else is in the
 /// panel: its arithmetic is per column and in the one-column order, and
@@ -545,7 +556,7 @@ pub(crate) fn solve<O, M, P>(
     recycle: Option<&mut RecycleSpace>,
     sk: &mut Skeleton,
     lockstep: bool,
-    mut cycle: impl FnMut(&mut [&mut Run<'_>], &[&[f64]], &[f64]) -> Result<(), SolveInterrupt>,
+    mut cycle: impl FnMut(&mut [Run<'_>], &[usize], &Starts<'_>) -> Result<(), SolveInterrupt>,
     mut emit: impl FnMut(SolveResult),
 ) -> Result<(), SolveInterrupt>
 where
@@ -564,6 +575,7 @@ where
         ls,
         scratch: sc,
         cols,
+        live,
         beta,
     } = sk;
     let resume = ckpt.and_then(|c| c.resume.as_ref());
@@ -589,7 +601,6 @@ where
         (x, history)
     };
     let run = |col: usize, ls| Run {
-        col,
         iterations: resume.map_or(0, |cp| cp.iteration),
         final_res: resume.map_or(1.0, |cp| cp.residual),
         ..Run::new(start(col), opts, ckpt, ls)
@@ -657,34 +668,38 @@ where
             runs[c].start = Some(runs[c].x.clone());
         }
     }
-    // The first cycle of every open column together; the columns it leaves
-    // unfinished go on alone, from residuals formed for all of them.
-    if lockstep && cols.len() > 1 {
-        let mut live = Vec::with_capacity(cols.len());
-        for &c in cols.iter() {
-            if runs[c].open_cycle(beta[c])? {
-                live.push(c);
+    // The open columns' cycles together, while more than one of them ran
+    // its last cycle to the end; a column left unfinished goes on alone.
+    live.clear();
+    if lockstep {
+        live.extend_from_slice(cols);
+    }
+    while live.len() > 1 {
+        let mut i = 0;
+        while i < live.len() {
+            if runs[live[i]].open_cycle(beta[live[i]])? {
+                i += 1;
+            } else {
+                live.remove(i);
             }
         }
+        if live.is_empty() {
+            break;
+        }
+        let starts = Starts { res: &sc.res, beta };
+        // dd:hot — the Arnoldi cycle, every column in step
+        cycle(runs, live, &starts)?;
+        live.retain(|&c| runs[c].close_cycle());
         if !live.is_empty() {
-            let r: Vec<&[f64]> = live.iter().map(|&c| sc.res[c].1.as_slice()).collect();
-            let betas: Vec<f64> = live.iter().map(|&c| beta[c]).collect();
-            let mut panel: Vec<&mut Run<'_>> = runs
-                .iter_mut()
-                .filter(|run| live.contains(&run.col))
-                .collect();
-            // dd:hot — the Arnoldi cycle, every column in step
-            cycle(&mut panel, &r, &betas)?;
-            live.retain(|&c| runs[c].close_cycle());
-            if !live.is_empty() {
-                residuals(op, left, ip, b, &live, |c| runs[c].x.as_slice(), sc, beta)?;
-            }
+            residuals(op, left, ip, b, live, |c| runs[c].x.as_slice(), sc, beta)?;
         }
+        // A cycle that ended early (breakdown, stagnation) restarts alone.
+        live.retain(|&c| !runs[c].cycle_broken);
     }
     for c in 0..k {
         while runs[c].status.is_none() && runs[c].open_cycle(beta[c])? {
             // dd:hot — the Arnoldi cycle
-            cycle(&mut [&mut runs[c]], &[sc.res[c].1.as_slice()], &[beta[c]])?;
+            cycle(runs, &[c], &Starts { res: &sc.res, beta })?;
             if !runs[c].close_cycle() {
                 break;
             }

@@ -496,6 +496,151 @@ fn n_neighbors_counts_neighbouring_ranks() {
     }
 }
 
+/// Traced message counters of one 2-rank owner-map apply of `k`
+/// right-hand sides at exactly `iters` iterations (tolerance 0), over the
+/// solve and its nested coarse solve: `(sends, send bytes, collectives,
+/// collective bytes)`.
+fn panel_traffic(decomp: &Arc<Decomposition>, opts: &SpmdOpts, k: usize, iters: usize) -> [u64; 4] {
+    let d = Arc::clone(decomp);
+    let o = SpmdOpts {
+        gmres: GmresOpts {
+            tol: 0.0,
+            max_iters: iters,
+            ..opts.gmres.clone()
+        },
+        ..opts.clone()
+    };
+    let (its, trace) = World::run_traced(2, CostModel::default(), move |comm| {
+        let plan = repartition_plan(&d, comm, None);
+        let prepared = try_setup_partitioned(&d, comm, &o, None, &plan, true).expect("set-up");
+        let rhs: Vec<Vec<f64>> = (0..k)
+            .map(|c| d.rhs_global.iter().map(|v| v * (1.0 + c as f64)).collect())
+            .collect();
+        let cols: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+        let out = prepared
+            .try_apply_on(None, &cols, "solve", None, None)
+            .expect("panel apply");
+        out.iter().map(|o| o.result.iterations).collect::<Vec<_>>()
+    });
+    assert!(its.iter().flatten().all(|&i| i == iters));
+    let mut c = [0u64; 4];
+    for phase in ["solve", "e-solve-dist"] {
+        let t = trace.phase_totals(phase);
+        c[0] += t.sends;
+        c[1] += t.send_bytes;
+        c[2] += t.collectives_eq + t.collectives_v;
+        c[3] += t.collective_bytes;
+    }
+    c
+}
+
+/// A step of a panel of four right-hand sides makes exactly the
+/// point-to-point messages and collectives of a one-column step — every
+/// halo round, coarse gather, cooperative coarse solve, scatter and
+/// reduction carries all four columns — and four times its bytes. A step
+/// is the difference between applies of 2 and 1 iterations, on a 2-rank
+/// owner map under both coarse solves.
+#[test]
+fn a_panel_step_sends_the_messages_of_a_one_column_step() {
+    let decomp = setup(8);
+    for coarse_solve in [CoarseSolve::Distributed, CoarseSolve::Redundant] {
+        let opts = SpmdOpts {
+            coarse_solve,
+            n_masters: 2,
+            ..opts_for(8)
+        };
+        let step = |k: usize| {
+            let (one, two) = (
+                panel_traffic(&decomp, &opts, k, 1),
+                panel_traffic(&decomp, &opts, k, 2),
+            );
+            [0, 1, 2, 3].map(|i| two[i] - one[i])
+        };
+        let (single, panel) = (step(1), step(4));
+        assert!(
+            single[0] > 0 && single[2] > 0,
+            "{coarse_solve:?}: {single:?}"
+        );
+        assert_eq!(panel[0], single[0], "{coarse_solve:?}: sends");
+        assert_eq!(panel[2], single[2], "{coarse_solve:?}: collectives");
+        assert_eq!(panel[1], 4 * single[1], "{coarse_solve:?}: send bytes");
+        assert_eq!(
+            panel[3],
+            4 * single[3],
+            "{coarse_solve:?}: collective bytes"
+        );
+    }
+}
+
+/// What a served right-hand side costs in `serve-apply` traffic when its
+/// batch is a panel of `k` = 1, 2 or 4: sends and collectives per
+/// right-hand side of a 2-rank `try_serve` of four right-hand sides that
+/// arrive together (printed with `--nocapture`; EXPERIMENTS.md records
+/// them). Wider panels send fewer messages per right-hand side, and every
+/// answer is the same.
+#[test]
+fn serve_apply_traffic_per_rhs_falls_with_the_panel_width() {
+    use dd_serve::{try_serve, BatcherCfg, Payload, Request, ResponseStore, ServeOpts, Workload};
+    let decomp = setup(8);
+    let n = decomp.n_global;
+    let rhs = |f: f64| -> Vec<f64> { (0..n).map(|i| ((i as f64 + 1.3) * f).sin()).collect() };
+    let workload = Workload::from_requests(vec![Request {
+        id: 0,
+        arrival: 0.0,
+        payload: Payload::Batch([0.7, 1.3, 1.9, 2.6].map(rhs).to_vec()),
+    }]);
+    let mut rows = Vec::new();
+    for k in [1usize, 2, 4] {
+        let opts = ServeOpts {
+            spmd: SpmdOpts {
+                gmres: GmresOpts {
+                    tol: 1e-8,
+                    ..Default::default()
+                },
+                ..opts_for(8)
+            },
+            batcher: BatcherCfg {
+                max_batch_rhs: k,
+                coalesce_window: 0.0,
+            },
+            recycle_dim: 0,
+            ..Default::default()
+        };
+        let (d, w) = (Arc::clone(&decomp), workload.clone());
+        let (cache, store) = (Arc::new(CoarseCache::new()), Arc::new(ResponseStore::new()));
+        let (reports, trace) = World::run_traced(2, CostModel::default(), move |comm| {
+            try_serve(&d, comm, &opts, &w, &cache, &store).expect("served stream")
+        });
+        let mut apply = dd_comm::PhaseCounters::default();
+        for phase in ["serve-apply", "e-solve-dist"] {
+            apply.absorb(&trace.phase_totals(phase));
+        }
+        let its: Vec<usize> = reports[0].responses.iter().map(|r| r.iterations).collect();
+        let x: Vec<Vec<f64>> = reports[0].responses.iter().map(|r| r.x.clone()).collect();
+        let per_rhs = |v: u64| v as f64 / 4.0;
+        println!(
+            "serve-apply, batches of {k}: {:.1} sends, {:.1} collectives per right-hand side (iterations {its:?})",
+            per_rhs(apply.sends),
+            per_rhs(apply.collectives_eq + apply.collectives_v)
+        );
+        rows.push((
+            apply.sends,
+            apply.collectives_eq + apply.collectives_v,
+            its,
+            x,
+        ));
+    }
+    for pair in rows.windows(2) {
+        let ((s1, c1, i1, x1), (s2, c2, i2, x2)) = (&pair[0], &pair[1]);
+        assert!(
+            s2 < s1 && c2 < c1,
+            "sends {s1} -> {s2}, collectives {c1} -> {c2}"
+        );
+        assert_eq!(i1, i2);
+        assert_eq!(x1, x2);
+    }
+}
+
 // ------------------------------------------------------------- golden traces
 
 fn golden_path(name: &str) -> PathBuf {
