@@ -108,7 +108,7 @@ pub trait Operator {
 }
 
 /// The length of each of the `k` columns of a panel of `len` values.
-pub fn column_len(k: usize, len: usize) -> usize {
+fn column_len(k: usize, len: usize) -> usize {
     assert!(
         k > 0 && len % k == 0,
         "a panel of {len} values does not hold {k} columns"

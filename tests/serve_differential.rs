@@ -570,7 +570,15 @@ fn mid_stream_corruption_is_typed_replayed_within_budget_and_never_answered_wron
 #[test]
 fn batch_split_merge_is_bitwise_without_recycling() {
     let decomp = setup(12, 4);
-    let w = Workload::generate(17, decomp.n_global, &split_merge_stream());
+    let cfg = StreamCfg {
+        n_requests: 6,
+        batch_fraction: 0.4,
+        max_rhs_per_request: 3,
+        perturb_fraction: 0.3,
+        theta_max: 0.04,
+        ..Default::default()
+    };
+    let w = Workload::generate(17, decomp.n_global, &cfg);
     let narrow = ServeOpts {
         recycle_dim: 0,
         batcher: BatcherCfg {
@@ -616,19 +624,6 @@ fn batch_split_merge_is_bitwise_without_recycling() {
             ra.req,
             ra.rhs
         );
-    }
-}
-
-/// The stream the batch-plan tests serve: singles, multi-RHS requests and
-/// admissibly perturbed ones.
-fn split_merge_stream() -> StreamCfg {
-    StreamCfg {
-        n_requests: 6,
-        batch_fraction: 0.4,
-        max_rhs_per_request: 3,
-        perturb_fraction: 0.3,
-        theta_max: 0.04,
-        ..Default::default()
     }
 }
 
