@@ -4,8 +4,12 @@
 //! with the same decomposition and the same [`Workload`], performs the
 //! setup phases *once* (local factorizations, GenEO deflation, coarse
 //! factorization — the resident `dd_core::PreparedMulti`), then streams
-//! the request batches through reentrant applies. Three things can happen
-//! to a batch:
+//! the request batches through reentrant applies. A batch is one panel
+//! apply (`PreparedMulti::try_apply_on`): its right-hand sides run as
+//! recurrences that share every halo round, coarse solve and reduction, each
+//! started from the operator's recycle space as it stood at the batch start,
+//! so every answer is, to the bit, the single solve from that space. Three
+//! things can happen to a batch:
 //!
 //! * **resident solve** — θ equals the resident operator's θ: a recycled
 //!   apply on the prepared solver;
@@ -16,6 +20,13 @@
 //! * **re-setup** — θ drifted out of the admissible ball: the server
 //!   re-factorizes at θ under the `serve-setup` trace phase (never inside
 //!   `serve-apply` — a `dd-lint` rule pins that) and moves θ_base.
+//!
+//! Memory: an admissible apply reads only the owned subdomains' `A(θ)_s`,
+//! so that is all a rank keeps of a perturbed operator
+//! (`PreparedMulti::perturbed`, built on first use in an epoch); a full
+//! perturbed decomposition is built only for a θ a re-setup factors, and
+//! kept for the stream. A batch of at most `BatcherCfg::max_batch_rhs`
+//! right-hand sides bounds the Krylov bases in flight.
 //!
 //! Rank death, straggler eviction, and joins mid-stream funnel into the
 //! same membership agreement the elastic solver uses — literally:
@@ -394,10 +405,6 @@ fn serve_epoch(
             }
             let theta = batch.theta;
             let reused = theta.to_bits() != theta_base.to_bits();
-            let missing = || SpmdError::Protocol {
-                rank: c.rank(),
-                what: format!("perturbation θ={theta} missing from the arena"),
-            };
             if reused && (theta - theta_base).abs() > opts.admissibility {
                 // Inadmissible drift: re-factorize at θ and move the
                 // resident base point. Setups never run inside
@@ -413,7 +420,10 @@ fn serve_epoch(
                     let slot = arena
                         .iter()
                         .find(|(t, _)| t.to_bits() == theta.to_bits())
-                        .ok_or_else(missing)?;
+                        .ok_or_else(|| SpmdError::Protocol {
+                            rank: c.rank(),
+                            what: format!("perturbation θ={theta} missing from the arena"),
+                        })?;
                     let d = slot.1.get_or_init(|| base.perturb_diag(theta));
                     try_setup_partitioned(d, c, &opts.spmd, None, plan, false)?
                 };
@@ -426,15 +436,11 @@ fn serve_epoch(
             // The operator to solve on, when it is not the resident one:
             // admissible reuse solves `A(θ)` under the resident
             // preconditioner.
-            let op_override = if reused && theta_base.to_bits() != theta.to_bits() {
-                Some(
-                    &*perturbed
-                        .entry(theta.to_bits())
-                        .or_insert_with(|| resident.perturbed(base, theta)),
-                )
-            } else {
-                None
-            };
+            let op_override = (theta_base.to_bits() != theta.to_bits()).then(|| {
+                &*perturbed
+                    .entry(theta.to_bits())
+                    .or_insert_with(|| resident.perturbed(base, theta))
+            });
             serve_batch(
                 c,
                 &resident,
