@@ -624,9 +624,9 @@ impl<'a> MultiRas<'a> {
     }
 }
 
-/// The right-preconditioned step of a preconditioner `pc` built on the
-/// distributed operator `own`, for an operator `op` it does not recognise:
-/// per column, `z ← M⁻¹ r` and then `w ← A z` — the trait's default order.
+/// The right-preconditioned step of a distributed preconditioner `pc` for
+/// an operator `op` other than the one it was built on: per column,
+/// `z ← M⁻¹ r` and then `w ← A z` — the trait's default order.
 fn apply_then_op(
     pc: &dyn Preconditioner,
     op: &dyn Operator,

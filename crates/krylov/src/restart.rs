@@ -249,18 +249,19 @@ impl Run<'_> {
         self.ls.column(k)
     }
 
-    /// Open the next iteration; `false` when the budget is spent.
+    /// Open the next iteration, running the inner product's iteration
+    /// hook; `false` when the budget is spent.
     pub(crate) fn next_iteration<P: InnerProduct + ?Sized>(&mut self, ip: &P) -> bool {
-        if self.iterations >= self.opts.max_iters {
-            return false;
+        let k = self.iterations;
+        let open = self.next_iteration_in_panel();
+        if open {
+            ip.on_iteration(k);
         }
-        ip.on_iteration(self.iterations);
-        self.iterations += 1;
-        true
+        open
     }
 
-    /// [`Run::next_iteration`] for a column that steps with others: the
-    /// iteration hook runs once per step, for the panel's first column.
+    /// [`Run::next_iteration`] without the hook, for a column that steps
+    /// with others: the hook runs once per step, for the first of them.
     pub(crate) fn next_iteration_in_panel(&mut self) -> bool {
         if self.iterations >= self.opts.max_iters {
             return false;
