@@ -11,14 +11,13 @@
 //! Usage:
 //!
 //! ```text
-//! perf_gate [--current <dir>] [--baseline <dir>] [--tolerances <file>]
-//!           [--only <stem>]...
+//! perf_gate [--only <stem>]...
 //! ```
 //!
-//! Defaults: `--current` = `$DD_BENCH_OUT/summaries` (or
-//! `bench_results/summaries`), `--baseline` = `bench_results/baselines`,
-//! `--tolerances` = `<baseline>/tolerances.json` (exact match if the file
-//! does not exist). `--only` (repeatable) restricts the gate to the named
+//! The fresh summaries are read from `$DD_BENCH_OUT/summaries` (or
+//! `bench_results/summaries`), the baselines from [`BASELINES`] and the
+//! tolerances from its `tolerances.json` (exact match if the file does not
+//! exist). `--only` (repeatable) restricts the gate to the named
 //! baseline stems — for CI jobs that regenerate a subset of the
 //! summaries. To accept intended changes, regenerate and copy the
 //! summaries over the baselines (see EXPERIMENTS.md).
@@ -31,26 +30,23 @@ use dd_bench::summary::{compare, markdown_table, Summary, Tolerances};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn parse_args() -> (PathBuf, PathBuf, Option<PathBuf>, Vec<String>) {
-    let mut current = dd_bench::bench_out_dir().join("summaries");
-    let mut baseline = PathBuf::from("bench_results").join("baselines");
-    let mut tolerances = None;
+/// The committed baselines, relative to the workspace root.
+const BASELINES: &str = "bench_results/baselines";
+
+/// The `--only` stems.
+fn parse_args() -> Vec<String> {
     let mut only = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
         match a.as_str() {
-            "--current" => current = PathBuf::from(val("--current")),
-            "--baseline" => baseline = PathBuf::from(val("--baseline")),
-            "--tolerances" => tolerances = Some(PathBuf::from(val("--tolerances"))),
-            "--only" => only.push(val("--only")),
+            "--only" => only.push(
+                args.next()
+                    .unwrap_or_else(|| panic!("--only requires a value")),
+            ),
             other => panic!("unknown argument `{other}`"),
         }
     }
-    (current, baseline, tolerances, only)
+    only
 }
 
 fn load_summary(path: &Path) -> Result<Summary, String> {
@@ -59,8 +55,10 @@ fn load_summary(path: &Path) -> Result<Summary, String> {
 }
 
 fn main() -> ExitCode {
-    let (current_dir, baseline_dir, tol_path, only) = parse_args();
-    let tol_path = tol_path.unwrap_or_else(|| baseline_dir.join("tolerances.json"));
+    let only = parse_args();
+    let current_dir = dd_bench::bench_out_dir().join("summaries");
+    let baseline_dir = PathBuf::from(BASELINES);
+    let tol_path = baseline_dir.join("tolerances.json");
     let tol = match std::fs::read_to_string(&tol_path) {
         Ok(text) => match Tolerances::from_json(&text) {
             Ok(t) => t,

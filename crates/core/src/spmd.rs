@@ -671,7 +671,13 @@ pub(crate) fn try_setup_on<'a>(
                     comm.try_recv_timeout(host[j], tag(j, s), &policy)?
                 };
                 let (nu_j, n_shared) = (nu_of[j], link.shared.len());
-                debug_assert_eq!(u.len(), n_shared * nu_j);
+                if u.len() != n_shared * nu_j {
+                    return Err(protocol(format!(
+                        "S block from subdomain {j} to {s} holds {} values, expected {}",
+                        u.len(),
+                        n_shared * nu_j
+                    )));
+                }
                 let at = vals.len();
                 vals.resize(at + nu_s * nu_j, 0.0);
                 comm.compute(|| {
@@ -723,27 +729,23 @@ pub(crate) fn try_setup_on<'a>(
                     msg.extend(nbrs.iter().map(|&j| j as f64));
                     msg.extend_from_slice(vals);
                 }
-                split.try_gatherv(0, msg)?.map(|msgs| {
-                    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-                    for (&r, m) in group_ranks.iter().zip(&msgs) {
-                        let mut at = 0;
-                        for &s in &subs_of_rank[r] {
-                            let n_nbr = m[at] as usize;
-                            let nbrs: Vec<usize> = m[at + 1..at + 1 + n_nbr]
-                                .iter()
-                                .map(|&j| j as usize)
-                                .collect();
-                            at += 1 + n_nbr;
-                            let before = rows.len();
-                            push_indices(s, &nbrs, &mut rows, &mut cols);
-                            let len = rows.len() - before;
-                            vals.extend_from_slice(&m[at..at + len]);
-                            at += len;
+                split
+                    .try_gatherv(0, msg)?
+                    .map(|msgs| -> Result<_, SpmdError> {
+                        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+                        for (&r, m) in group_ranks.iter().zip(&msgs) {
+                            let decoded =
+                                decode_index_free(m, &subs_of_rank[r], &nu_of).map_err(|what| {
+                                    protocol(format!("index-free message from rank {r}: {what}"))
+                                })?;
+                            for (s, nbrs, row) in decoded {
+                                push_indices(s, &nbrs, &mut rows, &mut cols);
+                                vals.extend_from_slice(row);
+                            }
                         }
-                        assert_eq!(at, m.len(), "index-free layout mismatch");
-                    }
-                    (rows, cols, vals)
-                })
+                        Ok((rows, cols, vals))
+                    })
+                    .transpose()?
             }
             AssemblyVariant::NaturalGatherv => {
                 // The "natural" scheme: three gatherv's shipping indices
@@ -918,6 +920,51 @@ pub(crate) fn try_setup_on<'a>(
         owned,
         workspace: Default::default(),
     })
+}
+
+/// One rank's index-free gather message (Algorithm 2), decoded: for each of
+/// `subs` in order the message holds `|O_s|`, `O_s` and the row's
+/// `ν_s · (ν_s + Σ_{j ∈ O_s} ν_j)` values. Returns `(s, O_s, values)` per
+/// subdomain, or what is wrong with a message that is short, long, or names
+/// a subdomain outside the decomposition (`nu_of` has one entry per
+/// subdomain).
+fn decode_index_free<'m>(
+    m: &'m [f64],
+    subs: &[usize],
+    nu_of: &[usize],
+) -> Result<Vec<(usize, Vec<usize>, &'m [f64])>, String> {
+    // A count or subdomain id on the wire: an integer below `bound`.
+    let index = |v: f64, bound: usize| {
+        (v >= 0.0 && v < bound as f64 && v.fract() == 0.0).then_some(v as usize)
+    };
+    let mut rest = m;
+    let mut take = |len: usize, what: &str| {
+        if rest.len() < len {
+            return Err(format!("{} values short in {what}", len - rest.len()));
+        }
+        let (head, tail) = rest.split_at(len);
+        rest = tail;
+        Ok(head)
+    };
+    let mut decoded = Vec::with_capacity(subs.len());
+    for &s in subs {
+        let n_nbr = index(take(1, "a neighbour count")?[0], nu_of.len() + 1)
+            .ok_or_else(|| format!("subdomain {s}: bad neighbour count"))?;
+        let nbrs = take(n_nbr, "a neighbour list")?
+            .iter()
+            .map(|&j| {
+                index(j, nu_of.len())
+                    .ok_or_else(|| format!("subdomain {s} names neighbour {j}, not a subdomain"))
+            })
+            .collect::<Result<Vec<usize>, String>>()?;
+        let width = nu_of[s] + nbrs.iter().map(|&j| nu_of[j]).sum::<usize>();
+        let row = take(nu_of[s] * width, "a coarse row")?;
+        decoded.push((s, nbrs, row));
+    }
+    if !rest.is_empty() {
+        return Err(format!("{} values past the last coarse row", rest.len()));
+    }
+    Ok(decoded)
 }
 
 /// Debug/test helper: perform the full SPMD set-up and apply `P⁻¹_A-DEF1`
@@ -1294,5 +1341,69 @@ mod tests {
         }
         // Masters report the factor size.
         assert!(reports.iter().any(|r| r.nnz_e_factor > 0));
+    }
+
+    /// Subdomains 0 and 2 of three with `ν = [2, 1, 3]`: `O_0 = {1, 2}`
+    /// (2 · 6 values), `O_2 = {0}` (3 · 5 values).
+    fn index_free_message() -> Vec<f64> {
+        let mut m = vec![2.0, 1.0, 2.0];
+        m.extend((0..12).map(f64::from));
+        m.extend([1.0, 0.0]);
+        m.extend((0..15).map(f64::from));
+        m
+    }
+
+    #[test]
+    fn index_free_message_decodes() {
+        let m = index_free_message();
+        let decoded = decode_index_free(&m, &[0, 2], &[2, 1, 3]).expect("well-formed");
+        let shape: Vec<(usize, Vec<usize>, usize)> = decoded
+            .iter()
+            .map(|(s, nbrs, row)| (*s, nbrs.clone(), row.len()))
+            .collect();
+        assert_eq!(shape, [(0, vec![1, 2], 12), (2, vec![0], 15)]);
+    }
+
+    /// A truncated, an overlong and an out-of-range gather message is a
+    /// reason, not a slice panic or an index read past `nu_of`.
+    #[test]
+    fn malformed_index_free_messages_are_rejected() {
+        let good = index_free_message();
+        let truncated = &good[..good.len() - 1];
+        let mut overlong = good.clone();
+        overlong.push(0.0);
+        let mut out_of_range = good.clone();
+        out_of_range[2] = 3.0;
+        let mut bad_count = good.clone();
+        bad_count[0] = -1.0;
+        for (m, why) in [
+            (truncated, "1 values short in a coarse row"),
+            (&overlong[..], "1 values past the last coarse row"),
+            (&out_of_range[..], "names neighbour 3"),
+            (&bad_count[..], "bad neighbour count"),
+        ] {
+            let err = decode_index_free(m, &[0, 2], &[2, 1, 3]).expect_err(why);
+            assert!(err.contains(why), "{err}");
+        }
+    }
+
+    /// An `S_j` block of the wrong length waiting ahead of a set-up's
+    /// exchange is a typed protocol error on the receiving rank.
+    #[test]
+    fn short_s_block_is_a_protocol_error() {
+        let decomp = setup(8, 2);
+        let errors = World::run_default(2, |comm| {
+            if comm.rank() == 1 {
+                // The tag of subdomain 1's block for subdomain 0, epoch 0.
+                comm.send(0, TAG_T + 2, vec![0.0]);
+            }
+            try_setup(&decomp, comm, &SpmdOpts::default()).err()
+        });
+        match &errors[0] {
+            Some(SpmdError::Protocol { what, .. }) => {
+                assert!(what.contains("S block from subdomain 1 to 0"), "{what}")
+            }
+            other => panic!("rank 0: {other:?}"),
+        }
     }
 }
