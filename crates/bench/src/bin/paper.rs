@@ -36,84 +36,31 @@ use std::process::ExitCode;
 /// An entry: its name, the paper artifact it regenerates, and its body.
 type Entry = (&'static str, &'static str, fn());
 
+/// `body: artifact` rows as [`Entry`]s named after their bodies.
+macro_rules! entries {
+    ($($body:ident: $artifact:literal,)*) => {
+        &[$((stringify!($body), $artifact, $body as fn())),*]
+    };
+}
+
 /// Every entry, under the name of the binary it used to be.
-const ENTRIES: &[Entry] = &[
-    (
-        "fig1_convergence",
-        "Fig. 1 — basic vs advanced preconditioning",
-        fig1_convergence,
-    ),
-    (
-        "fig3_sparsity",
-        "Figs. 3–4 — Z and E sparsity patterns",
-        fig3_sparsity,
-    ),
-    (
-        "fig5_masters",
-        "Fig. 5 — master elections and load balance",
-        fig5_masters,
-    ),
-    (
-        "fig7_elasticity_convergence",
-        "Fig. 7 — GMRES(40), RAS vs A-DEF1",
-        fig7_elasticity_convergence,
-    ),
-    (
-        "fig8_strong_scaling",
-        "Fig. 8 — strong scaling tables (2D & 3D elasticity)",
-        fig8_strong_scaling,
-    ),
-    (
-        "fig10_weak_scaling",
-        "Fig. 10 — weak scaling tables (2D & 3D diffusion)",
-        fig10_weak_scaling,
-    ),
-    (
-        "fig11_coarse_operator",
-        "Fig. 11 — coarse operator assembly statistics",
-        fig11_coarse_operator,
-    ),
-    (
-        "fig12_pipelined",
-        "§3.5 — classical vs pipelined vs fused GMRES",
-        fig12_pipelined,
-    ),
-    (
-        "ablation_overlap",
-        "overlap width δ sweep",
-        ablation_overlap,
-    ),
-    ("ablation_nu", "deflation count ν sweep", ablation_nu),
-    (
-        "ablation_assembly",
-        "index-free vs natural gatherv assembly; redundant vs distributed coarse solve",
-        ablation_assembly,
-    ),
-    (
-        "ablation_coarse_space",
-        "GenEO vs Nicolaides coarse spaces",
-        ablation_coarse_space,
-    ),
-    (
-        "ablation_adef",
-        "§2.1 — A-DEF1 vs A-DEF2 coarse-solve cost",
-        ablation_adef,
-    ),
-    (
-        "ablation_ritz",
-        "§4 outlook — a-posteriori Ritz deflation",
-        ablation_ritz,
-    ),
-    (
-        "ablation_network",
-        "α–β network sensitivity of the phases",
-        ablation_network,
-    ),
-    (
-        "serve_throughput",
-        "one resident set-up amortized over a 32-RHS stream",
-        serve_throughput,
-    ),
+const ENTRIES: &[Entry] = entries![
+    fig1_convergence: "Fig. 1 — basic vs advanced preconditioning",
+    fig3_sparsity: "Figs. 3–4 — Z and E sparsity patterns",
+    fig5_masters: "Fig. 5 — master elections and load balance",
+    fig7_elasticity_convergence: "Fig. 7 — GMRES(40), RAS vs A-DEF1",
+    fig8_strong_scaling: "Fig. 8 — strong scaling tables (2D & 3D elasticity)",
+    fig10_weak_scaling: "Fig. 10 — weak scaling tables (2D & 3D diffusion)",
+    fig11_coarse_operator: "Fig. 11 — coarse operator assembly statistics",
+    fig12_pipelined: "§3.5 — classical vs pipelined vs fused GMRES",
+    ablation_overlap: "overlap width δ sweep",
+    ablation_nu: "deflation count ν sweep",
+    ablation_assembly: "index-free vs natural gatherv assembly; redundant vs distributed coarse solve",
+    ablation_coarse_space: "GenEO vs Nicolaides coarse spaces",
+    ablation_adef: "§2.1 — A-DEF1 vs A-DEF2 coarse-solve cost",
+    ablation_ritz: "§4 outlook — a-posteriori Ritz deflation",
+    ablation_network: "α–β network sensitivity of the phases",
+    serve_throughput: "one resident set-up amortized over a 32-RHS stream",
 ];
 
 fn main() -> ExitCode {
@@ -172,6 +119,17 @@ fn solve<M: Preconditioner + ?Sized>(
     opts: &GmresOpts,
 ) -> SolveResult {
     gmres(&d.a_global, p, &SeqDot, b, &vec![0.0; d.n_global], opts)
+}
+
+/// The sequential ablations' GMRES: to a relative 1e-6 in at most
+/// `max_iters` iterations, without a residual history.
+fn ablation_gmres(max_iters: usize) -> GmresOpts {
+    GmresOpts {
+        tol: 1e-6,
+        max_iters,
+        record_history: false,
+        ..Default::default()
+    }
 }
 
 /// GMRES on `d` under one-level RAS and under two-level A-DEF1 with 12
@@ -957,12 +915,7 @@ fn ablation_overlap() {
     println!("# Ablation: overlap width δ (2D heterogeneous diffusion, N = 16)");
     let mesh = Mesh::unit_square(48, 48);
     let problem = presets::heterogeneous_diffusion(1);
-    let opts = GmresOpts {
-        tol: 1e-6,
-        max_iters: 300,
-        record_history: false,
-        ..Default::default()
-    };
+    let opts = ablation_gmres(300);
     println!(
         "{:>3} {:>16} {:>12} {:>12} {:>14}",
         "δ", "max n_i (dofs)", "RAS #it.", "A-DEF1 #it.", "dim(E)"
@@ -1006,12 +959,7 @@ fn ablation_nu() {
     println!("# Ablation: deflation count ν (2D heterogeneous diffusion, N = 16)");
     let problem = presets::heterogeneous_diffusion(1);
     let d = decomposed(&Mesh::unit_square(48, 48), &problem, 16, 1);
-    let opts = GmresOpts {
-        tol: 1e-6,
-        max_iters: 400,
-        record_history: false,
-        ..Default::default()
-    };
+    let opts = ablation_gmres(400);
     println!(
         "{:>4} {:>8} {:>12} {:>12} {:>16}",
         "ν", "dim(E)", "#it.", "converged", "nnz(E⁻¹ factor)"
@@ -1209,11 +1157,17 @@ fn ablation_coarse_space() {
     println!("# Ablation: GenEO vs Nicolaides coarse spaces");
     let problem = presets::heterogeneous_diffusion(1);
     let d = decomposed(&Mesh::unit_square(48, 48), &problem, 16, 1);
-    let opts = GmresOpts {
-        tol: 1e-6,
-        max_iters: 400,
-        record_history: false,
-        ..Default::default()
+    let opts = ablation_gmres(400);
+
+    // A-DEF1 over `space`: dim(E) and the GMRES result.
+    let a_def1 = |space: CoarseSpace| {
+        let dim = space.dim;
+        let p = TwoLevelPrecond::new(
+            RasPrecond::build(&d, Ordering::MinDegree),
+            CoarseOperator::build(&d, space, Ordering::MinDegree),
+            Variant::ADef1,
+        );
+        (dim, solve(&d, &p, &d.rhs_global, &opts))
     };
 
     // Nicolaides: one PoU vector per subdomain.
@@ -1222,14 +1176,7 @@ fn ablation_coarse_space() {
         .iter()
         .map(|s| nicolaides_block(s, 1))
         .collect();
-    let nico_space = CoarseSpace::new(nico_blocks);
-    let nico_dim = nico_space.dim;
-    let nico = TwoLevelPrecond::new(
-        RasPrecond::build(&d, Ordering::MinDegree),
-        CoarseOperator::build(&d, nico_space, Ordering::MinDegree),
-        Variant::ADef1,
-    );
-    let r_nico = solve(&d, &nico, &d.rhs_global, &opts);
+    let (nico_dim, r_nico) = a_def1(CoarseSpace::new(nico_blocks));
 
     // GenEO with a handful of vectors.
     let geneo_opts = geneo(8);
@@ -1241,14 +1188,7 @@ fn ablation_coarse_space() {
             resize_block(&b, b.kept)
         })
         .collect();
-    let gen_space = CoarseSpace::new(gen_blocks);
-    let gen_dim = gen_space.dim;
-    let geneo = TwoLevelPrecond::new(
-        RasPrecond::build(&d, Ordering::MinDegree),
-        CoarseOperator::build(&d, gen_space, Ordering::MinDegree),
-        Variant::ADef1,
-    );
-    let r_geneo = solve(&d, &geneo, &d.rhs_global, &opts);
+    let (gen_dim, r_geneo) = a_def1(CoarseSpace::new(gen_blocks));
 
     println!(
         "{:<12} {:>8} {:>8} {:>10}",
@@ -1281,12 +1221,7 @@ fn ablation_adef() {
     println!("# Ablation: A-DEF1 vs A-DEF2 (coarse-solve economy)");
     let problem = presets::heterogeneous_diffusion(1);
     let d = decomposed(&Mesh::unit_square(40, 40), &problem, 16, 1);
-    let opts = GmresOpts {
-        tol: 1e-6,
-        max_iters: 300,
-        record_history: false,
-        ..Default::default()
-    };
+    let opts = ablation_gmres(300);
     println!(
         "{:<8} {:>6} {:>14} {:>18}",
         "variant", "#it.", "coarse solves", "solves/iteration"
@@ -1342,10 +1277,8 @@ fn ablation_ritz() {
     // (left-)preconditioned residual.
     let opts = GmresOpts {
         tol: 1e-9,
-        max_iters: 400,
-        record_history: false,
         side: Side::Left,
-        ..Default::default()
+        ..ablation_gmres(400)
     };
     let ras = RasPrecond::build(&d, Ordering::MinDegree);
 
