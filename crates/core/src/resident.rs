@@ -780,6 +780,16 @@ impl<'a> MultiCoarse<'a> {
             // concatenated, are this group's contiguous block of the RHS,
             // one column after another; what follows a part's `k` columns
             // is its payload share.
+            for (i, (part, &rows)) in parts.iter().zip(&st.group_rows).enumerate() {
+                if part.len() != k * rows + plen {
+                    // dd:cold — a malformed message ends the solve
+                    return Err(SolveInterrupt::new(format!(
+                        "coarse gather part from group rank {i} holds {} values, \
+                         expected {k} columns of {rows} plus a payload of {plen}",
+                        part.len()
+                    )));
+                }
+            }
             let group: usize = st.group_rows.iter().sum();
             let mut group_w = Vec::with_capacity(k * group);
             for c in 0..k {
@@ -801,6 +811,17 @@ impl<'a> MultiCoarse<'a> {
             let (y, ld, y0) = match solve {
                 MasterSolve::Redundant { factor, .. } => {
                     let all_w = master.try_allgather(group_w).map_err(comm_interrupt)?;
+                    if all_w.iter().any(|part| part.len() % k != 0)
+                        || all_w.iter().map(Vec::len).sum::<usize>() != k * st.dim_e
+                    {
+                        // dd:cold — a malformed message ends the solve
+                        let lens: Vec<usize> = all_w.iter().map(Vec::len).collect();
+                        return Err(SolveInterrupt::new(format!(
+                            "coarse allgather parts from masters 0.. hold {lens:?} values, \
+                             expected {k} columns each, of dim(E) = {} rows in all",
+                            st.dim_e
+                        )));
+                    }
                     let mut y = Vec::with_capacity(k * st.dim_e);
                     for c in 0..k {
                         for part in &all_w {
@@ -808,7 +829,6 @@ impl<'a> MultiCoarse<'a> {
                             y.extend_from_slice(&part[c * rows..(c + 1) * rows]);
                         }
                     }
-                    debug_assert_eq!(y.len(), k * st.dim_e);
                     let mut work = self.solve_scratch.borrow_mut();
                     comm.compute(|| factor.solve_panel_with(&mut y, st.dim_e, k, &mut work));
                     comm.charge_flops((4 * factor.nnz_l() * k) as u64);
@@ -856,6 +876,14 @@ impl<'a> MultiCoarse<'a> {
             st.split.try_scatter(0, None)
         }
         .map_err(comm_interrupt)?;
+        if mine.len() != k * n_mine + plen {
+            // dd:cold — a malformed message ends the solve
+            return Err(SolveInterrupt::new(format!(
+                "coarse scatter piece from the group master holds {} values, \
+                 expected {k} columns of {n_mine} plus a payload of {plen}",
+                mine.len()
+            )));
+        }
         let (y_mine, reduced) = mine.split_at(k * n_mine);
         // step 3b: W_s y_s and T_s y_s, then A q by the consistency sum of
         // the latter (eq. 12, applied to T instead of W).
@@ -1493,6 +1521,65 @@ mod tests {
             assert!(
                 reason.contains("halo message from rank 1"),
                 "k = {k}: {reason}"
+            );
+        }
+    }
+
+    /// A coarse-correction message of the wrong length — a member's gather
+    /// part, a master's part of the redundant allgather, or the master's
+    /// scatter piece — sent ahead of the real one is a typed interrupt, not
+    /// a slice panic or a silently mis-summed payload.
+    #[test]
+    fn malformed_coarse_messages_are_typed_interrupts() {
+        let mesh = Mesh::unit_square(8, 8);
+        let part = partition_mesh_rcb(&mesh, 2);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(1), &part, 2, 1);
+        for (case, n_masters, coarse_solve, plen) in [
+            ("gather", 1, crate::CoarseSolve::Distributed, 2),
+            ("allgather", 2, crate::CoarseSolve::Redundant, 0),
+            ("scatter", 1, crate::CoarseSolve::Distributed, 2),
+        ] {
+            let opts = SpmdOpts {
+                n_masters,
+                coarse_solve,
+                ..Default::default()
+            };
+            let reasons = World::run(2, CostModel::default(), |comm| {
+                let st = crate::spmd::try_setup(&decomp, comm, &opts).expect("set-up");
+                // The scatter comes from the master, rank 0; the other
+                // malformed messages from rank 1.
+                if comm.rank() == usize::from(case != "scatter") {
+                    let one = vec![0.0];
+                    match case {
+                        "gather" => drop(st.split.try_gather(0, one).unwrap()),
+                        "allgather" => {
+                            let master = st.master_comm.as_ref().unwrap();
+                            drop(master.try_allgather(one).unwrap());
+                        }
+                        _ => {
+                            st.split.try_gather(0, Vec::<f64>::new()).unwrap();
+                            drop(st.split.try_scatter(0, Some(vec![Vec::new(), one])));
+                        }
+                    }
+                    return None;
+                }
+                let ctx = st.ctx(None);
+                let coarse = MultiCoarse::new(&ctx, &st, &st.t, 1);
+                let n = ctx.n_concat();
+                let (mut wy, mut aq) = (vec![0.0; n], vec![0.0; n]);
+                let err = coarse
+                    .try_correction(1, &vec![1.0; n], &mut wy, &mut aq, vec![0.0; plen])
+                    .expect_err("a malformed message must not be used");
+                Some(err.reason().to_string())
+            });
+            let reason = reasons
+                .into_iter()
+                .flatten()
+                .next()
+                .expect("one rank corrected");
+            assert!(
+                reason.contains(&format!("coarse {case} ")),
+                "{case}: {reason}"
             );
         }
     }
