@@ -36,6 +36,7 @@ fn encode(r: Result<u64, CommError>) -> Vec<u8> {
         Err(CommError::Timeout { .. }) => vec![3],
         Err(CommError::Revoked { .. }) => vec![4],
         Err(CommError::Corrupt { .. }) => vec![5],
+        Err(CommError::Malformed { .. }) => vec![6],
     }
 }
 

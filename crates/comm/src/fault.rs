@@ -72,6 +72,19 @@ pub enum CommError {
         /// a stale-epoch replay can never alias a current checksum.
         epoch: usize,
     },
+    /// A received payload arrived intact but is not the length the
+    /// protocol expects at this point. Not recoverable by a retry or a
+    /// replay: a rank that sent the wrong length will send it again.
+    Malformed {
+        /// Source rank (within the receiving communicator).
+        src: usize,
+        /// Message tag.
+        tag: u64,
+        /// Values received.
+        len: usize,
+        /// Values expected.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -98,6 +111,16 @@ impl fmt::Display for CommError {
                 f,
                 "corrupt payload: recv from rank {src} tag {tag} (epoch {epoch}) \
                  failed checksum verification and exhausted its retransmit budget"
+            ),
+            CommError::Malformed {
+                src,
+                tag,
+                len,
+                expected,
+            } => write!(
+                f,
+                "malformed payload: recv from rank {src} tag {tag} holds {len} values, \
+                 expected {expected}"
             ),
         }
     }

@@ -114,7 +114,8 @@ impl DistLdlt {
     /// # Errors
     /// [`CommError::RankDead`] (own rank killed at a failpoint, or a peer
     /// died mid-factorization), [`CommError::Revoked`] (recovery started
-    /// elsewhere), [`CommError::Timeout`] (retry budget exhausted).
+    /// elsewhere), [`CommError::Timeout`] (retry budget exhausted),
+    /// [`CommError::Malformed`] (a panel of the wrong length arrived).
     pub fn try_factor(
         comm: &Communicator,
         bounds: Vec<usize>,
@@ -176,7 +177,7 @@ impl DistLdlt {
             } else if me > k {
                 let msg: Vec<f64> = comm.try_recv_timeout(k, TAG_PANEL, &policy)?;
                 let m = dim - r0;
-                debug_assert_eq!(msg.len(), 2 * nk * m);
+                check_len(k, TAG_PANEL, msg.len(), 2 * nk * m)?;
                 let (y, w) = msg.split_at(nk * m);
                 // Trailing update of my strip only: column `j` of the
                 // received slices is my local column `j`, and my
@@ -256,7 +257,7 @@ impl DistLdlt {
         let mut z = w_local.to_vec();
         for j in 0..me {
             let contrib: Vec<f64> = comm.try_recv_timeout(j, TAG_FWD, &policy)?;
-            debug_assert_eq!(contrib.len(), np * k);
+            check_len(j, TAG_FWD, contrib.len(), np * k)?;
             for (zi, c) in z.iter_mut().zip(&contrib) {
                 *zi -= c;
             }
@@ -297,6 +298,7 @@ impl DistLdlt {
             for q in me + 1..p {
                 let xq: Arc<Vec<f64>> = comm.try_recv_timeout(q, TAG_BWD, &policy)?;
                 let nq = self.bounds[q + 1] - self.bounds[q];
+                check_len(q, TAG_BWD, xq.len(), nq * k)?;
                 let base = self.bounds[q] - r0;
                 comm.compute(|| {
                     for (xc, ac) in xq.chunks_exact(nq.max(1)).zip(acc.chunks_exact_mut(np)) {
@@ -370,6 +372,20 @@ impl DistLdlt {
     pub fn n_boosted(&self) -> usize {
         self.diag.n_boosted()
     }
+}
+
+/// A received message must hold `expected` values: a short one would be
+/// split or summed short, a long one summed past its end.
+fn check_len(src: usize, tag: u64, len: usize, expected: usize) -> Result<(), CommError> {
+    if len == expected {
+        return Ok(());
+    }
+    Err(CommError::Malformed {
+        src,
+        tag,
+        len,
+        expected,
+    })
 }
 
 /// Factor the dense diagonal block `strip[:, 0..nk]` through the sparse
@@ -546,6 +562,70 @@ mod tests {
                 trace.phase_totals("singles").send_bytes
             );
         }
+    }
+
+    /// Factor and solve `test_matrix(12, 3)` on two masters (blocks of 5
+    /// and 7 rows) with a one-value message on `tag` sent ahead of the real
+    /// one — by master 0 for the panel and the forward sweep, by master 1
+    /// for the backward sweep — and return each master's outcome.
+    fn solve_after_short_message(tag: u64) -> Vec<Result<Vec<f64>, CommError>> {
+        let n = 12;
+        let a = test_matrix(n, 3);
+        let bounds = vec![0, 5, n];
+        let rhs = rhs_for(n);
+        World::run(2, CostModel::default(), |comm| {
+            let me = comm.rank();
+            let send_short = || match (tag, me) {
+                (TAG_BWD, 1) => comm.send(0, tag, Arc::new(vec![0.0])),
+                (TAG_PANEL | TAG_FWD, 0) => comm.send(1, tag, vec![0.0]),
+                _ => {}
+            };
+            if tag == TAG_PANEL {
+                send_short();
+            }
+            let strip = upper_strip(&a, bounds[me], bounds[me + 1]);
+            let f = DistLdlt::try_factor(comm, bounds.clone(), strip)?;
+            if tag != TAG_PANEL {
+                send_short();
+            }
+            f.try_solve(comm, &rhs[bounds[me]..bounds[me + 1]])
+        })
+    }
+
+    #[test]
+    fn short_factor_panel_is_malformed() {
+        let out = solve_after_short_message(TAG_PANEL);
+        let expected = CommError::Malformed {
+            src: 0,
+            tag: TAG_PANEL,
+            len: 1,
+            expected: 2 * 5 * 7,
+        };
+        assert_eq!(out[1].as_ref().unwrap_err(), &expected);
+    }
+
+    #[test]
+    fn short_forward_contribution_is_malformed() {
+        let out = solve_after_short_message(TAG_FWD);
+        let expected = CommError::Malformed {
+            src: 0,
+            tag: TAG_FWD,
+            len: 1,
+            expected: 7,
+        };
+        assert_eq!(out[1].as_ref().unwrap_err(), &expected);
+    }
+
+    #[test]
+    fn short_backward_slice_is_malformed() {
+        let out = solve_after_short_message(TAG_BWD);
+        let expected = CommError::Malformed {
+            src: 1,
+            tag: TAG_BWD,
+            len: 1,
+            expected: 7,
+        };
+        assert_eq!(out[0].as_ref().unwrap_err(), &expected);
     }
 
     #[test]
