@@ -255,11 +255,12 @@ fn elasticity_3d_three_ways() {
 }
 
 /// The input of ROADMAP finding 1(c): 40×40 P2 heterogeneous diffusion, 32
-/// subdomains, ν = 3. Only convergence is asserted — that is all that holds
-/// at the parent — and the three counts are printed. Measured: sequential
-/// 51, identity map 191, owner map 191. The two SPMD runs share the set-up
-/// and the applies, differ in the owner map alone, and agree; what
-/// separates them from the sequential run is still open (ROADMAP 1(c)).
+/// subdomains, ν = 3. Only convergence is asserted and the three counts are
+/// printed (`-- --nocapture`). Measured in both the release and the debug
+/// profile, the same on every run: sequential 51, identity map 179, owner
+/// map 193. The two SPMD runs share the set-up and the applies and differ
+/// in the owner map alone, yet their counts currently differ, and both are
+/// far from the sequential run's; the cause is open (ROADMAP 1(c)).
 #[test]
 fn finding_1c_converges_three_ways() {
     let decomp = build(
