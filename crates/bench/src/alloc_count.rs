@@ -27,7 +27,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// A `GlobalAlloc` that counts calls and forwards to [`System`].
 pub struct CountingAlloc;
@@ -49,7 +48,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` come from a prior `alloc` on `System`
         // (every allocating method here forwards to it).
         unsafe { System.dealloc(ptr, layout) }
@@ -67,11 +65,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Total allocation calls (alloc + alloc_zeroed + realloc) so far.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total deallocation calls so far.
-pub fn deallocations() -> u64 {
-    DEALLOCS.load(Ordering::Relaxed)
 }
 
 /// Run `f` and return `(allocations during f, f's result)`.

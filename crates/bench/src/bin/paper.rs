@@ -19,14 +19,14 @@ use dd_bench::summary::Summary;
 use dd_bench::{bench_out_dir, write_summary};
 use dd_comm::{CostModel, World, WorldTrace};
 use dd_core::coarse::{CoarseOperator, CoarseSpace};
-use dd_core::geneo::{deflation_block, nicolaides_block, resize_block};
+use dd_core::geneo::{nicolaides_block, resize_block, try_deflation_block};
 use dd_core::masters::{nonuniform_masters, uniform_masters, upper_triangular_loads};
 use dd_core::{
     decompose, problem::presets, ritz_deflation, try_run_spmd, AbstractADef1, AbstractCoarse,
     AssemblyVariant, CoarseCache, CoarseSolve, Decomposition, GeneoOpts, Problem, RasPrecond,
     SolverKind, SpmdOpts, SpmdReport, TwoLevelOpts, TwoLevelPrecond, Variant,
 };
-use dd_krylov::{gmres, GmresOpts, Preconditioner, SeqDot, Side, SolveResult};
+use dd_krylov::{try_gmres, GmresOpts, Preconditioner, SeqDot, Side, SolveResult};
 use dd_mesh::Mesh;
 use dd_part::partition_mesh_rcb;
 use dd_serve::{try_serve, Payload, ResponseStore, ServeOpts, StreamCfg, Workload as Stream};
@@ -118,7 +118,16 @@ fn solve<M: Preconditioner + ?Sized>(
     b: &[f64],
     opts: &GmresOpts,
 ) -> SolveResult {
-    gmres(&d.a_global, p, &SeqDot, b, &vec![0.0; d.n_global], opts)
+    try_gmres(
+        &d.a_global,
+        p,
+        &SeqDot,
+        b,
+        &vec![0.0; d.n_global],
+        opts,
+        None,
+    )
+    .expect("a sequential solve is never interrupted")
 }
 
 /// The sequential ablations' GMRES: to a relative 1e-6 in at most
@@ -1164,7 +1173,8 @@ fn ablation_coarse_space() {
         let dim = space.dim;
         let p = TwoLevelPrecond::new(
             RasPrecond::build(&d, Ordering::MinDegree),
-            CoarseOperator::build(&d, space, Ordering::MinDegree),
+            CoarseOperator::try_build(&d, space, Ordering::MinDegree)
+                .expect("the coarse operator E must factor"),
             Variant::ADef1,
         );
         (dim, solve(&d, &p, &d.rhs_global, &opts))
@@ -1184,7 +1194,7 @@ fn ablation_coarse_space() {
         .subdomains
         .iter()
         .map(|s| {
-            let b = deflation_block(s, &geneo_opts);
+            let b = try_deflation_block(s, &geneo_opts).expect("GenEO eigensolve failed");
             resize_block(&b, b.kept)
         })
         .collect();
@@ -1301,7 +1311,8 @@ fn ablation_ritz() {
 
     // A-posteriori: harvest Ritz vectors from the first solve's operator.
     let z = ritz_deflation(&d.a_global, &ras, &d.rhs_global, 60, 12);
-    let coarse = AbstractCoarse::build(&d.a_global, z);
+    let coarse =
+        AbstractCoarse::try_build(&d.a_global, z).expect("the coarse operator E must factor");
     let ritz_its = its(&AbstractADef1::new(&ras, coarse));
 
     // A-priori GenEO for reference.

@@ -43,7 +43,7 @@ fn collectives(n: usize, max: usize) -> Report {
     check_world(n, Config::default(), budget(max), move |comm| {
         comm.barrier();
         let sum = comm.allreduce_sum(comm.rank() as f64 + 1.0);
-        let all = comm.allgather(comm.rank() as u64 * 3);
+        let all = comm.try_allgather(comm.rank() as u64 * 3).unwrap();
         let mut out = sum.to_bits().to_le_bytes().to_vec();
         for v in all {
             out.extend_from_slice(&v.to_le_bytes());
@@ -55,9 +55,9 @@ fn collectives(n: usize, max: usize) -> Report {
 /// Rooted gather/scatter against rank 0.
 fn rooted(n: usize, max: usize) -> Report {
     check_world(n, Config::default(), budget(max), move |comm| {
-        let gathered = comm.gather(0, comm.rank() as u64);
+        let gathered = comm.try_gather(0, comm.rank() as u64).unwrap();
         let values = gathered.map(|g| g.iter().map(|v| v * 2).collect::<Vec<u64>>());
-        let mine = comm.scatter(0, values);
+        let mine = comm.try_scatter(0, values).unwrap();
         le(mine)
     })
 }
@@ -66,7 +66,8 @@ fn rooted(n: usize, max: usize) -> Report {
 fn split(n: usize, max: usize) -> Report {
     check_world(n, Config::default(), budget(max), move |comm| {
         let sub = comm
-            .split(Some(comm.rank() % 2))
+            .try_split(Some(comm.rank() % 2))
+            .unwrap()
             .expect("member of a color");
         let s = sub.allreduce_sum(comm.rank() as f64);
         s.to_bits().to_le_bytes().to_vec()

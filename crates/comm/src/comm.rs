@@ -2,9 +2,9 @@
 //! MPI-shaped collectives, and virtual-time accounting.
 //!
 //! The API deliberately mirrors the MPI calls of the paper's Algorithms 1–2
-//! (`send`/`recv` ↔ `MPI_Isend`/`MPI_Irecv` + wait, [`Communicator::gather`]
-//! ↔ `MPI_Gather`, [`Communicator::gatherv`] ↔ `MPI_Gatherv`,
-//! [`Communicator::split`] ↔ `MPI_Comm_split`,
+//! (`send`/`recv` ↔ `MPI_Isend`/`MPI_Irecv` + wait, [`Communicator::try_gather`]
+//! ↔ `MPI_Gather`, [`Communicator::try_gatherv`] ↔ `MPI_Gatherv`,
+//! [`Communicator::try_split`] ↔ `MPI_Comm_split`,
 //! [`Communicator::iallreduce_sum_vec`] ↔ `MPI_Iallreduce`, …) so the
 //! coarse-operator assembly in `dd-core` reads like the paper's pseudocode.
 //!
@@ -951,7 +951,7 @@ impl Communicator {
     }
 
     /// This rank's rank in the world communicator (faults and health are
-    /// tracked by world rank, stable across [`Communicator::split`]).
+    /// tracked by world rank, stable across [`Communicator::try_split`]).
     pub fn world_rank(&self) -> usize {
         self.shared.world_ranks[self.rank]
     }
@@ -1220,15 +1220,6 @@ impl Communicator {
     /// [`Communicator::try_grow`]) rather than at world start?
     pub fn is_joiner(&self) -> bool {
         self.world_rank() >= self.health.founders
-    }
-
-    /// Mark a reserve rank as a pending joiner by hand (tests and drivers
-    /// that trigger growth outside a [`FaultPlan::with_join`] schedule).
-    /// No-op for members and out-of-range ranks.
-    pub fn announce_joiner(&self, world_rank: usize) {
-        if world_rank < self.world_size() && !self.health.is_member(world_rank) {
-            self.health.pending_join[world_rank].store(true, AtOrd::SeqCst);
-        }
     }
 
     /// Record a heartbeat and advance this rank's progress watermark
@@ -1662,7 +1653,7 @@ impl Communicator {
     /// deliveries are retried indefinitely (each charging virtual time);
     /// structural failures (dead peer, global deadlock) panic with the
     /// structured error — use [`Communicator::try_recv_timeout`] to handle
-    /// them.
+    /// them. Kept while the repository benchmark calls it.
     ///
     /// # Panics
     /// Panics if the payload type does not match `T`, if `src` dies, if
@@ -1849,23 +1840,6 @@ impl Communicator {
         self.tracer
             .on_recv(self.shared.world_ranks[src], tag, env.bytes);
         Ok(downcast_payload(env.payload, "recv"))
-    }
-
-    /// Exchange one message with every neighbor (the paper's
-    /// `MPI_Ineighbor_alltoall` on a distributed-graph topology): sends
-    /// `sends[k]` to `neighbors[k]` and returns the messages received from
-    /// each neighbor, in neighbor order.
-    pub fn neighbor_alltoall<T: Send + WireSize + 'static>(
-        &self,
-        neighbors: &[usize],
-        tag: u64,
-        sends: Vec<T>,
-    ) -> Vec<T> {
-        assert_eq!(neighbors.len(), sends.len());
-        for (&n, s) in neighbors.iter().zip(sends) {
-            self.send(n, tag, s);
-        }
-        neighbors.iter().map(|&n| self.recv(n, tag)).collect()
     }
 
     // --------------------------------------------------------- collectives
@@ -2100,7 +2074,9 @@ impl Communicator {
         s
     }
 
-    /// Synchronize all ranks.
+    /// Synchronize all ranks. The panicking form of
+    /// [`Communicator::try_barrier`], kept while the repository benchmark
+    /// calls it.
     pub fn barrier(&self) {
         self.try_barrier()
             .unwrap_or_else(|e| panic!("barrier on rank {}: {e}", self.rank));
@@ -2118,16 +2094,6 @@ impl Communicator {
     }
 
     /// Broadcast `value` from `root` (non-roots pass `None`).
-    pub fn bcast<T: Clone + Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-    ) -> T {
-        self.try_bcast(root, value)
-            .unwrap_or_else(|e| panic!("bcast on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::bcast`].
     pub fn try_bcast<T: Clone + Send + Sync + WireSize + 'static>(
         &self,
         root: usize,
@@ -2154,16 +2120,6 @@ impl Communicator {
 
     /// Gather with equal counts (`MPI_Gather`): root receives all values in
     /// rank order; others get `None`.
-    pub fn gather<T: Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        value: T,
-    ) -> Option<Vec<T>> {
-        self.try_gather(root, value)
-            .unwrap_or_else(|e| panic!("gather on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::gather`].
     pub fn try_gather<T: Send + Sync + WireSize + 'static>(
         &self,
         root: usize,
@@ -2191,16 +2147,6 @@ impl Communicator {
 
     /// Gather with varying counts (`MPI_Gatherv`) — same data movement,
     /// linear `O(N)` cost model (see `crate::model`).
-    pub fn gatherv<T: Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        value: T,
-    ) -> Option<Vec<T>> {
-        self.try_gatherv(root, value)
-            .unwrap_or_else(|e| panic!("gatherv on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::gatherv`].
     pub fn try_gatherv<T: Send + Sync + WireSize + 'static>(
         &self,
         root: usize,
@@ -2228,16 +2174,6 @@ impl Communicator {
 
     /// Scatter with equal counts (`MPI_Scatter`): root provides one value
     /// per rank; every rank receives its own.
-    pub fn scatter<T: Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> T {
-        self.try_scatter(root, values)
-            .unwrap_or_else(|e| panic!("scatter on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::scatter`].
     pub fn try_scatter<T: Send + Sync + WireSize + 'static>(
         &self,
         root: usize,
@@ -2271,16 +2207,6 @@ impl Communicator {
     }
 
     /// Scatter with varying counts (`MPI_Scatterv`): linear cost model.
-    pub fn scatterv<T: Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> T {
-        self.try_scatterv(root, values)
-            .unwrap_or_else(|e| panic!("scatterv on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::scatterv`].
     pub fn try_scatterv<T: Send + Sync + WireSize + 'static>(
         &self,
         root: usize,
@@ -2314,12 +2240,6 @@ impl Communicator {
     }
 
     /// Allgather with equal counts.
-    pub fn allgather<T: Clone + Send + Sync + WireSize + 'static>(&self, value: T) -> Vec<T> {
-        self.try_allgather(value)
-            .unwrap_or_else(|e| panic!("allgather on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::allgather`].
     pub fn try_allgather<T: Clone + Send + Sync + WireSize + 'static>(
         &self,
         value: T,
@@ -2343,7 +2263,9 @@ impl Communicator {
         Ok((*r).clone())
     }
 
-    /// Allreduce: sum of scalars.
+    /// Allreduce: sum of scalars. The panicking form of
+    /// [`Communicator::try_allreduce_sum`], kept while the repository
+    /// benchmark calls it.
     pub fn allreduce_sum(&self, value: f64) -> f64 {
         self.try_allreduce_sum(value)
             .unwrap_or_else(|e| panic!("allreduce_sum on rank {}: {e}", self.rank))
@@ -2365,12 +2287,6 @@ impl Communicator {
     }
 
     /// Allreduce: element-wise sum of equal-length vectors.
-    pub fn allreduce_sum_vec(&self, value: Vec<f64>) -> Vec<f64> {
-        self.try_allreduce_sum_vec(value)
-            .unwrap_or_else(|e| panic!("allreduce_sum_vec on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::allreduce_sum_vec`].
     pub fn try_allreduce_sum_vec(&self, value: Vec<f64>) -> Result<Vec<f64>, CommError> {
         let bytes = value.wire_bytes();
         self.shared
@@ -2383,12 +2299,6 @@ impl Communicator {
 
     /// Allreduce: maximum of scalars (the paper's
     /// `MPI_Allreduce(ν_i, MPI_MAX)` to uniformize deflation counts).
-    pub fn allreduce_max(&self, value: f64) -> f64 {
-        self.try_allreduce_max(value)
-            .unwrap_or_else(|e| panic!("allreduce_max on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::allreduce_max`].
     pub fn try_allreduce_max(&self, value: f64) -> Result<f64, CommError> {
         self.trace_coll("allreduce", CollClass::EqualCount, None, 8);
         let size = self.size();
@@ -2404,12 +2314,6 @@ impl Communicator {
     }
 
     /// Allreduce: maximum of usize.
-    pub fn allreduce_max_usize(&self, value: usize) -> usize {
-        self.try_allreduce_max_usize(value)
-            .unwrap_or_else(|e| panic!("allreduce_max_usize on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::allreduce_max_usize`].
     pub fn try_allreduce_max_usize(&self, value: usize) -> Result<usize, CommError> {
         self.trace_coll("allreduce", CollClass::EqualCount, None, 8);
         let size = self.size();
@@ -2460,12 +2364,6 @@ impl Communicator {
     /// passing `None` get `None` back (`MPI_UNDEFINED`). Sub-ranks follow
     /// parent rank order, matching the paper's construction where "the
     /// ranks of the slaves follow the same order as in MPI_COMM_WORLD".
-    pub fn split(&self, color: Option<usize>) -> Option<Communicator> {
-        self.try_split(color)
-            .unwrap_or_else(|e| panic!("split on rank {}: {e}", self.rank))
-    }
-
-    /// Fault-tolerant [`Communicator::split`].
     pub fn try_split(&self, color: Option<usize>) -> Result<Option<Communicator>, CommError> {
         self.trace_coll("split", CollClass::EqualCount, None, 8);
         let size = self.size();
@@ -2580,8 +2478,7 @@ impl World {
     /// parked in the admission lobby. A reserve enters the program only
     /// after a [`Communicator::try_grow`] admits it (its slot in the
     /// result vector is `None` if the world ends first); founders always
-    /// produce `Some`. Joiners are announced by
-    /// [`Communicator::announce_joiner`] or a [`FaultPlan::with_join`]
+    /// produce `Some`. Joiners are announced by a [`FaultPlan::with_join`]
     /// failpoint.
     pub fn run_elastic<R, F>(
         n: usize,

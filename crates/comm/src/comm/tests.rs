@@ -35,8 +35,8 @@ fn messages_fifo_per_source_tag() {
 fn allreduce_sum_and_max() {
     let out = World::run_default(5, |comm| {
         let s = comm.allreduce_sum(comm.rank() as f64);
-        let m = comm.allreduce_max(comm.rank() as f64);
-        let mu = comm.allreduce_max_usize(comm.rank() * 3);
+        let m = comm.try_allreduce_max(comm.rank() as f64).unwrap();
+        let mu = comm.try_allreduce_max_usize(comm.rank() * 3).unwrap();
         (s, m, mu)
     });
     for &(s, m, mu) in &out {
@@ -49,10 +49,12 @@ fn allreduce_sum_and_max() {
 #[test]
 fn allreduce_vec_deterministic() {
     let a = World::run_default(4, |comm| {
-        comm.allreduce_sum_vec(vec![comm.rank() as f64 * 0.1, 1.0])
+        comm.try_allreduce_sum_vec(vec![comm.rank() as f64 * 0.1, 1.0])
+            .unwrap()
     });
     let b = World::run_default(4, |comm| {
-        comm.allreduce_sum_vec(vec![comm.rank() as f64 * 0.1, 1.0])
+        comm.try_allreduce_sum_vec(vec![comm.rank() as f64 * 0.1, 1.0])
+            .unwrap()
     });
     assert_eq!(a, b);
     assert!((a[0][1] - 4.0).abs() < 1e-15);
@@ -61,13 +63,13 @@ fn allreduce_vec_deterministic() {
 #[test]
 fn gather_and_scatter_roundtrip() {
     let out = World::run_default(4, |comm| {
-        let gathered = comm.gather(0, vec![comm.rank() as f64; 2]);
+        let gathered = comm.try_gather(0, vec![comm.rank() as f64; 2]).unwrap();
         if comm.rank() == 0 {
             let g = gathered.unwrap();
             assert_eq!(g.len(), 4);
-            comm.scatter(0, Some(g))
+            comm.try_scatter(0, Some(g)).unwrap()
         } else {
-            comm.scatter::<Vec<f64>>(0, None)
+            comm.try_scatter::<Vec<f64>>(0, None).unwrap()
         }
     });
     for (r, v) in out.iter().enumerate() {
@@ -79,7 +81,7 @@ fn gather_and_scatter_roundtrip() {
 fn gatherv_varying_lengths() {
     let out = World::run_default(3, |comm| {
         let mine = vec![comm.rank() as f64; comm.rank() + 1];
-        comm.gatherv(2, mine)
+        comm.try_gatherv(2, mine).unwrap()
     });
     let g = out[2].as_ref().unwrap();
     assert_eq!(g[0].len(), 1);
@@ -95,7 +97,7 @@ fn bcast_from_nonzero_root() {
         } else {
             None
         };
-        comm.bcast(2, v)
+        comm.try_bcast(2, v).unwrap()
     });
     for v in out {
         assert_eq!(v, vec![9.0, 8.0]);
@@ -104,7 +106,9 @@ fn bcast_from_nonzero_root() {
 
 #[test]
 fn allgather_orders_by_rank() {
-    let out = World::run_default(4, |comm| comm.allgather(comm.rank() as u64 * 10));
+    let out = World::run_default(4, |comm| {
+        comm.try_allgather(comm.rank() as u64 * 10).unwrap()
+    });
     for v in out {
         assert_eq!(v, vec![0, 10, 20, 30]);
     }
@@ -116,8 +120,8 @@ fn split_into_groups() {
     // ordered by world rank.
     let out = World::run_default(6, |comm| {
         let color = comm.rank() % 2;
-        let sub = comm.split(Some(color)).unwrap();
-        let members = sub.allgather(comm.rank());
+        let sub = comm.try_split(Some(color)).unwrap().unwrap();
+        let members = sub.try_allgather(comm.rank()).unwrap();
         (sub.rank(), sub.size(), members)
     });
     assert_eq!(out[0].2, vec![0, 2, 4]);
@@ -129,7 +133,7 @@ fn split_into_groups() {
 fn split_undefined_gets_none() {
     let out = World::run_default(3, |comm| {
         let color = if comm.rank() == 1 { None } else { Some(0) };
-        comm.split(color).is_none()
+        comm.try_split(color).unwrap().is_none()
     });
     assert_eq!(out, vec![false, true, false]);
 }
@@ -137,27 +141,10 @@ fn split_undefined_gets_none() {
 #[test]
 fn split_tracks_world_ranks() {
     let out = World::run_default(6, |comm| {
-        let sub = comm.split(Some(comm.rank() % 2)).unwrap();
+        let sub = comm.try_split(Some(comm.rank() % 2)).unwrap().unwrap();
         sub.world_rank()
     });
     assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-}
-
-#[test]
-fn neighbor_alltoall_ring() {
-    let out = World::run_default(4, |comm| {
-        let n = comm.size();
-        let left = (comm.rank() + n - 1) % n;
-        let right = (comm.rank() + 1) % n;
-        let recvd = comm.neighbor_alltoall(
-            &[left, right],
-            42,
-            vec![comm.rank() as f64, comm.rank() as f64],
-        );
-        (recvd[0], recvd[1])
-    });
-    assert_eq!(out[0], (3.0, 1.0));
-    assert_eq!(out[2], (1.0, 3.0));
 }
 
 #[test]
@@ -360,7 +347,7 @@ fn sub_communicator_collectives_are_independent() {
     // Interleave collectives on world and on a split without deadlock
     // or cross-talk.
     let out = World::run_default(4, |comm| {
-        let sub = comm.split(Some(comm.rank() % 2)).unwrap();
+        let sub = comm.try_split(Some(comm.rank() % 2)).unwrap().unwrap();
         let s1 = sub.allreduce_sum(1.0);
         let w = comm.allreduce_sum(10.0);
         let s2 = sub.allreduce_sum(comm.rank() as f64);
@@ -380,10 +367,12 @@ fn nested_split() {
     // split of a split (the paper's masterComm drawn from splitComm
     // leaders).
     let out = World::run_default(4, |comm| {
-        let sub = comm.split(Some(comm.rank() / 2)).unwrap();
-        let leaders = comm.split(if sub.rank() == 0 { Some(0) } else { None });
+        let sub = comm.try_split(Some(comm.rank() / 2)).unwrap().unwrap();
+        let leaders = comm
+            .try_split(if sub.rank() == 0 { Some(0) } else { None })
+            .unwrap();
         match leaders {
-            Some(l) => l.allgather(comm.rank() as u64),
+            Some(l) => l.try_allgather(comm.rank() as u64).unwrap(),
             None => Vec::new(),
         }
     });
@@ -399,7 +388,7 @@ fn gather_cost_scales_better_than_gatherv() {
         comm.barrier();
         comm.reset_clock();
         for _ in 0..50 {
-            let _ = comm.gather(0, 1.0f64);
+            let _ = comm.try_gather(0, 1.0f64).unwrap();
         }
         comm.clock()
     });
@@ -407,7 +396,7 @@ fn gather_cost_scales_better_than_gatherv() {
         comm.barrier();
         comm.reset_clock();
         for _ in 0..50 {
-            let _ = comm.gatherv(0, 1.0f64);
+            let _ = comm.try_gatherv(0, 1.0f64).unwrap();
         }
         comm.clock()
     });
@@ -539,7 +528,10 @@ fn a_new_communicator_draws_its_drops_from_its_own_message_index() {
                     comm.recv::<f64>(peer, 9);
                 }
             }
-            let sub = comm.split(Some(0)).expect("both ranks join color 0");
+            let sub = comm
+                .try_split(Some(0))
+                .unwrap()
+                .expect("both ranks join color 0");
             let mut dropped = Vec::new();
             for k in 0..SENDS {
                 if sub.rank() == 0 {
@@ -823,7 +815,7 @@ fn faults_do_not_change_collective_results() {
         FaultPlan::new(3).with_delays(0.5, 1e-3).with_drops(0.5, 2),
         |comm| {
             let s = comm.allreduce_sum(comm.rank() as f64 + 1.0);
-            let g = comm.allgather(comm.rank() as u64);
+            let g = comm.try_allgather(comm.rank() as u64).unwrap();
             (s, g)
         },
     );

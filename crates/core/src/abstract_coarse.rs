@@ -34,19 +34,9 @@ pub struct AbstractCoarse {
 }
 
 impl AbstractCoarse {
-    /// Build from the operator and deflation block.
-    ///
-    /// # Panics
-    /// Panics if `E` is numerically singular (linearly dependent columns in
-    /// `Z`) — orthonormalize or prune the block first, or use
-    /// [`AbstractCoarse::try_build`] to handle the failure.
-    pub fn build(a: &CsrMatrix, z: DMat) -> Self {
-        Self::try_build(a, z).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`AbstractCoarse::build`]: a singular `E` (linearly
-    /// dependent columns in `Z`) is reported as
-    /// [`SpmdError::CoarseFactorization`] instead of a panic.
+    /// Build from the operator and deflation block. A singular `E`
+    /// (linearly dependent columns in `Z`: orthonormalize or prune the
+    /// block first) is [`SpmdError::CoarseFactorization`].
     pub fn try_build(a: &CsrMatrix, z: DMat) -> Result<Self, SpmdError> {
         assert_eq!(a.rows(), z.rows(), "Z rows must match the operator");
         let m = z.cols();
@@ -227,7 +217,7 @@ mod tests {
     use crate::decomp::decompose;
     use crate::precond::RasPrecond;
     use crate::problem::presets;
-    use dd_krylov::{gmres, GmresOpts, IdentityPrecond, SeqDot};
+    use dd_krylov::{try_gmres, GmresOpts, IdentityPrecond, SeqDot};
     use dd_mesh::Mesh;
     use dd_part::partition_mesh_rcb;
     use dd_solver::Ordering;
@@ -250,7 +240,7 @@ mod tests {
             z.col_mut(1)[i] = (i as f64 / n as f64).sin();
             z.col_mut(2)[i] = (i as f64 / n as f64).cos();
         }
-        let ac = AbstractCoarse::build(&d.a_global, z);
+        let ac = AbstractCoarse::try_build(&d.a_global, z).unwrap();
         let u: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64).collect();
         // Q A Q u = Q u (projection property).
         let qu = ac.correction(&u);
@@ -282,12 +272,30 @@ mod tests {
         let n = d.n_global;
         let rhs2: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
         // Baseline: one-level solve of the second system.
-        let base = gmres(&d.a_global, &ras, &SeqDot, &rhs2, &vec![0.0; n], &opts);
+        let base = try_gmres(
+            &d.a_global,
+            &ras,
+            &SeqDot,
+            &rhs2,
+            &vec![0.0; n],
+            &opts,
+            None,
+        )
+        .unwrap();
         // Harvest Ritz vectors from the first right-hand side.
         let z = ritz_deflation(&d.a_global, &ras, &d.rhs_global, 40, 8);
-        let ac = AbstractCoarse::build(&d.a_global, z);
+        let ac = AbstractCoarse::try_build(&d.a_global, z).unwrap();
         let adef = AbstractADef1::new(&ras, ac);
-        let defl = gmres(&d.a_global, &adef, &SeqDot, &rhs2, &vec![0.0; n], &opts);
+        let defl = try_gmres(
+            &d.a_global,
+            &adef,
+            &SeqDot,
+            &rhs2,
+            &vec![0.0; n],
+            &opts,
+            None,
+        )
+        .unwrap();
         assert!(defl.converged);
         assert!(
             defl.iterations < base.iterations,
@@ -319,7 +327,7 @@ mod tests {
             z.col_mut(0)[i] = 1.0;
             z.col_mut(1)[i] = i as f64;
         }
-        let ac = AbstractCoarse::build(&d.a_global, z);
+        let ac = AbstractCoarse::try_build(&d.a_global, z).unwrap();
         let adef = AbstractADef1::new(&IdentityPrecond, ac);
         let r = vec![1.0; n];
         let mut out = vec![0.0; n];

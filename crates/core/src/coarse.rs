@@ -84,14 +84,10 @@ impl CoarseOperator {
     /// `E_{i,i} = W_iᵀ T_i` (gemm), and for each neighbor `j ∈ O_i` the
     /// coupling `E_{i,j} = W_iᵀ (R_i R_jᵀ T_j)` — only the shared rows of
     /// `T_j` contribute.
-    pub fn build(decomp: &Decomposition, space: CoarseSpace, ordering: Ordering) -> Self {
-        Self::try_build(decomp, space, ordering).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CoarseOperator::build`]: a singular `E` surfaces as
-    /// [`SpmdError::CoarseFactorization`] (callers like the SPMD driver
-    /// drop to one-level RAS on it) and malformed decompositions as
-    /// [`SpmdError::Protocol`] instead of a panic.
+    ///
+    /// A singular `E` surfaces as [`SpmdError::CoarseFactorization`]
+    /// (callers like the SPMD driver drop to one-level RAS on it) and
+    /// malformed decompositions as [`SpmdError::Protocol`].
     pub fn try_build(
         decomp: &Decomposition,
         space: CoarseSpace,
@@ -205,7 +201,7 @@ impl CoarseOperator {
 mod tests {
     use super::*;
     use crate::decomp::decompose;
-    use crate::geneo::{deflation_block, GeneoOpts};
+    use crate::geneo::{try_deflation_block, GeneoOpts};
     use crate::problem::presets;
     use dd_linalg::vector;
     use dd_mesh::Mesh;
@@ -224,7 +220,7 @@ mod tests {
             .subdomains
             .iter()
             .map(|s| {
-                let b = deflation_block(s, &opts);
+                let b = try_deflation_block(s, &opts).unwrap();
                 crate::geneo::resize_block(&b, b.kept)
             })
             .collect();
@@ -237,7 +233,7 @@ mod tests {
     #[test]
     fn coarse_operator_equals_zt_a_z() {
         let (d, space) = setup(4, 3);
-        let op = CoarseOperator::build(&d, space, Ordering::MinDegree);
+        let op = CoarseOperator::try_build(&d, space, Ordering::MinDegree).unwrap();
         let m = op.dim();
         assert!(m > 0);
         // Dense reference: columns of Z via z_apply on unit coarse vectors.
@@ -266,7 +262,7 @@ mod tests {
     #[test]
     fn e_is_symmetric_and_spd() {
         let (d, space) = setup(4, 3);
-        let op = CoarseOperator::build(&d, space, Ordering::MinDegree);
+        let op = CoarseOperator::try_build(&d, space, Ordering::MinDegree).unwrap();
         assert!(op.e.symmetry_defect() < 1e-8 * op.e.norm_inf());
         // SPD since A is SPD and Z has full rank.
         let f = SparseLdlt::factor(&op.e, Ordering::Natural).unwrap();
@@ -276,7 +272,7 @@ mod tests {
     #[test]
     fn sparsity_follows_connectivity() {
         let (d, space) = setup(6, 2);
-        let op = CoarseOperator::build(&d, space, Ordering::MinDegree);
+        let op = CoarseOperator::try_build(&d, space, Ordering::MinDegree).unwrap();
         // block (i,j) nonzero ⟹ j ∈ O_i ∪ {i}
         for (i, s) in d.subdomains.iter().enumerate() {
             let nbrs: Vec<usize> = s.neighbors.iter().map(|l| l.j).collect();
@@ -302,7 +298,7 @@ mod tests {
     #[test]
     fn distributed_factor_matches_sequential_coarse_solve() {
         let (d, space) = setup(6, 2);
-        let op = CoarseOperator::build(&d, space, Ordering::MinDegree);
+        let op = CoarseOperator::try_build(&d, space, Ordering::MinDegree).unwrap();
         let m = op.dim();
         // Partition coarse rows at the §3.1.2 election boundaries.
         let masters = crate::masters::nonuniform_masters(d.n_subdomains(), 3);
@@ -315,8 +311,9 @@ mod tests {
             .collect();
         let pieces = dd_comm::World::run_default(masters.len(), move |comm| {
             let g = comm.rank();
-            let f = dd_solver::DistLdlt::factor(comm, bounds.clone(), strips[g].clone());
-            f.solve(comm, &w[bounds[g]..bounds[g + 1]])
+            let f =
+                dd_solver::DistLdlt::try_factor(comm, bounds.clone(), strips[g].clone()).unwrap();
+            f.try_solve(comm, &w[bounds[g]..bounds[g + 1]]).unwrap()
         });
         let got: Vec<f64> = pieces.into_iter().flatten().collect();
         let rel = vector::dist2(&got, &want) / vector::norm2(&want).max(1e-300);
@@ -328,7 +325,7 @@ mod tests {
         // Q = ZE⁻¹ZᵀA satisfies Q² = Q (deflation projector property):
         // check ZE⁻¹Zᵀ(A (ZE⁻¹Zᵀ u)) = ZE⁻¹Zᵀ u.
         let (d, space) = setup(4, 2);
-        let op = CoarseOperator::build(&d, space, Ordering::MinDegree);
+        let op = CoarseOperator::try_build(&d, space, Ordering::MinDegree).unwrap();
         let u: Vec<f64> = (0..d.n_global).map(|i| ((i % 7) as f64) - 3.0).collect();
         let qu = op.correction(&d, &u);
         let mut aqu = vec![0.0; d.n_global];

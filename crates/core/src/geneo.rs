@@ -95,12 +95,6 @@ pub fn overlap_weighted_matrix(sub: &Subdomain) -> CsrMatrix {
     CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
 }
 
-/// Compute the deflation block of one subdomain, panicking on eigensolver
-/// failure. See [`try_deflation_block`] for the fallible variant.
-pub fn deflation_block(sub: &Subdomain, opts: &GeneoOpts) -> DeflationBlock {
-    try_deflation_block(sub, opts).expect("GenEO eigensolve failed")
-}
-
 /// Compute the deflation block of one subdomain on its own: orders the
 /// subdomain and factors the shifted pencil the way a default
 /// [`crate::SpmdOpts`] set-up does (minimum degree, the LDLᵀ kernel
@@ -299,7 +293,7 @@ mod tests {
             ..Default::default()
         };
         for s in &d.subdomains {
-            let blk = deflation_block(s, &opts);
+            let blk = try_deflation_block(s, &opts).unwrap();
             assert!(blk.w.cols() >= 1, "no deflation vectors found");
             assert!(blk.w.cols() <= 4);
             assert_eq!(blk.w.rows(), s.n_local());
@@ -329,7 +323,7 @@ mod tests {
             .iter()
             .find(|s| s.dirichlet.iter().all(|&b| !b))
             .expect("no floating subdomain in 16-way split");
-        let blk = deflation_block(s, &opts);
+        let blk = try_deflation_block(s, &opts).unwrap();
         // smallest eigenvalue ≈ 0 (constants in the kernel of A^Neu)
         assert!(
             blk.values[0].abs() < 1e-6,
@@ -512,20 +506,21 @@ mod tests {
     #[test]
     fn zero_nev_or_no_overlap_yields_empty() {
         let d = setup(4);
-        let blk = deflation_block(
+        let blk = try_deflation_block(
             &d.subdomains[0],
             &GeneoOpts {
                 nev: 0,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(blk.w.cols(), 0);
         // single subdomain: no overlap
         let mesh = Mesh::unit_square(4, 4);
         let part = vec![0u32; mesh.n_elements()];
         let p = presets::uniform_diffusion(1);
         let d1 = decompose(&mesh, &p, &part, 1, 1);
-        let blk1 = deflation_block(&d1.subdomains[0], &GeneoOpts::default());
+        let blk1 = try_deflation_block(&d1.subdomains[0], &GeneoOpts::default()).unwrap();
         assert_eq!(blk1.w.cols(), 0);
     }
 
@@ -537,7 +532,7 @@ mod tests {
             ..Default::default()
         };
         for s in &d.subdomains {
-            let blk = deflation_block(s, &opts);
+            let blk = try_deflation_block(s, &opts).unwrap();
             for c in 0..blk.w.cols() {
                 for k in 0..s.n_local() {
                     if s.dirichlet[k] {
@@ -608,13 +603,14 @@ mod tests {
     #[test]
     fn resize_truncates_and_caps() {
         let d = setup(4);
-        let blk = deflation_block(
+        let blk = try_deflation_block(
             &d.subdomains[0],
             &GeneoOpts {
                 nev: 3,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let wide = resize_block(&blk, 6);
         assert_eq!(wide.cols(), blk.w.cols().min(6));
         let narrow = resize_block(&blk, 1);

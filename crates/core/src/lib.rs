@@ -15,14 +15,14 @@
 //! | §3.1.2 master election (uniform / `p_i` recurrence) | [`masters`] |
 //! | §2.1 `P⁻¹_A-DEF1` (eq. 6) / `P⁻¹_A-DEF2` (eq. 7) | [`precond::TwoLevelPrecond`] |
 //! | §3.2 coarse correction gather/solve/scatter, eq. 12 | [`spmd`] |
-//! | §3.5 fused pipelined GMRES | [`spmd`] + `dd_krylov::fused_pipelined_gmres` |
+//! | §3.5 fused pipelined GMRES | [`spmd`] + `dd_krylov::fused_pipelined_gmres_panel` |
 //! | §3 "abstract deflation vectors", §4 a-posteriori Ritz vectors | [`abstract_coarse`] |
 //!
 //! ## Example
 //!
 //! ```
 //! use dd_core::{decompose, two_level, problem::presets, TwoLevelOpts};
-//! use dd_krylov::{gmres, GmresOpts, SeqDot};
+//! use dd_krylov::{try_gmres, GmresOpts, SeqDot};
 //! use dd_mesh::Mesh;
 //! use dd_part::partition_mesh_rcb;
 //!
@@ -31,8 +31,10 @@
 //! let problem = presets::heterogeneous_diffusion(1);
 //! let decomp = decompose(&mesh, &problem, &part, 4, 1);
 //! let m = two_level(&decomp, &TwoLevelOpts::default());
-//! let res = gmres(&decomp.a_global, &m, &SeqDot, &decomp.rhs_global,
-//!                 &vec![0.0; decomp.n_global], &GmresOpts::default());
+//! let x0 = vec![0.0; decomp.n_global];
+//! let res = try_gmres(&decomp.a_global, &m, &SeqDot, &decomp.rhs_global, &x0,
+//!                     &GmresOpts::default(), None)
+//!     .expect("a sequential solve is never interrupted");
 //! assert!(res.converged);
 //! ```
 
@@ -61,8 +63,7 @@ pub use error::{
     CoarseOutcome, DeflationSource, PhaseOutcome, RecoveryRecord, RunReport, SpmdError,
 };
 pub use geneo::{
-    deflation_block, nicolaides_block, nicolaides_fallback_block, try_deflation_block,
-    DeflationBlock, GeneoOpts,
+    nicolaides_block, nicolaides_fallback_block, try_deflation_block, DeflationBlock, GeneoOpts,
 };
 pub use precond::{
     builder::two_level, builder::TwoLevelOpts, RasPrecond, TwoLevelPrecond, Variant,

@@ -180,6 +180,10 @@ pub mod builder {
 
     /// Build the two-level preconditioner: local factorizations, GenEO
     /// eigensolves, coarse assembly + factorization.
+    ///
+    /// # Panics
+    /// If a local matrix is singular, an eigensolve fails or `E` does not
+    /// factor; the SPMD set-up reports each as a typed error instead.
     pub fn two_level<'a>(decomp: &'a Decomposition, opts: &TwoLevelOpts) -> TwoLevelPrecond<'a> {
         let (ras, orders) = RasPrecond::build_with_orders(decomp, opts.ordering);
         let blocks: Vec<_> = decomp
@@ -206,7 +210,8 @@ pub mod builder {
                 .collect()
         };
         let space = CoarseSpace::new(w);
-        let coarse = CoarseOperator::build(decomp, space, opts.ordering);
+        let coarse = CoarseOperator::try_build(decomp, space, opts.ordering)
+            .expect("the coarse operator E must factor");
         TwoLevelPrecond::new(ras, coarse, opts.variant)
     }
 }
@@ -218,7 +223,7 @@ mod tests {
     use crate::decomp::decompose;
     use crate::geneo::GeneoOpts;
     use crate::problem::presets;
-    use dd_krylov::{gmres, GmresOpts, SeqDot};
+    use dd_krylov::{try_gmres, GmresOpts, SeqDot};
     use dd_mesh::Mesh;
     use dd_part::partition_mesh_rcb;
 
@@ -234,7 +239,7 @@ mod tests {
         let d = hetero_setup(12, 4);
         let ras = RasPrecond::build(&d, Ordering::MinDegree);
         let x0 = vec![0.0; d.n_global];
-        let res = gmres(
+        let res = try_gmres(
             &d.a_global,
             &ras,
             &SeqDot,
@@ -245,7 +250,9 @@ mod tests {
                 max_iters: 600,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .unwrap();
         assert!(res.converged, "RAS-GMRES stalled at {}", res.final_residual);
         // True residual: left preconditioning tracks the *preconditioned*
         // residual, and with κ-contrast 3·10⁶ the two can differ by orders
@@ -268,7 +275,7 @@ mod tests {
         };
         let x0 = vec![0.0; d.n_global];
         let ras = RasPrecond::build(&d, Ordering::MinDegree);
-        let one = gmres(&d.a_global, &ras, &SeqDot, &d.rhs_global, &x0, &opts);
+        let one = try_gmres(&d.a_global, &ras, &SeqDot, &d.rhs_global, &x0, &opts, None).unwrap();
         let tl = two_level(
             &d,
             &TwoLevelOpts {
@@ -279,7 +286,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let two = gmres(&d.a_global, &tl, &SeqDot, &d.rhs_global, &x0, &opts);
+        let two = try_gmres(&d.a_global, &tl, &SeqDot, &d.rhs_global, &x0, &opts, None).unwrap();
         assert!(two.converged);
         assert!(
             two.iterations * 2 < one.iterations.max(1) || !one.converged,
@@ -326,7 +333,7 @@ mod tests {
         };
         let x0 = vec![0.0; d.n_global];
         let t1 = two_level(&d, &TwoLevelOpts::default());
-        let r1 = gmres(&d.a_global, &t1, &SeqDot, &d.rhs_global, &x0, &opts);
+        let r1 = try_gmres(&d.a_global, &t1, &SeqDot, &d.rhs_global, &x0, &opts, None).unwrap();
         let t2 = two_level(
             &d,
             &TwoLevelOpts {
@@ -334,7 +341,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r2 = gmres(&d.a_global, &t2, &SeqDot, &d.rhs_global, &x0, &opts);
+        let r2 = try_gmres(&d.a_global, &t2, &SeqDot, &d.rhs_global, &x0, &opts, None).unwrap();
         assert!(r1.converged && r2.converged);
         let diff = (r1.iterations as i64 - r2.iterations as i64).abs();
         assert!(
@@ -349,7 +356,7 @@ mod tests {
     fn two_level_solution_matches_direct() {
         let d = hetero_setup(10, 4);
         let tl = two_level(&d, &TwoLevelOpts::default());
-        let res = gmres(
+        let res = try_gmres(
             &d.a_global,
             &tl,
             &SeqDot,
@@ -360,7 +367,9 @@ mod tests {
                 max_iters: 300,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .unwrap();
         assert!(res.converged);
         let direct = dd_solver::SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
             .unwrap()
@@ -384,7 +393,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let res = gmres(
+        let res = try_gmres(
             &d.a_global,
             &tl,
             &SeqDot,
@@ -395,7 +404,9 @@ mod tests {
                 max_iters: 200,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .unwrap();
         assert!(res.converged);
     }
 }

@@ -411,15 +411,11 @@ impl Operator for MultiOp<'_> {
     }
 
     /// The trait's infallible form, for callers with no peer to lose; the
-    /// Krylov loops all call `try_apply`.
+    /// Krylov loops all call `try_apply_panel`.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        if let Err(e) = self.try_apply(x, y) {
+        if let Err(e) = self.try_apply_panel(1, x, y) {
             panic!("SpMV: {e}")
         }
-    }
-
-    fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.try_apply_panel(1, x, y)
     }
 
     /// Every column's local products, then one halo round carrying them all.
@@ -638,34 +634,20 @@ fn apply_then_op(
     let n = r.len() / k.max(1);
     for c in 0..k {
         let col = c * n..(c + 1) * n;
-        pc.try_apply(&r[col.clone()], &mut z[col.clone()])?;
-        op.try_apply(&z[col.clone()], &mut w[col])?;
+        pc.try_apply_panel(1, &r[col.clone()], &mut z[col.clone()])?;
+        op.try_apply_panel(1, &z[col.clone()], &mut w[col])?;
     }
     Ok(())
 }
 
 impl Preconditioner for MultiRas<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        if let Err(e) = self.try_apply(r, z) {
+        if let Err(e) = self.try_apply_panel(1, r, z) {
             panic!("RAS: {e}")
         }
     }
 
     // dd:hot
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.try_tail(1, r, None, z, None)
-    }
-
-    fn try_apply_with_op(
-        &self,
-        op: &dyn Operator,
-        r: &[f64],
-        z: &mut [f64],
-        w: &mut [f64],
-    ) -> Result<(), SolveInterrupt> {
-        self.try_apply_panel_with_op(op, 1, r, z, w)
-    }
-
     fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
         self.try_tail(k, r, None, z, None)
     }
@@ -772,7 +754,7 @@ impl<'a> MultiCoarse<'a> {
         let gathered = st.split.try_gather(0, msg).map_err(comm_interrupt)?;
         // step 2: masters solve E y = w — distributed (each master solves
         // its block row cooperatively) or redundant (allgather the full
-        // RHS, solve locally). `gather` returns `Some` exactly on the
+        // RHS, solve locally). `try_gather` returns `Some` exactly on the
         // split root, which is the master.
         let master = st.master_comm.as_ref().zip(st.e_solve.as_ref());
         let mine: Vec<f64> = if let (Some((master, solve)), Some(parts)) = (master, &gathered) {
@@ -961,23 +943,9 @@ impl FusedPreconditioner for MultiADef1<'_> {
 
 impl Preconditioner for MultiADef1<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        if let Err(e) = self.try_apply(r, z) {
+        if let Err(e) = self.try_apply_panel(1, r, z) {
             panic!("A-DEF1: {e}")
         }
-    }
-
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.try_apply_panel(1, r, z)
-    }
-
-    fn try_apply_with_op(
-        &self,
-        op: &dyn Operator,
-        r: &[f64],
-        z: &mut [f64],
-        w: &mut [f64],
-    ) -> Result<(), SolveInterrupt> {
-        self.try_apply_panel_with_op(op, 1, r, z, w)
     }
 
     fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
@@ -1231,6 +1199,18 @@ impl PreparedMulti<'_> {
                 what: format!("a checkpoint of one right-hand side for an apply of {k}"),
             });
         }
+        // Every rank holds the same right-hand sides, so all fail here
+        // together, before the first message.
+        let n = self.decomp.n_global;
+        if let Some((c, b)) = rhs_global.iter().enumerate().find(|(_, b)| b.len() != n) {
+            return Err(SpmdError::Protocol {
+                rank: comm.rank(),
+                what: format!(
+                    "right-hand side {c} holds {} values, the system {n}",
+                    b.len()
+                ),
+            });
+        }
         comm.trace_phase(phase);
 
         // ---- phase 4: solve --------------------------------------------
@@ -1371,7 +1351,7 @@ impl PreparedMulti<'_> {
             if self.run.coarse == CoarseOutcome::TwoLevel {
                 let t = self.t_for(&ctx, perturbed.is_some());
                 let adef1 = self.adef1(&op, &t, 1);
-                adef1.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
+                adef1.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
                 // q made consistent by a round of its shares, A q both ways,
                 // and the RAS tail with no coarse part.
                 adef1
@@ -1379,15 +1359,15 @@ impl PreparedMulti<'_> {
                     .try_correction(1, &r, &mut out.q, &mut out.aq, Vec::new())?;
                 let wy = out.q.clone();
                 ctx.exchange_add(&mut [(&wy, &mut out.q)])?;
-                op.try_apply(&out.q, &mut out.a_of_q)?;
+                op.try_apply_panel(1, &out.q, &mut out.a_of_q)?;
                 let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
                 adef1.ras.try_tail(1, &t, None, &mut out.ras, None)?;
             } else {
                 let ras = MultiRas::new(&op, &self.factors, 1);
-                ras.try_apply_with_op(&op, &r, &mut out.z, &mut out.az)?;
-                ras.try_apply(&r, &mut out.ras)?;
+                ras.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
+                ras.try_apply_panel(1, &r, &mut out.ras)?;
             }
-            op.try_apply(&out.z, &mut out.a_of_z)
+            op.try_apply_panel(1, &out.z, &mut out.a_of_z)
         };
         pieces(&mut out).map_err(|si| interrupt_to_spmd(self.comm, si))?;
         Ok(out)
@@ -1398,7 +1378,7 @@ impl PreparedMulti<'_> {
 #[doc(hidden)]
 pub struct DebugApply {
     /// `z = M⁻¹ r` and `A z`, from one call of the preconditioner's
-    /// right-preconditioned step (`Preconditioner::try_apply_with_op`).
+    /// right-preconditioned step (`Preconditioner::try_apply_panel_with_op`).
     pub z: Vec<f64>,
     pub az: Vec<f64>,
     /// `A z` by the distributed SpMV.
@@ -1523,6 +1503,52 @@ mod tests {
                 "k = {k}: {reason}"
             );
         }
+    }
+
+    /// A right-hand side shorter or longer than the system is a typed
+    /// protocol error on every rank, naming the column and both lengths,
+    /// raised before the first message — not a slice panic in the
+    /// restriction or a silently truncated solve. The same prepared state
+    /// then answers a well-formed apply.
+    #[test]
+    fn right_hand_side_of_the_wrong_length_is_a_protocol_error() {
+        let mesh = Mesh::unit_square(8, 8);
+        let part = partition_mesh_rcb(&mesh, 2);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(1), &part, 2, 1);
+        let n = decomp.n_global;
+        let (good, short, long) = (vec![1.0; n], vec![1.0; n - 1], vec![1.0; n + 1]);
+        let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
+            let st = crate::spmd::try_setup(&decomp, comm, &SpmdOpts::default()).expect("set-up");
+            let errs: Vec<String> = [vec![&short[..]], vec![&good[..], &long[..]]]
+                .iter()
+                .map(
+                    |rhs| match st.try_apply_on(None, rhs, "bad-apply", None, None) {
+                        Err(SpmdError::Protocol { what, .. }) => what,
+                        Err(e) => panic!("not a protocol error: {e}"),
+                        Ok(_) => panic!("a right-hand side of the wrong length was answered"),
+                    },
+                )
+                .collect();
+            let ok = st
+                .try_apply(&good, "solve", None)
+                .expect("a well-formed apply");
+            (errs, ok.result.converged)
+        });
+        for (errs, converged) in rows {
+            assert_eq!(
+                errs,
+                [
+                    format!("right-hand side 0 holds {} values, the system {n}", n - 1),
+                    format!("right-hand side 1 holds {} values, the system {n}", n + 1),
+                ]
+            );
+            assert!(converged);
+        }
+        let bad = trace.phase_totals("bad-apply");
+        assert_eq!(
+            (bad.sends, bad.collectives_eq, bad.collectives_v),
+            (0, 0, 0)
+        );
     }
 
     /// A coarse-correction message of the wrong length — a member's gather

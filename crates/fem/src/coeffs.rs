@@ -64,11 +64,6 @@ pub fn elasticity_two_materials(x: &[f64]) -> (f64, f64) {
     }
 }
 
-/// Homogeneous unit diffusivity (baseline / testing).
-pub fn diffusivity_uniform(_x: &[f64]) -> f64 {
-    1.0
-}
-
 /// Contrast of a coefficient field sampled on a lattice — used by tests to
 /// confirm the fields reach the paper's heterogeneity levels.
 pub fn sampled_contrast(f: &dyn Fn(&[f64]) -> f64, dim: usize, samples: usize) -> f64 {

@@ -8,7 +8,7 @@ use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
 use crate::sdc::SdcGuard;
 use dd_linalg::vector;
 
-/// Options for [`cg`].
+/// Options for [`try_cg`].
 #[derive(Clone, Debug)]
 pub struct CgOpts {
     /// Relative tolerance on the preconditioned residual norm `√(rᵀz)`.
@@ -36,24 +36,7 @@ impl Default for CgOpts {
 
 /// Solve the SPD system `A x = b` with preconditioned CG. The
 /// preconditioner must be symmetric positive definite as an operator.
-///
-/// Thin wrapper over [`try_cg`] with no checkpointing; panics if an
-/// interrupt surfaces (impossible with the default infallible `try_*`
-/// trait methods) — fault-tolerant callers must use [`try_cg`].
-pub fn cg<O, M, P>(op: &O, precond: &M, ip: &P, b: &[f64], x0: &[f64], opts: &CgOpts) -> SolveResult
-where
-    O: Operator + ?Sized,
-    M: Preconditioner + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    match try_cg(op, precond, ip, b, x0, opts, None) {
-        Ok(res) => res,
-        Err(int) => panic!("cg interrupted without a fault-tolerant caller: {int}"),
-    }
-}
-
-/// Fallible, checkpointable preconditioned CG: identical numerics to
-/// [`cg`], but operator/preconditioner/inner-product failures surface as
+/// Operator/preconditioner/inner-product failures surface as
 /// [`SolveInterrupt`], and an optional [`CheckpointCfg`] snapshots `x`
 /// every `interval` iterations (and resumes an interrupted solve against
 /// its original `√(r₀ᵀz₀)` anchor).
@@ -121,11 +104,11 @@ where
 
     'outer: loop {
         // (Re)build the CG state from the current iterate.
-        op.try_apply(&x, &mut ax)?;
+        op.try_apply_panel(1, &x, &mut ax)?;
         for i in 0..n {
             r[i] = b[i] - ax[i];
         }
-        precond.try_apply(&r, &mut z)?;
+        precond.try_apply_panel(1, &r, &mut z)?;
         p.copy_from_slice(&z);
         let mut rz = ip.try_dot(&r, &z)?;
         if iterations == 0 && breakdown_restarts == 0 {
@@ -188,7 +171,7 @@ where
         while iterations < opts.max_iters {
             ip.on_iteration(iterations);
             iterations += 1;
-            op.try_apply(&p, &mut ap)?;
+            op.try_apply_panel(1, &p, &mut ap)?;
             let pap = ip.try_dot(&p, &ap)?;
             if !pap.is_finite() || pap <= 0.0 {
                 // Operator not SPD along p, or poisoned by non-finite
@@ -198,7 +181,7 @@ where
             let alpha = rz / pap;
             vector::axpy(alpha, &p, &mut x);
             vector::axpy(-alpha, &ap, &mut r);
-            precond.try_apply(&r, &mut z)?;
+            precond.try_apply_panel(1, &r, &mut z)?;
             let rz_new = ip.try_dot(&r, &z)?;
             if !rz_new.is_finite() {
                 break;
@@ -319,7 +302,7 @@ mod tests {
     fn solves_spd() {
         let a = spd(50);
         let b = vec![1.0; 50];
-        let res = cg(
+        let res = try_cg(
             &a,
             &IdentityPrecond,
             &SeqDot,
@@ -329,7 +312,9 @@ mod tests {
                 tol: 1e-10,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .unwrap();
         assert!(res.converged);
         let mut ax = vec![0.0; 50];
         a.spmv(&res.x, &mut ax);
@@ -361,8 +346,17 @@ mod tests {
             record_history: false,
             ..Default::default()
         };
-        let plain = cg(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
-        let pc = cg(&a, &jacobi, &SeqDot, &b, &vec![0.0; n], &opts);
+        let plain = try_cg(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &vec![0.0; n],
+            &opts,
+            None,
+        )
+        .unwrap();
+        let pc = try_cg(&a, &jacobi, &SeqDot, &b, &vec![0.0; n], &opts, None).unwrap();
         assert!(pc.converged);
         assert!(pc.iterations <= plain.iterations);
     }
@@ -371,14 +365,16 @@ mod tests {
     fn history_length_matches_iterations() {
         let a = spd(40);
         let b = vec![1.0; 40];
-        let res = cg(
+        let res = try_cg(
             &a,
             &IdentityPrecond,
             &SeqDot,
             &b,
             &[0.0; 40],
             &CgOpts::default(),
-        );
+            None,
+        )
+        .unwrap();
         assert!(res.converged);
         assert_eq!(res.history.len(), res.iterations + 1);
         assert_eq!(res.history[0], 1.0);
@@ -388,14 +384,16 @@ mod tests {
     #[test]
     fn zero_rhs_immediate() {
         let a = spd(10);
-        let res = cg(
+        let res = try_cg(
             &a,
             &IdentityPrecond,
             &SeqDot,
             &[0.0; 10],
             &[0.0; 10],
             &CgOpts::default(),
-        );
+            None,
+        )
+        .unwrap();
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }
@@ -410,14 +408,16 @@ mod tests {
             c.push(i, i, -1.0);
         }
         let a = c.to_csr();
-        let res = cg(
+        let res = try_cg(
             &a,
             &IdentityPrecond,
             &SeqDot,
             &vec![1.0; n],
             &vec![0.0; n],
             &CgOpts::default(),
-        );
+            None,
+        )
+        .unwrap();
         assert!(!res.converged);
         assert_eq!(res.status, SolveStatus::Breakdown);
         assert_eq!(res.breakdown_restarts, 1);
@@ -427,14 +427,16 @@ mod tests {
     fn zero_preconditioner_is_breakdown_not_false_convergence() {
         let a = spd(12);
         let zero = FnPrecond::new(|_r: &[f64], z: &mut [f64]| z.fill(0.0));
-        let res = cg(
+        let res = try_cg(
             &a,
             &zero,
             &SeqDot,
             &[1.0; 12],
             &[0.0; 12],
             &CgOpts::default(),
-        );
+            None,
+        )
+        .unwrap();
         assert!(!res.converged);
         assert_eq!(res.status, SolveStatus::Breakdown);
     }
@@ -443,14 +445,16 @@ mod tests {
     fn nan_preconditioner_reports_breakdown() {
         let a = spd(12);
         let nan = FnPrecond::new(|_r: &[f64], z: &mut [f64]| z.fill(f64::NAN));
-        let res = cg(
+        let res = try_cg(
             &a,
             &nan,
             &SeqDot,
             &[1.0; 12],
             &[0.0; 12],
             &CgOpts::default(),
-        );
+            None,
+        )
+        .unwrap();
         assert!(!res.converged);
         assert_eq!(res.status, SolveStatus::Breakdown);
         assert!(res.x.iter().all(|v| v.is_finite()));
@@ -468,7 +472,16 @@ mod tests {
             tol: 1e-10,
             ..Default::default()
         };
-        let clean = cg(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
+        let clean = try_cg(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &vec![0.0; n],
+            &opts,
+            None,
+        )
+        .unwrap();
         assert!(clean.converged);
 
         let failing = FailAfter {
@@ -525,8 +538,17 @@ mod tests {
             guard: Some(crate::sdc::SdcGuard::default()),
             ..off.clone()
         };
-        let r_off = cg(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; 50], &off);
-        let r_on = cg(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; 50], &on);
+        let r_off = try_cg(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &vec![0.0; 50],
+            &off,
+            None,
+        )
+        .unwrap();
+        let r_on = try_cg(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; 50], &on, None).unwrap();
         assert!(r_off.converged && r_on.converged);
         assert_eq!(r_off.x, r_on.x, "guard must not change the iterates");
         assert_eq!(r_off.iterations, r_on.iterations);
@@ -575,7 +597,7 @@ mod tests {
     fn agrees_with_gmres() {
         let a = spd(30);
         let b: Vec<f64> = (0..30).map(|i| (i as f64).sin()).collect();
-        let rcg = cg(
+        let rcg = try_cg(
             &a,
             &IdentityPrecond,
             &SeqDot,
@@ -585,8 +607,10 @@ mod tests {
                 tol: 1e-12,
                 ..Default::default()
             },
-        );
-        let rg = crate::gmres::gmres(
+            None,
+        )
+        .unwrap();
+        let rg = crate::gmres::try_gmres(
             &a,
             &IdentityPrecond,
             &SeqDot,
@@ -596,7 +620,9 @@ mod tests {
                 tol: 1e-12,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .unwrap();
         assert!(vector::dist2(&rcg.x, &rg.x) < 1e-6);
     }
 }

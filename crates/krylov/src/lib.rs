@@ -20,19 +20,16 @@ pub mod recycle;
 mod restart;
 pub mod sdc;
 
-pub use cg::{cg, try_cg, CgOpts};
+pub use cg::{try_cg, CgOpts};
 pub use checkpoint::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
 pub use gmres::{
-    gmres, try_gmres, try_gmres_panel, try_gmres_with, GmresOpts, GmresWorkspace, Ortho, Side,
+    try_gmres, try_gmres_panel, try_gmres_with, GmresOpts, GmresWorkspace, Ortho, Side,
     SolveResult, SolveStatus,
 };
 pub use operator::{
     FnOperator, FnPrecond, IdentityPrecond, InnerProduct, Operator, Preconditioner, SeqDot,
     SolveInterrupt,
 };
-pub use pipelined::{
-    fused_pipelined_gmres, fused_pipelined_gmres_panel, pipelined_gmres, pipelined_gmres_panel,
-    FusedPreconditioner,
-};
+pub use pipelined::{fused_pipelined_gmres_panel, pipelined_gmres_panel, FusedPreconditioner};
 pub use recycle::RecycleSpace;
 pub use sdc::{SdcGuard, SdcSuspected};

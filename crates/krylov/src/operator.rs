@@ -83,25 +83,20 @@ impl std::error::Error for SolveInterrupt {
 pub trait Operator {
     /// Local dimension of vectors this operator acts on.
     fn dim(&self) -> usize;
-    /// `y ← A x`.
+    /// `y ← A x`, for an operator that cannot fail. Kept while the
+    /// repository benchmark implements it; the solvers call
+    /// [`Operator::try_apply_panel`].
     fn apply(&self, x: &[f64], y: &mut [f64]);
-    /// Fallible `y ← A x` for distributed operators whose halo exchange
-    /// can fail; the default delegates to the infallible
-    /// [`Operator::apply`] and never errs.
-    fn try_apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.apply(x, y);
-        Ok(())
-    }
 
     /// `y ← A x` for a panel of `k` columns, stored one after another in
-    /// `x` and `y`. The default is the column loop over
-    /// [`Operator::try_apply`]; a distributed operator overrides it to carry
-    /// every column in one neighbour exchange, each column equal to its
-    /// one-column apply to the bit.
+    /// `x` and `y`; `k = 1` is the single apply. The default is the column
+    /// loop over [`Operator::apply`]; a distributed operator overrides it
+    /// to carry every column in one neighbour exchange, each column equal
+    /// to its one-column apply to the bit, and to report a failed exchange.
     fn try_apply_panel(&self, k: usize, x: &[f64], y: &mut [f64]) -> Result<(), SolveInterrupt> {
         let n = column_len(k, x.len());
         for c in 0..k {
-            self.try_apply(&x[c * n..(c + 1) * n], &mut y[c * n..(c + 1) * n])?;
+            self.apply(&x[c * n..(c + 1) * n], &mut y[c * n..(c + 1) * n]);
         }
         Ok(())
     }
@@ -118,50 +113,31 @@ fn column_len(k: usize, len: usize) -> usize {
 
 /// A preconditioner `M⁻¹`.
 pub trait Preconditioner {
-    /// `z ← M⁻¹ r`.
+    /// `z ← M⁻¹ r`, for a preconditioner that cannot fail. Kept while the
+    /// repository benchmark implements it; the solvers call
+    /// [`Preconditioner::try_apply_panel`].
     fn apply(&self, r: &[f64], z: &mut [f64]);
-    /// Fallible `z ← M⁻¹ r`; the default delegates to the infallible
-    /// [`Preconditioner::apply`] and never errs.
-    fn try_apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.apply(r, z);
-        Ok(())
-    }
 
-    /// `z ← M⁻¹ r` and `w ← A z` for the operator `op` of the system being
-    /// solved — the right-preconditioned Arnoldi step. The default is those
-    /// two applications in that order. A preconditioner that can form `A z`
-    /// from what it computes for `z` anyway (a distributed one whose
-    /// neighbour exchange carries `A z` beside `z`) overrides it, and falls
-    /// back to the default for an operator it does not recognise.
-    fn try_apply_with_op(
-        &self,
-        op: &dyn Operator,
-        r: &[f64],
-        z: &mut [f64],
-        w: &mut [f64],
-    ) -> Result<(), SolveInterrupt> {
-        self.try_apply(r, z)?;
-        op.try_apply(z, w)
-    }
-
-    /// `z ← M⁻¹ r` for a panel of `k` columns, stored one after another.
-    /// The default is the column loop over [`Preconditioner::try_apply`].
+    /// `z ← M⁻¹ r` for a panel of `k` columns, stored one after another;
+    /// `k = 1` is the single apply. The default is the column loop over
+    /// [`Preconditioner::apply`].
     fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
         let n = column_len(k, r.len());
         for c in 0..k {
-            self.try_apply(&r[c * n..(c + 1) * n], &mut z[c * n..(c + 1) * n])?;
+            self.apply(&r[c * n..(c + 1) * n], &mut z[c * n..(c + 1) * n]);
         }
         Ok(())
     }
 
-    /// [`Preconditioner::try_apply_with_op`] for a panel of `k` columns:
-    /// the right-preconditioned Arnoldi step of a panel GMRES, every column
-    /// of it in one application. The default is the column loop over
-    /// [`Preconditioner::try_apply_with_op`], so a preconditioner that does
-    /// not override it keeps its calls, in their order, and its bits. A
-    /// distributed one overrides it to share each neighbour exchange and
+    /// `z ← M⁻¹ r` and `w ← A z` for the operator `op` of the system being
+    /// solved, for a panel of `k` columns: the right-preconditioned Arnoldi
+    /// step of GMRES, every column of it in one application. The default
+    /// is, per column, those two applications in that order. A
+    /// distributed preconditioner that can form `A z` from what it computes
+    /// for `z` anyway overrides it to share each neighbour exchange and
     /// coarse solve among the columns, each column equal to its one-column
-    /// step to the bit.
+    /// step to the bit, and falls back to the default's order for an
+    /// operator it does not recognise.
     fn try_apply_panel_with_op(
         &self,
         op: &dyn Operator,
@@ -173,7 +149,8 @@ pub trait Preconditioner {
         let n = column_len(k, r.len());
         for c in 0..k {
             let cols = c * n..(c + 1) * n;
-            self.try_apply_with_op(op, &r[cols.clone()], &mut z[cols.clone()], &mut w[cols])?;
+            self.try_apply_panel(1, &r[cols.clone()], &mut z[cols.clone()])?;
+            op.try_apply_panel(1, &z[cols.clone()], &mut w[cols])?;
         }
         Ok(())
     }

@@ -28,8 +28,9 @@ use dd_linalg::vector;
 /// A preconditioner able to piggy-back a payload of local reduction
 /// contributions on its internal communication (the fused p1-GMRES hook).
 ///
-/// `apply_fused` must behave exactly like [`Preconditioner::try_apply`] on
-/// `(r, z)` while also returning the *globally reduced* payload.
+/// `apply_fused` must behave exactly like the one-column
+/// [`Preconditioner::try_apply_panel`] on `(r, z)` while also returning the
+/// *globally reduced* payload.
 pub trait FusedPreconditioner: Preconditioner {
     fn apply_fused(
         &self,
@@ -48,29 +49,10 @@ pub trait FusedPreconditioner: Preconditioner {
 /// iterate over the `k` columns final by then, as the classical loop's
 /// does (the matvec iteration `k` already spent on the next candidate is
 /// not in it).
-#[allow(clippy::too_many_arguments)]
-pub fn pipelined_gmres<O, M, P>(
-    op: &O,
-    precond: &M,
-    ip: &P,
-    b: &[f64],
-    x0: &[f64],
-    opts: &GmresOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-    recycle: Option<&mut RecycleSpace>,
-) -> Result<SolveResult, SolveInterrupt>
-where
-    O: Operator + ?Sized,
-    M: Preconditioner + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    let mut out = pipelined_gmres_panel(op, precond, ip, b, x0, 1, opts, ckpt, recycle)?;
-    Ok(out.remove(0))
-}
-
-/// [`pipelined_gmres`] for `k` right-hand sides, the columns of `b` and
-/// `x0` one after another. The p1-GMRES recurrence has no panel body, so
-/// the columns are solved one after another; what
+///
+/// `k` right-hand sides are the columns of `b` and `x0`, one after
+/// another; `k = 1` is the single solve. The p1-GMRES recurrence has no
+/// panel body, so the columns are solved one after another; what
 /// [`crate::try_gmres_panel`] shares besides the cycles — the start
 /// residuals, the recycle-space correction from the directions the space
 /// holds at entry, the harvest in column order — they share here too. Each
@@ -94,7 +76,7 @@ where
 {
     let post = |row| ip.reduce_begin(row);
     let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| {
-        precond.try_apply(ax, t)?;
+        precond.try_apply_panel(1, ax, t)?;
         row()
     };
     pgmres_impl(op, precond, ip, b, x0, k, opts, ckpt, recycle, post, step)
@@ -102,29 +84,8 @@ where
 
 /// Fused p1-GMRES: the Gram row is held back and rides, unreduced, on the
 /// next preconditioner application's coarse gather/scatter (§3.5 of the
-/// paper). Arguments as for [`pipelined_gmres`].
-#[allow(clippy::too_many_arguments)]
-pub fn fused_pipelined_gmres<O, M, P>(
-    op: &O,
-    precond: &M,
-    ip: &P,
-    b: &[f64],
-    x0: &[f64],
-    opts: &GmresOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-    recycle: Option<&mut RecycleSpace>,
-) -> Result<SolveResult, SolveInterrupt>
-where
-    O: Operator + ?Sized,
-    M: FusedPreconditioner + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    let mut out = fused_pipelined_gmres_panel(op, precond, ip, b, x0, 1, opts, ckpt, recycle)?;
-    Ok(out.remove(0))
-}
-
-/// [`fused_pipelined_gmres`] for `k` right-hand sides, solved one after
-/// another as in [`pipelined_gmres_panel`].
+/// paper). Arguments, and the `k` columns solved one after another, as for
+/// [`pipelined_gmres_panel`].
 #[allow(clippy::too_many_arguments)]
 pub fn fused_pipelined_gmres_panel<O, M, P>(
     op: &O,
@@ -212,8 +173,8 @@ where
             v.push(v0);
             // w = B v_0 and the first posted reduction.
             let mut w = vec![0.0; n];
-            op.try_apply(&v[0], &mut ax)?;
-            precond.try_apply(&ax, &mut w)?;
+            op.try_apply_panel(1, &v[0], &mut ax)?;
+            precond.try_apply_panel(1, &ax, &mut w)?;
             z.push(w.clone());
             let mut row = post(gram_row(ip, &w, &v))?;
             let mut i = 1;
@@ -227,7 +188,7 @@ where
                 // reduction completes. In fused mode the preconditioner carries
                 // the payload and returns it reduced.
                 let mut t = vec![0.0; n];
-                op.try_apply(&w, &mut ax)?;
+                op.try_apply_panel(1, &w, &mut ax)?;
                 let dots = step(&ax, &mut t, row)?;
                 // ----------------------------------------- reduction available
                 // dots = [⟨w,v_0⟩, …, ⟨w,v_{i−1}⟩, ‖w‖²] for w = w_{i−1}.
@@ -302,7 +263,7 @@ pub(crate) mod tests {
         check_guard_confirms_clean_convergence, check_guard_flags_corrupted_operator, laplacian_2d,
         BudgetExhausted, FailAfter,
     };
-    use crate::gmres::{gmres, SolveStatus};
+    use crate::gmres::{try_gmres, SolveStatus};
     use crate::operator::{IdentityPrecond, SeqDot};
     use std::cell::Cell;
 
@@ -337,7 +298,18 @@ pub(crate) mod tests {
         recycle: Option<&mut RecycleSpace>,
     ) -> Result<SolveResult, SolveInterrupt> {
         let x0 = vec![0.0; b.len()];
-        pipelined_gmres(op, &IdentityPrecond, &SeqDot, b, &x0, opts, ckpt, recycle)
+        pipelined_gmres_panel(
+            op,
+            &IdentityPrecond,
+            &SeqDot,
+            b,
+            &x0,
+            1,
+            opts,
+            ckpt,
+            recycle,
+        )
+        .map(|mut r| r.remove(0))
     }
 
     /// The fused loop, a `crate::gmres::tests::Loop`.
@@ -349,7 +321,8 @@ pub(crate) mod tests {
         recycle: Option<&mut RecycleSpace>,
     ) -> Result<SolveResult, SolveInterrupt> {
         let x0 = vec![0.0; b.len()];
-        fused_pipelined_gmres(op, &SeqFused, &SeqDot, b, &x0, opts, ckpt, recycle)
+        fused_pipelined_gmres_panel(op, &SeqFused, &SeqDot, b, &x0, 1, opts, ckpt, recycle)
+            .map(|mut r| r.remove(0))
     }
 
     /// The guard lives in the shared cycle-start check, so the pipelined
@@ -369,7 +342,7 @@ pub(crate) mod tests {
         check_guard_flags_corrupted_operator(fused, 1e-8, 20);
     }
 
-    /// An operator whose `try_apply` fails at call `k` — the anchor, the
+    /// An operator whose `try_apply_panel` fails at call `k` — the anchor, the
     /// cycle-start residual, the pipeline prologue or an iteration's matvec
     /// — interrupts both loops with the failing layer's error intact.
     #[test]
@@ -405,7 +378,16 @@ pub(crate) mod tests {
             max_iters: 500,
             ..Default::default()
         };
-        let classical = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
+        let classical = try_gmres(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &vec![0.0; n],
+            &opts,
+            None,
+        )
+        .unwrap();
         let pipelined = overlapped(&a, &b, &opts, None, None).unwrap();
         assert!(classical.converged && pipelined.converged);
         assert!(
@@ -432,7 +414,16 @@ pub(crate) mod tests {
             max_iters: 500,
             ..Default::default()
         };
-        let classical = gmres(&a, &IdentityPrecond, &SeqDot, &b, &vec![0.0; n], &opts);
+        let classical = try_gmres(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &vec![0.0; n],
+            &opts,
+            None,
+        )
+        .unwrap();
         let fused = fused(&a, &b, &opts, None, None).unwrap();
         assert!(fused.converged);
         assert!(vector::dist2(&classical.x, &fused.x) < 1e-4 * vector::norm2(&classical.x));

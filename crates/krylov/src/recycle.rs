@@ -24,7 +24,8 @@
 //! on each rank from globally reduced scalars.
 //!
 //! Every GMRES loop takes an optional space (`try_gmres_with`,
-//! `pipelined_gmres`, `fused_pipelined_gmres`); the restart driver they
+//! `try_gmres_panel`, `pipelined_gmres_panel`,
+//! `fused_pipelined_gmres_panel`); the restart driver they
 //! share corrects the start and banks the increment. The solve still
 //! converges against `tol ·` the residual at the caller's guess, not at
 //! the corrected one, so recycling can only shed iterations, never loosen

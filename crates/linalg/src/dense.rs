@@ -51,12 +51,6 @@ impl DMat {
         m
     }
 
-    /// Build from column-major data.
-    pub fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols);
-        DMat { rows, cols, data }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }

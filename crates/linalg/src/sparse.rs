@@ -44,10 +44,6 @@ impl CooBuilder {
         }
     }
 
-    pub fn nnz_pushed(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Convert to CSR, summing duplicates and dropping exact zeros produced
     /// by cancellation only if `drop_zeros` is set by the caller via
     /// [`CsrMatrix::drop_small`]. Column indices within each row are sorted.

@@ -294,17 +294,6 @@ impl Mesh {
         adj
     }
 
-    /// Map vertex → incident elements.
-    pub fn vertex_to_elements(&self) -> Vec<Vec<u32>> {
-        let mut v2e: Vec<Vec<u32>> = vec![Vec::new(); self.n_vertices()];
-        for e in 0..self.n_elements() {
-            for &v in self.element(e) {
-                v2e[v as usize].push(e as u32);
-            }
-        }
-        v2e
-    }
-
     /// Vertices lying on the boundary (vertices of facets that belong to
     /// exactly one element).
     pub fn boundary_vertices(&self) -> Vec<bool> {

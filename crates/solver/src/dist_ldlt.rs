@@ -63,8 +63,8 @@ const BOOST_REL_TOL: f64 = 1e-12;
 
 /// One master's share of the distributed LDLᵀ factorization of `E`.
 ///
-/// Built collectively by [`DistLdlt::factor`] on every rank of the master
-/// communicator; applied collectively by [`DistLdlt::solve`].
+/// Built collectively by [`DistLdlt::try_factor`] on every rank of the master
+/// communicator; applied collectively by [`DistLdlt::try_solve`].
 pub struct DistLdlt {
     /// Block-row boundaries of all `P` masters (`P + 1` entries,
     /// `bounds[P] = dim(E)`).
@@ -74,7 +74,7 @@ pub struct DistLdlt {
     /// This master's upper row strip: rows
     /// `bounds[my_block]..bounds[my_block + 1]`, columns
     /// `bounds[my_block]..dim(E)` (local column `j` is global column
-    /// `bounds[my_block] + j`). After [`DistLdlt::factor`], the leading
+    /// `bounds[my_block] + j`). After [`DistLdlt::try_factor`], the leading
     /// `n_p` columns hold the Schur-updated diagonal block (factored
     /// separately into `diag`) and the trailing columns hold the frozen
     /// `E'_p,trailing = (D Lᵀ)_p,trailing` panels both sweeps read.
@@ -98,14 +98,7 @@ impl DistLdlt {
     ///
     /// Never fails numerically: tiny pivots are boosted exactly as in the
     /// redundant path, so rank-deficient coarse operators act as
-    /// pseudo-inverses there and here alike. Panics on communication
-    /// faults — fault-tolerant callers use [`DistLdlt::try_factor`].
-    pub fn factor(comm: &Communicator, bounds: Vec<usize>, strip: DMat) -> DistLdlt {
-        Self::try_factor(comm, bounds, strip)
-            .unwrap_or_else(|e| panic!("DistLdlt::factor on rank {}: {e}", comm.rank()))
-    }
-
-    /// Fault-tolerant [`DistLdlt::factor`]: the fan-in receives run under
+    /// pseudo-inverses there and here alike. The fan-in receives run under
     /// the communicator's ambient [`dd_comm::RetryPolicy`], an armed
     /// `e-factorization-dist` kill fires at the step boundaries (so deaths
     /// land mid-fan-in), and dead peers or a revoked communicator surface
@@ -213,14 +206,8 @@ impl DistLdlt {
     /// over `comm`; `w_local` is this master's block of the right-hand side
     /// and the returned vector is the matching block of the solution —
     /// exactly the ν-sized slices the group gather/scatter already moves.
-    pub fn solve(&self, comm: &Communicator, w_local: &[f64]) -> Vec<f64> {
-        self.try_solve(comm, w_local)
-            .unwrap_or_else(|e| panic!("DistLdlt::solve on rank {}: {e}", comm.rank()))
-    }
-
-    /// Fault-tolerant [`DistLdlt::solve`]: sweep receives run under the
-    /// communicator's ambient retry policy and an armed `e-solve-dist`
-    /// kill fires at the sweep boundaries.
+    /// Sweep receives run under the communicator's ambient retry policy and
+    /// an armed `e-solve-dist` kill fires at the sweep boundaries.
     ///
     /// # Errors
     /// Same classification as [`DistLdlt::try_factor`].
@@ -361,7 +348,7 @@ impl DistLdlt {
         nnz
     }
 
-    /// Multiply-adds this master spent in [`DistLdlt::factor`] (panel
+    /// Multiply-adds this master spent in [`DistLdlt::try_factor`] (panel
     /// solves + trailing updates) — comparable with
     /// [`SparseLdlt::flops_estimate`] on the redundant path.
     pub fn flops(&self) -> u64 {
@@ -465,10 +452,10 @@ mod tests {
         let pieces = World::run(p, CostModel::default(), move |comm| {
             let me = comm.rank();
             let strip = upper_strip(&a2, b2[me], b2[me + 1]);
-            let f = DistLdlt::factor(comm, b2.clone(), strip);
+            let f = DistLdlt::try_factor(comm, b2.clone(), strip).unwrap();
             assert!(f.nnz_l() > 0);
             let w = r2[b2[me]..b2[me + 1]].to_vec();
-            f.solve(comm, &w)
+            f.try_solve(comm, &w).unwrap()
         });
         let x: Vec<f64> = pieces.into_iter().flatten().collect();
         let num: f64 = x
@@ -528,7 +515,8 @@ mod tests {
             let (a, b) = (a.clone(), bounds.clone());
             let (rows, trace) = World::run_traced(p, CostModel::default(), move |comm| {
                 let me = comm.rank();
-                let f = DistLdlt::factor(comm, b.clone(), upper_strip(&a, b[me], b[me + 1]));
+                let f = DistLdlt::try_factor(comm, b.clone(), upper_strip(&a, b[me], b[me + 1]))
+                    .unwrap();
                 let cols: Vec<Vec<f64>> = (0..K)
                     .map(|c| {
                         (b[me]..b[me + 1])
@@ -639,7 +627,9 @@ mod tests {
             World::run(p, CostModel::default(), move |comm| {
                 let me = comm.rank();
                 let strip = upper_strip(&a, bounds[me], bounds[me + 1]);
-                DistLdlt::factor(comm, bounds.clone(), strip).nnz_l()
+                DistLdlt::try_factor(comm, bounds.clone(), strip)
+                    .unwrap()
+                    .nnz_l()
             })
             .into_iter()
             .max()
@@ -679,9 +669,9 @@ mod tests {
         let boosted = World::run(2, CostModel::default(), move |comm| {
             let me = comm.rank();
             let strip = upper_strip(&a, bounds[me], bounds[me + 1]);
-            let f = DistLdlt::factor(comm, bounds.clone(), strip);
+            let f = DistLdlt::try_factor(comm, bounds.clone(), strip).unwrap();
             let w = rhs[bounds[me]..bounds[me + 1]].to_vec();
-            (f.n_boosted(), f.solve(comm, &w))
+            (f.n_boosted(), f.try_solve(comm, &w).unwrap())
         });
         assert_eq!(boosted.iter().map(|(b, _)| b).sum::<usize>(), 1);
         let x: Vec<f64> = boosted.into_iter().flat_map(|(_, x)| x).collect();

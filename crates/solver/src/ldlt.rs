@@ -418,7 +418,7 @@ impl SparseLdlt {
     /// `b[c * ld..c * ld + n]`. Every column goes through
     /// [`SparseLdlt::solve_in_place_with`]'s operations in its order, so it
     /// is that solve to the bit; the columns of a block (see
-    /// [`panel_blocks`]) are swept together, their values of one row side
+    /// `panel_blocks`) are swept together, their values of one row side
     /// by side in the work vector `z`, which reads `L` once per block and
     /// gives the backward sweep one accumulation chain per column.
     pub fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {

@@ -11,7 +11,7 @@
 //! ```
 
 use dd_geneo::core::{decompose, problem::presets, two_level, GeneoOpts, RasPrecond, TwoLevelOpts};
-use dd_geneo::krylov::{gmres, GmresOpts, SeqDot};
+use dd_geneo::krylov::{try_gmres, GmresOpts, SeqDot};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use dd_geneo::solver::Ordering;
@@ -39,14 +39,16 @@ fn main() {
     let x0 = vec![0.0; decomp.n_global];
 
     let ras = RasPrecond::build(&decomp, Ordering::MinDegree);
-    let one = gmres(
+    let one = try_gmres(
         &decomp.a_global,
         &ras,
         &SeqDot,
         &decomp.rhs_global,
         &x0,
         &opts,
-    );
+        None,
+    )
+    .expect("a sequential solve is never interrupted");
     println!(
         "P_RAS     : {:>4} iterations (converged = {})",
         one.iterations, one.converged
@@ -62,14 +64,16 @@ fn main() {
             ..Default::default()
         },
     );
-    let two = gmres(
+    let two = try_gmres(
         &decomp.a_global,
         &tl,
         &SeqDot,
         &decomp.rhs_global,
         &x0,
         &opts,
-    );
+        None,
+    )
+    .expect("a sequential solve is never interrupted");
     println!(
         "P_A-DEF1  : {:>4} iterations (converged = {}), dim(E) = {}",
         two.iterations,

@@ -7,7 +7,7 @@
 //! ```
 
 use dd_geneo::core::{decompose, problem::presets, two_level, RasPrecond, TwoLevelOpts};
-use dd_geneo::krylov::{gmres, GmresOpts, SeqDot};
+use dd_geneo::krylov::{try_gmres, GmresOpts, SeqDot};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use dd_geneo::solver::Ordering;
@@ -40,14 +40,16 @@ fn main() {
 
     // 4. One-level RAS ("basic" preconditioning in Figure 1).
     let ras = RasPrecond::build(&decomp, Ordering::MinDegree);
-    let one = gmres(
+    let one = try_gmres(
         &decomp.a_global,
         &ras,
         &SeqDot,
         &decomp.rhs_global,
         &x0,
         &gmres_opts,
-    );
+        None,
+    )
+    .expect("a sequential solve is never interrupted");
     println!(
         "one-level RAS   : {:>4} iterations, converged = {}, residual = {:.2e}",
         one.iterations, one.converged, one.final_residual
@@ -60,14 +62,16 @@ fn main() {
         tl.coarse().dim(),
         tl.coarse().dim() as f64 / decomp.n_subdomains() as f64
     );
-    let two = gmres(
+    let two = try_gmres(
         &decomp.a_global,
         &tl,
         &SeqDot,
         &decomp.rhs_global,
         &x0,
         &gmres_opts,
-    );
+        None,
+    )
+    .expect("a sequential solve is never interrupted");
     println!(
         "two-level ADEF1 : {:>4} iterations, converged = {}, residual = {:.2e}",
         two.iterations, two.converged, two.final_residual

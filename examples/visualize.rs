@@ -9,7 +9,7 @@
 
 use dd_geneo::core::{decompose, problem::presets, two_level, TwoLevelOpts};
 use dd_geneo::fem::{coeffs, DofMap};
-use dd_geneo::krylov::{gmres, GmresOpts, SeqDot};
+use dd_geneo::krylov::{try_gmres, GmresOpts, SeqDot};
 use dd_geneo::mesh::vtk::{write_vtk_file, VtkField};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
@@ -21,14 +21,16 @@ fn main() {
     let problem = presets::heterogeneous_diffusion(1);
     let decomp = decompose(&mesh, &problem, &part, n_sub, 1);
     let tl = two_level(&decomp, &TwoLevelOpts::default());
-    let res = gmres(
+    let res = try_gmres(
         &decomp.a_global,
         &tl,
         &SeqDot,
         &decomp.rhs_global,
         &vec![0.0; decomp.n_global],
         &GmresOpts::default(),
-    );
+        None,
+    )
+    .expect("a sequential solve is never interrupted");
     assert!(res.converged);
     println!(
         "solved: {} dofs, {} iterations, residual {:.2e}",

@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use dd_geneo::core::{decompose, two_level, problem::presets, TwoLevelOpts};
-//! use dd_geneo::krylov::{gmres, GmresOpts, SeqDot};
+//! use dd_geneo::krylov::{try_gmres, GmresOpts, SeqDot};
 //! use dd_geneo::mesh::Mesh;
 //! use dd_geneo::part::partition_mesh_rcb;
 //!
@@ -43,8 +43,9 @@
 //! let decomp = decompose(&mesh, &problem, &part, 8, 1);
 //! let precond = two_level(&decomp, &TwoLevelOpts::default());
 //! let x0 = vec![0.0; decomp.n_global];
-//! let result = gmres(&decomp.a_global, &precond, &SeqDot,
-//!                    &decomp.rhs_global, &x0, &GmresOpts::default());
+//! let result = try_gmres(&decomp.a_global, &precond, &SeqDot,
+//!                        &decomp.rhs_global, &x0, &GmresOpts::default(), None)
+//!     .expect("a sequential solve is never interrupted");
 //! assert!(result.converged);
 //! ```
 
@@ -68,9 +69,10 @@ pub use dd_solver as solver;
 /// let problem = presets::uniform_diffusion(1);
 /// let decomp = decompose(&mesh, &problem, &part, 4, 1);
 /// let precond = two_level(&decomp, &TwoLevelOpts::default());
-/// let result = gmres(&decomp.a_global, &precond, &SeqDot,
-///                    &decomp.rhs_global, &vec![0.0; decomp.n_global],
-///                    &GmresOpts::default());
+/// let x0 = vec![0.0; decomp.n_global];
+/// let result = try_gmres(&decomp.a_global, &precond, &SeqDot,
+///                        &decomp.rhs_global, &x0, &GmresOpts::default(), None)
+///     .expect("a sequential solve is never interrupted");
 /// assert!(result.converged);
 /// ```
 pub mod prelude {
@@ -79,7 +81,7 @@ pub mod prelude {
         decompose, try_run_spmd, two_level, Decomposition, GeneoOpts, Problem, RasPrecond,
         SpmdOpts, TwoLevelOpts, Variant,
     };
-    pub use dd_krylov::{cg, gmres, CgOpts, GmresOpts, Ortho, SeqDot, Side};
+    pub use dd_krylov::{try_cg, try_gmres, CgOpts, GmresOpts, Ortho, SeqDot, Side};
     pub use dd_linalg::{CooBuilder, CsrMatrix, DMat};
     pub use dd_mesh::Mesh;
     pub use dd_part::{partition_mesh, partition_mesh_rcb};

@@ -33,7 +33,7 @@ use dd_geneo::core::{
     CoarseSolve, Decomposition, GeneoOpts, Problem, SolverKind, SpmdOpts, TwoLevelOpts,
 };
 use dd_geneo::krylov::{
-    pipelined_gmres, try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult,
+    pipelined_gmres_panel, try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult,
 };
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
@@ -379,7 +379,9 @@ fn sequential_rows(rows: &mut BTreeMap<String, String>) {
         max_iters: 120,
         ..Default::default()
     };
-    let res = pipelined_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &opts, None, None).unwrap();
+    let res = pipelined_gmres_panel(&a, &IdentityPrecond, &SeqDot, &b, &x0, 1, &opts, None, None)
+        .unwrap()
+        .remove(0);
     rows.insert(
         "sequential/random_spd/pipelined".to_string(),
         sequential_row(&res).json(),

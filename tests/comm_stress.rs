@@ -83,11 +83,11 @@ fn deep_split_tree() {
     // Repeatedly halve the communicator; collectives at every level.
     let n = 16;
     let out = World::run_default(n, |comm| {
-        let mut current = comm.split(Some(0)).unwrap();
+        let mut current = comm.try_split(Some(0)).unwrap().unwrap();
         let mut sizes = vec![current.size()];
         while current.size() > 1 {
             let half = current.rank() / current.size().div_ceil(2);
-            let sub = current.split(Some(half)).unwrap();
+            let sub = current.try_split(Some(half)).unwrap().unwrap();
             let s = sub.allreduce_sum(1.0);
             assert_eq!(s as usize, sub.size());
             sizes.push(sub.size());

@@ -687,12 +687,12 @@ fn golden_trace_hand_written_program() {
         comm.barrier();
         let sum = comm.allreduce_sum(rank as f64);
         assert_eq!(sum, 6.0);
-        let all = comm.allgather(rank as u64);
+        let all = comm.try_allgather(rank as u64).unwrap();
         assert_eq!(all.len(), n);
-        let rooted = comm.gatherv(0, vec![1.0f64; rank + 1]);
+        let rooted = comm.try_gatherv(0, vec![1.0f64; rank + 1]).unwrap();
         assert_eq!(rooted.is_some(), rank == 0);
         comm.trace_phase("split");
-        let sub = comm.split(Some(rank % 2)).unwrap();
+        let sub = comm.try_split(Some(rank % 2)).unwrap().unwrap();
         sub.set_trace_label("evenOdd");
         let s = sub.allreduce_sum(1.0);
         assert_eq!(s, 2.0);

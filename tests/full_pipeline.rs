@@ -7,7 +7,7 @@ use dd_geneo::core::{
     decompose, problem::presets, try_run_spmd, two_level, GeneoOpts, RasPrecond, SolverKind,
     SpmdOpts, TwoLevelOpts, Variant,
 };
-use dd_geneo::krylov::{cg, gmres, CgOpts, GmresOpts, SeqDot};
+use dd_geneo::krylov::{try_cg, try_gmres, CgOpts, GmresOpts, SeqDot};
 use dd_geneo::linalg::vector;
 use dd_geneo::mesh::{refine::uniform_refine, Mesh};
 use dd_geneo::part::{partition_mesh_rcb, quality};
@@ -42,7 +42,7 @@ fn diffusion_2d_p2_pipeline() {
             ..Default::default()
         },
     );
-    let res = gmres(
+    let res = try_gmres(
         &d.a_global,
         &tl,
         &SeqDot,
@@ -53,7 +53,9 @@ fn diffusion_2d_p2_pipeline() {
             max_iters: 200,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .unwrap();
     assert!(res.converged, "residual {}", res.final_residual);
     let direct = direct_solution(&d);
     let rel = vector::dist2(&res.x, &direct) / vector::norm2(&direct);
@@ -77,7 +79,7 @@ fn elasticity_2d_p2_pipeline() {
             ..Default::default()
         },
     );
-    let res = gmres(
+    let res = try_gmres(
         &d.a_global,
         &tl,
         &SeqDot,
@@ -88,7 +90,9 @@ fn elasticity_2d_p2_pipeline() {
             max_iters: 300,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .unwrap();
     assert!(res.converged);
     let direct = direct_solution(&d);
     let rel = vector::dist2(&res.x, &direct) / vector::norm2(&direct);
@@ -104,7 +108,7 @@ fn diffusion_3d_pipeline() {
     let d = decompose(&mesh, &problem, &part, n_sub, 1);
     assert!(d.pou_defect() < 1e-12);
     let tl = two_level(&d, &TwoLevelOpts::default());
-    let res = gmres(
+    let res = try_gmres(
         &d.a_global,
         &tl,
         &SeqDot,
@@ -115,7 +119,9 @@ fn diffusion_3d_pipeline() {
             max_iters: 200,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .unwrap();
     assert!(res.converged);
     let direct = direct_solution(&d);
     let rel = vector::dist2(&res.x, &direct) / vector::norm2(&direct);
@@ -209,7 +215,7 @@ fn cg_with_two_level_preconditioner() {
             z[i] = r[i] / diag[i];
         }
     });
-    let res = cg(
+    let res = try_cg(
         &d.a_global,
         &jacobi,
         &SeqDot,
@@ -219,7 +225,9 @@ fn cg_with_two_level_preconditioner() {
             tol: 1e-10,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .unwrap();
     assert!(res.converged);
     let direct = direct_solution(&d);
     assert!(vector::dist2(&res.x, &direct) / vector::norm2(&direct) < 1e-6);
@@ -244,7 +252,7 @@ fn one_level_vs_two_level_iteration_gap_grows_with_n() {
         let d = decompose(&mesh, &problem, &part, n_sub, 1);
         let x0 = vec![0.0; d.n_global];
         let ras = RasPrecond::build(&d, Ordering::MinDegree);
-        let r1 = gmres(&d.a_global, &ras, &SeqDot, &d.rhs_global, &x0, &opts);
+        let r1 = try_gmres(&d.a_global, &ras, &SeqDot, &d.rhs_global, &x0, &opts, None).unwrap();
         let tl = two_level(
             &d,
             &TwoLevelOpts {
@@ -255,7 +263,7 @@ fn one_level_vs_two_level_iteration_gap_grows_with_n() {
                 ..Default::default()
             },
         );
-        let r2 = gmres(&d.a_global, &tl, &SeqDot, &d.rhs_global, &x0, &opts);
+        let r2 = try_gmres(&d.a_global, &tl, &SeqDot, &d.rhs_global, &x0, &opts, None).unwrap();
         assert!(r1.converged && r2.converged);
         one_counts.push(r1.iterations);
         two_counts.push(r2.iterations);
@@ -285,7 +293,7 @@ fn adef2_variant_end_to_end() {
             ..Default::default()
         },
     );
-    let res = gmres(
+    let res = try_gmres(
         &d.a_global,
         &tl,
         &SeqDot,
@@ -296,7 +304,9 @@ fn adef2_variant_end_to_end() {
             max_iters: 200,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .unwrap();
     assert!(res.converged);
     // Two coarse solves per application: count is even and ≥ 2·iterations.
     assert_eq!(tl.coarse_solve_count() % 2, 0);

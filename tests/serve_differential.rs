@@ -870,3 +870,29 @@ fn recycling_never_increases_total_iterations() {
         }
     }
 }
+
+/// A request whose right-hand side is shorter than the system is a typed
+/// protocol error on every rank, naming the apply's column and both
+/// lengths — not a slice panic in the restriction.
+#[test]
+fn a_short_request_is_a_typed_error_on_every_rank() {
+    let decomp = setup(8, 4);
+    let n = decomp.n_global;
+    let w = Workload::from_requests(vec![Request {
+        id: 0,
+        arrival: 0.0,
+        payload: Payload::Rhs(rhs_for(n - 1, 1)),
+    }]);
+    let results = run_serve(&decomp, 2, 0, &serve_opts(), FaultPlan::default(), &w);
+    assert_eq!(results.len(), 2);
+    for r in results {
+        match r.expect("a founder returns") {
+            Err(SpmdError::Protocol { what, .. }) => assert_eq!(
+                what,
+                format!("right-hand side 0 holds {} values, the system {n}", n - 1)
+            ),
+            Err(e) => panic!("not a protocol error: {e}"),
+            Ok(_) => panic!("a short right-hand side was answered"),
+        }
+    }
+}
