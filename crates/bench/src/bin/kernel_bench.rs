@@ -7,7 +7,8 @@
 //!   multifrontal [`dd_solver::SupernodalLdlt`] on RCM-ordered 3D FD Laplacians;
 //! * **LDLᵀ kernel choice** — factor and solve time of both kernels on one
 //!   subdomain of each benchmark workload and on the 3D Laplacians, beside
-//!   the flops per entry of `L` `LdltBackend::Auto` decides by and its pick;
+//!   the flops per entry of `L` `LdltBackend::Auto` decides by and its pick,
+//!   and on two of them the supernodal factorization's heap high-water mark;
 //! * **fill-reducing ordering** — [`Ordering::MinDegree`], the `SpmdOpts`
 //!   default, on the really-assembled subdomain Dirichlet matrices of the
 //!   `elasticity3d` and `diffusion2d_many` benchmark configurations, against
@@ -30,9 +31,10 @@
 //! Two output tiers, two gates:
 //!
 //! * `<out>/summaries/kernels.json` — machine-independent *exact* metrics
-//!   (allocation counts, structural sizes, correctness flags). Diffed by
-//!   `perf_gate` against `bench_results/baselines/kernels.json` at
-//!   tolerance 0.0, like every telemetry baseline.
+//!   (allocation counts, peak heap bytes, structural sizes, correctness
+//!   flags). Diffed by `perf_gate` against
+//!   `bench_results/baselines/kernels.json` at tolerance 0.0, like every
+//!   telemetry baseline.
 //! * `<out>/summaries/kernels_wall.json` — wall-clock ratios normalized
 //!   by an in-process calibration loop (dimensionless, roughly
 //!   runner-independent). `perf_gate` skips `*_wall.json`; this binary
@@ -62,7 +64,7 @@ use dd_krylov::{
 use dd_linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_mesh::Mesh;
 use dd_part::partition_mesh_rcb;
-use dd_solver::ldlt::etree_and_counts;
+use dd_solver::ldlt::etree_and_counts_ordered;
 use dd_solver::{flops_per_nnz, ordering, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -245,9 +247,13 @@ fn median_us<R>(k: usize, reps: usize, mut f: impl FnMut() -> R) -> f64 {
 /// matrix of each benchmark workload, on three small 3D Laplacians that
 /// fall between those in flops per entry of `L`, and on the 3D Laplacians
 /// of the rows above, beside that ratio and the kernel `Auto` picks (the
-/// variant it factors into). Exact tier: the ratio and the pick; wall
-/// tier: the microseconds (recorded, not gated).
+/// variant it factors into). Exact tier: the ratio, the pick and, on two
+/// rows, the supernodal factorization's peak heap bytes; wall tier: the
+/// microseconds (recorded, not gated).
 fn bench_ldlt_auto(rep: &mut Report) {
+    // Exact tier: the heap high-water mark of one supernodal factorization,
+    // the factor it returns included, on these rows.
+    const PEAK_BYTES_ROWS: [&str; 2] = ["elast3d", "ldlt3d16"];
     let subdomain = |mesh: Mesh, problem, nparts: usize| -> CsrMatrix {
         let part = partition_mesh_rcb(&mesh, nparts);
         let d = decompose(&mesh, &problem, &part, nparts, 1);
@@ -283,7 +289,7 @@ fn bench_ldlt_auto(rep: &mut Report) {
     ];
     for (key, a) in &cases {
         let order = ordering::fill_reducing(a, Ordering::MinDegree);
-        let (_, lnz) = etree_and_counts(&a.permute_sym(&order));
+        let (_, lnz) = etree_and_counts_ordered(a, &order);
         let ratio = flops_per_nnz(&lnz);
         let pick =
             match LocalLdlt::factor_ordered(a, &order, PivotPolicy::Reject, LdltBackend::Auto) {
@@ -297,7 +303,11 @@ fn bench_ldlt_auto(rep: &mut Report) {
             // Big matrices take seconds to factor: fewer repetitions.
             let reps = if a.rows() > 2_000 { 1 } else { 20 };
             let t_factor = median_us(7, reps, || factor().unwrap());
-            let f = factor().unwrap();
+            let (peak, f) = alloc_count::peak_bytes(|| factor().unwrap());
+            if backend == LdltBackend::Supernodal && PEAK_BYTES_ROWS.contains(key) {
+                rep.exact
+                    .insert(&format!("ldlt/supernodal/{key}/peak_bytes"), peak as f64);
+            }
             let (mut x, mut work) = (b.clone(), Vec::new());
             let t_solve = median_us(7, 200, || {
                 x.copy_from_slice(&b);

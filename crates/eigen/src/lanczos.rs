@@ -188,13 +188,20 @@ pub fn smallest_generalized(
     if !(sigma < 0.0 && sigma.is_finite()) {
         return Err(EigenError::BadShift { shift: sigma });
     }
-    // K = A − σB, SPD under the stated assumptions.
-    let k_mat = a.add_scaled(-sigma, b);
-    let pencil = ShiftInvert {
+    // K = A − σB, SPD under the stated assumptions; only its factor is
+    // kept.
+    let k = LocalLdlt::factor_ordered(
+        &a.add_scaled(-sigma, b),
+        order,
+        PivotPolicy::Reject,
+        backend,
+    )
+    .map_err(EigenError::ShiftFactorization)?;
+    let mut pencil = ShiftInvert {
         a,
         b,
-        k: LocalLdlt::factor_ordered(&k_mat, order, PivotPolicy::Reject, backend)
-            .map_err(EigenError::ShiftFactorization)?,
+        k,
+        z: Vec::new(),
         sigma,
         norm_a,
         tol: opts.tol,
@@ -274,6 +281,8 @@ struct ShiftInvert<'a> {
     b: &'a CsrMatrix,
     /// `A − σB`, factored.
     k: LocalLdlt,
+    /// The work vector of every solve with `k`.
+    z: Vec<f64>,
     sigma: f64,
     norm_a: f64,
     tol: f64,
@@ -287,14 +296,14 @@ impl ShiftInvert<'_> {
     /// until those are confirmed. `None` when the start vector has nothing
     /// outside the locked span.
     fn run(
-        &self,
+        &mut self,
         locked: &[RitzPair],
         cut: f64,
         nev: usize,
         m_max: usize,
         seed: u64,
     ) -> Result<Option<Run>, EigenError> {
-        let (b, k) = (self.b, &self.k);
+        let b = self.b;
         let n = b.rows();
         // Starting vector: w = K⁻¹ B r₀ purges components outside
         // range(K⁻¹B), the standard ARPACK mode-3 trick for semidefinite B.
@@ -302,7 +311,7 @@ impl ShiftInvert<'_> {
         let mut w = vec![0.0; n];
         xorshift_fill(seed, &mut t);
         b.spmv(&t, &mut w);
-        k.solve_in_place(&mut w);
+        self.k.solve_in_place_with(&mut w, &mut self.z);
         b.spmv(&w, &mut t);
         let unlocked = vector::dot(&w, &t).max(0.0).sqrt();
         b_orthogonalize(&mut w, spans(locked));
@@ -331,7 +340,7 @@ impl ShiftInvert<'_> {
             // locked pairs and against Q.
             let m = q.len();
             w = bq[m - 1].clone();
-            k.solve_in_place(&mut w);
+            self.k.solve_in_place_with(&mut w, &mut self.z);
             // α_j = ⟨w, q_j⟩_B = wᵀ (B q_j)
             let aj = vector::dot(&w, &bq[m - 1]);
             alpha.push(aj);
@@ -376,7 +385,7 @@ impl ShiftInvert<'_> {
     /// Form the Ritz pair with the `p`-th largest `θ` from the basis `q`,
     /// purify and `B`-normalize its vector, and return it if its true pencil
     /// residual meets the tolerance.
-    fn ritz_pair(&self, q: &[Vec<f64>], theta: &[f64], s: &DMat, p: usize) -> Option<RitzPair> {
+    fn ritz_pair(&mut self, q: &[Vec<f64>], theta: &[f64], s: &DMat, p: usize) -> Option<RitzPair> {
         let (a, b) = (self.a, self.b);
         let n = a.rows();
         let col = theta.len() - 1 - p; // θ ascending → take from the back
@@ -397,7 +406,7 @@ impl ShiftInvert<'_> {
         let mut bx = vec![0.0; n];
         b.spmv(&x, &mut bx);
         x.copy_from_slice(&bx);
-        self.k.solve_in_place(&mut x);
+        self.k.solve_in_place_with(&mut x, &mut self.z);
         b.spmv(&x, &mut bx);
         let bnorm = vector::dot(&x, &bx).max(0.0).sqrt();
         if bnorm <= 1e-150 {

@@ -4,13 +4,28 @@
 //! trailing-matrix updates of the form `C ← C − A·Bᵀ` where `A` and `B` are
 //! tall panel slices of a frontal matrix. A naive triple loop leaves most of
 //! the memory traffic uncached; this module provides a register-blocked
-//! 4×4 micro-kernel (the same shape vendor BLAS use at the innermost level)
-//! so the hot loop keeps sixteen accumulators live in registers and streams
-//! the panels once per tile.
+//! 8×2 micro-kernel, sized for the sixteen 128-bit registers of the
+//! baseline x86-64 target: its sixteen accumulators take eight of them, so
+//! the hot loop keeps them live without spilling. `B` is packed per column
+//! pair before the `A` panel streams past it, so the kernel reads both
+//! operands contiguously — `B` arrives as rows of a column-major panel,
+//! `ldb` apart.
+//!
+//! Every entry of `C` is `c −= Σ_p a_ip·b_jp`, the sum taken in order of
+//! `p` from zero, whether a full tile or the scalar cleanup computes it:
+//! the result does not depend on how `C` is cut into calls or tiles.
 //!
 //! Everything is safe Rust: the kernel converts each panel column slice to a
-//! fixed-size `&[f64; 4]` once per `k`-step, which lets the compiler elide
+//! fixed-size `&[f64; 8]` once per `k`-step, which lets the compiler elide
 //! per-element bounds checks inside the unrolled body.
+
+/// Rows of a register tile.
+const MR: usize = 8;
+/// Columns of a register tile.
+const NR: usize = 2;
+/// Depth up to which a column pair of `B` is packed, on the stack (the
+/// supernodal panels are 32 deep); deeper products take the scalar path.
+const KC: usize = 64;
 
 /// `C ← C − A·Bᵀ` on column-major storage.
 ///
@@ -44,15 +59,23 @@ pub fn gemm_nt_minus(
     assert!(b.len() >= (k - 1) * ldb + n, "gemm_nt_minus: b too short");
     assert!(c.len() >= (n - 1) * ldc + m, "gemm_nt_minus: c too short");
 
-    const MR: usize = 8;
-    const NR: usize = 4;
+    if k > KC {
+        edge(0, m, 0, n, k, a, lda, b, ldb, c, ldc);
+        return;
+    }
+    let mut packed = [0.0f64; NR * KC];
+    let packed = &mut packed[..NR * k];
     let m_main = m - m % MR;
     let n_main = n - n % NR;
     let mut j = 0;
     while j < n_main {
+        // B[j..j + NR, :] as k consecutive pairs.
+        for (p, pair) in packed.chunks_exact_mut(NR).enumerate() {
+            pair.copy_from_slice(&b[j + p * ldb..j + p * ldb + NR]);
+        }
         let mut i = 0;
         while i < m_main {
-            kernel_8x4(k, &a[i..], lda, &b[j..], ldb, &mut c[i + j * ldc..], ldc);
+            kernel_8x2(&a[i..], lda, packed, &mut c[i + j * ldc..], ldc);
             i += MR;
         }
         if i < m {
@@ -65,18 +88,18 @@ pub fn gemm_nt_minus(
     }
 }
 
-/// 8×4 register-blocked inner kernel: `C[0..8, 0..4] -= A[0..8, :]·B[0..4, :]ᵀ`.
+/// 8×2 register-blocked inner kernel: `C[0..8, 0..2] -= A[0..8, :]·B[0..2, :]ᵀ`
+/// with `B` packed (`packed[2p + j] = B[j, p]`, `k = packed.len() / 2`).
 ///
-/// The accumulators are four `[f64; 8]` arrays updated lane-wise with a
+/// The accumulators are two `[f64; 8]` arrays updated lane-wise with a
 /// broadcast multiplier — the shape LLVM auto-vectorizes into packed
 /// mul/add over the contiguous row dimension.
 // dd:hot
 #[inline]
-fn kernel_8x4(k: usize, a: &[f64], lda: usize, b: &[f64], ldb: usize, c: &mut [f64], ldc: usize) {
-    let mut acc = [[0.0f64; 8]; 4];
-    for p in 0..k {
-        let ap: &[f64; 8] = a[p * lda..p * lda + 8].try_into().unwrap();
-        let bp: &[f64; 4] = b[p * ldb..p * ldb + 4].try_into().unwrap();
+fn kernel_8x2(a: &[f64], lda: usize, packed: &[f64], c: &mut [f64], ldc: usize) {
+    let mut acc = [[0.0f64; MR]; NR];
+    for (p, bp) in packed.chunks_exact(NR).enumerate() {
+        let ap: &[f64; MR] = a[p * lda..p * lda + MR].try_into().unwrap();
         for (accj, &bj) in acc.iter_mut().zip(bp) {
             for (s, &ai) in accj.iter_mut().zip(ap) {
                 *s += ai * bj;
@@ -84,7 +107,7 @@ fn kernel_8x4(k: usize, a: &[f64], lda: usize, b: &[f64], ldb: usize, c: &mut [f
         }
     }
     for (j, accj) in acc.iter().enumerate() {
-        let cj = &mut c[j * ldc..j * ldc + 8];
+        let cj = &mut c[j * ldc..j * ldc + MR];
         for (ci, &s) in cj.iter_mut().zip(accj) {
             *ci -= s;
         }
@@ -169,6 +192,9 @@ mod tests {
             (4, 13, 2),
             (16, 17, 18),
             (3, 3, 0),
+            (8, 2, 64),
+            (17, 5, 65),
+            (24, 7, 130),
         ] {
             let (lda, ldb, ldc) = (m + 2, n + 1, m + 3);
             let a = fill(lda * k.max(1), 1 + m as u64);
@@ -178,11 +204,43 @@ mod tests {
             let mut c_ref = c0.clone();
             gemm_nt_minus(m, n, k, &a, lda, &b, ldb, &mut c_fast, ldc);
             reference(m, n, k, &a, lda, &b, ldb, &mut c_ref, ldc);
+            // The same sum in the same order per entry: equal to the bit.
             for (x, y) in c_fast.iter().zip(&c_ref) {
-                assert!(
-                    (x - y).abs() <= 1e-12 * y.abs().max(1.0),
-                    "m={m} n={n} k={k}"
-                );
+                assert_eq!(x.to_bits(), y.to_bits(), "m={m} n={n} k={k}");
+            }
+        }
+    }
+
+    /// Cutting `C` into column strips and row offsets — as the supernodal
+    /// factorization does at a panel's edge — changes no bit of it.
+    #[test]
+    fn any_cut_of_c_gives_the_same_bits() {
+        let (m, n, k, ld) = (37, 23, 32, 40);
+        let a = fill(ld * k, 11);
+        let b = fill(ld * k, 12);
+        let c0 = fill(ld * n, 13);
+        let mut whole = c0.clone();
+        gemm_nt_minus(m, n, k, &a, ld, &b, ld, &mut whole, ld);
+        for cut in [1usize, 3, 8, 9, 22] {
+            let mut split = c0.clone();
+            gemm_nt_minus(m, cut, k, &a, ld, &b, ld, &mut split, ld);
+            // The right part from row `cut` down only (its lower triangle).
+            gemm_nt_minus(
+                m - cut,
+                n - cut,
+                k,
+                &a[cut..],
+                ld,
+                &b[cut..],
+                ld,
+                &mut split[cut * ld + cut..],
+                ld,
+            );
+            for j in 0..n {
+                for i in j.min(cut)..m {
+                    let at = i + j * ld;
+                    assert_eq!(whole[at].to_bits(), split[at].to_bits(), "cut {cut}");
+                }
             }
         }
     }

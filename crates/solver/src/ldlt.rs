@@ -77,14 +77,40 @@ impl std::error::Error for LdltError {}
 ///
 /// Exposed publicly so orderings can be evaluated symbolically.
 pub fn etree_and_counts(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>) {
+    etree_walk(a.rows(), |k| a.row(k).map(|(i, _)| i))
+}
+
+/// [`etree_and_counts`] of `A(perm, perm)`, read straight from `a` through
+/// the inverse order: no permuted copy is formed, and the result is the
+/// same as that of `etree_and_counts(&a.permute_sym(perm))`.
+pub fn etree_and_counts_ordered(a: &CsrMatrix, perm: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let iperm = inverse(perm);
+    etree_walk(a.rows(), |k| a.row(perm[k]).map(|(i, _)| iperm[i]))
+}
+
+/// `iperm[perm[k]] = k`.
+pub(crate) fn inverse(perm: &[usize]) -> Vec<usize> {
+    let mut iperm = vec![0usize; perm.len()];
+    for (k, &p) in perm.iter().enumerate() {
+        iperm[p] = k;
+    }
+    iperm
+}
+
+/// The elimination-tree walk over the column indices of each row `k`
+/// (`row(k)`, any order): the tree and the counts do not depend on the
+/// order in which a row's entries are visited.
+fn etree_walk<I: Iterator<Item = usize>>(
+    n: usize,
+    row: impl Fn(usize) -> I,
+) -> (Vec<usize>, Vec<usize>) {
     const NONE: usize = usize::MAX;
-    let n = a.rows();
     let mut parent = vec![NONE; n];
     let mut flag = vec![NONE; n];
     let mut lnz = vec![0usize; n];
     for k in 0..n {
         flag[k] = k;
-        for (i, _) in a.row(k) {
+        for i in row(k) {
             if i >= k {
                 continue;
             }
@@ -546,7 +572,7 @@ pub(crate) fn check_panel(len: usize, n: usize, ld: usize, k: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dd_linalg::{vector, CooBuilder};
 
@@ -590,6 +616,47 @@ mod tests {
         check_solve(&a, Ordering::Natural);
         check_solve(&a, Ordering::Rcm);
         check_solve(&a, Ordering::MinDegree);
+    }
+
+    /// A scrambled order of `0..n` from a splitmix64 stream.
+    pub(crate) fn scrambled(seed: u64, n: usize) -> Vec<usize> {
+        let mut state = seed;
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            perm.swap(i, (z % (i as u64 + 1)) as usize);
+        }
+        perm
+    }
+
+    #[test]
+    fn ordered_symbolic_is_that_of_the_permuted_copy() {
+        let mut cases = vec![laplacian_2d(9, 7), laplacian_2d(1, 1)];
+        for seed in 0..8u64 {
+            let n = 20 + 31 * seed as usize;
+            cases.push(crate::supernodal::tests::random_pattern(
+                seed,
+                n,
+                1 + seed as usize % 4,
+            ));
+        }
+        for (c, a) in cases.iter().enumerate() {
+            let n = a.rows();
+            let orders = [
+                ordering::fill_reducing(a, Ordering::Natural),
+                ordering::fill_reducing(a, Ordering::Rcm),
+                ordering::fill_reducing(a, Ordering::MinDegree),
+                scrambled(c as u64, n),
+            ];
+            for perm in &orders {
+                assert_eq!(
+                    etree_and_counts_ordered(a, perm),
+                    etree_and_counts(&a.permute_sym(perm)),
+                    "case {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! tests pin the two against each other (same pivoting, different but
 //! equally valid summation order).
 
-use crate::ldlt::{etree_and_counts, permuted, LdltError, Ordering, PivotPolicy, SparseLdlt};
+use crate::ldlt::{
+    etree_and_counts_ordered, permuted, LdltError, Ordering, PivotPolicy, SparseLdlt,
+};
 use crate::ordering;
 use crate::supernodal::SupernodalLdlt;
 use dd_linalg::{CsrMatrix, DMat};
@@ -50,7 +52,7 @@ const SUPERNODAL_FLOPS_PER_NNZ: f64 = 80.0;
 impl LdltBackend {
     /// The kernel this choice factors a matrix with, given the column
     /// counts of its factor under the elimination order (strict lower
-    /// part, as [`etree_and_counts`] returns them).
+    /// part, as [`etree_and_counts_ordered`] returns them).
     fn resolve(self, lnz: &[usize]) -> LdltBackend {
         match self {
             LdltBackend::Auto if flops_per_nnz(lnz) >= SUPERNODAL_FLOPS_PER_NNZ => {
@@ -110,18 +112,21 @@ impl LocalLdlt {
             a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
             "ldlt: input must be symmetric"
         );
-        // The symbolic analysis both kernels start from, done once.
-        let pa = permuted(a, perm);
-        let (parent, lnz) = etree_and_counts(&pa);
+        // The symbolic analysis both kernels start from, done once and
+        // without a permuted copy of `a`.
+        let (parent, lnz) = etree_and_counts_ordered(a, perm);
         match backend.resolve(&lnz) {
+            // The supernodal kernel reads `a` in place through the order.
             LdltBackend::Supernodal => {
-                // The supernodal kernel permutes again (postorder): free
-                // this copy before its fronts are allocated.
-                drop(pa);
-                SupernodalLdlt::factor_from_tree(a, perm, &parent, pivot).map(LocalLdlt::Supernodal)
+                SupernodalLdlt::factor_analysed(a, perm, &parent, &lnz, pivot)
+                    .map(LocalLdlt::Supernodal)
             }
-            _ => SparseLdlt::factor_analysed(&pa, perm.to_vec(), &parent, &lnz, pivot)
-                .map(LocalLdlt::Scalar),
+            // The up-looking kernel reads rows of `A(perm, perm)`: it
+            // factors one permuted copy.
+            _ => {
+                SparseLdlt::factor_analysed(&permuted(a, perm), perm.to_vec(), &parent, &lnz, pivot)
+                    .map(LocalLdlt::Scalar)
+            }
         }
     }
 

@@ -12,7 +12,10 @@
 //!
 //! The algorithm is the classic multifrontal method:
 //!
-//! 1. elimination tree + column counts ([`crate::ldlt::etree_and_counts`]);
+//! 1. elimination tree + column counts of `A(perm, perm)`, read from `A`
+//!    through the inverse order
+//!    ([`crate::ldlt::etree_and_counts_ordered`]), then relabeled by the
+//!    tree's postorder — `A` itself is never permuted or copied;
 //! 2. fundamental supernodes (`parent[j-1] = j` and
 //!    `lnz[j-1] = lnz[j] + 1`), then *relaxed amalgamation*: a supernode is
 //!    merged into a column-contiguous parent when the explicit zeros this
@@ -20,19 +23,22 @@
 //!    what turns band-like patterns (where fundamental supernodes have
 //!    width 1) into wide panels;
 //! 3. per-supernode frontal assembly: original matrix entries plus the
-//!    *extend-add* of the children's Schur complements via relative
-//!    indices;
-//! 4. blocked partial LDLᵀ of the first `w` front columns (unblocked panel
-//!    factor + tiled trailing update), with the same MUMPS-style static
-//!    pivot boosting as the scalar path.
+//!    *extend-add* of the children's update matrices via relative indices.
+//!    A front's `w` fully summed columns are assembled in place in the
+//!    factor's own panel; its update block in one reused square buffer,
+//!    parked afterwards as a packed lower triangle on a stack (postorder
+//!    puts a front's children on top of it, in order);
+//! 4. blocked partial LDLᵀ of the panel (unblocked panel factor + tiled
+//!    trailing update, whose strips are split at the panel's edge), with
+//!    the same MUMPS-style static pivot boosting as the scalar path.
 //!
 //! The scalar [`crate::SparseLdlt`] stays the differential oracle: both
 //! factorizations are pinned against each other to 1e-12 in
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
 
 use crate::ldlt::{
-    check_panel, etree_and_counts, panel_blocks, permuted, row, row_mut, LdltError, Ordering,
-    PivotPolicy,
+    check_panel, etree_and_counts_ordered, inverse, panel_blocks, row, row_mut, LdltError,
+    Ordering, PivotPolicy,
 };
 use crate::ordering;
 use dd_linalg::smallgemm::gemm_nt_minus;
@@ -67,8 +73,8 @@ pub struct SupernodalLdlt {
     /// The largest row count of any supernode (the solve's gather buffer).
     max_rows: usize,
     /// Dense panels: supernode `s` stores its `nr × w` slice of `L`
-    /// column-major at `panels[panel_ptr[s]..]` (unit diagonal implicit,
-    /// zeros above it).
+    /// column-major at `panels[panel_ptr[s]..]` (unit diagonal implicit;
+    /// zeros on and above it).
     panel_ptr: Vec<usize>,
     panels: Vec<f64>,
     d: Vec<f64>,
@@ -107,88 +113,97 @@ impl SupernodalLdlt {
             a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
             "supernodal ldlt: input must be symmetric"
         );
-        // Postorder the elimination tree: subtrees become column-contiguous,
-        // which is what lets the chain amalgamation below form wide panels
-        // on scattered orderings like minimum degree. Pattern-wise this is a
-        // pure relabeling (the etree is isomorphic under postorder). The
-        // copy under `perm` is only needed for the tree, and is gone before
-        // the numeric phase allocates its fronts.
-        let (parent, _) = etree_and_counts(&permuted(a, perm));
-        Self::factor_from_tree(a, perm, &parent, policy)
+        let (parent, lnz) = etree_and_counts_ordered(a, perm);
+        Self::factor_analysed(a, perm, &parent, &lnz, policy)
     }
 
-    /// [`SupernodalLdlt::factor_ordered`] with the elimination tree of
-    /// `A(perm, perm)` already computed by the caller.
-    pub(crate) fn factor_from_tree(
+    /// [`SupernodalLdlt::factor_ordered`] with the elimination tree and
+    /// column counts of `A(perm, perm)` ([`etree_and_counts_ordered`])
+    /// already computed by the caller. `A` is read in place through the
+    /// inverse of the final order: no permuted copy is formed.
+    pub(crate) fn factor_analysed(
         a: &CsrMatrix,
         perm: &[usize],
         parent: &[usize],
+        lnz: &[usize],
         policy: PivotPolicy,
     ) -> Result<Self, LdltError> {
-        let full: Vec<usize> = etree_postorder(parent).iter().map(|&p| perm[p]).collect();
-        Self::factor_permuted(&permuted(a, &full), full, policy)
-    }
-
-    fn factor_permuted(
-        pa: &CsrMatrix,
-        perm: Vec<usize>,
-        policy: PivotPolicy,
-    ) -> Result<Self, LdltError> {
-        let n = pa.rows();
-        let (parent, lnz) = etree_and_counts(pa);
+        let n = a.rows();
+        // Postorder the elimination tree: subtrees become column-contiguous,
+        // which is what lets the chain amalgamation below form wide panels
+        // on scattered orderings like minimum degree, and what lets the
+        // update matrices live on one stack. A postorder is an equivalent
+        // order, so the tree and the column counts of the postordered matrix
+        // are those of `A(perm, perm)` relabeled, not computed again.
+        let (parent, lnz, perm) = {
+            let post = etree_postorder(parent);
+            let ipost = inverse(&post);
+            let relabeled: Vec<usize> = post
+                .iter()
+                .map(|&j| match parent[j] {
+                    NONE => NONE,
+                    p => ipost[p],
+                })
+                .collect();
+            let lnz: Vec<usize> = post.iter().map(|&j| lnz[j]).collect();
+            let perm: Vec<usize> = post.iter().map(|&j| perm[j]).collect();
+            (relabeled, lnz, perm)
+        };
+        // Row `j` of the postordered matrix is row `perm[j]` of `A`, its
+        // columns relabeled by `iperm`.
+        let iperm = inverse(&perm);
         let sn_col = partition_supernodes(&parent, &lnz);
         let nsup = sn_col.len() - 1;
 
-        // Supernode of each column, and the supernodal parent (the
-        // supernode containing `parent[last column]`).
-        let mut sn_of = vec![0u32; n];
-        for s in 0..nsup {
-            for j in sn_col[s]..sn_col[s + 1] {
-                sn_of[j] = s as u32;
+        // The supernodal parent of each supernode: the supernode containing
+        // `parent[last column]`.
+        let sn_parent: Vec<usize> = {
+            let mut sn_of = vec![0u32; n];
+            for s in 0..nsup {
+                sn_of[sn_col[s]..sn_col[s + 1]].fill(s as u32);
             }
-        }
-        let sn_parent: Vec<usize> = (0..nsup)
-            .map(|s| {
-                let last = sn_col[s + 1] - 1;
-                if parent[last] == NONE {
-                    NONE
-                } else {
-                    sn_of[parent[last]] as usize
-                }
-            })
-            .collect();
-
-        // Children lists in ascending child order.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-        for s in 0..nsup {
-            if sn_parent[s] != NONE {
-                children[sn_parent[s]].push(s);
-            }
-        }
+            (0..nsup)
+                .map(|s| match parent[sn_col[s + 1] - 1] {
+                    NONE => NONE,
+                    p => sn_of[p] as usize,
+                })
+                .collect()
+        };
 
         // Row structure per supernode: own columns, then the union of the
         // children's below-sets and the original entries below the last
-        // column.
+        // column. The supernodes are postordered too, so a supernode's
+        // children are the ones on top of a stack of finished supernodes
+        // that still wait for their parent.
+        // The same walk sizes the numeric phase's workspace: the largest
+        // update block, and the most that the stack of parked blocks,
+        // `nu (nu + 1) / 2` values each, ever holds.
+        let packed = |nu: usize| nu * (nu + 1) / 2;
         let mut rows_ptr = vec![0usize; nsup + 1];
         let mut rows: Vec<u32> = Vec::new();
         let mut mark = vec![u32::MAX; n];
+        let (mut max_nu, mut stack_peak) = (0usize, 0usize);
         {
-            let mut below_of: Vec<(usize, usize)> = vec![(0, 0); nsup]; // range into `rows`
+            let mut waiting: Vec<usize> = Vec::new();
+            let mut stacked = 0usize;
             let mut scratch: Vec<u32> = Vec::new();
             for s in 0..nsup {
                 let (first, last) = (sn_col[s], sn_col[s + 1] - 1);
                 scratch.clear();
                 for j in first..=last {
-                    for (i, _) in pa.row(j) {
+                    for (i, _) in a.row(perm[j]) {
+                        let i = iperm[i];
                         if i > last && mark[i] != s as u32 {
                             mark[i] = s as u32;
                             scratch.push(i as u32);
                         }
                     }
                 }
-                for &c in &children[s] {
-                    let (bs, be) = below_of[c];
-                    for &gi in &rows[bs..be] {
+                let kids = children_on_top(&waiting, &sn_parent, s);
+                for &c in &waiting[kids..] {
+                    let below = rows_ptr[c] + sn_col[c + 1] - sn_col[c]..rows_ptr[c + 1];
+                    stacked -= packed(below.len());
+                    for &gi in &rows[below] {
                         let i = gi as usize;
                         if i > last && mark[i] != s as u32 {
                             mark[i] = s as u32;
@@ -196,16 +211,24 @@ impl SupernodalLdlt {
                         }
                     }
                 }
+                waiting.truncate(kids);
+                waiting.push(s);
+                max_nu = max_nu.max(scratch.len());
+                stacked += packed(scratch.len());
+                stack_peak = stack_peak.max(stacked);
                 scratch.sort_unstable();
                 rows.extend((first..=last).map(|j| j as u32));
-                let below_start = rows.len();
                 rows.extend_from_slice(&scratch);
-                below_of[s] = (below_start, rows.len());
                 rows_ptr[s + 1] = rows.len();
             }
         }
+        // The rows of `s` below its own columns: its update block's.
+        let below = |s: usize| &rows[rows_ptr[s] + sn_col[s + 1] - sn_col[s]..rows_ptr[s + 1]];
 
-        // Numeric phase: multifrontal with per-supernode pending updates.
+        // Numeric phase: multifrontal. The fully summed columns of a front
+        // are its panel, assembled and factored in place; its update block
+        // is formed in one reused square buffer and parked, as a packed
+        // lower triangle, on a stack until its parent's front is assembled.
         let mut panel_ptr = vec![0usize; nsup + 1];
         for s in 0..nsup {
             let nr = rows_ptr[s + 1] - rows_ptr[s];
@@ -214,62 +237,86 @@ impl SupernodalLdlt {
         }
         let mut panels = vec![0.0f64; panel_ptr[nsup]];
         let mut d = vec![0.0f64; n];
-        let scale = pa.norm_inf().max(1.0);
+        // A pivot is null relative to `‖A(perm, perm)‖∞`. The row sums of
+        // `A` in its own order round within a few ulps of it, so they settle
+        // every clear case; the norm in the permuted order is summed only
+        // once a pivot comes near the threshold.
         let null_tol = match policy {
             PivotPolicy::Reject => 1e-300,
             PivotPolicy::Boost { rel_tol } => rel_tol,
         };
+        let near_null = |dj: f64, scale: f64| dj.abs() <= null_tol * scale || !dj.is_finite();
+        let rough_scale = a.norm_inf().max(1.0) * (1.0 + 1e-6);
+        let mut scale = None;
         let mut boosted_cols: Vec<u32> = Vec::new();
 
-        let mut front: Vec<f64> = Vec::new();
+        let mut update = vec![0.0f64; max_nu * max_nu];
         let mut ld: Vec<f64> = Vec::new();
         let mut relmap = vec![0usize; n];
-        // Children Schur complements waiting for their parent's front:
-        // (row indices, dense lower nu×nu column-major).
-        let mut pending: Vec<Vec<(Vec<u32>, Vec<f64>)>> = vec![Vec::new(); nsup];
+        // Supernodes whose update matrix waits for their parent's front,
+        // and those matrices, packed lower triangles one after the other.
+        let mut parked: Vec<usize> = Vec::new();
+        let mut stack: Vec<f64> = Vec::with_capacity(stack_peak);
 
         for s in 0..nsup {
             let (first, last) = (sn_col[s], sn_col[s + 1] - 1);
             let w = last - first + 1;
             let srows = &rows[rows_ptr[s]..rows_ptr[s + 1]];
             let nr = srows.len();
+            let nu = nr - w;
             for (li, &gi) in srows.iter().enumerate() {
                 relmap[gi as usize] = li;
                 mark[gi as usize] = s as u32;
             }
-            // The front buffer is reused across supernodes; only its lower
-            // triangle is ever read (the factor tolerates garbage above the
-            // diagonal), so only that region needs zeroing.
-            if front.len() < nr * nr {
-                front.resize(nr * nr, 0.0);
-            }
-            for j in 0..nr {
-                front[j * nr + j..(j + 1) * nr].fill(0.0);
+            // The front is the panel's `nr × w` (zeroed at allocation) beside
+            // the `nu × nu` update block. The update buffer is reused across
+            // supernodes; only its lower triangle is ever read, so only
+            // that region needs zeroing.
+            let panel = &mut panels[panel_ptr[s]..panel_ptr[s + 1]];
+            for j in 0..nu {
+                update[j * nu + j..(j + 1) * nu].fill(0.0);
             }
 
             // Assemble original entries (lower triangle).
             for (jc, j) in (first..=last).enumerate() {
-                for (i, v) in pa.row(j) {
+                for (i, v) in a.row(perm[j]) {
+                    let i = iperm[i];
                     if i >= j {
                         debug_assert_eq!(mark[i], s as u32, "front misses A row");
-                        front[relmap[i] + jc * nr] += v;
+                        panel[relmap[i] + jc * nr] += v;
                     }
                 }
             }
-            // Extend-add the children's Schur complements.
-            for (crows, cu) in pending[s].drain(..) {
-                let nu = crows.len();
+            // Extend-add the children's update matrices, ascending: they are
+            // the top of the stack, in that order.
+            let kids = children_on_top(&parked, &sn_parent, s);
+            let base = stack.len()
+                - parked[kids..]
+                    .iter()
+                    .map(|&c| packed(below(c).len()))
+                    .sum::<usize>();
+            let mut cu = &stack[base..];
+            for &c in &parked[kids..] {
+                let crows = below(c);
                 for (cj, &gj) in crows.iter().enumerate() {
                     debug_assert_eq!(mark[gj as usize], s as u32, "front misses child row");
                     let lj = relmap[gj as usize];
-                    let fcol = &mut front[lj * nr..(lj + 1) * nr];
-                    for ci in cj..nu {
-                        fcol[relmap[crows[ci] as usize]] += cu[ci + cj * nu];
+                    let (col, off) = if lj < w {
+                        (&mut panel[lj * nr..(lj + 1) * nr], 0)
+                    } else {
+                        (&mut update[(lj - w) * nu..(lj - w + 1) * nu], w)
+                    };
+                    let (ccol, rest) = cu.split_at(crows.len() - cj);
+                    for (&gi, &v) in crows[cj..].iter().zip(ccol) {
+                        col[relmap[gi as usize] - off] += v;
                     }
+                    cu = rest;
                 }
             }
+            stack.truncate(base);
+            parked.truncate(kids);
 
-            // Blocked partial LDLᵀ of the first `w` columns.
+            // Blocked partial LDLᵀ of the panel.
             let mut jb = 0usize;
             while jb < w {
                 let wb = NB.min(w - jb);
@@ -278,9 +325,9 @@ impl SupernodalLdlt {
                 for jc in jb..jb + wb {
                     let gj = first + jc;
                     for p in jb..jc {
-                        let coef = front[jc + p * nr] * d[first + p];
+                        let coef = panel[jc + p * nr] * d[first + p];
                         if coef != 0.0 {
-                            let (pcol, rest) = front.split_at_mut((p + 1) * nr);
+                            let (pcol, rest) = panel.split_at_mut((p + 1) * nr);
                             let pcol = &pcol[p * nr..];
                             let jcol = &mut rest[(jc - p - 1) * nr..(jc - p) * nr];
                             for i in jc..nr {
@@ -288,29 +335,37 @@ impl SupernodalLdlt {
                             }
                         }
                     }
-                    let mut dj = front[jc + jc * nr];
-                    if dj.abs() <= null_tol * scale || !dj.is_finite() {
-                        match policy {
-                            PivotPolicy::Reject => {
-                                return Err(LdltError::ZeroPivot {
-                                    step: gj,
-                                    pivot: dj,
-                                });
-                            }
-                            PivotPolicy::Boost { .. } => {
-                                dj = scale / f64::EPSILON;
-                                boosted_cols.push(gj as u32);
+                    let mut dj = panel[jc + jc * nr];
+                    if near_null(dj, rough_scale) {
+                        let scale = *scale
+                            .get_or_insert_with(|| norm_inf_ordered(a, &perm, &iperm).max(1.0));
+                        if near_null(dj, scale) {
+                            match policy {
+                                PivotPolicy::Reject => {
+                                    return Err(LdltError::ZeroPivot {
+                                        step: gj,
+                                        pivot: dj,
+                                    });
+                                }
+                                PivotPolicy::Boost { .. } => {
+                                    dj = scale / f64::EPSILON;
+                                    boosted_cols.push(gj as u32);
+                                }
                             }
                         }
                     }
                     d[gj] = dj;
                     let inv = 1.0 / dj;
                     for i in jc + 1..nr {
-                        front[i + jc * nr] *= inv;
+                        panel[i + jc * nr] *= inv;
                     }
                 }
-                // Tiled trailing update `C ← C − (L·D)·Lᵀ` for everything
-                // below/right of the panel.
+                // Tiled trailing update `C ← C − (L·D)·Lᵀ` of every front
+                // column right of the block, in strips of `TS` columns. A
+                // strip that straddles the panel's edge `w` is split there:
+                // its columns left of `w` are panel columns, the others
+                // update-block columns, and every entry of the lower
+                // triangle receives the same `c −= Σ_p a·b` either way.
                 let tail0 = jb + wb;
                 let nt = nr - tail0;
                 if nt > 0 {
@@ -318,53 +373,66 @@ impl SupernodalLdlt {
                     ld.resize(nt * wb, 0.0);
                     for p in 0..wb {
                         let dp = d[first + jb + p];
-                        let src = &front[(jb + p) * nr + tail0..(jb + p) * nr + nr];
+                        let src = &panel[(jb + p) * nr + tail0..(jb + p) * nr + nr];
                         let dst = &mut ld[p * nt..(p + 1) * nt];
                         for (o, &v) in dst.iter_mut().zip(src) {
                             *o = v * dp;
                         }
                     }
-                    let (head, tail) = front.split_at_mut(tail0 * nr);
-                    let mut t0 = 0usize;
-                    while t0 < nt {
-                        let tc = TS.min(nt - t0);
-                        gemm_nt_minus(
-                            nt - t0,
-                            tc,
-                            wb,
-                            &ld[t0..],
-                            nt,
-                            &head[jb * nr + tail0 + t0..],
-                            nr,
-                            &mut tail[t0 * nr + tail0 + t0..],
-                            nr,
-                        );
-                        t0 += tc;
+                    let (head, tail) = panel.split_at_mut(tail0 * nr);
+                    let lb = &head[jb * nr..];
+                    let mut c0 = tail0;
+                    while c0 < nr {
+                        let c1 = (c0 + TS).min(nr);
+                        if c0 < w {
+                            let c = c1.min(w);
+                            gemm_nt_minus(
+                                nr - c0,
+                                c - c0,
+                                wb,
+                                &ld[c0 - tail0..],
+                                nt,
+                                &lb[c0..],
+                                nr,
+                                &mut tail[(c0 - tail0) * nr + c0..],
+                                nr,
+                            );
+                        }
+                        if c1 > w {
+                            let c = c0.max(w);
+                            gemm_nt_minus(
+                                nr - c,
+                                c1 - c,
+                                wb,
+                                &ld[c - tail0..],
+                                nt,
+                                &lb[c..],
+                                nr,
+                                &mut update[(c - w) * nu + c - w..],
+                                nu,
+                            );
+                        }
+                        c0 = c1;
                     }
                 }
                 jb += wb;
             }
-
-            // Store the panel (zeros above the unit diagonal).
-            let pslice = &mut panels[panel_ptr[s]..panel_ptr[s + 1]];
+            // The panel keeps zeros on and above the unit diagonal: clear
+            // the pivots and what the trailing updates left there.
             for jc in 0..w {
-                let src = &front[jc * nr + jc + 1..(jc + 1) * nr];
-                pslice[jc * nr + jc + 1..(jc + 1) * nr].copy_from_slice(src);
+                panel[jc * nr..jc * nr + jc + 1].fill(0.0);
             }
 
-            // Park the Schur complement for the supernodal parent.
-            let nu = nr - w;
+            // Park the update block, packed, for the supernodal parent.
             if nu > 0 {
-                let p = sn_parent[s];
-                debug_assert_ne!(p, NONE, "non-root supernode with empty parent");
-                let mut u = vec![0.0f64; nu * nu];
+                debug_assert_ne!(sn_parent[s], NONE, "non-root supernode with empty parent");
+                parked.push(s);
                 for cj in 0..nu {
-                    let src = &front[(w + cj) * nr + w + cj..(w + cj + 1) * nr];
-                    u[cj * nu + cj..(cj + 1) * nu].copy_from_slice(src);
+                    stack.extend_from_slice(&update[cj * nu + cj..(cj + 1) * nu]);
                 }
-                pending[p].push((srows[w..].to_vec(), u));
             }
         }
+        debug_assert!(parked.is_empty(), "update matrices left unassembled");
 
         Ok(SupernodalLdlt {
             n,
@@ -647,7 +715,10 @@ impl SupernodalLdlt {
     /// silent bit flip in any panel value or pivot perturbs the `LDLᵀ`
     /// side of exactly the columns its supernode owns, which is what lets
     /// the defect name the poisoned panel. Boosted pivot columns are
-    /// excluded: boosting deliberately edits those diagonal entries.
+    /// excluded: boosting deliberately edits those diagonal entries. Panel
+    /// column `jc` is read from row `jc + 1` down: on and above its
+    /// diagonal the panel, in which the front was factored, holds zeros
+    /// (the pivots live in `d`).
     ///
     /// `a` must be the matrix this factorization was computed from.
     // dd:cold — opt-in integrity check, off the exact-alloc kernel tier
@@ -810,6 +881,30 @@ fn etree_postorder(parent: &[usize]) -> Vec<usize> {
     }
     debug_assert_eq!(post.len(), n);
     post
+}
+
+/// `‖A(perm, perm)‖∞` summed as the permuted matrix would sum it: each row
+/// in ascending order of its relabeled columns.
+fn norm_inf_ordered(a: &CsrMatrix, perm: &[usize], iperm: &[usize]) -> f64 {
+    let mut row: Vec<(usize, f64)> = Vec::new();
+    let mut norm = 0.0f64;
+    for &r in perm {
+        row.clear();
+        row.extend(a.row(r).map(|(c, v)| (iperm[c], v.abs())));
+        row.sort_unstable_by_key(|&(c, _)| c);
+        norm = norm.max(row.iter().map(|&(_, v)| v).sum());
+    }
+    norm
+}
+
+/// Where the children of supernode `s` begin on a stack of finished
+/// supernodes still waiting for their parent. In a postordered tree they
+/// are the entries on top, in ascending order, and nothing else is above.
+fn children_on_top(waiting: &[usize], sn_parent: &[usize], s: usize) -> usize {
+    waiting
+        .iter()
+        .rposition(|&c| sn_parent[c] != s)
+        .map_or(0, |k| k + 1)
 }
 
 /// Fundamental supernodes relaxed by amalgamation: returns the column
@@ -1007,6 +1102,194 @@ pub(crate) mod tests {
             b.push(i, i, 2.0 * d);
         }
         b.to_csr()
+    }
+
+    /// The pattern of a 3D vector (elasticity) assembly on trilinear
+    /// elements: three dofs per node of an `nx × ny × nz` grid, coupled in
+    /// dense 3×3 blocks to the node itself and its 26 neighbours; the values
+    /// are a diagonally dominant splitmix64 draw.
+    fn block_stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+        let node = |i: usize, j: usize, k: usize| i + nx * (j + ny * k);
+        let mut b = CooBuilder::new(3 * nx * ny * nz, 3 * nx * ny * nz);
+        let mut state = 7u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let u = node(i, j, k);
+                    for (di, dj, dk) in (0..27).map(|t| (t % 3, t / 3 % 3, t / 9)) {
+                        let (p, q, r) = (i + di, j + dj, k + dk);
+                        if p < 1 || q < 1 || r < 1 || p > nx || q > ny || r > nz {
+                            continue;
+                        }
+                        let v = node(p - 1, q - 1, r - 1);
+                        if v < u {
+                            continue;
+                        }
+                        for (a, c) in (0..9).map(|t| (t % 3, t / 3)) {
+                            if v == u && c < a {
+                                continue;
+                            }
+                            let x = if v == u && a == c { 60.0 } else { draw() };
+                            b.push(3 * u + a, 3 * v + c, x);
+                            if (u, a) != (v, c) {
+                                b.push(3 * v + c, 3 * u + a, x);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        b.to_csr()
+    }
+
+    /// Every numeric and structural field but the order, to the bit.
+    fn assert_same_factor(f: &SupernodalLdlt, g: &SupernodalLdlt, what: &str) {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(f.sn_col, g.sn_col, "{what}: supernodes");
+        assert_eq!(f.rows_ptr, g.rows_ptr, "{what}: row pointers");
+        assert_eq!(f.rows, g.rows, "{what}: rows");
+        assert_eq!(bits(&f.panels), bits(&g.panels), "{what}: panels");
+        assert_eq!(bits(&f.d), bits(&g.d), "{what}: d");
+        assert_eq!(f.boosted_cols, g.boosted_cols, "{what}: boosted");
+    }
+
+    /// `A` is never permuted: factoring it under an order is factoring its
+    /// permuted copy under the identity, to the bit — panels, pivots and a
+    /// solve — under fill-reducing and scrambled orders, and with boosted
+    /// pivots, whose value comes from `‖A(perm, perm)‖∞`.
+    #[test]
+    fn factoring_under_an_order_is_factoring_the_permuted_copy_bitwise() {
+        let mut cases = vec![
+            (
+                "laplacian 3d 6".to_string(),
+                laplacian_3d(6),
+                PivotPolicy::Reject,
+            ),
+            (
+                "laplacian 3d 9".to_string(),
+                laplacian_3d(9),
+                PivotPolicy::Reject,
+            ),
+            (
+                "elasticity pattern 5x3x3".to_string(),
+                block_stencil_3d(5, 3, 3),
+                PivotPolicy::Reject,
+            ),
+        ];
+        for seed in 0..6u64 {
+            let n = 40 + 67 * seed as usize;
+            let a = random_pattern(seed, n, 2 + seed as usize % 4);
+            cases.push((format!("random {seed}"), a, PivotPolicy::Reject));
+        }
+        // Singular: a random block beside a decoupled rank-one 2×2 block,
+        // scaled so that the row sums of `A` round differently in different
+        // orders.
+        for seed in 0..3u64 {
+            let a = random_pattern(100 + seed, 70 + 13 * seed as usize, 3);
+            let n = a.rows() + 2;
+            let mut b = CooBuilder::new(n, n);
+            for i in 0..a.rows() {
+                for (j, v) in a.row(i) {
+                    b.push(i, j, v * 0.123_456_789);
+                }
+            }
+            for (i, j) in [
+                (n - 2, n - 2),
+                (n - 2, n - 1),
+                (n - 1, n - 2),
+                (n - 1, n - 1),
+            ] {
+                b.push(i, j, 1.0 / 3.0);
+            }
+            let boost = PivotPolicy::Boost { rel_tol: 1e-12 };
+            cases.push((format!("singular {seed}"), b.to_csr(), boost));
+        }
+        let mut boosted = 0;
+        for (c, (name, a, policy)) in cases.iter().enumerate() {
+            let n = a.rows();
+            let identity: Vec<usize> = (0..n).collect();
+            let orders = [
+                ("rcm", ordering::fill_reducing(a, Ordering::Rcm)),
+                (
+                    "min degree",
+                    ordering::fill_reducing(a, Ordering::MinDegree),
+                ),
+                ("scrambled", crate::ldlt::tests::scrambled(c as u64, n)),
+            ];
+            for (ord, perm) in &orders {
+                let what = format!("{name}, {ord}");
+                let f = SupernodalLdlt::factor_ordered(a, perm, *policy).unwrap();
+                let pa = a.permute_sym(perm);
+                let g = SupernodalLdlt::factor_ordered(&pa, &identity, *policy).unwrap();
+                assert_same_factor(&f, &g, &what);
+                boosted += f.n_boosted();
+                let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+                let x = f.solve(&b);
+                let pb: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
+                let px = g.solve(&pb);
+                for (i, &p) in perm.iter().enumerate() {
+                    assert_eq!(x[p].to_bits(), px[i].to_bits(), "{what}: solve");
+                }
+            }
+        }
+        assert!(boosted > 0, "no boosted pivot was exercised");
+    }
+
+    /// A root front with two children whose update matrices share rows:
+    /// both packed blocks are added into the overlap, in child order. Three
+    /// dense 40-column blocks `A`, `B`, `C` under the natural order, the
+    /// last row of `A` coupled to rows 1..6 of `C` and the last row of `B`
+    /// to rows 0..4, so the update blocks are 6×6 and 5×5 and overlap in
+    /// rows 1..4 of `C`; the explicit zeros of merging keep the three
+    /// supernodes apart.
+    #[test]
+    fn a_front_sums_two_overlapping_packed_update_blocks() {
+        let (m, n) = (40, 120);
+        let mut b = CooBuilder::new(n, n);
+        for blk in 0..3 {
+            for i in 0..m {
+                for j in 0..m {
+                    let v = if i == j {
+                        4.0 * m as f64
+                    } else {
+                        1.0 / (1 + i + j) as f64
+                    };
+                    b.push(blk * m + i, blk * m + j, v);
+                }
+            }
+        }
+        for (last, c_rows) in [(m - 1, 1..6), (2 * m - 1, 0..4)] {
+            for r in c_rows {
+                let v = -0.25 - 0.01 * r as f64;
+                b.push(last, 2 * m + r, v);
+                b.push(2 * m + r, last, v);
+            }
+        }
+        let a = b.to_csr();
+        let f = SupernodalLdlt::factor(&a, Ordering::Natural).unwrap();
+        assert_eq!(f.sn_col, vec![0, m, 2 * m, n], "three supernodes");
+        let below = |s: usize| {
+            let w = f.sn_col[s + 1] - f.sn_col[s];
+            f.rows[f.rows_ptr[s] + w..f.rows_ptr[s + 1]].to_vec()
+        };
+        let c = |r: std::ops::Range<u32>| r.map(|i| 2 * m as u32 + i).collect::<Vec<_>>();
+        assert_eq!(below(0), c(1..6));
+        assert_eq!(below(1), c(0..4));
+        assert!(below(2).is_empty());
+        check_against_scalar(&a, Ordering::Natural);
+        let ad = a.to_dense();
+        let fd = dd_linalg::DenseLdlt::factor(&ad).unwrap();
+        let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let err = vector::dist2(&f.solve(&rhs), &fd.solve(&rhs));
+        assert!(
+            err <= 1e-13 * vector::norm2(&fd.solve(&rhs)),
+            "dense: {err:e}"
+        );
     }
 
     #[test]

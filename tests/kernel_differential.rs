@@ -6,7 +6,8 @@
 //!
 //! * supernodal LDLᵀ agrees with the scalar factorization to 1e-12 on
 //!   seeded random SPD matrices and on really-assembled elasticity
-//!   operators, under every fill-reducing ordering;
+//!   operators, under every fill-reducing ordering, and under an order it
+//!   is, to the bit, the factorization of the permuted copy;
 //! * BSR `spmv`/`bsrmm` are **bitwise** equal to their CSR counterparts
 //!   (padding adds exact `+0.0·x` terms; the blocked accumulators follow
 //!   the scalar summation order), including singleton/ragged block tails
@@ -35,7 +36,7 @@ use dd_geneo::krylov::{
 };
 use dd_geneo::linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_geneo::mesh::Mesh;
-use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering, SparseLdlt};
+use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering, PivotPolicy, SparseLdlt, SupernodalLdlt};
 use std::sync::Arc;
 
 /// Small shifted elasticity operator (the shift makes the pure-Neumann
@@ -99,6 +100,42 @@ fn supernodal_matches_scalar_on_elasticity_operators() {
             let d = rel_diff(&xb, &xs);
             assert!(d < 1e-12, "{dim}D {ord:?}: rel diff {d:e}");
         }
+    }
+}
+
+/// The supernodal kernel reads a subdomain matrix in place through its
+/// order: on every `elasticity3d`-shaped subdomain (heterogeneous 3D
+/// elasticity, four RCB parts) the factor under the minimum-degree order is
+/// the factor of the permuted copy under the identity, to the bit, as far
+/// as the public surface shows it — the solve, the inertia and the stored
+/// footprint.
+#[test]
+fn supernodal_reads_an_elasticity3d_subdomain_through_its_order_bitwise() {
+    let mesh = Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0);
+    let part = dd_geneo::part::partition_mesh_rcb(&mesh, 4);
+    let d = decompose(&mesh, &presets::heterogeneous_elasticity(2, 3), &part, 4, 1);
+    for (s, sub) in d.subdomains.iter().enumerate() {
+        let a = &sub.a_dirichlet;
+        let n = a.rows();
+        let perm = dd_geneo::solver::ordering::fill_reducing(a, Ordering::MinDegree);
+        let identity: Vec<usize> = (0..n).collect();
+        let pivot = PivotPolicy::Reject;
+        let f = SupernodalLdlt::factor_ordered(a, &perm, pivot).unwrap();
+        let g = SupernodalLdlt::factor_ordered(&a.permute_sym(&perm), &identity, pivot).unwrap();
+        assert_eq!(f.n_supernodes(), g.n_supernodes(), "subdomain {s}");
+        assert_eq!(f.nnz_l(), g.nnz_l(), "subdomain {s}");
+        assert_eq!(f.inertia(), g.inertia(), "subdomain {s}");
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
+        let x = f.solve(&b);
+        let px = g.solve(&perm.iter().map(|&p| b[p]).collect::<Vec<_>>());
+        for (i, &p) in perm.iter().enumerate() {
+            assert_eq!(x[p].to_bits(), px[i].to_bits(), "subdomain {s} row {p}");
+        }
+        // The production entry resolves to this kernel and is this factor.
+        let local = LocalLdlt::factor_ordered(a, &perm, pivot, LdltBackend::Auto).unwrap();
+        assert!(matches!(local, LocalLdlt::Supernodal(_)), "subdomain {s}");
+        let y = local.solve(&b);
+        assert!(x.iter().zip(&y).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
 }
 
