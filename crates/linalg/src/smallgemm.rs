@@ -23,9 +23,10 @@
 const MR: usize = 8;
 /// Columns of a register tile.
 const NR: usize = 2;
-/// Depth up to which a column pair of `B` is packed, on the stack (the
-/// supernodal panels are 32 deep); deeper products take the scalar path.
-const KC: usize = 64;
+/// Largest depth `k` [`gemm_nt_minus`] accepts: a column pair of `B` is
+/// packed on the stack, and the one caller, the supernodal trailing update,
+/// multiplies by panel blocks at most this deep.
+pub const MAX_K: usize = 32;
 
 /// `C ← C − A·Bᵀ` on column-major storage.
 ///
@@ -34,7 +35,8 @@ const KC: usize = 64;
 /// * `c`: `m × n` target, leading dimension `ldc` (`c[i + j*ldc]`).
 ///
 /// This is the `syrk`/`gemm` shape of a blocked LDLᵀ trailing update with
-/// `A = L·D` and `B = L` restricted to the current panel.
+/// `A = L·D` and `B = L` restricted to the current panel. Panics if
+/// `k > MAX_K`.
 // dd:hot — inner kernel of every supernodal trailing update
 #[allow(clippy::too_many_arguments)] // the standard BLAS gemm signature
 pub fn gemm_nt_minus(
@@ -48,6 +50,7 @@ pub fn gemm_nt_minus(
     c: &mut [f64],
     ldc: usize,
 ) {
+    assert!(k <= MAX_K, "gemm_nt_minus: depth {k} > MAX_K");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -59,11 +62,7 @@ pub fn gemm_nt_minus(
     assert!(b.len() >= (k - 1) * ldb + n, "gemm_nt_minus: b too short");
     assert!(c.len() >= (n - 1) * ldc + m, "gemm_nt_minus: c too short");
 
-    if k > KC {
-        edge(0, m, 0, n, k, a, lda, b, ldb, c, ldc);
-        return;
-    }
-    let mut packed = [0.0f64; NR * KC];
+    let mut packed = [0.0f64; NR * MAX_K];
     let packed = &mut packed[..NR * k];
     let m_main = m - m % MR;
     let n_main = n - n % NR;
@@ -192,9 +191,8 @@ mod tests {
             (4, 13, 2),
             (16, 17, 18),
             (3, 3, 0),
-            (8, 2, 64),
-            (17, 5, 65),
-            (24, 7, 130),
+            (8, 2, 32),
+            (17, 5, 31),
         ] {
             let (lda, ldb, ldc) = (m + 2, n + 1, m + 3);
             let a = fill(lda * k.max(1), 1 + m as u64);
@@ -243,6 +241,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "depth 33 > MAX_K")]
+    fn rejects_a_depth_beyond_max_k() {
+        let (m, n, k) = (8, 2, MAX_K + 1);
+        let (a, b) = (fill(m * k, 1), fill(n * k, 2));
+        let mut c = fill(m * n, 3);
+        gemm_nt_minus(m, n, k, &a, m, &b, n, &mut c, m);
     }
 
     #[test]

@@ -88,10 +88,12 @@ pub fn etree_and_counts_ordered(a: &CsrMatrix, perm: &[usize]) -> (Vec<usize>, V
     etree_walk(a.rows(), |k| a.row(perm[k]).map(|(i, _)| iperm[i]))
 }
 
-/// `iperm[perm[k]] = k`.
+/// `iperm[perm[k]] = k`. Panics unless `perm` is a permutation of
+/// `0..perm.len()`.
 pub(crate) fn inverse(perm: &[usize]) -> Vec<usize> {
-    let mut iperm = vec![0usize; perm.len()];
+    let mut iperm = vec![usize::MAX; perm.len()];
     for (k, &p) in perm.iter().enumerate() {
+        assert!(iperm[p] == usize::MAX, "inverse: duplicate index {p}");
         iperm[p] = k;
     }
     iperm

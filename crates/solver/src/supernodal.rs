@@ -41,13 +41,15 @@ use crate::ldlt::{
     Ordering, PivotPolicy,
 };
 use crate::ordering;
-use dd_linalg::smallgemm::gemm_nt_minus;
+use dd_linalg::smallgemm::{gemm_nt_minus, MAX_K};
 use dd_linalg::CsrMatrix;
 
 const NONE: usize = usize::MAX;
 
-/// Panel width for the blocked partial factorization.
+/// Panel width for the blocked partial factorization: the depth of every
+/// trailing-update product.
 const NB: usize = 32;
+const _: () = assert!(NB <= MAX_K);
 /// Column-strip width for the tiled trailing update.
 const TS: usize = 64;
 /// Amalgamation: absolute number of explicit zeros always tolerated.
@@ -237,17 +239,12 @@ impl SupernodalLdlt {
         }
         let mut panels = vec![0.0f64; panel_ptr[nsup]];
         let mut d = vec![0.0f64; n];
-        // A pivot is null relative to `‖A(perm, perm)‖∞`. The row sums of
-        // `A` in its own order round within a few ulps of it, so they settle
-        // every clear case; the norm in the permuted order is summed only
-        // once a pivot comes near the threshold.
+        // A pivot is null relative to `‖A(perm, perm)‖∞`.
         let null_tol = match policy {
             PivotPolicy::Reject => 1e-300,
             PivotPolicy::Boost { rel_tol } => rel_tol,
         };
-        let near_null = |dj: f64, scale: f64| dj.abs() <= null_tol * scale || !dj.is_finite();
-        let rough_scale = a.norm_inf().max(1.0) * (1.0 + 1e-6);
-        let mut scale = None;
+        let scale = norm_inf_ordered(a, &perm, &iperm).max(1.0);
         let mut boosted_cols: Vec<u32> = Vec::new();
 
         let mut update = vec![0.0f64; max_nu * max_nu];
@@ -336,21 +333,17 @@ impl SupernodalLdlt {
                         }
                     }
                     let mut dj = panel[jc + jc * nr];
-                    if near_null(dj, rough_scale) {
-                        let scale = *scale
-                            .get_or_insert_with(|| norm_inf_ordered(a, &perm, &iperm).max(1.0));
-                        if near_null(dj, scale) {
-                            match policy {
-                                PivotPolicy::Reject => {
-                                    return Err(LdltError::ZeroPivot {
-                                        step: gj,
-                                        pivot: dj,
-                                    });
-                                }
-                                PivotPolicy::Boost { .. } => {
-                                    dj = scale / f64::EPSILON;
-                                    boosted_cols.push(gj as u32);
-                                }
+                    if dj.abs() <= null_tol * scale || !dj.is_finite() {
+                        match policy {
+                            PivotPolicy::Reject => {
+                                return Err(LdltError::ZeroPivot {
+                                    step: gj,
+                                    pivot: dj,
+                                });
+                            }
+                            PivotPolicy::Boost { .. } => {
+                                dj = scale / f64::EPSILON;
+                                boosted_cols.push(gj as u32);
                             }
                         }
                     }
@@ -1238,6 +1231,17 @@ pub(crate) mod tests {
             }
         }
         assert!(boosted > 0, "no boosted pivot was exercised");
+    }
+
+    /// An order with a repeated index would leave a row of `A` unread:
+    /// it is rejected before any arithmetic, as `permute_sym` rejects it.
+    #[test]
+    #[should_panic(expected = "duplicate index")]
+    fn an_order_with_a_duplicate_index_panics() {
+        let a = laplacian_3d(3);
+        let mut perm: Vec<usize> = (0..a.rows()).collect();
+        perm[5] = 4;
+        let _ = SupernodalLdlt::factor_ordered(&a, &perm, PivotPolicy::Reject);
     }
 
     /// A root front with two children whose update matrices share rows:
