@@ -22,7 +22,12 @@
 //!   per-vector loops, at the `diffusion2d_many` shape;
 //! * **LDLᵀ panel solves** — `solve_panel_with` on 1, 2, 4 and 8
 //!   right-hand sides against the column loop, on one subdomain of each
-//!   benchmark workload (bitwise, and its cost per column);
+//!   benchmark workload (bitwise, and its cost per column), and one single
+//!   solve on the `diffusion2d_many` and `elasticity3d` subdomains,
+//!   calibrated and drift-gated;
+//! * **GenEO pencil `B`** — one `B·w` through the blocked copy the
+//!   eigensolver multiplies by, on an `elasticity3d` subdomain, calibrated
+//!   and drift-gated;
 //! * **Krylov steady state** — allocation counts of warm GMRES and CG
 //!   solves at two iteration budgets, from which the per-iteration
 //!   allocation count is derived (the overhaul's contract: **zero**), and
@@ -52,6 +57,7 @@
 use dd_bench::alloc_count::{self, CountingAlloc};
 use dd_bench::summary::Summary;
 use dd_comm::{CostModel, World};
+use dd_core::geneo::overlap_weighted_matrix;
 use dd_core::problem::presets;
 use dd_core::{
     decompose, repartition_plan, try_setup_partitioned, CoarseCache, Decomposition, GeneoOpts,
@@ -344,8 +350,12 @@ fn bench_ldlt_auto(rep: &mut Report) {
 /// right-hand sides `n` apart, solved by `k` calls of
 /// `solve_in_place_with` and by one `solve_panel_with`. Exact tier: the
 /// panel is the loop to the bit; wall tier: both microseconds and the panel's
-/// cost per column relative to one single solve (recorded, not gated).
-fn bench_ldlt_panel(rep: &mut Report) {
+/// cost per column relative to one single solve (recorded, not gated), and
+/// on the rows in `GATED_SINGLE` one single solve, calibrated
+/// (`ratio/ldlt/solve/*`, drift-gated: a backward sweep back on one add
+/// chain shows there).
+fn bench_ldlt_panel(rep: &mut Report, calib: f64) {
+    const GATED_SINGLE: [&str; 2] = ["diff2d", "elast3d"];
     let subdomain = |mesh: Mesh, problem, nparts: usize| -> CsrMatrix {
         let part = partition_mesh_rcb(&mesh, nparts);
         let d = decompose(&mesh, &problem, &part, nparts, 1);
@@ -398,6 +408,10 @@ fn bench_ldlt_panel(rep: &mut Report) {
                 .all(|(p, q)| p.to_bits() == q.to_bits());
             if k == 1 {
                 single_us = t_loop;
+                if GATED_SINGLE.contains(key) {
+                    rep.wall
+                        .insert(&format!("ratio/ldlt/solve/{key}"), t_loop * 1e-6 / calib);
+                }
             }
             let per_column = t_panel / (k as f64 * single_us);
             rep.exact.insert(
@@ -537,6 +551,38 @@ fn bench_spmm(rep: &mut Report, calib: f64) {
             if bitwise { "bitwise" } else { "**DIFFERS**" },
         ));
     }
+}
+
+/// One product with the GenEO pencil's `B` on subdomain 0 of the
+/// `elasticity3d` configuration, through the blocked copy the eigensolver
+/// forms (`BsrMatrix::detect_padded`) and through the CSR matrix it comes
+/// from. Wall tier: the blocked product, calibrated
+/// (`ratio/geneo/b_spmv/elast3d`, drift-gated); the two must agree to the
+/// bit.
+fn bench_geneo_b(rep: &mut Report, calib: f64) {
+    let mesh = Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0);
+    let part = partition_mesh_rcb(&mesh, 4);
+    let d = decompose(&mesh, &presets::heterogeneous_elasticity(2, 3), &part, 4, 1);
+    let b = overlap_weighted_matrix(&d.subdomains[0]);
+    let bsr = BsrMatrix::detect_padded(&b).expect("the elasticity3d pencil's B tiles");
+    let x: Vec<f64> = (0..b.cols()).map(wave).collect();
+    let (mut y_csr, mut y_bsr) = (vec![0.0; b.rows()], vec![0.0; b.rows()]);
+    let t_csr = median_us(7, 200, || b.spmv(&x, &mut y_csr));
+    let t_bsr = median_us(7, 200, || bsr.spmv(&x, &mut y_bsr));
+    let bitwise = y_csr
+        .iter()
+        .zip(&y_bsr)
+        .all(|(p, q)| p.to_bits() == q.to_bits());
+    assert!(bitwise, "geneo B: BSR product differs from CSR");
+    rep.wall
+        .insert("ratio/geneo/b_spmv/elast3d", t_bsr * 1e-6 / calib);
+    rep.lines.push(format!(
+        "| geneo/b_spmv/elast3d (n={}, nnz={}, bs={}) | {t_csr:.1}µs | {t_bsr:.1}µs | **{:.2}×** | bitwise |",
+        b.rows(),
+        b.nnz(),
+        bsr.block_size(),
+        t_csr / t_bsr,
+    ));
 }
 
 /// The two blocks of a CGS2 pass at the `diffusion2d_many` shape (one rank's
@@ -877,9 +923,10 @@ fn main() -> ExitCode {
     println!("|---|---:|---:|---:|---|");
     bench_ldlt(&mut rep, calib);
     bench_ldlt_auto(&mut rep);
-    bench_ldlt_panel(&mut rep);
+    bench_ldlt_panel(&mut rep, calib);
     bench_ordering(&mut rep, calib);
     bench_spmm(&mut rep, calib);
+    bench_geneo_b(&mut rep, calib);
     bench_ortho(&mut rep, calib);
     bench_krylov_allocs(&mut rep);
     bench_spmd_allocs(&mut rep);

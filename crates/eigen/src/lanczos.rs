@@ -49,7 +49,7 @@
 //! resolving one pair more than was asked for.
 
 use crate::tridiag::{tridiag_eig, tridiag_eig_last};
-use dd_linalg::{vector, CsrMatrix, DMat};
+use dd_linalg::{vector, BsrMatrix, CsrMatrix, DMat};
 use dd_solver::{LdltBackend, LdltError, LocalLdlt, PivotPolicy};
 
 /// Steps between two convergence tests.
@@ -199,13 +199,14 @@ pub fn smallest_generalized(
     .map_err(EigenError::ShiftFactorization)?;
     let mut pencil = ShiftInvert {
         a,
-        b,
+        b: PencilB::new(b),
         k,
         z: Vec::new(),
         sigma,
         norm_a,
         tol: opts.tol,
     };
+    let mut basis = Basis::default();
 
     let m_max = opts.max_subspace.clamp(nev + 2, n.max(nev + 2));
     // Confirmed pairs, best (largest θ, smallest λ) first, at most `nev`.
@@ -217,7 +218,7 @@ pub fn smallest_generalized(
             .get(nev - 1)
             .map_or(f64::NEG_INFINITY, |f| f.theta * (1.0 + opts.tol));
         let seed = opts.seed.wrapping_add(restart);
-        let Some(run) = pencil.run(&found, cut, nev, m_max, seed)? else {
+        let Some(run) = pencil.run(&mut basis, &found, cut, nev, m_max, seed)? else {
             break; // the pairs found span range(K⁻¹B): no finite eigenvalue is left
         };
         steps += run.steps;
@@ -235,6 +236,9 @@ pub fn smallest_generalized(
         }
     }
 
+    // The factor, the blocked `B` and the basis are done with: free them
+    // before the result is assembled.
+    drop((pencil, basis));
     // Largest θ first is ascending in λ.
     let mut vectors = DMat::zeros(n, found.len());
     for (jcol, f) in found.iter().enumerate() {
@@ -275,10 +279,44 @@ struct Run {
     steps: usize,
 }
 
+/// `B` as the eigensolver multiplies by it: through its blocked copy
+/// where it tiles ([`BsrMatrix::detect_padded`], the elasticity pencils),
+/// whose product is the CSR product to the bit, else as given. The copy is
+/// formed once `K` is factored, so it never shares the heap with the
+/// factorization's fronts and update matrices.
+enum PencilB<'a> {
+    Blocked(BsrMatrix),
+    Csr(&'a CsrMatrix),
+}
+
+impl<'a> PencilB<'a> {
+    fn new(b: &'a CsrMatrix) -> Self {
+        BsrMatrix::detect_padded(b).map_or(PencilB::Csr(b), PencilB::Blocked)
+    }
+
+    /// `y ← B x`.
+    fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        match self {
+            PencilB::Blocked(b) => b.spmv(x, y),
+            PencilB::Csr(b) => b.spmv(x, y),
+        }
+    }
+}
+
+/// The Lanczos basis `Q` (`B`-orthonormal) and `B·Q` beside it, so that
+/// full reorthogonalization costs dots, not products with `B`. The vectors
+/// outlive a run: a run overwrites the earlier runs' vectors in place, and
+/// only a step beyond every earlier run's length allocates.
+#[derive(Default)]
+struct Basis {
+    q: Vec<Vec<f64>>,
+    bq: Vec<Vec<f64>>,
+}
+
 /// The shifted and factored pencil: what every Lanczos run works on.
 struct ShiftInvert<'a> {
     a: &'a CsrMatrix,
-    b: &'a CsrMatrix,
+    b: PencilB<'a>,
     /// `A − σB`, factored.
     k: LocalLdlt,
     /// The work vector of every solve with `k`.
@@ -297,25 +335,25 @@ impl ShiftInvert<'_> {
     /// outside the locked span.
     fn run(
         &mut self,
+        basis: &mut Basis,
         locked: &[RitzPair],
         cut: f64,
         nev: usize,
         m_max: usize,
         seed: u64,
     ) -> Result<Option<Run>, EigenError> {
-        let b = self.b;
-        let n = b.rows();
+        let n = self.a.rows();
         // Starting vector: w = K⁻¹ B r₀ purges components outside
         // range(K⁻¹B), the standard ARPACK mode-3 trick for semidefinite B.
         let mut t = vec![0.0; n];
         let mut w = vec![0.0; n];
         xorshift_fill(seed, &mut t);
-        b.spmv(&t, &mut w);
+        self.b.spmv(&t, &mut w);
         self.k.solve_in_place_with(&mut w, &mut self.z);
-        b.spmv(&w, &mut t);
+        self.b.spmv(&w, &mut t);
         let unlocked = vector::dot(&w, &t).max(0.0).sqrt();
         b_orthogonalize(&mut w, spans(locked));
-        b.spmv(&w, &mut t);
+        self.b.spmv(&w, &mut t);
         let mut bnorm = vector::dot(&w, &t).max(0.0).sqrt();
         if !bnorm.is_finite() {
             return Err(EigenError::NonFinite);
@@ -323,29 +361,33 @@ impl ShiftInvert<'_> {
         if bnorm <= 1e-10 * unlocked || bnorm <= 1e-300 {
             return Ok(None);
         }
-        // The Lanczos basis Q (B-orthonormal), and BQ = B·Q kept alongside
-        // so that full reorthogonalization costs dots, not spmv's.
-        let mut q: Vec<Vec<f64>> = Vec::new();
-        let mut bq: Vec<Vec<f64>> = Vec::new();
         let mut alpha: Vec<f64> = Vec::new();
         let mut beta: Vec<f64> = Vec::new();
         let mut next_check = 2;
+        let mut m = 0;
         loop {
-            // `w` is the next basis vector, `bnorm` its B-norm, `t` = B w.
+            // `w` is the next basis vector, `bnorm` its B-norm, `t` = B w:
+            // swapped into the basis, which hands back two vectors to
+            // overwrite.
             vector::scal(1.0 / bnorm, &mut w);
             vector::scal(1.0 / bnorm, &mut t);
-            q.push(w);
-            bq.push(t.clone());
+            if m == basis.q.len() {
+                basis.q.push(vec![0.0; n]);
+                basis.bq.push(vec![0.0; n]);
+            }
+            std::mem::swap(&mut w, &mut basis.q[m]);
+            std::mem::swap(&mut t, &mut basis.bq[m]);
+            m += 1;
+            let (q, bq) = (&basis.q[..m], &basis.bq[..m]);
             // One Lanczos step: w = K⁻¹ (B q_j), orthogonalized against the
             // locked pairs and against Q.
-            let m = q.len();
-            w = bq[m - 1].clone();
+            w.copy_from_slice(&bq[m - 1]);
             self.k.solve_in_place_with(&mut w, &mut self.z);
             // α_j = ⟨w, q_j⟩_B = wᵀ (B q_j)
             let aj = vector::dot(&w, &bq[m - 1]);
             alpha.push(aj);
-            b_orthogonalize(&mut w, spans(locked).chain(q.iter().zip(&bq)));
-            b.spmv(&w, &mut t);
+            b_orthogonalize(&mut w, spans(locked).chain(q.iter().zip(bq)));
+            self.b.spmv(&w, &mut t);
             bnorm = vector::dot(&w, &t).max(0.0).sqrt();
             if !(aj.is_finite() && bnorm.is_finite()) {
                 return Err(EigenError::NonFinite);
@@ -364,9 +406,7 @@ impl ShiftInvert<'_> {
                     && (m - want..m).all(|i| (bnorm * last[i]).abs() <= self.tol * theta[i].abs());
                 if ended || settled {
                     let (theta, s) = tridiag_eig(&alpha, &beta);
-                    let pairs: Vec<RitzPair> = (0..want)
-                        .map_while(|p| self.ritz_pair(&q, &theta, &s, p))
-                        .collect();
+                    let pairs = self.ritz_pairs(q, &theta, &s, want);
                     if ended || pairs.len() == want {
                         return Ok(Some(Run {
                             open: above.saturating_sub(pairs.len()),
@@ -382,32 +422,56 @@ impl ShiftInvert<'_> {
         }
     }
 
-    /// Form the Ritz pair with the `p`-th largest `θ` from the basis `q`,
-    /// purify and `B`-normalize its vector, and return it if its true pencil
-    /// residual meets the tolerance.
-    fn ritz_pair(&mut self, q: &[Vec<f64>], theta: &[f64], s: &DMat, p: usize) -> Option<RitzPair> {
-        let (a, b) = (self.a, self.b);
-        let n = a.rows();
-        let col = theta.len() - 1 - p; // θ ascending → take from the back
-        let theta = theta[col];
-        if theta <= 1e-300 {
-            return None; // λ = ∞: rounding debris of an exhausted Krylov space
-        }
-        let lambda = self.sigma + 1.0 / theta;
-        let mut x = vec![0.0; n];
-        for (i, qi) in q.iter().enumerate() {
-            vector::axpy(s[(i, col)], qi, &mut x);
-        }
+    /// The leading `want` Ritz pairs of the basis `q` (largest `θ` first)
+    /// as far as they pass: each vector is formed, purified and
+    /// `B`-normalized, and a pair is kept if its true pencil residual meets
+    /// the tolerance; the first that does not ends the list.
+    fn ritz_pairs(
+        &mut self,
+        q: &[Vec<f64>],
+        theta: &[f64],
+        s: &DMat,
+        want: usize,
+    ) -> Vec<RitzPair> {
+        let n = self.a.rows();
+        // θ ascending → take from the back; λ = ∞ is rounding debris of an
+        // exhausted Krylov space and ends the list.
+        let cols: Vec<usize> = (0..want)
+            .map(|p| theta.len() - 1 - p)
+            .take_while(|&col| theta[col] > 1e-300)
+            .collect();
         // Purification (ARPACK mode-3, semidefinite B): Ritz vectors live in
         // range(K⁻¹B) and lack their ker(B) components; a true eigenvector
         // is a fixed point of x = (λ−σ) K⁻¹ B x, so one application of
         // K⁻¹B restores the missing components; the B-normalization takes
-        // care of the factor.
+        // care of the factor. One panel solve for all of them, each column
+        // its single solve to the bit.
+        let mut purified = vec![0.0; n * cols.len()];
+        let mut x = vec![0.0; n];
+        for (&col, bx) in cols.iter().zip(purified.chunks_exact_mut(n)) {
+            x.fill(0.0);
+            for (i, qi) in q.iter().enumerate() {
+                vector::axpy(s[(i, col)], qi, &mut x);
+            }
+            self.b.spmv(&x, bx);
+        }
+        self.k
+            .solve_panel_with(&mut purified, n, cols.len(), &mut self.z);
+        purified
+            .chunks_exact(n)
+            .zip(&cols)
+            .map_while(|(x, &col)| self.confirm(x, theta[col]))
+            .collect()
+    }
+
+    /// The Ritz pair of value `θ` and purified vector `x`, `B`-normalized,
+    /// if its true pencil residual meets the tolerance.
+    fn confirm(&self, x: &[f64], theta: f64) -> Option<RitzPair> {
+        let n = x.len();
+        let lambda = self.sigma + 1.0 / theta;
+        let mut x = x.to_vec();
         let mut bx = vec![0.0; n];
-        b.spmv(&x, &mut bx);
-        x.copy_from_slice(&bx);
-        self.k.solve_in_place_with(&mut x, &mut self.z);
-        b.spmv(&x, &mut bx);
+        self.b.spmv(&x, &mut bx);
         let bnorm = vector::dot(&x, &bx).max(0.0).sqrt();
         if bnorm <= 1e-150 {
             return None;
@@ -416,7 +480,7 @@ impl ShiftInvert<'_> {
         vector::scal(1.0 / bnorm, &mut bx);
         // True pencil residual A x − λ B x.
         let mut res = vec![0.0; n];
-        a.spmv(&x, &mut res);
+        self.a.spmv(&x, &mut res);
         vector::axpy(-lambda, &bx, &mut res);
         let denom = self.norm_a * vector::norm2(&x).max(1e-300);
         (vector::norm2(&res) <= self.tol.max(1e-14) * denom * 10.0).then_some(RitzPair {

@@ -325,6 +325,24 @@ impl SparseLdlt {
         self.boosted
     }
 
+    /// The elimination order: position `i` of the factored matrix is row
+    /// `perm()[i]` of `A`.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// The pivots `D`, in elimination order.
+    pub fn d(&self) -> &[f64] {
+        &self.d
+    }
+
+    /// Column `j` of `L` below its unit diagonal, as the solves read it:
+    /// the row positions (ascending) and the values.
+    pub fn l_column(&self, j: usize) -> (&[u32], &[f64]) {
+        let range = self.lp[j]..self.lp[j + 1];
+        (&self.li[range.clone()], &self.lx[range])
+    }
+
     /// Multiply-add estimate of the numeric factorization: each column `j`
     /// with `c_j` sub-diagonal entries costs `c_j (c_j + 3)` operations in
     /// the up-looking sweep (the standard sparse-LDLᵀ operation count).
@@ -392,6 +410,14 @@ impl SparseLdlt {
     /// [`SparseLdlt::solve_in_place`] with the permuted work vector taken
     /// from the caller: `z` is overwritten and grows to `n` once, so a
     /// caller that keeps it solves without allocating.
+    ///
+    /// Summation order: the forward sweep subtracts `L[i,j]·y_j` from
+    /// `z_i` column by column, in ascending `j` and, within a column, in
+    /// stored order. The backward sweep forms `x_j = w_j − s_j` with
+    /// `s_j = Σ_q L[i_q,j]·x[i_q]` over column `j`'s stored entries (the
+    /// order [`SparseLdlt::l_column`] gives) summed as
+    /// [`dd_linalg::vector::dot`] sums: four lanes and a tail, not one
+    /// chain.
     pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n);
         // z = P b
@@ -413,11 +439,12 @@ impl SparseLdlt {
         }
         // Lᵀ x = w
         for j in (0..self.n).rev() {
-            let mut s = z[j];
-            for q in self.lp[j]..self.lp[j + 1] {
-                s -= self.lx[q] * z[self.li[q] as usize];
-            }
-            z[j] = s;
+            let (li, lx) = (
+                &self.li[self.lp[j]..self.lp[j + 1]],
+                &self.lx[self.lp[j]..self.lp[j + 1]],
+            );
+            let [s] = lane_dot(lx, |q| [z[li[q] as usize]]);
+            z[j] -= s;
         }
         // b = Pᵀ z
         for (i, &p) in self.perm.iter().enumerate() {
@@ -448,7 +475,7 @@ impl SparseLdlt {
     /// is that solve to the bit; the columns of a block (see
     /// `panel_blocks`) are swept together, their values of one row side
     /// by side in the work vector `z`, which reads `L` once per block and
-    /// gives the backward sweep one accumulation chain per column.
+    /// gives the backward sweep four lanes per column.
     pub fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {
         check_panel(b.len(), self.n, ld, k);
         for (c0, width) in panel_blocks(k) {
@@ -511,20 +538,17 @@ impl SparseLdlt {
                 *v /= dj;
             }
         }
-        // Lᵀ x = w
+        // Lᵀ x = w, each column's sum in the single solve's lanes
         for j in (0..n).rev() {
-            let mut s = *row::<B>(z, j);
             let (li, lx) = (
                 &self.li[self.lp[j]..self.lp[j + 1]],
                 &self.lx[self.lp[j]..self.lp[j + 1]],
             );
-            for (&r, &l) in li.iter().zip(lx) {
-                let zr = row::<B>(z, r as usize);
-                for c in 0..B {
-                    s[c] -= l * zr[c];
-                }
+            let s = lane_dot(lx, |q| *row::<B>(z, li[q] as usize));
+            let zj = row_mut::<B>(z, j);
+            for c in 0..B {
+                zj[c] -= s[c];
             }
-            *row_mut::<B>(z, j) = s;
         }
         // b = Pᵀ z
         for (i, &p) in self.perm.iter().enumerate() {
@@ -534,6 +558,37 @@ impl SparseLdlt {
             }
         }
     }
+}
+
+/// `Σ_q l[q]·x(q)[c]` for each of `B` columns, summed in
+/// [`dd_linalg::vector::dot`]'s order: term `q < 4⌊len/4⌋` goes to lane
+/// `q mod 4`, the rest to a tail, every accumulator starts at `0.0`, and
+/// the result is `(((lane 0 + lane 1) + lane 2) + lane 3) + tail`. Column
+/// `c` therefore holds the bits of `vector::dot(l, x_c)` whatever `B` is,
+/// which is what keeps a panel solve equal to its single solves; the four
+/// lanes let a backward sweep retire four terms per add latency instead of
+/// one.
+#[inline(always)]
+pub(crate) fn lane_dot<const B: usize>(l: &[f64], x: impl Fn(usize) -> [f64; B]) -> [f64; B] {
+    let mut acc = [[0.0f64; B]; 4];
+    let chunks = l.len() / 4;
+    for i in 0..chunks {
+        for (lane, acc) in acc.iter_mut().enumerate() {
+            let q = 4 * i + lane;
+            let xq = x(q);
+            for c in 0..B {
+                acc[c] += l[q] * xq[c];
+            }
+        }
+    }
+    let mut tail = [0.0f64; B];
+    for q in 4 * chunks..l.len() {
+        let xq = x(q);
+        for c in 0..B {
+            tail[c] += l[q] * xq[c];
+        }
+    }
+    std::array::from_fn(|c| acc[0][c] + acc[1][c] + acc[2][c] + acc[3][c] + tail[c])
 }
 
 /// Row `i` of a panel whose rows hold `B` values side by side.

@@ -160,6 +160,31 @@ impl LocalLdlt {
         }
     }
 
+    /// The elimination order ([`SparseLdlt::perm`]).
+    pub fn perm(&self) -> &[usize] {
+        match self {
+            LocalLdlt::Scalar(f) => f.perm(),
+            LocalLdlt::Supernodal(f) => f.perm(),
+        }
+    }
+
+    /// The pivots `D` ([`SparseLdlt::d`]).
+    pub fn d(&self) -> &[f64] {
+        match self {
+            LocalLdlt::Scalar(f) => f.d(),
+            LocalLdlt::Supernodal(f) => f.d(),
+        }
+    }
+
+    /// Column `j` of `L` below its unit diagonal
+    /// ([`SparseLdlt::l_column`]).
+    pub fn l_column(&self, j: usize) -> (&[u32], &[f64]) {
+        match self {
+            LocalLdlt::Scalar(f) => f.l_column(j),
+            LocalLdlt::Supernodal(f) => f.l_column(j),
+        }
+    }
+
     pub fn solve_in_place(&self, b: &mut [f64]) {
         self.solve_in_place_with(b, &mut Vec::new());
     }

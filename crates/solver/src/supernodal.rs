@@ -37,12 +37,12 @@
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
 
 use crate::ldlt::{
-    check_panel, etree_and_counts_ordered, inverse, panel_blocks, row, row_mut, LdltError,
-    Ordering, PivotPolicy,
+    check_panel, etree_and_counts_ordered, inverse, lane_dot, panel_blocks, row, row_mut,
+    LdltError, Ordering, PivotPolicy,
 };
 use crate::ordering;
 use dd_linalg::smallgemm::{gemm_nt_minus, MAX_K};
-use dd_linalg::CsrMatrix;
+use dd_linalg::{vector, CsrMatrix};
 
 const NONE: usize = usize::MAX;
 
@@ -454,6 +454,30 @@ impl SupernodalLdlt {
         self.sn_col.len() - 1
     }
 
+    /// The elimination order: position `i` of the factored matrix is row
+    /// `perm()[i]` of `A`.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// The pivots `D`, in elimination order.
+    pub fn d(&self) -> &[f64] {
+        &self.d
+    }
+
+    /// Column `j` of `L` below its unit diagonal, as the solves read it:
+    /// the row positions (ascending) and the panel's values, explicit
+    /// amalgamation zeros included.
+    pub fn l_column(&self, j: usize) -> (&[u32], &[f64]) {
+        let s = self.sn_col.partition_point(|&c| c <= j) - 1;
+        let (nr, jc) = (self.rows_ptr[s + 1] - self.rows_ptr[s], j - self.sn_col[s]);
+        let col = &self.panels[self.panel_ptr[s] + jc * nr..self.panel_ptr[s] + (jc + 1) * nr];
+        (
+            &self.rows[self.rows_ptr[s] + jc + 1..self.rows_ptr[s + 1]],
+            &col[jc + 1..],
+        )
+    }
+
     /// Widest supernode panel.
     pub fn max_width(&self) -> usize {
         (0..self.n_supernodes())
@@ -511,6 +535,13 @@ impl SupernodalLdlt {
     /// its column loops there and scatters back — the operations and their
     /// order are those of the per-column scatter loop, so the result is the
     /// same to the bit.
+    ///
+    /// Summation order: the forward sweep subtracts `L[i,j]·y_j` from
+    /// `z_i` column by column, in ascending `j` and, within a column, in
+    /// ascending row. The backward sweep forms `x_j = w_j − s_j`, where
+    /// `s_j` is [`dd_linalg::vector::dot`] of the panel column below the
+    /// diagonal with the gathered rows below `j`: four lanes and a tail,
+    /// not one chain.
     pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n);
         let nsup = self.n_supernodes();
@@ -559,11 +590,7 @@ impl SupernodalLdlt {
             }
             for jc in (0..w).rev() {
                 let col = &panel[jc * nr..(jc + 1) * nr];
-                let mut acc = loc[jc];
-                for li in jc + 1..nr {
-                    acc -= col[li] * loc[li];
-                }
-                loc[jc] = acc;
+                loc[jc] -= vector::dot(&col[jc + 1..], &loc[jc + 1..]);
             }
             z[first..first + w].copy_from_slice(&loc[..w]);
         }
@@ -668,7 +695,8 @@ impl SupernodalLdlt {
                 *v /= dj;
             }
         }
-        // Lᵀ x = w, reverse panel order
+        // Lᵀ x = w, reverse panel order, each column's sum in the single
+        // solve's lanes
         for s in (0..nsup).rev() {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
             let nr = srows.len();
@@ -678,14 +706,11 @@ impl SupernodalLdlt {
             gather(loc, z, srows);
             for jc in (0..w).rev() {
                 let col = &panel[jc * nr..(jc + 1) * nr];
-                let mut acc = *row::<B>(loc, jc);
-                for (li, &l) in col.iter().enumerate().skip(jc + 1) {
-                    let zr = row::<B>(loc, li);
-                    for c in 0..B {
-                        acc[c] -= l * zr[c];
-                    }
+                let s = lane_dot(&col[jc + 1..], |q| *row::<B>(loc, jc + 1 + q));
+                let xj = row_mut::<B>(loc, jc);
+                for c in 0..B {
+                    xj[c] -= s[c];
                 }
-                *row_mut::<B>(loc, jc) = acc;
             }
             z[first * B..(first + w) * B].copy_from_slice(&loc[..w * B]);
         }
@@ -1052,11 +1077,8 @@ pub(crate) mod tests {
             let panel = &f.panels[f.panel_ptr[s]..f.panel_ptr[s + 1]];
             for jc in (0..w).rev() {
                 let col = &panel[jc * nr..(jc + 1) * nr];
-                let mut acc = z[f.sn_col[s] + jc];
-                for li in jc + 1..nr {
-                    acc -= col[li] * z[srows[li] as usize];
-                }
-                z[f.sn_col[s] + jc] = acc;
+                let below: Vec<f64> = srows[jc + 1..].iter().map(|&r| z[r as usize]).collect();
+                z[f.sn_col[s] + jc] -= vector::dot(&col[jc + 1..], &below);
             }
         }
         let mut x = vec![0.0; f.n];

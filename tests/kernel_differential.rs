@@ -23,13 +23,22 @@
 //!   tolerance and solution as with the scalar kernel;
 //! * the orthogonalisation panels `vector::dot_many` / `vector::axpy_many`
 //!   are **bitwise** equal to the one-accumulator dot loop and to successive
-//!   `axpy`, for every block remainder, and a NaN poisons every output.
+//!   `axpy`, for every block remainder, and a NaN poisons every output;
+//! * both LDLᵀ kernels solve in one summation order: the backward sweep
+//!   sums each column in `vector::dot`'s four lanes, a panel solve of `k`
+//!   columns is `k` single solves to the bit, and the lanes cost no
+//!   accuracy against the one-chain sweep they replaced;
+//! * the GenEO pencils' `B` tiles, and its blocked product is the CSR one
+//!   to the bit.
 
 mod common;
 
 use common::{random_spd, Rng};
 use dd_geneo::comm::World;
-use dd_geneo::core::{decompose, problem::presets, try_run_spmd, GeneoOpts, SpmdOpts};
+use dd_geneo::core::geneo::overlap_weighted_matrix;
+use dd_geneo::core::{
+    decompose, problem::presets, try_run_spmd, Decomposition, GeneoOpts, SpmdOpts,
+};
 use dd_geneo::fem::{assemble_elasticity, DofMap};
 use dd_geneo::krylov::{
     try_gmres, try_gmres_with, GmresOpts, GmresWorkspace, IdentityPrecond, Ortho, SeqDot, Side,
@@ -388,4 +397,239 @@ fn spmd_converges_with_supernodal_backend() {
     // Different rounding, same mathematics: iteration counts stay close.
     let (a, b) = (iters[0] as i64, iters[1] as i64);
     assert!((a - b).abs() <= 2, "iteration counts diverged: {iters:?}");
+}
+
+/// The decompositions of the three repo-benchmark configurations
+/// (`benchmark/`, `workloads.rs`).
+fn benchmark_decompositions() -> Vec<(&'static str, Decomposition)> {
+    let split = |mesh: Mesh, problem, nparts: usize| {
+        let part = dd_geneo::part::partition_mesh_rcb(&mesh, nparts);
+        decompose(&mesh, &problem, &part, nparts, 1)
+    };
+    vec![
+        (
+            "elasticity3d",
+            split(
+                Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0),
+                presets::heterogeneous_elasticity(2, 3),
+                4,
+            ),
+        ),
+        (
+            "diffusion2d_many",
+            split(
+                Mesh::unit_square(48, 48),
+                presets::heterogeneous_diffusion(2),
+                32,
+            ),
+        ),
+        (
+            "serve_stream",
+            split(Mesh::unit_square(32, 32), presets::uniform_diffusion(2), 16),
+        ),
+    ]
+}
+
+/// The shifted GenEO pencil `K = A − σB` of a subdomain, with the shift the
+/// eigensolver picks by default (`σ = −0.01 ‖A‖∞ / ‖B‖∞`).
+fn shifted_pencil(sub: &dd_geneo::core::Subdomain) -> CsrMatrix {
+    let b = overlap_weighted_matrix(sub);
+    let sigma = -0.01 * sub.a_neumann.norm_inf() / b.norm_inf();
+    sub.a_neumann.add_scaled(-sigma, &b)
+}
+
+#[test]
+fn ldlt_panel_solves_are_single_solves_to_the_bit() {
+    let decomps = benchmark_decompositions();
+    let mut cases: Vec<(String, &CsrMatrix)> = decomps
+        .iter()
+        .map(|(name, d)| (format!("{name} A_0"), &d.subdomains[0].a_dirichlet))
+        .collect();
+    let elasticity = &decomps[0].1.subdomains[0];
+    let pencil = shifted_pencil(elasticity);
+    cases.push(("elasticity3d K_0".into(), &pencil));
+    let mut work = Vec::new();
+    for (what, a) in &cases {
+        let n = a.rows();
+        let order = dd_geneo::solver::ordering::fill_reducing(a, Ordering::MinDegree);
+        for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {
+            let f = LocalLdlt::factor_ordered(a, &order, PivotPolicy::Reject, backend).unwrap();
+            for k in [1usize, 2, 3, 5, 8] {
+                // Columns `ld = n + 3` apart, one of them with a zero entry
+                // the forward sweep skips.
+                let ld = n + 3;
+                let mut panel: Vec<f64> = (0..k * ld)
+                    .map(|i| ((i * 13 + 5) % 17) as f64 - 8.0 + (i as f64 * 0.1).sin())
+                    .collect();
+                panel[(k - 1) * ld] = 0.0;
+                let mut single = panel.clone();
+                for c in 0..k {
+                    f.solve_in_place_with(&mut single[c * ld..c * ld + n], &mut work);
+                }
+                f.solve_panel_with(&mut panel, ld, k, &mut work);
+                assert_eq!(bits(&panel), bits(&single), "{what} {backend:?} k={k}");
+            }
+        }
+    }
+}
+
+/// A solve of `f` by columns of `L`, read through the public accessors:
+/// forward sweep and `D` as both kernels run them, then the backward sweep
+/// either summed by `vector::dot` (what the kernels do) or as the one add
+/// chain `x_j −= L[i,j]·x_i` the kernels ran before.
+fn column_solve(f: &LocalLdlt, b: &[f64], chained: bool) -> Vec<f64> {
+    let (n, perm, d) = (f.n(), f.perm(), f.d());
+    let mut z: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
+    for j in 0..n {
+        let zj = z[j];
+        if zj != 0.0 {
+            let (rows, vals) = f.l_column(j);
+            for (&r, &l) in rows.iter().zip(vals) {
+                z[r as usize] -= l * zj;
+            }
+        }
+    }
+    for j in 0..n {
+        z[j] /= d[j];
+    }
+    for j in (0..n).rev() {
+        let (rows, vals) = f.l_column(j);
+        if chained {
+            let mut acc = z[j];
+            for (&r, &l) in rows.iter().zip(vals) {
+                acc -= l * z[r as usize];
+            }
+            z[j] = acc;
+        } else {
+            let below: Vec<f64> = rows.iter().map(|&r| z[r as usize]).collect();
+            z[j] -= vector::dot(vals, &below);
+        }
+    }
+    let mut x = vec![0.0; n];
+    for (i, &p) in perm.iter().enumerate() {
+        x[p] = z[i];
+    }
+    x
+}
+
+/// `‖A x − b‖∞ / (‖A‖∞ ‖x‖∞)`.
+fn backward_error(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
+    let mut r = vec![0.0; a.rows()];
+    a.spmv(x, &mut r);
+    let res = r
+        .iter()
+        .zip(b)
+        .fold(0.0f64, |m, (ri, bi)| m.max((ri - bi).abs()));
+    res / (a.norm_inf() * vector::norm_inf(x)).max(f64::MIN_POSITIVE)
+}
+
+/// 3D 7-point Laplacian with Dirichlet boundary, `nx³` unknowns.
+fn laplacian_3d(nx: usize) -> CsrMatrix {
+    let n = nx * nx * nx;
+    let idx = |i: usize, j: usize, k: usize| (k * nx + j) * nx + i;
+    let mut b = CooBuilder::new(n, n);
+    for k in 0..nx {
+        for j in 0..nx {
+            for i in 0..nx {
+                let r = idx(i, j, k);
+                b.push(r, r, 6.0);
+                for (c, inside) in [
+                    (r.wrapping_sub(1), i > 0),
+                    (r + 1, i + 1 < nx),
+                    (r.wrapping_sub(nx), j > 0),
+                    (r + nx, j + 1 < nx),
+                    (r.wrapping_sub(nx * nx), k > 0),
+                    (r + nx * nx, k + 1 < nx),
+                ] {
+                    if inside {
+                        b.push(r, c, -1.0);
+                    }
+                }
+            }
+        }
+    }
+    b.to_csr()
+}
+
+#[test]
+fn four_lane_backward_sweeps_cost_no_accuracy() {
+    let mut rng = Rng::new(37);
+    let mut cases: Vec<(String, CsrMatrix, PivotPolicy)> = (0..3)
+        .map(|t| {
+            let n = rng.range_usize(150, 400);
+            let extra = rng.range_usize(3, 8);
+            (
+                format!("random SPD {t}"),
+                random_spd(&mut rng, n, extra),
+                PivotPolicy::Reject,
+            )
+        })
+        .collect();
+    cases.push(("3D Laplacian".into(), laplacian_3d(9), PivotPolicy::Reject));
+    let mesh = Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0);
+    let part = dd_geneo::part::partition_mesh_rcb(&mesh, 4);
+    let d = decompose(&mesh, &presets::heterogeneous_elasticity(2, 3), &part, 4, 1);
+    cases.push((
+        "elasticity3d A_1".into(),
+        d.subdomains[1].a_dirichlet.clone(),
+        PivotPolicy::Reject,
+    ));
+    // A floating subdomain's Neumann matrix: singular, factored with
+    // boosted pivots.
+    cases.push((
+        "elasticity3d Neumann A_0".into(),
+        d.subdomains[0].a_neumann.clone(),
+        PivotPolicy::Boost { rel_tol: 1e-10 },
+    ));
+    for (what, a, pivot) in &cases {
+        let n = a.rows();
+        let order = dd_geneo::solver::ordering::fill_reducing(a, Ordering::MinDegree);
+        for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {
+            let f = LocalLdlt::factor_ordered(a, &order, *pivot, backend).unwrap();
+            if matches!(pivot, PivotPolicy::Boost { .. }) {
+                assert!(f.n_boosted() > 0, "{what} {backend:?}: nothing boosted");
+            }
+            let (mut lanes, mut chain) = (0.0f64, 0.0f64);
+            for _ in 0..8 {
+                // b in range(A), so a boosted solve has a small residual too.
+                let y = rng.vec_f64(n, -1.0, 1.0);
+                let mut b = vec![0.0; n];
+                a.spmv(&y, &mut b);
+                let x = f.solve(&b);
+                assert_eq!(
+                    bits(&x),
+                    bits(&column_solve(&f, &b, false)),
+                    "{what} {backend:?}: the solve is not the four-lane column loop"
+                );
+                lanes = lanes.max(backward_error(a, &x, &b));
+                chain = chain.max(backward_error(a, &column_solve(&f, &b, true), &b));
+            }
+            assert!(
+                lanes <= 2.0 * chain,
+                "{what} {backend:?}: backward error {lanes:e}, one chain {chain:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn geneo_pencil_b_through_bsr_is_the_csr_product_to_the_bit() {
+    let mesh = Mesh::box3d(6, 3, 3, 2.0, 1.0, 1.0);
+    let part = dd_geneo::part::partition_mesh_rcb(&mesh, 4);
+    let d = decompose(&mesh, &presets::heterogeneous_elasticity(2, 3), &part, 4, 1);
+    let mut rng = Rng::new(41);
+    for (s, sub) in d.subdomains.iter().enumerate() {
+        let b = overlap_weighted_matrix(sub);
+        let bsr = BsrMatrix::detect_padded(&b)
+            .unwrap_or_else(|| panic!("subdomain {s}: B does not tile"));
+        assert_eq!(bsr.block_size(), 3, "subdomain {s}");
+        let n = b.rows();
+        let (mut y_csr, mut y_bsr) = (vec![0.0; n], vec![0.0; n]);
+        for _ in 0..4 {
+            let x = rng.vec_f64(n, -1.0, 1.0);
+            b.spmv(&x, &mut y_csr);
+            bsr.spmv(&x, &mut y_bsr);
+            assert_eq!(bits(&y_csr), bits(&y_bsr), "subdomain {s}");
+        }
+    }
 }
