@@ -134,7 +134,7 @@ pub fn try_deflation_block_ordered(
         });
     }
     let b = overlap_weighted_matrix(sub);
-    let eig = smallest_generalized(&sub.a_neumann, &b, opts.nev, &opts.lanczos, order, backend)?;
+    let eig = smallest_generalized(&sub.a_neumann, b, opts.nev, &opts.lanczos, order, backend)?;
     // Keep every eigenpair; record how many pass the threshold.
     let kept = eig
         .values
@@ -425,7 +425,7 @@ mod tests {
             };
             let eig = smallest_generalized(
                 &sub.a_neumann,
-                &b,
+                b.clone(),
                 nev,
                 &lanczos,
                 &order,

@@ -159,9 +159,12 @@ fn xorshift_fill(seed: u64, out: &mut [f64]) {
 /// `B`-norm (pure `ker B` directions, `λ = ∞`) cannot appear since the
 /// recurrence stays in `range(K⁻¹B)`. Fewer than `nev` pairs come back only
 /// when `range(K⁻¹B)` itself is smaller.
+///
+/// `B` is taken by value: once `K` is factored the solver keeps it only in
+/// the form it multiplies by (its blocked copy, where it tiles).
 pub fn smallest_generalized(
     a: &CsrMatrix,
-    b: &CsrMatrix,
+    b: CsrMatrix,
     nev: usize,
     opts: &LanczosOpts,
     order: &[usize],
@@ -191,7 +194,7 @@ pub fn smallest_generalized(
     // K = A − σB, SPD under the stated assumptions; only its factor is
     // kept.
     let k = LocalLdlt::factor_ordered(
-        &a.add_scaled(-sigma, b),
+        &a.add_scaled(-sigma, &b),
         order,
         PivotPolicy::Reject,
         backend,
@@ -279,19 +282,20 @@ struct Run {
     steps: usize,
 }
 
-/// `B` as the eigensolver multiplies by it: through its blocked copy
+/// `B` as the eigensolver multiplies by it: converted to blocked storage
 /// where it tiles ([`BsrMatrix::detect_padded`], the elasticity pencils),
-/// whose product is the CSR product to the bit, else as given. The copy is
-/// formed once `K` is factored, so it never shares the heap with the
-/// factorization's fronts and update matrices.
-enum PencilB<'a> {
+/// whose product is the CSR product to the bit, else as given. Formed once
+/// `K` is factored, so the blocked copy never shares the heap with the
+/// factorization's fronts and update matrices, and the CSR form is freed
+/// as soon as the blocked one exists.
+enum PencilB {
     Blocked(BsrMatrix),
-    Csr(&'a CsrMatrix),
+    Csr(CsrMatrix),
 }
 
-impl<'a> PencilB<'a> {
-    fn new(b: &'a CsrMatrix) -> Self {
-        BsrMatrix::detect_padded(b).map_or(PencilB::Csr(b), PencilB::Blocked)
+impl PencilB {
+    fn new(b: CsrMatrix) -> Self {
+        BsrMatrix::detect_padded(&b).map_or(PencilB::Csr(b), PencilB::Blocked)
     }
 
     /// `y ← B x`.
@@ -316,7 +320,7 @@ struct Basis {
 /// The shifted and factored pencil: what every Lanczos run works on.
 struct ShiftInvert<'a> {
     a: &'a CsrMatrix,
-    b: PencilB<'a>,
+    b: PencilB,
     /// `A − σB`, factored.
     k: LocalLdlt,
     /// The work vector of every solve with `k`.
@@ -523,7 +527,7 @@ mod tests {
         opts: &LanczosOpts,
     ) -> Result<GeneralizedEig, EigenError> {
         let order = ordering::fill_reducing(a, Ordering::MinDegree);
-        smallest_generalized(a, b, nev, opts, &order, LdltBackend::Scalar)
+        smallest_generalized(a, b.clone(), nev, opts, &order, LdltBackend::Scalar)
     }
 
     /// Every returned finite pair satisfies `‖A x − λ B x‖ < rel · ‖A‖ ‖x‖`.
