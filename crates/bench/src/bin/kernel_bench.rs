@@ -352,8 +352,7 @@ fn bench_ldlt_auto(rep: &mut Report) {
 /// panel is the loop to the bit; wall tier: both microseconds and the panel's
 /// cost per column relative to one single solve (recorded, not gated), and
 /// on the rows in `GATED_SINGLE` one single solve, calibrated
-/// (`ratio/ldlt/solve/*`, drift-gated: a backward sweep back on one add
-/// chain shows there).
+/// (`ratio/ldlt/solve/*`, drift-gated).
 fn bench_ldlt_panel(rep: &mut Report, calib: f64) {
     const GATED_SINGLE: [&str; 2] = ["diff2d", "elast3d"];
     let subdomain = |mesh: Mesh, problem, nparts: usize| -> CsrMatrix {
