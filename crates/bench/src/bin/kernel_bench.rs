@@ -3,8 +3,9 @@
 //! Measures the kernels the blocked-kernel overhaul targets, head to head
 //! against their scalar oracles:
 //!
-//! * **LDLᵀ factorization** — scalar up-looking [`dd_solver::SparseLdlt`] vs the
-//!   multifrontal [`dd_solver::SupernodalLdlt`] on RCM-ordered 3D FD Laplacians;
+//! * **LDLᵀ factorization** — the scalar up-looking kernel vs the
+//!   multifrontal one ([`LocalLdlt`] forced to [`LdltBackend::Scalar`] and
+//!   [`LdltBackend::Supernodal`]) on RCM-ordered 3D FD Laplacians;
 //! * **LDLᵀ kernel choice** — factor and solve time of both kernels on one
 //!   subdomain of each benchmark workload and on the 3D Laplacians, beside
 //!   the flops per entry of `L` `LdltBackend::Auto` decides by and its pick,
@@ -21,9 +22,9 @@
 //!   CGS2 pass (`vector::dot_many` / `vector::axpy_many`) against the
 //!   per-vector loops, at the `diffusion2d_many` shape;
 //! * **LDLᵀ panel solves** — `solve_panel_with` on 1, 2, 4 and 8
-//!   right-hand sides against the column loop, on one subdomain of each
-//!   benchmark workload (bitwise, and its cost per column), and one single
-//!   solve on the `diffusion2d_many` and `elasticity3d` subdomains,
+//!   right-hand sides against as many width-1 solves, on one subdomain of
+//!   each benchmark workload (bitwise, and its cost per column), and one
+//!   width-1 solve on the `diffusion2d_many` and `elasticity3d` subdomains,
 //!   calibrated and drift-gated;
 //! * **GenEO pencil `B`** — one `B·w` through the blocked copy the
 //!   eigensolver multiplies by, on an `elasticity3d` subdomain, calibrated
@@ -317,7 +318,7 @@ fn bench_ldlt_auto(rep: &mut Report) {
             let (mut x, mut work) = (b.clone(), Vec::new());
             let t_solve = median_us(7, 200, || {
                 x.copy_from_slice(&b);
-                f.solve_in_place_with(&mut x, &mut work);
+                f.solve_panel_with(&mut x, a.rows(), 1, &mut work);
             });
             us.push((t_factor, t_solve));
         }
@@ -347,11 +348,11 @@ fn bench_ldlt_auto(rep: &mut Report) {
 
 /// The panel solve against the column loop, under the kernel `Auto` picks
 /// and the default order, on one subdomain of each benchmark workload: `k`
-/// right-hand sides `n` apart, solved by `k` calls of
-/// `solve_in_place_with` and by one `solve_panel_with`. Exact tier: the
-/// panel is the loop to the bit; wall tier: both microseconds and the panel's
-/// cost per column relative to one single solve (recorded, not gated), and
-/// on the rows in `GATED_SINGLE` one single solve, calibrated
+/// right-hand sides `n` apart, solved by `k` width-1 calls of
+/// `solve_panel_with` and by one call of width `k`. Exact tier: the panel
+/// is the loop to the bit; wall tier: both microseconds and the panel's
+/// cost per column relative to one width-1 solve (recorded, not gated),
+/// and on the rows in `GATED_SINGLE` one width-1 solve, calibrated
 /// (`ratio/ldlt/solve/*`, drift-gated).
 fn bench_ldlt_panel(rep: &mut Report, calib: f64) {
     const GATED_SINGLE: [&str; 2] = ["diff2d", "elast3d"];
@@ -393,7 +394,7 @@ fn bench_ldlt_panel(rep: &mut Report, calib: f64) {
             let t_loop = median_us(7, 100, || {
                 x.copy_from_slice(&b);
                 for col in x.chunks_exact_mut(n) {
-                    f.solve_in_place_with(col, &mut work);
+                    f.solve_panel_with(col, n, 1, &mut work);
                 }
             });
             let looped = x.clone();

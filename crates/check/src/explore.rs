@@ -32,15 +32,12 @@ pub enum FailureKind {
     Divergence,
 }
 
-/// One failing schedule, replayable via [`replay`] (script) or, for
-/// randomized search, by re-running [`explore_random`]'s seed.
+/// One failing schedule, replayable via [`replay`] (its script).
 #[derive(Debug, Clone)]
 pub struct Failure {
     pub kind: FailureKind,
     /// Decision choices reproducing the schedule from the start.
     pub script: Vec<usize>,
-    /// Seed that produced the schedule, for randomized search.
-    pub seed: Option<u64>,
     pub message: String,
 }
 
@@ -130,14 +127,13 @@ where
     }
 }
 
-fn classify(out: &RunOutcome, script: &[usize], seed: Option<u64>) -> Option<Failure> {
+fn classify(out: &RunOutcome, script: &[usize]) -> Option<Failure> {
     match &out.output {
         Ok(_) if out.stuck => Some(Failure {
             // The world recovered from the abort without surfacing it — a
             // stuck schedule either way.
             kind: FailureKind::Stuck,
             script: script.to_vec(),
-            seed,
             message: STUCK_MSG.to_string(),
         }),
         Ok(_) => None,
@@ -148,7 +144,6 @@ fn classify(out: &RunOutcome, script: &[usize], seed: Option<u64>) -> Option<Fai
                 FailureKind::Panic
             },
             script: script.to_vec(),
-            seed,
             message: msg.clone(),
         }),
     }
@@ -184,7 +179,7 @@ where
         let out = run_once(n, cfg, script.clone(), Policy::First, &f);
         report.schedules += 1;
         let executed = choices(&out.trace);
-        if let Some(fail) = classify(&out, &executed, None) {
+        if let Some(fail) = classify(&out, &executed) {
             report.failures.push(fail);
         } else if budget.check_divergence {
             if let Ok(bytes) = &out.output {
@@ -196,7 +191,6 @@ where
                             report.failures.push(Failure {
                                 kind: FailureKind::Divergence,
                                 script: executed.clone(),
-                                seed: None,
                                 message: format!(
                                     "output diverged from reference schedule {witness:?}"
                                 ),
@@ -226,60 +220,9 @@ where
     report
 }
 
-/// Randomized schedule search: `seeds` runs with seeds
-/// `base_seed..base_seed+seeds`, each fully replayable from its seed.
-/// Complements DFS beyond the preemption bound — random policies can take
-/// schedules the bounded systematic search would only reach much deeper.
-pub fn explore_random<F>(
-    n: usize,
-    cfg: Config,
-    seeds: u64,
-    base_seed: u64,
-    budget: Budget,
-    f: F,
-) -> Report
-where
-    F: Fn(Arc<dyn SyncBackend>) -> Vec<u8>,
-{
-    let mut report = Report {
-        schedules: 0,
-        pruned: 0,
-        complete: true,
-        failures: Vec::new(),
-    };
-    let mut reference: Option<(Vec<u8>, u64)> = None;
-    let mut diverged: BTreeMap<Vec<u8>, ()> = BTreeMap::new();
-    for seed in base_seed..base_seed.saturating_add(seeds) {
-        let out = run_once(n, cfg, Vec::new(), Policy::Random(seed), &f);
-        report.schedules += 1;
-        let executed = choices(&out.trace);
-        if let Some(fail) = classify(&out, &executed, Some(seed)) {
-            report.failures.push(fail);
-        } else if budget.check_divergence {
-            if let Ok(bytes) = &out.output {
-                match &reference {
-                    None => reference = Some((bytes.clone(), seed)),
-                    Some((want, witness)) if want != bytes => {
-                        if diverged.insert(bytes.clone(), ()).is_none() {
-                            report.failures.push(Failure {
-                                kind: FailureKind::Divergence,
-                                script: executed,
-                                seed: Some(seed),
-                                message: format!("output diverged from seed {witness}"),
-                            });
-                        }
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-    report
-}
-
 /// Re-run one schedule from a failure's replay script, returning the
 /// program's output (or its panic message). Prints nothing; pair with the
-/// script a `Failure` carries or a seed from `explore_random`.
+/// script a `Failure` carries.
 pub fn replay<F>(n: usize, cfg: Config, script: Vec<usize>, f: F) -> Result<Vec<u8>, String>
 where
     F: Fn(Arc<dyn SyncBackend>) -> Vec<u8>,

@@ -10,8 +10,6 @@
 //! * [`explore()`] — bounded exhaustive DFS over schedules (preemption
 //!   bounding, independence pruning), asserting deadlock-freedom and
 //!   byte-identical results across every explored interleaving;
-//! * [`explore_random`] — seeded random schedule search; a failing seed
-//!   replays the exact schedule;
 //! * [`replay`] — re-run one schedule from a failure's printed script;
 //! * [`check_world`] — the harness binding [`explore()`] to
 //!   `World::run_with_backend`;
@@ -26,9 +24,7 @@
 pub mod explore;
 pub mod scheduler;
 
-pub use explore::{
-    explore, explore_random, replay, run_threads, scaled, Budget, Failure, FailureKind, Report,
-};
+pub use explore::{explore, replay, run_threads, scaled, Budget, Failure, FailureKind, Report};
 pub use scheduler::{Config, Decision, NextAction, Policy, VirtualScheduler, STUCK_MSG};
 
 use dd_comm::{Communicator, CostModel, FaultPlan, World};

@@ -2093,31 +2093,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// Broadcast `value` from `root` (non-roots pass `None`).
-    pub fn try_bcast<T: Clone + Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<T, CommError> {
-        let size = self.size();
-        let bytes = value.as_ref().map_or(0, |v| v.wire_bytes());
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
-        self.trace_coll("bcast", CollClass::EqualCount, Some(root), bytes);
-        let model = self.model;
-        let r = self.try_collective(Box::new(value), move |mut contribs, max_entry| {
-            let boxed = std::mem::replace(&mut contribs[root], Box::new(()));
-            let v = invariant(
-                downcast_payload::<Option<T>>(boxed, "bcast"),
-                "bcast: root passed None",
-            );
-            let cost = model.bcast(size, v.wire_bytes());
-            (v, max_entry + cost)
-        })?;
-        Ok((*r).clone())
-    }
-
     /// Gather with equal counts (`MPI_Gather`): root receives all values in
     /// rank order; others get `None`.
     pub fn try_gather<T: Send + Sync + WireSize + 'static>(
@@ -2206,39 +2181,6 @@ impl Communicator {
         Ok(v)
     }
 
-    /// Scatter with varying counts (`MPI_Scatterv`): linear cost model.
-    pub fn try_scatterv<T: Send + Sync + WireSize + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> Result<T, CommError> {
-        let size = self.size();
-        let bytes = values
-            .as_ref()
-            .map_or(0, |vs| vs.iter().map(|v| v.wire_bytes()).sum::<usize>());
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
-        self.trace_coll("scatterv", CollClass::Varying, Some(root), bytes);
-        let model = self.model;
-        let rank = self.rank;
-        let r = self.try_collective(Box::new(values), move |mut contribs, max_entry| {
-            let boxed = std::mem::replace(&mut contribs[root], Box::new(()));
-            let vals = invariant(
-                downcast_payload::<Option<Vec<T>>>(boxed, "scatterv"),
-                "scatterv: root passed None",
-            );
-            assert_eq!(vals.len(), size);
-            let total: usize = vals.iter().map(|v| v.wire_bytes()).sum();
-            let cost = model.gather_varying(size, total);
-            let slots: Vec<Mutex<Option<T>>> =
-                vals.into_iter().map(|v| Mutex::new(Some(v))).collect();
-            (slots, max_entry + cost)
-        })?;
-        let v = invariant(lck(&r[rank]).take(), "scatterv: value already taken");
-        Ok(v)
-    }
-
     /// Allgather with equal counts.
     pub fn try_allgather<T: Clone + Send + Sync + WireSize + 'static>(
         &self,
@@ -2295,22 +2237,6 @@ impl Communicator {
         self.trace_coll("allreduce", CollClass::EqualCount, None, bytes);
         let r = self.try_collective(Box::new(value), self.sum_vecs())?;
         Ok((*r).clone())
-    }
-
-    /// Allreduce: maximum of scalars (the paper's
-    /// `MPI_Allreduce(ν_i, MPI_MAX)` to uniformize deflation counts).
-    pub fn try_allreduce_max(&self, value: f64) -> Result<f64, CommError> {
-        self.trace_coll("allreduce", CollClass::EqualCount, None, 8);
-        let size = self.size();
-        let model = self.model;
-        let r = self.try_collective(Box::new(value), move |contribs, max_entry| {
-            let m = contribs
-                .into_iter()
-                .map(|c| downcast_payload::<f64>(c, "allreduce_max"))
-                .fold(f64::NEG_INFINITY, f64::max);
-            (m, max_entry + model.allreduce(size, 8))
-        })?;
-        Ok(*r)
     }
 
     /// Allreduce: maximum of usize.

@@ -63,11 +63,6 @@ impl CostModel {
         log2_ceil(p) * self.alpha
     }
 
-    /// Broadcast of `bytes` to `p` ranks (binomial tree).
-    pub fn bcast(&self, p: usize, bytes: usize) -> f64 {
-        log2_ceil(p) * self.p2p(bytes)
-    }
-
     /// Reduction / allreduce of `bytes` among `p` ranks.
     pub fn allreduce(&self, p: usize, bytes: usize) -> f64 {
         log2_ceil(p) * self.p2p(bytes)
@@ -126,7 +121,6 @@ mod tests {
     fn degenerate_single_rank_costs_zero_latency() {
         let m = CostModel::default();
         assert_eq!(m.barrier(1), 0.0);
-        assert_eq!(m.bcast(1, 100), 0.0);
         assert_eq!(m.gather_uniform(1, 100), 0.0);
     }
 
@@ -182,14 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn bcast_and_allreduce_formulas_are_logp_p2p() {
+    fn allreduce_formula_is_logp_p2p() {
         let m = pin_model();
         for p in [2usize, 5, 16, 100] {
             let depth = tree_msgs(p) as f64;
-            assert_eq!(m.bcast(p, 256), depth * (A + 256.0 * B));
             assert_eq!(m.allreduce(p, 256), depth * (A + 256.0 * B));
-            // The two equal-count collectives are charged identically.
-            assert_eq!(m.bcast(p, 64), m.allreduce(p, 64));
         }
     }
 

@@ -10,7 +10,7 @@
 use crate::decomp::Decomposition;
 use crate::error::SpmdError;
 use dd_linalg::{CooBuilder, CsrMatrix, DMat};
-use dd_solver::{Ordering, PivotPolicy, SparseLdlt};
+use dd_solver::{LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 
 /// The assembled coarse space: one dense block per subdomain plus the
 /// block offsets `r_i = Σ_{j<i} ν_j` into the coarse unknowns.
@@ -74,7 +74,7 @@ pub struct CoarseOperator {
     /// Assembled `E` (kept for inspection: dimension, sparsity, Figure 11
     /// statistics).
     pub e: CsrMatrix,
-    factor: SparseLdlt,
+    factor: LocalLdlt,
 }
 
 impl CoarseOperator {
@@ -147,10 +147,13 @@ impl CoarseOperator {
         // neighbors under high contrast); null pivots are boosted so the
         // solve acts as a pseudo-inverse on range(Z) — the MUMPS null-pivot
         // strategy a production run would enable.
-        let factor = SparseLdlt::factor_with(&e, ordering, PivotPolicy::Boost { rel_tol: 1e-12 })
-            .map_err(|e| SpmdError::CoarseFactorization {
-            what: e.to_string(),
-        })?;
+        let boost = PivotPolicy::Boost { rel_tol: 1e-12 };
+        let factor =
+            LocalLdlt::factor_with(&e, ordering, boost, LdltBackend::Scalar).map_err(|e| {
+                SpmdError::CoarseFactorization {
+                    what: e.to_string(),
+                }
+            })?;
         Ok(CoarseOperator { space, e, factor })
     }
 
@@ -174,9 +177,10 @@ impl CoarseOperator {
     /// upper row strip, exactly what the distributed factorization
     /// ([`dd_solver::DistLdlt`]) eliminates in place of the redundant full
     /// copy (`E` is symmetric, so the sub-diagonal values live transposed
-    /// in earlier strips). Used by tests and the ablation bench to
-    /// cross-check the two coarse-solve paths.
-    pub fn block_row_strip(&self, lo: usize, hi: usize) -> DMat {
+    /// in earlier strips). Used by the tests to cross-check the two
+    /// coarse-solve paths.
+    #[cfg(test)]
+    fn block_row_strip(&self, lo: usize, hi: usize) -> DMat {
         assert!(lo <= hi && hi <= self.space.dim);
         let mut s = DMat::zeros(hi - lo, self.space.dim - lo);
         for r in lo..hi {
@@ -265,8 +269,8 @@ mod tests {
         let op = CoarseOperator::try_build(&d, space, Ordering::MinDegree).unwrap();
         assert!(op.e.symmetry_defect() < 1e-8 * op.e.norm_inf());
         // SPD since A is SPD and Z has full rank.
-        let f = SparseLdlt::factor(&op.e, Ordering::Natural).unwrap();
-        assert!(f.is_positive_definite());
+        let f = LocalLdlt::factor(&op.e, Ordering::Natural, LdltBackend::Scalar).unwrap();
+        assert_eq!(f.inertia(), (0, 0, op.dim()));
     }
 
     #[test]
@@ -313,7 +317,8 @@ mod tests {
             let g = comm.rank();
             let f =
                 dd_solver::DistLdlt::try_factor(comm, bounds.clone(), strips[g].clone()).unwrap();
-            f.try_solve(comm, &w[bounds[g]..bounds[g + 1]]).unwrap()
+            f.try_solve_panel(comm, &w[bounds[g]..bounds[g + 1]], 1)
+                .unwrap()
         });
         let got: Vec<f64> = pieces.into_iter().flatten().collect();
         let rel = vector::dist2(&got, &want) / vector::norm2(&want).max(1e-300);

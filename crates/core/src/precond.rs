@@ -371,7 +371,7 @@ mod tests {
         )
         .unwrap();
         assert!(res.converged);
-        let direct = dd_solver::SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
+        let direct = LocalLdlt::factor(&d.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&d.rhs_global);
         let rel = vector::dist2(&res.x, &direct) / vector::norm2(&direct);

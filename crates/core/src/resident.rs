@@ -40,7 +40,7 @@ use dd_krylov::{
     SolveInterrupt, SolveResult, SolveStatus,
 };
 use dd_linalg::{vector, BsrMatrix, CsrMatrix, DMat};
-use dd_solver::{DistLdlt, LocalLdlt, SparseLdlt};
+use dd_solver::{DistLdlt, LocalLdlt};
 
 const TAG_X: u64 = 103; // SpMV / consistency exchanges
 
@@ -675,7 +675,7 @@ pub(crate) enum MasterSolve {
     /// The full factorization, held redundantly by every master, beside the
     /// assembled `E` it came from (a few KiB; `debug_apply` hands it to the
     /// differential tests).
-    Redundant { e: CsrMatrix, factor: SparseLdlt },
+    Redundant { e: CsrMatrix, factor: LocalLdlt },
     /// This master's block row of the distributed factorization.
     Distributed(DistLdlt),
 }

@@ -43,7 +43,7 @@ use crate::resident::{epoch_salt, DebugApply, HaloPlan, MasterSolve, PreparedMul
 use dd_comm::{CommError, Communicator};
 use dd_krylov::{GmresOpts, SolveInterrupt};
 use dd_linalg::{CooBuilder, CsrMatrix, DMat};
-use dd_solver::{DistLdlt, LdltBackend, LocalLdlt, Ordering, PivotPolicy, SparseLdlt};
+use dd_solver::{DistLdlt, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 use std::collections::BTreeMap;
 
 // Tag namespace of the S_j / U_j exchange (Algorithm 1), keyed by the
@@ -793,10 +793,11 @@ pub(crate) fn try_setup_on<'a>(
                             let e: CsrMatrix = coo.to_csr();
                             // Static pivoting, as in the sequential coarse
                             // operator.
-                            SparseLdlt::factor_with(
+                            LocalLdlt::factor_with(
                                 &e,
                                 opts.ordering,
                                 PivotPolicy::Boost { rel_tol: 1e-12 },
+                                LdltBackend::Scalar,
                             )
                             .map(|factor| (e, factor))
                             .map_err(|e| e.to_string())
@@ -1056,7 +1057,7 @@ mod tests {
         let it0 = reports[0].iterations;
         assert!(reports.iter().all(|r| r.iterations == it0));
         // Matches the direct solution.
-        let direct = SparseLdlt::factor(&decomp.a_global, Ordering::MinDegree)
+        let direct = LocalLdlt::factor(&decomp.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&decomp.rhs_global);
         let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);
@@ -1195,7 +1196,7 @@ mod tests {
             (reports, from_rank_locals(&decomp, sols))
         };
         assert!(reports.iter().all(|r| r.converged));
-        let direct = SparseLdlt::factor(&decomp.a_global, Ordering::MinDegree)
+        let direct = LocalLdlt::factor(&decomp.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&decomp.rhs_global);
         let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);
@@ -1264,7 +1265,7 @@ mod tests {
         };
         let (reports, x) = spmd_solve(&decomp, &opts);
         assert!(reports.iter().all(|r| r.converged));
-        let direct = SparseLdlt::factor(&decomp.a_global, Ordering::MinDegree)
+        let direct = LocalLdlt::factor(&decomp.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&decomp.rhs_global);
         let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);

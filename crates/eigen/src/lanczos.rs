@@ -353,7 +353,7 @@ impl ShiftInvert<'_> {
         let mut w = vec![0.0; n];
         xorshift_fill(seed, &mut t);
         self.b.spmv(&t, &mut w);
-        self.k.solve_in_place_with(&mut w, &mut self.z);
+        self.k.solve_panel_with(&mut w, n, 1, &mut self.z);
         self.b.spmv(&w, &mut t);
         let unlocked = vector::dot(&w, &t).max(0.0).sqrt();
         b_orthogonalize(&mut w, spans(locked));
@@ -386,7 +386,7 @@ impl ShiftInvert<'_> {
             // One Lanczos step: w = K⁻¹ (B q_j), orthogonalized against the
             // locked pairs and against Q.
             w.copy_from_slice(&bq[m - 1]);
-            self.k.solve_in_place_with(&mut w, &mut self.z);
+            self.k.solve_panel_with(&mut w, n, 1, &mut self.z);
             // α_j = ⟨w, q_j⟩_B = wᵀ (B q_j)
             let aj = vector::dot(&w, &bq[m - 1]);
             alpha.push(aj);
@@ -449,7 +449,7 @@ impl ShiftInvert<'_> {
         // is a fixed point of x = (λ−σ) K⁻¹ B x, so one application of
         // K⁻¹B restores the missing components; the B-normalization takes
         // care of the factor. One panel solve for all of them, each column
-        // its single solve to the bit.
+        // that column solved alone to the bit.
         let mut purified = vec![0.0; n * cols.len()];
         let mut x = vec![0.0; n];
         for (&col, bx) in cols.iter().zip(purified.chunks_exact_mut(n)) {

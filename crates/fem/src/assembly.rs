@@ -452,7 +452,7 @@ pub fn apply_dirichlet(
 mod tests {
     use super::*;
     use dd_linalg::vector;
-    use dd_solver::{Ordering, SparseLdlt};
+    use dd_solver::{LdltBackend, LocalLdlt, Ordering};
 
     fn ones(_: &[f64]) -> f64 {
         1.0
@@ -517,7 +517,7 @@ mod tests {
             let bnd = dm.boundary_dofs(&mesh);
             let gvals: Vec<f64> = (0..dm.n_dofs()).map(|i| exact(dm.dof_coord(i))).collect();
             let ac = apply_dirichlet(&a, &mut rhs, &bnd, Some(&gvals));
-            let f = SparseLdlt::factor(&ac, Ordering::MinDegree).unwrap();
+            let f = LocalLdlt::factor(&ac, Ordering::MinDegree, LdltBackend::Scalar).unwrap();
             let u = f.solve(&rhs);
             for i in 0..dm.n_dofs() {
                 assert!(
@@ -540,7 +540,7 @@ mod tests {
         let bnd = dm.boundary_dofs(&mesh);
         let gvals: Vec<f64> = (0..dm.n_dofs()).map(|i| exact(dm.dof_coord(i))).collect();
         let ac = apply_dirichlet(&a, &mut rhs, &bnd, Some(&gvals));
-        let f = SparseLdlt::factor(&ac, Ordering::MinDegree).unwrap();
+        let f = LocalLdlt::factor(&ac, Ordering::MinDegree, LdltBackend::Scalar).unwrap();
         let u = f.solve(&rhs);
         for i in 0..dm.n_dofs() {
             assert!((u[i] - gvals[i]).abs() < 1e-9);
@@ -559,7 +559,7 @@ mod tests {
             });
             let bnd = dm.boundary_dofs(&mesh);
             let ac = apply_dirichlet(&a, &mut rhs, &bnd, None);
-            let f = SparseLdlt::factor(&ac, Ordering::MinDegree).unwrap();
+            let f = LocalLdlt::factor(&ac, Ordering::MinDegree, LdltBackend::Scalar).unwrap();
             let u = f.solve(&rhs);
             let mut err = 0.0f64;
             for i in 0..dm.n_dofs() {
@@ -619,7 +619,7 @@ mod tests {
             }
         }
         let ac = apply_dirichlet(&a, &mut rhs, &constrained, None);
-        let f = SparseLdlt::factor(&ac, Ordering::MinDegree).unwrap();
+        let f = LocalLdlt::factor(&ac, Ordering::MinDegree, LdltBackend::Scalar).unwrap();
         let u = f.solve(&rhs);
         // tip vertical displacement (any dof near x = 5)
         let mut tip_uy: f64 = 0.0;
@@ -722,7 +722,7 @@ mod tests {
         let ac = apply_dirichlet(&a, &mut rhs, &bnd, None);
         assert!(ac.symmetry_defect() < 1e-12 * ac.norm_inf());
         // SPD after constraining
-        let f = SparseLdlt::factor(&ac, Ordering::MinDegree).unwrap();
-        assert!(f.is_positive_definite());
+        let f = LocalLdlt::factor(&ac, Ordering::MinDegree, LdltBackend::Scalar).unwrap();
+        assert_eq!(f.inertia(), (0, 0, ac.rows()));
     }
 }

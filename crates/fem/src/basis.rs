@@ -181,7 +181,8 @@ impl LagrangeBasis {
     }
 
     /// Cartesian reference coordinates of lattice node `i`.
-    pub fn node_ref_coords(&self, i: usize) -> Vec<f64> {
+    #[cfg(test)]
+    fn node_ref_coords(&self, i: usize) -> Vec<f64> {
         (0..self.dim)
             .map(|d| self.nodes[i][d + 1] as f64 / self.order as f64)
             .collect()

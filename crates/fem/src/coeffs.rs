@@ -66,7 +66,8 @@ pub fn elasticity_two_materials(x: &[f64]) -> (f64, f64) {
 
 /// Contrast of a coefficient field sampled on a lattice — used by tests to
 /// confirm the fields reach the paper's heterogeneity levels.
-pub fn sampled_contrast(f: &dyn Fn(&[f64]) -> f64, dim: usize, samples: usize) -> f64 {
+#[cfg(test)]
+fn sampled_contrast(f: &dyn Fn(&[f64]) -> f64, dim: usize, samples: usize) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     let m = samples;

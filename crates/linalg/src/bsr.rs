@@ -15,7 +15,7 @@
 //! baseline. Padded (ragged/partially-filled) blocks add exact `+0.0·x`
 //! terms, which preserves values to the last ulp for finite inputs; padding
 //! is used by [`BsrMatrix::from_csr`] and (behind a fill-ratio threshold)
-//! [`BsrMatrix::detect_padded`], never by [`BsrMatrix::try_from_csr_exact`].
+//! [`BsrMatrix::detect_padded`], never by the tests' exact tiling.
 
 use crate::dense::DMat;
 use crate::sparse::CsrMatrix;
@@ -106,32 +106,24 @@ impl BsrMatrix {
     /// blocks: dimensions divisible by `bs` and every stored block
     /// structurally full. Returns `None` otherwise.
     ///
-    /// This is the conversion the SPMD layer uses: exact tiling guarantees
-    /// the BSR SpMV is bitwise identical to the CSR one (no padded zeros),
-    /// so enabling it cannot move any iteration count or telemetry counter.
-    pub fn try_from_csr_exact(a: &CsrMatrix, bs: usize) -> Option<Self> {
+    /// Exact tiling makes the BSR SpMV bitwise identical to the CSR one
+    /// with no padded zeros at all: the tests' reference tiling.
+    #[cfg(test)]
+    pub(crate) fn try_from_csr_exact(a: &CsrMatrix, bs: usize) -> Option<Self> {
         if bs < 2 || a.rows() % bs != 0 || a.cols() % bs != 0 || a.nnz() % (bs * bs) != 0 {
             return None;
         }
         let b = Self::from_csr(a, bs);
-        if b.n_blocks() * bs * bs == a.nnz() {
+        if b.col_idx.len() * bs * bs == a.nnz() {
             Some(b)
         } else {
             None
         }
     }
 
-    /// Try the natural block sizes (3, then 2) and return the first exact
-    /// tiling, if any.
-    pub fn detect(a: &CsrMatrix) -> Option<Self> {
-        [3, 2]
-            .iter()
-            .find_map(|&bs| Self::try_from_csr_exact(a, bs))
-    }
-
-    /// Like [`BsrMatrix::detect`], but also accepts *mostly* full tilings by
-    /// zero-padding partial blocks when at least [`Self::PAD_FILL_MIN`] of
-    /// the stored scalars are genuine entries.
+    /// Try the natural block sizes (3, then 2), accepting *mostly* full
+    /// tilings by zero-padding partial blocks when at least
+    /// [`Self::PAD_FILL_MIN`] of the stored scalars are genuine entries.
     ///
     /// Real assembled elasticity operators are not exactly tileable: the
     /// assembler drops cross-component couplings that cancel to exactly
@@ -189,12 +181,8 @@ impl BsrMatrix {
         self.bs
     }
 
-    /// Number of stored blocks.
-    pub fn n_blocks(&self) -> usize {
-        self.col_idx.len()
-    }
-
-    /// Stored scalar entries (`n_blocks · bs²`, including padding zeros).
+    /// Stored scalar entries (stored blocks · `bs²`, including padding
+    /// zeros).
     pub fn nnz_stored(&self) -> usize {
         self.values.len()
     }
@@ -749,18 +737,5 @@ mod tests {
             Err(4),
             "defect must be attributed to the poisoned column"
         );
-    }
-
-    #[test]
-    fn detect_prefers_exact_block_size() {
-        let a2 = block_matrix(6, 2, false, 1);
-        assert_eq!(BsrMatrix::detect(&a2).map(|b| b.block_size()), Some(2));
-        let a3 = block_matrix(4, 3, false, 2);
-        assert_eq!(BsrMatrix::detect(&a3).map(|b| b.block_size()), Some(3));
-        let mut b = CooBuilder::new(6, 6);
-        for i in 0..6 {
-            b.push(i, i, 1.0);
-        }
-        assert!(BsrMatrix::detect(&b.to_csr()).is_none());
     }
 }

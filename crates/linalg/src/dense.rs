@@ -38,7 +38,8 @@ impl DMat {
     }
 
     /// Build from a row-major nested array (convenient in tests).
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
         let c = if r == 0 { 0 } else { rows[0].len() };
         let mut m = DMat::zeros(r, c);
@@ -118,8 +119,10 @@ impl DMat {
         }
     }
 
-    /// `C ← α A B + β C` (`A = self`).
-    pub fn gemm(&self, alpha: f64, b: &DMat, beta: f64, c: &mut DMat) {
+    /// `C ← α A B + β C` (`A = self`): the dense reference of the sparse
+    /// products' tests.
+    #[cfg(test)]
+    pub(crate) fn gemm(&self, alpha: f64, b: &DMat, beta: f64, c: &mut DMat) {
         assert_eq!(self.cols, b.rows, "gemm: inner dims");
         assert_eq!(c.rows, self.rows, "gemm: C rows");
         assert_eq!(c.cols, b.cols, "gemm: C cols");

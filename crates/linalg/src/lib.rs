@@ -5,7 +5,7 @@
 //! paper obtains from Intel MKL.
 //!
 //! * [`vector`] — level-1 kernels (`dot`, `axpy`, norms, diagonal scaling).
-//! * [`dense`] — column-major [`dense::DMat`] with `gemm`/`gemv`, dense
+//! * [`dense`] — column-major [`dense::DMat`] with `gemv`/`gemm_tn`, dense
 //!   Cholesky, LDLᵀ, LU, and Householder QR.
 //! * [`sparse`] — [`sparse::CsrMatrix`] with `spmv`, `csrmm`, Gustavson
 //!   `spmm`, principal submatrices (the `R_i A R_iᵀ` extraction of §2),
@@ -26,7 +26,6 @@ pub mod bsr;
 pub mod dense;
 pub mod givens;
 pub mod jacobi;
-pub mod matrix_market;
 pub mod smallgemm;
 pub mod sparse;
 pub mod vector;
@@ -34,5 +33,4 @@ pub mod vector;
 pub use bsr::{BsrAbft, BsrMatrix};
 pub use dense::{DMat, DenseCholesky, DenseLdlt, DenseLu, DenseQr, FactorError};
 pub use givens::Givens;
-pub use matrix_market::{read_matrix_market, write_matrix_market, MmError};
 pub use sparse::{CooBuilder, CsrMatrix};

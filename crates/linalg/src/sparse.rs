@@ -44,9 +44,8 @@ impl CooBuilder {
         }
     }
 
-    /// Convert to CSR, summing duplicates and dropping exact zeros produced
-    /// by cancellation only if `drop_zeros` is set by the caller via
-    /// [`CsrMatrix::drop_small`]. Column indices within each row are sorted.
+    /// Convert to CSR, summing duplicates. Column indices within each row
+    /// are sorted.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut row_counts = vec![0usize; self.rows + 1];
         for &(i, _, _) in &self.entries {
@@ -269,39 +268,6 @@ impl CsrMatrix {
         }
     }
 
-    /// `y ← y + α A x`.
-    pub fn spmv_add(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        for i in 0..self.rows {
-            let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let mut acc = 0.0;
-            for k in s..e {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            y[i] += alpha * acc;
-        }
-    }
-
-    /// `y ← Aᵀ x` without forming the transpose.
-    pub fn spmv_t(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows);
-        assert_eq!(y.len(), self.cols);
-        for v in y.iter_mut() {
-            *v = 0.0;
-        }
-        for i in 0..self.rows {
-            let xi = x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            for k in s..e {
-                y[self.col_idx[k] as usize] += self.values[k] * xi;
-            }
-        }
-    }
-
     /// Sparse × dense: `C ← A B` (the paper's `csrmm`, used for
     /// `T_i = A_i W_i`).
     pub fn csrmm(&self, b: &DMat) -> DMat {
@@ -495,33 +461,6 @@ impl CsrMatrix {
         self.principal_submatrix(perm)
     }
 
-    /// Keep only entries with `|a_ij| > tol` (diagonal always kept on square
-    /// matrices so factorizations stay well-posed structurally).
-    pub fn drop_small(&self, tol: f64) -> CsrMatrix {
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0usize);
-        for i in 0..self.rows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let keep = self.values[k].abs() > tol
-                    || (self.rows == self.cols && self.col_idx[k] as usize == i);
-                if keep {
-                    col_idx.push(self.col_idx[k]);
-                    values.push(self.values[k]);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// The diagonal as a vector (zeros where not stored).
     pub fn diag(&self) -> Vec<f64> {
         assert_eq!(self.rows, self.cols);
@@ -611,19 +550,6 @@ mod tests {
         let mut y = [0.0; 3];
         a.spmv(&x, &mut y);
         assert_eq!(y, [5.0, 6.0, 13.0]);
-        let mut yt = [0.0; 3];
-        a.spmv_t(&x, &mut yt);
-        // A symmetric here
-        assert_eq!(yt, y);
-    }
-
-    #[test]
-    fn spmv_add_accumulates() {
-        let a = small();
-        let x = [1.0, 1.0, 1.0];
-        let mut y = [1.0, 1.0, 1.0];
-        a.spmv_add(2.0, &x, &mut y);
-        assert_eq!(y, [7.0, 7.0, 11.0]);
     }
 
     #[test]
@@ -725,16 +651,5 @@ mod tests {
         let a = small();
         assert_eq!(a.norm_inf(), 5.0); // row 2: 1+4
         assert_eq!(a.norm_1(), 5.0);
-    }
-
-    #[test]
-    fn drop_small_keeps_diagonal() {
-        let mut b = CooBuilder::new(2, 2);
-        b.push(0, 0, 1e-20);
-        b.push(0, 1, 1.0);
-        b.push(1, 1, 2.0);
-        let a = b.to_csr().drop_small(1e-12);
-        assert_eq!(a.get(0, 0), 1e-20); // diagonal kept
-        assert_eq!(a.get(0, 1), 1.0);
     }
 }

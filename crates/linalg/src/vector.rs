@@ -134,15 +134,6 @@ pub fn axpy_many<V: AsRef<[f64]>>(alphas: &[f64], xs: &[V], y: &mut [f64]) {
     }
 }
 
-/// `y ← α x + β y`.
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// `x ← α x`.
 #[inline]
 pub fn scal(alpha: f64, x: &mut [f64]) {
@@ -209,13 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_axpby() {
+    fn axpy_accumulates() {
         let x = [1.0, 2.0, 3.0];
         let mut y = [10.0, 10.0, 10.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 14.0, 16.0]);
-        axpby(1.0, &x, 0.5, &mut y);
-        assert_eq!(y, [7.0, 9.0, 11.0]);
     }
 
     #[test]

@@ -63,9 +63,6 @@ impl Tok {
     pub fn is_open(&self, d: char) -> bool {
         self.kind == TokKind::Open && self.text.as_bytes()[0] == d as u8
     }
-    pub fn is_close(&self, d: char) -> bool {
-        self.kind == TokKind::Close && self.text.as_bytes()[0] == d as u8
-    }
 }
 
 impl fmt::Display for Tok {

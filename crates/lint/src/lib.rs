@@ -20,6 +20,8 @@
 //!   flow-aware rules) — both emitting [`Finding`]s with a witness that
 //!   names the enclosing item and, for inter-procedural findings, the
 //!   call path.
+//! * [`inventory`] — per-file non-test lines and public items (reported
+//!   per crate), and the workspace-wide `unreferenced-pub` rule.
 //!
 //! Audited exceptions live in `dd-analyze.baseline` ([`baseline`]):
 //! entries are keyed by rule + FNV-1a fingerprint of the witness, so they
@@ -30,6 +32,7 @@ use std::path::{Path, PathBuf};
 
 pub mod baseline;
 pub mod flow;
+pub mod inventory;
 pub mod lexer;
 pub mod model;
 pub mod rules;
@@ -61,7 +64,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// Every rule dd-analyze knows, in report order.
-pub const RULES: [&str; 15] = [
+pub const RULES: [&str; 16] = [
     // Ported site rules.
     "wallclock",
     "unwrap-expect",
@@ -79,14 +82,27 @@ pub const RULES: [&str; 15] = [
     "wallclock-taint",
     "epoch-tag",
     "raw-envelope",
+    // Workspace surface.
+    "unreferenced-pub",
 ];
 
 /// Lex and model every `.rs` file under `root/src` and `root/crates`,
 /// skipping `target/` and dotdirs. Paths are workspace-relative with
 /// forward slashes.
 pub fn collect_models(root: &Path) -> std::io::Result<Vec<FileModel>> {
+    collect_under(root, &["src", "crates"])
+}
+
+/// [`collect_models`] of the code that uses the workspace from outside —
+/// the integration tests, the examples and the benchmark's sources — read
+/// by `unreferenced-pub` for uses only.
+pub fn collect_references(root: &Path) -> std::io::Result<Vec<FileModel>> {
+    collect_under(root, &["tests", "examples", "benchmark/src"])
+}
+
+fn collect_under(root: &Path, tops: &[&str]) -> std::io::Result<Vec<FileModel>> {
     let mut out = Vec::new();
-    for top in ["src", "crates"] {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(root, &dir, &mut out)?;
@@ -116,9 +132,10 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<FileModel>) -> std::io::Result<()
     Ok(())
 }
 
-/// Run all fifteen rules over the modeled files and fingerprint every
-/// finding. Deterministic order: path, line, rule.
-pub fn run_rules(files: &[FileModel]) -> Vec<Finding> {
+/// Run all sixteen rules over the modeled files (`refs`: the files
+/// [`collect_references`] returns) and fingerprint every finding.
+/// Deterministic order: path, line, rule.
+pub fn run_rules(files: &[FileModel], refs: &[FileModel]) -> Vec<Finding> {
     let mut ws = flow::Workspace::build(files);
     let mut findings = Vec::new();
     findings.extend(rules::rule_wallclock(files));
@@ -136,6 +153,7 @@ pub fn run_rules(files: &[FileModel]) -> Vec<Finding> {
     findings.extend(flow::rule_wallclock_taint(files));
     findings.extend(flow::rule_epoch_tag(files));
     findings.extend(flow::rule_raw_envelope(files));
+    findings.extend(inventory::rule_unreferenced_pub(files, refs));
     for f in &mut findings {
         f.fingerprint = baseline::fingerprint(f.rule, &f.path, &f.witness);
     }
@@ -155,6 +173,8 @@ pub struct AnalyzeResult {
     pub files_scanned: usize,
     /// Findings before baseline subtraction (for the delta table).
     pub total: usize,
+    /// Size and public surface of every scanned file.
+    pub inventory: Vec<inventory::FileCount>,
 }
 
 impl AnalyzeResult {
@@ -165,12 +185,14 @@ impl AnalyzeResult {
 
 /// Full pass: model `root`, run rules, subtract `root/dd-analyze.baseline`.
 pub fn analyze(root: &Path) -> Result<AnalyzeResult, String> {
-    let files = collect_models(root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
+    let scan = |e: std::io::Error| format!("scanning {}: {e}", root.display());
+    let files = collect_models(root).map_err(scan)?;
+    let refs = collect_references(root).map_err(scan)?;
     let entries = match std::fs::read_to_string(root.join("dd-analyze.baseline")) {
         Ok(text) => baseline::parse(&text)?,
         Err(_) => Vec::new(),
     };
-    let findings = run_rules(&files);
+    let findings = run_rules(&files, &refs);
     let total = findings.len();
     let applied = baseline::apply(findings, &entries);
     Ok(AnalyzeResult {
@@ -179,6 +201,7 @@ pub fn analyze(root: &Path) -> Result<AnalyzeResult, String> {
         stale: applied.stale,
         files_scanned: files.len(),
         total,
+        inventory: inventory::count_files(&files),
     })
 }
 
@@ -199,7 +222,8 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Structured JSON report — the CI artifact: active findings plus stale
-/// baseline entries and the pass totals.
+/// baseline entries, the pass totals, and the inventory per crate and per
+/// file.
 pub fn json_report(result: &AnalyzeResult) -> String {
     let mut s = String::from("{\n  \"findings\": [\n");
     for (i, f) in result.findings.iter().enumerate() {
@@ -225,9 +249,32 @@ pub fn json_report(result: &AnalyzeResult) -> String {
         ));
     }
     s.push_str(&format!(
-        "  ],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"total\": {}\n}}\n",
+        "  ],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"total\": {},\n",
         result.files_scanned, result.suppressed, result.total
     ));
+    let crates = inventory::per_crate(&result.inventory);
+    s.push_str("  \"crates\": [\n");
+    for (i, (name, lines, items)) in crates.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"crate\": \"{name}\", \"lines\": {lines}, \"pub_items\": {items}}}{}\n",
+            if i + 1 < crates.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("  ],\n  \"files\": [\n");
+    for (i, c) in result.inventory.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"path\": \"{}\", \"lines\": {}, \"pub_items\": {}}}{}\n",
+            json_escape(&c.path),
+            c.lines,
+            c.pub_items,
+            if i + 1 < result.inventory.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    s.push_str("  ]\n}\n");
     s
 }
 
@@ -258,6 +305,15 @@ pub fn delta_table(result: &AnalyzeResult) -> String {
     for e in &result.stale {
         s.push_str(&format!("\n- **stale baseline entry**: `{}`\n", e.render()));
     }
+    s.push_str("\n| crate | non-test lines | public items |\n|---|---:|---:|\n");
+    let crates = inventory::per_crate(&result.inventory);
+    for (name, lines, items) in &crates {
+        s.push_str(&format!("| {name} | {lines} | {items} |\n"));
+    }
+    let (lines, items) = crates
+        .iter()
+        .fold((0, 0), |(l, p), (_, lc, pc)| (l + lc, p + pc));
+    s.push_str(&format!("| **total** | {lines} | {items} |\n"));
     s
 }
 
@@ -287,7 +343,7 @@ mod tests {
                 "fn f(comm: &C) { if comm.rank() == 0 { comm.barrier(); } }\n",
             ),
         ];
-        let got = run_rules(&files);
+        let got = run_rules(&files, &[]);
         assert!(got.len() >= 2, "{got:?}");
         assert!(got.iter().all(|f| f.fingerprint.len() == 16));
         let paths: Vec<&str> = got.iter().map(|f| f.path.as_str()).collect();
@@ -311,11 +367,17 @@ mod tests {
             stale: vec![],
             files_scanned: 5,
             total: 3,
+            inventory: vec![inventory::FileCount {
+                path: "crates/x/src/lib.rs".into(),
+                lines: 12,
+                pub_items: 2,
+            }],
         };
         let j = json_report(&result);
         assert!(j.contains("\\\"a\\\\b\\\""), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.contains("\"suppressed\": 2"));
+        assert!(j.contains("{\"crate\": \"dd-x\", \"lines\": 12, \"pub_items\": 2}"));
     }
 
     #[test]
@@ -331,6 +393,7 @@ mod tests {
             }],
             files_scanned: 40,
             total: 7,
+            inventory: vec![],
         };
         let t = delta_table(&result);
         assert!(t.contains("7 suppressed"), "{t}");

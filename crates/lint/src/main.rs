@@ -3,8 +3,10 @@
 //! any stale baseline entry.
 //!
 //! Flags:
-//! * `--json PATH`      write the structured findings report (CI artifact)
-//! * `--summary PATH`   append the markdown delta table (CI step summary)
+//! * `--json PATH`      write the structured findings report, with the
+//!   per-crate and per-file inventory (CI artifact)
+//! * `--summary PATH`   append the markdown delta table and the per-crate
+//!   inventory (CI step summary)
 //! * `--print-fingerprints`  list every finding pre-baseline with its
 //!   fingerprint, for authoring baseline entries
 
@@ -39,14 +41,16 @@ fn main() -> ExitCode {
     }
 
     if print_fps {
-        let files = match dd_lint::collect_models(&root) {
-            Ok(f) => f,
+        let models = dd_lint::collect_models(&root)
+            .and_then(|files| Ok((files, dd_lint::collect_references(&root)?)));
+        let (files, refs) = match models {
+            Ok(m) => m,
             Err(e) => {
                 eprintln!("dd-analyze: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        for f in &dd_lint::run_rules(&files) {
+        for f in &dd_lint::run_rules(&files, &refs) {
             println!(
                 "{} fp:{} {}  # {}",
                 f.rule, f.fingerprint, f.path, f.witness

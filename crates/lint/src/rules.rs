@@ -370,10 +370,14 @@ pub fn rule_payload_clone(files: &[FileModel]) -> Vec<Finding> {
     out
 }
 
-/// Factorization entry points banned in the resident apply path.
-const REFACTOR_PATHS: [(&str, &str); 4] = [
-    ("SparseLdlt", "factor"),
-    ("DistLdlt", "factor"),
+/// Factorization entry points banned in the resident apply path: every
+/// constructor of the one sparse factor type, the distributed and dense
+/// factorizations, and (by method name, below) a subdomain's
+/// `factor_dirichlet`.
+const REFACTOR_PATHS: [(&str, &str); 5] = [
+    ("LocalLdlt", "factor"),
+    ("LocalLdlt", "factor_with"),
+    ("LocalLdlt", "factor_ordered"),
     ("DistLdlt", "try_factor"),
     ("DenseLdlt", "factor"),
 ];
@@ -403,7 +407,7 @@ pub fn rule_serve_apply(files: &[FileModel]) -> Vec<Finding> {
                 c.path.len() >= 2
                     && c.path[c.path.len() - 2] == *ty
                     && c.path[c.path.len() - 1] == *f
-            }) || (c.is_method && c.name == "refactor")
+            }) || (c.is_method && c.name == "factor_dirichlet")
                 || c.name.starts_with("try_setup");
             if is_refactor {
                 let w = format!("{}: {}", fn_context(m, c.tok), c.display_name());
@@ -606,16 +610,36 @@ mod tests {
     fn serve_apply_blocks_factorization_in_apply_path() {
         let bad = file(
             "crates/core/src/recovery.rs",
-            "impl P { pub fn try_apply_on(&self, d: &D) -> R { let f = SparseLdlt::factor(&d.a, ord); self.solve(f) } }\n",
+            "impl P { pub fn try_apply_on(&self, d: &D) -> R { let f = LocalLdlt::factor(&d.a, ord, b); self.solve(f) } }\n",
         );
         let got = rule_serve_apply(std::slice::from_ref(&bad));
         assert_eq!(got.len(), 1, "{got:?}");
         let ok = file(
             "crates/core/src/recovery.rs",
-            "fn try_setup_partitioned(d: &D) -> R { let f = SparseLdlt::factor(&d.a, ord); }\n\
+            "fn try_setup_partitioned(d: &D) -> R { let f = LocalLdlt::factor(&d.a, ord, b); }\n\
              fn other(&self) { self.resident.solve() }\n",
         );
         assert!(rule_serve_apply(std::slice::from_ref(&ok)).is_empty());
+    }
+
+    /// Every set-up factors through `LocalLdlt::factor_ordered` (a
+    /// subdomain's `factor_dirichlet`); both are caught in an apply.
+    #[test]
+    fn serve_apply_blocks_every_local_factor_entry() {
+        let bad = file(
+            "crates/core/src/resident.rs",
+            "impl P { fn try_apply_on(&self, s: &S) -> R {\n\
+             let f = LocalLdlt::factor_ordered(&s.a, &s.order, pivot, backend)?;\n\
+             let (order, g) = s.sub.factor_dirichlet(o, backend)?;\n\
+             self.solve(f, g) } }\n",
+        );
+        let got = rule_serve_apply(std::slice::from_ref(&bad));
+        let lines: Vec<u32> = got.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 3], "{got:?}");
+        assert!(
+            got[0].witness.contains("LocalLdlt::factor_ordered"),
+            "{got:?}"
+        );
     }
 
     #[test]
@@ -636,9 +660,9 @@ mod tests {
         let bad = file(
             "crates/serve/src/server.rs",
             "fn f(c: &C, x: &X, a: &A, b: &B) { c.trace_phase(\"serve-apply\");\n\
-             let f1 = x.refactor(a);\n\
+             let f1 = x.factor_dirichlet(a, b);\n\
              c.trace_phase(\"serve-setup\");\n\
-             let g = x.refactor(b); }\n",
+             let g = x.factor_dirichlet(a, b); }\n",
         );
         let got = rule_serve_apply(std::slice::from_ref(&bad));
         assert_eq!(got.len(), 1, "{got:?}");

@@ -46,7 +46,8 @@ fn analyzer_is_clean_on_itself() {
         files.iter().any(|f| f.path.ends_with("flow.rs")),
         "expected to scan the analyzer's own sources"
     );
-    let findings = dd_lint::run_rules(&files);
+    let refs = dd_lint::collect_references(&root).expect("lint tests must parse");
+    let findings = dd_lint::run_rules(&files, &refs);
     let report: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
     assert!(
         report.is_empty(),

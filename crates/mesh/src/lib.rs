@@ -10,8 +10,7 @@
 //! * [`Mesh::unit_square`] / [`Mesh::rectangle`] — 2D triangulations;
 //! * [`Mesh::unit_cube`] / [`Mesh::box3d`] — 3D Kuhn tetrahedralizations;
 //! * [`refine`] — red uniform refinement (tri → 4, tet → 8);
-//! * [`Mesh::dual_graph`] — facet-adjacency graph for partitioning;
-//! * [`Mesh::boundary_vertices`] — essential boundary condition support.
+//! * [`Mesh::dual_graph`] — facet-adjacency graph for partitioning.
 
 // Triangular solves, factorizations and stencil loops read most
 // naturally with explicit indices; iterator rewrites obscure the math.
@@ -295,8 +294,9 @@ impl Mesh {
     }
 
     /// Vertices lying on the boundary (vertices of facets that belong to
-    /// exactly one element).
-    pub fn boundary_vertices(&self) -> Vec<bool> {
+    /// exactly one element): the tests' oracle for merged interfaces.
+    #[cfg(test)]
+    fn boundary_vertices(&self) -> Vec<bool> {
         let mut facet_count: HashMap<Vec<u32>, u32> = HashMap::new();
         for e in 0..self.n_elements() {
             for f in self.element_facets(e) {

@@ -303,12 +303,6 @@ pub fn partition_rcb(points: &[f64], dim: usize, nparts: usize) -> Vec<u32> {
     part
 }
 
-/// Partition a mesh's dual graph into `nparts` (convenience wrapper used by
-/// examples and benches).
-pub fn partition_mesh(mesh: &dd_mesh::Mesh, nparts: usize) -> Vec<u32> {
-    partition_ggp(&mesh.dual_graph(), nparts)
-}
-
 /// Geometric partition of a mesh via element centroids.
 pub fn partition_mesh_rcb(mesh: &dd_mesh::Mesh, nparts: usize) -> Vec<u32> {
     let dim = mesh.dim();
@@ -387,7 +381,7 @@ mod tests {
     #[test]
     fn ggp_on_mesh_parts_mostly_connected() {
         let m = Mesh::unit_square(16, 16);
-        let p = partition_mesh(&m, 16);
+        let p = partition_ggp(&m.dual_graph(), 16);
         let q = quality(&m.dual_graph(), &p, 16);
         assert!(q.connected_parts >= 14, "{q:?}");
         assert!(q.imbalance <= 1.2, "{q:?}");

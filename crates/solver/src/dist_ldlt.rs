@@ -46,7 +46,8 @@
 //! and flop-counted via [`Communicator::charge_flops`], so the telemetry
 //! layer sees the `1/P` scaling the paper claims.
 
-use crate::ldlt::{Ordering, PivotPolicy, SparseLdlt};
+use crate::ldlt::{Ordering, PivotPolicy};
+use crate::local::{LdltBackend, LocalLdlt};
 use dd_comm::{CommError, Communicator};
 use dd_linalg::{CooBuilder, DMat};
 use std::sync::Arc;
@@ -64,7 +65,7 @@ const BOOST_REL_TOL: f64 = 1e-12;
 /// One master's share of the distributed LDLᵀ factorization of `E`.
 ///
 /// Built collectively by [`DistLdlt::try_factor`] on every rank of the master
-/// communicator; applied collectively by [`DistLdlt::try_solve`].
+/// communicator; applied collectively by [`DistLdlt::try_solve_panel`].
 pub struct DistLdlt {
     /// Block-row boundaries of all `P` masters (`P + 1` entries,
     /// `bounds[P] = dim(E)`).
@@ -80,7 +81,7 @@ pub struct DistLdlt {
     /// `E'_p,trailing = (D Lᵀ)_p,trailing` panels both sweeps read.
     strip: DMat,
     /// Local factor of the Schur-updated diagonal block `A'_pp`.
-    diag: SparseLdlt,
+    diag: LocalLdlt,
     /// Multiply-adds spent in this master's share of the factorization.
     flops: u64,
 }
@@ -123,7 +124,7 @@ impl DistLdlt {
         assert_eq!(strip.rows(), np, "strip must hold this master's rows");
         assert_eq!(strip.cols(), dim - r0, "strip must span columns r0..dim");
         let policy = comm.retry_policy();
-        let mut diag: Option<SparseLdlt> = None;
+        let mut diag: Option<LocalLdlt> = None;
         let mut flops = 0u64;
         for k in 0..p {
             comm.failpoint("e-factorization-dist")?;
@@ -138,14 +139,12 @@ impl DistLdlt {
                 let f = comm.compute(|| factor_diag_block(&strip, nk));
                 let mut panel = vec![0.0; nk * mt];
                 comm.compute(|| {
-                    let mut col = vec![0.0; nk];
                     for j in 0..mt {
                         for r in 0..nk {
-                            col[r] = strip[(r, nk + j)];
+                            panel[j * nk + r] = strip[(r, nk + j)];
                         }
-                        f.solve_in_place(&mut col);
-                        panel[j * nk..(j + 1) * nk].copy_from_slice(&col);
                     }
+                    f.solve_panel_with(&mut panel, nk, mt, &mut Vec::new());
                 });
                 let solve_flops = (4 * (f.nnz_l() + nk) * mt) as u64;
                 comm.charge_flops(solve_flops);
@@ -202,25 +201,16 @@ impl DistLdlt {
         })
     }
 
-    /// Cooperatively solve `E x = w` for this master's slice. Collective
-    /// over `comm`; `w_local` is this master's block of the right-hand side
-    /// and the returned vector is the matching block of the solution —
-    /// exactly the ν-sized slices the group gather/scatter already moves.
+    /// Cooperatively solve `E x = w` for this master's slice, `k`
+    /// right-hand sides at once. Collective over `comm`; `w_local` holds
+    /// this master's block of each right-hand side, one column after
+    /// another, and so does the result — exactly the ν-sized slices the
+    /// group gather/scatter already moves. Every message of the sweeps
+    /// carries all `k` columns, so the solve sends what one column sends,
+    /// `k` times longer; each column's arithmetic is the one-column
+    /// solve's (`k = 1`), in its order, so it equals that solve to the bit.
     /// Sweep receives run under the communicator's ambient retry policy and
     /// an armed `e-solve-dist` kill fires at the sweep boundaries.
-    ///
-    /// # Errors
-    /// Same classification as [`DistLdlt::try_factor`].
-    pub fn try_solve(&self, comm: &Communicator, w_local: &[f64]) -> Result<Vec<f64>, CommError> {
-        self.try_solve_panel(comm, w_local, 1)
-    }
-
-    /// [`DistLdlt::try_solve`] of `k` right-hand sides at once: `w_local`
-    /// holds this master's block of each, one column after another, and so
-    /// does the result. Every message of the sweeps carries all `k` columns,
-    /// so the solve sends what one column sends, `k` times longer; each
-    /// column's arithmetic is the one-column solve's, in its order, so it
-    /// equals that solve to the bit.
     ///
     /// # Errors
     /// Same classification as [`DistLdlt::try_factor`].
@@ -350,7 +340,7 @@ impl DistLdlt {
 
     /// Multiply-adds this master spent in [`DistLdlt::try_factor`] (panel
     /// solves + trailing updates) — comparable with
-    /// [`SparseLdlt::flops_estimate`] on the redundant path.
+    /// [`LocalLdlt::flops_estimate`] on the redundant path.
     pub fn flops(&self) -> u64 {
         self.flops
     }
@@ -378,7 +368,7 @@ fn check_len(src: usize, tag: u64, len: usize, expected: usize) -> Result<(), Co
 /// Factor the dense diagonal block `strip[:, 0..nk]` through the sparse
 /// kernel so the pivoting semantics (ordering aside) match the redundant
 /// path bit for bit on the same sequence of pivots.
-fn factor_diag_block(strip: &DMat, nk: usize) -> SparseLdlt {
+fn factor_diag_block(strip: &DMat, nk: usize) -> LocalLdlt {
     let mut coo = CooBuilder::new(nk, nk);
     for r in 0..nk {
         for c in 0..nk {
@@ -388,12 +378,13 @@ fn factor_diag_block(strip: &DMat, nk: usize) -> SparseLdlt {
             }
         }
     }
-    SparseLdlt::factor_with(
+    LocalLdlt::factor_with(
         &coo.to_csr(),
         Ordering::Natural,
         PivotPolicy::Boost {
             rel_tol: BOOST_REL_TOL,
         },
+        LdltBackend::Scalar,
     )
     .expect("boosted static pivoting cannot reject a pivot")
 }
@@ -439,10 +430,11 @@ mod tests {
     fn check_distributed_solve(n: usize, bounds: Vec<usize>, rhs: Vec<f64>) {
         let a = test_matrix(n, 3);
         let p = bounds.len() - 1;
-        let reference = SparseLdlt::factor_with(
+        let reference = LocalLdlt::factor_with(
             &a,
             Ordering::MinDegree,
             PivotPolicy::Boost { rel_tol: 1e-12 },
+            LdltBackend::Scalar,
         )
         .unwrap()
         .solve(&rhs);
@@ -455,7 +447,7 @@ mod tests {
             let f = DistLdlt::try_factor(comm, b2.clone(), strip).unwrap();
             assert!(f.nnz_l() > 0);
             let w = r2[b2[me]..b2[me + 1]].to_vec();
-            f.try_solve(comm, &w).unwrap()
+            f.try_solve_panel(comm, &w, 1).unwrap()
         });
         let x: Vec<f64> = pieces.into_iter().flatten().collect();
         let num: f64 = x
@@ -532,10 +524,10 @@ mod tests {
                 comm.trace_phase("singles");
                 let singles: Vec<f64> = cols
                     .iter()
-                    .flat_map(|w| f.try_solve(comm, w).unwrap())
+                    .flat_map(|w| f.try_solve_panel(comm, w, 1).unwrap())
                     .collect();
                 comm.trace_phase("one");
-                f.try_solve(comm, &cols[1]).unwrap();
+                f.try_solve_panel(comm, &cols[1], 1).unwrap();
                 (panel, singles)
             });
             for (panel, singles) in rows {
@@ -576,7 +568,7 @@ mod tests {
             if tag != TAG_PANEL {
                 send_short();
             }
-            f.try_solve(comm, &rhs[bounds[me]..bounds[me + 1]])
+            f.try_solve_panel(comm, &rhs[bounds[me]..bounds[me + 1]], 1)
         })
     }
 
@@ -661,17 +653,21 @@ mod tests {
         let a = coo.to_csr();
         let mut rhs = vec![1.0; n];
         rhs[n - 1] = 0.0;
-        let reference =
-            SparseLdlt::factor_with(&a, Ordering::Natural, PivotPolicy::Boost { rel_tol: 1e-12 })
-                .unwrap()
-                .solve(&rhs);
+        let reference = LocalLdlt::factor_with(
+            &a,
+            Ordering::Natural,
+            PivotPolicy::Boost { rel_tol: 1e-12 },
+            LdltBackend::Scalar,
+        )
+        .unwrap()
+        .solve(&rhs);
         let bounds = vec![0usize, 4, 8];
         let boosted = World::run(2, CostModel::default(), move |comm| {
             let me = comm.rank();
             let strip = upper_strip(&a, bounds[me], bounds[me + 1]);
             let f = DistLdlt::try_factor(comm, bounds.clone(), strip).unwrap();
             let w = rhs[bounds[me]..bounds[me + 1]].to_vec();
-            (f.n_boosted(), f.try_solve(comm, &w).unwrap())
+            (f.n_boosted(), f.try_solve_panel(comm, &w, 1).unwrap())
         });
         assert_eq!(boosted.iter().map(|(b, _)| b).sum::<usize>(), 1);
         let x: Vec<f64> = boosted.into_iter().flat_map(|(_, x)| x).collect();

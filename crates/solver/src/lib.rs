@@ -7,15 +7,18 @@
 //! * [`ordering`] — reverse Cuthill–McKee and quotient-graph minimum degree
 //!   (on the node graph for vector-valued operators);
 //!   [`ordering::fill_reducing`] turns an [`Ordering`] into the permutation
-//!   every `factor_ordered` entry point takes.
-//! * [`ldlt`] — elimination-tree based up-looking LDLᵀ with forward/backward
-//!   solves, inertia computation, and multi-RHS solves.
-//! * [`supernodal`] — multifrontal LDLᵀ with relaxed supernodes and dense
-//!   blocked panels (the raw-speed path; `ldlt` stays the differential
-//!   oracle).
-//! * [`local`] — [`local::LocalLdlt`], the wrapper the SPMD layer factors
-//!   subdomain matrices through; it picks the kernel from the symbolic
-//!   analysis unless one is forced.
+//!   [`LocalLdlt::factor_ordered`] takes.
+//! * [`local`] — [`LocalLdlt`], the one public factor type: it factors
+//!   (`factor`, `factor_with`, `factor_ordered`), picks the kernel from the
+//!   symbolic analysis unless one is forced, and solves `k` right-hand
+//!   sides at once (`solve_panel_with`; one right-hand side is the panel
+//!   of width 1).
+//! * [`ldlt`] — the scalar kernel: elimination-tree based up-looking
+//!   LDLᵀ, and the elimination-tree symbolic analysis both kernels start
+//!   from.
+//! * [`supernodal`] — the blocked kernel: multifrontal LDLᵀ with relaxed
+//!   supernodes and dense panels (the raw-speed path; the scalar kernel
+//!   stays the differential oracle).
 //! * [`dist_ldlt`] — block fan-in LDLᵀ of a row-distributed matrix over a
 //!   communicator, with distributed triangular solves (the coarse operator
 //!   `E` across the elected masters, §3.2).

@@ -1,9 +1,16 @@
-//! Backend-selectable local LDLᵀ — one interface over the scalar up-looking
-//! factorization ([`SparseLdlt`]) and the blocked multifrontal one
-//! ([`SupernodalLdlt`]).
+//! Backend-selectable local LDLᵀ — the one public factor type, over the
+//! scalar up-looking factorization ([`SparseLdlt`]) and the blocked
+//! multifrontal one ([`SupernodalLdlt`]).
 //!
-//! The SPMD layer factors every subdomain Dirichlet matrix through this
-//! wrapper. By default ([`LdltBackend::Auto`]) the kernel is chosen per
+//! Every factorization in the workspace goes through this type: the
+//! subdomain Dirichlet matrices and GenEO pencils, the redundant coarse
+//! operator `E` and the diagonal blocks of the distributed one (those two
+//! on [`LdltBackend::Scalar`]). A factor is applied through one solve,
+//! [`LocalLdlt::solve_panel_with`], on `k` right-hand sides at once; one
+//! right-hand side is the panel of width 1, and every column of a panel
+//! is that width-1 solve to the bit.
+//!
+//! By default ([`LdltBackend::Auto`]) the kernel is chosen per
 //! matrix from the symbolic analysis both kernels begin with, as CHOLMOD
 //! chooses between its simplicial and supernodal factorizations (Chen,
 //! Davis, Hager & Rajamanickam, ACM TOMS 35(3), 2008): the elimination-tree
@@ -19,7 +26,7 @@ use crate::ldlt::{
 };
 use crate::ordering;
 use crate::supernodal::SupernodalLdlt;
-use dd_linalg::{CsrMatrix, DMat};
+use dd_linalg::CsrMatrix;
 
 /// Which factorization backs a [`LocalLdlt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -153,14 +160,32 @@ impl LocalLdlt {
         }
     }
 
+    /// Matrix inertia (#negative, #zero, #positive pivots): by
+    /// Sylvester's law of inertia, the signs of the eigenvalues.
     pub fn inertia(&self) -> (usize, usize, usize) {
-        match self {
-            LocalLdlt::Scalar(f) => f.inertia(),
-            LocalLdlt::Supernodal(f) => f.inertia(),
-        }
+        let d = self.d();
+        let neg = d.iter().filter(|&&v| v < 0.0).count();
+        let zero = d.iter().filter(|&&v| v == 0.0).count();
+        (neg, zero, d.len() - neg - zero)
     }
 
-    /// The elimination order ([`SparseLdlt::perm`]).
+    /// Multiply-add estimate of the numeric factorization: each column `j`
+    /// with `c_j` stored entries below the diagonal costs `c_j (c_j + 3)`
+    /// operations in the up-looking sweep (the standard sparse-LDLᵀ
+    /// operation count; the supernodal kernel's columns include their
+    /// amalgamation zeros). Deterministic, so usable as a telemetry flop
+    /// charge.
+    pub fn flops_estimate(&self) -> u64 {
+        (0..self.n())
+            .map(|j| {
+                let c = self.l_column(j).0.len() as u64;
+                c * (c + 3)
+            })
+            .sum()
+    }
+
+    /// The elimination order: position `i` of the factored matrix is row
+    /// `perm()[i]` of `A`.
     pub fn perm(&self) -> &[usize] {
         match self {
             LocalLdlt::Scalar(f) => f.perm(),
@@ -168,7 +193,7 @@ impl LocalLdlt {
         }
     }
 
-    /// The pivots `D` ([`SparseLdlt::d`]).
+    /// The pivots `D`, in elimination order.
     pub fn d(&self) -> &[f64] {
         match self {
             LocalLdlt::Scalar(f) => f.d(),
@@ -176,8 +201,9 @@ impl LocalLdlt {
         }
     }
 
-    /// Column `j` of `L` below its unit diagonal
-    /// ([`SparseLdlt::l_column`]).
+    /// Column `j` of `L` below its unit diagonal, as the solves read it:
+    /// the row positions (ascending) and the values (on the supernodal
+    /// kernel, explicit amalgamation zeros included).
     pub fn l_column(&self, j: usize) -> (&[u32], &[f64]) {
         match self {
             LocalLdlt::Scalar(f) => f.l_column(j),
@@ -185,25 +211,12 @@ impl LocalLdlt {
         }
     }
 
-    pub fn solve_in_place(&self, b: &mut [f64]) {
-        self.solve_in_place_with(b, &mut Vec::new());
-    }
-
-    /// [`LocalLdlt::solve_in_place`] with the permuted work vector taken
-    /// from the caller, who keeps it between solves so that none of them
-    /// allocates (`z` is overwritten; any length will do).
-    pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
-        match self {
-            LocalLdlt::Scalar(f) => f.solve_in_place_with(b, z),
-            LocalLdlt::Supernodal(f) => f.solve_in_place_with(b, z),
-        }
-    }
-
     /// Solve `k` right-hand sides in place, column `c` at
-    /// `b[c * ld..c * ld + n]`, with the work vector taken from the caller:
-    /// every column is [`LocalLdlt::solve_in_place_with`] to the bit, and a
-    /// block of columns shares each read of the factor
-    /// ([`SparseLdlt::solve_panel_with`]). `k = 1` is the single solve.
+    /// `b[c * ld..c * ld + n]`, with the work vector `z` taken from the
+    /// caller, who keeps it between solves so that none of them allocates
+    /// (`z` is overwritten; any length will do). A block of columns shares
+    /// each read of the factor (each kernel's one solve); every
+    /// column is the solve of that column alone (`k = 1`) to the bit.
     pub fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {
         match self {
             LocalLdlt::Scalar(f) => f.solve_panel_with(b, ld, k, z),
@@ -211,18 +224,17 @@ impl LocalLdlt {
         }
     }
 
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match self {
-            LocalLdlt::Scalar(f) => f.solve(b),
-            LocalLdlt::Supernodal(f) => f.solve(b),
-        }
+    /// Solve `A x = b` in place: the panel solve of width 1.
+    pub fn solve_in_place(&self, b: &mut [f64]) {
+        assert_eq!(b.len(), self.n(), "ldlt: right-hand side length");
+        self.solve_panel_with(b, b.len(), 1, &mut Vec::new());
     }
 
-    pub fn solve_mat(&self, b: &DMat) -> DMat {
-        match self {
-            LocalLdlt::Scalar(f) => f.solve_mat(b),
-            LocalLdlt::Supernodal(f) => f.solve_mat(b),
-        }
+    /// Solve into a fresh vector.
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
+        x
     }
 }
 
@@ -306,7 +318,8 @@ mod tests {
 
     /// The panel solve is the column loop to the bit, on both kernels, over
     /// random SPD patterns, the three orderings and `k` ∈ {1, 2, 3, 4, 8}
-    /// columns (blocks of 8, 4, 2 and 1). The columns are `ld = n + 3`
+    /// columns: each column of a block of 8, 4 or 2 is that column solved
+    /// alone, as a block of 1. The columns are `ld = n + 3`
     /// apart, and some are sparse with signed zeros, so the forward sweep's
     /// zero skip is taken in some columns of a block and not in others.
     #[test]
@@ -338,7 +351,7 @@ mod tests {
                         let want: Vec<Vec<f64>> = (0..k)
                             .map(|c| {
                                 let mut x: Vec<f64> = (0..n).map(|i| entry(c, i)).collect();
-                                f.solve_in_place_with(&mut x, &mut z);
+                                f.solve_panel_with(&mut x, n, 1, &mut z);
                                 x
                             })
                             .collect();
@@ -353,30 +366,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// `solve_mat`, routed through the panel solve, is the column loop.
-    #[test]
-    fn solve_mat_is_the_column_loop_bitwise() {
-        let a = crate::supernodal::tests::random_pattern(7, 90, 3);
-        let mut b = DMat::zeros(90, 5);
-        for j in 0..5 {
-            for i in 0..90 {
-                b[(i, j)] = ((i * 3 + j * 11) % 13) as f64 - 6.0;
-            }
-        }
-        for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {
-            let f = LocalLdlt::factor(&a, Ordering::MinDegree, backend).unwrap();
-            let x = f.solve_mat(&b);
-            for j in 0..5 {
-                let want = f.solve(b.col(j));
-                assert!(x
-                    .col(j)
-                    .iter()
-                    .zip(&want)
-                    .all(|(p, q)| p.to_bits() == q.to_bits()));
             }
         }
     }

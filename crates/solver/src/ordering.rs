@@ -310,8 +310,9 @@ pub fn fill_reducing(a: &CsrMatrix, ord: Ordering) -> Vec<usize> {
 
 /// Fill (number of nonzeros of the LDLᵀ factor, strictly lower part) that a
 /// given ordering induces — evaluated via a symbolic elimination, used to
-/// compare orderings in tests and benches.
-pub fn symbolic_fill(a: &CsrMatrix, perm: &[usize]) -> usize {
+/// compare orderings in the tests.
+#[cfg(test)]
+fn symbolic_fill(a: &CsrMatrix, perm: &[usize]) -> usize {
     let (_, lnz) = crate::ldlt::etree_and_counts_ordered(a, perm);
     lnz.iter().sum()
 }

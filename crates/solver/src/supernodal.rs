@@ -32,17 +32,14 @@
 //!    trailing update, whose strips are split at the panel's edge), with
 //!    the same MUMPS-style static pivot boosting as the scalar path.
 //!
-//! The scalar [`crate::SparseLdlt`] stays the differential oracle: both
-//! factorizations are pinned against each other to 1e-12 in
+//! The scalar kernel ([`crate::SparseLdlt`]) stays the differential
+//! oracle: both factorizations are pinned against each other to 1e-12 in
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
+//! Both are reached through [`crate::LocalLdlt`].
 
-use crate::ldlt::{
-    check_panel, etree_and_counts_ordered, inverse, lane_dot, panel_blocks, row, row_mut,
-    LdltError, Ordering, PivotPolicy,
-};
-use crate::ordering;
+use crate::ldlt::{check_panel, inverse, panel_blocks, row, row_mut, LdltError, PivotPolicy};
 use dd_linalg::smallgemm::{gemm_nt_minus, MAX_K};
-use dd_linalg::{vector, CsrMatrix};
+use dd_linalg::CsrMatrix;
 
 const NONE: usize = usize::MAX;
 
@@ -87,42 +84,10 @@ pub struct SupernodalLdlt {
 }
 
 impl SupernodalLdlt {
-    /// Factor a symmetric matrix (full storage) with the given ordering.
-    pub fn factor(a: &CsrMatrix, ord: Ordering) -> Result<Self, LdltError> {
-        Self::factor_with(a, ord, PivotPolicy::Reject)
-    }
-
-    /// Factor with an explicit null-pivot policy (mirrors
-    /// [`crate::SparseLdlt::factor_with`]).
-    pub fn factor_with(
-        a: &CsrMatrix,
-        ord: Ordering,
-        policy: PivotPolicy,
-    ) -> Result<Self, LdltError> {
-        Self::factor_ordered(a, &ordering::fill_reducing(a, ord), policy)
-    }
-
-    /// Factor under a precomputed elimination order (mirrors
-    /// [`crate::SparseLdlt::factor_ordered`]).
-    pub fn factor_ordered(
-        a: &CsrMatrix,
-        perm: &[usize],
-        policy: PivotPolicy,
-    ) -> Result<Self, LdltError> {
-        assert_eq!(a.rows(), a.cols(), "supernodal ldlt: square input");
-        assert_eq!(perm.len(), a.rows(), "supernodal ldlt: order length");
-        debug_assert!(
-            a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
-            "supernodal ldlt: input must be symmetric"
-        );
-        let (parent, lnz) = etree_and_counts_ordered(a, perm);
-        Self::factor_analysed(a, perm, &parent, &lnz, policy)
-    }
-
-    /// [`SupernodalLdlt::factor_ordered`] with the elimination tree and
-    /// column counts of `A(perm, perm)` ([`etree_and_counts_ordered`])
-    /// already computed by the caller. `A` is read in place through the
-    /// inverse of the final order: no permuted copy is formed.
+    /// Factor `A(perm, perm)` with its elimination tree and column counts
+    /// ([`crate::ldlt::etree_and_counts_ordered`]) already computed by the
+    /// caller. `A` is read in place through the inverse of the final
+    /// order: no permuted copy is formed.
     pub(crate) fn factor_analysed(
         a: &CsrMatrix,
         perm: &[usize],
@@ -445,7 +410,7 @@ impl SupernodalLdlt {
     }
 
     /// Order of the factored matrix.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
@@ -456,19 +421,19 @@ impl SupernodalLdlt {
 
     /// The elimination order: position `i` of the factored matrix is row
     /// `perm()[i]` of `A`.
-    pub fn perm(&self) -> &[usize] {
+    pub(crate) fn perm(&self) -> &[usize] {
         &self.perm
     }
 
     /// The pivots `D`, in elimination order.
-    pub fn d(&self) -> &[f64] {
+    pub(crate) fn d(&self) -> &[f64] {
         &self.d
     }
 
     /// Column `j` of `L` below its unit diagonal, as the solves read it:
     /// the row positions (ascending) and the panel's values, explicit
     /// amalgamation zeros included.
-    pub fn l_column(&self, j: usize) -> (&[u32], &[f64]) {
+    pub(crate) fn l_column(&self, j: usize) -> (&[u32], &[f64]) {
         let s = self.sn_col.partition_point(|&c| c <= j) - 1;
         let (nr, jc) = (self.rows_ptr[s + 1] - self.rows_ptr[s], j - self.sn_col[s]);
         let col = &self.panels[self.panel_ptr[s] + jc * nr..self.panel_ptr[s] + (jc + 1) * nr];
@@ -478,17 +443,9 @@ impl SupernodalLdlt {
         )
     }
 
-    /// Widest supernode panel.
-    pub fn max_width(&self) -> usize {
-        (0..self.n_supernodes())
-            .map(|s| self.sn_col[s + 1] - self.sn_col[s])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Stored entries of `L` including the diagonal and any explicit
     /// amalgamation zeros (the dense-panel footprint).
-    pub fn nnz_l(&self) -> usize {
+    pub(crate) fn nnz_l(&self) -> usize {
         let mut nnz = self.n;
         for s in 0..self.n_supernodes() {
             let nr = self.rows_ptr[s + 1] - self.rows_ptr[s];
@@ -499,129 +456,27 @@ impl SupernodalLdlt {
     }
 
     /// Number of pivots boosted under [`PivotPolicy::Boost`].
-    pub fn n_boosted(&self) -> usize {
+    pub(crate) fn n_boosted(&self) -> usize {
         self.boosted_cols.len()
     }
 
-    /// Matrix inertia (#negative, #zero, #positive pivots).
-    pub fn inertia(&self) -> (usize, usize, usize) {
-        let mut neg = 0;
-        let mut zer = 0;
-        let mut pos = 0;
-        for &dj in &self.d {
-            if dj < 0.0 {
-                neg += 1;
-            } else if dj == 0.0 {
-                zer += 1;
-            } else {
-                pos += 1;
-            }
-        }
-        (neg, zer, pos)
-    }
-
-    /// Solve `A x = b` in place.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
-        self.solve_in_place_with(b, &mut Vec::new());
-    }
-
-    /// [`SupernodalLdlt::solve_in_place`] with the permuted work vector
-    /// taken from the caller: `z` is overwritten and grows once to `n` plus
-    /// the tallest panel's row count (a supernode's rows are gathered
-    /// behind the permuted vector), so a caller that keeps it solves without
-    /// allocating.
+    /// Solve `k` right-hand sides in place, column `c` at
+    /// `b[c * ld..c * ld + n]`, with `z` the caller's work vector —
+    /// [`crate::SparseLdlt::solve_panel_with`]'s contract. A block of
+    /// columns shares every gather, scatter and read of a panel; a single
+    /// solve is the block of width 1.
     ///
-    /// Each supernode gathers its rows into a dense local vector once, runs
-    /// its column loops there and scatters back — the operations and their
+    /// Each supernode gathers its rows into a dense local block once, runs
+    /// its column loops there and scatters back; the operations and their
     /// order are those of the per-column scatter loop, so the result is the
-    /// same to the bit.
-    ///
-    /// Summation order: the forward sweep subtracts `L[i,j]·y_j` from
-    /// `z_i` column by column, in ascending `j` and, within a column, in
-    /// ascending row. The backward sweep forms `x_j = w_j − s_j`, where
+    /// same to the bit. Summation order, in every column: the forward sweep
+    /// subtracts `L[i,j]·y_j` from `z_i` column by column, in ascending `j`
+    /// and, within a column, in ascending row, and skips a column whose
+    /// `y_j` is zero. The backward sweep forms `x_j = w_j − s_j`, where
     /// `s_j` is [`dd_linalg::vector::dot`] of the panel column below the
     /// diagonal with the gathered rows below `j`: four lanes and a tail,
     /// not one chain.
-    pub fn solve_in_place_with(&self, b: &mut [f64], z: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n);
-        let nsup = self.n_supernodes();
-        // z = P b, the gathered rows after it
-        z.clear();
-        z.extend(self.perm.iter().map(|&p| b[p]));
-        z.resize(self.n + self.max_rows, 0.0);
-        let (z, gathered) = z.split_at_mut(self.n);
-        // L y = z, panel by panel.
-        for s in 0..nsup {
-            let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
-            let nr = srows.len();
-            let w = self.sn_col[s + 1] - self.sn_col[s];
-            let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
-            let loc = &mut gathered[..nr];
-            for (l, &gi) in loc.iter_mut().zip(srows) {
-                *l = z[gi as usize];
-            }
-            for jc in 0..w {
-                let zj = loc[jc];
-                if zj != 0.0 {
-                    let col = &panel[jc * nr..(jc + 1) * nr];
-                    for li in jc + 1..nr {
-                        loc[li] -= col[li] * zj;
-                    }
-                }
-            }
-            for (&l, &gi) in loc.iter().zip(srows) {
-                z[gi as usize] = l;
-            }
-        }
-        // D w = y
-        for j in 0..self.n {
-            z[j] /= self.d[j];
-        }
-        // Lᵀ x = w, reverse panel order; only the supernode's own columns
-        // (its first `w` rows, contiguous) change.
-        for s in (0..nsup).rev() {
-            let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
-            let nr = srows.len();
-            let (first, w) = (self.sn_col[s], self.sn_col[s + 1] - self.sn_col[s]);
-            let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
-            let loc = &mut gathered[..nr];
-            for (l, &gi) in loc.iter_mut().zip(srows) {
-                *l = z[gi as usize];
-            }
-            for jc in (0..w).rev() {
-                let col = &panel[jc * nr..(jc + 1) * nr];
-                loc[jc] -= vector::dot(&col[jc + 1..], &loc[jc + 1..]);
-            }
-            z[first..first + w].copy_from_slice(&loc[..w]);
-        }
-        // b = Pᵀ z
-        for (i, &p) in self.perm.iter().enumerate() {
-            b[p] = z[i];
-        }
-    }
-
-    /// Solve into a fresh vector.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_in_place(&mut x);
-        x
-    }
-
-    /// Solve for several right-hand sides stored as columns, through
-    /// [`SupernodalLdlt::solve_panel_with`].
-    pub fn solve_mat(&self, b: &dd_linalg::DMat) -> dd_linalg::DMat {
-        assert_eq!(b.rows(), self.n);
-        let mut x = b.clone();
-        self.solve_panel_with(x.data_mut(), self.n, b.cols(), &mut Vec::new());
-        x
-    }
-
-    /// Solve `k` right-hand sides in place, column `c` at
-    /// `b[c * ld..c * ld + n]` — [`crate::SparseLdlt::solve_panel_with`]'s
-    /// contract: each column is [`SupernodalLdlt::solve_in_place_with`] to
-    /// the bit, and a block of columns shares every gather, scatter and
-    /// read of a panel.
-    pub fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {
+    pub(crate) fn solve_panel_with(&self, b: &mut [f64], ld: usize, k: usize, z: &mut Vec<f64>) {
         check_panel(b.len(), self.n, ld, k);
         for (c0, width) in panel_blocks(k) {
             let cols = &mut b[c0 * ld..];
@@ -629,17 +484,19 @@ impl SupernodalLdlt {
                 8 => self.solve_block::<8>(cols, ld, z),
                 4 => self.solve_block::<4>(cols, ld, z),
                 2 => self.solve_block::<2>(cols, ld, z),
-                _ => self.solve_in_place_with(&mut cols[..self.n], z),
+                _ => self.solve_block::<1>(cols, ld, z),
             }
         }
     }
 
-    /// [`SupernodalLdlt::solve_panel_with`] on `B` columns at once: the
-    /// gathered solve with a row's `B` values side by side.
+    /// [`SupernodalLdlt::solve_panel_with`] on `B` columns at once, a row's
+    /// `B` values side by side in `z` and in the gathered block, so that
+    /// the rows below a column are one contiguous run.
     // dd:hot — the panel's local solves, once per Krylov step
     fn solve_block<const B: usize>(&self, b: &mut [f64], ld: usize, z: &mut Vec<f64>) {
         let n = self.n;
         let nsup = self.n_supernodes();
+        // z = P b, the gathered rows after it
         z.clear();
         z.resize((n + self.max_rows) * B, 0.0);
         let (z, gathered) = z.split_at_mut(n * B);
@@ -654,8 +511,8 @@ impl SupernodalLdlt {
                 *row_mut::<B>(loc, li) = *row::<B>(z, gi as usize);
             }
         };
-        // L y = z, panel by panel; a zero entry skips its column's update,
-        // as in the single solve
+        // L y = z, panel by panel; a zero entry skips its column's update
+        // in its own column only (the skip is visible in the sign of a zero)
         for s in 0..nsup {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
             let nr = srows.len();
@@ -664,19 +521,22 @@ impl SupernodalLdlt {
             let loc = &mut gathered[..nr * B];
             gather(loc, z, srows);
             for jc in 0..w {
-                let zj = *row::<B>(loc, jc);
+                let (head, below) = loc.split_at_mut((jc + 1) * B);
+                let zj = *row::<B>(head, jc);
                 let nonzero = zj.iter().filter(|v| **v != 0.0).count();
                 if nonzero == 0 {
                     continue;
                 }
-                let col = &panel[jc * nr..(jc + 1) * nr];
-                for (li, &l) in col.iter().enumerate().skip(jc + 1) {
-                    let zr = row_mut::<B>(loc, li);
-                    if nonzero == B {
+                let col = &panel[jc * nr + jc + 1..(jc + 1) * nr];
+                let rows = below.chunks_exact_mut(B).zip(col);
+                if nonzero == B {
+                    for (zr, &l) in rows {
                         for c in 0..B {
                             zr[c] -= l * zj[c];
                         }
-                    } else {
+                    }
+                } else {
+                    for (zr, &l) in rows {
                         for c in 0..B {
                             if zj[c] != 0.0 {
                                 zr[c] -= l * zj[c];
@@ -695,8 +555,8 @@ impl SupernodalLdlt {
                 *v /= dj;
             }
         }
-        // Lᵀ x = w, reverse panel order, each column's sum in the single
-        // solve's lanes
+        // Lᵀ x = w, reverse panel order; only the supernode's own columns
+        // (its first `w` rows, contiguous) change
         for s in (0..nsup).rev() {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
             let nr = srows.len();
@@ -705,9 +565,9 @@ impl SupernodalLdlt {
             let loc = &mut gathered[..nr * B];
             gather(loc, z, srows);
             for jc in (0..w).rev() {
-                let col = &panel[jc * nr..(jc + 1) * nr];
-                let s = lane_dot(&col[jc + 1..], |q| *row::<B>(loc, jc + 1 + q));
-                let xj = row_mut::<B>(loc, jc);
+                let (head, below) = loc.split_at_mut((jc + 1) * B);
+                let s = lane_sum::<B>(&panel[jc * nr + jc + 1..(jc + 1) * nr], below);
+                let xj = row_mut::<B>(head, jc);
                 for c in 0..B {
                     xj[c] -= s[c];
                 }
@@ -809,34 +669,6 @@ impl SupernodalLdlt {
         }
         Ok(())
     }
-
-    /// Flip one bit of the `index`-th *nonzero* stored panel value — the
-    /// test/chaos hook for modeling a silent in-memory corruption of the
-    /// factor. (Amalgamation zeros are skipped: flipping a mantissa bit of
-    /// `0.0` yields a denormal too small to matter or detect.)
-    #[doc(hidden)]
-    pub fn corrupt_panel_value_for_tests(&mut self, index: usize, bit: u32) {
-        let nsup = self.n_supernodes();
-        let mut seen: usize = 0;
-        for sn in 0..nsup {
-            let nr = self.rows_ptr[sn + 1] - self.rows_ptr[sn];
-            let w = self.sn_col[sn + 1] - self.sn_col[sn];
-            for jc in 0..w {
-                for li in jc + 1..nr {
-                    let at = self.panel_ptr[sn] + jc * nr + li;
-                    if self.panels[at] != 0.0 {
-                        if seen == index {
-                            self.panels[at] =
-                                f64::from_bits(self.panels[at].to_bits() ^ (1u64 << bit));
-                            return;
-                        }
-                        seen += 1;
-                    }
-                }
-            }
-        }
-        panic!("corrupt_panel_value_for_tests: index {index} out of range");
-    }
 }
 
 /// Safety factor on the `n·ε` accumulation bound of
@@ -864,6 +696,32 @@ impl std::fmt::Display for PanelDefect {
             self.defect, self.bound, self.supernode, self.column
         )
     }
+}
+
+/// `Σ_q l[q]·x[q·B + c]` for each of `B` columns of `x`, whose rows hold
+/// `B` values side by side, summed in [`dd_linalg::vector::dot`]'s order:
+/// term `q < 4⌊len/4⌋` goes to lane `q mod 4`, the rest to a tail, and the
+/// result is `(((lane 0 + lane 1) + lane 2) + lane 3) + tail`. Column `c`
+/// holds the bits of `vector::dot(l, x_c)` whatever `B` is.
+#[inline(always)]
+fn lane_sum<const B: usize>(l: &[f64], x: &[f64]) -> [f64; B] {
+    debug_assert_eq!(x.len(), l.len() * B);
+    let mut acc = [[0.0f64; B]; 4];
+    let (mut l4, mut x4) = (l.chunks_exact(4), x.chunks_exact(4 * B));
+    for (lq, xq) in l4.by_ref().zip(x4.by_ref()) {
+        for (lane, acc) in acc.iter_mut().enumerate() {
+            for c in 0..B {
+                acc[c] += lq[lane] * xq[lane * B + c];
+            }
+        }
+    }
+    let mut tail = [0.0f64; B];
+    for (&lq, xq) in l4.remainder().iter().zip(x4.remainder().chunks_exact(B)) {
+        for c in 0..B {
+            tail[c] += lq * xq[c];
+        }
+    }
+    std::array::from_fn(|c| acc[0][c] + acc[1][c] + acc[2][c] + acc[3][c] + tail[c])
 }
 
 /// Postorder of the elimination forest: `post[k]` = node visited k-th, with
@@ -1001,8 +859,40 @@ fn partition_supernodes(parent: &[usize], lnz: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::SparseLdlt;
+    use crate::ldlt::Ordering;
+    use crate::{ordering, LdltBackend, LocalLdlt};
     use dd_linalg::{vector, CooBuilder};
+
+    /// `a` factored on this kernel under `perm`.
+    fn factor_ordered(
+        a: &CsrMatrix,
+        perm: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<SupernodalLdlt, LdltError> {
+        match LocalLdlt::factor_ordered(a, perm, policy, LdltBackend::Supernodal)? {
+            LocalLdlt::Supernodal(f) => Ok(f),
+            LocalLdlt::Scalar(_) => unreachable!("the kernel is forced"),
+        }
+    }
+
+    fn factor_with(
+        a: &CsrMatrix,
+        ord: Ordering,
+        policy: PivotPolicy,
+    ) -> Result<SupernodalLdlt, LdltError> {
+        factor_ordered(a, &ordering::fill_reducing(a, ord), policy)
+    }
+
+    fn factor(a: &CsrMatrix, ord: Ordering) -> Result<SupernodalLdlt, LdltError> {
+        factor_with(a, ord, PivotPolicy::Reject)
+    }
+
+    /// One right-hand side, solved as a panel of width 1.
+    fn solve(f: &SupernodalLdlt, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        f.solve_panel_with(&mut x, b.len(), 1, &mut Vec::new());
+        x
+    }
 
     fn laplacian_3d(nx: usize) -> CsrMatrix {
         let n = nx * nx * nx;
@@ -1034,10 +924,10 @@ pub(crate) mod tests {
 
     fn check_against_scalar(a: &CsrMatrix, ord: Ordering) {
         let n = a.rows();
-        let sup = SupernodalLdlt::factor(a, ord).unwrap();
-        let sca = SparseLdlt::factor(a, ord).unwrap();
+        let sup = factor(a, ord).unwrap();
+        let sca = LocalLdlt::factor(a, ord, LdltBackend::Scalar).unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect();
-        let xs = sup.solve(&b);
+        let xs = solve(&sup, &b);
         let xr = sca.solve(&b);
         let err = vector::dist2(&xs, &xr) / vector::norm2(&xr).max(1.0);
         assert!(err <= 1e-12, "supernodal vs scalar: {err:e}");
@@ -1162,6 +1052,32 @@ pub(crate) mod tests {
         b.to_csr()
     }
 
+    /// Flip one bit of the `index`-th *nonzero* stored panel value — the
+    /// test/chaos hook for modeling a silent in-memory corruption of the
+    /// factor. (Amalgamation zeros are skipped: flipping a mantissa bit of
+    /// `0.0` yields a denormal too small to matter or detect.)
+    fn corrupt_panel_value(f: &mut SupernodalLdlt, index: usize, bit: u32) {
+        let nsup = f.n_supernodes();
+        let mut seen: usize = 0;
+        for sn in 0..nsup {
+            let nr = f.rows_ptr[sn + 1] - f.rows_ptr[sn];
+            let w = f.sn_col[sn + 1] - f.sn_col[sn];
+            for jc in 0..w {
+                for li in jc + 1..nr {
+                    let at = f.panel_ptr[sn] + jc * nr + li;
+                    if f.panels[at] != 0.0 {
+                        if seen == index {
+                            f.panels[at] = f64::from_bits(f.panels[at].to_bits() ^ (1u64 << bit));
+                            return;
+                        }
+                        seen += 1;
+                    }
+                }
+            }
+        }
+        panic!("corrupt_panel_value: index {index} out of range");
+    }
+
     /// Every numeric and structural field but the order, to the bit.
     fn assert_same_factor(f: &SupernodalLdlt, g: &SupernodalLdlt, what: &str) {
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1238,15 +1154,15 @@ pub(crate) mod tests {
             ];
             for (ord, perm) in &orders {
                 let what = format!("{name}, {ord}");
-                let f = SupernodalLdlt::factor_ordered(a, perm, *policy).unwrap();
+                let f = factor_ordered(a, perm, *policy).unwrap();
                 let pa = a.permute_sym(perm);
-                let g = SupernodalLdlt::factor_ordered(&pa, &identity, *policy).unwrap();
+                let g = factor_ordered(&pa, &identity, *policy).unwrap();
                 assert_same_factor(&f, &g, &what);
                 boosted += f.n_boosted();
                 let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-                let x = f.solve(&b);
+                let x = solve(&f, &b);
                 let pb: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
-                let px = g.solve(&pb);
+                let px = solve(&g, &pb);
                 for (i, &p) in perm.iter().enumerate() {
                     assert_eq!(x[p].to_bits(), px[i].to_bits(), "{what}: solve");
                 }
@@ -1263,7 +1179,7 @@ pub(crate) mod tests {
         let a = laplacian_3d(3);
         let mut perm: Vec<usize> = (0..a.rows()).collect();
         perm[5] = 4;
-        let _ = SupernodalLdlt::factor_ordered(&a, &perm, PivotPolicy::Reject);
+        let _ = factor_ordered(&a, &perm, PivotPolicy::Reject);
     }
 
     /// A root front with two children whose update matrices share rows:
@@ -1297,7 +1213,7 @@ pub(crate) mod tests {
             }
         }
         let a = b.to_csr();
-        let f = SupernodalLdlt::factor(&a, Ordering::Natural).unwrap();
+        let f = factor(&a, Ordering::Natural).unwrap();
         assert_eq!(f.sn_col, vec![0, m, 2 * m, n], "three supernodes");
         let below = |s: usize| {
             let w = f.sn_col[s + 1] - f.sn_col[s];
@@ -1311,13 +1227,15 @@ pub(crate) mod tests {
         let ad = a.to_dense();
         let fd = dd_linalg::DenseLdlt::factor(&ad).unwrap();
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let err = vector::dist2(&f.solve(&rhs), &fd.solve(&rhs));
+        let err = vector::dist2(&solve(&f, &rhs), &fd.solve(&rhs));
         assert!(
             err <= 1e-13 * vector::norm2(&fd.solve(&rhs)),
             "dense: {err:e}"
         );
     }
 
+    /// Every column of a panel of `k` ∈ {1, 2, 3, 5, 8} columns is the
+    /// scatter loop to the bit, on every block width the panel runs.
     #[test]
     fn gathered_solve_is_the_scatter_loop_to_the_bit() {
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1326,23 +1244,31 @@ pub(crate) mod tests {
             let n = 30 + 37 * seed as usize;
             let a = random_pattern(seed, n, 2 + seed as usize % 5);
             for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
-                let f = SupernodalLdlt::factor(&a, ord).unwrap();
-                let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
-                let mut x = b.clone();
-                // One work vector across every size: stale contents and a
-                // longer buffer must not matter.
-                f.solve_in_place_with(&mut x, &mut z);
-                assert_eq!(
-                    bits(&x),
-                    bits(&solve_scattered(&f, &b)),
-                    "seed {seed} {ord:?}"
-                );
+                let f = factor(&a, ord).unwrap();
+                for k in [1usize, 2, 3, 5, 8] {
+                    let col = |c: usize| -> Vec<f64> {
+                        (0..n)
+                            .map(|i| ((i * 7 + 3 * c + 3) % 11) as f64 - 5.0)
+                            .collect()
+                    };
+                    let mut x: Vec<f64> = (0..k).flat_map(col).collect();
+                    // One work vector across every size and width: stale
+                    // contents and a longer buffer must not matter.
+                    f.solve_panel_with(&mut x, n, k, &mut z);
+                    for c in 0..k {
+                        assert_eq!(
+                            bits(&x[c * n..(c + 1) * n]),
+                            bits(&solve_scattered(&f, &col(c))),
+                            "seed {seed} {ord:?} k={k} column {c}"
+                        );
+                    }
+                }
             }
         }
         let a = laplacian_3d(7);
-        let f = SupernodalLdlt::factor(&a, Ordering::MinDegree).unwrap();
+        let f = factor(&a, Ordering::MinDegree).unwrap();
         let b: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.3).sin()).collect();
-        assert_eq!(bits(&f.solve(&b)), bits(&solve_scattered(&f, &b)));
+        assert_eq!(bits(&solve(&f, &b)), bits(&solve_scattered(&f, &b)));
     }
 
     #[test]
@@ -1356,9 +1282,10 @@ pub(crate) mod tests {
     #[test]
     fn forms_wide_supernodes_on_banded_fill() {
         let a = laplacian_3d(8);
-        let f = SupernodalLdlt::factor(&a, Ordering::MinDegree).unwrap();
+        let f = factor(&a, Ordering::MinDegree).unwrap();
         assert!(f.n_supernodes() < a.rows() / 2, "amalgamation too weak");
-        assert!(f.max_width() >= 8, "no wide panels formed");
+        let widest = f.sn_col.windows(2).map(|c| c[1] - c[0]).max();
+        assert!(widest >= Some(8), "no wide panels formed");
     }
 
     #[test]
@@ -1380,11 +1307,12 @@ pub(crate) mod tests {
         b.push(n - 1, n - 1, 1.0);
         let a = b.to_csr();
         let policy = PivotPolicy::Boost { rel_tol: 1e-12 };
-        let sup = SupernodalLdlt::factor_with(&a, Ordering::Natural, policy).unwrap();
-        let sca = SparseLdlt::factor_with(&a, Ordering::Natural, policy).unwrap();
+        let sup = factor_with(&a, Ordering::Natural, policy).unwrap();
+        let sca =
+            LocalLdlt::factor_with(&a, Ordering::Natural, policy, LdltBackend::Scalar).unwrap();
         assert_eq!(sup.n_boosted(), sca.n_boosted());
         let rhs: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
-        let xs = sup.solve(&rhs);
+        let xs = solve(&sup, &rhs);
         let xr = sca.solve(&rhs);
         let err = vector::dist2(&xs, &xr) / vector::norm2(&xr).max(1.0);
         assert!(err <= 1e-10, "boosted solve differs: {err:e}");
@@ -1397,7 +1325,7 @@ pub(crate) mod tests {
         b.push(1, 0, 1.0);
         let a = b.to_csr();
         assert!(matches!(
-            SupernodalLdlt::factor(&a, Ordering::Natural),
+            factor(&a, Ordering::Natural),
             Err(LdltError::ZeroPivot { .. })
         ));
     }
@@ -1406,10 +1334,10 @@ pub(crate) mod tests {
     fn singleton_and_empty_matrices() {
         let mut b = CooBuilder::new(1, 1);
         b.push(0, 0, 3.0);
-        let f = SupernodalLdlt::factor(&b.to_csr(), Ordering::Natural).unwrap();
-        assert_eq!(f.solve(&[6.0]), vec![2.0]);
+        let f = factor(&b.to_csr(), Ordering::Natural).unwrap();
+        assert_eq!(solve(&f, &[6.0]), vec![2.0]);
         let e = CooBuilder::new(0, 0).to_csr();
-        let f0 = SupernodalLdlt::factor(&e, Ordering::Natural).unwrap();
+        let f0 = factor(&e, Ordering::Natural).unwrap();
         assert_eq!(f0.n(), 0);
         assert_eq!(f0.n_supernodes(), 0);
     }
@@ -1418,21 +1346,22 @@ pub(crate) mod tests {
     fn abft_passes_clean_factors_and_names_the_poisoned_panel() {
         let a = laplacian_3d(6);
         for ord in [Ordering::Natural, Ordering::MinDegree] {
-            let f = SupernodalLdlt::factor(&a, ord).unwrap();
+            let f = factor(&a, ord).unwrap();
             f.verify_abft(&a)
                 .unwrap_or_else(|d| panic!("clean factor flagged: {d}"));
         }
         // Flip a high mantissa bit in one stored panel value: the checksum
         // must break, and the defect must name the owning supernode.
-        let mut f = SupernodalLdlt::factor(&a, Ordering::MinDegree).unwrap();
-        f.corrupt_panel_value_for_tests(f.nnz_l() / 3, 51);
+        let mut f = factor(&a, Ordering::MinDegree).unwrap();
+        let index = f.nnz_l() / 3;
+        corrupt_panel_value(&mut f, index, 51);
         let d = f
             .verify_abft(&a)
             .expect_err("corrupted panel must be detected");
         assert!(d.defect > d.bound, "{d}");
         assert!(d.supernode < f.n_supernodes());
         // A corrupted pivot is caught too.
-        let mut g = SupernodalLdlt::factor(&a, Ordering::Rcm).unwrap();
+        let mut g = factor(&a, Ordering::Rcm).unwrap();
         let k = g.d.len() / 2;
         g.d[k] = f64::from_bits(g.d[k].to_bits() ^ (1 << 52));
         assert!(g.verify_abft(&a).is_err(), "corrupted pivot not detected");
@@ -1457,7 +1386,7 @@ pub(crate) mod tests {
         b.push(n - 1, n - 1, 1.0);
         let a = b.to_csr();
         let policy = PivotPolicy::Boost { rel_tol: 1e-12 };
-        let f = SupernodalLdlt::factor_with(&a, Ordering::Natural, policy).unwrap();
+        let f = factor_with(&a, Ordering::Natural, policy).unwrap();
         assert_eq!(f.n_boosted(), 1);
         f.verify_abft(&a)
             .unwrap_or_else(|d| panic!("boosted factor flagged: {d}"));
@@ -1466,8 +1395,8 @@ pub(crate) mod tests {
     #[test]
     fn inertia_matches_scalar() {
         let a = laplacian_3d(5);
-        let sup = SupernodalLdlt::factor(&a, Ordering::MinDegree).unwrap();
-        let sca = SparseLdlt::factor(&a, Ordering::MinDegree).unwrap();
+        let [sup, sca] = [LdltBackend::Supernodal, LdltBackend::Scalar]
+            .map(|backend| LocalLdlt::factor(&a, Ordering::MinDegree, backend).unwrap());
         assert_eq!(sup.inertia(), sca.inertia());
         assert_eq!(sup.inertia(), (0, 0, a.rows()));
     }

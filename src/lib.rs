@@ -84,6 +84,6 @@ pub mod prelude {
     pub use dd_krylov::{try_cg, try_gmres, CgOpts, GmresOpts, Ortho, SeqDot, Side};
     pub use dd_linalg::{CooBuilder, CsrMatrix, DMat};
     pub use dd_mesh::Mesh;
-    pub use dd_part::{partition_mesh, partition_mesh_rcb};
-    pub use dd_solver::{Ordering, SparseLdlt};
+    pub use dd_part::partition_mesh_rcb;
+    pub use dd_solver::{LdltBackend, LocalLdlt, Ordering};
 }

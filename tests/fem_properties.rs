@@ -132,7 +132,7 @@ fn dof_counts_scale_with_refinement() {
 #[test]
 fn nested_spaces_reproduce_linears() {
     use dd_geneo::fem::apply_dirichlet;
-    use dd_geneo::solver::{Ordering, SparseLdlt};
+    use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering};
     let mesh = Mesh::unit_square(3, 3);
     let exact = |x: &[f64]| 3.0 * x[0] - 2.0 * x[1] + 0.5;
     for order in 1..=4 {
@@ -141,7 +141,7 @@ fn nested_spaces_reproduce_linears() {
         let bnd = dm.boundary_dofs(&mesh);
         let g: Vec<f64> = (0..dm.n_dofs()).map(|i| exact(dm.dof_coord(i))).collect();
         let ac = apply_dirichlet(&a, &mut rhs, &bnd, Some(&g));
-        let x = SparseLdlt::factor(&ac, Ordering::MinDegree)
+        let x = LocalLdlt::factor(&ac, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&rhs);
         for i in 0..dm.n_dofs() {

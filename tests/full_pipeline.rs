@@ -11,13 +11,13 @@ use dd_geneo::krylov::{try_cg, try_gmres, CgOpts, GmresOpts, SeqDot};
 use dd_geneo::linalg::vector;
 use dd_geneo::mesh::{refine::uniform_refine, Mesh};
 use dd_geneo::part::{partition_mesh_rcb, quality};
-use dd_geneo::solver::{Ordering, SparseLdlt};
+use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering};
 use std::sync::Arc;
 
 mod common;
 
 fn direct_solution(d: &dd_geneo::core::Decomposition) -> Vec<f64> {
-    SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
+    LocalLdlt::factor(&d.a_global, Ordering::MinDegree, LdltBackend::Scalar)
         .unwrap()
         .solve(&d.rhs_global)
 }

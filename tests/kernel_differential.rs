@@ -25,9 +25,10 @@
 //!   are **bitwise** equal to the one-accumulator dot loop and to successive
 //!   `axpy`, for every block remainder, and a NaN poisons every output;
 //! * both LDLᵀ kernels solve in one summation order: the backward sweep
-//!   sums each column in `vector::dot`'s four lanes, a panel solve of `k`
-//!   columns is `k` single solves to the bit, and the lanes cost no
-//!   accuracy against the one-chain sweep they replaced;
+//!   sums each column in `vector::dot`'s four lanes, every column of a
+//!   panel solve of `k` columns (a single solve is `k = 1`) is the column
+//!   loop over the factor's public accessors to the bit, and the lanes
+//!   cost no accuracy against the one-chain sweep they replaced;
 //! * the GenEO pencils' `B` tiles, and its blocked product is the CSR one
 //!   to the bit.
 
@@ -45,7 +46,7 @@ use dd_geneo::krylov::{
 };
 use dd_geneo::linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_geneo::mesh::Mesh;
-use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering, PivotPolicy, SparseLdlt, SupernodalLdlt};
+use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering, PivotPolicy};
 use std::sync::Arc;
 
 /// Small shifted elasticity operator (the shift makes the pure-Neumann
@@ -129,9 +130,16 @@ fn supernodal_reads_an_elasticity3d_subdomain_through_its_order_bitwise() {
         let perm = dd_geneo::solver::ordering::fill_reducing(a, Ordering::MinDegree);
         let identity: Vec<usize> = (0..n).collect();
         let pivot = PivotPolicy::Reject;
-        let f = SupernodalLdlt::factor_ordered(a, &perm, pivot).unwrap();
-        let g = SupernodalLdlt::factor_ordered(&a.permute_sym(&perm), &identity, pivot).unwrap();
-        assert_eq!(f.n_supernodes(), g.n_supernodes(), "subdomain {s}");
+        let supernodal = |a: &CsrMatrix, perm: &[usize]| {
+            LocalLdlt::factor_ordered(a, perm, pivot, LdltBackend::Supernodal).unwrap()
+        };
+        let f = supernodal(a, &perm);
+        let g = supernodal(&a.permute_sym(&perm), &identity);
+        let n_supernodes = |f: &LocalLdlt| match f {
+            LocalLdlt::Supernodal(f) => f.n_supernodes(),
+            LocalLdlt::Scalar(_) => unreachable!("the kernel is forced"),
+        };
+        assert_eq!(n_supernodes(&f), n_supernodes(&g), "subdomain {s}");
         assert_eq!(f.nnz_l(), g.nnz_l(), "subdomain {s}");
         assert_eq!(f.inertia(), g.inertia(), "subdomain {s}");
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
@@ -362,7 +370,7 @@ fn spmd_converges_with_supernodal_backend() {
     let part = dd_geneo::part::partition_mesh_rcb(&mesh, n_sub);
     let problem = presets::heterogeneous_diffusion(1);
     let d = Arc::new(decompose(&mesh, &problem, &part, n_sub, 1));
-    let direct = SparseLdlt::factor(&d.a_global, Ordering::MinDegree)
+    let direct = LocalLdlt::factor(&d.a_global, Ordering::MinDegree, LdltBackend::Scalar)
         .unwrap()
         .solve(&d.rhs_global);
     let mut iters = Vec::new();
@@ -438,6 +446,10 @@ fn shifted_pencil(sub: &dd_geneo::core::Subdomain) -> CsrMatrix {
     sub.a_neumann.add_scaled(-sigma, &b)
 }
 
+/// Every column of a panel solve is the accessor column loop
+/// ([`column_solve`]) to the bit, on both kernels, at every width — the
+/// single solve is the panel at `k = 1`, so it is held to the same
+/// independent oracle rather than compared with itself.
 #[test]
 fn ldlt_panel_solves_are_single_solves_to_the_bit() {
     let decomps = benchmark_decompositions();
@@ -462,12 +474,23 @@ fn ldlt_panel_solves_are_single_solves_to_the_bit() {
                     .map(|i| ((i * 13 + 5) % 17) as f64 - 8.0 + (i as f64 * 0.1).sin())
                     .collect();
                 panel[(k - 1) * ld] = 0.0;
-                let mut single = panel.clone();
-                for c in 0..k {
-                    f.solve_in_place_with(&mut single[c * ld..c * ld + n], &mut work);
-                }
+                let want: Vec<Vec<f64>> = (0..k)
+                    .map(|c| column_solve(&f, &panel[c * ld..c * ld + n], false))
+                    .collect();
+                let gaps: Vec<Vec<f64>> =
+                    (1..k).map(|c| panel[c * ld - 3..c * ld].to_vec()).collect();
                 f.solve_panel_with(&mut panel, ld, k, &mut work);
-                assert_eq!(bits(&panel), bits(&single), "{what} {backend:?} k={k}");
+                for (c, want) in want.iter().enumerate() {
+                    let got = &panel[c * ld..c * ld + n];
+                    assert_eq!(bits(got), bits(want), "{what} {backend:?} k={k} column {c}");
+                }
+                for (c, gap) in (1..k).zip(&gaps) {
+                    assert_eq!(
+                        bits(&panel[c * ld - 3..c * ld]),
+                        bits(gap),
+                        "{what} gap {c}"
+                    );
+                }
             }
         }
     }

@@ -8,7 +8,7 @@ use common::Rng;
 use dd_geneo::linalg::{jacobi, vector, CooBuilder, CsrMatrix, DMat, Givens};
 use dd_geneo::mesh::{refine::uniform_refine, Mesh};
 use dd_geneo::part::{partition_ggp, partition_rcb, quality};
-use dd_geneo::solver::{Ordering, SparseLdlt};
+use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering};
 use std::collections::HashMap;
 
 /// Random sparse triplets on an n×n matrix.
@@ -109,7 +109,7 @@ fn ldlt_solves_diag_dominant_spd() {
         }
         let a = b.to_csr();
         for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
-            let f = SparseLdlt::factor(&a, ord).unwrap();
+            let f = LocalLdlt::factor(&a, ord, LdltBackend::Scalar).unwrap();
             let x = f.solve(&rhs);
             let mut ax = vec![0.0; n];
             a.spmv(&x, &mut ax);
@@ -290,7 +290,7 @@ fn identity_matrix_roundtrips() {
     let i5 = CsrMatrix::identity(5);
     assert_eq!(i5.spmm(&i5), i5);
     assert_eq!(i5.transpose(), i5);
-    let f = SparseLdlt::factor(&i5, Ordering::MinDegree).unwrap();
+    let f = LocalLdlt::factor(&i5, Ordering::MinDegree, LdltBackend::Scalar).unwrap();
     assert_eq!(
         f.solve(&[1.0, 2.0, 3.0, 4.0, 5.0]),
         vec![1.0, 2.0, 3.0, 4.0, 5.0]
