@@ -12,9 +12,9 @@
 //!   and on two of them the supernodal factorization's heap high-water mark;
 //! * **fill-reducing ordering** — [`Ordering::MinDegree`], the `SpmdOpts`
 //!   default, on the really-assembled subdomain Dirichlet matrices of the
-//!   `elasticity3d` and `diffusion2d_many` benchmark configurations, against
-//!   the numeric factorization it feeds under the default kernel choice
-//!   (the LDLᵀ rows above are RCM-ordered and never touch it);
+//!   three benchmark configurations, against the numeric factorization it
+//!   feeds under the default kernel choice (the LDLᵀ rows above are
+//!   RCM-ordered and never touch it);
 //! * **operator × block-of-vectors** (the `E = WᵀAW` assembly shape) —
 //!   `csrmm` vs the 4-column-blocked `bsrmm` on really-assembled 2D/3D
 //!   elasticity operators (padded-BSR auto-detection included);
@@ -462,6 +462,11 @@ fn bench_ordering(rep: &mut Report, calib: f64) {
                 presets::heterogeneous_diffusion(2),
                 32,
             ),
+        ),
+        (
+            "serve2d",
+            false,
+            split(Mesh::unit_square(32, 32), presets::uniform_diffusion(2), 16),
         ),
     ];
     for (key, gate_share, d) in &cases {

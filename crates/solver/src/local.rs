@@ -33,7 +33,7 @@ use dd_linalg::CsrMatrix;
 pub enum LdltBackend {
     /// Chosen per matrix from its elimination-tree column counts:
     /// supernodal where the predicted flops per entry of `L`
-    /// ([`flops_per_nnz`]) reach 80, scalar below — every 2D subdomain of
+    /// ([`flops_per_nnz`]) reach 54, scalar below — every 2D subdomain of
     /// the benchmark workloads on scalar, the 3D elasticity subdomains on
     /// supernodal.
     #[default]
@@ -50,11 +50,11 @@ pub enum LdltBackend {
 /// Predicted factorization flops per stored entry of `L` (strict lower
 /// part, `Σ c_j (c_j + 3) / Σ c_j` over the column counts `c_j`) from which
 /// `Auto` picks the supernodal kernel. It lies between two measured rows of
-/// `kernel_bench`'s `ldlt/auto/*` table (EXPERIMENTS.md, "LDLᵀ kernel
-/// crossover"): at 75 the scalar kernel's factor + solve is 10 % cheaper,
-/// at 104 the two are within 1 %. Where in that interval the crossover
-/// falls is not measured.
-const SUPERNODAL_FLOPS_PER_NNZ: f64 = 80.0;
+/// `kernel_bench`'s `ldlt/auto/*` table under the approximate minimum-degree
+/// order (EXPERIMENTS.md, "LDLᵀ kernel crossover"): at 44 the two kernels'
+/// factor + solve are within 3 %, at 64 the supernodal one is 17 % cheaper.
+/// Where in that interval the crossover falls is not measured.
+const SUPERNODAL_FLOPS_PER_NNZ: f64 = 54.0;
 
 impl LdltBackend {
     /// The kernel this choice factors a matrix with, given the column

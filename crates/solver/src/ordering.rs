@@ -5,11 +5,12 @@
 //!
 //! * [`reverse_cuthill_mckee`] — profile/bandwidth reduction, excellent on
 //!   the banded matrices arising from structured FEM meshes;
-//! * [`min_degree`] / [`min_degree_nodes`] — a quotient-graph minimum-degree
-//!   ordering with AMD-style approximate external degrees, generally lower
-//!   fill. The `_nodes` form orders the graph of `c`-dof nodes and expands,
-//!   which on vector-valued problems is both several times cheaper and
-//!   slightly better than ordering the dofs one by one.
+//! * [`min_degree`] / [`min_degree_nodes`] — approximate minimum degree
+//!   (AMD: quotient graph, approximate external degrees, element and
+//!   aggressive absorption, mass elimination, supervariables), generally
+//!   lower fill. The `_nodes` form orders the graph of `c`-dof nodes and
+//!   expands, which on vector-valued problems is both several times cheaper
+//!   and slightly better than ordering the dofs one by one.
 //!
 //! All operate on the symmetrized sparsity pattern of a square matrix and
 //! return a permutation `perm` such that factorizing `A(perm, perm)`
@@ -32,16 +33,32 @@ fn adjacency(a: &CsrMatrix, c: usize) -> (Vec<usize>, Vec<u32>) {
         "ordering: order not a multiple of c"
     );
     let nv = a.rows() / c;
+    // The node pattern of `a` alone, each coupling once: a `c`-dof node
+    // repeats every neighbour up to `c²` times.
+    let mut seen = vec![usize::MAX; nv];
+    let mut row_ptr = Vec::with_capacity(nv + 1);
+    row_ptr.push(0);
+    let mut cols: Vec<u32> = Vec::with_capacity(a.nnz() / c);
+    for v in 0..nv {
+        seen[v] = v;
+        for i in v * c..(v + 1) * c {
+            for (j, _) in a.row(i) {
+                if seen[j / c] != v {
+                    seen[j / c] = v;
+                    cols.push((j / c) as u32);
+                }
+            }
+        }
+        row_ptr.push(cols.len());
+    }
     // Patterns of FEM matrices are already structurally symmetric; we
     // symmetrize defensively by entering every edge in both directions and
     // dropping the duplicates afterwards.
     let mut ptr = vec![0usize; nv + 1];
-    for i in 0..a.rows() {
-        for (j, _) in a.row(i) {
-            if i / c != j / c {
-                ptr[i / c + 1] += 1;
-                ptr[j / c + 1] += 1;
-            }
+    for v in 0..nv {
+        for &u in &cols[row_ptr[v]..row_ptr[v + 1]] {
+            ptr[v + 1] += 1;
+            ptr[u as usize + 1] += 1;
         }
     }
     for v in 0..nv {
@@ -49,15 +66,12 @@ fn adjacency(a: &CsrMatrix, c: usize) -> (Vec<usize>, Vec<u32>) {
     }
     let mut next = ptr.clone();
     let mut adj = vec![0u32; ptr[nv]];
-    for i in 0..a.rows() {
-        for (j, _) in a.row(i) {
-            let (vi, vj) = (i / c, j / c);
-            if vi != vj {
-                adj[next[vi]] = vj as u32;
-                next[vi] += 1;
-                adj[next[vj]] = vi as u32;
-                next[vj] += 1;
-            }
+    for v in 0..nv {
+        for &u in &cols[row_ptr[v]..row_ptr[v + 1]] {
+            adj[next[v]] = u;
+            next[v] += 1;
+            adj[next[u as usize]] = v as u32;
+            next[u as usize] += 1;
         }
     }
     // Sort and deduplicate each row, compacting in place.
@@ -163,121 +177,319 @@ pub fn min_degree_calls() -> u64 {
     MIN_DEGREE_CALLS.get()
 }
 
-/// Quotient-graph minimum-degree elimination order of the graph `(ptr, adj)`
-/// with approximate (AMD-style upper bound) external degrees; ties go to the
-/// lowest index.
+/// What an index of the quotient graph currently stands for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Node {
+    /// A principal variable: the representative of a supervariable.
+    Variable,
+    /// A principal variable of the element being formed.
+    InPivot,
+    /// A variable merged into another supervariable, or mass-eliminated
+    /// with a pivot; its list is gone.
+    Merged,
+    /// An element: an eliminated pivot whose list is its variables.
+    Element,
+    /// An element absorbed into a later one, or one with no variables left.
+    Absorbed,
+}
+
+/// `(degree, index)` of every variable not yet eliminated, packed into one
+/// word, in a tournament tree: a change costs a walk to the root and the
+/// minimum is the root, so the pivot is always the smallest exact key.
+struct DegreeQueue {
+    leaves: usize,
+    key: Vec<u64>,
+}
+
+impl DegreeQueue {
+    const ABSENT: u64 = u64::MAX;
+
+    fn new(degree: &[usize]) -> Self {
+        let leaves = degree.len().next_power_of_two();
+        let mut key = vec![Self::ABSENT; 2 * leaves];
+        for (i, &d) in degree.iter().enumerate() {
+            key[leaves + i] = (d as u64) << 32 | i as u64;
+        }
+        for p in (1..leaves).rev() {
+            key[p] = key[2 * p].min(key[2 * p + 1]);
+        }
+        DegreeQueue { leaves, key }
+    }
+
+    fn set(&mut self, i: usize, k: u64) {
+        let mut p = self.leaves + i;
+        self.key[p] = k;
+        while p > 1 {
+            p /= 2;
+            let m = self.key[2 * p].min(self.key[2 * p + 1]);
+            if self.key[p] == m {
+                break;
+            }
+            self.key[p] = m;
+        }
+    }
+
+    fn insert(&mut self, i: usize, degree: usize) {
+        self.set(i, (degree as u64) << 32 | i as u64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.set(i, Self::ABSENT);
+    }
+
+    /// The variable of least degree, lowest index first, taken out.
+    fn pop(&mut self) -> Option<usize> {
+        let k = self.key[1];
+        (k != Self::ABSENT).then(|| {
+            let i = (k & 0xffff_ffff) as usize;
+            self.remove(i);
+            i
+        })
+    }
+}
+
+/// Approximate minimum degree elimination order of the graph `(ptr, adj)`
+/// (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17(4), 1996); ties go
+/// to the lowest index.
 ///
-/// Nothing is edited or reallocated per pivot. The graph stays as given: a
-/// variable's live variable-neighbours and the sizes of its live elements
-/// are running counts, eliminated neighbours and absorbed elements are
-/// skipped on traversal. Elements (eliminated cliques) and the per-variable
-/// element lists live in two append-only arenas. The priority queue is a
-/// binary heap with lazy deletion that is only pushed to when a key
-/// *drops*; a key that rose is corrected when its stale entry surfaces.
+/// The quotient graph lives in one flat workspace `iw`: a variable's list is
+/// its adjacent elements, then its remaining variable neighbours; an
+/// element's list is its variables. Each pivot `p` absorbs the elements it
+/// touches into its new element `L_p`, and every variable `i` of `L_p` gets
+/// the degree bound
+/// `d(i) = min(n − k, d_old(i) + |L_p \ i|, |A_i \ L_p| + |L_p \ i| + Σ_{e∈E_i} |L_e \ L_p|)`,
+/// with every `|L_e \ L_p|` from one pass over `L_p` (the `w(e)` counts).
+/// An element found inside `L_p` on the way is absorbed too (aggressive
+/// absorption); a variable left adjacent to `L_p` alone is eliminated with
+/// `p` (mass elimination); variables of `L_p` with identical lists merge
+/// into one supervariable, ordered together, the lowest index its
+/// representative. Degrees are exact keys of a [`DegreeQueue`].
 fn eliminate(ptr: &[usize], adj: &[u32]) -> Vec<usize> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     const NIL: u32 = u32::MAX;
     MIN_DEGREE_CALLS.set(MIN_DEGREE_CALLS.get() + 1);
     let n = ptr.len() - 1;
-    // Element `e` is `members[elt_start[e]..elt_start[e + 1]]`; an absorbed
-    // one is marked dead. The element created by pivot number `k` is `k`.
-    let mut members: Vec<u32> = Vec::with_capacity(4 * adj.len());
-    let mut elt_start: Vec<usize> = Vec::with_capacity(n + 1);
-    elt_start.push(0);
-    let mut dead = vec![false; n];
-    // Elements adjacent to variable `u`: a linked list through `link`,
-    // newest first, from `head[u]`.
-    let mut head = vec![NIL; n];
-    let mut link: Vec<(u32, u32)> = Vec::with_capacity(4 * adj.len()); // (element, next)
-
-    let mut eliminated = vec![false; n];
-    // Live variable neighbours, and Σ (|e| − 1) over live adjacent elements.
-    let mut n_var: Vec<usize> = (0..n).map(|i| ptr[i + 1] - ptr[i]).collect();
-    let mut elt_sum = vec![0usize; n];
-    let mut degree = n_var.clone();
-
-    // Heap keys are (degree, index) packed into one word. `queued[u]` is
-    // the smallest key of `u` in the heap, never above its true one.
-    let key = |d: usize, i: usize| (d as u64) << 32 | i as u64;
-    let mut queued: Vec<u64> = (0..n).map(|i| key(degree[i], i)).collect();
-    let mut heap: BinaryHeap<Reverse<u64>> = queued.iter().map(|&k| Reverse(k)).collect();
+    assert!(n < NIL as usize, "ordering: graph too large");
+    let mut iw: Vec<u32> = Vec::with_capacity(adj.len() + adj.len() / 2 + n);
+    iw.extend_from_slice(adj);
+    let mut pe: Vec<usize> = ptr[..n].to_vec();
+    let mut len: Vec<usize> = (0..n).map(|i| ptr[i + 1] - ptr[i]).collect();
+    let mut elen = vec![0usize; n];
+    let mut state = vec![Node::Variable; n];
+    // Supervariable sizes, and each supervariable's members as a chain.
+    let mut nv = vec![1usize; n];
+    let mut member_next = vec![NIL; n];
+    let mut member_last: Vec<u32> = (0..n as u32).collect();
+    // A variable's degree bound; an element's size Σ nv over its variables.
+    let mut degree = len.clone();
+    let mut queue = DegreeQueue::new(&degree);
+    // `w[e] − wflg` is `|L_e \ L_p|` while pivot `p` is processed; every
+    // stale mark is below `wflg`.
+    let mut w = vec![1usize; n];
+    let mut wflg = 2usize;
 
     let mut perm = Vec::with_capacity(n);
-    let mut marker = vec![usize::MAX; n];
+    let mut lme: Vec<u32> = Vec::new();
+    let mut pivots: Vec<usize> = Vec::new();
+    let mut hashed: Vec<(u64, u32)> = Vec::new();
+    let mut eliminated = 0usize;
+    while let Some(me) = queue.pop() {
+        state[me] = Node::Element;
+        pivots.clear();
+        pivots.push(me);
+        eliminated += nv[me];
 
-    while let Some(Reverse(k)) = heap.pop() {
-        let v = (k & 0xffff_ffff) as usize;
-        if eliminated[v] || k != queued[v] {
-            continue; // superseded entry
-        }
-        if k != key(degree[v], v) {
-            // The key rose since this entry was pushed: requeue at its value.
-            queued[v] = key(degree[v], v);
-            heap.push(Reverse(queued[v]));
-            continue;
-        }
-        eliminated[v] = true;
-        perm.push(v);
-        // Gather the new element: union of v's variable neighbors and all
-        // variables of elements adjacent to v (minus eliminated ones).
-        let first = members.len();
-        for &u in &adj[ptr[v]..ptr[v + 1]] {
-            let u = u as usize;
-            if !eliminated[u] {
-                n_var[u] -= 1;
-                marker[u] = v;
-                members.push(u as u32);
-            }
-        }
-        let mut at = head[v];
-        while at != NIL {
-            let (e, next) = link[at as usize];
-            at = next;
-            let e = e as usize;
-            if dead[e] {
-                continue;
-            }
-            // Absorb the old element (it is now a subset of the new one).
-            dead[e] = true;
-            let size = elt_start[e + 1] - elt_start[e];
-            for q in elt_start[e]..elt_start[e + 1] {
-                let u = members[q] as usize;
-                if !eliminated[u] {
-                    elt_sum[u] -= size - 1;
-                    if marker[u] != v {
-                        marker[u] = v;
-                        members.push(u as u32);
-                    }
+        // The new element: the live variables of `me`'s elements, which it
+        // absorbs, and of its own variable list.
+        lme.clear();
+        let mut degme = 0;
+        let (p1, elen_me) = (pe[me], elen[me]);
+        for k in p1..p1 + len[me] {
+            let x = iw[k] as usize;
+            let members = if k < p1 + elen_me {
+                if state[x] != Node::Element {
+                    continue;
+                }
+                state[x] = Node::Absorbed;
+                pe[x]..pe[x] + len[x]
+            } else {
+                k..k + 1
+            };
+            for q in members {
+                let i = iw[q] as usize;
+                if state[i] == Node::Variable {
+                    state[i] = Node::InPivot;
+                    degme += nv[i];
+                    lme.push(i as u32);
                 }
             }
         }
-        let eid = elt_start.len() - 1;
-        elt_start.push(members.len());
-        let size = members.len() - first;
-        let remaining = n - perm.len();
-        // Update the adjacent variables with the AMD-style approximate
-        // degree: |var neighbors| + Σ |elements| − overlaps ignored.
-        for q in first..members.len() {
-            let u = members[q] as usize;
-            link.push((eid as u32, head[u]));
-            head[u] = (link.len() - 1) as u32;
-            elt_sum[u] += size - 1;
-            degree[u] = (n_var[u] + elt_sum[u]).min(remaining);
-            let k = key(degree[u], u);
-            if k < queued[u] {
-                queued[u] = k;
-                heap.push(Reverse(k));
+        // Store it over `me`'s old list when it fits, else at the end of the
+        // workspace, compacting the live lists first when that is full.
+        if lme.len() > len[me] {
+            len[me] = 0;
+            if iw.len() + lme.len() > iw.capacity() {
+                compact(&mut iw, &mut pe, &len, |x| {
+                    matches!(state[x], Node::Variable | Node::InPivot | Node::Element)
+                });
+            }
+            pe[me] = iw.len();
+            iw.extend_from_slice(&lme);
+        } else {
+            iw[pe[me]..pe[me] + lme.len()].copy_from_slice(&lme);
+        }
+        len[me] = lme.len();
+        elen[me] = 0;
+
+        // |L_e \ L_me| for every element adjacent to L_me.
+        for &i in &lme {
+            let i = i as usize;
+            for &e in &iw[pe[i]..pe[i] + elen[i]] {
+                let e = e as usize;
+                if state[e] == Node::Element {
+                    let we = if w[e] >= wflg { w[e] } else { degree[e] + wflg };
+                    w[e] = we - nv[i];
+                }
+            }
+        }
+
+        // Degree bounds. Each list of L_me is pruned of absorbed elements,
+        // of elements inside L_me (absorbed here) and of variables no longer
+        // principal or now in L_me, and gets `me`. A variable left adjacent
+        // to `me` alone is eliminated with it.
+        hashed.clear();
+        for &i in &lme {
+            let i = i as usize;
+            let p1 = pe[i];
+            let (mut pn, mut deg, mut hash) = (p1, 0usize, 0u64);
+            for k in p1..p1 + elen[i] {
+                let e = iw[k] as usize;
+                if state[e] != Node::Element {
+                    continue;
+                }
+                let dext = w[e] - wflg;
+                if dext > 0 {
+                    deg += dext;
+                    iw[pn] = e as u32;
+                    pn += 1;
+                    hash = hash.wrapping_add(e as u64);
+                } else {
+                    state[e] = Node::Absorbed;
+                }
+            }
+            let p3 = pn;
+            for k in p1 + elen[i]..p1 + len[i] {
+                let j = iw[k] as usize;
+                if state[j] == Node::Variable {
+                    deg += nv[j];
+                    iw[pn] = j as u32;
+                    pn += 1;
+                    hash = hash.wrapping_add(j as u64);
+                }
+            }
+            if pn == p1 {
+                state[i] = Node::Merged;
+                queue.remove(i);
+                degme -= nv[i];
+                eliminated += nv[i];
+                pivots.push(i);
+                continue;
+            }
+            // The entry that linked `i` to `me` (`me` itself, or one of
+            // its absorbed elements) was pruned, so there is room for `me`.
+            debug_assert!(pn < p1 + len[i]);
+            iw[pn] = iw[p3];
+            iw[p3] = me as u32;
+            elen[i] = p3 - p1 + 1;
+            len[i] = pn - p1 + 1;
+            degree[i] = degree[i].min(deg);
+            hashed.push((hash, i as u32));
+        }
+        // Past every `|L_e \ L_me|` count.
+        wflg += n + 1;
+
+        // Supervariables: variables of L_me with equal lists merge into the
+        // lowest-indexed one. Equal lists have equal hashes.
+        hashed.sort_unstable();
+        for run in hashed
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.len() > 1)
+        {
+            for (a, &(_, i)) in run.iter().enumerate() {
+                let i = i as usize;
+                if state[i] != Node::InPivot {
+                    continue;
+                }
+                for &x in &iw[pe[i]..pe[i] + len[i]] {
+                    w[x as usize] = wflg;
+                }
+                for &(_, j) in &run[a + 1..] {
+                    let j = j as usize;
+                    if state[j] == Node::InPivot
+                        && len[j] == len[i]
+                        && elen[j] == elen[i]
+                        && iw[pe[j]..pe[j] + len[j]]
+                            .iter()
+                            .all(|&x| w[x as usize] == wflg)
+                    {
+                        state[j] = Node::Merged;
+                        queue.remove(j);
+                        nv[i] += nv[j];
+                        member_next[member_last[i] as usize] = j as u32;
+                        member_last[i] = member_last[j];
+                    }
+                }
+                wflg += 1;
+            }
+        }
+
+        // The final bounds; L_me keeps its principal variables only.
+        let remaining = n - eliminated;
+        let mut kept = pe[me];
+        for q in pe[me]..pe[me] + len[me] {
+            let i = iw[q] as usize;
+            if state[i] == Node::InPivot {
+                state[i] = Node::Variable;
+                degree[i] = (degree[i] + degme - nv[i]).min(remaining - nv[i]);
+                queue.insert(i, degree[i]);
+                iw[kept] = i as u32;
+                kept += 1;
+            }
+        }
+        len[me] = kept - pe[me];
+        degree[me] = degme;
+        if len[me] == 0 {
+            state[me] = Node::Absorbed;
+        }
+
+        for &p in &pivots {
+            let mut at = p as u32;
+            while at != NIL {
+                perm.push(at as usize);
+                at = member_next[at as usize];
             }
         }
     }
+    debug_assert_eq!(perm.len(), n);
     perm
 }
 
-/// Quotient-graph minimum-degree ordering of the dof graph of `a`, with
-/// AMD-style approximate degrees and ties to the lowest index. No
-/// supervariable detection; for matrices with `c`-dof nodes
-/// [`min_degree_nodes`] gets the same effect from the known block structure.
+/// Move the lists of the indices `live` accepts to the front of `iw`, in
+/// their order there, and drop the rest.
+fn compact(iw: &mut Vec<u32>, pe: &mut [usize], len: &[usize], live: impl Fn(usize) -> bool) {
+    let mut ids: Vec<usize> = (0..pe.len()).filter(|&x| live(x) && len[x] > 0).collect();
+    ids.sort_unstable_by_key(|&x| pe[x]);
+    let mut at = 0;
+    for x in ids {
+        iw.copy_within(pe[x]..pe[x] + len[x], at);
+        pe[x] = at;
+        at += len[x];
+    }
+    iw.truncate(at);
+}
+
+/// Approximate minimum-degree ordering of the dof graph of `a`, ties to the
+/// lowest index. For matrices with `c`-dof nodes [`min_degree_nodes`]
+/// starts from the known block structure instead.
 pub fn min_degree(a: &CsrMatrix) -> Vec<usize> {
     min_degree_nodes(a, 1)
 }
@@ -318,7 +530,12 @@ fn symbolic_fill(a: &CsrMatrix, perm: &[usize]) -> usize {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/exact_min_degree.rs"]
+mod exact_min_degree;
+
+#[cfg(test)]
 mod tests {
+    use super::exact_min_degree::exact_min_degree;
     use super::*;
     use dd_linalg::CooBuilder;
 
@@ -383,60 +600,6 @@ mod tests {
         assert!(is_permutation(&p, 35));
     }
 
-    /// The quotient-graph elimination as it was written before the running
-    /// counts: every pivot prunes and rescans its neighbours' lists. Kept as
-    /// the oracle for [`eliminate`], which must reproduce its order exactly.
-    fn min_degree_reference(a: &CsrMatrix) -> Vec<usize> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = a.rows();
-        let (ptr, adj) = adjacency(a, 1);
-        let mut var_adj: Vec<Vec<u32>> = (0..n).map(|i| adj[ptr[i]..ptr[i + 1]].to_vec()).collect();
-        let mut elt_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut elements: Vec<Vec<u32>> = Vec::new();
-        let mut eliminated = vec![false; n];
-        let mut degree: Vec<usize> = (0..n).map(|i| var_adj[i].len()).collect();
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-            (0..n).map(|i| Reverse((degree[i], i))).collect();
-        let mut perm = Vec::with_capacity(n);
-        let mut marker = vec![usize::MAX; n];
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if eliminated[v] || d != degree[v] {
-                continue;
-            }
-            eliminated[v] = true;
-            perm.push(v);
-            let mut clique: Vec<u32> = Vec::new();
-            let members = var_adj[v]
-                .iter()
-                .chain(elt_adj[v].iter().flat_map(|&e| &elements[e as usize]));
-            for &u in members {
-                if !eliminated[u as usize] && marker[u as usize] != v {
-                    marker[u as usize] = v;
-                    clique.push(u);
-                }
-            }
-            for &e in &elt_adj[v] {
-                elements[e as usize].clear();
-            }
-            let eid = elements.len() as u32;
-            elements.push(clique.clone());
-            for &u in &clique {
-                let u = u as usize;
-                var_adj[u].retain(|&w| !eliminated[w as usize]);
-                elt_adj[u].retain(|&e| !elements[e as usize].is_empty());
-                elt_adj[u].push(eid);
-                let in_elements: usize = elt_adj[u]
-                    .iter()
-                    .map(|&e| elements[e as usize].len() - 1)
-                    .sum();
-                degree[u] = (var_adj[u].len() + in_elements).min(n - perm.len());
-                heap.push(Reverse((degree[u], u)));
-            }
-        }
-        perm
-    }
-
     /// Random structurally symmetric pattern on `nv` nodes of `c` dofs, with
     /// some couplings inside the node blocks knocked out the way assembly
     /// drops exact zeros.
@@ -490,12 +653,106 @@ mod tests {
     }
 
     #[test]
-    fn scalar_ordering_reproduces_the_reference_elimination() {
-        let mut cases = vec![laplacian_2d(12, 9), laplacian_1d(30)];
-        cases.extend((0..6).map(|seed| random_block_pattern(40, 1 + seed as usize % 3, seed)));
-        for a in &cases {
-            assert_eq!(min_degree_nodes(a, 1), min_degree_reference(a));
+    fn fill_is_within_two_percent_of_exact_minimum_degree() {
+        let mut cases: Vec<(CsrMatrix, usize)> = vec![
+            (laplacian_2d(12, 9), 1),
+            (laplacian_2d(30, 30), 1),
+            (laplacian_1d(30), 1),
+        ];
+        for seed in 0..6u64 {
+            let c = 1 + seed as usize % 3;
+            cases.push((random_block_pattern(40, c, seed), c));
         }
+        for (a, c) in &cases {
+            let (amd, exact) = (
+                symbolic_fill(a, &min_degree_nodes(a, *c)),
+                symbolic_fill(a, &exact_min_degree(a)),
+            );
+            assert!(
+                amd as f64 <= 1.02 * exact as f64,
+                "n {} c {c}: nnz(L) {amd} vs exact minimum degree {exact}",
+                a.rows()
+            );
+        }
+    }
+
+    /// A pattern with the diagonal and the given couplings, both ways.
+    fn pattern(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            b.push(i, i, 4.0);
+        }
+        for &(i, j) in edges {
+            b.push(i, j, -1.0);
+            b.push(j, i, -1.0);
+        }
+        b.to_csr()
+    }
+
+    /// Every node's `c` dofs, given as an edge list between nodes, coupled
+    /// to each other's; `holes` of the couplings inside a node knocked out.
+    fn node_pattern(nv: usize, c: usize, edges: &[(usize, usize)], holes: usize) -> CsrMatrix {
+        let mut dof_edges = Vec::new();
+        for v in 0..nv {
+            for k in 0..c {
+                for l in k + 1..c {
+                    if (v + k + l) % 3 >= holes {
+                        dof_edges.push((v * c + k, v * c + l));
+                    }
+                }
+            }
+        }
+        for &(u, v) in edges {
+            for k in 0..c {
+                for l in 0..c {
+                    dof_edges.push((u * c + k, v * c + l));
+                }
+            }
+        }
+        pattern(nv * c, &dof_edges)
+    }
+
+    #[test]
+    fn degenerate_graphs_give_node_contiguous_permutations() {
+        let arrow: Vec<(usize, usize)> = (1..9).map(|i| (0, i)).collect();
+        let complete: Vec<(usize, usize)> = (0..7)
+            .flat_map(|i| (i + 1..7).map(move |j| (i, j)))
+            .collect();
+        let two_components = vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)];
+        let cases = [
+            ("empty", 0, vec![]),
+            ("one vertex", 1, vec![]),
+            ("isolated vertices", 5, vec![]),
+            ("isolated and coupled", 6, vec![(1, 4), (4, 2)]),
+            ("two components", 7, two_components),
+            ("arrow", 9, arrow.clone()),
+            ("complete", 7, complete),
+        ];
+        for (name, nv, edges) in cases {
+            for (c, holes) in [(1, 0), (3, 0), (3, 1), (3, 2)] {
+                let a = node_pattern(nv, c, &edges, holes);
+                // `fill_reducing` coarsens by the node size the pattern shows.
+                let seen = BsrMatrix::padded_block_size(&a).unwrap_or(1);
+                for (p, by) in [
+                    (min_degree_nodes(&a, c), c),
+                    (fill_reducing(&a, Ordering::MinDegree), seen),
+                ] {
+                    assert!(is_permutation(&p, nv * c), "{name} c {c} holes {holes}");
+                    for chunk in p.chunks(by) {
+                        assert!(
+                            chunk[0] % by == 0 && chunk.windows(2).all(|w| w[1] == w[0] + 1),
+                            "{name} c {c} holes {holes}: a node's dofs split"
+                        );
+                    }
+                }
+                assert!(is_permutation(&min_degree(&a), nv * c), "{name} by dof");
+            }
+        }
+        // An isolated vertex goes first; the hub of an arrow waits until
+        // one leaf is left, so L has the arrow's edges and nothing else.
+        assert_eq!(min_degree(&pattern(3, &[(0, 2)]))[0], 1);
+        let a = pattern(9, &arrow);
+        assert_eq!(symbolic_fill(&a, &min_degree(&a)), 8);
     }
 
     #[test]
