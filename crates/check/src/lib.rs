@@ -11,8 +11,8 @@
 //!   bounding, independence pruning), asserting deadlock-freedom and
 //!   byte-identical results across every explored interleaving;
 //! * [`replay`] — re-run one schedule from a failure's printed script;
-//! * [`check_world`] — the harness binding [`explore()`] to
-//!   `World::run_with_backend`;
+//! * [`check_world`] / [`check_elastic_world_with_faults`] — the harness
+//!   binding [`explore()`] to `World::run_elastic_with_backend`;
 //! * [`run_threads`] — raw-thread harness for checking synchronization
 //!   patterns outside a world (e.g. seeded lock-order inversions).
 //!
@@ -38,41 +38,15 @@ pub fn check_world<F>(n: usize, cfg: Config, budget: Budget, program: F) -> Repo
 where
     F: Fn(&Communicator) -> Vec<u8> + Send + Sync,
 {
-    check_world_with_faults(n, cfg, budget, FaultPlan::default(), program)
+    check_elastic_world_with_faults(n, 0, cfg, budget, FaultPlan::default(), program)
 }
 
-/// [`check_world`] with a seeded [`FaultPlan`] armed in every schedule.
-pub fn check_world_with_faults<F>(
-    n: usize,
-    cfg: Config,
-    budget: Budget,
-    faults: FaultPlan,
-    program: F,
-) -> Report
-where
-    F: Fn(&Communicator) -> Vec<u8> + Send + Sync,
-{
-    explore(n, cfg, budget, move |backend| {
-        let per_rank = World::run_with_backend(
-            n,
-            CostModel::default(),
-            faults.clone(),
-            Arc::clone(&backend),
-            |comm| {
-                let mut bytes = program(comm);
-                bytes.extend_from_slice(&comm.clock().to_bits().to_le_bytes());
-                bytes
-            },
-        );
-        frame(per_rank.into_iter().map(Some))
-    })
-}
-
-/// [`check_world_with_faults`] for an *elastic* world: `n` founders plus
-/// `reserve` lobby ranks that only run `program` once a
-/// [`Communicator::try_grow`] admits them. All `n + reserve` threads are
-/// scheduled, so the exploration covers every interleaving of the join
-/// protocol; un-admitted reserves frame as empty results.
+/// [`check_world`] with a seeded [`FaultPlan`] armed in every schedule,
+/// on a world of `n` founders plus `reserve` lobby ranks that only run
+/// `program` once a [`Communicator::try_shrink`] admits them (`reserve` =
+/// 0 for a fixed world). All `n + reserve` threads are scheduled, so the
+/// exploration covers every interleaving of the join protocol;
+/// un-admitted reserves frame as empty results.
 pub fn check_elastic_world_with_faults<F>(
     n: usize,
     reserve: usize,

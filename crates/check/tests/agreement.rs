@@ -9,7 +9,7 @@
 //! a suspicion policy, and wherever the eviction is observed the shrink
 //! must record it *evicted*, never dead.
 
-use dd_check::{check_world_with_faults, scaled, Budget, Config, FailureKind, Report};
+use dd_check::{check_elastic_world_with_faults, scaled, Budget, Config, FailureKind, Report};
 use dd_comm::{CommError, FaultPlan, RankState, SuspicionPolicy};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn assert_graceful(r: &Report, what: &str) {
 /// byte-identical across schedules.
 fn death_then_shrink(n: usize, victim: usize, max: usize) -> Report {
     let faults = FaultPlan::new(23).with_kill(victim, "work");
-    check_world_with_faults(n, Config::default(), budget(max), faults, move |comm| {
+    check_elastic_world_with_faults(n, 0, Config::default(), budget(max), faults, move |comm| {
         if comm.failpoint("work").is_err() {
             // Killed: unwind without touching the runtime again.
             return vec![0xDD];
@@ -75,28 +75,35 @@ fn blocked_collective_then_shrink(n: usize, victim: usize, max: usize) -> (Repor
     let faults = FaultPlan::new(31).with_kill(victim, "work");
     let structured = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&structured);
-    let report = check_world_with_faults(n, Config::default(), budget(max), faults, move |comm| {
-        if comm.failpoint("work").is_err() {
-            return vec![0xDD];
-        }
-        let pre = comm.try_allreduce_sum(1.0);
-        assert!(pre.is_err(), "collective over a dead rank must not succeed");
-        if matches!(
-            pre,
-            Err(CommError::RankDead { .. }) | Err(CommError::Revoked { .. })
-        ) {
-            seen.fetch_add(1, Ordering::SeqCst);
-        }
-        let sub = comm.try_shrink().expect("survivor must shrink");
-        assert_eq!(sub.size(), n - 1, "agreement missed the death");
-        assert_eq!(sub.epoch(), 1, "split-brain: unexpected epoch");
-        let sum = sub
-            .try_allreduce_sum(comm.world_rank() as f64)
-            .expect("shrunk communicator must be live");
-        let mut out = vec![0x52, sub.rank() as u8, sub.epoch() as u8];
-        out.extend_from_slice(&sum.to_bits().to_le_bytes());
-        out
-    });
+    let report = check_elastic_world_with_faults(
+        n,
+        0,
+        Config::default(),
+        budget(max),
+        faults,
+        move |comm| {
+            if comm.failpoint("work").is_err() {
+                return vec![0xDD];
+            }
+            let pre = comm.try_allreduce_sum(1.0);
+            assert!(pre.is_err(), "collective over a dead rank must not succeed");
+            if matches!(
+                pre,
+                Err(CommError::RankDead { .. }) | Err(CommError::Revoked { .. })
+            ) {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }
+            let sub = comm.try_shrink().expect("survivor must shrink");
+            assert_eq!(sub.size(), n - 1, "agreement missed the death");
+            assert_eq!(sub.epoch(), 1, "split-brain: unexpected epoch");
+            let sum = sub
+                .try_allreduce_sum(comm.world_rank() as f64)
+                .expect("shrunk communicator must be live");
+            let mut out = vec![0x52, sub.rank() as u8, sub.epoch() as u8];
+            out.extend_from_slice(&sum.to_bits().to_le_bytes());
+            out
+        },
+    );
     (report, structured.load(Ordering::SeqCst))
 }
 
@@ -117,62 +124,69 @@ fn straggle_then_evict(n: usize, victim: usize, max: usize) -> (Report, usize) {
     let faults = FaultPlan::new(37).with_straggle(victim, "work");
     let evictions = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&evictions);
-    let report = check_world_with_faults(n, Config::default(), budget(max), faults, move |comm| {
-        let policy = SuspicionPolicy {
-            deadline: f64::INFINITY,
-            k_missed: 2,
-        };
-        comm.failpoint("work").expect("no kills in this plan");
-        if comm.rank() == victim {
-            // The straggler: alive but frozen. Park in a wait the peers
-            // have abandoned; the eviction's revocation (or a timeout)
-            // wakes it with a structured error and it withdraws.
-            let woke = comm.try_allreduce_sum(1.0);
-            assert!(woke.is_err(), "abandoned collective must not succeed");
-            return vec![0xEE];
-        }
-        if comm.rank() == 0 {
-            // A single designated observer classifies and evicts: by
-            // heartbeat lag alone a starved-but-healthy peer is
-            // indistinguishable from the frozen straggler, so a blanket
-            // `maintain` here could evict a survivor the scheduler chose
-            // not to run. Production drivers call `maintain` at iteration
-            // boundaries, where collectives keep live peers in lockstep.
-            for _ in 0..=policy.k_missed {
-                comm.heartbeat();
+    let report = check_elastic_world_with_faults(
+        n,
+        0,
+        Config::default(),
+        budget(max),
+        faults,
+        move |comm| {
+            let policy = SuspicionPolicy {
+                deadline: f64::INFINITY,
+                k_missed: 2,
+            };
+            comm.failpoint("work").expect("no kills in this plan");
+            if comm.rank() == victim {
+                // The straggler: alive but frozen. Park in a wait the peers
+                // have abandoned; the eviction's revocation (or a timeout)
+                // wakes it with a structured error and it withdraws.
+                let woke = comm.try_allreduce_sum(1.0);
+                assert!(woke.is_err(), "abandoned collective must not succeed");
+                return vec![0xEE];
             }
-            if !comm.is_world_rank_gone(victim) {
+            if comm.rank() == 0 {
+                // A single designated observer classifies and evicts: by
+                // heartbeat lag alone a starved-but-healthy peer is
+                // indistinguishable from the frozen straggler, so a blanket
+                // `maintain` here could evict a survivor the scheduler chose
+                // not to run. Production drivers call `maintain` at iteration
+                // boundaries, where collectives keep live peers in lockstep.
+                for _ in 0..=policy.k_missed {
+                    comm.heartbeat();
+                }
+                if !comm.is_world_rank_gone(victim) {
+                    assert_eq!(
+                        comm.rank_states(&policy)[victim],
+                        RankState::Suspected,
+                        "the frozen straggler must trip the k_missed budget"
+                    );
+                    comm.evict(victim);
+                    seen.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            if comm.is_world_rank_evicted(victim) {
                 assert_eq!(
-                    comm.rank_states(&policy)[victim],
-                    RankState::Suspected,
-                    "the frozen straggler must trip the k_missed budget"
+                    comm.evicted_ranks(),
+                    vec![victim],
+                    "the eviction must be recorded as an eviction"
                 );
-                comm.evict(victim);
-                seen.fetch_add(1, Ordering::SeqCst);
+                assert_eq!(
+                    comm.dead_ranks(),
+                    Vec::<usize>::new(),
+                    "eviction is not death"
+                );
             }
-        }
-        if comm.is_world_rank_evicted(victim) {
-            assert_eq!(
-                comm.evicted_ranks(),
-                vec![victim],
-                "the eviction must be recorded as an eviction"
-            );
-            assert_eq!(
-                comm.dead_ranks(),
-                Vec::<usize>::new(),
-                "eviction is not death"
-            );
-        }
-        let sub = comm.try_shrink().expect("survivor must shrink");
-        assert_eq!(sub.size(), n - 1, "agreement missed the eviction");
-        assert_eq!(sub.epoch(), 1, "split-brain: unexpected epoch");
-        let sum = sub
-            .try_allreduce_sum(comm.world_rank() as f64)
-            .expect("shrunk communicator must be live");
-        let mut out = vec![0x53, sub.rank() as u8, sub.epoch() as u8];
-        out.extend_from_slice(&sum.to_bits().to_le_bytes());
-        out
-    });
+            let sub = comm.try_shrink().expect("survivor must shrink");
+            assert_eq!(sub.size(), n - 1, "agreement missed the eviction");
+            assert_eq!(sub.epoch(), 1, "split-brain: unexpected epoch");
+            let sum = sub
+                .try_allreduce_sum(comm.world_rank() as f64)
+                .expect("shrunk communicator must be live");
+            let mut out = vec![0x53, sub.rank() as u8, sub.epoch() as u8];
+            out.extend_from_slice(&sum.to_bits().to_le_bytes());
+            out
+        },
+    );
     (report, evictions.load(Ordering::SeqCst))
 }
 

@@ -199,8 +199,9 @@ fn swapped_lock_order_is_found_as_stuck() {
 #[test]
 fn replay_is_deterministic() {
     let program = |backend: Arc<dyn dd_comm::sync::SyncBackend>| {
-        dd_comm::World::run_with_backend(
+        dd_comm::World::run_elastic_with_backend(
             2,
+            0,
             dd_comm::CostModel::default(),
             dd_comm::FaultPlan::default(),
             backend,
@@ -214,6 +215,7 @@ fn replay_is_deterministic() {
             },
         )
         .into_iter()
+        .flatten()
         .flat_map(|v: u64| v.to_le_bytes())
         .collect()
     };

@@ -1,10 +1,11 @@
 //! Join-protocol schedule suites (elastic-membership PR): a reserve rank
 //! waits in the lobby, a seeded `FaultPlan::with_join` marks it pending at
-//! a failpoint, and every founder calls `try_grow`. In every explored
-//! interleaving the world must commit the *same* grown communicator —
-//! identical epoch, identical membership, the joiner admitted exactly once
-//! (no split-brain, no double admission) — and a survivor parked in a
-//! stale pre-grow collective must wake `Revoked`, never hang.
+//! a failpoint, and every founder calls `try_shrink`, which admits it. In
+//! every explored interleaving the world must commit the *same* grown
+//! communicator — identical epoch, identical membership, the joiner
+//! admitted exactly once (no split-brain, no double admission) — and a
+//! survivor parked in a stale pre-grow collective must wake `Revoked`,
+//! never hang.
 
 use dd_check::{check_elastic_world_with_faults, scaled, Budget, Config, FailureKind, Report};
 use dd_comm::{CommError, Communicator, FaultPlan};
@@ -70,7 +71,7 @@ fn join_then_grow(n: usize, max: usize) -> Report {
             comm
         } else {
             comm.failpoint("work").expect("no kills in this plan");
-            grown_owned = comm.try_grow().expect("founder must grow");
+            grown_owned = comm.try_shrink().expect("founder must grow");
             &grown_owned
         };
         assert_grown(grown, n + 1, 1)
@@ -106,7 +107,7 @@ fn stale_wait_then_grow(n: usize, max: usize) -> (Report, usize) {
                         seen.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                grown_owned = comm.try_grow().expect("founder must grow");
+                grown_owned = comm.try_shrink().expect("founder must grow");
                 &grown_owned
             };
             assert_grown(grown, n + 1, 1)
@@ -157,10 +158,10 @@ fn no_double_admission_n2_to_n3() {
                 comm
             } else {
                 comm.failpoint("work").expect("no kills in this plan");
-                grown_owned = comm.try_grow().expect("founder must grow");
+                grown_owned = comm.try_shrink().expect("founder must grow");
                 &grown_owned
             };
-            let again = grown.try_grow().expect("empty agreement must commit");
+            let again = grown.try_shrink().expect("empty agreement must commit");
             assert_grown(&again, n + 1, 2)
         },
     );

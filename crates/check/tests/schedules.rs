@@ -2,7 +2,7 @@
 //! (N = 2..4): every explored interleaving must terminate without
 //! deadlock and produce byte-identical results.
 
-use dd_check::{check_world, check_world_with_faults, scaled, Budget, Config, Report};
+use dd_check::{check_elastic_world_with_faults, check_world, scaled, Budget, Config, Report};
 use dd_comm::{CommError, FaultPlan, RetryPolicy, TagClass};
 
 fn budget(max: usize) -> Budget {
@@ -98,7 +98,7 @@ fn iallreduce_overlap(max: usize) -> Report {
 /// function of message identity, so results stay schedule-invariant.
 fn dropped_messages(max: usize) -> Report {
     let faults = FaultPlan::new(11).with_drops(0.6, 2);
-    check_world_with_faults(2, Config::default(), budget(max), faults, |comm| {
+    check_elastic_world_with_faults(2, 0, Config::default(), budget(max), faults, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, 17u64);
             Vec::new()
@@ -117,7 +117,7 @@ fn dropped_messages(max: usize) -> Report {
 /// counts must be schedule-invariant.
 fn retransmit_after_corrupt_ring(n: usize, max: usize) -> Report {
     let faults = FaultPlan::new(5).with_corrupt("exchange", None, TagClass::Any, 5);
-    check_world_with_faults(n, Config::default(), budget(max), faults, move |comm| {
+    check_elastic_world_with_faults(n, 0, Config::default(), budget(max), faults, move |comm| {
         comm.trace_phase("exchange");
         let next = (comm.rank() + 1) % n;
         let prev = (comm.rank() + n - 1) % n;
@@ -143,7 +143,7 @@ fn retransmit_after_corrupt_ring(n: usize, max: usize) -> Report {
 /// exhausts — never a value, never a hang.
 fn persistent_corruption_is_typed(max: usize) -> Report {
     let faults = FaultPlan::new(7).with_corrupt_persistent("exchange", Some(0), TagClass::P2p, 7);
-    check_world_with_faults(2, Config::default(), budget(max), faults, |comm| {
+    check_elastic_world_with_faults(2, 0, Config::default(), budget(max), faults, |comm| {
         comm.trace_phase("exchange");
         if comm.rank() == 0 {
             comm.send(1, 3, 99u64);

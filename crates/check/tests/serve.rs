@@ -6,7 +6,8 @@
 //! epoch is `dd_core::drive_epochs` (the solvers' loop: one agreement per
 //! membership change, then the epoch closure again on the re-planned
 //! world); the suites spell one turn of it out by hand — `serve_batches`,
-//! `try_shrink`/`try_grow`, `serve_batches` on the committed communicator
+//! `try_shrink` (which also admits joiners), `serve_batches` on the
+//! committed communicator
 //! — so that the checker owns every step. Numerics are stubbed with a
 //! membership-invariant collective sum (full solves would route
 //! schedule-dependent `compute` time into the canonical bytes); what the
@@ -23,8 +24,7 @@
 //!   failing schedule prints a replay script.
 
 use dd_check::{
-    check_elastic_world_with_faults, check_world, check_world_with_faults, scaled, Budget, Config,
-    FailureKind, Report,
+    check_elastic_world_with_faults, check_world, scaled, Budget, Config, FailureKind, Report,
 };
 use dd_comm::{Communicator, FaultPlan};
 use dd_serve::{
@@ -242,20 +242,27 @@ fn mid_stream_death_reserves_incomplete_suffix_exactly_once() {
     let victim = 1usize;
     let faults = FaultPlan::new(73).with_kill(victim, "serve-batch-1");
     let slot: Slot = Arc::default();
-    let r = check_world_with_faults(3, Config::default(), budget(2800), faults, move |comm| {
-        let plane = fresh_plane(comm, &slot);
-        match serve_batches(comm, &plane, &batches) {
-            Err(()) => return vec![0xDD], // the victim unwinds
-            Ok(true) => panic!("the kill must interrupt epoch 0"),
-            Ok(false) => {}
-        }
-        let sub = comm.try_shrink().expect("survivor must shrink");
-        assert_eq!(sub.size(), 2, "agreement missed the death");
-        assert_eq!(sub.epoch(), 1, "split-brain: unexpected epoch");
-        let done = serve_batches(&sub, &plane, &batches).expect("one kill in this plan");
-        assert!(done, "the shrunk world must finish the stream");
-        finalize(&sub, &plane, &w, 0x72)
-    });
+    let r = check_elastic_world_with_faults(
+        3,
+        0,
+        Config::default(),
+        budget(2800),
+        faults,
+        move |comm| {
+            let plane = fresh_plane(comm, &slot);
+            match serve_batches(comm, &plane, &batches) {
+                Err(()) => return vec![0xDD], // the victim unwinds
+                Ok(true) => panic!("the kill must interrupt epoch 0"),
+                Ok(false) => {}
+            }
+            let sub = comm.try_shrink().expect("survivor must shrink");
+            assert_eq!(sub.size(), 2, "agreement missed the death");
+            assert_eq!(sub.epoch(), 1, "split-brain: unexpected epoch");
+            let done = serve_batches(&sub, &plane, &batches).expect("one kill in this plan");
+            assert!(done, "the shrunk world must finish the stream");
+            finalize(&sub, &plane, &w, 0x72)
+        },
+    );
     assert_graceful(&r, "serve death n=3");
     assert!(r.schedules > 10, "explored {}", r.schedules);
 }
@@ -298,7 +305,7 @@ fn mid_stream_join_rebalances_and_answers_exactly_once() {
             }
             comm.failpoint("serve-batch-1")
                 .expect("no kills in this plan");
-            let grown = comm.try_grow().expect("founder must grow");
+            let grown = comm.try_shrink().expect("founder must grow");
             assert_eq!(grown.size(), 3, "agreement missed the join");
             assert_eq!(grown.epoch(), 1, "split-brain: unexpected epoch");
             let done = serve_batches(&grown, &plane, &batches).expect("no kills in this plan");

@@ -73,33 +73,6 @@ fn unwrap_founders<R>(results: Vec<Option<R>>) -> Vec<R> {
         .collect()
 }
 
-/// Park a reserve rank in the admission lobby until a grow deposits its
-/// ticket, or until the world has no live members left (`None`: the
-/// program ended without admitting this reserve). Registers as an
-/// agreement waiter — not a [`BlockGuard`] — for the same reason the
-/// agreement waits do: the lobby wait is satisfiable by construction
-/// (admission or world end) and must not feed the deadlock heuristic.
-fn lobby_wait(health: &WorldHealth, world_rank: usize) -> Option<LobbyTicket> {
-    struct Waiting<'a>(&'a AtomicUsize);
-    impl Drop for Waiting<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, AtOrd::SeqCst);
-        }
-    }
-    health.agree_waiters.fetch_add(1, AtOrd::SeqCst);
-    let _waiting = Waiting(&health.agree_waiters);
-    let mut st = health.agree.lock();
-    loop {
-        if let Some(ticket) = st.lobby[world_rank].take() {
-            return Some(ticket);
-        }
-        if health.live() == 0 {
-            return None;
-        }
-        st = health.agree_cv.wait_timeout(st, TICK);
-    }
-}
-
 /// Unbox a received payload, panicking with a structured message on a type
 /// mismatch — always a caller bug (the `(source, tag)` pair determines the
 /// payload type in a correct program), never a runtime fault.
@@ -409,22 +382,21 @@ type SlotsGuard<'a> = SyncMutexGuard<'a, HashMap<u64, Slot>>;
 /// allocates exactly what one that finds its message waiting allocates
 /// (nothing), so allocation counts do not depend on which rank arrives
 /// first.
-enum WaitProbe {
-    /// Parked in a receive on `shared`'s mailbox `rank` for the next
-    /// message from communicator rank `src` with `tag`.
-    Mailbox {
-        shared: Weak<CommShared>,
-        epoch: usize,
-        rank: usize,
-        src: usize,
-        tag: u64,
-    },
-    /// Parked until collective slot `seq` of `shared` completes.
-    Slot {
-        shared: Weak<CommShared>,
-        epoch: usize,
-        seq: u64,
-    },
+struct WaitProbe {
+    shared: Weak<CommShared>,
+    epoch: usize,
+    /// The parked rank's rank in `shared`.
+    rank: usize,
+    on: WaitOn,
+}
+
+/// What a parked rank waits for on its communicator.
+#[derive(Clone, Copy)]
+enum WaitOn {
+    /// The next message from communicator rank `src` with `tag`.
+    Message { src: usize, tag: u64 },
+    /// Collective slot `seq` to complete.
+    Slot { seq: u64 },
 }
 
 impl WaitProbe {
@@ -436,28 +408,26 @@ impl WaitProbe {
     /// — in which case that rank is awake, so the world is not deadlocked
     /// anyway).
     fn satisfiable(&self, health: &WorldHealth) -> Option<bool> {
-        let (WaitProbe::Mailbox { shared, epoch, .. } | WaitProbe::Slot { shared, epoch, .. }) =
-            self;
-        if health.revoked(*epoch) {
+        if health.revoked(self.epoch) {
             return Some(true);
         }
-        let Some(sh) = shared.upgrade() else {
+        let Some(sh) = self.shared.upgrade() else {
             return Some(true);
         };
-        match self {
-            WaitProbe::Mailbox { rank, src, tag, .. } => {
+        match self.on {
+            WaitOn::Message { src, tag } => {
                 // A dead sender wakes the waiter with RankDead.
-                if health.is_gone(sh.world_ranks[*src]) {
+                if health.is_gone(sh.world_ranks[src]) {
                     return Some(true);
                 }
-                let sat = sh.mailboxes[*rank]
+                let sat = sh.mailboxes[self.rank]
                     .inner
                     .try_lock()
-                    .map(|q| q.queues.get(&(*src, *tag)).is_some_and(|q| !q.is_empty()));
+                    .map(|q| q.queues.get(&(src, tag)).is_some_and(|q| !q.is_empty()));
                 sat
             }
-            WaitProbe::Slot { seq, .. } => {
-                let sat = sh.slots.try_lock().map(|slots| match slots.get(seq) {
+            WaitOn::Slot { seq } => {
+                let sat = sh.slots.try_lock().map(|slots| match slots.get(&seq) {
                     None => true,
                     Some(slot) if slot.done => true,
                     // A dead participant that never contributed will wake
@@ -482,12 +452,6 @@ struct LobbyTicket {
     clock: f64,
 }
 
-/// State of the two-phase membership-agreement protocol behind
-/// [`Communicator::try_shrink`] / [`Communicator::try_grow`]. Lives
-/// outside the mailbox/slot machinery on purpose: agreement traffic never
-/// enters the telemetry journal or the collective sequence space, so a
-/// recovered run's canonical trace is a pure function of the agreed
-/// membership change.
 /// One phase-1 or phase-2 post of the membership agreement:
 /// `(round, dead set, joiner/admit set)`.
 type MembershipPost = (u64, Vec<usize>, Vec<usize>);
@@ -496,6 +460,18 @@ type MembershipPost = (u64, Vec<usize>, Vec<usize>);
 /// joiners, epoch, successor comm state)`.
 type PublishedMembership = (Vec<usize>, Vec<usize>, usize, Arc<CommShared>);
 
+/// How one phase of the membership agreement ends its wait.
+enum Phase {
+    Restart,
+    Adopt(Arc<CommShared>, usize),
+    Complete,
+}
+
+/// State of the two-phase membership-agreement protocol behind
+/// [`Communicator::try_shrink`]. Lives outside the mailbox/slot machinery
+/// on purpose: agreement traffic never enters the telemetry journal or the
+/// collective sequence space, so a recovered run's canonical trace is a
+/// pure function of the agreed membership change.
 struct AgreeState {
     /// Current protocol round. Bumped (under the agreement lock) by any
     /// participant that detects a death racing the vote; everyone then
@@ -521,7 +497,7 @@ struct AgreeState {
 /// Liveness and membership registry of one world, shared by every
 /// communicator split from it. Ranks are identified by *world* rank. The
 /// registry is sized for the world's full capacity (founders plus
-/// reserves); reserves are non-members until a [`Communicator::try_grow`]
+/// reserves); reserves are non-members until a [`Communicator::try_shrink`]
 /// admits them.
 struct WorldHealth {
     gone: Vec<AtomicBool>,
@@ -671,6 +647,41 @@ impl WorldHealth {
         self.n_members.load(AtOrd::SeqCst) - self.n_dead_members.load(AtOrd::SeqCst)
     }
 
+    /// Register as an agreement waiter (deaths then notify `agree_cv`) and
+    /// lock the agreement state. Not a [`BlockGuard`]: agreements wait on
+    /// live ranks only, so they cannot deadlock and must not feed the
+    /// all-blocked heuristic (dd-check explores their schedules instead).
+    fn enter_agreement(&self) -> (AgreeWaiter<'_>, SyncMutexGuard<'_, AgreeState>) {
+        self.agree_waiters.fetch_add(1, AtOrd::SeqCst);
+        (AgreeWaiter(&self.agree_waiters), self.agree.lock())
+    }
+
+    /// The one agreement wait, inside [`WorldHealth::enter_agreement`]:
+    /// tick on `agree_cv` until `ready` answers; the state stays locked.
+    fn agree_wait<'a, R>(
+        &self,
+        mut st: SyncMutexGuard<'a, AgreeState>,
+        mut ready: impl FnMut(&mut AgreeState) -> Option<R>,
+    ) -> (R, SyncMutexGuard<'a, AgreeState>) {
+        loop {
+            if let Some(answer) = ready(&mut st) {
+                return (answer, st);
+            }
+            st = self.agree_cv.wait_timeout(st, TICK);
+        }
+    }
+
+    /// Park a reserve in the lobby until an agreement deposits its ticket,
+    /// or `None` once no member is left.
+    fn lobby_wait(&self, world_rank: usize) -> Option<LobbyTicket> {
+        let (_waiting, st) = self.enter_agreement();
+        let (ticket, _st) = self.agree_wait(st, |st| match st.lobby[world_rank].take() {
+            Some(ticket) => Some(Some(ticket)),
+            None => (self.live() == 0).then_some(None),
+        });
+        ticket
+    }
+
     /// Is every live rank currently parked in a blocking wait?
     fn all_blocked(&self) -> bool {
         let live = self.live();
@@ -747,6 +758,15 @@ impl Drop for BlockGuard<'_> {
         *self.health.parked[self.world_rank].lock() = None;
         self.health.blocked.fetch_sub(1, AtOrd::SeqCst);
         self.health.unpark_epoch.fetch_add(1, AtOrd::SeqCst);
+    }
+}
+
+/// [`WorldHealth::enter_agreement`]'s registration.
+struct AgreeWaiter<'a>(&'a AtomicUsize);
+
+impl Drop for AgreeWaiter<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, AtOrd::SeqCst);
     }
 }
 
@@ -986,11 +1006,6 @@ impl Communicator {
         self.clock.compute(f)
     }
 
-    /// The cost model (shared by all communicators of a world).
-    pub fn model(&self) -> CostModel {
-        self.model
-    }
-
     /// Aggregated statistics of this communicator.
     pub fn stats(&self) -> CommStats {
         CommStats {
@@ -1046,11 +1061,6 @@ impl Communicator {
     /// until relabeled.
     pub fn set_trace_label(&self, label: &str) {
         self.label.set(self.tracer.intern_label(label));
-    }
-
-    /// Is this world recording telemetry?
-    pub fn traced(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// Record a collective event: message count per §3.2 — `⌈log₂ p⌉` for
@@ -1210,14 +1220,8 @@ impl Communicator {
             .collect()
     }
 
-    /// Reserve world ranks that have announced themselves and await
-    /// admission by a [`Communicator::try_grow`].
-    pub fn pending_joiners(&self) -> Vec<usize> {
-        self.health.pending_joiners()
-    }
-
     /// Did this rank enter the world through a grow (reserve admitted by
-    /// [`Communicator::try_grow`]) rather than at world start?
+    /// [`Communicator::try_shrink`]) rather than at world start?
     pub fn is_joiner(&self) -> bool {
         self.world_rank() >= self.health.founders
     }
@@ -1231,11 +1235,6 @@ impl Communicator {
         }
         self.health.beats[wr].fetch_add(1, AtOrd::SeqCst);
         self.health.watermark[wr].fetch_max(self.clock.now().to_bits(), AtOrd::SeqCst);
-    }
-
-    /// The armed suspicion policy, if any.
-    pub fn suspicion(&self) -> Option<SuspicionPolicy> {
-        self.suspicion.get()
     }
 
     /// Arm (or disarm) the suspicion policy checked by
@@ -1288,9 +1287,10 @@ impl Communicator {
     /// Membership maintenance, meant for iteration boundaries: records a
     /// heartbeat, evicts any peer the armed [`SuspicionPolicy`] classifies
     /// as `Suspected`, and — when pending joiners are waiting — revokes
-    /// the current epoch so the world can [`Communicator::try_grow`]. Both
-    /// eviction and join-triggered revocation surface to the caller as
-    /// [`CommError::Revoked`] from its next blocking operation.
+    /// the current epoch so the world can admit them through
+    /// [`Communicator::try_shrink`]. Both eviction and join-triggered
+    /// revocation surface to the caller as [`CommError::Revoked`] from its
+    /// next blocking operation.
     pub fn maintain(&self) {
         self.heartbeat();
         if let Some(policy) = self.suspicion.get() {
@@ -1330,59 +1330,33 @@ impl Communicator {
             .fetch_max(self.epoch + 1, AtOrd::SeqCst);
     }
 
-    /// Agree with the other survivors on the dead set and return the
-    /// survivor communicator — the ULFM `MPI_Comm_shrink` analogue,
-    /// preceded by an internal [`Communicator::revoke`].
+    /// Agree with the other members on the dead set and the pending
+    /// joiners (reserves a [`FaultPlan::with_join`] announced) and return
+    /// the committed communicator — the ULFM `MPI_Comm_shrink` analogue,
+    /// preceded by an internal [`Communicator::revoke`], and also how a
+    /// world grows: the dead leave and the joiners enter in one epoch.
     ///
     /// The agreement is a model-checked two-phase vote over dedicated
     /// state (never the mailbox/slot machinery, so recovered traces stay
-    /// canonical): each survivor posts its observed dead set, waits until
-    /// every world rank has voted or died, then posts the union as its
-    /// commit; matching commits from every live rank — with no death
+    /// canonical): each member posts its observed dead and joiner sets,
+    /// waits until every member has voted or died, then posts the union as
+    /// its commit; matching commits from every live member — with no death
     /// racing the round — commit the epoch bump, and any disagreement
     /// restarts the round with the larger view (bounded by the world
     /// size, since every restart needs a new death). The first rank
-    /// through phase 2 builds the survivor communicator, with survivors
-    /// re-ranked contiguously in world-rank order; the rest adopt it.
+    /// through phase 2 builds the committed communicator — survivors in
+    /// world-rank order, admitted joiners appended — and leaves each
+    /// joiner a lobby ticket (its clock starts at that commit); the rest
+    /// adopt it.
     ///
-    /// Every live rank of the world must eventually call this (revocation
-    /// guarantees blocked peers wake to an error and reach their recovery
-    /// path); the result spans all world survivors regardless of which
-    /// communicator handle the call is made on.
+    /// Every live member must eventually call this (revocation wakes
+    /// blocked peers into their recovery path); the result spans all
+    /// survivors whichever communicator handle the call is made on.
     ///
     /// # Errors
     /// [`CommError::RankDead`] with this rank's own world rank when called
     /// on a rank that is itself marked dead (or evicted).
     pub fn try_shrink(&self) -> Result<Communicator, CommError> {
-        self.agree_membership()
-    }
-
-    /// Agree with the other members on a membership change that *admits*
-    /// the pending joiners ([`Communicator::pending_joiners`]) alongside
-    /// removing the dead — rank join through the same two-phase agreement
-    /// path as [`Communicator::try_shrink`] (the two entry points run the
-    /// identical protocol; survivors that call `try_shrink` while joiners
-    /// are pending still admit them, so a mixed shrink/grow recovery
-    /// commits one consistent epoch).
-    ///
-    /// The committed communicator re-ranks contiguously with survivors
-    /// first (world-rank order) and admitted joiners appended. The epoch
-    /// bump and the revocation horizon are exactly the shrink path's:
-    /// in-flight traffic of the old epoch wakes `Revoked` and can never
-    /// alias the grown world, whose tags are salted with the new epoch.
-    /// The publisher deposits an admission ticket in each joiner's lobby
-    /// slot; the joiner's thread builds its communicator from the ticket
-    /// (clock started at the publisher's commit time) and enters the
-    /// program.
-    ///
-    /// # Errors
-    /// [`CommError::RankDead`] with this rank's own world rank when called
-    /// on a rank that is itself marked dead (or evicted).
-    pub fn try_grow(&self) -> Result<Communicator, CommError> {
-        self.agree_membership()
-    }
-
-    fn agree_membership(&self) -> Result<Communicator, CommError> {
         let me = self.world_rank();
         let n = self.world_size();
         let health = &self.health;
@@ -1391,21 +1365,30 @@ impl Communicator {
         }
         self.revoke();
         let backend = Arc::clone(&self.shared.backend);
-        // The agreement wait deliberately does NOT register a BlockGuard:
-        // its participation set is "live ranks", which mark_gone updates,
-        // so the wait is satisfiable by construction and must not feed
-        // the all-blocked deadlock heuristic (dd-check explores its
-        // schedules instead). It does register as an agreement waiter so
-        // deaths observed mid-protocol notify the condvar.
-        struct Waiting<'a>(&'a AtomicUsize);
-        impl Drop for Waiting<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, AtOrd::SeqCst);
+        let (_waiting, mut st) = health.enter_agreement();
+        // A phase waits until the round restarts, this round's `posts` are
+        // complete (every member posted or died), or a published successor
+        // of a newer epoch contains this rank: it was built from a complete
+        // commit set that included ours, and admitted joiners never post,
+        // so completeness must not be re-awaited against the grown set.
+        let phase = |st: &mut AgreeState,
+                     round: u64,
+                     posts: fn(&AgreeState) -> &[Option<MembershipPost>]| {
+            if st.round != round {
+                return Some(Phase::Restart);
             }
-        }
-        health.agree_waiters.fetch_add(1, AtOrd::SeqCst);
-        let _waiting = Waiting(&health.agree_waiters);
-        let mut st = health.agree.lock();
+            if let Some((_, _, ep, sh)) = &st.published {
+                if *ep > self.epoch && sh.world_ranks.contains(&me) {
+                    return Some(Phase::Adopt(Arc::clone(sh), *ep));
+                }
+            }
+            let complete = (0..n).all(|r| {
+                !health.is_member(r)
+                    || health.is_gone(r)
+                    || posts(st)[r].as_ref().is_some_and(|(rd, _, _)| *rd == round)
+            });
+            complete.then_some(Phase::Complete)
+        };
         let (shared, epoch) = 'agree: loop {
             let round = st.round;
             let view_dead: Vec<usize> = (0..n)
@@ -1414,31 +1397,13 @@ impl Communicator {
             let view_join = health.pending_joiners();
             st.votes[me] = Some((round, view_dead, view_join));
             health.agree_cv.notify_all();
-            // Phase 1: wait until every member has voted this round or
-            // died. A published successor of a newer epoch that contains
-            // this rank short-circuits both phases: it was built from a
-            // complete commit set that included ours, and membership may
-            // have grown since (admitted joiners never vote), so the
-            // completeness predicate must not be re-awaited against the
-            // enlarged member set.
-            loop {
-                if st.round != round {
-                    continue 'agree;
-                }
-                if let Some((_, _, ep, sh)) = &st.published {
-                    if *ep > self.epoch && sh.world_ranks.contains(&me) {
-                        break 'agree (Arc::clone(sh), *ep);
-                    }
-                }
-                let complete = (0..n).all(|r| {
-                    !health.is_member(r)
-                        || health.is_gone(r)
-                        || st.votes[r].as_ref().is_some_and(|(rd, _, _)| *rd == round)
-                });
-                if complete {
-                    break;
-                }
-                st = health.agree_cv.wait_timeout(st, TICK);
+            // Phase 1: every member has voted this round or died.
+            let (next, g) = health.agree_wait(st, |st| phase(st, round, |st| &st.votes));
+            st = g;
+            match next {
+                Phase::Restart => continue 'agree,
+                Phase::Adopt(sh, ep) => break 'agree (sh, ep),
+                Phase::Complete => {}
             }
             // Candidate dead set: union of this round's votes plus any
             // member death observable right now. Candidate admit set:
@@ -1470,26 +1435,12 @@ impl Communicator {
             // Phase 2: post the candidate; every live member must agree.
             st.commits[me] = Some((round, candidate.clone(), admits.clone()));
             health.agree_cv.notify_all();
-            loop {
-                if st.round != round {
-                    continue 'agree;
-                }
-                if let Some((_, _, ep, sh)) = &st.published {
-                    if *ep > self.epoch && sh.world_ranks.contains(&me) {
-                        break 'agree (Arc::clone(sh), *ep);
-                    }
-                }
-                let complete = (0..n).all(|r| {
-                    !health.is_member(r)
-                        || health.is_gone(r)
-                        || st.commits[r]
-                            .as_ref()
-                            .is_some_and(|(rd, _, _)| *rd == round)
-                });
-                if complete {
-                    break;
-                }
-                st = health.agree_cv.wait_timeout(st, TICK);
+            let (next, g) = health.agree_wait(st, |st| phase(st, round, |st| &st.commits));
+            st = g;
+            match next {
+                Phase::Restart => continue 'agree,
+                Phase::Adopt(sh, ep) => break 'agree (sh, ep),
+                Phase::Complete => {}
             }
             let agreed = (0..n)
                 .filter(|&r| health.is_member(r) && !health.is_gone(r))
@@ -1567,7 +1518,14 @@ impl Communicator {
         self.clock.advance(
             2.0 * self.model.alpha * (shared.world_ranks.len().max(2) as f64).log2().ceil(),
         );
-        Ok(Communicator {
+        Ok(self.child(shared, rank, epoch))
+    }
+
+    /// Rank `rank` of `shared` at `epoch`, a split or an agreed membership
+    /// of this communicator: it shares this rank's clock, fault counters
+    /// and recorder, and starts with this one's label and policies.
+    fn child(&self, shared: Arc<CommShared>, rank: usize, epoch: usize) -> Communicator {
+        Communicator {
             shared,
             model: self.model,
             rank,
@@ -1582,7 +1540,7 @@ impl Communicator {
             epoch,
             retry_policy: Cell::new(self.retry_policy.get()),
             suspicion: Cell::new(self.suspicion.get()),
-        })
+        }
     }
 
     // ---------------------------------------------------------------- p2p
@@ -1698,12 +1656,9 @@ impl Communicator {
             splitmix64(self.shared.fault_id ^ self.epoch as u64),
         );
         let mut attempts = 0u32;
-        let mut stall = 0u32;
-        let mut guard: Option<BlockGuard> = None;
-        let mut inner = mb.inner.lock();
-        let env = loop {
+        let on = WaitOn::Message { src, tag };
+        let (env, inner, parked) = self.park(&mb.inner, &mb.cv, on, |inner| {
             if let Some(q) = inner.queues.get_mut(&(src, tag)) {
-                let mut timed_out = false;
                 while let Some(front) = q.front_mut() {
                     if front.drops == 0 {
                         break;
@@ -1717,13 +1672,9 @@ impl Communicator {
                     self.tracer.on_retry();
                     attempts += 1;
                     if attempts > policy.max_retries {
-                        timed_out = true;
-                        break;
+                        bump(&self.counters.timeouts);
+                        return Some(Err(CommError::Timeout { src, tag, attempts }));
                     }
-                }
-                if timed_out {
-                    bump(&self.counters.timeouts);
-                    return Err(CommError::Timeout { src, tag, attempts });
                 }
                 // End-to-end integrity: fold the delivered payload and
                 // compare with the envelope's salted checksum. A mismatch
@@ -1733,7 +1684,6 @@ impl Communicator {
                 // until the budget exhausts, at which point the failure
                 // surfaces typed. The salt binds the sender's epoch, so a
                 // stale-epoch replay fails here too.
-                let mut corrupt_error = false;
                 if let Some(front) = q.front_mut() {
                     let salt = envelope_salt(self.shared.fault_id, self.epoch, tag);
                     let rtx_salt = splitmix64(retry_salt ^ 0x5254_584d);
@@ -1750,8 +1700,12 @@ impl Communicator {
                         }
                         bump(&self.counters.corrupt_detected);
                         if rtx >= policy.max_retransmits {
-                            corrupt_error = true;
-                            break;
+                            // The poisoned envelope stays queued: the
+                            // channel is broken, not skipped — a later
+                            // receive of the same (src, tag) must not
+                            // silently see the next message.
+                            let epoch = self.epoch;
+                            return Some(Err(CommError::Corrupt { src, tag, epoch }));
                         }
                         bump(&self.counters.retransmits);
                         self.tracer.on_retry();
@@ -1774,68 +1728,21 @@ impl Communicator {
                         }
                     }
                 }
-                if corrupt_error {
-                    // The poisoned envelope stays queued: the channel is
-                    // broken, not skipped — a later receive of the same
-                    // (src, tag) must not silently see the next message.
-                    return Err(CommError::Corrupt {
-                        src,
-                        tag,
-                        epoch: self.epoch,
-                    });
-                }
                 if let Some(env) = q.pop_front() {
-                    break env;
+                    return Some(Ok(env));
                 }
             }
             // Nothing deliverable. The dead-check is safe against races
             // because senders enqueue under this same mailbox lock before
             // being marked gone: observing "gone + empty queue" here means
             // no message is coming.
-            if self.health.is_gone(src_world) {
-                return Err(CommError::RankDead { rank: src_world });
-            }
-            // Checked only on the blocking path: an already-delivered
-            // message is still handed out after revocation (its sender
-            // completed the send before erroring out), keeping the
-            // success/failure outcome of every receive a deterministic
-            // function of program order rather than revocation timing.
-            if self.health.revoked(self.epoch) {
-                return Err(CommError::Revoked { epoch: self.epoch });
-            }
-            if guard.is_none() {
-                let probe = WaitProbe::Mailbox {
-                    shared: Arc::downgrade(&self.shared),
-                    epoch: self.epoch,
-                    rank: self.rank,
-                    src,
-                    tag,
-                };
-                guard = Some(BlockGuard::new(&self.health, self.world_rank(), probe));
-            }
-            if self.health.all_blocked() {
-                stall += 1;
-                if stall >= STALL_TICKS {
-                    stall = STALL_TICKS;
-                    // Release our own mailbox lock so the probes (ours
-                    // included) can inspect it, then confirm before
-                    // declaring deadlock.
-                    drop(inner);
-                    let dead = self.health.confirmed_deadlock();
-                    inner = mb.inner.lock();
-                    if dead {
-                        return Err(CommError::Deadlock {
-                            rank: self.world_rank(),
-                        });
-                    }
-                }
-            } else {
-                stall = 0;
-            }
-            inner = mb.cv.wait_timeout(inner, TICK);
-        };
+            self.health
+                .is_gone(src_world)
+                .then_some(Err(CommError::RankDead { rank: src_world }))
+        });
         drop(inner);
-        drop(guard);
+        drop(parked);
+        let env = env?;
         self.clock.advance_to(env.arrival);
         self.tracer
             .on_recv(self.shared.world_ranks[src], tag, env.bytes);
@@ -1848,63 +1755,89 @@ impl Communicator {
     /// registry: a participant that dies before contributing, or a global
     /// stall, aborts the wait with a structured error.
     fn wait_slot_done(&self, seq: u64) -> Result<(), CommError> {
-        let mut slots = self.shared.slots.lock();
-        let mut stall = 0u32;
-        let mut guard: Option<BlockGuard> = None;
-        loop {
+        let (lock, cv) = (&self.shared.slots, &self.shared.slots_cv);
+        let (done, slots, parked) = self.park(lock, cv, WaitOn::Slot { seq }, |slots| {
             match slots.get(&seq) {
-                Some(slot) if slot.done => return Ok(()),
+                Some(slot) if slot.done => Some(Ok(())),
+                // A participant that has not contributed and is gone
+                // will never arrive (contributions are deposited under
+                // this lock before a rank can be marked gone).
                 Some(slot) => {
-                    // A participant that has not contributed and is gone
-                    // will never arrive (contributions are deposited under
-                    // this lock before a rank can be marked gone).
                     for r in 0..self.shared.size {
                         let wr = self.shared.world_ranks[r];
                         if slot.contributions[r].is_none() && self.health.is_gone(wr) {
-                            return Err(CommError::RankDead { rank: wr });
+                            return Some(Err(CommError::RankDead { rank: wr }));
                         }
                     }
-                    // A live participant may have abandoned this epoch for
-                    // recovery without dying (checked after the dead-peer
-                    // scan so a collective containing the dead rank keeps
-                    // its deterministic RankDead classification).
-                    if self.health.revoked(self.epoch) {
-                        return Err(CommError::Revoked { epoch: self.epoch });
-                    }
+                    None
                 }
-                // The slot can only be removed after every rank took the
-                // result, which includes us — so a missing slot means the
-                // collective is done and this wait raced the cleanup.
-                None => return Ok(()),
+                // The slot can only be removed after every rank took
+                // the result, which includes us — so a missing slot
+                // means the collective is done and this wait raced the
+                // cleanup.
+                None => Some(Ok(())),
             }
-            if guard.is_none() {
-                let probe = WaitProbe::Slot {
+        });
+        // The probe goes first, under the slot lock.
+        drop(parked);
+        drop(slots);
+        done
+    }
+
+    /// The one park loop behind every blocking wait: `poll` is the wait's
+    /// readiness test, then its dead-peer test; revocation, the parked
+    /// registration and deadlock confirmation live here. Returns with the
+    /// lock held and the registration live; callers release them in order.
+    fn park<'a, T, R>(
+        &'a self,
+        lock: &'a SyncMutex<T>,
+        cv: &SyncCondvar,
+        on: WaitOn,
+        mut poll: impl FnMut(&mut T) -> Option<Result<R, CommError>>,
+    ) -> (
+        Result<R, CommError>,
+        SyncMutexGuard<'a, T>,
+        Option<BlockGuard<'a>>,
+    ) {
+        let mut stall = 0u32;
+        let mut parked: Option<BlockGuard> = None;
+        let mut held = lock.lock();
+        loop {
+            if let Some(answer) = poll(&mut held) {
+                return (answer, held, parked);
+            }
+            // After the dead-peer test (a dead peer stays RankDead), and
+            // only with nothing to hand out: what a peer delivered before
+            // revoking is still received, so outcomes follow program order.
+            if self.health.revoked(self.epoch) {
+                return (Err(CommError::Revoked { epoch: self.epoch }), held, parked);
+            }
+            if parked.is_none() {
+                let probe = WaitProbe {
                     shared: Arc::downgrade(&self.shared),
                     epoch: self.epoch,
-                    seq,
+                    rank: self.rank,
+                    on,
                 };
-                guard = Some(BlockGuard::new(&self.health, self.world_rank(), probe));
+                parked = Some(BlockGuard::new(&self.health, self.world_rank(), probe));
             }
             if self.health.all_blocked() {
                 stall += 1;
                 if stall >= STALL_TICKS {
                     stall = STALL_TICKS;
-                    // Release the slot table so the probes (ours included)
-                    // can inspect it, then confirm before declaring
-                    // deadlock.
-                    drop(slots);
+                    // Unlocked, so the probes (ours included) can look.
+                    drop(held);
                     let dead = self.health.confirmed_deadlock();
-                    slots = self.shared.slots.lock();
+                    held = lock.lock();
                     if dead {
-                        return Err(CommError::Deadlock {
-                            rank: self.world_rank(),
-                        });
+                        let rank = self.world_rank();
+                        return (Err(CommError::Deadlock { rank }), held, parked);
                     }
                 }
             } else {
                 stall = 0;
             }
-            slots = self.shared.slots_cv.wait_timeout(slots, TICK);
+            held = cv.wait_timeout(held, TICK);
         }
     }
 
@@ -2335,22 +2268,7 @@ impl Communicator {
         };
         Ok(groups.get(&color).and_then(|(shared, members)| {
             let sub_rank = members.iter().position(|&r| r == rank)?;
-            Some(Communicator {
-                shared: Arc::clone(shared),
-                model,
-                rank: sub_rank,
-                clock: Rc::clone(&self.clock),
-                seq: Cell::new(0),
-                msg_index: Cell::new(0),
-                health: Arc::clone(&self.health),
-                plan: Arc::clone(&self.plan),
-                counters: Rc::clone(&self.counters),
-                tracer: Rc::clone(&self.tracer),
-                label: Cell::new(self.label.get()),
-                epoch: self.epoch,
-                retry_policy: Cell::new(self.retry_policy.get()),
-                suspicion: Cell::new(self.suspicion.get()),
-            })
+            Some(self.child(Arc::clone(shared), sub_rank, self.epoch))
         }))
     }
 }
@@ -2379,30 +2297,9 @@ impl World {
         unwrap_founders(Self::run_impl(n, 0, model, faults, false, std_backend(), f).0)
     }
 
-    /// [`World::run_with_faults`] under an explicit [`SyncBackend`].
-    ///
-    /// With the default [`std_backend`] this is identical to
-    /// [`World::run_with_faults`]. A virtual backend (`dd-check`'s
-    /// scheduler) takes over every blocking primitive of the world and
-    /// decides the interleaving of its rank threads — the entry point the
-    /// model checker drives once per explored schedule.
-    pub fn run_with_backend<R, F>(
-        n: usize,
-        model: CostModel,
-        faults: FaultPlan,
-        backend: Arc<dyn SyncBackend>,
-        f: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&Communicator) -> R + Send + Sync,
-    {
-        unwrap_founders(Self::run_impl(n, 0, model, faults, false, backend, f).0)
-    }
-
     /// [`World::run_with_faults`] plus `reserve` additional rank threads
     /// parked in the admission lobby. A reserve enters the program only
-    /// after a [`Communicator::try_grow`] admits it (its slot in the
+    /// after a [`Communicator::try_shrink`] admits it (its slot in the
     /// result vector is `None` if the world ends first); founders always
     /// produce `Some`. Joiners are announced by a [`FaultPlan::with_join`]
     /// failpoint.
@@ -2420,8 +2317,10 @@ impl World {
         Self::run_impl(n, reserve, model, faults, false, std_backend(), f).0
     }
 
-    /// [`World::run_elastic`] under an explicit [`SyncBackend`] — the
-    /// entry point `dd-check`'s join-protocol suites drive.
+    /// [`World::run_elastic`] under an explicit [`SyncBackend`] (with
+    /// `reserve` = 0, [`World::run_with_faults`]): the entry point the
+    /// model checker drives once per explored schedule under its virtual
+    /// backend, which decides the interleaving of the rank threads.
     pub fn run_elastic_with_backend<R, F>(
         n: usize,
         reserve: usize,
@@ -2527,7 +2426,7 @@ impl World {
                         let (comm_shared, epoch, clock0) = if rank < n {
                             (shared, 0, 0.0)
                         } else {
-                            match lobby_wait(&health, rank) {
+                            match health.lobby_wait(rank) {
                                 Some(t) => (t.shared, t.epoch, t.clock),
                                 None => return, // world ended un-admitted
                             }

@@ -157,7 +157,7 @@ pub struct RecoveryRecord {
     /// World ranks *evicted* by the suspicion policy (stragglers removed
     /// alive), ascending — disjoint from `dead`.
     pub evicted: Vec<usize>,
-    /// World ranks admitted through [`dd_comm::Communicator::try_grow`],
+    /// World ranks admitted through [`dd_comm::Communicator::try_shrink`],
     /// ascending (every joiner of the world up to this epoch).
     pub joined: Vec<usize>,
     /// `(orphaned subdomain, adopting world rank)` for every subdomain

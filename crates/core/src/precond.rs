@@ -161,10 +161,6 @@ pub mod builder {
         pub geneo: GeneoOpts,
         pub variant: Variant,
         pub ordering: Ordering,
-        /// Uniformize ν across subdomains to the maximum (the paper's
-        /// `MPI_Allreduce(ν_i, MPI_MAX)` strategy). Blocks shorter than the
-        /// maximum are zero-padded.
-        pub uniform_nu: bool,
     }
 
     impl Default for TwoLevelOpts {
@@ -173,7 +169,6 @@ pub mod builder {
                 geneo: GeneoOpts::default(),
                 variant: Variant::ADef1,
                 ordering: Ordering::MinDegree,
-                uniform_nu: false,
             }
         }
     }
@@ -186,29 +181,16 @@ pub mod builder {
     /// factor; the SPMD set-up reports each as a typed error instead.
     pub fn two_level<'a>(decomp: &'a Decomposition, opts: &TwoLevelOpts) -> TwoLevelPrecond<'a> {
         let (ras, orders) = RasPrecond::build_with_orders(decomp, opts.ordering);
-        let blocks: Vec<_> = decomp
+        let w = decomp
             .subdomains
             .iter()
             .zip(&orders)
             .map(|(s, order)| {
-                try_deflation_block_ordered(s, &opts.geneo, order, LdltBackend::Scalar)
-                    .expect("GenEO eigensolve failed")
+                let b = try_deflation_block_ordered(s, &opts.geneo, order, LdltBackend::Scalar)
+                    .expect("GenEO eigensolve failed");
+                crate::geneo::resize_block(&b, b.kept)
             })
             .collect();
-        let w = if opts.uniform_nu {
-            // ν = max over subdomains of the locally-kept count; shorter
-            // blocks contribute their above-threshold eigenvectors too.
-            let nu_max = blocks.iter().map(|b| b.kept).max().unwrap_or(0);
-            blocks
-                .iter()
-                .map(|b| crate::geneo::resize_block(b, nu_max))
-                .collect()
-        } else {
-            blocks
-                .iter()
-                .map(|b| crate::geneo::resize_block(b, b.kept))
-                .collect()
-        };
         let space = CoarseSpace::new(w);
         let coarse = CoarseOperator::try_build(decomp, space, opts.ordering)
             .expect("the coarse operator E must factor");
@@ -376,37 +358,5 @@ mod tests {
             .solve(&d.rhs_global);
         let rel = vector::dist2(&res.x, &direct) / vector::norm2(&direct);
         assert!(rel < 1e-6, "solution differs from direct solve: {rel}");
-    }
-
-    #[test]
-    fn uniform_nu_padding_still_converges() {
-        let d = hetero_setup(12, 4);
-        let tl = two_level(
-            &d,
-            &TwoLevelOpts {
-                uniform_nu: true,
-                geneo: GeneoOpts {
-                    nev: 5,
-                    threshold: Some(0.5),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let res = try_gmres(
-            &d.a_global,
-            &tl,
-            &SeqDot,
-            &d.rhs_global,
-            &vec![0.0; d.n_global],
-            &GmresOpts {
-                tol: 1e-6,
-                max_iters: 200,
-                ..Default::default()
-            },
-            None,
-        )
-        .unwrap();
-        assert!(res.converged);
     }
 }

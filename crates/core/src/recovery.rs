@@ -10,9 +10,9 @@
 //!    collective) or as [`CommError::Revoked`] (a survivor already started
 //!    recovery and revoked the epoch);
 //! 2. every survivor reaches the one membership agreement of
-//!    [`drive_epochs`] ([`Communicator::try_shrink`], or `try_grow` when
-//!    joiners wait) — a model-checked two-phase agreement on the dead set
-//!    that hands out one consistent epoch bump and a contiguously
+//!    [`drive_epochs`] ([`Communicator::try_shrink`], which also admits
+//!    waiting joiners) — a model-checked two-phase agreement on the dead
+//!    set that hands out one consistent epoch bump and a contiguously
 //!    re-ranked survivor communicator;
 //! 3. each orphaned subdomain is *adopted* by the surviving owner of its
 //!    lowest-indexed surviving neighbor subdomain (lowest survivor when a
@@ -374,18 +374,12 @@ fn replayable(e: &SpmdError) -> bool {
     )
 }
 
-/// One membership agreement: grow when joiners are pending, shrink
-/// otherwise (the two run the identical protocol — the entry point only
-/// names the intent). Returns the committed communicator and the
-/// agreement's virtual-time cost.
+/// One membership agreement: removes the dead and admits the pending
+/// joiners. Returns the committed communicator and the agreement's
+/// virtual-time cost.
 fn agree_next(comm: &Communicator) -> Result<(Communicator, f64), SpmdError> {
     let t0 = comm.clock();
-    let next = if comm.pending_joiners().is_empty() {
-        comm.try_shrink()
-    } else {
-        comm.try_grow()
-    }
-    .map_err(|e| classify_comm(comm, e))?;
+    let next = comm.try_shrink().map_err(|e| classify_comm(comm, e))?;
     let t_agreement = next.clock() - t0;
     Ok((next, t_agreement))
 }
@@ -501,6 +495,7 @@ fn solve_epochs(
     planner: impl Fn(&Decomposition, &Communicator, Option<&[usize]>) -> RepartitionPlan,
     nominal_first: Option<&'static SetupLabels>,
 ) -> Result<SpmdMultiSolution, SpmdError> {
+    crate::spmd::check_masters(opts, comm)?;
     let mut recoveries: Vec<RecoveryRecord> = Vec::new();
     drive_epochs(decomp, comm, &opts.recovery, planner, |attempt| {
         let first = attempt.recoveries == 0 && attempt.replays == 0;
@@ -548,7 +543,7 @@ pub fn try_run_spmd_recoverable(
 ///
 /// Run it under [`dd_comm::World::run_elastic`]: founders enter at epoch 0
 /// and solve on the initial balanced partition; a reserve admitted by a
-/// mid-solve [`Communicator::try_grow`] enters here with
+/// mid-solve [`Communicator::try_shrink`] enters here with
 /// [`Communicator::is_joiner`] set and drops straight into the
 /// repartitioned epoch. Survivors notice pending joiners (and evict
 /// suspected stragglers, under `opts.recovery.suspicion`) at iteration

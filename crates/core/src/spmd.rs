@@ -97,7 +97,7 @@ pub enum CoarseSolve {
 #[derive(Clone)]
 pub struct SpmdOpts {
     pub geneo: GeneoOpts,
-    /// Number of masters `P`.
+    /// Number of masters `P`, at least 1 (capped at the member count).
     pub n_masters: usize,
     pub election: Election,
     pub assembly: AssemblyVariant,
@@ -360,6 +360,20 @@ pub fn try_setup<'a>(
     try_setup_on(decomp, comm, opts, None, &plan, true, &PAPER_LABELS)
 }
 
+/// The coarse operator needs a master to hold it. Checked before the
+/// set-up's first collective, and by the solvers' epoch loop before its
+/// first plan (which reads the departed set), so every rank returns this
+/// typed error.
+pub(crate) fn check_masters(opts: &SpmdOpts, comm: &Communicator) -> Result<(), SpmdError> {
+    if opts.n_masters == 0 {
+        return Err(SpmdError::Protocol {
+            rank: comm.world_rank(),
+            what: "n_masters is 0: the coarse solve needs a master".into(),
+        });
+    }
+    Ok(())
+}
+
 /// Phases 1–3 of the paper's method on any owner map: factor the Dirichlet
 /// matrix of every owned subdomain, solve its GenEO eigenproblem, assemble
 /// the coarse operator by Algorithms 1–2 under the §3.1.2 election and
@@ -396,6 +410,7 @@ pub(crate) fn try_setup_on<'a>(
         rank: me_world,
         what,
     };
+    check_masters(opts, comm)?;
     let host = plan.hosts(decomp, comm)?;
     // Subdomains hosted by each rank, ascending — with coarse rows ordered
     // by (host rank, subdomain), each rank's (and so each group's) coarse

@@ -13,7 +13,7 @@
 //! * **collective-divergence** — a collective reachable under a
 //!   rank-dependent condition without a matching collective on the other
 //!   paths. The legal masters idiom (`if let Some(master) = master_comm {
-//!   master.gather(…) }`) is carved out precisely: collectives whose
+//!   master.try_gather(…) }`) is carved out precisely: collectives whose
 //!   receiver is bound *by the condition itself* run on the
 //!   sub-communicator whose membership the condition tests.
 //! * **lock-order** — the static `SyncMutex` acquisition graph: cycles
@@ -35,67 +35,41 @@ use crate::model::{Call, FileModel, FnItem};
 use crate::Finding;
 
 /// Collective operations: every rank of the communicator must call them
-/// in the same order. (`neighbor_alltoall` is pairwise-complete on the
-/// neighborhood topology, which is the same obligation.)
-pub const COLLECTIVES: [&str; 29] = [
+/// in the same order. Each is a `pub fn` of `impl Communicator` in
+/// `dd-comm` (a unit test below reads `comm.rs` to hold the list to that).
+pub const COLLECTIVES: [&str; 14] = [
     "barrier",
     "try_barrier",
-    "bcast",
-    "try_bcast",
-    "gather",
     "try_gather",
-    "gatherv",
     "try_gatherv",
-    "scatter",
     "try_scatter",
-    "scatterv",
-    "try_scatterv",
-    "allgather",
     "try_allgather",
     "allreduce_sum",
     "try_allreduce_sum",
-    "allreduce_sum_vec",
     "try_allreduce_sum_vec",
-    "allreduce_max",
-    "try_allreduce_max",
-    "allreduce_max_usize",
     "try_allreduce_max_usize",
     "iallreduce_sum_vec",
     "wait_reduce",
-    "split",
     "try_split",
     "try_shrink",
-    "try_grow",
-    "neighbor_alltoall",
 ];
 
 /// Blocking comm calls that must not run while a `SyncMutex` guard is
 /// live. (Condvar waits are exempt by construction: `wait_timeout`
-/// releases the guard.)
-const BLOCKING_COMM: [&str; 26] = [
+/// releases the guard.) Held to `impl Communicator` like
+/// [`COLLECTIVES`].
+const BLOCKING_COMM: [&str; 14] = [
     "recv",
     "try_recv_timeout",
     "barrier",
     "try_barrier",
-    "bcast",
-    "try_bcast",
-    "gather",
     "try_gather",
-    "gatherv",
     "try_gatherv",
-    "scatter",
     "try_scatter",
-    "scatterv",
-    "try_scatterv",
-    "allgather",
     "try_allgather",
     "allreduce_sum",
     "try_allreduce_sum",
-    "allreduce_sum_vec",
     "try_allreduce_sum_vec",
-    "allreduce_max",
-    "try_allreduce_max",
-    "allreduce_max_usize",
     "try_allreduce_max_usize",
     "wait_reduce",
     "try_shrink",
@@ -896,6 +870,33 @@ mod tests {
 
     // ---- collective-divergence ----------------------------------------
 
+    /// Both comm-call lists name only methods the runtime has: a name
+    /// that is not a `pub fn` of `impl Communicator` only matches
+    /// unrelated calls (`.split(` on a string).
+    #[test]
+    fn comm_lists_name_communicator_methods() {
+        let path = crate::workspace_root().join("crates/comm/src/comm.rs");
+        let src = std::fs::read_to_string(&path).expect("comm.rs must be readable");
+        let m = file("crates/comm/src/comm.rs", &src);
+        let methods: HashSet<&str> = m
+            .fns
+            .iter()
+            .filter(|f| f.owner.as_deref() == Some("Communicator") && !f.is_test)
+            .filter(|f| f.fn_tok > 0 && m.toks[f.fn_tok - 1].is_ident("pub"))
+            .map(|f| f.name.as_str())
+            .collect();
+        let stray: Vec<&str> = COLLECTIVES
+            .iter()
+            .chain(&BLOCKING_COMM)
+            .copied()
+            .filter(|name| !methods.contains(name))
+            .collect();
+        assert!(
+            stray.is_empty(),
+            "not a pub fn of impl Communicator: {stray:?}"
+        );
+    }
+
     #[test]
     fn rank_guarded_collective_without_match_fires() {
         let m = file(
@@ -911,7 +912,7 @@ mod tests {
     fn matched_collectives_on_both_branches_pass() {
         let m = file(
             "crates/core/src/spmd.rs",
-            "fn f(comm: &C, x: V) { if comm.rank() == 0 { comm.gather(0, x); } else { comm.gather(0, x); } }\n",
+            "fn f(comm: &C, x: V) { if comm.rank() == 0 { comm.try_gather(0, x); } else { comm.try_gather(0, x); } }\n",
         );
         assert!(divergence(std::slice::from_ref(&m)).is_empty());
     }
@@ -932,7 +933,7 @@ mod tests {
         // by the condition itself.
         let m = file(
             "crates/core/src/spmd.rs",
-            "fn f(comm: &C, mc: Option<C>, x: V) { if let Some(master) = mc { master.gather(0, x); let d = DistLdlt::try_factor(master, b, s); } }\n",
+            "fn f(comm: &C, mc: Option<C>, x: V) { if let Some(master) = mc { master.try_gather(0, x); let d = DistLdlt::try_factor(master, b, s); } }\n",
         );
         assert!(divergence(std::slice::from_ref(&m)).is_empty());
     }

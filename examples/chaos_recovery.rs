@@ -39,7 +39,8 @@
 //! reserve ranks in the lobby):
 //!
 //! * `DD_JOIN_AT_PHASE` — failpoint label at which both reserve ranks
-//!   announce; members `try_grow`, repartition, and resume;
+//!   announce; members admit them through `try_shrink`, repartition,
+//!   and resume;
 //! * `DD_STRAGGLE_RANK` — rank whose heartbeats freeze at
 //!   `DD_STRAGGLE_PHASE` (default `solve-iteration-2`); an armed
 //!   suspicion policy must *evict* it — the gate asserts the victim

@@ -18,8 +18,9 @@
 //! * [`fem`] — P1–P4 Lagrange finite elements;
 //! * [`comm`] — SPMD runtime with virtual-time cost modeling, seeded
 //!   fault injection, and elastic membership (rank join via
-//!   `World::run_elastic` / `Communicator::try_grow`, straggler
-//!   suspicion and eviction under a `SuspicionPolicy`);
+//!   `World::run_elastic` and the one membership agreement
+//!   `Communicator::try_shrink`, straggler suspicion and eviction under a
+//!   `SuspicionPolicy`);
 //! * [`krylov`] — GMRES / CG / pipelined p1-GMRES, with Krylov-subspace
 //!   recycling for repeated right-hand sides;
 //! * [`core`] — the paper's preconditioners and drivers;

@@ -1,8 +1,8 @@
 //! Elastic-membership chaos tests: worlds that *grow* mid-solve (reserve
-//! ranks admitted through `try_grow` and folded in by online
-//! repartitioning), straggler suspicion and eviction, and the differential
-//! contract that a grow-interrupted solve converges to the uninterrupted
-//! solution on Figure-10-style workloads.
+//! ranks admitted by the membership agreement `try_shrink` and folded in
+//! by online repartitioning), straggler suspicion and eviction, and the
+//! differential contract that a grow-interrupted solve converges to the
+//! uninterrupted solution on Figure-10-style workloads.
 
 use dd_geneo::comm::{CostModel, FaultPlan, SuspicionPolicy, World};
 use dd_geneo::core::problem::presets;

@@ -6,7 +6,7 @@
 //! loops had let drift apart (the driver's own decision table is unit-tested
 //! next to it, in `crates/core/src/recovery.rs`).
 
-use dd_geneo::comm::{CommError, CostModel, FaultPlan, TagClass, World};
+use dd_geneo::comm::{CommError, Communicator, CostModel, FaultPlan, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, try_run_spmd, try_run_spmd_elastic, try_run_spmd_recoverable, try_setup,
@@ -200,6 +200,55 @@ fn more_members_than_subdomains_is_a_typed_error_on_every_rank() {
         );
         assert_protocol(&served[rank], &format!("try_serve, rank {rank}"));
     }
+}
+
+/// No masters means no coarse solve: every entry point returns a typed
+/// error on every rank before the set-up's first collective (the master
+/// election used to `assert!` after the factorizations and eigensolves).
+#[test]
+fn zero_masters_is_a_typed_error_on_every_rank() {
+    let decomp = setup(8, 2);
+    let o = SpmdOpts {
+        n_masters: 0,
+        ..opts(RecoveryOpts {
+            enabled: true,
+            ..Default::default()
+        })
+    };
+    let on_every_rank = |who: &str, f: &(dyn Fn(&Communicator) -> Result<(), SpmdError> + Sync)| {
+        for (rank, res) in World::run(2, CostModel::default(), f).iter().enumerate() {
+            assert!(
+                matches!(res, Err(SpmdError::Protocol { what, .. }) if what.contains("n_masters")),
+                "{who}, rank {rank}: expected the n_masters Protocol error, got {res:?}"
+            );
+        }
+    };
+    on_every_rank("try_setup", &|comm| {
+        try_setup(&decomp, comm, &o).map(|_| ())
+    });
+    on_every_rank("try_run_spmd", &|comm| {
+        try_run_spmd(&decomp, comm, &o).map(|_| ())
+    });
+    on_every_rank("try_run_spmd_recoverable", &|comm| {
+        try_run_spmd_recoverable(&decomp, comm, &o, &CheckpointStore::new()).map(|_| ())
+    });
+    on_every_rank("try_run_spmd_elastic", &|comm| {
+        let (store, cache) = (CheckpointStore::new(), CoarseCache::new());
+        try_run_spmd_elastic(&decomp, comm, &o, &store, &cache).map(|_| ())
+    });
+    let workload = Workload::from_requests(vec![Request {
+        id: 0,
+        arrival: 0.0,
+        payload: Payload::Rhs(decomp.rhs_global.clone()),
+    }]);
+    let serve_opts = ServeOpts {
+        spmd: o.clone(),
+        ..Default::default()
+    };
+    on_every_rank("try_serve", &|comm| {
+        let (cache, responses) = (CoarseCache::new(), ResponseStore::new());
+        try_serve(&decomp, comm, &serve_opts, &workload, &cache, &responses).map(|_| ())
+    });
 }
 
 /// A reserve joining a world that already has one rank per subdomain: the
