@@ -762,30 +762,38 @@ fn bench_krylov_allocs(rep: &mut Report) {
 /// message waiting allocates (the deadlock probe it parks is a plain value),
 /// so the scheduler has no say in the count and the baseline allows no
 /// tolerance.
+///
+/// On the same configuration hosted by one rank, `spmd/solve_peak_bytes`
+/// is the heap high-water of the first 60-iteration apply after set-up,
+/// above the level set-up left (`alloc_count::peak_bytes`), in a process
+/// warmed by one whole run: the Krylov loop's bases, whose length is the
+/// rank's distinct dofs, are most of it. One rank thread allocates alone,
+/// so the number repeats to the byte and the baseline allows no tolerance.
 fn bench_spmd_allocs(rep: &mut Report) {
     let mesh = Mesh::unit_square(32, 32);
     let part = partition_mesh_rcb(&mesh, 8);
     let problem = presets::heterogeneous_diffusion(2);
     let decomp = Arc::new(decompose(&mesh, &problem, &part, 8, 1));
+    let opts = |iters: usize| SpmdOpts {
+        geneo: GeneoOpts {
+            nev: 1,
+            ..Default::default()
+        },
+        gmres: GmresOpts {
+            restart: 30,
+            tol: 0.0,
+            max_iters: iters,
+            record_history: false,
+            side: Side::Right,
+            ..GmresOpts::default()
+        },
+        ..Default::default()
+    };
     // Allocations and iterations of one set-up and one apply of `k`
     // right-hand sides at `iters` iterations.
     let run = |iters: usize, k: usize| {
         let decomp = Arc::clone(&decomp);
-        let opts = SpmdOpts {
-            geneo: GeneoOpts {
-                nev: 1,
-                ..Default::default()
-            },
-            gmres: GmresOpts {
-                restart: 30,
-                tol: 0.0,
-                max_iters: iters,
-                record_history: false,
-                side: Side::Right,
-                ..GmresOpts::default()
-            },
-            ..Default::default()
-        };
+        let opts = opts(iters);
         let cache = CoarseCache::new();
         let rhs: Vec<Vec<f64>> = (0..k)
             .map(|c| {
@@ -825,6 +833,24 @@ fn bench_spmd_allocs(rep: &mut Report) {
     };
     let (a30, a60, per_iter) = per_step(1);
     let (p30, p60, panel) = per_step(4);
+    let solve_peak = || {
+        let (decomp, opts) = (Arc::clone(&decomp), opts(60));
+        World::run(1, CostModel::default(), move |comm| {
+            let plan = repartition_plan(&decomp, comm, None);
+            let prepared = try_setup_partitioned(&decomp, comm, &opts, None, &plan, true)
+                .expect("one-rank set-up failed");
+            let (peak, out) = alloc_count::peak_bytes(|| {
+                prepared
+                    .try_apply(&decomp.rhs_global, "solve", None)
+                    .expect("one-rank solve failed")
+            });
+            assert_eq!(out.result.iterations, 60);
+            peak
+        })[0]
+    };
+    solve_peak(); // warmup: whatever the runtime initializes once per process
+    let peak = solve_peak();
+    rep.exact.insert("spmd/solve_peak_bytes", peak as f64);
     rep.exact.insert("spmd/allocs_per_iter", per_iter);
     rep.exact.insert("spmd/panel4_allocs_per_step", panel);
     rep.exact.insert(
@@ -837,6 +863,10 @@ fn bench_spmd_allocs(rep: &mut Report) {
     rep.lines.push(format!(
         "| SPMD panel apply allocations (4 right-hand sides) | 30 steps: {p30} | 60 steps: {p60} | per-step: **{panel}** | {} |",
         if panel <= per_iter { "≤ one column" } else { "**MORE than one column**" },
+    ));
+    rep.lines.push(format!(
+        "| SPMD owner-map solve heap high-water (1 rank, 8 subdomains, 60 it) | {} KiB | | | Krylov bases over the distinct dofs |",
+        peak / 1024,
     ));
 }
 

@@ -49,6 +49,21 @@ fn parse_args() -> Vec<String> {
     only
 }
 
+/// Is `path` a baseline the gate diffs? Every `*.json` of the baseline
+/// directory but `tolerances.json` and the `*_wall.json` ratios, restricted
+/// to the `only` stems when any are given. The directory holds baselines
+/// and nothing else, so no other file needs a special case.
+fn is_gated_baseline(path: &Path, only: &[String]) -> bool {
+    let stem = path.file_stem().map(|s| s.to_string_lossy());
+    path.extension().is_some_and(|x| x == "json")
+        && path.file_name().is_some_and(|f| f != "tolerances.json")
+        // `*_wall.json` holds calibrated wall-clock ratios — runner-dependent
+        // by nature, gated softly by `kernel_bench --gate-wall` instead of
+        // this exact diff.
+        && stem.as_ref().is_some_and(|s| !s.ends_with("_wall"))
+        && (only.is_empty() || stem.is_some_and(|s| only.iter().any(|o| *o == s)))
+}
+
 fn load_summary(path: &Path) -> Result<Summary, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     Summary::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
@@ -73,19 +88,7 @@ fn main() -> ExitCode {
     let mut baselines: Vec<PathBuf> = match std::fs::read_dir(&baseline_dir) {
         Ok(rd) => rd
             .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.extension().is_some_and(|x| x == "json")
-                    && p.file_name().is_some_and(|f| f != "tolerances.json")
-                    // `*_wall.json` holds calibrated wall-clock ratios —
-                    // runner-dependent by nature, gated softly by
-                    // `kernel_bench --gate-wall` instead of this exact diff.
-                    && !p
-                        .file_stem()
-                        .is_some_and(|s| s.to_string_lossy().ends_with("_wall"))
-                    && (only.is_empty()
-                        || p.file_stem()
-                            .is_some_and(|s| only.iter().any(|o| *o == s.to_string_lossy())))
-            })
+            .filter(|p| is_gated_baseline(p, &only))
             .collect(),
         Err(e) => {
             eprintln!(
@@ -144,5 +147,63 @@ fn main() -> ExitCode {
     } else {
         println!("\nPerf gate passed: all summaries within tolerance.");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gated(names: &[&str], only: &[&str]) -> Vec<String> {
+        let only: Vec<String> = only.iter().map(|s| s.to_string()).collect();
+        names
+            .iter()
+            .filter(|n| is_gated_baseline(Path::new(BASELINES).join(n).as_path(), &only))
+            .map(|n| n.to_string())
+            .collect()
+    }
+
+    /// Summaries are gated; the tolerance file, wall ratios and files that
+    /// are not JSON are not, and `--only` keeps the named stems alone.
+    #[test]
+    fn only_summaries_are_gated() {
+        let names = [
+            "fig12_classical.json",
+            "kernels.json",
+            "kernels_wall.json",
+            "tolerances.json",
+            "serve.json",
+            "README.md",
+            "notes.txt",
+            "kernels.json.orig",
+        ];
+        assert_eq!(
+            gated(&names, &[]),
+            ["fig12_classical.json", "kernels.json", "serve.json"]
+        );
+        assert_eq!(gated(&names, &["kernels"]), ["kernels.json"]);
+        assert_eq!(
+            gated(&names, &["kernels_wall", "tolerances"]),
+            [] as [&str; 0]
+        );
+    }
+
+    /// Every file committed in the baseline directory is a summary the
+    /// gate can read, or one the filter skips: a stray file there (the
+    /// code-size report was one) fails here before it fails the gate.
+    #[test]
+    fn every_committed_baseline_is_a_readable_summary() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(BASELINES);
+        let mut gated = 0;
+        for entry in std::fs::read_dir(&dir).expect("baseline directory") {
+            let path = entry.expect("directory entry").path();
+            if is_gated_baseline(&path, &[]) {
+                load_summary(&path).unwrap_or_else(|e| panic!("not a summary: {e}"));
+                gated += 1;
+            }
+        }
+        assert!(gated > 0, "no baseline in {}", dir.display());
     }
 }

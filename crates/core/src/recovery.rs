@@ -48,7 +48,7 @@
 use crate::decomp::Decomposition;
 use crate::error::{RecoveryRecord, SpmdError};
 use crate::geneo::DeflationBlock;
-use crate::resident::PreparedMulti;
+use crate::resident::{DistinctDofs, PreparedMulti};
 use crate::spmd::{classify_comm, try_setup_on, SetupLabels, SpmdOpts, SpmdReport, PAPER_LABELS};
 use dd_comm::{fnv1a_bytes, CommError, Communicator, RetryPolicy, SuspicionPolicy};
 use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
@@ -208,23 +208,28 @@ impl CheckpointStore {
     }
 }
 
-/// [`CheckpointSink`] splitting a (possibly multi-subdomain) concatenated
-/// iterate into per-subdomain snapshots in the shared store.
+/// [`CheckpointSink`] splitting an iterate over a rank's distinct dofs
+/// into per-subdomain snapshots in the shared store: expanded to the owned
+/// subdomains' concatenated locals first, so the store stays per subdomain
+/// and a resume onto another owner map reads it as it is.
 struct StoreSink<'a> {
     store: &'a CheckpointStore,
+    dofs: &'a DistinctDofs,
     /// `(subdomain, local length)` in concatenation order.
     subs: Vec<(usize, usize)>,
 }
 
 impl CheckpointSink for StoreSink<'_> {
     fn save(&self, cp: SolveCheckpoint) {
+        let mut x = vec![0.0; self.subs.iter().map(|&(_, len)| len).sum()];
+        self.dofs.expand(1, &cp.x, &mut x);
         let mut pos = 0;
         for &(s, len) in &self.subs {
             self.store.save(
                 s,
                 SolveCheckpoint {
                     iteration: cp.iteration,
-                    x: cp.x[pos..pos + len].to_vec(),
+                    x: x[pos..pos + len].to_vec(),
                     residual: cp.residual,
                     r0_norm: cp.r0_norm,
                     history: cp.history.clone(),
@@ -825,10 +830,12 @@ fn run_partitioned(
         store.rollback_iteration(nsubs)
     };
     let resume = resume_at.and_then(|it| {
-        let mut x = Vec::new();
+        let mut concat = Vec::new();
         for &s in owned {
-            x.extend(store.get(s, it)?.x);
+            concat.extend(store.get(s, it)?.x);
         }
+        let mut x = vec![0.0; prepared.dofs.n_unique()];
+        prepared.dofs.compress(1, &concat, &mut x);
         let anchor = store.get(owned[0], it)?;
         Some(SolveCheckpoint {
             iteration: it,
@@ -866,6 +873,7 @@ fn run_partitioned(
     }
     let sink = StoreSink {
         store,
+        dofs: &prepared.dofs,
         subs: owned
             .iter()
             .map(|&s| (s, decomp.subdomains[s].n_local()))

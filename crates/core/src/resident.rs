@@ -1,13 +1,18 @@
 //! The resident state of a set-up SPMD solve and the distributed applies of
 //! the solve phase, written once over "the subdomains this rank owns".
 //!
-//! A rank hosts one or more subdomains (the *owner map*); its vectors are
-//! the owned subdomains' locals, concatenated in ascending subdomain order.
-//! One subdomain per rank — the paper's layout — is the identity owner map,
-//! and on it the applies below send exactly the paper's messages: one halo
-//! message per neighbour per exchange, one gather and one scatter per
-//! coarse correction (DESIGN.md, "resident state, owned subdomains, halo
-//! plan").
+//! A rank hosts one or more subdomains (the *owner map*). Its Krylov
+//! vectors hold each of its distinct dofs once ([`DistinctDofs`]): a dof
+//! two owned subdomains share is one value, weighed in the inner product by
+//! the sum of its copies' partition-of-unity values. Inside an apply the
+//! local solves, SpMVs, coarse gathers and halo rounds run on the owned
+//! subdomains' locals, concatenated in ascending subdomain order; each apply
+//! expands its input to that layout on entry and keeps one copy of each
+//! output dof on exit. One subdomain per rank — the paper's layout — is the
+//! identity owner map: there the two layouts coincide, and the applies
+//! below send exactly the paper's messages: one halo message per neighbour
+//! per exchange, one gather and one scatter per coarse correction
+//! (DESIGN.md, "resident state, owned subdomains, halo plan").
 //!
 //! One set-up fills a [`PreparedMulti`], `spmd::try_setup_on`
 //! (Algorithms 1–2 on any owner map). Everything after set-up — eq. 5, the
@@ -24,7 +29,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::decomp::Decomposition;
 use crate::error::{CoarseOutcome, PhaseOutcome, RunReport, SpmdError};
@@ -257,6 +262,72 @@ impl HaloPlan {
     }
 }
 
+// --------------------------------------------------------- distinct dofs
+
+/// The distinct dofs of the subdomains one rank owns: the layout of its
+/// Krylov vectors. Slots are numbered in ascending (owned subdomain, local
+/// dof) order of a dof's first copy, so a rank that owns one subdomain gets
+/// the identity map and `omega = D`.
+pub(crate) struct DistinctDofs {
+    /// Concatenated position → distinct-dof slot.
+    slot: Vec<usize>,
+    /// Slot → the concatenated position of its first copy.
+    canon: Vec<usize>,
+    /// ω of each slot: its copies' partition-of-unity values, summed from
+    /// `0.0` in ascending owned subdomain.
+    omega: Vec<f64>,
+}
+
+impl DistinctDofs {
+    /// The map of the subdomains `owned` (ascending) of `decomp`.
+    pub(crate) fn build(decomp: &Decomposition, owned: &[usize]) -> Self {
+        let mut first: HashMap<u32, usize> = HashMap::new();
+        let (mut slot, mut canon, mut omega) = (Vec::new(), Vec::new(), Vec::new());
+        for &s in owned {
+            let sub = &decomp.subdomains[s];
+            for (&g, &d) in sub.l2g.iter().zip(&sub.d) {
+                let q = *first.entry(g).or_insert_with(|| {
+                    canon.push(slot.len());
+                    omega.push(0.0);
+                    canon.len() - 1
+                });
+                omega[q] += d;
+                slot.push(q);
+            }
+        }
+        DistinctDofs { slot, canon, omega }
+    }
+
+    /// Distinct dofs: the length of a Krylov vector.
+    pub(crate) fn n_unique(&self) -> usize {
+        self.canon.len()
+    }
+
+    /// `out ← x` copied to every copy of each dof, for `k` columns:
+    /// `n_unique` values a column in `x`, the concatenated length in `out`.
+    pub(crate) fn expand(&self, k: usize, x: &[f64], out: &mut [f64]) {
+        let (nu, nc) = (self.n_unique(), self.slot.len());
+        for c in 0..k {
+            let xc = &x[c * nu..(c + 1) * nu];
+            for (o, &q) in out[c * nc..(c + 1) * nc].iter_mut().zip(&self.slot) {
+                *o = xc[q];
+            }
+        }
+    }
+
+    /// `out ←` the first copy of each dof of `x`, for `k` columns: the
+    /// inverse of [`DistinctDofs::expand`] on vectors whose copies agree.
+    pub(crate) fn compress(&self, k: usize, x: &[f64], out: &mut [f64]) {
+        let (nu, nc) = (self.n_unique(), self.slot.len());
+        for c in 0..k {
+            let xc = &x[c * nc..(c + 1) * nc];
+            for (o, &p) in out[c * nu..(c + 1) * nu].iter_mut().zip(&self.canon) {
+                *o = xc[p];
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------ the applies
 
 /// One owned subdomain's `A_s` of the operator being solved, with its
@@ -308,7 +379,7 @@ pub struct PerturbedOperator {
 /// What every apply of one solve shares: the communicator, the resident
 /// decomposition (partition of unity, restrictions), the `A_s` of the
 /// operator being solved (the resident one or a [`PerturbedOperator`]), the
-/// owned subdomains' concatenation, and the halo plan.
+/// owned subdomains' concatenation, its distinct dofs, and the halo plan.
 struct MultiCtx<'a> {
     comm: &'a Communicator,
     decomp: &'a Decomposition,
@@ -318,6 +389,8 @@ struct MultiCtx<'a> {
     owned: &'a [usize],
     /// Concatenation offsets of the owned subdomains' locals (len+1).
     starts: &'a [usize],
+    /// The Krylov vectors' layout and its map to the concatenation.
+    dofs: &'a DistinctDofs,
     halo: &'a HaloPlan,
     inbox: RefCell<Vec<Vec<f64>>>,
 }
@@ -325,6 +398,10 @@ struct MultiCtx<'a> {
 impl MultiCtx<'_> {
     fn n_concat(&self) -> usize {
         self.starts[self.owned.len()]
+    }
+
+    fn n_unique(&self) -> usize {
+        self.dofs.n_unique()
     }
 
     /// Owned subdomains with their span in the concatenated vectors.
@@ -361,10 +438,13 @@ fn prefix(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
 }
 
 /// Distributed operator: `(Ax)_s = Σ_j R_s R_jᵀ A_j D_j x_j` (eq. 5), on
-/// one column or on a panel of them.
+/// one column or on a panel of them. Its vectors hold the rank's distinct
+/// dofs: `x` is expanded to the owned subdomains' locals, and `A x` keeps
+/// the first copy of each dof after the halo round.
 struct MultiOp<'a> {
     ctx: &'a MultiCtx<'a>,
-    /// Warm-path scratch `(D x, A D x)`, `k` columns of each.
+    /// Warm-path concatenated scratch `(D x, A D x)`, `k` columns of each;
+    /// the first holds `A x` after the round.
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
@@ -379,14 +459,14 @@ impl<'a> MultiOp<'a> {
     }
 
     /// `t_s ← A_s D_s x_s` for every owned subdomain and each of the `k`
-    /// columns of `x`, `w` holding `D x`.
+    /// columns of `x` (distinct dofs), `w` holding `D x` (concatenated).
     // dd:hot — per-Krylov-iteration SpMV; scratch reuse keeps it allocation-free
     fn local_part_into(&self, k: usize, x: &[f64], w: &mut [f64], t: &mut [f64]) {
         let ctx = self.ctx;
         let n = ctx.n_concat();
         let mut flops = 0u64;
         ctx.comm.compute(|| {
-            w.copy_from_slice(x);
+            ctx.dofs.expand(k, x, w);
             for (d, a, span) in ctx.locals() {
                 for c in 0..k {
                     vector::scale_by(d, &mut w[c * n + span.start..c * n + span.end]);
@@ -407,7 +487,7 @@ impl<'a> MultiOp<'a> {
 
 impl Operator for MultiOp<'_> {
     fn dim(&self) -> usize {
-        self.ctx.n_concat()
+        self.ctx.n_unique()
     }
 
     /// The trait's infallible form, for callers with no peer to lose; the
@@ -426,16 +506,20 @@ impl Operator for MultiOp<'_> {
         let (w, t) = &mut *scratch;
         let (w, t) = (prefix(w, len), prefix(t, len));
         self.local_part_into(k, x, w, t);
-        y.copy_from_slice(t);
-        self.ctx.exchange_add(&mut [(t, y)])
+        w.copy_from_slice(t);
+        self.ctx.exchange_add(&mut [(t, w)])?;
+        self.ctx.dofs.compress(k, w, y);
+        Ok(())
     }
 }
 
-/// Distributed inner product: `⟨u, v⟩ = Σ_s (D_s u_s)ᵀ v_s` reduced over
-/// ranks — exact thanks to the partition of unity.
+/// Distributed inner product: `⟨u, v⟩ = Σ_g ω_g u_g v_g` over the rank's
+/// distinct dofs, reduced over ranks. `ω_g` sums the partition-of-unity
+/// values of the dof's copies on this rank, so this is `Σ_s (D_s u_s)ᵀ v_s`
+/// over the owned subdomains — exact thanks to the partition of unity.
 struct MultiDot<'a> {
     ctx: &'a MultiCtx<'a>,
-    /// Warm-path scratch `D w` of a Gram row.
+    /// Warm-path scratch `ω w` of a Gram row.
     scratch: RefCell<Vec<f64>>,
 }
 
@@ -443,7 +527,7 @@ impl<'a> MultiDot<'a> {
     fn new(ctx: &'a MultiCtx<'a>) -> Self {
         MultiDot {
             ctx,
-            scratch: RefCell::new(vec![0.0; ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; ctx.n_unique()]),
         }
     }
 }
@@ -452,25 +536,20 @@ impl InnerProduct for MultiDot<'_> {
     fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
         let ctx = self.ctx;
         let mut acc = 0.0;
-        for (s, span) in ctx.spans() {
-            for (dk, g) in ctx.decomp.subdomains[s].d.iter().zip(span) {
-                acc += dk * x[g] * y[g];
-            }
+        for ((om, xg), yg) in ctx.dofs.omega.iter().zip(x).zip(y) {
+            acc += om * xg * yg;
         }
         ctx.comm.charge_flops(3 * x.len() as u64);
         acc
     }
 
-    // dd:hot — the Gram rows of every Arnoldi step: `D w` is formed once a
-    // row, `(d·w)·v` being what `local_dot` multiplies, and the panel kernel
+    // dd:hot — the Gram rows of every Arnoldi step: `ω w` is formed once a
+    // row, `(ω·w)·v` being what `local_dot` multiplies, and the panel kernel
     // reads it once per four basis vectors
     fn local_dots(&self, w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
         let ctx = self.ctx;
         let mut dw = self.scratch.borrow_mut();
-        for (s, span) in ctx.spans() {
-            let d = &ctx.decomp.subdomains[s].d;
-            vector::hadamard(d, &w[span.start..span.end], &mut dw[span]);
-        }
+        vector::hadamard(&ctx.dofs.omega, w, &mut dw);
         vector::dot_many(&dw, vs, out);
         ctx.comm.charge_flops(3 * (w.len() * vs.len()) as u64);
     }
@@ -516,22 +595,23 @@ impl InnerProduct for MultiDot<'_> {
 }
 
 /// What the coarse correction hands the RAS tail, for each column: every
-/// owned subdomain's share `W_s y_s` of `q = Z E⁻¹ Zᵀ r` (not yet summed
-/// over neighbours) and the consistent `A q`.
+/// owned subdomain's share `W_s y_s` of `q = Z E⁻¹ Zᵀ r` (concatenated, not
+/// yet summed over neighbours) and `A q` (distinct dofs).
 struct CoarsePart<'b> {
     wy: &'b [f64],
     aq: &'b [f64],
 }
 
 /// Distributed one-level RAS: `z_s = Σ_j R_s R_jᵀ D_j A_j⁻¹ r_j`, on one
-/// column or on a panel of them.
+/// column or on a panel of them, from and to the rank's distinct dofs.
 struct MultiRas<'a> {
     /// The operator being solved: its context, and its `A_s` for `A z`.
     op: &'a MultiOp<'a>,
     /// Local factors, aligned with `ctx.owned`.
     factors: &'a [LocalLdlt],
-    /// Warm-path scratch: the columns `[D A⁻¹ t + W y…, A D A⁻¹ t…]` one
-    /// halo round carries.
+    /// Warm-path concatenated scratch: the columns
+    /// `[D A⁻¹ t + W y…, A D A⁻¹ t…]` one halo round carries, then the
+    /// round's sums `[z…, A z…]`.
     scratch: RefCell<Vec<f64>>,
     /// The local solves' permuted work vector, shared by all of them.
     solve_scratch: RefCell<Vec<f64>>,
@@ -543,28 +623,31 @@ impl<'a> MultiRas<'a> {
         MultiRas {
             op,
             factors,
-            scratch: RefCell::new(vec![0.0; 2 * k * op.ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; 4 * k * op.ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::with_capacity(
                 k * factors.iter().map(LocalLdlt::n).max().unwrap_or(0),
             )),
         }
     }
 
-    /// The RAS tail of both preconditioners, for the `k` columns of `t`.
+    /// The RAS tail of both preconditioners, for the `k` columns of `t`
+    /// (distinct dofs, expanded to the owned subdomains' locals here).
     /// `u_s = A_s⁻¹ t_s` on every owned subdomain, all columns in one panel
     /// solve, then ONE halo round: of `D_s u_s + W_s y_s` (the coarse
     /// shares, when there is a coarse part), which sums to `z`, and — when
     /// `az` is asked for — of `A_s D_s u_s` as `k` more columns, which sum
     /// to `A RAS(t)` because `D_s` vanishes where `A_s` and `A` differ (the
-    /// identity eq. 5 rests on), so `A z` is that plus `A q`. Each column is
-    /// the one-column tail to the bit.
+    /// identity eq. 5 rests on), so `A z` is that plus `A q`. `z` and `A z`
+    /// keep the first copy of each dof. Each column is the one-column tail
+    /// to the bit.
     ///
-    /// `A q` is added after the round, not into the column: where two
-    /// subdomains share a dof, each copy then sums the same two terms, so
-    /// the copies of `A z` agree to the bit as an SpMV's do. Added before,
-    /// they would differ in their last bits — and right-preconditioned
-    /// GMRES on the κ-contrast workloads stalls on exactly that
-    /// (`diffusion2d_many`: 162 iterations instead of 69).
+    /// `A q` is added after the round, not into the column: a dof's copies
+    /// on different ranks each sum the round's terms and then `A q`, so
+    /// they agree to the bit as an SpMV's do. Added before, they would
+    /// differ in their last bits — and right-preconditioned GMRES on the
+    /// κ-contrast workloads stalls on exactly that (`diffusion2d_many`:
+    /// 162 iterations instead of 69). Within a rank the question does not
+    /// arise: it holds one value per dof.
     // dd:hot — per-iteration local solves; scratch reuse keeps this layer allocation-free
     fn try_tail(
         &self,
@@ -580,11 +663,13 @@ impl<'a> MultiRas<'a> {
         solve_failpoint(ctx.comm, "ras")?;
         let n = ctx.n_concat();
         let mut cols = self.scratch.borrow_mut();
-        let (du, adu) = prefix(&mut cols, 2 * k * n).split_at_mut(k * n);
+        let (du, rest) = prefix(&mut cols, 4 * k * n).split_at_mut(k * n);
+        let (adu, rest) = rest.split_at_mut(k * n);
+        let (zc, azc) = rest.split_at_mut(k * n);
         let mut work = self.solve_scratch.borrow_mut();
         let mut flops = 0u64;
         ctx.comm.compute(|| {
-            du.copy_from_slice(t);
+            ctx.dofs.expand(k, t, du);
             for ((d, a, span), factor) in ctx.locals().zip(self.factors) {
                 factor.solve_panel_with(&mut du[span.start..], n, k, &mut work);
                 for c in 0..k {
@@ -605,18 +690,20 @@ impl<'a> MultiRas<'a> {
             }
         });
         ctx.comm.charge_flops(flops);
-        z.copy_from_slice(du);
+        zc.copy_from_slice(du);
         match az {
-            None => ctx.exchange_add(&mut [(du, z)]),
+            None => ctx.exchange_add(&mut [(du, zc)])?,
             Some(az) => {
-                az.copy_from_slice(adu);
-                ctx.exchange_add(&mut [(du, z), (adu, az)])?;
+                azc.copy_from_slice(adu);
+                ctx.exchange_add(&mut [(du, zc), (adu, azc)])?;
+                ctx.dofs.compress(k, azc, az);
                 if let Some(cp) = &coarse {
                     vector::axpy(1.0, cp.aq, az);
                 }
-                Ok(())
             }
         }
+        ctx.dofs.compress(k, zc, z);
+        Ok(())
     }
 }
 
@@ -900,14 +987,17 @@ impl<'a> MultiCoarse<'a> {
 struct MultiADef1<'a> {
     ras: MultiRas<'a>,
     coarse: MultiCoarse<'a>,
-    /// Warm-path scratch `(W y, A q, r − A q)`, `k` columns each.
-    scratch: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)>,
+    /// Warm-path scratch, `k` columns each: `(r, W y, A q)` concatenated,
+    /// `(A q, r − A q)` over the distinct dofs.
+    scratch: RefCell<[Vec<f64>; 5]>,
 }
 
 impl MultiADef1<'_> {
     /// `z = RAS(r − A q) + q` with `q = Z E⁻¹ Zᵀ r` for the `k` columns of
     /// `r`, and `A z` into `az` if given; the payload rides on the one
-    /// coarse solve and comes back reduced.
+    /// coarse solve and comes back reduced. `r`, `z` and `A z` hold the
+    /// distinct dofs; the coarse correction runs on `r` expanded, and its
+    /// `A q` keeps the first copy of each dof.
     // dd:hot — per-iteration two-level application (eq. 6)
     fn try_eq6(
         &self,
@@ -917,10 +1007,15 @@ impl MultiADef1<'_> {
         az: Option<&mut [f64]>,
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
+        let ctx = self.coarse.ctx;
+        let nc = k * ctx.n_concat();
         let mut scratch = self.scratch.borrow_mut();
-        let (wy, aq, t) = &mut *scratch;
-        let (wy, aq, t) = (prefix(wy, r.len()), prefix(aq, r.len()), prefix(t, r.len()));
-        let reduced = self.coarse.try_correction(k, r, wy, aq, payload)?;
+        let [rc, wy, aqc, aq, t] = &mut *scratch;
+        let (rc, wy, aqc) = (prefix(rc, nc), prefix(wy, nc), prefix(aqc, nc));
+        let (aq, t) = (prefix(aq, r.len()), prefix(t, r.len()));
+        ctx.dofs.expand(k, r, rc);
+        let reduced = self.coarse.try_correction(k, rc, wy, aqc, payload)?;
+        ctx.dofs.compress(k, aqc, aq);
         for i in 0..r.len() {
             t[i] = r[i] - aq[i];
         }
@@ -994,6 +1089,9 @@ pub struct PreparedMulti<'a> {
     pub(crate) owned: Vec<usize>,
     /// Concatenation offsets of the owned subdomains' locals (len+1).
     pub(crate) starts: Vec<usize>,
+    /// The distinct dofs of the owned subdomains: the Krylov vectors'
+    /// layout, built beside the halo plan.
+    pub(crate) dofs: DistinctDofs,
     pub(crate) halo: HaloPlan,
     /// Local factors, deflation blocks and `T_s = A_s W_s` (the set-up
     /// forms it for `E`; the coarse correction's `A q` reuses it), aligned
@@ -1116,6 +1214,7 @@ impl PreparedMulti<'_> {
             a,
             owned: &self.owned,
             starts: &self.starts,
+            dofs: &self.dofs,
             halo: &self.halo,
             inbox: RefCell::new(vec![Vec::new(); self.halo.peers.len()]),
         }
@@ -1123,11 +1222,17 @@ impl PreparedMulti<'_> {
 
     /// Eq. 6 on `op`, for panels of up to `k` columns.
     fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, t: &'s [DMat], k: usize) -> MultiADef1<'s> {
-        let n = k * op.ctx.n_concat();
+        let (nc, nu) = (k * op.ctx.n_concat(), k * op.ctx.n_unique());
         MultiADef1 {
             ras: MultiRas::new(op, &self.factors, k),
             coarse: MultiCoarse::new(op.ctx, self, t, k),
-            scratch: RefCell::new((vec![0.0; n], vec![0.0; n], vec![0.0; n])),
+            scratch: RefCell::new([
+                vec![0.0; nc],
+                vec![0.0; nc],
+                vec![0.0; nc],
+                vec![0.0; nu],
+                vec![0.0; nu],
+            ]),
         }
     }
 
@@ -1153,11 +1258,19 @@ impl PreparedMulti<'_> {
         Cow::Owned(t)
     }
 
-    /// `R_s v` for every owned subdomain, concatenated.
+    /// `v` restricted to this rank's distinct dofs, in slot order: the
+    /// first copy of each dof in (owned subdomain, local dof) order.
     fn restrict(&self, v_global: &[f64]) -> Vec<f64> {
-        let mut v = Vec::with_capacity(self.starts[self.owned.len()]);
-        for &s in &self.owned {
-            v.extend(self.decomp.subdomains[s].restrict(v_global));
+        let dofs = &self.dofs;
+        let mut v = Vec::with_capacity(dofs.n_unique());
+        let l2g = self
+            .owned
+            .iter()
+            .flat_map(|&s| &self.decomp.subdomains[s].l2g);
+        for (p, &g) in l2g.enumerate() {
+            if dofs.canon[dofs.slot[p]] == p {
+                v.push(v_global[g as usize]);
+            }
         }
         v
     }
@@ -1258,7 +1371,7 @@ impl PreparedMulti<'_> {
             .map(|result| MultiApplyOutcome {
                 locals: ctx
                     .spans()
-                    .map(|(s, span)| (s, result.x[span].to_vec()))
+                    .map(|(s, span)| (s, span.map(|p| result.x[self.dofs.slot[p]]).collect()))
                     .collect(),
                 result,
                 t_solution,
@@ -1323,7 +1436,8 @@ impl PreparedMulti<'_> {
     /// right-preconditioned Krylov step applies it (`z` and `A z` from one
     /// call), `A z` by the distributed SpMV, and eq. 6 composed from its
     /// pieces — on the resident operator or on a perturbed one, two-level
-    /// or one-level.
+    /// or one-level. Computed over the distinct dofs, as a solve computes
+    /// them, and returned expanded to the owned subdomains' locals.
     #[doc(hidden)]
     pub fn debug_apply(
         &self,
@@ -1347,6 +1461,7 @@ impl PreparedMulti<'_> {
                 _ => None,
             },
         };
+        let nc = ctx.n_concat();
         let pieces = |out: &mut DebugApply| -> Result<(), SolveInterrupt> {
             if self.run.coarse == CoarseOutcome::TwoLevel {
                 let t = self.t_for(&ctx, perturbed.is_some());
@@ -1354,11 +1469,15 @@ impl PreparedMulti<'_> {
                 adef1.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
                 // q made consistent by a round of its shares, A q both ways,
                 // and the RAS tail with no coarse part.
+                let (mut rc, mut wy, mut aq) = (vec![0.0; nc], vec![0.0; nc], vec![0.0; nc]);
+                ctx.dofs.expand(1, &r, &mut rc);
                 adef1
                     .coarse
-                    .try_correction(1, &r, &mut out.q, &mut out.aq, Vec::new())?;
-                let wy = out.q.clone();
-                ctx.exchange_add(&mut [(&wy, &mut out.q)])?;
+                    .try_correction(1, &rc, &mut wy, &mut aq, Vec::new())?;
+                let mut q = wy.clone();
+                ctx.exchange_add(&mut [(&wy, &mut q)])?;
+                ctx.dofs.compress(1, &q, &mut out.q);
+                ctx.dofs.compress(1, &aq, &mut out.aq);
                 op.try_apply_panel(1, &out.q, &mut out.a_of_q)?;
                 let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
                 adef1.ras.try_tail(1, &t, None, &mut out.ras, None)?;
@@ -1370,11 +1489,25 @@ impl PreparedMulti<'_> {
             op.try_apply_panel(1, &out.z, &mut out.a_of_z)
         };
         pieces(&mut out).map_err(|si| interrupt_to_spmd(self.comm, si))?;
+        for v in [
+            &mut out.z,
+            &mut out.az,
+            &mut out.a_of_z,
+            &mut out.q,
+            &mut out.aq,
+            &mut out.a_of_q,
+            &mut out.ras,
+        ] {
+            let mut locals = vec![0.0; nc];
+            ctx.dofs.expand(1, v, &mut locals);
+            *v = locals;
+        }
         Ok(out)
     }
 }
 
-/// What [`PreparedMulti::debug_apply`] returns, over the owned subdomains.
+/// What [`PreparedMulti::debug_apply`] returns, over the owned subdomains'
+/// concatenated locals.
 #[doc(hidden)]
 pub struct DebugApply {
     /// `z = M⁻¹ r` and `A z`, from one call of the preconditioner's
@@ -1612,7 +1745,7 @@ mod tests {
 
     /// `MultiDot::local_dots` is the loop over `MultiDot::local_dot`, bit
     /// for bit and flop for flop, on an owner map with three subdomains on
-    /// each of two ranks (so `D w` is assembled from several spans).
+    /// each of two ranks (so `ω` sums several copies of a dof).
     #[test]
     fn gram_row_panel_is_the_per_vector_loop_bitwise_and_in_flops() {
         const NSUB: usize = 6;
@@ -1623,17 +1756,19 @@ mod tests {
         let wave = |k: usize| (k as f64 * 0.37).sin() + 0.25;
         let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
             let (owned, starts, halo) = chunked(&decomp, comm);
+            let dofs = DistinctDofs::build(&decomp, &owned);
             let ctx = MultiCtx {
                 comm,
                 decomp: &decomp,
                 a: Vec::new(),
                 owned: &owned,
                 starts: &starts,
+                dofs: &dofs,
                 halo: &halo,
                 inbox: RefCell::new(Vec::new()),
             };
             let ip = MultiDot::new(&ctx);
-            let n = ctx.n_concat();
+            let n = ctx.n_unique();
             let w: Vec<f64> = (0..n).map(|g| wave(g + 7 * comm.rank())).collect();
             let vs: Vec<Vec<f64>> = (0..NV)
                 .map(|j| (0..n).map(|g| wave(3 * g + 31 * j)).collect())

@@ -39,7 +39,7 @@ use crate::recovery::{
     layout_sig, try_run_spmd_recoverable, CheckpointStore, CoarseCache, RecoveryOpts,
     RepartitionPlan, SpmdMultiSolution,
 };
-use crate::resident::{epoch_salt, DebugApply, HaloPlan, MasterSolve, PreparedMulti};
+use crate::resident::{epoch_salt, DebugApply, DistinctDofs, HaloPlan, MasterSolve, PreparedMulti};
 use dd_comm::{CommError, Communicator};
 use dd_krylov::{GmresOpts, SolveInterrupt};
 use dd_linalg::{CooBuilder, CsrMatrix, DMat};
@@ -426,6 +426,7 @@ pub(crate) fn try_setup_on<'a>(
         starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
     }
     let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
+    let dofs = DistinctDofs::build(decomp, &owned);
     let mut run = RunReport::default();
 
     comm.try_barrier()?;
@@ -907,6 +908,7 @@ pub(crate) fn try_setup_on<'a>(
     let t_reassembly = clk_assembled.unwrap_or(clk_done) - clk_begin;
     Ok(PreparedMulti {
         halo,
+        dofs,
         decomp,
         comm,
         opts: opts.clone(),

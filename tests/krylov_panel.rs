@@ -1,0 +1,173 @@
+//! The Krylov panel contract through the public API: every column of
+//! `try_gmres_panel` is its one-column solve to the bit — `x`, history,
+//! iterations, status and breakdown restarts. The serve path answers a
+//! batch as one panel and claims each response equals the single solve
+//! from the batch-start recycle state; this is the loop-level half of that
+//! claim, on a `CsrMatrix` with a `FnPrecond`, on both sides, under CGS2
+//! and MGS, at a restart length the panel outlives, with and without a
+//! `RecycleSpace`, and with columns that converge early, break down and
+//! are zero.
+
+use dd_geneo::krylov::{
+    try_gmres, try_gmres_panel, try_gmres_with, FnPrecond, GmresOpts, GmresWorkspace, Ortho,
+    RecycleSpace, SeqDot, Side, SolveResult,
+};
+use dd_geneo::linalg::{CooBuilder, CsrMatrix};
+
+/// A 9×8 five-point Laplacian, then four decoupled dofs of diagonal 2, then
+/// one whose row and column are zero: a right-hand side on the decoupled
+/// dofs converges in one iteration, one along the last dof breaks down,
+/// and every other one solves as on the Laplacian.
+fn panel_operator() -> CsrMatrix {
+    let (nx, ny) = (9, 8);
+    let nl = nx * ny;
+    let mut c = CooBuilder::new(nl + 5, nl + 5);
+    let id = |i: usize, j: usize| i + j * nx;
+    for j in 0..ny {
+        for i in 0..nx {
+            let u = id(i, j);
+            c.push(u, u, 4.0);
+            if i + 1 < nx {
+                c.push(u, id(i + 1, j), -1.0);
+                c.push(id(i + 1, j), u, -1.0);
+            }
+            if j + 1 < ny {
+                c.push(u, id(i, j + 1), -1.0);
+                c.push(id(i, j + 1), u, -1.0);
+            }
+        }
+    }
+    for i in nl..nl + 4 {
+        c.push(i, i, 2.0);
+    }
+    c.to_csr()
+}
+
+/// Two generic right-hand sides, one that converges early, one that breaks
+/// down, and a zero one (converged before any cycle).
+fn panel_rhs(n: usize) -> Vec<Vec<f64>> {
+    let generic = |f: f64| -> Vec<f64> {
+        let mut b: Vec<f64> = (0..n).map(|i| ((i as f64 + 1.3) * f).sin()).collect();
+        b[n - 1] = 0.0;
+        b
+    };
+    let mut early = vec![0.0; n];
+    early[n - 3] = 1.0;
+    early[n - 2] = -0.5;
+    let mut broken = vec![0.0; n];
+    broken[n - 1] = 1.0;
+    vec![generic(0.7), early, broken, vec![0.0; n], generic(1.9)]
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_same(what: &str, got: &SolveResult, want: &SolveResult) {
+    assert_eq!(bits(&got.x), bits(&want.x), "{what}: x");
+    assert_eq!(bits(&got.history), bits(&want.history), "{what}: history");
+    assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+    assert_eq!(got.status, want.status, "{what}: status");
+    assert_eq!(
+        got.breakdown_restarts, want.breakdown_restarts,
+        "{what}: breakdown restarts"
+    );
+}
+
+#[test]
+fn each_panel_column_is_its_single_solve_bitwise() {
+    let a = panel_operator();
+    let n = a.rows();
+    let diag: Vec<f64> = a
+        .diag()
+        .iter()
+        .map(|&d| if d == 0.0 { 1.0 } else { d })
+        .collect();
+    let jacobi = FnPrecond::new(move |r: &[f64], z: &mut [f64]| {
+        for i in 0..r.len() {
+            z[i] = r[i] / diag[i];
+        }
+    });
+    let rhs = panel_rhs(n);
+    let k = rhs.len();
+    let panel: Vec<f64> = rhs.concat();
+    let x0 = vec![0.0; k * n];
+    // A space holding two earlier solves' increments.
+    let mut seeded = RecycleSpace::new(6);
+    for f in [0.3, 2.3] {
+        let b: Vec<f64> = (0..n - 1)
+            .map(|i| (i as f64 * f).cos())
+            .chain([0.0])
+            .collect();
+        let opts = GmresOpts {
+            tol: 1e-9,
+            ..Default::default()
+        };
+        try_gmres_with(
+            &a,
+            &jacobi,
+            &SeqDot,
+            &b,
+            &x0[..n],
+            &opts,
+            None,
+            Some(&mut seeded),
+            &mut GmresWorkspace::new(),
+        )
+        .expect("seeding solve");
+    }
+    assert_eq!(seeded.len(), 2);
+    let mut ws = GmresWorkspace::new();
+    for side in [Side::Right, Side::Left] {
+        for (ortho, restart) in [(Ortho::Cgs2, 200), (Ortho::Mgs, 200), (Ortho::Cgs2, 9)] {
+            for space in [None, Some(&seeded)] {
+                let opts = GmresOpts {
+                    tol: 1e-10,
+                    max_iters: 400,
+                    side,
+                    ortho,
+                    restart,
+                    ..Default::default()
+                };
+                let what = format!(
+                    "{side:?} {ortho:?} restart {restart} recycled {}",
+                    space.is_some()
+                );
+                let mut after = space.cloned();
+                let got = try_gmres_panel(
+                    &a,
+                    &jacobi,
+                    &SeqDot,
+                    &panel,
+                    &x0,
+                    k,
+                    &opts,
+                    None,
+                    after.as_mut(),
+                    &mut ws,
+                )
+                .expect("panel solve");
+                assert_eq!(got.len(), k, "{what}: one result a column");
+                for (c, (b, res)) in rhs.iter().zip(&got).enumerate() {
+                    // From the space as the panel found it.
+                    let want = match space {
+                        None => try_gmres(&a, &jacobi, &SeqDot, b, &x0[..n], &opts, None),
+                        Some(s) => try_gmres_with(
+                            &a,
+                            &jacobi,
+                            &SeqDot,
+                            b,
+                            &x0[..n],
+                            &opts,
+                            None,
+                            Some(&mut s.clone()),
+                            &mut GmresWorkspace::new(),
+                        ),
+                    }
+                    .expect("single solve");
+                    assert_same(&format!("{what}, column {c}"), res, &want);
+                }
+            }
+        }
+    }
+}
