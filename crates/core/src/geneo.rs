@@ -48,6 +48,7 @@ impl Default for GeneoOpts {
 }
 
 /// Result of the local eigensolve.
+#[derive(Clone)]
 pub struct DeflationBlock {
     /// `W_i = D_i Λ_i` for **all** computed finite eigenpairs (so a later
     /// uniformization to `ν = max_i ν_i` can draw real eigenvectors rather

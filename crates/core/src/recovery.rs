@@ -258,29 +258,40 @@ impl CheckpointSink for StoreSink<'_> {
 ///   recomputed there, while unmoved subdomains' rows are reused verbatim
 ///   and only re-gathered onto the new master set (where [`dd_solver::DistLdlt`] is
 ///   refactorized regardless).
+///
+/// Every entry is stored with an FNV-1a checksum over its bit pattern, as
+/// [`CheckpointStore`] stores its snapshots: an entry that fails
+/// verification on read is a miss, so the allgathered freshness flags
+/// agree and its basis or row is recomputed instead of reaching `E`.
 #[derive(Default)]
 pub struct CoarseCache {
-    basis: Mutex<HashMap<usize, CachedBasis>>,
-    rows: Mutex<HashMap<(usize, usize), CachedRows>>,
+    /// Per subdomain: the basis, whether the GenEO eigensolve (not the
+    /// Nicolaides fallback) made it, and its checksum.
+    basis: Mutex<HashMap<usize, (DeflationBlock, bool, u64)>>,
+    /// Per `(subdomain, owner world rank)`: the signature of the coarse
+    /// layout the row was computed in, the row as the coarse row kernel
+    /// returned it, and its checksum.
+    rows: Mutex<HashMap<(usize, usize), (u64, Vec<f64>, u64)>>,
 }
 
-struct CachedBasis {
-    w: dd_linalg::DMat,
-    values: Vec<f64>,
-    kept: usize,
-    /// Did the cached basis come from the GenEO eigensolve (as opposed to
-    /// the Nicolaides fallback)?
-    geneo: bool,
+/// FNV-1a 64 over `words`, then the bit patterns of `values`.
+fn seal(words: &[u64], values: &[&[f64]]) -> u64 {
+    let bits = values.iter().flat_map(|v| v.iter().map(|x| x.to_bits()));
+    fnv1a_bytes(
+        0,
+        words.iter().copied().chain(bits).flat_map(u64::to_le_bytes),
+    )
 }
 
-struct CachedRows {
-    /// Layout signature (hash over every subdomain's ν) the row was
-    /// assembled under; a ν change anywhere invalidates it.
-    sig: u64,
-    /// The row's values as Algorithm 2 ships them: `E_ss` row-major, then
-    /// `E_sj` row-major for each neighbour `j` in `O_s` order. The indices
-    /// follow from ν and the coarse layout, so none are stored.
-    vals: Vec<f64>,
+fn basis_sum(b: &DeflationBlock, geneo: bool) -> u64 {
+    let shape = [
+        b.w.rows(),
+        b.w.cols(),
+        b.values.len(),
+        b.kept,
+        usize::from(geneo),
+    ];
+    seal(&shape.map(|n| n as u64), &[b.w.data(), &b.values])
 }
 
 impl CoarseCache {
@@ -290,59 +301,44 @@ impl CoarseCache {
 
     pub(crate) fn basis(&self, sub: usize) -> Option<(DeflationBlock, bool)> {
         let basis = self.basis.lock().unwrap_or_else(|p| p.into_inner());
-        basis.get(&sub).map(|b| {
-            (
-                DeflationBlock {
-                    w: b.w.clone(),
-                    values: b.values.clone(),
-                    kept: b.kept,
-                },
-                b.geneo,
-            )
-        })
+        let (b, geneo, sum) = basis.get(&sub)?;
+        (basis_sum(b, *geneo) == *sum).then(|| (b.clone(), *geneo))
     }
 
     pub(crate) fn store_basis(&self, sub: usize, block: &DeflationBlock, geneo: bool) {
+        let entry = (block.clone(), geneo, basis_sum(block, geneo));
         let mut basis = self.basis.lock().unwrap_or_else(|p| p.into_inner());
-        basis.insert(
-            sub,
-            CachedBasis {
-                w: block.w.clone(),
-                values: block.values.clone(),
-                kept: block.kept,
-                geneo,
-            },
-        );
+        basis.insert(sub, entry);
     }
 
-    pub(crate) fn has_rows(&self, sub: usize, owner: usize, sig: u64) -> bool {
-        let rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
-        rows.get(&(sub, owner)).is_some_and(|r| r.sig == sig)
-    }
-
+    /// The row banked for `(sub, owner)` under layout `sig`, if it verifies.
     pub(crate) fn rows(&self, sub: usize, owner: usize, sig: u64) -> Option<Vec<f64>> {
         let rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
-        let row = rows.get(&(sub, owner)).filter(|r| r.sig == sig);
-        row.map(|r| r.vals.clone())
+        let (at, vals, sum) = rows.get(&(sub, owner))?;
+        (*at == sig && seal(&[sig], &[vals]) == *sum).then(|| vals.clone())
     }
 
     pub(crate) fn store_rows(&self, sub: usize, owner: usize, sig: u64, vals: Vec<f64>) {
+        let sum = seal(&[sig], &[&vals]);
         let mut rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
-        rows.insert((sub, owner), CachedRows { sig, vals });
+        rows.insert((sub, owner), (sig, vals, sum));
     }
-}
 
-/// Layout signature of one coarse operator: a seed-free hash of every
-/// subdomain's ν, identical on every rank that allgathered the same pairs.
-pub(crate) fn layout_sig(nu_of: &[usize]) -> u64 {
-    let mut h: u64 = 0xE11A; // "elastic" seed, any fixed constant works
-    for &nu in nu_of {
-        h = h
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17)
-            .wrapping_add(nu as u64 + 1);
+    /// Flip one mantissa bit of the row banked for `(sub, owner)` *without*
+    /// refreshing its checksum — at-rest corruption for the tests. Returns
+    /// whether the row existed.
+    #[doc(hidden)]
+    pub fn corrupt_for_tests(&self, sub: usize, owner: usize) -> bool {
+        let mut rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(v) = rows
+            .get_mut(&(sub, owner))
+            .and_then(|(_, vals, _)| vals.first_mut())
+        else {
+            return false;
+        };
+        *v = f64::from_bits(v.to_bits() ^ (1 << 17));
+        true
     }
-    h
 }
 
 // ---------------------------------------------------------------- driver

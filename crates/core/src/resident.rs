@@ -2,7 +2,7 @@
 //! the solve phase, written once over "the subdomains this rank owns".
 //!
 //! A rank hosts one or more subdomains (the *owner map*). Its Krylov
-//! vectors hold each of its distinct dofs once ([`DistinctDofs`]): a dof
+//! vectors hold each of its distinct dofs once (`DistinctDofs`): a dof
 //! two owned subdomains share is one value, weighed in the inner product by
 //! the sum of its copies' partition-of-unity values. Inside an apply the
 //! local solves, SpMVs, coarse gathers and halo rounds run on the owned
@@ -477,12 +477,6 @@ impl<'a> MultiOp<'a> {
         });
         ctx.comm.charge_flops(flops);
     }
-
-    /// Is `op` this operator? The preconditioners form `A z` from their own
-    /// pieces only for the operator they were built on.
-    fn is(&self, op: &dyn Operator) -> bool {
-        std::ptr::addr_eq(op, self)
-    }
 }
 
 impl Operator for MultiOp<'_> {
@@ -707,26 +701,6 @@ impl<'a> MultiRas<'a> {
     }
 }
 
-/// The right-preconditioned step of a distributed preconditioner `pc` for
-/// an operator `op` other than the one it was built on: per column,
-/// `z ← M⁻¹ r` and then `w ← A z` — the trait's default order.
-fn apply_then_op(
-    pc: &dyn Preconditioner,
-    op: &dyn Operator,
-    k: usize,
-    r: &[f64],
-    z: &mut [f64],
-    w: &mut [f64],
-) -> Result<(), SolveInterrupt> {
-    let n = r.len() / k.max(1);
-    for c in 0..k {
-        let col = c * n..(c + 1) * n;
-        pc.try_apply_panel(1, &r[col.clone()], &mut z[col.clone()])?;
-        op.try_apply_panel(1, &z[col.clone()], &mut w[col])?;
-    }
-    Ok(())
-}
-
 impl Preconditioner for MultiRas<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         if let Err(e) = self.try_apply_panel(1, r, z) {
@@ -741,7 +715,8 @@ impl Preconditioner for MultiRas<'_> {
 
     /// `A z` rides on the RAS round as `k` more columns: one round, one
     /// local SpMV per column, instead of a round for `z` and a full SpMV
-    /// after it.
+    /// after it. `op` is always the operator this RAS was built on: every
+    /// caller hands the Krylov loop the same `MultiOp`.
     fn try_apply_panel_with_op(
         &self,
         op: &dyn Operator,
@@ -750,9 +725,7 @@ impl Preconditioner for MultiRas<'_> {
         z: &mut [f64],
         w: &mut [f64],
     ) -> Result<(), SolveInterrupt> {
-        if !self.op.is(op) {
-            return apply_then_op(self, op, k, r, z, w);
-        }
+        debug_assert!(std::ptr::addr_eq(op, self.op), "A z of another operator");
         self.try_tail(k, r, None, z, Some(w))
     }
 }
@@ -1050,7 +1023,8 @@ impl Preconditioner for MultiADef1<'_> {
     }
 
     /// `A z = A RAS(r − A q) + A q` from the two rounds eq. 6 runs anyway:
-    /// no third round and no SpMV.
+    /// no third round and no SpMV. `op` is the operator it was built on, as
+    /// for [`MultiRas`].
     fn try_apply_panel_with_op(
         &self,
         op: &dyn Operator,
@@ -1059,9 +1033,10 @@ impl Preconditioner for MultiADef1<'_> {
         z: &mut [f64],
         w: &mut [f64],
     ) -> Result<(), SolveInterrupt> {
-        if !self.ras.op.is(op) {
-            return apply_then_op(self, op, k, r, z, w);
-        }
+        debug_assert!(
+            std::ptr::addr_eq(op, self.ras.op),
+            "A z of another operator"
+        );
         self.try_eq6(k, r, z, Some(w), Vec::new()).map(drop)
     }
 }

@@ -29,6 +29,7 @@
 //! All heavy local computations run under [`Communicator::compute`] so the
 //! virtual clocks produce the scaling tables of Figures 8, 10 and 11.
 
+use crate::coarse::{self, pack_shared, CoarseLayout, Entries};
 use crate::decomp::Decomposition;
 use crate::error::{CoarseOutcome, DeflationSource, PhaseOutcome, RunReport, SpmdError};
 use crate::geneo::{
@@ -36,14 +37,14 @@ use crate::geneo::{
 };
 use crate::masters::{group_of, nonuniform_masters, uniform_masters};
 use crate::recovery::{
-    layout_sig, try_run_spmd_recoverable, CheckpointStore, CoarseCache, RecoveryOpts,
-    RepartitionPlan, SpmdMultiSolution,
+    try_run_spmd_recoverable, CheckpointStore, CoarseCache, RecoveryOpts, RepartitionPlan,
+    SpmdMultiSolution,
 };
 use crate::resident::{epoch_salt, DebugApply, DistinctDofs, HaloPlan, MasterSolve, PreparedMulti};
 use dd_comm::{CommError, Communicator};
 use dd_krylov::{GmresOpts, SolveInterrupt};
-use dd_linalg::{CooBuilder, CsrMatrix, DMat};
-use dd_solver::{DistLdlt, LdltBackend, LocalLdlt, Ordering, PivotPolicy};
+use dd_linalg::DMat;
+use dd_solver::{DistLdlt, LdltBackend, LocalLdlt, Ordering};
 use std::collections::BTreeMap;
 
 // Tag namespace of the S_j / U_j exchange (Algorithm 1), keyed by the
@@ -573,8 +574,6 @@ pub(crate) fn try_setup_on<'a>(
     let mut dim_e = 0usize;
     let mut nnz_e_factor = 0usize;
     let mut e_solve: Option<MasterSolve> = None;
-    let mut nu_of = vec![0usize; nsubs];
-    let mut coarse_start = vec![0usize; nsubs];
     // First coarse row of each rank (one past the last, at `n_live`).
     let mut rank_row = vec![0usize; n_live + 1];
     // Reason the coarse factorization failed (set on the failing master).
@@ -591,31 +590,33 @@ pub(crate) fn try_setup_on<'a>(
     if !opts.one_level_only {
         // All ranks learn every subdomain's ν (Algorithm 1 line 1): each
         // rank's values in its owned order, which the owner map gives
-        // everyone.
+        // everyone. Coarse rows go by (host rank, subdomain).
         comm.trace_phase(labels.assembly[1]);
         let mine: Vec<u64> = w.iter().map(|w| w.cols() as u64).collect();
         let all_nu = comm.try_allgather(mine)?;
-        for r in 0..n_live {
-            rank_row[r] = dim_e;
-            for (&s, &nu_s) in subs_of_rank[r].iter().zip(&all_nu[r]) {
-                nu_of[s] = nu_s as usize;
-                coarse_start[s] = dim_e;
-                dim_e += nu_s as usize;
-            }
+        let order = subs_of_rank.concat();
+        let mut nu_of = vec![0usize; nsubs];
+        for (&s, nu_s) in order.iter().zip(all_nu.concat()) {
+            nu_of[s] = nu_s as usize;
         }
-        rank_row[n_live] = dim_e;
+        let layout = CoarseLayout::new(nu_of, order);
+        for (r, subs) in subs_of_rank.iter().enumerate() {
+            rank_row[r + 1] = rank_row[r] + subs.iter().map(|&s| layout.nu[s]).sum::<usize>();
+        }
+        dim_e = layout.dim;
 
         // Incremental re-assembly: every rank derives the identical
         // recompute set from a second allgather of owner-authored
         // freshness flags. A moved subdomain's new owner misses the
         // `(sub, owner)` cache key and recomputes; an unchanged owner with
         // a matching layout signature reuses its banked rows.
-        let sig = layout_sig(&nu_of);
-        if let Some(cache) = cache {
-            let mine: Vec<u64> = owned
-                .iter()
-                .map(|&s| u64::from(!cache.has_rows(s, me_world, sig)))
-                .collect();
+        let sig = layout.sig();
+        let mut banked: Vec<Option<Vec<f64>>> = owned
+            .iter()
+            .map(|&s| cache.and_then(|c| c.rows(s, me_world, sig)))
+            .collect();
+        if cache.is_some() {
+            let mine: Vec<u64> = banked.iter().map(|r| u64::from(r.is_none())).collect();
             let all_flags = comm.try_allgather(mine)?;
             for (subs, flags) in subs_of_rank.iter().zip(&all_flags) {
                 for (&s, &flag) in subs.iter().zip(flags) {
@@ -626,39 +627,18 @@ pub(crate) fn try_setup_on<'a>(
 
         // Neighbourhood exchange of S_j = R_j R_sᵀ T_s per owned subdomain
         // (Algorithm 1; same-host pairs stay local). T_s = A_s W_s feeds
-        // this row's diagonal block E_ss = W_sᵀ T_s (csrmm + gemm), the
-        // halos of every neighbour recomputing theirs, and — kept resident —
-        // every coarse correction's `A q` in the solve phase.
+        // this row, the rows of every neighbour recomputing theirs, and —
+        // kept resident — every coarse correction's `A q` in the solve
+        // phase.
         comm.trace_phase(labels.assembly[2]);
         let policy = comm.retry_policy();
         let tag = |from: usize, to: usize| TAG_T + epoch_salt(comm) + (from * nsubs + to) as u64;
-        // The values of each owned coarse row, laid out as Algorithm 2
-        // ships them: E_ss row-major, then E_sj = W_sᵀ U_j row-major for
-        // each neighbour in O_s order. A row that is not fresh replays from
-        // the cache into the same stream.
-        let mut row_vals: Vec<Vec<f64>> = Vec::with_capacity(owned.len());
         let mut local_halo: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
         for (i, &s) in owned.iter().enumerate() {
             let sub = &decomp.subdomains[s];
-            let nu_s = w[i].cols();
-            let mut vals = Vec::new();
-            let t_s = comm.compute(|| {
-                let t = sub.mm_dirichlet(&w[i]);
-                if fresh[s] {
-                    let mut e = DMat::zeros(nu_s, nu_s);
-                    w[i].gemm_tn(1.0, &t, 0.0, &mut e);
-                    for p in 0..nu_s {
-                        vals.extend((0..nu_s).map(|q| e[(p, q)]));
-                    }
-                }
-                t
-            });
+            let t_s = comm.compute(|| sub.mm_dirichlet(&w[i]));
             for link in sub.neighbors.iter().filter(|l| fresh[l.j]) {
-                let mut payload = Vec::with_capacity(link.shared.len() * nu_s);
-                for q in 0..nu_s {
-                    let col = t_s.col(q);
-                    payload.extend(link.shared.iter().map(|&k| col[k as usize]));
-                }
+                let payload = pack_shared(&t_s, &link.shared);
                 if host[link.j] == me {
                     local_halo.insert((s, link.j), payload);
                 } else {
@@ -666,74 +646,49 @@ pub(crate) fn try_setup_on<'a>(
                 }
             }
             t.push(t_s);
-            if !fresh[s] {
-                vals = cache
-                    .and_then(|c| c.rows(s, me_world, sig))
-                    .ok_or_else(|| protocol(format!("cached coarse row {s} vanished")))?;
-            }
-            row_vals.push(vals);
         }
-        // E_sj for each fresh owned subdomain (Algorithm 1 lines 9–12).
-        for (i, &s) in owned.iter().enumerate().filter(|&(_, &s)| fresh[s]) {
-            let nu_s = w[i].cols();
-            let vals = &mut row_vals[i];
-            for link in &decomp.subdomains[s].neighbors {
+        // Each owned coarse row (Algorithm 1 lines 9–12): banked, or from
+        // the U_j its neighbours sent.
+        let mut row_vals: Vec<Vec<f64>> = Vec::with_capacity(owned.len());
+        for (i, &s) in owned.iter().enumerate() {
+            if let Some(vals) = banked[i].take() {
+                row_vals.push(vals);
+                continue;
+            }
+            let links = &decomp.subdomains[s].neighbors;
+            let mut u = Vec::with_capacity(links.len());
+            for link in links {
                 let j = link.j;
-                let u: Vec<f64> = if host[j] == me {
+                let u_j: Vec<f64> = if host[j] == me {
                     local_halo.remove(&(j, s)).ok_or_else(|| {
                         protocol(format!("no same-host halo from subdomain {j} to {s}"))
                     })?
                 } else {
                     comm.try_recv_timeout(host[j], tag(j, s), &policy)?
                 };
-                let (nu_j, n_shared) = (nu_of[j], link.shared.len());
-                if u.len() != n_shared * nu_j {
+                let expected = link.shared.len() * layout.nu[j];
+                if u_j.len() != expected {
                     return Err(protocol(format!(
-                        "S block from subdomain {j} to {s} holds {} values, expected {}",
-                        u.len(),
-                        n_shared * nu_j
+                        "S block from subdomain {j} to {s} holds {} values, expected {expected}",
+                        u_j.len()
                     )));
                 }
-                let at = vals.len();
-                vals.resize(at + nu_s * nu_j, 0.0);
-                comm.compute(|| {
-                    for q in 0..nu_j {
-                        let ucol = &u[q * n_shared..(q + 1) * n_shared];
-                        for p in 0..nu_s {
-                            let wcol = w[i].col(p);
-                            let mut acc = 0.0;
-                            for (&k, &uv) in link.shared.iter().zip(ucol) {
-                                acc += wcol[k as usize] * uv;
-                            }
-                            vals[at + p * nu_j + q] = acc;
-                        }
-                    }
-                });
+                u.push(u_j);
             }
+            let vals = comm.compute(|| layout.row(&w[i], &t[i], links, &u));
             // Bank the recomputed row for the next membership change.
             if let Some(cache) = cache {
                 cache.store_rows(s, me_world, sig, vals.clone());
             }
+            row_vals.push(vals);
         }
 
         // ---- Algorithm 2: gather the row blocks on the group's master ----
         comm.trace_phase(labels.assembly[3]);
-        // Global indices of subdomain `s`'s coarse row in the order its
-        // values are laid out, `nbrs` being O_s.
-        let push_indices = |s: usize, nbrs: &[usize], rows: &mut Vec<u64>, cols: &mut Vec<u64>| {
-            for &j in std::iter::once(&s).chain(nbrs) {
-                for p in 0..nu_of[s] {
-                    for q in 0..nu_of[j] {
-                        rows.push((coarse_start[s] + p) as u64);
-                        cols.push((coarse_start[j] + q) as u64);
-                    }
-                }
-            }
-        };
         let neighbors_of = |s: usize| -> Vec<usize> {
             decomp.subdomains[s].neighbors.iter().map(|l| l.j).collect()
         };
-        let group_triples: Option<(Vec<u64>, Vec<u64>, Vec<f64>)> = match opts.assembly {
+        let group_entries: Option<Entries> = match opts.assembly {
             AssemblyVariant::IndexFree => {
                 // The paper's improved scheme: per owned subdomain a slave
                 // sends |O_s|, O_s and the values; the master recomputes
@@ -748,30 +703,27 @@ pub(crate) fn try_setup_on<'a>(
                 split
                     .try_gatherv(0, msg)?
                     .map(|msgs| -> Result<_, SpmdError> {
-                        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+                        let mut entries = Entries::default();
                         for (&r, m) in group_ranks.iter().zip(&msgs) {
-                            let decoded =
-                                decode_index_free(m, &subs_of_rank[r], &nu_of).map_err(|what| {
+                            layout
+                                .decode_index_free(m, &subs_of_rank[r], &mut entries)
+                                .map_err(|what| {
                                     protocol(format!("index-free message from rank {r}: {what}"))
                                 })?;
-                            for (s, nbrs, row) in decoded {
-                                push_indices(s, &nbrs, &mut rows, &mut cols);
-                                vals.extend_from_slice(row);
-                            }
                         }
-                        Ok((rows, cols, vals))
+                        Ok(entries)
                     })
                     .transpose()?
             }
             AssemblyVariant::NaturalGatherv => {
                 // The "natural" scheme: three gatherv's shipping indices
                 // computed by the slaves (more bytes on the wire).
-                let (mut rows, mut cols) = (Vec::new(), Vec::new());
+                let mut mine = Entries::default();
                 for &s in &owned {
-                    push_indices(s, &neighbors_of(s), &mut rows, &mut cols);
+                    layout.push_entries(s, &neighbors_of(s), &mut mine);
                 }
-                let gr = split.try_gatherv(0, rows)?;
-                let gc = split.try_gatherv(0, cols)?;
+                let gr = split.try_gatherv(0, mine.0)?;
+                let gc = split.try_gatherv(0, mine.1)?;
                 let gv = split.try_gatherv(0, row_vals.concat())?;
                 match (gr, gc, gv) {
                     (Some(r), Some(c), Some(v)) => Some((r.concat(), c.concat(), v.concat())),
@@ -786,7 +738,7 @@ pub(crate) fn try_setup_on<'a>(
         // fault) is *recoverable*: the flag is agreed on below and every
         // rank drops to one-level RAS together.
         if let Some(master) = master_comm.as_ref() {
-            let (rows, cols, vals) = group_triples
+            let (rows, cols, vals) = group_entries
                 .ok_or_else(|| protocol("master received no gatherv result".to_string()))?;
             match opts.coarse_solve {
                 CoarseSolve::Redundant => {
@@ -800,23 +752,8 @@ pub(crate) fn try_setup_on<'a>(
                         Err("coarse-factor fault injected".to_string())
                     } else {
                         comm.compute(|| {
-                            let mut coo = CooBuilder::new(dim_e, dim_e);
-                            for ((rs, cs), vs) in all_rows.iter().zip(&all_cols).zip(&all_vals) {
-                                for ((&r, &c), &v) in rs.iter().zip(cs).zip(vs) {
-                                    coo.push(r as usize, c as usize, v);
-                                }
-                            }
-                            let e: CsrMatrix = coo.to_csr();
-                            // Static pivoting, as in the sequential coarse
-                            // operator.
-                            LocalLdlt::factor_with(
-                                &e,
-                                opts.ordering,
-                                PivotPolicy::Boost { rel_tol: 1e-12 },
-                                LdltBackend::Scalar,
-                            )
-                            .map(|factor| (e, factor))
-                            .map_err(|e| e.to_string())
+                            let all = (all_rows.concat(), all_cols.concat(), all_vals.concat());
+                            coarse::factor(dim_e, &all, opts.ordering)
                         })
                     };
                     match ef {
@@ -938,51 +875,6 @@ pub(crate) fn try_setup_on<'a>(
         owned,
         workspace: Default::default(),
     })
-}
-
-/// One rank's index-free gather message (Algorithm 2), decoded: for each of
-/// `subs` in order the message holds `|O_s|`, `O_s` and the row's
-/// `ν_s · (ν_s + Σ_{j ∈ O_s} ν_j)` values. Returns `(s, O_s, values)` per
-/// subdomain, or what is wrong with a message that is short, long, or names
-/// a subdomain outside the decomposition (`nu_of` has one entry per
-/// subdomain).
-fn decode_index_free<'m>(
-    m: &'m [f64],
-    subs: &[usize],
-    nu_of: &[usize],
-) -> Result<Vec<(usize, Vec<usize>, &'m [f64])>, String> {
-    // A count or subdomain id on the wire: an integer below `bound`.
-    let index = |v: f64, bound: usize| {
-        (v >= 0.0 && v < bound as f64 && v.fract() == 0.0).then_some(v as usize)
-    };
-    let mut rest = m;
-    let mut take = |len: usize, what: &str| {
-        if rest.len() < len {
-            return Err(format!("{} values short in {what}", len - rest.len()));
-        }
-        let (head, tail) = rest.split_at(len);
-        rest = tail;
-        Ok(head)
-    };
-    let mut decoded = Vec::with_capacity(subs.len());
-    for &s in subs {
-        let n_nbr = index(take(1, "a neighbour count")?[0], nu_of.len() + 1)
-            .ok_or_else(|| format!("subdomain {s}: bad neighbour count"))?;
-        let nbrs = take(n_nbr, "a neighbour list")?
-            .iter()
-            .map(|&j| {
-                index(j, nu_of.len())
-                    .ok_or_else(|| format!("subdomain {s} names neighbour {j}, not a subdomain"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
-        let width = nu_of[s] + nbrs.iter().map(|&j| nu_of[j]).sum::<usize>();
-        let row = take(nu_of[s] * width, "a coarse row")?;
-        decoded.push((s, nbrs, row));
-    }
-    if !rest.is_empty() {
-        return Err(format!("{} values past the last coarse row", rest.len()));
-    }
-    Ok(decoded)
 }
 
 /// Debug/test helper: perform the full SPMD set-up and apply `P⁻¹_A-DEF1`
@@ -1359,50 +1251,6 @@ mod tests {
         }
         // Masters report the factor size.
         assert!(reports.iter().any(|r| r.nnz_e_factor > 0));
-    }
-
-    /// Subdomains 0 and 2 of three with `ν = [2, 1, 3]`: `O_0 = {1, 2}`
-    /// (2 · 6 values), `O_2 = {0}` (3 · 5 values).
-    fn index_free_message() -> Vec<f64> {
-        let mut m = vec![2.0, 1.0, 2.0];
-        m.extend((0..12).map(f64::from));
-        m.extend([1.0, 0.0]);
-        m.extend((0..15).map(f64::from));
-        m
-    }
-
-    #[test]
-    fn index_free_message_decodes() {
-        let m = index_free_message();
-        let decoded = decode_index_free(&m, &[0, 2], &[2, 1, 3]).expect("well-formed");
-        let shape: Vec<(usize, Vec<usize>, usize)> = decoded
-            .iter()
-            .map(|(s, nbrs, row)| (*s, nbrs.clone(), row.len()))
-            .collect();
-        assert_eq!(shape, [(0, vec![1, 2], 12), (2, vec![0], 15)]);
-    }
-
-    /// A truncated, an overlong and an out-of-range gather message is a
-    /// reason, not a slice panic or an index read past `nu_of`.
-    #[test]
-    fn malformed_index_free_messages_are_rejected() {
-        let good = index_free_message();
-        let truncated = &good[..good.len() - 1];
-        let mut overlong = good.clone();
-        overlong.push(0.0);
-        let mut out_of_range = good.clone();
-        out_of_range[2] = 3.0;
-        let mut bad_count = good.clone();
-        bad_count[0] = -1.0;
-        for (m, why) in [
-            (truncated, "1 values short in a coarse row"),
-            (&overlong[..], "1 values past the last coarse row"),
-            (&out_of_range[..], "names neighbour 3"),
-            (&bad_count[..], "bad neighbour count"),
-        ] {
-            let err = decode_index_free(m, &[0, 2], &[2, 1, 3]).expect_err(why);
-            assert!(err.contains(why), "{err}");
-        }
     }
 
     /// An `S_j` block of the wrong length waiting ahead of a set-up's

@@ -5,6 +5,7 @@
 use crate::checkpoint::{CheckpointCfg, SolveCheckpoint};
 use crate::gmres::{SolveResult, SolveStatus, STALL_LIMIT};
 use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
+use crate::restart::check_lengths;
 use crate::sdc::SdcGuard;
 use dd_linalg::vector;
 
@@ -55,12 +56,10 @@ where
     P: InnerProduct + ?Sized,
 {
     let n = op.dim();
+    check_lengths(n, 1, b, x0, ckpt)?;
     let resume = ckpt.and_then(|c| c.resume.as_ref());
     let mut x = match resume {
-        Some(cp) => {
-            assert_eq!(cp.x.len(), n);
-            cp.x.clone()
-        }
+        Some(cp) => cp.x.clone(),
         None => x0.to_vec(),
     };
     let mut r = vec![0.0; n];

@@ -136,8 +136,8 @@ pub trait Preconditioner {
     /// distributed preconditioner that can form `A z` from what it computes
     /// for `z` anyway overrides it to share each neighbour exchange and
     /// coarse solve among the columns, each column equal to its one-column
-    /// step to the bit, and falls back to the default's order for an
-    /// operator it does not recognise.
+    /// step to the bit; such an override is only ever handed the operator
+    /// it was built on.
     fn try_apply_panel_with_op(
         &self,
         op: &dyn Operator,

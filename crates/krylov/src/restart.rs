@@ -506,6 +506,40 @@ where
     Ok(())
 }
 
+/// The input checks every Krylov loop makes before its first apply: `b`
+/// and `x0` hold `k` columns of the operator's `n` values, a checkpoint
+/// belongs to one column, and a resumed iterate holds `n` values. A wrong
+/// length is an interrupt naming the lengths, not a panic or a silently
+/// truncated right-hand side.
+pub(crate) fn check_lengths(
+    n: usize,
+    k: usize,
+    b: &[f64],
+    x0: &[f64],
+    ckpt: Option<&CheckpointCfg<'_>>,
+) -> Result<(), SolveInterrupt> {
+    let wrong = |what: &str, len: usize, want: usize| {
+        Err(SolveInterrupt::new(format!(
+            "{what} holds {len} values, expected {want} ({k} column(s) of {n})"
+        )))
+    };
+    if b.len() != k * n {
+        return wrong("b", b.len(), k * n);
+    }
+    if x0.len() != k * n {
+        return wrong("x0", x0.len(), k * n);
+    }
+    if ckpt.is_some() && k != 1 {
+        return Err(SolveInterrupt::new(format!(
+            "a checkpoint belongs to one column, not {k}"
+        )));
+    }
+    match ckpt.and_then(|c| c.resume.as_ref()) {
+        Some(cp) if cp.x.len() != n => wrong("the resumed iterate", cp.x.len(), n),
+        _ => Ok(()),
+    }
+}
+
 /// Restarted GMRES around the Arnoldi process `cycle`, for `k` right-hand
 /// sides at once — the columns of `b` and `x0`, one after another — each
 /// column's result handed to `emit` in column order.
@@ -566,12 +600,7 @@ where
     P: InnerProduct + ?Sized,
 {
     let n = op.dim();
-    assert_eq!(b.len(), k * n);
-    assert_eq!(x0.len(), k * n);
-    assert!(
-        ckpt.is_none() || k == 1,
-        "a checkpoint belongs to one column"
-    );
+    check_lengths(n, k, b, x0, ckpt)?;
     let Skeleton {
         ls,
         scratch: sc,
@@ -583,10 +612,7 @@ where
     // A column's iterate and history at its start.
     let start = |col: usize| {
         let x = match resume {
-            Some(cp) => {
-                assert_eq!(cp.x.len(), n);
-                cp.x.clone()
-            }
+            Some(cp) => cp.x.clone(),
             None => x0[col * n..(col + 1) * n].to_vec(),
         };
         let mut history = Vec::new();

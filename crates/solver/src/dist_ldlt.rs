@@ -59,8 +59,11 @@ const TAG_PANEL: u64 = 111;
 const TAG_FWD: u64 = 112;
 const TAG_BWD: u64 = 113;
 
-/// Static-pivot tolerance, matching the redundant coarse factorization.
-const BOOST_REL_TOL: f64 = 1e-12;
+/// Static-pivot tolerance of every factorization of the coarse operator
+/// `E`: a pivot below `rel_tol` times the matrix's ∞-norm is boosted
+/// ([`PivotPolicy::Boost`]). `dd_core::coarse` factors an assembled `E`
+/// under it, and each master's diagonal block here reads it too.
+pub const COARSE_BOOST_REL_TOL: f64 = 1e-12;
 
 /// One master's share of the distributed LDLᵀ factorization of `E`.
 ///
@@ -372,17 +375,14 @@ fn factor_diag_block(strip: &DMat, nk: usize) -> LocalLdlt {
     let mut coo = CooBuilder::new(nk, nk);
     for r in 0..nk {
         for c in 0..nk {
-            let v = strip[(r, c)];
-            if v != 0.0 {
-                coo.push(r, c, v);
-            }
+            coo.push(r, c, strip[(r, c)]);
         }
     }
     LocalLdlt::factor_with(
         &coo.to_csr(),
         Ordering::Natural,
         PivotPolicy::Boost {
-            rel_tol: BOOST_REL_TOL,
+            rel_tol: COARSE_BOOST_REL_TOL,
         },
         LdltBackend::Scalar,
     )
@@ -433,7 +433,9 @@ mod tests {
         let reference = LocalLdlt::factor_with(
             &a,
             Ordering::MinDegree,
-            PivotPolicy::Boost { rel_tol: 1e-12 },
+            PivotPolicy::Boost {
+                rel_tol: COARSE_BOOST_REL_TOL,
+            },
             LdltBackend::Scalar,
         )
         .unwrap()
@@ -656,7 +658,9 @@ mod tests {
         let reference = LocalLdlt::factor_with(
             &a,
             Ordering::Natural,
-            PivotPolicy::Boost { rel_tol: 1e-12 },
+            PivotPolicy::Boost {
+                rel_tol: COARSE_BOOST_REL_TOL,
+            },
             LdltBackend::Scalar,
         )
         .unwrap()

@@ -33,7 +33,7 @@ pub mod local;
 pub mod ordering;
 pub mod supernodal;
 
-pub use dist_ldlt::DistLdlt;
+pub use dist_ldlt::{DistLdlt, COARSE_BOOST_REL_TOL};
 pub use ldlt::{LdltError, Ordering, PivotPolicy, SparseLdlt};
 pub use local::{flops_per_nnz, LdltBackend, LocalLdlt};
 pub use supernodal::{PanelDefect, SupernodalLdlt};

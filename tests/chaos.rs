@@ -1128,3 +1128,39 @@ fn failed_coarse_factorization_on_an_owner_map_drops_every_rank_to_one_level() {
         }
     }
 }
+
+/// At-rest corruption of the coarse cache: a banked coarse row flipped
+/// between two set-ups that share one world, owner map and cache fails its
+/// checksum, so every rank agrees it is stale and its owner recomputes it.
+/// The second solve equals the first to the bit; a row read back as stored
+/// would move `E` and the answer with it.
+#[test]
+fn corrupted_cached_coarse_row_is_recomputed_and_the_solve_repeats_bitwise() {
+    let decomp = setup(12, 4);
+    let (d, o) = (Arc::clone(&decomp), opts());
+    let cache = CoarseCache::new();
+    let runs = World::run_default(2, move |comm| {
+        let owners = repartition_plan(&d, comm, None);
+        let solve = || {
+            let prepared =
+                try_setup_partitioned(&d, comm, &o, Some(&cache), &owners, true).unwrap();
+            let out = prepared.try_apply(&d.rhs_global, "solve", None).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                out.result.iterations,
+                bits(&out.result.x),
+                bits(&out.result.history),
+            )
+        };
+        let first = solve();
+        comm.try_barrier().unwrap();
+        if comm.rank() == 0 {
+            assert!(cache.corrupt_for_tests(0, 0), "subdomain 0's row is banked");
+        }
+        comm.try_barrier().unwrap();
+        (first, solve())
+    });
+    for (rank, (first, second)) in runs.iter().enumerate() {
+        assert_eq!(first, second, "rank {rank}: the second solve moved");
+    }
+}

@@ -4,18 +4,23 @@
 //! machine precision on Figure-10-style heterogeneous-diffusion workloads —
 //! fault-free, under an armed wire-fault plan (delays + drops are
 //! payload-preserving), and with identical typed-error classification when
-//! a slave rank is killed mid-run.
+//! a slave rank is killed mid-run. The assembled `E` itself is pinned
+//! twice: the sequential `CoarseOperator` against the dense `Zᵀ A Z`, and
+//! against the redundant master's `E`, bit for bit.
 
 use dd_geneo::comm::{CommError, CostModel, FaultPlan, World};
+use dd_geneo::core::geneo::{resize_block, try_deflation_block_ordered};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::spmd::debug_apply_adef1;
 use dd_geneo::core::{
-    decompose, try_run_spmd, CoarseSolve, Decomposition, GeneoOpts, SpmdError, SpmdOpts,
+    decompose, try_deflation_block, try_run_spmd, try_setup, CoarseOperator, CoarseSolve,
+    CoarseSpace, Decomposition, GeneoOpts, SpmdError, SpmdOpts,
 };
 use dd_geneo::krylov::GmresOpts;
-use dd_geneo::linalg::{jacobi, CsrMatrix};
+use dd_geneo::linalg::{jacobi, CsrMatrix, DMat};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
+use dd_geneo::solver::{LdltBackend, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -252,4 +257,95 @@ fn dead_slave_classification_identical_across_modes() {
     let dist = classify(CoarseSolve::Distributed);
     let red = classify(CoarseSolve::Redundant);
     assert_eq!(dist, red, "modes classify the dead slave differently");
+}
+
+/// The decisive check of the block-wise assembly (eq. 10): the sequential
+/// coarse operator's `E` equals the dense `Zᵀ A Z` formed with the global
+/// matrix, column by column through `Z` and `Zᵀ`.
+#[test]
+fn coarse_operator_equals_zt_a_z() {
+    let d = fig10_2d(1, 10, 4);
+    let opts = GeneoOpts {
+        nev: 3,
+        ..Default::default()
+    };
+    let w: Vec<DMat> = d
+        .subdomains
+        .iter()
+        .map(|s| {
+            let b = try_deflation_block(s, &opts).unwrap();
+            resize_block(&b, b.kept)
+        })
+        .collect();
+    let op = CoarseOperator::try_build(&d, CoarseSpace::new(w), Ordering::MinDegree).unwrap();
+    let m = op.dim();
+    assert!(m > 0);
+    let mut zaz = DMat::zeros(m, m);
+    for q in 0..m {
+        let mut y = vec![0.0; m];
+        y[q] = 1.0;
+        let zq = op.space.z_apply(&d, &y);
+        let mut azq = vec![0.0; d.n_global];
+        d.a_global.spmv(&zq, &mut azq);
+        zaz.col_mut(q).copy_from_slice(&op.space.zt_apply(&d, &azq));
+    }
+    for p in 0..m {
+        for q in 0..m {
+            let (got, want) = (op.e.get(p, q), zaz[(p, q)]);
+            assert!(
+                (got - want).abs() < 1e-8 * zaz.norm_max().max(1e-300),
+                "E[{p},{q}] = {got} vs ZᵀAZ = {want}"
+            );
+        }
+    }
+}
+
+/// One coarse row kernel: on ROADMAP finding 1(c)'s input (P2
+/// heterogeneous diffusion, 40×40, 32 subdomains, ν = 3) the sequential
+/// `CoarseOperator::try_build`, fed the bases the set-up computes (same
+/// order, scalar kernel, ν uniformized to the largest), and the redundant
+/// master of a 32-rank `try_setup` assemble the same `E`: the same
+/// `row_ptr`, `col_idx` and every value's bits.
+#[test]
+fn sequential_and_redundant_e_are_one_matrix() {
+    let decomp = fig10_2d(2, 40, 32);
+    let opts = SpmdOpts {
+        geneo: GeneoOpts {
+            nev: 3,
+            ..Default::default()
+        },
+        coarse_solve: CoarseSolve::Redundant,
+        local_ldlt: LdltBackend::Scalar,
+        ..Default::default()
+    };
+    let blocks: Vec<_> = decomp
+        .subdomains
+        .iter()
+        .map(|s| {
+            let (order, _) = s
+                .factor_dirichlet(opts.ordering, LdltBackend::Scalar)
+                .unwrap();
+            try_deflation_block_ordered(s, &opts.geneo, &order, LdltBackend::Scalar).unwrap()
+        })
+        .collect();
+    let nu = blocks.iter().map(|b| b.kept.max(1)).max().unwrap();
+    let space = CoarseSpace::new(blocks.iter().map(|b| resize_block(b, nu)).collect());
+    let sequential = CoarseOperator::try_build(&decomp, space, opts.ordering)
+        .unwrap()
+        .e;
+
+    let (d, o) = (Arc::clone(&decomp), opts.clone());
+    let r = rhs(decomp.n_global);
+    let masters = World::run_default(decomp.n_subdomains(), move |comm| {
+        let prepared = try_setup(&d, comm, &o).unwrap();
+        prepared.debug_apply(None, &r).unwrap().e
+    });
+    let mut redundant = masters.into_iter().flatten().peekable();
+    assert!(redundant.peek().is_some(), "no redundant master returned E");
+    for e in redundant {
+        assert_eq!(e.row_ptr(), sequential.row_ptr(), "row_ptr");
+        assert_eq!(e.col_idx(), sequential.col_idx(), "col_idx");
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&e), bits(&sequential), "values");
+    }
 }

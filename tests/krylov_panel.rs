@@ -6,13 +6,17 @@
 //! claim, on a `CsrMatrix` with a `FnPrecond`, on both sides, under CGS2
 //! and MGS, at a restart length the panel outlives, with and without a
 //! `RecycleSpace`, and with columns that converge early, break down and
-//! are zero.
+//! are zero. Every loop also turns inputs of the wrong length into a
+//! `SolveInterrupt` before its first apply.
 
 use dd_geneo::krylov::{
-    try_gmres, try_gmres_panel, try_gmres_with, FnPrecond, GmresOpts, GmresWorkspace, Ortho,
-    RecycleSpace, SeqDot, Side, SolveResult,
+    fused_pipelined_gmres_panel, pipelined_gmres_panel, try_cg, try_gmres, try_gmres_panel,
+    try_gmres_with, CgOpts, CheckpointCfg, CheckpointSink, FnPrecond, FusedPreconditioner,
+    GmresOpts, GmresWorkspace, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side,
+    SolveCheckpoint, SolveInterrupt, SolveResult,
 };
 use dd_geneo::linalg::{CooBuilder, CsrMatrix};
+use std::cell::Cell;
 
 /// A 9×8 five-point Laplacian, then four decoupled dofs of diagonal 2, then
 /// one whose row and column are zero: a right-hand side on the decoupled
@@ -170,4 +174,152 @@ fn each_panel_column_is_its_single_solve_bitwise() {
             }
         }
     }
+}
+
+/// `panel_operator` counting its applies.
+struct Counted {
+    a: CsrMatrix,
+    applies: Cell<usize>,
+}
+
+impl Operator for Counted {
+    fn dim(&self) -> usize {
+        self.a.rows()
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.applies.set(self.applies.get() + 1);
+        self.a.spmv(x, y);
+    }
+}
+
+/// The identity, fused: the Gram row rides through unchanged.
+struct FusedIdentity;
+
+impl Preconditioner for FusedIdentity {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        z.copy_from_slice(r);
+    }
+}
+
+impl FusedPreconditioner for FusedIdentity {
+    fn apply_fused(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        payload: Vec<f64>,
+    ) -> Result<Vec<f64>, SolveInterrupt> {
+        z.copy_from_slice(r);
+        Ok(payload)
+    }
+}
+
+struct Discard;
+
+impl CheckpointSink for Discard {
+    fn save(&self, _: SolveCheckpoint) {}
+}
+
+/// A right-hand side one value too long (once silently truncated by
+/// `try_cg`), an initial guess one short, a checkpoint on a two-column
+/// panel and a resumed iterate of the wrong length: every public loop
+/// returns an interrupt naming the lengths, and applies nothing first.
+#[test]
+fn every_loop_rejects_inputs_of_the_wrong_length() {
+    let op = Counted {
+        a: panel_operator(),
+        applies: Cell::new(0),
+    };
+    let n = op.dim();
+    let sink = Discard;
+    let resumed = |len: usize| CheckpointCfg {
+        resume: Some(SolveCheckpoint {
+            iteration: 3,
+            x: vec![0.0; len],
+            residual: 0.5,
+            r0_norm: 1.0,
+            history: Vec::new(),
+        }),
+        ..CheckpointCfg::new(5, &sink)
+    };
+    let (gmres, cg) = (GmresOpts::default(), CgOpts::default());
+    let one = CheckpointCfg::new(5, &sink);
+    let (bad_resume, good_resume) = (resumed(n + 2), resumed(n));
+    // (b, x0, k, checkpoint, what the reason names)
+    let cases = [
+        (
+            vec![1.0; n + 1],
+            vec![0.0; n],
+            1,
+            None,
+            format!("b holds {} values, expected {n}", n + 1),
+        ),
+        (
+            vec![1.0; n],
+            vec![0.0; n - 1],
+            1,
+            None,
+            format!("x0 holds {} values, expected {n}", n - 1),
+        ),
+        (
+            vec![1.0; 2 * n],
+            vec![0.0; 2 * n],
+            2,
+            Some(&one),
+            "a checkpoint belongs to one column, not 2".to_string(),
+        ),
+        (
+            vec![1.0; n],
+            vec![0.0; n],
+            1,
+            Some(&bad_resume),
+            format!("the resumed iterate holds {} values, expected {n}", n + 2),
+        ),
+        (
+            vec![1.0; 2 * n + 3],
+            vec![0.0; 2 * n],
+            2,
+            None,
+            format!("b holds {} values, expected {}", 2 * n + 3, 2 * n),
+        ),
+    ];
+    let (m, ip, mut ws) = (&FusedIdentity, &SeqDot, GmresWorkspace::new());
+    for (b, x0, k, ckpt, why) in &cases {
+        let (b, x0, k, ckpt) = (&b[..], &x0[..], *k, *ckpt);
+        let panel = try_gmres_panel(&op, m, ip, b, x0, k, &gmres, ckpt, None, &mut ws);
+        let mut outcomes = vec![
+            ("try_gmres_panel", panel.map(drop)),
+            (
+                "pipelined_gmres_panel",
+                pipelined_gmres_panel(&op, m, ip, b, x0, k, &gmres, ckpt, None).map(drop),
+            ),
+            (
+                "fused_pipelined_gmres_panel",
+                fused_pipelined_gmres_panel(&op, m, ip, b, x0, k, &gmres, ckpt, None).map(drop),
+            ),
+        ];
+        if k == 1 {
+            let with = try_gmres_with(&op, m, ip, b, x0, &gmres, ckpt, None, &mut ws);
+            outcomes.extend([
+                (
+                    "try_gmres",
+                    try_gmres(&op, m, ip, b, x0, &gmres, ckpt).map(drop),
+                ),
+                ("try_gmres_with", with.map(drop)),
+                ("try_cg", try_cg(&op, m, ip, b, x0, &cg, ckpt).map(drop)),
+            ]);
+        }
+        for (entry, outcome) in outcomes {
+            let err = outcome.expect_err(&format!("{entry}: {why}"));
+            assert!(err.reason().contains(why.as_str()), "{entry}: {err}");
+        }
+        assert_eq!(op.applies.get(), 0, "{why}: applied before the check");
+    }
+    // The right lengths, resumed: the same checks pass and the loops run.
+    let (mut b, x0) = (vec![1.0; n], vec![0.0; n]);
+    b[n - 1] = 0.0;
+    let resume = Some(&good_resume);
+    try_gmres(&op, m, ip, &b, &x0, &gmres, resume).expect("a resume of the right length");
+    try_cg(&op, m, ip, &b, &x0, &cg, resume).expect("a CG resume of the right length");
+    assert!(op.applies.get() > 0);
 }
