@@ -17,14 +17,14 @@
 
 use dd_bench::summary::Summary;
 use dd_bench::{bench_out_dir, write_summary};
-use dd_comm::{CostModel, World, WorldTrace};
+use dd_comm::{CostModel, PhaseCounters, World, WorldTrace};
 use dd_core::coarse::{CoarseOperator, CoarseSpace};
 use dd_core::geneo::{nicolaides_block, resize_block, try_deflation_block};
 use dd_core::masters::{nonuniform_masters, uniform_masters, upper_triangular_loads};
 use dd_core::{
     decompose, problem::presets, ritz_deflation, try_run_spmd, AbstractADef1, AbstractCoarse,
     AssemblyVariant, CoarseCache, CoarseSolve, Decomposition, GeneoOpts, Problem, RasPrecond,
-    SolverKind, SpmdOpts, SpmdReport, TwoLevelOpts, TwoLevelPrecond, Variant,
+    SolverKind, SpmdMultiSolution, SpmdOpts, SpmdReport, TwoLevelOpts, TwoLevelPrecond, Variant,
 };
 use dd_krylov::{try_gmres, GmresOpts, Preconditioner, SeqDot, Side, SolveResult};
 use dd_mesh::Mesh;
@@ -187,14 +187,26 @@ fn spmd_opts(nev: usize, masters: usize, max_iters: usize) -> SpmdOpts {
 }
 
 /// One traced SPMD solve of `d` (one rank per subdomain) over the network
-/// `model`: the per-rank reports and the merged deterministic trace (see
-/// `dd_comm::trace`). Any error is a bug: the entries inject no faults.
-fn run(d: &Decomposition, opts: &SpmdOpts, model: CostModel) -> (Vec<SpmdReport>, WorldTrace) {
+/// `model`: the per-rank reports and solves, and the merged deterministic
+/// trace (see `dd_comm::trace`). Any error is a bug: the entries inject no
+/// faults.
+fn run(
+    d: &Decomposition,
+    opts: &SpmdOpts,
+    model: CostModel,
+) -> (Vec<SpmdMultiSolution>, WorldTrace) {
     World::run_traced(d.n_subdomains(), model, |comm| {
-        try_run_spmd(d, comm, opts)
-            .expect("SPMD solve failed")
-            .report
+        try_run_spmd(d, comm, opts).expect("SPMD solve failed")
     })
+}
+
+/// A trace's counters over every phase and rank.
+fn run_totals(trace: &WorldTrace) -> PhaseCounters {
+    let mut total = PhaseCounters::default();
+    for p in trace.phase_names() {
+        total.absorb(&trace.phase_totals(&p));
+    }
+    total
 }
 
 /// One row of the Figure 8 / 10 / 11 tables, aggregated over ranks (max
@@ -220,8 +232,9 @@ struct ScalingRow {
 }
 
 /// Aggregate the per-rank reports of a run on `d` into a table row.
-fn aggregate(reports: &[SpmdReport], d: &Decomposition) -> ScalingRow {
-    let fmax = |f: fn(&SpmdReport) -> f64| reports.iter().map(f).fold(0.0f64, f64::max);
+fn aggregate(sols: &[SpmdMultiSolution], d: &Decomposition) -> ScalingRow {
+    let reports: Vec<_> = sols.iter().map(|s| &s.report).collect();
+    let fmax = |f: fn(&SpmdReport) -> f64| reports.iter().map(|r| f(r)).fold(0.0f64, f64::max);
     let n = reports.len();
     let max_local = d.subdomains.iter().map(|s| s.n_local()).max().unwrap();
     ScalingRow {
@@ -230,13 +243,13 @@ fn aggregate(reports: &[SpmdReport], d: &Decomposition) -> ScalingRow {
         deflation: fmax(|r| r.t_deflation),
         solution: fmax(|r| r.t_solution),
         coarse: fmax(|r| r.t_coarse),
-        iterations: reports[0].iterations,
+        iterations: sols[0].solve.result.iterations,
         total: fmax(|r| r.t_total),
         dofs: d.n_global,
         dim_e: reports[0].dim_e,
         nnz_e_factor: reports.iter().map(|r| r.nnz_e_factor).max().unwrap_or(0),
         avg_neighbors: reports.iter().map(|r| r.n_neighbors as f64).sum::<f64>() / n as f64,
-        converged: reports.iter().all(|r| r.converged),
+        converged: sols.iter().all(|s| s.solve.result.converged),
         halo: max_local as f64 / (d.n_global as f64 / n as f64),
     }
 }
@@ -879,10 +892,15 @@ fn fig12_pipelined() {
             solver: kind,
             ..base.clone()
         };
-        let (reports, trace) = run(&d, &opts, CostModel::default());
-        let r = &reports[0];
-        let per_iter = r.world_collectives_solution as f64 / r.iterations.max(1) as f64;
-        let t_sol = reports.iter().map(|r| r.t_solution).fold(0.0f64, f64::max);
+        let (sols, trace) = run(&d, &opts, CostModel::default());
+        let r = &sols[0].solve.result;
+        // Summed over the world's ranks, as every rank takes each one.
+        let per_iter = trace.collectives_on("solve", "world").iter().sum::<usize>() as f64
+            / r.iterations.max(1) as f64;
+        let t_sol = sols
+            .iter()
+            .map(|s| s.report.t_solution)
+            .fold(0.0f64, f64::max);
         println!(
             "{:<12} {:>6} {:>10} {:>22.2} {:>13.4}s",
             name, r.iterations, r.converged, per_iter, t_sol
@@ -1026,17 +1044,18 @@ fn ablation_assembly() {
             assembly: variant,
             ..base.clone()
         };
-        let (reports, trace) = run(&d, &opts, CostModel::default());
-        let r = &reports[0];
-        let coarse = reports.iter().map(|r| r.t_coarse).fold(0.0f64, f64::max);
-        let cbytes: u64 = reports
+        let (sols, trace) = run(&d, &opts, CostModel::default());
+        let r = &sols[0].solve.result;
+        let coarse = sols
             .iter()
-            .map(|r| r.collective_bytes)
-            .max()
-            .unwrap_or(0);
+            .map(|s| s.report.t_coarse)
+            .fold(0.0f64, f64::max);
+        // The whole run's traffic, every communicator and rank.
+        let total = run_totals(&trace);
+        let cbytes = total.collective_bytes;
         println!(
             "{:<16} {:>6} {:>14} {:>17} {:>11.4}s",
-            name, r.iterations, r.p2p_bytes, cbytes, coarse
+            name, r.iterations, total.send_bytes, cbytes, coarse
         );
         assert!(r.converged);
         stats.push((r.iterations, cbytes));
@@ -1103,11 +1122,11 @@ fn ablation_assembly() {
                 coarse_solve: mode,
                 ..base.clone()
             };
-            let (reports, trace) = run(&d, &opts, CostModel::default());
-            assert!(reports.iter().all(|r| r.converged));
-            let r = &reports[0];
+            let (sols, trace) = run(&d, &opts, CostModel::default());
+            assert!(sols.iter().all(|s| s.solve.result.converged));
+            let (r, iterations) = (&sols[0].report, sols[0].solve.result.iterations);
             // Per-master costs: max over ranks (slaves report zero).
-            let nnz_master = reports.iter().map(|r| r.nnz_e_factor).max().unwrap();
+            let nnz_master = sols.iter().map(|s| s.report.nnz_e_factor).max().unwrap();
             let flops_master = trace
                 .ranks
                 .iter()
@@ -1115,17 +1134,20 @@ fn ablation_assembly() {
                 .map(|c| c.flops)
                 .max()
                 .unwrap_or(0);
-            let t_it = reports.iter().map(|r| r.t_solution).fold(0.0f64, f64::max)
-                / r.iterations.max(1) as f64;
+            let t_it = sols
+                .iter()
+                .map(|s| s.report.t_solution)
+                .fold(0.0f64, f64::max)
+                / iterations.max(1) as f64;
             println!(
                 "{:>3} {:<12} {:>8} {:>6} {:>15} {:>18} {:>13.5}s",
-                p, mode_name, r.dim_e, r.iterations, nnz_master, flops_master, t_it
+                p, mode_name, r.dim_e, iterations, nnz_master, flops_master, t_it
             );
-            iters.push(r.iterations);
+            iters.push(iterations);
             for (metric, v) in [
                 ("nnz_per_master", nnz_master as f64),
                 ("factor_flops_per_master", flops_master as f64),
-                ("iterations", r.iterations as f64),
+                ("iterations", iterations as f64),
             ] {
                 coarse_summary.push((format!("coarse/p{p}/{mode_name}_{metric}"), v));
             }
@@ -1515,7 +1537,7 @@ fn serve_throughput() {
         let sols = World::run(n, CostModel::default(), |comm| {
             try_run_spmd(&d, comm, &o.spmd).expect("one-shot run must succeed")
         });
-        assert!(sols.iter().all(|s| s.report.converged));
+        assert!(sols.iter().all(|s| s.solve.result.converged));
         t_oneshot += sols.iter().map(|s| s.report.t_total).fold(0.0f64, f64::max);
     }
 

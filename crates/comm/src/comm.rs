@@ -804,11 +804,6 @@ struct CommShared {
     /// The sync backend every blocking primitive of this communicator (and
     /// everything split from it) is built on.
     backend: Arc<dyn SyncBackend>,
-    // statistics
-    collective_calls: AtomicU64,
-    collective_bytes: AtomicU64,
-    p2p_messages: AtomicU64,
-    p2p_bytes: AtomicU64,
 }
 
 impl CommShared {
@@ -827,10 +822,6 @@ impl CommShared {
             slots: SyncMutex::new(&backend, HashMap::new()),
             slots_cv: SyncCondvar::new(&backend),
             backend,
-            collective_calls: AtomicU64::new(0),
-            collective_bytes: AtomicU64::new(0),
-            p2p_messages: AtomicU64::new(0),
-            p2p_bytes: AtomicU64::new(0),
         })
     }
 }
@@ -856,21 +847,6 @@ impl Drop for TraceScope<'_> {
     fn drop(&mut self) {
         self.comm.trace_phase(&self.prev);
     }
-}
-
-/// Communication statistics of one communicator (aggregated over ranks).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommStats {
-    /// Collective operations initiated (counted once per rank per call).
-    pub collective_calls: u64,
-    /// Payload bytes contributed to collectives (summed over ranks) — the
-    /// wire volume of gathers/scatters/reductions, e.g. the §3.1.1
-    /// comparison of index-free vs index-shipping coarse assembly.
-    pub collective_bytes: u64,
-    /// Point-to-point messages sent.
-    pub p2p_messages: u64,
-    /// Point-to-point payload bytes sent.
-    pub p2p_bytes: u64,
 }
 
 /// Classification of a world rank by the heartbeat/watermark layer.
@@ -1004,16 +980,6 @@ impl Communicator {
     /// emptied, and that shows in the reading (see [`crate::time`]).
     pub fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
         self.clock.compute(f)
-    }
-
-    /// Aggregated statistics of this communicator.
-    pub fn stats(&self) -> CommStats {
-        CommStats {
-            collective_calls: self.shared.collective_calls.load(AtOrd::Relaxed),
-            collective_bytes: self.shared.collective_bytes.load(AtOrd::Relaxed),
-            p2p_messages: self.shared.p2p_messages.load(AtOrd::Relaxed),
-            p2p_bytes: self.shared.p2p_bytes.load(AtOrd::Relaxed),
-        }
     }
 
     // ----------------------------------------------------------- telemetry
@@ -1599,10 +1565,6 @@ impl Communicator {
                 ));
         }
         mb.cv.notify_all();
-        self.shared.p2p_messages.fetch_add(1, AtOrd::Relaxed);
-        self.shared
-            .p2p_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.tracer
             .on_send(self.shared.world_ranks[dest], tag, bytes);
     }
@@ -1918,7 +1880,6 @@ impl Communicator {
     ) -> (u64, Option<SlotsGuard<'_>>) {
         self.charge_collective_faults(self.seq.get());
         let seq = self.next_seq();
-        self.shared.collective_calls.fetch_add(1, AtOrd::Relaxed);
         let size = self.size();
         let mut slots = self.shared.slots.lock();
         let slot = slots.entry(seq).or_insert_with(|| Slot::new(size));
@@ -2035,9 +1996,6 @@ impl Communicator {
     ) -> Result<Option<Vec<T>>, CommError> {
         let size = self.size();
         let bytes = value.wire_bytes();
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.trace_coll("gather", CollClass::EqualCount, Some(root), bytes);
         let model = self.model;
         let is_root = self.rank == root;
@@ -2062,9 +2020,6 @@ impl Communicator {
     ) -> Result<Option<Vec<T>>, CommError> {
         let size = self.size();
         let bytes = value.wire_bytes();
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.trace_coll("gatherv", CollClass::Varying, Some(root), bytes);
         let model = self.model;
         let is_root = self.rank == root;
@@ -2091,9 +2046,6 @@ impl Communicator {
         let bytes = values
             .as_ref()
             .map_or(0, |vs| vs.iter().map(|v| v.wire_bytes()).sum::<usize>());
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.trace_coll("scatter", CollClass::EqualCount, Some(root), bytes);
         let model = self.model;
         let rank = self.rank;
@@ -2121,9 +2073,6 @@ impl Communicator {
     ) -> Result<Vec<T>, CommError> {
         let size = self.size();
         let bytes = value.wire_bytes();
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.trace_coll("allgather", CollClass::EqualCount, None, bytes);
         let model = self.model;
         let r = self.try_collective(Box::new(value), move |contribs, max_entry| {
@@ -2164,9 +2113,6 @@ impl Communicator {
     /// Allreduce: element-wise sum of equal-length vectors.
     pub fn try_allreduce_sum_vec(&self, value: Vec<f64>) -> Result<Vec<f64>, CommError> {
         let bytes = value.wire_bytes();
-        self.shared
-            .collective_bytes
-            .fetch_add(bytes as u64, AtOrd::Relaxed);
         self.trace_coll("allreduce", CollClass::EqualCount, None, bytes);
         let r = self.try_collective(Box::new(value), self.sum_vecs())?;
         Ok((*r).clone())

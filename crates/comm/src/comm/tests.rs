@@ -291,19 +291,19 @@ fn nonblocking_reduce_of_unequal_lengths_panics() {
 }
 
 #[test]
-fn stats_count_messages() {
-    let out = World::run_default(2, |comm| {
+fn the_trace_counts_messages_bytes_and_collectives() {
+    let (_, trace) = World::run_traced(2, CostModel::default(), |comm| {
         if comm.rank() == 0 {
             comm.send(1, 1, vec![0.0f64; 100]);
         } else {
             let _ = comm.recv::<Vec<f64>>(0, 1);
         }
         comm.barrier();
-        comm.stats()
     });
-    assert_eq!(out[0].p2p_messages, 1);
-    assert_eq!(out[0].p2p_bytes, 800);
-    assert_eq!(out[0].collective_calls, 2); // one barrier per rank
+    let t = trace.phase_totals("init");
+    assert_eq!((t.sends, t.send_bytes), (1, 800));
+    assert_eq!((t.recvs, t.recv_bytes), (1, 800));
+    assert_eq!(t.collectives_eq, 2); // one barrier per rank
 }
 
 #[test]

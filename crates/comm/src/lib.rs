@@ -35,8 +35,8 @@ pub mod time;
 pub mod trace;
 
 pub use comm::{
-    fnv1a_bytes, CommStats, Communicator, PendingReduce, RankState, SuspicionPolicy, TraceScope,
-    WireSize, World,
+    fnv1a_bytes, Communicator, PendingReduce, RankState, SuspicionPolicy, TraceScope, WireSize,
+    World,
 };
 pub use fault::{CommError, FaultPlan, FaultStats, RetryPolicy, TagClass};
 pub use model::CostModel;

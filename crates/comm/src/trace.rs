@@ -419,6 +419,20 @@ impl WorldTrace {
         out
     }
 
+    /// Collectives each rank issued in `phase` on the communicator labelled
+    /// `label` (`"world"`, a split's label, …), indexed by rank.
+    pub fn collectives_on(&self, phase: &str, label: &str) -> Vec<usize> {
+        let mut per_rank = vec![0; self.ranks.len()];
+        for (rank, e) in self.events_in_phase(phase) {
+            if let EventKind::Collective { comm, .. } = e.kind {
+                if self.ranks[rank].comm_label(comm) == label {
+                    per_rank[rank] += 1;
+                }
+            }
+        }
+        per_rank
+    }
+
     /// Full JSON, including run-dependent virtual-time measurements.
     pub fn to_json(&self) -> String {
         self.serialize(true)
@@ -651,6 +665,9 @@ mod tests {
         assert_eq!(tot.collective_bytes, 64);
         assert!((tot.t_virtual - 2.0).abs() < 1e-12); // max(1.0, 2.0)
         assert_eq!(w.events_in_phase("work").len(), 8);
+        assert_eq!(w.collectives_on("work", "world"), vec![2, 2]);
+        assert_eq!(w.collectives_on("init", "world"), vec![0, 0]);
+        assert_eq!(w.collectives_on("work", "split"), vec![0, 0]);
         assert_eq!(w.phase_names(), vec!["init", "work"]);
     }
 }

@@ -133,7 +133,7 @@ impl Subdomain {
     /// with every non-Dirichlet diagonal entry scaled by `1 + θ`, and its
     /// blocked companion rebuilt from it (it holds a copy of the values, so
     /// it cannot go stale against the scaled CSR matrix).
-    pub fn perturbed_dirichlet(&self, theta: f64) -> (CsrMatrix, Option<BsrMatrix>) {
+    pub(crate) fn perturbed_dirichlet(&self, theta: f64) -> (CsrMatrix, Option<BsrMatrix>) {
         let mut a = self.a_dirichlet.clone();
         scale_diag(&mut a, theta, &self.dirichlet);
         let bsr = self

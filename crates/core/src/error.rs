@@ -6,7 +6,6 @@
 //! degradation lattice GenEO → Nicolaides → one-level RAS.
 
 use dd_comm::{CommError, FaultStats};
-use dd_krylov::SolveStatus;
 use dd_solver::LdltError;
 use std::fmt;
 
@@ -195,17 +194,14 @@ pub struct RecoveryRecord {
 }
 
 /// Per-rank record of what actually happened during a run — which phases
-/// degraded, which fallbacks fired, how the Krylov solve ended, and what
-/// faults the runtime observed.
+/// degraded (the solve's phase says how the Krylov solve ended), which
+/// fallbacks fired, and what faults the runtime observed.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// `(phase name, outcome)` in execution order.
     pub phases: Vec<(&'static str, PhaseOutcome)>,
     pub deflation: DeflationSource,
     pub coarse: CoarseOutcome,
-    pub solve_status: SolveStatus,
-    /// Breakdown-recovery restarts the Krylov solver took.
-    pub breakdown_restarts: usize,
     /// Fault-injection counters observed by this rank.
     pub faults: FaultStats,
     /// Shrink-and-continue recoveries this rank survived, in order.
@@ -213,12 +209,12 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Did every phase complete without a fallback?
+    /// Did every phase complete without a fallback? The solve phase is
+    /// `Ok` only when it converged without a breakdown restart.
     pub fn fully_nominal(&self) -> bool {
         self.phases
             .iter()
             .all(|(_, o)| matches!(o, PhaseOutcome::Ok))
-            && self.breakdown_restarts == 0
     }
 }
 

@@ -48,7 +48,7 @@
 use crate::decomp::Decomposition;
 use crate::error::{RecoveryRecord, SpmdError};
 use crate::geneo::DeflationBlock;
-use crate::resident::{DistinctDofs, PreparedMulti};
+use crate::resident::{DistinctDofs, MultiApplyOutcome, PreparedMulti};
 use crate::spmd::{classify_comm, try_setup_on, SetupLabels, SpmdOpts, SpmdReport, PAPER_LABELS};
 use dd_comm::{fnv1a_bytes, CommError, Communicator, RetryPolicy, SuspicionPolicy};
 use dd_krylov::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
@@ -343,13 +343,14 @@ impl CoarseCache {
 
 // ---------------------------------------------------------------- driver
 
-/// The per-rank result of every SPMD driver: the report and the locals of
-/// the solution on each subdomain the rank hosted when the solve completed
-/// (one on the paper's layout).
+/// The per-rank result of every SPMD driver: the completed attempt's
+/// report and its apply — the [`SolveResult`](dd_krylov::SolveResult) and
+/// the locals of the solution on each subdomain the rank hosted (one on the
+/// paper's layout), as a resident [`PreparedMulti::try_apply`] returns them.
+#[derive(Debug)]
 pub struct SpmdMultiSolution {
     pub report: SpmdReport,
-    /// `(subdomain, local solution)`, ascending by subdomain.
-    pub locals: Vec<(usize, Vec<f64>)>,
+    pub solve: MultiApplyOutcome,
 }
 
 /// Is this error one the survivors can recover from by a membership
@@ -885,10 +886,7 @@ fn run_partitioned(
     let out = prepared.try_apply(&decomp.rhs_global, labels.solve, cfg.as_ref())?;
     let mut report = prepared.report(&out);
     report.run.recoveries = recoveries.clone();
-    Ok(SpmdMultiSolution {
-        report,
-        locals: out.locals,
-    })
+    Ok(SpmdMultiSolution { report, solve: out })
 }
 
 #[cfg(test)]

@@ -1108,8 +1108,8 @@ pub struct PreparedMulti<'a> {
 
 /// The per-apply result of [`PreparedMulti::try_apply`]: the Krylov
 /// outcome, the per-subdomain locals of the solution, and this apply's
-/// virtual-time/counter deltas (p2p/collective totals are cumulative
-/// communicator stats, as in [`SpmdReport`]).
+/// virtual time. Its traffic is counted by the trace, not here.
+#[derive(Debug)]
 pub struct MultiApplyOutcome {
     pub result: SolveResult,
     /// `(subdomain, local solution)` for every owned subdomain.
@@ -1117,11 +1117,6 @@ pub struct MultiApplyOutcome {
     /// Virtual seconds spent in this apply (synchronized by the trailing
     /// barrier, so the value is the modeled parallel time).
     pub t_solution: f64,
-    /// World-communicator collective calls during this apply (per rank).
-    pub world_collectives_solution: u64,
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    pub collective_bytes: u64,
 }
 
 impl PreparedMulti<'_> {
@@ -1303,7 +1298,6 @@ impl PreparedMulti<'_> {
 
         // ---- phase 4: solve --------------------------------------------
         let clk_entry = comm.clock();
-        let stats_before = comm.stats();
         let ctx = self.ctx(perturbed);
         let rhs: Vec<f64> = rhs_global.iter().flat_map(|b| self.restrict(b)).collect();
         let x0 = vec![0.0; rhs.len()];
@@ -1334,13 +1328,6 @@ impl PreparedMulti<'_> {
         .map_err(|si| interrupt_to_spmd(comm, si))?;
         comm.try_barrier()?;
         let t_solution = comm.clock() - clk_entry;
-        let stats_after = comm.stats();
-        let collective_bytes = stats_after.collective_bytes
-            + self.split.stats().collective_bytes
-            + self
-                .master_comm
-                .as_ref()
-                .map_or(0, |m| m.stats().collective_bytes);
         Ok(results
             .into_iter()
             .map(|result| MultiApplyOutcome {
@@ -1350,11 +1337,6 @@ impl PreparedMulti<'_> {
                     .collect(),
                 result,
                 t_solution,
-                world_collectives_solution: stats_after.collective_calls
-                    - stats_before.collective_calls,
-                p2p_messages: stats_after.p2p_messages,
-                p2p_bytes: stats_after.p2p_bytes,
-                collective_bytes,
             })
             .collect())
     }
@@ -1379,8 +1361,6 @@ impl PreparedMulti<'_> {
                 }
             },
         ));
-        run.solve_status = result.status;
-        run.breakdown_restarts = result.breakdown_restarts;
         run.faults = comm.fault_stats();
         let me_world = comm.world_rank();
         SpmdReport {
@@ -1390,29 +1370,21 @@ impl PreparedMulti<'_> {
             t_coarse: self.t_coarse,
             t_solution: out.t_solution,
             t_total: comm.clock(),
-            iterations: result.iterations,
-            converged: result.converged,
-            final_residual: result.final_residual,
             nu: self.nu,
             dim_e: self.dim_e,
             nnz_e_factor: self.nnz_e_factor,
             n_neighbors: self.halo.n_peers(),
-            world_collectives_solution: out.world_collectives_solution,
-            p2p_messages: out.p2p_messages,
-            p2p_bytes: out.p2p_bytes,
-            collective_bytes: out.collective_bytes,
-            history: result.history.clone(),
             run,
         }
     }
 
-    /// Test helper behind [`crate::spmd::debug_apply_adef1`]: the
-    /// preconditioner of this set-up applied once to `R r_global` as the
-    /// right-preconditioned Krylov step applies it (`z` and `A z` from one
-    /// call), `A z` by the distributed SpMV, and eq. 6 composed from its
-    /// pieces — on the resident operator or on a perturbed one, two-level
-    /// or one-level. Computed over the distinct dofs, as a solve computes
-    /// them, and returned expanded to the owned subdomains' locals.
+    /// Test helper: the preconditioner of this set-up applied once to
+    /// `R r_global` as the right-preconditioned Krylov step applies it (`z`
+    /// and `A z` from one call), `A z` by the distributed SpMV, and eq. 6
+    /// composed from its pieces — on the resident operator or on a
+    /// perturbed one, two-level or one-level. Computed over the distinct
+    /// dofs, as a solve computes them, and returned expanded to the owned
+    /// subdomains' locals.
     #[doc(hidden)]
     pub fn debug_apply(
         &self,

@@ -40,7 +40,7 @@ use crate::recovery::{
     try_run_spmd_recoverable, CheckpointStore, CoarseCache, RecoveryOpts, RepartitionPlan,
     SpmdMultiSolution,
 };
-use crate::resident::{epoch_salt, DebugApply, DistinctDofs, HaloPlan, MasterSolve, PreparedMulti};
+use crate::resident::{epoch_salt, DistinctDofs, HaloPlan, MasterSolve, PreparedMulti};
 use dd_comm::{CommError, Communicator};
 use dd_krylov::{GmresOpts, SolveInterrupt};
 use dd_linalg::DMat;
@@ -151,8 +151,10 @@ impl Default for SpmdOpts {
     }
 }
 
-/// Per-rank report: virtual-time phase breakdown (Figures 8/10) and coarse
-/// operator statistics (Figure 11).
+/// Per-rank report of what the set-up knows: virtual-time phase breakdown
+/// (Figures 8/10) and coarse operator statistics (Figure 11). The solve's
+/// outcome is its [`dd_krylov::SolveResult`] and traffic is counted by the
+/// trace ([`dd_comm::World::run_traced`]); neither is copied here.
 #[derive(Clone, Debug)]
 pub struct SpmdReport {
     pub rank: usize,
@@ -163,9 +165,6 @@ pub struct SpmdReport {
     pub t_coarse: f64,
     pub t_solution: f64,
     pub t_total: f64,
-    pub iterations: usize,
-    pub converged: bool,
-    pub final_residual: f64,
     /// ν used by this rank (uniform across ranks after the Allreduce).
     pub nu: usize,
     pub dim_e: usize,
@@ -173,16 +172,6 @@ pub struct SpmdReport {
     pub nnz_e_factor: usize,
     /// |O_i| of this rank.
     pub n_neighbors: usize,
-    /// World-communicator collective calls during the solution phase
-    /// (per rank), to compare synchronization counts across solver kinds.
-    pub world_collectives_solution: u64,
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    /// Payload bytes through collectives on ALL communicators this rank
-    /// touched (world + splitComm + masterComm).
-    pub collective_bytes: u64,
-    /// Relative residual history of the solve (if recorded).
-    pub history: Vec<f64>,
     /// Per-phase outcomes, fallbacks taken, and fault counters.
     pub run: RunReport,
 }
@@ -193,15 +182,40 @@ pub(crate) fn comm_interrupt(e: CommError) -> SolveInterrupt {
     SolveInterrupt::with_source(format!("communication failure: {e}"), Box::new(e))
 }
 
-/// Reason prefix of interrupts raised by a triggered solve-phase failpoint;
-/// [`interrupt_to_spmd`] recovers the failpoint label from it.
-pub(crate) const KILLED_AT: &str = "killed at failpoint ";
+/// Our own death at a failpoint inside a solver callback, carried as the
+/// downcastable source of its [`SolveInterrupt`] (as `dd_krylov`'s
+/// `SdcSuspected` is) so [`interrupt_to_spmd`] reads the failpoint label
+/// off the type.
+#[derive(Debug)]
+struct KilledAt {
+    label: &'static str,
+    error: CommError,
+}
+
+impl std::fmt::Display for KilledAt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "killed at failpoint {}: {}", self.label, self.error)
+    }
+}
+
+impl std::error::Error for KilledAt {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
+fn killed_at(label: &'static str, error: CommError) -> SolveInterrupt {
+    let k = KilledAt { label, error };
+    SolveInterrupt::with_source(k.to_string(), Box::new(k))
+}
 
 /// A [`Communicator::failpoint`] raised as a [`SolveInterrupt`] (for kills
 /// armed inside solver callbacks, where errors travel through dd-krylov).
-pub(crate) fn solve_failpoint(comm: &Communicator, label: &str) -> Result<(), SolveInterrupt> {
-    comm.failpoint(label)
-        .map_err(|e| SolveInterrupt::with_source(format!("{KILLED_AT}{label}"), Box::new(e)))
+pub(crate) fn solve_failpoint(
+    comm: &Communicator,
+    label: &'static str,
+) -> Result<(), SolveInterrupt> {
+    comm.failpoint(label).map_err(|e| killed_at(label, e))
 }
 
 /// Classify a communication error observed directly by the driver: our own
@@ -233,11 +247,13 @@ pub(crate) fn classify_comm_at(comm: &Communicator, e: CommError, phase: &str) -
 
 /// Wrap a [`DistLdlt`]-layer error as a [`SolveInterrupt`], tagging our own
 /// death with the failpoint label so [`interrupt_to_spmd`] classifies it.
-pub(crate) fn dist_interrupt(comm: &Communicator, e: CommError, label: &str) -> SolveInterrupt {
+pub(crate) fn dist_interrupt(
+    comm: &Communicator,
+    e: CommError,
+    label: &'static str,
+) -> SolveInterrupt {
     match &e {
-        CommError::RankDead { rank } if *rank == comm.world_rank() => {
-            SolveInterrupt::with_source(format!("{KILLED_AT}{label}"), Box::new(e))
-        }
+        CommError::RankDead { rank } if *rank == comm.world_rank() => killed_at(label, e),
         _ => comm_interrupt(e),
     }
 }
@@ -258,23 +274,21 @@ pub(crate) fn interrupt_to_spmd(comm: &Communicator, interrupt: SolveInterrupt) 
             recomputed: s.recomputed,
         };
     }
-    let phase = interrupt
-        .reason()
-        .strip_prefix(KILLED_AT)
-        .map(str::to_string);
     let reason = interrupt.reason().to_string();
-    match interrupt.take_source().map(|s| s.downcast::<CommError>()) {
-        Some(Ok(e)) => {
-            let phase = phase.unwrap_or_else(|| comm.trace_phase_name());
-            classify_comm_at(comm, *e, &phase)
-        }
-        Some(Err(other)) => SpmdError::Protocol {
-            rank: comm.rank(),
-            what: format!("solve interrupted: {other}"),
-        },
-        None => SpmdError::Protocol {
+    let Some(source) = interrupt.take_source() else {
+        return SpmdError::Protocol {
             rank: comm.rank(),
             what: format!("solve interrupted: {reason}"),
+        };
+    };
+    match source.downcast::<KilledAt>() {
+        Ok(k) => classify_comm_at(comm, k.error, k.label),
+        Err(source) => match source.downcast::<CommError>() {
+            Ok(e) => classify_comm_at(comm, *e, &comm.trace_phase_name()),
+            Err(other) => SpmdError::Protocol {
+                rank: comm.rank(),
+                what: format!("solve interrupted: {other}"),
+            },
         },
     }
 }
@@ -877,31 +891,6 @@ pub(crate) fn try_setup_on<'a>(
     })
 }
 
-/// Debug/test helper: perform the full SPMD set-up and apply `P⁻¹_A-DEF1`
-/// once to `R_i r_global`, and eq. 6 piece by piece
-/// ([`PreparedMulti::debug_apply`]); on masters in redundant mode the
-/// assembled coarse matrix E comes with it. Hidden from docs; used to
-/// cross-check the distributed application against the sequential one and
-/// the distributed coarse solve against the redundant one.
-#[doc(hidden)]
-pub fn debug_apply_adef1(
-    decomp: &Decomposition,
-    comm: &Communicator,
-    r_global: &[f64],
-    nev: usize,
-    coarse: CoarseSolve,
-) -> Result<DebugApply, SpmdError> {
-    let opts = SpmdOpts {
-        geneo: GeneoOpts {
-            nev,
-            ..Default::default()
-        },
-        coarse_solve: coarse,
-        ..Default::default()
-    };
-    try_setup(decomp, comm, &opts)?.debug_apply(None, r_global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,27 +909,26 @@ mod tests {
         Arc::new(decompose(&mesh, &p, &part, nparts, 1))
     }
 
-    fn spmd_solve(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> (Vec<SpmdReport>, Vec<f64>) {
+    fn spmd_solve(
+        decomp: &Arc<Decomposition>,
+        opts: &SpmdOpts,
+    ) -> (Vec<SpmdMultiSolution>, Vec<f64>) {
         let n = decomp.n_subdomains();
         let d2 = Arc::clone(decomp);
         let opts = opts.clone();
         let sols = World::run_default(n, move |comm| {
-            let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            (s.report, s.locals)
+            try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed")
         });
-        let reports: Vec<SpmdReport> = sols.iter().map(|(r, _)| r.clone()).collect();
-        (reports, from_rank_locals(decomp, sols))
+        let x = from_rank_locals(decomp, &sols);
+        (sols, x)
     }
 
     /// The global vector of a one-subdomain-per-rank run, ranks in order.
-    fn from_rank_locals(
-        decomp: &Decomposition,
-        sols: Vec<(SpmdReport, Vec<(usize, Vec<f64>)>)>,
-    ) -> Vec<f64> {
+    fn from_rank_locals(decomp: &Decomposition, sols: &[SpmdMultiSolution]) -> Vec<f64> {
         let locals: Vec<Vec<f64>> = sols
-            .into_iter()
-            .flat_map(|(_, locals)| locals)
-            .map(|(_, x)| x)
+            .iter()
+            .flat_map(|s| &s.solve.locals)
+            .map(|(_, x)| x.clone())
             .collect();
         decomp.from_locals(&locals)
     }
@@ -961,10 +949,10 @@ mod tests {
             ..Default::default()
         };
         let (reports, x) = spmd_solve(&decomp, &opts);
-        assert!(reports.iter().all(|r| r.converged));
+        assert!(reports.iter().all(|r| r.solve.result.converged));
         // Same iteration count on all ranks (lockstep collectives).
-        let it0 = reports[0].iterations;
-        assert!(reports.iter().all(|r| r.iterations == it0));
+        let it0 = reports[0].solve.result.iterations;
+        assert!(reports.iter().all(|r| r.solve.result.iterations == it0));
         // Matches the direct solution.
         let direct = LocalLdlt::factor(&decomp.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
@@ -990,12 +978,13 @@ mod tests {
         };
         let (r2, _) = spmd_solve(&decomp, &base);
         let (r1, _) = spmd_solve(&decomp, &one);
-        assert!(r2[0].converged);
+        assert!(r2[0].solve.result.converged);
         assert!(
-            r2[0].iterations * 2 < r1[0].iterations.max(1) || !r1[0].converged,
+            r2[0].solve.result.iterations * 2 < r1[0].solve.result.iterations.max(1)
+                || !r1[0].solve.result.converged,
             "two-level {} vs one-level {}",
-            r2[0].iterations,
-            r1[0].iterations
+            r2[0].solve.result.iterations,
+            r1[0].solve.result.iterations
         );
     }
 
@@ -1015,8 +1004,11 @@ mod tests {
         };
         let (ri, xi) = spmd_solve(&decomp, &base);
         let (rn, xn) = spmd_solve(&decomp, &natural);
-        assert!(ri[0].converged && rn[0].converged);
-        assert_eq!(ri[0].iterations, rn[0].iterations, "same numerics expected");
+        assert!(ri[0].solve.result.converged && rn[0].solve.result.converged);
+        assert_eq!(
+            ri[0].solve.result.iterations, rn[0].solve.result.iterations,
+            "same numerics expected"
+        );
         let rel = vector::dist2(&xi, &xn) / vector::norm2(&xi).max(1e-300);
         assert!(rel < 1e-12, "different solutions: {rel}");
     }
@@ -1034,13 +1026,13 @@ mod tests {
         };
         let (rn, xn) = spmd_solve(&decomp, &base);
         let (ru, xu) = spmd_solve(&decomp, &uni);
-        assert!(rn[0].converged && ru[0].converged);
+        assert!(rn[0].solve.result.converged && ru[0].solve.result.converged);
         let rel = vector::dist2(&xn, &xu) / vector::norm2(&xn).max(1e-300);
         assert!(rel < 1e-10);
     }
 
     #[test]
-    fn fused_solver_converges_with_fewer_world_collectives() {
+    fn fused_solver_agrees_with_classical() {
         let decomp = setup(14, 4);
         let base = SpmdOpts {
             geneo: GeneoOpts {
@@ -1060,19 +1052,12 @@ mod tests {
         };
         let (rc, xc) = spmd_solve(&decomp, &base);
         let (rf, xf) = spmd_solve(&decomp, &fused);
-        assert!(rc[0].converged && rf[0].converged, "both must converge");
+        assert!(
+            rc[0].solve.result.converged && rf[0].solve.result.converged,
+            "both must converge"
+        );
         let rel = vector::dist2(&xc, &xf) / vector::norm2(&xc).max(1e-300);
         assert!(rel < 1e-3, "solutions differ: {rel}");
-        // The fused solver performs fewer world-communicator collectives
-        // per iteration (no standalone orthogonalization reductions).
-        let per_iter_classical =
-            rc[0].world_collectives_solution as f64 / rc[0].iterations.max(1) as f64;
-        let per_iter_fused =
-            rf[0].world_collectives_solution as f64 / rf[0].iterations.max(1) as f64;
-        assert!(
-            per_iter_fused < per_iter_classical,
-            "fused {per_iter_fused} !< classical {per_iter_classical}"
-        );
     }
 
     #[test]
@@ -1094,17 +1079,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let (reports, x) = {
-            let d2 = Arc::clone(&decomp);
-            let opts = opts.clone();
-            let sols = World::run_default(n_sub, move |comm| {
-                let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-                (s.report, s.locals)
-            });
-            let reports: Vec<SpmdReport> = sols.iter().map(|(r, _)| r.clone()).collect();
-            (reports, from_rank_locals(&decomp, sols))
-        };
-        assert!(reports.iter().all(|r| r.converged));
+        let (reports, x) = spmd_solve(&decomp, &opts);
+        assert!(reports.iter().all(|r| r.solve.result.converged));
         let direct = LocalLdlt::factor(&decomp.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&decomp.rhs_global);
@@ -1126,13 +1102,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let d2 = Arc::clone(&decomp);
-        let reports = World::run_default(n_sub, move |comm| {
-            let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            s.report
-        });
-        assert!(reports.iter().all(|r| r.converged));
-        assert!(reports[0].dim_e > 0);
+        let (reports, _) = spmd_solve(&decomp, &opts);
+        assert!(reports.iter().all(|r| r.solve.result.converged));
+        assert!(reports[0].report.dim_e > 0);
     }
 
     #[test]
@@ -1149,7 +1121,7 @@ mod tests {
             ..Default::default()
         };
         let (reports, _) = spmd_solve(&decomp, &opts);
-        assert!(reports.iter().all(|r| r.converged));
+        assert!(reports.iter().all(|r| r.solve.result.converged));
     }
 
     #[test]
@@ -1173,15 +1145,15 @@ mod tests {
             ..Default::default()
         };
         let (reports, x) = spmd_solve(&decomp, &opts);
-        assert!(reports.iter().all(|r| r.converged));
+        assert!(reports.iter().all(|r| r.solve.result.converged));
         let direct = LocalLdlt::factor(&decomp.a_global, Ordering::MinDegree, LdltBackend::Scalar)
             .unwrap()
             .solve(&decomp.rhs_global);
         let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);
         assert!(rel < 1e-4, "threshold run off by {rel}");
         assert_eq!(
-            reports.iter().map(|r| r.nu).sum::<usize>(),
-            reports[0].dim_e,
+            reports.iter().map(|r| r.report.nu).sum::<usize>(),
+            reports[0].report.dim_e,
             "Σ ν_i must equal dim(E)"
         );
     }
@@ -1212,20 +1184,23 @@ mod tests {
         };
         let (rd, xd) = spmd_solve(&decomp, &base);
         let (rr, xr) = spmd_solve(&decomp, &redundant);
-        assert!(rd[0].converged && rr[0].converged);
-        assert_eq!(rd[0].iterations, rr[0].iterations, "same numerics expected");
+        assert!(rd[0].solve.result.converged && rr[0].solve.result.converged);
+        assert_eq!(
+            rd[0].solve.result.iterations, rr[0].solve.result.iterations,
+            "same numerics expected"
+        );
         let rel = vector::dist2(&xd, &xr) / vector::norm2(&xr).max(1e-300);
         assert!(rel < 1e-10, "modes disagree: {rel}");
         // Masters hold only their block row: the distributed factor is
         // strictly smaller than the redundant one on every master.
         let nnz_d: Vec<usize> = rd
             .iter()
-            .map(|r| r.nnz_e_factor)
+            .map(|r| r.report.nnz_e_factor)
             .filter(|&z| z > 0)
             .collect();
         let nnz_r: Vec<usize> = rr
             .iter()
-            .map(|r| r.nnz_e_factor)
+            .map(|r| r.report.nnz_e_factor)
             .filter(|&z| z > 0)
             .collect();
         assert_eq!(nnz_d.len(), nnz_r.len(), "same master count");
@@ -1239,7 +1214,7 @@ mod tests {
     fn reports_have_sane_virtual_times() {
         let decomp = setup(10, 4);
         let (reports, _) = spmd_solve(&decomp, &SpmdOpts::default());
-        for r in &reports {
+        for r in reports.iter().map(|s| &s.report) {
             assert!(r.t_factorization >= 0.0);
             assert!(r.t_deflation >= 0.0);
             assert!(r.t_coarse >= 0.0);
@@ -1250,7 +1225,7 @@ mod tests {
             assert!(r.dim_e > 0);
         }
         // Masters report the factor size.
-        assert!(reports.iter().any(|r| r.nnz_e_factor > 0));
+        assert!(reports.iter().any(|r| r.report.nnz_e_factor > 0));
     }
 
     /// An `S_j` block of the wrong length waiting ahead of a set-up's

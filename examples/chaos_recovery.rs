@@ -55,7 +55,7 @@ use dd_geneo::core::geneo::GeneoOpts;
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, try_run_spmd, try_run_spmd_elastic, try_run_spmd_recoverable, CheckpointStore,
-    CoarseCache, Decomposition, SpmdError, SpmdOpts, SpmdReport,
+    CoarseCache, Decomposition, SpmdError, SpmdMultiSolution, SpmdOpts,
 };
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
@@ -66,7 +66,7 @@ use std::sync::Arc;
 #[path = "../tests/common/mod.rs"]
 mod common;
 
-type RecResult = Result<(SpmdReport, Vec<(usize, Vec<f64>)>), SpmdError>;
+type RecResult = Result<SpmdMultiSolution, SpmdError>;
 
 /// Right-preconditioned GMRES (the convergence test monitors the true
 /// residual, so the residual gate below is meaningful).
@@ -85,7 +85,7 @@ fn opts() -> SpmdOpts {
     }
 }
 
-fn run(decomp: &Arc<Decomposition>, plan: FaultPlan) -> Vec<Result<SpmdReport, SpmdError>> {
+fn run(decomp: &Arc<Decomposition>, plan: FaultPlan) -> Vec<Result<SpmdMultiSolution, SpmdError>> {
     run_with_policy(decomp, plan, None)
 }
 
@@ -93,7 +93,7 @@ fn run_with_policy(
     decomp: &Arc<Decomposition>,
     plan: FaultPlan,
     policy: Option<RetryPolicy>,
-) -> Vec<Result<SpmdReport, SpmdError>> {
+) -> Vec<Result<SpmdMultiSolution, SpmdError>> {
     let d = Arc::clone(decomp);
     let o = opts();
     World::run_with_faults(
@@ -104,7 +104,7 @@ fn run_with_policy(
             if let Some(p) = policy {
                 comm.set_retry_policy(p);
             }
-            try_run_spmd(&d, comm, &o).map(|s| s.report)
+            try_run_spmd(&d, comm, &o)
         },
     )
 }
@@ -118,7 +118,7 @@ fn run_recoverable(decomp: &Arc<Decomposition>, plan: FaultPlan, opts: SpmdOpts)
         decomp.n_subdomains(),
         CostModel::default(),
         plan,
-        move |comm| try_run_spmd_recoverable(&d, comm, &opts, &store).map(|s| (s.report, s.locals)),
+        move |comm| try_run_spmd_recoverable(&d, comm, &opts, &store),
     )
 }
 
@@ -128,26 +128,26 @@ fn global_residual<'a>(
     decomp: &Decomposition,
     results: impl Iterator<Item = &'a RecResult>,
 ) -> f64 {
-    let x = common::reassemble(decomp, results.flatten().map(|r| &r.1));
+    let x = common::reassemble(decomp, results.flatten().map(|r| &r.solve.locals));
     common::global_residual(decomp, &x)
 }
 
-fn describe(label: &str, results: &[Result<SpmdReport, SpmdError>]) {
+fn describe(label: &str, results: &[Result<SpmdMultiSolution, SpmdError>]) {
     println!("\n=== {label} ===");
     for (rank, res) in results.iter().enumerate() {
         match res {
-            Ok(r) => {
+            Ok(SpmdMultiSolution { report: r, solve }) => {
                 let f = &r.run.faults;
                 println!(
                     "rank {rank}: {} in {} it. | deflation: {:?} | coarse: {:?} | \
                      faults: {} delayed, {} dropped, {} retries, \
                      {} corrupted ({} detected, {} retransmits)",
-                    if r.converged {
+                    if solve.result.converged {
                         "converged"
                     } else {
                         "NOT converged"
                     },
-                    r.iterations,
+                    solve.result.iterations,
                     r.run.deflation,
                     r.run.coarse,
                     f.delays_injected,
@@ -172,16 +172,16 @@ fn describe_recovery(label: &str, decomp: &Decomposition, results: &[RecResult])
     println!("\n=== {label} ===");
     for (rank, res) in results.iter().enumerate() {
         match res {
-            Ok((r, locals)) => {
-                let subs: Vec<usize> = locals.iter().map(|(s, _)| *s).collect();
+            Ok(SpmdMultiSolution { report: r, solve }) => {
+                let subs: Vec<usize> = solve.locals.iter().map(|(s, _)| *s).collect();
                 println!(
                     "rank {rank}: {} in {} it. | owns subdomains {:?} | deflation: {:?}",
-                    if r.converged {
+                    if solve.result.converged {
                         "converged"
                     } else {
                         "NOT converged"
                     },
-                    r.iterations,
+                    solve.result.iterations,
                     subs,
                     r.run.deflation,
                 );
@@ -215,8 +215,8 @@ fn json_escape(s: &str) -> String {
 /// each recovery phase.
 fn rank_json(rank: usize, res: &RecResult) -> String {
     match res {
-        Ok((r, locals)) => {
-            let subs: Vec<String> = locals.iter().map(|(s, _)| s.to_string()).collect();
+        Ok(SpmdMultiSolution { report: r, solve }) => {
+            let subs: Vec<String> = solve.locals.iter().map(|(s, _)| s.to_string()).collect();
             let recs: Vec<String> = r
                 .run
                 .recoveries
@@ -257,8 +257,12 @@ fn rank_json(rank: usize, res: &RecResult) -> String {
                  \"deflation\":\"{:?}\",\"coarse\":\"{:?}\",\"subdomains\":[{}],\
                  \"faults\":{{\"corruptions_injected\":{},\"corruptions_detected\":{},\
                  \"retransmits\":{}}},\"recoveries\":[{}]}}",
-                if r.converged { "converged" } else { "stalled" },
-                r.iterations,
+                if solve.result.converged {
+                    "converged"
+                } else {
+                    "stalled"
+                },
+                solve.result.iterations,
                 r.run.deflation,
                 r.run.coarse,
                 subs.join(","),
@@ -325,7 +329,7 @@ fn artifact_mode(decomp: &Arc<Decomposition>, phase: &str) -> ! {
         .iter()
         .enumerate()
         .filter(|(r, _)| *r != victim)
-        .all(|(_, res)| res.as_ref().is_ok_and(|(rep, _)| rep.converged));
+        .all(|(_, res)| res.as_ref().is_ok_and(|s| s.solve.result.converged));
     if survivors_ok && residual <= 1e-5 {
         eprintln!("recovery gate passed: residual {residual:.3e}");
         std::process::exit(0);
@@ -354,7 +358,7 @@ fn corrupt_artifact_mode(decomp: &Arc<Decomposition>, phase: &str) -> ! {
     let results = run_recoverable(decomp, plan, o);
     let residual = global_residual(decomp, results.iter());
     let (mut injected, mut detected, mut retransmits) = (0u64, 0u64, 0u64);
-    for (rep, _) in results.iter().flatten() {
+    for rep in results.iter().flatten().map(|s| &s.report) {
         injected += rep.run.faults.corruptions_injected;
         detected += rep.run.faults.corruptions_detected;
         retransmits += rep.run.faults.retransmits;
@@ -378,7 +382,7 @@ fn corrupt_artifact_mode(decomp: &Arc<Decomposition>, phase: &str) -> ! {
     }
     let all_ok = results
         .iter()
-        .all(|res| res.as_ref().is_ok_and(|(rep, _)| rep.converged));
+        .all(|res| res.as_ref().is_ok_and(|s| s.solve.result.converged));
     if all_ok && residual <= 1e-5 && injected > 0 && detected > 0 {
         eprintln!(
             "corruption gate passed: {injected} injected, {detected} detected, \
@@ -444,7 +448,7 @@ fn elastic_artifact_mode(join_phase: Option<String>, straggler: Option<usize>) -
     let cache = Arc::new(CoarseCache::new());
     let results: Vec<Option<RecResult>> =
         World::run_elastic(founders, reserve, CostModel::default(), plan, move |comm| {
-            try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| (s.report, s.locals))
+            try_run_spmd_elastic(&d, comm, &o, &store, &cache)
         });
     let residual = global_residual(&decomp, results.iter().flatten());
     let ranks: Vec<String> = results
@@ -479,7 +483,7 @@ fn elastic_artifact_mode(join_phase: Option<String>, straggler: Option<usize>) -
         .filter(|(r, _)| Some(*r) != straggler)
         .all(|(_, res)| {
             res.as_ref()
-                .is_none_or(|res| res.as_ref().is_ok_and(|(rep, _)| rep.converged))
+                .is_none_or(|res| res.as_ref().is_ok_and(|s| s.solve.result.converged))
         });
     if victim_evicted && others_ok && residual <= 1e-5 {
         eprintln!("elastic gate passed: residual {residual:.3e}");

@@ -41,13 +41,12 @@ fn main() {
 
     let d = Arc::clone(&decomp);
     let sols = World::run_default(n_sub, move |comm| {
-        let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
-        (s.report, s.locals)
+        try_run_spmd(&d, comm, &opts).expect("SPMD solve failed")
     });
 
     // Per-rank virtual-time breakdown (the Figure 8/10 columns).
     println!("rank  factor[s]  deflation[s]  coarse[s]  solution[s]  total[s]  |O_i|");
-    for (r, _) in &sols {
+    for r in sols.iter().map(|s| &s.report) {
         println!(
             "{:4}  {:9.4}  {:12.4}  {:9.4}  {:11.4}  {:8.4}  {:5}",
             r.rank,
@@ -59,17 +58,17 @@ fn main() {
             r.n_neighbors
         );
     }
-    let r0 = &sols[0].0;
+    let (r0, s0) = (&sols[0].report, &sols[0].solve.result);
     println!(
         "\niterations = {}, dim(E) = {}, converged = {}",
-        r0.iterations, r0.dim_e, r0.converged
+        s0.iterations, r0.dim_e, s0.converged
     );
-    assert!(r0.converged);
+    assert!(s0.converged);
 
     // Verify against the sequential reference solution.
     let locals: Vec<Vec<f64>> = sols
         .into_iter()
-        .flat_map(|(_, locals)| locals)
+        .flat_map(|s| s.solve.locals)
         .map(|(_, x)| x)
         .collect();
     let x = decomp.from_locals(&locals);

@@ -30,7 +30,8 @@ use dd_geneo::comm::{fnv1a_bytes, CostModel, PhaseCounters, World, WorldTrace};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, repartition_plan, try_run_spmd, try_setup_partitioned, two_level, CoarseCache,
-    CoarseSolve, Decomposition, GeneoOpts, Problem, SolverKind, SpmdOpts, TwoLevelOpts,
+    CoarseSolve, Decomposition, GeneoOpts, MultiApplyOutcome, Problem, SolverKind, SpmdOpts,
+    TwoLevelOpts,
 };
 use dd_geneo::krylov::{
     pipelined_gmres_panel, try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult,
@@ -95,7 +96,7 @@ fn sequential_row(res: &SolveResult) -> Row {
 const SOLVE_PHASES: [&str; 3] = ["solve", "e-solve-dist", "recovery-e-solve-dist"];
 
 /// Message counters of a traced run, split into the solve and the rest
-/// (set-up): exact, unlike the communicators' shared running totals.
+/// (set-up).
 fn counters(trace: &WorldTrace) -> Vec<(String, u64)> {
     let (mut solve, mut setup) = (PhaseCounters::default(), PhaseCounters::default());
     for phase in trace.phase_names() {
@@ -120,21 +121,18 @@ fn counters(trace: &WorldTrace) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// One rank's answer: its solve result and `(subdomain, local)` list.
-type RankAnswer = (SolveResult, Vec<(usize, Vec<f64>)>);
-
 /// One SPMD solve: rank 0's result, every rank's locals and the run's trace.
-fn spmd_row(results: Vec<RankAnswer>, trace: &WorldTrace) -> Row {
-    let iterations = results[0].0.iterations;
+fn spmd_row(results: Vec<MultiApplyOutcome>, trace: &WorldTrace) -> Row {
+    let iterations = results[0].result.iterations;
     assert!(
-        results.iter().all(|(r, _)| r.iterations == iterations),
+        results.iter().all(|o| o.result.iterations == iterations),
         "ranks disagree on iterations"
     );
     let mut locals: Vec<(usize, Vec<f64>)> = Vec::new();
     let mut first = None;
-    for (res, l) in results {
-        first.get_or_insert(res);
-        locals.extend(l);
+    for o in results {
+        first.get_or_insert(o.result);
+        locals.extend(o.locals);
     }
     locals.sort_by_key(|(s, _)| *s);
     let res = first.expect("at least one rank");
@@ -149,25 +147,11 @@ fn identity_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Row {
     let (d, o) = (Arc::clone(decomp), opts.clone());
     let (sols, trace) =
         World::run_traced(decomp.n_subdomains(), CostModel::default(), move |comm| {
-            try_run_spmd(&d, comm, &o).expect("identity-map solve failed")
+            try_run_spmd(&d, comm, &o)
+                .expect("identity-map solve failed")
+                .solve
         });
-    let results = sols
-        .into_iter()
-        .map(|s| {
-            let r = &s.report;
-            let res = SolveResult {
-                x: Vec::new(),
-                iterations: r.iterations,
-                converged: r.converged,
-                history: r.history.clone(),
-                final_residual: r.final_residual,
-                status: r.run.solve_status,
-                breakdown_restarts: r.run.breakdown_restarts,
-            };
-            (res, s.locals)
-        })
-        .collect();
-    spmd_row(results, &trace)
+    spmd_row(sols, &trace)
 }
 
 fn owner_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Row {
@@ -176,10 +160,9 @@ fn owner_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Row {
         let plan = repartition_plan(&d, comm, None);
         let prepared =
             try_setup_partitioned(&d, comm, &o, None, &plan, true).expect("owner-map set-up");
-        let out = prepared
+        prepared
             .try_apply(&d.rhs_global, "solve", None)
-            .expect("owner-map solve");
-        (out.result, out.locals)
+            .expect("owner-map solve")
     });
     spmd_row(per_rank, &trace)
 }

@@ -14,8 +14,8 @@ use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, repartition_plan, try_run_spmd, try_run_spmd_elastic, try_run_spmd_recoverable,
     try_setup_partitioned, CheckpointStore, CoarseCache, CoarseOutcome, CoarseSolve, Decomposition,
-    DeflationSource, GeneoOpts, PhaseOutcome, RecoveryOpts, SolverKind, SpmdError, SpmdOpts,
-    SpmdReport,
+    DeflationSource, GeneoOpts, PhaseOutcome, RecoveryOpts, SolverKind, SpmdError,
+    SpmdMultiSolution, SpmdOpts, SpmdReport,
 };
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
@@ -51,16 +51,16 @@ fn run_with_plan(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
     plan: FaultPlan,
-) -> Vec<Result<SpmdReport, SpmdError>> {
+) -> Vec<Result<SpmdMultiSolution, SpmdError>> {
     let n = decomp.n_subdomains();
     let d2 = Arc::clone(decomp);
     let opts = opts.clone();
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        try_run_spmd(&d2, comm, &opts).map(|s| s.report)
+        try_run_spmd(&d2, comm, &opts)
     })
 }
 
-fn baseline(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Vec<SpmdReport> {
+fn baseline(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Vec<SpmdMultiSolution> {
     run_with_plan(decomp, opts, FaultPlan::default())
         .into_iter()
         .map(|r| r.expect("fault-free baseline must not fail"))
@@ -72,12 +72,16 @@ fn fault_free_baseline_is_fully_nominal() {
     let decomp = setup(12, 4);
     let reports = baseline(&decomp, &opts());
     for r in &reports {
-        assert!(r.converged);
-        assert!(r.run.fully_nominal(), "unexpected fallback: {:?}", r.run);
-        assert_eq!(r.run.deflation, DeflationSource::Geneo);
-        assert_eq!(r.run.coarse, CoarseOutcome::TwoLevel);
-        assert_eq!(r.run.faults.delays_injected, 0);
-        assert_eq!(r.run.faults.retries, 0);
+        assert!(r.solve.result.converged);
+        assert!(
+            r.report.run.fully_nominal(),
+            "unexpected fallback: {:?}",
+            r.report.run
+        );
+        assert_eq!(r.report.run.deflation, DeflationSource::Geneo);
+        assert_eq!(r.report.run.coarse, CoarseOutcome::TwoLevel);
+        assert_eq!(r.report.run.faults.delays_injected, 0);
+        assert_eq!(r.report.run.faults.retries, 0);
     }
 }
 
@@ -90,13 +94,13 @@ fn delay_only_plan_converges_in_identical_iterations() {
     let mut delays = 0;
     for (r, b) in reports.iter().zip(&base) {
         let r = r.as_ref().expect("delays are transparent to correctness");
-        assert!(r.converged);
+        assert!(r.solve.result.converged);
         // Delays perturb only virtual time, never payloads: bit-identical
         // numerics and therefore the exact same iteration count.
-        assert_eq!(r.iterations, b.iterations);
-        assert_eq!(r.run.deflation, DeflationSource::Geneo);
-        assert_eq!(r.run.coarse, CoarseOutcome::TwoLevel);
-        delays += r.run.faults.delays_injected;
+        assert_eq!(r.solve.result.iterations, b.solve.result.iterations);
+        assert_eq!(r.report.run.deflation, DeflationSource::Geneo);
+        assert_eq!(r.report.run.coarse, CoarseOutcome::TwoLevel);
+        delays += r.report.run.faults.delays_injected;
     }
     assert!(delays > 0, "plan injected no delays — test is vacuous");
 }
@@ -110,13 +114,13 @@ fn dropped_messages_are_retried_and_do_not_change_the_solve() {
     let (mut drops, mut retries, mut timeouts) = (0, 0, 0);
     for (r, b) in reports.iter().zip(&base) {
         let r = r.as_ref().expect("drops must be recovered by retries");
-        assert!(r.converged);
+        assert!(r.solve.result.converged);
         // Drop-then-redeliver recovery is payload-preserving: identical
         // iteration count to the fault-free baseline.
-        assert_eq!(r.iterations, b.iterations);
-        drops += r.run.faults.drops_injected;
-        retries += r.run.faults.retries;
-        timeouts += r.run.faults.timeouts;
+        assert_eq!(r.solve.result.iterations, b.solve.result.iterations);
+        drops += r.report.run.faults.drops_injected;
+        retries += r.report.run.faults.retries;
+        timeouts += r.report.run.faults.timeouts;
     }
     assert!(drops > 0, "plan injected no drops — test is vacuous");
     assert!(retries > 0, "drops were not retried");
@@ -156,32 +160,40 @@ fn failed_eigensolve_falls_back_to_nicolaides_and_completes() {
         &o,
         FaultPlan::new(3).with_failure(Some(2), "eigensolve"),
     );
-    let reports: Vec<SpmdReport> = reports
+    let reports: Vec<SpmdMultiSolution> = reports
         .into_iter()
         .map(|r| r.expect("eigensolve failure must be recoverable"))
         .collect();
-    let it0 = reports[0].iterations;
+    let it0 = reports[0].solve.result.iterations;
     for (rank, r) in reports.iter().enumerate() {
-        assert!(r.converged, "rank {rank} did not converge");
-        assert_eq!(r.iterations, it0, "lockstep collectives imply equal counts");
+        assert!(r.solve.result.converged, "rank {rank} did not converge");
+        assert_eq!(
+            r.solve.result.iterations, it0,
+            "lockstep collectives imply equal counts"
+        );
         if rank == 2 {
-            assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+            assert_eq!(r.report.run.deflation, DeflationSource::NicolaidesFallback);
             assert!(
-                r.run
+                r.report
+                    .run
                     .phases
                     .iter()
                     .any(|(name, o)| *name == "deflation"
                         && matches!(o, PhaseOutcome::Degraded { .. })),
                 "deflation degradation not recorded: {:?}",
-                r.run.phases
+                r.report.run.phases
             );
-            assert!(!r.run.fully_nominal());
+            assert!(!r.report.run.fully_nominal());
         } else {
-            assert_eq!(r.run.deflation, DeflationSource::Geneo, "rank {rank}");
+            assert_eq!(
+                r.report.run.deflation,
+                DeflationSource::Geneo,
+                "rank {rank}"
+            );
         }
         // The run still assembles and uses the two-level preconditioner.
-        assert_eq!(r.run.coarse, CoarseOutcome::TwoLevel);
-        assert!(r.dim_e > 0);
+        assert_eq!(r.report.run.coarse, CoarseOutcome::TwoLevel);
+        assert!(r.report.dim_e > 0);
     }
 }
 
@@ -202,12 +214,12 @@ fn unconverged_eigensolve_is_reported_not_swallowed() {
         })
     };
     for r in baseline(&decomp, &o) {
-        assert!(r.converged);
-        assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+        assert!(r.solve.result.converged);
+        assert_eq!(r.report.run.deflation, DeflationSource::NicolaidesFallback);
         assert!(
-            degraded_for_non_convergence("deflation", &r),
+            degraded_for_non_convergence("deflation", &r.report),
             "{:?}",
-            r.run.phases
+            r.report.run.phases
         );
     }
     let d2 = Arc::clone(&decomp);
@@ -216,11 +228,11 @@ fn unconverged_eigensolve_is_reported_not_swallowed() {
         let plan = repartition_plan(&d2, comm, None);
         let prepared = try_setup_partitioned(&d2, comm, &o, Some(&cache), &plan, true)?;
         let out = prepared.try_apply(&d2.rhs_global, "solve", None)?;
-        Ok::<_, SpmdError>(prepared.report(&out))
+        Ok::<_, SpmdError>((out.result.converged, prepared.report(&out)))
     });
     for r in reports {
-        let r = r.expect("a degraded set-up still solves");
-        assert!(r.converged);
+        let (converged, r) = r.expect("a degraded set-up still solves");
+        assert!(converged);
         assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
         assert!(
             degraded_for_non_convergence("recovery-deflation", &r),
@@ -240,30 +252,37 @@ fn failed_coarse_factorization_drops_to_one_level_and_completes() {
         &o,
         FaultPlan::new(5).with_failure(None, "coarse-factor"),
     );
-    let reports: Vec<SpmdReport> = reports
+    let reports: Vec<SpmdMultiSolution> = reports
         .into_iter()
         .map(|r| r.expect("coarse failure must be recoverable"))
         .collect();
     for (rank, r) in reports.iter().enumerate() {
-        assert!(r.converged, "rank {rank} did not converge on one-level RAS");
-        assert_eq!(r.run.coarse, CoarseOutcome::OneLevelFallback);
         assert!(
-            r.run
+            r.solve.result.converged,
+            "rank {rank} did not converge on one-level RAS"
+        );
+        assert_eq!(r.report.run.coarse, CoarseOutcome::OneLevelFallback);
+        assert!(
+            r.report
+                .run
                 .phases
                 .iter()
                 .any(|(name, o)| *name == "coarse" && matches!(o, PhaseOutcome::Degraded { .. })),
             "coarse degradation not recorded: {:?}",
-            r.run.phases
+            r.report.run.phases
         );
-        assert!(!r.run.fully_nominal());
-        assert_eq!(r.nnz_e_factor, 0, "no factor may survive the fallback");
+        assert!(!r.report.run.fully_nominal());
+        assert_eq!(
+            r.report.nnz_e_factor, 0,
+            "no factor may survive the fallback"
+        );
     }
     // One-level RAS converges, just slower than the two-level baseline.
     assert!(
-        reports[0].iterations >= base[0].iterations,
+        reports[0].solve.result.iterations >= base[0].solve.result.iterations,
         "one-level fallback cannot beat the two-level baseline: {} < {}",
-        reports[0].iterations,
-        base[0].iterations
+        reports[0].solve.result.iterations,
+        base[0].solve.result.iterations
     );
 }
 
@@ -272,9 +291,9 @@ fn failed_coarse_factorization_drops_to_one_level_and_completes() {
 // surviving neighbor, the coarse operator is rebuilt over the survivors,
 // and the Krylov solve resumes from the last complete checkpoint.
 
-/// Per-rank outcome of a recoverable run: the report plus the
-/// `(subdomain, local solution)` pairs this rank ended up owning.
-type RecResult = Result<(SpmdReport, Vec<(usize, Vec<f64>)>), SpmdError>;
+/// Per-rank outcome of a recoverable run: the report and the solve, whose
+/// locals are the subdomains this rank ended up owning.
+type RecResult = Result<SpmdMultiSolution, SpmdError>;
 
 fn recovery_opts() -> SpmdOpts {
     SpmdOpts {
@@ -307,26 +326,26 @@ fn run_recoverable_with_store(
     let opts = opts.clone();
     let store = Arc::clone(store);
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        try_run_spmd_recoverable(&d2, comm, &opts, &store).map(|s| (s.report, s.locals))
+        try_run_spmd_recoverable(&d2, comm, &opts, &store)
     })
 }
 
 /// Reassemble the global solution from the survivors' per-subdomain locals,
 /// asserting every subdomain is covered exactly by the live ranks.
 fn reassemble(decomp: &Decomposition, results: &[RecResult]) -> Vec<f64> {
-    common::reassemble(decomp, results.iter().flatten().map(|r| &r.1))
+    common::reassemble(decomp, results.iter().flatten().map(|r| &r.solve.locals))
 }
 
 /// Assert the recovery contract after killing `victim`: the victim reports
 /// the typed kill, every survivor completes with one recovery on record
 /// (consistent epoch, dead set, adoption), and the reassembled solution
 /// meets the fault-free tolerance. Returns the survivors' reports.
-fn assert_recovered(
+fn assert_recovered<'a>(
     decomp: &Arc<Decomposition>,
-    results: &[RecResult],
+    results: &'a [RecResult],
     victim: usize,
     kill_phase: &str,
-) -> Vec<SpmdReport> {
+) -> Vec<&'a SpmdMultiSolution> {
     // The solver tolerance (1e-6 on the right-preconditioned, true residual)
     // with a small slack.
     assert_recovered_in(decomp, results, victim, &[kill_phase], 1e-5)
@@ -335,13 +354,13 @@ fn assert_recovered(
 /// [`assert_recovered`] for a kill whose victim may learn of it in any of
 /// `kill_phases`, holding the recovered solution to a true residual of at
 /// most `rr_max`.
-fn assert_recovered_in(
+fn assert_recovered_in<'a>(
     decomp: &Arc<Decomposition>,
-    results: &[RecResult],
+    results: &'a [RecResult],
     victim: usize,
     kill_phases: &[&str],
     rr_max: f64,
-) -> Vec<SpmdReport> {
+) -> Vec<&'a SpmdMultiSolution> {
     match &results[victim] {
         Err(SpmdError::Killed { rank, phase }) => {
             assert_eq!(*rank, victim);
@@ -362,17 +381,18 @@ fn assert_recovered_in(
         if rank == victim {
             continue;
         }
-        let (report, locals) = res
+        let survivor = res
             .as_ref()
             .unwrap_or_else(|e| panic!("survivor {rank} failed: {e}"));
-        assert!(report.converged, "survivor {rank} did not converge");
+        let SpmdMultiSolution { report, solve } = survivor;
+        assert!(solve.result.converged, "survivor {rank} did not converge");
         assert_eq!(report.run.recoveries.len(), 1, "survivor {rank}");
         let rec = &report.run.recoveries[0];
         assert_eq!(rec.dead, vec![victim]);
         assert_eq!(rec.adopted, vec![(victim, adopter)]);
         assert!(rec.epoch >= 1, "shrink must bump the epoch");
         epochs.push(rec.epoch);
-        let owned: Vec<usize> = locals.iter().map(|(s, _)| *s).collect();
+        let owned: Vec<usize> = solve.locals.iter().map(|(s, _)| *s).collect();
         if rank == adopter {
             assert_eq!(owned, vec![rank.min(victim), rank.max(victim)]);
             if report.dim_e > 0 {
@@ -385,7 +405,7 @@ fn assert_recovered_in(
         } else {
             assert_eq!(owned, vec![rank]);
         }
-        reports.push(report.clone());
+        reports.push(survivor);
     }
     assert!(
         epochs.windows(2).all(|w| w[0] == w[1]),
@@ -419,14 +439,15 @@ fn recovery_enabled_fault_free_run_is_unchanged() {
     let base = baseline(&decomp, &opts());
     let results = run_recoverable_with_plan(&decomp, &o, FaultPlan::default());
     for (rank, res) in results.iter().enumerate() {
-        let (report, locals) = res.as_ref().expect("fault-free run must not fail");
-        assert!(report.converged);
+        let SpmdMultiSolution { report, solve } =
+            res.as_ref().expect("fault-free run must not fail");
+        assert!(solve.result.converged);
         assert!(report.run.recoveries.is_empty(), "no recovery happened");
         assert!(report.run.fully_nominal());
         // Checkpointing is local-only: identical iteration counts.
-        assert_eq!(report.iterations, base[rank].iterations);
-        assert_eq!(locals.len(), 1);
-        assert_eq!(locals[0].0, rank);
+        assert_eq!(solve.result.iterations, base[rank].solve.result.iterations);
+        assert_eq!(solve.locals.len(), 1);
+        assert_eq!(solve.locals[0].0, rank);
     }
 }
 
@@ -442,7 +463,7 @@ fn kill_during_ras_application_recovers_on_survivors() {
     for r in &reports {
         // Death at the very first preconditioner application: no checkpoint
         // exists yet, so the recovered solve restarts from zero.
-        assert_eq!(r.run.recoveries[0].resume_iteration, None);
+        assert_eq!(r.report.run.recoveries[0].resume_iteration, None);
     }
 }
 
@@ -461,7 +482,7 @@ fn kill_mid_solve_resumes_from_checkpoint() {
         ..opts()
     };
     let base = baseline(&decomp, &o);
-    let base_it = base[0].iterations;
+    let base_it = base[0].solve.result.iterations;
     let k = 4;
     assert!(
         base_it > k + 1,
@@ -476,15 +497,15 @@ fn kill_mid_solve_resumes_from_checkpoint() {
     // iteration's next reduction, inside the "solve" phase.
     let reports = assert_recovered(&decomp, &results, 2, "solve");
     for r in &reports {
-        let resume = r.run.recoveries[0].resume_iteration;
+        let resume = r.report.run.recoveries[0].resume_iteration;
         assert!(
             matches!(resume, Some(j) if (2..=k).contains(&j)),
             "survivors must resume from the last complete checkpoint, got {resume:?}"
         );
         assert!(
-            r.iterations > resume.unwrap(),
+            r.solve.result.iterations > resume.unwrap(),
             "resumed iteration count is cumulative (got {})",
-            r.iterations
+            r.solve.result.iterations
         );
     }
 }
@@ -527,7 +548,7 @@ fn kill_at_deflation_recovers_with_redundant_coarse() {
     let reports = assert_recovered(&decomp, &results, 3, "deflation");
     for r in &reports {
         // Setup-phase death: nothing to resume from.
-        assert_eq!(r.run.recoveries[0].resume_iteration, None);
+        assert_eq!(r.report.run.recoveries[0].resume_iteration, None);
     }
 }
 
@@ -557,13 +578,13 @@ fn fused_solver_recovers_on_the_fused_loop_never_a_panic() {
         FaultPlan::new(43)
             .with_kill(3, "deflation")
             .with_kill(1, "solve-iteration-2"),
-        move |comm| try_run_spmd_recoverable(&d2, comm, &o2, &store).map(|s| (s.report, s.locals)),
+        move |comm| try_run_spmd_recoverable(&d2, comm, &o2, &store),
     );
     for (rank, res) in results.iter().enumerate() {
         match res {
-            Ok((report, _)) => {
+            Ok(SpmdMultiSolution { report, solve }) => {
                 assert!([0, 2].contains(&rank), "rank {rank} was killed");
-                assert!(report.converged, "survivor {rank} did not converge");
+                assert!(solve.result.converged, "survivor {rank} did not converge");
                 let epochs: Vec<usize> = report.run.recoveries.iter().map(|r| r.epoch).collect();
                 assert_eq!(
                     epochs.len(),
@@ -643,16 +664,16 @@ fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
         // or in the cooperative coarse solve nested in it.
         let reports = assert_recovered_in(&decomp, &results, 1, &["solve", "e-solve-dist"], bar);
         for r in &reports {
-            let resume = r.run.recoveries[0].resume_iteration;
+            let resume = r.report.run.recoveries[0].resume_iteration;
             assert!(
                 matches!(resume, Some(j) if (1..=2).contains(&j)),
                 "{solver:?}: survivors must resume from a checkpoint, got {resume:?}"
             );
-            assert!(r.iterations > resume.unwrap(), "{solver:?}");
+            assert!(r.solve.result.iterations > resume.unwrap(), "{solver:?}");
             // Two-level, so `assert_recovered_in` has checked that the
             // adopter took the Nicolaides degradation.
-            assert!(r.dim_e > 0, "{solver:?}");
-            assert!(r.final_residual <= o.gmres.tol, "{solver:?}");
+            assert!(r.report.dim_e > 0, "{solver:?}");
+            assert!(r.solve.result.final_residual <= o.gmres.tol, "{solver:?}");
         }
     }
 }
@@ -692,7 +713,7 @@ fn recovered_run_produces_byte_identical_canonical_traces() {
             CostModel::default(),
             FaultPlan::new(seed).with_kill(1, "ras"),
             move |comm| {
-                try_run_spmd_recoverable(&d2, comm, &o, &store).map(|s| s.report.iterations)
+                try_run_spmd_recoverable(&d2, comm, &o, &store).map(|s| s.solve.result.iterations)
             },
         );
         trace.canonical_json()
@@ -754,7 +775,7 @@ fn retry_schedules_are_byte_identical_across_identically_seeded_runs() {
         )
         .into_iter()
         .map(|res| {
-            res.map(|(r, _)| (r.iterations, r.run.faults.retries))
+            res.map(|r| (r.solve.result.iterations, r.report.run.faults.retries))
                 .map_err(|e| format!("{e}"))
         })
         .collect::<Vec<_>>()
@@ -781,7 +802,7 @@ fn run_with_solution(
     let d2 = Arc::clone(decomp);
     let opts = opts.clone();
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        try_run_spmd(&d2, comm, &opts).map(|s| (s.report, s.locals))
+        try_run_spmd(&d2, comm, &opts)
     })
 }
 
@@ -808,25 +829,28 @@ fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
         let results = run_with_solution(&decomp, &o, plan);
         let (mut injected, mut detected, mut retransmits) = (0u64, 0u64, 0u64);
         for (rank, res) in results.iter().enumerate() {
-            let (r, x) = res
+            let r = res
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{phase}/{class:?} rank {rank}: {e}"));
             assert!(
-                r.converged,
+                r.solve.result.converged,
                 "{phase}/{class:?} rank {rank} did not converge"
             );
             // Detect-and-retransmit is payload-restoring: the solve sees
             // only pristine values, so iteration count *and* every bit of
             // the solution match the fault-free baseline (a fortiori the
             // ISSUE's 1e-10 differential bound).
-            assert_eq!(r.iterations, base[rank].0.iterations, "{phase}/{class:?}");
             assert_eq!(
-                x, &base[rank].1,
+                r.solve.result.iterations, base[rank].solve.result.iterations,
+                "{phase}/{class:?}"
+            );
+            assert_eq!(
+                r.solve.locals, base[rank].solve.locals,
                 "{phase}/{class:?} rank {rank}: numerics must be bit-identical"
             );
-            injected += r.run.faults.corruptions_injected;
-            detected += r.run.faults.corruptions_detected;
-            retransmits += r.run.faults.retransmits;
+            injected += r.report.run.faults.corruptions_injected;
+            detected += r.report.run.faults.corruptions_detected;
+            retransmits += r.report.run.faults.retransmits;
         }
         assert!(
             injected > 0,
@@ -860,7 +884,7 @@ fn persistent_corruption_surfaces_typed_errors_never_a_silent_result() {
         match res {
             Ok(r) => panic!(
                 "rank {rank} returned a result (converged={}) under persistent corruption",
-                r.converged
+                r.solve.result.converged
             ),
             Err(SpmdError::Comm(CommError::Corrupt { .. })) => corrupt_errors += 1,
             // A peer that errored first abandons the world; ranks still
@@ -895,11 +919,11 @@ fn persistent_corruption_with_recovery_rolls_back_and_replays() {
         FaultPlan::new(17).with_corrupt_persistent("solve", None, TagClass::P2p, 17),
     );
     for (rank, res) in results.iter().enumerate() {
-        let (report, _) = res
+        let SpmdMultiSolution { report, solve } = res
             .as_ref()
             .unwrap_or_else(|e| panic!("rank {rank}: replay must recover, got {e}"));
         assert!(
-            report.converged,
+            solve.result.converged,
             "rank {rank} did not converge after replay"
         );
         let recs = &report.run.recoveries;
@@ -976,7 +1000,7 @@ fn corrupted_checkpoint_is_skipped_and_recovery_resumes_from_an_older_one() {
     let reports = assert_recovered(&decomp, &results, 2, "post-factorization");
     for r in &reports {
         assert_eq!(
-            r.run.recoveries[0].resume_iteration,
+            r.report.run.recoveries[0].resume_iteration,
             Some(older),
             "resume must skip the poisoned checkpoint"
         );
@@ -995,9 +1019,9 @@ fn drop_and_delay_combined_with_eigensolve_failure_still_recovers() {
     let reports = run_with_plan(&decomp, &o, plan);
     for (rank, r) in reports.iter().enumerate() {
         let r = r.as_ref().expect("compound plan must still be recoverable");
-        assert!(r.converged, "rank {rank} did not converge");
+        assert!(r.solve.result.converged, "rank {rank} did not converge");
         if rank == 0 {
-            assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+            assert_eq!(r.report.run.deflation, DeflationSource::NicolaidesFallback);
         }
     }
 }
@@ -1011,14 +1035,17 @@ fn owner_map_with_plan(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
     plan: FaultPlan,
-) -> Vec<Result<SpmdReport, SpmdError>> {
+) -> Vec<Result<SpmdMultiSolution, SpmdError>> {
     let (d, o) = (Arc::clone(decomp), opts.clone());
     let cache = CoarseCache::new();
     World::run_with_faults(2, CostModel::default(), plan, move |comm| {
         let owners = repartition_plan(&d, comm, None);
         let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &owners, true)?;
-        let out = prepared.try_apply(&d.rhs_global, "solve", None)?;
-        Ok(prepared.report(&out))
+        let solve = prepared.try_apply(&d.rhs_global, "solve", None)?;
+        Ok(SpmdMultiSolution {
+            report: prepared.report(&solve),
+            solve,
+        })
     })
 }
 
@@ -1033,26 +1060,24 @@ fn kill_inside_the_owner_map_setup_is_typed_and_recovered() {
         0,
         CostModel::default(),
         FaultPlan::new(47).with_kill(1, "post-deflation"),
-        move |comm| {
-            try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| (s.report, s.locals))
-        },
+        move |comm| try_run_spmd_elastic(&d, comm, &o, &store, &cache),
     );
     match &results[1] {
         Some(Err(SpmdError::Killed { rank: 1, phase })) => assert_eq!(phase, "post-deflation"),
         other => panic!("victim: expected Killed at post-deflation, got {other:?}"),
     }
-    let (report, locals) = match &results[0] {
+    let SpmdMultiSolution { report, solve } = match &results[0] {
         Some(Ok(survivor)) => survivor,
         other => panic!("survivor: expected a recovered solve, got {other:?}"),
     };
-    assert!(report.converged);
+    assert!(solve.result.converged);
     assert_eq!(report.run.recoveries.len(), 1);
     assert_eq!(report.run.recoveries[0].dead, vec![1]);
     // Set-up death: nothing to resume from, everything lands on rank 0.
     assert_eq!(report.run.recoveries[0].resume_iteration, None);
-    let owned: Vec<usize> = locals.iter().map(|(s, _)| *s).collect();
+    let owned: Vec<usize> = solve.locals.iter().map(|(s, _)| *s).collect();
     assert_eq!(owned, vec![0, 1, 2, 3]);
-    let x: Vec<Vec<f64>> = locals.iter().map(|(_, x)| x.clone()).collect();
+    let x: Vec<Vec<f64>> = solve.locals.iter().map(|(_, x)| x.clone()).collect();
     let rr = global_residual(&decomp, &decomp.from_locals(&x));
     assert!(rr <= 1e-5, "recovered residual {rr:e} misses the tolerance");
 }
@@ -1065,20 +1090,24 @@ fn failed_eigensolve_of_one_owned_subdomain_degrades_that_subdomain_only() {
         &opts(),
         FaultPlan::new(3).with_failure(None, "eigensolve:2"),
     );
-    let it0 = reports[0].as_ref().expect("rank 0").iterations;
+    let it0 = reports[0].as_ref().expect("rank 0").solve.result.iterations;
     for (rank, r) in reports.iter().enumerate() {
         let r = r.as_ref().expect("eigensolve failure must be recoverable");
-        assert!(r.converged, "rank {rank} did not converge");
-        assert_eq!(r.iterations, it0, "lockstep collectives imply equal counts");
-        assert_eq!(r.run.coarse, CoarseOutcome::TwoLevel);
+        assert!(r.solve.result.converged, "rank {rank} did not converge");
+        assert_eq!(
+            r.solve.result.iterations, it0,
+            "lockstep collectives imply equal counts"
+        );
+        assert_eq!(r.report.run.coarse, CoarseOutcome::TwoLevel);
         let deflation = r
+            .report
             .run
             .phases
             .iter()
             .find(|(name, _)| *name == "recovery-deflation");
         // Subdomains 2 and 3 live on rank 1.
         if rank == 1 {
-            assert_eq!(r.run.deflation, DeflationSource::NicolaidesFallback);
+            assert_eq!(r.report.run.deflation, DeflationSource::NicolaidesFallback);
             match deflation {
                 Some((_, PhaseOutcome::Degraded { reason })) => {
                     assert!(
@@ -1090,7 +1119,11 @@ fn failed_eigensolve_of_one_owned_subdomain_degrades_that_subdomain_only() {
                 other => panic!("rank 1: deflation degradation not recorded: {other:?}"),
             }
         } else {
-            assert_eq!(r.run.deflation, DeflationSource::Geneo, "rank {rank}");
+            assert_eq!(
+                r.report.run.deflation,
+                DeflationSource::Geneo,
+                "rank {rank}"
+            );
             assert_eq!(deflation, Some(&("recovery-deflation", PhaseOutcome::Ok)));
         }
     }
@@ -1113,17 +1146,24 @@ fn failed_coarse_factorization_on_an_owner_map_drops_every_rank_to_one_level() {
             let r = r
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{coarse_solve:?} rank {rank}: {e}"));
-            assert!(r.converged, "{coarse_solve:?} rank {rank} did not converge");
-            assert_eq!(r.run.coarse, CoarseOutcome::OneLevelFallback);
-            assert_eq!(r.nnz_e_factor, 0, "no factor may survive the fallback");
             assert!(
-                r.run
+                r.solve.result.converged,
+                "{coarse_solve:?} rank {rank} did not converge"
+            );
+            assert_eq!(r.report.run.coarse, CoarseOutcome::OneLevelFallback);
+            assert_eq!(
+                r.report.nnz_e_factor, 0,
+                "no factor may survive the fallback"
+            );
+            assert!(
+                r.report
+                    .run
                     .phases
                     .iter()
                     .any(|(name, o)| *name == "recovery-assembly"
                         && matches!(o, PhaseOutcome::Degraded { .. })),
                 "coarse degradation not recorded: {:?}",
-                r.run.phases
+                r.report.run.phases
             );
         }
     }

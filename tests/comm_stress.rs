@@ -119,7 +119,7 @@ fn full_solver_is_deterministic_across_runs() {
         };
         World::run_default(n_sub, move |comm| {
             let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
-            (s.report.iterations, s.locals)
+            (s.solve.result.iterations, s.solve.locals)
         })
     };
     let a = run();

@@ -10,7 +10,7 @@ use dd_geneo::core::Decomposition;
 use dd_geneo::linalg::{CooBuilder, CsrMatrix};
 
 /// Reassemble the global solution from the `(subdomain, local solution)`
-/// lists the ranks of a run returned (`SpmdMultiSolution::locals`),
+/// lists the ranks of a run returned (`MultiApplyOutcome::locals`),
 /// asserting every subdomain is covered exactly once.
 pub fn reassemble<'a>(
     decomp: &Decomposition,

@@ -20,7 +20,8 @@ use dd_comm::{CollClass, CostModel, EventKind, FaultPlan, World, WorldTrace};
 use dd_core::{
     decompose, masters::group_of, masters::nonuniform_masters, masters::uniform_masters,
     problem::presets, repartition_plan, try_run_spmd, try_setup_partitioned, AssemblyVariant,
-    CoarseCache, CoarseSolve, Decomposition, Election, GeneoOpts, SolverKind, SpmdOpts, SpmdReport,
+    CoarseCache, CoarseSolve, Decomposition, Election, GeneoOpts, SolverKind, SpmdMultiSolution,
+    SpmdOpts,
 };
 use dd_krylov::GmresOpts;
 use dd_mesh::Mesh;
@@ -75,13 +76,12 @@ fn traced_solve(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
     faults: FaultPlan,
-) -> (Vec<SpmdReport>, WorldTrace) {
+) -> (Vec<SpmdMultiSolution>, WorldTrace) {
     let n = decomp.n_subdomains();
     let d = Arc::clone(decomp);
     let opts = opts.clone();
     World::run_traced_with_faults(n, CostModel::default(), faults, move |comm| {
-        let s = try_run_spmd(&d, comm, &opts).expect("SPMD solve failed");
-        s.report
+        try_run_spmd(&d, comm, &opts).expect("SPMD solve failed")
     })
 }
 
@@ -92,15 +92,20 @@ fn traced_owner_map(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
     ranks: usize,
-) -> (Vec<SpmdReport>, WorldTrace) {
+) -> (Vec<SpmdMultiSolution>, WorldTrace) {
     let (d, o) = (Arc::clone(decomp), opts.clone());
     let cache = CoarseCache::new();
     World::run_traced(ranks, CostModel::default(), move |comm| {
         let plan = repartition_plan(&d, comm, None);
         let prepared = try_setup_partitioned(&d, comm, &o, Some(&cache), &plan, true)
             .expect("owner-map set-up failed");
-        let out = prepared.try_apply(&d.rhs_global, "solve", None);
-        prepared.report(&out.expect("owner-map solve failed"))
+        let solve = prepared
+            .try_apply(&d.rhs_global, "solve", None)
+            .expect("owner-map solve failed");
+        SpmdMultiSolution {
+            report: prepared.report(&solve),
+            solve,
+        }
     })
 }
 
@@ -349,12 +354,15 @@ fn gatherv_byte_volume_matches_nu_closed_form() {
     let decomp = setup(n);
     let (reports, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
     for r in &trace.ranks {
-        let nu_i = reports[r.rank].nu;
+        let nu_i = reports[r.rank].report.nu;
         let nbrs = &decomp.subdomains[r.rank].neighbors;
         let expected_doubles = 1
             + nbrs.len()
             + nu_i * nu_i
-            + nbrs.iter().map(|l| nu_i * reports[l.j].nu).sum::<usize>();
+            + nbrs
+                .iter()
+                .map(|l| nu_i * reports[l.j].report.nu)
+                .sum::<usize>();
         let gatherv_bytes: Vec<u64> = r
             .events
             .iter()
@@ -383,7 +391,7 @@ fn gatherv_byte_volume_matches_nu_closed_form() {
         let nu = opts.geneo.nev;
         let (reports, trace) = traced_owner_map(&decomp, &opts, 2);
         for r in &trace.ranks {
-            assert_eq!(reports[r.rank].nu, nu, "uniform ν expected");
+            assert_eq!(reports[r.rank].report.nu, nu, "uniform ν expected");
             // The balanced map: the first half of the subdomains on rank 0.
             let (mut prefix, mut values) = (0usize, 0usize);
             for s in r.rank * n / 2..(r.rank + 1) * n / 2 {
@@ -436,7 +444,7 @@ fn sends_and_recvs_balance_globally() {
             .filter(|e| matches!(e.kind, EventKind::Iteration { .. }))
             .count();
         assert_eq!(
-            iters, reports[r.rank].iterations,
+            iters, reports[r.rank].solve.result.iterations,
             "rank {}: iteration events vs report",
             r.rank
         );
@@ -464,7 +472,7 @@ fn one_halo_message_per_neighbouring_rank() {
     };
     let (_, identity) = traced_solve(&decomp, &opts, FaultPlan::default());
     let (reports, owner_map) = traced_owner_map(&decomp, &opts, 2);
-    assert!(reports.iter().all(|r| r.iterations == 3));
+    assert!(reports.iter().all(|r| r.solve.result.iterations == 3));
     let links: u64 = decomp
         .subdomains
         .iter()
@@ -487,11 +495,11 @@ fn n_neighbors_counts_neighbouring_ranks() {
     let decomp = setup(n);
     let opts = opts_for(n);
     let (identity, _) = traced_solve(&decomp, &opts, FaultPlan::default());
-    for r in &identity {
+    for r in identity.iter().map(|s| &s.report) {
         assert_eq!(r.n_neighbors, decomp.subdomains[r.rank].neighbors.len());
     }
     let (owner_map, _) = traced_owner_map(&decomp, &opts, 2);
-    for r in &owner_map {
+    for r in owner_map.iter().map(|s| &s.report) {
         assert_eq!(r.n_neighbors, 1, "rank {} on a 2-rank owner map", r.rank);
     }
 }
@@ -724,7 +732,7 @@ fn golden_trace_fixed_iteration_solve() {
         ..Default::default()
     };
     let (reports, trace) = traced_solve(&decomp, &opts, FaultPlan::default());
-    assert!(reports.iter().all(|r| r.iterations == 3));
+    assert!(reports.iter().all(|r| r.solve.result.iterations == 3));
     check_golden("solve_n4.json", &trace.canonical_json());
 }
 
@@ -761,4 +769,44 @@ fn solver_variants_have_distinct_comm_signatures() {
         count_op(&fused, "iallreduce") > 0,
         "fused GMRES must post non-blocking reductions"
     );
+}
+
+/// §3.5: the fused loop takes fewer `world`-communicator collectives per
+/// iteration than the classical one, on every rank — its Gram rows ride the
+/// masters' `iallreduce` instead of standalone world reductions. Read off
+/// the solve phase's trace: the `Collective` events on the `world` label.
+#[test]
+fn fused_takes_fewer_world_collectives_per_iteration_than_classical() {
+    let n = conf_n();
+    let decomp = setup(n);
+    let base = SpmdOpts {
+        gmres: GmresOpts {
+            side: dd_krylov::Side::Left,
+            ..opts_for(n).gmres
+        },
+        ..opts_for(n)
+    };
+    let per_iteration = |solver| -> Vec<f64> {
+        let opts = SpmdOpts {
+            solver,
+            ..base.clone()
+        };
+        let (sols, trace) = traced_solve(&decomp, &opts, FaultPlan::default());
+        let iterations = sols[0].solve.result.iterations;
+        assert!(sols.iter().all(|s| s.solve.result.converged), "{solver:?}");
+        assert!(iterations > 0, "{solver:?}");
+        trace
+            .collectives_on("solve", "world")
+            .iter()
+            .map(|&c| c as f64 / iterations as f64)
+            .collect()
+    };
+    let classical = per_iteration(SolverKind::Classical);
+    let fused = per_iteration(SolverKind::Fused);
+    for (rank, (f, c)) in fused.iter().zip(&classical).enumerate() {
+        assert!(
+            f < c,
+            "rank {rank}: fused {f} !< classical {c} world collectives per iteration"
+        );
+    }
 }

@@ -11,7 +11,6 @@
 use dd_geneo::comm::{CommError, CostModel, FaultPlan, World};
 use dd_geneo::core::geneo::{resize_block, try_deflation_block_ordered};
 use dd_geneo::core::problem::presets;
-use dd_geneo::core::spmd::debug_apply_adef1;
 use dd_geneo::core::{
     decompose, try_deflation_block, try_run_spmd, try_setup, CoarseOperator, CoarseSolve,
     CoarseSpace, Decomposition, GeneoOpts, SpmdError, SpmdOpts,
@@ -64,8 +63,17 @@ fn apply_once(
     let n = decomp.n_subdomains();
     let d2 = Arc::clone(decomp);
     let r = rhs(decomp.n_global);
+    let opts = SpmdOpts {
+        geneo: GeneoOpts {
+            nev: 4,
+            ..Default::default()
+        },
+        coarse_solve: coarse,
+        ..Default::default()
+    };
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        debug_apply_adef1(&d2, comm, &r, 4, coarse).map(|p| (p.z, p.q, p.e))
+        let p = try_setup(&d2, comm, &opts)?.debug_apply(None, &r)?;
+        Ok((p.z, p.q, p.e))
     })
 }
 
@@ -188,19 +196,22 @@ fn full_solve_agrees_across_modes_on_fig10() {
     let run = |o: SpmdOpts| {
         let d2 = Arc::clone(&decomp);
         World::run_default(decomp.n_subdomains(), move |comm| {
-            try_run_spmd(&d2, comm, &o).map(|s| (s.report, s.locals))
+            try_run_spmd(&d2, comm, &o).map(|s| s.solve)
         })
     };
     let dist = run(opts(CoarseSolve::Distributed));
     let red = run(opts(CoarseSolve::Redundant));
     let (mut xd, mut xr) = (Vec::new(), Vec::new());
     for (d, r) in dist.into_iter().zip(red) {
-        let (rd, x1) = d.expect("distributed solve failed");
-        let (rr, x2) = r.expect("redundant solve failed");
-        assert!(rd.converged && rr.converged);
-        assert_eq!(rd.iterations, rr.iterations, "same numerics expected");
-        xd.push(x1);
-        xr.push(x2);
+        let d = d.expect("distributed solve failed");
+        let r = r.expect("redundant solve failed");
+        assert!(d.result.converged && r.result.converged);
+        assert_eq!(
+            d.result.iterations, r.result.iterations,
+            "same numerics expected"
+        );
+        xd.push(d.locals);
+        xr.push(r.locals);
     }
     let gd = common::reassemble(&decomp, &xd);
     let gr = common::reassemble(&decomp, &xr);

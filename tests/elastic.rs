@@ -8,7 +8,7 @@ use dd_geneo::comm::{CostModel, FaultPlan, SuspicionPolicy, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, try_run_spmd_elastic, CheckpointStore, CoarseCache, Decomposition, GeneoOpts,
-    RecoveryOpts, SpmdError, SpmdOpts, SpmdReport,
+    RecoveryOpts, SpmdError, SpmdMultiSolution, SpmdOpts,
 };
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
@@ -46,7 +46,7 @@ fn elastic_opts() -> SpmdOpts {
 }
 
 /// Per-rank outcome of an elastic run: `None` for never-admitted reserves.
-type ElasticResult = Option<Result<(SpmdReport, Vec<(usize, Vec<f64>)>), SpmdError>>;
+type ElasticResult = Option<Result<SpmdMultiSolution, SpmdError>>;
 
 fn run_elastic_with_plan(
     decomp: &Arc<Decomposition>,
@@ -60,14 +60,17 @@ fn run_elastic_with_plan(
     let store = Arc::new(CheckpointStore::new());
     let cache = Arc::new(CoarseCache::new());
     World::run_elastic(founders, reserve, CostModel::default(), plan, move |comm| {
-        try_run_spmd_elastic(&d2, comm, &opts, &store, &cache).map(|s| (s.report, s.locals))
+        try_run_spmd_elastic(&d2, comm, &opts, &store, &cache)
     })
 }
 
 /// Reassemble the global solution from the per-subdomain locals of every
 /// completed rank, asserting exact single coverage of all subdomains.
 fn reassemble(decomp: &Decomposition, results: &[ElasticResult]) -> Vec<f64> {
-    common::reassemble(decomp, results.iter().flatten().flatten().map(|r| &r.1))
+    common::reassemble(
+        decomp,
+        results.iter().flatten().flatten().map(|r| &r.solve.locals),
+    )
 }
 
 /// Fault-free elastic run with fewer founders than subdomains: each rank
@@ -78,19 +81,23 @@ fn elastic_fault_free_run_chunks_subdomains_and_converges() {
     let decomp = setup(12, 6);
     let results = run_elastic_with_plan(&decomp, 4, 0, &elastic_opts(), FaultPlan::default());
     for (rank, res) in results.iter().enumerate() {
-        let (report, locals) = res
+        let SpmdMultiSolution { report, solve } = res
             .as_ref()
             .expect("founder produced no result")
             .as_ref()
             .expect("fault-free elastic run must not fail");
-        assert!(report.converged, "rank {rank} did not converge");
+        assert!(solve.result.converged, "rank {rank} did not converge");
         assert!(
             report.run.recoveries.is_empty(),
             "epoch 0 is not a recovery"
         );
         // Balanced chunks over 6 subdomains and 4 founders: 2/2/1/1.
         let expect = if rank < 2 { 2 } else { 1 };
-        assert_eq!(locals.len(), expect, "rank {rank} owns the wrong chunk");
+        assert_eq!(
+            solve.locals.len(),
+            expect,
+            "rank {rank} owns the wrong chunk"
+        );
     }
     let rr = global_residual(&decomp, &reassemble(&decomp, &results));
     assert!(rr <= 1e-5, "elastic residual {rr:e} misses tolerance");
@@ -108,12 +115,12 @@ fn join_during_solve_repartitions_and_resumes() {
         .with_join(5, "solve-iteration-2");
     let results = run_elastic_with_plan(&decomp, 4, 2, &elastic_opts(), plan);
     for (rank, res) in results.iter().enumerate() {
-        let (report, locals) = res
+        let SpmdMultiSolution { report, solve } = res
             .as_ref()
             .unwrap_or_else(|| panic!("rank {rank} was never admitted"))
             .as_ref()
             .unwrap_or_else(|e| panic!("rank {rank} failed: {e}"));
-        assert!(report.converged, "rank {rank} did not converge");
+        assert!(solve.result.converged, "rank {rank} did not converge");
         let rec = report
             .run
             .recoveries
@@ -124,7 +131,7 @@ fn join_during_solve_repartitions_and_resumes() {
         assert!(rec.epoch >= 1, "grow must bump the epoch");
         // 6 members over 6 subdomains: one each, so at least the chunks
         // that changed hands were recomputed and the rest reused.
-        assert_eq!(locals.len(), 1, "rank {rank} after repartition");
+        assert_eq!(solve.locals.len(), 1, "rank {rank} after repartition");
         assert_eq!(
             rec.moved.len() + rec.reused.len(),
             decomp.n_subdomains(),
@@ -185,12 +192,12 @@ fn straggler_is_suspected_evicted_and_distinguished_from_death() {
         if rank == victim {
             continue;
         }
-        let (report, _) = res
+        let SpmdMultiSolution { report, solve } = res
             .as_ref()
             .expect("survivor produced no result")
             .as_ref()
             .unwrap_or_else(|e| panic!("survivor {rank} failed: {e}"));
-        assert!(report.converged, "survivor {rank} did not converge");
+        assert!(solve.result.converged, "survivor {rank} did not converge");
         let rec = report.run.recoveries.last().expect("no recovery recorded");
         assert_eq!(rec.evicted, vec![victim], "eviction must be recorded");
         assert!(
@@ -241,12 +248,12 @@ fn grow_then_evict_straggler_completes_within_tolerance() {
         if rank == victim {
             continue;
         }
-        let (report, _) = res
+        let SpmdMultiSolution { report, solve } = res
             .as_ref()
             .unwrap_or_else(|| panic!("rank {rank} was never admitted"))
             .as_ref()
             .unwrap_or_else(|e| panic!("rank {rank} failed: {e}"));
-        assert!(report.converged, "rank {rank} did not converge");
+        assert!(solve.result.converged, "rank {rank} did not converge");
         let last = report.run.recoveries.last().expect("no recovery recorded");
         assert_eq!(last.joined, vec![4, 5], "joiners must stay members");
         assert_eq!(last.evicted, vec![victim]);
@@ -291,12 +298,12 @@ fn grow_interrupted_solve_matches_uninterrupted_on_fig10() {
         let armed = plan.is_active();
         let results = run_elastic_with_plan(&decomp, 4, 2, &o, plan);
         for (rank, res) in results.iter().enumerate() {
-            let (report, _) = res
+            let SpmdMultiSolution { solve, .. } = res
                 .as_ref()
                 .unwrap_or_else(|| panic!("rank {rank} was never admitted"))
                 .as_ref()
                 .unwrap_or_else(|e| panic!("rank {rank} failed: {e}"));
-            assert!(report.converged, "rank {rank} did not converge");
+            assert!(solve.result.converged, "rank {rank} did not converge");
         }
         let x = reassemble(&decomp, &results);
         let rel = rel_dist(&x, &x_base);

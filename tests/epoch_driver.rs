@@ -56,7 +56,7 @@ fn elastic_under(
     World::run_with_faults(2, CostModel::default(), plan, move |comm| {
         let out = try_run_spmd_elastic(&d, comm, &o, &store, &cache);
         (
-            out.map(|s| s.report.iterations),
+            out.map(|s| s.solve.result.iterations),
             comm.fault_stats().corruptions_detected,
         )
     })
@@ -128,7 +128,7 @@ fn a_spent_recovery_budget_runs_no_agreement() {
     let store = Arc::new(CheckpointStore::new());
     let d = Arc::clone(&decomp);
     let results = World::run_elastic(4, 1, CostModel::default(), plan, move |comm| {
-        try_run_spmd_recoverable(&d, comm, &o, &store).map(|s| s.report.iterations)
+        try_run_spmd_recoverable(&d, comm, &o, &store).map(|s| s.solve.result.iterations)
     });
     for (rank, res) in results[..4].iter().enumerate() {
         assert!(
@@ -172,7 +172,7 @@ fn more_members_than_subdomains_is_a_typed_error_on_every_rank() {
     let (d, o) = (Arc::clone(&decomp), armed.clone());
     let per_rank = World::run(3, CostModel::default(), move |comm| {
         let setup = try_setup(&d, comm, &o).map(|_| ());
-        let plain = try_run_spmd(&d, comm, &o).map(|s| s.report.iterations);
+        let plain = try_run_spmd(&d, comm, &o).map(|s| s.solve.result.iterations);
         (setup, plain)
     });
     for (rank, (setup, plain)) in per_rank.iter().enumerate() {
@@ -182,7 +182,7 @@ fn more_members_than_subdomains_is_a_typed_error_on_every_rank() {
     let (d, o) = (Arc::clone(&decomp), armed.clone());
     let elastic = World::run(3, CostModel::default(), move |comm| {
         let (store, cache) = (CheckpointStore::new(), CoarseCache::new());
-        try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| s.report.iterations)
+        try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| s.solve.result.iterations)
     });
     let d = Arc::clone(&decomp);
     let served = World::run(3, CostModel::default(), move |comm| {
@@ -269,7 +269,7 @@ fn a_join_into_a_full_world_is_a_typed_error_not_a_panic() {
     );
     let d = Arc::clone(&decomp);
     let results = World::run_elastic(4, 1, CostModel::default(), plan, move |comm| {
-        try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| s.report.iterations)
+        try_run_spmd_elastic(&d, comm, &o, &store, &cache).map(|s| s.solve.result.iterations)
     });
     for (rank, res) in results.iter().enumerate() {
         let res = res

@@ -150,7 +150,7 @@ fn spmd_matches_sequential_two_level() {
     let d2 = Arc::clone(&d);
     let sols = World::run_default(n_sub, move |comm| {
         let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-        (s.report.converged, s.locals)
+        (s.solve.result.converged, s.solve.locals)
     });
     assert!(sols.iter().all(|(c, _)| *c));
     let x = common::reassemble(&d, sols.iter().map(|(_, l)| l));
@@ -189,7 +189,7 @@ fn spmd_all_solver_kinds_agree() {
         let d2 = Arc::clone(&d);
         let sols = World::run_default(n_sub, move |comm| {
             let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            (s.report.converged, s.locals)
+            (s.solve.result.converged, s.solve.locals)
         });
         assert!(sols.iter().all(|(c, _)| *c), "{kind:?} did not converge");
         let x = common::reassemble(&d, sols.iter().map(|(_, l)| l));

@@ -391,7 +391,11 @@ fn spmd_converges_with_supernodal_backend() {
         let d2 = Arc::clone(&d);
         let sols = World::run_default(n_sub, move |comm| {
             let s = try_run_spmd(&d2, comm, &opts).expect("SPMD solve failed");
-            (s.report.converged, s.report.iterations, s.locals)
+            (
+                s.solve.result.converged,
+                s.solve.result.iterations,
+                s.solve.locals,
+            )
         });
         assert!(
             sols.iter().all(|(c, _, _)| *c),

@@ -96,10 +96,13 @@ fn identity_map(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Answer {
     let sols = World::run(decomp.n_subdomains(), CostModel::default(), move |comm| {
         try_run_spmd(&d, comm, &o).expect("identity-map solve failed")
     });
-    let (iterations, converged) = (sols[0].report.iterations, sols[0].report.converged);
-    assert!(sols.iter().all(|s| s.report.iterations == iterations));
+    let (iterations, converged) = (
+        sols[0].solve.result.iterations,
+        sols[0].solve.result.converged,
+    );
+    assert!(sols.iter().all(|s| s.solve.result.iterations == iterations));
     Answer {
-        x: common::reassemble(decomp, sols.iter().map(|s| &s.locals)),
+        x: common::reassemble(decomp, sols.iter().map(|s| &s.solve.locals)),
         iterations,
         converged,
     }

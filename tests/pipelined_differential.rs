@@ -52,9 +52,9 @@ fn run(decomp: &Arc<Decomposition>, o: &SpmdOpts) -> (Vec<f64>, Vec<f64>, usize,
     });
     let x: Vec<f64> = sols
         .iter()
-        .flat_map(|s| s.locals.iter().flat_map(|(_, x)| x.iter().copied()))
+        .flat_map(|s| s.solve.locals.iter().flat_map(|(_, x)| x.iter().copied()))
         .collect();
-    let r0 = &sols[0].report;
+    let r0 = &sols[0].solve.result;
     (x, r0.history.clone(), r0.iterations, r0.converged)
 }
 

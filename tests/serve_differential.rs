@@ -107,8 +107,11 @@ fn one_shot_counted(
     let sols = World::run(d.n_subdomains(), CostModel::default(), move |comm| {
         try_run_spmd(&d2, comm, &o).expect("one-shot reference must not fail")
     });
-    let iterations = sols[0].report.iterations;
-    (reassemble(&d, sols.iter().map(|s| &s.locals)), iterations)
+    let iterations = sols[0].solve.result.iterations;
+    (
+        reassemble(&d, sols.iter().map(|s| &s.solve.locals)),
+        iterations,
+    )
 }
 
 /// Every response of `report` against its own fresh one-shot run.
