@@ -2,13 +2,17 @@
 # Output check for a change to the `paper` entries (ROADMAP 6(d)).
 #
 #   crates/bench/paper_diff.sh OLD NEW ENTRY...
+#   crates/bench/paper_diff.sh --recorded NEW ENTRY...
 #
 # OLD and NEW are each a git revision of this repository (exported with
 # `git archive` into a work directory and built there) or the path of a
 # checkout (built in place, into its own `target/`). Each side runs
-# each entry with one `DD_BENCH_OUT` (the same path on both sides, so the
-# paths it prints agree; each side's files are moved to `out-old/` or
-# `out-new/` afterwards). The two outputs are masked with the documented
+# each entry with one `DD_BENCH_OUT` (the same path on both sides; each
+# side's files are moved to `out-old/` or `out-new/` afterwards), and the
+# paths an entry prints are rewritten to `bench_results/`, the
+# `DD_BENCH_OUT` of the committed recordings. With `--recorded` the old
+# side is not run: it is NEW's committed recording of each entry,
+# `bench_results/ENTRY.txt`. The two outputs are masked with the documented
 # `sed` (decimals → X, runs of `#` → #, percentages → P%, runs of spaces →
 # one, since a column's padding follows the width of the masked number) and
 # diffed, entry by entry. The work directory is a fresh `mktemp -d`,
@@ -17,12 +21,14 @@
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    echo "usage: $0 OLD NEW ENTRY..." >&2
+    echo "usage: $0 OLD NEW ENTRY... | $0 --recorded NEW ENTRY..." >&2
     exit 2
 fi
 old=$1
 new=$2
 shift 2
+sides="old new"
+[ "$old" = --recorded ] && sides=new
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 work=$(mktemp -d)
 
@@ -45,7 +51,7 @@ mask() {
 }
 
 status=0
-for side in old new; do
+for side in $sides; do
     spec=$old
     [ "$side" = new ] && spec=$new
     tree=$(tree_of "$side" "$spec")
@@ -56,10 +62,13 @@ for side in old new; do
         out=$work/out/$entry
         rm -rf "$out"
         mkdir -p "$out" "$work/out-$side"
-        (cd "$tree" && DD_BENCH_OUT=$out "$tree/target/release/paper" "$entry") \
-            > "$work/$side-$entry.txt"
+        (cd "$tree" && DD_BENCH_OUT=$out "$tree/target/release/paper" "$entry") |
+            sed "s#$out/#bench_results/#g" > "$work/$side-$entry.txt"
         rm -rf "$work/out-$side/$entry"
         mv "$out" "$work/out-$side/$entry"
+        if [ "$sides" = new ]; then
+            cp "$tree/bench_results/$entry.txt" "$work/old-$entry.txt"
+        fi
     done
 done
 for entry in "$@"; do

@@ -817,7 +817,7 @@ fn bench_spmd_allocs(rep: &mut Report) {
                         .expect("owner-map solve failed")]
                 } else {
                     prepared
-                        .try_apply_on(None, &cols, "solve", None, None)
+                        .try_apply_on(0.0, &cols, "solve", None, None)
                         .expect("owner-map panel solve failed")
                 };
                 out[0].result.iterations

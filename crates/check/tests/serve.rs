@@ -198,7 +198,7 @@ fn finalize(c: &Communicator, plane: &Plane, w: &Workload, tag: u8) -> Vec<u8> {
             assert!(
                 plane.store.is_complete(ri, j, NSUBS),
                 "lost response ({ri}, {j}): only {} of {NSUBS} pieces",
-                plane.store.deposited(ri, j)
+                plane.store.pieces(ri, j).len()
             );
             for (s, x) in plane.store.pieces(ri, j) {
                 out.push(s as u8);

@@ -113,9 +113,21 @@ impl Subdomain {
     /// `y ← A_i x` through the blocked storage when available (bitwise
     /// identical to `a_dirichlet.spmv`).
     pub fn spmv_dirichlet(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_dirichlet_panel(x, y, x.len(), 1);
+    }
+
+    /// `y_c ← A_i x_c` for `k` columns `ld` apart in `x` and `y`, through
+    /// the blocked storage when available (each column bitwise
+    /// `a_dirichlet.spmv`) — the local products of the resident solve.
+    pub(crate) fn spmv_dirichlet_panel(&self, x: &[f64], y: &mut [f64], ld: usize, k: usize) {
+        let n = self.n_local();
         match &self.a_dirichlet_bsr {
-            Some(b) => b.spmv(x, y),
-            None => self.a_dirichlet.spmv(x, y),
+            Some(b) => {
+                for c in 0..k {
+                    b.spmv(&x[c * ld..c * ld + n], &mut y[c * ld..c * ld + n]);
+                }
+            }
+            None => self.a_dirichlet.spmv_panel(x, y, ld, k),
         }
     }
 
@@ -129,18 +141,15 @@ impl Subdomain {
         }
     }
 
-    /// `A_i(θ)` of [`Decomposition::perturb_diag`]: the Dirichlet matrix
-    /// with every non-Dirichlet diagonal entry scaled by `1 + θ`, and its
-    /// blocked companion rebuilt from it (it holds a copy of the values, so
-    /// it cannot go stale against the scaled CSR matrix).
-    pub(crate) fn perturbed_dirichlet(&self, theta: f64) -> (CsrMatrix, Option<BsrMatrix>) {
-        let mut a = self.a_dirichlet.clone();
-        scale_diag(&mut a, theta, &self.dirichlet);
-        let bsr = self
-            .a_dirichlet_bsr
-            .as_ref()
-            .and_then(|_| BsrMatrix::detect_padded(&a));
-        (a, bsr)
+    /// `s·diag(A_i)` with the Dirichlet rows zero: what a diagonal shift
+    /// `A_i + s·diag(A_i)` adds to a local product — the perturbation
+    /// [`Decomposition::perturb_diag`] applies at `θ = s`.
+    pub(crate) fn shifted_diag(&self, shift: f64) -> impl Iterator<Item = f64> + '_ {
+        self.a_dirichlet
+            .diag()
+            .into_iter()
+            .zip(&self.dirichlet)
+            .map(move |(a, &fixed)| if fixed { 0.0 } else { shift * a })
     }
 }
 
@@ -616,7 +625,12 @@ impl Decomposition {
         let mut out = self.clone();
         scale_diag(&mut out.a_global, theta, &self.dirichlet);
         for sub in &mut out.subdomains {
-            (sub.a_dirichlet, sub.a_dirichlet_bsr) = sub.perturbed_dirichlet(theta);
+            scale_diag(&mut sub.a_dirichlet, theta, &sub.dirichlet);
+            // The blocked companion holds a copy of the values: rebuilt
+            // from the scaled matrix, it cannot go stale against it.
+            if sub.a_dirichlet_bsr.is_some() {
+                sub.a_dirichlet_bsr = BsrMatrix::detect_padded(&sub.a_dirichlet);
+            }
             scale_diag(&mut sub.a_neumann, theta, &sub.dirichlet);
         }
         out

@@ -74,7 +74,7 @@ pub use recovery::{
     try_setup_partitioned, Attempt, CheckpointStore, CoarseCache, RecoveryOpts, RepartitionPlan,
     SpmdMultiSolution,
 };
-pub use resident::{MultiApplyOutcome, PerturbedOperator, PreparedMulti};
+pub use resident::{MultiApplyOutcome, PreparedMulti};
 pub use spmd::{
     try_run_spmd, try_setup, AssemblyVariant, CoarseSolve, Election, SolverKind, SpmdOpts,
     SpmdReport,

@@ -27,11 +27,10 @@
 //! is two rounds and one local SpMV where eq. 6 followed by an operator
 //! apply was four and two (DESIGN.md, "halo rounds per iteration").
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
-use crate::decomp::Decomposition;
+use crate::decomp::{Decomposition, Subdomain};
 use crate::error::{CoarseOutcome, PhaseOutcome, RunReport, SpmdError};
 use crate::spmd::{
     comm_interrupt, dist_interrupt, interrupt_to_spmd, solve_failpoint, SetupLabels, SolverKind,
@@ -44,7 +43,7 @@ use dd_krylov::{
     FusedPreconditioner, GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace,
     SolveInterrupt, SolveResult, SolveStatus,
 };
-use dd_linalg::{vector, BsrMatrix, CsrMatrix, DMat};
+use dd_linalg::{vector, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LocalLdlt};
 
 const TAG_X: u64 = 103; // SpMV / consistency exchanges
@@ -330,61 +329,17 @@ impl DistinctDofs {
 
 // ------------------------------------------------------------ the applies
 
-/// One owned subdomain's `A_s` of the operator being solved, with its
-/// blocked companion when it has one.
-#[derive(Clone, Copy)]
-struct LocalA<'a> {
-    csr: &'a CsrMatrix,
-    bsr: Option<&'a BsrMatrix>,
-}
-
-impl LocalA<'_> {
-    /// `y_c ← A_s x_c` for `k` columns `ld` apart in `x` and `y`, through
-    /// the blocked storage when there is one (each column bitwise the CSR
-    /// product).
-    fn spmv_panel(&self, x: &[f64], y: &mut [f64], ld: usize, k: usize) {
-        let n = self.csr.rows();
-        match self.bsr {
-            Some(b) => {
-                for c in 0..k {
-                    b.spmv(&x[c * ld..c * ld + n], &mut y[c * ld..c * ld + n]);
-                }
-            }
-            None => self.csr.spmv_panel(x, y, ld, k),
-        }
-    }
-
-    /// `A_s W`, through the blocked storage when there is one.
-    fn mm(&self, w: &DMat) -> DMat {
-        match self.bsr {
-            Some(b) => b.bsrmm(w),
-            None => self.csr.csrmm(w),
-        }
-    }
-
-    fn nnz(&self) -> usize {
-        self.csr.nnz()
-    }
-}
-
-/// `A(θ) = A + θ·diag(A)` on the subdomains one rank owns: their Dirichlet
-/// matrices and blocked companions, scaled as [`Decomposition::perturb_diag`]
-/// scales them — all an admissible apply ([`PreparedMulti::try_apply_on`])
-/// reads of a perturbed operator. Built by [`PreparedMulti::perturbed`].
-pub struct PerturbedOperator {
-    /// `A_s(θ)` and its blocked companion, aligned with the owned subdomains.
-    a: Vec<(CsrMatrix, Option<BsrMatrix>)>,
-}
-
 /// What every apply of one solve shares: the communicator, the resident
-/// decomposition (partition of unity, restrictions), the `A_s` of the
-/// operator being solved (the resident one or a [`PerturbedOperator`]), the
-/// owned subdomains' concatenation, its distinct dofs, and the halo plan.
+/// decomposition (partition of unity, restrictions, `A_s`), the diagonal
+/// shift of the operator being solved, the owned subdomains'
+/// concatenation, its distinct dofs, and the halo plan.
 struct MultiCtx<'a> {
     comm: &'a Communicator,
     decomp: &'a Decomposition,
-    /// `A_s` of the operator being solved, aligned with `owned`.
-    a: Vec<LocalA<'a>>,
+    /// `shift·diag(A_s)` of the operator being solved,
+    /// `A_s + shift·diag(A_s)`, concatenated over the owned subdomains
+    /// (Dirichlet rows zero); empty for the resident operator.
+    shift_diag: Vec<f64>,
     /// Subdomains this rank owns, ascending.
     owned: &'a [usize],
     /// Concatenation offsets of the owned subdomains' locals (len+1).
@@ -412,12 +367,37 @@ impl MultiCtx<'_> {
             .map(|(&s, w)| (s, w[0]..w[1]))
     }
 
-    /// [`MultiCtx::spans`] with each subdomain's partition of unity and the
-    /// `A_s` being solved.
-    fn locals(&self) -> impl Iterator<Item = (&[f64], LocalA<'_>, std::ops::Range<usize>)> + '_ {
+    /// [`MultiCtx::spans`] with each subdomain itself.
+    fn locals(&self) -> impl Iterator<Item = (&Subdomain, std::ops::Range<usize>)> + '_ {
         self.spans()
-            .zip(&self.a)
-            .map(|((s, span), a)| (self.decomp.subdomains[s].d.as_slice(), *a, span))
+            .map(|(s, span)| (&self.decomp.subdomains[s], span))
+    }
+
+    /// `t_c += shift·diag(A_s) x_c` over the owned subdomain at `span`, for
+    /// `k` columns `ld` apart in `x` and `t`: the diagonal shift of the
+    /// operator being solved, added inside the subdomain's local product.
+    /// Before the halo round, so the copies of a shared dof still sum the
+    /// same terms and agree to the bit, as an SpMV's do. Returns the flops;
+    /// the resident operator has none.
+    fn add_shift(
+        &self,
+        span: &std::ops::Range<usize>,
+        x: &[f64],
+        t: &mut [f64],
+        ld: usize,
+        k: usize,
+    ) -> u64 {
+        if self.shift_diag.is_empty() {
+            return 0;
+        }
+        let sd = &self.shift_diag[span.start..span.end];
+        for c in 0..k {
+            let col = c * ld + span.start..c * ld + span.end;
+            for ((t, x), s) in t[col.clone()].iter_mut().zip(&x[col]).zip(sd) {
+                *t += s * x;
+            }
+        }
+        (2 * k * sd.len()) as u64
     }
 
     /// One halo round of every `(t, out)` panel's columns (see
@@ -458,8 +438,9 @@ impl<'a> MultiOp<'a> {
         }
     }
 
-    /// `t_s ← A_s D_s x_s` for every owned subdomain and each of the `k`
-    /// columns of `x` (distinct dofs), `w` holding `D x` (concatenated).
+    /// `t_s ← A_s D_s x_s` (plus the shift) for every owned subdomain and
+    /// each of the `k` columns of `x` (distinct dofs), `w` holding `D x`
+    /// (concatenated).
     // dd:hot — per-Krylov-iteration SpMV; scratch reuse keeps it allocation-free
     fn local_part_into(&self, k: usize, x: &[f64], w: &mut [f64], t: &mut [f64]) {
         let ctx = self.ctx;
@@ -467,12 +448,13 @@ impl<'a> MultiOp<'a> {
         let mut flops = 0u64;
         ctx.comm.compute(|| {
             ctx.dofs.expand(k, x, w);
-            for (d, a, span) in ctx.locals() {
+            for (sub, span) in ctx.locals() {
                 for c in 0..k {
-                    vector::scale_by(d, &mut w[c * n + span.start..c * n + span.end]);
+                    vector::scale_by(&sub.d, &mut w[c * n + span.start..c * n + span.end]);
                 }
-                a.spmv_panel(&w[span.start..], &mut t[span.start..], n, k);
-                flops += (k * (2 * a.nnz() + d.len())) as u64;
+                sub.spmv_dirichlet_panel(&w[span.start..], &mut t[span.start..], n, k);
+                flops += (k * (2 * sub.a_dirichlet.nnz() + sub.d.len())) as u64;
+                flops += ctx.add_shift(&span, w, t, n, k);
             }
         });
         ctx.comm.charge_flops(flops);
@@ -629,7 +611,8 @@ impl<'a> MultiRas<'a> {
     /// `u_s = A_s⁻¹ t_s` on every owned subdomain, all columns in one panel
     /// solve, then ONE halo round: of `D_s u_s + W_s y_s` (the coarse
     /// shares, when there is a coarse part), which sums to `z`, and — when
-    /// `az` is asked for — of `A_s D_s u_s` as `k` more columns, which sum
+    /// `az` is asked for — of `A_s D_s u_s` (plus the operator's shift) as
+    /// `k` more columns, which sum
     /// to `A RAS(t)` because `D_s` vanishes where `A_s` and `A` differ (the
     /// identity eq. 5 rests on), so `A z` is that plus `A q`. `z` and `A z`
     /// keep the first copy of each dof. Each column is the one-column tail
@@ -664,22 +647,23 @@ impl<'a> MultiRas<'a> {
         let mut flops = 0u64;
         ctx.comm.compute(|| {
             ctx.dofs.expand(k, t, du);
-            for ((d, a, span), factor) in ctx.locals().zip(self.factors) {
+            for ((sub, span), factor) in ctx.locals().zip(self.factors) {
                 factor.solve_panel_with(&mut du[span.start..], n, k, &mut work);
                 for c in 0..k {
-                    vector::scale_by(d, &mut du[c * n + span.start..c * n + span.end]);
+                    vector::scale_by(&sub.d, &mut du[c * n + span.start..c * n + span.end]);
                 }
-                flops += (k * (4 * factor.nnz_l() + d.len())) as u64;
+                flops += (k * (4 * factor.nnz_l() + sub.d.len())) as u64;
                 if az.is_some() {
-                    a.spmv_panel(&du[span.start..], &mut adu[span.start..], n, k);
-                    flops += (k * 2 * a.nnz()) as u64;
+                    sub.spmv_dirichlet_panel(&du[span.start..], &mut adu[span.start..], n, k);
+                    flops += (k * 2 * sub.a_dirichlet.nnz()) as u64;
+                    flops += ctx.add_shift(&span, du, adu, n, k);
                 }
                 if let Some(cp) = &coarse {
                     for c in 0..k {
                         let (lo, hi) = (c * n + span.start, c * n + span.end);
                         vector::axpy(1.0, &cp.wy[lo..hi], &mut du[lo..hi]);
                     }
-                    flops += (k * 2 * d.len()) as u64;
+                    flops += (k * 2 * sub.d.len()) as u64;
                 }
             }
         });
@@ -747,8 +731,6 @@ pub(crate) enum MasterSolve {
 struct MultiCoarse<'a> {
     ctx: &'a MultiCtx<'a>,
     state: &'a PreparedMulti<'a>,
-    /// `T_s = A_s W_s` of the operator being solved, aligned with `owned`.
-    t: &'a [DMat],
     /// Warm-path scratch `T y`, `k` columns.
     scratch: RefCell<Vec<f64>>,
     /// The redundant coarse solve's permuted work vector (empty until a
@@ -758,11 +740,10 @@ struct MultiCoarse<'a> {
 
 impl<'a> MultiCoarse<'a> {
     /// For panels of up to `k` columns.
-    fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>, t: &'a [DMat], k: usize) -> Self {
+    fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>, k: usize) -> Self {
         MultiCoarse {
             ctx,
             state,
-            t,
             scratch: RefCell::new(vec![0.0; k * ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::new()),
         }
@@ -774,7 +755,9 @@ impl<'a> MultiCoarse<'a> {
     /// (§3.5); then every owned subdomain's share `wy_s = W_s y_s` of
     /// `q = Z y`, and the consistent `A q` from one halo round of
     /// `T_s y_s` — the §3.1 identity `A R_sᵀ W_s = R_sᵀ T_s` (`W_s = D_s Λ_s`
-    /// vanishes where `A_s` and `A` differ), so no SpMV. Returns the reduced
+    /// vanishes where `A_s` and `A` differ), so no SpMV. A shifted
+    /// operator's `T_s` is `T_s + shift·diag(A_s) W_s`: each share gains
+    /// `shift·diag(A_s) W_s y_s` before the round. Returns the reduced
     /// payload. The gather, the coarse solve, the scatter and the round
     /// carry all `k` columns, each column as the one-column correction
     /// computes it. Every collective runs through its `try_` variant, so a
@@ -927,15 +910,15 @@ impl<'a> MultiCoarse<'a> {
             )));
         }
         let (y_mine, reduced) = mine.split_at(k * n_mine);
-        // step 3b: W_s y_s and T_s y_s, then A q by the consistency sum of
-        // the latter (eq. 12, applied to T instead of W).
+        // step 3b: W_s y_s and T_s y_s (plus the shift), then A q by the
+        // consistency sum of the latter (eq. 12, applied to T instead of W).
         let mut ty = self.scratch.borrow_mut();
         let ty = prefix(&mut ty, k * n);
         let mut flops = 0u64;
         comm.compute(|| {
             for c in 0..k {
                 let mut at = c * n_mine;
-                for (((_, span), w), t) in ctx.spans().zip(&st.w).zip(self.t) {
+                for (((_, span), w), t) in ctx.spans().zip(&st.w).zip(&st.t) {
                     let y = &y_mine[at..at + w.cols()];
                     let col = c * n + span.start..c * n + span.end;
                     w.gemv(1.0, y, 0.0, &mut wy[col.clone()]);
@@ -943,6 +926,9 @@ impl<'a> MultiCoarse<'a> {
                     at += w.cols();
                     flops += 4 * (w.cols() * w.rows()) as u64;
                 }
+            }
+            for (_, span) in ctx.spans() {
+                flops += ctx.add_shift(&span, wy, ty, n, k);
             }
         });
         comm.charge_flops(flops);
@@ -1135,53 +1121,25 @@ impl PreparedMulti<'_> {
         phase: &str,
         ckpt: Option<&CheckpointCfg<'_>>,
     ) -> Result<MultiApplyOutcome, SpmdError> {
-        let mut out = self.try_apply_on(None, &[rhs_global], phase, ckpt, None)?;
+        let mut out = self.try_apply_on(0.0, &[rhs_global], phase, ckpt, None)?;
         Ok(out.remove(0))
     }
 
-    /// The perturbation `A(θ)` of `base` ([`Decomposition::perturb_diag`])
-    /// on the subdomains this rank owns, for [`PreparedMulti::try_apply_on`].
-    /// `base` is the operator θ is measured from — after a re-set-up at
-    /// another θ, the unperturbed decomposition, not the resident one — and
-    /// shares the resident layout.
-    pub fn perturbed(&self, base: &Decomposition, theta: f64) -> PerturbedOperator {
-        assert_eq!(base.n_subdomains(), self.decomp.n_subdomains());
-        PerturbedOperator {
-            a: self
-                .owned
+    /// The context of a solve of `A + shift·diag(A)` (`shift = 0.0`: the
+    /// resident operator).
+    fn ctx(&self, shift: f64) -> MultiCtx<'_> {
+        let shift_diag = if shift == 0.0 {
+            Vec::new()
+        } else {
+            self.owned
                 .iter()
-                .map(|&s| base.subdomains[s].perturbed_dirichlet(theta))
-                .collect(),
-        }
-    }
-
-    fn ctx<'s>(&'s self, op: Option<&'s PerturbedOperator>) -> MultiCtx<'s> {
-        let a = match op {
-            Some(p) => {
-                assert_eq!(p.a.len(), self.owned.len(), "one A_s per owned subdomain");
-                p.a.iter()
-                    .map(|(csr, bsr)| LocalA {
-                        csr,
-                        bsr: bsr.as_ref(),
-                    })
-                    .collect()
-            }
-            None => self
-                .owned
-                .iter()
-                .map(|&s| {
-                    let sub = &self.decomp.subdomains[s];
-                    LocalA {
-                        csr: &sub.a_dirichlet,
-                        bsr: sub.a_dirichlet_bsr.as_ref(),
-                    }
-                })
-                .collect(),
+                .flat_map(|&s| self.decomp.subdomains[s].shifted_diag(shift))
+                .collect()
         };
         MultiCtx {
             comm: self.comm,
             decomp: self.decomp,
-            a,
+            shift_diag,
             owned: &self.owned,
             starts: &self.starts,
             dofs: &self.dofs,
@@ -1191,11 +1149,11 @@ impl PreparedMulti<'_> {
     }
 
     /// Eq. 6 on `op`, for panels of up to `k` columns.
-    fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, t: &'s [DMat], k: usize) -> MultiADef1<'s> {
+    fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, k: usize) -> MultiADef1<'s> {
         let (nc, nu) = (k * op.ctx.n_concat(), k * op.ctx.n_unique());
         MultiADef1 {
             ras: MultiRas::new(op, &self.factors, k),
-            coarse: MultiCoarse::new(op.ctx, self, t, k),
+            coarse: MultiCoarse::new(op.ctx, self, k),
             scratch: RefCell::new([
                 vec![0.0; nc],
                 vec![0.0; nc],
@@ -1204,28 +1162,6 @@ impl PreparedMulti<'_> {
                 vec![0.0; nu],
             ]),
         }
-    }
-
-    /// `T_s = A_s W_s` of the operator `ctx` solves: the resident products,
-    /// or formed afresh for a perturbed operator.
-    fn t_for<'s>(&'s self, ctx: &MultiCtx<'_>, perturbed: bool) -> Cow<'s, [DMat]> {
-        if !perturbed {
-            return Cow::Borrowed(&self.t);
-        }
-        let comm = self.comm;
-        let mut flops = 0u64;
-        let t = comm.compute(|| {
-            ctx.a
-                .iter()
-                .zip(&self.w)
-                .map(|(a, w)| {
-                    flops += 2 * (a.nnz() * w.cols()) as u64;
-                    a.mm(w)
-                })
-                .collect()
-        });
-        comm.charge_flops(flops);
-        Cow::Owned(t)
     }
 
     /// `v` restricted to this rank's distinct dofs, in slot order: the
@@ -1245,27 +1181,31 @@ impl PreparedMulti<'_> {
         v
     }
 
-    /// [`PreparedMulti::try_apply`] for a panel of right-hand sides,
-    /// optionally against a perturbed operator ([`PreparedMulti::perturbed`])
-    /// and with a Krylov recycle space — the serving path of `dd-serve`.
-    /// One outcome per right-hand side, in order.
+    /// [`PreparedMulti::try_apply`] for a panel of right-hand sides of
+    /// `(A + shift·diag A) x = b`, optionally with a Krylov recycle space —
+    /// the serving path of `dd-serve`. `A` is the resident operator and
+    /// `diag A` each owned `A_s`'s diagonal with the Dirichlet rows zero,
+    /// so `shift = 0.0` solves the resident operator itself and a shift
+    /// `s` solves what [`Decomposition::perturb_diag`] at `θ = s` would
+    /// set up. One outcome per right-hand side, in order.
     ///
     /// Under [`SolverKind::Classical`] the columns run as recurrences that
     /// share every halo round, coarse solve and reduction
     /// (`dd_krylov::try_gmres_panel`); the pipelined loops solve them one
     /// after another. Either way each answer equals, to the bit, the
     /// one-column solve from the same recycle state, and the apply ends on
-    /// one barrier. Against a perturbed operator the Krylov loop solves
-    /// `A(θ)` while RAS and the coarse correction reuse the resident
-    /// factorizations built at the base parameter. With a recycle space
+    /// one barrier. Under a shift the Krylov loop solves the shifted
+    /// operator while RAS and the coarse correction reuse the resident
+    /// factorizations; no matrix is formed or kept for it. With a recycle space
     /// every initial guess is projected onto the directions the space holds
     /// at entry and the increments are banked in column order; convergence
     /// is still anchored to `tol ·` the residual at the zero guess, so
     /// accuracy matches an unrecycled apply. A checkpoint belongs to a
-    /// one-column apply.
+    /// one-column apply. A right-hand side of the wrong length or holding a
+    /// non-finite value is a [`SpmdError::Protocol`] naming its column.
     pub fn try_apply_on(
         &self,
-        perturbed: Option<&PerturbedOperator>,
+        shift: f64,
         rhs_global: &[&[f64]],
         phase: &str,
         ckpt: Option<&CheckpointCfg<'_>>,
@@ -1285,20 +1225,27 @@ impl PreparedMulti<'_> {
         // Every rank holds the same right-hand sides, so all fail here
         // together, before the first message.
         let n = self.decomp.n_global;
-        if let Some((c, b)) = rhs_global.iter().enumerate().find(|(_, b)| b.len() != n) {
-            return Err(SpmdError::Protocol {
-                rank: comm.rank(),
-                what: format!(
+        for (c, b) in rhs_global.iter().enumerate() {
+            let what = if b.len() != n {
+                format!(
                     "right-hand side {c} holds {} values, the system {n}",
                     b.len()
-                ),
+                )
+            } else if let Some(i) = b.iter().position(|v| !v.is_finite()) {
+                format!("right-hand side {c} holds {} at dof {i}", b[i])
+            } else {
+                continue;
+            };
+            return Err(SpmdError::Protocol {
+                rank: comm.rank(),
+                what,
             });
         }
         comm.trace_phase(phase);
 
         // ---- phase 4: solve --------------------------------------------
         let clk_entry = comm.clock();
-        let ctx = self.ctx(perturbed);
+        let ctx = self.ctx(shift);
         let rhs: Vec<f64> = rhs_global.iter().flat_map(|b| self.restrict(b)).collect();
         let x0 = vec![0.0; rhs.len()];
         let op = MultiOp::new(&ctx, k);
@@ -1310,8 +1257,7 @@ impl PreparedMulti<'_> {
             let ras = MultiRas::new(&op, &self.factors, k);
             try_gmres_panel(&op, &ras, &ip, &rhs, &x0, k, gmres, ckpt, recycle, &mut ws)
         } else {
-            let t = self.t_for(&ctx, perturbed.is_some());
-            let adef1 = self.adef1(&op, &t, k);
+            let adef1 = self.adef1(&op, k);
             let (m, b) = (&adef1, &rhs);
             match self.opts.solver {
                 SolverKind::Classical => {
@@ -1381,17 +1327,14 @@ impl PreparedMulti<'_> {
     /// Test helper: the preconditioner of this set-up applied once to
     /// `R r_global` as the right-preconditioned Krylov step applies it (`z`
     /// and `A z` from one call), `A z` by the distributed SpMV, and eq. 6
-    /// composed from its pieces — on the resident operator or on a
-    /// perturbed one, two-level or one-level. Computed over the distinct
+    /// composed from its pieces — on the resident operator or on a shift of
+    /// it ([`PreparedMulti::try_apply_on`]), two-level or one-level.
+    /// Computed over the distinct
     /// dofs, as a solve computes them, and returned expanded to the owned
     /// subdomains' locals.
     #[doc(hidden)]
-    pub fn debug_apply(
-        &self,
-        perturbed: Option<&PerturbedOperator>,
-        r_global: &[f64],
-    ) -> Result<DebugApply, SpmdError> {
-        let ctx = self.ctx(perturbed);
+    pub fn debug_apply(&self, shift: f64, r_global: &[f64]) -> Result<DebugApply, SpmdError> {
+        let ctx = self.ctx(shift);
         let op = MultiOp::new(&ctx, 1);
         let r = self.restrict(r_global);
         let n = r.len();
@@ -1411,8 +1354,7 @@ impl PreparedMulti<'_> {
         let nc = ctx.n_concat();
         let pieces = |out: &mut DebugApply| -> Result<(), SolveInterrupt> {
             if self.run.coarse == CoarseOutcome::TwoLevel {
-                let t = self.t_for(&ctx, perturbed.is_some());
-                let adef1 = self.adef1(&op, &t, 1);
+                let adef1 = self.adef1(&op, 1);
                 adef1.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
                 // q made consistent by a round of its shares, A q both ways,
                 // and the RAS tail with no coarse part.
@@ -1602,7 +1544,7 @@ mod tests {
             let errs: Vec<String> = [vec![&short[..]], vec![&good[..], &long[..]]]
                 .iter()
                 .map(
-                    |rhs| match st.try_apply_on(None, rhs, "bad-apply", None, None) {
+                    |rhs| match st.try_apply_on(0.0, rhs, "bad-apply", None, None) {
                         Err(SpmdError::Protocol { what, .. }) => what,
                         Err(e) => panic!("not a protocol error: {e}"),
                         Ok(_) => panic!("a right-hand side of the wrong length was answered"),
@@ -1669,8 +1611,8 @@ mod tests {
                     }
                     return None;
                 }
-                let ctx = st.ctx(None);
-                let coarse = MultiCoarse::new(&ctx, &st, &st.t, 1);
+                let ctx = st.ctx(0.0);
+                let coarse = MultiCoarse::new(&ctx, &st, 1);
                 let n = ctx.n_concat();
                 let (mut wy, mut aq) = (vec![0.0; n], vec![0.0; n]);
                 let err = coarse
@@ -1707,7 +1649,7 @@ mod tests {
             let ctx = MultiCtx {
                 comm,
                 decomp: &decomp,
-                a: Vec::new(),
+                shift_diag: Vec::new(),
                 owned: &owned,
                 starts: &starts,
                 dofs: &dofs,

@@ -488,60 +488,62 @@ pub(crate) fn try_setup_on<'a>(
     // the subdomain lands. Without a cache, a subdomain taken over this
     // epoch gets the Nicolaides substitute (the eigenvectors are not
     // recomputed — the documented degradation of a shrink). A failed
-    // eigensolve degrades that subdomain alone.
-    let mut blocks = Vec::with_capacity(owned.len());
+    // eigensolve degrades that subdomain alone. Without a coarse level
+    // every `W_s` is an empty block.
     // Why each subdomain that got Nicolaides vectors did not get GenEO ones.
     let mut degraded: Vec<String> = Vec::new();
-    for (i, &s) in owned.iter().enumerate() {
-        let sub = &decomp.subdomains[s];
-        let nicolaides = || comm.compute(|| nicolaides_fallback_block(sub));
-        // The `eigensolve` injection point fails every eigensolve of this
-        // rank, `eigensolve:<s>` that of subdomain `s` alone.
-        let injected = || {
-            comm.should_fail("eigensolve")
-                || (comm.failpoints_armed() && comm.should_fail(&format!("eigensolve:{s}")))
-        };
-        let geneo = || {
-            if injected() {
-                return Err(format!("subdomain {s}: eigensolve fault injected"));
-            }
-            comm.compute(|| {
-                try_deflation_block_ordered(sub, &opts.geneo, &orders[i], opts.local_ldlt)
-            })
-            .map_err(|e| format!("subdomain {s}: eigensolve failed ({e})"))
-        };
-        let block = if opts.one_level_only {
-            nicolaides()
-        } else if let Some((b, is_geneo)) = cache.and_then(|c| c.basis(s)) {
-            if !is_geneo {
-                degraded.push(format!("subdomain {s}: banked substitute"));
-            }
-            b
-        } else if cache.is_none() && adopted(s) {
-            degraded.push(format!("subdomain {s}: adopted"));
-            nicolaides()
-        } else {
-            let (b, is_geneo) = match geneo() {
-                Ok(b) => (b, true),
-                Err(why) => {
-                    degraded.push(why);
-                    (nicolaides(), false)
-                }
-            };
-            if let Some(cache) = cache {
-                cache.store_basis(s, &b, is_geneo);
-            }
-            b
-        };
-        blocks.push(block);
-    }
-    let nu = if opts.one_level_only {
-        0
+    let w: Vec<DMat> = if opts.one_level_only {
+        owned
+            .iter()
+            .map(|&s| DMat::zeros(decomp.subdomains[s].n_local(), 0))
+            .collect()
     } else {
+        let mut blocks = Vec::with_capacity(owned.len());
+        for (i, &s) in owned.iter().enumerate() {
+            let sub = &decomp.subdomains[s];
+            let nicolaides = || comm.compute(|| nicolaides_fallback_block(sub));
+            // The `eigensolve` injection point fails every eigensolve of
+            // this rank, `eigensolve:<s>` that of subdomain `s` alone.
+            let injected = || {
+                comm.should_fail("eigensolve")
+                    || (comm.failpoints_armed() && comm.should_fail(&format!("eigensolve:{s}")))
+            };
+            let geneo = || {
+                if injected() {
+                    return Err(format!("subdomain {s}: eigensolve fault injected"));
+                }
+                comm.compute(|| {
+                    try_deflation_block_ordered(sub, &opts.geneo, &orders[i], opts.local_ldlt)
+                })
+                .map_err(|e| format!("subdomain {s}: eigensolve failed ({e})"))
+            };
+            let block = if let Some((b, is_geneo)) = cache.and_then(|c| c.basis(s)) {
+                if !is_geneo {
+                    degraded.push(format!("subdomain {s}: banked substitute"));
+                }
+                b
+            } else if cache.is_none() && adopted(s) {
+                degraded.push(format!("subdomain {s}: adopted"));
+                nicolaides()
+            } else {
+                let (b, is_geneo) = match geneo() {
+                    Ok(b) => (b, true),
+                    Err(why) => {
+                        degraded.push(why);
+                        (nicolaides(), false)
+                    }
+                };
+                if let Some(cache) = cache {
+                    cache.store_basis(s, &b, is_geneo);
+                }
+                b
+            };
+            blocks.push(block);
+        }
         let local_max = blocks.iter().map(|b| b.kept.max(1)).max().unwrap_or(1);
-        comm.try_allreduce_max_usize(local_max)?
+        let nu = comm.try_allreduce_max_usize(local_max)?;
+        blocks.iter().map(|b| resize_block(b, nu)).collect()
     };
-    let w: Vec<DMat> = blocks.iter().map(|b| resize_block(b, nu)).collect();
     run.deflation = if w.iter().all(|w| w.cols() == 0) {
         DeflationSource::None
     } else if degraded.is_empty() {
@@ -551,7 +553,7 @@ pub(crate) fn try_setup_on<'a>(
     };
     run.phases.push((
         labels.deflation,
-        if degraded.is_empty() || opts.one_level_only {
+        if degraded.is_empty() {
             PhaseOutcome::Ok
         } else {
             PhaseOutcome::Degraded {

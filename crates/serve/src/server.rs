@@ -16,17 +16,18 @@
 //! * **admissible reuse** — `|θ − θ_base| ≤ admissibility`: the solve runs
 //!   against the *perturbed* operator `A(θ)` while the resident RAS
 //!   factorizations and coarse `E` keep preconditioning it, so the answer
-//!   is exact to tolerance and only the convergence rate pays for the lag;
+//!   is exact to tolerance and only the convergence rate pays for the lag.
+//!   `A(θ)` is a diagonal shift of the resident `A(θ_base)`: the apply is
+//!   passed `(θ − θ_base) / (1 + θ_base)` and forms no matrix;
 //! * **re-setup** — θ drifted out of the admissible ball: the server
 //!   re-factorizes at θ under the `serve-setup` trace phase (never inside
 //!   `serve-apply` — a `dd-lint` rule pins that) and moves θ_base.
 //!
-//! Memory: an admissible apply reads only the owned subdomains' `A(θ)_s`,
-//! so that is all a rank keeps of a perturbed operator
-//! (`PreparedMulti::perturbed`, built on first use in an epoch); a full
-//! perturbed decomposition is built only for a θ a re-setup factors, and
-//! kept for the stream. A batch of at most `BatcherCfg::max_batch_rhs`
-//! right-hand sides bounds the Krylov bases in flight.
+//! Memory: nothing is kept per θ an admissible apply answers — the shift
+//! is one number. A full perturbed decomposition is built only for a θ a
+//! re-setup factors, and kept for the stream. A batch of at most
+//! `BatcherCfg::max_batch_rhs` right-hand sides bounds the Krylov bases in
+//! flight.
 //!
 //! Rank death, straggler eviction, and joins mid-stream funnel into the
 //! same membership agreement the elastic solver uses — literally:
@@ -45,7 +46,7 @@ use crate::stream::Workload;
 use dd_comm::{fnv1a_bytes, Communicator};
 use dd_core::{
     drive_epochs, repartition_plan, try_setup_partitioned, Attempt, CoarseCache, Decomposition,
-    PerturbedOperator, PreparedMulti, SpmdError, SpmdOpts,
+    PreparedMulti, SpmdError, SpmdOpts,
 };
 use dd_krylov::RecycleSpace;
 use std::cell::OnceCell;
@@ -163,18 +164,6 @@ impl ResponseStore {
         let slots = self.slots.lock().unwrap_or_else(|p| p.into_inner());
         slots.get(&(req, rhs)).is_some_and(|s| {
             s.locals.len() == nsubs && s.locals.values().all(|(x, sum)| piece_sum(x) == *sum)
-        })
-    }
-
-    /// Number of subdomain pieces deposited for `(req, rhs)` that still
-    /// verify against their checksums.
-    pub fn deposited(&self, req: usize, rhs: usize) -> usize {
-        let slots = self.slots.lock().unwrap_or_else(|p| p.into_inner());
-        slots.get(&(req, rhs)).map_or(0, |s| {
-            s.locals
-                .values()
-                .filter(|(x, sum)| piece_sum(x) == *sum)
-                .count()
         })
     }
 
@@ -301,6 +290,10 @@ impl ServeReport {
 /// or a join re-plans, a corruption classification re-enters the stream on
 /// the same world, and the response store makes either re-entry skip what
 /// is already answered.
+///
+/// A right-hand side holding a non-finite value is a
+/// [`SpmdError::Protocol`] on every rank, naming its request, before the
+/// first set-up.
 pub fn try_serve(
     decomp: &Decomposition,
     comm: &Communicator,
@@ -309,12 +302,23 @@ pub fn try_serve(
     cache: &CoarseCache,
     responses: &ResponseStore,
 ) -> Result<ServeReport, SpmdError> {
+    for (r, req) in workload.requests.iter().enumerate() {
+        for j in 0..req.n_rhs() {
+            let b = req.rhs(j);
+            if let Some(i) = b.iter().position(|v| !v.is_finite()) {
+                return Err(SpmdError::Protocol {
+                    rank: comm.rank(),
+                    what: format!("request {r}: right-hand side {j} holds {} at dof {i}", b[i]),
+                });
+            }
+        }
+    }
     comm.set_suspicion(opts.spmd.recovery.suspicion);
     let batches = plan_batches(&workload.requests, &opts.batcher);
     // Re-set-up arena: one slot per distinct θ, filled with the full
     // perturbed decomposition only when a re-set-up at θ needs it, so a
     // re-set-up borrows data that outlives every epoch. Admissible applies
-    // never fill it: they read the owned subdomains' `A(θ)_s` alone.
+    // never fill it: they shift the resident operator.
     let arena: Vec<(f64, OnceCell<Decomposition>)> = workload
         .thetas()
         .into_iter()
@@ -365,9 +369,6 @@ fn serve_epoch(
     // One recycle space per operator: banked (u, A(θ)u) pairs are only
     // valid against the operator that produced them.
     let mut spaces: BTreeMap<u64, RecycleSpace> = BTreeMap::new();
-    // The owned subdomains' `A(θ)_s` of every θ answered by reuse, built on
-    // first use: this epoch's owner map decides which subdomains they are.
-    let mut perturbed: BTreeMap<u64, PerturbedOperator> = BTreeMap::new();
 
     // Pass 0 is the stream itself. A deposited piece that no longer
     // verifies against its checksum reads back as absent, so the response
@@ -433,18 +434,14 @@ fn serve_epoch(
                     responses.note(|m| m.resetups += 1);
                 }
             }
-            // The operator to solve on, when it is not the resident one:
-            // admissible reuse solves `A(θ)` under the resident
-            // preconditioner.
-            let op_override = (theta_base.to_bits() != theta.to_bits()).then(|| {
-                &*perturbed
-                    .entry(theta.to_bits())
-                    .or_insert_with(|| resident.perturbed(base, theta))
-            });
+            // Admissible reuse solves `A(θ)` under the resident
+            // preconditioner: every diagonal entry of the resident
+            // `A(θ_base)` scaled by `(1 + θ) / (1 + θ_base)`.
+            let shift = (theta - theta_base) / (1.0 + theta_base);
             serve_batch(
                 c,
                 &resident,
-                op_override,
+                shift,
                 opts,
                 workload,
                 batch,
@@ -475,8 +472,8 @@ fn serve_epoch(
     Ok(())
 }
 
-/// Answer the incomplete items of one batch with one panel apply and
-/// deposit every owned piece. Every item is corrected from the operator's
+/// Answer the incomplete items of one batch with one panel apply of the
+/// resident operator shifted by `shift` and deposit every owned piece. Every item is corrected from the operator's
 /// recycle space as it stands at the batch start, and the items'
 /// increments are banked in stream order after it, so each answer is, to
 /// the bit, the single solve from the batch-start space.
@@ -484,7 +481,7 @@ fn serve_epoch(
 fn serve_batch(
     c: &Communicator,
     resident: &PreparedMulti<'_>,
-    op_override: Option<&PerturbedOperator>,
+    shift: f64,
     opts: &ServeOpts,
     workload: &Workload,
     batch: &Batch,
@@ -504,7 +501,7 @@ fn serve_batch(
         .iter()
         .map(|it| workload.requests[it.req].rhs(it.rhs))
         .collect();
-    let outs = resident.try_apply_on(op_override, &rhs, "serve-apply", None, Some(space))?;
+    let outs = resident.try_apply_on(shift, &rhs, "serve-apply", None, Some(space))?;
     let now = c.clock();
     for (it, out) in items.into_iter().zip(outs) {
         let meta = SolveMeta {
@@ -512,7 +509,7 @@ fn serve_batch(
             converged: out.result.converged,
             final_residual: out.result.final_residual,
             history: out.result.history,
-            reused: op_override.is_some(),
+            reused: shift != 0.0,
         };
         for (s, x) in out.locals {
             responses.deposit(it.req, it.rhs, s, x, now, meta.clone());
@@ -600,11 +597,11 @@ mod tests {
         let store = ResponseStore::new();
         assert!(!store.is_complete(0, 0, 2));
         store.deposit(0, 0, 0, vec![1.0], 0.5, SolveMeta::default());
-        assert_eq!(store.deposited(0, 0), 1);
+        assert_eq!(store.pieces(0, 0).len(), 1);
         assert!(!store.is_complete(0, 0, 2));
         // Same (req, rhs, sub) again: still one piece.
         store.deposit(0, 0, 0, vec![1.0], 0.6, SolveMeta::default());
-        assert_eq!(store.deposited(0, 0), 1);
+        assert_eq!(store.pieces(0, 0).len(), 1);
         store.deposit(0, 0, 1, vec![2.0], 0.4, SolveMeta::default());
         assert!(store.is_complete(0, 0, 2));
         // Completion is the max deposit instant, not the last.
@@ -622,7 +619,6 @@ mod tests {
         // The response is incomplete again: the poisoned piece is invisible
         // on every read path…
         assert!(!store.is_complete(0, 0, 2));
-        assert_eq!(store.deposited(0, 0), 1);
         assert_eq!(store.pieces(0, 0).len(), 1);
         assert_eq!(store.pieces(0, 0)[0].0, 0);
         // …and a fresh deposit (the integrity re-solve) heals it.

@@ -526,7 +526,7 @@ fn panel_traffic(decomp: &Arc<Decomposition>, opts: &SpmdOpts, k: usize, iters: 
             .collect();
         let cols: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
         let out = prepared
-            .try_apply_on(None, &cols, "solve", None, None)
+            .try_apply_on(0.0, &cols, "solve", None, None)
             .expect("panel apply");
         out.iter().map(|o| o.result.iterations).collect::<Vec<_>>()
     });

@@ -1,8 +1,9 @@
 //! Degenerate inputs to the resident solve: a right-hand side holding NaN
 //! or +Inf, an all-zero one, and a world of one rank holding the only
-//! subdomain. Each must come back as a typed [`SpmdError`] or as a
-//! [`SolveResult`] that tells the truth — never a panic, and never
-//! `converged` beside a non-finite `x`.
+//! subdomain. A non-finite right-hand side is a typed
+//! [`SpmdError::Protocol`] on every rank, before the first message; the
+//! others must come back as a [`SolveResult`] that tells the truth — never
+//! a panic, and never `converged` beside a non-finite `x`.
 
 mod common;
 
@@ -120,6 +121,7 @@ fn apply_on_two_ranks(owner_map: bool) -> Vec<(String, Result<SolveResult, SpmdE
 fn check_two_ranks(owner_map: bool) {
     let rows = apply_on_two_ranks(owner_map);
     assert_eq!(rows.len(), 2 * loops().len() * 3);
+    let poisoned_at = build(if owner_map { 4 } else { 2 }).n_global / 2;
     for (what, res) in &rows {
         assert_honest(what, res);
         if what.ends_with("/zero") {
@@ -128,11 +130,18 @@ fn check_two_ranks(owner_map: bool) {
             assert!(r.converged, "{what}: b = 0 did not converge");
             assert!(r.x.iter().all(|&v| v == 0.0), "{what}: b = 0 gave x ≠ 0");
         } else {
-            // A non-finite right-hand side has no finite answer.
-            assert!(
-                !matches!(res, Ok(r) if r.converged),
-                "{what}: converged on a non-finite right-hand side"
-            );
+            // A non-finite right-hand side is refused, naming its column;
+            // the zero row after it shows the prepared state still answers.
+            let value = if what.ends_with("/nan") { "NaN" } else { "inf" };
+            match res {
+                Err(SpmdError::Protocol { what: msg, .. }) => assert_eq!(
+                    msg,
+                    &format!("right-hand side 0 holds {value} at dof {poisoned_at}"),
+                    "{what}"
+                ),
+                Err(e) => panic!("{what}: not a protocol error: {e}"),
+                Ok(r) => panic!("{what}: answered ({:?})", r.status),
+            }
         }
     }
 }

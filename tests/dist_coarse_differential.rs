@@ -72,7 +72,7 @@ fn apply_once(
         ..Default::default()
     };
     World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        let p = try_setup(&d2, comm, &opts)?.debug_apply(None, &r)?;
+        let p = try_setup(&d2, comm, &opts)?.debug_apply(0.0, &r)?;
         Ok((p.z, p.q, p.e))
     })
 }
@@ -349,7 +349,7 @@ fn sequential_and_redundant_e_are_one_matrix() {
     let r = rhs(decomp.n_global);
     let masters = World::run_default(decomp.n_subdomains(), move |comm| {
         let prepared = try_setup(&d, comm, &o).unwrap();
-        prepared.debug_apply(None, &r).unwrap().e
+        prepared.debug_apply(0.0, &r).unwrap().e
     });
     let mut redundant = masters.into_iter().flatten().peekable();
     assert!(redundant.peek().is_some(), "no redundant master returned E");

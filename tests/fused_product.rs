@@ -7,9 +7,9 @@
 //! `‖A z‖` up to 10³ times smaller), and the one round carrying
 //! `D A⁻¹(r − A q) + W y` gives eq. 6 composed from its pieces,
 //! `RAS(r − A q) + q`, to 1e-13 relative — on the identity map, on a 2-rank
-//! owner map with several subdomains per rank, against a perturbed operator
-//! (T formed from `A(θ)`), on 3D elasticity (the BSR path) and on
-//! the one-level path.
+//! owner map with several subdomains per rank, against a shifted operator
+//! (`A + θ·diag A`, its `T y` the resident `T_s y_s` plus the shift of
+//! `W_s y_s`), on 3D elasticity (the BSR path) and on the one-level path.
 
 use dd_geneo::comm::{CostModel, World};
 use dd_geneo::core::problem::presets;
@@ -55,7 +55,8 @@ struct RankPieces {
 
 /// The pieces on every rank: one rank per subdomain (`ranks = None`) or
 /// `ranks` ranks hosting contiguous chunks; against `decomp` itself or
-/// against `theta`'s perturbation of it (`PreparedMulti::perturbed`).
+/// against `theta`'s perturbation of it (the resident operator shifted by
+/// `theta`, `PreparedMulti::debug_apply`).
 fn pieces(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
@@ -76,9 +77,8 @@ fn pieces(
         let owned = (0..d.n_subdomains())
             .filter(|&s| plan.owner_world[s] == comm.world_rank())
             .collect();
-        let perturbed = theta.map(|t| prepared.perturbed(&d, t));
         let p = prepared
-            .debug_apply(perturbed.as_ref(), &r)
+            .debug_apply(theta.unwrap_or(0.0), &r)
             .expect("apply failed");
         RankPieces { owned, p }
     });
@@ -164,7 +164,8 @@ fn fused_product_on_an_owner_map_with_several_subdomains_a_rank() {
 
 #[test]
 fn fused_product_under_an_operator_override() {
-    // The resident factors and E are A(0)'s; T and the SpMV are A(θ)'s.
+    // The resident factors and E are A(0)'s; the shifted T y and SpMV are
+    // A(θ)'s.
     let decomp = diffusion2d();
     check(
         "fig12, θ = 0.01 override, 2-rank owner map",

@@ -245,9 +245,12 @@ fn served_streams_match_one_shot_across_seeds_and_sizes() {
 }
 
 /// The admissibility boundary: a drift beyond the ball re-factorizes at
-/// the new θ (counted, not reused), returning to θ = 0 re-factorizes again
-/// off the coarse cache, and a later admissible θ is once more answered by
-/// reuse — with every answer still exact against one-shot references.
+/// the new θ (counted, not reused), a θ admissible from that re-set-up
+/// base is answered by reuse (the resident `A(0.2)` shifted by
+/// `(0.23 − 0.2) / 1.2`, not by `0.03`), returning to θ = 0 re-factorizes
+/// again off the coarse cache, and a later admissible θ is once more
+/// answered by reuse — with every answer still exact against one-shot
+/// references.
 #[test]
 fn inadmissible_drift_resets_up_and_stays_exact() {
     let decomp = setup(12, 4);
@@ -277,11 +280,19 @@ fn inadmissible_drift_resets_up_and_stays_exact() {
         },
         Request {
             id: 3,
+            arrival: 0.75,
+            payload: Payload::Perturbed {
+                theta: 0.23, // admissible from the re-set-up base θ = 0.2
+                rhs: rhs_for(n, 6),
+            },
+        },
+        Request {
+            id: 4,
             arrival: 0.9,
             payload: Payload::Rhs(rhs_for(n, 4)), // back to θ = 0: re-setup (cached)
         },
         Request {
-            id: 4,
+            id: 5,
             arrival: 1.2,
             payload: Payload::Perturbed {
                 theta: 0.03, // admissible again from the restored base
@@ -292,9 +303,9 @@ fn inadmissible_drift_resets_up_and_stays_exact() {
     let results = run_serve(&decomp, 4, 0, &opts, FaultPlan::default(), &w);
     let report = assert_reports_agree(&results, "drift");
     assert_eq!(report.resetups, 2, "θ = 0.2 and the return to θ = 0");
-    assert_eq!(report.reused_applies, 2, "requests 1 and 4 reuse");
+    assert_eq!(report.reused_applies, 3, "requests 1, 3 and 5 reuse");
     let reused: Vec<bool> = report.responses.iter().map(|r| r.reused).collect();
-    assert_eq!(reused, vec![false, true, false, false, true]);
+    assert_eq!(reused, vec![false, true, false, true, false, true]);
     assert_differential(&decomp, &opts, &w, &report, "drift");
 }
 
@@ -715,7 +726,6 @@ fn each_response_is_the_single_solve_from_the_batch_start_space() {
         let mut spaces: BTreeMap<u64, RecycleSpace> = BTreeMap::new();
         let mut out = Vec::new();
         for batch in &batches {
-            let perturbed = (batch.theta != 0.0).then(|| prepared.perturbed(&d, batch.theta));
             let space = spaces
                 .entry(batch.theta.to_bits())
                 .or_insert_with(|| RecycleSpace::new(o.recycle_dim));
@@ -727,19 +737,13 @@ fn each_response_is_the_single_solve_from_the_batch_start_space() {
             for (it, b) in batch.items.iter().zip(&rhs) {
                 let mut at_start = space.clone();
                 let single = prepared
-                    .try_apply_on(
-                        perturbed.as_ref(),
-                        &[b],
-                        "serve-apply",
-                        None,
-                        Some(&mut at_start),
-                    )
+                    .try_apply_on(batch.theta, &[b], "serve-apply", None, Some(&mut at_start))
                     .expect("single solve")
                     .remove(0);
                 out.push((it.req, it.rhs, single.result.iterations, single.locals));
             }
             prepared
-                .try_apply_on(perturbed.as_ref(), &rhs, "serve-apply", None, Some(space))
+                .try_apply_on(batch.theta, &rhs, "serve-apply", None, Some(space))
                 .expect("panel");
         }
         out
@@ -898,4 +902,46 @@ fn a_short_request_is_a_typed_error_on_every_rank() {
             Ok(_) => panic!("a short right-hand side was answered"),
         }
     }
+}
+
+/// A workload holding a non-finite value is refused before the first
+/// set-up: a typed protocol error on every rank, naming the request, the
+/// right-hand side and the dof — even when the poisoned request comes after
+/// requests that could be answered.
+#[test]
+fn a_non_finite_request_is_a_typed_error_before_set_up() {
+    let decomp = setup(8, 4);
+    let n = decomp.n_global;
+    let mut poisoned = rhs_for(n, 2);
+    poisoned[7] = f64::NAN;
+    let w = Workload::from_requests(vec![
+        Request {
+            id: 0,
+            arrival: 0.0,
+            payload: Payload::Rhs(rhs_for(n, 1)),
+        },
+        Request {
+            id: 1,
+            arrival: 0.5,
+            payload: Payload::Batch(vec![rhs_for(n, 3), poisoned]),
+        },
+    ]);
+    let (d, w2) = (Arc::clone(&decomp), w.clone());
+    let (results, trace) = World::run_traced(2, CostModel::default(), move |comm| {
+        let (cache, store) = (CoarseCache::new(), ResponseStore::new());
+        try_serve(&d, comm, &serve_opts(), &w2, &cache, &store)
+    });
+    for r in results {
+        match r {
+            Err(SpmdError::Protocol { what, .. }) => {
+                assert_eq!(what, "request 1: right-hand side 1 holds NaN at dof 7")
+            }
+            Err(e) => panic!("not a protocol error: {e}"),
+            Ok(_) => panic!("a non-finite right-hand side was answered"),
+        }
+    }
+    assert!(
+        !trace.phase_names().iter().any(|p| p == "serve-setup"),
+        "no set-up ran"
+    );
 }
