@@ -832,7 +832,7 @@ fn run_partitioned(
             concat.extend(store.get(s, it)?.x);
         }
         let mut x = vec![0.0; prepared.dofs.n_unique()];
-        prepared.dofs.compress(1, &concat, &mut x);
+        prepared.dofs.compress(&concat, &mut x);
         let anchor = store.get(owned[0], it)?;
         Some(SolveCheckpoint {
             iteration: it,

@@ -5,14 +5,16 @@
 //! vectors hold each of its distinct dofs once (`DistinctDofs`): a dof
 //! two owned subdomains share is one value, weighed in the inner product by
 //! the sum of its copies' partition-of-unity values. Inside an apply the
-//! local solves, SpMVs, coarse gathers and halo rounds run on the owned
-//! subdomains' locals, concatenated in ascending subdomain order; each apply
-//! expands its input to that layout on entry and keeps one copy of each
-//! output dof on exit. One subdomain per rank — the paper's layout — is the
-//! identity owner map: there the two layouts coincide, and the applies
-//! below send exactly the paper's messages: one halo message per neighbour
-//! per exchange, one gather and one scatter per coarse correction
-//! (DESIGN.md, "resident state, owned subdomains, halo plan").
+//! local solves, SpMVs and coarse gathers run on the owned subdomains'
+//! locals, concatenated in ascending subdomain order: each apply expands its
+//! input to that layout on entry, and the halo round that ends it reads
+//! that layout and writes the distinct dofs, each dof one sum in ascending
+//! subdomain id, so its copies on every rank agree to the bit. One
+//! subdomain per rank — the paper's layout — is the identity owner map:
+//! there the two layouts coincide, and the applies below send exactly the
+//! paper's messages: one halo message per neighbour per exchange, one
+//! gather and one scatter per coarse correction (DESIGN.md, "resident
+//! state, owned subdomains, halo plan").
 //!
 //! One set-up fills a [`PreparedMulti`], `spmd::try_setup_on`
 //! (Algorithms 1–2 on any owner map). Everything after set-up — eq. 5, the
@@ -57,15 +59,23 @@ pub(crate) fn epoch_salt(comm: &Communicator) -> u64 {
 
 // -------------------------------------------------------------- halo plan
 
-/// The neighbour exchange `out_s += Σ_{j ∈ O_s} R_s R_jᵀ t_j` of every
-/// owned subdomain `s` — the communication pattern of both the SpMV (eq. 5)
-/// and the coarse prolongation (eq. 12) — planned once at set-up over
-/// concatenated-vector indices.
+/// The neighbour sum `out_g = Σ_{s ∋ g} (t_s)_g` of every distinct dof `g`
+/// of this rank — the communication pattern of both the SpMV (eq. 5) and
+/// the coarse prolongation (eq. 12) — planned once at set-up. A round reads
+/// the owned subdomains' terms from their concatenated locals and the
+/// remote ones from the received messages, and writes the rank's
+/// distinct-dof vector.
+///
+/// A dof's terms are added in ascending global subdomain id, the first term
+/// being the sum's start: every rank holding a copy of the dof forms the
+/// same sum in the same order, so the copies agree to the bit. A dof no
+/// other subdomain shares is a single read.
 ///
 /// Each exchange sends one packed message per neighbouring *rank*, its
-/// segments ordered by (source subdomain, destination subdomain); links
-/// between two subdomains of this rank are index reads from the sender's
-/// slice. On the identity map that is one message per neighbour, tag 103.
+/// segments ordered by (source subdomain, destination subdomain); a
+/// remote subdomain's value of a dof arrives once for each owned subdomain
+/// sharing it, and the sum reads the first. On the identity map that is
+/// one message per neighbour, tag 103.
 ///
 /// The tag is salted by the epoch and by the communicator's collective
 /// count when the plan was built: a set-up repeated on one communicator (a
@@ -74,13 +84,15 @@ pub(crate) fn epoch_salt(comm: &Communicator) -> u64 {
 /// before their first collective, where that count is 0 on a fresh world.
 pub(crate) struct HaloPlan {
     tag: u64,
-    /// Length of one column: this rank's concatenated dofs.
+    /// Length of one input column: this rank's concatenated dofs.
     n: usize,
     /// Neighbouring ranks, ascending.
     peers: Vec<Peer>,
-    /// One addition per (owned subdomain, link), in that order — the order
-    /// the sums have always been taken in, so answers do not move.
-    adds: Vec<Add>,
+    /// Each distinct dof's term of the lowest subdomain id: its sum's start.
+    first: Vec<Term>,
+    /// The other terms, `(distinct dof, term)` by dof and then by ascending
+    /// subdomain id: the order a round adds them in.
+    rest: Vec<(u32, Term)>,
 }
 
 struct Peer {
@@ -91,34 +103,31 @@ struct Peer {
     recv_len: usize,
 }
 
-struct Add {
-    /// Indices of the link's shared dofs in the receiving subdomain.
-    dst: Vec<usize>,
-    src: Source,
-}
-
-enum Source {
-    /// Same host: the shared dofs' indices in the sending subdomain.
-    Local(Vec<usize>),
-    /// Segment of the message received from `peers[peer]`.
-    Remote { peer: usize, offset: usize },
+/// Where one term of a dof's sum is read. 32-bit positions keep the term
+/// lists small: a round reads all of them.
+#[derive(Clone, Copy)]
+enum Term {
+    /// An owned subdomain's copy: its concatenated position.
+    Local(u32),
+    /// A remote subdomain's copy: value `offset` of a column's segment of
+    /// the message from `peers[peer]`.
+    Remote { peer: u32, offset: u32 },
 }
 
 impl HaloPlan {
     /// `host[s]` is the communicator rank hosting subdomain `s`; `owned`
-    /// (ascending) and `starts` describe this rank's concatenation.
+    /// (ascending) and `starts` describe this rank's concatenation, `dofs`
+    /// its distinct dofs.
     pub(crate) fn build(
         decomp: &Decomposition,
         comm: &Communicator,
         owned: &[usize],
         starts: &[usize],
         host: &[usize],
+        dofs: &DistinctDofs,
     ) -> Self {
         let me = comm.rank();
         let links = |i: usize| decomp.subdomains[owned[i]].neighbors.iter();
-        let concat = |i: usize, shared: &[u32]| -> Vec<usize> {
-            shared.iter().map(|&k| starts[i] + k as usize).collect()
-        };
         let mut ranks: Vec<usize> = (0..owned.len())
             .flat_map(|i| links(i).map(|l| host[l.j]))
             .filter(|&r| r != me)
@@ -149,58 +158,66 @@ impl HaloPlan {
             peers[*p].recv_len += *len;
             *len = offset;
         }
-        let mut adds = Vec::new();
+        let pos = |p: usize| u32::try_from(p).expect("halo positions fit in 32 bits");
+        // Each distinct dof's terms, keyed by subdomain: every owned copy,
+        // and every remote subdomain's value the first time it arrives.
+        let mut by_dof: Vec<Vec<(usize, Term)>> = vec![Vec::new(); dofs.n_unique()];
         for (i, &s) in owned.iter().enumerate() {
-            for l in links(i) {
-                // What this side of the link receives into, it also sends.
-                let dst = concat(i, &l.shared);
-                let src = match ranks.binary_search(&host[l.j]) {
-                    Ok(peer) => {
-                        peers[peer].pack.extend_from_slice(&dst);
-                        Source::Remote {
-                            peer,
-                            offset: incoming[&(peer, l.j, s)],
-                        }
-                    }
-                    Err(_) => {
-                        let i2 = owned
-                            .binary_search(&l.j)
-                            .expect("same-host neighbour is owned");
-                        let back = links(i2)
-                            .find(|b| b.j == s)
-                            .expect("neighbour links are symmetric");
-                        Source::Local(concat(i2, &back.shared))
-                    }
-                };
-                adds.push(Add { dst, src });
+            for p in starts[i]..starts[i + 1] {
+                by_dof[dofs.slot[p]].push((s, Term::Local(pos(p))));
             }
+            for l in links(i) {
+                let Ok(peer) = ranks.binary_search(&host[l.j]) else {
+                    continue;
+                };
+                let at = incoming[&(peer, l.j, s)];
+                for (m, &k) in l.shared.iter().enumerate() {
+                    // What this side of the link receives into, it also
+                    // sends.
+                    let p = starts[i] + k as usize;
+                    peers[peer].pack.push(p);
+                    let terms = &mut by_dof[dofs.slot[p]];
+                    if terms.iter().all(|&(j, _)| j != l.j) {
+                        let (peer, offset) = (pos(peer), pos(at + m));
+                        terms.push((l.j, Term::Remote { peer, offset }));
+                    }
+                }
+            }
+        }
+        let (mut first, mut rest) = (Vec::new(), Vec::new());
+        for (g, mut dof) in by_dof.into_iter().enumerate() {
+            dof.sort_unstable_by_key(|&(s, _)| s);
+            first.push(dof[0].1);
+            rest.extend(dof[1..].iter().map(|&(_, t)| (pos(g), t)));
         }
         HaloPlan {
             tag: TAG_X + epoch_salt(comm) + (comm.collective_seq() << 32),
             n: starts[owned.len()],
             peers,
-            adds,
+            first,
+            rest,
         }
     }
 
-    /// One exchange of panels of columns: `out[c] += Σ R_s R_jᵀ t[c]_j` for
-    /// every column `c` of every `(t, out)` pair, a column being
-    /// `self.n` concatenated values. Each neighbouring rank gets one
+    /// One round of panels of columns: `out[c]_g = Σ_{s ∋ g} t[c]_s` for
+    /// every distinct dof `g` and every column `c` of every `(t, out)`
+    /// pair, a column of `t` being `self.n` concatenated values and one of
+    /// `out` the rank's distinct dofs. Each neighbouring rank gets one
     /// message, its segments of every column one column after another (the
-    /// pairs' columns in order), and every column's additions run in the
-    /// order of a one-column exchange — so a `k`-column exchange is `k`
-    /// one-column exchanges to the bit, in `1/k` of the messages. `inbox`
-    /// holds the received messages, one slot per peer. Receives run under
-    /// the ambient bounded retry policy; a dead or revoked peer, or a
-    /// message of the wrong length, surfaces as a [`SolveInterrupt`].
+    /// pairs' columns in order), and every column is summed as a
+    /// one-column round sums it — so a `k`-column round is `k` one-column
+    /// rounds to the bit, in `1/k` of the messages. `inbox` holds the
+    /// received messages, one slot per peer. Receives run under the ambient
+    /// bounded retry policy; a dead or revoked peer, or a message of the
+    /// wrong length, surfaces as a [`SolveInterrupt`].
     // dd:hot — two rounds per two-level Krylov iteration (three left-preconditioned)
-    fn exchange_add(
+    fn exchange(
         &self,
         comm: &Communicator,
         inbox: &mut [Vec<f64>],
         pairs: &mut [(&[f64], &mut [f64])],
     ) -> Result<(), SolveInterrupt> {
-        let n = self.n;
+        let (n, nu) = (self.n, self.first.len());
         let k: usize = pairs
             .iter()
             .map(|(t, _)| t.len().checked_div(n).unwrap_or(0))
@@ -233,21 +250,22 @@ impl HaloPlan {
         }
         let mut c = 0;
         for (t, out) in pairs.iter_mut() {
-            for (tc, oc) in t.chunks_exact(n.max(1)).zip(out.chunks_exact_mut(n.max(1))) {
-                for add in &self.adds {
-                    match &add.src {
-                        Source::Local(src) => {
-                            for (&k, &g) in add.dst.iter().zip(src) {
-                                oc[k] += tc[g];
-                            }
-                        }
-                        Source::Remote { peer, offset } => {
-                            let at = c * self.peers[*peer].recv_len + offset;
-                            for (&k, &v) in add.dst.iter().zip(&inbox[*peer][at..]) {
-                                oc[k] += v;
-                            }
-                        }
+            for (tc, oc) in t
+                .chunks_exact(n.max(1))
+                .zip(out.chunks_exact_mut(nu.max(1)))
+            {
+                let read = |term: &Term| match *term {
+                    Term::Local(p) => tc[p as usize],
+                    Term::Remote { peer, offset } => {
+                        let peer = peer as usize;
+                        inbox[peer][c * self.peers[peer].recv_len + offset as usize]
                     }
+                };
+                for (o, t) in oc.iter_mut().zip(&self.first) {
+                    *o = read(t);
+                }
+                for (g, t) in &self.rest {
+                    oc[*g as usize] += read(t);
                 }
                 c += 1;
             }
@@ -314,15 +332,12 @@ impl DistinctDofs {
         }
     }
 
-    /// `out ←` the first copy of each dof of `x`, for `k` columns: the
-    /// inverse of [`DistinctDofs::expand`] on vectors whose copies agree.
-    pub(crate) fn compress(&self, k: usize, x: &[f64], out: &mut [f64]) {
-        let (nu, nc) = (self.n_unique(), self.slot.len());
-        for c in 0..k {
-            let xc = &x[c * nc..(c + 1) * nc];
-            for (o, &p) in out[c * nu..(c + 1) * nu].iter_mut().zip(&self.canon) {
-                *o = xc[p];
-            }
+    /// `out ←` the first copy of each dof of the concatenated `x`: the
+    /// inverse of [`DistinctDofs::expand`] on a vector whose copies agree,
+    /// for the checkpoint resume (a halo round writes distinct dofs).
+    pub(crate) fn compress(&self, x: &[f64], out: &mut [f64]) {
+        for (o, &p) in out.iter_mut().zip(&self.canon) {
+            *o = x[p];
         }
     }
 }
@@ -375,10 +390,9 @@ impl MultiCtx<'_> {
 
     /// `t_c += shift·diag(A_s) x_c` over the owned subdomain at `span`, for
     /// `k` columns `ld` apart in `x` and `t`: the diagonal shift of the
-    /// operator being solved, added inside the subdomain's local product.
-    /// Before the halo round, so the copies of a shared dof still sum the
-    /// same terms and agree to the bit, as an SpMV's do. Returns the flops;
-    /// the resident operator has none.
+    /// operator being solved, added inside the subdomain's local product: a
+    /// term of the share the halo round sums. Returns the flops; the
+    /// resident operator has none.
     fn add_shift(
         &self,
         span: &std::ops::Range<usize>,
@@ -401,10 +415,10 @@ impl MultiCtx<'_> {
     }
 
     /// One halo round of every `(t, out)` panel's columns (see
-    /// [`HaloPlan::exchange_add`]).
-    fn exchange_add(&self, pairs: &mut [(&[f64], &mut [f64])]) -> Result<(), SolveInterrupt> {
+    /// [`HaloPlan::exchange`]).
+    fn exchange(&self, pairs: &mut [(&[f64], &mut [f64])]) -> Result<(), SolveInterrupt> {
         self.halo
-            .exchange_add(self.comm, &mut self.inbox.borrow_mut(), pairs)
+            .exchange(self.comm, &mut self.inbox.borrow_mut(), pairs)
     }
 }
 
@@ -419,12 +433,11 @@ fn prefix(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
 
 /// Distributed operator: `(Ax)_s = Σ_j R_s R_jᵀ A_j D_j x_j` (eq. 5), on
 /// one column or on a panel of them. Its vectors hold the rank's distinct
-/// dofs: `x` is expanded to the owned subdomains' locals, and `A x` keeps
-/// the first copy of each dof after the halo round.
+/// dofs: `x` is expanded to the owned subdomains' locals, and the halo
+/// round writes `A x`.
 struct MultiOp<'a> {
     ctx: &'a MultiCtx<'a>,
-    /// Warm-path concatenated scratch `(D x, A D x)`, `k` columns of each;
-    /// the first holds `A x` after the round.
+    /// Warm-path concatenated scratch `(D x, A D x)`, `k` columns of each.
     scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
@@ -482,10 +495,7 @@ impl Operator for MultiOp<'_> {
         let (w, t) = &mut *scratch;
         let (w, t) = (prefix(w, len), prefix(t, len));
         self.local_part_into(k, x, w, t);
-        w.copy_from_slice(t);
-        self.ctx.exchange_add(&mut [(t, w)])?;
-        self.ctx.dofs.compress(k, w, y);
-        Ok(())
+        self.ctx.exchange(&mut [(t, y)])
     }
 }
 
@@ -586,8 +596,7 @@ struct MultiRas<'a> {
     /// Local factors, aligned with `ctx.owned`.
     factors: &'a [LocalLdlt],
     /// Warm-path concatenated scratch: the columns
-    /// `[D A⁻¹ t + W y…, A D A⁻¹ t…]` one halo round carries, then the
-    /// round's sums `[z…, A z…]`.
+    /// `[D A⁻¹ t + W y…, A D A⁻¹ t…]` one halo round carries.
     scratch: RefCell<Vec<f64>>,
     /// The local solves' permuted work vector, shared by all of them.
     solve_scratch: RefCell<Vec<f64>>,
@@ -599,7 +608,7 @@ impl<'a> MultiRas<'a> {
         MultiRas {
             op,
             factors,
-            scratch: RefCell::new(vec![0.0; 4 * k * op.ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; 2 * k * op.ctx.n_concat()]),
             solve_scratch: RefCell::new(Vec::with_capacity(
                 k * factors.iter().map(LocalLdlt::n).max().unwrap_or(0),
             )),
@@ -614,17 +623,9 @@ impl<'a> MultiRas<'a> {
     /// `az` is asked for — of `A_s D_s u_s` (plus the operator's shift) as
     /// `k` more columns, which sum
     /// to `A RAS(t)` because `D_s` vanishes where `A_s` and `A` differ (the
-    /// identity eq. 5 rests on), so `A z` is that plus `A q`. `z` and `A z`
-    /// keep the first copy of each dof. Each column is the one-column tail
-    /// to the bit.
-    ///
-    /// `A q` is added after the round, not into the column: a dof's copies
-    /// on different ranks each sum the round's terms and then `A q`, so
-    /// they agree to the bit as an SpMV's do. Added before, they would
-    /// differ in their last bits — and right-preconditioned GMRES on the
-    /// κ-contrast workloads stalls on exactly that (`diffusion2d_many`:
-    /// 162 iterations instead of 69). Within a rank the question does not
-    /// arise: it holds one value per dof.
+    /// identity eq. 5 rests on), so `A z` is that plus `A q`, added to the
+    /// round's distinct dofs. Each column is the one-column tail to the
+    /// bit.
     // dd:hot — per-iteration local solves; scratch reuse keeps this layer allocation-free
     fn try_tail(
         &self,
@@ -640,9 +641,7 @@ impl<'a> MultiRas<'a> {
         solve_failpoint(ctx.comm, "ras")?;
         let n = ctx.n_concat();
         let mut cols = self.scratch.borrow_mut();
-        let (du, rest) = prefix(&mut cols, 4 * k * n).split_at_mut(k * n);
-        let (adu, rest) = rest.split_at_mut(k * n);
-        let (zc, azc) = rest.split_at_mut(k * n);
+        let (du, adu) = prefix(&mut cols, 2 * k * n).split_at_mut(k * n);
         let mut work = self.solve_scratch.borrow_mut();
         let mut flops = 0u64;
         ctx.comm.compute(|| {
@@ -668,20 +667,16 @@ impl<'a> MultiRas<'a> {
             }
         });
         ctx.comm.charge_flops(flops);
-        zc.copy_from_slice(du);
         match az {
-            None => ctx.exchange_add(&mut [(du, zc)])?,
+            None => ctx.exchange(&mut [(du, z)]),
             Some(az) => {
-                azc.copy_from_slice(adu);
-                ctx.exchange_add(&mut [(du, zc), (adu, azc)])?;
-                ctx.dofs.compress(k, azc, az);
+                ctx.exchange(&mut [(du, z), (adu, az)])?;
                 if let Some(cp) = &coarse {
                     vector::axpy(1.0, cp.aq, az);
                 }
+                Ok(())
             }
         }
-        ctx.dofs.compress(k, zc, z);
-        Ok(())
     }
 }
 
@@ -753,7 +748,7 @@ impl<'a> MultiCoarse<'a> {
     /// of local reduction contributions through the gather, a reduction
     /// among masters overlapped with the coarse solve, and the scatter
     /// (§3.5); then every owned subdomain's share `wy_s = W_s y_s` of
-    /// `q = Z y`, and the consistent `A q` from one halo round of
+    /// `q = Z y`, and `A q` (distinct dofs) from one halo round of
     /// `T_s y_s` — the §3.1 identity `A R_sᵀ W_s = R_sᵀ T_s` (`W_s = D_s Λ_s`
     /// vanishes where `A_s` and `A` differ), so no SpMV. A shifted
     /// operator's `T_s` is `T_s + shift·diag(A_s) W_s`: each share gains
@@ -932,8 +927,7 @@ impl<'a> MultiCoarse<'a> {
             }
         });
         comm.charge_flops(flops);
-        aq.copy_from_slice(ty);
-        ctx.exchange_add(&mut [(ty, aq)])?;
+        ctx.exchange(&mut [(ty, aq)])?;
         Ok(reduced.to_vec())
     }
 }
@@ -946,9 +940,9 @@ impl<'a> MultiCoarse<'a> {
 struct MultiADef1<'a> {
     ras: MultiRas<'a>,
     coarse: MultiCoarse<'a>,
-    /// Warm-path scratch, `k` columns each: `(r, W y, A q)` concatenated,
+    /// Warm-path scratch, `k` columns each: `(r, W y)` concatenated,
     /// `(A q, r − A q)` over the distinct dofs.
-    scratch: RefCell<[Vec<f64>; 5]>,
+    scratch: RefCell<[Vec<f64>; 4]>,
 }
 
 impl MultiADef1<'_> {
@@ -956,7 +950,7 @@ impl MultiADef1<'_> {
     /// `r`, and `A z` into `az` if given; the payload rides on the one
     /// coarse solve and comes back reduced. `r`, `z` and `A z` hold the
     /// distinct dofs; the coarse correction runs on `r` expanded, and its
-    /// `A q` keeps the first copy of each dof.
+    /// halo round writes `A q` over the distinct dofs.
     // dd:hot — per-iteration two-level application (eq. 6)
     fn try_eq6(
         &self,
@@ -969,12 +963,11 @@ impl MultiADef1<'_> {
         let ctx = self.coarse.ctx;
         let nc = k * ctx.n_concat();
         let mut scratch = self.scratch.borrow_mut();
-        let [rc, wy, aqc, aq, t] = &mut *scratch;
-        let (rc, wy, aqc) = (prefix(rc, nc), prefix(wy, nc), prefix(aqc, nc));
+        let [rc, wy, aq, t] = &mut *scratch;
+        let (rc, wy) = (prefix(rc, nc), prefix(wy, nc));
         let (aq, t) = (prefix(aq, r.len()), prefix(t, r.len()));
         ctx.dofs.expand(k, r, rc);
-        let reduced = self.coarse.try_correction(k, rc, wy, aqc, payload)?;
-        ctx.dofs.compress(k, aqc, aq);
+        let reduced = self.coarse.try_correction(k, rc, wy, aq, payload)?;
         for i in 0..r.len() {
             t[i] = r[i] - aq[i];
         }
@@ -1154,13 +1147,7 @@ impl PreparedMulti<'_> {
         MultiADef1 {
             ras: MultiRas::new(op, &self.factors, k),
             coarse: MultiCoarse::new(op.ctx, self, k),
-            scratch: RefCell::new([
-                vec![0.0; nc],
-                vec![0.0; nc],
-                vec![0.0; nc],
-                vec![0.0; nu],
-                vec![0.0; nu],
-            ]),
+            scratch: RefCell::new([vec![0.0; nc], vec![0.0; nc], vec![0.0; nu], vec![0.0; nu]]),
         }
     }
 
@@ -1356,17 +1343,14 @@ impl PreparedMulti<'_> {
             if self.run.coarse == CoarseOutcome::TwoLevel {
                 let adef1 = self.adef1(&op, 1);
                 adef1.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
-                // q made consistent by a round of its shares, A q both ways,
-                // and the RAS tail with no coarse part.
-                let (mut rc, mut wy, mut aq) = (vec![0.0; nc], vec![0.0; nc], vec![0.0; nc]);
+                // q summed by a round of its shares, A q both ways, and the
+                // RAS tail with no coarse part.
+                let (mut rc, mut wy) = (vec![0.0; nc], vec![0.0; nc]);
                 ctx.dofs.expand(1, &r, &mut rc);
                 adef1
                     .coarse
-                    .try_correction(1, &rc, &mut wy, &mut aq, Vec::new())?;
-                let mut q = wy.clone();
-                ctx.exchange_add(&mut [(&wy, &mut q)])?;
-                ctx.dofs.compress(1, &q, &mut out.q);
-                ctx.dofs.compress(1, &aq, &mut out.aq);
+                    .try_correction(1, &rc, &mut wy, &mut out.aq, Vec::new())?;
+                ctx.exchange(&mut [(&wy, &mut out.q)])?;
                 op.try_apply_panel(1, &out.q, &mut out.a_of_q)?;
                 let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
                 adef1.ras.try_tail(1, &t, None, &mut out.ras, None)?;
@@ -1428,8 +1412,12 @@ mod tests {
     use dd_part::partition_mesh_rcb;
 
     /// This rank's share of `decomp` split into contiguous chunks over the
-    /// communicator: owned subdomains, concatenation offsets, halo plan.
-    fn chunked(decomp: &Decomposition, comm: &Communicator) -> (Vec<usize>, Vec<usize>, HaloPlan) {
+    /// communicator: owned subdomains, concatenation offsets, distinct
+    /// dofs, halo plan.
+    fn chunked(
+        decomp: &Decomposition,
+        comm: &Communicator,
+    ) -> (Vec<usize>, Vec<usize>, DistinctDofs, HaloPlan) {
         let nsub = decomp.n_subdomains();
         let host: Vec<usize> = (0..nsub).map(|s| comm.size() * s / nsub).collect();
         let owned: Vec<usize> = (0..nsub).filter(|&s| host[s] == comm.rank()).collect();
@@ -1437,8 +1425,9 @@ mod tests {
         for &s in &owned {
             starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
         }
-        let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
-        (owned, starts, halo)
+        let dofs = DistinctDofs::build(decomp, &owned);
+        let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host, &dofs);
+        (owned, starts, dofs, halo)
     }
 
     fn bits(x: &[f64]) -> Vec<u64> {
@@ -1456,23 +1445,22 @@ mod tests {
         let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, 6, 1);
         let wave = |k: usize| (k as f64 * 0.37).sin() + 0.25;
         let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
-            let (owned, starts, halo) = chunked(&decomp, comm);
-            let n = starts[owned.len()];
+            let (owned, starts, dofs, halo) = chunked(&decomp, comm);
+            let (n, nu) = (starts[owned.len()], dofs.n_unique());
             let mut inbox = vec![Vec::new(); halo.n_peers()];
             let t: Vec<Vec<f64>> = (0..K)
                 .map(|c| (0..n).map(|g| wave(g + 11 * c + 5 * comm.rank())).collect())
                 .collect();
             comm.trace_phase("panel");
             let flat = t.concat();
-            let mut panel = flat.clone();
-            halo.exchange_add(comm, &mut inbox, &mut [(&flat, &mut panel)])
+            let mut panel = vec![0.0; K * nu];
+            halo.exchange(comm, &mut inbox, &mut [(&flat, &mut panel)])
                 .unwrap();
-            let panel: Vec<Vec<f64>> = panel.chunks_exact(n).map(<[f64]>::to_vec).collect();
+            let panel: Vec<Vec<f64>> = panel.chunks_exact(nu).map(<[f64]>::to_vec).collect();
             comm.trace_phase("loop");
-            let mut single = t.clone();
+            let mut single = vec![vec![0.0; nu]; K];
             for (tc, oc) in t.iter().zip(single.iter_mut()) {
-                halo.exchange_add(comm, &mut inbox, &mut [(tc, oc)])
-                    .unwrap();
+                halo.exchange(comm, &mut inbox, &mut [(tc, oc)]).unwrap();
             }
             (halo.n_peers(), panel, single)
         });
@@ -1492,6 +1480,47 @@ mod tests {
         );
     }
 
+    /// A round writes each distinct dof as the sum of its subdomains'
+    /// terms in ascending subdomain id, to the bit — the sum every rank
+    /// holding a copy forms — on an owner map with same-host and remote
+    /// links, each subdomain's term a function of (subdomain, global dof).
+    #[test]
+    fn a_round_sums_each_dof_in_ascending_subdomain_id() {
+        let mesh = Mesh::unit_square(12, 12);
+        let part = partition_mesh_rcb(&mesh, 6);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, 6, 1);
+        let term = |s: usize, g: u32| ((g as f64 + 0.3) * (s as f64 + 1.7)).sin() * 1e3;
+        let mut sums: HashMap<u32, f64> = HashMap::new();
+        for (s, sub) in decomp.subdomains.iter().enumerate() {
+            for &g in &sub.l2g {
+                let v = term(s, g);
+                sums.entry(g).and_modify(|sum| *sum += v).or_insert(v);
+            }
+        }
+        let rows = World::run(2, CostModel::default(), |comm| {
+            let (owned, _, dofs, halo) = chunked(&decomp, comm);
+            let l2g: Vec<u32> = owned
+                .iter()
+                .flat_map(|&s| &decomp.subdomains[s].l2g)
+                .copied()
+                .collect();
+            let t: Vec<f64> = owned
+                .iter()
+                .flat_map(|&s| decomp.subdomains[s].l2g.iter().map(move |&g| term(s, g)))
+                .collect();
+            let mut out = vec![0.0; dofs.n_unique()];
+            let mut inbox = vec![Vec::new(); halo.n_peers()];
+            halo.exchange(comm, &mut inbox, &mut [(&t, &mut out)])
+                .unwrap();
+            (0..l2g.len())
+                .map(|p| (l2g[p], out[dofs.slot[p]]))
+                .collect::<Vec<_>>()
+        });
+        for (g, v) in rows.into_iter().flatten() {
+            assert_eq!(v.to_bits(), sums[&g].to_bits(), "dof {g}");
+        }
+    }
+
     /// A received halo message that is not `k · recv_len` long — a short
     /// one, or one column where two were expected — is a typed interrupt,
     /// not a silently truncated sum or a slice panic.
@@ -1502,7 +1531,7 @@ mod tests {
         let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(1), &part, 2, 1);
         for (k, short_by) in [(1usize, 1usize), (2, 0)] {
             let reasons = World::run(2, CostModel::default(), |comm| {
-                let (owned, starts, halo) = chunked(&decomp, comm);
+                let (owned, starts, dofs, halo) = chunked(&decomp, comm);
                 let n = starts[owned.len()];
                 let peer = &halo.peers[0];
                 if comm.rank() == 1 {
@@ -1512,10 +1541,10 @@ mod tests {
                     return None;
                 }
                 let t = vec![1.0; k * n];
-                let mut out = t.clone();
+                let mut out = vec![0.0; k * dofs.n_unique()];
                 let mut inbox = vec![Vec::new(); 1];
                 let err = halo
-                    .exchange_add(comm, &mut inbox, &mut [(&t, &mut out)])
+                    .exchange(comm, &mut inbox, &mut [(&t, &mut out)])
                     .expect_err("a malformed message must not be summed");
                 Some(err.reason().to_string())
             });
@@ -1614,7 +1643,7 @@ mod tests {
                 let ctx = st.ctx(0.0);
                 let coarse = MultiCoarse::new(&ctx, &st, 1);
                 let n = ctx.n_concat();
-                let (mut wy, mut aq) = (vec![0.0; n], vec![0.0; n]);
+                let (mut wy, mut aq) = (vec![0.0; n], vec![0.0; ctx.n_unique()]);
                 let err = coarse
                     .try_correction(1, &vec![1.0; n], &mut wy, &mut aq, vec![0.0; plen])
                     .expect_err("a malformed message must not be used");
@@ -1644,8 +1673,7 @@ mod tests {
         let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, NSUB, 1);
         let wave = |k: usize| (k as f64 * 0.37).sin() + 0.25;
         let (rows, trace) = World::run_traced(2, CostModel::default(), |comm| {
-            let (owned, starts, halo) = chunked(&decomp, comm);
-            let dofs = DistinctDofs::build(&decomp, &owned);
+            let (owned, starts, dofs, halo) = chunked(&decomp, comm);
             let ctx = MultiCtx {
                 comm,
                 decomp: &decomp,

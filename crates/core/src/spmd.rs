@@ -440,8 +440,8 @@ pub(crate) fn try_setup_on<'a>(
     for &s in &owned {
         starts.push(starts[starts.len() - 1] + decomp.subdomains[s].n_local());
     }
-    let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host);
     let dofs = DistinctDofs::build(decomp, &owned);
+    let halo = HaloPlan::build(decomp, comm, &owned, &starts, &host, &dofs);
     let mut run = RunReport::default();
 
     comm.try_barrier()?;

@@ -363,11 +363,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Sum `A + B` of same-shape matrices.
-    pub fn add(&self, b: &CsrMatrix) -> CsrMatrix {
-        self.add_scaled(1.0, b)
-    }
-
     /// `A + α B`.
     pub fn add_scaled(&self, alpha: f64, b: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.rows, b.rows);

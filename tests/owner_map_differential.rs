@@ -20,6 +20,7 @@ use dd_geneo::krylov::{try_gmres, GmresOpts, Preconditioner, SeqDot, Side};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use dd_geneo::solver::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 mod common;
@@ -314,47 +315,74 @@ fn krylov_vectors_hold_each_distinct_dof_once() {
     }
 }
 
+/// Every copy of a shared dof holds the same bits on every rank, in every
+/// vector an apply forms: one `PreparedMulti::debug_apply` on finding
+/// 1(c)'s first input (40×40, 32 subdomains, ν = 3) on the identity map
+/// and on 2- and 4-rank owner maps, its `z`, `A z` (the RAS round's second
+/// column), `A q` (the `T y` round), `q` and `A z` by the SpMV read per
+/// global dof. The scrub invariant of DESIGN.md §15.
+#[test]
+fn copies_of_a_dof_agree_to_the_bit_on_every_rank() {
+    let decomp = build(
+        Mesh::unit_square(40, 40),
+        presets::heterogeneous_diffusion(2),
+        32,
+    );
+    let opts = spmd_opts(3, CoarseSolve::Distributed);
+    let names = ["z", "az", "aq", "q", "a_of_z"];
+    for ranks in [decomp.n_subdomains(), 2, 4] {
+        let (d, o) = (Arc::clone(&decomp), opts.clone());
+        let per_rank = World::run(ranks, CostModel::default(), move |comm| {
+            let plan = repartition_plan(&d, comm, None);
+            let prepared = if ranks == d.n_subdomains() {
+                try_setup(&d, comm, &o)
+            } else {
+                try_setup_partitioned(&d, comm, &o, None, &plan, true)
+            }
+            .expect("set-up failed");
+            let owned: Vec<usize> = (0..d.n_subdomains())
+                .filter(|&s| plan.owner_world[s] == comm.world_rank())
+                .collect();
+            let p = prepared
+                .debug_apply(0.0, &d.rhs_global)
+                .expect("apply failed");
+            (owned, [p.z, p.az, p.aq, p.q, p.a_of_z])
+        });
+        let mut first: HashMap<(usize, u32), (usize, u64)> = HashMap::new();
+        let mut copies = 0;
+        for (rank, (owned, vectors)) in per_rank.iter().enumerate() {
+            let l2g = owned.iter().flat_map(|&s| &decomp.subdomains[s].l2g);
+            for (p, &g) in l2g.enumerate() {
+                for (v, (name, x)) in names.iter().zip(vectors).enumerate() {
+                    let bits = x[p].to_bits();
+                    let &mut (r0, b0) = first.entry((v, g)).or_insert((rank, bits));
+                    copies += usize::from(r0 != rank);
+                    assert_eq!(
+                        bits, b0,
+                        "{ranks} ranks: `{name}` at dof {g} differs between ranks {r0} and {rank}"
+                    );
+                }
+            }
+        }
+        assert!(copies > 0, "{ranks} ranks: no dof held on two ranks");
+    }
+}
+
 /// The inputs of ROADMAP finding 1(c), P2 heterogeneous diffusion on 32
-/// subdomains, each solved sequentially, on the identity map and on a
-/// 2-rank owner map: the finding's own (40×40, ν = 3, tol 1e-8), the 44×44
-/// mesh at ν = 3 and tol 1e-6, and one-level RAS (no coarse space) on
-/// 40×40 at tol 1e-6. Only convergence is asserted (a true residual within
-/// 100× the tolerance) and the counts are printed (`-- --nocapture`);
-/// EXPERIMENTS.md ("Substitutions", finding 1(c)) records them. The causes
-/// are open (ROADMAP 1(c)).
+/// subdomains, each solved four ways: sequentially, on the identity map
+/// and on 2- and 4-rank owner maps. The rows: the finding's own (40×40,
+/// ν = 3, tol 1e-8), 44×44 at ν = 3 and tol 1e-6, and one-level RAS (no
+/// coarse space) on 40×40 at tol 1e-6. Every way converges to a true
+/// residual within 100× the tolerance, and all four take the same number
+/// of iterations: a halo round writes every copy of a dof on every rank as
+/// one sum in one order (DESIGN.md §15), and the SPMD runs take the
+/// sequential iteration count. Before that, the identity map took 182
+/// iterations on the first row and 98 on the last. The counts are printed
+/// (`-- --nocapture`).
 #[test]
 fn finding_1c_converges_three_ways() {
-    let coarse = |nev: usize, tol: f64| SpmdOpts {
-        gmres: GmresOpts {
-            tol,
-            ..gmres_opts()
-        },
-        ..spmd_opts(nev, CoarseSolve::Distributed)
-    };
     for (mesh, nev, tol) in [(40, 3, 1e-8), (44, 3, 1e-6)] {
-        let decomp = build(
-            Mesh::unit_square(mesh, mesh),
-            presets::heterogeneous_diffusion(2),
-            32,
-        );
-        let opts = coarse(nev, tol);
-        let m = two_level(
-            &decomp,
-            &TwoLevelOpts {
-                geneo: opts.geneo.clone(),
-                ..Default::default()
-            },
-        );
-        report_1c(
-            &format!("{mesh}×{mesh}, ν = {nev}, tol {tol:e}"),
-            &decomp,
-            tol,
-            [
-                sequential_with(&decomp, &m, &opts.gmres),
-                identity_map(&decomp, &opts),
-                owner_map(&decomp, &opts, 2),
-            ],
-        );
+        two_level_1c_row(mesh, nev, tol);
     }
     let decomp = build(
         Mesh::unit_square(40, 40),
@@ -363,7 +391,7 @@ fn finding_1c_converges_three_ways() {
     );
     let opts = SpmdOpts {
         one_level_only: true,
-        ..coarse(3, 1e-6)
+        ..opts_1c(3, 1e-6)
     };
     let ras = RasPrecond::build(&decomp, Ordering::MinDegree);
     report_1c(
@@ -374,14 +402,74 @@ fn finding_1c_converges_three_ways() {
             sequential_with(&decomp, &ras, &opts.gmres),
             identity_map(&decomp, &opts),
             owner_map(&decomp, &opts, 2),
+            owner_map(&decomp, &opts, 4),
         ],
     );
 }
 
-/// Print one finding-1(c) row and hold each of its three runs to
-/// convergence and a true residual within 100× the tolerance `tol`.
-fn report_1c(row: &str, decomp: &Decomposition, tol: f64, answers: [Answer; 3]) {
-    let ways = ["sequential", "identity map, 32 ranks", "owner map, 2 ranks"];
+/// ROADMAP 1(d): the 48×48 mesh on 32 subdomains at ν = 2 and 3 and tol
+/// 1e-8, the four ways of `finding_1c_converges_three_ways`, held to the
+/// same count. About 30 s in a debug build (as long as the three rows
+/// above together), so it runs in release only
+/// (`cargo test --release --test owner_map_differential`, about 2 s).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "48×48 rows: run with --release")]
+fn finding_1d_48_by_48_converges_four_ways() {
+    for nev in [2, 3] {
+        two_level_1c_row(48, nev, 1e-8);
+    }
+}
+
+/// Finding 1(c)'s GMRES and GenEO options at `nev` and tolerance `tol`.
+fn opts_1c(nev: usize, tol: f64) -> SpmdOpts {
+    SpmdOpts {
+        gmres: GmresOpts {
+            tol,
+            ..gmres_opts()
+        },
+        ..spmd_opts(nev, CoarseSolve::Distributed)
+    }
+}
+
+/// One two-level finding-1(c) row: the `mesh`×`mesh` square on 32
+/// subdomains at `nev` and `tol`, solved the four ways of [`report_1c`].
+fn two_level_1c_row(mesh: usize, nev: usize, tol: f64) {
+    let decomp = build(
+        Mesh::unit_square(mesh, mesh),
+        presets::heterogeneous_diffusion(2),
+        32,
+    );
+    let opts = opts_1c(nev, tol);
+    let m = two_level(
+        &decomp,
+        &TwoLevelOpts {
+            geneo: opts.geneo.clone(),
+            ..Default::default()
+        },
+    );
+    report_1c(
+        &format!("{mesh}×{mesh}, ν = {nev}, tol {tol:e}"),
+        &decomp,
+        tol,
+        [
+            sequential_with(&decomp, &m, &opts.gmres),
+            identity_map(&decomp, &opts),
+            owner_map(&decomp, &opts, 2),
+            owner_map(&decomp, &opts, 4),
+        ],
+    );
+}
+
+/// Print one finding-1(c) row, hold each of its four runs to convergence
+/// and a true residual within 100× the tolerance `tol`, and the three SPMD
+/// runs to the sequential iteration count.
+fn report_1c(row: &str, decomp: &Decomposition, tol: f64, answers: [Answer; 4]) {
+    let ways = [
+        "sequential",
+        "identity map, 32 ranks",
+        "owner map, 2 ranks",
+        "owner map, 4 ranks",
+    ];
     for (what, answer) in ways.iter().zip(&answers) {
         println!(
             "finding 1(c), {row}, {what}: {} iterations",
@@ -394,4 +482,9 @@ fn report_1c(row: &str, decomp: &Decomposition, tol: f64, answers: [Answer; 3]) 
             "{row}, {what}: true residual {residual:e}"
         );
     }
+    let counts: Vec<usize> = answers.iter().map(|a| a.iterations).collect();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "{row}: iterations {counts:?} ({ways:?})"
+    );
 }
