@@ -1619,7 +1619,7 @@ impl Communicator {
         );
         let mut attempts = 0u32;
         let on = WaitOn::Message { src, tag };
-        let (env, inner, parked) = self.park(&mb.inner, &mb.cv, on, |inner| {
+        let env = self.park(&mb.inner, &mb.cv, on, |inner| {
             if let Some(q) = inner.queues.get_mut(&(src, tag)) {
                 while let Some(front) = q.front_mut() {
                     if front.drops == 0 {
@@ -1701,10 +1701,7 @@ impl Communicator {
             self.health
                 .is_gone(src_world)
                 .then_some(Err(CommError::RankDead { rank: src_world }))
-        });
-        drop(inner);
-        drop(parked);
-        let env = env?;
+        })?;
         self.clock.advance_to(env.arrival);
         self.tracer
             .on_recv(self.shared.world_ranks[src], tag, env.bytes);
@@ -1718,7 +1715,7 @@ impl Communicator {
     /// stall, aborts the wait with a structured error.
     fn wait_slot_done(&self, seq: u64) -> Result<(), CommError> {
         let (lock, cv) = (&self.shared.slots, &self.shared.slots_cv);
-        let (done, slots, parked) = self.park(lock, cv, WaitOn::Slot { seq }, |slots| {
+        self.park(lock, cv, WaitOn::Slot { seq }, |slots| {
             match slots.get(&seq) {
                 Some(slot) if slot.done => Some(Ok(())),
                 // A participant that has not contributed and is gone
@@ -1739,40 +1736,34 @@ impl Communicator {
                 // cleanup.
                 None => Some(Ok(())),
             }
-        });
-        // The probe goes first, under the slot lock.
-        drop(parked);
-        drop(slots);
-        done
+        })
     }
 
     /// The one park loop behind every blocking wait: `poll` is the wait's
     /// readiness test, then its dead-peer test; revocation, the parked
-    /// registration and deadlock confirmation live here. Returns with the
-    /// lock held and the registration live; callers release them in order.
-    fn park<'a, T, R>(
-        &'a self,
-        lock: &'a SyncMutex<T>,
+    /// registration and deadlock confirmation live here. The registration
+    /// ends under the lock, before it is released: once `poll` has taken
+    /// what it waited for, no other rank may see this wait's probe on an
+    /// unlocked, drained queue and confirm a deadlock.
+    fn park<T, R>(
+        &self,
+        lock: &SyncMutex<T>,
         cv: &SyncCondvar,
         on: WaitOn,
         mut poll: impl FnMut(&mut T) -> Option<Result<R, CommError>>,
-    ) -> (
-        Result<R, CommError>,
-        SyncMutexGuard<'a, T>,
-        Option<BlockGuard<'a>>,
-    ) {
+    ) -> Result<R, CommError> {
         let mut stall = 0u32;
         let mut parked: Option<BlockGuard> = None;
         let mut held = lock.lock();
-        loop {
+        let answer = loop {
             if let Some(answer) = poll(&mut held) {
-                return (answer, held, parked);
+                break answer;
             }
             // After the dead-peer test (a dead peer stays RankDead), and
             // only with nothing to hand out: what a peer delivered before
             // revoking is still received, so outcomes follow program order.
             if self.health.revoked(self.epoch) {
-                return (Err(CommError::Revoked { epoch: self.epoch }), held, parked);
+                break Err(CommError::Revoked { epoch: self.epoch });
             }
             if parked.is_none() {
                 let probe = WaitProbe {
@@ -1792,15 +1783,18 @@ impl Communicator {
                     let dead = self.health.confirmed_deadlock();
                     held = lock.lock();
                     if dead {
-                        let rank = self.world_rank();
-                        return (Err(CommError::Deadlock { rank }), held, parked);
+                        break Err(CommError::Deadlock {
+                            rank: self.world_rank(),
+                        });
                     }
                 }
             } else {
                 stall = 0;
             }
             held = cv.wait_timeout(held, TICK);
-        }
+        };
+        drop(parked);
+        answer
     }
 
     /// Charge this rank for fault-plan drops/delays of one collective

@@ -30,7 +30,7 @@
 //! apply was four and two (DESIGN.md, "halo rounds per iteration").
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::decomp::{Decomposition, Subdomain};
 use crate::error::{CoarseOutcome, PhaseOutcome, RunReport, SpmdError};
@@ -71,11 +71,12 @@ pub(crate) fn epoch_salt(comm: &Communicator) -> u64 {
 /// same sum in the same order, so the copies agree to the bit. A dof no
 /// other subdomain shares is a single read.
 ///
-/// Each exchange sends one packed message per neighbouring *rank*, its
-/// segments ordered by (source subdomain, destination subdomain); a
-/// remote subdomain's value of a dof arrives once for each owned subdomain
-/// sharing it, and the sum reads the first. On the identity map that is
-/// one message per neighbour, tag 103.
+/// Each exchange sends one message per neighbouring *rank*, carrying each
+/// (owned subdomain, global dof) value the peer's subdomains share once,
+/// in ascending (subdomain, global dof) order: the order the peer lists
+/// what it receives, so every received word is one term of one sum. On
+/// the identity map that is one message per neighbour, the one link's
+/// shared values, tag 103.
 ///
 /// The tag is salted by the epoch and by the communicator's collective
 /// count when the plan was built: a set-up repeated on one communicator (a
@@ -97,9 +98,9 @@ pub(crate) struct HaloPlan {
 
 struct Peer {
     rank: usize,
-    /// Indices packed into the message sent to `rank`.
+    /// Concatenated positions packed into the message sent to `rank`.
     pack: Vec<usize>,
-    /// Length of the message `rank` sends back.
+    /// Values in one column of the message `rank` sends back.
     recv_len: usize,
 }
 
@@ -109,8 +110,8 @@ struct Peer {
 enum Term {
     /// An owned subdomain's copy: its concatenated position.
     Local(u32),
-    /// A remote subdomain's copy: value `offset` of a column's segment of
-    /// the message from `peers[peer]`.
+    /// A remote subdomain's copy: value `offset` of a column of the message
+    /// from `peers[peer]`.
     Remote { peer: u32, offset: u32 },
 }
 
@@ -127,62 +128,52 @@ impl HaloPlan {
         dofs: &DistinctDofs,
     ) -> Self {
         let me = comm.rank();
-        let links = |i: usize| decomp.subdomains[owned[i]].neighbors.iter();
-        let mut ranks: Vec<usize> = (0..owned.len())
-            .flat_map(|i| links(i).map(|l| host[l.j]))
-            .filter(|&r| r != me)
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        let mut peers: Vec<Peer> = ranks
-            .iter()
-            .map(|&rank| Peer {
-                rank,
-                pack: Vec::new(),
-                recv_len: 0,
-            })
-            .collect();
-        // Where each incoming segment starts: the sender packs its links in
-        // (source, destination) order, and a link is as long seen from
-        // either side.
-        let mut incoming: BTreeMap<(usize, usize, usize), usize> = BTreeMap::new();
+        // What this rank sends, (peer, owned subdomain, global dof), and
+        // what it receives, (peer, remote subdomain, global dof) with its
+        // distinct dof, sorted; a key met from two links is one key. A
+        // concatenated position `p` stands for its (owned subdomain, global
+        // dof) and sorts like it: `l2g` is ascending. Links are symmetric,
+        // so a peer's receive keys are this rank's send keys to it.
+        let (mut send, mut recv) = (Vec::new(), Vec::new());
         for (i, &s) in owned.iter().enumerate() {
-            for l in links(i) {
-                if let Ok(p) = ranks.binary_search(&host[l.j]) {
-                    incoming.insert((p, l.j, s), l.shared.len());
+            let sub = &decomp.subdomains[s];
+            for l in sub.neighbors.iter().filter(|l| host[l.j] != me) {
+                for &k in &l.shared {
+                    let p = starts[i] + k as usize;
+                    send.push((host[l.j], p));
+                    recv.push((host[l.j], l.j, sub.l2g[k as usize], dofs.slot[p]));
                 }
             }
         }
-        for ((p, _, _), len) in incoming.iter_mut() {
-            let offset = peers[*p].recv_len;
-            peers[*p].recv_len += *len;
-            *len = offset;
+        send.sort_unstable();
+        send.dedup();
+        recv.sort_unstable();
+        recv.dedup();
+        let mut peers: Vec<Peer> = Vec::new();
+        for &(rank, p) in &send {
+            match peers.last_mut() {
+                Some(peer) if peer.rank == rank => peer.pack.push(p),
+                _ => peers.push(Peer {
+                    rank,
+                    pack: vec![p],
+                    recv_len: 0,
+                }),
+            }
         }
         let pos = |p: usize| u32::try_from(p).expect("halo positions fit in 32 bits");
-        // Each distinct dof's terms, keyed by subdomain: every owned copy,
-        // and every remote subdomain's value the first time it arrives.
+        // Each distinct dof's terms, keyed by subdomain: every owned copy
+        // and every received word.
         let mut by_dof: Vec<Vec<(usize, Term)>> = vec![Vec::new(); dofs.n_unique()];
         for (i, &s) in owned.iter().enumerate() {
             for p in starts[i]..starts[i + 1] {
                 by_dof[dofs.slot[p]].push((s, Term::Local(pos(p))));
             }
-            for l in links(i) {
-                let Ok(peer) = ranks.binary_search(&host[l.j]) else {
-                    continue;
-                };
-                let at = incoming[&(peer, l.j, s)];
-                for (m, &k) in l.shared.iter().enumerate() {
-                    // What this side of the link receives into, it also
-                    // sends.
-                    let p = starts[i] + k as usize;
-                    peers[peer].pack.push(p);
-                    let terms = &mut by_dof[dofs.slot[p]];
-                    if terms.iter().all(|&(j, _)| j != l.j) {
-                        let (peer, offset) = (pos(peer), pos(at + m));
-                        terms.push((l.j, Term::Remote { peer, offset }));
-                    }
-                }
-            }
+        }
+        for &(rank, j, _, q) in &recv {
+            let p = peers.partition_point(|p| p.rank < rank);
+            let (peer, offset) = (pos(p), pos(peers[p].recv_len));
+            peers[p].recv_len += 1;
+            by_dof[q].push((j, Term::Remote { peer, offset }));
         }
         let (mut first, mut rest) = (Vec::new(), Vec::new());
         for (g, mut dof) in by_dof.into_iter().enumerate() {
@@ -203,7 +194,7 @@ impl HaloPlan {
     /// every distinct dof `g` and every column `c` of every `(t, out)`
     /// pair, a column of `t` being `self.n` concatenated values and one of
     /// `out` the rank's distinct dofs. Each neighbouring rank gets one
-    /// message, its segments of every column one column after another (the
+    /// message, its values of every column one column after another (the
     /// pairs' columns in order), and every column is summed as a
     /// one-column round sums it — so a `k`-column round is `k` one-column
     /// rounds to the bit, in `1/k` of the messages. `inbox` holds the
@@ -1518,6 +1509,46 @@ mod tests {
         });
         for (g, v) in rows.into_iter().flatten() {
             assert_eq!(v.to_bits(), sums[&g].to_bits(), "dof {g}");
+        }
+    }
+
+    /// The two ends of a link list the same words: a rank packs for a
+    /// peer as many values as that peer expects from it, and every word
+    /// it receives is read by exactly one term — on an owner map where a
+    /// remote subdomain shares dofs with several owned ones.
+    #[test]
+    fn every_received_halo_word_is_read_once() {
+        let mesh = Mesh::unit_square(12, 12);
+        let part = partition_mesh_rcb(&mesh, 6);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(2), &part, 6, 1);
+        let plans = World::run(2, CostModel::default(), |comm| {
+            let (_, _, _, halo) = chunked(&decomp, comm);
+            let mut reads: Vec<Vec<usize>> =
+                halo.peers.iter().map(|p| vec![0; p.recv_len]).collect();
+            for t in halo.first.iter().chain(halo.rest.iter().map(|(_, t)| t)) {
+                if let Term::Remote { peer, offset } = *t {
+                    reads[peer as usize][offset as usize] += 1;
+                }
+            }
+            let links: Vec<(usize, usize, usize)> = halo
+                .peers
+                .iter()
+                .map(|p| (p.rank, p.pack.len(), p.recv_len))
+                .collect();
+            (links, reads)
+        });
+        for (me, (links, reads)) in plans.iter().enumerate() {
+            assert!(!links.is_empty(), "rank {me} has a neighbouring rank");
+            for (&(rank, _, recv_len), reads) in links.iter().zip(reads) {
+                let packed = plans[rank].0.iter().find(|l| l.0 == me).map(|l| l.1);
+                assert_eq!(packed, Some(recv_len), "rank {rank} packs for rank {me}");
+                let read = reads.iter().filter(|&&n| n == 1).count();
+                assert_eq!(
+                    (read, reads.iter().sum::<usize>()),
+                    (recv_len, recv_len),
+                    "rank {me} reads once of the {recv_len} words from rank {rank}"
+                );
+            }
         }
     }
 

@@ -2,8 +2,13 @@
 //!
 //! The solver the paper uses throughout its experiments ("The GMRES is
 //! stopped when a relative 10⁻⁶ decrease of the residual is reached";
-//! Figure 7 uses GMRES(40)). Orthogonalization is selectable:
+//! Figure 7 uses GMRES(40)). Preconditioning is on the right by default
+//! ([`Side::Right`]). Orthogonalization is selectable:
 //!
+//! * [`Ortho::Cgs2`] (the default) — classical Gram–Schmidt run twice: two
+//!   batched Gram reductions plus one normalization reduction per
+//!   iteration, nearly as robust as MGS at a reduction count independent
+//!   of the basis size;
 //! * [`Ortho::Mgs`] — modified Gram–Schmidt, `i + 1` reductions per
 //!   iteration (robust reference);
 //! * [`Ortho::Cgs`] — classical Gram–Schmidt with a single batched Gram

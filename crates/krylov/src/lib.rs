@@ -1,10 +1,11 @@
 //! # dd-krylov
 //!
-//! Krylov solvers for the domain decomposition workspace: left-
-//! preconditioned restarted GMRES(m) (the paper's solver of choice),
-//! preconditioned CG, and the pipelined / fused p1-GMRES variants of §3.5
-//! that trade standalone global reductions for communication piggy-backed
-//! on the coarse correction.
+//! Krylov solvers for the domain decomposition workspace: restarted
+//! GMRES(m) (the paper's solver of choice), right-preconditioned by
+//! default and left-preconditioned on request, preconditioned CG, and the
+//! left-preconditioned pipelined / fused p1-GMRES variants of §3.5 that
+//! trade standalone global reductions for communication piggy-backed on
+//! the coarse correction.
 //!
 //! Solvers are generic over [`Operator`], [`Preconditioner`] and
 //! [`InnerProduct`], so the same code runs sequentially (`SeqDot`) and in

@@ -6,6 +6,10 @@
 //! `Timeout` and `Corrupt`, and the agreement commits one membership on
 //! every member, joiners included.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use dd_check::{check_world, scaled, Budget, Config};
 use dd_geneo::comm::{CommError, CostModel, FaultPlan, RetryPolicy, TagClass, World};
 
 fn is_deadlock<T>(r: &Result<T, CommError>) -> bool {
@@ -145,4 +149,48 @@ fn a_pending_joiner_is_admitted_by_the_shrink() {
     });
     let want: Vec<_> = (0..3).map(|rank| Some((3, 1, rank, 3.0))).collect();
     assert_eq!(out, want);
+}
+
+/// A message that has been taken is never a deadlock. Rank 0 receives
+/// from rank 1, then sends to ranks 1 and 2, which wait on it. A receive
+/// that drains its queue and unlocks the mailbox before it ends its wait
+/// registration leaves a probe saying "waiting" on an empty queue; with
+/// ranks 1 and 2 parked meanwhile, one of them confirms a deadlock on
+/// this correct program. It takes three ranks: the explorer never gives
+/// one parked rank the six stall ticks in a row that a confirmation
+/// needs, so a two-rank version finds nothing. Every explored schedule
+/// must end with every rank holding its message.
+#[test]
+fn a_taken_message_is_never_a_deadlock() {
+    let deadlocks = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&deadlocks);
+    let budget = Budget {
+        max_schedules: scaled(5000),
+        check_divergence: true,
+    };
+    let report = check_world(3, Config::default(), budget, move |comm| {
+        let policy = RetryPolicy::default();
+        let got = match comm.rank() {
+            0 => comm.try_recv_timeout::<u64>(1, 1, &policy).inspect(|&v| {
+                comm.send(1, 2, v + 1);
+                comm.send(2, 2, v + 2);
+            }),
+            1 => {
+                comm.send(0, 1, 7u64);
+                comm.try_recv_timeout::<u64>(0, 2, &policy)
+            }
+            _ => comm.try_recv_timeout::<u64>(0, 2, &policy),
+        };
+        if is_deadlock(&got) {
+            seen.fetch_add(1, Ordering::SeqCst);
+        }
+        format!("{got:?}").into_bytes()
+    });
+    assert_eq!(
+        deadlocks.load(Ordering::SeqCst),
+        0,
+        "deadlocks confirmed in {} schedules",
+        report.schedules
+    );
+    report.assert_clean();
 }
