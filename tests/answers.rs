@@ -12,6 +12,8 @@
 //!   (`try_run_spmd`) and on a 2-rank owner map (`try_setup_partitioned` +
 //!   `try_apply`), with the traced set-up and solve message counters
 //!   summed over ranks;
+//! * `diffusion2d/{identity, owner2}/one-level/{classical-right,
+//!   classical-left, pipelined, fused}` — the same on one-level RAS;
 //! * `serve/{classical-right, pipelined, fused}/{recycle, cold}` — a
 //!   2-rank `try_serve` stream on the 2D decomposition (one right-hand side
 //!   twice, then an admissibly perturbed one), with and without a recycle
@@ -205,35 +207,42 @@ fn decompositions() -> Vec<(&'static str, Arc<Decomposition>, usize)> {
     ]
 }
 
+/// The Krylov loops of the SPMD rows: `(name, solver, side)`.
+const LOOPS: [(&str, SolverKind, Side); 4] = [
+    ("classical-right", SolverKind::Classical, Side::Right),
+    ("classical-left", SolverKind::Classical, Side::Left),
+    ("pipelined", SolverKind::Pipelined, Side::Left),
+    ("fused", SolverKind::Fused, Side::Left),
+];
+
+/// Options of an SPMD row.
+fn spmd_opts(nev: usize, solver: SolverKind, side: Side, coarse_solve: CoarseSolve) -> SpmdOpts {
+    SpmdOpts {
+        geneo: GeneoOpts {
+            nev,
+            ..Default::default()
+        },
+        n_masters: 2,
+        gmres: GmresOpts {
+            tol: 1e-6,
+            max_iters: 200,
+            side,
+            ..Default::default()
+        },
+        solver,
+        coarse_solve,
+        ..Default::default()
+    }
+}
+
 fn spmd_rows(rows: &mut BTreeMap<String, String>) {
-    let loops = [
-        ("classical-right", SolverKind::Classical, Side::Right),
-        ("classical-left", SolverKind::Classical, Side::Left),
-        ("pipelined", SolverKind::Pipelined, Side::Left),
-        ("fused", SolverKind::Fused, Side::Left),
-    ];
     for (name, decomp, nev) in decompositions() {
-        for (loop_name, solver, side) in loops {
+        for (loop_name, solver, side) in LOOPS {
             for (coarse_name, coarse_solve) in [
                 ("distributed", CoarseSolve::Distributed),
                 ("redundant", CoarseSolve::Redundant),
             ] {
-                let opts = SpmdOpts {
-                    geneo: GeneoOpts {
-                        nev,
-                        ..Default::default()
-                    },
-                    n_masters: 2,
-                    gmres: GmresOpts {
-                        tol: 1e-6,
-                        max_iters: 200,
-                        side,
-                        ..Default::default()
-                    },
-                    solver,
-                    coarse_solve,
-                    ..Default::default()
-                };
+                let opts = spmd_opts(nev, solver, side, coarse_solve);
                 for (map, row) in [
                     ("identity", identity_map(&decomp, &opts)),
                     ("owner2", owner_map(&decomp, &opts)),
@@ -244,6 +253,28 @@ fn spmd_rows(rows: &mut BTreeMap<String, String>) {
                     );
                 }
             }
+        }
+    }
+}
+
+/// One-level RAS on the 2D decomposition under every loop.
+fn one_level_rows(rows: &mut BTreeMap<String, String>) {
+    let (name, decomp, _) = decompositions().swap_remove(1);
+    for (loop_name, solver, side) in LOOPS {
+        let opts = SpmdOpts {
+            one_level_only: true,
+            ..spmd_opts(
+                GeneoOpts::default().nev,
+                solver,
+                side,
+                CoarseSolve::Distributed,
+            )
+        };
+        for (map, row) in [
+            ("identity", identity_map(&decomp, &opts)),
+            ("owner2", owner_map(&decomp, &opts)),
+        ] {
+            rows.insert(format!("{name}/{map}/one-level/{loop_name}"), row.json());
         }
     }
 }
@@ -408,6 +439,7 @@ fn sequential_rows(rows: &mut BTreeMap<String, String>) {
 fn answers_match_the_golden_fingerprints() {
     let mut rows = BTreeMap::new();
     spmd_rows(&mut rows);
+    one_level_rows(&mut rows);
     serve_rows(&mut rows);
     sequential_rows(&mut rows);
     let body: Vec<String> = rows
