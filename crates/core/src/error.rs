@@ -122,7 +122,7 @@ pub enum DeflationSource {
     /// The eigensolve failed; the partition-of-unity-weighted kernel modes
     /// (Nicolaides) were substituted for this subdomain.
     NicolaidesFallback,
-    /// No deflation vectors (one-level run, or no overlap).
+    /// No deflation vectors (ν = 0, or no overlap).
     None,
 }
 
@@ -132,13 +132,12 @@ pub enum CoarseOutcome {
     /// The coarse operator was assembled and factored: full A-DEF1.
     #[default]
     TwoLevel,
-    /// The caller asked for the one-level baseline (`one_level_only`).
-    OneLevelRequested,
     /// The coarse factorization failed on a master; every rank dropped to
     /// the one-level RAS preconditioner and kept iterating.
     OneLevelFallback,
-    /// The coarse space is empty (`dim E = 0`, e.g. a single subdomain);
-    /// one-level RAS is used.
+    /// The coarse space is empty (`dim E = 0`): ν = 0 was asked for
+    /// (`GeneoOpts::nev`, the one-level baseline) or no subdomain kept a
+    /// vector (e.g. a single subdomain); one-level RAS is used.
     EmptyCoarse,
 }
 

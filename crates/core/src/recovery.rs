@@ -848,7 +848,7 @@ fn run_partitioned(
         // Rows recomputed this epoch vs. reused from the cache.
         let rows = |fresh: bool| -> Vec<usize> {
             (0..nsubs)
-                .filter(|&s| !opts.one_level_only && prepared.fresh[s] == fresh)
+                .filter(|&s| opts.geneo.nev > 0 && prepared.fresh[s] == fresh)
                 .collect()
         };
         recoveries.push(RecoveryRecord {

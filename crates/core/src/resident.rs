@@ -19,7 +19,11 @@
 //! One set-up fills a [`PreparedMulti`], `spmd::try_setup_on`
 //! (Algorithms 1–2 on any owner map). Everything after set-up — eq. 5, the
 //! partition-of-unity inner product, RAS, the coarse correction of §3.2 and
-//! `P⁻¹_A-DEF1` (eq. 6) with its fused payload (§3.5) — lives here.
+//! `P⁻¹_A-DEF1` (eq. 6) with its fused payload (§3.5) — lives here. The
+//! solve builds one preconditioner, eq. 6: one-level RAS (eq. 3) is eq. 6
+//! with an empty coarse space (ν = 0, or a coarse level that came out
+//! empty or failed), its RAS tail alone, one halo round per apply, under
+//! the classical loop.
 //!
 //! Per Krylov iteration the two-level applies take two halo rounds and no
 //! SpMV: the §3.1 identity `A R_sᵀ W_s = R_sᵀ T_s` gives `A q` from one
@@ -161,25 +165,30 @@ impl HaloPlan {
             }
         }
         let pos = |p: usize| u32::try_from(p).expect("halo positions fit in 32 bits");
-        // Each distinct dof's terms, keyed by subdomain: every owned copy
-        // and every received word.
-        let mut by_dof: Vec<Vec<(usize, Term)>> = vec![Vec::new(); dofs.n_unique()];
+        // Every term, (distinct dof, subdomain, term): each owned copy and
+        // each received word. A subdomain holds a dof once, so the keys are
+        // unique and one sort puts each dof's terms in ascending subdomain
+        // id.
+        let mut terms: Vec<(usize, usize, Term)> = Vec::with_capacity(starts[owned.len()]);
         for (i, &s) in owned.iter().enumerate() {
             for p in starts[i]..starts[i + 1] {
-                by_dof[dofs.slot[p]].push((s, Term::Local(pos(p))));
+                terms.push((dofs.slot[p], s, Term::Local(pos(p))));
             }
         }
         for &(rank, j, _, q) in &recv {
             let p = peers.partition_point(|p| p.rank < rank);
             let (peer, offset) = (pos(p), pos(peers[p].recv_len));
             peers[p].recv_len += 1;
-            by_dof[q].push((j, Term::Remote { peer, offset }));
+            terms.push((q, j, Term::Remote { peer, offset }));
         }
-        let (mut first, mut rest) = (Vec::new(), Vec::new());
-        for (g, mut dof) in by_dof.into_iter().enumerate() {
-            dof.sort_unstable_by_key(|&(s, _)| s);
-            first.push(dof[0].1);
-            rest.extend(dof[1..].iter().map(|&(_, t)| (pos(g), t)));
+        terms.sort_unstable_by_key(|&(g, s, _)| (g, s));
+        let (mut first, mut rest) = (Vec::with_capacity(dofs.n_unique()), Vec::new());
+        for (i, &(g, _, t)) in terms.iter().enumerate() {
+            if i == 0 || terms[i - 1].0 != g {
+                first.push(t);
+            } else {
+                rest.push((pos(g), t));
+            }
         }
         HaloPlan {
             tag: TAG_X + epoch_salt(comm) + (comm.collective_seq() << 32),
@@ -579,8 +588,9 @@ struct CoarsePart<'b> {
     aq: &'b [f64],
 }
 
-/// Distributed one-level RAS: `z_s = Σ_j R_s R_jᵀ D_j A_j⁻¹ r_j`, on one
-/// column or on a panel of them, from and to the rank's distinct dofs.
+/// Distributed RAS, `z_s = Σ_j R_s R_jᵀ D_j A_j⁻¹ r_j` (eq. 3): the tail
+/// of eq. 6, on one column or on a panel of them, from and to the rank's
+/// distinct dofs.
 struct MultiRas<'a> {
     /// The operator being solved: its context, and its `A_s` for `A z`.
     op: &'a MultiOp<'a>,
@@ -606,7 +616,7 @@ impl<'a> MultiRas<'a> {
         }
     }
 
-    /// The RAS tail of both preconditioners, for the `k` columns of `t`
+    /// The RAS tail of eq. 6, for the `k` columns of `t`
     /// (distinct dofs, expanded to the owned subdomains' locals here).
     /// `u_s = A_s⁻¹ t_s` on every owned subdomain, all columns in one panel
     /// solve, then ONE halo round: of `D_s u_s + W_s y_s` (the coarse
@@ -668,35 +678,6 @@ impl<'a> MultiRas<'a> {
                 Ok(())
             }
         }
-    }
-}
-
-impl Preconditioner for MultiRas<'_> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        if let Err(e) = self.try_apply_panel(1, r, z) {
-            panic!("RAS: {e}")
-        }
-    }
-
-    // dd:hot
-    fn try_apply_panel(&self, k: usize, r: &[f64], z: &mut [f64]) -> Result<(), SolveInterrupt> {
-        self.try_tail(k, r, None, z, None)
-    }
-
-    /// `A z` rides on the RAS round as `k` more columns: one round, one
-    /// local SpMV per column, instead of a round for `z` and a full SpMV
-    /// after it. `op` is always the operator this RAS was built on: every
-    /// caller hands the Krylov loop the same `MultiOp`.
-    fn try_apply_panel_with_op(
-        &self,
-        op: &dyn Operator,
-        k: usize,
-        r: &[f64],
-        z: &mut [f64],
-        w: &mut [f64],
-    ) -> Result<(), SolveInterrupt> {
-        debug_assert!(std::ptr::addr_eq(op, self.op), "A z of another operator");
-        self.try_tail(k, r, None, z, Some(w))
     }
 }
 
@@ -923,16 +904,18 @@ impl<'a> MultiCoarse<'a> {
     }
 }
 
-/// Distributed two-level preconditioner `P⁻¹_A-DEF1` (eq. 6), in two halo
+/// The distributed preconditioner `P⁻¹_A-DEF1` (eq. 6), in two halo
 /// rounds: `T y` for `A q` after the coarse solve, then the RAS tail's round
 /// carrying `D A⁻¹(r − A q) + W y` (and `A D A⁻¹(r − A q)` when `A z` is
 /// wanted) — on one column or on a panel of them, whose columns share every
-/// round and the coarse solve.
+/// round and the coarse solve. Without a coarse level (`Z` empty: ν = 0, or
+/// a coarse level that failed or came out empty) `q = 0` and eq. 6 is
+/// one-level RAS (eq. 3): the tail alone, one round.
 struct MultiADef1<'a> {
     ras: MultiRas<'a>,
-    coarse: MultiCoarse<'a>,
-    /// Warm-path scratch, `k` columns each: `(r, W y)` concatenated,
-    /// `(A q, r − A q)` over the distinct dofs.
+    coarse: Option<MultiCoarse<'a>>,
+    /// Warm-path scratch of the coarse step, `k` columns each: `(r, W y)`
+    /// concatenated, `(A q, r − A q)` over the distinct dofs.
     scratch: RefCell<[Vec<f64>; 4]>,
 }
 
@@ -941,8 +924,9 @@ impl MultiADef1<'_> {
     /// `r`, and `A z` into `az` if given; the payload rides on the one
     /// coarse solve and comes back reduced. `r`, `z` and `A z` hold the
     /// distinct dofs; the coarse correction runs on `r` expanded, and its
-    /// halo round writes `A q` over the distinct dofs.
-    // dd:hot — per-iteration two-level application (eq. 6)
+    /// halo round writes `A q` over the distinct dofs. Without a coarse
+    /// level `z = RAS(r)`, and a payload is reduced on its own.
+    // dd:hot — per-iteration application of eq. 6
     fn try_eq6(
         &self,
         k: usize,
@@ -951,14 +935,24 @@ impl MultiADef1<'_> {
         az: Option<&mut [f64]>,
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
-        let ctx = self.coarse.ctx;
+        let ctx = self.ras.op.ctx;
+        let Some(coarse) = &self.coarse else {
+            self.ras.try_tail(k, r, None, z, az)?;
+            if payload.is_empty() {
+                return Ok(payload);
+            }
+            return ctx
+                .comm
+                .try_allreduce_sum_vec(payload)
+                .map_err(comm_interrupt);
+        };
         let nc = k * ctx.n_concat();
         let mut scratch = self.scratch.borrow_mut();
         let [rc, wy, aq, t] = &mut *scratch;
         let (rc, wy) = (prefix(rc, nc), prefix(wy, nc));
         let (aq, t) = (prefix(aq, r.len()), prefix(t, r.len()));
         ctx.dofs.expand(k, r, rc);
-        let reduced = self.coarse.try_correction(k, rc, wy, aq, payload)?;
+        let reduced = coarse.try_correction(k, rc, wy, aq, payload)?;
         for i in 0..r.len() {
             t[i] = r[i] - aq[i];
         }
@@ -992,9 +986,11 @@ impl Preconditioner for MultiADef1<'_> {
         self.try_eq6(k, r, z, None, Vec::new()).map(drop)
     }
 
-    /// `A z = A RAS(r − A q) + A q` from the two rounds eq. 6 runs anyway:
-    /// no third round and no SpMV. `op` is the operator it was built on, as
-    /// for [`MultiRas`].
+    /// `A z = A RAS(r − A q) + A q` from the rounds eq. 6 runs anyway: the
+    /// RAS round carries `A D A⁻¹(r − A q)` as `k` more columns, one local
+    /// SpMV each, so no extra round and no full SpMV. `op` is always the
+    /// operator this preconditioner was built on: every caller hands the
+    /// Krylov loop the same `MultiOp`.
     fn try_apply_panel_with_op(
         &self,
         op: &dyn Operator,
@@ -1132,12 +1128,18 @@ impl PreparedMulti<'_> {
         }
     }
 
-    /// Eq. 6 on `op`, for panels of up to `k` columns.
+    /// Eq. 6 on `op`, for panels of up to `k` columns: with the coarse
+    /// correction when the set-up ended two-level, one-level RAS otherwise.
     fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, k: usize) -> MultiADef1<'s> {
-        let (nc, nu) = (k * op.ctx.n_concat(), k * op.ctx.n_unique());
+        let coarse =
+            (self.run.coarse == CoarseOutcome::TwoLevel).then(|| MultiCoarse::new(op.ctx, self, k));
+        let (nc, nu) = match coarse {
+            Some(_) => (k * op.ctx.n_concat(), k * op.ctx.n_unique()),
+            None => (0, 0),
+        };
         MultiADef1 {
             ras: MultiRas::new(op, &self.factors, k),
-            coarse: MultiCoarse::new(op.ctx, self, k),
+            coarse,
             scratch: RefCell::new([vec![0.0; nc], vec![0.0; nc], vec![0.0; nu], vec![0.0; nu]]),
         }
     }
@@ -1170,9 +1172,10 @@ impl PreparedMulti<'_> {
     /// Under [`SolverKind::Classical`] the columns run as recurrences that
     /// share every halo round, coarse solve and reduction
     /// (`dd_krylov::try_gmres_panel`); the pipelined loops solve them one
-    /// after another. Either way each answer equals, to the bit, the
-    /// one-column solve from the same recycle state, and the apply ends on
-    /// one barrier. Under a shift the Krylov loop solves the shifted
+    /// after another. A set-up without a coarse level runs the classical
+    /// loop whatever `opts.solver` names. Either way each answer equals, to
+    /// the bit, the one-column solve from the same recycle state, and the
+    /// apply ends on one barrier. Under a shift the Krylov loop solves the shifted
     /// operator while RAS and the coarse correction reuse the resident
     /// factorizations; no matrix is formed or kept for it. With a recycle space
     /// every initial guess is projected onto the directions the space holds
@@ -1231,22 +1234,21 @@ impl PreparedMulti<'_> {
         let gmres = &self.opts.gmres;
         let mut ws = self.workspace.borrow_mut();
 
-        let results = if self.run.coarse != CoarseOutcome::TwoLevel {
-            let ras = MultiRas::new(&op, &self.factors, k);
-            try_gmres_panel(&op, &ras, &ip, &rhs, &x0, k, gmres, ckpt, recycle, &mut ws)
-        } else {
-            let adef1 = self.adef1(&op, k);
-            let (m, b) = (&adef1, &rhs);
-            match self.opts.solver {
-                SolverKind::Classical => {
-                    try_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle, &mut ws)
-                }
-                SolverKind::Pipelined => {
-                    pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
-                }
-                SolverKind::Fused => {
-                    fused_pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
-                }
+        let adef1 = self.adef1(&op, k);
+        let (m, b) = (&adef1, &rhs);
+        let solver = adef1
+            .coarse
+            .as_ref()
+            .map_or(SolverKind::Classical, |_| self.opts.solver);
+        let results = match solver {
+            SolverKind::Classical => {
+                try_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle, &mut ws)
+            }
+            SolverKind::Pipelined => {
+                pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
+            }
+            SolverKind::Fused => {
+                fused_pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
             }
         }
         .map_err(|si| interrupt_to_spmd(comm, si))?;
@@ -1331,25 +1333,19 @@ impl PreparedMulti<'_> {
         };
         let nc = ctx.n_concat();
         let pieces = |out: &mut DebugApply| -> Result<(), SolveInterrupt> {
-            if self.run.coarse == CoarseOutcome::TwoLevel {
-                let adef1 = self.adef1(&op, 1);
-                adef1.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
-                // q summed by a round of its shares, A q both ways, and the
-                // RAS tail with no coarse part.
+            let adef1 = self.adef1(&op, 1);
+            adef1.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
+            // q summed by a round of its shares and A q both ways (all zero
+            // without a coarse level), then the RAS tail with no coarse part.
+            if let Some(coarse) = &adef1.coarse {
                 let (mut rc, mut wy) = (vec![0.0; nc], vec![0.0; nc]);
                 ctx.dofs.expand(1, &r, &mut rc);
-                adef1
-                    .coarse
-                    .try_correction(1, &rc, &mut wy, &mut out.aq, Vec::new())?;
+                coarse.try_correction(1, &rc, &mut wy, &mut out.aq, Vec::new())?;
                 ctx.exchange(&mut [(&wy, &mut out.q)])?;
                 op.try_apply_panel(1, &out.q, &mut out.a_of_q)?;
-                let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
-                adef1.ras.try_tail(1, &t, None, &mut out.ras, None)?;
-            } else {
-                let ras = MultiRas::new(&op, &self.factors, 1);
-                ras.try_apply_panel_with_op(&op, 1, &r, &mut out.z, &mut out.az)?;
-                ras.try_apply_panel(1, &r, &mut out.ras)?;
             }
+            let t: Vec<f64> = r.iter().zip(&out.aq).map(|(a, b)| a - b).collect();
+            adef1.ras.try_tail(1, &t, None, &mut out.ras, None)?;
             op.try_apply_panel(1, &out.z, &mut out.a_of_z)
         };
         pieces(&mut out).map_err(|si| interrupt_to_spmd(self.comm, si))?;
@@ -1689,6 +1685,38 @@ mod tests {
                 reason.contains(&format!("coarse {case} ")),
                 "{case}: {reason}"
             );
+        }
+    }
+
+    /// Eq. 6 without a coarse level (ν = 0) is the RAS tail alone, and a
+    /// fused payload, with no coarse gather to ride on, is reduced over the
+    /// ranks on its own: `apply_fused` gives `try_apply_panel`'s `z` to the
+    /// bit, and the payload's sum.
+    #[test]
+    fn a_fused_payload_without_a_coarse_level_is_still_reduced() {
+        let mesh = Mesh::unit_square(8, 8);
+        let part = partition_mesh_rcb(&mesh, 2);
+        let decomp = decompose(&mesh, &presets::heterogeneous_diffusion(1), &part, 2, 1);
+        let mut opts = SpmdOpts::default();
+        opts.geneo.nev = 0;
+        let rows = World::run(2, CostModel::default(), |comm| {
+            let st = crate::spmd::try_setup(&decomp, comm, &opts).expect("set-up");
+            let ctx = st.ctx(0.0);
+            let op = MultiOp::new(&ctx, 1);
+            let m = st.adef1(&op, 1);
+            assert!(m.coarse.is_none(), "a coarse part at ν = 0");
+            let r: Vec<f64> = (0..ctx.n_unique())
+                .map(|i| (0.3 * i as f64).sin())
+                .collect();
+            let (mut z, mut zf) = (vec![0.0; r.len()], vec![0.0; r.len()]);
+            m.try_apply_panel(1, &r, &mut z).expect("apply");
+            let payload = vec![comm.rank() as f64 + 1.0, 0.5];
+            let reduced = m.apply_fused(&r, &mut zf, payload).expect("fused apply");
+            (bits(&z) == bits(&zf), reduced)
+        });
+        for (same_z, reduced) in rows {
+            assert!(same_z, "the fused apply moved z");
+            assert_eq!(reduced, [3.0, 1.0]);
         }
     }
 

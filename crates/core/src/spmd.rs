@@ -111,9 +111,10 @@ pub struct SpmdOpts {
     /// pivoting, different — equally valid — summation order).
     pub local_ldlt: LdltBackend,
     pub gmres: GmresOpts,
+    /// The Krylov loop of a two-level set-up. A one-level one (ν = 0, or
+    /// a coarse level that failed or came out empty) runs the classical
+    /// loop: the pipelined loops hide a coarse solve it does not have.
     pub solver: SolverKind,
-    /// Use the one-level RAS preconditioner only (the Figure 1/7 baseline).
-    pub one_level_only: bool,
     /// Distributed vs redundant coarse factorization/solve on the masters.
     pub coarse_solve: CoarseSolve,
     /// Shrink-and-continue recovery from rank death (see
@@ -144,7 +145,6 @@ impl Default for SpmdOpts {
                 ..Default::default()
             },
             solver: SolverKind::Classical,
-            one_level_only: false,
             coarse_solve: CoarseSolve::default(),
             recovery: RecoveryOpts::default(),
         }
@@ -488,11 +488,12 @@ pub(crate) fn try_setup_on<'a>(
     // the subdomain lands. Without a cache, a subdomain taken over this
     // epoch gets the Nicolaides substitute (the eigenvectors are not
     // recomputed — the documented degradation of a shrink). A failed
-    // eigensolve degrades that subdomain alone. Without a coarse level
-    // every `W_s` is an empty block.
+    // eigensolve degrades that subdomain alone. At ν = 0 (one-level RAS)
+    // every `W_s` is an empty block and phases 2–3 send nothing; every rank
+    // holds `opts`, so all agree without a collective.
     // Why each subdomain that got Nicolaides vectors did not get GenEO ones.
     let mut degraded: Vec<String> = Vec::new();
-    let w: Vec<DMat> = if opts.one_level_only {
+    let w: Vec<DMat> = if opts.geneo.nev == 0 {
         owned
             .iter()
             .map(|&s| DMat::zeros(decomp.subdomains[s].n_local(), 0))
@@ -603,7 +604,7 @@ pub(crate) fn try_setup_on<'a>(
     // T_s = A_s W_s per owned subdomain (empty without a coarse level).
     let mut t: Vec<DMat> = Vec::with_capacity(owned.len());
 
-    if !opts.one_level_only {
+    if opts.geneo.nev > 0 {
         // All ranks learn every subdomain's ν (Algorithm 1 line 1): each
         // rank's values in its owned order, which the owner map gives
         // everyone. Coarse rows go by (host rank, subdomain).
@@ -837,9 +838,7 @@ pub(crate) fn try_setup_on<'a>(
             });
         }
     }
-    run.coarse = if opts.one_level_only {
-        CoarseOutcome::OneLevelRequested
-    } else if coarse_fallback.is_some() {
+    run.coarse = if coarse_fallback.is_some() {
         CoarseOutcome::OneLevelFallback
     } else if dim_e == 0 {
         CoarseOutcome::EmptyCoarse
@@ -975,7 +974,10 @@ mod tests {
             ..Default::default()
         };
         let one = SpmdOpts {
-            one_level_only: true,
+            geneo: GeneoOpts {
+                nev: 0,
+                ..Default::default()
+            },
             ..base.clone()
         };
         let (r2, _) = spmd_solve(&decomp, &base);

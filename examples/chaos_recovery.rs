@@ -435,7 +435,7 @@ fn elastic_artifact_mode(join_phase: Option<String>, straggler: Option<usize>) -
     if straggler.is_some() {
         // Evicting a straggler needs enough solve iterations for the
         // suspicion budget to trip; one-level RAS converges slowly enough.
-        o.one_level_only = true;
+        o.geneo.nev = 0;
         o.gmres.tol = 1e-8;
         o.recovery.suspicion = Some(SuspicionPolicy {
             k_missed: 3,
@@ -572,7 +572,9 @@ fn main() {
         let mut o = opts();
         o.recovery.enabled = true;
         o.recovery.checkpoint_interval = interval;
-        o.one_level_only = one_level;
+        if one_level {
+            o.geneo.nev = 0;
+        }
         o
     };
     describe_recovery(

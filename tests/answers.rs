@@ -257,19 +257,11 @@ fn spmd_rows(rows: &mut BTreeMap<String, String>) {
     }
 }
 
-/// One-level RAS on the 2D decomposition under every loop.
+/// One-level RAS (ν = 0) on the 2D decomposition under every loop.
 fn one_level_rows(rows: &mut BTreeMap<String, String>) {
     let (name, decomp, _) = decompositions().swap_remove(1);
     for (loop_name, solver, side) in LOOPS {
-        let opts = SpmdOpts {
-            one_level_only: true,
-            ..spmd_opts(
-                GeneoOpts::default().nev,
-                solver,
-                side,
-                CoarseSolve::Distributed,
-            )
-        };
+        let opts = spmd_opts(0, solver, side, CoarseSolve::Distributed);
         for (map, row) in [
             ("identity", identity_map(&decomp, &opts)),
             ("owner2", owner_map(&decomp, &opts)),

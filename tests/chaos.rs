@@ -473,7 +473,10 @@ fn kill_mid_solve_resumes_from_checkpoint() {
     // One-level RAS (more iterations than the two-level solve) with a
     // tight checkpoint cadence, so checkpoints exist before the kill.
     let o = SpmdOpts {
-        one_level_only: true,
+        geneo: GeneoOpts {
+            nev: 0,
+            ..Default::default()
+        },
         recovery: RecoveryOpts {
             enabled: true,
             checkpoint_interval: 2,
@@ -964,7 +967,10 @@ fn corrupted_checkpoint_is_skipped_and_recovery_resumes_from_an_older_one() {
     // state is never deserialized into the solve.
     let decomp = setup(12, 4);
     let o = SpmdOpts {
-        one_level_only: true,
+        geneo: GeneoOpts {
+            nev: 0,
+            ..Default::default()
+        },
         recovery: RecoveryOpts {
             enabled: true,
             checkpoint_interval: 2,

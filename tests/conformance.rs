@@ -20,8 +20,8 @@ use dd_comm::{CollClass, CostModel, EventKind, FaultPlan, World, WorldTrace};
 use dd_core::{
     decompose, masters::group_of, masters::nonuniform_masters, masters::uniform_masters,
     problem::presets, repartition_plan, try_run_spmd, try_setup_partitioned, AssemblyVariant,
-    CoarseCache, CoarseSolve, Decomposition, Election, GeneoOpts, SolverKind, SpmdMultiSolution,
-    SpmdOpts,
+    CoarseCache, CoarseOutcome, CoarseSolve, Decomposition, Election, GeneoOpts, SolverKind,
+    SpmdMultiSolution, SpmdOpts,
 };
 use dd_krylov::GmresOpts;
 use dd_mesh::Mesh;
@@ -501,6 +501,47 @@ fn n_neighbors_counts_neighbouring_ranks() {
     let (owner_map, _) = traced_owner_map(&decomp, &opts, 2);
     for r in owner_map.iter().map(|s| &s.report) {
         assert_eq!(r.n_neighbors, 1, "rank {} on a 2-rank owner map", r.rank);
+    }
+}
+
+/// One-level RAS is eq. 6 with ν = 0: a `nev = 0` set-up, on the identity
+/// map and on a 2-rank owner map, sends no point-to-point message and
+/// enters none of the coarse phases (the ν allgather, the `T_s` exchange,
+/// the row gather, the factorization of `E`); it reports an empty coarse
+/// level and the solve still converges.
+#[test]
+fn a_nu_zero_setup_sends_nothing_and_enters_no_coarse_phase() {
+    let n = conf_n();
+    let decomp = setup(n);
+    let opts = SpmdOpts {
+        geneo: GeneoOpts {
+            nev: 0,
+            ..Default::default()
+        },
+        ..opts_for(n)
+    };
+    for (map, (reports, trace)) in [
+        (
+            "identity",
+            traced_solve(&decomp, &opts, FaultPlan::default()),
+        ),
+        ("owner2", traced_owner_map(&decomp, &opts, 2)),
+    ] {
+        for r in &reports {
+            assert_eq!(r.report.run.coarse, CoarseOutcome::EmptyCoarse, "{map}");
+            assert!(r.solve.result.converged, "{map}: not converged");
+        }
+        for phase in trace.phase_names() {
+            assert!(
+                !["assembly:nu", "assembly:exchange", "assembly:gather"].contains(&phase.as_str())
+                    && !phase.starts_with("e-factorization"),
+                "{map}: the set-up entered `{phase}`"
+            );
+            if phase != "solve" {
+                let sends = trace.phase_totals(&phase).sends;
+                assert_eq!(sends, 0, "{map}: {sends} message(s) sent in `{phase}`");
+            }
+        }
     }
 }
 

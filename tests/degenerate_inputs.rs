@@ -1,6 +1,6 @@
 //! Degenerate inputs to the resident solve: a right-hand side holding NaN
-//! or +Inf, an all-zero one, and a world of one rank holding the only
-//! subdomain. A non-finite right-hand side is a typed
+//! or +Inf, an all-zero one, a world of one rank holding the only
+//! subdomain, and ν = 0 everywhere. A non-finite right-hand side is a typed
 //! [`SpmdError::Protocol`] on every rank, before the first message; the
 //! others must come back as a [`SolveResult`] that tells the truth — never
 //! a panic, and never `converged` beside a non-finite `x`.
@@ -11,7 +11,7 @@ use dd_geneo::comm::{CostModel, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
     decompose, repartition_plan, try_run_spmd, try_setup, try_setup_partitioned, CoarseCache,
-    Decomposition, GeneoOpts, SolverKind, SpmdError, SpmdOpts,
+    CoarseOutcome, Decomposition, GeneoOpts, SolverKind, SpmdError, SpmdOpts,
 };
 use dd_geneo::krylov::{GmresOpts, Side, SolveResult};
 use dd_geneo::mesh::Mesh;
@@ -172,5 +172,56 @@ fn one_subdomain_on_one_rank_solves() {
         let x = common::reassemble(&decomp, [&solve.locals]);
         let rr = common::global_residual(&decomp, &x);
         assert!(rr < 1e-6, "{what}: true residual {rr:e}");
+    }
+}
+
+/// ν = 0 on every subdomain: no coarse space, so eq. 6 is one-level RAS.
+/// On the identity map (four ranks) and on a 2-rank owner map, every loop
+/// converges to an honest answer and reports an empty coarse level, and
+/// the pipelined loops, which have no coarse solve to hide, give the
+/// classical left-preconditioned answer to the bit. Honest: the monitored
+/// residual meets the tolerance, and under right preconditioning, where
+/// that residual is the true one, so does the true residual of the
+/// reassembled `x`.
+#[test]
+fn nu_zero_everywhere_is_one_level_ras_under_every_loop() {
+    let decomp = build(4);
+    for ranks in [4, 2] {
+        let mut answers: Vec<(String, Vec<u64>)> = Vec::new();
+        for (solver, side) in loops() {
+            let (d, mut o) = (Arc::clone(&decomp), opts(solver, side));
+            o.geneo.nev = 0;
+            let tol = o.gmres.tol;
+            let per_rank = World::run(ranks, CostModel::default(), move |comm| {
+                let plan = repartition_plan(&d, comm, None);
+                let prepared = try_setup_partitioned(&d, comm, &o, None, &plan, true)
+                    .expect("set-up at ν = 0");
+                prepared
+                    .try_apply(&d.rhs_global, "solve", None)
+                    .map(|out| (prepared.report(&out).run.coarse, out))
+            });
+            let what = format!("{ranks} ranks, {solver:?}/{side:?}");
+            let mut locals = Vec::new();
+            for res in per_rank {
+                let (coarse, out) = res.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(coarse, CoarseOutcome::EmptyCoarse, "{what}");
+                let r = &out.result;
+                assert!(r.converged, "{what}: not converged ({})", r.status);
+                assert!(r.x.iter().all(|v| v.is_finite()), "{what}: non-finite x");
+                assert!(r.final_residual <= tol, "{what}: {:e}", r.final_residual);
+                locals.push(out.locals);
+            }
+            let x = common::reassemble(&decomp, &locals);
+            let rr = common::global_residual(&decomp, &x);
+            assert!(
+                side == Side::Left || rr <= tol,
+                "{what}: true residual {rr:e}"
+            );
+            answers.push((what, x.iter().map(|v| v.to_bits()).collect()));
+        }
+        let (left, x_left) = &answers[1];
+        for (what, x) in &answers[2..] {
+            assert!(x == x_left, "{what} differs from {left}");
+        }
     }
 }

@@ -170,7 +170,10 @@ fn straggler_is_suspected_evicted_and_distinguished_from_death() {
     let decomp = setup(12, 6);
     let victim = 1usize;
     let o = SpmdOpts {
-        one_level_only: true,
+        geneo: GeneoOpts {
+            nev: 0,
+            ..Default::default()
+        },
         recovery: RecoveryOpts {
             enabled: true,
             checkpoint_interval: 2,
@@ -217,7 +220,10 @@ fn grow_then_evict_straggler_completes_within_tolerance() {
     let decomp = setup(16, 6);
     let victim = 1usize;
     let o = SpmdOpts {
-        one_level_only: true,
+        geneo: GeneoOpts {
+            nev: 0,
+            ..Default::default()
+        },
         gmres: GmresOpts {
             tol: 1e-8,
             max_iters: 500,

@@ -30,13 +30,12 @@ fn build(mesh: Mesh, problem: Problem, nparts: usize) -> Arc<Decomposition> {
     Arc::new(decompose(&mesh, &problem, &part, nparts, 1))
 }
 
-fn opts(nev: usize, one_level_only: bool) -> SpmdOpts {
+fn opts(nev: usize) -> SpmdOpts {
     SpmdOpts {
         geneo: GeneoOpts {
             nev,
             ..Default::default()
         },
-        one_level_only,
         ..Default::default()
     }
 }
@@ -147,7 +146,7 @@ fn fused_product_on_the_identity_map() {
     let decomp = diffusion2d();
     check(
         "fig12, identity map",
-        pieces(&decomp, &opts(6, false), None, None),
+        pieces(&decomp, &opts(6), None, None),
         true,
     );
 }
@@ -157,7 +156,7 @@ fn fused_product_on_an_owner_map_with_several_subdomains_a_rank() {
     let decomp = diffusion2d();
     check(
         "fig12, 2-rank owner map",
-        pieces(&decomp, &opts(6, false), Some(2), None),
+        pieces(&decomp, &opts(6), Some(2), None),
         true,
     );
 }
@@ -169,7 +168,7 @@ fn fused_product_under_an_operator_override() {
     let decomp = diffusion2d();
     check(
         "fig12, θ = 0.01 override, 2-rank owner map",
-        pieces(&decomp, &opts(6, false), Some(2), Some(0.01)),
+        pieces(&decomp, &opts(6), Some(2), Some(0.01)),
         true,
     );
 }
@@ -190,7 +189,7 @@ fn fused_product_on_3d_elasticity() {
     );
     check(
         "elasticity3d, identity map",
-        pieces(&decomp, &opts(8, false), None, None),
+        pieces(&decomp, &opts(8), None, None),
         true,
     );
 }
@@ -201,7 +200,7 @@ fn fused_product_on_the_one_level_path() {
     for ranks in [None, Some(2)] {
         check(
             &format!("fig12, one level, ranks {ranks:?}"),
-            pieces(&decomp, &opts(6, true), ranks, None),
+            pieces(&decomp, &opts(0), ranks, None),
             false,
         );
     }

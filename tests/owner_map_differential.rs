@@ -389,10 +389,7 @@ fn finding_1c_converges_three_ways() {
         presets::heterogeneous_diffusion(2),
         32,
     );
-    let opts = SpmdOpts {
-        one_level_only: true,
-        ..opts_1c(3, 1e-6)
-    };
+    let opts = opts_1c(0, 1e-6);
     let ras = RasPrecond::build(&decomp, Ordering::MinDegree);
     report_1c(
         "40×40, one-level RAS, tol 1e-6",

@@ -438,7 +438,7 @@ fn mid_stream_join_repartitions_and_stream_stays_exact() {
 fn mid_stream_straggler_is_evicted_and_stream_completes() {
     let decomp = setup(12, 6);
     let mut opts = serve_opts();
-    opts.spmd.one_level_only = true;
+    opts.spmd.geneo.nev = 0;
     opts.spmd.recovery.suspicion = Some(SuspicionPolicy {
         deadline: f64::INFINITY,
         k_missed: 3,
