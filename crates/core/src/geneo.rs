@@ -28,9 +28,8 @@ use dd_solver::{ordering, LdltBackend, Ordering};
 pub struct GeneoOpts {
     /// Number of eigenvectors requested per subdomain (the paper uses a
     /// uniform ν after `MPI_Allreduce(ν_i, MPI_MAX)`; typically ν ≤ 30).
-    /// 0 means no coarse level: the SPMD set-up skips the eigensolves and
-    /// the coarse phase and solves with one-level RAS (eq. 3, the
-    /// Figure 1/7 baseline).
+    /// 0 means no coarse level: one-level RAS (eq. 3, the Figure 1/7
+    /// baseline), with no eigensolve and no coarse phase in the SPMD set-up.
     pub nev: usize,
     /// Optional spectral threshold: keep only eigenvalues `λ < threshold`
     /// among the `nev` computed ("a threshold criterion is used to select

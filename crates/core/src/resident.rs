@@ -166,9 +166,7 @@ impl HaloPlan {
         }
         let pos = |p: usize| u32::try_from(p).expect("halo positions fit in 32 bits");
         // Every term, (distinct dof, subdomain, term): each owned copy and
-        // each received word. A subdomain holds a dof once, so the keys are
-        // unique and one sort puts each dof's terms in ascending subdomain
-        // id.
+        // each received word. One sort orders each dof's terms by subdomain.
         let mut terms: Vec<(usize, usize, Term)> = Vec::with_capacity(starts[owned.len()]);
         for (i, &s) in owned.iter().enumerate() {
             for p in starts[i]..starts[i + 1] {
@@ -703,16 +701,21 @@ struct MultiCoarse<'a> {
     /// The redundant coarse solve's permuted work vector (empty until a
     /// master's first solve; the other ranks never touch it).
     solve_scratch: RefCell<Vec<f64>>,
+    /// Eq. 6's warm-path scratch around the correction, `k` columns each:
+    /// `(r, W y)` concatenated, `(A q, r − A q)` over the distinct dofs.
+    eq6_scratch: RefCell<[Vec<f64>; 4]>,
 }
 
 impl<'a> MultiCoarse<'a> {
     /// For panels of up to `k` columns.
     fn new(ctx: &'a MultiCtx<'a>, state: &'a PreparedMulti<'a>, k: usize) -> Self {
+        let (nc, nu) = (k * ctx.n_concat(), k * ctx.n_unique());
         MultiCoarse {
             ctx,
             state,
-            scratch: RefCell::new(vec![0.0; k * ctx.n_concat()]),
+            scratch: RefCell::new(vec![0.0; nc]),
             solve_scratch: RefCell::new(Vec::new()),
+            eq6_scratch: RefCell::new([vec![0.0; nc], vec![0.0; nc], vec![0.0; nu], vec![0.0; nu]]),
         }
     }
 
@@ -914,9 +917,6 @@ impl<'a> MultiCoarse<'a> {
 struct MultiADef1<'a> {
     ras: MultiRas<'a>,
     coarse: Option<MultiCoarse<'a>>,
-    /// Warm-path scratch of the coarse step, `k` columns each: `(r, W y)`
-    /// concatenated, `(A q, r − A q)` over the distinct dofs.
-    scratch: RefCell<[Vec<f64>; 4]>,
 }
 
 impl MultiADef1<'_> {
@@ -935,19 +935,17 @@ impl MultiADef1<'_> {
         az: Option<&mut [f64]>,
         payload: Vec<f64>,
     ) -> Result<Vec<f64>, SolveInterrupt> {
-        let ctx = self.ras.op.ctx;
         let Some(coarse) = &self.coarse else {
             self.ras.try_tail(k, r, None, z, az)?;
-            if payload.is_empty() {
-                return Ok(payload);
-            }
-            return ctx
-                .comm
-                .try_allreduce_sum_vec(payload)
-                .map_err(comm_interrupt);
+            let comm = self.ras.op.ctx.comm;
+            return match payload.is_empty() {
+                true => Ok(payload),
+                false => comm.try_allreduce_sum_vec(payload).map_err(comm_interrupt),
+            };
         };
+        let ctx = coarse.ctx;
         let nc = k * ctx.n_concat();
-        let mut scratch = self.scratch.borrow_mut();
+        let mut scratch = coarse.eq6_scratch.borrow_mut();
         let [rc, wy, aq, t] = &mut *scratch;
         let (rc, wy) = (prefix(rc, nc), prefix(wy, nc));
         let (aq, t) = (prefix(aq, r.len()), prefix(t, r.len()));
@@ -1131,16 +1129,10 @@ impl PreparedMulti<'_> {
     /// Eq. 6 on `op`, for panels of up to `k` columns: with the coarse
     /// correction when the set-up ended two-level, one-level RAS otherwise.
     fn adef1<'s>(&'s self, op: &'s MultiOp<'s>, k: usize) -> MultiADef1<'s> {
-        let coarse =
-            (self.run.coarse == CoarseOutcome::TwoLevel).then(|| MultiCoarse::new(op.ctx, self, k));
-        let (nc, nu) = match coarse {
-            Some(_) => (k * op.ctx.n_concat(), k * op.ctx.n_unique()),
-            None => (0, 0),
-        };
         MultiADef1 {
             ras: MultiRas::new(op, &self.factors, k),
-            coarse,
-            scratch: RefCell::new([vec![0.0; nc], vec![0.0; nc], vec![0.0; nu], vec![0.0; nu]]),
+            coarse: (self.run.coarse == CoarseOutcome::TwoLevel)
+                .then(|| MultiCoarse::new(op.ctx, self, k)),
         }
     }
 

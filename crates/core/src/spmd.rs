@@ -509,7 +509,7 @@ pub(crate) fn try_setup_on<'a>(
                 comm.should_fail("eigensolve")
                     || (comm.failpoints_armed() && comm.should_fail(&format!("eigensolve:{s}")))
             };
-            let geneo = || {
+            let eigensolve = || {
                 if injected() {
                     return Err(format!("subdomain {s}: eigensolve fault injected"));
                 }
@@ -527,7 +527,7 @@ pub(crate) fn try_setup_on<'a>(
                 degraded.push(format!("subdomain {s}: adopted"));
                 nicolaides()
             } else {
-                let (b, is_geneo) = match geneo() {
+                let (b, is_geneo) = match eigensolve() {
                     Ok(b) => (b, true),
                     Err(why) => {
                         degraded.push(why);
