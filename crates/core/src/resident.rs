@@ -1226,21 +1226,25 @@ impl PreparedMulti<'_> {
         let gmres = &self.opts.gmres;
         let mut ws = self.workspace.borrow_mut();
 
-        let adef1 = self.adef1(&op, k);
-        let (m, b) = (&adef1, &rhs);
-        let solver = adef1
-            .coarse
-            .as_ref()
-            .map_or(SolverKind::Classical, |_| self.opts.solver);
-        let results = match solver {
-            SolverKind::Classical => {
-                try_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle, &mut ws)
-            }
-            SolverKind::Pipelined => {
-                pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
-            }
-            SolverKind::Fused => {
-                fused_pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
+        // A block, so the preconditioner's scratch is freed before the
+        // outcomes are built.
+        let results = {
+            let adef1 = self.adef1(&op, k);
+            let (m, b) = (&adef1, &rhs);
+            let solver = adef1
+                .coarse
+                .as_ref()
+                .map_or(SolverKind::Classical, |_| self.opts.solver);
+            match solver {
+                SolverKind::Classical => {
+                    try_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle, &mut ws)
+                }
+                SolverKind::Pipelined => {
+                    pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
+                }
+                SolverKind::Fused => {
+                    fused_pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
+                }
             }
         }
         .map_err(|si| interrupt_to_spmd(comm, si))?;
