@@ -165,27 +165,30 @@ impl HaloPlan {
             }
         }
         let pos = |p: usize| u32::try_from(p).expect("halo positions fit in 32 bits");
-        // Every term, (distinct dof, subdomain, term): each owned copy and
-        // each received word. One sort orders each dof's terms by subdomain.
-        let mut terms: Vec<(usize, usize, Term)> = Vec::with_capacity(starts[owned.len()]);
+        // Every term keyed by (distinct dof, subdomain), the two packed in
+        // one integer: each owned copy and each received word. One sort
+        // orders each dof's terms by subdomain.
+        let key = |g: usize, s: usize| u64::from(pos(g)) << 32 | u64::from(pos(s));
+        let mut terms: Vec<(u64, Term)> = Vec::with_capacity(starts[owned.len()] + recv.len());
         for (i, &s) in owned.iter().enumerate() {
             for p in starts[i]..starts[i + 1] {
-                terms.push((dofs.slot[p], s, Term::Local(pos(p))));
+                terms.push((key(dofs.slot[p], s), Term::Local(pos(p))));
             }
         }
         for &(rank, j, _, q) in &recv {
             let p = peers.partition_point(|p| p.rank < rank);
             let (peer, offset) = (pos(p), pos(peers[p].recv_len));
             peers[p].recv_len += 1;
-            terms.push((q, j, Term::Remote { peer, offset }));
+            terms.push((key(q, j), Term::Remote { peer, offset }));
         }
-        terms.sort_unstable_by_key(|&(g, s, _)| (g, s));
+        terms.sort_unstable_by_key(|&(k, _)| k);
         let (mut first, mut rest) = (Vec::with_capacity(dofs.n_unique()), Vec::new());
-        for (i, &(g, _, t)) in terms.iter().enumerate() {
-            if i == 0 || terms[i - 1].0 != g {
+        for (i, &(k, t)) in terms.iter().enumerate() {
+            let g = k >> 32;
+            if i == 0 || terms[i - 1].0 >> 32 != g {
                 first.push(t);
             } else {
-                rest.push((pos(g), t));
+                rest.push((g as u32, t));
             }
         }
         HaloPlan {
