@@ -489,7 +489,7 @@ pub(crate) fn try_setup_on<'a>(
     // epoch gets the Nicolaides substitute (the eigenvectors are not
     // recomputed — the documented degradation of a shrink). A failed
     // eigensolve degrades that subdomain alone. At ν = 0 (one-level RAS)
-    // every `W_s` is an empty block and phases 2–3 send nothing; every rank
+    // every `W_s` is an empty block and phases 2–3 send no message; every rank
     // holds `opts`, so all agree without a collective.
     // Why each subdomain that got Nicolaides vectors did not get GenEO ones.
     let mut degraded: Vec<String> = Vec::new();
