@@ -20,10 +20,8 @@
 //! (Algorithms 1–2 on any owner map). Everything after set-up — eq. 5, the
 //! partition-of-unity inner product, RAS, the coarse correction of §3.2 and
 //! `P⁻¹_A-DEF1` (eq. 6) with its fused payload (§3.5) — lives here. The
-//! solve builds one preconditioner, eq. 6: one-level RAS (eq. 3) is eq. 6
-//! with an empty coarse space (ν = 0, or a coarse level that came out
-//! empty or failed), its RAS tail alone, one halo round per apply, under
-//! the classical loop.
+//! solve builds eq. 6 alone: one-level RAS (eq. 3) is eq. 6 with no coarse
+//! space.
 //!
 //! Per Krylov iteration the two-level applies take two halo rounds and no
 //! SpMV: the §3.1 identity `A R_sᵀ W_s = R_sᵀ T_s` gives `A q` from one
