@@ -938,11 +938,11 @@ impl MultiADef1<'_> {
     ) -> Result<Vec<f64>, SolveInterrupt> {
         let Some(coarse) = &self.coarse else {
             self.ras.try_tail(k, r, None, z, az)?;
+            if payload.is_empty() {
+                return Ok(payload);
+            }
             let comm = self.ras.op.ctx.comm;
-            return match payload.is_empty() {
-                true => Ok(payload),
-                false => comm.try_allreduce_sum_vec(payload).map_err(comm_interrupt),
-            };
+            return comm.try_allreduce_sum_vec(payload).map_err(comm_interrupt);
         };
         let ctx = coarse.ctx;
         let nc = k * ctx.n_concat();
@@ -1168,8 +1168,8 @@ impl PreparedMulti<'_> {
     /// after another. A set-up without a coarse level runs the classical
     /// loop whatever `opts.solver` names. Either way each answer equals, to
     /// the bit, the one-column solve from the same recycle state, and the
-    /// apply ends on one barrier. Under a shift the Krylov loop solves the shifted
-    /// operator while RAS and the coarse correction reuse the resident
+    /// apply ends on one barrier. Under a shift the Krylov loop solves the
+    /// shifted operator while RAS and the coarse correction reuse the resident
     /// factorizations; no matrix is formed or kept for it. With a recycle space
     /// every initial guess is projected onto the directions the space holds
     /// at entry and the increments are banked in column order; convergence
