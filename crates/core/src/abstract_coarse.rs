@@ -76,11 +76,6 @@ impl AbstractCoarse {
         b.gemv(1.0, w, 0.0, &mut out);
         out
     }
-
-    /// `q = Z E⁻¹ Zᵀ u`.
-    pub fn correction(&self, u: &[f64]) -> Vec<f64> {
-        Self::prolong(&self.z, &self.solve(u))
-    }
 }
 
 /// `P⁻¹_A-DEF1` with an abstract coarse space and any smoother `M⁻¹`:
@@ -241,11 +236,12 @@ mod tests {
         }
         let ac = AbstractCoarse::try_build(&d.a_global, z).unwrap();
         let u: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64).collect();
-        // Q A Q u = Q u (projection property).
-        let qu = ac.correction(&u);
+        // Q A Q u = Q u (projection property), Q = Z E⁻¹ Zᵀ.
+        let q = |v: &[f64]| AbstractCoarse::prolong(&ac.z, &ac.solve(v));
+        let qu = q(&u);
         let mut aqu = vec![0.0; n];
         d.a_global.spmv(&qu, &mut aqu);
-        let qaqu = ac.correction(&aqu);
+        let qaqu = q(&aqu);
         assert!(vector::dist2(&qaqu, &qu) < 1e-8 * vector::norm2(&qu).max(1e-300));
         // A-DEF1's residual, formed from the cached `A Z`, loses its AZ
         // component: with the identity smoother `out − Q u = u − A Q u`,

@@ -22,7 +22,9 @@
 //!
 //! A reference global assembly is also kept for the sequential driver and
 //! for verification (tests check that approach 2 reproduces `R_i A R_iᵀ`
-//! exactly).
+//! exactly). The paper's approach 1, extracting `A_i` from the assembled
+//! global `A`, is not offered: it needs a distributed global matrix, and
+//! approach 2 gives the same `A_i` without one.
 
 use crate::problem::Problem;
 use dd_fem::{assembly, DofMap};
@@ -283,51 +285,14 @@ fn grow_layers(
     (elems, vertex_layer)
 }
 
-/// How the assembled Dirichlet matrices `A_i = R_i A R_iᵀ` are obtained
-/// (§2 of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DirichletStrategy {
-    /// The paper's *approach 2*: discretize on `V_i^{δ+1}` and drop the
-    /// outermost layer — "the global assembled matrix A is never
-    /// assembled", no global ordering or communication needed.
-    #[default]
-    LocalHalo,
-    /// The paper's *approach 1*: extract from the globally assembled
-    /// matrix ("usually requires some communications to build a parallel
-    /// structure capable of handling distributed degrees of freedom").
-    /// Available here because the reference global matrix is kept anyway;
-    /// results are identical (a tested invariant).
-    GlobalExtraction,
-}
-
-/// Build the decomposition with the default (approach 2) Dirichlet
-/// strategy. `part` maps each mesh element to a subdomain in
-/// `0..nparts`; `delta ≥ 1` is the overlap width in element layers.
+/// Build the decomposition. `part` maps each mesh element to a subdomain
+/// in `0..nparts`; `delta ≥ 1` is the overlap width in element layers.
 pub fn decompose(
     mesh: &Mesh,
     problem: &Problem,
     part: &[u32],
     nparts: usize,
     delta: usize,
-) -> Decomposition {
-    decompose_with(
-        mesh,
-        problem,
-        part,
-        nparts,
-        delta,
-        DirichletStrategy::LocalHalo,
-    )
-}
-
-/// [`decompose`] with an explicit [`DirichletStrategy`].
-pub fn decompose_with(
-    mesh: &Mesh,
-    problem: &Problem,
-    part: &[u32],
-    nparts: usize,
-    delta: usize,
-    strategy: DirichletStrategy,
 ) -> Decomposition {
     assert!(delta >= 1, "overlap δ must be at least 1");
     assert_eq!(part.len(), mesh.n_elements());
@@ -427,37 +392,30 @@ pub fn decompose_with(
         a_neumann = assembly::apply_dirichlet(&a_neumann, &mut dummy_rhs, &dir_local, None);
 
         // ---- Dirichlet matrix ----
-        let a_dirichlet = match strategy {
-            DirichletStrategy::LocalHalo => {
-                // Approach 2: assemble on V_i^{δ+1}, eliminate BCs,
-                // restrict to V_i^δ.
-                let (smesh_p1, vl2g_p1) = build_submesh(mesh, &layers[i]);
-                let sdm_p1 = DofMap::new(&smesh_p1, problem.order);
-                let (a_p1_raw, _) = problem.assemble(&smesh_p1, &sdm_p1);
-                let gids_p1 = submesh_dofs_to_global(&sdm_p1, &vl2g_p1, &dm);
-                let dir_p1: Vec<bool> = (0..sdm_p1.n_dofs() * c)
-                    .map(|vd| dirichlet[gids_p1[vd / c] as usize * c + vd % c])
-                    .collect();
-                let mut dummy = vec![0.0; sdm_p1.n_dofs() * c];
-                let a_p1 = assembly::apply_dirichlet(&a_p1_raw, &mut dummy, &dir_p1, None);
-                let mut g2pos_p1: HashMap<u32, usize> = HashMap::new();
-                for (p, &g) in gids_p1.iter().enumerate() {
-                    g2pos_p1.insert(g, p);
-                }
-                let idx: Vec<usize> = scalar_gids
-                    .iter()
-                    .flat_map(|g| {
-                        let p = g2pos_p1[g];
-                        (0..c).map(move |k| p * c + k)
-                    })
-                    .collect();
-                a_p1.principal_submatrix(&idx)
+        // Approach 2: assemble on V_i^{δ+1}, eliminate BCs, restrict to
+        // V_i^δ.
+        let a_dirichlet = {
+            let (smesh_p1, vl2g_p1) = build_submesh(mesh, &layers[i]);
+            let sdm_p1 = DofMap::new(&smesh_p1, problem.order);
+            let (a_p1_raw, _) = problem.assemble(&smesh_p1, &sdm_p1);
+            let gids_p1 = submesh_dofs_to_global(&sdm_p1, &vl2g_p1, &dm);
+            let dir_p1: Vec<bool> = (0..sdm_p1.n_dofs() * c)
+                .map(|vd| dirichlet[gids_p1[vd / c] as usize * c + vd % c])
+                .collect();
+            let mut dummy = vec![0.0; sdm_p1.n_dofs() * c];
+            let a_p1 = assembly::apply_dirichlet(&a_p1_raw, &mut dummy, &dir_p1, None);
+            let mut g2pos_p1: HashMap<u32, usize> = HashMap::new();
+            for (p, &g) in gids_p1.iter().enumerate() {
+                g2pos_p1.insert(g, p);
             }
-            DirichletStrategy::GlobalExtraction => {
-                // Approach 1: extract rows/columns from the global matrix.
-                let idx: Vec<usize> = l2g.iter().map(|&g| g as usize).collect();
-                a_global.principal_submatrix(&idx)
-            }
+            let idx: Vec<usize> = scalar_gids
+                .iter()
+                .flat_map(|g| {
+                    let p = g2pos_p1[g];
+                    (0..c).map(move |k| p * c + k)
+                })
+                .collect();
+            a_p1.principal_submatrix(&idx)
         };
 
         // ---- partition of unity D_i interpolated onto the dofs ----
@@ -694,36 +652,52 @@ mod tests {
     #[test]
     fn approach2_matches_global_extraction() {
         // The core claim of §2: assembling on V_i^{δ+1} and restricting
-        // gives exactly R_i A R_iᵀ, without ever forming A.
-        let (_, d) = small_setup(2, 4, 1);
-        for (i, s) in d.subdomains.iter().enumerate() {
-            let idx: Vec<usize> = s.l2g.iter().map(|&g| g as usize).collect();
-            let reference = d.a_global.principal_submatrix(&idx);
-            let diff = s.a_dirichlet.add_scaled(-1.0, &reference);
-            let err = diff.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            assert!(
-                err < 1e-10 * d.a_global.norm_inf(),
-                "subdomain {i}: approach-2 mismatch {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn both_dirichlet_strategies_agree() {
-        // The paper's central §2 claim, as an API-level invariant: local
-        // halo assembly (approach 2) equals global extraction (approach 1).
-        let mesh = Mesh::unit_square(8, 8);
-        let part = partition_mesh_rcb(&mesh, 4);
-        let p = presets::heterogeneous_diffusion(2);
-        let d2 = decompose_with(&mesh, &p, &part, 4, 1, DirichletStrategy::LocalHalo);
-        let d1 = decompose_with(&mesh, &p, &part, 4, 1, DirichletStrategy::GlobalExtraction);
-        for (s2, s1) in d2.subdomains.iter().zip(&d1.subdomains) {
-            let diff = s2.a_dirichlet.add_scaled(-1.0, &s1.a_dirichlet);
-            let err = diff.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            assert!(
-                err < 1e-10 * d2.a_global.norm_inf(),
-                "strategies differ: {err}"
-            );
+        // gives exactly R_i A R_iᵀ, without ever forming A. Uniform and
+        // heterogeneous diffusion in 2D, and 3D elasticity, whose vector
+        // dofs also carry the BSR companion.
+        let square = Mesh::unit_square(8, 8);
+        let cube = Mesh::unit_cube(3, 3, 3);
+        let cases = [
+            ("uniform P2", &square, presets::uniform_diffusion(2)),
+            (
+                "heterogeneous P2",
+                &square,
+                presets::heterogeneous_diffusion(2),
+            ),
+            (
+                "elasticity 3D P2",
+                &cube,
+                presets::heterogeneous_elasticity(2, 3),
+            ),
+        ];
+        for (name, mesh, p) in cases {
+            let part = partition_mesh_rcb(mesh, 4);
+            let d = decompose(mesh, &p, &part, 4, 1);
+            let tol = 1e-10 * d.a_global.norm_inf();
+            for (i, s) in d.subdomains.iter().enumerate() {
+                let idx: Vec<usize> = s.l2g.iter().map(|&g| g as usize).collect();
+                let reference = d.a_global.principal_submatrix(&idx);
+                let diff = s.a_dirichlet.add_scaled(-1.0, &reference);
+                let err = diff.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                assert!(
+                    err < tol,
+                    "{name}, subdomain {i}: approach-2 mismatch {err}"
+                );
+                assert_eq!(s.a_dirichlet_bsr.is_some(), d.components > 1, "{name}");
+                // The product through the blocked storage is R_i A R_iᵀ's.
+                let n = s.n_local();
+                let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+                for k in 1..4 {
+                    let x: Vec<f64> = (0..n).map(|j| (0.7 * (j * k) as f64).sin()).collect();
+                    s.spmv_dirichlet(&x, &mut got);
+                    reference.spmv(&x, &mut want);
+                    let err = vector::dist2(&got, &want);
+                    assert!(
+                        err < tol * n as f64,
+                        "{name}, subdomain {i}: product error {err}"
+                    );
+                }
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! | paper | module |
 //! |---|---|
-//! | §2 overlapping decomposition, `T_i^δ`, `R_i`, `D_i` (eq. 2), Dirichlet matrices via approach 1/2 | [`decomp`] |
+//! | §2 overlapping decomposition, `T_i^δ`, `R_i`, `D_i` (eq. 2), Dirichlet matrices via approach 2 | [`decomp`] |
 //! | §2 `P⁻¹_RAS` (eq. 3) | [`precond::RasPrecond`] |
 //! | §2.1 local eigenproblem (eq. 9), `W_i = D_i Λ_i` (eq. 8) | [`geneo`] |
 //! | §3.1 block assembly of `E` (eq. 10) | [`coarse`] (sequential), [`spmd`] (Algorithms 1–2) |
@@ -56,9 +56,7 @@ pub mod spmd;
 
 pub use abstract_coarse::{ritz_deflation, AbstractADef1, AbstractCoarse};
 pub use coarse::{CoarseOperator, CoarseSpace};
-pub use decomp::{
-    decompose, decompose_with, Decomposition, DirichletStrategy, NeighborLink, Subdomain,
-};
+pub use decomp::{decompose, Decomposition, NeighborLink, Subdomain};
 pub use error::{
     CoarseOutcome, DeflationSource, PhaseOutcome, RecoveryRecord, RunReport, SpmdError,
 };

@@ -42,15 +42,6 @@ impl<'a> RasPrecond<'a> {
             .unzip();
         (RasPrecond { decomp, factors }, orders)
     }
-
-    /// Shared access to the factors (reused by the two-level variants).
-    pub fn factors(&self) -> &[LocalLdlt] {
-        &self.factors
-    }
-
-    pub fn decomp(&self) -> &Decomposition {
-        self.decomp
-    }
 }
 
 impl Preconditioner for RasPrecond<'_> {
@@ -102,10 +93,6 @@ impl<'a> TwoLevelPrecond<'a> {
 
     pub fn coarse(&self) -> &CoarseOperator {
         &self.coarse
-    }
-
-    pub fn ras(&self) -> &RasPrecond<'a> {
-        &self.ras
     }
 
     fn coarse_correction(&self, u: &[f64]) -> Vec<f64> {

@@ -309,103 +309,6 @@ pub fn assemble_elasticity(
     (coo.to_csr(), rhs)
 }
 
-/// Assemble the surface load `∫_Γ g·v` over the boundary facets whose
-/// centroid satisfies `on_gamma` — the paper's "vertical loading imposed on
-/// some parts of the geometries". Works for scalar (`components = 1`) and
-/// vector problems; the result is added into `rhs` (vector-dof layout).
-///
-/// Facet traces of the volume `P_k` basis are the `(d−1)`-dimensional
-/// Lagrange basis on the facet, so the integral is evaluated directly on
-/// each facet with its own basis and Gauss quadrature.
-pub fn assemble_boundary_load(
-    mesh: &Mesh,
-    dm: &DofMap,
-    components: usize,
-    g: &dyn Fn(&[f64], &mut [f64]),
-    on_gamma: &dyn Fn(&[f64]) -> bool,
-    rhs: &mut [f64],
-) {
-    let dim = mesh.dim();
-    assert_eq!(rhs.len(), dm.n_dofs() * components);
-    let order = dm.order();
-    let fdim = dim - 1;
-    let fbasis = LagrangeBasis::new(fdim, order);
-    let quad = Quadrature::for_degree(fdim, 2 * order);
-    let nb = fbasis.n_basis();
-    let mut phi = vec![0.0; nb];
-    let mut gval = vec![0.0; components];
-    for facet in mesh.boundary_facets() {
-        // centroid test
-        let mut centroid = vec![0.0; dim];
-        for &v in &facet {
-            for d in 0..dim {
-                centroid[d] += mesh.vertex(v as usize)[d] / facet.len() as f64;
-            }
-        }
-        if !on_gamma(&centroid) {
-            continue;
-        }
-        // facet measure: length (2D) or triangle area (3D)
-        let measure = match dim {
-            2 => {
-                let a = mesh.vertex(facet[0] as usize);
-                let b = mesh.vertex(facet[1] as usize);
-                ((b[0] - a[0]).powi(2) + (b[1] - a[1]).powi(2)).sqrt()
-            }
-            3 => {
-                let a = mesh.vertex(facet[0] as usize);
-                let b = mesh.vertex(facet[1] as usize);
-                let c = mesh.vertex(facet[2] as usize);
-                let u = [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
-                let v = [c[0] - a[0], c[1] - a[1], c[2] - a[2]];
-                let cx = u[1] * v[2] - u[2] * v[1];
-                let cy = u[2] * v[0] - u[0] * v[2];
-                let cz = u[0] * v[1] - u[1] * v[0];
-                0.5 * (cx * cx + cy * cy + cz * cz).sqrt()
-            }
-            _ => unreachable!(),
-        };
-        // global dofs of the facet's lattice nodes (keys over facet verts)
-        let dofs: Vec<u32> = fbasis
-            .nodes()
-            .iter()
-            .map(|node| {
-                let mut key: Vec<(u32, u8)> = facet
-                    .iter()
-                    .zip(node.iter())
-                    .filter(|&(_, &a)| a > 0)
-                    .map(|(&v, &a)| (v, a))
-                    .collect();
-                key.sort_unstable();
-                dm.dof_by_key(&key)
-                    .expect("boundary facet dof missing from the global space")
-            })
-            .collect();
-        for q in 0..quad.n_points() {
-            let bary = quad.point(q);
-            // physical quadrature point and reference facet coords
-            let mut xq = vec![0.0; dim];
-            for (j, &bj) in bary.iter().enumerate() {
-                let vj = mesh.vertex(facet[j] as usize);
-                for d in 0..dim {
-                    xq[d] += bj * vj[d];
-                }
-            }
-            let xi: Vec<f64> = (0..fdim).map(|d| bary[d + 1]).collect();
-            fbasis.eval(&xi, &mut phi);
-            g(&xq, &mut gval);
-            // `measure` is the physical facet size and the rule's weights
-            // sum to 1, so the physical weight is simply their product.
-            let wq = quad.weights[q] * measure;
-            for (i, &dof) in dofs.iter().enumerate() {
-                for c in 0..components {
-                    rhs[dof as usize * components + c] += wq * gval[c] * phi[i];
-                }
-            }
-        }
-    }
-}
-
 /// Symmetric elimination of Dirichlet dofs: rows and columns of constrained
 /// dofs are replaced by the identity, and `rhs` is updated so the solution
 /// takes the prescribed `values` (zero if `None`) at constrained dofs.
@@ -636,81 +539,6 @@ mod tests {
                 assert_eq!(u[2 * i + 1], 0.0);
             }
         }
-    }
-
-    #[test]
-    fn boundary_load_integrates_constant_2d() {
-        // ∫_Γ 1·v over the right edge of the unit square: the entries sum
-        // to the edge length for any order (partition of unity of traces).
-        let mesh = Mesh::unit_square(4, 4);
-        for order in 1..=3 {
-            let dm = DofMap::new(&mesh, order);
-            let mut rhs = vec![0.0; dm.n_dofs()];
-            assemble_boundary_load(
-                &mesh,
-                &dm,
-                1,
-                &|_, g| g[0] = 1.0,
-                &|x| x[0] > 1.0 - 1e-9,
-                &mut rhs,
-            );
-            let total: f64 = rhs.iter().sum();
-            assert!(
-                (total - 1.0).abs() < 1e-12,
-                "P{order}: boundary load total {total}"
-            );
-            // support only on the right edge
-            for i in 0..dm.n_dofs() {
-                if rhs[i] != 0.0 {
-                    assert!(dm.dof_coord(i)[0] > 1.0 - 1e-9);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_load_integrates_constant_3d() {
-        let mesh = Mesh::unit_cube(2, 2, 2);
-        for order in 1..=2 {
-            let dm = DofMap::new(&mesh, order);
-            let mut rhs = vec![0.0; dm.n_dofs() * 3];
-            assemble_boundary_load(
-                &mesh,
-                &dm,
-                3,
-                &|_, g| {
-                    g[0] = 0.0;
-                    g[1] = 0.0;
-                    g[2] = -2.0;
-                },
-                &|x| x[2] > 1.0 - 1e-9,
-                &mut rhs,
-            );
-            // z-components sum to −2 × area(top face) = −2.
-            let total_z: f64 = (0..dm.n_dofs()).map(|i| rhs[3 * i + 2]).sum();
-            assert!(
-                (total_z + 2.0).abs() < 1e-12,
-                "P{order}: boundary load total {total_z}"
-            );
-        }
-    }
-
-    #[test]
-    fn boundary_load_linear_exact() {
-        // ∫ over the top edge (y = 1) of g(x) = x:  ∫₀¹ x dx = 1/2.
-        let mesh = Mesh::unit_square(3, 3);
-        let dm = DofMap::new(&mesh, 2);
-        let mut rhs = vec![0.0; dm.n_dofs()];
-        assemble_boundary_load(
-            &mesh,
-            &dm,
-            1,
-            &|x, g| g[0] = x[0],
-            &|x| x[1] > 1.0 - 1e-9,
-            &mut rhs,
-        );
-        let total: f64 = rhs.iter().sum();
-        assert!((total - 0.5).abs() < 1e-12, "total {total}");
     }
 
     #[test]

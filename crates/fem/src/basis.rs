@@ -13,8 +13,7 @@ use dd_linalg::{DMat, DenseLu};
 /// (length `dim + 1`, summing to `k`).
 pub type LatticeNode = Vec<u8>;
 
-/// Lagrange basis of order `k` on the reference simplex of dimension `dim`
-/// (dimension 1 — segments — serves the boundary-facet integrals).
+/// Lagrange basis of order `k` on the reference simplex of dimension `dim` (2 or 3).
 ///
 /// The reference simplex has vertices at the origin and the unit points of
 /// each axis; barycentric coordinate 0 belongs to the origin vertex.
@@ -58,7 +57,7 @@ impl LagrangeBasis {
     /// Panics for unsupported combinations (`dim ∉ {2, 3}` or `order = 0`
     /// or `order > 4`).
     pub fn new(dim: usize, order: usize) -> Self {
-        assert!((1..=3).contains(&dim), "dim must be 1, 2 or 3");
+        assert!((2..=3).contains(&dim), "dim must be 2 or 3");
         assert!((1..=4).contains(&order), "order must be in 1..=4");
         let nodes = multi_indices(dim + 1, order);
         // Monomials x^a y^b (z^c) with total degree ≤ order.

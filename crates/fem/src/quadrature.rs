@@ -36,11 +36,6 @@ impl Quadrature {
     /// Panics for unsupported `(dim, deg)` combinations.
     pub fn for_degree(dim: usize, deg: usize) -> Quadrature {
         match (dim, deg) {
-            (1, 0) | (1, 1) => seg_gauss(1),
-            (1, 2) | (1, 3) => seg_gauss(2),
-            (1, 4) | (1, 5) => seg_gauss(3),
-            (1, 6) | (1, 7) => seg_gauss(4),
-            (1, 8) | (1, 9) => seg_gauss(5),
             (2, 0) | (2, 1) => tri_centroid(),
             (2, 2) => tri_deg2(),
             (2, 3) | (2, 4) => tri_deg4(),
@@ -51,50 +46,6 @@ impl Quadrature {
             (3, 3) | (3, 4) => tet_deg4(),
             _ => panic!("no quadrature for dim {dim}, degree {deg}"),
         }
-    }
-}
-
-/// Gauss–Legendre on the unit segment (barycentric (1−x, x)); `n` points
-/// integrate degree `2n − 1` exactly.
-fn seg_gauss(n: usize) -> Quadrature {
-    // Abscissae/weights on [−1, 1].
-    let (xs, ws): (Vec<f64>, Vec<f64>) = match n {
-        1 => (vec![0.0], vec![2.0]),
-        2 => {
-            let a = 1.0 / 3.0f64.sqrt();
-            (vec![-a, a], vec![1.0, 1.0])
-        }
-        3 => {
-            let a = (3.0f64 / 5.0).sqrt();
-            (vec![-a, 0.0, a], vec![5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-        }
-        4 => {
-            let a = (3.0 / 7.0 - 2.0 / 7.0 * (6.0f64 / 5.0).sqrt()).sqrt();
-            let b = (3.0 / 7.0 + 2.0 / 7.0 * (6.0f64 / 5.0).sqrt()).sqrt();
-            let wa = (18.0 + 30.0f64.sqrt()) / 36.0;
-            let wb = (18.0 - 30.0f64.sqrt()) / 36.0;
-            (vec![-b, -a, a, b], vec![wb, wa, wa, wb])
-        }
-        5 => {
-            let a = (5.0 - 2.0 * (10.0f64 / 7.0).sqrt()).sqrt() / 3.0;
-            let b = (5.0 + 2.0 * (10.0f64 / 7.0).sqrt()).sqrt() / 3.0;
-            let wa = (322.0 + 13.0 * 70.0f64.sqrt()) / 900.0;
-            let wb = (322.0 - 13.0 * 70.0f64.sqrt()) / 900.0;
-            (vec![-b, -a, 0.0, a, b], vec![wb, wa, 128.0 / 225.0, wa, wb])
-        }
-        _ => panic!("unsupported Gauss order"),
-    };
-    let mut points = Vec::with_capacity(2 * n);
-    let mut weights = Vec::with_capacity(n);
-    for (x, w) in xs.iter().zip(&ws) {
-        let t = 0.5 * (x + 1.0); // map to [0, 1]
-        points.extend_from_slice(&[1.0 - t, t]);
-        weights.push(w * 0.5);
-    }
-    Quadrature {
-        dim: 1,
-        points,
-        weights,
     }
 }
 
@@ -368,27 +319,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn segment_rules_exact() {
-        for deg in [1usize, 3, 5, 7, 9] {
-            let q = Quadrature::for_degree(1, deg);
-            let sw: f64 = q.weights.iter().sum();
-            assert!((sw - 1.0).abs() < 1e-12);
-            for p in 0..=deg {
-                // ∫₀¹ x^p dx = 1/(p+1)
-                let mut acc = 0.0;
-                for k in 0..q.n_points() {
-                    acc += q.weights[k] * q.point(k)[1].powi(p as i32);
-                }
-                let want = 1.0 / (p as f64 + 1.0);
-                assert!(
-                    (acc - want).abs() < 1e-12,
-                    "segment deg {deg}, x^{p}: {acc} vs {want}"
-                );
             }
         }
     }

@@ -28,8 +28,7 @@ pub use gmres::{
     SolveResult, SolveStatus,
 };
 pub use operator::{
-    FnOperator, FnPrecond, IdentityPrecond, InnerProduct, Operator, Preconditioner, SeqDot,
-    SolveInterrupt,
+    FnPrecond, IdentityPrecond, InnerProduct, Operator, Preconditioner, SeqDot, SolveInterrupt,
 };
 pub use pipelined::{fused_pipelined_gmres_panel, pipelined_gmres_panel, FusedPreconditioner};
 pub use recycle::RecycleSpace;

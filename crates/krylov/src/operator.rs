@@ -251,28 +251,6 @@ impl Operator for CsrMatrix {
     }
 }
 
-/// An operator defined by a closure (adapters in tests and benches).
-pub struct FnOperator<F: Fn(&[f64], &mut [f64])> {
-    dim: usize,
-    f: F,
-}
-
-impl<F: Fn(&[f64], &mut [f64])> FnOperator<F> {
-    pub fn new(dim: usize, f: F) -> Self {
-        FnOperator { dim, f }
-    }
-}
-
-impl<F: Fn(&[f64], &mut [f64])> Operator for FnOperator<F> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        (self.f)(x, y)
-    }
-}
-
 /// A preconditioner defined by a closure.
 pub struct FnPrecond<F: Fn(&[f64], &mut [f64])> {
     f: F,

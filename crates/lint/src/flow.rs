@@ -274,7 +274,10 @@ fn range_rank_dep(m: &FileModel, range: (usize, usize), tainted: &HashSet<String
             "is_master" => return true,
             _ => {}
         }
-        if tainted.contains(&t.text) {
+        // A field or path segment (`opts.geneo`, `cfg::me`) is not the
+        // tainted local of the same name.
+        let segment = i > 0 && (m.toks[i - 1].is_punct(".") || m.toks[i - 1].is_punct("::"));
+        if !segment && tainted.contains(&t.text) {
             return true;
         }
     }
@@ -919,12 +922,14 @@ mod tests {
 
     #[test]
     fn taint_through_locals_is_tracked() {
-        let m = file(
-            "crates/core/src/spmd.rs",
+        for src in [
             "fn f(comm: &C) { let me = comm.rank(); let lead = me == 0; if lead { comm.allreduce_sum(1.0); } }\n",
-        );
-        let got = divergence(std::slice::from_ref(&m));
-        assert_eq!(got.len(), 1, "{got:?}");
+            "fn f(comm: &C) { let geneo = || comm.rank(); if geneo() == 0 { comm.barrier(); } }\n",
+        ] {
+            let m = file("crates/core/src/spmd.rs", src);
+            let got = divergence(std::slice::from_ref(&m));
+            assert_eq!(got.len(), 1, "{src}: {got:?}");
+        }
     }
 
     #[test]
@@ -982,11 +987,17 @@ mod tests {
 
     #[test]
     fn non_rank_conditions_pass() {
-        let m = file(
-            "crates/core/src/spmd.rs",
+        for src in [
             "fn f(comm: &C, opts: &O) { if !opts.one_level { comm.barrier(); } }\n",
-        );
-        assert!(divergence(std::slice::from_ref(&m)).is_empty());
+            // A field or path segment is not the tainted local it is named
+            // after.
+            "fn f(comm: &C, opts: &O) { let geneo = || comm.rank(); if opts.geneo.nev == 0 { comm.barrier(); } }\n",
+            "fn f(comm: &C) { let me = comm.rank(); if cfg::me::ON { comm.barrier(); } }\n",
+        ] {
+            let m = file("crates/core/src/spmd.rs", src);
+            let got = divergence(std::slice::from_ref(&m));
+            assert!(got.is_empty(), "{src}: {got:?}");
+        }
     }
 
     // ---- lock-order ----------------------------------------------------

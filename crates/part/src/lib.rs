@@ -1,20 +1,15 @@
 //! # dd-part
 //!
-//! Graph partitioning — the workspace's replacement for METIS/SCOTCH, used
-//! to split the dual graph of a mesh into `N` balanced, connected
-//! subdomains with small interfaces (§2 of the paper: "partitioned into N
-//! non-overlapping meshes using graph partitioners such as METIS or
-//! SCOTCH").
+//! Mesh partitioning — the workspace's stand-in for METIS/SCOTCH, used to
+//! split a mesh into `N` balanced, connected subdomains with small
+//! interfaces (§2 of the paper: "partitioned into N non-overlapping meshes
+//! using graph partitioners such as METIS or SCOTCH").
 //!
-//! Two algorithms are provided:
-//!
-//! * [`partition_ggp`] — recursive bisection by greedy graph growing from a
-//!   pseudo-peripheral seed, followed by a Kernighan–Lin style boundary
-//!   refinement pass on every bisection;
-//! * [`partition_rcb`] — recursive coordinate bisection on element
-//!   centroids (geometric; very fast, good on structured meshes).
-//!
-//! Both return an element → part map. [`quality`] computes edge cut,
+//! One algorithm is provided: [`partition_rcb`], recursive coordinate
+//! bisection on element centroids ([`partition_mesh_rcb`] for a mesh). The
+//! meshes here are structured boxes, on which median splits along the
+//! longest axis give balanced, connected parts with straight interfaces.
+//! It returns an element → part map. [`quality`] computes edge cut,
 //! imbalance, and per-part connectivity for tests and benches.
 
 use std::collections::VecDeque;
@@ -87,167 +82,6 @@ pub fn quality(adj: &[Vec<u32>], part: &[u32], nparts: usize) -> PartitionQualit
     }
 }
 
-/// Find a vertex far away from `seed` within the sub-graph `mask` (BFS
-/// eccentricity heuristic).
-fn far_vertex(adj: &[Vec<u32>], mask: &[bool], seed: usize) -> usize {
-    let mut level = vec![usize::MAX; adj.len()];
-    let mut queue = VecDeque::new();
-    level[seed] = 0;
-    queue.push_back(seed);
-    let mut far = seed;
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            let v = v as usize;
-            if mask[v] && level[v] == usize::MAX {
-                level[v] = level[u] + 1;
-                if level[v] > level[far] {
-                    far = v;
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    far
-}
-
-/// Bisect the vertices flagged in `mask` into two sides of sizes
-/// `target` and `len − target` by greedy graph growing, returning a side
-/// flag for each vertex (true = side 0 / grown region).
-fn grow_bisection(adj: &[Vec<u32>], mask: &[bool], members: &[usize], target: usize) -> Vec<bool> {
-    let n = adj.len();
-    let mut side = vec![false; n];
-    if members.is_empty() || target == 0 {
-        return side;
-    }
-    // Seed at a pseudo-peripheral vertex: far from a far vertex.
-    let s0 = far_vertex(adj, mask, members[0]);
-    let seed = far_vertex(adj, mask, s0);
-    let mut in_region = vec![false; n];
-    let mut queue = VecDeque::new();
-    in_region[seed] = true;
-    side[seed] = true;
-    queue.push_back(seed);
-    let mut grown = 1usize;
-    while grown < target {
-        let u = match queue.pop_front() {
-            Some(u) => u,
-            None => {
-                // Disconnected remainder: jump to any unclaimed vertex.
-                match members.iter().find(|&&m| !in_region[m]) {
-                    Some(&m) => {
-                        in_region[m] = true;
-                        side[m] = true;
-                        grown += 1;
-                        queue.push_back(m);
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-        };
-        for &v in &adj[u] {
-            let v = v as usize;
-            if mask[v] && !in_region[v] && grown < target {
-                in_region[v] = true;
-                side[v] = true;
-                grown += 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    side
-}
-
-/// Boundary Kernighan–Lin refinement on a bisection: move boundary vertices
-/// with positive gain while keeping balance within a small slack of the
-/// target size.
-fn kl_refine(
-    adj: &[Vec<u32>],
-    mask: &[bool],
-    members: &[usize],
-    side: &mut [bool],
-    target: usize,
-    passes: usize,
-) {
-    let slack = (target / 20).max(1);
-    for _ in 0..passes {
-        let mut size0 = members.iter().filter(|&&m| side[m]).count();
-        let mut moved_any = false;
-        for &u in members {
-            // gain = (external − internal) edges if u switched sides.
-            let mut same = 0i64;
-            let mut other = 0i64;
-            for &v in &adj[u] {
-                let v = v as usize;
-                if !mask[v] {
-                    continue;
-                }
-                if side[v] == side[u] {
-                    same += 1;
-                } else {
-                    other += 1;
-                }
-            }
-            let gain = other - same;
-            if gain > 0 {
-                let new_size0 = if side[u] { size0 - 1 } else { size0 + 1 };
-                if new_size0 + slack >= target && new_size0 <= target + slack {
-                    side[u] = !side[u];
-                    size0 = new_size0;
-                    moved_any = true;
-                }
-            }
-        }
-        if !moved_any {
-            break;
-        }
-    }
-}
-
-/// Recursive-bisection greedy graph-growing partitioner with KL refinement.
-///
-/// `adj` is a symmetric adjacency list; returns `part[u] ∈ 0..nparts`.
-pub fn partition_ggp(adj: &[Vec<u32>], nparts: usize) -> Vec<u32> {
-    let n = adj.len();
-    assert!(nparts >= 1);
-    let mut part = vec![0u32; n];
-    // Recursive splitting with proportional targets so that non-power-of-two
-    // part counts stay balanced.
-    fn recurse(
-        adj: &[Vec<u32>],
-        part: &mut [u32],
-        members: Vec<usize>,
-        first_part: u32,
-        count: usize,
-    ) {
-        if count <= 1 {
-            for &m in &members {
-                part[m] = first_part;
-            }
-            return;
-        }
-        let left_count = count / 2;
-        let target = members.len() * left_count / count;
-        let mut mask = vec![false; adj.len()];
-        for &m in &members {
-            mask[m] = true;
-        }
-        let mut side = grow_bisection(adj, &mask, &members, target);
-        kl_refine(adj, &mask, &members, &mut side, target, 4);
-        let (left, right): (Vec<usize>, Vec<usize>) = members.into_iter().partition(|&m| side[m]);
-        recurse(adj, part, left, first_part, left_count);
-        recurse(
-            adj,
-            part,
-            right,
-            first_part + left_count as u32,
-            count - left_count,
-        );
-    }
-    recurse(adj, &mut part, (0..n).collect(), 0, nparts);
-    part
-}
-
 /// Recursive coordinate bisection on points (`dim`-interleaved coordinates,
 /// e.g. element centroids). Splits along the longest axis at the median.
 pub fn partition_rcb(points: &[f64], dim: usize, nparts: usize) -> Vec<u32> {
@@ -318,57 +152,6 @@ mod tests {
     use super::*;
     use dd_mesh::Mesh;
 
-    fn grid_graph(nx: usize, ny: usize) -> Vec<Vec<u32>> {
-        let id = |i: usize, j: usize| (i + j * nx) as u32;
-        let mut adj = vec![Vec::new(); nx * ny];
-        for j in 0..ny {
-            for i in 0..nx {
-                let u = id(i, j) as usize;
-                if i + 1 < nx {
-                    adj[u].push(id(i + 1, j));
-                    adj[id(i + 1, j) as usize].push(u as u32);
-                }
-                if j + 1 < ny {
-                    adj[u].push(id(i, j + 1));
-                    adj[id(i, j + 1) as usize].push(u as u32);
-                }
-            }
-        }
-        adj
-    }
-
-    #[test]
-    fn ggp_balanced_on_grid() {
-        let adj = grid_graph(16, 16);
-        for nparts in [2usize, 4, 7, 8] {
-            let p = partition_ggp(&adj, nparts);
-            let q = quality(&adj, &p, nparts);
-            assert!(
-                q.imbalance <= 1.15,
-                "nparts={nparts}: imbalance {}",
-                q.imbalance
-            );
-            let mut sizes = vec![0usize; nparts];
-            for &pi in &p {
-                sizes[pi as usize] += 1;
-            }
-            assert!(
-                sizes.iter().all(|&s| s > 0),
-                "empty part for nparts={nparts}"
-            );
-        }
-    }
-
-    #[test]
-    fn ggp_cut_reasonable() {
-        // A 2-way split of a 16×16 grid has a minimum cut of 16; greedy +
-        // KL should stay within 2× of optimal.
-        let adj = grid_graph(16, 16);
-        let p = partition_ggp(&adj, 2);
-        let q = quality(&adj, &p, 2);
-        assert!(q.edge_cut <= 32, "cut {}", q.edge_cut);
-    }
-
     #[test]
     fn rcb_balanced_and_connected_on_mesh() {
         let m = Mesh::unit_square(12, 12);
@@ -376,15 +159,6 @@ mod tests {
         let q = quality(&m.dual_graph(), &p, 8);
         assert!(q.imbalance <= 1.1, "imbalance {}", q.imbalance);
         assert_eq!(q.connected_parts, 8);
-    }
-
-    #[test]
-    fn ggp_on_mesh_parts_mostly_connected() {
-        let m = Mesh::unit_square(16, 16);
-        let p = partition_ggp(&m.dual_graph(), 16);
-        let q = quality(&m.dual_graph(), &p, 16);
-        assert!(q.connected_parts >= 14, "{q:?}");
-        assert!(q.imbalance <= 1.2, "{q:?}");
     }
 
     #[test]
@@ -398,8 +172,9 @@ mod tests {
 
     #[test]
     fn single_part_trivial() {
-        let adj = grid_graph(4, 4);
-        let p = partition_ggp(&adj, 1);
+        let m = Mesh::unit_square(4, 4);
+        let p = partition_mesh_rcb(&m, 1);
+        assert_eq!(p.len(), m.n_elements());
         assert!(p.iter().all(|&x| x == 0));
     }
 

@@ -5,9 +5,7 @@
 mod common;
 
 use common::Rng;
-use dd_geneo::fem::{
-    assemble_boundary_load, assemble_diffusion, assemble_elasticity, assemble_mass, DofMap,
-};
+use dd_geneo::fem::{assemble_diffusion, assemble_elasticity, assemble_mass, DofMap};
 use dd_geneo::linalg::vector;
 use dd_geneo::mesh::{refine::uniform_refine_n, Mesh};
 
@@ -80,29 +78,6 @@ fn elasticity_translations_in_kernel() {
             let mut y = vec![0.0; 2 * n];
             a.spmv(&t, &mut y);
             assert!(vector::norm_inf(&y) < 1e-9 * a.norm_inf());
-        }
-    }
-}
-
-/// Boundary loads with g = 1 integrate to the measure of the selected
-/// boundary piece, at every order.
-#[test]
-fn boundary_load_measures_edge() {
-    for order in 1..4 {
-        for nx in 1..6 {
-            let mesh = Mesh::unit_square(nx, nx);
-            let dm = DofMap::new(&mesh, order);
-            let mut rhs = vec![0.0; dm.n_dofs()];
-            assemble_boundary_load(
-                &mesh,
-                &dm,
-                1,
-                &|_, g| g[0] = 1.0,
-                &|x| x[1] < 1e-9, // bottom edge, length 1
-                &mut rhs,
-            );
-            let total: f64 = rhs.iter().sum();
-            assert!((total - 1.0).abs() < 1e-10, "total {total}");
         }
     }
 }

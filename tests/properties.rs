@@ -7,7 +7,7 @@ mod common;
 use common::Rng;
 use dd_geneo::linalg::{jacobi, vector, CooBuilder, CsrMatrix, DMat, Givens};
 use dd_geneo::mesh::{refine::uniform_refine, Mesh};
-use dd_geneo::part::{partition_ggp, partition_rcb, quality};
+use dd_geneo::part::{partition_mesh_rcb, partition_rcb, quality};
 use dd_geneo::solver::{LdltBackend, LocalLdlt, Ordering};
 use std::collections::HashMap;
 
@@ -175,12 +175,12 @@ fn rcb_partitions_are_balanced() {
 }
 
 #[test]
-fn ggp_covers_all_vertices() {
+fn mesh_rcb_leaves_no_part_empty() {
     for n_side in 3..8 {
         for nparts in 1..6 {
             let mesh = Mesh::unit_square(n_side, n_side);
             let adj = mesh.dual_graph();
-            let part = partition_ggp(&adj, nparts);
+            let part = partition_mesh_rcb(&mesh, nparts);
             let q = quality(&adj, &part, nparts);
             assert_eq!(q.nparts, nparts);
             let mut seen = vec![false; nparts];
@@ -245,7 +245,6 @@ fn dense_lu_inverts_well_conditioned() {
 #[test]
 fn decomposition_invariants() {
     use dd_geneo::core::{decompose, problem::presets};
-    use dd_geneo::part::partition_mesh_rcb;
     for nparts in 2..7 {
         for delta in 1..3 {
             let mesh = Mesh::unit_square(10, 10);
