@@ -29,10 +29,10 @@
 //! * **GenEO pencil `B`** — one `B·w` through the blocked copy the
 //!   eigensolver multiplies by, on an `elasticity3d` subdomain, calibrated
 //!   and drift-gated;
-//! * **Krylov steady state** — allocation counts of warm GMRES and CG
-//!   solves at two iteration budgets, from which the per-iteration
-//!   allocation count is derived (the overhaul's contract: **zero**), and
-//!   of the SPMD path, one column and a panel of four.
+//! * **Krylov steady state** — allocation counts of warm GMRES solves at
+//!   two iteration budgets, from which the per-iteration allocation count
+//!   is derived (the overhaul's contract: **zero**), and of the SPMD path,
+//!   one column and a panel of four.
 //!
 //! Two output tiers, two gates:
 //!
@@ -65,9 +65,7 @@ use dd_core::{
     SpmdOpts,
 };
 use dd_fem::{assemble_elasticity, DofMap};
-use dd_krylov::{
-    try_cg, try_gmres_with, CgOpts, GmresOpts, GmresWorkspace, IdentityPrecond, SeqDot, Side,
-};
+use dd_krylov::{try_gmres_with, GmresOpts, GmresWorkspace, IdentityPrecond, SeqDot, Side};
 use dd_linalg::{vector, BsrMatrix, CooBuilder, CsrMatrix, DMat};
 use dd_mesh::Mesh;
 use dd_part::partition_mesh_rcb;
@@ -671,7 +669,7 @@ fn bench_ortho(rep: &mut Report, calib: f64) {
     }
 }
 
-/// Allocation counts of warm Krylov solves. `tol: 0.0` never converges, so
+/// Allocation counts of warm GMRES solves. `tol: 0.0` never converges, so
 /// a run performs exactly `max_iters` iterations; the difference between
 /// two budgets divided by the extra iterations is the per-iteration count.
 fn bench_krylov_allocs(rep: &mut Report) {
@@ -707,42 +705,12 @@ fn bench_krylov_allocs(rep: &mut Report) {
     assert_eq!((r30.iterations, r60.iterations), (30, 60));
     let g_per_iter = (g60 - g30) as f64 / 30.0;
 
-    let cg_opts = |iters: usize| CgOpts {
-        tol: 0.0,
-        max_iters: iters,
-        record_history: false,
-        ..CgOpts::default()
-    };
-    let run_cg = |iters: usize| {
-        try_cg(
-            &a,
-            &IdentityPrecond,
-            &SeqDot,
-            &b,
-            &x0,
-            &cg_opts(iters),
-            None,
-        )
-        .unwrap()
-    };
-    run_cg(60);
-    let (c30, _) = alloc_count::count_allocs(|| run_cg(30));
-    let (c60, _) = alloc_count::count_allocs(|| run_cg(60));
-    let c_per_iter = (c60 - c30) as f64 / 30.0;
-
     rep.exact.insert("gmres/allocs_warm_30", g30 as f64);
     rep.exact.insert("gmres/allocs_warm_60", g60 as f64);
     rep.exact.insert("gmres/allocs_per_iter", g_per_iter);
-    rep.exact.insert("cg/allocs_warm_30", c30 as f64);
-    rep.exact.insert("cg/allocs_warm_60", c60 as f64);
-    rep.exact.insert("cg/allocs_per_iter", c_per_iter);
     rep.lines.push(format!(
         "| GMRES(30) warm solve allocations | 30 it: {g30} | 60 it: {g60} | per-iter: **{g_per_iter}** | {} |",
         if g_per_iter == 0.0 { "alloc-free" } else { "**ALLOCATES**" },
-    ));
-    rep.lines.push(format!(
-        "| CG warm solve allocations | 30 it: {c30} | 60 it: {c60} | per-iter: **{c_per_iter}** | {} |",
-        if c_per_iter == 0.0 { "alloc-free" } else { "**ALLOCATES**" },
     ));
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A Krylov solve that dies mid-iteration (rank death under the SPMD
 //! runtime) loses its Krylov basis, but the *iterate* `x` is cheap to
-//! snapshot and is all that is needed to resume: restarting GMRES/CG from
+//! snapshot and is all that is needed to resume: restarting GMRES from
 //! the checkpointed `x` on the repaired (shrunk) world is mathematically a
 //! restart cycle, and convergence is still measured against the original
 //! `‖r₀‖` anchor so "same tolerance as the fault-free run" is preserved.
@@ -28,12 +28,11 @@ pub struct SolveCheckpoint {
     pub x: Vec<f64>,
     /// Relative residual at the snapshot (same scaling as `history`).
     pub residual: f64,
-    /// The original solve's residual anchor (`‖r₀‖` for GMRES, `√(r₀ᵀz₀)`
-    /// for PCG). A resumed solve converges against `tol · r0_norm`, not a
-    /// fresh anchor computed from the checkpointed iterate. A
-    /// left-preconditioned GMRES resume forms this anchor again at its `x0`
-    /// under the preconditioner it runs with, which may have been rebuilt
-    /// since the snapshot.
+    /// The original solve's residual anchor `‖r₀‖`. A resumed solve
+    /// converges against `tol · r0_norm`, not a fresh anchor computed from
+    /// the checkpointed iterate. A left-preconditioned resume forms this
+    /// anchor again at its `x0` under the preconditioner it runs with,
+    /// which may have been rebuilt since the snapshot.
     pub r0_norm: f64,
     /// Relative residual history up to and including the snapshot
     /// (empty when the solve ran with `record_history: false`).
@@ -49,7 +48,7 @@ pub trait CheckpointSink {
 
 /// Checkpoint configuration handed to the fallible solver entry points:
 /// every GMRES loop (`try_gmres`, `try_gmres_with`, `try_gmres_panel`,
-/// `pipelined_gmres_panel`, `fused_pipelined_gmres_panel`) and `try_cg`.
+/// `pipelined_gmres_panel`, `fused_pipelined_gmres_panel`).
 pub struct CheckpointCfg<'a> {
     /// Snapshot every `interval` iterations (values < 1 behave as 1).
     pub interval: usize,

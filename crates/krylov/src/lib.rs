@@ -2,17 +2,16 @@
 //!
 //! Krylov solvers for the domain decomposition workspace: restarted
 //! GMRES(m) (the paper's solver of choice), right-preconditioned by
-//! default and left-preconditioned on request, preconditioned CG, and the
-//! left-preconditioned pipelined / fused p1-GMRES variants of §3.5 that
-//! trade standalone global reductions for communication piggy-backed on
-//! the coarse correction.
+//! default and left-preconditioned on request, and the left-preconditioned
+//! pipelined / fused p1-GMRES variants of §3.5 that trade standalone
+//! global reductions for communication piggy-backed on the coarse
+//! correction. Every loop runs on one restart driver.
 //!
 //! Solvers are generic over [`Operator`], [`Preconditioner`] and
 //! [`InnerProduct`], so the same code runs sequentially (`SeqDot`) and in
 //! the SPMD runtime (a partition-of-unity weighted dot + allreduce,
 //! provided by `dd-core`).
 
-pub mod cg;
 pub mod checkpoint;
 pub mod gmres;
 pub mod operator;
@@ -21,7 +20,6 @@ pub mod recycle;
 mod restart;
 pub mod sdc;
 
-pub use cg::{try_cg, CgOpts};
 pub use checkpoint::{CheckpointCfg, CheckpointSink, SolveCheckpoint};
 pub use gmres::{
     try_gmres, try_gmres_panel, try_gmres_with, GmresOpts, GmresWorkspace, Ortho, Side,

@@ -32,7 +32,7 @@
 //! accuracy.
 
 use crate::operator::{InnerProduct, Operator, SolveInterrupt};
-use dd_linalg::vector;
+use dd_linalg::{vector, DMat, DenseCholesky};
 
 /// A bounded bank of `(u, A·u)` direction pairs harvested from completed
 /// solves, oldest evicted first.
@@ -129,13 +129,25 @@ impl RecycleSpace {
         let mut reduced = vec![0.0; locals.len()];
         ip.try_reduce_into(&locals, &mut reduced)?;
         let (gram, rhs) = reduced.split_at(k * k);
-        for (proj, xc) in rhs.chunks_exact(k).zip(x.iter_mut()) {
-            match solve_spd_small(k, gram, proj) {
-                Some(c) => vector::axpy_many(&c, &self.u, xc),
-                // Numerically degenerate bank (e.g. duplicate right-hand
-                // sides): skip the correction rather than inject noise.
-                None => return Ok(false),
+        // Row `i` of `gram` is ⟨A·u_i, A·u_j⟩ as reduced; a weighted dot
+        // need not be bitwise symmetric, so the factorization reads the
+        // lower triangle of the rows as they stand.
+        let mut g = DMat::zeros(k, k);
+        for (i, row) in gram.chunks_exact(k).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                g[(i, j)] = v;
             }
+        }
+        // Scale guard: every pivot must dominate the representable noise
+        // of the largest diagonal entry (a zero or infinite one rejects
+        // the first pivot). A numerically degenerate bank (e.g. duplicate
+        // right-hand sides) skips the correction rather than inject noise.
+        let dmax = (0..k).map(|i| g[(i, i)]).fold(0.0f64, f64::max);
+        let Ok(chol) = DenseCholesky::factor(&g, dmax * 1e-14) else {
+            return Ok(false);
+        };
+        for (proj, xc) in rhs.chunks_exact(k).zip(x.iter_mut()) {
+            vector::axpy_many(&chol.solve(proj), &self.u, xc);
         }
         Ok(true)
     }
@@ -199,50 +211,6 @@ impl RecycleSpace {
         }
         Ok(())
     }
-}
-
-/// Solve the k×k SPD system `G c = rhs` (row-major `gram`) by unpivoted
-/// Cholesky; `None` when `G` is not numerically positive definite.
-fn solve_spd_small(k: usize, gram: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
-    let mut l = gram.to_vec();
-    // Scale guard: diagonal entries must dominate representable noise.
-    let dmax = (0..k).map(|i| gram[i * k + i]).fold(0.0f64, f64::max);
-    if !(dmax.is_finite() && dmax > 0.0) {
-        return None;
-    }
-    for j in 0..k {
-        let mut d = l[j * k + j];
-        for p in 0..j {
-            d -= l[j * k + p] * l[j * k + p];
-        }
-        if !(d.is_finite() && d > dmax * 1e-14) {
-            return None;
-        }
-        let d = d.sqrt();
-        l[j * k + j] = d;
-        for i in (j + 1)..k {
-            let mut v = l[i * k + j];
-            for p in 0..j {
-                v -= l[i * k + p] * l[j * k + p];
-            }
-            l[i * k + j] = v / d;
-        }
-    }
-    // Forward then backward substitution with Lᵀ.
-    let mut y = rhs.to_vec();
-    for i in 0..k {
-        for p in 0..i {
-            y[i] -= l[i * k + p] * y[p];
-        }
-        y[i] /= l[i * k + i];
-    }
-    for i in (0..k).rev() {
-        for p in (i + 1)..k {
-            y[i] -= l[p * k + i] * y[p];
-        }
-        y[i] /= l[i * k + i];
-    }
-    Some(y)
 }
 
 #[cfg(test)]
@@ -364,6 +332,9 @@ mod tests {
             .unwrap());
     }
 
+    /// A bank whose Gram matrix is singular, or positive definite only
+    /// below the scale guard, skips the correction: `false`, and the guess
+    /// as it was.
     #[test]
     fn degenerate_gram_is_skipped_not_fatal() {
         // Two identical directions make the Gram matrix singular.
@@ -376,11 +347,25 @@ mod tests {
         space.try_harvest(&a, &SeqDot, &[&x0], &[&r.x]).unwrap();
         space.try_harvest(&a, &SeqDot, &[&x0], &[&r.x]).unwrap();
         let mut guess = vec![0.0; 10];
-        // Must not panic; either applies a correction from the
-        // well-conditioned subset or skips. The residual at the zero
-        // guess is b.
-        let _ = space
+        // The residual at the zero guess is b.
+        assert!(!space
             .try_improve_guesses(&SeqDot, &[&b], &mut [&mut guess])
-            .unwrap();
+            .unwrap());
+        assert_eq!(guess, x0);
+        // Directions e₁ and e₁ + 3·10⁻⁸ e₂, each its own image: the second
+        // pivot is positive (about 9·10⁻¹⁶) but under 10⁻¹⁴ of the largest
+        // diagonal entry. Accepted, it would move the guess to about
+        // [1, 1.013, 0, 0].
+        let (e1, near) = (vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 3e-8, 0.0, 0.0]);
+        let space = RecycleSpace {
+            max_dim: 2,
+            u: vec![e1.clone(), near.clone()],
+            au: vec![e1, near],
+        };
+        let mut guess = vec![0.0; 4];
+        assert!(!space
+            .try_improve_guesses(&SeqDot, &[&[1.0, 1.0, 0.0, 0.0]], &mut [&mut guess])
+            .unwrap());
+        assert_eq!(guess, vec![0.0; 4]);
     }
 }

@@ -1,11 +1,10 @@
 //! Silent-data-corruption (SDC) guard for the Krylov solvers.
 //!
 //! A bit flip inside the operator or preconditioner bakes into the Krylov
-//! basis: the *recurred* residual (the Givens-rotated least-squares value in
-//! GMRES, `√(rᵀz)` of the recurrence in CG) keeps shrinking monotonically
-//! while the *true* residual of the iterate goes nowhere. Left unchecked,
-//! the solver reports convergence on a wrong answer — the defining failure
-//! mode of silent data corruption.
+//! basis: the *recurred* residual (the Givens-rotated least-squares value of
+//! GMRES) keeps shrinking monotonically while the *true* residual of the
+//! iterate goes nowhere. Left unchecked, the solver reports convergence on
+//! a wrong answer — the defining failure mode of silent data corruption.
 //!
 //! An armed [`SdcGuard`] closes that hole twice over:
 //!
@@ -29,7 +28,7 @@
 use crate::operator::SolveInterrupt;
 use std::fmt;
 
-/// Residual-sanity guard armed via `GmresOpts::guard` / `CgOpts::guard`.
+/// Residual-sanity guard armed via `GmresOpts::guard`.
 ///
 /// `None` (the default) keeps the solvers bitwise identical to their
 /// unguarded behavior.

@@ -234,8 +234,10 @@ pub struct DenseCholesky {
 }
 
 impl DenseCholesky {
-    /// Factor a symmetric positive definite matrix.
-    pub fn factor(a: &DMat) -> Result<Self, FactorError> {
+    /// Factor a symmetric positive definite matrix. A pivot that is not
+    /// finite or not above `min_pivot` is an error (`0.0` accepts every
+    /// positive pivot). Only the lower triangle of `a` is read.
+    pub fn factor(a: &DMat, min_pivot: f64) -> Result<Self, FactorError> {
         assert_eq!(a.rows(), a.cols(), "cholesky: square input");
         let n = a.rows();
         let mut l = a.clone();
@@ -245,7 +247,7 @@ impl DenseCholesky {
             for k in 0..j {
                 d -= l[(j, k)] * l[(j, k)];
             }
-            if d <= 0.0 || !d.is_finite() {
+            if !(d.is_finite() && d > min_pivot) {
                 return Err(FactorError::NotPositiveDefinite { step: j, pivot: d });
             }
             let djj = d.sqrt();
@@ -642,7 +644,7 @@ mod tests {
     #[test]
     fn cholesky_solves() {
         let a = spd3();
-        let ch = DenseCholesky::factor(&a).unwrap();
+        let ch = DenseCholesky::factor(&a, 0.0).unwrap();
         let b = [1.0, 2.0, 3.0];
         let x = ch.solve(&b);
         let mut r = [0.0; 3];
@@ -656,7 +658,7 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let a = DMat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, −1
         assert!(matches!(
-            DenseCholesky::factor(&a),
+            DenseCholesky::factor(&a, 0.0),
             Err(FactorError::NotPositiveDefinite { .. })
         ));
     }

@@ -97,7 +97,7 @@ pub fn sym_eig_generalized(a: &DMat, b: &DMat, tol: f64) -> Result<SymEig, Facto
     assert_eq!(b.rows(), b.cols());
     assert_eq!(a.rows(), b.rows());
     let n = a.rows();
-    let ch = DenseCholesky::factor(b)?;
+    let ch = DenseCholesky::factor(b, 0.0)?;
     let l = ch.l();
     // C = L⁻¹ A L⁻ᵀ: first solve L X = A (column-wise forward subst.),
     // then C = (L⁻¹ Xᵀ)ᵀ … done entrywise below for clarity.

@@ -21,7 +21,7 @@
 //!   `World::run_elastic` and the one membership agreement
 //!   `Communicator::try_shrink`, straggler suspicion and eviction under a
 //!   `SuspicionPolicy`);
-//! * [`krylov`] — GMRES / CG / pipelined p1-GMRES, with Krylov-subspace
+//! * [`krylov`] — GMRES / pipelined p1-GMRES, with Krylov-subspace
 //!   recycling for repeated right-hand sides;
 //! * [`core`] — the paper's preconditioners and drivers;
 //! * [`serve`] — solve-as-a-service: a resident prepared solver streaming
@@ -82,7 +82,7 @@ pub mod prelude {
         decompose, try_run_spmd, two_level, Decomposition, GeneoOpts, Problem, RasPrecond,
         SpmdOpts, TwoLevelOpts, Variant,
     };
-    pub use dd_krylov::{try_cg, try_gmres, CgOpts, GmresOpts, Ortho, SeqDot, Side};
+    pub use dd_krylov::{try_gmres, GmresOpts, Ortho, SeqDot, Side};
     pub use dd_linalg::{CooBuilder, CsrMatrix, DMat};
     pub use dd_mesh::Mesh;
     pub use dd_part::partition_mesh_rcb;

@@ -7,7 +7,7 @@ use dd_geneo::core::{
     decompose, problem::presets, try_run_spmd, two_level, GeneoOpts, RasPrecond, SolverKind,
     SpmdOpts, TwoLevelOpts, Variant,
 };
-use dd_geneo::krylov::{try_cg, try_gmres, CgOpts, GmresOpts, SeqDot};
+use dd_geneo::krylov::{try_gmres, GmresOpts, SeqDot};
 use dd_geneo::linalg::vector;
 use dd_geneo::mesh::{refine::uniform_refine, Mesh};
 use dd_geneo::part::{partition_mesh_rcb, quality};
@@ -196,41 +196,6 @@ fn spmd_all_solver_kinds_agree() {
         let rel = vector::dist2(&x, &direct) / vector::norm2(&direct);
         assert!(rel < 1e-3, "{kind:?} vs direct: {rel}");
     }
-}
-
-#[test]
-fn cg_with_two_level_preconditioner() {
-    // A-DEF1 is not symmetric as an operator, but the RAS-free coarse-only
-    // variant is; here we verify CG works with the symmetric one-level
-    // additive Schwarz (unweighted) as a sanity check of solver generality,
-    // using the SPD global matrix.
-    let mesh = Mesh::unit_square(12, 12);
-    let part = partition_mesh_rcb(&mesh, 4);
-    let problem = presets::uniform_diffusion(1);
-    let d = decompose(&mesh, &problem, &part, 4, 1);
-    // Jacobi preconditioner (SPD) for CG.
-    let diag = d.a_global.diag();
-    let jacobi = dd_geneo::krylov::FnPrecond::new(move |r: &[f64], z: &mut [f64]| {
-        for i in 0..r.len() {
-            z[i] = r[i] / diag[i];
-        }
-    });
-    let res = try_cg(
-        &d.a_global,
-        &jacobi,
-        &SeqDot,
-        &d.rhs_global,
-        &vec![0.0; d.n_global],
-        &CgOpts {
-            tol: 1e-10,
-            ..Default::default()
-        },
-        None,
-    )
-    .unwrap();
-    assert!(res.converged);
-    let direct = direct_solution(&d);
-    assert!(vector::dist2(&res.x, &direct) / vector::norm2(&direct) < 1e-6);
 }
 
 #[test]

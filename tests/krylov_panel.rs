@@ -10,10 +10,10 @@
 //! `SolveInterrupt` before its first apply.
 
 use dd_geneo::krylov::{
-    fused_pipelined_gmres_panel, pipelined_gmres_panel, try_cg, try_gmres, try_gmres_panel,
-    try_gmres_with, CgOpts, CheckpointCfg, CheckpointSink, FnPrecond, FusedPreconditioner,
-    GmresOpts, GmresWorkspace, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side,
-    SolveCheckpoint, SolveInterrupt, SolveResult,
+    fused_pipelined_gmres_panel, pipelined_gmres_panel, try_gmres, try_gmres_panel, try_gmres_with,
+    CheckpointCfg, CheckpointSink, FnPrecond, FusedPreconditioner, GmresOpts, GmresWorkspace,
+    Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side, SolveCheckpoint, SolveInterrupt,
+    SolveResult,
 };
 use dd_geneo::linalg::{CooBuilder, CsrMatrix};
 use std::cell::Cell;
@@ -220,10 +220,10 @@ impl CheckpointSink for Discard {
     fn save(&self, _: SolveCheckpoint) {}
 }
 
-/// A right-hand side one value too long (once silently truncated by
-/// `try_cg`), an initial guess one short, a checkpoint on a two-column
-/// panel and a resumed iterate of the wrong length: every public loop
-/// returns an interrupt naming the lengths, and applies nothing first.
+/// A right-hand side one value too long, an initial guess one short, a
+/// checkpoint on a two-column panel and a resumed iterate of the wrong
+/// length: every public loop returns an interrupt naming the lengths, and
+/// applies nothing first.
 #[test]
 fn every_loop_rejects_inputs_of_the_wrong_length() {
     let op = Counted {
@@ -242,7 +242,7 @@ fn every_loop_rejects_inputs_of_the_wrong_length() {
         }),
         ..CheckpointCfg::new(5, &sink)
     };
-    let (gmres, cg) = (GmresOpts::default(), CgOpts::default());
+    let gmres = GmresOpts::default();
     let one = CheckpointCfg::new(5, &sink);
     let (bad_resume, good_resume) = (resumed(n + 2), resumed(n));
     // (b, x0, k, checkpoint, what the reason names)
@@ -306,7 +306,6 @@ fn every_loop_rejects_inputs_of_the_wrong_length() {
                     try_gmres(&op, m, ip, b, x0, &gmres, ckpt).map(drop),
                 ),
                 ("try_gmres_with", with.map(drop)),
-                ("try_cg", try_cg(&op, m, ip, b, x0, &cg, ckpt).map(drop)),
             ]);
         }
         for (entry, outcome) in outcomes {
@@ -320,6 +319,5 @@ fn every_loop_rejects_inputs_of_the_wrong_length() {
     b[n - 1] = 0.0;
     let resume = Some(&good_resume);
     try_gmres(&op, m, ip, &b, &x0, &gmres, resume).expect("a resume of the right length");
-    try_cg(&op, m, ip, &b, &x0, &cg, resume).expect("a CG resume of the right length");
     assert!(op.applies.get() > 0);
 }
