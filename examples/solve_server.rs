@@ -6,26 +6,6 @@
 //! ```sh
 //! cargo run --release --example solve_server
 //! ```
-//!
-//! ## CI artifact mode
-//!
-//! With `DD_KILL_PHASE` set, one rank is killed mid-stream at that
-//! failpoint; the survivors must shrink, adopt its subdomains, re-solve
-//! exactly the incomplete responses, and finish the stream. The example
-//! writes a machine-readable JSON artifact with per-request latencies and
-//! exits non-zero when the gate fails:
-//!
-//! ```sh
-//! DD_KILL_PHASE=solve-iteration-1 DD_SEED=9 DD_OUT=report.json \
-//!     cargo run --release --example solve_server
-//! ```
-//!
-//! * `DD_KILL_PHASE` — failpoint label to kill at (`ras`,
-//!   `solve-iteration-1`, `post-assembly`, …);
-//! * `DD_KILL_RANK` — the victim (default 1);
-//! * `DD_SEED` — fault-plan seed, also arming 20% message delays so
-//!   different seeds exercise different timing (default 9);
-//! * `DD_OUT` — artifact path (default: stdout).
 
 use dd_geneo::comm::{CostModel, FaultPlan, World};
 use dd_geneo::core::problem::presets;
@@ -33,12 +13,14 @@ use dd_geneo::core::{decompose, CoarseCache, Decomposition, GeneoOpts, SpmdError
 use dd_geneo::krylov::GmresOpts;
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
-use dd_geneo::serve::{
-    try_serve, Payload, ResponseStore, ServeOpts, ServeReport, StreamCfg, Workload,
-};
+use dd_geneo::serve::{try_serve, ResponseStore, ServeOpts, ServeReport, Workload};
 use std::sync::Arc;
 
-/// The smoke row's contract: exactly this many right-hand sides.
+// The 32-right-hand-side stream is the one the serve tests replay.
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+/// Right-hand sides in the stream.
 const N_RHS: usize = 32;
 
 fn opts() -> ServeOpts {
@@ -60,37 +42,6 @@ fn opts() -> ServeOpts {
     o.spmd.recovery.enabled = true;
     o.spmd.recovery.checkpoint_interval = 1;
     o
-}
-
-/// Seeded stream trimmed to exactly [`N_RHS`] right-hand sides.
-fn stream_of(seed: u64, n_global: usize) -> Workload {
-    let cfg = StreamCfg {
-        n_requests: 2 * N_RHS,
-        mean_interarrival: 1e-3,
-        batch_fraction: 0.3,
-        max_rhs_per_request: 3,
-        perturb_fraction: 0.3,
-        theta_max: 0.04,
-    };
-    let full = Workload::generate(seed, n_global, &cfg);
-    let mut requests = Vec::new();
-    let mut total = 0usize;
-    for mut r in full.requests {
-        if total == N_RHS {
-            break;
-        }
-        if let Payload::Batch(b) = &mut r.payload {
-            b.truncate(N_RHS - total);
-            if b.len() == 1 {
-                r.payload = Payload::Rhs(b.remove(0));
-            }
-        }
-        total += r.n_rhs();
-        r.id = requests.len();
-        requests.push(r);
-    }
-    assert_eq!(total, N_RHS);
-    Workload::from_requests(requests)
 }
 
 type ServeResult = Result<ServeReport, SpmdError>;
@@ -136,106 +87,6 @@ fn print_report(report: &ServeReport) {
     );
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Hand-rolled JSON artifact (the workspace has no serde): stream-level
-/// counters plus every response's latency, iteration count, and reuse flag.
-fn artifact_json(phase: &str, seed: u64, victim: usize, report: &ServeReport) -> String {
-    let responses: Vec<String> = report
-        .responses
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"req\":{},\"rhs\":{},\"theta\":{:e},\"arrival\":{:e},\
-                 \"completed\":{:e},\"latency\":{:e},\"iterations\":{},\
-                 \"converged\":{},\"reused\":{}}}",
-                r.req,
-                r.rhs,
-                r.theta,
-                r.arrival,
-                r.completed,
-                r.latency,
-                r.iterations,
-                r.converged,
-                r.reused,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"kill_phase\":\"{}\",\"seed\":{seed},\"victim\":{victim},\
-         \"n_requests\":{},\"n_rhs\":{},\"solves\":{},\"reused_applies\":{},\
-         \"resetups\":{},\"recoveries\":{},\"t_setup\":{:e},\
-         \"latency_p50\":{:e},\"latency_p99\":{:e},\"responses\":[{}]}}\n",
-        json_escape(phase),
-        report.n_requests,
-        report.responses.len(),
-        report.solves,
-        report.reused_applies,
-        report.resetups,
-        report.recoveries,
-        report.t_setup,
-        report.latency_percentile(50.0),
-        report.latency_percentile(99.0),
-        responses.join(",")
-    )
-}
-
-/// CI artifact mode: kill one rank mid-stream, JSON out, non-zero exit
-/// when the survivors fail to answer the whole stream.
-fn artifact_mode(decomp: &Arc<Decomposition>, phase: &str) -> ! {
-    let env_num = |k: &str, d: u64| {
-        std::env::var(k)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(d)
-    };
-    let seed = env_num("DD_SEED", 9);
-    let victim = env_num("DD_KILL_RANK", 1) as usize;
-    let w = stream_of(seed, decomp.n_global);
-    let plan = FaultPlan::new(seed)
-        .with_kill(victim, phase)
-        .with_delays(0.2, 2e-4);
-    let results = run(decomp, 4, plan, &w);
-
-    let victim_killed = matches!(
-        results.get(victim),
-        Some(Err(SpmdError::Killed { rank, .. })) if *rank == victim
-    );
-    let survivor = results
-        .iter()
-        .enumerate()
-        .filter(|(r, _)| *r != victim)
-        .find_map(|(_, res)| res.as_ref().ok());
-    let (json, stream_ok) = match survivor {
-        Some(report) => {
-            let ok = report.responses.len() == N_RHS
-                && report.responses.iter().all(|r| r.converged)
-                && report.recoveries >= 1;
-            (artifact_json(phase, seed, victim, report), ok)
-        }
-        None => (
-            format!(
-                "{{\"kill_phase\":\"{}\",\"seed\":{seed},\"victim\":{victim},\
-                 \"error\":\"no surviving rank produced a report\"}}\n",
-                json_escape(phase)
-            ),
-            false,
-        ),
-    };
-    match std::env::var("DD_OUT") {
-        Ok(path) => std::fs::write(&path, &json).expect("write DD_OUT artifact"),
-        Err(_) => print!("{json}"),
-    }
-    if victim_killed && stream_ok {
-        eprintln!("serve smoke gate passed: {N_RHS} RHS answered through the kill");
-        std::process::exit(0);
-    }
-    eprintln!("serve smoke gate FAILED: victim_killed {victim_killed}, stream_ok {stream_ok}");
-    std::process::exit(1);
-}
-
 fn main() {
     let nsubs = 6;
     let mesh = Mesh::unit_square(16, 16);
@@ -243,20 +94,15 @@ fn main() {
     let problem = presets::heterogeneous_diffusion(1);
     let decomp = Arc::new(decompose(&mesh, &problem, &part, nsubs, 1));
 
-    if let Ok(phase) = std::env::var("DD_KILL_PHASE") {
-        if !phase.is_empty() {
-            artifact_mode(&decomp, &phase);
-        }
-    }
-
     println!("=== fault-free: 4 ranks serving 6 subdomains, {N_RHS} RHS ===\n");
-    let w = stream_of(9, decomp.n_global);
+    let w = common::trimmed_stream(9, decomp.n_global, N_RHS);
     let results = run(&decomp, 4, FaultPlan::default(), &w);
     let report = results[0].as_ref().expect("fault-free serve must succeed");
     print_report(report);
 
-    println!("\n=== rank 1 killed at solve-iteration-1, stream continues ===\n");
-    let plan = FaultPlan::new(9).with_kill(1, "solve-iteration-1");
+    let victim = 1;
+    println!("\n=== rank {victim} killed at solve-iteration-1, stream continues ===\n");
+    let plan = FaultPlan::new(9).with_kill(victim, "solve-iteration-1");
     let results = run(&decomp, 4, plan, &w);
     for (rank, res) in results.iter().enumerate() {
         match res {
@@ -270,8 +116,9 @@ fn main() {
     }
     let survivor = results
         .iter()
-        .skip(2)
-        .find_map(|r| r.as_ref().ok())
+        .enumerate()
+        .filter(|(rank, _)| *rank != victim)
+        .find_map(|(_, r)| r.as_ref().ok())
         .expect("a survivor must finish the stream");
     print_report(survivor);
 }

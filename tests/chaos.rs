@@ -17,13 +17,13 @@ use dd_geneo::core::{
     DeflationSource, GeneoOpts, PhaseOutcome, RecoveryOpts, SolverKind, SpmdError,
     SpmdMultiSolution, SpmdOpts, SpmdReport,
 };
-use dd_geneo::krylov::GmresOpts;
+use dd_geneo::krylov::{GmresOpts, SdcGuard};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
 mod common;
-use common::global_residual;
+use common::{global_residual, labelled};
 
 fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
     let mesh = Mesh::unit_square(nmesh, nmesh);
@@ -432,6 +432,42 @@ fn fault_free_bar(decomp: &Arc<Decomposition>, o: &SpmdOpts) -> f64 {
     2.0 * global_residual(decomp, &reassemble(decomp, &results))
 }
 
+/// Kills a rank at `phase` on each input of a kill row and hands the
+/// decomposition, the results and the victim to `check`. The inputs are the
+/// row's own — a 12² mesh, `seed`, `victim` — and the recovery gate's two: a
+/// 16² mesh, victim 1, seeds 1 and 2, 20 % of messages delayed by
+/// 2·10⁻⁴ s and a checkpoint every two iterations. All run `opts` on four
+/// subdomains, one a rank; a failure names its input.
+fn for_each_kill(
+    (seed, victim): (u64, usize),
+    opts: &SpmdOpts,
+    phase: &str,
+    check: impl Fn(&Arc<Decomposition>, &[RecResult], usize),
+) {
+    let gate = SpmdOpts {
+        recovery: RecoveryOpts {
+            checkpoint_interval: 2,
+            ..opts.recovery.clone()
+        },
+        ..opts.clone()
+    };
+    let delayed = |seed| FaultPlan::new(seed).with_delays(0.2, 2e-4);
+    for (nmesh, seed, victim, plan, o) in [
+        (12, seed, victim, FaultPlan::new(seed), opts),
+        (16, 1, 1, delayed(1), &gate),
+        (16, 2, 1, delayed(2), &gate),
+    ] {
+        labelled(
+            &format!("{nmesh}² mesh, seed {seed}, victim {victim}"),
+            || {
+                let decomp = setup(nmesh, 4);
+                let results = run_recoverable_with_plan(&decomp, o, plan.with_kill(victim, phase));
+                check(&decomp, &results, victim);
+            },
+        );
+    }
+}
+
 #[test]
 fn recovery_enabled_fault_free_run_is_unchanged() {
     let decomp = setup(12, 4);
@@ -453,18 +489,18 @@ fn recovery_enabled_fault_free_run_is_unchanged() {
 
 #[test]
 fn kill_during_ras_application_recovers_on_survivors() {
-    let decomp = setup(12, 4);
-    let results = run_recoverable_with_plan(
-        &decomp,
+    for_each_kill(
+        (21, 1),
         &recovery_opts(),
-        FaultPlan::new(21).with_kill(1, "ras"),
+        "ras",
+        |decomp, results, victim| {
+            for r in assert_recovered(decomp, results, victim, "ras") {
+                // Death at the very first preconditioner application: no
+                // checkpoint exists yet, so the recovered solve restarts from zero.
+                assert_eq!(r.report.run.recoveries[0].resume_iteration, None);
+            }
+        },
     );
-    let reports = assert_recovered(&decomp, &results, 1, "ras");
-    for r in &reports {
-        // Death at the very first preconditioner application: no checkpoint
-        // exists yet, so the recovered solve restarts from zero.
-        assert_eq!(r.report.run.recoveries[0].resume_iteration, None);
-    }
 }
 
 #[test]
@@ -528,30 +564,33 @@ fn kill_during_distributed_coarse_factorization_recovers() {
 
 #[test]
 fn kill_during_distributed_coarse_solve_recovers() {
-    let decomp = setup(12, 4);
-    // Rank 0 dies inside the distributed triangular solve of the very
+    // The victim dies inside the distributed triangular solve of the very
     // first coarse correction, mid-preconditioner, mid-GMRES.
-    let results = run_recoverable_with_plan(
-        &decomp,
+    for_each_kill(
+        (37, 0),
         &recovery_opts(),
-        FaultPlan::new(37).with_kill(0, "e-solve-dist"),
+        "e-solve-dist",
+        |decomp, results, victim| {
+            assert_recovered(decomp, results, victim, "e-solve-dist");
+        },
     );
-    assert_recovered(&decomp, &results, 0, "e-solve-dist");
 }
 
 #[test]
-fn kill_at_deflation_recovers_with_redundant_coarse() {
-    let decomp = setup(12, 4);
-    let o = SpmdOpts {
-        coarse_solve: dd_geneo::core::CoarseSolve::Redundant,
-        ..recovery_opts()
-    };
-    let results =
-        run_recoverable_with_plan(&decomp, &o, FaultPlan::new(41).with_kill(3, "deflation"));
-    let reports = assert_recovered(&decomp, &results, 3, "deflation");
-    for r in &reports {
-        // Setup-phase death: nothing to resume from.
-        assert_eq!(r.report.run.recoveries[0].resume_iteration, None);
+fn kill_at_deflation_recovers_under_both_coarse_solves() {
+    for coarse_solve in [CoarseSolve::Distributed, CoarseSolve::Redundant] {
+        let o = SpmdOpts {
+            coarse_solve,
+            ..recovery_opts()
+        };
+        labelled(&format!("{coarse_solve:?}"), || {
+            for_each_kill((41, 3), &o, "deflation", |decomp, results, victim| {
+                for r in assert_recovered(decomp, results, victim, "deflation") {
+                    // Setup-phase death: nothing to resume from.
+                    assert_eq!(r.report.run.recoveries[0].resume_iteration, None);
+                }
+            });
+        });
     }
 }
 
@@ -794,79 +833,94 @@ fn retry_schedules_are_byte_identical_across_identically_seeded_runs() {
 // the retransmit budget into a typed error (and, with recovery enabled, a
 // rollback-and-replay) — never a silently wrong answer.
 
-/// Non-recoverable runner that also returns the local solution, so
-/// corruption rows can assert bit-identical numerics.
-fn run_with_solution(
-    decomp: &Arc<Decomposition>,
-    opts: &SpmdOpts,
-    plan: FaultPlan,
-) -> Vec<RecResult> {
-    let n = decomp.n_subdomains();
-    let d2 = Arc::clone(decomp);
-    let opts = opts.clone();
-    World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        try_run_spmd(&d2, comm, &opts)
-    })
-}
-
 #[test]
 fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
-    let decomp = setup(12, 4);
-    let o = opts();
-    let base: Vec<_> = run_with_solution(&decomp, &o, FaultPlan::default())
-        .into_iter()
-        .map(|r| r.expect("fault-free baseline must not fail"))
-        .collect();
-    // One row per corruption surface: the neighbor exchange and coarse
-    // gather/scatter (p2p traffic inside "solve"), the lockstep reductions
-    // (collective contributions inside "solve"), the distributed
-    // triangular coarse solve, and the cooperative fan-in factorization.
-    let rows = [
-        ("solve", TagClass::P2p),
-        ("solve", TagClass::Collective),
-        ("e-solve-dist", TagClass::Any),
-        ("e-factorization-dist", TagClass::Any),
+    // The recovery gate's options: recovery on, a checkpoint every two
+    // iterations and the residual-drift guard.
+    let mut guarded = recovery_opts();
+    guarded.recovery.checkpoint_interval = 2;
+    guarded.gmres.guard = Some(SdcGuard::default());
+    let gate_plan = |phase, seed| {
+        FaultPlan::new(seed)
+            .with_corrupt(phase, None, TagClass::Any, seed)
+            .with_delays(0.2, 2e-4)
+    };
+    // One row per corruption surface, seed 9 on a 12² mesh: the neighbor
+    // exchange and coarse gather/scatter (p2p traffic inside "solve"), the
+    // lockstep reductions (collective contributions inside "solve"), the
+    // distributed triangular coarse solve, and the cooperative fan-in
+    // factorization. Then the recovery gate's rows on a 16² mesh: every
+    // message class of the solve and of the distributed coarse solve, seeds
+    // 1 and 7, with 20 % of messages delayed.
+    let inputs = [
+        (
+            12,
+            opts(),
+            [
+                ("solve", TagClass::P2p),
+                ("solve", TagClass::Collective),
+                ("e-solve-dist", TagClass::Any),
+                ("e-factorization-dist", TagClass::Any),
+            ]
+            .map(|(phase, class)| {
+                let label = format!("{phase}/{class:?}, seed 9");
+                (label, FaultPlan::new(9).with_corrupt(phase, None, class, 9))
+            })
+            .to_vec(),
+        ),
+        (
+            16,
+            guarded,
+            [
+                ("solve", 1),
+                ("solve", 7),
+                ("e-solve-dist", 1),
+                ("e-solve-dist", 7),
+            ]
+            .map(|(phase, seed)| (format!("{phase}/Any, seed {seed}"), gate_plan(phase, seed)))
+            .to_vec(),
+        ),
     ];
-    for (phase, class) in rows {
-        let plan = FaultPlan::new(9).with_corrupt(phase, None, class, 9);
-        let results = run_with_solution(&decomp, &o, plan);
-        let (mut injected, mut detected, mut retransmits) = (0u64, 0u64, 0u64);
-        for (rank, res) in results.iter().enumerate() {
-            let r = res
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{phase}/{class:?} rank {rank}: {e}"));
-            assert!(
-                r.solve.result.converged,
-                "{phase}/{class:?} rank {rank} did not converge"
-            );
-            // Detect-and-retransmit is payload-restoring: the solve sees
-            // only pristine values, so iteration count *and* every bit of
-            // the solution match the fault-free baseline (a fortiori the
-            // ISSUE's 1e-10 differential bound).
-            assert_eq!(
-                r.solve.result.iterations, base[rank].solve.result.iterations,
-                "{phase}/{class:?}"
-            );
-            assert_eq!(
-                r.solve.locals, base[rank].solve.locals,
-                "{phase}/{class:?} rank {rank}: numerics must be bit-identical"
-            );
-            injected += r.report.run.faults.corruptions_injected;
-            detected += r.report.run.faults.corruptions_detected;
-            retransmits += r.report.run.faults.retransmits;
+    for (nmesh, o, rows) in inputs {
+        let decomp = setup(nmesh, 4);
+        let base: Vec<_> = run_recoverable_with_plan(&decomp, &o, FaultPlan::default())
+            .into_iter()
+            .map(|r| r.expect("fault-free baseline must not fail"))
+            .collect();
+        for (label, plan) in rows {
+            labelled(&format!("{nmesh}² mesh, {label}"), || {
+                let results = run_recoverable_with_plan(&decomp, &o, plan);
+                let (mut injected, mut detected, mut retransmits) = (0u64, 0u64, 0u64);
+                for (rank, res) in results.iter().enumerate() {
+                    let r = res.as_ref().unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+                    assert!(r.solve.result.converged, "rank {rank} did not converge");
+                    // Detect-and-retransmit is payload-restoring: the solve
+                    // sees only pristine values, so iteration count *and*
+                    // every bit of the solution match the fault-free
+                    // baseline (a fortiori the ISSUE's 1e-10 differential
+                    // bound).
+                    assert_eq!(
+                        r.solve.result.iterations,
+                        base[rank].solve.result.iterations
+                    );
+                    assert_eq!(
+                        r.solve.locals, base[rank].solve.locals,
+                        "rank {rank}: numerics must be bit-identical"
+                    );
+                    injected += r.report.run.faults.corruptions_injected;
+                    detected += r.report.run.faults.corruptions_detected;
+                    retransmits += r.report.run.faults.retransmits;
+                }
+                assert!(injected > 0, "no corruption injected — row is vacuous");
+                assert_eq!(
+                    detected, injected,
+                    "every one-shot corruption is detected exactly once"
+                );
+                assert!(retransmits >= injected, "detection must retransmit");
+                let rr = global_residual(&decomp, &reassemble(&decomp, &results));
+                assert!(rr <= 1e-5, "residual {rr:e} misses the tolerance");
+            });
         }
-        assert!(
-            injected > 0,
-            "{phase}/{class:?}: no corruption injected — row is vacuous"
-        );
-        assert_eq!(
-            detected, injected,
-            "{phase}/{class:?}: every one-shot corruption is detected exactly once"
-        );
-        assert!(
-            retransmits >= injected,
-            "{phase}/{class:?}: detection must retransmit"
-        );
     }
 }
 

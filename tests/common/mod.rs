@@ -2,12 +2,15 @@
 //! — a std-only stand-in for randomized property testing; splitmix64 keeps
 //! every run bit-identical across platforms and invocations — and the
 //! outside referees of a distributed solve (reassembly of the per-rank
-//! locals every driver returns, true residual, relative distance).
+//! locals every driver returns, true residual, relative distance), the
+//! `solve_server` example's request stream, and a label for the inputs of a
+//! table-driven row.
 
 #![allow(dead_code)]
 
 use dd_geneo::core::Decomposition;
 use dd_geneo::linalg::{CooBuilder, CsrMatrix};
+use dd_geneo::serve::{Payload, StreamCfg, Workload};
 
 /// Reassemble the global solution from the `(subdomain, local solution)`
 /// lists the ranks of a run returned (`MultiApplyOutcome::locals`),
@@ -52,6 +55,52 @@ pub fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
         .sqrt();
     let den: f64 = b.iter().map(|y| y * y).sum::<f64>().sqrt();
     num / den.max(1e-300)
+}
+
+/// Runs `body` and, if it panics, panics again with `label` in front of the
+/// message, so a row that runs several inputs names the one that failed.
+pub fn labelled<T>(label: &str, body: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|e| {
+        let msg = e
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| e.downcast_ref::<&str>().copied())
+            .unwrap_or("non-string panic payload");
+        panic!("{label}: {msg}")
+    })
+}
+
+/// A seeded stream of singles, batches and admissibly perturbed requests,
+/// trimmed to exactly `n_rhs` right-hand sides (the `solve_server`
+/// example's stream).
+pub fn trimmed_stream(seed: u64, n_global: usize, n_rhs: usize) -> Workload {
+    let cfg = StreamCfg {
+        n_requests: 2 * n_rhs,
+        mean_interarrival: 1e-3,
+        batch_fraction: 0.3,
+        max_rhs_per_request: 3,
+        perturb_fraction: 0.3,
+        theta_max: 0.04,
+    };
+    let full = Workload::generate(seed, n_global, &cfg);
+    let mut requests = Vec::new();
+    let mut total = 0usize;
+    for mut r in full.requests {
+        if total == n_rhs {
+            break;
+        }
+        if let Payload::Batch(b) = &mut r.payload {
+            b.truncate(n_rhs - total);
+            if b.len() == 1 {
+                r.payload = Payload::Rhs(b.remove(0));
+            }
+        }
+        total += r.n_rhs();
+        r.id = requests.len();
+        requests.push(r);
+    }
+    assert_eq!(total, n_rhs);
+    Workload::from_requests(requests)
 }
 
 pub struct Rng(u64);

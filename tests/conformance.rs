@@ -9,10 +9,9 @@
 //! fixtures under `tests/golden/` lock the full canonical trace so any
 //! change to the communication pattern fails loudly.
 //!
-//! Parameterized by environment for the CI matrix:
-//! * `CONFORMANCE_N` — world size (default 4);
-//! * `CONFORMANCE_SEED` — fault-plan seed for the determinism runs
-//!   (default 1).
+//! The structural rows run at world sizes N = 4 and N = 16, and the
+//! fault-plan determinism row at every (N, seed) in {4, 16} × {1, 2}; a
+//! failure names its N and seed. The golden rows stay at N = 4.
 //!
 //! Regenerate goldens with `UPDATE_GOLDEN=1 cargo test --test conformance`.
 
@@ -31,18 +30,14 @@ use std::sync::Arc;
 
 mod common;
 
-fn conf_n() -> usize {
-    std::env::var("CONFORMANCE_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
+/// The world sizes of the structural rows.
+const NS: [usize; 2] = [4, 16];
 
-fn conf_seed() -> u64 {
-    std::env::var("CONFORMANCE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+/// Runs `row` at each of [`NS`], naming the size in a failure.
+fn at_each_n(row: impl Fn(usize)) {
+    for n in NS {
+        common::labelled(&format!("N = {n}"), || row(n));
+    }
 }
 
 fn masters_for(n: usize) -> usize {
@@ -115,44 +110,47 @@ fn traced_owner_map(
 /// canonical traces — with and without an armed fault plan.
 #[test]
 fn identical_runs_produce_byte_identical_traces() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let opts = opts_for(n);
-    let (_, t1) = traced_solve(&decomp, &opts, FaultPlan::default());
-    let (_, t2) = traced_solve(&decomp, &opts, FaultPlan::default());
-    assert_eq!(
-        t1.canonical_json(),
-        t2.canonical_json(),
-        "trace must be a deterministic function of the program"
-    );
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let opts = opts_for(n);
+        let (_, t1) = traced_solve(&decomp, &opts, FaultPlan::default());
+        let (_, t2) = traced_solve(&decomp, &opts, FaultPlan::default());
+        assert_eq!(
+            t1.canonical_json(),
+            t2.canonical_json(),
+            "trace must be a deterministic function of the program"
+        );
+    });
 }
 
 #[test]
 fn identical_seed_fault_runs_produce_byte_identical_traces() {
-    let n = conf_n();
-    let seed = conf_seed();
-    let decomp = setup(n);
-    let opts = opts_for(n);
-    let plan = || {
-        FaultPlan::new(seed)
-            .with_delays(0.2, 1e-4)
-            .with_drops(0.05, 1)
-    };
-    let (_, t1) = traced_solve(&decomp, &opts, plan());
-    let (_, t2) = traced_solve(&decomp, &opts, plan());
-    let j1 = t1.canonical_json();
-    assert_eq!(
-        j1,
-        t2.canonical_json(),
-        "fault decisions must be pure functions of the seed"
-    );
-    // The injected drops are visible (and stable) in the trace.
-    let retries: u64 = t1
-        .phase_names()
-        .iter()
-        .map(|p| t1.phase_totals(p).retries)
-        .sum();
-    assert!(retries > 0, "drop plan produced no observable retries");
+    for (n, seed) in NS.into_iter().flat_map(|n| [(n, 1u64), (n, 2)]) {
+        common::labelled(&format!("N = {n}, seed = {seed}"), || {
+            let decomp = setup(n);
+            let opts = opts_for(n);
+            let plan = || {
+                FaultPlan::new(seed)
+                    .with_delays(0.2, 1e-4)
+                    .with_drops(0.05, 1)
+            };
+            let (_, t1) = traced_solve(&decomp, &opts, plan());
+            let (_, t2) = traced_solve(&decomp, &opts, plan());
+            let j1 = t1.canonical_json();
+            assert_eq!(
+                j1,
+                t2.canonical_json(),
+                "fault decisions must be pure functions of the seed"
+            );
+            // The injected drops are visible (and stable) in the trace.
+            let retries: u64 = t1
+                .phase_names()
+                .iter()
+                .map(|p| t1.phase_totals(p).retries)
+                .sum();
+            assert!(retries > 0, "drop plan produced no observable retries");
+        });
+    }
 }
 
 // ------------------------------------------------------- structural invariants
@@ -162,187 +160,191 @@ fn identical_seed_fault_runs_produce_byte_identical_traces() {
 /// receives exactly one back, and nothing else moves in the exchange phase.
 #[test]
 fn one_exchange_per_neighbor_during_e_assembly() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let (_, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
-    for r in &trace.ranks {
-        let neighbors: Vec<usize> = decomp.subdomains[r.rank]
-            .neighbors
-            .iter()
-            .map(|l| l.j)
-            .collect();
-        let phase_id = r
-            .phases
-            .iter()
-            .position(|(name, _)| name == "assembly:exchange")
-            .expect("missing assembly:exchange phase") as u16;
-        let mut sends: Vec<usize> = Vec::new();
-        let mut recvs: Vec<usize> = Vec::new();
-        for e in r.events.iter().filter(|e| e.phase == phase_id) {
-            match &e.kind {
-                EventKind::Send { dest, .. } => sends.push(*dest),
-                EventKind::Recv { src, .. } => recvs.push(*src),
-                EventKind::Collective { op, .. } => {
-                    panic!("unexpected collective `{op}` in the exchange phase")
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let (_, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
+        for r in &trace.ranks {
+            let neighbors: Vec<usize> = decomp.subdomains[r.rank]
+                .neighbors
+                .iter()
+                .map(|l| l.j)
+                .collect();
+            let phase_id = r
+                .phases
+                .iter()
+                .position(|(name, _)| name == "assembly:exchange")
+                .expect("missing assembly:exchange phase") as u16;
+            let mut sends: Vec<usize> = Vec::new();
+            let mut recvs: Vec<usize> = Vec::new();
+            for e in r.events.iter().filter(|e| e.phase == phase_id) {
+                match &e.kind {
+                    EventKind::Send { dest, .. } => sends.push(*dest),
+                    EventKind::Recv { src, .. } => recvs.push(*src),
+                    EventKind::Collective { op, .. } => {
+                        panic!("unexpected collective `{op}` in the exchange phase")
+                    }
+                    EventKind::Iteration { .. } => panic!("unexpected iteration event"),
                 }
-                EventKind::Iteration { .. } => panic!("unexpected iteration event"),
             }
+            let mut expect = neighbors.clone();
+            expect.sort_unstable();
+            let (mut s, mut v) = (sends.clone(), recvs.clone());
+            s.sort_unstable();
+            v.sort_unstable();
+            assert_eq!(s, expect, "rank {}: one send per neighbor", r.rank);
+            assert_eq!(v, expect, "rank {}: one recv per neighbor", r.rank);
         }
-        let mut expect = neighbors.clone();
-        expect.sort_unstable();
-        let (mut s, mut v) = (sends.clone(), recvs.clone());
-        s.sort_unstable();
-        v.sort_unstable();
-        assert_eq!(s, expect, "rank {}: one send per neighbor", r.rank);
-        assert_eq!(v, expect, "rank {}: one recv per neighbor", r.rank);
-    }
+    });
 }
 
 /// Algorithms 1–2: every rooted collective of the coarse gather and of the
 /// solve loop is rooted at an elected master.
 #[test]
 fn gather_scatter_traffic_touches_only_masters() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let opts = opts_for(n);
-    let (_, trace) = traced_solve(&decomp, &opts, FaultPlan::default());
-    let masters = nonuniform_masters(n, opts.n_masters.min(n));
-    for phase in ["assembly:gather", "solve"] {
-        let mut rooted = 0usize;
-        for (rank, e) in trace.events_in_phase(phase) {
-            if let EventKind::Collective {
-                op,
-                root: Some(root),
-                comm,
-                ..
-            } = &e.kind
-            {
-                rooted += 1;
-                let root = *root as usize;
-                assert!(
-                    masters.contains(&root),
-                    "rank {rank}: `{op}` in {phase} rooted at non-master {root} \
-                     (comm label id {comm}, masters {masters:?})"
-                );
-                // The root must be the master of the sender's own group.
-                let g = group_of(rank, &masters);
-                assert_eq!(
-                    root, masters[g],
-                    "rank {rank}: rooted at a master outside its group"
-                );
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let opts = opts_for(n);
+        let (_, trace) = traced_solve(&decomp, &opts, FaultPlan::default());
+        let masters = nonuniform_masters(n, opts.n_masters.min(n));
+        for phase in ["assembly:gather", "solve"] {
+            let mut rooted = 0usize;
+            for (rank, e) in trace.events_in_phase(phase) {
+                if let EventKind::Collective {
+                    op,
+                    root: Some(root),
+                    comm,
+                    ..
+                } = &e.kind
+                {
+                    rooted += 1;
+                    let root = *root as usize;
+                    assert!(
+                        masters.contains(&root),
+                        "rank {rank}: `{op}` in {phase} rooted at non-master {root} \
+                         (comm label id {comm}, masters {masters:?})"
+                    );
+                    // The root must be the master of the sender's own group.
+                    let g = group_of(rank, &masters);
+                    assert_eq!(
+                        root, masters[g],
+                        "rank {rank}: rooted at a master outside its group"
+                    );
+                }
             }
+            assert!(rooted > 0, "no rooted collectives observed in {phase}");
         }
-        assert!(rooted > 0, "no rooted collectives observed in {phase}");
-    }
 
-    // The election is taken over the communicator's ranks, whatever they
-    // host: under `Election::Uniform` on an owner map (two subdomains a
-    // rank) every rooted collective is rooted at the uniform master of the
-    // sender's group.
-    let ranks = (n / 2).max(4);
-    let decomp = setup(2 * ranks);
-    let opts = SpmdOpts {
-        election: Election::Uniform,
-        ..opts_for(2 * ranks)
-    };
-    let masters = uniform_masters(ranks, opts.n_masters.min(ranks));
-    assert_ne!(
-        masters,
-        nonuniform_masters(ranks, masters.len()),
-        "the two elections coincide here — the row is vacuous"
-    );
-    let (_, trace) = traced_owner_map(&decomp, &opts, ranks);
-    for phase in ["recovery-assembly", "solve"] {
-        let mut rooted = 0usize;
-        for (rank, e) in trace.events_in_phase(phase) {
-            if let EventKind::Collective {
-                op,
-                root: Some(root),
-                ..
-            } = &e.kind
-            {
-                rooted += 1;
-                assert_eq!(
-                    *root as usize,
-                    masters[group_of(rank, &masters)],
-                    "rank {rank}: `{op}` in {phase} not rooted at its uniform master \
-                     (masters {masters:?})"
-                );
+        // The election is taken over the communicator's ranks, whatever they
+        // host: under `Election::Uniform` on an owner map (two subdomains a
+        // rank) every rooted collective is rooted at the uniform master of the
+        // sender's group.
+        let ranks = (n / 2).max(4);
+        let decomp = setup(2 * ranks);
+        let opts = SpmdOpts {
+            election: Election::Uniform,
+            ..opts_for(2 * ranks)
+        };
+        let masters = uniform_masters(ranks, opts.n_masters.min(ranks));
+        assert_ne!(
+            masters,
+            nonuniform_masters(ranks, masters.len()),
+            "the two elections coincide here — the row is vacuous"
+        );
+        let (_, trace) = traced_owner_map(&decomp, &opts, ranks);
+        for phase in ["recovery-assembly", "solve"] {
+            let mut rooted = 0usize;
+            for (rank, e) in trace.events_in_phase(phase) {
+                if let EventKind::Collective {
+                    op,
+                    root: Some(root),
+                    ..
+                } = &e.kind
+                {
+                    rooted += 1;
+                    assert_eq!(
+                        *root as usize,
+                        masters[group_of(rank, &masters)],
+                        "rank {rank}: `{op}` in {phase} not rooted at its uniform master \
+                         (masters {masters:?})"
+                    );
+                }
             }
+            assert!(rooted > 0, "no rooted collectives observed in {phase}");
         }
-        assert!(rooted > 0, "no rooted collectives observed in {phase}");
-    }
+    });
 }
 
 /// §3.2: the Krylov loop performs zero `v`-variant collectives — only
 /// equal-count (`O(log N)`) operations.
 #[test]
 fn zero_v_variant_collectives_in_the_solve_loop() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let (_, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
-    let solve = trace.phase_totals("solve");
-    assert_eq!(
-        solve.collectives_v, 0,
-        "v-variant collective inside the Krylov loop"
-    );
-    assert!(
-        solve.collectives_eq > 0,
-        "solve loop recorded no collectives"
-    );
-    // Sanity of the detector: the index-free assembly gather IS a gatherv.
-    let gather = trace.phase_totals("assembly:gather");
-    assert!(
-        gather.collectives_v > 0,
-        "expected the assembly gatherv to register as a v-variant"
-    );
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let (_, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
+        let solve = trace.phase_totals("solve");
+        assert_eq!(
+            solve.collectives_v, 0,
+            "v-variant collective inside the Krylov loop"
+        );
+        assert!(
+            solve.collectives_eq > 0,
+            "solve loop recorded no collectives"
+        );
+        // Sanity of the detector: the index-free assembly gather IS a gatherv.
+        let gather = trace.phase_totals("assembly:gather");
+        assert!(
+            gather.collectives_v > 0,
+            "expected the assembly gatherv to register as a v-variant"
+        );
+    });
 }
 
 /// §3.2: every equal-count collective is charged `⌈log₂ p⌉` messages
 /// (bounded by `⌈log₂ N⌉`), every `v`-variant `p − 1`.
 #[test]
 fn collective_message_counts_are_log_bounded() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let (_, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
-    let log_n = dd_comm::model::tree_msgs(n);
-    let mut eq_seen = 0usize;
-    for r in &trace.ranks {
-        for e in &r.events {
-            if let EventKind::Collective {
-                op,
-                class,
-                size,
-                msgs,
-                ..
-            } = &e.kind
-            {
-                let p = *size as usize;
-                match class {
-                    CollClass::EqualCount => {
-                        eq_seen += 1;
-                        assert_eq!(
-                            *msgs,
-                            dd_comm::model::tree_msgs(p),
-                            "`{op}` on {p} ranks: wrong tree message count"
-                        );
-                        assert!(
-                            *msgs <= log_n,
-                            "`{op}`: {msgs} messages exceeds ⌈log₂ N⌉ = {log_n}"
-                        );
-                    }
-                    CollClass::Varying => {
-                        assert_eq!(
-                            *msgs,
-                            dd_comm::model::linear_msgs(p),
-                            "`{op}` on {p} ranks: wrong linear message count"
-                        );
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let (_, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
+        let log_n = dd_comm::model::tree_msgs(n);
+        let mut eq_seen = 0usize;
+        for r in &trace.ranks {
+            for e in &r.events {
+                if let EventKind::Collective {
+                    op,
+                    class,
+                    size,
+                    msgs,
+                    ..
+                } = &e.kind
+                {
+                    let p = *size as usize;
+                    match class {
+                        CollClass::EqualCount => {
+                            eq_seen += 1;
+                            assert_eq!(
+                                *msgs,
+                                dd_comm::model::tree_msgs(p),
+                                "`{op}` on {p} ranks: wrong tree message count"
+                            );
+                            assert!(
+                                *msgs <= log_n,
+                                "`{op}`: {msgs} messages exceeds ⌈log₂ N⌉ = {log_n}"
+                            );
+                        }
+                        CollClass::Varying => {
+                            assert_eq!(
+                                *msgs,
+                                dd_comm::model::linear_msgs(p),
+                                "`{op}` on {p} ranks: wrong linear message count"
+                            );
+                        }
                     }
                 }
             }
         }
-    }
-    assert!(eq_seen > 0);
+        assert!(eq_seen > 0);
+    });
 }
 
 /// §3.1.1 index-free assembly: rank i's slave message is exactly
@@ -350,59 +352,19 @@ fn collective_message_counts_are_log_bounded() {
 /// neighbor-count prefix; no global indices ship.
 #[test]
 fn gatherv_byte_volume_matches_nu_closed_form() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let (reports, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
-    for r in &trace.ranks {
-        let nu_i = reports[r.rank].report.nu;
-        let nbrs = &decomp.subdomains[r.rank].neighbors;
-        let expected_doubles = 1
-            + nbrs.len()
-            + nu_i * nu_i
-            + nbrs
-                .iter()
-                .map(|l| nu_i * reports[l.j].report.nu)
-                .sum::<usize>();
-        let gatherv_bytes: Vec<u64> = r
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Collective { op, bytes, .. } if *op == "gatherv" => Some(*bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            gatherv_bytes,
-            vec![8 * expected_doubles as u64],
-            "rank {}: index-free slave message volume off (ν_i = {nu_i})",
-            r.rank
-        );
-    }
-
-    // The same closed form per *subdomain* on a 2-rank owner map: a rank's
-    // one index-free message is `Σ_{s owned} (1 + |O_s| + ν_s² + Σ_j ν_s ν_j)`
-    // doubles; the natural layout ships three messages (row indices, column
-    // indices, values) of `Σ_{s owned} (ν_s² + Σ_j ν_s ν_j)` words each.
-    for assembly in [AssemblyVariant::IndexFree, AssemblyVariant::NaturalGatherv] {
-        let opts = SpmdOpts {
-            assembly,
-            ..opts_for(n)
-        };
-        let nu = opts.geneo.nev;
-        let (reports, trace) = traced_owner_map(&decomp, &opts, 2);
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let (reports, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
         for r in &trace.ranks {
-            assert_eq!(reports[r.rank].report.nu, nu, "uniform ν expected");
-            // The balanced map: the first half of the subdomains on rank 0.
-            let (mut prefix, mut values) = (0usize, 0usize);
-            for s in r.rank * n / 2..(r.rank + 1) * n / 2 {
-                let n_nbr = decomp.subdomains[s].neighbors.len();
-                prefix += 1 + n_nbr;
-                values += nu * nu * (1 + n_nbr);
-            }
-            let expected: Vec<u64> = match assembly {
-                AssemblyVariant::IndexFree => vec![8 * (prefix + values) as u64],
-                AssemblyVariant::NaturalGatherv => vec![8 * values as u64; 3],
-            };
+            let nu_i = reports[r.rank].report.nu;
+            let nbrs = &decomp.subdomains[r.rank].neighbors;
+            let expected_doubles = 1
+                + nbrs.len()
+                + nu_i * nu_i
+                + nbrs
+                    .iter()
+                    .map(|l| nu_i * reports[l.j].report.nu)
+                    .sum::<usize>();
             let gatherv_bytes: Vec<u64> = r
                 .events
                 .iter()
@@ -412,43 +374,85 @@ fn gatherv_byte_volume_matches_nu_closed_form() {
                 })
                 .collect();
             assert_eq!(
-                gatherv_bytes, expected,
-                "rank {}: {assembly:?} slave message volume on the owner map",
+                gatherv_bytes,
+                vec![8 * expected_doubles as u64],
+                "rank {}: index-free slave message volume off (ν_i = {nu_i})",
                 r.rank
             );
         }
-    }
+
+        // The same closed form per *subdomain* on a 2-rank owner map: a rank's
+        // one index-free message is `Σ_{s owned} (1 + |O_s| + ν_s² + Σ_j ν_s ν_j)`
+        // doubles; the natural layout ships three messages (row indices, column
+        // indices, values) of `Σ_{s owned} (ν_s² + Σ_j ν_s ν_j)` words each.
+        for assembly in [AssemblyVariant::IndexFree, AssemblyVariant::NaturalGatherv] {
+            let opts = SpmdOpts {
+                assembly,
+                ..opts_for(n)
+            };
+            let nu = opts.geneo.nev;
+            let (reports, trace) = traced_owner_map(&decomp, &opts, 2);
+            for r in &trace.ranks {
+                assert_eq!(reports[r.rank].report.nu, nu, "uniform ν expected");
+                // The balanced map: the first half of the subdomains on rank 0.
+                let (mut prefix, mut values) = (0usize, 0usize);
+                for s in r.rank * n / 2..(r.rank + 1) * n / 2 {
+                    let n_nbr = decomp.subdomains[s].neighbors.len();
+                    prefix += 1 + n_nbr;
+                    values += nu * nu * (1 + n_nbr);
+                }
+                let expected: Vec<u64> = match assembly {
+                    AssemblyVariant::IndexFree => vec![8 * (prefix + values) as u64],
+                    AssemblyVariant::NaturalGatherv => vec![8 * values as u64; 3],
+                };
+                let gatherv_bytes: Vec<u64> = r
+                    .events
+                    .iter()
+                    .filter_map(|e| match &e.kind {
+                        EventKind::Collective { op, bytes, .. } if *op == "gatherv" => Some(*bytes),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    gatherv_bytes, expected,
+                    "rank {}: {assembly:?} slave message volume on the owner map",
+                    r.rank
+                );
+            }
+        }
+    });
 }
 
 /// Global conservation: every sent message is received, byte for byte.
 #[test]
 fn sends_and_recvs_balance_globally() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let (reports, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
-    let (mut sends, mut send_bytes, mut recvs, mut recv_bytes) = (0u64, 0u64, 0u64, 0u64);
-    for p in trace.phase_names() {
-        let c = trace.phase_totals(&p);
-        sends += c.sends;
-        send_bytes += c.send_bytes;
-        recvs += c.recvs;
-        recv_bytes += c.recv_bytes;
-    }
-    assert_eq!(sends, recvs, "lost or duplicated messages");
-    assert_eq!(send_bytes, recv_bytes, "byte volume mismatch");
-    // Iteration events match the reported iteration count on every rank.
-    for r in &trace.ranks {
-        let iters = r
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Iteration { .. }))
-            .count();
-        assert_eq!(
-            iters, reports[r.rank].solve.result.iterations,
-            "rank {}: iteration events vs report",
-            r.rank
-        );
-    }
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let (reports, trace) = traced_solve(&decomp, &opts_for(n), FaultPlan::default());
+        let (mut sends, mut send_bytes, mut recvs, mut recv_bytes) = (0u64, 0u64, 0u64, 0u64);
+        for p in trace.phase_names() {
+            let c = trace.phase_totals(&p);
+            sends += c.sends;
+            send_bytes += c.send_bytes;
+            recvs += c.recvs;
+            recv_bytes += c.recv_bytes;
+        }
+        assert_eq!(sends, recvs, "lost or duplicated messages");
+        assert_eq!(send_bytes, recv_bytes, "byte volume mismatch");
+        // Iteration events match the reported iteration count on every rank.
+        for r in &trace.ranks {
+            let iters = r
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Iteration { .. }))
+                .count();
+            assert_eq!(
+                iters, reports[r.rank].solve.result.iterations,
+                "rank {}: iteration events vs report",
+                r.rank
+            );
+        }
+    });
 }
 
 /// One halo plan serves every owner map: an exchange costs one message per
@@ -491,17 +495,18 @@ fn one_halo_message_per_neighbouring_rank() {
 /// happens to share its index with the rank.
 #[test]
 fn n_neighbors_counts_neighbouring_ranks() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let opts = opts_for(n);
-    let (identity, _) = traced_solve(&decomp, &opts, FaultPlan::default());
-    for r in identity.iter().map(|s| &s.report) {
-        assert_eq!(r.n_neighbors, decomp.subdomains[r.rank].neighbors.len());
-    }
-    let (owner_map, _) = traced_owner_map(&decomp, &opts, 2);
-    for r in owner_map.iter().map(|s| &s.report) {
-        assert_eq!(r.n_neighbors, 1, "rank {} on a 2-rank owner map", r.rank);
-    }
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let opts = opts_for(n);
+        let (identity, _) = traced_solve(&decomp, &opts, FaultPlan::default());
+        for r in identity.iter().map(|s| &s.report) {
+            assert_eq!(r.n_neighbors, decomp.subdomains[r.rank].neighbors.len());
+        }
+        let (owner_map, _) = traced_owner_map(&decomp, &opts, 2);
+        for r in owner_map.iter().map(|s| &s.report) {
+            assert_eq!(r.n_neighbors, 1, "rank {} on a 2-rank owner map", r.rank);
+        }
+    });
 }
 
 /// One-level RAS is eq. 6 with ν = 0: a `nev = 0` set-up, on the identity
@@ -511,38 +516,40 @@ fn n_neighbors_counts_neighbouring_ranks() {
 /// level and the solve still converges.
 #[test]
 fn a_nu_zero_setup_sends_nothing_and_enters_no_coarse_phase() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let opts = SpmdOpts {
-        geneo: GeneoOpts {
-            nev: 0,
-            ..Default::default()
-        },
-        ..opts_for(n)
-    };
-    for (map, (reports, trace)) in [
-        (
-            "identity",
-            traced_solve(&decomp, &opts, FaultPlan::default()),
-        ),
-        ("owner2", traced_owner_map(&decomp, &opts, 2)),
-    ] {
-        for r in &reports {
-            assert_eq!(r.report.run.coarse, CoarseOutcome::EmptyCoarse, "{map}");
-            assert!(r.solve.result.converged, "{map}: not converged");
-        }
-        for phase in trace.phase_names() {
-            assert!(
-                !["assembly:nu", "assembly:exchange", "assembly:gather"].contains(&phase.as_str())
-                    && !phase.starts_with("e-factorization"),
-                "{map}: the set-up entered `{phase}`"
-            );
-            if phase != "solve" {
-                let sends = trace.phase_totals(&phase).sends;
-                assert_eq!(sends, 0, "{map}: {sends} message(s) sent in `{phase}`");
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let opts = SpmdOpts {
+            geneo: GeneoOpts {
+                nev: 0,
+                ..Default::default()
+            },
+            ..opts_for(n)
+        };
+        for (map, (reports, trace)) in [
+            (
+                "identity",
+                traced_solve(&decomp, &opts, FaultPlan::default()),
+            ),
+            ("owner2", traced_owner_map(&decomp, &opts, 2)),
+        ] {
+            for r in &reports {
+                assert_eq!(r.report.run.coarse, CoarseOutcome::EmptyCoarse, "{map}");
+                assert!(r.solve.result.converged, "{map}: not converged");
+            }
+            for phase in trace.phase_names() {
+                assert!(
+                    !["assembly:nu", "assembly:exchange", "assembly:gather"]
+                        .contains(&phase.as_str())
+                        && !phase.starts_with("e-factorization"),
+                    "{map}: the set-up entered `{phase}`"
+                );
+                if phase != "solve" {
+                    let sends = trace.phase_totals(&phase).sends;
+                    assert_eq!(sends, 0, "{map}: {sends} message(s) sent in `{phase}`");
+                }
             }
         }
-    }
+    });
 }
 
 /// Traced message counters of one 2-rank owner-map apply of `k`
@@ -782,34 +789,37 @@ fn golden_trace_fixed_iteration_solve() {
 /// replaces them with masterComm iallreduces riding the coarse solve.
 #[test]
 fn solver_variants_have_distinct_comm_signatures() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let base = opts_for(n);
-    let count_op = |trace: &WorldTrace, wanted: &str| -> usize {
-        trace
-            .events_in_phase("solve")
-            .iter()
-            .filter(|(_, e)| matches!(&e.kind, EventKind::Collective { op, .. } if *op == wanted))
-            .count()
-    };
-    let (_, classical) = traced_solve(&decomp, &base, FaultPlan::default());
-    let fused_opts = SpmdOpts {
-        solver: SolverKind::Fused,
-        gmres: GmresOpts {
-            side: dd_krylov::Side::Left,
-            ..base.gmres.clone()
-        },
-        ..base.clone()
-    };
-    let (_, fused) = traced_solve(&decomp, &fused_opts, FaultPlan::default());
-    assert!(
-        count_op(&classical, "allreduce") > 0,
-        "classical GMRES must reduce on the world communicator"
-    );
-    assert!(
-        count_op(&fused, "iallreduce") > 0,
-        "fused GMRES must post non-blocking reductions"
-    );
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let base = opts_for(n);
+        let count_op = |trace: &WorldTrace, wanted: &str| -> usize {
+            trace
+                .events_in_phase("solve")
+                .iter()
+                .filter(
+                    |(_, e)| matches!(&e.kind, EventKind::Collective { op, .. } if *op == wanted),
+                )
+                .count()
+        };
+        let (_, classical) = traced_solve(&decomp, &base, FaultPlan::default());
+        let fused_opts = SpmdOpts {
+            solver: SolverKind::Fused,
+            gmres: GmresOpts {
+                side: dd_krylov::Side::Left,
+                ..base.gmres.clone()
+            },
+            ..base.clone()
+        };
+        let (_, fused) = traced_solve(&decomp, &fused_opts, FaultPlan::default());
+        assert!(
+            count_op(&classical, "allreduce") > 0,
+            "classical GMRES must reduce on the world communicator"
+        );
+        assert!(
+            count_op(&fused, "iallreduce") > 0,
+            "fused GMRES must post non-blocking reductions"
+        );
+    });
 }
 
 /// §3.5: the fused loop takes fewer `world`-communicator collectives per
@@ -818,36 +828,37 @@ fn solver_variants_have_distinct_comm_signatures() {
 /// the solve phase's trace: the `Collective` events on the `world` label.
 #[test]
 fn fused_takes_fewer_world_collectives_per_iteration_than_classical() {
-    let n = conf_n();
-    let decomp = setup(n);
-    let base = SpmdOpts {
-        gmres: GmresOpts {
-            side: dd_krylov::Side::Left,
-            ..opts_for(n).gmres
-        },
-        ..opts_for(n)
-    };
-    let per_iteration = |solver| -> Vec<f64> {
-        let opts = SpmdOpts {
-            solver,
-            ..base.clone()
+    at_each_n(|n| {
+        let decomp = setup(n);
+        let base = SpmdOpts {
+            gmres: GmresOpts {
+                side: dd_krylov::Side::Left,
+                ..opts_for(n).gmres
+            },
+            ..opts_for(n)
         };
-        let (sols, trace) = traced_solve(&decomp, &opts, FaultPlan::default());
-        let iterations = sols[0].solve.result.iterations;
-        assert!(sols.iter().all(|s| s.solve.result.converged), "{solver:?}");
-        assert!(iterations > 0, "{solver:?}");
-        trace
-            .collectives_on("solve", "world")
-            .iter()
-            .map(|&c| c as f64 / iterations as f64)
-            .collect()
-    };
-    let classical = per_iteration(SolverKind::Classical);
-    let fused = per_iteration(SolverKind::Fused);
-    for (rank, (f, c)) in fused.iter().zip(&classical).enumerate() {
-        assert!(
-            f < c,
-            "rank {rank}: fused {f} !< classical {c} world collectives per iteration"
-        );
-    }
+        let per_iteration = |solver| -> Vec<f64> {
+            let opts = SpmdOpts {
+                solver,
+                ..base.clone()
+            };
+            let (sols, trace) = traced_solve(&decomp, &opts, FaultPlan::default());
+            let iterations = sols[0].solve.result.iterations;
+            assert!(sols.iter().all(|s| s.solve.result.converged), "{solver:?}");
+            assert!(iterations > 0, "{solver:?}");
+            trace
+                .collectives_on("solve", "world")
+                .iter()
+                .map(|&c| c as f64 / iterations as f64)
+                .collect()
+        };
+        let classical = per_iteration(SolverKind::Classical);
+        let fused = per_iteration(SolverKind::Fused);
+        for (rank, (f, c)) in fused.iter().zip(&classical).enumerate() {
+            assert!(
+                f < c,
+                "rank {rank}: fused {f} !< classical {c} world collectives per iteration"
+            );
+        }
+    });
 }

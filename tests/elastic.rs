@@ -16,7 +16,7 @@ use dd_geneo::part::partition_mesh_rcb;
 use std::sync::Arc;
 
 mod common;
-use common::{global_residual, rel_dist};
+use common::{global_residual, labelled, rel_dist};
 
 fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
     let mesh = Mesh::unit_square(nmesh, nmesh);
@@ -103,17 +103,48 @@ fn elastic_fault_free_run_chunks_subdomains_and_converges() {
     assert!(rr <= 1e-5, "elastic residual {rr:e} misses tolerance");
 }
 
+/// The recovery gate's elastic options: a checkpoint every two iterations
+/// and up to four recoveries.
+fn gate_opts(o: SpmdOpts) -> SpmdOpts {
+    SpmdOpts {
+        recovery: RecoveryOpts {
+            checkpoint_interval: 2,
+            max_recoveries: 4,
+            ..o.recovery
+        },
+        ..o
+    }
+}
+
 /// Two reserves join mid-iteration: the world grows 4 → 6, subdomains
 /// repartition one-per-rank, only moved subdomains recompute their coarse
 /// rows (the rest reuse the cache), and the solve resumes from the last
-/// complete checkpoint and converges.
+/// complete checkpoint and converges. On a 12² mesh, and on the recovery
+/// gate's input: a 16² mesh, 20 % of messages delayed by 2·10⁻⁴ s and
+/// [`gate_opts`].
 #[test]
 fn join_during_solve_repartitions_and_resumes() {
-    let decomp = setup(12, 6);
-    let plan = FaultPlan::new(61)
-        .with_join(4, "solve-iteration-2")
-        .with_join(5, "solve-iteration-2");
-    let results = run_elastic_with_plan(&decomp, 4, 2, &elastic_opts(), plan);
+    let join = |plan: FaultPlan| {
+        plan.with_join(4, "solve-iteration-2")
+            .with_join(5, "solve-iteration-2")
+    };
+    for (nmesh, o, plan) in [
+        (12, elastic_opts(), join(FaultPlan::new(61))),
+        (
+            16,
+            gate_opts(elastic_opts()),
+            join(FaultPlan::new(61).with_delays(0.2, 2e-4)),
+        ),
+    ] {
+        labelled(&format!("{nmesh}² mesh"), || {
+            join_repartitions_and_resumes(nmesh, &o, plan)
+        });
+    }
+}
+
+fn join_repartitions_and_resumes(nmesh: usize, o: &SpmdOpts, plan: FaultPlan) {
+    let decomp = setup(nmesh, 6);
+    let results = run_elastic_with_plan(&decomp, 4, 2, o, plan);
     for (rank, res) in results.iter().enumerate() {
         let SpmdMultiSolution { report, solve } = res
             .as_ref()
@@ -165,10 +196,10 @@ fn join_during_solve_repartitions_and_resumes() {
 /// A straggling rank (alive, heartbeats suppressed) is suspected under the
 /// k-missed policy, evicted by its peers, and reports `Evicted` —
 /// distinguishable from death — while the survivors repartition and finish.
+/// On a 12² mesh, and on the recovery gate's input: a 16² mesh, 20 % of
+/// messages delayed by 2·10⁻⁴ s, tolerance 1e-8 and [`gate_opts`].
 #[test]
 fn straggler_is_suspected_evicted_and_distinguished_from_death() {
-    let decomp = setup(12, 6);
-    let victim = 1usize;
     let o = SpmdOpts {
         geneo: GeneoOpts {
             nev: 0,
@@ -185,8 +216,32 @@ fn straggler_is_suspected_evicted_and_distinguished_from_death() {
         },
         ..elastic_opts()
     };
-    let plan = FaultPlan::new(67).with_straggle(victim, "solve-iteration-2");
-    let results = run_elastic_with_plan(&decomp, 4, 0, &o, plan);
+    let gate = SpmdOpts {
+        gmres: GmresOpts {
+            tol: 1e-8,
+            ..o.gmres.clone()
+        },
+        ..gate_opts(o.clone())
+    };
+    let straggle = |plan: FaultPlan| plan.with_straggle(1, "solve-iteration-2");
+    for (nmesh, o, plan) in [
+        (12, o, straggle(FaultPlan::new(67))),
+        (
+            16,
+            gate,
+            straggle(FaultPlan::new(67).with_delays(0.2, 2e-4)),
+        ),
+    ] {
+        labelled(&format!("{nmesh}² mesh"), || {
+            straggler_is_evicted(nmesh, &o, plan)
+        });
+    }
+}
+
+fn straggler_is_evicted(nmesh: usize, o: &SpmdOpts, plan: FaultPlan) {
+    let decomp = setup(nmesh, 6);
+    let victim = 1usize;
+    let results = run_elastic_with_plan(&decomp, 4, 0, o, plan);
     match results[victim].as_ref().expect("victim produced no result") {
         Err(SpmdError::Evicted { rank }) => assert_eq!(*rank, victim),
         other => panic!("straggler must report Evicted, got {other:?}"),

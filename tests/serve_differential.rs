@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod common;
-use common::{global_residual, reassemble, rel_dist};
+use common::{global_residual, labelled, reassemble, rel_dist, trimmed_stream};
 
 fn setup(nmesh: usize, nparts: usize) -> Arc<Decomposition> {
     let mesh = Mesh::unit_square(nmesh, nmesh);
@@ -358,11 +358,13 @@ fn inadmissible_drift_on_an_owner_map_resets_up_undegraded() {
 /// Mid-stream rank death: the victim reports `Killed`, the survivors agree
 /// on the shrink, adopt its subdomains, re-solve exactly the incomplete
 /// responses, and every answer of the finished stream still matches the
-/// one-shot references.
+/// one-shot references. Four ranks serve six subdomains: five requests on a
+/// 12² mesh, and the recovery gate's input — the `solve_server` example's
+/// 32 right-hand sides on a 16² mesh, victim 1, seeds 9 and 2, 20 % of
+/// messages delayed by 2·10⁻⁴ s. All run [`serve_opts`]: at the example's
+/// tolerance (1e-8) a served answer is 7·10⁻¹⁰ from its one-shot reference.
 #[test]
 fn mid_stream_kill_recovers_and_answers_every_request() {
-    let decomp = setup(12, 6);
-    let opts = serve_opts();
     let cfg = StreamCfg {
         n_requests: 5,
         batch_fraction: 0.3,
@@ -370,10 +372,25 @@ fn mid_stream_kill_recovers_and_answers_every_request() {
         perturb_fraction: 0.0,
         ..Default::default()
     };
-    let w = Workload::generate(31, decomp.n_global, &cfg);
-    let victim = 2usize;
-    let plan = FaultPlan::new(91).with_kill(victim, "solve-iteration-1");
-    let results = run_serve(&decomp, 4, 0, &opts, plan, &w);
+    for (gate, nmesh, seed, victim) in [(false, 12, 91, 2), (true, 16, 9, 1), (true, 16, 2, 1)] {
+        labelled(&format!("{nmesh}² mesh, seed {seed}"), || {
+            let decomp = setup(nmesh, 6);
+            let (w, plan) = if gate {
+                let w = trimmed_stream(seed, decomp.n_global, 32);
+                (w, FaultPlan::new(seed).with_delays(0.2, 2e-4))
+            } else {
+                let w = Workload::generate(31, decomp.n_global, &cfg);
+                (w, FaultPlan::new(seed))
+            };
+            kill_is_answered(&decomp, &w, victim, plan);
+        });
+    }
+}
+
+fn kill_is_answered(decomp: &Arc<Decomposition>, w: &Workload, victim: usize, plan: FaultPlan) {
+    let opts = serve_opts();
+    let plan = plan.with_kill(victim, "solve-iteration-1");
+    let results = run_serve(decomp, 4, 0, &opts, plan, w);
     match results[victim].as_ref().expect("victim produced no result") {
         Err(SpmdError::Killed { rank, .. }) => assert_eq!(*rank, victim),
         other => panic!("victim must report Killed, got {other:?}"),
@@ -394,7 +411,7 @@ fn mid_stream_kill_recovers_and_answers_every_request() {
         report.solves >= report.responses.len(),
         "interrupted batches are re-solved wholesale"
     );
-    assert_differential(&decomp, &opts, &w, &report, "kill");
+    assert_differential(decomp, &opts, w, &report, "kill");
 }
 
 /// Mid-stream grow: reserves join at a solve failpoint, the stream
