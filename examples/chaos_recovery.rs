@@ -30,7 +30,7 @@ mod common;
 type RecResult = Result<SpmdMultiSolution, SpmdError>;
 
 /// Right-preconditioned GMRES (the convergence test monitors the true
-/// residual, so the residual gate below is meaningful).
+/// residual, so the global residual printed below is meaningful).
 fn opts() -> SpmdOpts {
     SpmdOpts {
         geneo: GeneoOpts {

@@ -434,9 +434,9 @@ fn fault_free_bar(decomp: &Arc<Decomposition>, o: &SpmdOpts) -> f64 {
 
 /// Kills a rank at `phase` on each input of a kill row and hands the
 /// decomposition, the results and the victim to `check`. The inputs are the
-/// row's own — a 12² mesh, `seed`, `victim` — and the recovery gate's two: a
-/// 16² mesh, victim 1, seeds 1 and 2, 20 % of messages delayed by
-/// 2·10⁻⁴ s and a checkpoint every two iterations. All run `opts` on four
+/// row's own — a 12² mesh, `seed`, `victim` — and two delayed ones: a 16²
+/// mesh, victim 1, seeds 1 and 2, 20 % of messages delayed by 2·10⁻⁴ s and
+/// a checkpoint every two iterations. All run `opts` on four
 /// subdomains, one a rank; a failure names its input.
 fn for_each_kill(
     (seed, victim): (u64, usize),
@@ -444,7 +444,7 @@ fn for_each_kill(
     phase: &str,
     check: impl Fn(&Arc<Decomposition>, &[RecResult], usize),
 ) {
-    let gate = SpmdOpts {
+    let every_two = SpmdOpts {
         recovery: RecoveryOpts {
             checkpoint_interval: 2,
             ..opts.recovery.clone()
@@ -454,8 +454,8 @@ fn for_each_kill(
     let delayed = |seed| FaultPlan::new(seed).with_delays(0.2, 2e-4);
     for (nmesh, seed, victim, plan, o) in [
         (12, seed, victim, FaultPlan::new(seed), opts),
-        (16, 1, 1, delayed(1), &gate),
-        (16, 2, 1, delayed(2), &gate),
+        (16, 1, 1, delayed(1), &every_two),
+        (16, 2, 1, delayed(2), &every_two),
     ] {
         labelled(
             &format!("{nmesh}² mesh, seed {seed}, victim {victim}"),
@@ -835,12 +835,12 @@ fn retry_schedules_are_byte_identical_across_identically_seeded_runs() {
 
 #[test]
 fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
-    // The recovery gate's options: recovery on, a checkpoint every two
+    // The delayed inputs' options: recovery on, a checkpoint every two
     // iterations and the residual-drift guard.
     let mut guarded = recovery_opts();
     guarded.recovery.checkpoint_interval = 2;
     guarded.gmres.guard = Some(SdcGuard::default());
-    let gate_plan = |phase, seed| {
+    let delayed_corruption = |phase, seed| {
         FaultPlan::new(seed)
             .with_corrupt(phase, None, TagClass::Any, seed)
             .with_delays(0.2, 2e-4)
@@ -849,7 +849,7 @@ fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
     // exchange and coarse gather/scatter (p2p traffic inside "solve"), the
     // lockstep reductions (collective contributions inside "solve"), the
     // distributed triangular coarse solve, and the cooperative fan-in
-    // factorization. Then the recovery gate's rows on a 16² mesh: every
+    // factorization. Then, on a 16² mesh with recovery and the guard on: every
     // message class of the solve and of the distributed coarse solve, seeds
     // 1 and 7, with 20 % of messages delayed.
     let inputs = [
@@ -877,7 +877,12 @@ fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
                 ("e-solve-dist", 1),
                 ("e-solve-dist", 7),
             ]
-            .map(|(phase, seed)| (format!("{phase}/Any, seed {seed}"), gate_plan(phase, seed)))
+            .map(|(phase, seed)| {
+                (
+                    format!("{phase}/Any, seed {seed}"),
+                    delayed_corruption(phase, seed),
+                )
+            })
             .to_vec(),
         ),
     ];
@@ -897,8 +902,7 @@ fn wire_corruption_is_detected_retransmitted_and_bit_identical() {
                     // Detect-and-retransmit is payload-restoring: the solve
                     // sees only pristine values, so iteration count *and*
                     // every bit of the solution match the fault-free
-                    // baseline (a fortiori the ISSUE's 1e-10 differential
-                    // bound).
+                    // baseline (a fortiori any 1e-10 differential bound).
                     assert_eq!(
                         r.solve.result.iterations,
                         base[rank].solve.result.iterations

@@ -103,9 +103,9 @@ fn elastic_fault_free_run_chunks_subdomains_and_converges() {
     assert!(rr <= 1e-5, "elastic residual {rr:e} misses tolerance");
 }
 
-/// The recovery gate's elastic options: a checkpoint every two iterations
-/// and up to four recoveries.
-fn gate_opts(o: SpmdOpts) -> SpmdOpts {
+/// `o` with a checkpoint every two iterations and up to four recoveries:
+/// the options of the delayed 16² inputs.
+fn every_two(o: SpmdOpts) -> SpmdOpts {
     SpmdOpts {
         recovery: RecoveryOpts {
             checkpoint_interval: 2,
@@ -119,9 +119,8 @@ fn gate_opts(o: SpmdOpts) -> SpmdOpts {
 /// Two reserves join mid-iteration: the world grows 4 → 6, subdomains
 /// repartition one-per-rank, only moved subdomains recompute their coarse
 /// rows (the rest reuse the cache), and the solve resumes from the last
-/// complete checkpoint and converges. On a 12² mesh, and on the recovery
-/// gate's input: a 16² mesh, 20 % of messages delayed by 2·10⁻⁴ s and
-/// [`gate_opts`].
+/// complete checkpoint and converges. On a 12² mesh, and on a 16² mesh with
+/// 20 % of messages delayed by 2·10⁻⁴ s under [`every_two`].
 #[test]
 fn join_during_solve_repartitions_and_resumes() {
     let join = |plan: FaultPlan| {
@@ -132,7 +131,7 @@ fn join_during_solve_repartitions_and_resumes() {
         (12, elastic_opts(), join(FaultPlan::new(61))),
         (
             16,
-            gate_opts(elastic_opts()),
+            every_two(elastic_opts()),
             join(FaultPlan::new(61).with_delays(0.2, 2e-4)),
         ),
     ] {
@@ -196,8 +195,8 @@ fn join_repartitions_and_resumes(nmesh: usize, o: &SpmdOpts, plan: FaultPlan) {
 /// A straggling rank (alive, heartbeats suppressed) is suspected under the
 /// k-missed policy, evicted by its peers, and reports `Evicted` —
 /// distinguishable from death — while the survivors repartition and finish.
-/// On a 12² mesh, and on the recovery gate's input: a 16² mesh, 20 % of
-/// messages delayed by 2·10⁻⁴ s, tolerance 1e-8 and [`gate_opts`].
+/// On a 12² mesh, and on a 16² mesh with 20 % of messages delayed by
+/// 2·10⁻⁴ s under [`every_two`] at tolerance 1e-8.
 #[test]
 fn straggler_is_suspected_evicted_and_distinguished_from_death() {
     let o = SpmdOpts {
@@ -216,19 +215,19 @@ fn straggler_is_suspected_evicted_and_distinguished_from_death() {
         },
         ..elastic_opts()
     };
-    let gate = SpmdOpts {
+    let delayed = SpmdOpts {
         gmres: GmresOpts {
             tol: 1e-8,
             ..o.gmres.clone()
         },
-        ..gate_opts(o.clone())
+        ..every_two(o.clone())
     };
     let straggle = |plan: FaultPlan| plan.with_straggle(1, "solve-iteration-2");
     for (nmesh, o, plan) in [
         (12, o, straggle(FaultPlan::new(67))),
         (
             16,
-            gate,
+            delayed,
             straggle(FaultPlan::new(67).with_delays(0.2, 2e-4)),
         ),
     ] {

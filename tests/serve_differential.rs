@@ -359,10 +359,10 @@ fn inadmissible_drift_on_an_owner_map_resets_up_undegraded() {
 /// on the shrink, adopt its subdomains, re-solve exactly the incomplete
 /// responses, and every answer of the finished stream still matches the
 /// one-shot references. Four ranks serve six subdomains: five requests on a
-/// 12² mesh, and the recovery gate's input — the `solve_server` example's
-/// 32 right-hand sides on a 16² mesh, victim 1, seeds 9 and 2, 20 % of
-/// messages delayed by 2·10⁻⁴ s. All run [`serve_opts`]: at the example's
-/// tolerance (1e-8) a served answer is 7·10⁻¹⁰ from its one-shot reference.
+/// 12² mesh, and the `solve_server` example's 32 right-hand sides on a 16²
+/// mesh (victim 1, seeds 9 and 2, 20 % of messages delayed by 2·10⁻⁴ s).
+/// All run [`serve_opts`]: at the example's tolerance (1e-8) a served
+/// answer is 7·10⁻¹⁰ from its one-shot reference.
 #[test]
 fn mid_stream_kill_recovers_and_answers_every_request() {
     let cfg = StreamCfg {
@@ -372,10 +372,12 @@ fn mid_stream_kill_recovers_and_answers_every_request() {
         perturb_fraction: 0.0,
         ..Default::default()
     };
-    for (gate, nmesh, seed, victim) in [(false, 12, 91, 2), (true, 16, 9, 1), (true, 16, 2, 1)] {
+    for (example_stream, nmesh, seed, victim) in
+        [(false, 12, 91, 2), (true, 16, 9, 1), (true, 16, 2, 1)]
+    {
         labelled(&format!("{nmesh}² mesh, seed {seed}"), || {
             let decomp = setup(nmesh, 6);
-            let (w, plan) = if gate {
+            let (w, plan) = if example_stream {
                 let w = trimmed_stream(seed, decomp.n_global, 32);
                 (w, FaultPlan::new(seed).with_delays(0.2, 2e-4))
             } else {
