@@ -504,15 +504,16 @@ impl Operator for MultiOp<'_> {
 /// over the owned subdomains — exact thanks to the partition of unity.
 struct MultiDot<'a> {
     ctx: &'a MultiCtx<'a>,
-    /// Warm-path scratch `ω w` of a Gram row.
-    scratch: RefCell<Vec<f64>>,
+    /// Warm-path scratch `ω w` of a Gram row, and `ω x`, `ω y` of the
+    /// low-synchronization Gram pass.
+    scratch: RefCell<[Vec<f64>; 2]>,
 }
 
 impl<'a> MultiDot<'a> {
     fn new(ctx: &'a MultiCtx<'a>) -> Self {
         MultiDot {
             ctx,
-            scratch: RefCell::new(vec![0.0; ctx.n_unique()]),
+            scratch: RefCell::new([vec![0.0; ctx.n_unique()], vec![0.0; ctx.n_unique()]]),
         }
     }
 }
@@ -533,10 +534,24 @@ impl InnerProduct for MultiDot<'_> {
     // reads it once per four basis vectors
     fn local_dots(&self, w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
         let ctx = self.ctx;
-        let mut dw = self.scratch.borrow_mut();
-        vector::hadamard(&ctx.dofs.omega, w, &mut dw);
-        vector::dot_many(&dw, vs, out);
+        let dw = &mut self.scratch.borrow_mut()[0];
+        vector::hadamard(&ctx.dofs.omega, w, dw);
+        vector::dot_many(dw, vs, out);
         ctx.comm.charge_flops(3 * (w.len() * vs.len()) as u64);
+    }
+
+    // dd:hot — the one Gram pass of a DCGS2 step: `ω x` and `ω y` are
+    // formed once, then every value is a four-lane `vector::dot`
+    fn local_dots2(&self, x: &[f64], y: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        let (ctx, nv) = (self.ctx, vs.len());
+        let [dx, dy] = &mut *self.scratch.borrow_mut();
+        vector::hadamard(&ctx.dofs.omega, x, dx);
+        vector::hadamard(&ctx.dofs.omega, y, dy);
+        vector::dot2_many(dx, dy, vs, &mut out[..2 * nv]);
+        out[2 * nv] = vector::dot(dx, x);
+        out[2 * nv + 1] = vector::dot(dx, y);
+        out[2 * nv + 2] = vector::dot(dy, y);
+        ctx.comm.charge_flops(3 * (x.len() * (2 * nv + 3)) as u64);
     }
 
     fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {

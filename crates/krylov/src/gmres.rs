@@ -5,16 +5,30 @@
 //! Figure 7 uses GMRES(40)). Preconditioning is on the right by default
 //! ([`Side::Right`]). Orthogonalization is selectable:
 //!
-//! * [`Ortho::Cgs2`] (the default) — classical Gram–Schmidt run twice: two
-//!   batched Gram reductions plus one normalization reduction per
-//!   iteration, nearly as robust as MGS at a reduction count independent
-//!   of the basis size;
+//! * [`Ortho::Dcgs2`] (the default) — CGS2 with delayed
+//!   reorthogonalization (Świrydowicz et al. 2021; Bielich et al. 2022):
+//!   **one** global reduction and two passes over the basis per
+//!   iteration, with CGS2's orthogonality;
+//! * [`Ortho::Cgs2`] — classical Gram–Schmidt run twice: two batched Gram
+//!   reductions plus one normalization reduction per iteration, nearly as
+//!   robust as MGS at a reduction count independent of the basis size;
 //! * [`Ortho::Mgs`] — modified Gram–Schmidt, `i + 1` reductions per
 //!   iteration (robust reference);
 //! * [`Ortho::Cgs`] — classical Gram–Schmidt with a single batched Gram
-//!   reduction plus one normalization reduction per iteration — two global
-//!   synchronizations per iteration, which is the baseline the fused
-//!   pipelined variant of §3.5 eliminates.
+//!   reduction plus one normalization reduction per iteration; it loses
+//!   orthogonality on ill-conditioned problems.
+//!
+//! Under [`Ortho::Dcgs2`] a step applies the operator (and preconditioner)
+//! to the *candidate* `ṽ_k`, the next basis vector projected once and not
+//! yet normalized. One reduction then carries `Vᵀ[ṽ_k, w_k]`, `ṽ_kᵀṽ_k`,
+//! `ṽ_kᵀw_k` and `w_kᵀw_k`: they reorthogonalize `ṽ_k` into `v_k`, which
+//! finalizes Hessenberg column `k − 1`, and project column `k`. One pass
+//! over `V` forms `v_k` and the next candidate. The candidates are the
+//! columns of `Ṽ = V R`, `R` upper triangular, and right preconditioning
+//! keeps their `z̃_k = M⁻¹ṽ_k`, so the update is `x += Z̃ R⁻¹ y`. A column
+//! that ends the cycle is finalized by one more reduction, never by
+//! another apply: the verdicts are read ahead from the once-projected
+//! candidate's norm, `(‖w_k‖² − ‖V_{k+1}ᵀw_k‖²)^{1/2}`.
 //!
 //! [`try_gmres_panel`] runs `k` right-hand sides as `k` recurrences over
 //! one Arnoldi loop: each step applies the operator and the preconditioner
@@ -40,8 +54,12 @@ pub enum Ortho {
     /// Reorthogonalized classical Gram–Schmidt (CGS2): two batched Gram
     /// reductions per iteration — nearly as robust as MGS while keeping
     /// the reduction count independent of the basis size.
-    #[default]
     Cgs2,
+    /// CGS2 with delayed reorthogonalization (DCGS2): one reduction per
+    /// iteration, which reorthogonalizes the previous vector and projects
+    /// the new one, plus one per cycle for its last column.
+    #[default]
+    Dcgs2,
 }
 
 /// Preconditioning side.
@@ -99,7 +117,7 @@ impl Default for GmresOpts {
             restart: 200,
             tol: 1e-6,
             max_iters: 1000,
-            ortho: Ortho::Cgs2,
+            ortho: Ortho::Dcgs2,
             side: Side::Right,
             record_history: true,
             guard: None,
@@ -181,6 +199,10 @@ pub struct GmresWorkspace {
     dots: Vec<f64>,
     /// The columns still stepping in a cycle.
     live: Vec<usize>,
+    /// Per column, what a DCGS2 cycle carries between steps, and the
+    /// columns whose cycle ends at a step.
+    lags: Vec<Lag>,
+    ending: Vec<usize>,
 }
 
 impl GmresWorkspace {
@@ -202,9 +224,51 @@ impl GmresWorkspace {
         for p in [&mut self.pv, &mut self.pz, &mut self.pw] {
             p.resize(k * n, 0.0);
         }
-        self.locals.resize(k * (m + 1), 0.0);
-        self.dots.resize(k * (m + 1), 0.0);
+        // A DCGS2 step reduces `2j + 3` values a column (`j < m`).
+        self.locals.resize(k * (2 * m + 3), 0.0);
+        self.dots.resize(k * (2 * m + 3), 0.0);
         self.live.reserve(k);
+        self.lags.resize_with(k, Default::default);
+        for lag in &mut self.lags {
+            if lag.rows != m + 1 {
+                lag.rows = m + 1;
+                lag.h.clear();
+            }
+        }
+        self.ending.reserve(k);
+    }
+}
+
+/// One column's DCGS2 state: the Hessenberg columns as the Arnoldi
+/// relation gives them (the least-squares copy is rotated in place, and a
+/// step projects with the unrotated ones), and whether the newest column
+/// awaits its reorthogonalization.
+#[derive(Default)]
+struct Lag {
+    /// Column-major, `rows = m + 1`, grown per column a cycle reaches.
+    h: Vec<f64>,
+    rows: usize,
+    pending: bool,
+}
+
+impl Lag {
+    /// Column `j`, grown into being on first use.
+    fn col(&mut self, j: usize) -> &mut [f64] {
+        let end = (j + 1) * self.rows;
+        if self.h.len() < end {
+            self.h.resize(end, 0.0);
+        }
+        &mut self.h[j * self.rows..end]
+    }
+}
+
+/// A column's update directions: `Z` right-preconditioned, `V` left.
+fn dirs(bases: &Bases, right: bool) -> &[Vec<f64>] {
+    let (v, z) = bases;
+    if right {
+        z
+    } else {
+        v
     }
 }
 
@@ -352,6 +416,8 @@ where
         locals,
         dots,
         live,
+        lags,
+        ending,
     } = ws;
     let right = matches!(opts.side, Side::Right);
     // The residual is the true one (right) or the preconditioned one (left).
@@ -359,8 +425,9 @@ where
     let passes = match opts.ortho {
         Ortho::Mgs => 0,
         Ortho::Cgs => 1,
-        Ortho::Cgs2 => 2,
+        Ortho::Cgs2 | Ortho::Dcgs2 => 2,
     };
+    let lagged = opts.ortho == Ortho::Dcgs2;
     let cycle = |runs: &mut [restart::Run<'_>], active: &[usize], starts: &restart::Starts<'_>| {
         // Per column, the Arnoldi basis (m+1 pool vectors max); right
         // preconditioning also keeps the preconditioned directions
@@ -372,24 +439,23 @@ where
             let v = &mut bases[c].0;
             pool_set(v, 0, rc);
             vector::scal(1.0 / bc, &mut v[0]);
+            // `v_0` is final: the least-squares right-hand side `β e₁` is
+            // stated in it.
+            lags[c].pending = false;
         }
         let mut nv = 1usize;
         // The columns still stepping. Every buffer below is reused from the
         // workspace, so no allocation is allowed per iteration.
         live.clear();
         live.extend_from_slice(active);
-        // A column's update directions: `Z` right-preconditioned, `V` left.
-        fn dirs(bases: &[Bases], col: usize, right: bool) -> &[Vec<f64>] {
-            let (v, z) = &bases[col];
-            if right {
-                z
-            } else {
-                v
-            }
-        }
         for k in 0..m {
             // Open the iteration; its hook runs once, for the first column.
-            let mut hook = true;
+            // A DCGS2 step that finalizes a pending column runs it once that
+            // column is in (`late`): the hook of iteration `k` sees `k`
+            // columns final and their checkpoints written, as in the other
+            // loops.
+            let late = lagged && live.iter().any(|&i| lags[i].pending);
+            let mut hook = !late;
             live.retain(|&i| {
                 let run = &mut runs[i];
                 let open = if hook {
@@ -399,7 +465,10 @@ where
                 };
                 hook &= !open;
                 if !open {
-                    run.update(dirs(bases, i, right));
+                    // (A DCGS2 column whose budget ends took its last
+                    // column at the step before.)
+                    debug_assert!(!lags[i].pending);
+                    run.update(dirs(&bases[i], right));
                 }
                 open
             });
@@ -424,6 +493,12 @@ where
                 // w = M⁻¹ A v_k
                 op.try_apply_panel(nl, pv, pz)?;
                 precond.try_apply_panel(nl, pz, pw)?;
+            }
+            if lagged {
+                let st = Step { ip, k, m, n, right };
+                let hook = late.then(|| runs[live[0]].current());
+                st.dcgs2(runs, bases, lags, live, ending, pv, pw, locals, dots, hook)?;
+                continue;
             }
             // Orthogonalize, every reduction carrying every live column.
             let w = |slot: usize| (slot * n)..((slot + 1) * n);
@@ -486,12 +561,12 @@ where
                     // preconditioner, or lost orthogonality blowing up the
                     // norm): discard this column and end the cycle.
                     run.discard_column();
-                    run.update(dirs(bases, i, right));
+                    run.update(dirs(&bases[i], right));
                     return false;
                 }
                 run.h(k)[k + 1] = hk1;
-                if !run.push_column(k, &dirs(bases, i, right)[..=k]) {
-                    run.update(dirs(bases, i, right));
+                if !run.push_column(k, &dirs(&bases[i], right)[..=k]) {
+                    run.update(dirs(&bases[i], right));
                     return false;
                 }
                 let wc = &mut pw[span];
@@ -502,13 +577,272 @@ where
             nv = k + 2;
         }
         for &i in live.iter() {
-            runs[i].update(dirs(bases, i, right));
+            runs[i].update(dirs(&bases[i], right));
         }
         Ok(())
     };
     restart::solve(
         op, left, ip, b, x0, k, opts, ckpt, recycle, sk, true, cycle, emit,
     )
+}
+
+/// Where a DCGS2 step is: the inner product, the step `k` of a cycle of
+/// up to `m` columns of dimension `n`, and the side.
+struct Step<'p, P: ?Sized> {
+    ip: &'p P,
+    k: usize,
+    m: usize,
+    n: usize,
+    right: bool,
+}
+
+/// What a DCGS2 step leaves a column with.
+enum Verdict {
+    /// The cycle ended, its update taken.
+    Ended,
+    /// Column `k` is projected and the next candidate formed.
+    Goes,
+    /// As `Goes`, but column `k` ends the cycle: finalize it now.
+    Last,
+}
+
+impl<P: InnerProduct + ?Sized> Step<'_, P> {
+    /// Step `k` of a DCGS2 cycle after the apply, for the `live` columns:
+    /// `pv` holds each one's candidate `ṽ_k` (basis slot `k`), `pw` its
+    /// `w_k`. One Gram pass and one reduction for all of them, then each
+    /// column's own arithmetic, then the iteration's `hook` when it is
+    /// late; the columns whose cycle ends here are finalized by one more
+    /// reduction, shared, and leave `live`.
+    #[allow(clippy::too_many_arguments)]
+    fn dcgs2(
+        &self,
+        runs: &mut [restart::Run<'_>],
+        bases: &mut [Bases],
+        lags: &mut [Lag],
+        live: &mut Vec<usize>,
+        ending: &mut Vec<usize>,
+        pv: &[f64],
+        pw: &mut [f64],
+        locals: &mut [f64],
+        dots: &mut [f64],
+        hook: Option<usize>,
+    ) -> Result<(), SolveInterrupt> {
+        let (k, n, nl) = (self.k, self.n, live.len());
+        let len = 2 * k + 3;
+        let span = |slot: usize| slot * n..(slot + 1) * n;
+        for (slot, &i) in live.iter().enumerate() {
+            let out = &mut locals[slot * len..(slot + 1) * len];
+            let basis = &bases[i].0[..k];
+            self.ip
+                .local_dots2(&pv[span(slot)], &pw[span(slot)], basis, out);
+        }
+        self.ip
+            .try_reduce_into(&locals[..nl * len], &mut dots[..nl * len])?;
+        ending.clear();
+        let mut kept = 0;
+        for slot in 0..nl {
+            let i = live[slot];
+            let d = &mut dots[slot * len..(slot + 1) * len];
+            let (run, lag) = (&mut runs[i], &mut lags[i]);
+            match self.column(run, &mut bases[i], lag, d, &mut pw[span(slot)])? {
+                Verdict::Ended => continue,
+                Verdict::Goes => {}
+                Verdict::Last => ending.push(i),
+            }
+            live[kept] = i;
+            kept += 1;
+        }
+        live.truncate(kept);
+        if let Some(index) = hook {
+            self.ip.on_iteration(index);
+        }
+        if ending.is_empty() {
+            return Ok(());
+        }
+        // The cycle-end finalization: `[V_{k+1}ᵀṽ_{k+1}, ṽ_{k+1}ᵀṽ_{k+1}]`.
+        let len = k + 2;
+        for (e, &i) in ending.iter().enumerate() {
+            let v = &bases[i].0;
+            let out = &mut locals[e * len..(e + 1) * len];
+            self.ip.local_dots(&v[k + 1], &v[..=k], &mut out[..=k]);
+            out[k + 1] = self.ip.local_dot(&v[k + 1], &v[k + 1]);
+        }
+        let ne = ending.len();
+        self.ip
+            .try_reduce_into(&locals[..ne * len], &mut dots[..ne * len])?;
+        for (e, &i) in ending.iter().enumerate() {
+            let d = &dots[e * len..(e + 1) * len];
+            let (run, lag, b) = (&mut runs[i], &mut lags[i], &mut bases[i]);
+            let goes = match self.finalize(k, &d[..=k], d[k + 1], run, &mut b.0, lag)? {
+                None => {
+                    run.discard_column();
+                    false
+                }
+                Some((rho, formed)) => {
+                    let goes = run.push_column(k, &dirs(b, self.right)[..=k]) && k + 1 < self.m;
+                    if goes {
+                        // The cycle goes on from a final `v_{k+1}`.
+                        let (head, tail) = b.0.split_at_mut(k + 1);
+                        if !formed {
+                            for (aj, vj) in d[..=k].iter().zip(head.iter()) {
+                                vector::axpy(-aj, vj, &mut tail[0]);
+                            }
+                        }
+                        vector::scal(1.0 / rho, &mut tail[0]);
+                        lag.pending = false;
+                    }
+                    goes
+                }
+            };
+            if !goes {
+                run.update(dirs(b, self.right));
+                live.retain(|&c| c != i);
+            }
+        }
+        Ok(())
+    }
+
+    /// One column's share of step `k`, from its reduced values
+    /// `d = [a, b, α, β, γ]`: `a = V_kᵀṽ_k`, `b = V_kᵀw_k`, `α = ṽ_kᵀṽ_k`,
+    /// `β = ṽ_kᵀw_k`, `γ = w_kᵀw_k`. Reorthogonalizes the candidate (which
+    /// finalizes Hessenberg column `k − 1` when one is pending), projects
+    /// column `k`, and forms `v_k` and the next candidate in `w` and slot
+    /// `k + 1`.
+    fn column(
+        &self,
+        run: &mut restart::Run<'_>,
+        b: &mut Bases,
+        lag: &mut Lag,
+        d: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<Verdict, SolveInterrupt> {
+        let k = self.k;
+        let (a, rest) = d.split_at_mut(k);
+        let (g, rest) = rest.split_at_mut(k);
+        let (alpha, beta, gamma) = (rest[0], rest[1], rest[2]);
+        // `ṽ_k = V_k a + ρ v_k`: column `k` of the basis map. A candidate
+        // that is already final (`v_0`, or one a cycle-end finalization
+        // formed) is its own `v_k`.
+        let (rho, formed) = if lag.pending {
+            match self.finalize(k - 1, a, alpha, run, &mut b.0, lag)? {
+                None => {
+                    // A poisoned candidate: neither column is taken.
+                    run.discard_column();
+                    run.skip_column();
+                    run.update(dirs(b, self.right));
+                    return Ok(Verdict::Ended);
+                }
+                Some(found) => found,
+            }
+        } else {
+            a.fill(0.0);
+            (1.0, true)
+        };
+        if lag.pending && !run.push_column(k - 1, &dirs(b, self.right)[..k]) {
+            // Column `k − 1` ended the cycle: `w_k` is not taken.
+            run.skip_column();
+            run.update(dirs(b, self.right));
+            return Ok(Verdict::Ended);
+        }
+        if !(beta.is_finite() && gamma.is_finite() && g.iter().all(|x| x.is_finite())) {
+            // A non-finite `w_k` (NaN from the operator or preconditioner).
+            run.discard_column();
+            run.update(dirs(b, self.right));
+            return Ok(Verdict::Ended);
+        }
+        if self.right {
+            let r = run.map(k);
+            r[..k].copy_from_slice(a);
+            r[k] = rho;
+        }
+        // `c = v_kᵀw_k`; `t = [g; c] = V_{k+1}ᵀw_k`. Column `k` projected:
+        // `(t − H a)/ρ`, `H` the unrotated Hessenberg columns before it.
+        let c = (beta - a.iter().zip(g.iter()).map(|(x, y)| x * y).sum::<f64>()) / rho;
+        lag.col(k);
+        let rows = lag.rows;
+        let (prev, col) = lag.h.split_at_mut(k * rows);
+        let col = &mut col[..=k];
+        col[..k].copy_from_slice(g);
+        col[k] = c;
+        for (j, &aj) in a.iter().enumerate() {
+            for (ci, hij) in col.iter_mut().zip(&prev[j * rows..j * rows + j + 2]) {
+                *ci -= aj * hij;
+            }
+        }
+        for ci in col.iter_mut() {
+            *ci /= rho;
+        }
+        // The once-projected next candidate's norm, read ahead as
+        // `h[k+1][k]`: whether column `k` ends the cycle. Where it cancels,
+        // finalize it to find out.
+        let off = gamma - g.iter().map(|x| x * x).sum::<f64>() - c * c;
+        let cancels = off.is_nan() || off <= 1e-10 * gamma;
+        let h = run.h(k);
+        h[..=k].copy_from_slice(col);
+        h[k + 1] = off.max(0.0).sqrt() / rho;
+        let last = cancels || k + 1 == self.m || run.ends_with(k);
+        // One pass over `V_k`: `v_k = (ṽ_k − V_k a)/ρ` and
+        // `ṽ_{k+1} = (w_k − V_k g − c v_k)/ρ`.
+        for x in a.iter_mut().chain(g.iter_mut()) {
+            *x = -*x;
+        }
+        let (head, tail) = b.0.split_at_mut(k);
+        let vk = &mut tail[0];
+        if formed {
+            vector::axpy_many(g, head, w);
+        } else {
+            vector::axpy2_many(a, g, head, vk, w);
+        }
+        let inv = 1.0 / rho;
+        for (vg, wg) in vk.iter_mut().zip(w.iter_mut()) {
+            *vg *= inv;
+            *wg = (*wg - c * *vg) * inv;
+        }
+        pool_set(&mut b.0, k + 1, w);
+        lag.pending = true;
+        Ok(if last { Verdict::Last } else { Verdict::Goes })
+    }
+
+    /// Finalize Hessenberg column `j` from the reduced `a = V_{j+1}ᵀṽ` and
+    /// `α = ṽᵀṽ` of its candidate `ṽ` (basis slot `j + 1`), into
+    /// [`restart::Run::h`]. The candidate's norm off the basis is
+    /// `√(α − ‖a‖²)`; where that cancels, it is the norm of `ṽ − V a`,
+    /// formed in place by one more reduction (`formed`). `None` for a
+    /// non-finite candidate.
+    fn finalize(
+        &self,
+        j: usize,
+        a: &[f64],
+        alpha: f64,
+        run: &mut restart::Run<'_>,
+        v: &mut [Vec<f64>],
+        lag: &mut Lag,
+    ) -> Result<Option<(f64, bool)>, SolveInterrupt> {
+        if !alpha.is_finite() || a.iter().any(|x| !x.is_finite()) {
+            return Ok(None);
+        }
+        let rho2 = alpha - a.iter().map(|x| x * x).sum::<f64>();
+        let (rho, formed) = if rho2 > 1e-10 * alpha {
+            (rho2.sqrt(), false)
+        } else {
+            // dd:cold — the candidate lies (nearly) in the basis
+            let (head, tail) = v.split_at_mut(j + 1);
+            for (aj, vi) in a.iter().zip(head.iter()) {
+                vector::axpy(-aj, vi, &mut tail[0]);
+            }
+            (self.ip.try_norm(&tail[0])?, true)
+        };
+        if !rho.is_finite() {
+            return Ok(None);
+        }
+        let h = lag.col(j);
+        for (hi, ai) in h.iter_mut().zip(a) {
+            *hi += ai;
+        }
+        h[j + 1] = rho;
+        run.h(j)[..j + 2].copy_from_slice(&h[..j + 2]);
+        Ok(Some((rho, formed)))
+    }
 }
 
 #[cfg(test)]

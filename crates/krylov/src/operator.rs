@@ -182,6 +182,24 @@ pub trait InnerProduct {
         }
     }
 
+    /// The Gram pass of one low-synchronization Arnoldi step
+    /// ([`crate::Ortho::Dcgs2`]): `out = [Vᵀx, Vᵀy, xᵀx, xᵀy, yᵀy]`, the
+    /// `2 · vs.len() + 3` local values for the basis `V = vs`. The default is
+    /// [`InnerProduct::local_dot`] per value; an implementation overrides it
+    /// to read `x`, `y` and each basis vector once, every value summed in
+    /// [`vector::dot`]'s four lanes ([`vector::dot2_many`]).
+    fn local_dots2(&self, x: &[f64], y: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        let nv = vs.len();
+        assert_eq!(out.len(), 2 * nv + 3, "local_dots2: 2·nv + 3 outputs");
+        for (j, v) in vs.iter().enumerate() {
+            out[j] = self.local_dot(x, v);
+            out[nv + j] = self.local_dot(y, v);
+        }
+        out[2 * nv] = self.local_dot(x, x);
+        out[2 * nv + 1] = self.local_dot(x, y);
+        out[2 * nv + 2] = self.local_dot(y, y);
+    }
+
     /// Reduce a batch of local contributions to global values, `locals`
     /// into the caller-provided `out` of the same length (an
     /// `MPI_Allreduce` in SPMD; a copy sequentially, which keeps the Krylov
@@ -233,6 +251,15 @@ pub struct SeqDot;
 impl InnerProduct for SeqDot {
     fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
         vector::dot(x, y)
+    }
+
+    fn local_dots2(&self, x: &[f64], y: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        let nv = vs.len();
+        assert_eq!(out.len(), 2 * nv + 3, "local_dots2: 2·nv + 3 outputs");
+        vector::dot2_many(x, y, vs, &mut out[..2 * nv]);
+        out[2 * nv] = vector::dot(x, x);
+        out[2 * nv + 1] = vector::dot(x, y);
+        out[2 * nv + 2] = vector::dot(y, y);
     }
 
     fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {

@@ -1,8 +1,10 @@
 //! Pipelined GMRES (p1-GMRES, Ghysels et al.) and the paper's *fused*
 //! variant (§3.5).
 //!
-//! Classical GMRES needs two global synchronizations per iteration
-//! (orthogonalization + normalization). p1-GMRES hides that latency by
+//! Classical GMRES synchronizes globally to orthogonalize and to
+//! normalize: three reductions per iteration under `Ortho::Cgs2`, one under
+//! the default `Ortho::Dcgs2` (plus one per cycle), each waited for where
+//! it is posted. p1-GMRES hides that latency by
 //! maintaining a shadow basis `z_j = B v_j`: the matrix–vector product of
 //! iteration `i` is applied to the *unorthogonalized* candidate `w_{i−1}`
 //! and corrected afterwards by linearity,

@@ -41,6 +41,13 @@ pub(crate) struct LeastSquares {
     g: Vec<f64>,
     rot: Vec<Givens>,
     y: Vec<f64>,
+    /// The map from a cycle's update directions to its basis, when the body
+    /// keeps directions it did not orthonormalize (`Ortho::Dcgs2` keeps
+    /// `z̃_j = M⁻¹ṽ_j` with `Ṽ = V R`): `R`, upper triangular, column-major
+    /// with `rows` rows and grown like `h`. `mapped` says whether this cycle
+    /// has one; [`LeastSquares::solve`] then returns `R⁻¹ y`.
+    r: Vec<f64>,
+    mapped: bool,
 }
 
 impl LeastSquares {
@@ -49,6 +56,7 @@ impl LeastSquares {
         if self.rows != m + 1 {
             self.rows = m + 1;
             self.h.clear();
+            self.r.clear();
         }
         self.g.resize(m + 1, 0.0);
         self.rot.clear();
@@ -65,6 +73,17 @@ impl LeastSquares {
         &mut self.h[k * self.rows..end]
     }
 
+    /// Column `k` of the basis map `R`, grown into being on first use; the
+    /// cycle's coefficients are mapped through it from now on.
+    pub(crate) fn map_column(&mut self, k: usize) -> &mut [f64] {
+        let end = (k + 1) * self.rows;
+        if self.r.len() < end {
+            self.r.resize(end, 0.0);
+        }
+        self.mapped = true;
+        &mut self.r[k * self.rows..end]
+    }
+
     /// Entry `(i, j)` of a column already written.
     fn at(&self, i: usize, j: usize) -> f64 {
         self.h[j * self.rows + i]
@@ -78,6 +97,7 @@ impl LeastSquares {
         self.rot.clear();
         self.g.fill(0.0);
         self.g[0] = beta;
+        self.mapped = false;
     }
 
     /// Apply the accumulated rotations to column `k`, form the rotation
@@ -105,18 +125,41 @@ impl LeastSquares {
         Some(g1.abs())
     }
 
-    /// Solve the triangular system `R y = g` over the first `k` columns.
-    /// `None` when a coefficient is non-finite (e.g. an exactly zero
-    /// pivot). Reads `h` and `g` only, so it may run mid-cycle.
+    /// The residual `|g[k+1]|` that column `k` would leave if it read `col`
+    /// (rows `0..=k+1`), without taking it in: the verdict
+    /// [`LeastSquares::rotate_in`] would give, read ahead. `None` where that
+    /// refuses the column.
+    fn peek(&self, k: usize, col: &[f64], tiny: f64) -> Option<f64> {
+        // Entry `k` of the column after the accumulated rotations.
+        let mut x = col[0];
+        for (j, gr) in self.rot.iter().enumerate() {
+            x = gr.apply(x, col[j + 1]).1;
+        }
+        let (gr, rkk) = Givens::compute(x, col[k + 1]);
+        if col[k + 1] <= tiny && rkk.abs() <= tiny {
+            return None;
+        }
+        Some(gr.apply(self.g[k], self.g[k + 1]).1.abs())
+    }
+
+    /// Solve the triangular system `R y = g` over the first `k` columns,
+    /// then map `y` through the basis map when the cycle has one. `None`
+    /// when a coefficient is non-finite (e.g. an exactly zero pivot). Reads
+    /// `h`, `g` and `r` only, so it may run mid-cycle.
     #[allow(clippy::needless_range_loop)] // `j` indexes a row of `h` too
     pub(crate) fn solve(&mut self, k: usize) -> Option<&[f64]> {
         let y = &mut self.y[..k];
-        for i in (0..k).rev() {
-            let mut s = self.g[i];
-            for j in i + 1..k {
-                s -= self.h[j * self.rows + i] * y[j];
+        for (h, mapped) in [(&self.h, false), (&self.r, true)] {
+            if mapped && !self.mapped {
+                break;
             }
-            y[i] = s / self.h[i * self.rows + i];
+            for i in (0..k).rev() {
+                let mut s = if mapped { y[i] } else { self.g[i] };
+                for j in i + 1..k {
+                    s -= h[j * self.rows + i] * y[j];
+                }
+                y[i] = s / h[i * self.rows + i];
+            }
         }
         y.iter().all(|v| v.is_finite()).then_some(&*y)
     }
@@ -187,8 +230,10 @@ pub(crate) struct Run<'a> {
     target: f64,
     final_res: f64,
     converged: bool,
-    /// Columns of the current cycle in the least-squares problem.
+    /// Columns of the current cycle in the least-squares problem, and the
+    /// iterations before the cycle.
     k_done: usize,
+    cycle_start: usize,
     cycle_broken: bool,
     breakdown_restarts: usize,
     /// Stagnation tracking across cycles.
@@ -223,6 +268,7 @@ impl<'a> Run<'a> {
             final_res: 1.0,
             converged: false,
             k_done: 0,
+            cycle_start: 0,
             cycle_broken: false,
             breakdown_restarts: 0,
             best_res: f64::INFINITY,
@@ -249,6 +295,34 @@ impl Run<'_> {
         self.ls.column(k)
     }
 
+    /// Column `k` of the map from the cycle's update directions to its basis
+    /// (rows `0..=k`), for a body whose directions are not the orthonormal
+    /// basis: [`Run::update`] and the checkpoints then take `x += D R⁻¹ y`.
+    pub(crate) fn map(&mut self, k: usize) -> &mut [f64] {
+        self.ls.map_column(k)
+    }
+
+    /// Whether Hessenberg column `k`, as the body has written it so far
+    /// into [`Run::h`], would end the cycle: spend the budget, meet the
+    /// target, stagnate or be annihilated — the verdicts of
+    /// [`Run::push_column`], read before the column's last entries are
+    /// known, so a body that finalizes a column one step late can finalize
+    /// the cycle's last one without opening another iteration.
+    pub(crate) fn ends_with(&self, k: usize) -> bool {
+        if self.iterations >= self.opts.max_iters {
+            return true;
+        }
+        let col = &self.ls.h[k * self.ls.rows..(k + 1) * self.ls.rows];
+        match self.ls.peek(k, col, self.tiny()) {
+            Some(res) if res.is_finite() => {
+                res <= self.target
+                    || col[k + 1] <= self.tiny()
+                    || (res >= self.best_res * (1.0 - 1e-12) && self.stall + 1 >= STALL_LIMIT)
+            }
+            _ => true,
+        }
+    }
+
     /// Open the next iteration, running the inner product's iteration
     /// hook; `false` when the budget is spent.
     pub(crate) fn next_iteration<P: InnerProduct + ?Sized>(&mut self, ip: &P) -> bool {
@@ -258,6 +332,12 @@ impl Run<'_> {
             ip.on_iteration(k);
         }
         open
+    }
+
+    /// The index [`Run::next_iteration`] handed (or would have handed) the
+    /// hook of the iteration this run has open.
+    pub(crate) fn current(&self) -> usize {
+        self.iterations - 1
     }
 
     /// [`Run::next_iteration`] without the hook, for a column that steps
@@ -274,6 +354,13 @@ impl Run<'_> {
     /// annihilated): leave it out and end the cycle.
     pub(crate) fn discard_column(&mut self) {
         self.cycle_broken = true;
+        self.skip_column();
+    }
+
+    /// An iteration whose column the cycle ended before taking (a body that
+    /// applies the operator one column ahead of the verdicts): its history
+    /// entry is the residual as it stands.
+    pub(crate) fn skip_column(&mut self) {
         if self.opts.record_history {
             self.history.push(self.final_res);
         }
@@ -310,15 +397,18 @@ impl Run<'_> {
             return false;
         }
         // dd:cold — periodic checkpoint materialization; snapshots own
-        // their state by design and run on a user-chosen cadence
-        if let Some(cfg) = self.ckpt.filter(|cfg| cfg.due(self.iterations)) {
+        // their state by design and run on a user-chosen cadence. A snapshot
+        // at iteration `i` holds the `i` columns final by then, also where
+        // the body has applied the operator one column ahead.
+        let done = self.cycle_start + self.k_done;
+        if let Some(cfg) = self.ckpt.filter(|cfg| cfg.due(done)) {
             // The current iterate: the in-progress least-squares solution
             // over the columns built so far.
             if let Some(y) = self.ls.solve(self.k_done) {
                 let mut snap = self.x.clone();
                 vector::axpy_many(y, &dirs[..self.k_done], &mut snap);
                 cfg.sink.save(SolveCheckpoint {
-                    iteration: self.iterations,
+                    iteration: done,
                     x: snap,
                     residual: self.final_res,
                     r0_norm: self.r0_norm,
@@ -390,6 +480,7 @@ impl Run<'_> {
         }
         self.ls.reset(beta);
         self.k_done = 0;
+        self.cycle_start = self.iterations;
         self.cycle_broken = false;
         self.updated = false;
         Ok(true)

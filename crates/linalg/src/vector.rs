@@ -134,6 +134,110 @@ pub fn axpy_many<V: AsRef<[f64]>>(alphas: &[f64], xs: &[V], y: &mut [f64]) {
     }
 }
 
+/// Two Gram rows in one pass: `out[j] = dot(x, ys[j])` and
+/// `out[ys.len() + j] = dot(y, ys[j])`, each the bits of [`dot`] (four
+/// lanes, then the tail), so the sums vectorize along the vectors. Two
+/// basis vectors advance together, which reads `x` and `y` once per pair
+/// of basis vectors and keeps the sixteen lane accumulators in registers.
+///
+/// # Panics
+/// Panics if `out` does not hold two values per vector or a vector is not
+/// as long as `x`.
+// dd:hot — the one Gram pass of a low-synchronization Arnoldi step
+pub fn dot2_many<V: AsRef<[f64]>>(x: &[f64], y: &[f64], ys: &[V], out: &mut [f64]) {
+    let (n, nv) = (x.len(), ys.len());
+    assert_eq!(y.len(), n, "dot2_many: length mismatch");
+    assert_eq!(out.len(), 2 * nv, "dot2_many: two outputs per vector");
+    let (ox, oy) = out.split_at_mut(nv);
+    let body = n - n % 4;
+    let mut pairs = ys.chunks_exact(2);
+    let mut j = 0;
+    for pair in pairs.by_ref() {
+        let (v0, v1) = (pair[0].as_ref(), pair[1].as_ref());
+        assert!(v0.len() == n && v1.len() == n, "dot2_many: length mismatch");
+        // Lanes of x·v0, x·v1, y·v0, y·v1.
+        let mut acc = [[0.0f64; 4]; 4];
+        let quads = x[..body]
+            .chunks_exact(4)
+            .zip(y[..body].chunks_exact(4))
+            .zip(v0[..body].chunks_exact(4))
+            .zip(v1[..body].chunks_exact(4));
+        for (((xc, yc), c0), c1) in quads {
+            for l in 0..4 {
+                acc[0][l] += xc[l] * c0[l];
+                acc[1][l] += xc[l] * c1[l];
+                acc[2][l] += yc[l] * c0[l];
+                acc[3][l] += yc[l] * c1[l];
+            }
+        }
+        let mut tail = [0.0f64; 4];
+        for g in body..n {
+            tail[0] += x[g] * v0[g];
+            tail[1] += x[g] * v1[g];
+            tail[2] += y[g] * v0[g];
+            tail[3] += y[g] * v1[g];
+        }
+        let sum = |r: usize| acc[r][0] + acc[r][1] + acc[r][2] + acc[r][3] + tail[r];
+        ox[j] = sum(0);
+        ox[j + 1] = sum(1);
+        oy[j] = sum(2);
+        oy[j + 1] = sum(3);
+        j += 2;
+    }
+    for v in pairs.remainder() {
+        ox[j] = dot(x, v.as_ref());
+        oy[j] = dot(y, v.as_ref());
+    }
+}
+
+/// Two update blocks in one pass over the vectors: `y += Σ_j α_j·xs[j]` and
+/// `z += Σ_j β_j·xs[j]`, each the bits of its own [`axpy_many`].
+///
+/// # Panics
+/// Panics if the scalars and `xs` differ in length or a vector is not as
+/// long as `y`.
+// dd:hot — the one basis pass of a low-synchronization Arnoldi step
+pub fn axpy2_many<V: AsRef<[f64]>>(
+    alphas: &[f64],
+    betas: &[f64],
+    xs: &[V],
+    y: &mut [f64],
+    z: &mut [f64],
+) {
+    assert_eq!(alphas.len(), xs.len(), "axpy2_many: one scalar per vector");
+    assert_eq!(betas.len(), xs.len(), "axpy2_many: one scalar per vector");
+    let n = y.len();
+    assert_eq!(z.len(), n, "axpy2_many: length mismatch");
+    let mut blocks = xs.chunks_exact(PANEL);
+    let (mut sa, mut sb) = (alphas.chunks_exact(PANEL), betas.chunks_exact(PANEL));
+    for ((block, a), b) in blocks.by_ref().zip(sa.by_ref()).zip(sb.by_ref()) {
+        let [x0, x1, x2, x3] = panel(block, n, "axpy2_many");
+        for g in 0..n {
+            let mut t = y[g];
+            t += a[0] * x0[g];
+            t += a[1] * x1[g];
+            t += a[2] * x2[g];
+            t += a[3] * x3[g];
+            y[g] = t;
+            let mut u = z[g];
+            u += b[0] * x0[g];
+            u += b[1] * x1[g];
+            u += b[2] * x2[g];
+            u += b[3] * x3[g];
+            z[g] = u;
+        }
+    }
+    let rest = blocks
+        .remainder()
+        .iter()
+        .zip(sa.remainder())
+        .zip(sb.remainder());
+    for ((x, &a), &b) in rest {
+        axpy(a, x.as_ref(), y);
+        axpy(b, x.as_ref(), z);
+    }
+}
+
 /// `x ← α x`.
 #[inline]
 pub fn scal(alpha: f64, x: &mut [f64]) {

@@ -12,7 +12,7 @@
 use dd_geneo::comm::{CommError, CostModel, EventKind, FaultPlan, TagClass, World};
 use dd_geneo::core::problem::presets;
 use dd_geneo::core::{
-    decompose, repartition_plan, try_run_spmd, try_run_spmd_elastic, try_run_spmd_recoverable,
+    decompose, repartition_plan, try_run_spmd_elastic, try_run_spmd_recoverable,
     try_setup_partitioned, CheckpointStore, CoarseCache, CoarseOutcome, CoarseSolve, Decomposition,
     DeflationSource, GeneoOpts, PhaseOutcome, RecoveryOpts, SolverKind, SpmdError,
     SpmdMultiSolution, SpmdOpts, SpmdReport,
@@ -47,21 +47,12 @@ fn opts() -> SpmdOpts {
     }
 }
 
-fn run_with_plan(
-    decomp: &Arc<Decomposition>,
-    opts: &SpmdOpts,
-    plan: FaultPlan,
-) -> Vec<Result<SpmdMultiSolution, SpmdError>> {
-    let n = decomp.n_subdomains();
-    let d2 = Arc::clone(decomp);
-    let opts = opts.clone();
-    World::run_with_faults(n, CostModel::default(), plan, move |comm| {
-        try_run_spmd(&d2, comm, &opts)
-    })
-}
-
+/// The fault-free run of `opts` with recovery off (what `try_run_spmd`
+/// runs): every rank's solution.
 fn baseline(decomp: &Arc<Decomposition>, opts: &SpmdOpts) -> Vec<SpmdMultiSolution> {
-    run_with_plan(decomp, opts, FaultPlan::default())
+    let mut o = opts.clone();
+    o.recovery.enabled = false;
+    run_recoverable_with_plan(decomp, &o, FaultPlan::default())
         .into_iter()
         .map(|r| r.expect("fault-free baseline must not fail"))
         .collect()
@@ -90,7 +81,7 @@ fn delay_only_plan_converges_in_identical_iterations() {
     let decomp = setup(12, 4);
     let o = opts();
     let base = baseline(&decomp, &o);
-    let reports = run_with_plan(&decomp, &o, FaultPlan::new(11).with_delays(0.4, 5e-4));
+    let reports = run_recoverable_with_plan(&decomp, &o, FaultPlan::new(11).with_delays(0.4, 5e-4));
     let mut delays = 0;
     for (r, b) in reports.iter().zip(&base) {
         let r = r.as_ref().expect("delays are transparent to correctness");
@@ -110,7 +101,7 @@ fn dropped_messages_are_retried_and_do_not_change_the_solve() {
     let decomp = setup(12, 4);
     let o = opts();
     let base = baseline(&decomp, &o);
-    let reports = run_with_plan(&decomp, &o, FaultPlan::new(13).with_drops(0.3, 2));
+    let reports = run_recoverable_with_plan(&decomp, &o, FaultPlan::new(13).with_drops(0.3, 2));
     let (mut drops, mut retries, mut timeouts) = (0, 0, 0);
     for (r, b) in reports.iter().zip(&base) {
         let r = r.as_ref().expect("drops must be recovered by retries");
@@ -130,7 +121,7 @@ fn dropped_messages_are_retried_and_do_not_change_the_solve() {
 #[test]
 fn killed_rank_surfaces_typed_errors_everywhere() {
     let decomp = setup(12, 4);
-    let reports = run_with_plan(
+    let reports = run_recoverable_with_plan(
         &decomp,
         &opts(),
         FaultPlan::new(1).with_kill(1, "post-assembly"),
@@ -155,7 +146,7 @@ fn killed_rank_surfaces_typed_errors_everywhere() {
 fn failed_eigensolve_falls_back_to_nicolaides_and_completes() {
     let decomp = setup(12, 4);
     let o = opts();
-    let reports = run_with_plan(
+    let reports = run_recoverable_with_plan(
         &decomp,
         &o,
         FaultPlan::new(3).with_failure(Some(2), "eigensolve"),
@@ -247,7 +238,7 @@ fn failed_coarse_factorization_drops_to_one_level_and_completes() {
     let decomp = setup(12, 4);
     let o = opts();
     let base = baseline(&decomp, &o);
-    let reports = run_with_plan(
+    let reports = run_recoverable_with_plan(
         &decomp,
         &o,
         FaultPlan::new(5).with_failure(None, "coarse-factor"),
@@ -305,6 +296,10 @@ fn recovery_opts() -> SpmdOpts {
     }
 }
 
+/// Every rank's outcome of one run of `opts` under `plan`, against a fresh
+/// checkpoint store. With `opts.recovery.enabled` off this is the run
+/// `try_run_spmd` makes (it only forces that flag off and passes a fresh
+/// store), so it is this file's one runner.
 fn run_recoverable_with_plan(
     decomp: &Arc<Decomposition>,
     opts: &SpmdOpts,
@@ -935,7 +930,7 @@ fn persistent_corruption_surfaces_typed_errors_never_a_silent_result() {
     // a converged result under a persistently corrupting link would be the
     // very silent-data-corruption outcome the envelopes exist to prevent.
     let decomp = setup(12, 4);
-    let results = run_with_plan(
+    let results = run_recoverable_with_plan(
         &decomp,
         &opts(),
         FaultPlan::new(17).with_corrupt_persistent("solve", None, TagClass::P2p, 17),
@@ -1080,7 +1075,7 @@ fn drop_and_delay_combined_with_eigensolve_failure_still_recovers() {
         .with_delays(0.2, 1e-4)
         .with_drops(0.2, 1)
         .with_failure(Some(0), "eigensolve");
-    let reports = run_with_plan(&decomp, &o, plan);
+    let reports = run_recoverable_with_plan(&decomp, &o, plan);
     for (rank, r) in reports.iter().enumerate() {
         let r = r.as_ref().expect("compound plan must still be recoverable");
         assert!(r.solve.result.converged, "rank {rank} did not converge");

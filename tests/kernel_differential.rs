@@ -23,7 +23,9 @@
 //!   tolerance and solution as with the scalar kernel;
 //! * the orthogonalisation panels `vector::dot_many` / `vector::axpy_many`
 //!   are **bitwise** equal to the one-accumulator dot loop and to successive
-//!   `axpy`, for every block remainder, and a NaN poisons every output;
+//!   `axpy`, for every block remainder, and a NaN poisons every output; the
+//!   DCGS2 step's `vector::dot2_many` is `vector::dot` per output and
+//!   `vector::axpy2_many` two `axpy_many`, bit for bit;
 //! * both LDLᵀ kernels solve in one summation order: the backward sweep
 //!   sums each column in `vector::dot`'s four lanes, every column of a
 //!   panel solve of `k` columns (a single solve is `k = 1`) is the column
@@ -260,8 +262,10 @@ fn gmres_with_reused_workspace_is_bitwise_identical() {
     let a = random_spd(&mut rng, 120, 4);
     let mut ws = GmresWorkspace::new();
     for (trial, (ortho, side)) in [
+        (Ortho::Dcgs2, Side::Right),
         (Ortho::Cgs2, Side::Right),
         (Ortho::Mgs, Side::Right),
+        (Ortho::Dcgs2, Side::Left),
         (Ortho::Cgs2, Side::Left),
         (Ortho::Mgs, Side::Left),
     ]
@@ -280,7 +284,7 @@ fn gmres_with_reused_workspace_is_bitwise_identical() {
             ..Default::default()
         };
         let fresh = try_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &opts, None).unwrap();
-        // The same workspace is reused across all four configurations —
+        // The same workspace is reused across all six configurations —
         // stale pool contents must never leak into the next solve.
         let reused = try_gmres_with(
             &a,
@@ -337,6 +341,25 @@ fn ortho_panels_are_bitwise_equal_to_the_per_vector_loops() {
             let mut panel = x.clone();
             vector::axpy_many(&alphas, &ys, &mut panel);
             assert_eq!(bits(&panel), bits(&oracle), "axpy_many n={n} nv={nv}");
+
+            // The DCGS2 pair: each output of `dot2_many` is `dot`'s, and
+            // `axpy2_many` is two `axpy_many` over the same vectors.
+            let y = rng.vec_f64(n, -1.0, 1.0);
+            let betas = rng.vec_f64(nv, -2.0, 2.0);
+            let oracle: Vec<f64> = [&x, &y]
+                .iter()
+                .flat_map(|u| ys.iter().map(|v| vector::dot(u, v)))
+                .collect();
+            let mut out = vec![f64::NAN; 2 * nv];
+            vector::dot2_many(&x, &y, &ys, &mut out);
+            assert_eq!(bits(&out), bits(&oracle), "dot2_many n={n} nv={nv}");
+            let (mut oy, mut oz) = (x.clone(), y.clone());
+            vector::axpy_many(&alphas, &ys, &mut oy);
+            vector::axpy_many(&betas, &ys, &mut oz);
+            let (mut py, mut pz) = (x.clone(), y.clone());
+            vector::axpy2_many(&alphas, &betas, &ys, &mut py, &mut pz);
+            assert_eq!(bits(&py), bits(&oy), "axpy2_many y n={n} nv={nv}");
+            assert_eq!(bits(&pz), bits(&oz), "axpy2_many z n={n} nv={nv}");
         }
     }
 }
@@ -353,6 +376,9 @@ fn a_nan_in_x_poisons_every_panel_output() {
         let mut out = vec![0.0; nv];
         vector::dot_many(&x, &ys, &mut out);
         assert!(out.iter().all(|v| v.is_nan()), "dot_many nv={nv}: {out:?}");
+        let mut out2 = vec![0.0; 2 * nv];
+        vector::dot2_many(&x, &ys[0], &ys, &mut out2);
+        assert!(out2[..nv].iter().all(|v| v.is_nan()), "dot2_many nv={nv}");
 
         let mut poisoned = ys.clone();
         poisoned[nv - 1][19] = f64::NAN;

@@ -3,20 +3,23 @@
 //! iterations, status and breakdown restarts. The serve path answers a
 //! batch as one panel and claims each response equals the single solve
 //! from the batch-start recycle state; this is the loop-level half of that
-//! claim, on a `CsrMatrix` with a `FnPrecond`, on both sides, under CGS2
-//! and MGS, at a restart length the panel outlives, with and without a
-//! `RecycleSpace`, and with columns that converge early, break down and
+//! claim, on a `CsrMatrix` with a `FnPrecond`, on both sides, under DCGS2,
+//! CGS2 and MGS, at a restart length the panel outlives, with and without
+//! a `RecycleSpace`, and with columns that converge early, break down and
 //! are zero. Every loop also turns inputs of the wrong length into a
-//! `SolveInterrupt` before its first apply.
+//! `SolveInterrupt` before its first apply. The orthogonality of the
+//! classical loop's basis is pinned per iteration under MGS, CGS2 and
+//! DCGS2, and a classical solve applies the preconditioner once an
+//! iteration, whatever its orthogonalization.
 
 use dd_geneo::krylov::{
     fused_pipelined_gmres_panel, pipelined_gmres_panel, try_gmres, try_gmres_panel, try_gmres_with,
     CheckpointCfg, CheckpointSink, FnPrecond, FusedPreconditioner, GmresOpts, GmresWorkspace,
-    Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side, SolveCheckpoint, SolveInterrupt,
-    SolveResult,
+    InnerProduct, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side, SolveCheckpoint,
+    SolveInterrupt, SolveResult, SolveStatus,
 };
-use dd_geneo::linalg::{CooBuilder, CsrMatrix};
-use std::cell::Cell;
+use dd_geneo::linalg::{vector, CooBuilder, CsrMatrix};
+use std::cell::{Cell, RefCell};
 
 /// A 9×8 five-point Laplacian, then four decoupled dofs of diagonal 2, then
 /// one whose row and column are zero: a right-hand side on the decoupled
@@ -122,8 +125,23 @@ fn each_panel_column_is_its_single_solve_bitwise() {
     }
     assert_eq!(seeded.len(), 2);
     let mut ws = GmresWorkspace::new();
+    // DCGS2 also at every panel width of the shapes: the generic column
+    // alone, then with the early, the broken and the zero one.
+    let configs = [
+        (Ortho::Dcgs2, 200, k),
+        (Ortho::Dcgs2, 9, k),
+        (Ortho::Cgs2, 200, k),
+        (Ortho::Mgs, 200, k),
+        (Ortho::Cgs2, 9, k),
+        (Ortho::Dcgs2, 200, 1),
+        (Ortho::Dcgs2, 200, 2),
+        (Ortho::Dcgs2, 200, 3),
+        (Ortho::Dcgs2, 9, 1),
+        (Ortho::Dcgs2, 9, 2),
+        (Ortho::Dcgs2, 9, 3),
+    ];
     for side in [Side::Right, Side::Left] {
-        for (ortho, restart) in [(Ortho::Cgs2, 200), (Ortho::Mgs, 200), (Ortho::Cgs2, 9)] {
+        for (ortho, restart, width) in configs {
             for space in [None, Some(&seeded)] {
                 let opts = GmresOpts {
                     tol: 1e-10,
@@ -134,7 +152,7 @@ fn each_panel_column_is_its_single_solve_bitwise() {
                     ..Default::default()
                 };
                 let what = format!(
-                    "{side:?} {ortho:?} restart {restart} recycled {}",
+                    "{side:?} {ortho:?} restart {restart} width {width} recycled {}",
                     space.is_some()
                 );
                 let mut after = space.cloned();
@@ -142,16 +160,16 @@ fn each_panel_column_is_its_single_solve_bitwise() {
                     &a,
                     &jacobi,
                     &SeqDot,
-                    &panel,
-                    &x0,
-                    k,
+                    &panel[..width * n],
+                    &x0[..width * n],
+                    width,
                     &opts,
                     None,
                     after.as_mut(),
                     &mut ws,
                 )
                 .expect("panel solve");
-                assert_eq!(got.len(), k, "{what}: one result a column");
+                assert_eq!(got.len(), width, "{what}: one result a column");
                 for (c, (b, res)) in rhs.iter().zip(&got).enumerate() {
                     // From the space as the panel found it.
                     let want = match space {
@@ -171,7 +189,185 @@ fn each_panel_column_is_its_single_solve_bitwise() {
                     .expect("single solve");
                     assert_same(&format!("{what}, column {c}"), res, &want);
                 }
+                if width == k {
+                    // The shapes the panel has to survive.
+                    let iters: Vec<usize> = got.iter().map(|r| r.iterations).collect();
+                    assert!(got[0].converged && got[4].converged, "{what}: {iters:?}");
+                    assert_eq!(got[2].status, SolveStatus::Breakdown, "{what}");
+                    assert_eq!((iters[3], got[3].converged), (0, true), "{what}");
+                }
             }
+        }
+    }
+}
+
+/// `cgs2_matches_mgs_on_ill_conditioned`'s table (dd-krylov's unit tests):
+/// a tridiagonal SPD matrix of diagonal `10^(i mod 7)`, `n = 50`, `b = 1`,
+/// unpreconditioned, `tol = 1e-10`, one cycle.
+fn ill_conditioned() -> CsrMatrix {
+    let n = 50;
+    let mut c = CooBuilder::new(n, n);
+    for i in 0..n {
+        c.push(i, i, 10f64.powi((i % 7) as i32));
+        if i + 1 < n {
+            c.push(i, i + 1, 1.0);
+            c.push(i + 1, i, 1.0);
+        }
+    }
+    c.to_csr()
+}
+
+/// The identity preconditioner and the sequential inner product, each
+/// keeping what it is handed: every vector the preconditioner is applied
+/// to, and the longest basis a Gram pass reads.
+#[derive(Default)]
+struct Probe {
+    applied: RefCell<Vec<Vec<f64>>>,
+    basis: RefCell<Vec<Vec<f64>>>,
+}
+
+impl Probe {
+    fn keep(&self, vs: &[Vec<f64>]) {
+        let mut basis = self.basis.borrow_mut();
+        if vs.len() > basis.len() {
+            *basis = vs.to_vec();
+        }
+    }
+}
+
+impl Preconditioner for Probe {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.applied.borrow_mut().push(r.to_vec());
+        z.copy_from_slice(r);
+    }
+}
+
+impl InnerProduct for Probe {
+    fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        SeqDot.local_dot(x, y)
+    }
+
+    fn local_dots(&self, w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        self.keep(vs);
+        SeqDot.local_dots(w, vs, out);
+    }
+
+    fn local_dots2(&self, x: &[f64], y: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        self.keep(vs);
+        SeqDot.local_dots2(x, y, vs, out);
+    }
+
+    fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
+        SeqDot.try_reduce_into(locals, out)
+    }
+}
+
+/// `‖I − V_jᵀV_j‖_F` over the leading `j` columns of `v`, `j = 1..=len`.
+fn orthogonality_loss(v: &[Vec<f64>]) -> Vec<f64> {
+    let mut sum = 0.0;
+    (0..v.len())
+        .map(|j| {
+            // Add row and column `j` of `I − VᵀV` to the running square.
+            for i in 0..=j {
+                let e = f64::from(u8::from(i == j)) - vector::dot(&v[i], &v[j]);
+                sum += if i == j { e * e } else { 2.0 * e * e };
+            }
+            sum.sqrt()
+        })
+        .collect()
+}
+
+/// The basis of the ill-conditioned table's one cycle is orthonormal to
+/// rounding, iteration by iteration, under MGS, CGS2 and DCGS2; DCGS2's loss
+/// stays within 2× CGS2's at every iteration (with a floor of `n·ε` per
+/// column), and all three take the same number of iterations within 3.
+/// The basis is read where the loop hands it over: MGS and CGS2 apply the
+/// preconditioner to `v_k` itself, DCGS2 to the unnormalized candidate, so
+/// there the basis is the one its Gram passes read.
+#[test]
+fn the_basis_stays_orthonormal_under_dcgs2_as_under_cgs2() {
+    let a = ill_conditioned();
+    let n = a.rows();
+    let b = vec![1.0; n];
+    let mut loss = Vec::new();
+    let mut iterations = Vec::new();
+    for ortho in [Ortho::Mgs, Ortho::Cgs2, Ortho::Dcgs2] {
+        let opts = GmresOpts {
+            tol: 1e-10,
+            max_iters: 300,
+            ortho,
+            ..Default::default()
+        };
+        let probe = Probe::default();
+        let res = try_gmres(&a, &probe, &probe, &b, &vec![0.0; n], &opts, None).unwrap();
+        assert!(res.converged, "{ortho:?}");
+        assert!(res.iterations < opts.restart, "{ortho:?}: one cycle");
+        let v = match ortho {
+            Ortho::Dcgs2 => probe.basis.take(),
+            _ => probe.applied.take(),
+        };
+        assert_eq!(
+            v.len(),
+            res.iterations,
+            "{ortho:?}: one vector an iteration"
+        );
+        if ortho == Ortho::Cgs2 {
+            // The Gram passes read the vectors the preconditioner is applied
+            // to: the probe sees the basis both ways.
+            assert!(probe.basis.take() == v, "CGS2: two views of one basis");
+        }
+        loss.push(orthogonality_loss(&v));
+        iterations.push(res.iterations);
+    }
+    let eps = f64::EPSILON;
+    for (j, ((mgs, cgs2), dcgs2)) in loss[0].iter().zip(&loss[1]).zip(&loss[2]).enumerate() {
+        let floor = (n * (j + 1)) as f64 * eps;
+        assert!(*cgs2 <= floor, "CGS2 at {}: {cgs2:e}", j + 1);
+        assert!(
+            *dcgs2 <= 2.0 * cgs2.max(floor),
+            "DCGS2 at {}: {dcgs2:e} against CGS2 {cgs2:e}",
+            j + 1
+        );
+        assert!(mgs.is_finite(), "MGS at {}", j + 1);
+    }
+    let (lo, hi) = (iterations.iter().min(), iterations.iter().max());
+    assert!(hi.unwrap() - lo.unwrap() <= 3, "iterations {iterations:?}");
+    // `--nocapture` prints the table: iteration, MGS, CGS2, DCGS2.
+    for (j, ((mgs, cgs2), dcgs2)) in loss[0].iter().zip(&loss[1]).zip(&loss[2]).enumerate() {
+        println!("{:>3} {mgs:.2e} {cgs2:.2e} {dcgs2:.2e}", j + 1);
+    }
+}
+
+/// A classical solve applies the preconditioner once an iteration and the
+/// operator once more a cycle (its start residual), whatever its
+/// orthogonalization: DCGS2 finalizes a cycle's last column by a reduction,
+/// not by another apply. Right-preconditioned, on the ill-conditioned table
+/// at restart 9 (several cycles) and 200 (one).
+#[test]
+fn a_classical_solve_applies_once_an_iteration() {
+    let a = ill_conditioned();
+    let n = a.rows();
+    let b = vec![1.0; n];
+    for ortho in [Ortho::Dcgs2, Ortho::Cgs2, Ortho::Mgs] {
+        for restart in [9, 200] {
+            let opts = GmresOpts {
+                restart,
+                tol: 1e-8,
+                max_iters: 400,
+                ortho,
+                ..Default::default()
+            };
+            let op = Counted {
+                a: a.clone(),
+                applies: Cell::new(0),
+            };
+            let probe = Probe::default();
+            let res = try_gmres(&op, &probe, &SeqDot, &b, &vec![0.0; n], &opts, None).unwrap();
+            let what = format!("{ortho:?} restart {restart}");
+            assert!(res.converged, "{what}");
+            let cycles = res.iterations.div_ceil(restart);
+            assert_eq!(probe.applied.borrow().len(), res.iterations, "{what}");
+            assert_eq!(op.applies.get(), res.iterations + cycles, "{what}");
         }
     }
 }
