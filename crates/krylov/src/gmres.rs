@@ -229,12 +229,6 @@ impl GmresWorkspace {
         self.dots.resize(k * (2 * m + 3), 0.0);
         self.live.reserve(k);
         self.lags.resize_with(k, Default::default);
-        for lag in &mut self.lags {
-            if lag.rows != m + 1 {
-                lag.rows = m + 1;
-                lag.h.clear();
-            }
-        }
         self.ending.reserve(k);
     }
 }
@@ -245,20 +239,25 @@ impl GmresWorkspace {
 /// awaits its reorthogonalization.
 #[derive(Default)]
 struct Lag {
-    /// Column-major, `rows = m + 1`, grown per column a cycle reaches.
+    /// The columns packed one after another, column `j` (rows `0..=j+1`)
+    /// from [`Lag::start`]`(j)`, grown per column a cycle reaches.
     h: Vec<f64>,
-    rows: usize,
     pending: bool,
 }
 
 impl Lag {
+    /// Where column `j` starts: `Σ_{i<j} (i + 2)`.
+    fn start(j: usize) -> usize {
+        j * (j + 3) / 2
+    }
+
     /// Column `j`, grown into being on first use.
     fn col(&mut self, j: usize) -> &mut [f64] {
-        let end = (j + 1) * self.rows;
+        let (start, end) = (Self::start(j), Self::start(j + 1));
         if self.h.len() < end {
             self.h.resize(end, 0.0);
         }
-        &mut self.h[j * self.rows..end]
+        &mut self.h[start..end]
     }
 }
 
@@ -759,13 +758,12 @@ impl<P: InnerProduct + ?Sized> Step<'_, P> {
         // `(t − H a)/ρ`, `H` the unrotated Hessenberg columns before it.
         let c = (beta - a.iter().zip(g.iter()).map(|(x, y)| x * y).sum::<f64>()) / rho;
         lag.col(k);
-        let rows = lag.rows;
-        let (prev, col) = lag.h.split_at_mut(k * rows);
+        let (prev, col) = lag.h.split_at_mut(Lag::start(k));
         let col = &mut col[..=k];
         col[..k].copy_from_slice(g);
         col[k] = c;
         for (j, &aj) in a.iter().enumerate() {
-            for (ci, hij) in col.iter_mut().zip(&prev[j * rows..j * rows + j + 2]) {
+            for (ci, hij) in col.iter_mut().zip(&prev[Lag::start(j)..Lag::start(j + 1)]) {
                 *ci -= aj * hij;
             }
         }

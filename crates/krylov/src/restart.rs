@@ -43,9 +43,10 @@ pub(crate) struct LeastSquares {
     y: Vec<f64>,
     /// The map from a cycle's update directions to its basis, when the body
     /// keeps directions it did not orthonormalize (`Ortho::Dcgs2` keeps
-    /// `z̃_j = M⁻¹ṽ_j` with `Ṽ = V R`): `R`, upper triangular, column-major
-    /// with `rows` rows and grown like `h`. `mapped` says whether this cycle
-    /// has one; [`LeastSquares::solve`] then returns `R⁻¹ y`.
+    /// `z̃_j = M⁻¹ṽ_j` with `Ṽ = V R`): `R`, upper triangular, its columns
+    /// packed one after another (column `k` is `k + 1` values) and grown
+    /// like `h`. `mapped` says whether this cycle has one;
+    /// [`LeastSquares::solve`] then returns `R⁻¹ y`.
     r: Vec<f64>,
     mapped: bool,
 }
@@ -56,7 +57,6 @@ impl LeastSquares {
         if self.rows != m + 1 {
             self.rows = m + 1;
             self.h.clear();
-            self.r.clear();
         }
         self.g.resize(m + 1, 0.0);
         self.rot.clear();
@@ -76,12 +76,12 @@ impl LeastSquares {
     /// Column `k` of the basis map `R`, grown into being on first use; the
     /// cycle's coefficients are mapped through it from now on.
     pub(crate) fn map_column(&mut self, k: usize) -> &mut [f64] {
-        let end = (k + 1) * self.rows;
+        let (start, end) = (k * (k + 1) / 2, (k + 1) * (k + 2) / 2);
         if self.r.len() < end {
             self.r.resize(end, 0.0);
         }
         self.mapped = true;
-        &mut self.r[k * self.rows..end]
+        &mut self.r[start..end]
     }
 
     /// Entry `(i, j)` of a column already written.
@@ -149,16 +149,22 @@ impl LeastSquares {
     #[allow(clippy::needless_range_loop)] // `j` indexes a row of `h` too
     pub(crate) fn solve(&mut self, k: usize) -> Option<&[f64]> {
         let y = &mut self.y[..k];
-        for (h, mapped) in [(&self.h, false), (&self.r, true)] {
-            if mapped && !self.mapped {
-                break;
+        for i in (0..k).rev() {
+            let mut s = self.g[i];
+            for j in i + 1..k {
+                s -= self.h[j * self.rows + i] * y[j];
             }
+            y[i] = s / self.h[i * self.rows + i];
+        }
+        if self.mapped {
+            // Column `j` of `R` starts at `j (j + 1) / 2`.
+            let r = |i: usize, j: usize| self.r[j * (j + 1) / 2 + i];
             for i in (0..k).rev() {
-                let mut s = if mapped { y[i] } else { self.g[i] };
+                let mut s = y[i];
                 for j in i + 1..k {
-                    s -= h[j * self.rows + i] * y[j];
+                    s -= r(i, j) * y[j];
                 }
-                y[i] = s / h[i * self.rows + i];
+                y[i] = s / r(i, i);
             }
         }
         y.iter().all(|v| v.is_finite()).then_some(&*y)

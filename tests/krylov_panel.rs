@@ -15,8 +15,8 @@
 use dd_geneo::krylov::{
     fused_pipelined_gmres_panel, pipelined_gmres_panel, try_gmres, try_gmres_panel, try_gmres_with,
     CheckpointCfg, CheckpointSink, FnPrecond, FusedPreconditioner, GmresOpts, GmresWorkspace,
-    InnerProduct, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side, SolveCheckpoint,
-    SolveInterrupt, SolveResult, SolveStatus,
+    IdentityPrecond, InnerProduct, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side,
+    SolveCheckpoint, SolveInterrupt, SolveResult, SolveStatus,
 };
 use dd_geneo::linalg::{vector, CooBuilder, CsrMatrix};
 use std::cell::{Cell, RefCell};
@@ -516,4 +516,84 @@ fn every_loop_rejects_inputs_of_the_wrong_length() {
     let resume = Some(&good_resume);
     try_gmres(&op, m, ip, &b, &x0, &gmres, resume).expect("a resume of the right length");
     assert!(op.applies.get() > 0);
+}
+
+/// `SeqDot`, counting its reductions.
+#[derive(Default)]
+struct CountedDot(Cell<usize>);
+
+impl InnerProduct for CountedDot {
+    fn local_dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        SeqDot.local_dot(x, y)
+    }
+
+    fn local_dots2(&self, x: &[f64], y: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
+        SeqDot.local_dots2(x, y, vs, out);
+    }
+
+    fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
+        self.0.set(self.0.get() + 1);
+        SeqDot.try_reduce_into(locals, out)
+    }
+}
+
+/// A DCGS2 column whose candidate lies within `10⁻⁵` of the basis cannot
+/// be read ahead (its once-projected norm cancels), so it is finalized
+/// early by one more reduction; where it does not end the cycle, the cycle
+/// goes on from the final vector. `diag(1..=12)` and a right-hand side
+/// with components `10⁻⁷` on the upper six eigenvectors: after six
+/// iterations the Krylov space nearly closes, then opens again. Against a
+/// generic column in one panel, and alone: one cycle, the true residual
+/// at the tolerance, the history one entry an iteration, a reduction more
+/// than a cycle without such a column takes (one a step, one for the start
+/// residual, one for the cycle's end), and each panel column its
+/// one-column solve to the bit.
+#[test]
+fn a_dcgs2_column_finalized_early_goes_on_bitwise() {
+    let n = 12;
+    let mut c = CooBuilder::new(n, n);
+    for i in 0..n {
+        c.push(i, i, (i + 1) as f64);
+    }
+    let a = c.to_csr();
+    let near: Vec<f64> = (0..n).map(|i| if i < 6 { 1.0 } else { 1e-7 }).collect();
+    let generic: Vec<f64> = (0..n).map(|i| ((i as f64 + 0.5) * 0.9).sin()).collect();
+    let opts = GmresOpts {
+        tol: 1e-12,
+        max_iters: 100,
+        ..Default::default()
+    };
+    let x0 = vec![0.0; n];
+    let ip = CountedDot::default();
+    let alone = try_gmres(&a, &IdentityPrecond, &ip, &near, &x0, &opts, None).unwrap();
+    assert!(alone.converged, "{alone:?}");
+    assert_eq!(alone.history.len(), alone.iterations + 1);
+    assert!(
+        ip.0.get() > alone.iterations + 2,
+        "{} reductions",
+        ip.0.get()
+    );
+    let mut ax = vec![0.0; n];
+    a.spmv(&alone.x, &mut ax);
+    assert!(vector::dist2(&ax, &near) <= 10.0 * opts.tol * vector::norm2(&near));
+    for panel in [[&near, &generic], [&generic, &near]] {
+        let b: Vec<f64> = panel.iter().flat_map(|v| v.iter().copied()).collect();
+        let got = try_gmres_panel(
+            &a,
+            &IdentityPrecond,
+            &SeqDot,
+            &b,
+            &vec![0.0; 2 * n],
+            2,
+            &opts,
+            None,
+            None,
+            &mut GmresWorkspace::new(),
+        )
+        .unwrap();
+        for (res, rhs) in got.iter().zip(panel) {
+            let want = try_gmres(&a, &IdentityPrecond, &SeqDot, rhs, &x0, &opts, None).unwrap();
+            assert_same("early-finalized panel", res, &want);
+        }
+    }
 }
