@@ -424,6 +424,7 @@ where
     let passes = match opts.ortho {
         Ortho::Mgs => 0,
         Ortho::Cgs => 1,
+        // (DCGS2 runs its own step.)
         Ortho::Cgs2 | Ortho::Dcgs2 => 2,
     };
     let lagged = opts.ortho == Ortho::Dcgs2;

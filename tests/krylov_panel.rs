@@ -527,10 +527,6 @@ impl InnerProduct for CountedDot {
         SeqDot.local_dot(x, y)
     }
 
-    fn local_dots2(&self, x: &[f64], y: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
-        SeqDot.local_dots2(x, y, vs, out);
-    }
-
     fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt> {
         self.0.set(self.0.get() + 1);
         SeqDot.try_reduce_into(locals, out)
