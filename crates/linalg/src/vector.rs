@@ -155,29 +155,16 @@ pub fn dot2_many<V: AsRef<[f64]>>(x: &[f64], y: &[f64], ys: &[V], out: &mut [f64
     for pair in pairs.by_ref() {
         let (v0, v1) = (pair[0].as_ref(), pair[1].as_ref());
         assert!(v0.len() == n && v1.len() == n, "dot2_many: length mismatch");
-        // Lanes of x·v0, x·v1, y·v0, y·v1.
-        let mut acc = [[0.0f64; 4]; 4];
-        let quads = x[..body]
-            .chunks_exact(4)
-            .zip(y[..body].chunks_exact(4))
-            .zip(v0[..body].chunks_exact(4))
-            .zip(v1[..body].chunks_exact(4));
-        for (((xc, yc), c0), c1) in quads {
-            for l in 0..4 {
-                acc[0][l] += xc[l] * c0[l];
-                acc[1][l] += xc[l] * c1[l];
-                acc[2][l] += yc[l] * c0[l];
-                acc[3][l] += yc[l] * c1[l];
+        let acc = pair_lanes(&x[..body], &y[..body], &v0[..body], &v1[..body]);
+        let tail = |a: &[f64], b: &[f64]| {
+            let mut t = 0.0;
+            for (p, q) in a[body..].iter().zip(&b[body..]) {
+                t += p * q;
             }
-        }
-        let mut tail = [0.0f64; 4];
-        for g in body..n {
-            tail[0] += x[g] * v0[g];
-            tail[1] += x[g] * v1[g];
-            tail[2] += y[g] * v0[g];
-            tail[3] += y[g] * v1[g];
-        }
-        let sum = |r: usize| acc[r][0] + acc[r][1] + acc[r][2] + acc[r][3] + tail[r];
+            t
+        };
+        let tails = [tail(x, v0), tail(x, v1), tail(y, v0), tail(y, v1)];
+        let sum = |r: usize| acc[r][0] + acc[r][1] + acc[r][2] + acc[r][3] + tails[r];
         ox[j] = sum(0);
         ox[j + 1] = sum(1);
         oy[j] = sum(2);
@@ -188,6 +175,35 @@ pub fn dot2_many<V: AsRef<[f64]>>(x: &[f64], y: &[f64], ys: &[V], out: &mut [f64
         ox[j] = dot(x, v.as_ref());
         oy[j] = dot(y, v.as_ref());
     }
+}
+
+/// The four lanes of `x·v0`, `x·v1`, `y·v0`, `y·v1` over slices of a
+/// multiple of four values. Kept out of line: inlined beside the tail
+/// loops, these loops were not vectorized (1.9× slower on 5 000 values).
+#[inline(never)]
+fn pair_lanes(x: &[f64], y: &[f64], v0: &[f64], v1: &[f64]) -> [[f64; 4]; 4] {
+    let mut acc = [[0.0f64; 4]; 4];
+    let quads = x
+        .chunks_exact(4)
+        .zip(y.chunks_exact(4))
+        .zip(v0.chunks_exact(4).zip(v1.chunks_exact(4)));
+    for ((xc, yc), (c0, c1)) in quads {
+        let lanes = |v: &[f64]| -> [f64; 4] { [v[0], v[1], v[2], v[3]] };
+        let (xc, yc, c0, c1) = (lanes(xc), lanes(yc), lanes(c0), lanes(c1));
+        for l in 0..4 {
+            acc[0][l] += xc[l] * c0[l];
+        }
+        for l in 0..4 {
+            acc[1][l] += xc[l] * c1[l];
+        }
+        for l in 0..4 {
+            acc[2][l] += yc[l] * c0[l];
+        }
+        for l in 0..4 {
+            acc[3][l] += yc[l] * c1[l];
+        }
+    }
+    acc
 }
 
 /// Two update blocks in one pass over the vectors: `y += Σ_j α_j·xs[j]` and
