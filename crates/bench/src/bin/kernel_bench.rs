@@ -19,8 +19,10 @@
 //!   `csrmm` vs the 4-column-blocked `bsrmm` on really-assembled 2D/3D
 //!   elasticity operators (padded-BSR auto-detection included);
 //! * **orthogonalisation panels** — the Gram row and the update block of a
-//!   CGS2 pass (`vector::dot_many` / `vector::axpy_many`) against the
-//!   per-vector loops, at the `diffusion2d_many` shape;
+//!   CGS2 pass (`vector::dot_many` / `vector::axpy_many`), and the two Gram
+//!   rows and two update blocks of a DCGS2 step (`vector::dot2_many` /
+//!   `vector::axpy2_many`), against the per-vector loops, at the
+//!   `diffusion2d_many` shape;
 //! * **LDLᵀ panel solves** — `solve_panel_with` on 1, 2, 4 and 8
 //!   right-hand sides against as many width-1 solves, on one subdomain of
 //!   each benchmark workload (bitwise, and its cost per column), and one
@@ -647,17 +649,73 @@ fn bench_ortho(rep: &mut Report, calib: f64) {
     });
     assert_eq!(bits(&w_loop), bits(&w_panel), "axpy panel differs");
 
+    // The DCGS2 step's pair: two Gram rows against one oracle `dot` per
+    // output, two update blocks against one `axpy` per vector and block.
+    let y: Vec<f64> = (0..N).map(|g| wave(7 * g + 5)).collect();
+    let (mut h2_loop, mut h2_panel) = (vec![0.0; 2 * NV], vec![0.0; 2 * NV]);
+    let t_gram2_loop = median_secs(5, || {
+        for _ in 0..REPS {
+            let out = black_box(&mut h2_loop);
+            for (j, v) in vs.iter().enumerate() {
+                out[j] = vector::dot(&w, v);
+                out[NV + j] = vector::dot(&y, v);
+            }
+        }
+    });
+    let t_gram2_panel = median_secs(5, || {
+        for _ in 0..REPS {
+            vector::dot2_many(&w, &y, &vs, black_box(&mut h2_panel));
+        }
+    });
+    assert_eq!(bits(&h2_loop), bits(&h2_panel), "gram2 panel differs");
+
+    let minus_h2: Vec<f64> = h2_loop.iter().map(|h| -h / N as f64).collect();
+    let (minus_a, minus_b) = minus_h2.split_at(NV);
+    let (mut y_loop, mut z_loop) = (w.clone(), y.clone());
+    let (mut y_panel, mut z_panel) = (w.clone(), y.clone());
+    let t_axpy2_loop = median_secs(5, || {
+        for _ in 0..REPS {
+            for ((a, b), v) in minus_a.iter().zip(minus_b).zip(&vs) {
+                vector::axpy(*a, v, black_box(&mut y_loop));
+                vector::axpy(*b, v, black_box(&mut z_loop));
+            }
+        }
+    });
+    let t_axpy2_panel = median_secs(5, || {
+        for _ in 0..REPS {
+            vector::axpy2_many(
+                minus_a,
+                minus_b,
+                &vs,
+                black_box(&mut y_panel),
+                black_box(&mut z_panel),
+            );
+        }
+    });
+    assert_eq!(bits(&y_loop), bits(&y_panel), "axpy2 panel differs (y)");
+    assert_eq!(bits(&z_loop), bits(&z_panel), "axpy2 panel differs (z)");
+
     rep.wall
         .insert("ratio/ortho/gram_panel", t_gram_panel / calib);
     rep.wall
         .insert("ratio/ortho/axpy_panel", t_axpy_panel / calib);
-    // Gated at 2×; the update block is bandwidth-bound on both sides
-    // (≈ 1.5×), so only its calibrated time is held, by the drift gate.
+    rep.wall
+        .insert("ratio/ortho/gram2_panel", t_gram2_panel / calib);
+    rep.wall
+        .insert("ratio/ortho/axpy2_panel", t_axpy2_panel / calib);
+    // The Gram rows are gated at 2× (2.5–3.3× on a native build). The
+    // update blocks are bandwidth-bound on both sides (1.4–1.6×, the pair
+    // 2.3–2.6×, too close to 2× for a floor), so only their calibrated
+    // times are held, by the drift gate.
     rep.wall
         .insert("speedup/gram_panel", t_gram_loop / t_gram_panel);
+    rep.wall
+        .insert("speedup/gram2_panel", t_gram2_loop / t_gram2_panel);
     for (key, t_loop, t_panel) in [
         ("ortho/gram_panel", t_gram_loop, t_gram_panel),
         ("ortho/axpy_panel", t_axpy_loop, t_axpy_panel),
+        ("ortho/gram2_panel", t_gram2_loop, t_gram2_panel),
+        ("ortho/axpy2_panel", t_axpy2_loop, t_axpy2_panel),
     ] {
         let per = 1e6 / REPS as f64;
         rep.lines.push(format!(

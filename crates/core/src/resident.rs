@@ -41,11 +41,10 @@ use crate::spmd::{
     SpmdOpts, SpmdReport,
 };
 use dd_comm::Communicator;
-use dd_krylov::operator::Reduction;
 use dd_krylov::{
-    fused_pipelined_gmres_panel, pipelined_gmres_panel, try_gmres_panel, CheckpointCfg,
-    FusedPreconditioner, GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace,
-    SolveInterrupt, SolveResult, SolveStatus,
+    fused_pipelined_gmres_panel, try_gmres_panel, CheckpointCfg, FusedPreconditioner,
+    GmresWorkspace, InnerProduct, Operator, Preconditioner, RecycleSpace, SolveInterrupt,
+    SolveResult, SolveStatus,
 };
 use dd_linalg::{vector, CsrMatrix, DMat};
 use dd_solver::{DistLdlt, LocalLdlt};
@@ -562,14 +561,6 @@ impl InnerProduct for MultiDot<'_> {
             .map_err(comm_interrupt)?;
         out.copy_from_slice(&reduced);
         Ok(())
-    }
-
-    fn reduce_begin<'b>(&'b self, locals: Vec<f64>) -> Result<Reduction<'b>, SolveInterrupt> {
-        let comm = self.ctx.comm;
-        let pending = comm.iallreduce_sum_vec(locals);
-        Ok(Box::new(move || {
-            comm.wait_reduce(pending).map_err(comm_interrupt)
-        }))
     }
 
     // dd:hot — runs once per Krylov iteration on every rank
@@ -1179,8 +1170,8 @@ impl PreparedMulti<'_> {
     ///
     /// Under [`SolverKind::Classical`] the columns run as recurrences that
     /// share every halo round, coarse solve and reduction
-    /// (`dd_krylov::try_gmres_panel`); the pipelined loops solve them one
-    /// after another. A set-up without a coarse level runs the classical
+    /// (`dd_krylov::try_gmres_panel`); the fused loop solves them one after
+    /// another. A set-up without a coarse level runs the classical
     /// loop whatever `opts.solver` names. Either way each answer equals, to
     /// the bit, the one-column solve from the same recycle state, and the
     /// apply ends on one barrier. Under a shift the Krylov loop solves the
@@ -1254,9 +1245,6 @@ impl PreparedMulti<'_> {
             match solver {
                 SolverKind::Classical => {
                     try_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle, &mut ws)
-                }
-                SolverKind::Pipelined => {
-                    pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)
                 }
                 SolverKind::Fused => {
                     fused_pipelined_gmres_panel(&op, m, &ip, b, &x0, k, gmres, ckpt, recycle)

@@ -17,8 +17,8 @@
 //!    partition-of-unity inner products, the RAS/A-DEF1 preconditioners,
 //!    and the coarse correction of §3.2 (`gather(v)` → `E⁻¹` →
 //!    `scatter(v)` → neighbor consistency sum, eq. 12);
-//! 5. optionally use the pipelined or *fused* p1-GMRES of §3.5, where the
-//!    Gram reductions ride on the coarse gather/scatter plus one
+//! 5. optionally use the *fused* p1-GMRES of §3.5, where the Gram
+//!    reductions ride on the coarse gather/scatter plus one
 //!    `MPI_Iallreduce` among masters overlapped with the coarse solve.
 //!
 //! Phases 1–3 are `try_setup_on`, the only set-up: [`try_setup`] (identity
@@ -72,8 +72,13 @@ pub enum AssemblyVariant {
 /// Which Krylov loop drives the solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
+    /// Restarted GMRES (`dd_krylov::try_gmres_panel`) on the side
+    /// `GmresOpts::side` names, orthogonalized by `GmresOpts::ortho`.
     Classical,
-    Pipelined,
+    /// The fused p1-GMRES of §3.5 (`dd_krylov::fused_pipelined_gmres_panel`):
+    /// each Gram row rides on the next coarse gather/scatter, so the loop
+    /// posts no standalone reduction. Left-preconditioned whatever
+    /// `GmresOpts::side` says; it ignores `GmresOpts::ortho`.
     Fused,
 }
 
@@ -113,7 +118,7 @@ pub struct SpmdOpts {
     pub gmres: GmresOpts,
     /// The Krylov loop of a two-level set-up. A one-level one (ν = 0, or
     /// a coarse level that failed or came out empty) runs the classical
-    /// loop: the pipelined loops hide a coarse solve it does not have.
+    /// loop: the fused loop rides a coarse solve it does not have.
     pub solver: SolverKind,
     /// Distributed vs redundant coarse factorization/solve on the masters.
     pub coarse_solve: CoarseSolve,
@@ -1109,23 +1114,6 @@ mod tests {
         let (reports, _) = spmd_solve(&decomp, &opts);
         assert!(reports.iter().all(|r| r.solve.result.converged));
         assert!(reports[0].report.dim_e > 0);
-    }
-
-    #[test]
-    fn pipelined_spmd_converges() {
-        let decomp = setup(12, 4);
-        let opts = SpmdOpts {
-            solver: SolverKind::Pipelined,
-            gmres: GmresOpts {
-                tol: 1e-6,
-                max_iters: 300,
-                side: dd_krylov::Side::Left,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (reports, _) = spmd_solve(&decomp, &opts);
-        assert!(reports.iter().all(|r| r.solve.result.converged));
     }
 
     #[test]

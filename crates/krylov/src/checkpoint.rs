@@ -48,7 +48,7 @@ pub trait CheckpointSink {
 
 /// Checkpoint configuration handed to the fallible solver entry points:
 /// every GMRES loop (`try_gmres`, `try_gmres_with`, `try_gmres_panel`,
-/// `pipelined_gmres_panel`, `fused_pipelined_gmres_panel`).
+/// `fused_pipelined_gmres_panel`).
 pub struct CheckpointCfg<'a> {
     /// Snapshot every `interval` iterations (values < 1 behave as 1).
     pub interval: usize,

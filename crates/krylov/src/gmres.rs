@@ -13,10 +13,7 @@
 //!   reductions plus one normalization reduction per iteration, nearly as
 //!   robust as MGS at a reduction count independent of the basis size;
 //! * [`Ortho::Mgs`] — modified Gram–Schmidt, `i + 1` reductions per
-//!   iteration (robust reference);
-//! * [`Ortho::Cgs`] — classical Gram–Schmidt with a single batched Gram
-//!   reduction plus one normalization reduction per iteration; it loses
-//!   orthogonality on ill-conditioned problems.
+//!   iteration (robust reference).
 //!
 //! Under [`Ortho::Dcgs2`] a step applies the operator (and preconditioner)
 //! to the *candidate* `ṽ_k`, the next basis vector projected once and not
@@ -46,14 +43,13 @@ use dd_linalg::vector;
 /// Orthogonalization strategy inside the Arnoldi process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Ortho {
-    /// Modified Gram–Schmidt.
+    /// Modified Gram–Schmidt: the robust reference the batched variants
+    /// are compared against.
     Mgs,
-    /// Classical Gram–Schmidt (batched reductions). One Gram reduction per
-    /// iteration, but loses orthogonality on ill-conditioned problems.
-    Cgs,
     /// Reorthogonalized classical Gram–Schmidt (CGS2): two batched Gram
     /// reductions per iteration — nearly as robust as MGS while keeping
-    /// the reduction count independent of the basis size.
+    /// the reduction count independent of the basis size. The reference
+    /// for DCGS2's orthogonality.
     Cgs2,
     /// CGS2 with delayed reorthogonalization (DCGS2): one reduction per
     /// iteration, which reorthogonalizes the previous vector and projects
@@ -78,27 +74,29 @@ pub enum Side {
     Right,
 }
 
-/// Options for [`try_gmres`] and the pipelined loops
-/// ([`crate::pipelined_gmres_panel`], [`crate::fused_pipelined_gmres_panel`]). Every
-/// loop reads `tol`, `max_iters`, `record_history` and `guard`, which live
-/// in the restart driver they share.
+/// Options for the classical loop ([`try_gmres`], [`try_gmres_with`],
+/// [`try_gmres_panel`]) and the fused p1 loop
+/// ([`crate::fused_pipelined_gmres_panel`]). Both loops read `restart`,
+/// `tol`, `max_iters`, `record_history` and `guard`; the last four live in
+/// the restart driver they share.
 #[derive(Clone, Debug)]
 pub struct GmresOpts {
-    /// Restart length `m` (the pipelined loops run at least 2).
+    /// Restart length `m`; the fused loop runs at least 2.
     pub restart: usize,
-    /// Relative residual tolerance: on the true residual under
-    /// [`Side::Right`], on the preconditioned one under [`Side::Left`] (and
-    /// in the pipelined loops), relative to that residual at `x0` — at the
-    /// original solve's `x0` when resuming a checkpoint, and before any
-    /// recycle-space correction.
+    /// Relative residual tolerance, met by the residual the loop iterates
+    /// on: the true one under [`Side::Right`], the preconditioned one under
+    /// [`Side::Left`] and in the fused loop. It is relative to that residual
+    /// at `x0` — at the original solve's `x0` when resuming a checkpoint,
+    /// and before any recycle-space correction.
     pub tol: f64,
     /// Maximum total iterations across restarts.
     pub max_iters: usize,
-    /// Orthogonalization variant. Classical loop only: the pipelined loops
-    /// orthogonalize by the one Gram row per iteration they are built on.
+    /// Orthogonalization of the classical loop. The fused loop ignores it:
+    /// it orthogonalizes by the one Gram row an iteration that its
+    /// recurrence is built on.
     pub ortho: Ortho,
-    /// Preconditioning side. Classical loop only: the pipelined loops are
-    /// left-preconditioned whatever this says.
+    /// Preconditioning side of the classical loop. The fused loop ignores
+    /// it: it is left-preconditioned whatever this says.
     pub side: Side,
     /// Record the residual at every iteration.
     pub record_history: bool,
@@ -162,7 +160,7 @@ pub struct SolveResult {
     /// Whether the tolerance was met.
     pub converged: bool,
     /// Relative residual at each iteration — true under [`Side::Right`],
-    /// preconditioned under [`Side::Left`] and in the pipelined loops —
+    /// preconditioned under [`Side::Left`] and in the fused loop —
     /// starting with iteration 0 (the initial residual, = 1).
     pub history: Vec<f64>,
     /// Final relative residual estimate.
@@ -421,12 +419,7 @@ where
     let right = matches!(opts.side, Side::Right);
     // The residual is the true one (right) or the preconditioned one (left).
     let left = (!right).then_some(precond);
-    let passes = match opts.ortho {
-        Ortho::Mgs => 0,
-        Ortho::Cgs => 1,
-        // (DCGS2 runs its own step.)
-        Ortho::Cgs2 | Ortho::Dcgs2 => 2,
-    };
+    let mgs = opts.ortho == Ortho::Mgs;
     let lagged = opts.ortho == Ortho::Dcgs2;
     let cycle = |runs: &mut [restart::Run<'_>], active: &[usize], starts: &restart::Starts<'_>| {
         // Per column, the Arnoldi basis (m+1 pool vectors max); right
@@ -502,7 +495,7 @@ where
             }
             // Orthogonalize, every reduction carrying every live column.
             let w = |slot: usize| (slot * n)..((slot + 1) * n);
-            if passes == 0 {
+            if mgs {
                 // Modified Gram–Schmidt: one reduction per basis vector.
                 for j in 0..nv {
                     for (slot, &i) in live.iter().enumerate() {
@@ -518,11 +511,11 @@ where
                     }
                 }
             } else {
-                // Classical Gram–Schmidt, `passes` batched Gram reductions.
+                // CGS2: two batched Gram reductions.
                 for &i in live.iter() {
                     runs[i].h(k)[..=k].fill(0.0);
                 }
-                for _ in 0..passes {
+                for _ in 0..2 {
                     // One panel pass for each Gram row, one for each update
                     // w −= Σ h_j v_j: the bits of the per-vector loops
                     // (DESIGN.md, "orthogonalisation in panels").
@@ -986,27 +979,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn mgs_and_cgs_agree() {
-        let a = laplacian_2d(8, 8);
-        let n = a.rows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let x0 = vec![0.0; n];
-        let mut o1 = GmresOpts {
-            tol: 1e-12,
-            ..Default::default()
-        };
-        o1.ortho = Ortho::Mgs;
-        let mut o2 = o1.clone();
-        o2.ortho = Ortho::Cgs;
-        let r1 = try_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &o1, None).unwrap();
-        let r2 = try_gmres(&a, &IdentityPrecond, &SeqDot, &b, &x0, &o2, None).unwrap();
-        assert!(r1.converged && r2.converged);
-        assert!(vector::dist2(&r1.x, &r2.x) < 1e-7 * vector::norm2(&r1.x));
-        // iteration counts within 2 of each other
-        assert!((r1.iterations as i64 - r2.iterations as i64).abs() <= 2);
-    }
-
-    #[test]
     fn restart_still_converges() {
         let a = laplacian_2d(12, 12);
         let n = a.rows();
@@ -1339,11 +1311,10 @@ pub(crate) mod tests {
     ) -> Result<SolveResult, SolveInterrupt>;
 
     /// Every loop with the side it runs on: the classical loop on both, the
-    /// pipelined ones on the left (whatever `opts.side` says).
-    pub(crate) const LOOPS: [(&str, Loop, Side); 4] = [
+    /// fused one on the left (whatever `opts.side` says).
+    pub(crate) const LOOPS: [(&str, Loop, Side); 3] = [
         ("classical-left", classical, Side::Left),
         ("classical-right", classical, Side::Right),
-        ("pipelined", crate::pipelined::tests::overlapped, Side::Left),
         ("fused", crate::pipelined::tests::fused, Side::Left),
     ];
 

@@ -3,9 +3,9 @@
 //! Krylov solvers for the domain decomposition workspace: restarted
 //! GMRES(m) (the paper's solver of choice), right-preconditioned by
 //! default and left-preconditioned on request, and the left-preconditioned
-//! pipelined / fused p1-GMRES variants of §3.5 that trade standalone
-//! global reductions for communication piggy-backed on the coarse
-//! correction. Every loop runs on one restart driver.
+//! fused p1-GMRES of §3.5 that trades standalone global reductions for
+//! communication piggy-backed on the coarse correction. Both loops run on
+//! one restart driver.
 //!
 //! Solvers are generic over [`Operator`], [`Preconditioner`] and
 //! [`InnerProduct`], so the same code runs sequentially (`SeqDot`) and in
@@ -28,6 +28,6 @@ pub use gmres::{
 pub use operator::{
     FnPrecond, IdentityPrecond, InnerProduct, Operator, Preconditioner, SeqDot, SolveInterrupt,
 };
-pub use pipelined::{fused_pipelined_gmres_panel, pipelined_gmres_panel, FusedPreconditioner};
+pub use pipelined::{fused_pipelined_gmres_panel, FusedPreconditioner};
 pub use recycle::RecycleSpace;
 pub use sdc::{SdcGuard, SdcSuspected};

@@ -166,7 +166,7 @@ impl Preconditioner for IdentityPrecond {
 }
 
 /// Global inner products, split into a local contribution and a reduction
-/// so distributed implementations can batch and overlap the reductions.
+/// so distributed implementations can batch the reductions.
 pub trait InnerProduct {
     /// Local contribution to `⟨x, y⟩` (the full dot product sequentially).
     fn local_dot(&self, x: &[f64], y: &[f64]) -> f64;
@@ -206,15 +206,6 @@ pub trait InnerProduct {
     /// steady-state inner loops allocation-free).
     fn try_reduce_into(&self, locals: &[f64], out: &mut [f64]) -> Result<(), SolveInterrupt>;
 
-    /// Begin a non-blocking reduction; the returned closure completes it.
-    /// Either half can fail. Default: reduce immediately (no overlap
-    /// available).
-    fn reduce_begin<'a>(&'a self, locals: Vec<f64>) -> Result<Reduction<'a>, SolveInterrupt> {
-        let mut done = vec![0.0; locals.len()];
-        self.try_reduce_into(&locals, &mut done)?;
-        Ok(Box::new(move || Ok(done)))
-    }
-
     /// Iteration-boundary hook: solvers call this once per Krylov
     /// iteration with the (0-based, cumulative across restarts) iteration
     /// index. Distributed implementations forward it to the telemetry
@@ -240,10 +231,6 @@ pub trait InnerProduct {
         Ok(d.max(0.0).sqrt())
     }
 }
-
-/// A reduction in flight ([`InnerProduct::reduce_begin`]): call it to wait
-/// for the reduced values.
-pub type Reduction<'a> = Box<dyn FnOnce() -> Result<Vec<f64>, SolveInterrupt> + 'a>;
 
 /// Sequential inner product: plain dot, identity reduction.
 pub struct SeqDot;
@@ -319,13 +306,6 @@ mod tests {
         let y = [3.0, 4.0];
         assert_eq!(ip.try_dot(&x, &y).unwrap(), 11.0);
         assert_eq!(ip.try_norm(&[3.0, 4.0]).unwrap(), 5.0);
-    }
-
-    #[test]
-    fn reduce_begin_default_completes() {
-        let ip = SeqDot;
-        let pending = ip.reduce_begin(vec![1.0, 2.0]).unwrap();
-        assert_eq!(pending().unwrap(), vec![1.0, 2.0]);
     }
 
     #[test]

@@ -1,28 +1,27 @@
-//! Pipelined GMRES (p1-GMRES, Ghysels et al.) and the paper's *fused*
-//! variant (§3.5).
+//! The paper's *fused* pipelined GMRES (§3.5), on the p1-GMRES recurrence
+//! of Ghysels et al.
 //!
 //! Classical GMRES synchronizes globally to orthogonalize and to
 //! normalize: three reductions per iteration under `Ortho::Cgs2`, one under
 //! the default `Ortho::Dcgs2` (plus one per cycle), each waited for where
-//! it is posted. p1-GMRES hides that latency by
-//! maintaining a shadow basis `z_j = B v_j`: the matrix–vector product of
-//! iteration `i` is applied to the *unorthogonalized* candidate `w_{i−1}`
-//! and corrected afterwards by linearity,
-//! `B v_i = (B w_{i−1} − Σ_j h_{j,i−1} z_j)/h_{i,i−1}`, so the single
-//! batched reduction posted at iteration `i−1` (Gram row + ‖w‖²) completes
-//! *while* the matvec runs. The basis norm comes from the Pythagorean
+//! it is posted. p1-GMRES maintains a shadow basis `z_j = B v_j`: the
+//! matrix–vector product of iteration `i` is applied to the
+//! *unorthogonalized* candidate `w_{i−1}` and corrected afterwards by
+//! linearity, `B v_i = (B w_{i−1} − Σ_j h_{j,i−1} z_j)/h_{i,i−1}`, so the
+//! single batched reduction of iteration `i−1` (Gram row + ‖w‖²) is not
+//! needed before that product. The basis norm comes from the Pythagorean
 //! identity `‖u‖² = ‖w‖² − Σ h²` (with an explicit renormalization
 //! fallback on cancellation — the square-root breakdown Ghysels describes).
 //!
-//! The fused variant goes one step further, exactly as §3.5 proposes: the
-//! non-reduced Gram values ride along the gather/scatter of the coarse
-//! correction inside the next preconditioner application, so an iteration
-//! performs **zero** standalone global reductions — only the
-//! `MPI_Iallreduce` among masters, overlapped with the coarse solve.
+//! The fused loop places that reduction as §3.5 proposes: the non-reduced
+//! Gram values ride along the gather/scatter of the coarse correction
+//! inside the next preconditioner application, so an iteration performs
+//! **zero** standalone global reductions — only the `MPI_Iallreduce` among
+//! masters, overlapped with the coarse solve.
 
 use crate::checkpoint::CheckpointCfg;
 use crate::gmres::{GmresOpts, SolveResult};
-use crate::operator::{InnerProduct, Operator, Preconditioner, Reduction, SolveInterrupt};
+use crate::operator::{InnerProduct, Operator, Preconditioner, SolveInterrupt};
 use crate::recycle::RecycleSpace;
 use crate::restart::{self, Skeleton};
 use dd_linalg::vector;
@@ -42,11 +41,20 @@ pub trait FusedPreconditioner: Preconditioner {
     ) -> Result<Vec<f64>, SolveInterrupt>;
 }
 
-/// p1-GMRES with non-blocking reductions overlapped with the matvec: each
-/// Gram row is posted as soon as it is formed and awaited after the next
-/// preconditioner application.
+/// Local parts of the payload an iteration hands the next preconditioner
+/// apply: the Gram row of `w` against the basis `v`, then `‖w‖²`.
+fn gram_row<P: InnerProduct + ?Sized>(ip: &P, w: &[f64], v: &[Vec<f64>]) -> Vec<f64> {
+    let mut row = vec![0.0; v.len() + 1];
+    ip.local_dots(w, v, &mut row[..v.len()]);
+    row[v.len()] = ip.local_dot(w, w);
+    row
+}
+
+/// Fused p1-GMRES: the Gram row is held back and rides, unreduced, on the
+/// next preconditioner application's coarse gather/scatter (§3.5 of the
+/// paper).
 /// Left-preconditioned whatever `opts.side` says; [`GmresOpts`] documents
-/// which fields the pipelined loops read. `ckpt` and `recycle` act as in
+/// which fields the loop reads. `ckpt` and `recycle` act as in
 /// [`crate::try_gmres_with`]; a snapshot taken at iteration `k` holds the
 /// iterate over the `k` columns final by then, as the classical loop's
 /// does (the matvec iteration `k` already spent on the next candidate is
@@ -59,35 +67,6 @@ pub trait FusedPreconditioner: Preconditioner {
 /// residuals, the recycle-space correction from the directions the space
 /// holds at entry, the harvest in column order — they share here too. Each
 /// column is its one-column solve to the bit.
-#[allow(clippy::too_many_arguments)]
-pub fn pipelined_gmres_panel<O, M, P>(
-    op: &O,
-    precond: &M,
-    ip: &P,
-    b: &[f64],
-    x0: &[f64],
-    k: usize,
-    opts: &GmresOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-    recycle: Option<&mut RecycleSpace>,
-) -> Result<Vec<SolveResult>, SolveInterrupt>
-where
-    O: Operator + ?Sized,
-    M: Preconditioner + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    let post = |row| ip.reduce_begin(row);
-    let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| {
-        precond.try_apply_panel(1, ax, t)?;
-        row()
-    };
-    pgmres_impl(op, precond, ip, b, x0, k, opts, ckpt, recycle, post, step)
-}
-
-/// Fused p1-GMRES: the Gram row is held back and rides, unreduced, on the
-/// next preconditioner application's coarse gather/scatter (§3.5 of the
-/// paper). Arguments, and the `k` columns solved one after another, as for
-/// [`pipelined_gmres_panel`].
 #[allow(clippy::too_many_arguments)]
 pub fn fused_pipelined_gmres_panel<O, M, P>(
     op: &O,
@@ -103,44 +82,6 @@ pub fn fused_pipelined_gmres_panel<O, M, P>(
 where
     O: Operator + ?Sized,
     M: FusedPreconditioner + ?Sized,
-    P: InnerProduct + ?Sized,
-{
-    let post = |row| Ok(Box::new(move || Ok(row)) as Reduction<'_>);
-    let step = |ax: &[f64], t: &mut [f64], row: Reduction<'_>| precond.apply_fused(ax, t, row()?);
-    pgmres_impl(op, precond, ip, b, x0, k, opts, ckpt, recycle, post, step)
-}
-
-/// Local parts of the payload an iteration posts: the Gram row of `w`
-/// against the basis `v`, then `‖w‖²`.
-fn gram_row<P: InnerProduct + ?Sized>(ip: &P, w: &[f64], v: &[Vec<f64>]) -> Vec<f64> {
-    let mut row = vec![0.0; v.len() + 1];
-    ip.local_dots(w, v, &mut row[..v.len()]);
-    row[v.len()] = ip.local_dot(w, w);
-    row
-}
-
-/// The p1-GMRES Arnoldi process on the shared restart driver
-/// (`restart::solve`). `post` takes an iteration's local Gram row on its
-/// way to being reduced; `step(ax, t, row)` preconditions `ax` into `t` and
-/// hands back the row posted last, reduced — the two places the overlapped
-/// and the fused loop differ.
-#[allow(clippy::too_many_arguments)]
-fn pgmres_impl<'a, O, M, P>(
-    op: &O,
-    precond: &M,
-    ip: &P,
-    b: &[f64],
-    x0: &[f64],
-    k: usize,
-    opts: &GmresOpts,
-    ckpt: Option<&CheckpointCfg<'_>>,
-    recycle: Option<&mut RecycleSpace>,
-    post: impl Fn(Vec<f64>) -> Result<Reduction<'a>, SolveInterrupt>,
-    step: impl Fn(&[f64], &mut [f64], Reduction<'a>) -> Result<Vec<f64>, SolveInterrupt>,
-) -> Result<Vec<SolveResult>, SolveInterrupt>
-where
-    O: Operator + ?Sized,
-    M: Preconditioner + ?Sized,
     P: InnerProduct + ?Sized,
 {
     let n = op.dim();
@@ -173,33 +114,27 @@ where
             let mut v0 = r.to_vec();
             vector::scal(1.0 / beta, &mut v0);
             v.push(v0);
-            // w = B v_0 and the first posted reduction.
+            // w = B v_0 and the first unreduced Gram row. A row still
+            // unreduced when the cycle ends is dropped: nobody reads it.
             let mut w = vec![0.0; n];
             op.try_apply_panel(1, &v[0], &mut ax)?;
             precond.try_apply_panel(1, &ax, &mut w)?;
             z.push(w.clone());
-            let mut row = post(gram_row(ip, &w, &v))?;
+            let mut row = gram_row(ip, &w, &v);
             let mut i = 1;
-            // The loop's value is the row still in flight when the cycle ends.
-            let unread = loop {
-                if i > m || !run.next_iteration(ip) {
-                    break Some(row);
-                }
-                // ------------------------------------------------ overlap zone
-                // Matvec on the unorthogonalized candidate w_{i−1} while the
-                // reduction completes. In fused mode the preconditioner carries
-                // the payload and returns it reduced.
+            while i <= m && run.next_iteration(ip) {
+                // Matvec on the unorthogonalized candidate w_{i−1}; the
+                // preconditioner carries the row and returns it reduced.
                 let mut t = vec![0.0; n];
                 op.try_apply_panel(1, &w, &mut ax)?;
-                let dots = step(&ax, &mut t, row)?;
-                // ----------------------------------------- reduction available
+                let dots = precond.apply_fused(&ax, &mut t, row)?;
                 // dots = [⟨w,v_0⟩, …, ⟨w,v_{i−1}⟩, ‖w‖²] for w = w_{i−1}.
                 let wnorm2 = dots[i];
                 if !wnorm2.is_finite() || dots[..i].iter().any(|d| !d.is_finite()) {
                     // Non-finite Gram row: the candidate is poisoned; end the
                     // cycle with the columns finalized so far.
                     run.discard_column();
-                    break None;
+                    break;
                 }
                 let h = run.h(i - 1);
                 let mut sumsq = 0.0;
@@ -222,7 +157,7 @@ where
                 }
                 if !hii.is_finite() {
                     run.discard_column();
-                    break None;
+                    break;
                 }
                 run.h(i - 1)[i] = hii;
                 if hii <= run.tiny() {
@@ -231,24 +166,20 @@ where
                     // actually meets the tolerance (a singular operator or
                     // preconditioner reaches this point with a large one).
                     run.push_column(i - 1, &v);
-                    break None;
+                    break;
                 }
                 vector::scal(1.0 / hii, &mut u);
                 vector::scal(1.0 / hii, &mut zu);
                 v.push(u);
                 w = zu.clone();
                 z.push(zu);
-                // Post the next reduction: Gram row against v_0..v_i plus ‖w‖²,
-                // then Givens on the now-final column i−1.
-                row = post(gram_row(ip, &w, &v))?;
+                // The next row: Gram row against v_0..v_i plus ‖w‖², then
+                // Givens on the now-final column i−1.
+                row = gram_row(ip, &w, &v);
                 if !run.push_column(i - 1, &v[..i]) {
-                    break Some(row);
+                    break;
                 }
                 i += 1;
-            };
-            // A restart boundary: complete the reduction nobody will read.
-            if let Some(row) = unread {
-                row()?;
             }
             run.update(&v);
             Ok(())
@@ -291,29 +222,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The overlapped loop, a `crate::gmres::tests::Loop`.
-    pub(crate) fn overlapped(
-        op: &dyn Operator,
-        b: &[f64],
-        opts: &GmresOpts,
-        ckpt: Option<&CheckpointCfg<'_>>,
-        recycle: Option<&mut RecycleSpace>,
-    ) -> Result<SolveResult, SolveInterrupt> {
-        let x0 = vec![0.0; b.len()];
-        pipelined_gmres_panel(
-            op,
-            &IdentityPrecond,
-            &SeqDot,
-            b,
-            &x0,
-            1,
-            opts,
-            ckpt,
-            recycle,
-        )
-        .map(|mut r| r.remove(0))
-    }
-
     /// The fused loop, a `crate::gmres::tests::Loop`.
     pub(crate) fn fused(
         op: &dyn Operator,
@@ -327,12 +235,11 @@ pub(crate) mod tests {
             .map(|mut r| r.remove(0))
     }
 
-    /// The guard lives in the shared cycle-start check, so the pipelined
-    /// loops honour it like the classical one (tolerance 1e-8: see
+    /// The guard lives in the shared cycle-start check, so the fused loop
+    /// honours it like the classical one (tolerance 1e-8: see
     /// `pipelined_matches_classical_gmres`).
     #[test]
     fn guard_confirms_clean_convergence_with_identical_iterates() {
-        check_guard_confirms_clean_convergence(overlapped, 1e-8);
         check_guard_confirms_clean_convergence(fused, 1e-8);
     }
 
@@ -340,30 +247,26 @@ pub(crate) mod tests {
     fn guard_flags_corrupted_operator_instead_of_false_convergence() {
         // The 21st product is the first whose corruption this loop does
         // not notice on its own (an earlier one breaks a cycle down).
-        check_guard_flags_corrupted_operator(overlapped, 1e-8, 20);
         check_guard_flags_corrupted_operator(fused, 1e-8, 20);
     }
 
     /// An operator whose `try_apply_panel` fails at call `k` — the anchor, the
     /// cycle-start residual, the pipeline prologue or an iteration's matvec
-    /// — interrupts both loops with the failing layer's error intact.
+    /// — interrupts the loop with the failing layer's error intact.
     #[test]
     fn operator_failure_at_any_call_is_a_typed_interrupt_with_its_source() {
         let a = laplacian_2d(6, 6);
         let b = vec![1.0; a.rows()];
         let opts = GmresOpts::default();
-        for solve in [overlapped, fused] {
-            for k in [0, 1, 2, 3, 7] {
-                let op = FailAfter {
-                    inner: &a,
-                    budget: Cell::new(k),
-                };
-                let err =
-                    solve(&op, &b, &opts, None, None).expect_err("the budget runs out mid-solve");
-                assert_eq!(err.reason(), "operator budget exhausted");
-                let source = err.take_source().expect("the source travels with it");
-                assert!(source.downcast::<BudgetExhausted>().is_ok(), "call {k}");
-            }
+        for k in [0, 1, 2, 3, 7] {
+            let op = FailAfter {
+                inner: &a,
+                budget: Cell::new(k),
+            };
+            let err = fused(&op, &b, &opts, None, None).expect_err("the budget runs out mid-solve");
+            assert_eq!(err.reason(), "operator budget exhausted");
+            let source = err.take_source().expect("the source travels with it");
+            assert!(source.downcast::<BudgetExhausted>().is_ok(), "call {k}");
         }
     }
 
@@ -390,7 +293,7 @@ pub(crate) mod tests {
             None,
         )
         .unwrap();
-        let pipelined = overlapped(&a, &b, &opts, None, None).unwrap();
+        let pipelined = fused(&a, &b, &opts, None, None).unwrap();
         assert!(classical.converged && pipelined.converged);
         assert!(
             vector::dist2(&classical.x, &pipelined.x) < 1e-5 * vector::norm2(&classical.x).max(1.0),
@@ -441,7 +344,7 @@ pub(crate) mod tests {
             max_iters: 400,
             ..Default::default()
         };
-        let res = overlapped(&a, &b, &opts, None, None).unwrap();
+        let res = fused(&a, &b, &opts, None, None).unwrap();
         assert!(res.converged);
         let mut ax = vec![0.0; n];
         a.spmv(&res.x, &mut ax);
@@ -460,7 +363,7 @@ pub(crate) mod tests {
             max_iters: 1000,
             ..Default::default()
         };
-        let res = overlapped(&a, &b, &opts, None, None).unwrap();
+        let res = fused(&a, &b, &opts, None, None).unwrap();
         assert!(res.converged, "residual {}", res.final_residual);
         let mut ax = vec![0.0; n];
         a.spmv(&res.x, &mut ax);
@@ -481,7 +384,7 @@ pub(crate) mod tests {
             }
         }
         let n = 10;
-        let res = overlapped(&NanOp(n), &vec![1.0; n], &GmresOpts::default(), None, None).unwrap();
+        let res = fused(&NanOp(n), &vec![1.0; n], &GmresOpts::default(), None, None).unwrap();
         assert!(!res.converged);
         assert_eq!(res.status, SolveStatus::Breakdown);
         assert!(res.x.iter().all(|v| v.is_finite()));
@@ -496,13 +399,13 @@ pub(crate) mod tests {
             tol: 1e-9,
             ..Default::default()
         };
-        let res = overlapped(&a, &b, &opts, None, None).unwrap();
+        let res = fused(&a, &b, &opts, None, None).unwrap();
         assert!(res.history.len() >= 2);
         assert!(res.history.last().unwrap() < &1e-8);
     }
 
-    /// The pipelined loops solve a panel's columns one after another, each
-    /// its one-column solve from the recycle state at entry, bit for bit.
+    /// The fused loop solves a panel's columns one after another, each its
+    /// one-column solve from the recycle state at entry, bit for bit.
     #[test]
     fn each_panel_column_is_its_single_solve_bitwise() {
         let a = laplacian_2d(8, 7);
@@ -518,49 +421,32 @@ pub(crate) mod tests {
         };
         let mut seeded = RecycleSpace::new(4);
         let other: Vec<f64> = (0..n).map(|i| (i as f64 * 3.3).cos()).collect();
-        overlapped(&a, &other, &opts, None, Some(&mut seeded)).unwrap();
+        fused(&a, &other, &opts, None, Some(&mut seeded)).unwrap();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for space in [None, Some(&seeded)] {
-            for fused_loop in [false, true] {
-                let mut at_entry = space.cloned();
-                let got = if fused_loop {
-                    fused_pipelined_gmres_panel(
-                        &a,
-                        &SeqFused,
-                        &SeqDot,
-                        &panel,
-                        &x0,
-                        3,
-                        &opts,
-                        None,
-                        at_entry.as_mut(),
-                    )
-                } else {
-                    pipelined_gmres_panel(
-                        &a,
-                        &IdentityPrecond,
-                        &SeqDot,
-                        &panel,
-                        &x0,
-                        3,
-                        &opts,
-                        None,
-                        at_entry.as_mut(),
-                    )
-                }
-                .unwrap();
-                let single = if fused_loop { fused } else { overlapped };
-                for (b, res) in rhs.iter().zip(&got) {
-                    let want = single(&a, b, &opts, None, space.cloned().as_mut()).unwrap();
-                    assert_eq!(bits(&res.x), bits(&want.x));
-                    assert_eq!(bits(&res.history), bits(&want.history));
-                    assert_eq!(res.iterations, want.iterations);
-                }
-                assert_eq!(
-                    at_entry.map_or(0, |s| s.len()),
-                    space.map_or(0, |s| s.len() + 3)
-                );
+            let mut at_entry = space.cloned();
+            let got = fused_pipelined_gmres_panel(
+                &a,
+                &SeqFused,
+                &SeqDot,
+                &panel,
+                &x0,
+                3,
+                &opts,
+                None,
+                at_entry.as_mut(),
+            )
+            .unwrap();
+            for (b, res) in rhs.iter().zip(&got) {
+                let want = fused(&a, b, &opts, None, space.cloned().as_mut()).unwrap();
+                assert_eq!(bits(&res.x), bits(&want.x));
+                assert_eq!(bits(&res.history), bits(&want.history));
+                assert_eq!(res.iterations, want.iterations);
             }
+            assert_eq!(
+                at_entry.map_or(0, |s| s.len()),
+                space.map_or(0, |s| s.len() + 3)
+            );
         }
     }
 }

@@ -10,7 +10,7 @@
 //! with the [`crate::SdcGuard`] drift check, the Givens-rotated
 //! least-squares problem, stagnation, the one restart a breakdown is
 //! allowed, the update `x += D y` and the verdict. The classical loop
-//! ([`crate::gmres`]) and the pipelined loops ([`crate::pipelined`]) are two
+//! ([`crate::gmres`]) and the fused p1 loop ([`crate::pipelined`]) are two
 //! cycle bodies handed to [`solve`].
 //!
 //! The driver solves `k` right-hand sides at once, one [`Run`] and one

@@ -21,7 +21,7 @@
 //!   `World::run_elastic` and the one membership agreement
 //!   `Communicator::try_shrink`, straggler suspicion and eviction under a
 //!   `SuspicionPolicy`);
-//! * [`krylov`] — GMRES / pipelined p1-GMRES, with Krylov-subspace
+//! * [`krylov`] — GMRES / fused p1-GMRES, with Krylov-subspace
 //!   recycling for repeated right-hand sides;
 //! * [`core`] — the paper's preconditioners and drivers;
 //! * [`serve`] — solve-as-a-service: a resident prepared solver streaming

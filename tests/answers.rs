@@ -7,20 +7,21 @@
 //! moved and in what (solution, history, iterations, counters). Rows:
 //!
 //! * `{fig12, diffusion2d, elasticity3d} / {identity, owner2} /
-//!   {classical-right, classical-left, pipelined, fused} /
+//!   {classical-right, classical-left, fused} /
 //!   {distributed, redundant}` — the SPMD solve on one rank per subdomain
 //!   (`try_run_spmd`) and on a 2-rank owner map (`try_setup_partitioned` +
 //!   `try_apply`), with the traced set-up and solve message counters
 //!   summed over ranks;
 //! * `diffusion2d/{identity, owner2}/one-level/{classical-right,
-//!   classical-left, pipelined, fused}` — the same on one-level RAS;
-//! * `serve/{classical-right, pipelined, fused}/{recycle, cold}` — a
+//!   classical-left, fused}` — the same on one-level RAS (where the fused
+//!   solver runs the classical loop);
+//! * `serve/{classical-right, fused}/{recycle, cold}` — a
 //!   2-rank `try_serve` stream on the 2D decomposition (one right-hand side
 //!   twice, then an admissibly perturbed one), with and without a recycle
 //!   space: every response's `x` and history, its iterations and the traced
 //!   `serve-apply` counters;
 //! * `sequential/…` — the sequential inputs of `kernel_differential.rs`
-//!   (GMRES under every orthogonalisation and side, p1-GMRES) and the
+//!   (GMRES under the CGS2 and MGS references on both sides) and the
 //!   sequential two-level preconditioner on the 2D decomposition.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test answers`.
@@ -35,9 +36,7 @@ use dd_geneo::core::{
     CoarseSolve, Decomposition, GeneoOpts, MultiApplyOutcome, Problem, SolverKind, SpmdOpts,
     TwoLevelOpts,
 };
-use dd_geneo::krylov::{
-    pipelined_gmres_panel, try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult,
-};
+use dd_geneo::krylov::{try_gmres, GmresOpts, IdentityPrecond, Ortho, SeqDot, Side, SolveResult};
 use dd_geneo::mesh::Mesh;
 use dd_geneo::part::partition_mesh_rcb;
 use dd_geneo::serve::{try_serve, Payload, Request, ResponseStore, ServeOpts, Workload};
@@ -208,10 +207,9 @@ fn decompositions() -> Vec<(&'static str, Arc<Decomposition>, usize)> {
 }
 
 /// The Krylov loops of the SPMD rows: `(name, solver, side)`.
-const LOOPS: [(&str, SolverKind, Side); 4] = [
+const LOOPS: [(&str, SolverKind, Side); 3] = [
     ("classical-right", SolverKind::Classical, Side::Right),
     ("classical-left", SolverKind::Classical, Side::Left),
-    ("pipelined", SolverKind::Pipelined, Side::Left),
     ("fused", SolverKind::Fused, Side::Left),
 ];
 
@@ -297,7 +295,6 @@ fn serve_rows(rows: &mut BTreeMap<String, String>) {
     ]);
     let loops = [
         ("classical-right", SolverKind::Classical, Side::Right),
-        ("pipelined", SolverKind::Pipelined, Side::Left),
         ("fused", SolverKind::Fused, Side::Left),
     ];
     for (loop_name, solver, side) in loops {
@@ -379,20 +376,6 @@ fn sequential_rows(rows: &mut BTreeMap<String, String>) {
             sequential_row(&res).json(),
         );
     }
-    let b = rng.vec_f64(120, -1.0, 1.0);
-    let opts = GmresOpts {
-        tol: 1e-8,
-        max_iters: 120,
-        ..Default::default()
-    };
-    let res = pipelined_gmres_panel(&a, &IdentityPrecond, &SeqDot, &b, &x0, 1, &opts, None, None)
-        .unwrap()
-        .remove(0);
-    rows.insert(
-        "sequential/random_spd/pipelined".to_string(),
-        sequential_row(&res).json(),
-    );
-
     let (_, decomp, nev) = decompositions().swap_remove(1);
     let m = two_level(
         &decomp,

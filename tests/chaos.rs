@@ -418,7 +418,7 @@ fn assert_recovered_in<'a>(
 }
 
 /// The bar a recovered solve under `o` is held to when its loop is
-/// left-preconditioned (the pipelined ones always are): twice the true
+/// left-preconditioned (the fused one always is): twice the true
 /// residual of a fault-free run. Its tolerance is on the preconditioned
 /// residual, and on this contrast-3·10⁶ problem the true residual of even a
 /// fault-free solve sits orders of magnitude above that.
@@ -643,8 +643,7 @@ fn fused_solver_recovers_on_the_fused_loop_never_a_panic() {
     // The recovered epochs ran the fused loop: its Gram rows ride the
     // masters' `iallreduce`, and the loop has no v-variant collective
     // (`conformance`'s signature of the §3.5 loop). The classical loop
-    // posts no `iallreduce` at all; the overlapped one posts it on the
-    // world communicator.
+    // posts no `iallreduce` at all.
     let phase = "recovery-solve";
     let mut iallreduces = 0;
     for (rank, e) in trace.events_in_phase(phase) {
@@ -673,8 +672,8 @@ fn opts_reaching_iteration_2(solver: SolverKind) -> SpmdOpts {
     o
 }
 
-/// A rank dies inside the pipelined or the fused loop of the *nominal*
-/// attempt — no set-up death first. Every collective of those loops is
+/// A rank dies inside the fused loop of the *nominal* attempt — no set-up
+/// death first. Every collective of that loop is
 /// fallible, so the survivors get a typed error, shrink, and resume the
 /// same loop from the last globally complete checkpoint (every loop
 /// writes them; the cadence here is every iteration, so one exists before
@@ -685,53 +684,51 @@ fn opts_reaching_iteration_2(solver: SolverKind) -> SpmdOpts {
 #[test]
 fn kill_inside_a_pipelined_or_fused_solve_is_typed_and_recovered() {
     let decomp = setup(12, 4);
-    for (solver, seed) in [(SolverKind::Pipelined, 47), (SolverKind::Fused, 53)] {
-        let mut o = opts_reaching_iteration_2(solver);
-        o.recovery.enabled = true;
-        o.recovery.checkpoint_interval = 1;
-        let bar = fault_free_bar(&decomp, &o);
-        let results = run_recoverable_with_plan(
-            &decomp,
-            &o,
-            FaultPlan::new(seed).with_kill(1, "solve-iteration-2"),
+    let (solver, seed) = (SolverKind::Fused, 53);
+    let mut o = opts_reaching_iteration_2(solver);
+    o.recovery.enabled = true;
+    o.recovery.checkpoint_interval = 1;
+    let bar = fault_free_bar(&decomp, &o);
+    let results = run_recoverable_with_plan(
+        &decomp,
+        &o,
+        FaultPlan::new(seed).with_kill(1, "solve-iteration-2"),
+    );
+    // The failpoint only marks the rank gone (`on_iteration` swallows
+    // it); the victim learns of its death at the agreement its next
+    // failed exchange, post or wait sends it to — in the solve phase,
+    // or in the cooperative coarse solve nested in it.
+    let reports = assert_recovered_in(&decomp, &results, 1, &["solve", "e-solve-dist"], bar);
+    for r in &reports {
+        let resume = r.report.run.recoveries[0].resume_iteration;
+        assert!(
+            matches!(resume, Some(j) if (1..=2).contains(&j)),
+            "{solver:?}: survivors must resume from a checkpoint, got {resume:?}"
         );
-        // The failpoint only marks the rank gone (`on_iteration` swallows
-        // it); the victim learns of its death at the agreement its next
-        // failed exchange, post or wait sends it to — in the solve phase,
-        // or in the cooperative coarse solve nested in it.
-        let reports = assert_recovered_in(&decomp, &results, 1, &["solve", "e-solve-dist"], bar);
-        for r in &reports {
-            let resume = r.report.run.recoveries[0].resume_iteration;
-            assert!(
-                matches!(resume, Some(j) if (1..=2).contains(&j)),
-                "{solver:?}: survivors must resume from a checkpoint, got {resume:?}"
-            );
-            assert!(r.solve.result.iterations > resume.unwrap(), "{solver:?}");
-            // Two-level, so `assert_recovered_in` has checked that the
-            // adopter took the Nicolaides degradation.
-            assert!(r.report.dim_e > 0, "{solver:?}");
-            assert!(r.solve.result.final_residual <= o.gmres.tol, "{solver:?}");
-        }
+        assert!(r.solve.result.iterations > resume.unwrap(), "{solver:?}");
+        // Two-level, so `assert_recovered_in` has checked that the
+        // adopter took the Nicolaides degradation.
+        assert!(r.report.dim_e > 0, "{solver:?}");
+        assert!(r.solve.result.final_residual <= o.gmres.tol, "{solver:?}");
     }
 }
 
 #[test]
 fn kill_inside_a_pipelined_or_fused_solve_without_recovery_is_typed_everywhere() {
     let decomp = setup(12, 4);
-    for (solver, seed) in [(SolverKind::Pipelined, 59), (SolverKind::Fused, 61)] {
-        let o = opts_reaching_iteration_2(solver);
-        assert!(!o.recovery.enabled);
-        let results = run_recoverable_with_plan(
-            &decomp,
-            &o,
-            FaultPlan::new(seed).with_kill(1, "solve-iteration-2"),
-        );
-        for (rank, res) in results.iter().enumerate() {
-            match res {
-                Err(SpmdError::Killed { rank: r, .. }) => assert_eq!((rank, *r), (1, 1)),
-                Err(SpmdError::Comm(CommError::RankDead { .. })) => {}
-                other => panic!("{solver:?} rank {rank}: expected a typed loss, got {other:?}"),
-            }
+    let (solver, seed) = (SolverKind::Fused, 61);
+    let o = opts_reaching_iteration_2(solver);
+    assert!(!o.recovery.enabled);
+    let results = run_recoverable_with_plan(
+        &decomp,
+        &o,
+        FaultPlan::new(seed).with_kill(1, "solve-iteration-2"),
+    );
+    for (rank, res) in results.iter().enumerate() {
+        match res {
+            Err(SpmdError::Killed { rank: r, .. }) => assert_eq!((rank, *r), (1, 1)),
+            Err(SpmdError::Comm(CommError::RankDead { .. })) => {}
+            other => panic!("{solver:?} rank {rank}: expected a typed loss, got {other:?}"),
         }
     }
 }

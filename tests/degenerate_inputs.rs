@@ -35,7 +35,6 @@ fn loops() -> Vec<(SolverKind, Side)> {
     vec![
         (SolverKind::Classical, Side::Right),
         (SolverKind::Classical, Side::Left),
-        (SolverKind::Pipelined, Side::Left),
         (SolverKind::Fused, Side::Left),
     ]
 }
@@ -178,7 +177,7 @@ fn one_subdomain_on_one_rank_solves() {
 /// ν = 0 on every subdomain: no coarse space, so eq. 6 is one-level RAS.
 /// On the identity map (four ranks) and on a 2-rank owner map, every loop
 /// converges to an honest answer and reports an empty coarse level, and
-/// the pipelined loops, which have no coarse solve to hide, give the
+/// the fused loop, which has no coarse solve to ride, gives the
 /// classical left-preconditioned answer to the bit. Honest: the monitored
 /// residual meets the tolerance, and under right preconditioning, where
 /// that residual is the true one, so does the true residual of the

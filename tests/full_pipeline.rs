@@ -167,11 +167,7 @@ fn spmd_all_solver_kinds_agree() {
     let problem = presets::heterogeneous_diffusion(1);
     let d = Arc::new(decompose(&mesh, &problem, &part, n_sub, 1));
     let direct = direct_solution(&d);
-    for kind in [
-        SolverKind::Classical,
-        SolverKind::Pipelined,
-        SolverKind::Fused,
-    ] {
+    for kind in [SolverKind::Classical, SolverKind::Fused] {
         let opts = SpmdOpts {
             geneo: GeneoOpts {
                 nev: 6,

@@ -13,10 +13,10 @@
 //! iteration, whatever its orthogonalization.
 
 use dd_geneo::krylov::{
-    fused_pipelined_gmres_panel, pipelined_gmres_panel, try_gmres, try_gmres_panel, try_gmres_with,
-    CheckpointCfg, CheckpointSink, FnPrecond, FusedPreconditioner, GmresOpts, GmresWorkspace,
-    IdentityPrecond, InnerProduct, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side,
-    SolveCheckpoint, SolveInterrupt, SolveResult, SolveStatus,
+    fused_pipelined_gmres_panel, try_gmres, try_gmres_panel, try_gmres_with, CheckpointCfg,
+    CheckpointSink, FnPrecond, FusedPreconditioner, GmresOpts, GmresWorkspace, IdentityPrecond,
+    InnerProduct, Operator, Ortho, Preconditioner, RecycleSpace, SeqDot, Side, SolveCheckpoint,
+    SolveInterrupt, SolveResult, SolveStatus,
 };
 use dd_geneo::linalg::{vector, CooBuilder, CsrMatrix};
 use std::cell::{Cell, RefCell};
@@ -485,10 +485,6 @@ fn every_loop_rejects_inputs_of_the_wrong_length() {
         let panel = try_gmres_panel(&op, m, ip, b, x0, k, &gmres, ckpt, None, &mut ws);
         let mut outcomes = vec![
             ("try_gmres_panel", panel.map(drop)),
-            (
-                "pipelined_gmres_panel",
-                pipelined_gmres_panel(&op, m, ip, b, x0, k, &gmres, ckpt, None).map(drop),
-            ),
             (
                 "fused_pipelined_gmres_panel",
                 fused_pipelined_gmres_panel(&op, m, ip, b, x0, k, &gmres, ckpt, None).map(drop),

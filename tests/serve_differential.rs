@@ -852,16 +852,12 @@ fn recycling_never_increases_total_iterations() {
         assert_differential(&decomp, recycled, w, &a, what);
         (a, b)
     };
-    // The stream as generated, on the default loop. The p1 loops do not
+    // The stream as generated, on the default loop. The p1 loop does not
     // keep the total on it: recycled, two of its fifteen right-hand sides
     // take 5 iterations instead of 4 (74 against 72).
     run_both(&serve_opts(), &w, "Classical");
     let repeated = |r: &ServeReport| r.responses.iter().find(|r| r.req == 1).unwrap().iterations;
-    for solver in [
-        SolverKind::Classical,
-        SolverKind::Pipelined,
-        SolverKind::Fused,
-    ] {
+    for solver in [SolverKind::Classical, SolverKind::Fused] {
         for (after, batcher, later) in [
             (gap, separate.clone(), true),
             (0.0, BatcherCfg::default(), false),
